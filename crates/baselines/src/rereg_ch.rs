@@ -62,7 +62,7 @@ impl ReregisteredChBinder {
         program: ProgramId,
         port: u16,
     ) -> RpcResult<()> {
-        let value = Value::record(vec![
+        let value = Value::record([
             ("host", Value::U32(host.0)),
             ("program", Value::U32(program.0)),
             ("port", Value::U32(port as u32)),

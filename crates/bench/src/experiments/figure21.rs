@@ -23,21 +23,17 @@ pub fn run() -> String {
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
 
     tb.world.tracer.set_enabled(true);
-    tb.world.trace(
-        None,
-        simnet::trace::TraceKind::Info,
-        "--- query 1: a BIND name ---",
-    );
+    tb.world.trace(None, simnet::trace::TraceKind::Info, || {
+        "--- query 1: a BIND name ---".into()
+    });
     let bind_name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     importer
         .import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &bind_name)
         .expect("BIND import");
 
-    tb.world.trace(
-        None,
-        simnet::trace::TraceKind::Info,
-        "--- query 2: a Clearinghouse name ---",
-    );
+    tb.world.trace(None, simnet::trace::TraceKind::Info, || {
+        "--- query 2: a Clearinghouse name ---".into()
+    });
     let ch_name = HnsName::new(tb.ctx_ch(), "printserver:cs:uw").expect("name");
     importer
         .import(PRINT_SERVICE, PRINT_SERVICE_PROGRAM, &ch_name)

@@ -40,7 +40,7 @@ pub fn transfer_zone(
     binding: &HrpcBinding,
     origin: &DomainName,
 ) -> RpcResult<ZoneTransfer> {
-    let args = Value::record(vec![("origin", Value::str(origin.to_string()))]);
+    let args = Value::record([("origin", Value::str(origin.as_str()))]);
     let reply = net.call(caller, binding, PROC_AXFR, &args)?;
     let serial = reply.u32_field("serial")?;
     let size_bytes = reply.u32_field("size_bytes")? as usize;
@@ -106,8 +106,8 @@ pub fn transfer_zone_incremental(
     origin: &DomainName,
     from_serial: u32,
 ) -> RpcResult<IncrementalTransfer> {
-    let args = Value::record(vec![
-        ("origin", Value::str(origin.to_string())),
+    let args = Value::record([
+        ("origin", Value::str(origin.as_str())),
         ("from_serial", Value::U32(from_serial)),
     ]);
     let reply = net.call(caller, binding, PROC_IXFR, &args)?;
@@ -157,7 +157,7 @@ pub fn read_serial(
     binding: &HrpcBinding,
     origin: &DomainName,
 ) -> RpcResult<u32> {
-    let args = Value::record(vec![("origin", Value::str(origin.to_string()))]);
+    let args = Value::record([("origin", Value::str(origin.as_str()))]);
     Ok(net.call(caller, binding, PROC_SERIAL, &args)?.as_u32()?)
 }
 
@@ -236,7 +236,7 @@ impl Secondary {
 impl std::fmt::Debug for Secondary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Secondary")
-            .field("origin", &self.origin.to_string())
+            .field("origin", &self.origin.as_str())
             .field("serial", &self.current_serial())
             .finish()
     }

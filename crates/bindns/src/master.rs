@@ -63,7 +63,7 @@ pub fn parse_record(line: &str) -> NsResult<ResourceRecord> {
         "UNSPEC" => {
             let hex = first()?;
             let bytes = decode_hex(hex)?;
-            (RType::Unspec, RData::Opaque(bytes))
+            (RType::Unspec, RData::Opaque(bytes.into()))
         }
         other => return Err(NsError::BadRecord(format!("unknown type `{other}`"))),
     };
@@ -109,7 +109,10 @@ meta.cs.washington.edu   600   UNSPEC deadbeef
         assert_eq!(zone.lookup(&n, RType::A).expect("lookup").len(), 1);
         let u = DomainName::parse("meta.cs.washington.edu").expect("name");
         let found = zone.lookup(&u, RType::Unspec).expect("lookup");
-        assert_eq!(found[0].rdata, RData::Opaque(vec![0xDE, 0xAD, 0xBE, 0xEF]));
+        assert_eq!(
+            found[0].rdata,
+            RData::Opaque(vec![0xDE, 0xAD, 0xBE, 0xEF].into())
+        );
     }
 
     #[test]

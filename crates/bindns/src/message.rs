@@ -49,8 +49,8 @@ impl Question {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> Value {
-        Value::record(vec![
-            ("name", Value::str(self.name.to_string())),
+        Value::record([
+            ("name", Value::str(self.name.as_str())),
             ("rtype", Value::U32(self.rtype.code() as u32)),
         ])
     }
@@ -127,7 +127,7 @@ impl Answer {
     pub fn to_value(&self) -> NsResult<Value> {
         let records: NsResult<Vec<Value>> =
             self.records.iter().map(ResourceRecord::to_value).collect();
-        Ok(Value::record(vec![
+        Ok(Value::record([
             ("rcode", Value::U32(self.rcode as u32)),
             ("answers", Value::List(records?)),
         ]))
@@ -155,11 +155,7 @@ impl Answer {
     /// Serializes through the hand-written fast path. All records must
     /// share one owner name (true for every standard lookup reply).
     pub fn to_fast_bytes(&self) -> WireResult<Vec<u8>> {
-        let owner = self
-            .records
-            .first()
-            .map(|r| r.name.to_string())
-            .unwrap_or_default();
+        let owner = self.records.first().map_or("", |r| r.name.as_str());
         let wire_records: Vec<WireRecord> = self
             .records
             .iter()
@@ -175,7 +171,7 @@ impl Answer {
             })
             .collect::<WireResult<_>>()?;
         let mut prefixed = vec![self.rcode as u8];
-        prefixed.extend(encode_rr_batch(&owner, &wire_records)?);
+        prefixed.extend(encode_rr_batch(owner, &wire_records)?);
         Ok(prefixed)
     }
 
@@ -231,7 +227,7 @@ impl MultiQuestion {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> Value {
-        Value::record(vec![
+        Value::record([
             (
                 "questions",
                 Value::List(self.questions.iter().map(Question::to_value).collect()),
@@ -297,7 +293,7 @@ impl MultiAnswer {
                 set.iter().map(Answer::to_value).collect::<NsResult<_>>()?,
             ))
         };
-        Ok(Value::record(vec![
+        Ok(Value::record([
             ("answers", encode(&self.answers)?),
             ("additional", encode(&self.additional)?),
         ]))

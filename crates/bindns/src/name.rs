@@ -1,6 +1,8 @@
 //! Domain names: case-insensitive dotted label sequences.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{NsError, NsResult};
 
@@ -9,18 +11,22 @@ pub const MAX_LABEL: usize = 63;
 /// Maximum total bytes in a name (labels plus separating dots).
 pub const MAX_NAME: usize = 255;
 
-/// A fully qualified domain name, stored as lowercase labels in
-/// left-to-right order (`fiji.cs.washington.edu` → `["fiji", "cs",
-/// "washington", "edu"]`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A fully qualified domain name: one shared, canonical (lowercase,
+/// dotted, no trailing dot) string; the root is the empty string.
+/// Cloning bumps a reference count, and every relation is computed on
+/// the text in place — names are compared on each B-tree step of a zone
+/// map and cloned into every message, so neither may allocate.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DomainName {
-    labels: Vec<String>,
+    text: Arc<str>,
 }
 
 impl DomainName {
     /// The root (empty) name.
     pub fn root() -> Self {
-        DomainName { labels: Vec::new() }
+        DomainName {
+            text: Arc::from(""),
+        }
     }
 
     /// Parses a dotted name. A single trailing dot (absolute form) is
@@ -36,7 +42,7 @@ impl DomainName {
                 trimmed.len()
             )));
         }
-        let mut labels = Vec::new();
+        let mut needs_lowering = false;
         for label in trimmed.split('.') {
             if label.is_empty() {
                 return Err(NsError::BadName(format!("empty label in `{s}`")));
@@ -44,95 +50,123 @@ impl DomainName {
             if label.len() > MAX_LABEL {
                 return Err(NsError::BadName(format!("label `{label}` too long")));
             }
-            if !label
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-            {
-                return Err(NsError::BadName(format!(
-                    "bad character in label `{label}`"
-                )));
+            for b in label.bytes() {
+                if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
+                    return Err(NsError::BadName(format!(
+                        "bad character in label `{label}`"
+                    )));
+                }
+                needs_lowering |= b.is_ascii_uppercase();
             }
-            labels.push(label.to_ascii_lowercase());
         }
-        Ok(DomainName { labels })
+        let text = if needs_lowering {
+            Arc::from(trimmed.to_ascii_lowercase())
+        } else {
+            Arc::from(trimmed)
+        };
+        Ok(DomainName { text })
+    }
+
+    /// The canonical dotted text (`.` for the root).
+    pub fn as_str(&self) -> &str {
+        if self.text.is_empty() {
+            "."
+        } else {
+            &self.text
+        }
     }
 
     /// The labels, leftmost (most specific) first.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> impl Iterator<Item = &str> {
+        self.text.split('.').filter(|l| !l.is_empty())
     }
 
     /// Number of labels.
     pub fn depth(&self) -> usize {
-        self.labels.len()
+        if self.text.is_empty() {
+            0
+        } else {
+            1 + self.text.bytes().filter(|&b| b == b'.').count()
+        }
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.text.is_empty()
     }
 
     /// Returns true if `self` equals `zone` or lies beneath it
-    /// (`fiji.cs.washington.edu` is within `cs.washington.edu`).
+    /// (`fiji.cs.washington.edu` is within `cs.washington.edu`): a suffix
+    /// test that must land on a label boundary.
     pub fn is_within(&self, zone: &DomainName) -> bool {
-        if zone.labels.len() > self.labels.len() {
-            return false;
+        match self.text.strip_suffix(&*zone.text) {
+            Some(below) => zone.is_root() || below.is_empty() || below.ends_with('.'),
+            None => false,
         }
-        let offset = self.labels.len() - zone.labels.len();
-        self.labels[offset..] == zone.labels[..]
     }
 
     /// The name with the leftmost label removed.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName {
-                labels: self.labels[1..].to_vec(),
-            })
+        if self.text.is_empty() {
+            return None;
         }
+        let rest = self.text.split_once('.').map_or("", |(_, rest)| rest);
+        Some(DomainName {
+            text: Arc::from(rest),
+        })
     }
 
     /// Prepends a label, producing a child name.
     pub fn child(&self, label: &str) -> NsResult<DomainName> {
-        let mut name = format!("{label}.");
-        name.push_str(&self.to_string());
+        let name = format!("{label}.{}", self.as_str());
         DomainName::parse(name.trim_end_matches('.'))
     }
 
     /// Interns the canonical (lowercase, dotted) rendering of this name
-    /// in the global interner, returning its compact id. A thread-local
-    /// buffer keeps the warm path allocation-free.
+    /// in the global interner, returning its compact id.
     pub fn interned(&self) -> intern::NameId {
-        use std::fmt::Write as _;
-        thread_local! {
-            static BUF: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-        }
-        BUF.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.clear();
-            let _ = write!(buf, "{self}");
-            intern::intern(&buf)
-        })
+        intern::intern(self.as_str())
     }
 
     /// Serialized length in bytes (labels plus dots).
     pub fn wire_len(&self) -> usize {
-        if self.labels.is_empty() {
-            1
-        } else {
-            self.labels.iter().map(|l| l.len()).sum::<usize>() + self.labels.len() - 1
+        self.as_str().len()
+    }
+}
+
+/// Label-wise order (compare the leftmost labels, then the next, a
+/// shorter name first on a tie), computed in one pass over the bytes: at
+/// the first differing byte a `.` — the end of a label — ranks below
+/// every label byte. A plain byte compare would misplace `a-b.c` after
+/// `a.c`, because `-` sorts below `.`. Keys of one zone share long
+/// prefixes and every B-tree step compares two of them, so the shared
+/// prefix is skipped eight bytes at a time.
+impl Ord for DomainName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (self.text.as_bytes(), other.text.as_bytes());
+        let skip = 8 * a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .take_while(|(x, y)| x == y)
+            .count();
+        match a[skip..].iter().zip(&b[skip..]).find(|(x, y)| x != y) {
+            None => a.len().cmp(&b.len()),
+            Some((b'.', _)) => Ordering::Less,
+            Some((_, b'.')) => Ordering::Greater,
+            Some((x, y)) => x.cmp(y),
         }
+    }
+}
+
+impl PartialOrd for DomainName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl fmt::Display for DomainName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            f.write_str(".")
-        } else {
-            f.write_str(&self.labels.join("."))
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -153,7 +187,7 @@ mod tests {
         let n = DomainName::parse("fiji.cs.washington.edu").expect("parse");
         assert_eq!(n.depth(), 4);
         assert_eq!(n.to_string(), "fiji.cs.washington.edu");
-        assert_eq!(n.labels()[0], "fiji");
+        assert_eq!(n.labels().next(), Some("fiji"));
     }
 
     #[test]

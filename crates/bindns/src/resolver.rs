@@ -103,13 +103,9 @@ impl StdResolver {
                         .costs
                         .cache_hit(simnet::CacheForm::Demarshalled, records.len()),
                 );
-                if world.tracer.is_enabled() {
-                    world.trace(
-                        Some(self.host),
-                        TraceKind::Cache,
-                        format!("stale_served: {name} {rtype:?} (stale {stale_for}; {err})"),
-                    );
-                }
+                world.trace(Some(self.host), TraceKind::Cache, || {
+                    format!("stale_served: {name} {rtype:?} (stale {stale_for}; {err})")
+                });
                 return Ok(records);
             }
             Err(err) => return Err(err),

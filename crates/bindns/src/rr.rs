@@ -9,6 +9,8 @@
 //! was altered "to support both dynamic updates and also data of
 //! unspecified type" so it could serve as the HNS meta-naming repository.
 
+use std::sync::Arc;
+
 use simnet::topology::{HostId, NetAddr};
 use wire::Value;
 
@@ -100,8 +102,9 @@ pub enum RData {
     Domain(DomainName),
     /// Text (for `TXT`, `HINFO`).
     Text(String),
-    /// Opaque bytes (for `WKS`, `UNSPEC`).
-    Opaque(Vec<u8>),
+    /// Opaque bytes (for `WKS`, `UNSPEC`), shared: a record handed out
+    /// by a zone, a cache or a transfer points at the stored payload.
+    Opaque(Arc<[u8]>),
     /// Start-of-authority payload.
     Soa {
         /// Primary server host name.
@@ -114,48 +117,56 @@ pub enum RData {
 }
 
 impl RData {
+    /// Serialized length in bytes (one tag byte plus the payload), or the
+    /// error [`RData::to_bytes`] reports when it exceeds [`MAX_RDATA`].
+    pub fn encoded_len(&self) -> NsResult<usize> {
+        let len = 1 + match self {
+            RData::Addr(_) => 4,
+            RData::Domain(name) => name.as_str().len(),
+            RData::Text(s) => s.len(),
+            RData::Opaque(data) => data.len(),
+            RData::Soa { primary, .. } => 8 + primary.as_str().len(),
+        };
+        if len > MAX_RDATA {
+            return Err(NsError::BadRecord(format!(
+                "rdata {len} bytes exceeds {MAX_RDATA}"
+            )));
+        }
+        Ok(len)
+    }
+
     /// Serializes to rdata bytes (bounded by [`MAX_RDATA`]).
     pub fn to_bytes(&self) -> NsResult<Vec<u8>> {
-        let bytes = match self {
+        let mut b = Vec::with_capacity(self.encoded_len()?);
+        match self {
             RData::Addr(addr) => {
-                let mut b = vec![0u8];
+                b.push(0);
                 b.extend_from_slice(&addr.host.0.to_be_bytes());
-                b
             }
             RData::Domain(name) => {
-                let mut b = vec![1u8];
-                b.extend_from_slice(name.to_string().as_bytes());
-                b
+                b.push(1);
+                b.extend_from_slice(name.as_str().as_bytes());
             }
             RData::Text(s) => {
-                let mut b = vec![2u8];
+                b.push(2);
                 b.extend_from_slice(s.as_bytes());
-                b
             }
             RData::Opaque(data) => {
-                let mut b = vec![3u8];
+                b.push(3);
                 b.extend_from_slice(data);
-                b
             }
             RData::Soa {
                 primary,
                 serial,
                 default_ttl,
             } => {
-                let mut b = vec![4u8];
+                b.push(4);
                 b.extend_from_slice(&serial.to_be_bytes());
                 b.extend_from_slice(&default_ttl.to_be_bytes());
-                b.extend_from_slice(primary.to_string().as_bytes());
-                b
+                b.extend_from_slice(primary.as_str().as_bytes());
             }
-        };
-        if bytes.len() > MAX_RDATA {
-            return Err(NsError::BadRecord(format!(
-                "rdata {} bytes exceeds {MAX_RDATA}",
-                bytes.len()
-            )));
         }
-        Ok(bytes)
+        Ok(b)
     }
 
     /// Deserializes rdata bytes.
@@ -180,7 +191,7 @@ impl RData {
                     .map_err(|_| NsError::BadRecord("bad text rdata".into()))?;
                 Ok(RData::Text(s.to_string()))
             }
-            3 => Ok(RData::Opaque(rest.to_vec())),
+            3 => Ok(RData::Opaque(rest.into())),
             4 => {
                 if rest.len() < 8 {
                     return Err(NsError::BadRecord("short SOA rdata".into()));
@@ -235,12 +246,12 @@ impl ResourceRecord {
     }
 
     /// Builds an `UNSPEC` record carrying opaque bytes.
-    pub fn unspec(name: DomainName, ttl: u32, data: Vec<u8>) -> Self {
+    pub fn unspec(name: DomainName, ttl: u32, data: impl Into<Arc<[u8]>>) -> Self {
         ResourceRecord {
             name,
             rtype: RType::Unspec,
             ttl,
-            rdata: RData::Opaque(data),
+            rdata: RData::Opaque(data.into()),
         }
     }
 
@@ -256,8 +267,8 @@ impl ResourceRecord {
 
     /// Serializes to a wire value (used by the HRPC interface to BIND).
     pub fn to_value(&self) -> NsResult<Value> {
-        Ok(Value::record(vec![
-            ("name", Value::str(self.name.to_string())),
+        Ok(Value::record([
+            ("name", Value::str(self.name.as_str())),
             ("rtype", Value::U32(self.rtype.code() as u32)),
             ("ttl", Value::U32(self.ttl)),
             ("rdata", Value::Bytes(self.rdata.to_bytes()?)),
@@ -283,7 +294,7 @@ impl ResourceRecord {
 
     /// Approximate stored size in bytes (for zone-transfer costing).
     pub fn size_bytes(&self) -> usize {
-        self.name.wire_len() + 8 + self.rdata.to_bytes().map(|b| b.len()).unwrap_or(0)
+        self.name.wire_len() + 8 + self.rdata.encoded_len().unwrap_or(0)
     }
 }
 
@@ -319,7 +330,7 @@ mod tests {
             RData::Addr(NetAddr::of(HostId(7))),
             RData::Domain(name("ns.cs.washington.edu")),
             RData::Text("VAX-II / Unix".into()),
-            RData::Opaque(vec![1, 2, 3]),
+            RData::Opaque(vec![1, 2, 3].into()),
             RData::Soa {
                 primary: name("ns.cs.washington.edu"),
                 serial: 42,
@@ -334,9 +345,9 @@ mod tests {
 
     #[test]
     fn oversized_rdata_rejected() {
-        let rdata = RData::Opaque(vec![0; MAX_RDATA]);
+        let rdata = RData::Opaque(vec![0; MAX_RDATA].into());
         assert!(rdata.to_bytes().is_err());
-        let ok = RData::Opaque(vec![0; MAX_RDATA - 1]);
+        let ok = RData::Opaque(vec![0; MAX_RDATA - 1].into());
         assert!(ok.to_bytes().is_ok());
     }
 

@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
 
@@ -68,30 +69,36 @@ pub struct BindServer {
     allow_updates: bool,
     allow_unspec: bool,
     additional: RwLock<Option<Arc<dyn AdditionalProvider>>>,
+    /// Per-call counters (`bindns/queries`, `mqueries`, `updates`),
+    /// resolved against the world's registry on first use.
+    queries: LazyCounter,
+    mqueries: LazyCounter,
+    updates: LazyCounter,
 }
 
 impl BindServer {
+    fn new(name: String, db: ZoneDb, modified: bool) -> Arc<Self> {
+        Arc::new(BindServer {
+            name,
+            db: RwLock::new(db),
+            allow_updates: modified,
+            allow_unspec: modified,
+            additional: RwLock::new(None),
+            queries: LazyCounter::new(),
+            mqueries: LazyCounter::new(),
+            updates: LazyCounter::new(),
+        })
+    }
+
     /// A conventional server: queries and transfers only.
     pub fn conventional(name: impl Into<String>, db: ZoneDb) -> Arc<Self> {
-        Arc::new(BindServer {
-            name: name.into(),
-            db: RwLock::new(db),
-            allow_updates: false,
-            allow_unspec: false,
-            additional: RwLock::new(None),
-        })
+        Self::new(name.into(), db, false)
     }
 
     /// The modified server: dynamic updates + `UNSPEC` data (the HNS meta
     /// repository).
     pub fn modified(name: impl Into<String>, db: ZoneDb) -> Arc<Self> {
-        Arc::new(BindServer {
-            name: name.into(),
-            db: RwLock::new(db),
-            allow_updates: true,
-            allow_unspec: true,
-            additional: RwLock::new(None),
-        })
+        Self::new(name.into(), db, true)
     }
 
     /// Whether dynamic updates are accepted.
@@ -140,7 +147,9 @@ impl BindServer {
     fn serve_query(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
         ctx.world.count_ns_lookup();
-        ctx.world.metrics().inc("bindns", "queries");
+        self.queries
+            .get(ctx.world.metrics(), "bindns", "queries")
+            .inc();
         let question = Question::from_value(args).map_err(service_err)?;
         let _span = ctx
             .world
@@ -150,9 +159,7 @@ impl BindServer {
         let db = self.db.read();
         let answer = Self::answer_one(&db, &question);
         drop(db);
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: query {} {} -> {:?} ({} records)",
                 self.name,
@@ -160,14 +167,16 @@ impl BindServer {
                 question.rtype,
                 answer.rcode,
                 answer.records.len()
-            ),
-        );
+            )
+        });
         answer.to_value().map_err(service_err)
     }
 
     fn serve_mquery(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
         let mq = MultiQuestion::from_value(args).map_err(service_err)?;
-        ctx.world.metrics().inc("bindns", "mqueries");
+        self.mqueries
+            .get(ctx.world.metrics(), "bindns", "mqueries")
+            .inc();
         ctx.world
             .metrics()
             .add("bindns", "mquery_questions", mq.questions.len() as u64);
@@ -207,16 +216,14 @@ impl BindServer {
         ctx.world
             .metrics()
             .add("bindns", "chaser_additional_sets", additional.len() as u64);
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: mquery {} questions -> {} additional sets",
                 self.name,
                 mq.questions.len(),
                 additional.len()
-            ),
-        );
+            )
+        });
         MultiAnswer {
             answers,
             additional,
@@ -238,17 +245,15 @@ impl BindServer {
             .iter()
             .map(ResourceRecord::to_value)
             .collect();
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: AXFR {} ({} bytes)",
                 self.name,
                 origin,
                 zone.size_bytes()
-            ),
-        );
-        Ok(Value::record(vec![
+            )
+        });
+        Ok(Value::record([
             ("serial", Value::U32(zone.serial())),
             ("size_bytes", Value::U32(zone.size_bytes() as u32)),
             ("records", Value::List(records.map_err(service_err)?)),
@@ -297,30 +302,30 @@ impl BindServer {
                 }
             }
         };
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: IXFR {origin} from serial {from_serial} -> {mode} ({size_bytes} bytes)",
                 self.name
-            ),
-        );
+            )
+        });
         let records: Result<Vec<Value>, _> = records.iter().map(ResourceRecord::to_value).collect();
-        Ok(Value::record(vec![
+        Ok(Value::record([
             ("serial", Value::U32(serial)),
             ("mode", Value::str(mode)),
             ("size_bytes", Value::U32(size_bytes as u32)),
             ("records", Value::List(records.map_err(service_err)?)),
             (
                 "removed",
-                Value::List(removed.iter().map(|n| Value::str(n.to_string())).collect()),
+                Value::List(removed.iter().map(|n| Value::str(n.as_str())).collect()),
             ),
         ]))
     }
 
     fn serve_update(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
-        ctx.world.metrics().inc("bindns", "updates");
+        self.updates
+            .get(ctx.world.metrics(), "bindns", "updates")
+            .inc();
         if !self.allow_updates {
             let answer = Answer::err(Rcode::Refused);
             return answer.to_value().map_err(service_err);
@@ -335,16 +340,14 @@ impl BindServer {
             Some(zone) => op.apply(zone),
             None => Err(NsError::NotAuthoritative(op.target().to_string())),
         };
-        ctx.world.trace(
-            Some(ctx.host),
-            TraceKind::NameService,
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: update {} -> {:?}",
                 self.name,
                 op.target(),
                 outcome.as_ref().err()
-            ),
-        );
+            )
+        });
         Answer::from_result(outcome.map(|()| Vec::new()))
             .to_value()
             .map_err(service_err)
@@ -642,7 +645,7 @@ mod tests {
     #[test]
     fn serial_and_axfr_expose_zone_state() {
         let (_world, net, client, dep) = setup(true);
-        let origin_args = Value::record(vec![("origin", Value::str("cs.washington.edu"))]);
+        let origin_args = Value::record([("origin", Value::str("cs.washington.edu"))]);
         let serial0 = net
             .call(client, &dep.hrpc_binding, PROC_SERIAL, &origin_args)
             .expect("serial")
@@ -679,7 +682,7 @@ mod tests {
     #[test]
     fn axfr_of_unknown_zone_fails() {
         let (_world, net, client, dep) = setup(true);
-        let args = Value::record(vec![("origin", Value::str("mit.edu"))]);
+        let args = Value::record([("origin", Value::str("mit.edu"))]);
         assert!(matches!(
             net.call(client, &dep.hrpc_binding, PROC_AXFR, &args),
             Err(RpcError::NotFound(_))

@@ -75,12 +75,10 @@ impl UpdateOp {
     /// Serializes to a wire value.
     pub fn to_value(&self) -> NsResult<Value> {
         Ok(match self {
-            UpdateOp::Add(rr) => {
-                Value::record(vec![("op", Value::U32(0)), ("record", rr.to_value()?)])
-            }
-            UpdateOp::Delete { name, rtype } => Value::record(vec![
+            UpdateOp::Add(rr) => Value::record([("op", Value::U32(0)), ("record", rr.to_value()?)]),
+            UpdateOp::Delete { name, rtype } => Value::record([
                 ("op", Value::U32(1)),
-                ("name", Value::str(name.to_string())),
+                ("name", Value::str(name.as_str())),
                 ("rtype", Value::U32(rtype.code() as u32)),
             ]),
             UpdateOp::Replace {
@@ -90,9 +88,9 @@ impl UpdateOp {
             } => {
                 let recs: NsResult<Vec<Value>> =
                     records.iter().map(ResourceRecord::to_value).collect();
-                Value::record(vec![
+                Value::record([
                     ("op", Value::U32(2)),
-                    ("name", Value::str(name.to_string())),
+                    ("name", Value::str(name.as_str())),
                     ("rtype", Value::U32(rtype.code() as u32)),
                     ("records", Value::List(recs?)),
                 ])
@@ -221,7 +219,7 @@ mod tests {
 
     #[test]
     fn bad_op_code_rejected() {
-        let v = Value::record(vec![("op", Value::U32(9))]);
+        let v = Value::record([("op", Value::U32(9))]);
         assert!(UpdateOp::from_value(&v).is_err());
     }
 }

@@ -56,7 +56,7 @@ impl RrBody {
 
     /// Stored bytes of the body alone (type + ttl + rdata).
     fn body_bytes(&self) -> usize {
-        8 + self.rdata.to_bytes().map(|b| b.len()).unwrap_or(0)
+        8 + self.rdata.encoded_len().unwrap_or(0)
     }
 }
 
@@ -78,6 +78,10 @@ pub struct Zone {
     delta_log: VecDeque<(u32, DomainName)>,
     /// Lowest client serial the log can still serve incrementally.
     delta_floor: u32,
+    /// `NS` records held below the origin, i.e. at zone cuts. While it
+    /// is zero — every meta zone — [`Zone::find_delegation`] answers
+    /// without walking (and building) the ancestors of the name.
+    cut_ns_records: usize,
 }
 
 impl Zone {
@@ -91,6 +95,7 @@ impl Zone {
             arena: HashSet::new(),
             delta_log: VecDeque::new(),
             delta_floor: 1,
+            cut_ns_records: 0,
         }
     }
 
@@ -159,7 +164,7 @@ impl Zone {
             return Err(NsError::NotAuthoritative(rr.name.to_string()));
         }
         // Validate rdata size eagerly.
-        rr.rdata.to_bytes()?;
+        rr.rdata.encoded_len()?;
         let set = self.records.entry(rr.name.clone()).or_default();
         let has_cname = set.iter().any(|r| r.rtype == RType::Cname);
         if rr.rtype == RType::Cname && !set.is_empty() {
@@ -179,6 +184,9 @@ impl Zone {
             .get_mut(&rr.name)
             .expect("just created")
             .push(body);
+        if rr.rtype == RType::Ns && rr.name != self.origin {
+            self.cut_ns_records += 1;
+        }
         self.log_change(rr.name);
         Ok(())
     }
@@ -210,6 +218,9 @@ impl Zone {
             }
         }
         if removed > 0 {
+            if rtype == RType::Ns && *name != self.origin {
+                self.cut_ns_records -= removed;
+            }
             self.prune(dropped);
             self.log_change(name.clone());
         }
@@ -301,6 +312,9 @@ impl Zone {
     /// holds `NS` records. Returns the cut's `NS` records plus any glue
     /// `A` records this zone holds for the named servers.
     pub fn find_delegation(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
+        if self.cut_ns_records == 0 {
+            return None;
+        }
         let mut cursor = Some(name.clone());
         let mut best: Option<Vec<ResourceRecord>> = None;
         while let Some(candidate) = cursor {
@@ -584,6 +598,9 @@ mod tests {
         assert!(z.find_delegation(&name("ee.washington.edu")).is_none());
         // Never at or above the origin.
         assert!(z.find_delegation(&name("washington.edu")).is_none());
+        // Removing the cut's NS set removes the delegation.
+        assert_eq!(z.remove(&name("cs.washington.edu"), RType::Ns), 1);
+        assert!(z.find_delegation(&name("fiji.cs.washington.edu")).is_none());
     }
 
     #[test]

@@ -18,11 +18,39 @@ fn arb_name_under(origin: &'static str) -> impl Strategy<Value = DomainName> {
     })
 }
 
+/// A few labels over a four-letter alphabet that includes `-` (which
+/// sorts below `.`) and `_`, so generated names often share prefixes,
+/// suffixes and whole labels.
+fn arb_labels() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec("[ab_-]{1,3}", 0..4)
+}
+
+/// The naive reference for [`DomainName`]: a name *is* its label list.
+struct RefName(Vec<String>);
+
+impl RefName {
+    fn name(&self) -> DomainName {
+        DomainName::parse(&self.0.join(".")).expect("valid")
+    }
+
+    fn is_within(&self, zone: &RefName) -> bool {
+        self.0.len() >= zone.0.len() && self.0[self.0.len() - zone.0.len()..] == zone.0[..]
+    }
+
+    fn wire_len(&self) -> usize {
+        if self.0.is_empty() {
+            1
+        } else {
+            self.0.iter().map(String::len).sum::<usize>() + self.0.len() - 1
+        }
+    }
+}
+
 fn arb_rdata() -> impl Strategy<Value = RData> {
     prop_oneof![
         (0u32..256).prop_map(|h| RData::Addr(NetAddr::of(HostId(h)))),
         "[ -~]{0,64}".prop_map(RData::Text),
-        proptest::collection::vec(any::<u8>(), 0..64).prop_map(RData::Opaque),
+        proptest::collection::vec(any::<u8>(), 0..64).prop_map(|b| RData::Opaque(b.into())),
     ]
 }
 
@@ -33,6 +61,51 @@ fn rtype_for(rdata: &RData) -> RType {
         RData::Opaque(_) => RType::Unspec,
         RData::Domain(_) => RType::Cname,
         RData::Soa { .. } => RType::Soa,
+    }
+}
+
+#[test]
+fn shared_string_name_handles_the_label_boundary_cases() {
+    let name = |s: &str| DomainName::parse(s).expect("valid");
+    // `-` sorts below `.`, so a plain byte compare would get this wrong:
+    // label-wise, `a` < `a-b`.
+    assert!(name("a.c") < name("a-b.c"));
+    assert!(name("a") < name("a.c"), "a shorter name first on a tie");
+    assert!(
+        name("a.c") < name("ab"),
+        "`a` < `ab` decides, not `.` vs `b`"
+    );
+    // A suffix of the text that does not start a label is not an ancestor.
+    assert!(!name("xcs.washington.edu").is_within(&name("cs.washington.edu")));
+    assert!(name("x.cs.washington.edu").is_within(&name("cs.washington.edu")));
+}
+
+proptest! {
+    // Many cheap cases: the interesting pairs (first difference at a
+    // `-` against a label end) are a small share of all pairs.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn shared_string_name_agrees_with_label_list_reference(
+        head in arb_labels(),
+        a_mid in arb_labels(),
+        b_mid in arb_labels(),
+        tail in arb_labels(),
+    ) {
+        // A shared head exercises the compare past its first bytes, a
+        // shared tail the ancestor test.
+        let ra = RefName([head.clone(), a_mid, tail.clone()].concat());
+        let rb = RefName([head, b_mid, tail].concat());
+        let (na, nb) = (ra.name(), rb.name());
+        prop_assert_eq!(na.cmp(&nb), ra.0.cmp(&rb.0), "order of {} vs {}", na, nb);
+        prop_assert_eq!(na == nb, ra.0 == rb.0);
+        prop_assert_eq!(na.is_within(&nb), ra.is_within(&rb), "{} within {}", na, nb);
+        prop_assert_eq!(nb.is_within(&na), rb.is_within(&ra), "{} within {}", nb, na);
+        prop_assert_eq!(na.depth(), ra.0.len());
+        prop_assert_eq!(na.wire_len(), ra.wire_len());
+        prop_assert_eq!(na.labels().collect::<Vec<_>>(), ra.0.iter().map(String::as_str).collect::<Vec<_>>());
+        let parent = (!ra.0.is_empty()).then(|| RefName(ra.0[1..].to_vec()).name());
+        prop_assert_eq!(na.parent(), parent);
     }
 }
 

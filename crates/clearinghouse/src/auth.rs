@@ -29,7 +29,7 @@ impl Credentials {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> wire::Value {
-        wire::Value::record(vec![
+        wire::Value::record([
             ("identity", wire::Value::str(self.identity.to_string())),
             ("key", wire::Value::U64(self.key)),
         ])

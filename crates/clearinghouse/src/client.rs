@@ -73,16 +73,12 @@ impl ChClient {
                 other => {
                     let world = self.net.world();
                     world.metrics().inc("faults", "ch_read_failovers");
-                    if world.tracer.is_enabled() {
-                        world.trace(
-                            Some(self.host),
-                            TraceKind::NameService,
-                            format!(
-                                "CH read failover: {} -> {} ({primary})",
-                                self.server.host, replica.host
-                            ),
-                        );
-                    }
+                    world.trace(Some(self.host), TraceKind::NameService, || {
+                        format!(
+                            "CH read failover: {} -> {} ({primary})",
+                            self.server.host, replica.host
+                        )
+                    });
                     return other;
                 }
             }
@@ -122,7 +118,7 @@ impl ChClient {
         names: &[ThreePartName],
         prop: PropertyId,
     ) -> RpcResult<Vec<Value>> {
-        let args = Value::record(vec![
+        let args = Value::record([
             ("creds", self.creds.to_value()),
             (
                 "names",
@@ -211,7 +207,7 @@ impl ChClient {
         organization: &str,
         pattern: &str,
     ) -> RpcResult<Vec<ThreePartName>> {
-        let args = Value::record(vec![
+        let args = Value::record([
             ("creds", self.creds.to_value()),
             ("name", Value::str(format!("x:{domain}:{organization}"))),
             ("domain", Value::str(domain)),

@@ -118,12 +118,12 @@ impl Entry {
             self.properties
                 .iter()
                 .map(|(id, p)| match p {
-                    Property::Item(v) => Value::record(vec![
+                    Property::Item(v) => Value::record([
                         ("id", Value::U32(id.0)),
                         ("kind", Value::U32(0)),
                         ("value", v.clone()),
                     ]),
-                    Property::Group(set) => Value::record(vec![
+                    Property::Group(set) => Value::record([
                         ("id", Value::U32(id.0)),
                         ("kind", Value::U32(1)),
                         (
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn malformed_value_rejected() {
         assert!(Entry::from_value(&Value::U32(1)).is_err());
-        let bad_kind = Value::List(vec![Value::record(vec![
+        let bad_kind = Value::List(vec![Value::record([
             ("id", Value::U32(1)),
             ("kind", Value::U32(9)),
         ])]);

@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
 
@@ -52,6 +53,7 @@ pub struct ChServer {
     name: String,
     db: RwLock<ChDb>,
     auth: Authenticator,
+    requests: LazyCounter,
 }
 
 impl ChServer {
@@ -61,6 +63,7 @@ impl ChServer {
             name: name.into(),
             db: RwLock::new(db),
             auth: Authenticator::new(),
+            requests: LazyCounter::new(),
         })
     }
 
@@ -105,8 +108,8 @@ fn ch_err(e: ChError) -> RpcError {
 /// Encodes a property for the wire.
 pub fn property_to_value(p: &Property) -> Value {
     match p {
-        Property::Item(v) => Value::record(vec![("kind", Value::U32(0)), ("value", v.clone())]),
-        Property::Group(set) => Value::record(vec![
+        Property::Item(v) => Value::record([("kind", Value::U32(0)), ("value", v.clone())]),
+        Property::Group(set) => Value::record([
             ("kind", Value::U32(1)),
             (
                 "members",
@@ -137,7 +140,9 @@ impl RpcService for ChServer {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        ctx.world.metrics().inc("clearinghouse", "requests");
+        self.requests
+            .get(ctx.world.metrics(), "clearinghouse", "requests")
+            .inc();
         let _span = ctx
             .world
             .span_lazy(Some(ctx.host), TraceKind::NameService, || {
@@ -153,11 +158,9 @@ impl RpcService for ChServer {
                 let name = Self::parse_name(args)?;
                 let prop = PropertyId(args.u32_field("prop")?);
                 let p = self.db.read().lookup(&name, prop).map_err(ch_err)?;
-                ctx.world.trace(
-                    Some(ctx.host),
-                    TraceKind::NameService,
-                    format!("{}: lookup {} prop {}", self.name, name, prop.0),
-                );
+                ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
+                    format!("{}: lookup {} prop {}", self.name, name, prop.0)
+                });
                 Ok(property_to_value(&p))
             }
             PROC_ADD_ENTRY => {
@@ -229,17 +232,15 @@ impl RpcService for ChServer {
                     ctx.world
                         .charge_ms(ctx.world.costs.ch_disk * (examined - 1) as f64);
                 }
-                ctx.world.trace(
-                    Some(ctx.host),
-                    TraceKind::NameService,
+                ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
                     format!(
                         "{}: lookup run prop {} ({} of {} present)",
                         self.name,
                         prop.0,
                         values.len(),
                         names.len()
-                    ),
-                );
+                    )
+                });
                 Ok(Value::List(values))
             }
             PROC_SNAPSHOT => {
@@ -248,7 +249,7 @@ impl RpcService for ChServer {
                     snapshot
                         .into_iter()
                         .map(|(n, e)| {
-                            Value::record(vec![
+                            Value::record([
                                 ("name", Value::str(n.to_string())),
                                 ("entry", e.to_value()),
                             ])
@@ -344,7 +345,7 @@ mod tests {
     }
 
     fn lookup_args(creds: &Credentials, name: &str, prop: u32) -> Value {
-        Value::record(vec![
+        Value::record([
             ("creds", creds.to_value()),
             ("name", Value::str(name)),
             ("prop", Value::U32(prop)),
@@ -396,7 +397,7 @@ mod tests {
     #[test]
     fn write_then_read_through_wire() {
         let (_world, net, client, dep, creds) = setup();
-        let set = Value::record(vec![
+        let set = Value::record([
             ("creds", creds.to_value()),
             ("name", Value::str("printer:cs:uw")),
             ("prop", Value::U32(4)),
@@ -419,7 +420,7 @@ mod tests {
     #[test]
     fn group_membership_through_wire() {
         let (_world, net, client, dep, creds) = setup();
-        let add = Value::record(vec![
+        let add = Value::record([
             ("creds", creds.to_value()),
             ("name", Value::str("staff:cs:uw")),
             ("prop", Value::U32(40)),
@@ -456,7 +457,7 @@ mod tests {
     #[test]
     fn add_and_delete_entries() {
         let (_world, net, client, dep, creds) = setup();
-        let args = Value::record(vec![
+        let args = Value::record([
             ("creds", creds.to_value()),
             ("name", Value::str("temp:cs:uw")),
         ]);
@@ -482,7 +483,7 @@ mod tests {
             )
             .expect("set");
         });
-        let args = Value::record(vec![("creds", creds.to_value())]);
+        let args = Value::record([("creds", creds.to_value())]);
         let reply = net
             .call(client, &dep.binding, PROC_SNAPSHOT, &args)
             .expect("snapshot");

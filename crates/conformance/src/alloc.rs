@@ -18,14 +18,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    /// `(bytes requested, allocator calls)` on this thread so far.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 fn charge(bytes: usize) {
     INSTALLED.store(true, Ordering::Relaxed);
     // try_with: the allocator can be re-entered during thread teardown
     // after the TLS slot is destroyed; dropping the charge there is fine.
-    let _ = ALLOCATED.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = ALLOCATED.try_with(|c| {
+        let (total, calls) = c.get();
+        c.set((total + bytes as u64, calls + 1));
+    });
 }
 
 /// A [`System`]-backed allocator that counts bytes requested per thread.
@@ -60,11 +64,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// subtracted): a decoder that allocates a huge buffer and drops it
 /// still gets charged, which is exactly what the bomb defence bounds.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Option<u64>) {
+    let (result, used) = measure_calls(f);
+    (result, used.map(|(bytes, _calls)| bytes))
+}
+
+/// [`measure`], also reporting how many allocator calls (`alloc`,
+/// `alloc_zeroed`, `realloc`) the closure made: `(bytes, calls)`.
+pub fn measure_calls<R>(f: impl FnOnce() -> R) -> (R, Option<(u64, u64)>) {
     let before = ALLOCATED.with(Cell::get);
     let result = f();
     let after = ALLOCATED.with(Cell::get);
     if INSTALLED.load(Ordering::Relaxed) {
-        (result, Some(after - before))
+        (result, Some((after.0 - before.0, after.1 - before.1)))
     } else {
         (result, None)
     }

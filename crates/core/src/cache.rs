@@ -326,17 +326,20 @@ pub enum FetchTicket<'a> {
 pub struct FlightGuard<'a> {
     cache: &'a HnsCache,
     key: MetaKey,
-    flight: Arc<Flight>,
+    /// `None` for the ungated lead a disabled cache hands out.
+    flight: Option<Arc<Flight>>,
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        self.cache
-            .shard(&self.key)
-            .in_flight
-            .lock()
-            .remove(&self.key);
-        self.flight.complete();
+        if let Some(flight) = &self.flight {
+            self.cache
+                .shard(&self.key)
+                .in_flight
+                .lock()
+                .remove(&self.key);
+            flight.complete();
+        }
     }
 }
 
@@ -457,15 +460,9 @@ impl HnsCache {
                 };
                 if record_stats {
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    // Gate on the tracer so the hot hit path never pays
-                    // for the Debug formatting when tracing is off.
-                    if world.tracer.is_enabled() {
-                        world.trace(
-                            None,
-                            simnet::trace::TraceKind::Cache,
-                            format!("hit {key:?}"),
-                        );
-                    }
+                    world.trace(None, simnet::trace::TraceKind::Cache, || {
+                        format!("hit {key:?}")
+                    });
                 }
                 Probe::Hit {
                     value,
@@ -504,13 +501,21 @@ impl HnsCache {
         use simnet::trace::CacheOutcome;
         let mut waited = false;
         loop {
-            let disabled = self.mode() == CacheMode::Disabled;
-            let probe = if disabled {
-                Probe::Miss { expired: false }
-            } else {
-                self.probe(world, key, !waited)
-            };
-            match probe {
+            if self.mode() == CacheMode::Disabled {
+                // A disabled cache stores nothing for a waiter to find,
+                // so a gate would only queue same-key fetches behind
+                // each other (and allocate a flight per mapping of every
+                // cold walk): every caller leads, ungated.
+                if !waited {
+                    world.cache_outcome(CacheOutcome::Miss);
+                }
+                return LookupOrFetch::Lead(FlightGuard {
+                    cache: self,
+                    key: *key,
+                    flight: None,
+                });
+            }
+            match self.probe(world, key, !waited) {
                 Probe::Hit {
                     value,
                     remaining_ttl_secs,
@@ -534,7 +539,7 @@ impl HnsCache {
                         // An expiry was already counted by the probe; a
                         // clean miss is counted here, at the moment this
                         // operation commits to fetching.
-                        if !disabled && !expired {
+                        if !expired {
                             self.stats.misses.fetch_add(1, Ordering::Relaxed);
                         }
                         if !waited {
@@ -639,7 +644,7 @@ impl HnsCache {
                     return FetchTicket::Leader(FlightGuard {
                         cache: self,
                         key: *key,
-                        flight,
+                        flight: Some(flight),
                     });
                 }
             }
@@ -1114,6 +1119,19 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn disabled_cache_leads_every_caller_ungated() {
+        let world = simnet::World::paper();
+        let cache = HnsCache::new(CacheMode::Disabled);
+        // Two leads for one key may be alive at once: nothing would be
+        // stored for the second to find, so it is not made to wait.
+        let first = cache.lookup_or_fetch(&world, &key());
+        let second = cache.lookup_or_fetch(&world, &key());
+        assert!(matches!(first, LookupOrFetch::Lead(_)));
+        assert!(matches!(second, LookupOrFetch::Lead(_)));
+        assert_eq!(cache.stats(), HnsCacheStats::default());
     }
 
     #[test]

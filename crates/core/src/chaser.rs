@@ -154,7 +154,7 @@ impl AdditionalProvider for MetaChaser {
 impl std::fmt::Debug for MetaChaser {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetaChaser")
-            .field("origin", &self.origin.to_string())
+            .field("origin", &self.origin.as_str())
             .finish()
     }
 }

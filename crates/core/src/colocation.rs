@@ -144,7 +144,7 @@ impl HnsClient {
                 if !world.topology.colocated(self.host, binding.host) {
                     world.charge_ms(world.costs.findnsm_arg_marshal);
                 }
-                let args = Value::record(vec![
+                let args = Value::record([
                     ("query_class", Value::str(qc.as_str())),
                     ("context", Value::str(name.context.as_str())),
                     ("name", Value::str(name.individual.clone())),
@@ -198,14 +198,13 @@ impl RpcService for AgentService {
         let (qc, name) = parse_findnsm_args(args)?;
         let nsm_binding = self.hns.find_nsm(&qc, &name).map_err(hns_err)?;
         // Forward any query-specific arguments besides the standard three.
-        let extra: Vec<(&str, Value)> = args
+        let extra = args
             .as_struct()?
             .iter()
             .filter(|(k, _)| k != "query_class" && k != "context" && k != "name")
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
+            .cloned();
         let nsm_client = NsmClient::new(Arc::clone(self.hns.net()), self.host);
-        nsm_client.call(&nsm_binding, &name, extra)
+        nsm_client.call_with_fields(&nsm_binding, &name, extra)
     }
 }
 
@@ -235,7 +234,7 @@ impl AgentClient {
         &self,
         qc: &QueryClass,
         name: &HnsName,
-        extra: Vec<(&str, Value)>,
+        extra: Vec<(&'static str, Value)>,
     ) -> HnsResult<Value> {
         let world = self.net.world();
         if !world.topology.colocated(self.host, self.binding.host) {

@@ -70,19 +70,25 @@ pub struct MetaBatch {
     pub additional: Vec<(DomainName, Fetched<Vec<String>>)>,
 }
 
-/// Builds a meta key under `origin` from sanitized label parts. This is the
-/// same derivation [`MetaStore`] uses client-side, exposed as a free
-/// function so the server-side chaser can recompute keys without a store.
-pub fn meta_key_at(origin: &DomainName, parts: &[&str]) -> HnsResult<DomainName> {
-    let mut name = parts.iter().map(|p| label(p)).collect::<Vec<_>>().join(".");
-    name.push('.');
-    name.push_str(&origin.to_string());
+/// Builds a meta key under `origin`: one sanitized label per entry of
+/// `labels`, each the concatenation of its pieces. The three `*_key_at`
+/// functions below are the derivation [`MetaStore`] uses client-side,
+/// free functions so the server-side chaser can recompute keys without a
+/// store. The dotted text is written once and parsed once — a key is
+/// derived for every mapping of every walk.
+fn meta_key_at(origin: &DomainName, labels: &[&[&str]]) -> HnsResult<DomainName> {
+    let mut name = String::with_capacity(64);
+    for pieces in labels {
+        push_label(&mut name, pieces);
+        name.push('.');
+    }
+    name.push_str(origin.as_str());
     DomainName::parse(&name).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
 }
 
 /// The meta key for a context record under `origin`.
 pub fn context_key_at(origin: &DomainName, context: &str) -> HnsResult<DomainName> {
-    meta_key_at(origin, &["ctx", context])
+    meta_key_at(origin, &[&["ctx"], &[context]])
 }
 
 /// The meta key for an NSM-name record under `origin`.
@@ -91,12 +97,12 @@ pub fn nsm_name_key_at(
     name_service: &str,
     query_class: &str,
 ) -> HnsResult<DomainName> {
-    meta_key_at(origin, &["map", &format!("{name_service}--{query_class}")])
+    meta_key_at(origin, &[&["map"], &[name_service, "--", query_class]])
 }
 
 /// The meta key for an NSM-info record set under `origin`.
 pub fn nsm_info_key_at(origin: &DomainName, nsm_name: &str) -> HnsResult<DomainName> {
-    meta_key_at(origin, &["info", nsm_name])
+    meta_key_at(origin, &[&["info"], &[nsm_name]])
 }
 
 /// Decodes a meta record set's UNSPEC payloads into a [`Fetched`] value.
@@ -107,8 +113,9 @@ pub fn records_to_fetched(records: &[ResourceRecord]) -> HnsResult<Fetched<Vec<S
     for r in records {
         match &r.rdata {
             RData::Opaque(bytes) => payloads.push(
-                String::from_utf8(bytes.clone())
-                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?,
+                std::str::from_utf8(bytes)
+                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?
+                    .to_string(),
             ),
             other => {
                 return Err(HnsError::BadMetaRecord(format!(
@@ -124,23 +131,24 @@ pub fn records_to_fetched(records: &[ResourceRecord]) -> HnsResult<Fetched<Vec<S
     })
 }
 
-/// Sanitizes an arbitrary identifier into a safe domain label.
-fn label(s: &str) -> String {
-    let mut out: String = s
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    out.truncate(60);
-    if out.is_empty() {
+/// Longest label a meta key part is cut to.
+const MAX_KEY_LABEL: usize = 60;
+
+/// Appends `pieces`, concatenated and sanitized into one safe domain
+/// label, to `out`.
+fn push_label(out: &mut String, pieces: &[&str]) {
+    let start = out.len();
+    let sanitized = pieces.iter().flat_map(|p| p.chars()).map(|c| {
+        if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+            c.to_ascii_lowercase()
+        } else {
+            '-'
+        }
+    });
+    out.extend(sanitized.take(MAX_KEY_LABEL));
+    if out.len() == start {
         out.push('x');
     }
-    out
 }
 
 impl MetaStore {
@@ -368,7 +376,7 @@ impl MetaStore {
 impl std::fmt::Debug for MetaStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetaStore")
-            .field("origin", &self.origin.to_string())
+            .field("origin", &self.origin.as_str())
             .finish()
     }
 }
@@ -495,8 +503,15 @@ mod tests {
         meta.register_context(&context, "BIND", &NameMapping::Identity)
             .expect("register");
         assert!(meta.lookup_context(&context).is_ok());
-        assert_eq!(label(""), "x");
-        assert_eq!(label("A b.C"), "a-b-c");
+        let label = |pieces: &[&str]| {
+            let mut out = String::new();
+            push_label(&mut out, pieces);
+            out
+        };
+        assert_eq!(label(&[""]), "x");
+        assert_eq!(label(&["A b.C"]), "a-b-c");
+        assert_eq!(label(&["BIND", "--", "host address"]), "bind--host-address");
+        assert_eq!(label(&["a".repeat(70).as_str(), "b"]).len(), MAX_KEY_LABEL);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! "The NSMs are neither HNS nor application code per se. Rather, they are
 //! code managed by the HNS and shared by the applications."
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
+use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 
 use hrpc::error::{RpcError, RpcResult};
@@ -43,12 +45,16 @@ pub trait Nsm: Send + Sync {
 /// Adapts an [`Nsm`] into an RPC service so it can be exported remotely.
 pub struct NsmService {
     inner: Arc<dyn Nsm>,
+    queries: LazyCounter,
 }
 
 impl NsmService {
     /// Wraps an NSM.
     pub fn new(inner: Arc<dyn Nsm>) -> Arc<Self> {
-        Arc::new(NsmService { inner })
+        Arc::new(NsmService {
+            inner,
+            queries: LazyCounter::new(),
+        })
     }
 }
 
@@ -65,12 +71,13 @@ impl RpcService for NsmService {
             .map_err(|e| RpcError::Service(e.to_string()))?;
         let hns_name = HnsName::new(context, args.str_field("name")?)
             .map_err(|e| RpcError::Service(e.to_string()))?;
-        ctx.world.metrics().inc("nsm", "queries");
-        ctx.world.trace(
-            Some(ctx.host),
-            simnet::trace::TraceKind::Nsm,
-            format!("{}: query for {}", self.inner.nsm_name(), hns_name),
-        );
+        self.queries
+            .get(ctx.world.metrics(), "nsm", "queries")
+            .inc();
+        ctx.world
+            .trace(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
+                format!("{}: query for {}", self.inner.nsm_name(), hns_name)
+            });
         let span = ctx
             .world
             .span_lazy(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
@@ -95,12 +102,17 @@ impl std::fmt::Debug for NsmService {
 pub struct NsmClient {
     net: Arc<RpcNet>,
     host: HostId,
+    client_calls: LazyCounter,
 }
 
 impl NsmClient {
     /// Creates a client for code running on `host`.
     pub fn new(net: Arc<RpcNet>, host: HostId) -> Self {
-        NsmClient { net, host }
+        NsmClient {
+            net,
+            host,
+            client_calls: LazyCounter::new(),
+        }
     }
 
     /// Calls the NSM designated by `binding` with the original HNS name
@@ -109,21 +121,40 @@ impl NsmClient {
         &self,
         binding: &HrpcBinding,
         hns_name: &HnsName,
-        extra: Vec<(&str, Value)>,
+        extra: Vec<(&'static str, Value)>,
+    ) -> RpcResult<Value> {
+        let extra = extra.into_iter().map(|(k, v)| (Cow::Borrowed(k), v));
+        self.call_with_fields(binding, hns_name, extra)
+    }
+
+    /// [`NsmClient::call`] for a caller relaying fields it decoded from
+    /// a message (the agent), whose names are owned.
+    pub(crate) fn call_with_fields(
+        &self,
+        binding: &HrpcBinding,
+        hns_name: &HnsName,
+        extra: impl Iterator<Item = (Cow<'static, str>, Value)>,
     ) -> RpcResult<Value> {
         let world = self.net.world();
-        world.metrics().inc("nsm", "client_calls");
+        self.client_calls
+            .get(world.metrics(), "nsm", "client_calls")
+            .inc();
         if !world.topology.colocated(self.host, binding.host) {
             // Marshalling of the NSM interface arguments on a remote hop.
             world.charge_ms(world.costs.nsm_arg_marshal);
         }
-        let mut fields = vec![
-            ("context", Value::str(hns_name.context.as_str())),
-            ("name", Value::str(hns_name.individual.clone())),
-        ];
+        let mut fields = Vec::with_capacity(2 + extra.size_hint().0);
+        fields.push((
+            Cow::Borrowed("context"),
+            Value::str(hns_name.context.as_str()),
+        ));
+        fields.push((
+            Cow::Borrowed("name"),
+            Value::str(hns_name.individual.clone()),
+        ));
         fields.extend(extra);
         self.net
-            .call(self.host, binding, NSM_PROC_QUERY, &Value::record(fields))
+            .call(self.host, binding, NSM_PROC_QUERY, &Value::Struct(fields))
     }
 }
 

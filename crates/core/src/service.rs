@@ -370,14 +370,7 @@ impl Hns {
                     }
                     Err(other) => return Err(other),
                 };
-                let value = Value::List(fetched.value.iter().map(Value::str).collect());
-                self.cache.insert(
-                    self.world(),
-                    cache_key,
-                    &value,
-                    fetched.rrs,
-                    fetched.ttl_secs,
-                );
+                self.cache_payloads(cache_key, &fetched);
                 Ok(fetched)
             }
         }
@@ -396,13 +389,9 @@ impl Hns {
             .stale_served
             .get(world.metrics(), "faults", "stale_served")
             .inc();
-        if world.tracer.is_enabled() {
-            world.trace(
-                Some(self.host),
-                TraceKind::Hns,
-                format!("stale_served: {}", label()),
-            );
-        }
+        world.trace(Some(self.host), TraceKind::Hns, || {
+            format!("stale_served: {}", label())
+        });
     }
 
     /// Internal mapping helpers return `(parsed, remaining TTL secs)`;
@@ -571,15 +560,19 @@ impl Hns {
 
     /// Seeds one batched record set into both the cache and the overlay.
     fn stash(&self, overlay: &mut BatchOverlay, key: DomainName, fetched: Fetched<Vec<String>>) {
-        let value = Value::List(fetched.value.iter().map(Value::str).collect());
-        self.cache.insert(
-            self.world(),
-            MetaKey::meta(&key),
-            &value,
-            fetched.rrs,
-            fetched.ttl_secs,
-        );
+        self.cache_payloads(MetaKey::meta(&key), &fetched);
         overlay.insert(key, fetched);
+    }
+
+    /// Caches one fetched record set as a list-of-strings value. A
+    /// disabled cache stores nothing, so the value is not built for it.
+    fn cache_payloads(&self, key: MetaKey, fetched: &Fetched<Vec<String>>) {
+        if self.cache.mode() == CacheMode::Disabled {
+            return;
+        }
+        let value = Value::List(fetched.value.iter().map(Value::str).collect());
+        self.cache
+            .insert(self.world(), key, &value, fetched.rrs, fetched.ttl_secs);
     }
 
     /// The primary HNS function: maps a context and query class to an HRPC
@@ -830,11 +823,9 @@ impl Hns {
             port: info.port,
             components: info.suite.components(info.port),
         };
-        self.world().trace(
-            Some(self.host),
-            TraceKind::Hns,
-            format!("FindNSM -> {nsm_name} at {host}:{}", info.port),
-        );
+        self.world().trace(Some(self.host), TraceKind::Hns, || {
+            format!("FindNSM -> {nsm_name} at {host}:{}", info.port)
+        });
         let min_ttl = ttl1.min(ttl2).min(ttl3).min(ttl4).min(ttl5).min(ttl6);
         Ok((binding, min_ttl))
     }
@@ -935,8 +926,9 @@ impl Hns {
         let mut index: HashMap<DomainName, usize> = HashMap::new();
         for rr in records {
             let payload = match &rr.rdata {
-                bindns::rr::RData::Opaque(bytes) => String::from_utf8(bytes.clone())
-                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?,
+                bindns::rr::RData::Opaque(bytes) => std::str::from_utf8(bytes)
+                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?
+                    .to_string(),
                 _ => continue, // Only UNSPEC meta records preload.
             };
             match index.get(&rr.name) {

@@ -34,7 +34,7 @@ impl HrpcBinding {
     /// Serializes the binding into a wire value (for caching and for
     /// returning from `FindNSM` and binding NSMs).
     pub fn to_value(&self) -> Value {
-        Value::record(vec![
+        Value::record([
             ("host", Value::U32(self.host.0)),
             ("program", Value::U32(self.program.0)),
             ("port", Value::U32(self.port as u32)),
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn malformed_value_rejected() {
-        let v = Value::record(vec![("host", Value::U32(1))]);
+        let v = Value::record([("host", Value::U32(1))]);
         assert!(HrpcBinding::from_value(&v).is_err());
         let v = Value::str("not a binding");
         assert!(HrpcBinding::from_value(&v).is_err());

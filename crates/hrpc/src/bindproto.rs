@@ -37,7 +37,7 @@ pub fn resolve_port(
                 caller,
                 &pm,
                 PMAP_GETPORT,
-                &Value::record(vec![("program", Value::U32(program.0))]),
+                &Value::record([("program", Value::U32(program.0))]),
             )?;
             Ok(reply.as_u32()? as u16)
         }
@@ -47,7 +47,7 @@ pub fn resolve_port(
                 caller,
                 &ex,
                 EXCHANGE_RESOLVE,
-                &Value::record(vec![("service", Value::str(service_name))]),
+                &Value::record([("service", Value::str(service_name))]),
             )?;
             Ok(reply.as_u32()? as u16)
         }

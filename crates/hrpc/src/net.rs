@@ -287,7 +287,8 @@ impl RpcNet {
         if let Some(service) = t.services.remove(&(host, port)) {
             let name = service.service_name().to_string();
             t.by_name.remove(&(host, name));
-            t.programs.retain(|_, (p, _)| *p != port);
+            t.programs
+                .retain(|(h, _), (p, _)| !(*h == host && *p == port));
             *tables = Arc::new(t);
         }
     }
@@ -439,11 +440,9 @@ impl RpcNet {
                         .get(self.world.metrics(), "faults", "partitioned_attempts")
                         .inc(),
                 }
-                self.world.trace(
-                    Some(caller),
-                    TraceKind::Rpc,
-                    format!("{} unreachable: {kind} (attempt {attempts})", binding.host),
-                );
+                self.world.trace(Some(caller), TraceKind::Rpc, || {
+                    format!("{} unreachable: {kind} (attempt {attempts})", binding.host)
+                });
                 if attempts >= fault_budget {
                     self.call_metrics
                         .fault_unreachable
@@ -479,11 +478,9 @@ impl RpcNet {
                     .datagrams_lost
                     .get(self.world.metrics(), "hrpc_net", "datagrams_lost")
                     .inc();
-                self.world.trace(
-                    Some(caller),
-                    TraceKind::Rpc,
-                    format!("request to {} lost (attempt {attempts})", binding.host),
-                );
+                self.world.trace(Some(caller), TraceKind::Rpc, || {
+                    format!("request to {} lost (attempt {attempts})", binding.host)
+                });
                 if attempts >= max_attempts {
                     break Err(RpcError::Timeout { attempts });
                 }
@@ -499,11 +496,9 @@ impl RpcNet {
                         .reply_cache_hits
                         .get(self.world.metrics(), "hrpc_net", "reply_cache_hits")
                         .inc();
-                    self.world.trace(
-                        Some(binding.host),
-                        TraceKind::Rpc,
-                        format!("duplicate xid {xid} answered from reply cache"),
-                    );
+                    self.world.trace(Some(binding.host), TraceKind::Rpc, || {
+                        format!("duplicate xid {xid} answered from reply cache")
+                    });
                     Ok(cached)
                 } else {
                     self.serve(caller, binding, proc_id, args)
@@ -523,20 +518,16 @@ impl RpcNet {
                     .datagrams_lost
                     .get(self.world.metrics(), "hrpc_net", "datagrams_lost")
                     .inc();
-                self.world.trace(
-                    Some(caller),
-                    TraceKind::Rpc,
-                    format!("reply from {} lost (attempt {attempts})", binding.host),
-                );
+                self.world.trace(Some(caller), TraceKind::Rpc, || {
+                    format!("reply from {} lost (attempt {attempts})", binding.host)
+                });
                 if attempts >= max_attempts {
                     break Err(RpcError::Timeout { attempts });
                 }
                 continue;
             }
 
-            self.world.trace(
-                Some(caller),
-                TraceKind::Rpc,
+            self.world.trace(Some(caller), TraceKind::Rpc, || {
                 format!(
                     "call {} -> {}:{} prog {} ({:?})",
                     caller,
@@ -544,8 +535,8 @@ impl RpcNet {
                     binding.port,
                     binding.program.0,
                     components.suite_kind()
-                ),
-            );
+                )
+            });
             break components
                 .data_rep
                 .encoded_len(&reply)
@@ -680,7 +671,7 @@ mod tests {
         let (world, net, client, server) = setup();
         net.export(server, ProgramId(77), echo_service());
         let b = binding_for(&net, server, ComponentSet::sun());
-        let args = Value::record(vec![("msg", Value::str("hello"))]);
+        let args = Value::record([("msg", Value::str("hello"))]);
         let (reply, took, delta) = world.measure(|| net.call(client, &b, 1, &args));
         assert_eq!(reply.expect("call ok"), args);
         assert!(took.as_ms_f64() >= 33.0, "took {took}");
@@ -750,7 +741,7 @@ mod tests {
                 client,
                 &pm,
                 PMAP_GETPORT,
-                &Value::record(vec![("program", Value::U32(100_005))]),
+                &Value::record([("program", Value::U32(100_005))]),
             )
             .expect("getport");
         assert_eq!(reply, Value::U32(port as u32));
@@ -766,7 +757,7 @@ mod tests {
                 client,
                 &ex,
                 EXCHANGE_RESOLVE,
-                &Value::record(vec![("service", Value::str("echo"))]),
+                &Value::record([("service", Value::str("echo"))]),
             )
             .expect("resolve");
         assert_eq!(reply, Value::U32(port as u32));
@@ -811,6 +802,29 @@ mod tests {
             Err(RpcError::NoSuchService { .. })
         ));
         assert!(net.portmap_getport(server, ProgramId(77)).is_err());
+    }
+
+    #[test]
+    fn unexport_leaves_other_hosts_using_the_same_port_mapped() {
+        let (world, net, client, server) = setup();
+        let other = world.add_host("other");
+        net.export_at(server, 1024, ProgramId(77), echo_service());
+        net.export_at(other, 1024, ProgramId(78), echo_service());
+        net.unexport(server, 1024);
+        assert!(net.portmap_getport(server, ProgramId(77)).is_err());
+        assert_eq!(
+            net.portmap_getport(other, ProgramId(78)).expect("kept"),
+            1024
+        );
+        assert_eq!(net.exchange_resolve(other, "echo").expect("kept"), 1024);
+        let b = HrpcBinding {
+            host: other,
+            addr: NetAddr::of(other),
+            program: ProgramId(78),
+            port: 1024,
+            components: ComponentSet::sun(),
+        };
+        assert!(net.call(client, &b, 1, &Value::Void).is_ok());
     }
 
     #[test]

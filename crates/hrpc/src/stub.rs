@@ -78,8 +78,7 @@ mod tests {
         let server = world.add_host("server");
         let net = RpcNet::new(world);
         let svc = Arc::new(
-            ProcServer::new("svc")
-                .with_proc(2, |_c, a| Ok(Value::record(vec![("echo", a.clone())]))),
+            ProcServer::new("svc").with_proc(2, |_c, a| Ok(Value::record([("echo", a.clone())]))),
         );
         let port = net.export(server, ProgramId(1), svc);
         let binding = HrpcBinding {
@@ -96,7 +95,7 @@ mod tests {
     fn stub_calls_through_binding() {
         let (stub, binding) = setup();
         let reply = stub.call(&binding, 2, &Value::U32(7)).expect("call");
-        assert_eq!(reply, Value::record(vec![("echo", Value::U32(7))]));
+        assert_eq!(reply, Value::record([("echo", Value::U32(7))]));
         assert_eq!(stub.host(), stub.host());
     }
 

@@ -23,7 +23,7 @@ use wire::Value;
 
 /// Builds the standard `FileLocation` reply.
 pub fn file_reply(file_host: &str, local_path: &str) -> Value {
-    Value::record(vec![
+    Value::record([
         ("file_host", Value::str(file_host)),
         ("local_path", Value::str(local_path)),
     ])

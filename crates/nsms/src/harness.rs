@@ -221,7 +221,7 @@ impl Testbed {
             db.set_item(
                 &tpn("bob:cs:uw"),
                 PROP_USER,
-                Value::record(vec![
+                Value::record([
                     ("name", Value::str("Bob on the Xerox side")),
                     ("host", Value::str("printserver:cs:uw")),
                 ]),
@@ -230,7 +230,7 @@ impl Testbed {
             db.set_item(
                 &tpn("designs:cs:uw"),
                 PROP_FILE_SERVICE,
-                Value::record(vec![
+                Value::record([
                     ("host", Value::str("printserver:cs:uw")),
                     ("root", Value::str("/designs")),
                 ]),
@@ -242,7 +242,7 @@ impl Testbed {
         // Target services.
         let desired = Arc::new(
             ProcServer::new(DESIRED_SERVICE)
-                .with_proc(1, |_c, a| Ok(Value::record(vec![("echo", a.clone())]))),
+                .with_proc(1, |_c, a| Ok(Value::record([("echo", a.clone())]))),
         );
         net.export(hosts.fiji, DESIRED_SERVICE_PROGRAM, desired);
         let print = Arc::new(

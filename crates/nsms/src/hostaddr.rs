@@ -22,7 +22,7 @@ use wire::Value;
 
 /// Builds the standard `HostAddress` reply.
 pub fn host_reply(host: u32, ttl: u32) -> Value {
-    Value::record(vec![("host", Value::U32(host)), ("ttl", Value::U32(ttl))])
+    Value::record([("host", Value::U32(host)), ("ttl", Value::U32(ttl))])
 }
 
 /// Host-address NSM backed by the public BIND.

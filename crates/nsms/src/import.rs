@@ -83,16 +83,9 @@ impl Importer {
                     Some(alt) => {
                         let world = self.net.world();
                         world.metrics().inc("faults", "nsm_failovers");
-                        if world.tracer.is_enabled() {
-                            world.trace(
-                                Some(self.host),
-                                TraceKind::Nsm,
-                                format!(
-                                    "NSM failover: {} -> {} ({err})",
-                                    nsm_binding.host, alt.host
-                                ),
-                            );
-                        }
+                        world.trace(Some(self.host), TraceKind::Nsm, || {
+                            format!("NSM failover: {} -> {} ({err})", nsm_binding.host, alt.host)
+                        });
                         self.nsm
                             .call(&alt, host_name, extra())
                             .map_err(HnsError::Rpc)?

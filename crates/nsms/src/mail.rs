@@ -21,7 +21,7 @@ use wire::Value;
 
 /// Builds the standard `MailboxLocation` reply.
 pub fn mailbox_reply(host: &str) -> Value {
-    Value::record(vec![("mailbox_host", Value::str(host))])
+    Value::record([("mailbox_host", Value::str(host))])
 }
 
 /// Mailbox NSM over BIND `MX` records.

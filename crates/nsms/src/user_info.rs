@@ -25,7 +25,7 @@ pub const PROP_USER: PropertyId = PropertyId(20);
 
 /// Builds the standard `UserInfo` reply.
 pub fn user_reply(full_name: &str, host: &str) -> Value {
-    Value::record(vec![
+    Value::record([
         ("full_name", Value::str(full_name)),
         ("host", Value::str(host)),
     ])

@@ -70,7 +70,7 @@ impl TransferLink {
 
     /// Encodes for the Clearinghouse property value.
     pub fn to_value(&self) -> Value {
-        Value::record(vec![
+        Value::record([
             ("seq", Value::U32(self.seq)),
             ("from", Value::str(&*self.from)),
             ("to", Value::str(&*self.to)),

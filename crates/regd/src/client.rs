@@ -98,10 +98,7 @@ impl RegClient {
 
     /// Resolves a name to its collapsed chain head.
     pub fn resolve(&self, name: &str) -> RegResult<Resolution> {
-        let v = self.call(
-            PROC_RESOLVE,
-            Value::record(vec![("name", Value::str(name))]),
-        )?;
+        let v = self.call(PROC_RESOLVE, Value::record([("name", Value::str(name))]))?;
         Ok(resolution_from_value(&v)?)
     }
 }

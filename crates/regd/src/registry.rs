@@ -82,7 +82,7 @@ struct BaseRecord {
 
 impl BaseRecord {
     fn to_value(&self) -> Value {
-        Value::record(vec![
+        Value::record([
             ("owner", Value::str(&*self.owner)),
             ("service", Value::str(&*self.service)),
             ("sig", Value::U64(self.sig)),

@@ -32,7 +32,7 @@ pub const PROC_RELEASE: u32 = 4;
 pub const PROC_RESOLVE: u32 = 5;
 
 fn resolution_value(r: &Resolution) -> Value {
-    Value::record(vec![
+    Value::record([
         ("name", Value::str(&*r.name)),
         ("owner", Value::str(&*r.owner)),
         ("base_owner", Value::str(&*r.base_owner)),

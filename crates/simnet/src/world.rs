@@ -262,10 +262,14 @@ impl World {
     }
 
     /// Records a trace event at the current instant, attached to the
-    /// calling thread's current span (if any).
-    pub fn trace(&self, host: Option<HostId>, kind: TraceKind, message: impl Into<String>) {
-        self.tracer
-            .record(self.now().as_us(), host.map(|h| h.0), kind, message.into());
+    /// calling thread's current span (if any). With the tracer disabled
+    /// `message` is not run and the clock is not read, so call sites on
+    /// hot paths pay one load for their walkthrough text.
+    pub fn trace(&self, host: Option<HostId>, kind: TraceKind, message: impl FnOnce() -> String) {
+        if self.tracer.is_enabled() {
+            self.tracer
+                .record(self.now().as_us(), host.map(|h| h.0), kind, message());
+        }
     }
 
     /// The unified metrics registry shared by every component in this
@@ -479,8 +483,17 @@ mod tests {
     fn trace_goes_through_tracer() {
         let w = World::paper();
         w.tracer.set_enabled(true);
-        w.trace(None, TraceKind::Info, "hello");
+        w.trace(None, TraceKind::Info, || "hello".into());
         assert_eq!(w.tracer.len(), 1);
+    }
+
+    #[test]
+    fn trace_skips_message_construction_when_disabled() {
+        let w = World::paper();
+        w.trace(None, TraceKind::Info, || {
+            panic!("message built with tracing disabled")
+        });
+        assert!(w.tracer.is_empty());
     }
 
     #[test]
@@ -491,7 +504,7 @@ mod tests {
             let span = w.span(Some(HostId(1)), TraceKind::Hns, "query");
             span.add_round_trips(2);
             w.charge_ms(5.0);
-            w.trace(None, TraceKind::Info, "inside");
+            w.trace(None, TraceKind::Info, || "inside".into());
         }
         let spans = w.tracer.spans();
         assert_eq!(spans.len(), 1);

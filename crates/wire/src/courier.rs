@@ -260,7 +260,7 @@ impl<'a> Cursor<'a> {
                 for _ in 0..n {
                     let name = self.read_string()?;
                     let v = self.read_value()?;
-                    fields.push((name, v));
+                    fields.push((name.into(), v));
                 }
                 Ok(Value::Struct(fields))
             }
@@ -324,11 +324,11 @@ mod tests {
 
     #[test]
     fn nested_roundtrip() {
-        let v = Value::record(vec![
+        let v = Value::record([
             ("obj", Value::str("printer:accounting:uw")),
             (
                 "props",
-                Value::List(vec![Value::record(vec![("k", Value::U32(4))])]),
+                Value::List(vec![Value::record([("k", Value::U32(4))])]),
             ),
             ("opt", Value::Opt(Some(Box::new(Value::Bytes(vec![9; 3]))))),
         ]);
@@ -363,7 +363,7 @@ mod tests {
     fn formats_are_incompatible_by_design() {
         // Bytes produced by one representation must not silently decode as
         // the other: heterogeneity is real. (They may fail differently.)
-        let v = Value::record(vec![("a", Value::U32(7))]);
+        let v = Value::record([("a", Value::U32(7))]);
         let xdr_bytes = crate::xdr::encode(&v).expect("xdr");
         let decoded = decode(&xdr_bytes);
         assert_ne!(decoded.as_ref().ok(), Some(&v));

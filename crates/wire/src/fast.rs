@@ -200,7 +200,7 @@ mod tests {
         // self-describing XDR equivalent.
         let (name, records) = sample(6);
         let fast_len = encode_rr_batch(&name, &records).expect("encode").len();
-        let value = crate::value::Value::record(vec![
+        let value = crate::value::Value::record([
             ("name", crate::value::Value::str(&name)),
             (
                 "records",
@@ -208,7 +208,7 @@ mod tests {
                     records
                         .iter()
                         .map(|r| {
-                            crate::value::Value::record(vec![
+                            crate::value::Value::record([
                                 ("rtype", crate::value::Value::U32(r.rtype as u32)),
                                 ("ttl", crate::value::Value::U32(r.ttl)),
                                 ("rdata", crate::value::Value::Bytes(r.rdata.clone())),

@@ -61,7 +61,7 @@ mod tests {
 
     #[test]
     fn both_formats_roundtrip() {
-        let v = Value::record(vec![("k", Value::U32(7)), ("s", Value::str("hello"))]);
+        let v = Value::record([("k", Value::U32(7)), ("s", Value::str("hello"))]);
         for fmt in [WireFormat::Xdr, WireFormat::Courier] {
             let bytes = fmt.encode(&v).expect("encode");
             assert_eq!(fmt.decode(&bytes).expect("decode"), v, "{fmt}");

@@ -175,7 +175,7 @@ impl NodeCodec for StructNode {
                 return Err(WireError::FieldMissing(name.clone()));
             }
             let (v, used) = codec.unmarshal(&bytes[pos..])?;
-            out.push((wire_name, v));
+            out.push((wire_name.into(), v));
             pos += used;
         }
         Ok((Value::Struct(out), pos))
@@ -311,14 +311,14 @@ mod tests {
     fn rr_message(n: usize) -> (Value, TypeDesc) {
         let records: Vec<Value> = (0..n)
             .map(|i| {
-                Value::record(vec![
+                Value::record([
                     ("rtype", Value::U32(1)),
                     ("ttl", Value::U32(3600)),
                     ("rdata", Value::Bytes(vec![i as u8; 16])),
                 ])
             })
             .collect();
-        let v = Value::record(vec![
+        let v = Value::record([
             ("name", Value::str("fiji.cs.washington.edu")),
             ("records", Value::List(records)),
         ]);
@@ -361,13 +361,13 @@ mod tests {
     fn nonconforming_value_is_rejected() {
         let desc = TypeDesc::record(vec![("port", TypeDesc::U32)]);
         let compiled = Compiled::new(desc);
-        let bad = Value::record(vec![("port", Value::str("not a number"))]);
+        let bad = Value::record([("port", Value::str("not a number"))]);
         assert!(compiled.marshal(&bad).is_err());
     }
 
     #[test]
     fn unmarshal_rejects_field_rename() {
-        let v = Value::record(vec![("host", Value::str("x"))]);
+        let v = Value::record([("host", Value::str("x"))]);
         let bytes = xdr::encode(&v).expect("encode");
         let other = Compiled::new(TypeDesc::record(vec![("addr", TypeDesc::Str)]));
         assert!(other.unmarshal(&bytes).is_err());
@@ -390,8 +390,8 @@ mod tests {
         let desc = TypeDesc::record(vec![("alias", TypeDesc::OptOf(Box::new(TypeDesc::Str)))]);
         let compiled = Compiled::new(desc);
         for v in [
-            Value::record(vec![("alias", Value::Opt(None))]),
-            Value::record(vec![("alias", Value::Opt(Some(Box::new(Value::str("f")))))]),
+            Value::record([("alias", Value::Opt(None))]),
+            Value::record([("alias", Value::Opt(Some(Box::new(Value::str("f")))))]),
         ] {
             let bytes = compiled.marshal(&v).expect("marshal");
             assert_eq!(compiled.unmarshal(&bytes).expect("unmarshal"), v);

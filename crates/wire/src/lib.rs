@@ -18,7 +18,7 @@
 //! ```
 //! use wire::{Value, WireFormat};
 //!
-//! let binding = Value::record(vec![
+//! let binding = Value::record([
 //!     ("host", Value::str("fiji.cs.washington.edu")),
 //!     ("port", Value::U32(2049)),
 //! ]);

@@ -5,6 +5,7 @@
 //! returns results "in a format that is standard for that query class"
 //! regardless of which underlying name service produced them.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::{WireError, WireResult};
@@ -28,8 +29,9 @@ pub enum Value {
     Bytes(Vec<u8>),
     /// Homogeneously-intended sequence (not enforced).
     List(Vec<Value>),
-    /// Ordered named fields.
-    Struct(Vec<(String, Value)>),
+    /// Ordered named fields. Names the program writes are `'static`
+    /// literals (no allocation per message); decoders produce owned ones.
+    Struct(Vec<(Cow<'static, str>, Value)>),
     /// Optional value.
     Opt(Option<Box<Value>>),
 }
@@ -40,12 +42,14 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Builds a struct from `(name, value)` pairs.
-    pub fn record(fields: Vec<(&str, Value)>) -> Value {
+    /// Builds a struct from `(name, value)` pairs. Passing an array
+    /// (`Value::record([("k", v)])`) costs one allocation, the field
+    /// vector itself.
+    pub fn record(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
         Value::Struct(
             fields
                 .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
+                .map(|(k, v)| (Cow::Borrowed(k), v))
                 .collect(),
         )
     }
@@ -133,7 +137,7 @@ impl Value {
     }
 
     /// Extracts struct fields.
-    pub fn as_struct(&self) -> WireResult<&[(String, Value)]> {
+    pub fn as_struct(&self) -> WireResult<&[(Cow<'static, str>, Value)]> {
         match self {
             Value::Struct(fields) => Ok(fields),
             other => Err(WireError::TypeMismatch {
@@ -272,10 +276,7 @@ mod tests {
 
     #[test]
     fn struct_field_lookup() {
-        let rec = Value::record(vec![
-            ("host", Value::str("fiji")),
-            ("port", Value::U32(111)),
-        ]);
+        let rec = Value::record([("host", Value::str("fiji")), ("port", Value::U32(111))]);
         assert_eq!(rec.str_field("host").unwrap(), "fiji");
         assert_eq!(rec.u32_field("port").unwrap(), 111);
         assert_eq!(
@@ -295,7 +296,7 @@ mod tests {
 
     #[test]
     fn display_round_trips_visually() {
-        let rec = Value::record(vec![
+        let rec = Value::record([
             ("name", Value::str("fiji")),
             ("addrs", Value::List(vec![Value::U32(1), Value::U32(2)])),
             ("extra", Value::Opt(None)),

@@ -258,7 +258,7 @@ impl<'a> Cursor<'a> {
                 for _ in 0..n {
                     let name = self.read_string()?;
                     let v = self.read_value()?;
-                    fields.push((name, v));
+                    fields.push((name.into(), v));
                 }
                 Ok(Value::Struct(fields))
             }
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn nested_structures_roundtrip() {
-        let v = Value::record(vec![
+        let v = Value::record([
             ("host", Value::str("fiji")),
             (
                 "addrs",

@@ -27,6 +27,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
                     fields
                         .into_iter()
                         .filter(|(k, _)| seen.insert(k.clone()))
+                        .map(|(k, v)| (k.into(), v))
                         .collect(),
                 )
             }),
