@@ -5,35 +5,27 @@
 //! would not make sense to use a more sophisticated scheme because the
 //! source of our cached data (BIND) also uses this mechanism."
 //!
-//! The cache is lock-striped: entries hash (by owner name) to one of
-//! [`SHARD_COUNT`] independently-locked shards, statistics are plain
-//! atomics, and a hit hands back an `Arc`-shared record set. The seed
-//! design took two global locks per lookup (entries, then stats) and
-//! cloned both the key and the record vector on every hit, which
-//! serialized concurrent resolvers; the sharded layout keeps lookups
-//! from different threads on different locks and makes hits
-//! allocation-free. Keys are interned [`NameId`]s — four bytes per
-//! entry instead of an owned label vector, hashed and compared as a
-//! single `u32` — so a million cached names do not hold a million
-//! copies of their owner names.
+//! The mechanism itself — stripes, expiry, retention of expired entries
+//! for the serve-stale fallback, counters — is [`simnet::ttl::TtlMap`],
+//! shared with the HNS and NSM caches. What is this cache's own: the key
+//! is `(owner name, record type)` with the name as an interned
+//! [`NameId`] — eight bytes per entry instead of an owned label vector,
+//! so a million cached names do not hold a million copies of their owner
+//! names — a hit hands back the stored `Arc`-shared record set, and a
+//! set is valid for the minimum TTL among its records.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intern::NameId;
-
-use parking_lot::Mutex;
 use simnet::obs::MetricsRegistry;
 use simnet::time::{SimDuration, SimTime};
+use simnet::ttl::{Probe, TtlMap};
 
 use crate::name::DomainName;
 use crate::rr::{RType, ResourceRecord};
 
-/// Shard count; power of two.
-const SHARD_COUNT: usize = 16;
-
-/// Hit/miss statistics.
+/// Hit/miss statistics, a view of the core's counters
+/// ([`simnet::ttl::TtlStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -47,58 +39,10 @@ pub struct CacheStats {
     pub stale_serves: u64,
 }
 
-impl CacheStats {
-    /// Hit fraction over all lookups (0 if none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Atomic counterpart of [`CacheStats`]: one relaxed add per lookup
-/// outcome instead of a second mutex acquisition.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    expirations: AtomicU64,
-    stale_serves: AtomicU64,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    records: Arc<[ResourceRecord]>,
-    expires_at: SimTime,
-    /// Whether an expired probe already counted this entry's expiration.
-    /// Expired entries are retained (for the serve-stale fallback) rather
-    /// than evicted, but the expiration is still counted exactly once —
-    /// the same accounting eviction used to produce.
-    expired_counted: bool,
-}
-
-/// One shard: interned owner name → the record sets cached under it,
-/// one per type. The per-name type list is short (a handful of record
-/// types), so a linear scan beats a second hash.
-type Shard = HashMap<NameId, Vec<(RType, Entry)>>;
-
 /// A TTL-invalidated record cache, lock-striped for concurrent readers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TtlCache {
-    shards: Vec<Mutex<Shard>>,
-    stats: AtomicStats,
-}
-
-impl Default for TtlCache {
-    fn default() -> Self {
-        TtlCache {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::new())).collect(),
-            stats: AtomicStats::default(),
-        }
-    }
+    map: TtlMap<(NameId, RType), Arc<[ResourceRecord]>>,
 }
 
 impl TtlCache {
@@ -107,9 +51,11 @@ impl TtlCache {
         Self::default()
     }
 
-    fn shard_of(&self, id: NameId) -> &Mutex<Shard> {
-        // Interned ids are dense, so the low bits spread evenly.
-        &self.shards[id.0 as usize & (SHARD_COUNT - 1)]
+    /// The key for a probe. Probes never intern: a name the interner has
+    /// not seen cannot be cached, and interning it would pin one string
+    /// per distinct absent name for the life of the process.
+    fn probe_key(name: &DomainName, rtype: RType) -> Option<(NameId, RType)> {
+        Some((intern::global().get(name.as_str())?, rtype))
     }
 
     /// Looks up live records for (`name`, `rtype`) at virtual time `now`.
@@ -125,58 +71,30 @@ impl TtlCache {
         name: &DomainName,
         rtype: RType,
     ) -> Option<Arc<[ResourceRecord]>> {
-        let id = name.interned();
-        let mut shard = self.shard_of(id).lock();
-        let Some(sets) = shard.get_mut(&id) else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        let Some(key) = Self::probe_key(name, rtype) else {
+            self.map.count_absent();
             return None;
         };
-        let Some(i) = sets.iter().position(|(t, _)| *t == rtype) else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let entry = &mut sets[i].1;
-        if entry.expires_at > now {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::clone(&entry.records))
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            if !entry.expired_counted {
-                entry.expired_counted = true;
-                self.stats.expirations.fetch_add(1, Ordering::Relaxed);
-            }
-            None
+        match self.map.probe(now, &key, Arc::clone) {
+            Probe::Live { value, .. } => Some(value),
+            Probe::Expired | Probe::Absent => None,
         }
     }
 
     /// Returns a retained *expired* record set for (`name`, `rtype`),
     /// with how long it has been stale, or `None` if nothing (or only a
-    /// live entry) is cached. Does not touch the hit/miss statistics:
-    /// callers use this only after a fresh fetch failed, and count the
-    /// serve via [`TtlCache::note_stale_serve`].
+    /// live entry) is cached. Counts one `stale_serves` when it returns
+    /// an entry and leaves the hit/miss statistics alone: callers use
+    /// this only after a fresh fetch failed, to serve what it returns.
     pub fn get_stale(
         &self,
         now: SimTime,
         name: &DomainName,
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
-        let id = name.interned();
-        let shard = self.shard_of(id).lock();
-        let entry = shard
-            .get(&id)?
-            .iter()
-            .find(|(t, _)| *t == rtype)
-            .map(|(_, e)| e)?;
-        if entry.expires_at > now {
-            return None;
-        }
-        Some((Arc::clone(&entry.records), now.since(entry.expires_at)))
-    }
-
-    /// Counts one serve-stale fallback (an expired entry handed to a
-    /// caller because the authority was unreachable).
-    pub fn note_stale_serve(&self) {
-        self.stats.stale_serves.fetch_add(1, Ordering::Relaxed);
+        let key = Self::probe_key(name, rtype)?;
+        self.map
+            .probe_stale(now, &key, |records| Some(Arc::clone(records)))
     }
 
     /// Inserts records, valid for the minimum TTL among them.
@@ -194,26 +112,13 @@ impl TtlCache {
         let Some(min_ttl) = records.iter().map(|r| r.ttl).min() else {
             return;
         };
-        let expires_at = now + SimDuration::from_ms(u64::from(min_ttl) * 1000);
-        let entry = Entry {
-            records,
-            expires_at,
-            expired_counted: false,
-        };
-        let id = name.interned();
-        let mut shard = self.shard_of(id).lock();
-        let sets = shard.entry(id).or_default();
-        match sets.iter_mut().find(|(t, _)| *t == rtype) {
-            Some((_, existing)) => *existing = entry,
-            None => sets.push((rtype, entry)),
-        }
+        self.map
+            .insert(now, (name.interned(), rtype), records, min_ttl);
     }
 
     /// Removes everything.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.map.clear();
     }
 
     /// Number of entries not yet observed as expired. Entries whose
@@ -221,54 +126,39 @@ impl TtlCache {
     /// are not counted here, so the figure matches what eviction used to
     /// report.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .flatten()
-                    .filter(|(_, e)| !e.expired_counted)
-                    .count()
-            })
-            .sum()
+        self.map.live()
     }
 
     /// True if the cache holds no entries (counting retained stale ones).
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.map.resident() == 0
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> CacheStats {
+        let s = self.map.stats();
         CacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            expirations: self.stats.expirations.load(Ordering::Relaxed),
-            stale_serves: self.stats.stale_serves.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.absent + s.expired,
+            expirations: s.expirations,
+            stale_serves: s.stale_serves,
         }
-    }
-
-    /// Resets statistics (e.g. between experiment trials).
-    pub fn reset_stats(&self) {
-        self.stats.hits.store(0, Ordering::Relaxed);
-        self.stats.misses.store(0, Ordering::Relaxed);
-        self.stats.expirations.store(0, Ordering::Relaxed);
-        self.stats.stale_serves.store(0, Ordering::Relaxed);
     }
 
     /// Publishes the cache's statistics into `metrics` under `component`
-    /// (snapshot-time export, like the HNS cache). `stale_serves` is
-    /// published only when nonzero, so fault-free snapshots are
-    /// unchanged.
+    /// (snapshot-time export, like the HNS cache).
     pub fn export_metrics(&self, metrics: &MetricsRegistry, component: &str) {
-        let stats = self.stats();
-        metrics.set_counter(component, "hits", stats.hits);
-        metrics.set_counter(component, "misses", stats.misses);
-        metrics.set_counter(component, "expirations", stats.expirations);
-        metrics.set_counter(component, "entries", self.len() as u64);
-        if stats.stale_serves > 0 {
-            metrics.set_counter(component, "stale_serves", stats.stale_serves);
-        }
+        let s = self.stats();
+        self.map.export(
+            metrics,
+            component,
+            &[
+                ("hits", s.hits),
+                ("misses", s.misses),
+                ("expirations", s.expirations),
+                ("entries", self.len() as u64),
+            ],
+        );
     }
 }
 
@@ -283,88 +173,6 @@ mod tests {
 
     fn rr(ttl: u32) -> ResourceRecord {
         ResourceRecord::a(name("fiji.cs.washington.edu"), ttl, NetAddr::of(HostId(1)))
-    }
-
-    #[test]
-    fn insert_then_hit() {
-        let c = TtlCache::new();
-        let t0 = SimTime::ZERO;
-        c.insert(t0, name("fiji.cs.washington.edu"), RType::A, vec![rr(60)]);
-        let got = c.get(t0, &name("fiji.cs.washington.edu"), RType::A);
-        assert_eq!(got.expect("hit").len(), 1);
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn hits_share_one_record_set() {
-        let c = TtlCache::new();
-        let t0 = SimTime::ZERO;
-        c.insert(t0, name("a.b"), RType::A, vec![rr(60)]);
-        let first = c.get(t0, &name("a.b"), RType::A).expect("hit");
-        let second = c.get(t0, &name("a.b"), RType::A).expect("hit");
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "hits must share the stored Arc, not clone records"
-        );
-    }
-
-    #[test]
-    fn expiry_is_enforced() {
-        let c = TtlCache::new();
-        let t0 = SimTime::ZERO;
-        c.insert(t0, name("a.b"), RType::A, vec![rr(1)]); // 1 second TTL
-        let just_before = SimTime::from_ms(999);
-        assert!(c.get(just_before, &name("a.b"), RType::A).is_some());
-        let after = SimTime::from_ms(1_001);
-        assert!(c.get(after, &name("a.b"), RType::A).is_none());
-        assert_eq!(c.stats().expirations, 1);
-        assert_eq!(c.len(), 0, "expired entry must not count as live");
-        assert!(!c.is_empty(), "…but is retained for serve-stale");
-    }
-
-    #[test]
-    fn expiration_is_counted_once_across_repeated_probes() {
-        let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(1)]);
-        let late = SimTime::from_ms(5_000);
-        for _ in 0..3 {
-            assert!(c.get(late, &name("a.b"), RType::A).is_none());
-        }
-        let stats = c.stats();
-        assert_eq!(stats.misses, 3, "every probe is a miss");
-        assert_eq!(stats.expirations, 1, "the expiry is counted once");
-    }
-
-    #[test]
-    fn get_stale_returns_expired_entries_with_their_age() {
-        let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(1)]);
-        // A live entry is not stale.
-        assert!(c.get_stale(SimTime::ZERO, &name("a.b"), RType::A).is_none());
-        let late = SimTime::from_ms(4_000);
-        let (records, stale_for) = c
-            .get_stale(late, &name("a.b"), RType::A)
-            .expect("retained expired entry");
-        assert_eq!(records.len(), 1);
-        assert_eq!(stale_for, SimDuration::from_ms(3_000));
-        // Nothing cached at all: no stale entry either.
-        assert!(c.get_stale(late, &name("x.y"), RType::A).is_none());
-        // Stale probes leave the hit/miss statistics alone.
-        assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn reinsert_revives_a_stale_entry() {
-        let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(1)]);
-        let late = SimTime::from_ms(5_000);
-        assert!(c.get(late, &name("a.b"), RType::A).is_none());
-        assert_eq!(c.len(), 0);
-        c.insert(late, name("a.b"), RType::A, vec![rr(60)]);
-        assert_eq!(c.len(), 1, "refreshed entry is live again");
-        assert!(c.get(late, &name("a.b"), RType::A).is_some());
-        assert_eq!(c.stats().expirations, 1);
     }
 
     #[test]
@@ -392,34 +200,26 @@ mod tests {
         assert_eq!(c.stats().misses, 2);
     }
 
+    /// A scan of never-cached names must cost and count like any other
+    /// miss without pinning one interned string per name forever.
     #[test]
-    fn hit_rate_and_reset() {
+    fn absent_probes_do_not_grow_the_interner() {
         let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(60)]);
-        let _ = c.get(SimTime::ZERO, &name("a.b"), RType::A);
-        let _ = c.get(SimTime::ZERO, &name("x.y"), RType::A);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(60)]);
-        c.clear();
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn reinsert_replaces_entry_not_duplicates() {
-        let c = TtlCache::new();
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(60)]);
-        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(30), rr(30)]);
-        assert_eq!(c.len(), 1);
-        let got = c.get(SimTime::ZERO, &name("a.b"), RType::A).expect("hit");
-        assert_eq!(got.len(), 2);
+        let names: Vec<DomainName> = (0..10_000)
+            .map(|i| name(&format!("never-cached-{i}.absent-scan.edu")))
+            .collect();
+        let before = intern::global().len();
+        for n in &names {
+            assert!(c.get(SimTime::ZERO, n, RType::A).is_none());
+            assert!(c.get_stale(SimTime::ZERO, n, RType::A).is_none());
+        }
+        assert_eq!(c.stats().misses, 10_000);
+        // Other tests in this binary intern concurrently, so compare the
+        // scan's own names rather than the global count alone.
+        assert!(names
+            .iter()
+            .all(|n| intern::global().get(n.as_str()).is_none()));
+        assert!(intern::global().len() < before + 10_000);
     }
 
     #[test]
@@ -442,7 +242,8 @@ mod tests {
             "stale_serves is absent until a stale entry is actually served"
         );
 
-        c.note_stale_serve();
+        let stale = c.get_stale(SimTime::from_ms(2_000), &name("a.b"), RType::A);
+        assert!(stale.is_some(), "the expired entry is still resident");
         c.export_metrics(&m, "bindns_cache");
         let snap = m.snapshot();
         assert_eq!(snap.counter("bindns_cache", "stale_serves"), Some(1));

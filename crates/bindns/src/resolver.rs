@@ -96,7 +96,6 @@ impl StdResolver {
                 else {
                     return Err(err);
                 };
-                self.cache.note_stale_serve();
                 world.cache_outcome(CacheOutcome::Stale);
                 world.charge_ms(
                     world

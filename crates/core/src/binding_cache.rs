@@ -23,27 +23,15 @@
 //! The load engine enables it per instance via
 //! [`Hns::set_binding_cache`](crate::service::Hns::set_binding_cache).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use hrpc::HrpcBinding;
 use intern::NameId;
-use parking_lot::Mutex;
-use simnet::time::{SimDuration, SimTime};
+use simnet::ttl::{Probe, TtlMap};
 use simnet::world::World;
 
-/// Number of lock-striped shards (matches the per-mapping cache).
-const SHARDS: usize = 16;
-
-/// One composed entry: the bound result and when the *earliest*
-/// constituent mapping entry expires.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    binding: HrpcBinding,
-    expires_at: SimTime,
-}
-
-/// Statistics of a [`BindingCache`].
+/// Statistics of a [`BindingCache`]: the counters of its
+/// [`simnet::ttl::TtlMap`] under the names this cache publishes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BindingCacheStats {
     /// Probes answered by a live composed entry.
@@ -56,39 +44,25 @@ pub struct BindingCacheStats {
     pub inserts: u64,
 }
 
-/// A sharded cache of composed `FindNSM` results.
+/// A cache of composed `FindNSM` results.
 ///
 /// Keys are interned `(query class, context)` ids — the individual
 /// name plays no part in the mapping walk, so all names in a context
 /// share one entry per query class. Probing with [`NameId`]s keeps the
 /// warm path free of per-query key allocation: the seed keyed shards
 /// by `(String, String)` and cloned both strings on every probe.
+#[derive(Debug, Default)]
 pub struct BindingCache {
     enabled: AtomicBool,
-    shards: Vec<Mutex<HashMap<(NameId, NameId), Entry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    expired: AtomicU64,
-    inserts: AtomicU64,
-}
-
-impl Default for BindingCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Each entry expires when the *earliest* constituent mapping entry
+    /// of the walk that produced it does.
+    map: TtlMap<(NameId, NameId), HrpcBinding>,
 }
 
 impl BindingCache {
     /// Creates a disabled, empty cache.
     pub fn new() -> Self {
-        BindingCache {
-            enabled: AtomicBool::new(false),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Enables or disables the cache. Disabling clears it, so a
@@ -96,20 +70,13 @@ impl BindingCache {
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
         if !enabled {
-            for shard in &self.shards {
-                shard.lock().clear();
-            }
+            self.map.clear();
         }
     }
 
     /// Whether the cache is consulted at all.
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    fn shard(&self, qc: NameId, context: NameId) -> &Mutex<HashMap<(NameId, NameId), Entry>> {
-        // Interned ids are dense; mixing the pair spreads shards evenly.
-        &self.shards[(qc.0 as usize ^ (context.0 as usize).rotate_left(7)) % SHARDS]
     }
 
     /// Probes for a live composed binding, charging one cache-probe
@@ -119,22 +86,17 @@ impl BindingCache {
             return None;
         }
         world.charge_ms(world.costs.cache_probe);
-        let now = world.now();
-        let (qc, context) = (intern::intern(qc), intern::intern(context));
-        let shard = self.shard(qc, context).lock();
-        match shard.get(&(qc, context)) {
-            Some(entry) if entry.expires_at > now => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.binding)
-            }
-            Some(_) => {
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        // Probes never intern: a string the interner has not seen cannot
+        // be part of a key, and interning it would pin one string per
+        // distinct absent context for the life of the process.
+        let names = intern::global();
+        let (Some(qc), Some(context)) = (names.get(qc), names.get(context)) else {
+            self.map.count_absent();
+            return None;
+        };
+        match self.map.probe(world.now(), &(qc, context), |b| *b) {
+            Probe::Live { value, .. } => Some(value),
+            Probe::Expired | Probe::Absent => None,
         }
     }
 
@@ -151,25 +113,18 @@ impl BindingCache {
         if !self.enabled() || min_ttl_secs == 0 {
             return;
         }
-        let expires_at = world.now() + SimDuration::from_ms(u64::from(min_ttl_secs) * 1000);
-        let (qc, context) = (intern::intern(qc), intern::intern(context));
-        self.shard(qc, context).lock().insert(
-            (qc, context),
-            Entry {
-                binding,
-                expires_at,
-            },
-        );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        let key = (intern::intern(qc), intern::intern(context));
+        self.map.insert(world.now(), key, binding, min_ttl_secs);
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> BindingCacheStats {
+        let s = self.map.stats();
         BindingCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.absent,
+            expired: s.expired,
+            inserts: s.inserts,
         }
     }
 
@@ -179,19 +134,16 @@ impl BindingCache {
     /// untouched, so default-configuration snapshots are unchanged).
     pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
         let s = self.stats();
-        metrics.set_counter(component, "hits", s.hits);
-        metrics.set_counter(component, "misses", s.misses);
-        metrics.set_counter(component, "expired", s.expired);
-        metrics.set_counter(component, "inserts", s.inserts);
-    }
-}
-
-impl std::fmt::Debug for BindingCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BindingCache")
-            .field("enabled", &self.enabled())
-            .field("stats", &self.stats())
-            .finish()
+        self.map.export(
+            metrics,
+            component,
+            &[
+                ("hits", s.hits),
+                ("misses", s.misses),
+                ("expired", s.expired),
+                ("inserts", s.inserts),
+            ],
+        );
     }
 }
 
@@ -267,5 +219,29 @@ mod tests {
         assert_eq!(c.lookup(&w, "a", "ctx"), Some(binding(5)));
         assert_eq!(c.lookup(&w, "b", "ctx"), Some(binding(6)));
         assert_eq!(c.lookup(&w, "a", "other"), None);
+    }
+
+    /// A scan of never-cached contexts must cost and count like any other
+    /// miss without pinning one interned string per context forever.
+    #[test]
+    fn absent_probes_do_not_grow_the_interner() {
+        let w = World::paper();
+        let c = BindingCache::new();
+        c.set_enabled(true);
+        let contexts: Vec<String> = (0..10_000)
+            .map(|i| format!("never-composed-context-{i}"))
+            .collect();
+        for ctx in &contexts {
+            assert_eq!(c.lookup(&w, "hrpc_binding", ctx), None);
+        }
+        assert_eq!(c.stats().misses, 10_000);
+        // Other tests in this binary intern concurrently, so check the
+        // scan's own strings rather than the global count.
+        assert!(contexts
+            .iter()
+            .all(|ctx| intern::global().get(ctx).is_none()));
+        // Each probe still charged the cache-probe cost.
+        let expected_ms = 10_000.0 * w.costs.cache_probe;
+        assert!((w.now().as_ms_f64() - expected_ms).abs() < 1.0);
     }
 }

@@ -289,16 +289,6 @@ impl Hns {
         self.cache.clear();
     }
 
-    /// Switches cache mode (clears contents).
-    pub fn set_cache_mode(&self, mode: CacheMode) {
-        self.cache.set_mode(mode);
-    }
-
-    /// Current cache mode.
-    pub fn cache_mode(&self) -> CacheMode {
-        self.cache.mode()
-    }
-
     /// Decodes a cached list-of-strings value back into payload strings.
     fn value_to_payloads(v: &Value) -> HnsResult<Vec<String>> {
         v.as_list()
@@ -358,7 +348,7 @@ impl Hns {
                         // success overwrites it.
                         if let Some(stale) = self.cache.lookup_stale(self.world(), &cache_key) {
                             self.note_stale_serve(|| format!("meta {key} ({err})"));
-                            let payloads = Self::value_to_payloads(&stale.value)?;
+                            let payloads = Self::value_to_payloads(&stale)?;
                             let rrs = payloads.len();
                             return Ok(Fetched {
                                 value: payloads,
@@ -510,10 +500,7 @@ impl Hns {
                 // not (paper §4).
                 if let Some(stale) = self.cache.lookup_stale(self.world(), &cache_key) {
                     self.note_stale_serve(|| format!("hostaddr {host_name} ({err})"));
-                    return Ok((
-                        HostId(stale.value.u32_field("host").map_err(HnsError::from)?),
-                        0,
-                    ));
+                    return Ok((HostId(stale.u32_field("host").map_err(HnsError::from)?), 0));
                 }
                 return Err(HnsError::Rpc(err));
             }

@@ -393,22 +393,6 @@ fn warm_preload_ships_only_the_delta() {
 }
 
 #[test]
-fn cache_mode_switches_clear_state() {
-    let env = env();
-    let hns = make_hns(&env, env.client, CacheMode::Marshalled);
-    register_echo(&env, &hns);
-    hns.find_nsm(&QueryClass::new("Echo"), &echo_name())
-        .expect("warm");
-    assert!(hns.cache_stats().inserts > 0);
-    hns.set_cache_mode(CacheMode::Demarshalled);
-    assert_eq!(hns.cache_mode(), CacheMode::Demarshalled);
-    let (_, _, delta) = env
-        .world
-        .measure(|| hns.find_nsm(&QueryClass::new("Echo"), &echo_name()));
-    assert!(delta.remote_calls > 0, "mode switch must drop entries");
-}
-
-#[test]
 fn unserved_meta_store_failure_propagates() {
     let env = env();
     let hns = make_hns(&env, env.client, CacheMode::Demarshalled);

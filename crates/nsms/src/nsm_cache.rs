@@ -3,57 +3,27 @@
 //! "Both the HNS and the NSMs were modified to cache the results of remote
 //! lookups." An NSM caches completed results (e.g. a finished HRPC binding)
 //! keyed by the query it answered, with the same marshalled/demarshalled
-//! form distinction as the HNS cache.
-//!
-//! Like [`hns_core::cache::HnsCache`], entries are lock-striped across
-//! independent shards and demarshalled entries are stored behind an `Arc`,
-//! so concurrent NSM queries on different keys never serialize on one
-//! global mutex.
+//! form distinction as the HNS cache — literally the same: the expiry map
+//! is [`simnet::ttl::TtlMap`] and the form-aware store/load pair is
+//! [`hns_core::cache::Stored`]. This wrapper adds the string key and the
+//! `(hits, misses)` view the NSMs report.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use simnet::time::{SimDuration, SimTime};
+use hns_core::cache::Stored;
+use simnet::trace::CacheOutcome;
+use simnet::ttl::{Probe, TtlMap};
 use simnet::world::World;
-use simnet::CacheForm;
 use wire::Value;
 
-/// Number of lock-striped shards.
-const SHARDS: usize = 8;
-
-/// Storage form for NSM cache entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NsmCacheForm {
-    /// No caching.
-    Disabled,
-    /// Wire form; hits pay a generated demarshal.
-    Marshalled,
-    /// Decoded form; hits are nearly free.
-    Demarshalled,
-}
-
-#[derive(Debug)]
-enum Stored {
-    Bytes(Vec<u8>),
-    Decoded(Arc<Value>),
-}
-
-#[derive(Debug)]
-struct Entry {
-    stored: Stored,
-    rrs: usize,
-    expires_at: SimTime,
-}
+/// Storage form for NSM cache entries: the HNS cache's mode enum under the
+/// name the NSM constructors have always taken.
+pub use hns_core::cache::CacheMode as NsmCacheForm;
 
 /// A cache of completed NSM results.
+#[derive(Debug)]
 pub struct NsmCache {
     form: NsmCacheForm,
-    shards: Vec<Mutex<HashMap<String, Entry>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+    /// Each value with its record count (which sets the Table 3.2 cost).
+    map: TtlMap<String, (Stored, usize)>,
 }
 
 impl NsmCache {
@@ -61,125 +31,75 @@ impl NsmCache {
     pub fn new(form: NsmCacheForm) -> Self {
         NsmCache {
             form,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
+            map: TtlMap::default(),
         }
     }
 
-    /// The storage form.
-    pub fn form(&self) -> NsmCacheForm {
-        self.form
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Entry>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
     /// Looks up a completed result, charging probe + form-dependent cost.
+    /// An entry that no longer decodes is dropped and the probe counts as
+    /// a miss, as in the HNS cache.
     pub fn get(&self, world: &World, key: &str) -> Option<Value> {
         if self.form == NsmCacheForm::Disabled {
             return None;
         }
         world.charge_ms(world.costs.cache_probe);
-        let mut entries = self.shard(key).lock();
-        match entries.get(key) {
-            Some(entry) if entry.expires_at > world.now() => {
-                let value = match &entry.stored {
-                    Stored::Bytes(bytes) => {
-                        world.charge_ms(world.costs.cache_hit(CacheForm::Marshalled, entry.rrs));
-                        wire::xdr::decode(bytes).ok()?
-                    }
-                    Stored::Decoded(v) => {
-                        world.charge_ms(world.costs.cache_hit(CacheForm::Demarshalled, entry.rrs));
-                        // `Nsm::handle` replies with an owned Value, so the
-                        // clone happens at this boundary; the shard lock is
-                        // never held across a demarshal of wire bytes.
-                        (**v).clone()
-                    }
-                };
-                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                world.cache_outcome(simnet::trace::CacheOutcome::Hit);
-                Some(value)
-            }
-            Some(_) => {
-                entries.remove(key);
-                self.misses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                world.cache_outcome(simnet::trace::CacheOutcome::Expired);
-                None
-            }
-            None => {
-                self.misses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                world.cache_outcome(simnet::trace::CacheOutcome::Miss);
-                None
-            }
-        }
+        let (outcome, value) = match self.map.probe(world.now(), key, Clone::clone) {
+            // The stripe lock is released: a marshalled entry is
+            // demarshalled here, not under it.
+            Probe::Live {
+                value: (stored, rrs),
+                ..
+            } => match stored.load(world, rrs) {
+                // `Nsm::handle` replies with an owned Value, so the clone
+                // of a shared demarshalled entry happens at this boundary.
+                Some(value) => (
+                    CacheOutcome::Hit,
+                    Some(std::sync::Arc::unwrap_or_clone(value)),
+                ),
+                None => {
+                    self.map.discard(key);
+                    (CacheOutcome::Miss, None)
+                }
+            },
+            Probe::Expired => (CacheOutcome::Expired, None),
+            Probe::Absent => (CacheOutcome::Miss, None),
+        };
+        world.cache_outcome(outcome);
+        value
     }
 
     /// Inserts a completed result.
     pub fn insert(&self, world: &World, key: String, value: &Value, rrs: usize, ttl_secs: u32) {
-        if self.form == NsmCacheForm::Disabled {
-            return;
+        if let Some(stored) = Stored::store(self.form, value) {
+            self.map.insert(world.now(), key, (stored, rrs), ttl_secs);
         }
-        let stored = match self.form {
-            NsmCacheForm::Marshalled => match wire::xdr::encode(value) {
-                Ok(bytes) => Stored::Bytes(bytes),
-                Err(_) => return,
-            },
-            NsmCacheForm::Demarshalled => Stored::Decoded(Arc::new(value.clone())),
-            NsmCacheForm::Disabled => unreachable!("checked above"),
-        };
-        let expires_at = world.now() + SimDuration::from_ms(u64::from(ttl_secs) * 1000);
-        self.shard(&key).lock().insert(
-            key,
-            Entry {
-                stored,
-                rrs,
-                expires_at,
-            },
-        );
     }
 
-    /// (hits, misses) so far.
+    /// (hits, misses) so far; an expired entry is a miss.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(std::sync::atomic::Ordering::Relaxed),
-            self.misses.load(std::sync::atomic::Ordering::Relaxed),
-        )
+        let s = self.map.stats();
+        (s.hits, s.absent + s.expired)
     }
 
     /// Drops all entries.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.map.clear();
     }
 
     /// Publishes current hit/miss totals into a metrics registry under
-    /// `component` (snapshot-time export; the hot path keeps its own
-    /// atomics).
+    /// `component` (snapshot-time export). `entries` counts what has not
+    /// yet been observed expired.
     pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
         let (hits, misses) = self.stats();
-        metrics.set_counter(component, "hits", hits);
-        metrics.set_counter(component, "misses", misses);
-        let entries = self
-            .shards
-            .iter()
-            .map(|shard| shard.lock().len() as u64)
-            .sum();
-        metrics.set_counter(component, "entries", entries);
-    }
-}
-
-impl std::fmt::Debug for NsmCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NsmCache")
-            .field("form", &self.form)
-            .finish()
+        self.map.export(
+            metrics,
+            component,
+            &[
+                ("hits", hits),
+                ("misses", misses),
+                ("entries", self.map.live() as u64),
+            ],
+        );
     }
 }
 
@@ -217,21 +137,35 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry() {
-        let world = simnet::World::paper();
-        let cache = NsmCache::new(NsmCacheForm::Demarshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 1, 1);
-        world.charge_ms(1500.0);
-        assert!(cache.get(&world, "k").is_none());
-        assert_eq!(cache.stats().1, 1);
-    }
-
-    #[test]
     fn clear_empties() {
         let world = simnet::World::paper();
         let cache = NsmCache::new(NsmCacheForm::Demarshalled);
         cache.insert(&world, "k".into(), &Value::U32(1), 1, 600);
         cache.clear();
         assert!(cache.get(&world, "k").is_none());
+    }
+
+    /// Wire bytes that no longer decode: the entry is dropped, the probe
+    /// is a miss and is recorded as one, so hits + misses = probes.
+    #[test]
+    fn undecodable_entry_is_dropped_and_counts_as_a_miss() {
+        let world = simnet::World::paper();
+        world.tracer.set_enabled(true);
+        let cache = NsmCache::new(NsmCacheForm::Marshalled);
+        let garbage = Stored::Bytes([0xff_u8; 3].as_slice().into());
+        cache
+            .map
+            .insert(world.now(), "k".to_string(), (garbage, 1), 600);
+        let span = world.span(None, simnet::trace::TraceKind::Nsm, "probe");
+        assert!(cache.get(&world, "k").is_none());
+        drop(span);
+        assert_eq!(cache.stats(), (0, 1));
+        assert_eq!(cache.map.resident(), 0, "the undecodable entry is gone");
+        let spans = world.tracer.spans();
+        assert_eq!(
+            spans.last().and_then(|s| s.cache),
+            Some(CacheOutcome::Miss),
+            "the probe's outcome reaches the span"
+        );
     }
 }

@@ -13,6 +13,8 @@
 //!   primitive in the paper.
 //! * [`trace`] — re-export of the [`obs`] span/event recorder used by the
 //!   Figure 2.1 walkthrough and the per-query flame breakdowns.
+//! * [`ttl`] — the TTL-cache core: the one lock-striped expiry map every
+//!   cache in the workspace is built on.
 //! * [`world`] — the shared environment (clock + topology + costs + trace +
 //!   structural counters + the unified [`obs::MetricsRegistry`]).
 //! * [`rng`] — a self-contained deterministic PRNG.
@@ -45,6 +47,7 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 pub mod trace;
+pub mod ttl;
 pub mod world;
 
 pub use obs;

@@ -192,3 +192,94 @@ fn tracing_disabled_records_nothing() {
     );
     assert!(tb.world.tracer.spans().is_empty());
 }
+
+/// The cache slice of "the catalogue cannot drift": a scenario touching
+/// all four TTL caches — a serve-stale from each cache that has one, under
+/// a `FaultPlan` — must leave exactly the `(component, counter)` names in
+/// the registry that the Caches table of OBSERVABILITY.md lists.
+#[test]
+fn cache_counter_catalogue_matches_what_the_caches_emit() {
+    use hns_repro::bindns::name::DomainName;
+    use hns_repro::bindns::rr::RType;
+    use hns_repro::hns_core::colocation::HnsHandle;
+    use hns_repro::nsms::harness::{DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
+    use hns_repro::nsms::Importer;
+    use hns_repro::simnet::faults::FaultPlan;
+    use std::collections::BTreeSet;
+
+    const COMPONENTS: [&str; 4] = [
+        "hns_cache",
+        "hns_binding_cache",
+        "nsm_cache",
+        "bindns_cache",
+    ];
+
+    let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
+    hns.set_binding_cache(true);
+    let imp = Importer::new(
+        Arc::clone(&tb.net),
+        tb.hosts.client,
+        HnsHandle::Linked(Arc::clone(&hns)),
+    );
+    // Registered last, so its cache is the one `bindns_cache` reports.
+    let resolver = tb.std_resolver(tb.hosts.client);
+    let host = DomainName::parse("fiji.cs.washington.edu").expect("name");
+
+    // Warm every cache: the composed and per-mapping HNS caches and the
+    // NSM's result cache through an Import, the resolver's directly.
+    imp.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)
+        .expect("cold Import");
+    imp.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)
+        .expect("warm Import");
+    let records = resolver.query(&host, RType::A).expect("resolver warm-up");
+    let record_ttl = records.iter().map(|r| r.ttl).max().expect("records");
+
+    // Let everything expire, take both BINDs down, and ask again: the HNS
+    // and the resolver each answer from an expired entry.
+    let longest = record_ttl.max(hns_repro::hns_core::META_TTL);
+    tb.world.charge_ms(f64::from(longest) * 1000.0 + 1_000.0);
+    let mut plan = FaultPlan::new();
+    plan.crash(tb.hosts.meta, tb.world.now(), None);
+    plan.crash(tb.public_bind.host, tb.world.now(), None);
+    tb.world.set_faults(Some(plan));
+    let (_, report) = hns.find_nsm_report(&qc, &name).expect("stale FindNSM");
+    assert!(report.stale_served);
+    resolver
+        .query(&host, RType::A)
+        .expect("stale resolver answer");
+
+    tb.world.export_all_caches();
+    let emitted: BTreeSet<(String, String)> = tb
+        .world
+        .metrics()
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|c| COMPONENTS.contains(&c.component.as_str()))
+        .map(|c| (c.component, c.name))
+        .collect();
+
+    // Rows of the table look like "| `component` | `published` | … |".
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/OBSERVABILITY.md"))
+        .expect("OBSERVABILITY.md");
+    let documented: BTreeSet<(String, String)> = doc
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.split('|').map(|cell| cell.trim().trim_matches('`'));
+            let (_, component, published) = (cells.next()?, cells.next()?, cells.next()?);
+            let is_row = COMPONENTS.contains(&component) && !published.contains(' ');
+            is_row.then(|| (component.to_string(), published.to_string()))
+        })
+        .collect();
+
+    assert_eq!(
+        emitted, documented,
+        "OBSERVABILITY.md's Caches table and the emitted cache counters differ"
+    );
+    for component in COMPONENTS {
+        assert!(
+            emitted.iter().any(|(c, _)| c == component),
+            "the scenario never touched {component}"
+        );
+    }
+}
