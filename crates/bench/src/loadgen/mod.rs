@@ -22,7 +22,8 @@
 //!
 //! * the **composed binding cache** (see `hns_core::binding_cache`): a
 //!   warm `FindNSM` collapses from six mapping probes with re-parsing
-//!   to one probe returning a `Copy` binding, and
+//!   to one probe returning a `Copy` binding (or, once that entry has
+//!   lapsed, mapping 1 plus one probe for mappings 2–6), and
 //! * **batched virtual-time charging** (`VirtualClock::set_batched`):
 //!   cost charges accumulate thread-locally and flush on read, so hot
 //!   loops skip shared-cache-line traffic.
@@ -187,7 +188,9 @@ pub struct RunResult {
     /// Warm-instance per-mapping cache hits over the measured run,
     /// summed across workers. With the composed binding cache enabled
     /// the warm path only reaches this cache when a composed entry has
-    /// expired, so small numbers here are expected. Cold operations run
+    /// expired — for mapping 1 alone unless the (query class, name
+    /// service) entry has lapsed too — so small numbers here are
+    /// expected. Cold operations run
     /// a deliberately cache-disabled instance and are *not* counted as
     /// misses anywhere — see `cold_ops` for their volume.
     pub hns_hits: u64,

@@ -18,10 +18,10 @@ use clearinghouse::replication::ChCluster;
 use clearinghouse::{deploy as deploy_ch, ChClient, ChDb, ChServer, ThreePartName};
 use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
-use hns_core::name::HnsName;
+use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::query::QueryClass;
 use hrpc::HrpcBinding;
-use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
+use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND, NS_CH};
 use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 use simnet::faults::FaultPlan;
@@ -41,17 +41,20 @@ pub struct SeedSummary {
     pub seed: u64,
     /// Targets compared across the three FindNSM paths.
     pub targets: usize,
-    /// Fault scenarios pinned (serve-stale, NSM failover, ChClient
-    /// failover).
+    /// Fault scenarios pinned (serve-stale with the composed cache off
+    /// and on, NSM failover, ChClient failover).
     pub fault_scenarios: usize,
 }
+
+/// One query every path must answer alike, and what to call it.
+type Target = (QueryClass, HnsName, &'static str);
 
 /// The query targets every path must agree on: the four remotely
 /// deployed query classes, across both name services. (Host-address
 /// NSMs are linked locally in the testbed and have no remote binding,
 /// so `FindNSM` cannot designate them by design.)
-fn targets(tb: &Testbed) -> Vec<(QueryClass, HnsName, &'static str)> {
-    let n = |ctx: hns_core::name::Context, s: &str| HnsName::new(ctx, s).expect("target name");
+fn targets(tb: &Testbed) -> Vec<Target> {
+    let n = |ctx: Context, s: &str| HnsName::new(ctx, s).expect("target name");
     vec![
         (
             QueryClass::hrpc_binding(),
@@ -104,8 +107,56 @@ fn shuffle<T>(rng: &mut DetRng, items: &mut [T]) {
     }
 }
 
+/// Record TTL of the alias contexts, seconds: far below `META_TTL`, so
+/// their mapping 1 lapses while mappings 2–6 of their name service are
+/// still live.
+const ALIAS_TTL: u32 = 120;
+
+/// The second context on `name_service`. A context and its alias share
+/// mappings 2–6.
+fn alias_context(name_service: &str) -> Context {
+    Context::new(format!("alias-{}", name_service.to_ascii_lowercase())).expect("alias context")
+}
+
+/// Registers the alias context of each name service, with the short
+/// record TTL.
+fn register_alias_contexts(tb: &Testbed) {
+    let registrar = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
+    registrar.meta().set_record_ttl(ALIAS_TTL);
+    for name_service in [NS_BIND, NS_CH] {
+        registrar
+            .register_context(
+                &alias_context(name_service),
+                name_service,
+                &NameMapping::Identity,
+            )
+            .expect("register alias context");
+    }
+}
+
+/// Every target once more, under its context's alias.
+fn alias_targets(tb: &Testbed, targets: &[Target]) -> Vec<Target> {
+    targets
+        .iter()
+        .map(|(qc, name, label)| {
+            let name_service = if name.context == tb.ctx_bind() {
+                NS_BIND
+            } else {
+                NS_CH
+            };
+            let alias =
+                HnsName::new(alias_context(name_service), &name.individual).expect("alias name");
+            (qc.clone(), alias, *label)
+        })
+        .collect()
+}
+
 /// Part A: sequential vs MQUERY-batched vs composed-BindingCache
-/// `FindNSM`, compared target by target in seed-shuffled order.
+/// `FindNSM`, compared target by target in seed-shuffled order, over
+/// rounds separated by seed-jittered clock advances so the composed
+/// instance answers in each of its three shapes — a (query class,
+/// context) hit, a (query class, name service) hit after the context's
+/// own entry lapsed, and a full re-walk.
 fn pin_findnsm_paths(tb: &Testbed, rng: &mut DetRng, seed: u64) -> usize {
     let sequential = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     sequential.set_batching(false);
@@ -118,59 +169,127 @@ fn pin_findnsm_paths(tb: &Testbed, rng: &mut DetRng, seed: u64) -> usize {
     composed.set_binding_cache(true);
 
     let mut targets = targets(tb);
-    shuffle(rng, &mut targets);
-    for (qc, name, label) in &targets {
-        let seq = binding_bytes(&sequential.find_nsm(qc, name).expect("sequential FindNSM"));
-        let bat = binding_bytes(&batched.find_nsm(qc, name).expect("batched FindNSM"));
-        assert_eq!(
-            seq, bat,
-            "seed {seed}: batched FindNSM diverged from sequential on {label}"
+    let mut aliases = alias_targets(tb, &targets);
+    // What the composed instance's two levels answered since last asked.
+    let mut seen = (0, 0);
+    let mut composed_hits = || {
+        let now = (
+            composed.binding_cache_stats().hits,
+            composed.binding_cache_service_stats().hits,
         );
-        let com = binding_bytes(&composed.find_nsm(qc, name).expect("composed FindNSM"));
-        assert_eq!(
-            seq, com,
-            "seed {seed}: composed FindNSM diverged from sequential on {label}"
-        );
-        // Second query hits the composed BindingCache; the hit must be
-        // indistinguishable from the miss.
-        let com_cached = binding_bytes(&composed.find_nsm(qc, name).expect("cached FindNSM"));
-        assert_eq!(
-            com, com_cached,
-            "seed {seed}: BindingCache hit diverged from its own miss on {label}"
-        );
-    }
+        let delta = (now.0 - seen.0, now.1 - seen.1);
+        seen = now;
+        delta
+    };
+    let compare = |rng: &mut DetRng, round: &str, set: &mut [Target]| {
+        shuffle(rng, set);
+        for (qc, name, label) in set.iter() {
+            let seq = binding_bytes(&sequential.find_nsm(qc, name).expect("sequential FindNSM"));
+            let bat = binding_bytes(&batched.find_nsm(qc, name).expect("batched FindNSM"));
+            assert_eq!(
+                seq, bat,
+                "seed {seed}, {round}: batched FindNSM diverged from sequential on {label}"
+            );
+            let com = binding_bytes(&composed.find_nsm(qc, name).expect("composed FindNSM"));
+            assert_eq!(
+                seq, com,
+                "seed {seed}, {round}: composed FindNSM diverged from sequential on {label}"
+            );
+        }
+    };
+    let n = targets.len() as u64;
+
+    // Cold: every target walks all six mappings; its alias then finds
+    // mappings 2-6 composed under the name service.
+    compare(rng, "cold", &mut targets);
+    assert_eq!(composed_hits(), (0, 0), "seed {seed}: cold walks");
+    compare(rng, "cold alias", &mut aliases);
+    assert_eq!(composed_hits(), (0, n), "seed {seed}: aliases share 2-6");
+    // Warm: one probe each; the hit must be indistinguishable from the
+    // miss that filled it.
+    compare(rng, "warm", &mut targets);
+    compare(rng, "warm alias", &mut aliases);
+    assert_eq!(composed_hits(), (2 * n, 0), "seed {seed}: context hits");
+
+    // Past the aliases' own record TTL, well inside everything else's:
+    // the alias entries have lapsed, the name-service entries have not.
+    tb.world
+        .charge_ms(f64::from(ALIAS_TTL) * 1000.0 + rng.next_below(300_000) as f64);
+    compare(rng, "alias lapsed", &mut aliases);
+    assert_eq!(composed_hits(), (0, n), "seed {seed}: service-level hits");
+    compare(rng, "alias lapsed, primary", &mut targets);
+    assert_eq!(
+        composed_hits(),
+        (n, 0),
+        "seed {seed}: primaries still whole"
+    );
+
+    // Past every TTL: full re-walks, then shared again.
+    tb.world
+        .charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + rng.next_below(60_000) as f64);
+    compare(rng, "all lapsed", &mut targets);
+    assert_eq!(composed_hits(), (0, 0), "seed {seed}: full re-walks");
+    compare(rng, "all lapsed, alias", &mut aliases);
+    assert_eq!(composed_hits(), (0, n), "seed {seed}: shared again");
     targets.len()
 }
 
 /// Part B: serve-stale. A warm client during a meta-store crash must
-/// return the same bytes it returned fresh, merely marked stale.
-fn pin_serve_stale(tb: &Testbed, rng: &mut DetRng, seed: u64) {
+/// return the same bytes it returned fresh, merely marked stale, and
+/// must not remember the stale answer as a fresh one.
+///
+/// With the composed cache on, the query goes through the short-lived
+/// alias context: when the crash begins only its mapping 1 has lapsed,
+/// so the answer is a stale-served mapping 1 plus the live (query class,
+/// name service) entry.
+fn pin_serve_stale(tb: &Testbed, rng: &mut DetRng, seed: u64, composed: bool) {
     let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    warm.set_binding_cache(composed);
     let qc = QueryClass::hrpc_binding();
-    let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
+    let (context, lapse_secs) = if composed {
+        (alias_context(NS_BIND), ALIAS_TTL)
+    } else {
+        (tb.ctx_bind(), hns_core::META_TTL)
+    };
+    let name = HnsName::new(context, "fiji.cs.washington.edu").expect("name");
     let fresh = binding_bytes(&warm.find_nsm(&qc, &name).expect("fresh FindNSM"));
+    let composed_inserts = warm.binding_cache_stats().inserts;
 
     // Expire the cache with seed-jittered slack, then crash the meta
     // host for a seed-jittered window.
     tb.world
-        .charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + 1_000.0 + rng.next_below(5_000) as f64);
+        .charge_ms(f64::from(lapse_secs) * 1000.0 + 1_000.0 + rng.next_below(5_000) as f64);
     let crash_start = tb.world.now();
     let heal = crash_start + SimDuration::from_ms(60_000 + rng.next_below(240_000));
     let mut plan = FaultPlan::new();
     plan.crash(tb.hosts.meta, crash_start, Some(heal));
     tb.world.set_faults(Some(plan));
 
-    let (binding, report) = warm
-        .find_nsm_report(&qc, &name)
-        .expect("stale FindNSM during crash");
-    assert!(
-        report.stale_served,
-        "seed {seed}: crash-window FindNSM must be marked stale"
+    // Asked twice: had the first stale answer been cached, the second
+    // would come back as a fresh composed hit.
+    for _ in 0..2 {
+        let (binding, report) = warm
+            .find_nsm_report(&qc, &name)
+            .expect("stale FindNSM during crash");
+        assert!(
+            report.stale_served,
+            "seed {seed}: crash-window FindNSM must be marked stale"
+        );
+        assert_eq!(
+            fresh,
+            binding_bytes(&binding),
+            "seed {seed}: serve-stale path diverged from the fresh path"
+        );
+    }
+    assert_eq!(
+        warm.binding_cache_stats().inserts,
+        composed_inserts,
+        "seed {seed}: a stale-served walk was cached"
     );
     assert_eq!(
-        fresh,
-        binding_bytes(&binding),
-        "seed {seed}: serve-stale path diverged from the fresh path"
+        warm.binding_cache_service_stats().hits,
+        if composed { 2 } else { 0 },
+        "seed {seed}: mappings 2-6 come from the live service-level entry"
     );
 
     // Heal before the next scenario reuses the world.
@@ -275,14 +394,17 @@ pub fn run_seed(seed: u64) -> SeedSummary {
     tb.deploy_extension_nsms(tb.hosts.nsm);
     tb.deploy_user_nsms(tb.hosts.nsm);
 
+    register_alias_contexts(&tb);
+
     let targets = pin_findnsm_paths(&tb, &mut rng, seed);
-    pin_serve_stale(&tb, &mut rng, seed);
+    pin_serve_stale(&tb, &mut rng, seed, false);
+    pin_serve_stale(&tb, &mut rng, seed, true);
     pin_nsm_failover(&tb, &mut rng, seed);
     pin_ch_failover(&tb, &mut rng, seed);
 
     SeedSummary {
         seed,
         targets,
-        fault_scenarios: 3,
+        fault_scenarios: 4,
     }
 }

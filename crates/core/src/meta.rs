@@ -292,14 +292,18 @@ impl MetaStore {
         self.write(self.nsm_info_key(&info.nsm_name)?, info.to_records())
     }
 
-    /// Parses a context record's payloads.
-    pub fn parse_context(payloads: &[String]) -> HnsResult<ContextInfo> {
+    /// Parses a context record's payloads, read where they are (a
+    /// `&[String]` off a fetch, borrowed `&str`s off a cached list).
+    pub fn parse_context<S: AsRef<str>>(
+        payloads: impl IntoIterator<Item = S>,
+    ) -> HnsResult<ContextInfo> {
         let payload = payloads
-            .first()
+            .into_iter()
+            .next()
             .ok_or_else(|| HnsError::BadMetaRecord("empty context record".into()))?;
         let mut name_service = None;
         let mut mapping = None;
-        for piece in payload.split(';') {
+        for piece in payload.as_ref().split(';') {
             match piece.split_once('=') {
                 Some(("ns", v)) => name_service = Some(v.to_string()),
                 Some(("map", v)) => mapping = Some(NameMapping::decode(v)?),
@@ -314,10 +318,13 @@ impl MetaStore {
     }
 
     /// Parses an NSM-name record's payloads.
-    pub fn parse_nsm_name(payloads: &[String]) -> HnsResult<String> {
+    pub fn parse_nsm_name<S: AsRef<str>>(
+        payloads: impl IntoIterator<Item = S>,
+    ) -> HnsResult<String> {
         payloads
-            .first()
-            .cloned()
+            .into_iter()
+            .next()
+            .map(|name| name.as_ref().to_string())
             .ok_or_else(|| HnsError::BadMetaRecord("empty NSM record".into()))
     }
 

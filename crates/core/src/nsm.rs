@@ -259,7 +259,10 @@ impl NsmInfo {
     }
 
     /// Decodes from meta-store record payloads.
-    pub fn from_records(nsm_name: &str, records: &[String]) -> HnsResult<NsmInfo> {
+    pub fn from_records<S: AsRef<str>>(
+        nsm_name: &str,
+        records: impl IntoIterator<Item = S>,
+    ) -> HnsResult<NsmInfo> {
         let mut host_name = None;
         let mut host_context = None;
         let mut program = None;
@@ -268,7 +271,7 @@ impl NsmInfo {
         let mut version = None;
         let mut owner = None;
         for record in records {
-            for piece in record.split(';') {
+            for piece in record.as_ref().split(';') {
                 let (key, value) = piece
                     .split_once('=')
                     .ok_or_else(|| HnsError::BadMetaRecord(format!("`{piece}`")))?;

@@ -24,6 +24,7 @@ use parking_lot::RwLock;
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::{HostId, NetAddr};
 use simnet::trace::TraceKind;
+use simnet::ttl::Probe;
 use simnet::world::World;
 
 use bindns::name::DomainName;
@@ -57,6 +58,9 @@ pub struct Hns {
     /// Composed `FindNSM` results (off by default; see
     /// [`crate::binding_cache`]).
     binding_cache: Arc<BindingCache>,
+    /// The query class of mapping 5, built once: a `QueryClass` owns a
+    /// lowercased copy of its name.
+    host_address_qc: QueryClass,
     /// Linked NSM registry. Read-mostly: linking happens at deployment,
     /// mapping 6 reads on every cold walk. Readers take an `Arc`
     /// snapshot; writers rebuild and swap.
@@ -94,6 +98,34 @@ struct HnsMetricHandles {
 /// [`CacheMode::Disabled`] runs; its demarshalling cost was already charged
 /// when the `MQUERY` reply was decoded.
 type BatchOverlay = HashMap<DomainName, Fetched<Vec<String>>>;
+
+/// The payload strings of one meta record set as the walk reads them: a
+/// cache hit lends the cached list itself, so the parsers read it in
+/// place; a fetch (or the overlay) owns what it decoded.
+enum Payloads {
+    /// A cached list of strings, its shape checked by [`Payloads::cached`].
+    Cached(Arc<Value>),
+    Owned(Vec<String>),
+}
+
+impl Payloads {
+    /// Wraps a cached value, refusing anything but a list of strings.
+    fn cached(value: Arc<Value>) -> HnsResult<Payloads> {
+        for payload in value.as_list()? {
+            payload.as_str()?;
+        }
+        Ok(Payloads::Cached(value))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        let (cached, owned): (&[Value], &[String]) = match self {
+            Payloads::Cached(value) => (value.as_list().unwrap_or_default(), &[]),
+            Payloads::Owned(payloads) => (&[], payloads),
+        };
+        let cached = cached.iter().filter_map(|payload| payload.as_str().ok());
+        cached.chain(owned.iter().map(String::as_str))
+    }
+}
 
 /// Per-query accounting attached to a `FindNSM` by
 /// [`Hns::find_nsm_report`].
@@ -185,6 +217,7 @@ impl Hns {
             meta_binding,
             cache,
             binding_cache,
+            host_address_qc: QueryClass::host_address(),
             linked_nsms: RwLock::new(Arc::new(HashMap::new())),
             batching: AtomicBool::new(false),
             handles: HnsMetricHandles::default(),
@@ -279,26 +312,27 @@ impl Hns {
         self.binding_cache.enabled()
     }
 
-    /// Composed binding-cache statistics.
+    /// Composed binding-cache statistics of the (query class, context)
+    /// level.
     pub fn binding_cache_stats(&self) -> BindingCacheStats {
         self.binding_cache.stats()
     }
 
-    /// Clears the cache.
+    /// Composed binding-cache statistics of the (query class, name
+    /// service) level.
+    pub fn binding_cache_service_stats(&self) -> BindingCacheStats {
+        self.binding_cache.service_stats()
+    }
+
+    /// Clears the per-mapping cache and both composed levels: the next
+    /// `FindNSM` is a cold walk.
     pub fn clear_cache(&self) {
         self.cache.clear();
+        self.binding_cache.clear();
     }
 
-    /// Decodes a cached list-of-strings value back into payload strings.
-    fn value_to_payloads(v: &Value) -> HnsResult<Vec<String>> {
-        v.as_list()
-            .map_err(HnsError::from)?
-            .iter()
-            .map(|s| s.as_str().map(str::to_string).map_err(HnsError::from))
-            .collect()
-    }
-
-    /// One cached meta fetch: payload strings at `key`.
+    /// One cached meta fetch: the payload strings at `key` and their
+    /// remaining TTL in seconds (0 when served stale).
     ///
     /// The overlay (record sets piggybacked by the current batched fetch)
     /// is consulted first, then the cache; a miss enters the singleflight
@@ -309,11 +343,11 @@ impl Hns {
         &self,
         key: &DomainName,
         overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<Fetched<Vec<String>>> {
+    ) -> HnsResult<(Payloads, u32)> {
         self.world().charge_ms(self.world().costs.hns_bookkeeping);
         if let Some(fetched) = overlay.and_then(|o| o.get(key)) {
             self.world().cache_outcome(CacheOutcome::Overlay);
-            return Ok(fetched.clone());
+            return Ok((Payloads::Owned(fetched.value.clone()), fetched.ttl_secs));
         }
         let cache_key = MetaKey::meta(key);
         // `lookup_or_fetch` loops through coalesced waits internally and
@@ -322,15 +356,7 @@ impl Hns {
             LookupOrFetch::Hit {
                 value,
                 remaining_ttl_secs,
-            } => {
-                let payloads = Self::value_to_payloads(&value)?;
-                let rrs = payloads.len();
-                Ok(Fetched {
-                    value: payloads,
-                    rrs,
-                    ttl_secs: remaining_ttl_secs,
-                })
-            }
+            } => Ok((Payloads::cached(value)?, remaining_ttl_secs)),
             LookupOrFetch::NegativeHit => Err(HnsError::Rpc(RpcError::NotFound(key.to_string()))),
             LookupOrFetch::Lead(_guard) => {
                 let fetched = match self.meta.fetch(key) {
@@ -348,20 +374,14 @@ impl Hns {
                         // success overwrites it.
                         if let Some(stale) = self.cache.lookup_stale(self.world(), &cache_key) {
                             self.note_stale_serve(|| format!("meta {key} ({err})"));
-                            let payloads = Self::value_to_payloads(&stale)?;
-                            let rrs = payloads.len();
-                            return Ok(Fetched {
-                                value: payloads,
-                                rrs,
-                                ttl_secs: 0,
-                            });
+                            return Ok((Payloads::cached(stale)?, 0));
                         }
                         return Err(HnsError::Rpc(err));
                     }
                     Err(other) => return Err(other),
                 };
                 self.cache_payloads(cache_key, &fetched);
-                Ok(fetched)
+                Ok((Payloads::Owned(fetched.value), fetched.ttl_secs))
             }
         }
     }
@@ -394,13 +414,13 @@ impl Hns {
         overlay: Option<&BatchOverlay>,
     ) -> HnsResult<(ContextInfo, u32)> {
         let key = self.meta.context_key(context)?;
-        let fetched = self.cached_fetch_with(&key, overlay).map_err(|e| match e {
+        let (payloads, ttl) = self.cached_fetch_with(&key, overlay).map_err(|e| match e {
             HnsError::Rpc(RpcError::NotFound(_)) => {
                 HnsError::NoSuchContext(context.as_str().to_string())
             }
             other => other,
         })?;
-        Ok((MetaStore::parse_context(&fetched.value)?, fetched.ttl_secs))
+        Ok((MetaStore::parse_context(payloads.iter())?, ttl))
     }
 
     /// Mapping 1 (or 4): context → name service, through the cache.
@@ -415,14 +435,14 @@ impl Hns {
         overlay: Option<&BatchOverlay>,
     ) -> HnsResult<(String, u32)> {
         let key = self.meta.nsm_name_key(name_service, qc)?;
-        let fetched = self.cached_fetch_with(&key, overlay).map_err(|e| match e {
+        let (payloads, ttl) = self.cached_fetch_with(&key, overlay).map_err(|e| match e {
             HnsError::Rpc(RpcError::NotFound(_)) => HnsError::NoSuchNsm {
                 name_service: name_service.to_string(),
                 query_class: qc.as_str().to_string(),
             },
             other => other,
         })?;
-        Ok((MetaStore::parse_nsm_name(&fetched.value)?, fetched.ttl_secs))
+        Ok((MetaStore::parse_nsm_name(payloads.iter())?, ttl))
     }
 
     /// Mapping 2 (or 5): (name service, query class) → NSM name.
@@ -437,11 +457,8 @@ impl Hns {
         overlay: Option<&BatchOverlay>,
     ) -> HnsResult<(NsmInfo, u32)> {
         let key = self.meta.nsm_info_key(nsm_name)?;
-        let fetched = self.cached_fetch_with(&key, overlay)?;
-        Ok((
-            NsmInfo::from_records(nsm_name, &fetched.value)?,
-            fetched.ttl_secs,
-        ))
+        let (payloads, ttl) = self.cached_fetch_with(&key, overlay)?;
+        Ok((NsmInfo::from_records(nsm_name, payloads.iter())?, ttl))
     }
 
     /// Mapping 3 (first half): NSM name → binding information.
@@ -585,8 +602,8 @@ impl Hns {
         let world = Arc::clone(self.world());
         let batched = self.batching();
 
-        // Composed fast path: a live binding-cache entry answers the
-        // whole query in one probe. Only the context matters — the
+        // Composed fast path: a live (query class, context) entry answers
+        // the whole query in one probe. Only the context matters — the
         // individual name plays no part in the mapping walk.
         if self.binding_cache.enabled() {
             let t0 = world.now();
@@ -625,9 +642,8 @@ impl Hns {
         self.record_query_metrics(&world, batched, remote_round_trips, took, result.is_err());
 
         let (binding, min_ttl) = result?;
-        // A zero `min_ttl` (some constituent was stale-served or about to
-        // lapse) is refused by the insert, so composed entries never
-        // outlive their parts.
+        // A zero `min_ttl` (some constituent was stale-served) is refused
+        // by the insert, so composed entries never outlive their parts.
         self.binding_cache
             .insert(&world, qc.as_str(), name.context.as_str(), binding, min_ttl);
         Ok((
@@ -720,7 +736,12 @@ impl Hns {
 
     /// The mapping walk. Returns the binding plus the minimum remaining
     /// TTL across the six mapping entries consulted — the freshness
-    /// bound for a composed binding-cache entry.
+    /// bound for a composed (query class, context) entry.
+    ///
+    /// Mappings 2–6 depend on the context only through its name service,
+    /// so with the composed cache on, their result is probed (and, after
+    /// a walk, kept) under (query class, name service): a context whose
+    /// own entry lapsed costs two probes, not six.
     fn find_nsm_inner(
         &self,
         qc: &QueryClass,
@@ -756,6 +777,25 @@ impl Hns {
             || format!("context {} -> name service", name.context),
             || self.context_info_with(&name.context, overlay),
         )?;
+        if self.binding_cache.enabled() {
+            // The outcome lands on the `FindNSM` span: mapping 1's own
+            // span has closed.
+            let world = self.world();
+            match self
+                .binding_cache
+                .lookup_service(world, qc.as_str(), &ctx_info.name_service)
+            {
+                Probe::Live {
+                    value,
+                    remaining_secs,
+                } => {
+                    world.cache_outcome(CacheOutcome::Hit);
+                    return Ok((value, ttl1.min(remaining_secs)));
+                }
+                Probe::Expired => world.cache_outcome(CacheOutcome::Expired),
+                Probe::Absent => world.cache_outcome(CacheOutcome::Miss),
+            }
+        }
         // Mapping 2: Name Service Name, Query Class -> NSM Name.
         let (nsm_name, ttl2) = self.with_mapping(
             2,
@@ -783,13 +823,7 @@ impl Hns {
                     host_ctx_info.name_service
                 )
             },
-            || {
-                self.nsm_name_with(
-                    &host_ctx_info.name_service,
-                    &QueryClass::host_address(),
-                    overlay,
-                )
-            },
+            || self.nsm_name_with(&host_ctx_info.name_service, &self.host_address_qc, overlay),
         )?;
         let (host, ttl6) = self.with_mapping(
             6,
@@ -813,8 +847,16 @@ impl Hns {
         self.world().trace(Some(self.host), TraceKind::Hns, || {
             format!("FindNSM -> {nsm_name} at {host}:{}", info.port)
         });
-        let min_ttl = ttl1.min(ttl2).min(ttl3).min(ttl4).min(ttl5).min(ttl6);
-        Ok((binding, min_ttl))
+        let service_ttl = ttl2.min(ttl3).min(ttl4).min(ttl5).min(ttl6);
+        // Refused while the composed cache is off, and for a zero TTL.
+        self.binding_cache.insert_service(
+            self.world(),
+            qc.as_str(),
+            &ctx_info.name_service,
+            binding,
+            service_ttl,
+        );
+        Ok((binding, ttl1.min(service_ttl)))
     }
 
     /// Publishes this instance's cache statistics into the world's

@@ -162,6 +162,65 @@ fn linked_hns_resolves_via_stub_nsm() {
     assert_eq!(reply, Value::str("echo:any-entity"));
 }
 
+/// A second context of the same name service shares mappings 2-6 with
+/// the first, for exactly as long as the earliest of them is valid.
+#[test]
+fn service_level_entry_lapses_with_the_earliest_of_mappings_2_to_6() {
+    let env = env();
+    let hns = make_hns(&env, env.client, CacheMode::Demarshalled);
+    // Mapping 3 (the NSM-info record set) is the short-lived part.
+    hns.meta().set_record_ttl(90);
+    register_echo(&env, &hns);
+    hns.meta().set_record_ttl(600);
+    let sibling = Context::new("sibling-ctx").expect("ctx");
+    hns.register_context(&sibling, "StubNS", &NameMapping::Identity)
+        .expect("sibling");
+    hns.register_nsm("StubNS", &QueryClass::new("Echo"), "nsm-echo-stub")
+        .expect("nsm");
+    hns.register_nsm(
+        "StubNS",
+        &QueryClass::host_address(),
+        "nsm-hostaddress-stub",
+    )
+    .expect("ha nsm");
+    // Only the info record keeps the 90 s TTL; `stub-ctx` (mappings 1
+    // and 4) is re-registered at 600 s.
+    hns.register_context(
+        &Context::new("stub-ctx").expect("ctx"),
+        "StubNS",
+        &NameMapping::Identity,
+    )
+    .expect("ctx");
+    hns.set_binding_cache(true);
+    let qc = QueryClass::new("Echo");
+    let sibling_name = HnsName::new(sibling, "any-entity").expect("name");
+
+    let first = hns.find_nsm(&qc, &echo_name()).expect("seeds both levels");
+    env.world.charge_ms(60_000.0);
+    // Live: the sibling costs its own mapping 1 and one composed probe.
+    let (via_service, report) = hns.find_nsm_report(&qc, &sibling_name).expect("sibling");
+    assert_eq!(via_service, first);
+    assert_eq!(report.remote_round_trips, 1);
+    assert_eq!(hns.binding_cache_service_stats().hits, 1);
+
+    // Past mapping 3's TTL nothing composed from it may answer: not the
+    // service entry, and neither context's entry made from it.
+    env.world.charge_ms(31_000.0);
+    for name in [&sibling_name, &echo_name()] {
+        let hits = hns.binding_cache_stats().hits;
+        let (binding, report) = hns.find_nsm_report(&qc, name).expect("re-walk");
+        assert_eq!(binding, first);
+        assert_eq!(hns.binding_cache_stats().hits, hits, "context entry lapsed");
+        if name == &sibling_name {
+            assert_eq!(report.remote_round_trips, 1, "mapping 3 refetched");
+            assert_eq!(hns.binding_cache_service_stats().expired, 1);
+        } else {
+            assert_eq!(report.remote_round_trips, 0, "the refreshed service entry");
+            assert_eq!(hns.binding_cache_service_stats().hits, 2);
+        }
+    }
+}
+
 #[test]
 fn missing_linked_host_addr_nsm_is_reported() {
     let env = env();

@@ -33,6 +33,8 @@ pub struct Importer {
     host: HostId,
     hns: HnsClient,
     nsm: NsmClient,
+    /// The query class every `Import` asks `FindNSM` for, built once.
+    query_class: QueryClass,
     alternate_nsm: Mutex<Option<HrpcBinding>>,
 }
 
@@ -43,6 +45,7 @@ impl Importer {
         Importer {
             hns: HnsClient::new(Arc::clone(&net), host, handle),
             nsm: NsmClient::new(Arc::clone(&net), host),
+            query_class: QueryClass::hrpc_binding(),
             net,
             host,
             alternate_nsm: Mutex::new(None),
@@ -65,7 +68,7 @@ impl Importer {
         host_name: &HnsName,
     ) -> HnsResult<HrpcBinding> {
         // FindNSM: which NSM understands binding for this context?
-        let nsm_binding = self.hns.find_nsm(&QueryClass::hrpc_binding(), host_name)?;
+        let nsm_binding = self.hns.find_nsm(&self.query_class, host_name)?;
         // Call the designated binding NSM with the original HNS name.
         let extra = || {
             vec![

@@ -101,7 +101,16 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
                 (s.hits, s.misses + s.expired)
             }),
             export: Box::new(|m| composed.export_metrics(m, "c")),
-            exported: &["expired", "hits", "inserts", "misses"],
+            exported: &[
+                "expired",
+                "hits",
+                "inserts",
+                "misses",
+                "service_expired",
+                "service_hits",
+                "service_inserts",
+                "service_misses",
+            ],
         },
         Driver {
             name: "NsmCache",

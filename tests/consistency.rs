@@ -10,7 +10,7 @@ use hns_repro::bindns::ResourceRecord;
 use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hns_core::query::QueryClass;
-use hns_repro::nsms::harness::Testbed;
+use hns_repro::nsms::harness::{Testbed, NS_BIND, NS_CH};
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::simnet::World;
 
@@ -35,6 +35,68 @@ fn meta_updates_become_visible_when_ttl_expires() {
         .charge_ms(f64::from(hns_repro::hns_core::META_TTL) * 1000.0 + 1.0);
     let fresh = hns.find_nsm(&qc, &name).expect("fresh find");
     assert_eq!(fresh.host, tb.hosts.agent);
+}
+
+/// `clear_cache` is how the experiments force a cold walk; with the
+/// composed cache on it used to leave the composed entries answering.
+#[test]
+fn clear_cache_forgets_the_composed_entries_too() {
+    let tb = Testbed::build();
+    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    hns.set_binding_cache(true);
+    let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
+    let qc = QueryClass::hrpc_binding();
+    let first = hns.find_nsm(&qc, &name).expect("cold find");
+    let (_, warm) = hns.find_nsm_report(&qc, &name).expect("composed find");
+    assert_eq!(warm.remote_round_trips, 0);
+
+    hns.clear_cache();
+    let (again, report) = hns.find_nsm_report(&qc, &name).expect("cleared find");
+    assert_eq!(report.remote_round_trips, 6, "a cold walk again");
+    assert_eq!(again, first);
+}
+
+/// The (query class, name service) composed level is keyed by what
+/// mapping 1 says *now*: a context moved from BIND to the Clearinghouse
+/// is followed as soon as its own record's TTL lets the move be seen,
+/// and lands on the entry the Clearinghouse's other contexts filled.
+#[test]
+fn a_rebound_context_is_followed_to_the_other_services_composed_entry() {
+    let tb = Testbed::build();
+    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    hns.set_binding_cache(true);
+    let qc = QueryClass::hrpc_binding();
+    let find = |context: Context| {
+        let name = HnsName::new(context, "fiji.cs.washington.edu").expect("name");
+        hns.find_nsm_report(&qc, &name).expect("find")
+    };
+
+    // A department context on BIND whose record outlives nothing else.
+    let dept = Context::new("dept-moving").expect("ctx");
+    hns.meta().set_record_ttl(60);
+    hns.register_context(&dept, NS_BIND, &NameMapping::Identity)
+        .expect("register on BIND");
+    let (via_bind, _) = find(tb.ctx_bind());
+    let (via_ch, _) = find(tb.ctx_ch());
+    assert_ne!(via_bind, via_ch);
+    assert_eq!(find(dept.clone()).0, via_bind);
+
+    hns.register_context(&dept, NS_CH, &NameMapping::Identity)
+        .expect("re-bind to the Clearinghouse");
+    // Within the context record's TTL the old answer persists.
+    assert_eq!(find(dept.clone()).0, via_bind);
+
+    tb.world.charge_ms(60_001.0);
+    let service_hits = hns.binding_cache_service_stats().hits;
+    let (moved, report) = find(dept);
+    assert_eq!(moved, via_ch);
+    assert_eq!(
+        report.remote_round_trips, 1,
+        "mapping 1 alone was refetched"
+    );
+    assert_eq!(hns.binding_cache_service_stats().hits, service_hits + 1);
 }
 
 #[test]

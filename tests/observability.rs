@@ -90,6 +90,56 @@ fn spans_nest_and_carry_cache_outcomes() {
     assert!(warm.duration_us() < cold.duration_us());
 }
 
+/// With the composed cache on, the `FindNSM` span itself says how the
+/// (query class, name service) probe after mapping 1 came out; with it
+/// off the span carries nothing, as every golden trace expects.
+#[test]
+fn find_nsm_span_carries_the_service_level_outcome() {
+    use hns_repro::hns_core::name::{Context, NameMapping};
+    use hns_repro::nsms::harness::NS_BIND;
+    use hns_repro::simnet::trace::CacheOutcome;
+
+    let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
+    let sibling = Context::new("bind-uw-sibling").expect("context");
+    hns.register_context(&sibling, NS_BIND, &NameMapping::Identity)
+        .expect("register sibling");
+    let sibling = HnsName::new(sibling, "fiji.cs.washington.edu").expect("name");
+
+    tb.world.tracer.set_enabled(true);
+    hns.find_nsm(&qc, &name).expect("composed cache off");
+    hns.clear_cache();
+    hns.set_binding_cache(true);
+    hns.find_nsm(&qc, &name).expect("cold: nothing composed");
+    hns.find_nsm(&qc, &sibling).expect("mappings 2-6 composed");
+    tb.world
+        .charge_ms(f64::from(hns_repro::hns_core::META_TTL) * 1000.0 + 1_000.0);
+    hns.find_nsm(&qc, &sibling).expect("everything lapsed");
+    tb.world.tracer.set_enabled(false);
+
+    let traces = tb.world.tracer.query_traces();
+    let outcomes: Vec<_> = traces.iter().map(|t| t.root.cache).collect();
+    assert_eq!(
+        outcomes,
+        [
+            None,
+            Some(CacheOutcome::Miss),
+            Some(CacheOutcome::Hit),
+            Some(CacheOutcome::Expired)
+        ]
+    );
+    let mapping_spans = |i: usize| {
+        let spans = traces[i].spans.iter();
+        spans.filter(|s| s.name.starts_with("mapping ")).count()
+    };
+    assert_eq!(mapping_spans(1), 6);
+    assert_eq!(
+        mapping_spans(2),
+        1,
+        "a service-level hit stops after mapping 1"
+    );
+    assert_eq!(traces[2].root.round_trips, 1);
+}
+
 #[test]
 fn metrics_registry_reflects_the_run() {
     let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
