@@ -1,87 +1,16 @@
-//! The experiment driver: regenerates every table and figure of the paper.
+//! The experiment driver: regenerates every table and figure of the
+//! paper, and runs the flag-driven scenarios that sit outside `all`.
 //!
-//! Usage:
-//!
-//! ```text
-//! experiments all                 # everything, in order
-//! experiments table31 table32    # specific experiments
-//! experiments table31 --trace    # also run the traced scenario
-//! experiments --trace-out t.json # write the traced run's JSON export
-//! experiments loadgen --threads 1,2,4,8 --ops 2000 --out BENCH_throughput.json
-//! experiments loadgen --offered-qps 50000,200000 --open-threads 4 --open-duration-ms 500
-//! experiments loadgen --baseline BENCH_throughput.json --regress 0.5
-//! experiments chaos --crash --partition --seed 42 --out chaos.json
-//! experiments chaos --seed 42 --validate-chaos   # validate the run's own JSON
-//! experiments chaos --timeline-out timeline.json # windowed hns-timeline-v1 export
-//! experiments register --names 12 --max-depth 8 --out register.json
-//! experiments loadgen --write-frac 0.3 --transfer-frac 0.25
-//! experiments scale --scale-names 10000,100000,1000000 --out BENCH_scale.json
-//! experiments validate FILE...    # auto-detect and validate any JSON export
-//! experiments fuzz --iters 5000 --seed 0   # conformance fuzz smoke
-//! experiments fuzz --regen-corpus          # rewrite the golden wire corpus
-//! ```
-//!
-//! Experiment ids: `table31 table32 overhead comparison preload eq1
-//! figure21 mappings ablate-batching ablate-mappings ablate-ttl
-//! scalability ablate-rereg traced`.
-//!
-//! `loadgen` is the real-time load engine (E-L). It measures wall-clock
-//! throughput, so it is *not* part of `all` (whose outputs are
-//! deterministic virtual-time tables); run it explicitly. Knobs:
-//! `--threads a,b,c --ops N --duration-ms MS --zipf S --cold F --bind F
-//! --faults --seed N --out PATH`. Open-loop (offered-load) runs ride
-//! along via `--offered-qps q1,q2,... --open-threads N
-//! --open-duration-ms MS`; `--baseline PATH [--regress FACTOR]`
-//! compares the closed-loop sweep against a committed baseline and
-//! fails (exit 1) if any matching thread count drops below
-//! FACTOR × baseline QPS (default 0.5).
-//!
-//! `chaos` is the fault-injection scenario (E-C). It is flag-driven like
-//! `loadgen` and therefore also outside `all`: `--crash`, `--partition`,
-//! and `--latency-spike` pick the injected faults (no selector = all
-//! three), `--seed` jitters the fault windows, `--out` writes the
-//! `hns-chaos-v1` JSON, and `--validate-chaos` validates either the run's
-//! own export or a file given as its operand. `--timeline-out PATH` also
-//! runs the windowed timeline scenario (E-TL) with the same fault
-//! selection and writes its `hns-timeline-v1` export; `--timeline-window-ms`
-//! sets the window width.
-//!
-//! `register` is the write-heavy registration workload (E-R) over the
-//! `regd` frontend: ownership registration, transfer chains with
-//! collapse caching, replica staleness, and the partitioned write path.
-//! Knobs: `--names N --max-depth D --warm-resolves W
-//! --staleness-rounds R --seed N --out PATH`; the export schema is
-//! `hns-reg-v1`. The loadgen write mix rides the same frontend:
-//! `--write-frac F` sends that fraction of loadgen operations through
-//! `regd` (re-binds and transfers), and `--transfer-frac F` picks how
-//! many of those writes are ownership transfers.
-//!
-//! `scale` is the million-name scale-out sweep (E-S): cell-sharded
-//! worlds at each `--scale-names` count (default `10000,100000,1000000`),
-//! reporting virtual-time QPS through the delegation tree, resident
-//! bytes per name against the naive per-copy baseline, the resolver
-//! cache hit ratio, and full-vs-incremental preload bytes. Knobs:
-//! `--scale-names a,b,c --scale-queries N --scale-updates K --seed N
-//! --out PATH`; the export schema is `hns-scale-v1`.
-//!
-//! `validate FILE...` parses each file, auto-detects its schema from the
-//! `schema` tag (`hns-trace-v1`, `hns-load-v2`, `hns-chaos-v1`,
-//! `hns-timeline-v1`, `hns-reg-v1`, `hns-scale-v1`), and runs the matching validator,
-//! exiting 1 on the first malformed file. The older `--validate-trace` / `--validate-load`
-//! / `--validate-chaos FILE` flags are thin aliases that additionally pin
-//! the expected schema.
-//!
-//! `fuzz` is the hermetic conformance harness (see TESTING.md): it
-//! verifies the committed golden wire corpus against the encoders, then
-//! runs the seeded mutation fuzzer for `--iters` iterations (default
-//! 5000) under the shared `--seed`, exiting 1 on corpus drift or any
-//! property violation (panic, allocation over budget, or a decode→
-//! encode→decode mismatch). `--regen-corpus` rewrites the corpus files
-//! under `crates/conformance/corpus/` from the encoders first — the
-//! documented path for landing an intentional wire-format change.
+//! One subcommand per invocation. Each subcommand's usage string sits
+//! next to its parser below and is printed on any argument error —
+//! before anything runs. Every JSON export goes through one
+//! [`finish`] step: render, check against its row of
+//! [`hns_bench::export::SCHEMAS`], write `--out`.
+
+use std::str::FromStr;
 
 use hns_bench::experiments as exp;
-use hns_bench::loadgen;
+use hns_bench::{export, loadgen};
 
 // The conformance fuzzer's allocation-budget property only bites when a
 // counting allocator is installed; the negligible bookkeeping cost does
@@ -89,546 +18,388 @@ use hns_bench::loadgen;
 #[global_allocator]
 static ALLOC: conformance::alloc::CountingAlloc = conformance::alloc::CountingAlloc;
 
-fn run_one(id: &str) -> Result<String, String> {
-    let out = match id {
-        "table31" => exp::table31::run().render(),
-        "table32" => {
-            let mut s = exp::table32::run().render();
-            s.push('\n');
-            s.push_str(&exp::table32::run_standard_routines().render());
-            s
-        }
-        "overhead" => exp::overhead::run().render(),
-        "comparison" => exp::comparison::run().render(),
-        "preload" => {
-            let results = exp::preload::run();
-            format!(
-                "{}\n{}\nbreak-even (paper accounting): {:?} calls\n\
-                 break-even (measured, shared entries): {:?} calls\n",
-                results.headline.render(),
-                results.sweep.render(),
-                results.break_even_paper_model,
-                results.break_even_measured
-            )
-        }
-        "eq1" => {
-            let results = exp::eq1::run();
-            format!(
-                "{}\n{}",
-                results.thresholds.render(),
-                results.sweep.render()
-            )
-        }
-        "figure21" => exp::figure21::run(),
-        "hit-ratios" => exp::hit_ratios::run().table.render(),
-        "mappings" => exp::mappings::run().render(),
-        "ablate-batching" => exp::ablate_batching::run().render(),
-        "ablate-mappings" => exp::ablate_mappings::run().render(),
-        "ablate-ttl" => exp::ablate_ttl::run().render(),
-        "scalability" => exp::scalability::run().render(),
-        "ablate-rereg" => exp::ablate_rereg::run().render(),
-        "traced" => exp::traced::run().render(),
-        other => return Err(format!("unknown experiment `{other}`")),
-    };
-    Ok(out)
+/// The arguments after the subcommand name. A parser takes the flags it
+/// knows; [`Args::done`] refuses whatever is left, so an unknown flag, a
+/// repeated one or another subcommand's is an error, not a no-op.
+struct Args {
+    usage: &'static str,
+    rest: Vec<String>,
 }
 
-const ALL: &[&str] = &[
-    "table31",
-    "table32",
-    "overhead",
-    "comparison",
-    "preload",
-    "eq1",
-    "figure21",
-    "hit-ratios",
-    "mappings",
-    "ablate-batching",
-    "ablate-mappings",
-    "ablate-ttl",
-    "scalability",
-    "ablate-rereg",
-    "traced",
-];
+impl Args {
+    fn err(&self, msg: String) -> String {
+        format!("{msg}\nusage: experiments {}", self.usage)
+    }
 
-/// Validates an `hns-trace-v1` document: schema tag, non-empty query
-/// list, and the metrics snapshot.
-fn validate_trace(text: &str) -> Result<(), String> {
-    let v = hns_bench::obs::json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("hns-trace-v1") {
-        return Err("missing or unexpected `schema`".into());
+    fn require(&self, ok: bool, msg: &str) -> Result<(), String> {
+        ok.then_some(()).ok_or_else(|| self.err(msg.to_string()))
     }
-    let queries = v
-        .get("queries")
-        .and_then(|q| q.as_array())
-        .ok_or("missing `queries` array")?;
-    if queries.is_empty() {
-        return Err("no queries in export".into());
+
+    /// Takes a bare `flag`; true if it was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        let at = self.rest.iter().position(|a| a == flag);
+        at.map(|i| self.rest.remove(i)).is_some()
     }
-    if v.get("metrics").is_none() {
-        return Err("missing `metrics` snapshot".into());
+
+    /// Takes `flag VALUE`, parsed; `None` if the flag was not given.
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        let Some(i) = self.rest.iter().position(|a| a == flag) else {
+            return Ok(None);
+        };
+        self.rest.remove(i);
+        if self.rest.get(i).is_none_or(|v| v.starts_with("--")) {
+            return Err(self.err(format!("{flag} requires a value")));
+        }
+        let raw = self.rest.remove(i);
+        let parsed = raw.parse().map(Some);
+        parsed.map_err(|_| self.err(format!("{flag}: cannot parse `{raw}`")))
+    }
+
+    /// Takes `flag VALUE` into `slot`, leaving the default if absent.
+    fn set<T: FromStr>(&mut self, flag: &str, slot: &mut T) -> Result<(), String> {
+        if let Some(v) = self.value(flag)? {
+            *slot = v;
+        }
+        Ok(())
+    }
+
+    /// Takes `flag A,B,..` into `slot`, leaving the default if absent.
+    fn set_list<T: FromStr>(&mut self, flag: &str, slot: &mut Vec<T>) -> Result<(), String> {
+        if let Some(csv) = self.value::<String>(flag)? {
+            let parsed: Result<_, _> = csv.split(',').map(|item| item.trim().parse()).collect();
+            *slot = parsed.map_err(|_| self.err(format!("{flag}: cannot parse `{csv}`")))?;
+        }
+        Ok(())
+    }
+
+    /// Refuses any flag no parser took; takes the positional operands.
+    fn operands(&mut self) -> Result<Vec<String>, String> {
+        match self.rest.iter().find(|a| a.starts_with("--")) {
+            Some(flag) => Err(self.err(format!("unknown or repeated flag `{flag}`"))),
+            None => Ok(std::mem::take(&mut self.rest)),
+        }
+    }
+
+    /// [`Args::operands`] for a subcommand that takes none.
+    fn done(mut self) -> Result<(), String> {
+        let Some(extra) = self.operands()?.into_iter().next() else {
+            return Ok(());
+        };
+        let refusal = format!("unexpected argument `{extra}` (one subcommand per invocation)");
+        Err(self.err(refusal))
+    }
+}
+
+/// The one finish step of every exporting subcommand: print the report,
+/// check the JSON against its schema row, then write `--out`.
+fn finish(what: &str, report: &str, json: &str, out: Option<&str>) -> Result<(), String> {
+    println!("{report}");
+    let tag = export::check(json).map_err(|e| format!("{what} export invalid: {e}"))?;
+    if let Some(path) = out {
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+        println!("{what} JSON ({tag}) written to {path}");
     }
     Ok(())
 }
 
-/// Reads `path`, auto-detects the export schema from its `schema` tag,
-/// and runs the matching validator. `expected` (from the legacy
-/// per-schema flags) additionally pins which schema the file must carry.
-/// Returns the detected schema name.
-fn validate_any(path: &str, expected: Option<&str>) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let v = hns_bench::obs::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .ok_or_else(|| format!("{path}: missing `schema` tag"))?
-        .to_string();
-    if let Some(expected) = expected {
-        if schema != expected {
-            return Err(format!("{path}: expected `{expected}`, found `{schema}`"));
-        }
+type Table = (&'static str, fn() -> String);
+
+/// The deterministic virtual-time tables, in the order `all` prints them.
+const TABLES: &[Table] = &[
+    ("table31", || exp::table31::run().render()),
+    ("table32", || {
+        let standard = exp::table32::run_standard_routines().render();
+        format!("{}\n{standard}", exp::table32::run().render())
+    }),
+    ("overhead", || exp::overhead::run().render()),
+    ("comparison", || exp::comparison::run().render()),
+    ("preload", || {
+        let results = exp::preload::run();
+        format!(
+            "{}\n{}\nbreak-even (paper accounting): {:?} calls\n\
+             break-even (measured, shared entries): {:?} calls\n",
+            results.headline.render(),
+            results.sweep.render(),
+            results.break_even_paper_model,
+            results.break_even_measured
+        )
+    }),
+    ("eq1", || {
+        let results = exp::eq1::run();
+        let sweep = results.sweep.render();
+        format!("{}\n{sweep}", results.thresholds.render())
+    }),
+    ("figure21", exp::figure21::run),
+    ("hit-ratios", || exp::hit_ratios::run().table.render()),
+    ("mappings", || exp::mappings::run().render()),
+    ("ablate-batching", || exp::ablate_batching::run().render()),
+    ("ablate-mappings", || exp::ablate_mappings::run().render()),
+    ("ablate-ttl", || exp::ablate_ttl::run().render()),
+    ("scalability", || exp::scalability::run().render()),
+    ("ablate-rereg", || exp::ablate_rereg::run().render()),
+    ("traced", || exp::traced::run().render()),
+];
+
+const TABLES_USAGE: &str = "[all | ID...]   deterministic virtual-time tables; no arguments = all";
+
+fn tables(mut args: Args) -> Result<(), String> {
+    let ids = args.operands()?;
+    let lookup = |id: &String| TABLES.iter().find(|(name, _)| name == id);
+    if let Some(unknown) = ids.iter().find(|id| *id != "all" && lookup(id).is_none()) {
+        let known: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+        return Err(args.err(format!(
+            "unknown experiment `{unknown}` (one subcommand per invocation)\n\
+             known experiments: {}",
+            known.join(" ")
+        )));
     }
-    let result = match schema.as_str() {
-        "hns-trace-v1" => validate_trace(&text),
-        "hns-load-v2" => loadgen::report::validate(&text),
-        "hns-chaos-v1" => exp::chaos::validate(&text),
-        "hns-timeline-v1" => exp::timeline::validate(&text),
-        "hns-reg-v1" => exp::register::validate(&text),
-        "hns-scale-v1" => exp::scale::validate(&text),
-        other => Err(format!("unknown schema `{other}`")),
+    let chosen: Vec<_> = if ids.is_empty() || ids.iter().any(|id| id == "all") {
+        TABLES.iter().collect()
+    } else {
+        ids.iter().filter_map(lookup).collect()
     };
-    result.map_err(|e| format!("{path}: {e}"))?;
-    Ok(schema)
+    for (name, run) in chosen {
+        println!("=== experiment: {name} ===\n{}", run());
+    }
+    Ok(())
 }
 
-fn parse_or_die<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
-    let Some(value) = value else {
-        eprintln!("error: {flag} requires a value");
-        std::process::exit(1);
-    };
-    match value.parse() {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("error: {flag}: cannot parse `{value}`");
-            std::process::exit(1);
-        }
-    }
+const TRACED_USAGE: &str = "traced [--out PATH]   the traced Table 3.1 row (E-T); hns-trace-v1";
+
+fn traced(mut args: Args) -> Result<(), String> {
+    let out: Option<String> = args.value("--out")?;
+    args.done()?;
+    println!("=== experiment: traced ===");
+    let run = exp::traced::run();
+    finish("trace", &run.render(), &run.to_json(), out.as_deref())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ids: Vec<&str> = Vec::new();
-    let mut trace = false;
-    let mut trace_out: Option<String> = None;
-    let mut load = false;
-    let mut load_config = loadgen::LoadConfig::default();
-    let mut out: Option<String> = None;
-    let mut load_baseline: Option<String> = None;
-    let mut load_regress: f64 = 0.5;
-    let mut chaos = false;
-    // `None` until a selector flag appears; no selector means all faults.
-    let mut chaos_faults: Option<(bool, bool, bool)> = None;
-    let mut chaos_seed: u64 = exp::chaos::ChaosConfig::default().seed;
-    let mut register = false;
-    let mut register_config = exp::register::RegisterConfig::default();
-    let mut scale = false;
-    let mut scale_config = exp::scale::ScaleConfig::default();
-    let mut fuzz = false;
-    let mut fuzz_config = conformance::fuzz::FuzzConfig {
+const LOADGEN_USAGE: &str = "loadgen [--threads A,B,..] [--ops N] [--duration-ms MS] [--zipf S] \
+    [--cold F] [--bind F] [--write-frac F] [--transfer-frac F] [--faults] [--seed N] \
+    [--offered-qps Q1,Q2,..] [--open-threads N] [--open-duration-ms MS] [--open-window-ms MS] \
+    [--baseline PATH] [--regress FACTOR] [--out PATH]   the real-time load engine (E-L); \
+    hns-load-v2. --baseline fails the run if any matching thread count drops below \
+    FACTOR (default 0.5) x the baseline's closed-loop QPS";
+
+fn load(mut args: Args) -> Result<(), String> {
+    let mut config = loadgen::LoadConfig::default();
+    args.set_list("--threads", &mut config.threads)?;
+    args.set("--ops", &mut config.ops_per_thread)?;
+    config.duration_ms = args.value("--duration-ms")?;
+    args.set("--zipf", &mut config.zipf_s)?;
+    args.set("--cold", &mut config.cold_frac)?;
+    args.set("--bind", &mut config.bind_frac)?;
+    args.set("--write-frac", &mut config.write_frac)?;
+    args.set("--transfer-frac", &mut config.transfer_frac)?;
+    config.faults = args.switch("--faults");
+    args.set("--seed", &mut config.seed)?;
+    args.set_list("--offered-qps", &mut config.offered_qps)?;
+    args.set("--open-threads", &mut config.open_threads)?;
+    args.set("--open-duration-ms", &mut config.open_duration_ms)?;
+    args.set("--open-window-ms", &mut config.open_window_ms)?;
+    let baseline: Option<String> = args.value("--baseline")?;
+    let regress = args.value("--regress")?.unwrap_or(0.5);
+    let out: Option<String> = args.value("--out")?;
+    let positive = config.threads.iter().all(|&t| t > 0)
+        && config.offered_qps.iter().all(|&q| q > 0.0)
+        && config.open_window_ms > 0;
+    args.require(
+        positive,
+        "--threads, --offered-qps and --open-window-ms must be positive",
+    )?;
+    let fractions = [config.write_frac, config.transfer_frac];
+    args.require(
+        fractions.iter().all(|f| (0.0..=1.0).contains(f)),
+        "--write-frac and --transfer-frac must be within [0, 1]",
+    )?;
+    args.done()?;
+
+    println!("=== experiment: loadgen ===");
+    let rep = loadgen::run(&config);
+    finish("load", &rep.render(), &rep.to_json(), out.as_deref())?;
+    if let Some(path) = baseline {
+        let summary = std::fs::read_to_string(&path)
+            .map_err(|e| format!("read {path}: {e}"))
+            .and_then(|text| loadgen::report::check_regression(&rep, &text, regress))
+            .map_err(|e| format!("baseline check vs {path}: {e}"))?;
+        println!("baseline check vs {path}:\n{summary}");
+    }
+    Ok(())
+}
+
+const CHAOS_USAGE: &str =
+    "chaos [--crash] [--partition] [--latency-spike] [--seed N] [--out PATH] \
+    [--timeline-out PATH] [--timeline-window-ms MS]   fault injection (E-C); hns-chaos-v1. \
+    No selector = all three faults; --timeline-out also runs the windowed scenario (E-TL) \
+    with the same faults and writes its hns-timeline-v1";
+
+fn chaos(mut args: Args) -> Result<(), String> {
+    let mut config = exp::chaos::ChaosConfig::default();
+    let picked = [
+        args.switch("--crash"),
+        args.switch("--partition"),
+        args.switch("--latency-spike"),
+    ];
+    if picked.contains(&true) {
+        [config.crash, config.partition, config.latency_spike] = picked;
+    }
+    args.set("--seed", &mut config.seed)?;
+    let out: Option<String> = args.value("--out")?;
+    let timeline_out: Option<String> = args.value("--timeline-out")?;
+    let mut window_ms = exp::timeline::DEFAULT_WINDOW_MS;
+    args.set("--timeline-window-ms", &mut window_ms)?;
+    args.require(window_ms > 0, "--timeline-window-ms must be positive")?;
+    args.done()?;
+
+    println!("=== experiment: chaos ===");
+    let run = exp::chaos::run(&config);
+    finish("chaos", &run.render(), &run.to_json(), out.as_deref())?;
+    if let Some(path) = timeline_out {
+        println!("=== experiment: chaos timeline ===");
+        let tl = exp::timeline::run(&exp::timeline::TimelineConfig {
+            chaos: config,
+            window_ms,
+        });
+        finish("timeline", &tl.render(), &tl.to_json(), Some(&path))?;
+    }
+    Ok(())
+}
+
+const REGISTER_USAGE: &str = "register [--names N] [--max-depth D] [--warm-resolves W] \
+    [--staleness-rounds R] [--seed N] [--out PATH]   the regd write path (E-R); hns-reg-v1";
+
+fn register(mut args: Args) -> Result<(), String> {
+    let mut config = exp::register::RegisterConfig::default();
+    args.set("--names", &mut config.names)?;
+    args.set("--max-depth", &mut config.max_depth)?;
+    args.set("--warm-resolves", &mut config.warm_resolves)?;
+    args.set("--staleness-rounds", &mut config.staleness_rounds)?;
+    args.set("--seed", &mut config.seed)?;
+    let out: Option<String> = args.value("--out")?;
+    args.require(config.names > 0, "--names must be positive")?;
+    args.done()?;
+
+    println!("=== experiment: register ===");
+    let run = exp::register::run(&config);
+    finish("register", &run.render(), &run.to_json(), out.as_deref())
+}
+
+const SCALE_USAGE: &str = "scale [--scale-names A,B,..] [--scale-queries N] [--scale-updates K] \
+    [--seed N] [--out PATH]   the million-name sweep (E-S); hns-scale-v1";
+
+fn scale(mut args: Args) -> Result<(), String> {
+    let mut config = exp::scale::ScaleConfig::default();
+    args.set_list("--scale-names", &mut config.names)?;
+    args.set("--scale-queries", &mut config.queries)?;
+    args.set("--scale-updates", &mut config.updates)?;
+    args.set("--seed", &mut config.seed)?;
+    let out: Option<String> = args.value("--out")?;
+    let positive = config.names.iter().all(|&n| n > 0) && config.queries > 0 && config.updates > 0;
+    args.require(
+        positive,
+        "--scale-names, --scale-queries and --scale-updates must be positive",
+    )?;
+    args.done()?;
+
+    println!("=== experiment: scale ===");
+    let run = exp::scale::run(&config);
+    finish("scale", &run.render(), &run.to_json(), out.as_deref())
+}
+
+const FUZZ_USAGE: &str = "fuzz [--iters N] [--seed N] [--regen-corpus]   verify the golden wire \
+    corpus, then run the seeded mutation fuzzer (TESTING.md); --regen-corpus first rewrites \
+    crates/conformance/corpus/ from the encoders";
+
+fn fuzz(mut args: Args) -> Result<(), String> {
+    let mut config = conformance::fuzz::FuzzConfig {
         iters: 5_000,
         seed: 0,
     };
-    let mut regen_corpus = false;
-    let mut chaos_validate_inline = false;
-    let mut timeline_out: Option<String> = None;
-    let mut timeline_window_ms: u64 = exp::timeline::DEFAULT_WINDOW_MS;
-    // (path, pinned schema) pairs to validate; populated by the
-    // `validate` subcommand (auto-detect) and the legacy flags (pinned).
-    let mut validate_cmd = false;
-    let mut validations: Vec<(String, Option<&'static str>)> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace" => trace = true,
-            "loadgen" => load = true,
-            "chaos" => chaos = true,
-            "register" => register = true,
-            "scale" => scale = true,
-            "fuzz" => fuzz = true,
-            "validate" => validate_cmd = true,
-            "--iters" => {
-                fuzz_config.iters = parse_or_die("--iters", it.next());
-                if fuzz_config.iters == 0 {
-                    eprintln!("error: --iters must be positive");
-                    std::process::exit(1);
-                }
-            }
-            "--regen-corpus" => {
-                fuzz = true;
-                regen_corpus = true;
-            }
-            "--scale-names" => {
-                let csv: String = parse_or_die("--scale-names", it.next());
-                scale_config.names = csv
-                    .split(',')
-                    .map(|n| match n.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            eprintln!("error: --scale-names: cannot parse `{csv}`");
-                            std::process::exit(1);
-                        }
-                    })
-                    .collect();
-            }
-            "--scale-queries" => {
-                scale_config.queries = parse_or_die("--scale-queries", it.next());
-                if scale_config.queries == 0 {
-                    eprintln!("error: --scale-queries must be positive");
-                    std::process::exit(1);
-                }
-            }
-            "--scale-updates" => {
-                scale_config.updates = parse_or_die("--scale-updates", it.next());
-                if scale_config.updates == 0 {
-                    eprintln!("error: --scale-updates must be positive");
-                    std::process::exit(1);
-                }
-            }
-            "--crash" => chaos_faults.get_or_insert((false, false, false)).0 = true,
-            "--partition" => chaos_faults.get_or_insert((false, false, false)).1 = true,
-            "--latency-spike" => chaos_faults.get_or_insert((false, false, false)).2 = true,
-            "--faults" => load_config.faults = true,
-            "--validate-chaos" => {
-                // With a `.json` operand, validate that file and exit;
-                // bare, validate the chaos run's own export inline.
-                match it.peek() {
-                    Some(path) if path.ends_with(".json") => {
-                        validations.push((it.next().cloned().unwrap(), Some("hns-chaos-v1")));
-                    }
-                    _ => chaos_validate_inline = true,
-                }
-            }
-            "--timeline-out" => {
-                chaos = true;
-                timeline_out = Some(parse_or_die("--timeline-out", it.next()));
-            }
-            "--timeline-window-ms" => {
-                timeline_window_ms = parse_or_die("--timeline-window-ms", it.next());
-                if timeline_window_ms == 0 {
-                    eprintln!("error: --timeline-window-ms must be positive");
-                    std::process::exit(1);
-                }
-            }
-            "--threads" => {
-                let csv: String = parse_or_die("--threads", it.next());
-                load_config.threads = csv
-                    .split(',')
-                    .map(|t| match t.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            eprintln!("error: --threads: cannot parse `{csv}`");
-                            std::process::exit(1);
-                        }
-                    })
-                    .collect();
-            }
-            "--ops" => load_config.ops_per_thread = parse_or_die("--ops", it.next()),
-            "--offered-qps" => {
-                let csv: String = parse_or_die("--offered-qps", it.next());
-                load_config.offered_qps = csv
-                    .split(',')
-                    .map(|q| match q.trim().parse::<f64>() {
-                        Ok(q) if q > 0.0 => q,
-                        _ => {
-                            eprintln!("error: --offered-qps: cannot parse `{csv}`");
-                            std::process::exit(1);
-                        }
-                    })
-                    .collect();
-            }
-            "--open-threads" => {
-                load_config.open_threads = parse_or_die("--open-threads", it.next())
-            }
-            "--open-duration-ms" => {
-                load_config.open_duration_ms = parse_or_die("--open-duration-ms", it.next())
-            }
-            "--open-window-ms" => {
-                load_config.open_window_ms = parse_or_die("--open-window-ms", it.next());
-                if load_config.open_window_ms == 0 {
-                    eprintln!("error: --open-window-ms must be positive");
-                    std::process::exit(1);
-                }
-            }
-            "--baseline" => load_baseline = Some(parse_or_die("--baseline", it.next())),
-            "--regress" => load_regress = parse_or_die("--regress", it.next()),
-            "--duration-ms" => {
-                load_config.duration_ms = Some(parse_or_die("--duration-ms", it.next()))
-            }
-            "--zipf" => load_config.zipf_s = parse_or_die("--zipf", it.next()),
-            "--cold" => load_config.cold_frac = parse_or_die("--cold", it.next()),
-            "--bind" => load_config.bind_frac = parse_or_die("--bind", it.next()),
-            "--names" => {
-                register_config.names = parse_or_die("--names", it.next());
-                if register_config.names == 0 {
-                    eprintln!("error: --names must be positive");
-                    std::process::exit(1);
-                }
-            }
-            "--max-depth" => register_config.max_depth = parse_or_die("--max-depth", it.next()),
-            "--warm-resolves" => {
-                register_config.warm_resolves = parse_or_die("--warm-resolves", it.next())
-            }
-            "--staleness-rounds" => {
-                register_config.staleness_rounds = parse_or_die("--staleness-rounds", it.next())
-            }
-            "--write-frac" => {
-                load_config.write_frac = parse_or_die("--write-frac", it.next());
-                if !(0.0..=1.0).contains(&load_config.write_frac) {
-                    eprintln!("error: --write-frac must be within [0, 1]");
-                    std::process::exit(1);
-                }
-            }
-            "--transfer-frac" => {
-                load_config.transfer_frac = parse_or_die("--transfer-frac", it.next());
-                if !(0.0..=1.0).contains(&load_config.transfer_frac) {
-                    eprintln!("error: --transfer-frac must be within [0, 1]");
-                    std::process::exit(1);
-                }
-            }
-            "--seed" => {
-                // Shared by loadgen (workload RNG), chaos (window
-                // jitter), and register (depths and gaps).
-                load_config.seed = parse_or_die("--seed", it.next());
-                chaos_seed = load_config.seed;
-                register_config.seed = load_config.seed;
-                scale_config.seed = load_config.seed;
-                fuzz_config.seed = load_config.seed;
-            }
-            "--out" => out = Some(parse_or_die("--out", it.next())),
-            "--validate-load" => validations.push((
-                parse_or_die("--validate-load", it.next()),
-                Some("hns-load-v2"),
-            )),
-            "--trace-out" => match it.next() {
-                Some(path) => {
-                    trace = true;
-                    trace_out = Some(path.clone());
-                }
-                None => {
-                    eprintln!("error: --trace-out requires a path");
-                    std::process::exit(1);
-                }
-            },
-            "--validate-trace" => validations.push((
-                parse_or_die("--validate-trace", it.next()),
-                Some("hns-trace-v1"),
-            )),
-            other => ids.push(other),
-        }
-    }
+    args.set("--iters", &mut config.iters)?;
+    args.set("--seed", &mut config.seed)?;
+    let regen_corpus = args.switch("--regen-corpus");
+    args.require(config.iters > 0, "--iters must be positive")?;
+    args.done()?;
 
-    if validate_cmd {
-        // The subcommand's operands were collected as bare positionals.
-        validations.extend(ids.drain(..).map(|p| (p.to_string(), None)));
-        if validations.is_empty() {
-            eprintln!("error: `validate` requires at least one file");
-            std::process::exit(1);
+    println!("=== conformance: fuzz ===");
+    if regen_corpus {
+        let changed = conformance::corpus::regenerate()
+            .map_err(|e| format!("corpus regeneration failed: {e}"))?;
+        println!("corpus regenerated; {} file(s) changed", changed.len());
+        for f in changed {
+            println!("  {f}");
         }
     }
-    if !validations.is_empty() {
-        let mut failed = false;
-        for (path, expected) in &validations {
-            match validate_any(path, *expected) {
-                Ok(schema) => println!("{path}: valid {schema} export"),
-                Err(err) => {
-                    eprintln!("error: {err}");
-                    failed = true;
-                }
-            }
-        }
-        std::process::exit(i32::from(failed));
+    let corpus = conformance::corpus::check().map_err(|problems| problems.join("\nerror: "));
+    if corpus.is_ok() {
+        println!("golden corpus: canonical");
     }
+    let report = conformance::fuzz::run(config);
+    println!("{}", report.render());
+    corpus?;
+    let violations = "fuzz: property violations (see the report above)";
+    report.ok().then_some(()).ok_or_else(|| violations.into())
+}
 
-    let ids: Vec<&str> = if ids.is_empty() && (trace || load || chaos || register || scale || fuzz)
-    {
-        Vec::new()
-    } else if ids.is_empty() || ids.contains(&"all") {
-        ALL.to_vec()
-    } else {
-        ids
-    };
-    let mut failed = false;
-    for id in ids {
-        println!("=== experiment: {id} ===");
-        match run_one(id) {
-            Ok(output) => println!("{output}"),
+const VALIDATE_USAGE: &str =
+    "validate FILE...   check JSON exports against their schema rows (tag auto-detected)";
+
+fn check_files(mut args: Args) -> Result<(), String> {
+    let files = args.operands()?;
+    args.require(!files.is_empty(), "validate requires at least one file")?;
+    let mut invalid = 0;
+    for path in &files {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"));
+        match text.and_then(|text| export::check(&text)) {
+            Ok(tag) => println!("{path}: valid {tag} export"),
             Err(err) => {
-                eprintln!("error: {err}");
-                eprintln!("known experiments: {}", ALL.join(" "));
-                failed = true;
+                eprintln!("error: {path}: {err}");
+                invalid += 1;
             }
         }
     }
-    if load {
-        println!("=== experiment: loadgen ===");
-        let rep = loadgen::run(&load_config);
-        println!("{}", rep.render());
-        if let Some(path) = &out {
-            let json = rep.to_json();
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("error: write {path}: {e}");
-                failed = true;
-            } else {
-                println!("load JSON written to {path}");
-            }
-        }
-        if let Some(path) = &load_baseline {
-            let result = std::fs::read_to_string(path)
-                .map_err(|e| format!("read {path}: {e}"))
-                .and_then(|text| loadgen::report::check_regression(&rep, &text, load_regress));
-            match result {
-                Ok(summary) => println!("baseline check vs {path}:\n{summary}"),
-                Err(err) => {
-                    eprintln!("error: baseline check vs {path}: {err}");
-                    failed = true;
-                }
-            }
-        }
+    if invalid > 0 {
+        return Err(format!("{invalid} of {} file(s) invalid", files.len()));
     }
-    if chaos {
-        println!("=== experiment: chaos ===");
-        let (crash, partition, latency_spike) = chaos_faults.unwrap_or((true, true, true));
-        let config = exp::chaos::ChaosConfig {
-            crash,
-            partition,
-            latency_spike,
-            seed: chaos_seed,
-        };
-        let run = exp::chaos::run(&config);
-        println!("{}", run.render());
-        let json = run.to_json();
-        if chaos_validate_inline {
-            match exp::chaos::validate(&json) {
-                Ok(()) => println!("chaos export: valid hns-chaos-v1"),
-                Err(err) => {
-                    eprintln!("error: chaos export invalid: {err}");
-                    failed = true;
-                }
-            }
+    Ok(())
+}
+
+type Subcommand = (&'static str, &'static str, fn(Args) -> Result<(), String>);
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    ("traced", TRACED_USAGE, traced),
+    ("loadgen", LOADGEN_USAGE, load),
+    ("chaos", CHAOS_USAGE, chaos),
+    ("register", REGISTER_USAGE, register),
+    ("scale", SCALE_USAGE, scale),
+    ("fuzz", FUZZ_USAGE, fuzz),
+    ("validate", VALIDATE_USAGE, check_files),
+];
+
+fn main() {
+    let mut rest: Vec<String> = std::env::args().skip(1).collect();
+    let named = rest
+        .first()
+        .and_then(|first| SUBCOMMANDS.iter().find(|(name, ..)| name == first));
+    let result = match named {
+        Some(&(_, usage, run)) => {
+            rest.remove(0);
+            run(Args { usage, rest })
         }
-        if let Some(path) = &out {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("error: write {path}: {e}");
-                failed = true;
-            } else {
-                println!("chaos JSON written to {path}");
-            }
+        // Anything else must be a list of table ids; the error for what is
+        // not one also lists the subcommands.
+        None => {
+            let usage = TABLES_USAGE;
+            tables(Args { usage, rest }).map_err(|err| {
+                let more = SUBCOMMANDS.iter().map(|(_, usage, _)| *usage);
+                more.fold(err, |err, usage| {
+                    format!("{err}\n       experiments {usage}")
+                })
+            })
         }
-        if let Some(path) = &timeline_out {
-            println!("=== experiment: chaos timeline ===");
-            let tl = exp::timeline::run(&exp::timeline::TimelineConfig {
-                chaos: config,
-                window_ms: timeline_window_ms,
-            });
-            println!("{}", tl.render());
-            let json = tl.to_json();
-            if let Err(err) = exp::timeline::validate(&json) {
-                eprintln!("error: timeline export invalid: {err}");
-                failed = true;
-            }
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("error: write {path}: {e}");
-                failed = true;
-            } else {
-                println!("timeline JSON written to {path}");
-            }
-        }
-    }
-    if register {
-        println!("=== experiment: register ===");
-        let run = exp::register::run(&register_config);
-        println!("{}", run.render());
-        let json = run.to_json();
-        if let Err(err) = exp::register::validate(&json) {
-            eprintln!("error: register export invalid: {err}");
-            failed = true;
-        }
-        if let Some(path) = &out {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("error: write {path}: {e}");
-                failed = true;
-            } else {
-                println!("register JSON written to {path}");
-            }
-        }
-    }
-    if scale {
-        println!("=== experiment: scale ===");
-        let run = exp::scale::run(&scale_config);
-        println!("{}", run.render());
-        let json = run.to_json();
-        if let Err(err) = exp::scale::validate(&json) {
-            eprintln!("error: scale export invalid: {err}");
-            failed = true;
-        }
-        if let Some(path) = &out {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("error: write {path}: {e}");
-                failed = true;
-            } else {
-                println!("scale JSON written to {path}");
-            }
-        }
-    }
-    if fuzz {
-        println!("=== conformance: fuzz ===");
-        if regen_corpus {
-            match conformance::corpus::regenerate() {
-                Ok(changed) if changed.is_empty() => {
-                    println!("corpus already canonical; nothing rewritten");
-                }
-                Ok(changed) => {
-                    println!("corpus regenerated; {} file(s) changed:", changed.len());
-                    for f in changed {
-                        println!("  {f}");
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: corpus regeneration failed: {e}");
-                    failed = true;
-                }
-            }
-        }
-        match conformance::corpus::check() {
-            Ok(()) => println!("golden corpus: canonical"),
-            Err(problems) => {
-                for p in &problems {
-                    eprintln!("error: {p}");
-                }
-                failed = true;
-            }
-        }
-        let report = conformance::fuzz::run(fuzz_config);
-        println!("{}", report.render());
-        if !report.ok() {
-            failed = true;
-        }
-    }
-    if trace {
-        println!("=== traced queries ===");
-        let run = exp::traced::run();
-        println!("{}", run.render());
-        if let Some(path) = trace_out {
-            let json = run.to_json();
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("error: write {path}: {e}");
-                failed = true;
-            } else {
-                println!("trace JSON written to {path}");
-            }
-        }
-    }
-    if failed {
+    };
+    if let Err(err) = result {
+        eprintln!("error: {err}");
         std::process::exit(1);
     }
 }

@@ -27,7 +27,10 @@ use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
 use hns_core::error::HnsError;
 use hns_core::name::HnsName;
+use hns_core::obs::json::string;
 use hns_core::obs::MetricsSnapshot;
+use hns_core::query::QueryClass;
+use hns_core::service::Hns;
 use hrpc::RpcError;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
 use nsms::nsm_cache::NsmCacheForm;
@@ -35,6 +38,7 @@ use nsms::Importer;
 use simnet::faults::FaultPlan;
 use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
+use simnet::World;
 
 use crate::cells::PlainTable;
 
@@ -63,17 +67,67 @@ impl Default for ChaosConfig {
     }
 }
 
-/// One operation observed during the scenario.
+/// One operation observed during a scenario: a row of the event table
+/// and of the export's `events` (here and in [`super::register`]).
 #[derive(Debug, Clone)]
-pub struct ChaosEvent {
-    /// `baseline`, `fault`, or `recovery`.
+pub struct Event {
+    /// Which phase the operation ran in.
     pub phase: &'static str,
-    /// Which operation ran.
-    pub label: &'static str,
-    /// What happened (`ok`, `ok (stale)`, `ok (failover)`, or an error).
+    /// Which operation ran (or the name it ran on).
+    pub label: String,
+    /// What happened (`ok`, `ok (stale)`, `ok (failover)`, an error, ...).
     pub outcome: String,
     /// Virtual time the operation took.
     pub took_us: u64,
+}
+
+impl Event {
+    /// An operation that started at `t0` and has just finished.
+    pub(super) fn finished(
+        world: &World,
+        t0: SimTime,
+        phase: &'static str,
+        label: &str,
+        outcome: String,
+    ) -> Event {
+        Event {
+            phase,
+            label: label.to_string(),
+            outcome,
+            took_us: world.now().since(t0).as_us(),
+        }
+    }
+}
+
+/// The phase / operation / outcome / took table of a scenario report.
+pub(super) fn events_table(title: String, events: &[Event]) -> String {
+    let mut table = PlainTable::new(title, vec!["phase", "operation", "outcome", "took (ms)"]);
+    for e in events {
+        table.push_row(vec![
+            e.phase.to_string(),
+            e.label.clone(),
+            e.outcome.clone(),
+            format!("{:.3}", e.took_us as f64 / 1000.0),
+        ]);
+    }
+    table.render()
+}
+
+/// The `events` array of a scenario's JSON export.
+pub(super) fn events_json(events: &[Event]) -> String {
+    let rows: Vec<String> = events
+        .iter()
+        .map(|e| {
+            format!(
+                "{{\"phase\": {}, \"label\": {}, \"outcome\": {}, \"took_us\": {}}}",
+                string(e.phase),
+                string(&e.label),
+                string(&e.outcome),
+                e.took_us
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(", "))
 }
 
 /// Aggregate outcomes the acceptance assertions read.
@@ -95,7 +149,7 @@ pub struct ChaosRun {
     /// The fault selection it ran with.
     pub config: ChaosConfig,
     /// Per-operation observations, in execution order.
-    pub events: Vec<ChaosEvent>,
+    pub events: Vec<Event>,
     /// Aggregate outcomes.
     pub outcomes: ChaosOutcomes,
     /// The unified metrics snapshot taken after recovery.
@@ -107,145 +161,145 @@ pub const SPIKE_MS: f64 = 250.0;
 /// Length of every fault window, in virtual seconds.
 pub const WINDOW_SECS: u64 = 120;
 
-fn record(
-    world: &simnet::World,
-    events: &mut Vec<ChaosEvent>,
-    phase: &'static str,
-    label: &'static str,
-    op: impl FnOnce() -> Result<String, HnsError>,
-) {
-    let t0 = world.now();
-    let outcome = match op() {
-        Ok(tag) => tag,
-        Err(HnsError::Rpc(RpcError::HostUnreachable { host, attempts })) => {
-            format!("HostUnreachable({host}, {attempts} attempts)")
+/// What both fault scenarios (this one and [`super::timeline`]) probe:
+/// binding NSMs with a replica on another host, a warm and a cold HNS
+/// linked at the client, and an importer that fails over to the replica.
+pub(super) struct Scenario {
+    pub tb: Testbed,
+    warm: Arc<Hns>,
+    cold: Arc<Hns>,
+    importer: Importer,
+    name: HnsName,
+    qc: QueryClass,
+}
+
+impl Scenario {
+    pub fn build() -> Scenario {
+        let tb = Testbed::build();
+        tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+        let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
+        let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+        let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
+        let importer = Importer::new(
+            Arc::clone(&tb.net),
+            tb.hosts.client,
+            HnsHandle::Linked(Arc::clone(&warm)),
+        );
+        importer.set_alternate_nsm(Some(replica));
+        let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
+        Scenario {
+            tb,
+            warm,
+            cold,
+            importer,
+            name,
+            qc: QueryClass::hrpc_binding(),
         }
-        Err(other) => format!("error: {other}"),
-    };
-    events.push(ChaosEvent {
-        phase,
-        label,
-        outcome,
-        took_us: world.now().since(t0).as_us(),
-    });
+    }
+
+    /// `faults/nsm_failovers`, read through a snapshot: asking the
+    /// registry for the counter would *register* it, and `faults/*` rows
+    /// must only appear once a fault actually fires.
+    fn failovers(&self) -> u64 {
+        let snapshot = self.tb.world.metrics().snapshot();
+        snapshot.counter("faults", "nsm_failovers").unwrap_or(0)
+    }
+
+    /// One probe round — warm `FindNSM`, cold `FindNSM`, `Import` — each
+    /// reported to `observe` with its label, its start and `ok`,
+    /// `ok (stale)`, `ok (failover)` or the error.
+    pub fn probe(&self, mut observe: impl FnMut(&'static str, SimTime, Result<&str, HnsError>)) {
+        let world = &self.tb.world;
+        let t0 = world.now();
+        let warm = self.warm.find_nsm_report(&self.qc, &self.name);
+        let warm = warm.map(|(_, report)| {
+            if report.stale_served {
+                "ok (stale)"
+            } else {
+                "ok"
+            }
+        });
+        observe("warm FindNSM", t0, warm);
+        let t0 = world.now();
+        let cold = self.cold.find_nsm(&self.qc, &self.name);
+        observe("cold FindNSM", t0, cold.map(|_| "ok"));
+        let (t0, before) = (world.now(), self.failovers());
+        let import = self
+            .importer
+            .import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &self.name);
+        let failed_over = self.failovers() > before;
+        let tag = if failed_over { "ok (failover)" } else { "ok" };
+        observe("Import", t0, import.map(|_| tag));
+    }
+
+    /// Installs the fault windows `config` selects, each opening at now
+    /// plus a little seeded jitter so different seeds exercise different
+    /// window alignments (all still in virtual time — fully
+    /// deterministic). Returns the instant the last window heals.
+    pub fn install_faults(&self, config: &ChaosConfig) -> SimTime {
+        let hosts = &self.tb.hosts;
+        let mut rng = DetRng::new(config.seed);
+        let base = self.tb.world.now();
+        let mut plan = FaultPlan::new();
+        let mut last_heal = base;
+        let mut open = || {
+            let from = base + SimDuration::from_ms(rng.next_below(5_000));
+            let until = from + SimDuration::from_ms(WINDOW_SECS * 1000);
+            last_heal = last_heal.max(until);
+            (from, Some(until))
+        };
+        if config.crash {
+            let (from, until) = open();
+            plan.crash(hosts.meta, from, until);
+            let (from, until) = open();
+            plan.crash(hosts.nsm, from, until);
+        }
+        if config.partition {
+            let (from, until) = open();
+            plan.partition(hosts.client, hosts.meta, from, until);
+        }
+        if config.latency_spike {
+            let (from, until) = open();
+            plan.latency_spike(hosts.client, hosts.bind, from, until, SPIKE_MS);
+        }
+        self.tb.world.set_faults(Some(plan));
+        last_heal
+    }
 }
 
 /// Runs the chaos scenario.
 pub fn run(config: &ChaosConfig) -> ChaosRun {
-    let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
-    let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
-    let importer = Importer::new(
-        Arc::clone(&tb.net),
-        tb.hosts.client,
-        HnsHandle::Linked(Arc::clone(&warm)),
-    );
-    importer.set_alternate_nsm(Some(replica));
-    let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
-    let qc = hns_core::query::QueryClass::hrpc_binding();
-    let world = &tb.world;
-
-    let warm_op = |warm: &Arc<hns_core::service::Hns>| {
-        let (_, report) = warm.find_nsm_report(&qc, &name)?;
-        Ok(if report.stale_served {
-            "ok (stale)".to_string()
-        } else {
-            "ok".to_string()
-        })
-    };
-    // Read through a snapshot: asking the registry for the counter would
-    // *register* it, and `faults/*` rows must only appear once a fault
-    // actually fires.
-    let failovers = || {
-        world
-            .metrics()
-            .snapshot()
-            .counter("faults", "nsm_failovers")
-            .unwrap_or(0)
-    };
-    let import_op = |importer: &Importer| {
-        let before = failovers();
-        importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)?;
-        let after = failovers();
-        Ok(if after > before {
-            "ok (failover)".to_string()
-        } else {
-            "ok".to_string()
-        })
-    };
-
+    let scenario = Scenario::build();
+    let world = &scenario.tb.world;
     let mut events = Vec::new();
-    record(world, &mut events, "baseline", "warm FindNSM", || {
-        warm_op(&warm)
-    });
-    record(world, &mut events, "baseline", "cold FindNSM", || {
-        cold.find_nsm(&qc, &name).map(|_| "ok".to_string())
-    });
-    record(world, &mut events, "baseline", "Import", || {
-        import_op(&importer)
-    });
-
-    // Let every cache entry expire, then open the fault windows with a
-    // little seeded jitter so different seeds exercise different window
-    // alignments (all still in virtual time — fully deterministic).
-    world.charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + 1_000.0);
-    let mut rng = DetRng::new(config.seed);
-    let mut jitter = || SimDuration::from_ms(rng.next_below(5_000));
-    let base = world.now();
-    let window = SimDuration::from_ms(WINDOW_SECS * 1000);
-    let mut plan = FaultPlan::new();
-    let mut last_heal = base;
-    let mut open = |from: SimTime| {
-        let until = from + window;
-        if until > last_heal {
-            last_heal = until;
-        }
-        (from, Some(until))
+    let mut round = |phase| {
+        scenario.probe(|label, t0, result| {
+            let outcome = match result {
+                Ok(tag) => tag.to_string(),
+                Err(HnsError::Rpc(RpcError::HostUnreachable { host, attempts })) => {
+                    format!("HostUnreachable({host}, {attempts} attempts)")
+                }
+                Err(other) => format!("error: {other}"),
+            };
+            events.push(Event::finished(world, t0, phase, label, outcome));
+        })
     };
-    if config.crash {
-        let (from, until) = open(base + jitter());
-        plan.crash(tb.hosts.meta, from, until);
-        let (from, until) = open(base + jitter());
-        plan.crash(tb.hosts.nsm, from, until);
-    }
-    if config.partition {
-        let (from, until) = open(base + jitter());
-        plan.partition(tb.hosts.client, tb.hosts.meta, from, until);
-    }
-    if config.latency_spike {
-        let (from, until) = open(base + jitter());
-        plan.latency_spike(tb.hosts.client, tb.hosts.bind, from, until, SPIKE_MS);
-    }
-    world.set_faults(Some(plan));
-    // Step into the windows: past the largest possible jitter plus a
-    // margin, but well inside the 120 s windows.
-    world.charge_ms(6_000.0);
 
-    record(world, &mut events, "fault", "warm FindNSM", || {
-        warm_op(&warm)
-    });
-    record(world, &mut events, "fault", "cold FindNSM", || {
-        cold.find_nsm(&qc, &name).map(|_| "ok".to_string())
-    });
-    record(world, &mut events, "fault", "Import", || {
-        import_op(&importer)
-    });
+    // Faults not yet scheduled: every path succeeds, the warm cache fills.
+    round("baseline");
+
+    // Let every cache entry expire, open the fault windows, and step into
+    // them: past the largest possible jitter plus a margin, but well
+    // inside the 120 s windows.
+    world.charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + 1_000.0);
+    let last_heal = scenario.install_faults(config);
+    world.charge_ms(6_000.0);
+    round("fault");
 
     // Heal: advance past every window (the plan stays installed — closed
     // windows must be inert on their own).
     world.charge(last_heal.since(world.now()) + SimDuration::from_ms(1_000));
-
-    record(world, &mut events, "recovery", "warm FindNSM", || {
-        warm_op(&warm)
-    });
-    record(world, &mut events, "recovery", "cold FindNSM", || {
-        cold.find_nsm(&qc, &name).map(|_| "ok".to_string())
-    });
-    record(world, &mut events, "recovery", "Import", || {
-        import_op(&importer)
-    });
+    round("recovery");
 
     // Flush every registered snapshot-time cache export. Disabled
     // caches stay silent, so the cold (Disabled) instance no longer
@@ -273,25 +327,12 @@ impl ChaosRun {
     /// Human-readable report: the event table, the outcome summary, and
     /// the metrics snapshot.
     pub fn render(&self) -> String {
-        let mut table = PlainTable::new(
-            format!(
-                "E-C — chaos: crash={} partition={} latency-spike={} seed={}",
-                self.config.crash,
-                self.config.partition,
-                self.config.latency_spike,
-                self.config.seed
-            ),
-            vec!["phase", "operation", "outcome", "took (ms)"],
+        let c = &self.config;
+        let title = format!(
+            "E-C — chaos: crash={} partition={} latency-spike={} seed={}",
+            c.crash, c.partition, c.latency_spike, c.seed
         );
-        for e in &self.events {
-            table.push_row(vec![
-                e.phase.to_string(),
-                e.label.to_string(),
-                e.outcome.clone(),
-                format!("{:.3}", e.took_us as f64 / 1000.0),
-            ]);
-        }
-        let mut out = table.render();
+        let mut out = events_table(title, &self.events);
         out.push_str(&format!(
             "\nstale served: {}  unreachable calls: {}  NSM failovers: {}  recovered: {}\n\n",
             self.outcomes.stale_served,
@@ -305,75 +346,24 @@ impl ChaosRun {
 
     /// The `hns-chaos-v1` JSON document for this run.
     pub fn to_json(&self) -> String {
-        use hns_core::obs::json::string;
-        let mut out = format!(
+        let (c, o) = (&self.config, &self.outcomes);
+        format!(
             "{{\"schema\": \"hns-chaos-v1\", \"config\": {{\"crash\": {}, \
-             \"partition\": {}, \"latency_spike\": {}, \"seed\": {}}}, \"events\": [",
-            self.config.crash, self.config.partition, self.config.latency_spike, self.config.seed
-        );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"phase\": {}, \"label\": {}, \"outcome\": {}, \"took_us\": {}}}",
-                string(e.phase),
-                string(e.label),
-                string(&e.outcome),
-                e.took_us
-            ));
-        }
-        out.push_str(&format!(
-            "], \"outcomes\": {{\"stale_served\": {}, \"host_unreachable\": {}, \
-             \"nsm_failovers\": {}, \"recovered\": {}}}, \"metrics\": ",
-            self.outcomes.stale_served,
-            self.outcomes.host_unreachable,
-            self.outcomes.nsm_failovers,
-            self.outcomes.recovered
-        ));
-        out.push_str(&self.snapshot.to_json());
-        out.push('}');
-        out
+             \"partition\": {}, \"latency_spike\": {}, \"seed\": {}}}, \"events\": {}, \
+             \"outcomes\": {{\"stale_served\": {}, \"host_unreachable\": {}, \
+             \"nsm_failovers\": {}, \"recovered\": {}}}, \"metrics\": {}}}",
+            c.crash,
+            c.partition,
+            c.latency_spike,
+            c.seed,
+            events_json(&self.events),
+            o.stale_served,
+            o.host_unreachable,
+            o.nsm_failovers,
+            o.recovered,
+            self.snapshot.to_json()
+        )
     }
-}
-
-/// Validates an `hns-chaos-v1` document: schema tag, the three phases'
-/// events, and the outcome fields the acceptance assertions read.
-pub fn validate(text: &str) -> Result<(), String> {
-    let v = hns_core::obs::json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("hns-chaos-v1") {
-        return Err("missing or unexpected `schema`".into());
-    }
-    let events = v
-        .get("events")
-        .and_then(|e| e.as_array())
-        .ok_or("missing `events` array")?;
-    if events.is_empty() {
-        return Err("no events in export".into());
-    }
-    for phase in ["baseline", "fault", "recovery"] {
-        if !events
-            .iter()
-            .any(|e| e.get("phase").and_then(|p| p.as_str()) == Some(phase))
-        {
-            return Err(format!("no `{phase}` events in export"));
-        }
-    }
-    let outcomes = v.get("outcomes").ok_or("missing `outcomes`")?;
-    for field in [
-        "stale_served",
-        "host_unreachable",
-        "nsm_failovers",
-        "recovered",
-    ] {
-        if outcomes.get(field).is_none() {
-            return Err(format!("outcomes missing `{field}`"));
-        }
-    }
-    if v.get("metrics").is_none() {
-        return Err("missing `metrics` snapshot".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -418,20 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn json_export_parses_and_validates() {
-        let run = run(&ChaosConfig::default());
-        let json = run.to_json();
-        validate(&json).expect("chaos JSON validates");
-        let v = hns_core::obs::json::parse(&json).expect("parses");
-        assert_eq!(
-            v.get("outcomes")
-                .and_then(|o| o.get("recovered"))
-                .and_then(|r| r.as_bool()),
-            Some(true)
-        );
-    }
-
-    #[test]
     fn partition_alone_still_blocks_the_cold_path() {
         let run = run(&ChaosConfig {
             crash: false,
@@ -451,11 +427,5 @@ mod tests {
         // The primary NSM host is up, so Import needs no failover.
         assert_eq!(run.outcomes.nsm_failovers, 0);
         assert!(run.outcomes.recovered);
-    }
-
-    #[test]
-    fn validate_rejects_malformed_documents() {
-        assert!(validate("{\"schema\": \"other\"}").is_err());
-        assert!(validate("{\"schema\": \"hns-chaos-v1\", \"events\": []}").is_err());
     }
 }

@@ -33,7 +33,7 @@ use regd::RegError;
 use simnet::faults::FaultPlan;
 use simnet::rng::DetRng;
 
-use crate::cells::PlainTable;
+use super::chaos::{events_json, events_table, Event};
 
 /// Workload shape for `experiments register`.
 #[derive(Debug, Clone, Copy)]
@@ -60,19 +60,6 @@ impl Default for RegisterConfig {
             seed: 1987,
         }
     }
-}
-
-/// One observed operation.
-#[derive(Debug, Clone)]
-pub struct RegisterEvent {
-    /// Which phase the operation ran in.
-    pub phase: &'static str,
-    /// What ran (usually the name operated on).
-    pub label: String,
-    /// What happened.
-    pub outcome: String,
-    /// Virtual time the operation took.
-    pub took_us: u64,
 }
 
 /// Aggregates the acceptance assertions and the export read.
@@ -110,7 +97,7 @@ pub struct RegisterRun {
     /// The workload it ran with.
     pub config: RegisterConfig,
     /// Per-operation observations, in execution order.
-    pub events: Vec<RegisterEvent>,
+    pub events: Vec<Event>,
     /// Aggregates.
     pub outcomes: RegisterOutcomes,
     /// The unified metrics snapshot taken at the end.
@@ -129,6 +116,9 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
     let world = &rtb.tb.world;
     let mut rng = DetRng::new(config.seed);
     let mut events = Vec::new();
+    let mut observed = |t0, phase, label: &str, outcome: String| {
+        events.push(Event::finished(world, t0, phase, label, outcome));
+    };
     let names: Vec<String> = (0..config.names).map(|i| format!("svc{i}")).collect();
 
     // Phase 1: register. Owner i takes svc{i}, bound to BIND.
@@ -137,12 +127,7 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
         let t0 = world.now();
         reg.register(&owner_name(i), owner_key(i), name, NS_BIND)
             .expect("register");
-        events.push(RegisterEvent {
-            phase: "register",
-            label: name.clone(),
-            outcome: "ok".into(),
-            took_us: world.now().since(t0).as_us(),
-        });
+        observed(t0, "register", name, "ok".into());
     }
 
     // Phase 2: transfer. Each chain grows to a seeded depth through a
@@ -166,12 +151,7 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
             .expect("transfer");
             holder[i] = to;
         }
-        events.push(RegisterEvent {
-            phase: "transfer",
-            label: name.clone(),
-            outcome: format!("depth {depth}"),
-            took_us: world.now().since(t0).as_us(),
-        });
+        observed(t0, "transfer", name, format!("depth {depth}"));
     }
     let write_elapsed = world.now().since(write_t0);
 
@@ -180,24 +160,16 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
     for name in &names {
         let t0 = world.now();
         let cold = reader.resolve(name).expect("cold resolve");
-        events.push(RegisterEvent {
-            phase: "resolve",
-            label: name.clone(),
-            outcome: format!("walked depth={} head={}", cold.depth, cold.owner),
-            took_us: world.now().since(t0).as_us(),
-        });
+        let outcome = format!("walked depth={} head={}", cold.depth, cold.owner);
+        observed(t0, "resolve", name, outcome);
         let t0 = world.now();
         let mut last = cold;
         for _ in 0..config.warm_resolves {
             last = reader.resolve(name).expect("warm resolve");
             assert!(!last.walked, "warm resolve must be a collapse hit");
         }
-        events.push(RegisterEvent {
-            phase: "resolve",
-            label: name.clone(),
-            outcome: format!("collapsed x{} head={}", config.warm_resolves, last.owner),
-            took_us: world.now().since(t0).as_us(),
-        });
+        let outcome = format!("collapsed x{} head={}", config.warm_resolves, last.owner);
+        observed(t0, "resolve", name, outcome);
     }
 
     // Phase 4: staleness. Re-bind the first name, leave a seeded gap,
@@ -232,16 +204,9 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
         rtb.cluster.propagate();
         let window = world.now().since(t_write);
         windows_ms.push(window.as_ms_f64());
-        events.push(RegisterEvent {
-            phase: "staleness",
-            label: format!("round {round}"),
-            outcome: format!(
-                "window {:.3}ms replica read: {}",
-                window.as_ms_f64(),
-                if stale { "stale" } else { "fresh" }
-            ),
-            took_us: window.as_us(),
-        });
+        let read = if stale { "stale" } else { "fresh" };
+        let outcome = format!("window {:.3}ms replica read: {read}", window.as_ms_f64());
+        observed(t_write, "staleness", &format!("round {round}"), outcome);
     }
 
     // Phase 5: partition. The primary becomes unreachable from the
@@ -257,39 +222,23 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
             .update(&owner_name(owner0), owner_key(owner0), name0, NS_CH)
             .expect_err("write must not silently succeed");
         assert!(err.is_unreachable(), "typed fail-fast, got {err}");
-        events.push(RegisterEvent {
-            phase: "partition",
-            label: "re-bind (write)".into(),
-            outcome: match err {
-                RegError::Rpc(e) => format!("{e}"),
-                other => format!("error: {other}"),
-            },
-            took_us: world.now().since(t0).as_us(),
-        });
+        let outcome = match err {
+            RegError::Rpc(e) => format!("{e}"),
+            other => format!("error: {other}"),
+        };
+        observed(t0, "partition", "re-bind (write)", outcome);
         let t0 = world.now();
         let seen = probe.resolve_naive(name0).expect("failed-over resolve");
-        events.push(RegisterEvent {
-            phase: "partition",
-            label: "resolve (read)".into(),
-            outcome: format!("ok (failover) head={}", seen.owner),
-            took_us: world.now().since(t0).as_us(),
-        });
+        let outcome = format!("ok (failover) head={}", seen.owner);
+        observed(t0, "partition", "resolve (read)", outcome);
     }
     world.set_faults(None);
     let t0 = world.now();
     let recovered = reg
         .update(&owner_name(owner0), owner_key(owner0), name0, NS_BIND)
         .is_ok();
-    events.push(RegisterEvent {
-        phase: "partition",
-        label: "re-bind (healed)".into(),
-        outcome: if recovered {
-            "ok".into()
-        } else {
-            "failed".into()
-        },
-        took_us: world.now().since(t0).as_us(),
-    });
+    let outcome = if recovered { "ok" } else { "failed" };
+    observed(t0, "partition", "re-bind (healed)", outcome.into());
 
     let snapshot = world.metrics().snapshot();
     let registers = reg_counter(&snapshot, "registers");
@@ -299,18 +248,8 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
     let resolves = reg_counter(&snapshot, "resolves");
     let collapse_hits = reg_counter(&snapshot, "collapse_hits");
     let write_secs = write_elapsed.as_ms_f64() / 1000.0;
-    let chain_depth = snapshot
-        .histogram("regd", "chain_depth")
-        .cloned()
-        .unwrap_or(HistogramStats {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            p50: 0,
-            p95: 0,
-            p99: 0,
-        });
+    let chain_depth = snapshot.histogram("regd", "chain_depth").cloned();
+    let chain_depth = chain_depth.unwrap_or_default();
     let outcomes = RegisterOutcomes {
         write_ops,
         write_qps: if write_secs > 0.0 {
@@ -349,28 +288,14 @@ impl RegisterRun {
     /// Human-readable report: the event table, the outcome summary,
     /// and the metrics snapshot.
     pub fn render(&self) -> String {
-        let mut table = PlainTable::new(
-            format!(
-                "E-R — register: names={} max-depth={} warm-resolves={} \
-                 staleness-rounds={} seed={}",
-                self.config.names,
-                self.config.max_depth,
-                self.config.warm_resolves,
-                self.config.staleness_rounds,
-                self.config.seed
-            ),
-            vec!["phase", "operation", "outcome", "took (ms)"],
+        let c = &self.config;
+        let title = format!(
+            "E-R — register: names={} max-depth={} warm-resolves={} \
+             staleness-rounds={} seed={}",
+            c.names, c.max_depth, c.warm_resolves, c.staleness_rounds, c.seed
         );
-        for e in &self.events {
-            table.push_row(vec![
-                e.phase.to_string(),
-                e.label.clone(),
-                e.outcome.clone(),
-                format!("{:.3}", e.took_us as f64 / 1000.0),
-            ]);
-        }
         let o = &self.outcomes;
-        let mut out = table.render();
+        let mut out = events_table(title, &self.events);
         out.push_str(&format!(
             "\nwrite ops: {} ({:.3}/s)  chain walks: {}  collapse hits: {}/{} ({:.3})\n\
              chain depth: p50={} p95={} max={}  staleness: mean {:.3}ms max {:.3}ms \
@@ -396,30 +321,23 @@ impl RegisterRun {
 
     /// The `hns-reg-v1` JSON document for this run.
     pub fn to_json(&self) -> String {
-        use hns_core::obs::json::{number, string};
+        use hns_core::obs::json::number;
         let c = &self.config;
         let mut out = format!(
             "{{\"schema\": \"hns-reg-v1\", \"config\": {{\"names\": {}, \
              \"max_depth\": {}, \"warm_resolves\": {}, \"staleness_rounds\": {}, \
-             \"seed\": {}}}, \"events\": [",
-            c.names, c.max_depth, c.warm_resolves, c.staleness_rounds, c.seed
+             \"seed\": {}}}, \"events\": {}",
+            c.names,
+            c.max_depth,
+            c.warm_resolves,
+            c.staleness_rounds,
+            c.seed,
+            events_json(&self.events)
         );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"phase\": {}, \"label\": {}, \"outcome\": {}, \"took_us\": {}}}",
-                string(e.phase),
-                string(&e.label),
-                string(&e.outcome),
-                e.took_us
-            ));
-        }
         let o = &self.outcomes;
         let d = &o.chain_depth;
         out.push_str(&format!(
-            "], \"outcomes\": {{\"write_ops\": {}, \"write_qps\": {}, \
+            ", \"outcomes\": {{\"write_ops\": {}, \"write_qps\": {}, \
              \"chain_walks\": {}, \"collapse_hits\": {}, \"resolves\": {}, \
              \"hit_ratio\": {}, \"chain_depth\": {{\"count\": {}, \"min\": {}, \
              \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}, \
@@ -449,61 +367,6 @@ impl RegisterRun {
         out.push('}');
         out
     }
-}
-
-/// Validates an `hns-reg-v1` document: schema tag, the five phases'
-/// events, and the outcome fields the acceptance assertions read.
-pub fn validate(text: &str) -> Result<(), String> {
-    let v = hns_core::obs::json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("hns-reg-v1") {
-        return Err("missing or unexpected `schema`".into());
-    }
-    let events = v
-        .get("events")
-        .and_then(|e| e.as_array())
-        .ok_or("missing `events` array")?;
-    if events.is_empty() {
-        return Err("no events in export".into());
-    }
-    for phase in ["register", "transfer", "resolve", "staleness", "partition"] {
-        if !events
-            .iter()
-            .any(|e| e.get("phase").and_then(|p| p.as_str()) == Some(phase))
-        {
-            return Err(format!("no `{phase}` events in export"));
-        }
-    }
-    let outcomes = v.get("outcomes").ok_or("missing `outcomes`")?;
-    for field in [
-        "write_ops",
-        "write_qps",
-        "chain_walks",
-        "collapse_hits",
-        "resolves",
-        "hit_ratio",
-        "write_unreachable",
-        "recovered",
-    ] {
-        if outcomes.get(field).is_none() {
-            return Err(format!("outcomes missing `{field}`"));
-        }
-    }
-    let depth = outcomes.get("chain_depth").ok_or("missing `chain_depth`")?;
-    for field in ["count", "min", "max", "p50", "p95", "p99"] {
-        if depth.get(field).is_none() {
-            return Err(format!("chain_depth missing `{field}`"));
-        }
-    }
-    let staleness = outcomes.get("staleness").ok_or("missing `staleness`")?;
-    for field in ["rounds", "mean_ms", "max_ms", "stale_reads"] {
-        if staleness.get(field).is_none() {
-            return Err(format!("staleness missing `{field}`"));
-        }
-    }
-    if v.get("metrics").is_none() {
-        return Err("missing `metrics` snapshot".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -548,25 +411,5 @@ mod tests {
             ..RegisterConfig::default()
         });
         assert_ne!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn json_export_parses_and_validates() {
-        let run = run(&RegisterConfig::default());
-        let json = run.to_json();
-        validate(&json).expect("register JSON validates");
-        let v = hns_core::obs::json::parse(&json).expect("parses");
-        assert_eq!(
-            v.get("outcomes")
-                .and_then(|o| o.get("recovered"))
-                .and_then(|r| r.as_bool()),
-            Some(true)
-        );
-    }
-
-    #[test]
-    fn validate_rejects_malformed_documents() {
-        assert!(validate("{\"schema\": \"other\"}").is_err());
-        assert!(validate("{\"schema\": \"hns-reg-v1\", \"events\": []}").is_err());
     }
 }

@@ -379,100 +379,6 @@ impl ScaleRun {
     }
 }
 
-/// Validates an `hns-scale-v1` document: schema tag, non-empty points
-/// with every reported field, and the two scale-out claims — compact
-/// storage beats the naive per-copy accounting, and a warm client's
-/// incremental preload ships strictly fewer bytes than the cold full
-/// transfer.
-pub fn validate(text: &str) -> Result<(), String> {
-    let v = hns_core::obs::json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("hns-scale-v1") {
-        return Err("missing or unexpected `schema`".into());
-    }
-    let config = v.get("config").ok_or("missing `config`")?;
-    for field in ["names", "queries", "sample", "hot", "updates", "seed"] {
-        if config.get(field).is_none() {
-            return Err(format!("config missing `{field}`"));
-        }
-    }
-    let points = v
-        .get("points")
-        .and_then(|p| p.as_array())
-        .ok_or("missing `points` array")?;
-    if points.is_empty() {
-        return Err("no points in export".into());
-    }
-    for (i, p) in points.iter().enumerate() {
-        for field in [
-            "names",
-            "cells",
-            "contexts",
-            "records",
-            "resident_bytes",
-            "naive_bytes",
-            "resident_bytes_per_name",
-            "naive_bytes_per_name",
-            "queries",
-            "virtual_secs",
-            "qps",
-            "cache_hits",
-            "cache_misses",
-            "hit_ratio",
-        ] {
-            if p.get(field).is_none() {
-                return Err(format!("point {i} missing `{field}`"));
-            }
-        }
-        let num = |field: &str| {
-            p.get(field)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("point {i}: `{field}` is not a number"))
-        };
-        let resident = num("resident_bytes_per_name")?;
-        let naive = num("naive_bytes_per_name")?;
-        if resident >= naive {
-            return Err(format!(
-                "point {i}: resident bytes/name {resident} not below the naive baseline {naive}"
-            ));
-        }
-        let preload = p
-            .get("preload")
-            .ok_or(format!("point {i} missing `preload`"))?;
-        for field in [
-            "full_bytes",
-            "full_records",
-            "full_serial",
-            "updates",
-            "incremental_bytes",
-            "incremental_records",
-            "incremental_serial",
-            "incremental_mode",
-        ] {
-            if preload.get(field).is_none() {
-                return Err(format!("point {i} preload missing `{field}`"));
-            }
-        }
-        let full = preload
-            .get("full_bytes")
-            .and_then(|x| x.as_f64())
-            .ok_or(format!("point {i}: `full_bytes` is not a number"))?;
-        let incr = preload
-            .get("incremental_bytes")
-            .and_then(|x| x.as_f64())
-            .ok_or(format!("point {i}: `incremental_bytes` is not a number"))?;
-        if incr >= full {
-            return Err(format!(
-                "point {i}: incremental preload shipped {incr} B, not strictly below \
-                 the full transfer's {full} B"
-            ));
-        }
-        if preload.get("incremental_mode").and_then(|m| m.as_str()) != Some("incremental") {
-            return Err(format!("point {i}: warm preload did not run incrementally"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,35 +430,5 @@ mod tests {
         let a = run(&small());
         let b = run(&ScaleConfig { seed: 7, ..small() });
         assert_ne!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn json_export_parses_and_validates() {
-        let run = run(&small());
-        validate(&run.to_json()).expect("scale JSON validates");
-    }
-
-    #[test]
-    fn validate_rejects_malformed_documents() {
-        assert!(validate("{\"schema\": \"other\"}").is_err());
-        assert!(validate("{\"schema\": \"hns-scale-v1\", \"points\": []}").is_err());
-        // A point that violates the compact-storage claim fails.
-        let run = run(&ScaleConfig {
-            names: vec![2000],
-            queries: 64,
-            sample: 16,
-            hot: 4,
-            updates: 2,
-            seed: 3,
-        });
-        let json = run.to_json();
-        let broken = json.replace(
-            &format!(
-                "\"resident_bytes_per_name\": {}",
-                hns_core::obs::json::number(run.points[0].resident_per_name())
-            ),
-            "\"resident_bytes_per_name\": 1e9",
-        );
-        assert!(validate(&broken).is_err());
     }
 }

@@ -29,22 +29,11 @@
 //! and the JSON export are byte-identical across same-seed runs
 //! (golden-tested below).
 
-use std::sync::Arc;
-
-use hns_core::cache::CacheMode;
-use hns_core::colocation::HnsHandle;
-use hns_core::name::HnsName;
 use hns_core::obs::json::{number, string};
 use hns_core::obs::{Timeline, TimelineWindow};
-use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
-use nsms::nsm_cache::NsmCacheForm;
-use nsms::Importer;
-use simnet::faults::FaultPlan;
-use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
-use simnet::World;
 
-use super::chaos::{ChaosConfig, SPIKE_MS, WINDOW_SECS};
+use super::chaos::{ChaosConfig, Scenario};
 
 /// Virtual milliseconds between probe rounds.
 pub const PROBE_MS: u64 = 2_000;
@@ -116,64 +105,22 @@ pub struct TimelineRun {
     pub recovery: Recovery,
 }
 
-fn probe_round(
-    warm: &Arc<hns_core::service::Hns>,
-    cold: &Arc<hns_core::service::Hns>,
-    importer: &Importer,
-    world: &Arc<World>,
-    qc: &hns_core::query::QueryClass,
-    name: &HnsName,
-) -> bool {
-    let mut clean = true;
-    match warm.find_nsm_report(qc, name) {
-        Ok((_, report)) => clean &= !report.stale_served,
-        Err(_) => clean = false,
-    }
-    if cold.find_nsm(qc, name).is_err() {
-        clean = false;
-    }
-    // Failover detection mirrors the chaos scenario: read through a
-    // snapshot so the `faults/*` rows are never registered by the probe
-    // itself.
-    let failovers = || {
-        world
-            .metrics()
-            .snapshot()
-            .counter("faults", "nsm_failovers")
-            .unwrap_or(0)
-    };
-    let before = failovers();
-    if importer
-        .import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, name)
-        .is_err()
-        || failovers() > before
-    {
-        clean = false;
-    }
-    clean
-}
-
 /// Runs the timeline scenario.
 pub fn run(config: &TimelineConfig) -> TimelineRun {
-    let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
-    let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
-    let importer = Importer::new(
-        Arc::clone(&tb.net),
-        tb.hosts.client,
-        HnsHandle::Linked(Arc::clone(&warm)),
-    );
-    importer.set_alternate_nsm(Some(replica));
-    let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
-    let qc = hns_core::query::QueryClass::hrpc_binding();
-    let world = &tb.world;
+    let scenario = Scenario::build();
+    let world = &scenario.tb.world;
     let probe_step = SimDuration::from_ms(PROBE_MS);
+    // A round is clean when all three probes succeed with no stale serve
+    // and no failover.
+    let probe_round = || {
+        let mut clean = true;
+        scenario.probe(|_, _, result| clean &= matches!(result, Ok("ok")));
+        clean
+    };
 
     world.start_sampling(SimDuration::from_ms(config.window_ms));
     let mut phases: Vec<Phase> = Vec::new();
-    let phase_open = |phases: &mut Vec<Phase>, world: &Arc<World>, label: &'static str| {
+    let phase_open = |phases: &mut Vec<Phase>, label: &'static str| {
         let now = world.now().as_us();
         if let Some(last) = phases.last_mut() {
             last.until_us = now;
@@ -186,7 +133,7 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
         });
     };
     // Pads virtual time forward to `target` (sampler ticks ride along).
-    let pace = |world: &Arc<World>, target: SimTime| {
+    let pace = |target: SimTime| {
         let now = world.now();
         if now < target {
             world.charge(target.since(now));
@@ -194,69 +141,42 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     };
 
     // Phase 1: baseline probing.
-    phase_open(&mut phases, world, "baseline");
+    phase_open(&mut phases, "baseline");
     let baseline_t0 = world.now();
     for i in 0..ROUNDS {
-        pace(world, baseline_t0 + probe_step * i);
-        probe_round(&warm, &cold, &importer, world, &qc, &name);
+        pace(baseline_t0 + probe_step * i);
+        probe_round();
     }
 
     // Phase 2: quiet gap — every cache entry expires; no probes, so the
     // crossed windows stay empty.
-    phase_open(&mut phases, world, "ttl-gap");
+    phase_open(&mut phases, "ttl-gap");
     world.charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + 1_000.0);
 
-    // Phase 3: open the fault windows (same structure and seeded jitter
-    // as the chaos scenario) and probe through them.
-    let mut rng = DetRng::new(config.chaos.seed);
-    let mut jitter = || SimDuration::from_ms(rng.next_below(5_000));
-    let base = world.now();
-    let window = SimDuration::from_ms(WINDOW_SECS * 1000);
-    let mut plan = FaultPlan::new();
-    let mut last_heal = base;
-    let mut open = |from: SimTime| {
-        let until = from + window;
-        if until > last_heal {
-            last_heal = until;
-        }
-        (from, Some(until))
-    };
-    if config.chaos.crash {
-        let (from, until) = open(base + jitter());
-        plan.crash(tb.hosts.meta, from, until);
-        let (from, until) = open(base + jitter());
-        plan.crash(tb.hosts.nsm, from, until);
-    }
-    if config.chaos.partition {
-        let (from, until) = open(base + jitter());
-        plan.partition(tb.hosts.client, tb.hosts.meta, from, until);
-    }
-    if config.chaos.latency_spike {
-        let (from, until) = open(base + jitter());
-        plan.latency_spike(tb.hosts.client, tb.hosts.bind, from, until, SPIKE_MS);
-    }
-    world.set_faults(Some(plan));
+    // Phase 3: open the fault windows (the chaos scenario's, with the
+    // same seeded jitter) and probe through them.
+    let last_heal = scenario.install_faults(&config.chaos);
     let fault_start_us = world.now().as_us();
-    phase_open(&mut phases, world, "fault");
+    phase_open(&mut phases, "fault");
     // Step past the largest possible jitter, well inside the windows.
     world.charge_ms(6_000.0);
     let fault_t0 = world.now();
     for i in 0..ROUNDS {
-        pace(world, fault_t0 + probe_step * i);
-        probe_round(&warm, &cold, &importer, world, &qc, &name);
+        pace(fault_t0 + probe_step * i);
+        probe_round();
     }
 
     // Phase 4: heal — advance exactly to the last window's close (the
     // plan stays installed; closed windows must be inert), then probe
     // until the service is fully clean again.
-    pace(world, last_heal);
+    pace(last_heal);
     let fault_clear_us = world.now().as_us();
-    phase_open(&mut phases, world, "recovery");
+    phase_open(&mut phases, "recovery");
     let mut first_success_us = None;
     let recovery_t0 = world.now() + SimDuration::from_ms(1_000);
     for i in 0..ROUNDS {
-        pace(world, recovery_t0 + probe_step * i);
-        let clean = probe_round(&warm, &cold, &importer, world, &qc, &name);
+        pace(recovery_t0 + probe_step * i);
+        let clean = probe_round();
         if clean && first_success_us.is_none() {
             first_success_us = Some(world.now().as_us());
         }
@@ -310,30 +230,20 @@ impl TimelineRun {
     /// no division by zero reaches the export or the sparklines.
     pub fn series(&self) -> Vec<(String, Vec<f64>)> {
         let t = &self.timeline;
-        let counters = |component: &str, name: &str| -> Vec<f64> {
-            t.counter_series(component, name)
-                .into_iter()
-                .map(|v| v as f64)
-                .collect()
-        };
-        let mut out = vec![
-            (
-                "hns/find_nsm_calls".into(),
-                counters("hns", "find_nsm_calls"),
-            ),
-            (
-                "faults/stale_served".into(),
-                counters("faults", "stale_served"),
-            ),
-            (
-                "faults/unreachable_calls".into(),
-                counters("faults", "unreachable_calls"),
-            ),
-            (
-                "faults/nsm_failovers".into(),
-                counters("faults", "nsm_failovers"),
-            ),
+        let counters = [
+            ("hns", "find_nsm_calls"),
+            ("faults", "stale_served"),
+            ("faults", "unreachable_calls"),
+            ("faults", "nsm_failovers"),
         ];
+        let mut out: Vec<(String, Vec<f64>)> = counters
+            .iter()
+            .map(|(component, name)| {
+                let deltas = t.counter_series(component, name);
+                let series = deltas.into_iter().map(|v| v as f64).collect();
+                (format!("{component}/{name}"), series)
+            })
+            .collect();
         let hit_ratio = t.series(|w| {
             let hits = w.counter("hns_cache", "hits") as f64;
             let lookups = hits
@@ -410,37 +320,25 @@ impl TimelineRun {
             c.crash, c.partition, c.latency_spike, c.seed, self.config.window_ms
         );
         out.push_str(&self.timeline.json_fields());
-        out.push_str(",\n  \"series\": {");
-        for (i, (name, values)) in self.series().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: [", string(name)));
-            for (j, v) in values.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&number(*v));
-            }
-            out.push(']');
-        }
-        out.push_str("\n  },\n  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"label\": {}, \"from_us\": {}, \"until_us\": {}}}",
-                string(p.label),
-                p.from_us,
-                p.until_us
-            ));
-        }
+        let series = self.series().into_iter().map(|(name, values)| {
+            let values: Vec<String> = values.into_iter().map(number).collect();
+            format!("\n    {}: [{}]", string(&name), values.join(", "))
+        });
+        let series: Vec<String> = series.collect();
+        let phases = self.phases.iter().map(|p| {
+            let label = string(p.label);
+            let (from, until) = (p.from_us, p.until_us);
+            format!("{{\"label\": {label}, \"from_us\": {from}, \"until_us\": {until}}}")
+        });
+        let phases: Vec<String> = phases.collect();
         let r = &self.recovery;
         out.push_str(&format!(
-            "],\n  \"recovery\": {{\"fault_start_us\": {}, \"fault_clear_us\": {}, \
+            ",\n  \"series\": {{{}\n  }},\n  \"phases\": [{}],\n  \
+             \"recovery\": {{\"fault_start_us\": {}, \"fault_clear_us\": {}, \
              \"time_to_first_success_us\": {}, \"windows_to_baseline\": {}, \
              \"mttr_us\": {}, \"recovered\": {}}}\n}}",
+            series.join(","),
+            phases.join(", "),
             r.fault_start_us,
             r.fault_clear_us,
             r.time_to_first_success_us,
@@ -450,79 +348,6 @@ impl TimelineRun {
         ));
         out
     }
-}
-
-/// Validates an `hns-timeline-v1` document: schema tag, well-formed
-/// contiguous windows, consistent series lengths, and — when present
-/// (the chaos export always carries them) — the three phases and the
-/// recovery fields.
-pub fn validate(text: &str) -> Result<(), String> {
-    let v = hns_core::obs::json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("hns-timeline-v1") {
-        return Err("missing or unexpected `schema`".into());
-    }
-    let interval = v
-        .get("interval_us")
-        .and_then(|i| i.as_u64())
-        .ok_or("missing `interval_us`")?;
-    if interval == 0 {
-        return Err("`interval_us` must be positive".into());
-    }
-    let windows = v
-        .get("windows")
-        .and_then(|w| w.as_array())
-        .ok_or("missing `windows` array")?;
-    for (i, w) in windows.iter().enumerate() {
-        if w.get("index").and_then(|x| x.as_u64()) != Some(i as u64) {
-            return Err(format!("window {i}: missing or non-contiguous `index`"));
-        }
-        let start = w.get("start_us").and_then(|x| x.as_u64());
-        let end = w.get("end_us").and_then(|x| x.as_u64());
-        match (start, end) {
-            (Some(s), Some(e)) if e >= s => {}
-            _ => return Err(format!("window {i}: bad `start_us`/`end_us`")),
-        }
-        for field in ["counters", "histograms"] {
-            if w.get(field).and_then(|x| x.as_array()).is_none() {
-                return Err(format!("window {i}: missing `{field}` array"));
-            }
-        }
-    }
-    if let Some(series) = v.get("series") {
-        for name in series.keys() {
-            let len = series.get(name).and_then(|s| s.as_array()).map(|a| a.len());
-            if len != Some(windows.len()) {
-                return Err(format!(
-                    "series `{name}`: length {:?} != {} windows",
-                    len,
-                    windows.len()
-                ));
-            }
-        }
-    }
-    if let Some(phases) = v.get("phases").and_then(|p| p.as_array()) {
-        for label in ["baseline", "fault", "recovery"] {
-            if !phases
-                .iter()
-                .any(|p| p.get("label").and_then(|l| l.as_str()) == Some(label))
-            {
-                return Err(format!("no `{label}` phase in export"));
-            }
-        }
-    }
-    if let Some(recovery) = v.get("recovery") {
-        for field in [
-            "fault_clear_us",
-            "time_to_first_success_us",
-            "windows_to_baseline",
-            "mttr_us",
-        ] {
-            if recovery.get(field).is_none() {
-                return Err(format!("recovery missing `{field}`"));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -623,10 +448,9 @@ mod tests {
     }
 
     #[test]
-    fn json_export_validates_and_carries_series() {
+    fn json_export_carries_series() {
         let run = run(&TimelineConfig::default());
         let json = run.to_json();
-        validate(&json).expect("timeline JSON validates");
         let v = hns_core::obs::json::parse(&json).expect("parses");
         let windows = v.get("windows").unwrap().as_array().unwrap().len();
         assert!(windows >= 10);
@@ -646,25 +470,6 @@ mod tests {
                 .and_then(|x| x.as_bool()),
             Some(true)
         );
-    }
-
-    #[test]
-    fn validate_rejects_malformed_documents() {
-        assert!(validate("{\"schema\": \"other\"}").is_err());
-        assert!(validate("{\"schema\": \"hns-timeline-v1\"}").is_err());
-        assert!(
-            validate("{\"schema\": \"hns-timeline-v1\", \"interval_us\": 0, \"windows\": []}")
-                .is_err()
-        );
-        assert!(validate(
-            "{\"schema\": \"hns-timeline-v1\", \"interval_us\": 1000, \"windows\": [], \
-             \"series\": {\"x\": [1]}}"
-        )
-        .is_err());
-        assert!(validate(
-            "{\"schema\": \"hns-timeline-v1\", \"interval_us\": 1000, \"windows\": []}"
-        )
-        .is_ok());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `hns-bench` — the experiment harness.
 //!
 //! Regenerates every table and figure of the paper's evaluation in
-//! calibrated virtual time ([`experiments`]), plus criterion micro-benches
-//! in real time (`benches/`). Run everything with:
+//! calibrated virtual time ([`experiments`]), drives the real-time load
+//! engine ([`loadgen`]), and checks every JSON export either writes
+//! against one schema table ([`export`]). Run everything with:
 //!
 //! ```text
 //! cargo run -p hns-bench --bin experiments -- all
@@ -11,6 +12,7 @@
 
 pub mod cells;
 pub mod experiments;
+pub mod export;
 pub mod loadgen;
 pub mod scenario;
 

@@ -748,7 +748,7 @@ mod tests {
             r.binding_hits > 0,
             "pre-seeded composed cache serves the warm path"
         );
-        report::validate(&rep.to_json()).expect("export validates");
+        crate::export::check(&rep.to_json()).expect("export validates");
         let rendered = rep.render();
         assert!(rendered.contains("QPS"), "{rendered}");
     }
@@ -770,7 +770,7 @@ mod tests {
         );
         assert!(r.cold_ops > 0, "the mix must exercise the cold path");
         assert!(r.warm_ops > 0);
-        report::validate(&rep.to_json()).expect("export validates");
+        crate::export::check(&rep.to_json()).expect("export validates");
     }
 
     #[test]
@@ -790,7 +790,7 @@ mod tests {
         assert!(r.write_ops > 0, "the mix must exercise the write path");
         assert!(r.transfer_ops > 0, "the mix must exercise transfers");
         assert!(r.transfer_ops < r.write_ops, "updates ride along too");
-        report::validate(&rep.to_json()).expect("export validates");
+        crate::export::check(&rep.to_json()).expect("export validates");
         let rendered = rep.render();
         assert!(rendered.contains("transfers"), "{rendered}");
     }
@@ -829,7 +829,7 @@ mod tests {
             assert_eq!(r.latency_us.count, r.ops);
             assert!(r.achieved_qps > 0.0);
         }
-        report::validate(&rep.to_json()).expect("export validates");
+        crate::export::check(&rep.to_json()).expect("export validates");
         let rendered = rep.render();
         assert!(rendered.contains("offered QPS"), "{rendered}");
     }

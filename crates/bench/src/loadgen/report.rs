@@ -1,5 +1,6 @@
-//! JSON export of a load sweep (`hns-load-v2`) plus the baseline
-//! regression check the CI guard runs.
+//! JSON export of a load sweep (`hns-load-v2`; its schema is a row of
+//! [`crate::export::SCHEMAS`]) plus the baseline regression check the CI
+//! guard runs.
 //!
 //! # Cold-operation cache semantics
 //!
@@ -146,111 +147,10 @@ pub fn to_json(report: &LoadReport) -> String {
     )
 }
 
-/// Validates an `hns-load-v2` document: schema tag, host provenance,
-/// at least one run of either kind, and the per-run fields the
-/// baseline consumers read.
-pub fn validate(text: &str) -> Result<(), String> {
-    let v = json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("hns-load-v2") {
-        return Err("missing or unexpected `schema`".into());
-    }
-    let host = v.get("host").ok_or("missing `host`")?;
-    for field in ["cores", "os", "arch"] {
-        if host.get(field).is_none() {
-            return Err(format!("host: missing `{field}`"));
-        }
-    }
-    let closed = v
-        .get("closed_runs")
-        .and_then(|r| r.as_array())
-        .ok_or("missing `closed_runs` array")?;
-    let open = v
-        .get("open_runs")
-        .and_then(|r| r.as_array())
-        .ok_or("missing `open_runs` array")?;
-    if closed.is_empty() && open.is_empty() {
-        return Err("no runs in export".into());
-    }
-    for (i, run) in closed.iter().enumerate() {
-        for field in [
-            "threads",
-            "ops",
-            "qps",
-            "write_ops",
-            "transfer_ops",
-            "hns_cache",
-            "binding_cache",
-        ] {
-            if run.get(field).is_none() {
-                return Err(format!("closed run {i}: missing `{field}`"));
-            }
-        }
-        let lat = run
-            .get("latency_us")
-            .ok_or(format!("closed run {i}: missing `latency_us`"))?;
-        for field in ["p50", "p95", "p99"] {
-            if lat.get(field).is_none() {
-                return Err(format!("closed run {i}: latency_us missing `{field}`"));
-            }
-        }
-    }
-    for (i, run) in open.iter().enumerate() {
-        for field in [
-            "offered_qps",
-            "achieved_qps",
-            "ops",
-            "lateness_us",
-            "backlog_max",
-        ] {
-            if run.get(field).is_none() {
-                return Err(format!("open run {i}: missing `{field}`"));
-            }
-        }
-        let lat = run
-            .get("latency_us")
-            .ok_or(format!("open run {i}: missing `latency_us`"))?;
-        for field in ["p50", "p95", "p99"] {
-            if lat.get(field).is_none() {
-                return Err(format!("open run {i}: latency_us missing `{field}`"));
-            }
-        }
-        if run.get("window_ms").and_then(|w| w.as_u64()).is_none() {
-            return Err(format!("open run {i}: missing `window_ms`"));
-        }
-        let windows = run
-            .get("windows")
-            .and_then(|w| w.as_array())
-            .ok_or(format!("open run {i}: missing `windows` array"))?;
-        if windows.is_empty() {
-            return Err(format!("open run {i}: empty `windows` series"));
-        }
-        for (j, w) in windows.iter().enumerate() {
-            if w.get("index").and_then(|x| x.as_u64()) != Some(j as u64) {
-                return Err(format!(
-                    "open run {i}: window {j}: missing or non-contiguous `index`"
-                ));
-            }
-            for field in [
-                "ops",
-                "late_ops",
-                "backlog_max",
-                "lateness_mean_us",
-                "sojourn_mean_us",
-            ] {
-                if w.get(field).is_none() {
-                    return Err(format!("open run {i}: window {j}: missing `{field}`"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Compares a fresh sweep against a committed baseline document: every
 /// thread count present in both must keep at least `factor` of the
-/// baseline's closed-loop QPS. Accepts `hns-load-v2` (`closed_runs`)
-/// and the older `hns-load-v1` (`runs`) as the baseline. Returns a
-/// human-readable summary on success.
+/// baseline's closed-loop QPS. Returns a human-readable summary on
+/// success.
 pub fn check_regression(
     report: &LoadReport,
     baseline_text: &str,
@@ -259,9 +159,8 @@ pub fn check_regression(
     let v = json::parse(baseline_text).map_err(|e| format!("baseline parse error: {e}"))?;
     let runs = v
         .get("closed_runs")
-        .or_else(|| v.get("runs"))
         .and_then(|r| r.as_array())
-        .ok_or("baseline has neither `closed_runs` nor `runs`")?;
+        .ok_or("baseline has no `closed_runs`")?;
     let mut compared = Vec::new();
     for current in &report.runs {
         let Some(base_qps) = runs.iter().find_map(|run| {
@@ -386,10 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn export_round_trips_through_validate() {
+    fn export_carries_the_run_fields() {
         let rep = sample_report();
         let doc = rep.to_json();
-        validate(&doc).expect("valid export");
         let v = json::parse(&doc).expect("parses");
         assert_eq!(
             v.get("schema").and_then(|s| s.as_str()),
@@ -445,23 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_a_missing_window_series() {
-        let mut rep = sample_report();
-        rep.open_runs[0].windows.clear();
-        let err = validate(&rep.to_json()).expect_err("empty windows rejected");
-        assert!(err.contains("windows"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_wrong_schema_and_empty_runs() {
-        assert!(validate("{\"schema\": \"other\"}").is_err());
-        let mut rep = sample_report();
-        rep.runs.clear();
-        rep.open_runs.clear();
-        assert!(validate(&rep.to_json()).is_err());
-    }
-
-    #[test]
     fn regression_check_compares_matching_thread_counts() {
         let rep = sample_report();
         let baseline = rep.to_json();
@@ -473,11 +354,8 @@ mod tests {
         let fast_baseline = fast.to_json();
         let err = check_regression(&rep, &fast_baseline, 0.5).expect_err("regression");
         assert!(err.contains("regression at 2 threads"), "{err}");
-        // v1 baselines (`runs`) still compare.
-        let v1 = "{\"schema\": \"hns-load-v1\", \"runs\": [{\"threads\": 2, \"qps\": 1000.0}]}";
-        check_regression(&rep, v1, 0.5).expect("v1 baseline accepted");
         // Disjoint thread counts are an error, not a silent pass.
-        let disjoint = "{\"runs\": [{\"threads\": 64, \"qps\": 1.0}]}";
+        let disjoint = "{\"closed_runs\": [{\"threads\": 64, \"qps\": 1.0}]}";
         assert!(check_regression(&rep, disjoint, 0.5).is_err());
     }
 }

@@ -1,0 +1,181 @@
+//! The `experiments` binary's argument shape, end to end: exactly one
+//! subcommand per invocation, every argument error reported before
+//! anything runs, every export checked before it is written.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// A scratch directory removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("hns-cli-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+
+    fn files(&self) -> Vec<String> {
+        let entries = std::fs::read_dir(&self.0).expect("scratch dir");
+        let mut names: Vec<String> = entries
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .collect();
+        names.sort();
+        names
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn experiments(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("experiments runs")
+}
+
+/// `args` is refused with exit 1 and a message holding every `expected`
+/// fragment, before anything ran: nothing on stdout, no file written.
+fn refused(test: &str, args: &[&str], expected: &[&str]) {
+    let scratch = Scratch::new(test);
+    let out = experiments(&scratch.0, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    for fragment in expected {
+        assert!(
+            stderr.contains(fragment),
+            "{args:?}: no `{fragment}` in:\n{stderr}"
+        );
+    }
+    assert!(out.stdout.is_empty(), "{args:?} ran something");
+    assert_eq!(
+        scratch.files(),
+        Vec::<String>::new(),
+        "{args:?} wrote a file"
+    );
+}
+
+#[test]
+fn two_subcommands_in_one_invocation_are_refused() {
+    // Two exporting subcommands share one `--out`: running both would let
+    // the second export overwrite the first.
+    refused(
+        "two-subcommands",
+        &["chaos", "register", "--out", "x.json"],
+        &["unexpected argument `register`", "usage: experiments chaos"],
+    );
+    refused(
+        "table-and-subcommand",
+        &["table31", "chaos"],
+        &["unknown experiment `chaos`", "known experiments: table31"],
+    );
+}
+
+#[test]
+fn a_bad_flag_is_refused_before_anything_runs() {
+    // A misspelt flag must not cost a full default sweep before it is named.
+    refused(
+        "unknown-flag",
+        &["loadgen", "--thread", "4"],
+        &[
+            "`--thread`",
+            "usage: experiments loadgen [--threads A,B,..]",
+        ],
+    );
+    refused(
+        "other-subcommands-flag",
+        &["scale", "--threads", "2", "--out", "s.json"],
+        &[
+            "`--threads`",
+            "usage: experiments scale [--scale-names A,B,..]",
+        ],
+    );
+    refused(
+        "missing-value",
+        &["chaos", "--seed", "7", "--out"],
+        &["--out requires a value", "usage: experiments chaos"],
+    );
+    refused(
+        "value-is-a-flag",
+        &["register", "--names", "--seed", "3"],
+        &["--names requires a value", "usage: experiments register"],
+    );
+    refused(
+        "repeated-flag",
+        &["chaos", "--seed", "1", "--seed", "2"],
+        &["repeated flag `--seed`", "usage: experiments chaos"],
+    );
+    refused(
+        "unparsable-value",
+        &["fuzz", "--iters", "many"],
+        &["--iters: cannot parse `many`", "usage: experiments fuzz"],
+    );
+}
+
+#[test]
+fn chaos_writes_both_exports_and_validate_accepts_them() {
+    let scratch = Scratch::new("chaos-exports");
+    let args = ["chaos", "--out", "c.json", "--timeline-out", "t.json"];
+    let run = experiments(&scratch.0, &args);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert_eq!(scratch.files(), ["c.json", "t.json"]);
+    let checked = experiments(&scratch.0, &["validate", "c.json", "t.json"]);
+    let stdout = String::from_utf8_lossy(&checked.stdout);
+    assert!(checked.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("c.json: valid hns-chaos-v1 export"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("t.json: valid hns-timeline-v1 export"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn validate_names_the_failing_path_and_exits_1() {
+    let scratch = Scratch::new("validate-bad");
+    let bad = "{\"schema\": \"hns-scale-v1\", \"config\": {}, \"points\": []}";
+    std::fs::write(scratch.0.join("bad.json"), bad).expect("write");
+    let out = experiments(&scratch.0, &["validate", "bad.json", "absent.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr.contains("bad.json: config.names: missing"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("absent.json: read:"), "{stderr}");
+    assert!(stderr.contains("2 of 2 file(s) invalid"), "{stderr}");
+}
+
+#[test]
+fn the_committed_bench_files_validate_unedited() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = experiments(
+        &root,
+        &["validate", "BENCH_throughput.json", "BENCH_scale.json"],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("BENCH_throughput.json: valid hns-load-v2 export"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("BENCH_scale.json: valid hns-scale-v1 export"),
+        "{stdout}"
+    );
+}

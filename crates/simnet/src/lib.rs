@@ -18,7 +18,6 @@
 //! * [`world`] — the shared environment (clock + topology + costs + trace +
 //!   structural counters + the unified [`obs::MetricsRegistry`]).
 //! * [`rng`] — a self-contained deterministic PRNG.
-//! * [`des`] — a small discrete-event/queueing core for the load ablation.
 //! * [`faults`] — deterministic fault injection (crash windows, link
 //!   partitions, latency spikes) scheduled in virtual time.
 //!
@@ -41,7 +40,6 @@
 
 pub mod clock;
 pub mod costs;
-pub mod des;
 pub mod faults;
 pub mod rng;
 pub mod time;

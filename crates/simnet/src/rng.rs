@@ -45,7 +45,8 @@ impl DetRng {
 
     /// Returns an exponentially distributed float with the given mean.
     ///
-    /// Used by the discrete-event workload generators (Poisson arrivals).
+    /// Used for Poisson arrivals and exponential service times (the A3
+    /// queueing model, the open-loop load schedule).
     ///
     /// # Panics
     ///

@@ -5,9 +5,7 @@ use proptest::prelude::*;
 use hns_repro::bindns::DomainName;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hrpc::{ComponentSet, HrpcBinding, ProgramId};
-use hns_repro::simnet::des::EventQueue;
 use hns_repro::simnet::rng::DetRng;
-use hns_repro::simnet::time::SimTime;
 use hns_repro::simnet::topology::{HostId, NetAddr};
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -104,19 +102,6 @@ proptest! {
                 let back = fmt.decode(&bytes).expect("decode");
                 prop_assert_eq!(HrpcBinding::from_value(&back).expect("decode"), binding);
             }
-        }
-    }
-
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(SimTime::from_us(*t), i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some(ev) = q.pop() {
-            prop_assert!(ev.at >= last);
-            last = ev.at;
         }
     }
 
