@@ -174,18 +174,17 @@ fn traced(mut args: Args) -> Result<(), String> {
     finish("trace", &run.render(), &run.to_json(), out.as_deref())
 }
 
-const LOADGEN_USAGE: &str = "loadgen [--threads A,B,..] [--ops N] [--duration-ms MS] [--zipf S] \
-    [--cold F] [--bind F] [--write-frac F] [--transfer-frac F] [--faults] [--seed N] \
-    [--offered-qps Q1,Q2,..] [--open-threads N] [--open-duration-ms MS] [--open-window-ms MS] \
-    [--baseline PATH] [--regress FACTOR] [--out PATH]   the real-time load engine (E-L); \
-    hns-load-v2. --baseline fails the run if any matching thread count drops below \
-    FACTOR (default 0.5) x the baseline's closed-loop QPS";
+const LOADGEN_USAGE: &str = "loadgen [--offered-qps Q1,Q2,..] [--open-threads N] \
+    [--open-duration-ms MS] [--open-window-ms MS] [--zipf S] [--cold F] [--bind F] \
+    [--write-frac F] [--transfer-frac F] [--faults] [--seed N] [--out PATH]   \
+    the open-loop offered-load engine (E-L); hns-load-v3";
 
 fn load(mut args: Args) -> Result<(), String> {
     let mut config = loadgen::LoadConfig::default();
-    args.set_list("--threads", &mut config.threads)?;
-    args.set("--ops", &mut config.ops_per_thread)?;
-    config.duration_ms = args.value("--duration-ms")?;
+    args.set_list("--offered-qps", &mut config.offered_qps)?;
+    args.set("--open-threads", &mut config.open_threads)?;
+    args.set("--open-duration-ms", &mut config.open_duration_ms)?;
+    args.set("--open-window-ms", &mut config.open_window_ms)?;
     args.set("--zipf", &mut config.zipf_s)?;
     args.set("--cold", &mut config.cold_frac)?;
     args.set("--bind", &mut config.bind_frac)?;
@@ -193,38 +192,29 @@ fn load(mut args: Args) -> Result<(), String> {
     args.set("--transfer-frac", &mut config.transfer_frac)?;
     config.faults = args.switch("--faults");
     args.set("--seed", &mut config.seed)?;
-    args.set_list("--offered-qps", &mut config.offered_qps)?;
-    args.set("--open-threads", &mut config.open_threads)?;
-    args.set("--open-duration-ms", &mut config.open_duration_ms)?;
-    args.set("--open-window-ms", &mut config.open_window_ms)?;
-    let baseline: Option<String> = args.value("--baseline")?;
-    let regress = args.value("--regress")?.unwrap_or(0.5);
     let out: Option<String> = args.value("--out")?;
-    let positive = config.threads.iter().all(|&t| t > 0)
-        && config.offered_qps.iter().all(|&q| q > 0.0)
-        && config.open_window_ms > 0;
-    args.require(
-        positive,
-        "--threads, --offered-qps and --open-window-ms must be positive",
-    )?;
-    let fractions = [config.write_frac, config.transfer_frac];
-    args.require(
-        fractions.iter().all(|f| (0.0..=1.0).contains(f)),
-        "--write-frac and --transfer-frac must be within [0, 1]",
-    )?;
+    for (flag, positive) in [
+        ("--offered-qps", config.offered_qps.iter().all(|&q| q > 0.0)),
+        ("--open-threads", config.open_threads > 0),
+        ("--open-duration-ms", config.open_duration_ms > 0),
+        ("--open-window-ms", config.open_window_ms > 0),
+    ] {
+        args.require(positive, &format!("{flag} must be positive"))?;
+    }
+    for (flag, fraction) in [
+        ("--cold", config.cold_frac),
+        ("--bind", config.bind_frac),
+        ("--write-frac", config.write_frac),
+        ("--transfer-frac", config.transfer_frac),
+    ] {
+        let in_range = (0.0..=1.0).contains(&fraction);
+        args.require(in_range, &format!("{flag} must be within [0, 1]"))?;
+    }
     args.done()?;
 
     println!("=== experiment: loadgen ===");
     let rep = loadgen::run(&config);
-    finish("load", &rep.render(), &rep.to_json(), out.as_deref())?;
-    if let Some(path) = baseline {
-        let summary = std::fs::read_to_string(&path)
-            .map_err(|e| format!("read {path}: {e}"))
-            .and_then(|text| loadgen::report::check_regression(&rep, &text, regress))
-            .map_err(|e| format!("baseline check vs {path}: {e}"))?;
-        println!("baseline check vs {path}:\n{summary}");
-    }
-    Ok(())
+    finish("load", &rep.render(), &rep.to_json(), out.as_deref())
 }
 
 const CHAOS_USAGE: &str =

@@ -46,20 +46,18 @@ pub static SCHEMAS: [Schema; 6] = [
         invariants: |_| Ok(()),
     },
     Schema {
-        tag: "hns-load-v2",
+        tag: "hns-load-v3",
         written_by: "loadgen --out",
-        // `duration_ms` is null for an ops-bounded sweep.
+        // Every `*_ns` field is wall-clock nanoseconds.
         shape: "{schema:s host:{cores:u os,arch:s} \
-                config:{dispatch:s ops_per_thread,seed,open_threads,open_duration_ms:u \
-                  duration_ms?:u zipf_s,cold_frac,bind_frac,write_frac,transfer_frac:n \
-                  faults:b offered_qps:[n]} \
-                closed_runs:[{threads,ops,errors,warm_ops,cold_ops,bind_ops,write_ops,transfer_ops:u \
-                  wall_secs,qps:n latency_us:@stats hns_cache:{hits,misses,expired,cold_walks:u} \
-                  binding_cache:{hits,misses,inserts:u}}] \
-                open_runs:[{offered_qps,wall_secs,achieved_qps:n latency_us,lateness_us:@stats \
-                  threads,duration_ms,scheduled,ops,errors,late_ops,backlog_max,window_ms:u \
-                  windows:[+{index,ops,errors,late_ops,backlog_max,lateness_max_us,sojourn_max_us:u \
-                    lateness_mean_us,sojourn_mean_us:n}]}]}",
+                config:{seed,open_threads,open_duration_ms:u \
+                  zipf_s,cold_frac,bind_frac,write_frac,transfer_frac:n \
+                  faults:b offered_qps:[+n]} \
+                open_runs:[+{offered_qps,wall_secs,achieved_qps:n latency_ns,lateness_ns:@stats \
+                  threads,duration_ms,scheduled,ops,errors,warm_ops,cold_ops,bind_ops,write_ops,\
+                  transfer_ops,late_ops,backlog_max,window_ms:u \
+                  windows:[+{index,ops,errors,late_ops,backlog_max,lateness_max_ns,sojourn_max_ns:u \
+                    lateness_mean_ns,sojourn_mean_ns:n}]}]}",
         invariants: load_invariants,
     },
     Schema {
@@ -327,9 +325,6 @@ fn contiguous(at: &str, parent: &Value) -> Result<(), String> {
 }
 
 fn load_invariants(doc: &Value) -> Result<(), String> {
-    if items(doc, "closed_runs").is_empty() && items(doc, "open_runs").is_empty() {
-        return Err("closed_runs, open_runs: no runs in export".into());
-    }
     for (i, run) in items(doc, "open_runs").iter().enumerate() {
         contiguous(&format!("open_runs[{i}]."), run)?;
     }
@@ -431,10 +426,7 @@ mod tests {
         static SAMPLES: OnceLock<Vec<Value>> = OnceLock::new();
         SAMPLES.get_or_init(|| {
             let load = loadgen::LoadConfig {
-                threads: vec![1],
-                ops_per_thread: 50,
                 offered_qps: vec![2_000.0],
-                open_threads: 1,
                 open_duration_ms: 50,
                 open_window_ms: 10,
                 ..loadgen::LoadConfig::default()
@@ -610,15 +602,7 @@ mod tests {
         type Break = Box<dyn Fn(&mut Value)>;
         let cases: Vec<(&str, Break, &str)> = vec![
             (
-                "hns-load-v2",
-                Box::new(|doc| {
-                    elements(at(doc, "closed_runs")).clear();
-                    elements(at(doc, "open_runs")).clear();
-                }),
-                "no runs in export",
-            ),
-            (
-                "hns-load-v2",
+                "hns-load-v3",
                 Box::new(set("open_runs/0/windows/1/index", Value::Number(5.0))),
                 "open_runs[0].windows[1].index: expected 1",
             ),
@@ -692,18 +676,18 @@ mod tests {
 
     #[test]
     fn emptiness_is_refused_only_where_the_row_says_non_empty() {
-        let mut load = sample("hns-load-v2");
+        let mut load = sample("hns-load-v3");
         elements(at(&mut load, "open_runs/0/windows")).clear();
         let err = check_doc(&load).expect_err("empty window series");
         assert_eq!(err, "open_runs[0].windows: expected non-empty array");
+        elements(at(&mut load, "open_runs")).clear();
+        let err = check_doc(&load).expect_err("a sweep with no runs");
+        assert_eq!(err, "open_runs: expected non-empty array");
         let mut chaos = sample("hns-chaos-v1");
         elements(at(&mut chaos, "events")).clear();
         assert!(check_doc(&chaos).is_err());
-        // A closed-loop-only sweep has no open runs, and the sampler's own
-        // `Timeline::to_json` has no windows yet and none of the scenario's
-        // optional fields.
-        elements(at(&mut load, "open_runs")).clear();
-        assert_eq!(check_doc(&load), Ok("hns-load-v2"));
+        // The sampler's own `Timeline::to_json` has no windows yet and
+        // none of the scenario's optional fields.
         let bare = "{\"schema\": \"hns-timeline-v1\", \"interval_us\": 1000, \
                     \"origin_us\": 0, \"windows\": [], \"marks\": []}";
         assert_eq!(check(bare), Ok("hns-timeline-v1"));

@@ -5,6 +5,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+/// The start of `loadgen`'s one-line usage, as every refusal prints it.
+const LOADGEN_USAGE: &str = "usage: experiments loadgen [--offered-qps Q1,Q2,..]";
+
 /// A scratch directory removed on drop.
 struct Scratch(PathBuf);
 
@@ -81,17 +84,14 @@ fn a_bad_flag_is_refused_before_anything_runs() {
     // A misspelt flag must not cost a full default sweep before it is named.
     refused(
         "unknown-flag",
-        &["loadgen", "--thread", "4"],
-        &[
-            "`--thread`",
-            "usage: experiments loadgen [--threads A,B,..]",
-        ],
+        &["loadgen", "--open-thread", "4"],
+        &["`--open-thread`", LOADGEN_USAGE],
     );
     refused(
         "other-subcommands-flag",
-        &["scale", "--threads", "2", "--out", "s.json"],
+        &["scale", "--open-threads", "2", "--out", "s.json"],
         &[
-            "`--threads`",
+            "`--open-threads`",
             "usage: experiments scale [--scale-names A,B,..]",
         ],
     );
@@ -114,6 +114,62 @@ fn a_bad_flag_is_refused_before_anything_runs() {
         "unparsable-value",
         &["fuzz", "--iters", "many"],
         &["--iters: cannot parse `many`", "usage: experiments fuzz"],
+    );
+}
+
+#[test]
+fn loadgen_refuses_bad_load_arguments_and_the_deleted_flags() {
+    let cases = [
+        ("--open-threads", "0", "--open-threads must be positive"),
+        (
+            "--open-duration-ms",
+            "0",
+            "--open-duration-ms must be positive",
+        ),
+        ("--open-window-ms", "0", "--open-window-ms must be positive"),
+        ("--offered-qps", "5000,0", "--offered-qps must be positive"),
+        ("--offered-qps", "nan", "--offered-qps must be positive"),
+        ("--cold", "1.5", "--cold must be within [0, 1]"),
+        ("--cold", "nan", "--cold must be within [0, 1]"),
+        ("--bind", "-1", "--bind must be within [0, 1]"),
+        ("--write-frac", "2", "--write-frac must be within [0, 1]"),
+        (
+            "--transfer-frac",
+            "-0.1",
+            "--transfer-frac must be within [0, 1]",
+        ),
+        // The closed-loop sweep and its baseline guard are gone; their
+        // flags are unknown, not ignored.
+        ("--threads", "1,2", "unknown or repeated flag `--threads`"),
+        ("--ops", "500", "unknown or repeated flag `--ops`"),
+        (
+            "--duration-ms",
+            "50",
+            "unknown or repeated flag `--duration-ms`",
+        ),
+        (
+            "--baseline",
+            "b.json",
+            "unknown or repeated flag `--baseline`",
+        ),
+        ("--regress", "0.5", "unknown or repeated flag `--regress`"),
+    ];
+    for (flag, value, complaint) in cases {
+        let args = ["loadgen", "--out", "l.json", flag, value];
+        refused(flag, &args, &[complaint, LOADGEN_USAGE]);
+    }
+}
+
+#[test]
+fn all_prints_the_committed_tables_byte_for_byte() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = std::fs::read(root.join("experiments_output.txt")).expect("committed output");
+    let out = experiments(&root, &["all"]);
+    assert!(out.status.success());
+    assert!(
+        out.stdout == committed,
+        "`experiments all` differs from experiments_output.txt:\n{}",
+        String::from_utf8_lossy(&out.stdout)
     );
 }
 
@@ -171,7 +227,7 @@ fn the_committed_bench_files_validate_unedited() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(
-        stdout.contains("BENCH_throughput.json: valid hns-load-v2 export"),
+        stdout.contains("BENCH_throughput.json: valid hns-load-v3 export"),
         "{stdout}"
     );
     assert!(
