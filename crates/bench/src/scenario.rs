@@ -392,6 +392,31 @@ mod tests {
         );
     }
 
+    /// The resolver keeps each cell's delegation: N first-time names cost
+    /// one referral per cell and one answer each, not two calls apiece.
+    #[test]
+    fn distinct_names_cost_one_call_each_plus_one_referral_per_cell() {
+        let plan = CellPlan::for_names(10_000);
+        let cw = build_cell_world(&plan, 7);
+        let resolver = bindns::recursive::RecursiveResolver::new(
+            Arc::clone(&cw.net),
+            cw.client,
+            cw.root.std_binding,
+        );
+        let queries = 500;
+        let (_, _, delta) = cw.world.measure(|| {
+            for q in 0..queries {
+                let (cell, index) = plan.locate(q * (plan.names / queries));
+                resolver
+                    .query(&cell_name(cell, index), RType::Unspec)
+                    .expect("resolves");
+            }
+        });
+        assert!(plan.cells > 1, "{plan:?}");
+        assert_eq!(delta.remote_calls, (queries + plan.cells) as u64);
+        assert_eq!(resolver.cache_stats().misses, queries as u64);
+    }
+
     #[test]
     fn cell_worlds_are_deterministic_per_seed() {
         let plan = CellPlan::for_names(1000);

@@ -45,9 +45,8 @@ pub fn transfer_zone(
     let serial = reply.u32_field("serial")?;
     let size_bytes = reply.u32_field("size_bytes")? as usize;
     let list = reply.field("records").and_then(Value::as_list)?;
-    let records: Result<Vec<ResourceRecord>, _> =
-        list.iter().map(ResourceRecord::from_value).collect();
-    let records = records.map_err(|e| RpcError::Service(e.to_string()))?;
+    let records =
+        ResourceRecord::list_from_values(list).map_err(|e| RpcError::Service(e.to_string()))?;
     // The transfer itself: charged by size, minus the single round trip the
     // fabric already charged.
     let world = net.world();
@@ -115,9 +114,8 @@ pub fn transfer_zone_incremental(
     let mode = reply.str_field("mode")?;
     let size_bytes = reply.u32_field("size_bytes")? as usize;
     let list = reply.field("records").and_then(Value::as_list)?;
-    let records: Result<Vec<ResourceRecord>, _> =
-        list.iter().map(ResourceRecord::from_value).collect();
-    let records = records.map_err(|e| RpcError::Service(e.to_string()))?;
+    let records =
+        ResourceRecord::list_from_values(list).map_err(|e| RpcError::Service(e.to_string()))?;
     let removed: Result<Vec<DomainName>, _> = reply
         .field("removed")
         .and_then(Value::as_list)?

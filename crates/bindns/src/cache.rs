@@ -20,6 +20,7 @@ use intern::NameId;
 use simnet::obs::MetricsRegistry;
 use simnet::time::{SimDuration, SimTime};
 use simnet::ttl::{Probe, TtlMap};
+use simnet::world::World;
 
 use crate::name::DomainName;
 use crate::rr::{RType, ResourceRecord};
@@ -51,11 +52,29 @@ impl TtlCache {
         Self::default()
     }
 
-    /// The key for a probe. Probes never intern: a name the interner has
-    /// not seen cannot be cached, and interning it would pin one string
-    /// per distinct absent name for the life of the process.
-    fn probe_key(name: &DomainName, rtype: RType) -> Option<(NameId, RType)> {
-        Some((intern::global().get(name.as_str())?, rtype))
+    /// Creates an empty cache that publishes its statistics under
+    /// `component` on every [`World::export_all_caches`] (sampler ticks,
+    /// end-of-run snapshots). The exporter holds a `Weak`, so a dropped
+    /// cache goes inert; with several caches of one component on one
+    /// world the last-registered live one wins, matching the
+    /// last-writer-wins semantics of `set_counter` exports.
+    pub fn exported(world: &World, component: &'static str) -> Arc<Self> {
+        let cache = Arc::new(TtlCache::new());
+        let weak = Arc::downgrade(&cache);
+        world.register_cache_exporter(Box::new(move |metrics| {
+            if let Some(cache) = weak.upgrade() {
+                cache.export_metrics(metrics, component);
+            }
+        }));
+        cache
+    }
+
+    /// The key for a probe of `name`, canonical dotted text. Probes never
+    /// intern: a name the interner has not seen cannot be cached, and
+    /// interning it would pin one string per distinct absent name for the
+    /// life of the process.
+    fn probe_key(name: &str, rtype: RType) -> Option<(NameId, RType)> {
+        Some((intern::global().get(name)?, rtype))
     }
 
     /// Looks up live records for (`name`, `rtype`) at virtual time `now`.
@@ -71,6 +90,18 @@ impl TtlCache {
         name: &DomainName,
         rtype: RType,
     ) -> Option<Arc<[ResourceRecord]>> {
+        self.get_text(now, name.as_str(), rtype)
+    }
+
+    /// [`TtlCache::get`] for a name held as canonical text — a suffix
+    /// borrowed from a [`DomainName`] is one, so probing a name's
+    /// ancestors builds no `DomainName`.
+    pub(crate) fn get_text(
+        &self,
+        now: SimTime,
+        name: &str,
+        rtype: RType,
+    ) -> Option<Arc<[ResourceRecord]>> {
         let Some(key) = Self::probe_key(name, rtype) else {
             self.map.count_absent();
             return None;
@@ -78,6 +109,14 @@ impl TtlCache {
         match self.map.probe(now, &key, Arc::clone) {
             Probe::Live { value, .. } => Some(value),
             Probe::Expired | Probe::Absent => None,
+        }
+    }
+
+    /// Drops the entry a [`TtlCache::get_text`] hit just handed out and
+    /// the caller found unusable, refiling that hit as a miss.
+    pub(crate) fn discard(&self, name: &str, rtype: RType) {
+        if let Some(key) = Self::probe_key(name, rtype) {
+            self.map.discard(&key);
         }
     }
 
@@ -92,7 +131,7 @@ impl TtlCache {
         name: &DomainName,
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
-        let key = Self::probe_key(name, rtype)?;
+        let key = Self::probe_key(name.as_str(), rtype)?;
         self.map
             .probe_stale(now, &key, |records| Some(Arc::clone(records)))
     }

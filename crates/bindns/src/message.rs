@@ -144,11 +144,9 @@ impl Answer {
             .field("answers")
             .and_then(Value::as_list)
             .map_err(|e| NsError::BadRecord(e.to_string()))?;
-        let records: NsResult<Vec<ResourceRecord>> =
-            list.iter().map(ResourceRecord::from_value).collect();
         Ok(Answer {
             rcode,
-            records: records?,
+            records: ResourceRecord::list_from_values(list)?,
         })
     }
 

@@ -40,19 +40,7 @@ pub struct StdResolver {
 impl StdResolver {
     /// Creates a resolver on `host` pointed at a server's native binding.
     pub fn new(net: Arc<RpcNet>, host: HostId, server: HrpcBinding) -> Self {
-        let cache = Arc::new(TtlCache::new());
-        // Flush this cache's stats on every `World::export_all_caches`
-        // (sampler ticks, end-of-run snapshots). The `Weak` capture
-        // leaves dropped resolvers inert; with several resolvers on one
-        // world the last-registered live one wins, matching the
-        // last-writer-wins semantics of `set_counter` exports.
-        let weak = Arc::downgrade(&cache);
-        net.world()
-            .register_cache_exporter(Box::new(move |metrics| {
-                if let Some(cache) = weak.upgrade() {
-                    cache.export_metrics(metrics, "bindns_cache");
-                }
-            }));
+        let cache = TtlCache::exported(net.world(), "bindns_cache");
         StdResolver {
             net,
             host,

@@ -277,10 +277,34 @@ impl ResourceRecord {
 
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<ResourceRecord> {
+        Self::decode(v, None)
+    }
+
+    /// Deserializes a list of records, as lookup and transfer replies
+    /// carry them. Records of one owner arrive together, so an owner
+    /// whose text equals the previous record's name shares that name
+    /// instead of being validated and allocated again — equal canonical
+    /// text parses to an equal name.
+    pub fn list_from_values(list: &[Value]) -> NsResult<Vec<ResourceRecord>> {
+        let mut records: Vec<ResourceRecord> = Vec::with_capacity(list.len());
+        for v in list {
+            let rr = Self::decode(v, records.last())?;
+            records.push(rr);
+        }
+        Ok(records)
+    }
+
+    /// The one per-record decoder; `previous` is the record decoded just
+    /// before this one of the same list, if any.
+    fn decode(v: &Value, previous: Option<&ResourceRecord>) -> NsResult<ResourceRecord> {
         fn get<T>(r: Result<T, wire::WireError>) -> NsResult<T> {
             r.map_err(|e| NsError::BadRecord(e.to_string()))
         }
-        let name = DomainName::parse(get(v.str_field("name"))?)?;
+        let owner = get(v.str_field("name"))?;
+        let name = match previous {
+            Some(p) if p.name.as_str() == owner => p.name.clone(),
+            _ => DomainName::parse(owner)?,
+        };
         let rtype = RType::from_code(get(v.u32_field("rtype"))? as u16)?;
         let ttl = get(v.u32_field("ttl"))?;
         let rdata_bytes = get(get(v.field("rdata"))?.as_bytes())?;
@@ -367,6 +391,39 @@ mod tests {
         let rr = ResourceRecord::unspec(name("hns-meta.hns"), 600, b"ns=BIND".to_vec());
         let v = rr.to_value().expect("to value");
         assert_eq!(ResourceRecord::from_value(&v).expect("from value"), rr);
+    }
+
+    #[test]
+    fn list_decode_equals_record_by_record_decode() {
+        // Runs of one owner, a change of owner and back, and an owner
+        // spelt non-canonically after its canonical twin.
+        let owners = ["a.edu", "a.edu", "b.edu", "a.edu", "A.EDU.", ".", "."];
+        let list: Vec<Value> = owners
+            .iter()
+            .enumerate()
+            .map(|(i, owner)| {
+                let rr = ResourceRecord::txt(name("x.y"), 60, format!("t{i}"));
+                let Value::Struct(mut fields) = rr.to_value().expect("to value") else {
+                    panic!("records marshal as structs");
+                };
+                fields[0].1 = Value::str(*owner);
+                Value::Struct(fields)
+            })
+            .collect();
+        let one_by_one: Vec<ResourceRecord> = list
+            .iter()
+            .map(|v| ResourceRecord::from_value(v).expect("decode"))
+            .collect();
+        assert_eq!(
+            ResourceRecord::list_from_values(&list).expect("decode"),
+            one_by_one
+        );
+        assert_eq!(one_by_one[4].name, name("a.edu"));
+        assert!(one_by_one[6].name.is_root());
+
+        let mut bad = list;
+        bad[3] = Value::U32(7);
+        assert!(ResourceRecord::list_from_values(&bad).is_err());
     }
 
     #[test]

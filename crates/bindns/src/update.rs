@@ -111,12 +111,10 @@ impl UpdateOp {
             }),
             2 => {
                 let list = v.field("records").and_then(Value::as_list).map_err(bad)?;
-                let records: NsResult<Vec<ResourceRecord>> =
-                    list.iter().map(ResourceRecord::from_value).collect();
                 Ok(UpdateOp::Replace {
                     name: DomainName::parse(v.str_field("name").map_err(bad)?)?,
                     rtype: RType::from_code(v.u32_field("rtype").map_err(bad)? as u16)?,
-                    records: records?,
+                    records: ResourceRecord::list_from_values(list)?,
                 })
             }
             other => Err(NsError::BadRecord(format!("unknown update op {other}"))),

@@ -5,7 +5,8 @@
 //! cost is the allocator. This pins how much one `FindNSM` and one
 //! `Import` request from it, on the paper's testbed with the binding NSMs
 //! on a remote host (the set-up of the benchmark's `hns-core.find_nsm.*`
-//! probes), so the diet cannot silently regress. Print the table with
+//! probes), and what decoding a reply's record list costs, so the diet
+//! cannot silently regress. Print the table with
 //!
 //! ```text
 //! cargo test --release -p conformance --test alloc_budget -- --nocapture
@@ -13,6 +14,8 @@
 
 use std::sync::Arc;
 
+use bindns::message::Answer;
+use bindns::{DomainName, ResourceRecord};
 use conformance::alloc::{measure_calls, CountingAlloc};
 use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
@@ -21,13 +24,15 @@ use hns_core::query::QueryClass;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND};
 use nsms::import::Importer;
 use nsms::nsm_cache::NsmCacheForm;
+use simnet::topology::{HostId, NetAddr};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Cold sequential `FindNSM`: every cache off, six remote mappings.
-/// Measured 11,645 B in 142 allocations (23,946 B in 585 before names
-/// became shared strings and struct field names static).
+/// Measured 10,229 B in 136 allocations (11,645 B in 142 while every
+/// record of a reply parsed its owner name anew; 23,946 B in 585 before
+/// names became shared strings and struct field names static).
 const COLD_FIND_NSM_MAX_BYTES: u64 = 12_500;
 /// Warm `Import`: a composed-cache `FindNSM` plus one remote NSM call.
 /// Measured 1,040 B in 11 allocations (1,721 B in 37 before the same
@@ -43,6 +48,11 @@ const WARM_WALK_MAX_ALLOCATIONS: u64 = 22;
 /// 3 allocations, all mapping 1's: its meta key (two) and the name
 /// service parsed out of the context record.
 const WARM_REWALK_MAX_ALLOCATIONS: u64 = 3;
+
+/// Decoding a six-record answer of one owner. Measured 376 B in 2
+/// allocations: the record vector, and the owner name — parsed once and
+/// shared by all six records.
+const ANSWER_DECODE_ALLOCATIONS: u64 = 2;
 
 /// Prints one row and returns `(bytes, allocations)`.
 fn row<R>(what: &str, f: impl FnOnce() -> R) -> (u64, u64) {
@@ -137,5 +147,21 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     assert!(
         cold_walk <= COLD_FIND_NSM_MAX_BYTES,
         "cold FindNSM allocated {cold_walk} B, budget {COLD_FIND_NSM_MAX_BYTES}"
+    );
+
+    let owner = DomainName::parse("fiji.cs.washington.edu").expect("name");
+    let six = Answer::ok(
+        (0..6)
+            .map(|i| ResourceRecord::a(owner.clone(), 3600, NetAddr::of(HostId(i))))
+            .collect(),
+    )
+    .to_value()
+    .expect("marshals");
+    let (_, decode) = row("6-record answer decode", || {
+        Answer::from_value(&six).expect("decodes")
+    });
+    assert_eq!(
+        decode, ANSWER_DECODE_ALLOCATIONS,
+        "a record of the same owner as the one before it must share its name"
     );
 }

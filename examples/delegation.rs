@@ -6,7 +6,8 @@
 //! recursive resolver chases them. This example builds a three-level tree
 //! (`edu` → `washington.edu` → `cs.washington.edu`), resolves a leaf name
 //! from the root, and shows the referral chain plus the effect of the
-//! resolver's TTL cache.
+//! resolver's two TTL caches: the answer comes back free the second time,
+//! and a sibling name starts at the zone cut the first walk learnt.
 //!
 //! ```text
 //! cargo run --example delegation
@@ -78,13 +79,11 @@ fn main() {
 
     // cs.washington.edu: the authoritative leaf data.
     let mut cs_zone = Zone::new(name("cs.washington.edu"), 86_400);
-    cs_zone
-        .add(ResourceRecord::a(
-            name("fiji.cs.washington.edu"),
-            3600,
-            NetAddr::of(fiji),
-        ))
-        .expect("leaf");
+    for leaf in ["fiji.cs.washington.edu", "june.cs.washington.edu"] {
+        cs_zone
+            .add(ResourceRecord::a(name(leaf), 3600, NetAddr::of(fiji)))
+            .expect("leaf");
+    }
     deploy(&net, cs_host, single_zone_server("cs", cs_zone, false));
 
     // Resolve from the root, with tracing on so the referral chain shows.
@@ -116,4 +115,16 @@ fn main() {
         counters.remote_calls
     );
     assert_eq!(counters.remote_calls, 0);
+
+    // A sibling is a miss there, but the walk need not start over: the
+    // referrals were kept, and cs.washington.edu's names its server.
+    let sibling = name("june.cs.washington.edu");
+    let (r, took, counters) = world.measure(|| resolver.query(&sibling, RType::A));
+    r.expect("resolved");
+    println!(
+        "sibling {sibling}: {:.1} ms, {} remote query (zone cut served from cache)",
+        took.as_ms_f64(),
+        counters.remote_calls
+    );
+    assert_eq!(counters.remote_calls, 1);
 }

@@ -244,12 +244,14 @@ fn tracing_disabled_records_nothing() {
 }
 
 /// The cache slice of "the catalogue cannot drift": a scenario touching
-/// all four TTL caches — a serve-stale from each cache that has one, under
-/// a `FaultPlan` — must leave exactly the `(component, counter)` names in
+/// every TTL cache — the four of the HNS stack and the recursive
+/// resolver's two; a serve-stale from each cache that has one, under a
+/// `FaultPlan` — must leave exactly the `(component, counter)` names in
 /// the registry that the Caches table of OBSERVABILITY.md lists.
 #[test]
 fn cache_counter_catalogue_matches_what_the_caches_emit() {
     use hns_repro::bindns::name::DomainName;
+    use hns_repro::bindns::recursive::RecursiveResolver;
     use hns_repro::bindns::rr::RType;
     use hns_repro::hns_core::colocation::HnsHandle;
     use hns_repro::nsms::harness::{DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
@@ -257,11 +259,13 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
     use hns_repro::simnet::faults::FaultPlan;
     use std::collections::BTreeSet;
 
-    const COMPONENTS: [&str; 4] = [
+    const COMPONENTS: [&str; 6] = [
         "hns_cache",
         "hns_binding_cache",
         "nsm_cache",
         "bindns_cache",
+        "bindns_recursive_cache",
+        "bindns_cut_cache",
     ];
 
     let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
@@ -282,6 +286,14 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
     imp.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)
         .expect("warm Import");
     let records = resolver.query(&host, RType::A).expect("resolver warm-up");
+    // The testbed's public BIND is a one-server tree: the recursive
+    // resolver's answer is cached, its cut probes all miss.
+    let recursive = RecursiveResolver::new(
+        Arc::clone(&tb.net),
+        tb.hosts.client,
+        tb.public_bind.std_binding,
+    );
+    recursive.query(&host, RType::A).expect("recursive query");
     let record_ttl = records.iter().map(|r| r.ttl).max().expect("records");
 
     // Let everything expire, take both BINDs down, and ask again: the HNS
