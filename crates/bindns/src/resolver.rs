@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use simnet::obs::{LazyCounter, LazyHistogram, MetricsRegistry};
+use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::HostId;
 use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::world::World;
@@ -136,12 +136,6 @@ impl StdResolver {
     /// Cache statistics.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.stats()
-    }
-
-    /// Publishes the TTL cache's statistics into `metrics` under
-    /// `component`.
-    pub fn export_cache_metrics(&self, metrics: &MetricsRegistry, component: &str) {
-        self.cache.export_metrics(metrics, component);
     }
 
     /// Clears the cache.

@@ -5,12 +5,16 @@
 use bindns::axfr::{read_serial, transfer_zone_incremental, IxfrContents};
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
-use bindns::rr::ResourceRecord;
+use bindns::rr::{RType, ResourceRecord};
 use bindns::update::UpdateOp;
 use bindns::zone::DELTA_LOG_CAP;
 use hns_core::cache::CacheMode;
+use hns_core::name::{Context, HnsName, NameMapping};
+use hns_core::query::QueryClass;
 use hns_core::service::PreloadMode;
-use nsms::harness::Testbed;
+use hns_core::HnsError;
+use nsms::harness::{Testbed, NS_BIND};
+use nsms::nsm_cache::NsmCacheForm;
 use std::sync::Arc;
 
 fn dn(s: &str) -> DomainName {
@@ -34,7 +38,8 @@ fn churn(resolver: &HrpcResolver, tag: &str, n: usize) {
 /// The preload mode ladder: first preload is a full transfer, an
 /// immediate repeat is `Unchanged` (same serial, zero bytes), a small
 /// churn yields `Incremental`, and churning past the delta-log cap
-/// falls back to `Full` — each mode reported exactly.
+/// falls back to `Full` — each mode reported exactly; and a deletion
+/// shipped incrementally takes the preloaded entry with it.
 #[test]
 fn preload_reports_the_right_mode_at_each_edge() {
     let tb = Testbed::build();
@@ -80,6 +85,31 @@ fn preload_reports_the_right_mode_at_each_edge() {
         fallback.bytes >= first.bytes,
         "the whole (grown) zone rode back"
     );
+
+    // A deletion rides an incremental transfer as a removed name: the
+    // preloaded instance must stop answering from it — from the record
+    // set and from a binding composed over it — as a cold instance
+    // would, rather than keep either until its TTL lapses.
+    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    hns.set_binding_cache(true);
+    let doomed = Context::new("doomed").expect("context");
+    let name = HnsName::new(doomed.clone(), "fiji.cs.washington.edu").expect("name");
+    let qc = QueryClass::hrpc_binding();
+    hns.register_context(&doomed, NS_BIND, &NameMapping::Identity)
+        .expect("register");
+    hns.preload().expect("preload with the context");
+    assert!(hns.find_nsm(&qc, &name).is_ok());
+    resolver
+        .update(&UpdateOp::Delete {
+            name: dn("ctx.doomed.hns"),
+            rtype: RType::Unspec,
+        })
+        .expect("delete the context record");
+    let after = hns.preload().expect("preload after the deletion");
+    assert_eq!(after.mode, PreloadMode::Incremental);
+    let (result, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    assert_eq!(result, Err(HnsError::NoSuchContext("doomed".into())));
+    assert_eq!(delta.remote_calls, 0, "answered from the preloaded absence");
 }
 
 /// Wire-level pinning of the truncation boundary: with the log full,

@@ -8,11 +8,13 @@
 //!
 //! [`MetaChaser`] is installed on the meta [`bindns::server::BindServer`]
 //! as its [`AdditionalProvider`]: when an `MQUERY` for a context record
-//! succeeds, the chaser follows mappings 2–5 for every query class named
-//! in the request's hints and piggybacks the record sets on the reply.
-//! The client ([`crate::service::Hns`]) stashes them, collapsing the cold
-//! path from six round trips to at most two (the batch itself plus the
-//! final host-address lookup against public BIND).
+//! succeeds, the chaser runs the client's own chain (`meta::chase`,
+//! mappings 2–5) against the zone database for every query class named
+//! in the request's hints and piggybacks each record set it read on the
+//! reply — the keys the server attaches are the keys the client asks
+//! for. The client ([`crate::service::Hns`]) stashes them, collapsing
+//! the cold path from six round trips to at most two (the batch itself
+//! plus the final host-address lookup against public BIND).
 //!
 //! Chasing is best-effort: a broken link just stops the chase for that
 //! hint, and the client falls back to fetching the missing mappings
@@ -26,14 +28,13 @@ use bindns::name::DomainName;
 use bindns::rr::{RType, ResourceRecord};
 use bindns::server::AdditionalProvider;
 use bindns::ZoneDb;
+use hrpc::RpcError;
 
-use crate::meta::{
-    context_key_at, nsm_info_key_at, nsm_name_key_at, records_to_fetched, MetaStore,
-};
-use crate::nsm::NsmInfo;
-use crate::query::QueryClass;
+use crate::error::HnsError;
+use crate::meta::{chase, records_to_fetched, Got, MetaStore};
 
 /// Chases meta mappings 2–5 inside the meta server's own zone database.
+#[derive(Debug)]
 pub struct MetaChaser {
     origin: DomainName,
 }
@@ -44,17 +45,6 @@ impl MetaChaser {
     /// [`bindns::server::BindServer::set_additional_provider`].
     pub fn new(origin: DomainName) -> Arc<Self> {
         Arc::new(MetaChaser { origin })
-    }
-
-    /// Decodes a meta record set's payload strings, or `None` if the set
-    /// is malformed (which ends the chase for that link).
-    fn payloads(records: &[ResourceRecord]) -> Option<Vec<String>> {
-        records_to_fetched(records).ok().map(|f| f.value)
-    }
-
-    /// Looks up one meta key in the zone database, returning its records.
-    fn fetch(db: &ZoneDb, key: &DomainName) -> Option<Vec<ResourceRecord>> {
-        db.lookup(key, RType::Unspec).ok()
     }
 }
 
@@ -67,104 +57,41 @@ impl AdditionalProvider for MetaChaser {
         hints: &[String],
     ) -> Vec<(DomainName, Vec<ResourceRecord>)> {
         let mut out: Vec<(DomainName, Vec<ResourceRecord>)> = Vec::new();
-        let mut seen: HashSet<DomainName> = HashSet::new();
-        seen.insert(question.name.clone());
-
         // The primary answer must be a context record; its payload names
         // the name service that anchors every chased mapping.
-        let Some(payloads) = Self::payloads(answer) else {
+        let Ok(ctx_info) =
+            records_to_fetched(answer).and_then(|set| MetaStore::parse_context(&set.value))
+        else {
             return out;
         };
-        let Ok(ctx_info) = MetaStore::parse_context(&payloads) else {
-            return out;
-        };
-
-        let push = |out: &mut Vec<(DomainName, Vec<ResourceRecord>)>,
-                    seen: &mut HashSet<DomainName>,
-                    key: DomainName,
-                    records: Vec<ResourceRecord>| {
-            if seen.insert(key.clone()) {
-                out.push((key, records));
-            }
-        };
-
+        // A set rides back once, however many hints (or mapping 4, for an
+        // NSM hosted in the queried context) lead to it.
+        let mut seen = HashSet::from([question.name.clone()]);
         for hint in hints {
-            // Mapping 2: (name service, query class) → NSM name.
-            let Ok(k2) = nsm_name_key_at(&self.origin, &ctx_info.name_service, hint) else {
-                continue;
-            };
-            let Some(r2) = Self::fetch(db, &k2) else {
-                continue;
-            };
-            let Some(p2) = Self::payloads(&r2) else {
-                continue;
-            };
-            let Ok(nsm_name) = MetaStore::parse_nsm_name(&p2) else {
-                continue;
-            };
-            push(&mut out, &mut seen, k2, r2);
-
-            // Mapping 3: NSM name → binding information (six records).
-            let Ok(k3) = nsm_info_key_at(&self.origin, &nsm_name) else {
-                continue;
-            };
-            let Some(r3) = Self::fetch(db, &k3) else {
-                continue;
-            };
-            let Some(p3) = Self::payloads(&r3) else {
-                continue;
-            };
-            let Ok(info) = NsmInfo::from_records(&nsm_name, &p3) else {
-                continue;
-            };
-            push(&mut out, &mut seen, k3, r3);
-
-            // Mapping 4: the NSM host's context → its name service.
-            let Ok(k4) = context_key_at(&self.origin, info.host_context.as_str()) else {
-                continue;
-            };
-            let Some(r4) = Self::fetch(db, &k4) else {
-                continue;
-            };
-            let Some(p4) = Self::payloads(&r4) else {
-                continue;
-            };
-            let Ok(host_ctx) = MetaStore::parse_context(&p4) else {
-                continue;
-            };
-            push(&mut out, &mut seen, k4, r4);
-
-            // Mapping 5: (host's NS, hostaddress) → host-address NSM name.
-            let Ok(k5) = nsm_name_key_at(
-                &self.origin,
-                &host_ctx.name_service,
-                QueryClass::host_address().as_str(),
-            ) else {
-                continue;
-            };
-            let Some(r5) = Self::fetch(db, &k5) else {
-                continue;
-            };
-            push(&mut out, &mut seen, k5, r5);
+            // A broken link ends this hint's chase; what was read up to
+            // it has been attached.
+            let _ = chase(&self.origin, &ctx_info.name_service, hint, &mut |_, key| {
+                let records = db
+                    .lookup(key, RType::Unspec)
+                    .map_err(|e| HnsError::Rpc(RpcError::NotFound(e.to_string())))?;
+                let set = records_to_fetched(&records)?;
+                if seen.insert(key.clone()) {
+                    out.push((key.clone(), records));
+                }
+                Ok((Got::Fetched(set.value), set.ttl_secs))
+            });
         }
         out
-    }
-}
-
-impl std::fmt::Debug for MetaChaser {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetaChaser")
-            .field("origin", &self.origin.as_str())
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::{MetaStore, META_TTL};
+    use crate::meta::{MetaStore, Step, META_TTL};
     use crate::name::{Context, NameMapping};
-    use crate::nsm::SuiteTag;
+    use crate::nsm::{NsmInfo, SuiteTag};
+    use crate::query::QueryClass;
     use bindns::server::{deploy, single_zone_server, BindDeployment};
     use bindns::zone::Zone;
     use hrpc::net::RpcNet;
@@ -216,7 +143,7 @@ mod tests {
     #[test]
     fn chaser_attaches_mappings_two_through_five() {
         let (world, meta, _dep) = setup();
-        let key = meta.context_key(&ctx("bind-uw")).expect("key");
+        let key = Step::Context(&ctx("bind-uw")).key(&origin()).expect("key");
         let (result, _, delta) =
             world.measure(|| meta.fetch_batch(&key, &["hrpcbinding".to_string()]));
         let batch = result.expect("batch");
@@ -257,7 +184,7 @@ mod tests {
             owner: "hcs".into(),
         })
         .expect("info");
-        let key = meta.context_key(&ctx("bind-uw")).expect("key");
+        let key = Step::Context(&ctx("bind-uw")).key(&origin()).expect("key");
         let batch = world
             .measure(|| meta.fetch_batch(&key, &["hrpcbinding".to_string()]))
             .0
@@ -276,7 +203,7 @@ mod tests {
     fn broken_chain_degrades_to_partial_batch() {
         let (world, meta, _dep) = setup();
         // Unknown query class: mapping 2 fails immediately, nothing chased.
-        let key = meta.context_key(&ctx("bind-uw")).expect("key");
+        let key = Step::Context(&ctx("bind-uw")).key(&origin()).expect("key");
         let batch = world
             .measure(|| meta.fetch_batch(&key, &["mailboxlocation".to_string()]))
             .0

@@ -14,32 +14,37 @@
 //! query class. "Further recursion is avoided by linking instances of the
 //! NSMs that perform this mapping directly with the HNS, so that their
 //! network addresses need not be found." On a cold cache this costs six
-//! remote data mappings; each is individually cached.
+//! remote data mappings, each individually cached by the one
+//! `cached_fetch`; the chain over the five in the meta zone is
+//! [`crate::meta`]'s, run here against overlay, cache and meta server.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use simnet::obs::{LazyCounter, LazyHistogram};
+use simnet::obs::{LazyCounter, LazyHistogram, MetricsRegistry};
+use simnet::time::SimDuration;
 use simnet::topology::{HostId, NetAddr};
-use simnet::trace::TraceKind;
+use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::ttl::Probe;
 use simnet::world::World;
 
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
+use bindns::rr::{RData, ResourceRecord};
 use hrpc::net::RpcNet;
 use hrpc::{HrpcBinding, RpcError};
 use wire::Value;
 
-use simnet::time::SimDuration;
-use simnet::trace::CacheOutcome;
-
 use crate::binding_cache::{BindingCache, BindingCacheStats};
 use crate::cache::{CacheMode, HnsCache, HnsCacheStats, LookupOrFetch, MetaKey};
 use crate::error::{HnsError, HnsResult};
-use crate::meta::{ContextInfo, Fetched, MetaStore};
+use crate::meta::{
+    self, records_to_fetched, Cacheable, Chased, Fetch, Fetched, Got, MetaStore, Payloads, Step,
+};
 use crate::name::{Context, HnsName, NameMapping};
 use crate::nsm::{Nsm, NsmInfo};
 use crate::query::QueryClass;
@@ -58,9 +63,6 @@ pub struct Hns {
     /// Composed `FindNSM` results (off by default; see
     /// [`crate::binding_cache`]).
     binding_cache: Arc<BindingCache>,
-    /// The query class of mapping 5, built once: a `QueryClass` owns a
-    /// lowercased copy of its name.
-    host_address_qc: QueryClass,
     /// Linked NSM registry. Read-mostly: linking happens at deployment,
     /// mapping 6 reads on every cold walk. Readers take an `Arc`
     /// snapshot; writers rebuild and swap.
@@ -99,31 +101,10 @@ struct HnsMetricHandles {
 /// when the `MQUERY` reply was decoded.
 type BatchOverlay = HashMap<DomainName, Fetched<Vec<String>>>;
 
-/// The payload strings of one meta record set as the walk reads them: a
-/// cache hit lends the cached list itself, so the parsers read it in
-/// place; a fetch (or the overlay) owns what it decoded.
-enum Payloads {
-    /// A cached list of strings, its shape checked by [`Payloads::cached`].
-    Cached(Arc<Value>),
-    Owned(Vec<String>),
-}
-
-impl Payloads {
-    /// Wraps a cached value, refusing anything but a list of strings.
-    fn cached(value: Arc<Value>) -> HnsResult<Payloads> {
-        for payload in value.as_list()? {
-            payload.as_str()?;
-        }
-        Ok(Payloads::Cached(value))
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &str> {
-        let (cached, owned): (&[Value], &[String]) = match self {
-            Payloads::Cached(value) => (value.as_list().unwrap_or_default(), &[]),
-            Payloads::Owned(payloads) => (&[], payloads),
-        };
-        let cached = cached.iter().filter_map(|payload| payload.as_str().ok());
-        cached.chain(owned.iter().map(String::as_str))
+/// Mapping 6: the linked NSM's reply is cached as it came.
+impl Cacheable for Value {
+    fn to_cached(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -192,22 +173,14 @@ impl Hns {
         // Snapshot-time stats flush through `World::export_all_caches`:
         // `Weak` captures keep dropped instances (e.g. the short-lived
         // registrar HNSes the harness builds) from re-publishing stale
-        // totals, and disabled caches stay silent so a Disabled
-        // instance sharing the world never clobbers a live one's rows
-        // with zeros.
+        // totals.
         let weak_cache = Arc::downgrade(&cache);
         let weak_binding = Arc::downgrade(&binding_cache);
         net.world()
             .register_cache_exporter(Box::new(move |metrics| {
-                if let Some(cache) = weak_cache.upgrade() {
-                    if cache.mode() != CacheMode::Disabled {
-                        cache.export_metrics(metrics, "hns_cache");
-                    }
-                }
-                if let Some(binding_cache) = weak_binding.upgrade() {
-                    if binding_cache.enabled() {
-                        binding_cache.export_metrics(metrics, "hns_binding_cache");
-                    }
+                if let (Some(cache), Some(binding)) = (weak_cache.upgrade(), weak_binding.upgrade())
+                {
+                    export_caches(&cache, &binding, metrics);
                 }
             }));
         Hns {
@@ -217,7 +190,6 @@ impl Hns {
             meta_binding,
             cache,
             binding_cache,
-            host_address_qc: QueryClass::host_address(),
             linked_nsms: RwLock::new(Arc::new(HashMap::new())),
             batching: AtomicBool::new(false),
             handles: HnsMetricHandles::default(),
@@ -307,11 +279,6 @@ impl Hns {
         self.binding_cache.set_enabled(enabled);
     }
 
-    /// Whether the composed binding cache is enabled.
-    pub fn binding_cache_enabled(&self) -> bool {
-        self.binding_cache.enabled()
-    }
-
     /// Composed binding-cache statistics of the (query class, context)
     /// level.
     pub fn binding_cache_stats(&self) -> BindingCacheStats {
@@ -331,202 +298,133 @@ impl Hns {
         self.binding_cache.clear();
     }
 
-    /// One cached meta fetch: the payload strings at `key` and their
-    /// remaining TTL in seconds (0 when served stale).
-    ///
-    /// The overlay (record sets piggybacked by the current batched fetch)
-    /// is consulted first, then the cache; a miss enters the singleflight
-    /// gate, so of several threads missing on the same key only one
-    /// performs the remote fetch. A `NotFound` from the meta store is
-    /// remembered as a negative entry.
-    fn cached_fetch_with(
+    /// One cached fetch, the same for all six mappings: probe `key`; on a
+    /// miss enter the singleflight gate (one fetch per key at a time), run
+    /// `fetch` and cache what it returns. Comes back with the value and
+    /// its remaining TTL in seconds — 0 when served stale, so a composed
+    /// entry over it is uncacheable. What differs between the meta zone
+    /// and a linked NSM is passed in: `fetch`, whether its `NotFound` is
+    /// `remembered` (negatively), and its `label` in the serve-stale trace.
+    fn cached_fetch<T: Cacheable>(
+        &self,
+        key: MetaKey,
+        (label, name): (&str, &dyn Display),
+        remembered: bool,
+        fetch: impl FnOnce() -> HnsResult<Fetched<T>>,
+    ) -> HnsResult<(Got<T>, u32)> {
+        // `lookup_or_fetch` loops through coalesced waits internally and
+        // annotates the current span with the cache outcome.
+        match self.cache.lookup_or_fetch(self.world(), &key) {
+            LookupOrFetch::Hit {
+                value,
+                remaining_ttl_secs,
+            } => Ok((Got::Cached(value), remaining_ttl_secs)),
+            LookupOrFetch::NegativeHit => Err(HnsError::Rpc(RpcError::NotFound(name.to_string()))),
+            LookupOrFetch::Lead(_guard) => {
+                let fetched = match fetch() {
+                    Ok(fetched) => fetched,
+                    Err(HnsError::Rpc(err)) if err.is_unreachable() => {
+                        // Serve-stale (paper §4): the server is down or
+                        // cut off, but an expired entry may still be in
+                        // the cache — meta-naming data changes slowly and
+                        // an old host address still names the right host
+                        // far more often than not, so stale data beats no
+                        // data. The entry stays expired; the next walk
+                        // retries the fetch and a success overwrites it.
+                        let world = self.world();
+                        let Some(stale) = self.cache.lookup_stale(world, &key) else {
+                            return Err(HnsError::Rpc(err));
+                        };
+                        self.stale_serves.fetch_add(1, Ordering::Relaxed);
+                        world.cache_outcome(CacheOutcome::Stale);
+                        self.handles
+                            .stale_served
+                            .get(world.metrics(), "faults", "stale_served")
+                            .inc();
+                        world.trace(Some(self.host), TraceKind::Hns, || {
+                            format!("stale_served: {label} {name} ({err})")
+                        });
+                        return Ok((Got::Cached(stale), 0));
+                    }
+                    Err(err) => {
+                        if remembered && matches!(err, HnsError::Rpc(RpcError::NotFound(_))) {
+                            self.cache.insert_negative(self.world(), key);
+                        }
+                        return Err(err);
+                    }
+                };
+                self.remember(key, &fetched);
+                Ok((Got::Fetched(fetched.value), fetched.ttl_secs))
+            }
+        }
+    }
+
+    /// Caches one fetched value. A disabled cache stores nothing, so the
+    /// cached form is not built for it.
+    fn remember<T: Cacheable>(&self, key: MetaKey, fetched: &Fetched<T>) {
+        if self.cache.mode() != CacheMode::Disabled {
+            let value = fetched.value.to_cached();
+            self.cache
+                .insert(self.world(), key, &value, fetched.rrs, fetched.ttl_secs);
+        }
+    }
+
+    /// Mappings 1–5: the record set at `key` in the meta zone. The overlay
+    /// (sets piggybacked by this query's batched fetch) is consulted
+    /// before the cache.
+    fn meta_fetch(
         &self,
         key: &DomainName,
         overlay: Option<&BatchOverlay>,
     ) -> HnsResult<(Payloads, u32)> {
-        self.world().charge_ms(self.world().costs.hns_bookkeeping);
         if let Some(fetched) = overlay.and_then(|o| o.get(key)) {
             self.world().cache_outcome(CacheOutcome::Overlay);
-            return Ok((Payloads::Owned(fetched.value.clone()), fetched.ttl_secs));
+            return Ok((Got::Fetched(fetched.value.clone()), fetched.ttl_secs));
         }
-        let cache_key = MetaKey::meta(key);
-        // `lookup_or_fetch` loops through coalesced waits internally and
-        // annotates the current span with the cache outcome.
-        match self.cache.lookup_or_fetch(self.world(), &cache_key) {
-            LookupOrFetch::Hit {
-                value,
-                remaining_ttl_secs,
-            } => Ok((Payloads::cached(value)?, remaining_ttl_secs)),
-            LookupOrFetch::NegativeHit => Err(HnsError::Rpc(RpcError::NotFound(key.to_string()))),
-            LookupOrFetch::Lead(_guard) => {
-                let fetched = match self.meta.fetch(key) {
-                    Ok(fetched) => fetched,
-                    Err(HnsError::Rpc(RpcError::NotFound(n))) => {
-                        self.cache.insert_negative(self.world(), cache_key);
-                        return Err(HnsError::Rpc(RpcError::NotFound(n)));
-                    }
-                    Err(HnsError::Rpc(err)) if err.is_unreachable() => {
-                        // Serve-stale (paper §4): the meta server is down
-                        // or cut off, but an expired entry may still be
-                        // in the cache — meta-naming data changes slowly,
-                        // so stale data beats no data. The entry stays
-                        // expired; the next walk retries the fetch and a
-                        // success overwrites it.
-                        if let Some(stale) = self.cache.lookup_stale(self.world(), &cache_key) {
-                            self.note_stale_serve(|| format!("meta {key} ({err})"));
-                            return Ok((Payloads::cached(stale)?, 0));
-                        }
-                        return Err(HnsError::Rpc(err));
-                    }
-                    Err(other) => return Err(other),
-                };
-                self.cache_payloads(cache_key, &fetched);
-                Ok((Payloads::Owned(fetched.value), fetched.ttl_secs))
-            }
-        }
-    }
-
-    /// Accounts one serve-stale fallback: bumps the per-instance marker
-    /// counter and the `faults/stale_served` metric, annotates the
-    /// current span with [`CacheOutcome::Stale`], and traces the event
-    /// (label built lazily — this path only runs under faults, but the
-    /// convention keeps tracing free when disabled).
-    fn note_stale_serve(&self, label: impl FnOnce() -> String) {
-        self.stale_serves.fetch_add(1, Ordering::Relaxed);
-        let world = self.world();
-        world.cache_outcome(CacheOutcome::Stale);
-        self.handles
-            .stale_served
-            .get(world.metrics(), "faults", "stale_served")
-            .inc();
-        world.trace(Some(self.host), TraceKind::Hns, || {
-            format!("stale_served: {}", label())
-        });
-    }
-
-    /// Internal mapping helpers return `(parsed, remaining TTL secs)`;
-    /// the walk folds the TTLs into the composed binding cache's
-    /// freshness bound. A serve-stale result reports TTL 0, which keeps
-    /// the composed entry uncacheable.
-    fn context_info_with(
-        &self,
-        context: &Context,
-        overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<(ContextInfo, u32)> {
-        let key = self.meta.context_key(context)?;
-        let (payloads, ttl) = self.cached_fetch_with(&key, overlay).map_err(|e| match e {
-            HnsError::Rpc(RpcError::NotFound(_)) => {
-                HnsError::NoSuchContext(context.as_str().to_string())
-            }
-            other => other,
-        })?;
-        Ok((MetaStore::parse_context(payloads.iter())?, ttl))
-    }
-
-    /// Mapping 1 (or 4): context → name service, through the cache.
-    pub fn context_info(&self, context: &Context) -> HnsResult<ContextInfo> {
-        self.context_info_with(context, None).map(|(info, _)| info)
-    }
-
-    fn nsm_name_with(
-        &self,
-        name_service: &str,
-        qc: &QueryClass,
-        overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<(String, u32)> {
-        let key = self.meta.nsm_name_key(name_service, qc)?;
-        let (payloads, ttl) = self.cached_fetch_with(&key, overlay).map_err(|e| match e {
-            HnsError::Rpc(RpcError::NotFound(_)) => HnsError::NoSuchNsm {
-                name_service: name_service.to_string(),
-                query_class: qc.as_str().to_string(),
-            },
-            other => other,
-        })?;
-        Ok((MetaStore::parse_nsm_name(payloads.iter())?, ttl))
-    }
-
-    /// Mapping 2 (or 5): (name service, query class) → NSM name.
-    pub fn nsm_name(&self, name_service: &str, qc: &QueryClass) -> HnsResult<String> {
-        self.nsm_name_with(name_service, qc, None)
-            .map(|(name, _)| name)
-    }
-
-    fn nsm_info_with(
-        &self,
-        nsm_name: &str,
-        overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<(NsmInfo, u32)> {
-        let key = self.meta.nsm_info_key(nsm_name)?;
-        let (payloads, ttl) = self.cached_fetch_with(&key, overlay)?;
-        Ok((NsmInfo::from_records(nsm_name, payloads.iter())?, ttl))
-    }
-
-    /// Mapping 3 (first half): NSM name → binding information.
-    pub fn nsm_info(&self, nsm_name: &str) -> HnsResult<NsmInfo> {
-        self.nsm_info_with(nsm_name, None).map(|(info, _)| info)
+        let fetch = || self.meta.fetch(key);
+        self.cached_fetch(MetaKey::meta(key), ("meta", key), true, fetch)
     }
 
     /// Mapping 6: NSM host name → address, via the linked host-address NSM
-    /// for the host's name service, through the cache.
-    fn host_address(
-        &self,
-        host_ns: &str,
-        ha_nsm_name: &str,
-        host_name: &str,
-        host_context: &Context,
-    ) -> HnsResult<(HostId, u32)> {
-        self.world().charge_ms(self.world().costs.hns_bookkeeping);
-        let cache_key = MetaKey::host_addr(host_ns, host_name);
-        let _guard = match self.cache.lookup_or_fetch(self.world(), &cache_key) {
-            LookupOrFetch::Hit {
-                value,
-                remaining_ttl_secs,
-            } => {
-                return Ok((
-                    HostId(value.u32_field("host").map_err(HnsError::from)?),
-                    remaining_ttl_secs,
-                ));
-            }
-            // Host-address keys never cache negatives; fetch directly.
-            LookupOrFetch::NegativeHit => None,
-            LookupOrFetch::Lead(guard) => Some(guard),
-        };
-        let linked = Arc::clone(&self.linked_nsms.read())
-            .get(ha_nsm_name)
-            .cloned()
-            .ok_or_else(|| HnsError::NoLinkedHostAddrNsm(host_ns.to_string()))?;
-        let hns_name = HnsName::new(host_context.clone(), host_name)?;
-        let world = self.world();
-        self.handles
-            .linked_calls
-            .get(world.metrics(), "nsm", "linked_calls")
-            .inc();
-        let reply = {
+    /// the chain found for the host's name service.
+    fn host_address(&self, chased: &Chased) -> HnsResult<(HostId, u32)> {
+        let (info, ha_nsm_name) = (&chased.info, &chased.host_addr_nsm);
+        let (host_ns, host_name) = (&chased.host_context.name_service, &info.host_name);
+        let fetch = || {
+            let linked = Arc::clone(&self.linked_nsms.read())
+                .get(ha_nsm_name)
+                .cloned()
+                .ok_or_else(|| HnsError::NoLinkedHostAddrNsm(host_ns.to_string()))?;
+            let hns_name = HnsName::new(info.host_context.clone(), host_name)?;
+            let world = self.world();
+            self.handles
+                .linked_calls
+                .get(world.metrics(), "nsm", "linked_calls")
+                .inc();
             let span = world.span_lazy(Some(self.host), TraceKind::Nsm, || {
                 format!("linked NSM {ha_nsm_name}: {host_name} -> address")
             });
             let reply = linked.handle(&hns_name, &Value::Void);
             drop(span);
-            reply
+            let value = reply?;
+            // Checked here so that a reply without a host is never cached.
+            value.u32_field("host")?;
+            let ttl_secs = value.u32_field("ttl").unwrap_or(crate::meta::META_TTL);
+            Ok(Fetched {
+                value,
+                rrs: 1,
+                ttl_secs,
+            })
         };
-        let reply = match reply {
-            Ok(reply) => reply,
-            Err(err) if err.is_unreachable() => {
-                // Serve-stale for mapping 6: an expired host-address
-                // entry still names the right host far more often than
-                // not (paper §4).
-                if let Some(stale) = self.cache.lookup_stale(self.world(), &cache_key) {
-                    self.note_stale_serve(|| format!("hostaddr {host_name} ({err})"));
-                    return Ok((HostId(stale.u32_field("host").map_err(HnsError::from)?), 0));
-                }
-                return Err(HnsError::Rpc(err));
-            }
-            Err(err) => return Err(HnsError::Rpc(err)),
+        let key = MetaKey::host_addr(host_ns, host_name);
+        // A linked NSM's `NotFound` is one name service's word about one
+        // host, not the meta zone's about a name: it is not remembered.
+        let (got, ttl) = self.cached_fetch(key, ("hostaddr", host_name), false, fetch)?;
+        let reply: &Value = match &got {
+            Got::Cached(reply) => reply,
+            Got::Fetched(reply) => reply,
         };
-        let host = HostId(reply.u32_field("host").map_err(HnsError::from)?);
-        let ttl = reply.u32_field("ttl").unwrap_or(crate::meta::META_TTL);
-        self.cache.insert(self.world(), cache_key, &reply, 1, ttl);
-        Ok((host, ttl))
+        Ok((HostId(reply.u32_field("host")?), ttl))
     }
 
     /// Speculatively fetches the whole meta-mapping chain for (`context`,
@@ -537,7 +435,7 @@ impl Hns {
     /// already live in the cache — a warm walk needs no round trips at
     /// all, so a batch would only add one.
     fn prefetch_meta_batch(&self, context: &Context, qc: &QueryClass) -> HnsResult<BatchOverlay> {
-        let ctx_key = self.meta.context_key(context)?;
+        let ctx_key = Step::Context(context).key(self.meta.origin())?;
         let mut overlay = BatchOverlay::new();
         if self
             .cache
@@ -549,34 +447,17 @@ impl Hns {
         let batch = self
             .meta
             .fetch_batch(&ctx_key, &[qc.as_str().to_string()])?;
-        match batch.primary {
-            Some(fetched) => self.stash(&mut overlay, ctx_key, fetched),
-            None => {
-                self.cache
-                    .insert_negative(self.world(), MetaKey::meta(&ctx_key));
-            }
+        if batch.primary.is_none() {
+            self.cache
+                .insert_negative(self.world(), MetaKey::meta(&ctx_key));
         }
-        for (owner, fetched) in batch.additional {
-            self.stash(&mut overlay, owner, fetched);
+        // Every set the reply carried seeds both the cache and the overlay.
+        let primary = batch.primary.map(|fetched| (ctx_key, fetched));
+        for (key, fetched) in primary.into_iter().chain(batch.additional) {
+            self.remember(MetaKey::meta(&key), &fetched);
+            overlay.insert(key, fetched);
         }
         Ok(overlay)
-    }
-
-    /// Seeds one batched record set into both the cache and the overlay.
-    fn stash(&self, overlay: &mut BatchOverlay, key: DomainName, fetched: Fetched<Vec<String>>) {
-        self.cache_payloads(MetaKey::meta(&key), &fetched);
-        overlay.insert(key, fetched);
-    }
-
-    /// Caches one fetched record set as a list-of-strings value. A
-    /// disabled cache stores nothing, so the value is not built for it.
-    fn cache_payloads(&self, key: MetaKey, fetched: &Fetched<Vec<String>>) {
-        if self.cache.mode() == CacheMode::Disabled {
-            return;
-        }
-        let value = Value::List(fetched.value.iter().map(Value::str).collect());
-        self.cache
-            .insert(self.world(), key, &value, fetched.rrs, fetched.ttl_secs);
     }
 
     /// The primary HNS function: maps a context and query class to an HRPC
@@ -701,12 +582,30 @@ impl Hns {
             .record_ms(metrics, "hns", "find_nsm_us", took.as_ms_f64());
     }
 
-    /// Runs `f` inside a `mapping {idx}` child span and records its
-    /// virtual latency in the `hns_meta/mapping{idx}_us` histogram.
+    /// Runs `f` inside a child span named `label` and records its virtual
+    /// latency in the `hns_meta/{name}` histogram behind `handle`.
+    fn timed<T>(
+        &self,
+        (handle, name): (&LazyHistogram, &str),
+        label: impl Display,
+        f: impl FnOnce() -> HnsResult<T>,
+    ) -> HnsResult<T> {
+        let world = self.world();
+        let span = world.span_lazy(Some(self.host), TraceKind::Hns, || label.to_string());
+        let t0 = world.now();
+        let result = f();
+        let took_ms = world.now().since(t0).as_ms_f64();
+        drop(span);
+        handle.record_ms(world.metrics(), "hns_meta", name, took_ms);
+        result
+    }
+
+    /// Runs `f` as mapping `idx`: timed under `mapping {idx}: {label}`,
+    /// after the bookkeeping every mapping is charged.
     fn with_mapping<T>(
         &self,
         idx: usize,
-        label: impl FnOnce() -> String,
+        label: impl Display,
         f: impl FnOnce() -> HnsResult<T>,
     ) -> HnsResult<T> {
         const HIST: [&str; 6] = [
@@ -717,31 +616,24 @@ impl Hns {
             "mapping5_us",
             "mapping6_us",
         ];
-        let world = self.world();
-        let span = world.span_lazy(Some(self.host), TraceKind::Hns, || {
-            format!("mapping {idx}: {}", label())
-        });
-        let t0 = world.now();
-        let result = f();
-        let took_ms = world.now().since(t0).as_ms_f64();
-        drop(span);
-        self.handles.mapping_us[idx - 1].record_ms(
-            world.metrics(),
-            "hns_meta",
-            HIST[idx - 1],
-            took_ms,
-        );
-        result
+        let histogram = (&self.handles.mapping_us[idx - 1], HIST[idx - 1]);
+        self.timed(histogram, format_args!("mapping {idx}: {label}"), || {
+            self.world().charge_ms(self.world().costs.hns_bookkeeping);
+            f()
+        })
     }
 
     /// The mapping walk. Returns the binding plus the minimum remaining
     /// TTL across the six mapping entries consulted — the freshness
     /// bound for a composed (query class, context) entry.
     ///
-    /// Mappings 2–6 depend on the context only through its name service,
-    /// so with the composed cache on, their result is probed (and, after
-    /// a walk, kept) under (query class, name service): a context whose
-    /// own entry lapsed costs two probes, not six.
+    /// The chain is [`crate::meta`]'s; supplied here are its record sets
+    /// (overlay, cache, meta server) and what surrounds each fetch (span,
+    /// histogram). Mappings 2–6 depend on the context only through its
+    /// name service, so with the composed cache on, their result is
+    /// probed (and, after a walk, kept) under (query class, name
+    /// service): a context whose own entry lapsed costs two probes, not
+    /// six.
     fn find_nsm_inner(
         &self,
         qc: &QueryClass,
@@ -752,31 +644,22 @@ impl Hns {
         // meta server's chaser piggyback mappings 2-5; the walk below then
         // runs against the overlay instead of making per-mapping calls.
         let overlay = if batched {
-            let world = self.world();
-            let span = world.span_lazy(Some(self.host), TraceKind::Hns, || {
-                format!("MQUERY batch prefetch (context {}, {qc})", name.context)
-            });
-            let t0 = world.now();
-            let prefetched = self.prefetch_meta_batch(&name.context, qc);
-            let took_ms = world.now().since(t0).as_ms_f64();
-            drop(span);
-            self.handles.batch_prefetch_us.record_ms(
-                world.metrics(),
-                "hns_meta",
-                "batch_prefetch_us",
-                took_ms,
-            );
-            Some(prefetched?)
+            let histogram = (&self.handles.batch_prefetch_us, "batch_prefetch_us");
+            let label = format_args!("MQUERY batch prefetch (context {}, {qc})", name.context);
+            Some(self.timed(histogram, label, || {
+                self.prefetch_meta_batch(&name.context, qc)
+            })?)
         } else {
             None
         };
-        let overlay = overlay.as_ref();
+        let origin = self.meta.origin();
+        let fetch: &mut Fetch<'_> = &mut |step, key| {
+            self.with_mapping(step.mapping(), step, || {
+                self.meta_fetch(key, overlay.as_ref())
+            })
+        };
         // Mapping 1: Context -> Name Service Name.
-        let (ctx_info, ttl1) = self.with_mapping(
-            1,
-            || format!("context {} -> name service", name.context),
-            || self.context_info_with(&name.context, overlay),
-        )?;
+        let (ctx_info, ttl1) = meta::context_info(origin, Step::Context(&name.context), fetch)?;
         if self.binding_cache.enabled() {
             // The outcome lands on the `FindNSM` span: mapping 1's own
             // span has closed.
@@ -796,47 +679,13 @@ impl Hns {
                 Probe::Absent => world.cache_outcome(CacheOutcome::Miss),
             }
         }
-        // Mapping 2: Name Service Name, Query Class -> NSM Name.
-        let (nsm_name, ttl2) = self.with_mapping(
-            2,
-            || format!("({}, {qc}) -> NSM name", ctx_info.name_service),
-            || self.nsm_name_with(&ctx_info.name_service, qc, overlay),
-        )?;
-        // Mapping 3: NSM Name -> HRPC Binding for the NSM. The stored info
-        // names the NSM's host; translating that is itself an HNS naming
-        // operation (mappings 4-6).
-        let (info, ttl3) = self.with_mapping(
-            3,
-            || format!("NSM {nsm_name} -> binding info"),
-            || self.nsm_info_with(&nsm_name, overlay),
-        )?;
-        let (host_ctx_info, ttl4) = self.with_mapping(
-            4,
-            || format!("host context {} -> name service", info.host_context),
-            || self.context_info_with(&info.host_context, overlay),
-        )?;
-        let (ha_nsm, ttl5) = self.with_mapping(
-            5,
-            || {
-                format!(
-                    "({}, hostaddress) -> HA-NSM name",
-                    host_ctx_info.name_service
-                )
-            },
-            || self.nsm_name_with(&host_ctx_info.name_service, &self.host_address_qc, overlay),
-        )?;
-        let (host, ttl6) = self.with_mapping(
-            6,
-            || format!("host {} -> address", info.host_name),
-            || {
-                self.host_address(
-                    &host_ctx_info.name_service,
-                    &ha_nsm,
-                    &info.host_name,
-                    &info.host_context,
-                )
-            },
-        )?;
+        // Mappings 2-5: name service, query class -> NSM name -> binding
+        // info, then the same two steps for the host that info names.
+        let chased = meta::chase(origin, &ctx_info.name_service, qc.as_str(), fetch)?;
+        let info = &chased.info;
+        // Mapping 6: NSM host name -> address.
+        let label = format_args!("host {} -> address", info.host_name);
+        let (host, ttl6) = self.with_mapping(6, label, || self.host_address(&chased))?;
         let binding = HrpcBinding {
             host,
             addr: NetAddr::of(host),
@@ -845,9 +694,9 @@ impl Hns {
             components: info.suite.components(info.port),
         };
         self.world().trace(Some(self.host), TraceKind::Hns, || {
-            format!("FindNSM -> {nsm_name} at {host}:{}", info.port)
+            format!("FindNSM -> {} at {host}:{}", chased.nsm_name, info.port)
         });
-        let service_ttl = ttl2.min(ttl3).min(ttl4).min(ttl5).min(ttl6);
+        let service_ttl = chased.min_ttl.min(ttl6);
         // Refused while the composed cache is off, and for a zero TTL.
         self.binding_cache.insert_service(
             self.world(),
@@ -860,126 +709,104 @@ impl Hns {
     }
 
     /// Publishes this instance's cache statistics into the world's
-    /// metrics registry (component `hns_cache`, plus
-    /// `hns_binding_cache` when the composed cache is enabled — gated so
-    /// default-configuration snapshots are unchanged). A Disabled cache
-    /// publishes nothing: several instances share one component, and a
-    /// disabled instance exporting zeros would clobber a live one's
-    /// rows (the same rule [`World::export_all_caches`] applies on
-    /// every sampler tick).
+    /// metrics registry, as [`World::export_all_caches`] does for every
+    /// instance on each sampler tick.
     pub fn export_metrics(&self) {
-        if self.cache.mode() != CacheMode::Disabled {
-            self.cache
-                .export_metrics(self.world().metrics(), "hns_cache");
-        }
-        if self.binding_cache.enabled() {
-            self.binding_cache
-                .export_metrics(self.world().metrics(), "hns_binding_cache");
-        }
+        export_caches(&self.cache, &self.binding_cache, self.world().metrics());
     }
 
-    /// Preloads the cache by zone transfer of the whole meta zone.
+    /// Preloads the cache by zone transfer of the meta zone: all of it
+    /// the first time, then what changed since the last preload's serial
+    /// (all of it again if the server's delta log is truncated past it).
     ///
     /// "The cost of the many remote lookups required on the initial
     /// reference ... might exceed the cost of preloading the relatively
     /// small amount of information (currently about 2KB) required to
     /// guarantee HNS cache hits."
     pub fn preload(&self) -> HnsResult<PreloadReport> {
+        use bindns::axfr::{self, IxfrContents};
+        let (net, origin) = (&self.net, self.meta.origin());
         let last_serial = *self.preload_serial.lock();
-        let report = match last_serial {
-            // Warm instance: ask for only the delta since our serial.
-            // The server falls back to shipping the whole zone when its
-            // delta log is truncated past us.
-            Some(from) => {
-                let xfer = bindns::axfr::transfer_zone_incremental(
-                    &self.net,
-                    self.host,
-                    &self.meta_binding,
-                    self.meta.origin(),
-                    from,
-                )
-                .map_err(HnsError::Rpc)?;
-                let (mode, records) = match &xfer.contents {
-                    bindns::axfr::IxfrContents::Unchanged => (PreloadMode::Unchanged, &[][..]),
-                    bindns::axfr::IxfrContents::Incremental { records, .. } => {
-                        (PreloadMode::Incremental, records.as_slice())
-                    }
-                    bindns::axfr::IxfrContents::Full { records } => {
-                        (PreloadMode::Full, records.as_slice())
-                    }
-                };
-                let entries = self.preload_records(records)?;
-                PreloadReport {
-                    records: records.len(),
-                    bytes: xfer.size_bytes,
-                    entries,
-                    mode,
-                    serial: xfer.serial,
-                }
-            }
-            // Cold instance: full zone transfer.
+        let (serial, bytes, contents) = match last_serial {
             None => {
-                let xfer = bindns::axfr::transfer_zone(
-                    &self.net,
-                    self.host,
-                    &self.meta_binding,
-                    self.meta.origin(),
-                )
-                .map_err(HnsError::Rpc)?;
-                let entries = self.preload_records(&xfer.records)?;
-                PreloadReport {
-                    records: xfer.records.len(),
-                    bytes: xfer.size_bytes,
-                    entries,
-                    mode: PreloadMode::Full,
-                    serial: xfer.serial,
-                }
+                let xfer = axfr::transfer_zone(net, self.host, &self.meta_binding, origin)?;
+                let records = xfer.records;
+                (xfer.serial, xfer.size_bytes, IxfrContents::Full { records })
+            }
+            Some(from) => {
+                let binding = &self.meta_binding;
+                let xfer = axfr::transfer_zone_incremental(net, self.host, binding, origin, from)?;
+                (xfer.serial, xfer.size_bytes, xfer.contents)
             }
         };
-        *self.preload_serial.lock() = Some(report.serial);
-        let metrics = self.world().metrics();
-        match report.mode {
-            PreloadMode::Full => metrics.inc("hns_preload", "full_transfers"),
-            PreloadMode::Incremental => metrics.inc("hns_preload", "incremental_transfers"),
-            PreloadMode::Unchanged => metrics.inc("hns_preload", "unchanged_probes"),
+        let (mode, tally, records, removed) = match contents {
+            IxfrContents::Unchanged => (PreloadMode::Unchanged, "unchanged_probes", vec![], vec![]),
+            IxfrContents::Incremental { records, removed } => (
+                PreloadMode::Incremental,
+                "incremental_transfers",
+                records,
+                removed,
+            ),
+            IxfrContents::Full { records } => {
+                (PreloadMode::Full, "full_transfers", records, vec![])
+            }
+        };
+        // A name the server says is gone gets what a demand fetch would
+        // now store for it, and no composed binding built over it stays.
+        for name in &removed {
+            self.cache
+                .insert_negative(self.world(), MetaKey::meta(name));
         }
-        metrics.add("hns_preload", "bytes_shipped", report.bytes as u64);
-        Ok(report)
+        if !removed.is_empty() {
+            self.binding_cache.clear();
+        }
+        let entries = self.preload_records(&records)?;
+        *self.preload_serial.lock() = Some(serial);
+        let metrics = self.world().metrics();
+        metrics.inc("hns_preload", tally);
+        metrics.add("hns_preload", "bytes_shipped", bytes as u64);
+        Ok(PreloadReport {
+            records: records.len(),
+            bytes,
+            entries,
+            mode,
+            serial,
+        })
     }
 
-    /// Groups transferred meta records by owner name and seeds the cache.
-    /// Returns the number of cache entries created. Grouping preserves
-    /// owner and record order; an index map keeps it linear in the batch.
-    fn preload_records(&self, records: &[bindns::rr::ResourceRecord]) -> HnsResult<usize> {
-        let mut grouped: Vec<(DomainName, Vec<String>, u32)> = Vec::new();
-        let mut index: HashMap<DomainName, usize> = HashMap::new();
+    /// Seeds the cache with the transferred meta record sets, one entry
+    /// per owner name, and returns how many that made. Only UNSPEC
+    /// records preload.
+    fn preload_records(&self, records: &[ResourceRecord]) -> HnsResult<usize> {
+        let mut sets: BTreeMap<&DomainName, Vec<&ResourceRecord>> = BTreeMap::new();
         for rr in records {
-            let payload = match &rr.rdata {
-                bindns::rr::RData::Opaque(bytes) => std::str::from_utf8(bytes)
-                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?
-                    .to_string(),
-                _ => continue, // Only UNSPEC meta records preload.
-            };
-            match index.get(&rr.name) {
-                Some(&i) => {
-                    let (_, payloads, ttl) = &mut grouped[i];
-                    payloads.push(payload);
-                    *ttl = (*ttl).min(rr.ttl);
-                }
-                None => {
-                    index.insert(rr.name.clone(), grouped.len());
-                    grouped.push((rr.name.clone(), vec![payload], rr.ttl));
-                }
+            if matches!(rr.rdata, RData::Opaque(_)) {
+                sets.entry(&rr.name).or_default().push(rr);
             }
         }
-        let entries = grouped.len();
-        for (name, payloads, ttl) in grouped {
-            let rrs = payloads.len();
-            let value = Value::List(payloads.iter().map(Value::str).collect());
+        for (name, set) in &sets {
+            let fetched = records_to_fetched(set)?;
+            let key = MetaKey::meta(name);
+            let value = fetched.value.to_cached();
             self.cache
-                .preload_insert(self.world(), MetaKey::meta(&name), &value, rrs, ttl);
+                .preload_insert(self.world(), key, &value, fetched.rrs, fetched.ttl_secs);
         }
-        Ok(entries)
+        Ok(sets.len())
+    }
+}
+
+/// Publishes the statistics of one instance's caches: component
+/// `hns_cache`, plus `hns_binding_cache` when the composed cache is
+/// enabled (so default-configuration snapshots do not grow rows). A
+/// disabled cache publishes nothing: several instances share one
+/// component, and a disabled one exporting zeros would clobber a live
+/// one's rows.
+fn export_caches(cache: &HnsCache, binding_cache: &BindingCache, metrics: &MetricsRegistry) {
+    if cache.mode() != CacheMode::Disabled {
+        cache.export_metrics(metrics, "hns_cache");
+    }
+    if binding_cache.enabled() {
+        binding_cache.export_metrics(metrics, "hns_binding_cache");
     }
 }
 

@@ -72,11 +72,6 @@ impl ProcServer {
         self.procs.insert(proc_id, Box::new(handler));
         self
     }
-
-    /// Number of registered procedures.
-    pub fn proc_count(&self) -> usize {
-        self.procs.len()
-    }
 }
 
 impl RpcService for ProcServer {

@@ -291,20 +291,34 @@ fn batched_findnsm_returns_the_same_binding_faster() {
 #[test]
 fn batching_serves_even_a_disabled_cache_via_the_overlay() {
     // With caching off the batch cannot seed anything persistent, but the
-    // overlay still carries the piggybacked sets through one FindNSM.
+    // overlay still carries the piggybacked sets through one FindNSM —
+    // for every (query class, context) pair the testbed deploys: a key
+    // the server's chase derived differently from the client's walk
+    // would miss the overlay and cost a third round trip.
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+    tb.deploy_extension_nsms(tb.hosts.nsm);
+    tb.deploy_user_nsms(tb.hosts.nsm);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     hns.set_batching(true);
-    let (result, _, delta) = tb
-        .world
-        .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &fiji_name(&tb)));
-    assert!(result.is_ok(), "{result:?}");
-    assert!(
-        delta.remote_calls <= 2,
-        "uncached batched FindNSM made {} remote calls, want <= 2",
-        delta.remote_calls
-    );
+    let classes = [
+        QueryClass::hrpc_binding(),
+        QueryClass::mailbox_location(),
+        QueryClass::file_location(),
+        QueryClass::user_info(),
+    ];
+    for qc in &classes {
+        for name in [fiji_name(&tb), printer_name(&tb)] {
+            let (result, _, delta) = tb.world.measure(|| hns.find_nsm(qc, &name));
+            assert!(result.is_ok(), "{qc} in {}: {result:?}", name.context);
+            assert!(
+                delta.remote_calls <= 2,
+                "uncached batched FindNSM({qc}, {}) made {} remote calls, want <= 2",
+                name.context,
+                delta.remote_calls
+            );
+        }
+    }
 }
 
 #[test]

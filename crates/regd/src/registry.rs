@@ -203,11 +203,6 @@ impl Registry {
         self.owners.write().insert(owner.into(), key);
     }
 
-    /// Number of names currently held in the collapse cache.
-    pub fn collapsed_entries(&self) -> usize {
-        self.collapse.read().len()
-    }
-
     fn bump(&self, c: &LazyCounter, name: &'static str) {
         c.get(self.world.metrics(), "regd", name).inc();
     }

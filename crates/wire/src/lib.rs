@@ -6,7 +6,8 @@
 //! * [`value::Value`] — the self-describing data model NSM interfaces
 //!   exchange.
 //! * [`xdr`] — Sun-style external data representation (32-bit units).
-//! * [`courier`] — Xerox Courier representation (16-bit words).
+//! * [`courier`] — Xerox Courier representation (16-bit words). Both are
+//!   one self-describing codec instantiated at two unit widths.
 //! * [`format::WireFormat`] — bind-time dispatch between them.
 //! * [`idl::TypeDesc`] — interface descriptions.
 //! * [`generated`] — the stub-compiler-style marshaller: correct but
@@ -28,6 +29,7 @@
 //! ```
 #![warn(missing_docs)]
 
+mod codec;
 pub mod courier;
 pub mod error;
 pub mod fast;
