@@ -25,8 +25,8 @@ use hrpc::{HrpcBinding, ProgramId};
 use wire::Value;
 
 use crate::error::{HnsError, HnsResult};
-use crate::name::{Context, HnsName};
-use crate::nsm::NsmClient;
+use crate::name::HnsName;
+use crate::nsm::{self, NsmClient};
 use crate::query::QueryClass;
 use crate::service::Hns;
 
@@ -63,15 +63,6 @@ fn hns_err(e: HnsError) -> RpcError {
     }
 }
 
-fn parse_findnsm_args(args: &Value) -> RpcResult<(QueryClass, HnsName)> {
-    let qc = QueryClass::new(args.str_field("query_class")?);
-    let context =
-        Context::new(args.str_field("context")?).map_err(|e| RpcError::Service(e.to_string()))?;
-    let name = HnsName::new(context, args.str_field("name")?)
-        .map_err(|e| RpcError::Service(e.to_string()))?;
-    Ok((qc, name))
-}
-
 impl RpcService for HnsService {
     fn service_name(&self) -> &str {
         "hns"
@@ -80,7 +71,8 @@ impl RpcService for HnsService {
     fn dispatch(&self, _ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
         match proc_id {
             HNS_PROC_FINDNSM => {
-                let (qc, name) = parse_findnsm_args(args)?;
+                let qc = nsm::decode_class(args)?;
+                let (name, _) = nsm::decode_args(args)?;
                 let binding = self.hns.find_nsm(&qc, &name).map_err(hns_err)?;
                 Ok(binding.to_value())
             }
@@ -144,11 +136,7 @@ impl HnsClient {
                 if !world.topology.colocated(self.host, binding.host) {
                     world.charge_ms(world.costs.findnsm_arg_marshal);
                 }
-                let args = Value::record([
-                    ("query_class", Value::str(qc.as_str())),
-                    ("context", Value::str(name.context.as_str())),
-                    ("name", Value::str(name.individual.clone())),
-                ]);
+                let args = nsm::encode_args(Some(qc), name, std::iter::empty());
                 let reply = self
                     .net
                     .call(self.host, binding, HNS_PROC_FINDNSM, &args)
@@ -195,16 +183,12 @@ impl RpcService for AgentService {
         if proc_id != AGENT_PROC_QUERY {
             return Err(RpcError::BadProcedure(proc_id));
         }
-        let (qc, name) = parse_findnsm_args(args)?;
+        let qc = nsm::decode_class(args)?;
+        let (name, extra) = nsm::decode_args(args)?;
         let nsm_binding = self.hns.find_nsm(&qc, &name).map_err(hns_err)?;
-        // Forward any query-specific arguments besides the standard three.
-        let extra = args
-            .as_struct()?
-            .iter()
-            .filter(|(k, _)| k != "query_class" && k != "context" && k != "name")
-            .cloned();
+        // The query class's own fields travel on to the NSM as they came.
         let nsm_client = NsmClient::new(Arc::clone(self.hns.net()), self.host);
-        nsm_client.call_with_fields(&nsm_binding, &name, extra)
+        nsm_client.call_with_fields(&nsm_binding, &name, extra.cloned())
     }
 }
 
@@ -240,19 +224,10 @@ impl AgentClient {
         if !world.topology.colocated(self.host, self.binding.host) {
             world.charge_ms(world.costs.agent_arg_marshal);
         }
-        let mut fields = vec![
-            ("query_class", Value::str(qc.as_str())),
-            ("context", Value::str(name.context.as_str())),
-            ("name", Value::str(name.individual.clone())),
-        ];
-        fields.extend(extra);
+        let extra = extra.into_iter().map(|(k, v)| (k.into(), v));
+        let args = nsm::encode_args(Some(qc), name, extra);
         self.net
-            .call(
-                self.host,
-                &self.binding,
-                AGENT_PROC_QUERY,
-                &Value::record(fields),
-            )
+            .call(self.host, &self.binding, AGENT_PROC_QUERY, &args)
             .map_err(HnsError::Rpc)
     }
 }

@@ -23,7 +23,8 @@ pub enum HnsError {
     NoLinkedHostAddrNsm(String),
     /// A meta record was malformed.
     BadMetaRecord(String),
-    /// An HNS name was malformed.
+    /// An HNS name was malformed, or a name the meta zone is keyed by
+    /// (context, name service, query class, NSM name) has no key of its own.
     BadName(String),
     /// The underlying RPC or name-service layer failed.
     Rpc(RpcError),

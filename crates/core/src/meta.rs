@@ -155,19 +155,37 @@ impl Step<'_> {
     }
 
     /// The meta-zone name this mapping's record set lives under: one
-    /// sanitized label for the record kind, one for what is asked about.
-    /// Written once, parsed once — every mapping of every walk derives one.
+    /// label for the record kind, one for what is asked about, case
+    /// folded. Written once, parsed once — every mapping of every walk,
+    /// read or write, derives one. A key must determine the name it came
+    /// from, so a name that is not [`keyable`] is refused, and so is a
+    /// name service that would let two (name service, query class) pairs
+    /// meet across the `--` that joins them.
     pub(crate) fn key(&self, origin: &DomainName) -> HnsResult<DomainName> {
-        let (kind, about): (&str, &[&str]) = match self {
-            Step::Context(context) | Step::HostContext(context) => ("ctx", &[context.as_str()]),
-            Step::NsmName(ns, qc) | Step::HostAddrNsm(ns, qc) => ("map", &[ns, "--", qc]),
-            Step::NsmInfo(nsm_name) => ("info", &[nsm_name]),
+        let (kind, about, splits): (&str, &[&str], bool) = match self {
+            Step::Context(context) | Step::HostContext(context) => {
+                ("ctx", &[context.as_str()], true)
+            }
+            Step::NsmName(ns, qc) | Step::HostAddrNsm(ns, qc) => {
+                let splits = !ns.contains("--") && !ns.ends_with('-');
+                ("map", &[ns, "--", qc], splits)
+            }
+            Step::NsmInfo(nsm_name) => ("info", &[nsm_name], true),
         };
         let mut name = String::with_capacity(64);
-        for pieces in [&[kind], about] {
-            push_label(&mut name, pieces);
-            name.push('.');
+        name.push_str(kind);
+        name.push('.');
+        let label = name.len();
+        let folded = about.iter().flat_map(|piece| piece.chars());
+        name.extend(folded.map(|c| c.to_ascii_lowercase()));
+        if !(splits && about.iter().all(|piece| !piece.is_empty()) && keyable(&name[label..])) {
+            return Err(HnsError::BadName(format!(
+                "`{}` has no meta key: a keyed name is 1..={MAX_KEY_LABEL} characters of \
+                 [A-Za-z0-9_-], a name service holds no `--` and ends in none",
+                about.concat()
+            )));
         }
+        name.push('.');
         name.push_str(origin.as_str());
         DomainName::parse(&name).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
     }
@@ -305,24 +323,16 @@ pub fn records_to_fetched<R: Borrow<ResourceRecord>>(
     })
 }
 
-/// Longest label a meta key part is cut to.
+/// Longest name a meta key label holds.
 const MAX_KEY_LABEL: usize = 60;
 
-/// Appends `pieces`, concatenated and sanitized into one safe domain
-/// label, to `out`.
-fn push_label(out: &mut String, pieces: &[&str]) {
-    let start = out.len();
-    let sanitized = pieces.iter().flat_map(|p| p.chars()).map(|c| {
-        if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-            c.to_ascii_lowercase()
-        } else {
-            '-'
-        }
-    });
-    out.extend(sanitized.take(MAX_KEY_LABEL));
-    if out.len() == start {
-        out.push('x');
-    }
+/// Whether `name` survives meta-key derivation, case aside: 1 to 60
+/// characters of `[A-Za-z0-9_-]`. Any other name has no key — were it
+/// folded onto one, two names (`ee.uw`, `ee-uw`) would share a record and
+/// registering either would rebind the other.
+pub fn keyable(name: &str) -> bool {
+    let key_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
+    (1..=MAX_KEY_LABEL).contains(&name.len()) && name.bytes().all(key_byte)
 }
 
 impl MetaStore {
@@ -768,22 +778,55 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_sanitized() {
+    fn a_name_that_would_share_a_key_is_refused_on_writes_and_reads() {
         let (_world, meta) = setup();
-        // Contexts with characters illegal in domain labels still work.
-        let context = ctx("hrpcbinding bind/uw");
-        meta.register_context(&context, "BIND", &NameMapping::Identity)
-            .expect("register");
-        assert!(context_info(&origin(), Step::Context(&context), &mut live(&meta)).is_ok());
-        let label = |pieces: &[&str]| {
-            let mut out = String::new();
-            push_label(&mut out, pieces);
-            out
-        };
-        assert_eq!(label(&[""]), "x");
-        assert_eq!(label(&["A b.C"]), "a-b-c");
-        assert_eq!(label(&["BIND", "--", "host address"]), "bind--host-address");
-        assert_eq!(label(&["a".repeat(70).as_str(), "b"]).len(), MAX_KEY_LABEL);
+        let refused = |result: HnsResult<()>| matches!(result, Err(HnsError::BadName(_)));
+        // `ee.uw` once sanitised onto `ee-uw`'s key, so registering either
+        // context rebound the other, and `ee/uw` resolved unregistered.
+        meta.register_context(&ctx("ee-uw"), "Clearinghouse", &NameMapping::Identity)
+            .expect("a keyable context registers");
+        for alias in ["ee.uw", "ee/uw", "ee uw"] {
+            let alias = ctx(alias);
+            assert!(refused(meta.register_context(
+                &alias,
+                "BIND",
+                &NameMapping::Identity
+            )));
+            let read = context_info(&origin(), Step::Context(&alias), &mut live(&meta));
+            assert!(
+                refused(read.map(drop)),
+                "{alias} must not read ee-uw's record"
+            );
+        }
+        let (found, _) = context_info(&origin(), Step::Context(&ctx("ee-uw")), &mut live(&meta))
+            .expect("the registered context still resolves");
+        assert_eq!(found.name_service, "Clearinghouse");
+        // ("a", "b--c") and ("a--b", "c") once met at `map.a--b--c`; so
+        // would ("a-", "b") and ("a", "-b").
+        let qc = QueryClass::new;
+        meta.register_nsm("a", &qc("b--c"), "nsm-1").expect("first");
+        assert!(refused(meta.register_nsm("a--b", &qc("c"), "nsm-2")));
+        assert!(refused(meta.register_nsm("a-", &qc("b"), "nsm-3")));
+        assert!(refused(
+            chase(&origin(), "a--b", "c", &mut live(&meta)).map(drop)
+        ));
+        // A label holds 60 characters; the 61st once fell off silently.
+        let long = "n".repeat(61);
+        assert!(refused(
+            meta.register_nsm_info(&info(&long, "june", "bind-uw"))
+        ));
+        assert!(refused(Step::NsmInfo("").key(&origin()).map(drop)));
+        // Every name that was its own key keeps it, byte for byte.
+        assert_eq!(key(Step::NsmInfo(&long[..60])).as_str().len(), 60 + 9);
+        assert_eq!(
+            key(Step::NsmName("BIND", "HostAddress")).as_str(),
+            "map.bind--hostaddress.hns"
+        );
+        assert_eq!(
+            key(Step::Context(&ctx("Bind_UW-2"))).as_str(),
+            "ctx.bind_uw-2.hns"
+        );
+        assert!(keyable("my-svc") && !keyable("my.svc") && !keyable(""));
     }
 
     #[test]

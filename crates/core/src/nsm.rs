@@ -13,7 +13,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use simnet::obs::LazyCounter;
-use simnet::topology::HostId;
+use simnet::topology::{HostId, NetAddr};
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
@@ -27,6 +27,51 @@ use crate::query::QueryClass;
 
 /// The single NSM procedure: perform a query.
 pub const NSM_PROC_QUERY: u32 = 1;
+
+/// One named field of an argument record.
+pub(crate) type Field = (Cow<'static, str>, Value);
+
+/// The standard fields of an argument record, in wire order.
+const STANDARD: [&str; 3] = ["query_class", "context", "name"];
+
+/// Encodes the standard argument record, the one shape every call made
+/// for an HNS query carries: the query class when the callee serves them
+/// all (the HNS, an agent — an NSM serves one and is sent none), the HNS
+/// name as `context` and `name`, then the query class's own fields.
+pub(crate) fn encode_args(
+    qc: Option<&QueryClass>,
+    hns_name: &HnsName,
+    extra: impl Iterator<Item = Field>,
+) -> Value {
+    let [class, context, name] = STANDARD.map(Cow::Borrowed);
+    let qc = qc.map(|qc| (class, Value::str(qc.as_str())));
+    let mut fields = Vec::with_capacity(usize::from(qc.is_some()) + 2 + extra.size_hint().0);
+    fields.extend(qc);
+    fields.push((context, Value::str(hns_name.context.as_str())));
+    fields.push((name, Value::str(hns_name.individual.clone())));
+    fields.extend(extra);
+    Value::Struct(fields)
+}
+
+/// The query class [`encode_args`] wrote for a callee that serves them
+/// all; its absence is that callee's first complaint.
+pub(crate) fn decode_class(args: &Value) -> RpcResult<QueryClass> {
+    Ok(QueryClass::new(args.str_field(STANDARD[0])?))
+}
+
+/// Decodes the rest of what [`encode_args`] wrote: the HNS name, and the
+/// query class's own fields — every field that is not a standard one.
+pub(crate) fn decode_args(args: &Value) -> RpcResult<(HnsName, impl Iterator<Item = &Field>)> {
+    let [_, context, name] = STANDARD;
+    let service_err = |e: HnsError| RpcError::Service(e.to_string());
+    let context = Context::new(args.str_field(context)?).map_err(service_err)?;
+    let hns_name = HnsName::new(context, args.str_field(name)?).map_err(service_err)?;
+    let fields = args.as_struct()?.iter();
+    Ok((
+        hns_name,
+        fields.filter(|(k, _)| !STANDARD.contains(&k.as_ref())),
+    ))
+}
 
 /// A Naming Semantics Manager.
 pub trait Nsm: Send + Sync {
@@ -56,6 +101,25 @@ impl NsmService {
             queries: LazyCounter::new(),
         })
     }
+
+    /// Exports `nsm` on `host` under `program` and returns the binding it
+    /// now answers at — the half of registering an NSM that touches no
+    /// meta record (see [`crate::service::Hns::deploy_nsm`] for the whole).
+    pub fn export(
+        net: &RpcNet,
+        host: HostId,
+        program: ProgramId,
+        nsm: Arc<dyn Nsm>,
+    ) -> HrpcBinding {
+        let port = net.export(host, program, NsmService::new(nsm));
+        HrpcBinding {
+            host,
+            addr: NetAddr::of(host),
+            program,
+            port,
+            components: EXPORT_SUITE.components(port),
+        }
+    }
 }
 
 impl RpcService for NsmService {
@@ -67,10 +131,7 @@ impl RpcService for NsmService {
         if proc_id != NSM_PROC_QUERY {
             return Err(RpcError::BadProcedure(proc_id));
         }
-        let context = Context::new(args.str_field("context")?)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let hns_name = HnsName::new(context, args.str_field("name")?)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
+        let (hns_name, _) = decode_args(args)?;
         self.queries
             .get(ctx.world.metrics(), "nsm", "queries")
             .inc();
@@ -133,7 +194,7 @@ impl NsmClient {
         &self,
         binding: &HrpcBinding,
         hns_name: &HnsName,
-        extra: impl Iterator<Item = (Cow<'static, str>, Value)>,
+        extra: impl Iterator<Item = Field>,
     ) -> RpcResult<Value> {
         let world = self.net.world();
         self.client_calls
@@ -143,18 +204,8 @@ impl NsmClient {
             // Marshalling of the NSM interface arguments on a remote hop.
             world.charge_ms(world.costs.nsm_arg_marshal);
         }
-        let mut fields = Vec::with_capacity(2 + extra.size_hint().0);
-        fields.push((
-            Cow::Borrowed("context"),
-            Value::str(hns_name.context.as_str()),
-        ));
-        fields.push((
-            Cow::Borrowed("name"),
-            Value::str(hns_name.individual.clone()),
-        ));
-        fields.extend(extra);
-        self.net
-            .call(self.host, binding, NSM_PROC_QUERY, &Value::Struct(fields))
+        let args = encode_args(None, hns_name, extra);
+        self.net.call(self.host, binding, NSM_PROC_QUERY, &args)
     }
 }
 
@@ -165,6 +216,9 @@ impl std::fmt::Debug for NsmClient {
             .finish()
     }
 }
+
+/// The suite every NSM export answers ([`NsmService::export`]).
+pub(crate) const EXPORT_SUITE: SuiteTag = SuiteTag::Sun;
 
 /// The RPC suite an NSM is reachable through, as stored in the meta store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -396,21 +450,43 @@ mod tests {
     }
 
     #[test]
+    fn the_argument_record_is_one_shape_in_one_order() {
+        let name = HnsName::new(Context::new("Bind-UW").expect("ctx"), "fiji").expect("name");
+        let own = || [(Cow::Borrowed("service"), Value::str("S"))].into_iter();
+        let keys = |args: &Value| -> Vec<String> {
+            let fields = args.as_struct().expect("struct").iter();
+            fields.map(|(k, _)| k.to_string()).collect()
+        };
+        // To an NSM: no query class. To the HNS or an agent: it leads.
+        let qc = QueryClass::hrpc_binding();
+        let (to_nsm, to_agent) = (
+            encode_args(None, &name, own()),
+            encode_args(Some(&qc), &name, own()),
+        );
+        assert_eq!(keys(&to_nsm), ["context", "name", "service"]);
+        assert_eq!(keys(&to_agent)[0], "query_class");
+        assert_eq!(keys(&to_agent)[1..], keys(&to_nsm));
+        for args in [&to_nsm, &to_agent] {
+            let (decoded, extra) = decode_args(args).expect("decode");
+            assert_eq!(decoded, name);
+            assert!(extra.cloned().eq(own()));
+        }
+        assert_eq!(decode_class(&to_agent).expect("class"), qc);
+        // A callee that needs the class says so; so does a nameless record.
+        let missing = decode_class(&to_nsm).unwrap_err();
+        assert!(missing.to_string().contains("query_class"), "{missing}");
+        assert!(decode_args(&Value::record([("name", Value::str("n"))])).is_err());
+    }
+
+    #[test]
     fn nsm_service_roundtrip_over_fabric() {
         use simnet::world::World;
         let world = World::paper();
         let client_host = world.add_host("client");
         let nsm_host = world.add_host("nsm-host");
         let net = RpcNet::new(std::sync::Arc::clone(&world));
-        let svc = NsmService::new(Arc::new(EchoNsm));
-        let port = net.export(nsm_host, ProgramId(300_009), svc);
-        let binding = HrpcBinding {
-            host: nsm_host,
-            addr: simnet::topology::NetAddr::of(nsm_host),
-            program: ProgramId(300_009),
-            port,
-            components: SuiteTag::Sun.components(port),
-        };
+        let binding = NsmService::export(&net, nsm_host, ProgramId(300_009), Arc::new(EchoNsm));
+        assert_eq!(binding.components, SuiteTag::Sun.components(binding.port));
         let client = NsmClient::new(net, client_host);
         let hns_name = HnsName::new(Context::new("bind-uw").expect("ctx"), "fiji").expect("name");
         let reply = client.call(&binding, &hns_name, vec![]).expect("call");
@@ -423,15 +499,7 @@ mod tests {
         let world = World::paper();
         let host = world.add_host("shared");
         let net = RpcNet::new(std::sync::Arc::clone(&world));
-        let svc = NsmService::new(Arc::new(EchoNsm));
-        let port = net.export(host, ProgramId(300_009), svc);
-        let binding = HrpcBinding {
-            host,
-            addr: simnet::topology::NetAddr::of(host),
-            program: ProgramId(300_009),
-            port,
-            components: SuiteTag::Sun.components(port),
-        };
+        let binding = NsmService::export(&net, host, ProgramId(300_009), Arc::new(EchoNsm));
         let client = NsmClient::new(net, host);
         let hns_name = HnsName::new(Context::new("c").expect("ctx"), "x").expect("name");
         let (_, took, delta) = world.measure(|| client.call(&binding, &hns_name, vec![]));
@@ -445,15 +513,7 @@ mod tests {
         let world = World::paper();
         let host = world.add_host("h");
         let net = RpcNet::new(std::sync::Arc::clone(&world));
-        let svc = NsmService::new(Arc::new(EchoNsm));
-        let port = net.export(host, ProgramId(300_009), svc);
-        let binding = HrpcBinding {
-            host,
-            addr: simnet::topology::NetAddr::of(host),
-            program: ProgramId(300_009),
-            port,
-            components: SuiteTag::Sun.components(port),
-        };
+        let binding = NsmService::export(&net, host, ProgramId(300_009), Arc::new(EchoNsm));
         let err = net.call(host, &binding, 77, &Value::Void).unwrap_err();
         assert!(matches!(err, RpcError::BadProcedure(77)));
     }

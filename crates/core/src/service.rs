@@ -36,7 +36,7 @@ use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
 use bindns::rr::{RData, ResourceRecord};
 use hrpc::net::RpcNet;
-use hrpc::{HrpcBinding, RpcError};
+use hrpc::{HrpcBinding, ProgramId, RpcError};
 use wire::Value;
 
 use crate::binding_cache::{BindingCache, BindingCacheStats};
@@ -46,7 +46,7 @@ use crate::meta::{
     self, records_to_fetched, Cacheable, Chased, Fetch, Fetched, Got, MetaStore, Payloads, Step,
 };
 use crate::name::{Context, HnsName, NameMapping};
-use crate::nsm::{Nsm, NsmInfo};
+use crate::nsm::{Nsm, NsmInfo, NsmService, EXPORT_SUITE};
 use crate::query::QueryClass;
 
 /// One HNS instance: meta-store client, cache, and linked NSMs.
@@ -249,10 +249,9 @@ impl Hns {
         self.meta.register_context(context, name_service, mapping)
     }
 
-    /// Registers which NSM serves a (name service, query class) pair.
-    ///
-    /// "Registering an NSM with the HNS extends the functionality of all
-    /// machines at once."
+    /// Registers which NSM serves a (name service, query class) pair:
+    /// mapping 2 alone, for re-pointing a pair ([`Hns::deploy_nsm`] is
+    /// the whole operation).
     pub fn register_nsm(
         &self,
         name_service: &str,
@@ -262,9 +261,50 @@ impl Hns {
         self.meta.register_nsm(name_service, qc, nsm_name)
     }
 
-    /// Registers an NSM's binding information.
+    /// Registers an NSM's binding information: mapping 3 alone, for
+    /// moving a registered NSM.
     pub fn register_nsm_info(&self, info: &NsmInfo) -> HnsResult<()> {
         self.meta.register_nsm_info(info)
+    }
+
+    /// Registers an NSM with the HNS — the paper's one step of evolution:
+    /// "registering an NSM with the HNS extends the functionality of all
+    /// machines at once."
+    ///
+    /// Exports `nsm` on `host` under `program`, writes mapping 2
+    /// ((`name_service`, the NSM's query class) → its name) and mapping 3
+    /// (its six records of binding information, the host under the name
+    /// the topology gives it, to be resolved in `host_context`), and
+    /// returns the binding `FindNSM` now designates. A failed write leaves
+    /// the export standing; registering again replaces all three.
+    pub fn deploy_nsm(
+        &self,
+        name_service: &str,
+        nsm: Arc<dyn Nsm>,
+        host: HostId,
+        program: ProgramId,
+        host_context: &Context,
+        owner: &str,
+    ) -> HnsResult<HrpcBinding> {
+        let host_name = self
+            .world()
+            .topology
+            .host_name(host)
+            .ok_or_else(|| HnsError::BadName(format!("{host} has no name in the topology")))?;
+        let (query_class, nsm_name) = (nsm.query_class(), nsm.nsm_name().to_string());
+        let binding = NsmService::export(&self.net, host, program, nsm);
+        self.register_nsm(name_service, &query_class, &nsm_name)?;
+        self.register_nsm_info(&NsmInfo {
+            nsm_name,
+            host_name,
+            host_context: host_context.clone(),
+            program,
+            port: binding.port,
+            suite: EXPORT_SUITE,
+            version: 1,
+            owner: owner.to_string(),
+        })?;
+        Ok(binding)
     }
 
     /// Cache statistics.

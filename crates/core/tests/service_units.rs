@@ -12,7 +12,7 @@ use hns_core::colocation::{
     AgentClient, AgentService, HnsClient, HnsHandle, HnsService, AGENT_PROGRAM, HNS_PROGRAM,
 };
 use hns_core::name::{Context, HnsName, NameMapping};
-use hns_core::nsm::{Nsm, NsmInfo, NsmService, SuiteTag};
+use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
 use hns_core::service::Hns;
 use hns_core::HnsError;
@@ -108,36 +108,33 @@ fn make_hns(env: &Env, host: HostId, mode: CacheMode) -> Arc<Hns> {
     hns
 }
 
-/// Registers the echo NSM end to end: context, names, info, export.
-fn register_echo(env: &Env, hns: &Hns) -> u16 {
+/// Registers the echo NSM end to end: context, host-address NSM name,
+/// then the NSM itself, on `host`, through the one operation.
+fn register_echo_on(hns: &Hns, host: HostId) -> u16 {
     let ctx = Context::new("stub-ctx").expect("ctx");
     hns.register_context(&ctx, "StubNS", &NameMapping::Identity)
         .expect("ctx");
-    hns.register_nsm("StubNS", &QueryClass::new("Echo"), "nsm-echo-stub")
-        .expect("nsm");
     hns.register_nsm(
         "StubNS",
         &QueryClass::host_address(),
         "nsm-hostaddress-stub",
     )
     .expect("ha nsm");
-    let port = env.net.export(
-        env.nsm_host,
-        ProgramId(999),
-        NsmService::new(Arc::new(StubEcho)),
-    );
-    hns.register_nsm_info(&NsmInfo {
-        nsm_name: "nsm-echo-stub".into(),
-        host_name: "nsm-server".into(),
-        host_context: ctx,
-        program: ProgramId(999),
-        port,
-        suite: SuiteTag::Sun,
-        version: 1,
-        owner: "test".into(),
-    })
-    .expect("info");
-    port
+    let binding = hns
+        .deploy_nsm(
+            "StubNS",
+            Arc::new(StubEcho),
+            host,
+            ProgramId(999),
+            &ctx,
+            "test",
+        )
+        .expect("register the echo NSM");
+    binding.port
+}
+
+fn register_echo(env: &Env, hns: &Hns) -> u16 {
+    register_echo_on(hns, env.nsm_host)
 }
 
 fn echo_name() -> HnsName {
@@ -154,6 +151,16 @@ fn linked_hns_resolves_via_stub_nsm() {
         .expect("find");
     assert_eq!(binding.host, env.nsm_host);
     assert_eq!(binding.port, port);
+    // A host the topology cannot name has no mapping 3 to write.
+    let nowhere = hns.deploy_nsm(
+        "StubNS",
+        Arc::new(StubEcho),
+        HostId(9_999),
+        ProgramId(998),
+        &echo_name().context,
+        "test",
+    );
+    assert!(matches!(nowhere, Err(HnsError::BadName(_))), "{nowhere:?}");
     // And the NSM is callable through the returned binding.
     let nsm_client = hns_core::nsm::NsmClient::new(Arc::clone(&env.net), env.client);
     let reply = nsm_client
@@ -307,38 +314,12 @@ fn agent_service_performs_find_and_call_in_one_hop() {
     let agent_host = env.world.add_host("agent");
     // Everything linked at the agent: HNS + (exported-on-agent) NSM.
     let hns = make_hns(&env, agent_host, CacheMode::Demarshalled);
-    let ctx = Context::new("stub-ctx").expect("ctx");
-    hns.register_context(&ctx, "StubNS", &NameMapping::Identity)
-        .expect("ctx");
-    hns.register_nsm("StubNS", &QueryClass::new("Echo"), "nsm-echo-stub")
-        .expect("nsm");
-    hns.register_nsm(
-        "StubNS",
-        &QueryClass::host_address(),
-        "nsm-hostaddress-stub",
-    )
-    .expect("ha");
-    let port = env.net.export(
-        agent_host,
-        ProgramId(999),
-        NsmService::new(Arc::new(StubEcho)),
-    );
-    hns.register_nsm_info(&NsmInfo {
-        nsm_name: "nsm-echo-stub".into(),
-        host_name: "nsm-server".into(),
-        host_context: ctx,
-        program: ProgramId(999),
-        port,
-        suite: SuiteTag::Sun,
-        version: 1,
-        owner: "test".into(),
-    })
-    .expect("info");
-    // The stub host-addr NSM must point "nsm-server" at the agent host so
-    // the NSM call stays local to the agent.
+    register_echo_on(&hns, agent_host);
+    // The stub host-addr NSM names the agent's own host, so the NSM call
+    // stays local to the agent.
     hns.link_nsm(Arc::new(StubHostAddr {
         name: "nsm-hostaddress-stub",
-        table: vec![("nsm-server".to_string(), agent_host.0)],
+        table: vec![("agent".to_string(), agent_host.0)],
     }));
 
     let agent_port = env.net.export(

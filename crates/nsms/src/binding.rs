@@ -1,9 +1,14 @@
-//! The HRPC-binding NSM for BIND-named systems.
+//! The HRPC-binding NSMs.
 //!
 //! This is the paper's worked example: "The NSM looks up the local name
 //! ('fiji.cs.washington.edu') in the name service, and then determines the
 //! needed port number for the ServiceName, using whatever binding protocol
-//! is appropriate for that particular system" — here the Sun portmapper.
+//! is appropriate for that particular system." The NSM is written once,
+//! over the adapter of either service, and what differs completely
+//! between the two is the adapter's: a public BIND lookup and the Sun
+//! portmapper on one side, an authenticated Clearinghouse lookup and the
+//! Courier exchange protocol on the other. "The client does not need to be
+//! aware of which name service it is calling."
 //!
 //! Client interface for the `HRPCBinding` query class (identical across
 //! NSMs): extra args `{ service: str, program: u32 }`; reply: a serialized
@@ -11,19 +16,19 @@
 
 use std::sync::Arc;
 
-use bindns::name::DomainName;
 use bindns::resolver::StdResolver;
-use bindns::rr::{RData, RType};
+use clearinghouse::client::ChClient;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
 use hrpc::bindproto;
-use hrpc::error::{RpcError, RpcResult};
+use hrpc::error::RpcResult;
 use hrpc::net::RpcNet;
-use hrpc::{ComponentSet, HrpcBinding, ProgramId};
-use simnet::topology::HostId;
+use hrpc::{HrpcBinding, ProgramId};
+use simnet::topology::{HostId, NetAddr};
 use wire::Value;
 
+use crate::adapter::{Adapter, HostLookup};
 use crate::nsm_cache::{NsmCache, NsmCacheForm};
 
 /// Resource records' worth of marshalling a completed binding structure
@@ -32,55 +37,44 @@ const BINDING_MARSHAL_RRS: usize = 6;
 /// Records a cached completed binding occupies.
 const CACHED_BINDING_RRS: usize = 2;
 
-/// The binding NSM for BIND/Sun systems.
-pub struct BindingBindNsm {
+/// The binding NSM over the name service whose client is `S`. Its adapter
+/// supplies the host lookup, the emulation suite native to the target
+/// service, and how long a completed binding may be cached.
+#[derive(Debug)]
+pub struct BindingNsm<S> {
     name: String,
     net: Arc<RpcNet>,
     host: HostId,
-    resolver: Arc<StdResolver>,
-    mapping: NameMapping,
+    adapter: Adapter<S>,
     cache: NsmCache,
-    /// The native system's emulation suite for the *target service*.
-    target_suite: ComponentSet,
 }
 
-impl BindingBindNsm {
-    /// Conventional NSM name.
-    pub const NAME: &'static str = "nsm-hrpcbinding-bind";
+/// The binding NSM for BIND/Sun systems.
+pub type BindingBindNsm = BindingNsm<StdResolver>;
+/// The binding NSM for Clearinghouse/Courier systems.
+pub type BindingChNsm = BindingNsm<ChClient>;
 
-    /// Creates the NSM.
+impl<S> BindingNsm<S> {
+    /// Creates the NSM under a custom registered name — used when a second
+    /// subsystem of the same kind joins the federation and needs its own
+    /// NSM instance.
     ///
     /// `host` is where this NSM instance executes (its calls originate
     /// there — the colocation arrangement decides this).
-    pub fn new(
-        net: Arc<RpcNet>,
-        host: HostId,
-        resolver: Arc<StdResolver>,
-        mapping: NameMapping,
-        cache_form: NsmCacheForm,
-    ) -> Arc<Self> {
-        Self::named(Self::NAME, net, host, resolver, mapping, cache_form)
-    }
-
-    /// Creates the NSM under a custom registered name — used when a second
-    /// BIND-style subsystem joins the federation and needs its own NSM
-    /// instance.
     pub fn named(
         name: impl Into<String>,
         net: Arc<RpcNet>,
         host: HostId,
-        resolver: Arc<StdResolver>,
+        service: Arc<S>,
         mapping: NameMapping,
         cache_form: NsmCacheForm,
     ) -> Arc<Self> {
-        Arc::new(BindingBindNsm {
+        Arc::new(BindingNsm {
             name: name.into(),
             net,
             host,
-            resolver,
-            mapping,
+            adapter: Adapter::new(service, mapping),
             cache: NsmCache::new(cache_form),
-            target_suite: ComponentSet::sun(),
         })
     }
 
@@ -98,22 +92,44 @@ impl BindingBindNsm {
     pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
         self.cache.export_metrics(metrics, component);
     }
+}
 
-    fn lookup_host(&self, local: &str) -> RpcResult<(HostId, u32)> {
-        let domain = DomainName::parse(local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let records = self.resolver.query_uncached(&domain, RType::A)?;
-        let rr = records
-            .iter()
-            .find(|r| r.rtype == RType::A)
-            .ok_or_else(|| RpcError::NotFound(local.to_string()))?;
-        match &rr.rdata {
-            RData::Addr(addr) => Ok((addr.host, rr.ttl)),
-            other => Err(RpcError::Service(format!("bad A rdata {other:?}"))),
-        }
+impl BindingBindNsm {
+    /// Conventional NSM name.
+    pub const NAME: &'static str = "nsm-hrpcbinding-bind";
+
+    /// Creates the NSM.
+    pub fn new(
+        net: Arc<RpcNet>,
+        host: HostId,
+        resolver: Arc<StdResolver>,
+        mapping: NameMapping,
+        cache_form: NsmCacheForm,
+    ) -> Arc<Self> {
+        Self::named(Self::NAME, net, host, resolver, mapping, cache_form)
     }
 }
 
-impl Nsm for BindingBindNsm {
+impl BindingChNsm {
+    /// Conventional NSM name.
+    pub const NAME: &'static str = "nsm-hrpcbinding-ch";
+
+    /// Creates the NSM.
+    pub fn new(
+        net: Arc<RpcNet>,
+        host: HostId,
+        client: Arc<ChClient>,
+        mapping: NameMapping,
+        cache_form: NsmCacheForm,
+    ) -> Arc<Self> {
+        Self::named(Self::NAME, net, host, client, mapping, cache_form)
+    }
+}
+
+impl<S> Nsm for BindingNsm<S>
+where
+    Adapter<S>: HostLookup,
+{
     fn nsm_name(&self) -> &str {
         &self.name
     }
@@ -128,10 +144,7 @@ impl Nsm for BindingBindNsm {
         let program = ProgramId(args.u32_field("program")?);
 
         // Translate the individual name to the local name.
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
+        let local = self.adapter.translate(hns_name)?;
 
         let cache_key = format!("{local}|{service}|{}", program.0);
         if let Some(cached) = self.cache.get(world, &cache_key) {
@@ -139,41 +152,28 @@ impl Nsm for BindingBindNsm {
             return Ok(cached);
         }
 
-        // 1. Look the host up in the public BIND.
-        let (host, ttl) = self.lookup_host(&local)?;
+        // 1. Look the host up in the name service.
+        let (host, ttl) = self.adapter.address(&local)?;
 
         // 2. Determine the port with the system's own binding protocol
-        //    (Sun portmapper).
-        let port = bindproto::resolve_port(
-            &self.net,
-            self.host,
-            host,
-            program,
-            service,
-            self.target_suite,
-        )?;
+        //    (Sun portmapper, Courier exchange).
+        let components = Adapter::<S>::suite();
+        let port =
+            bindproto::resolve_port(&self.net, self.host, host, program, service, components)?;
 
         // 3. Assemble and marshal the completed binding through the
         //    generated routines.
         let binding = HrpcBinding {
             host,
-            addr: simnet::topology::NetAddr::of(host),
+            addr: NetAddr::of(host),
             program,
             port,
-            components: self.target_suite,
+            components,
         };
         world.charge_ms(world.costs.generated_miss(BINDING_MARSHAL_RRS) + world.costs.nsm_assemble);
         let reply = binding.to_value();
         self.cache
             .insert(world, cache_key, &reply, CACHED_BINDING_RRS, ttl);
         Ok(reply)
-    }
-}
-
-impl std::fmt::Debug for BindingBindNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BindingBindNsm")
-            .field("host", &self.host)
-            .finish()
     }
 }

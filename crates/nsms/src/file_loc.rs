@@ -9,17 +9,16 @@
 
 use std::sync::Arc;
 
-use bindns::name::DomainName;
 use bindns::resolver::StdResolver;
-use bindns::rr::{RData, RType};
 use clearinghouse::client::ChClient;
-use clearinghouse::name::ThreePartName;
 use clearinghouse::property::PROP_FILE_SERVICE;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
-use hrpc::error::{RpcError, RpcResult};
+use hrpc::error::RpcResult;
 use wire::Value;
+
+use crate::adapter::{BindAdapter, ChAdapter};
 
 /// Builds the standard `FileLocation` reply.
 pub fn file_reply(file_host: &str, local_path: &str) -> Value {
@@ -31,10 +30,8 @@ pub fn file_reply(file_host: &str, local_path: &str) -> Value {
 
 /// File-location NSM over BIND `TXT` records of the form
 /// `fileservice=<host>;root=<path>`.
-pub struct FileBindNsm {
-    resolver: Arc<StdResolver>,
-    mapping: NameMapping,
-}
+#[derive(Debug)]
+pub struct FileBindNsm(BindAdapter);
 
 impl FileBindNsm {
     /// Conventional NSM name.
@@ -42,23 +39,7 @@ impl FileBindNsm {
 
     /// Creates the NSM.
     pub fn new(resolver: Arc<StdResolver>, mapping: NameMapping) -> Arc<Self> {
-        Arc::new(FileBindNsm { resolver, mapping })
-    }
-}
-
-fn parse_file_record(text: &str, path: &str) -> RpcResult<Value> {
-    let mut host = None;
-    let mut root = None;
-    for piece in text.split(';') {
-        match piece.split_once('=') {
-            Some(("fileservice", v)) => host = Some(v),
-            Some(("root", v)) => root = Some(v),
-            _ => {}
-        }
-    }
-    match (host, root) {
-        (Some(h), Some(r)) => Ok(file_reply(h, &format!("{r}/{path}"))),
-        _ => Err(RpcError::Service(format!("bad file record `{text}`"))),
+        Arc::new(FileBindNsm(BindAdapter::new(resolver, mapping)))
     }
 }
 
@@ -73,29 +54,17 @@ impl Nsm for FileBindNsm {
 
     fn handle(&self, hns_name: &HnsName, args: &Value) -> RpcResult<Value> {
         let path = args.str_field("path")?;
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let domain = DomainName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let records = self.resolver.query(&domain, RType::Txt)?;
-        let rr = records
-            .iter()
-            .find(|r| r.rtype == RType::Txt)
-            .ok_or_else(|| RpcError::NotFound(local.clone()))?;
-        match &rr.rdata {
-            RData::Text(text) => parse_file_record(text, path),
-            other => Err(RpcError::Service(format!("bad TXT rdata {other:?}"))),
-        }
+        let keys = ["fileservice", "root"];
+        self.0.lookup_pair(hns_name, "file", keys, |host, root| {
+            file_reply(host, &format!("{root}/{path}"))
+        })
     }
 }
 
 /// File-location NSM over the Clearinghouse file-service property, whose
 /// value is `{ host: str, root: str }`.
-pub struct FileChNsm {
-    client: Arc<ChClient>,
-    mapping: NameMapping,
-}
+#[derive(Debug)]
+pub struct FileChNsm(ChAdapter);
 
 impl FileChNsm {
     /// Conventional NSM name.
@@ -103,7 +72,7 @@ impl FileChNsm {
 
     /// Creates the NSM.
     pub fn new(client: Arc<ChClient>, mapping: NameMapping) -> Arc<Self> {
-        Arc::new(FileChNsm { client, mapping })
+        Arc::new(FileChNsm(ChAdapter::new(client, mapping)))
     }
 }
 
@@ -118,26 +87,8 @@ impl Nsm for FileChNsm {
 
     fn handle(&self, hns_name: &HnsName, args: &Value) -> RpcResult<Value> {
         let path = args.str_field("path")?;
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let tpn = ThreePartName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let value = self.client.lookup_item(&tpn, PROP_FILE_SERVICE)?;
-        let host = value.str_field("host")?;
-        let root = value.str_field("root")?;
+        let service = self.0.lookup(hns_name, PROP_FILE_SERVICE)?;
+        let (host, root) = (service.str_field("host")?, service.str_field("root")?);
         Ok(file_reply(host, &format!("{root}/{path}")))
-    }
-}
-
-impl std::fmt::Debug for FileBindNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileBindNsm").finish()
-    }
-}
-
-impl std::fmt::Debug for FileChNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileChNsm").finish()
     }
 }

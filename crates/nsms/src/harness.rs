@@ -23,7 +23,7 @@ use clearinghouse::property::{PROP_ADDRESS, PROP_FILE_SERVICE, PROP_MAILBOX};
 use clearinghouse::server::{deploy as deploy_ch, ChDeployment, ChServer};
 use hns_core::cache::CacheMode;
 use hns_core::name::{Context, NameMapping};
-use hns_core::nsm::{Nsm, NsmInfo, NsmService, SuiteTag};
+use hns_core::nsm::{Nsm, NsmService};
 use hns_core::query::QueryClass;
 use hns_core::service::Hns;
 use hrpc::net::RpcNet;
@@ -33,8 +33,7 @@ use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
 use wire::Value;
 
-use crate::binding_bind::BindingBindNsm;
-use crate::binding_ch::BindingChNsm;
+use crate::binding::{BindingBindNsm, BindingChNsm};
 use crate::file_loc::{FileBindNsm, FileChNsm};
 use crate::hostaddr::{HostAddrBindNsm, HostAddrChNsm};
 use crate::mail::{MailBindNsm, MailChNsm};
@@ -323,7 +322,7 @@ impl Testbed {
     pub fn host_addr_nsms(&self, host: HostId) -> Vec<Arc<dyn Nsm>> {
         vec![
             HostAddrBindNsm::new(self.std_resolver(host), NameMapping::Identity),
-            HostAddrChNsm::new(self.ch_client(host), NameMapping::Identity, 600),
+            HostAddrChNsm::new(self.ch_client(host), NameMapping::Identity),
         ]
     }
 
@@ -346,31 +345,36 @@ impl Testbed {
         hns
     }
 
+    /// Registers `nsms`, each with the name service it serves, through a
+    /// bootstrap HNS on the meta host: exported on `host` under consecutive
+    /// programs from `NSM_EXPORT_PROGRAM + first`.
+    fn deploy_nsms<const N: usize>(
+        &self,
+        host: HostId,
+        first: u32,
+        nsms: [(Arc<dyn Nsm>, &str); N],
+    ) {
+        let registrar = self.make_hns_unlinked(self.hosts.meta, CacheMode::Disabled);
+        let hosts_ctx = self.ctx_nsm_hosts();
+        for (offset, (nsm, name_service)) in (first..).zip(nsms) {
+            let program = ProgramId(NSM_EXPORT_PROGRAM.0 + offset);
+            registrar
+                .deploy_nsm(name_service, nsm, host, program, &hosts_ctx, "hcs-project")
+                .expect("register NSM");
+        }
+    }
+
+    fn binding_bind_nsm(&self, host: HostId, form: NsmCacheForm) -> Arc<BindingBindNsm> {
+        let (net, resolver) = (Arc::clone(&self.net), self.std_resolver(host));
+        BindingBindNsm::new(net, host, resolver, NameMapping::Identity, form)
+    }
+
     /// Deploys the two binding NSMs on `host` and registers them with the
     /// HNS meta store (replacing any previous registration).
     pub fn deploy_binding_nsms(&self, host: HostId, form: NsmCacheForm) -> DeployedBindingNsms {
-        let bind_nsm = BindingBindNsm::new(
-            Arc::clone(&self.net),
-            host,
-            self.std_resolver(host),
-            NameMapping::Identity,
-            form,
-        );
-        let ch_nsm = BindingChNsm::new(
-            Arc::clone(&self.net),
-            host,
-            self.ch_client(host),
-            NameMapping::Identity,
-            form,
-        );
-        let bind_port =
-            self.net
-                .export(host, NSM_EXPORT_PROGRAM, NsmService::new(bind_nsm.clone()));
-        let ch_port = self.net.export(
-            host,
-            ProgramId(NSM_EXPORT_PROGRAM.0 + 1),
-            NsmService::new(ch_nsm.clone()),
-        );
+        let bind = self.binding_bind_nsm(host, form);
+        let (net, identity) = (Arc::clone(&self.net), NameMapping::Identity);
+        let ch = BindingChNsm::new(net, host, self.ch_client(host), identity, form);
 
         // Flush the bind-backed NSM's result cache on every
         // `World::export_all_caches` under the component name the traced
@@ -378,51 +382,15 @@ impl Testbed {
         // silent. The CH NSM's cache is not registered — one component,
         // one instance, last-writer-wins.
         if form != NsmCacheForm::Disabled {
-            let weak = Arc::downgrade(&bind_nsm);
+            let weak = Arc::downgrade(&bind);
             self.world.register_cache_exporter(Box::new(move |metrics| {
                 if let Some(nsm) = weak.upgrade() {
                     nsm.export_metrics(metrics, "nsm_cache");
                 }
             }));
         }
-
-        let registrar = self.make_hns_unlinked(self.hosts.meta, CacheMode::Disabled);
-        let host_name = self.world.topology.host_name(host).expect("host exists");
-        registrar
-            .register_nsm(NS_BIND, &QueryClass::hrpc_binding(), BindingBindNsm::NAME)
-            .expect("register nsm name");
-        registrar
-            .register_nsm_info(&NsmInfo {
-                nsm_name: BindingBindNsm::NAME.into(),
-                host_name: host_name.clone(),
-                host_context: self.ctx_nsm_hosts(),
-                program: NSM_EXPORT_PROGRAM,
-                port: bind_port,
-                suite: SuiteTag::Sun,
-                version: 1,
-                owner: "hcs-project".into(),
-            })
-            .expect("register nsm info");
-        registrar
-            .register_nsm(NS_CH, &QueryClass::hrpc_binding(), BindingChNsm::NAME)
-            .expect("register nsm name");
-        registrar
-            .register_nsm_info(&NsmInfo {
-                nsm_name: BindingChNsm::NAME.into(),
-                host_name,
-                host_context: self.ctx_nsm_hosts(),
-                program: ProgramId(NSM_EXPORT_PROGRAM.0 + 1),
-                port: ch_port,
-                suite: SuiteTag::Sun,
-                version: 1,
-                owner: "hcs-project".into(),
-            })
-            .expect("register nsm info");
-        DeployedBindingNsms {
-            bind: bind_nsm,
-            ch: ch_nsm,
-            host,
-        }
+        self.deploy_nsms(host, 0, [(bind.clone(), NS_BIND), (ch.clone(), NS_CH)]);
+        DeployedBindingNsms { bind, ch, host }
     }
 
     /// Deploys a replica of the BIND-backed binding NSM on `host` and
@@ -431,67 +399,23 @@ impl Testbed {
     /// replica only serves as an [`crate::import::Importer`] failover
     /// target when the primary's host is crashed or partitioned away.
     pub fn deploy_binding_bind_replica(&self, host: HostId, form: NsmCacheForm) -> HrpcBinding {
-        let nsm = BindingBindNsm::new(
-            Arc::clone(&self.net),
-            host,
-            self.std_resolver(host),
-            NameMapping::Identity,
-            form,
-        );
         let program = ProgramId(NSM_EXPORT_PROGRAM.0 + 8);
-        let port = self.net.export(host, program, NsmService::new(nsm));
-        HrpcBinding {
-            host,
-            addr: NetAddr::of(host),
-            program,
-            port,
-            components: SuiteTag::Sun.components(port),
-        }
+        NsmService::export(&self.net, host, program, self.binding_bind_nsm(host, form))
     }
 
     /// Deploys the mail and file NSMs on `host` and registers them.
     pub fn deploy_extension_nsms(&self, host: HostId) {
-        let registrar = self.make_hns_unlinked(self.hosts.meta, CacheMode::Disabled);
-        let host_name = self.world.topology.host_name(host).expect("host exists");
-        let deploy_one = |nsm: Arc<dyn Nsm>, ns: &str, program: ProgramId| {
-            let qc = nsm.query_class();
-            let nsm_name = nsm.nsm_name().to_string();
-            let port = self.net.export(host, program, NsmService::new(nsm));
-            registrar
-                .register_nsm(ns, &qc, &nsm_name)
-                .expect("register nsm name");
-            registrar
-                .register_nsm_info(&NsmInfo {
-                    nsm_name,
-                    host_name: host_name.clone(),
-                    host_context: self.ctx_nsm_hosts(),
-                    program,
-                    port,
-                    suite: SuiteTag::Sun,
-                    version: 1,
-                    owner: "hcs-project".into(),
-                })
-                .expect("register nsm info");
-        };
-        deploy_one(
-            MailBindNsm::new(self.std_resolver(host), NameMapping::Identity),
-            NS_BIND,
-            ProgramId(NSM_EXPORT_PROGRAM.0 + 2),
-        );
-        deploy_one(
-            MailChNsm::new(self.ch_client(host), NameMapping::Identity),
-            NS_CH,
-            ProgramId(NSM_EXPORT_PROGRAM.0 + 3),
-        );
-        deploy_one(
-            FileBindNsm::new(self.std_resolver(host), NameMapping::Identity),
-            NS_BIND,
-            ProgramId(NSM_EXPORT_PROGRAM.0 + 4),
-        );
-        deploy_one(
-            FileChNsm::new(self.ch_client(host), NameMapping::Identity),
-            NS_CH,
-            ProgramId(NSM_EXPORT_PROGRAM.0 + 5),
+        let (bind, ch) = (|| self.std_resolver(host), || self.ch_client(host));
+        let identity = || NameMapping::Identity;
+        self.deploy_nsms(
+            host,
+            2,
+            [
+                (MailBindNsm::new(bind(), identity()), NS_BIND),
+                (MailChNsm::new(ch(), identity()), NS_CH),
+                (FileBindNsm::new(bind(), identity()), NS_BIND),
+                (FileChNsm::new(ch(), identity()), NS_CH),
+            ],
         );
     }
 
@@ -499,37 +423,15 @@ impl Testbed {
     /// (kept separate from [`Testbed::deploy_extension_nsms`] so the
     /// preload experiments keep the paper-calibrated meta zone size).
     pub fn deploy_user_nsms(&self, host: HostId) {
-        let registrar = self.make_hns_unlinked(self.hosts.meta, CacheMode::Disabled);
-        let host_name = self.world.topology.host_name(host).expect("host exists");
-        let deploy_one = |nsm: Arc<dyn Nsm>, ns: &str, program: ProgramId| {
-            let qc = nsm.query_class();
-            let nsm_name = nsm.nsm_name().to_string();
-            let port = self.net.export(host, program, NsmService::new(nsm));
-            registrar
-                .register_nsm(ns, &qc, &nsm_name)
-                .expect("register nsm name");
-            registrar
-                .register_nsm_info(&NsmInfo {
-                    nsm_name,
-                    host_name: host_name.clone(),
-                    host_context: self.ctx_nsm_hosts(),
-                    program,
-                    port,
-                    suite: SuiteTag::Sun,
-                    version: 1,
-                    owner: "hcs-project".into(),
-                })
-                .expect("register nsm info");
-        };
-        deploy_one(
-            UserBindNsm::new(self.std_resolver(host), NameMapping::Identity),
-            NS_BIND,
-            ProgramId(NSM_EXPORT_PROGRAM.0 + 6),
-        );
-        deploy_one(
-            UserChNsm::new(self.ch_client(host), NameMapping::Identity),
-            NS_CH,
-            ProgramId(NSM_EXPORT_PROGRAM.0 + 7),
+        let (bind, ch) = (self.std_resolver(host), self.ch_client(host));
+        let identity = || NameMapping::Identity;
+        self.deploy_nsms(
+            host,
+            6,
+            [
+                (UserBindNsm::new(bind, identity()), NS_BIND),
+                (UserChNsm::new(ch, identity()), NS_CH),
+            ],
         );
     }
 }

@@ -8,28 +8,45 @@
 
 use std::sync::Arc;
 
-use bindns::name::DomainName;
 use bindns::resolver::StdResolver;
-use bindns::rr::{RData, RType};
 use clearinghouse::client::ChClient;
-use clearinghouse::name::ThreePartName;
-use clearinghouse::property::PROP_ADDRESS;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
-use hrpc::error::{RpcError, RpcResult};
+use hrpc::error::RpcResult;
 use wire::Value;
+
+use crate::adapter::{Adapter, HostLookup};
 
 /// Builds the standard `HostAddress` reply.
 pub fn host_reply(host: u32, ttl: u32) -> Value {
     Value::record([("host", Value::U32(host)), ("ttl", Value::U32(ttl))])
 }
 
-/// Host-address NSM backed by the public BIND.
-pub struct HostAddrBindNsm {
+/// The host-address NSM, written once over the adapter of either service:
+/// the adapter knows what a host's address is there and how long it keeps
+/// (a BIND record's own TTL; [`hns_core::META_TTL`] for the Clearinghouse,
+/// which has none).
+#[derive(Debug)]
+pub struct HostAddrNsm<S> {
     name: String,
-    resolver: Arc<StdResolver>,
-    mapping: NameMapping,
+    adapter: Adapter<S>,
+}
+
+/// Host-address NSM backed by the public BIND.
+pub type HostAddrBindNsm = HostAddrNsm<StdResolver>;
+/// Host-address NSM backed by the Clearinghouse.
+pub type HostAddrChNsm = HostAddrNsm<ChClient>;
+
+impl<S> HostAddrNsm<S> {
+    /// Creates the NSM under a custom registered name (for additional
+    /// subsystems of the same kind joining the federation).
+    pub fn named(name: impl Into<String>, service: Arc<S>, mapping: NameMapping) -> Arc<Self> {
+        Arc::new(HostAddrNsm {
+            name: name.into(),
+            adapter: Adapter::new(service, mapping),
+        })
+    }
 }
 
 impl HostAddrBindNsm {
@@ -40,55 +57,6 @@ impl HostAddrBindNsm {
     pub fn new(resolver: Arc<StdResolver>, mapping: NameMapping) -> Arc<Self> {
         Self::named(Self::NAME, resolver, mapping)
     }
-
-    /// Creates the NSM under a custom registered name (for additional
-    /// BIND-style subsystems joining the federation).
-    pub fn named(
-        name: impl Into<String>,
-        resolver: Arc<StdResolver>,
-        mapping: NameMapping,
-    ) -> Arc<Self> {
-        Arc::new(HostAddrBindNsm {
-            name: name.into(),
-            resolver,
-            mapping,
-        })
-    }
-}
-
-impl Nsm for HostAddrBindNsm {
-    fn nsm_name(&self) -> &str {
-        &self.name
-    }
-
-    fn query_class(&self) -> QueryClass {
-        QueryClass::host_address()
-    }
-
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let domain = DomainName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let records = self.resolver.query_uncached(&domain, RType::A)?;
-        let rr = records
-            .iter()
-            .find(|r| r.rtype == RType::A)
-            .ok_or_else(|| RpcError::NotFound(local.clone()))?;
-        match &rr.rdata {
-            RData::Addr(addr) => Ok(host_reply(addr.host.0, rr.ttl)),
-            other => Err(RpcError::Service(format!("bad A rdata {other:?}"))),
-        }
-    }
-}
-
-/// Host-address NSM backed by the Clearinghouse.
-pub struct HostAddrChNsm {
-    name: String,
-    client: Arc<ChClient>,
-    mapping: NameMapping,
-    default_ttl: u32,
 }
 
 impl HostAddrChNsm {
@@ -96,17 +64,15 @@ impl HostAddrChNsm {
     pub const NAME: &'static str = "nsm-hostaddress-ch";
 
     /// Creates the NSM over a Clearinghouse client.
-    pub fn new(client: Arc<ChClient>, mapping: NameMapping, default_ttl: u32) -> Arc<Self> {
-        Arc::new(HostAddrChNsm {
-            name: Self::NAME.to_string(),
-            client,
-            mapping,
-            default_ttl,
-        })
+    pub fn new(client: Arc<ChClient>, mapping: NameMapping) -> Arc<Self> {
+        Self::named(Self::NAME, client, mapping)
     }
 }
 
-impl Nsm for HostAddrChNsm {
+impl<S> Nsm for HostAddrNsm<S>
+where
+    Adapter<S>: HostLookup,
+{
     fn nsm_name(&self) -> &str {
         &self.name
     }
@@ -116,24 +82,8 @@ impl Nsm for HostAddrChNsm {
     }
 
     fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let tpn = ThreePartName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let value = self.client.lookup_item(&tpn, PROP_ADDRESS)?;
-        Ok(host_reply(value.as_u32()?, self.default_ttl))
-    }
-}
-
-impl std::fmt::Debug for HostAddrBindNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HostAddrBindNsm").finish()
-    }
-}
-
-impl std::fmt::Debug for HostAddrChNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HostAddrChNsm").finish()
+        let local = self.adapter.translate(hns_name)?;
+        let (host, ttl) = self.adapter.address(&local)?;
+        Ok(host_reply(host.0, ttl))
     }
 }

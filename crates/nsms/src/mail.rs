@@ -7,17 +7,17 @@
 
 use std::sync::Arc;
 
-use bindns::name::DomainName;
 use bindns::resolver::StdResolver;
 use bindns::rr::{RData, RType};
 use clearinghouse::client::ChClient;
-use clearinghouse::name::ThreePartName;
 use clearinghouse::property::PROP_MAILBOX;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
-use hrpc::error::{RpcError, RpcResult};
+use hrpc::error::RpcResult;
 use wire::Value;
+
+use crate::adapter::{BindAdapter, ChAdapter};
 
 /// Builds the standard `MailboxLocation` reply.
 pub fn mailbox_reply(host: &str) -> Value {
@@ -25,10 +25,8 @@ pub fn mailbox_reply(host: &str) -> Value {
 }
 
 /// Mailbox NSM over BIND `MX` records.
-pub struct MailBindNsm {
-    resolver: Arc<StdResolver>,
-    mapping: NameMapping,
-}
+#[derive(Debug)]
+pub struct MailBindNsm(BindAdapter);
 
 impl MailBindNsm {
     /// Conventional NSM name.
@@ -36,7 +34,7 @@ impl MailBindNsm {
 
     /// Creates the NSM.
     pub fn new(resolver: Arc<StdResolver>, mapping: NameMapping) -> Arc<Self> {
-        Arc::new(MailBindNsm { resolver, mapping })
+        Arc::new(MailBindNsm(BindAdapter::new(resolver, mapping)))
     }
 }
 
@@ -50,28 +48,16 @@ impl Nsm for MailBindNsm {
     }
 
     fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let domain = DomainName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let records = self.resolver.query(&domain, RType::Mx)?;
-        let rr = records
-            .iter()
-            .find(|r| r.rtype == RType::Mx)
-            .ok_or_else(|| RpcError::NotFound(local.clone()))?;
-        match &rr.rdata {
-            RData::Domain(target) => Ok(mailbox_reply(&target.to_string())),
-            other => Err(RpcError::Service(format!("bad MX rdata {other:?}"))),
-        }
+        self.0.lookup(hns_name, RType::Mx, |rdata| match rdata {
+            RData::Domain(target) => Some(mailbox_reply(&target.to_string())),
+            _ => None,
+        })
     }
 }
 
 /// Mailbox NSM over the Clearinghouse mailbox property.
-pub struct MailChNsm {
-    client: Arc<ChClient>,
-    mapping: NameMapping,
-}
+#[derive(Debug)]
+pub struct MailChNsm(ChAdapter);
 
 impl MailChNsm {
     /// Conventional NSM name.
@@ -79,7 +65,7 @@ impl MailChNsm {
 
     /// Creates the NSM.
     pub fn new(client: Arc<ChClient>, mapping: NameMapping) -> Arc<Self> {
-        Arc::new(MailChNsm { client, mapping })
+        Arc::new(MailChNsm(ChAdapter::new(client, mapping)))
     }
 }
 
@@ -93,24 +79,7 @@ impl Nsm for MailChNsm {
     }
 
     fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let tpn = ThreePartName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let value = self.client.lookup_item(&tpn, PROP_MAILBOX)?;
-        Ok(mailbox_reply(value.as_str()?))
-    }
-}
-
-impl std::fmt::Debug for MailBindNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MailBindNsm").finish()
-    }
-}
-
-impl std::fmt::Debug for MailChNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MailChNsm").finish()
+        let mailbox = self.0.lookup(hns_name, PROP_MAILBOX)?;
+        Ok(mailbox_reply(mailbox.as_str()?))
     }
 }

@@ -8,17 +8,16 @@
 
 use std::sync::Arc;
 
-use bindns::name::DomainName;
 use bindns::resolver::StdResolver;
-use bindns::rr::{RData, RType};
 use clearinghouse::client::ChClient;
-use clearinghouse::name::ThreePartName;
 use clearinghouse::property::PropertyId;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::Nsm;
 use hns_core::query::QueryClass;
-use hrpc::error::{RpcError, RpcResult};
+use hrpc::error::RpcResult;
 use wire::Value;
+
+use crate::adapter::{BindAdapter, ChAdapter};
 
 /// The Clearinghouse property carrying user descriptions.
 pub const PROP_USER: PropertyId = PropertyId(20);
@@ -31,28 +30,10 @@ pub fn user_reply(full_name: &str, host: &str) -> Value {
     ])
 }
 
-fn parse_user_record(text: &str) -> RpcResult<Value> {
-    let mut full_name = None;
-    let mut host = None;
-    for piece in text.split(';') {
-        match piece.split_once('=') {
-            Some(("name", v)) => full_name = Some(v),
-            Some(("host", v)) => host = Some(v),
-            _ => {}
-        }
-    }
-    match (full_name, host) {
-        (Some(n), Some(h)) => Ok(user_reply(n, h)),
-        _ => Err(RpcError::Service(format!("bad user record `{text}`"))),
-    }
-}
-
 /// User-info NSM over BIND `TXT` records of the form
 /// `name=<full name>;host=<home host>`.
-pub struct UserBindNsm {
-    resolver: Arc<StdResolver>,
-    mapping: NameMapping,
-}
+#[derive(Debug)]
+pub struct UserBindNsm(BindAdapter);
 
 impl UserBindNsm {
     /// Conventional NSM name.
@@ -60,7 +41,7 @@ impl UserBindNsm {
 
     /// Creates the NSM.
     pub fn new(resolver: Arc<StdResolver>, mapping: NameMapping) -> Arc<Self> {
-        Arc::new(UserBindNsm { resolver, mapping })
+        Arc::new(UserBindNsm(BindAdapter::new(resolver, mapping)))
     }
 }
 
@@ -74,29 +55,15 @@ impl Nsm for UserBindNsm {
     }
 
     fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let domain = DomainName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let records = self.resolver.query(&domain, RType::Txt)?;
-        let rr = records
-            .iter()
-            .find(|r| r.rtype == RType::Txt)
-            .ok_or_else(|| RpcError::NotFound(local.clone()))?;
-        match &rr.rdata {
-            RData::Text(text) => parse_user_record(text),
-            other => Err(RpcError::Service(format!("bad TXT rdata {other:?}"))),
-        }
+        self.0
+            .lookup_pair(hns_name, "user", ["name", "host"], user_reply)
     }
 }
 
 /// User-info NSM over the Clearinghouse user property, whose value is
 /// `{ name: str, host: str }`.
-pub struct UserChNsm {
-    client: Arc<ChClient>,
-    mapping: NameMapping,
-}
+#[derive(Debug)]
+pub struct UserChNsm(ChAdapter);
 
 impl UserChNsm {
     /// Conventional NSM name.
@@ -104,7 +71,7 @@ impl UserChNsm {
 
     /// Creates the NSM.
     pub fn new(client: Arc<ChClient>, mapping: NameMapping) -> Arc<Self> {
-        Arc::new(UserChNsm { client, mapping })
+        Arc::new(UserChNsm(ChAdapter::new(client, mapping)))
     }
 }
 
@@ -118,27 +85,7 @@ impl Nsm for UserChNsm {
     }
 
     fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let local = self
-            .mapping
-            .to_local(&hns_name.individual)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let tpn = ThreePartName::parse(&local).map_err(|e| RpcError::Service(e.to_string()))?;
-        let value = self.client.lookup_item(&tpn, PROP_USER)?;
-        Ok(user_reply(
-            value.str_field("name")?,
-            value.str_field("host")?,
-        ))
-    }
-}
-
-impl std::fmt::Debug for UserBindNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UserBindNsm").finish()
-    }
-}
-
-impl std::fmt::Debug for UserChNsm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UserChNsm").finish()
+        let user = self.0.lookup(hns_name, PROP_USER)?;
+        Ok(user_reply(user.str_field("name")?, user.str_field("host")?))
     }
 }

@@ -6,11 +6,14 @@ use std::sync::Arc;
 
 use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
-use hns_core::name::HnsName;
+use hns_core::name::{HnsName, NameMapping};
 use hns_core::query::QueryClass;
+use hrpc::ProgramId;
 use nsms::harness::{
-    Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, PRINT_SERVICE, PRINT_SERVICE_PROGRAM,
+    Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NSM_EXPORT_PROGRAM, NS_BIND, PRINT_SERVICE,
+    PRINT_SERVICE_PROGRAM,
 };
+use nsms::mail::MailBindNsm;
 use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
 use wire::Value;
@@ -323,14 +326,36 @@ fn batching_serves_even_a_disabled_cache_via_the_overlay() {
 
 #[test]
 fn dynamic_updates_flow_into_findnsm_without_client_changes() {
-    // Direct access: an application registers a brand-new query class at
-    // runtime; existing HNS clients can use it immediately.
-    let tb = Testbed::build();
-    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
-    tb.deploy_extension_nsms(tb.hosts.nsm);
-    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    let binding = hns
-        .find_nsm(&QueryClass::mailbox_location(), &fiji_name(&tb))
-        .expect("mail NSM findable");
-    assert_eq!(binding.host, tb.hosts.nsm);
+    // "Registering an NSM with the HNS extends the functionality of all
+    // machines at once": an application registers a brand-new query class
+    // at runtime, through a different HNS instance, and a client built
+    // (and turned away) before that resolves it with no change at all —
+    // once its own memory of the refusal, `NEGATIVE_TTL`, has lapsed.
+    for composed in [false, true] {
+        let tb = Testbed::build();
+        tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
+        let client = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+        client.set_binding_cache(composed);
+        let (qc, name) = (QueryClass::mailbox_location(), fiji_name(&tb));
+        let unserved = |result| matches!(result, Err(hns_core::HnsError::NoSuchNsm { .. }));
+        assert!(unserved(client.find_nsm(&qc, &name)));
+
+        let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
+        let nsm = MailBindNsm::new(tb.std_resolver(tb.hosts.nsm), NameMapping::Identity);
+        let program = ProgramId(NSM_EXPORT_PROGRAM.0 + 2);
+        let hosts_ctx = tb.ctx_nsm_hosts();
+        let registered = registrar
+            .deploy_nsm(NS_BIND, nsm, tb.hosts.nsm, program, &hosts_ctx, "mail-team")
+            .expect("register the mail NSM");
+
+        // Inside the negative TTL the client answers from memory.
+        let (again, _, delta) = tb.world.measure(|| client.find_nsm(&qc, &name));
+        assert!(unserved(again), "composed={composed}");
+        assert_eq!(delta.remote_calls, 0);
+        tb.world
+            .charge_ms(f64::from(hns_core::cache::NEGATIVE_TTL) * 1000.0);
+        let found = client.find_nsm(&qc, &name).expect("mail NSM findable");
+        assert_eq!(found, registered, "composed={composed}");
+        assert_eq!((found.host, found.program), (tb.hosts.nsm, program));
+    }
 }

@@ -1,5 +1,7 @@
-//! Per-NSM behaviour tests over the testbed: each concrete NSM's
-//! translation, lookup, error handling, and cache behaviour.
+//! Per-NSM behaviour tests over the testbed: what each concrete NSM adds
+//! to its adapter — arguments, the shape of its reply, cache behaviour.
+//! Translation, local-name parsing and "first record or `NotFound`" are
+//! the adapters' and are tested once, in `nsms::adapter`'s unit tests.
 
 use std::sync::Arc;
 
@@ -24,67 +26,28 @@ fn ch_name(tb: &Testbed, individual: &str) -> HnsName {
 }
 
 #[test]
-fn hostaddr_bind_nsm_resolves_and_reports_ttl() {
-    let tb = Testbed::build();
-    let nsm = HostAddrBindNsm::new(tb.std_resolver(tb.hosts.client), NameMapping::Identity);
-    assert_eq!(nsm.query_class(), QueryClass::host_address());
-    let reply = nsm
-        .handle(&bind_name(&tb, "fiji.cs.washington.edu"), &Value::Void)
-        .expect("resolve");
-    assert_eq!(reply.u32_field("host").expect("host"), tb.hosts.fiji.0);
-    assert_eq!(reply.u32_field("ttl").expect("ttl"), 86_400);
-}
-
-#[test]
-fn hostaddr_bind_nsm_maps_individual_names() {
-    // A prefixed context: global name "uw-fiji.cs.washington.edu", local
-    // name "fiji.cs.washington.edu".
-    let tb = Testbed::build();
-    let nsm = HostAddrBindNsm::new(
-        tb.std_resolver(tb.hosts.client),
-        NameMapping::Prefixed {
-            prefix: "uw-".into(),
-        },
-    );
-    let reply = nsm
-        .handle(&bind_name(&tb, "uw-fiji.cs.washington.edu"), &Value::Void)
-        .expect("resolve");
-    assert_eq!(reply.u32_field("host").expect("host"), tb.hosts.fiji.0);
-    // A name missing the prefix is rejected before any lookup.
-    assert!(nsm
-        .handle(&bind_name(&tb, "fiji.cs.washington.edu"), &Value::Void)
-        .is_err());
-}
-
-#[test]
-fn hostaddr_ch_nsm_resolves_through_clearinghouse() {
-    let tb = Testbed::build();
-    let nsm = HostAddrChNsm::new(tb.ch_client(tb.hosts.client), NameMapping::Identity, 600);
-    let reply = nsm
-        .handle(&ch_name(&tb, "printserver:cs:uw"), &Value::Void)
-        .expect("resolve");
-    assert_eq!(reply.u32_field("host").expect("host"), tb.hosts.printer.0);
-    assert!(matches!(
-        nsm.handle(&ch_name(&tb, "ghost:cs:uw"), &Value::Void),
-        Err(RpcError::NotFound(_))
-    ));
-}
-
-#[test]
 fn hostaddr_nsms_share_an_interface() {
     // The identical-interface property, checked mechanically: the same
-    // reply schema from both NSMs.
+    // reply schema from both NSMs, each with its service's own TTL (the
+    // record's; `META_TTL`, the Clearinghouse having none).
     let tb = Testbed::build();
     let bind = HostAddrBindNsm::new(tb.std_resolver(tb.hosts.client), NameMapping::Identity);
-    let ch = HostAddrChNsm::new(tb.ch_client(tb.hosts.client), NameMapping::Identity, 600);
+    let ch = HostAddrChNsm::new(tb.ch_client(tb.hosts.client), NameMapping::Identity);
+    assert_eq!(bind.query_class(), QueryClass::host_address());
+    assert_eq!(ch.query_class(), QueryClass::host_address());
     let a = bind
         .handle(&bind_name(&tb, "fiji.cs.washington.edu"), &Value::Void)
         .expect("bind reply");
     let b = ch
         .handle(&ch_name(&tb, "printserver:cs:uw"), &Value::Void)
         .expect("ch reply");
-    let desc_a = wire::TypeDesc::describe(&a);
-    let desc_b = wire::TypeDesc::describe(&b);
+    let fields = |v: &Value| (v.u32_field("host").ok(), v.u32_field("ttl").ok());
+    assert_eq!(fields(&a), (Some(tb.hosts.fiji.0), Some(86_400)));
+    assert_eq!(
+        fields(&b),
+        (Some(tb.hosts.printer.0), Some(hns_core::META_TTL))
+    );
+    let (desc_a, desc_b) = (wire::TypeDesc::describe(&a), wire::TypeDesc::describe(&b));
     assert_eq!(desc_a, desc_b, "replies must share the query class schema");
 }
 
@@ -102,26 +65,6 @@ fn binding_bind_nsm_requires_service_args() {
         .handle(&bind_name(&tb, "fiji.cs.washington.edu"), &Value::Void)
         .expect_err("missing args");
     assert!(matches!(err, RpcError::Wire(_)));
-}
-
-#[test]
-fn binding_bind_nsm_unknown_host_fails_cleanly() {
-    let tb = Testbed::build();
-    let nsm = BindingBindNsm::new(
-        Arc::clone(&tb.net),
-        tb.hosts.client,
-        tb.std_resolver(tb.hosts.client),
-        NameMapping::Identity,
-        NsmCacheForm::Disabled,
-    );
-    let args = Value::record(vec![
-        ("service", Value::str("X")),
-        ("program", Value::U32(1)),
-    ]);
-    assert!(matches!(
-        nsm.handle(&bind_name(&tb, "ghost.cs.washington.edu"), &args),
-        Err(RpcError::NotFound(_))
-    ));
 }
 
 #[test]
@@ -204,15 +147,6 @@ fn mail_nsms_share_an_interface() {
 }
 
 #[test]
-fn mail_nsm_reports_missing_users() {
-    let tb = Testbed::build();
-    let bind = MailBindNsm::new(tb.std_resolver(tb.hosts.client), NameMapping::Identity);
-    assert!(bind
-        .handle(&bind_name(&tb, "nobody.cs.washington.edu"), &Value::Void)
-        .is_err());
-}
-
-#[test]
 fn file_nsms_compose_paths() {
     let tb = Testbed::build();
     let bind = FileBindNsm::new(tb.std_resolver(tb.hosts.client), NameMapping::Identity);
@@ -238,12 +172,7 @@ fn file_nsms_compose_paths() {
         b.str_field("local_path").expect("field"),
         "/designs/board.dwg"
     );
-}
-
-#[test]
-fn file_nsm_requires_path_argument() {
-    let tb = Testbed::build();
-    let bind = FileBindNsm::new(tb.std_resolver(tb.hosts.client), NameMapping::Identity);
+    // The path is the query class's own argument: required.
     assert!(bind
         .handle(&bind_name(&tb, "sources.cs.washington.edu"), &Value::Void)
         .is_err());
@@ -268,7 +197,7 @@ fn nsm_names_are_distinct_across_the_complement() {
         HostAddrBindNsm::new(tb.std_resolver(tb.hosts.client), NameMapping::Identity)
             .nsm_name()
             .to_string(),
-        HostAddrChNsm::new(tb.ch_client(tb.hosts.client), NameMapping::Identity, 600)
+        HostAddrChNsm::new(tb.ch_client(tb.hosts.client), NameMapping::Identity)
             .nsm_name()
             .to_string(),
         BindingBindNsm::NAME.to_string(),

@@ -229,9 +229,11 @@ impl Registry {
                 "name `{name}` must be 1..={MAX_NAME_LEN} chars"
             )));
         }
-        if name.contains("--") || name.contains(':') {
+        // A registered name becomes a context, so it must have a meta key
+        // of its own: `my.svc` once rebound `my-svc`'s context record.
+        if name.contains("--") || !hns_core::meta::keyable(name) {
             return Err(RegError::BadRecord(format!(
-                "name `{name}` may not contain `--` or `:`"
+                "name `{name}` may hold only [A-Za-z0-9_-] and no `--`"
             )));
         }
         Ok(())
@@ -857,8 +859,9 @@ mod tests {
 
     #[test]
     fn name_validation() {
-        let (_world, reg) = setup();
-        for bad in ["", "a--b", "a:b", &"x".repeat(41)] {
+        let (env, reg) = setup();
+        let before = env.world.counters().remote_calls;
+        for bad in ["", "a--b", "a:b", "my.svc", "my/svc", &"x".repeat(41)] {
             assert!(
                 matches!(
                     reg.register("alice", 0xA11CE, bad, "BIND").unwrap_err(),
@@ -867,5 +870,7 @@ mod tests {
                 "{bad:?}"
             );
         }
+        let calls = env.world.counters().remote_calls - before;
+        assert_eq!(calls, 0, "refused before the first Clearinghouse write");
     }
 }

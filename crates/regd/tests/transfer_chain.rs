@@ -130,6 +130,32 @@ fn find_nsm_follows_a_rebinding_transfer_transparently() {
 }
 
 #[test]
+fn a_second_owners_name_cannot_rebind_the_firsts_context() {
+    // `my.svc` once sanitised onto `my-svc`'s meta key: registering it
+    // wrote a base record of its own, then rebound the other owner's
+    // context. It is refused whole, before the first Clearinghouse write.
+    let rtb = RegTestbed::build(2);
+    rtb.tb
+        .deploy_binding_nsms(rtb.tb.hosts.nsm, NsmCacheForm::Disabled);
+    let reg = &rtb.registry;
+    reg.register(&owner_name(0), owner_key(0), "my-svc", NS_BIND)
+        .expect("register");
+    let (refused, _, delta) = rtb
+        .tb
+        .world
+        .measure(|| reg.register(&owner_name(1), owner_key(1), "my.svc", NS_CH));
+    assert!(
+        matches!(refused, Err(RegError::BadRecord(_))),
+        "{refused:?}"
+    );
+    assert_eq!(delta.remote_calls, 0);
+    let hns = rtb.tb.make_hns(rtb.tb.hosts.client, CacheMode::Disabled);
+    let name = HnsName::new(Context::new("my-svc").expect("ctx"), "fiji").expect("name");
+    let designated = hns.find_nsm(&QueryClass::hrpc_binding(), &name);
+    assert_eq!(designated.expect("find nsm").program, NSM_EXPORT_PROGRAM);
+}
+
+#[test]
 fn replica_reads_are_stale_until_propagation() {
     let rtb = RegTestbed::build(3);
     let reg = &rtb.registry;

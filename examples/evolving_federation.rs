@@ -6,11 +6,12 @@
 //! without modification."
 //!
 //! The EE department arrives with its own BIND server and its own
-//! applications. Integration requires exactly three steps — run a pair of
-//! NSMs, register them, register a context — and *nothing else changes*:
-//! the existing client binary binds EE services immediately, and when an
-//! EE application later updates its local name service through the native
-//! interface, global clients observe the change with no reregistration.
+//! applications. Integration is exactly three steps, each one call —
+//! register a context, register a binding NSM, register a host-address
+//! NSM — and *nothing else changes*: the existing client binary binds EE
+//! services immediately, and when an EE application later updates its
+//! local name service through the native interface, global clients
+//! observe the change with no reregistration.
 //!
 //! ```text
 //! cargo run --example evolving_federation
@@ -26,7 +27,7 @@ use hns_repro::bindns::StdResolver;
 use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::colocation::HnsHandle;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
-use hns_repro::hns_core::nsm::{NsmInfo, NsmService, SuiteTag};
+use hns_repro::hns_core::nsm::NsmClient;
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hrpc::server::ProcServer;
 use hns_repro::hrpc::ProgramId;
@@ -80,8 +81,9 @@ fn main() {
     tb.net.export(ee_app_host, ProgramId(100_099), spice);
     println!("day 1: EE brings up ns.ee.washington.edu and a SpiceFarm service");
 
-    // Day 2: integration. Build the two NSMs for the new subsystem and
-    // register everything with the HNS. No existing code is touched.
+    // Day 2: integration. The pair of NSMs EE's name service needs is the
+    // existing BIND code under new names, run on the NSM host against
+    // EE's server. No existing code is touched.
     let ee_resolver = || {
         Arc::new(StdResolver::new(
             Arc::clone(&tb.net),
@@ -89,7 +91,7 @@ fn main() {
             ee_bind.std_binding,
         ))
     };
-    let ee_binding_nsm = BindingBindNsm::named(
+    let binding_nsm = BindingBindNsm::named(
         "nsm-hrpcbinding-ee",
         Arc::clone(&tb.net),
         tb.hosts.nsm,
@@ -97,40 +99,34 @@ fn main() {
         NameMapping::Identity,
         NsmCacheForm::Demarshalled,
     );
-    let port = tb.net.export(
-        tb.hosts.nsm,
-        ProgramId(320_001),
-        NsmService::new(ee_binding_nsm),
-    );
+    let hostaddr_nsm =
+        HostAddrBindNsm::named("nsm-hostaddress-ee", ee_resolver(), NameMapping::Identity);
+    let (at, hosts_ctx) = (tb.hosts.nsm, tb.ctx_nsm_hosts());
+    let (binding_program, hostaddr_program) = (ProgramId(320_001), ProgramId(320_002));
     let ee_ctx = Context::new("ee-uw").expect("ctx");
+    // Step 1: a context for EE's names, served by a new name service.
     hns.register_context(&ee_ctx, "EE-BIND", &NameMapping::Identity)
         .expect("register context");
-    hns.register_nsm("EE-BIND", &QueryClass::hrpc_binding(), "nsm-hrpcbinding-ee")
-        .expect("register nsm");
-    hns.register_nsm_info(&NsmInfo {
-        nsm_name: "nsm-hrpcbinding-ee".into(),
-        host_name: "nsmserv.cs.washington.edu".into(),
-        host_context: tb.ctx_nsm_hosts(),
-        program: ProgramId(320_001),
-        port,
-        suite: SuiteTag::Sun,
-        version: 1,
-        owner: "ee-dept".into(),
-    })
-    .expect("register info");
-    // Host-address NSM for the new subsystem, linked with the client's
-    // HNS instance (as the recursion-avoidance rule requires).
-    hns.register_nsm("EE-BIND", &QueryClass::host_address(), "nsm-hostaddress-ee")
-        .expect("register ha nsm");
-    hns.link_nsm(HostAddrBindNsm::named(
-        "nsm-hostaddress-ee",
-        Arc::new(StdResolver::new(
-            Arc::clone(&tb.net),
-            tb.hosts.client,
-            ee_bind.std_binding,
-        )),
-        NameMapping::Identity,
-    ));
+    // Steps 2 and 3: register each NSM with the HNS. The one operation
+    // exports it and writes where (EE-BIND, its query class) now leads.
+    hns.deploy_nsm(
+        "EE-BIND",
+        binding_nsm,
+        at,
+        binding_program,
+        &hosts_ctx,
+        "ee-dept",
+    )
+    .expect("register binding NSM");
+    hns.deploy_nsm(
+        "EE-BIND",
+        hostaddr_nsm,
+        at,
+        hostaddr_program,
+        &hosts_ctx,
+        "ee-dept",
+    )
+    .expect("register host-address NSM");
     println!("day 2: EE registered: one context, two NSMs — no client was modified");
 
     // The unmodified client binds the new subsystem's service.
@@ -146,6 +142,16 @@ fn main() {
         "unmodified client bound SpiceFarm at {} -> {reply}",
         binding.host
     );
+    // So does any other query class EE registered an NSM for.
+    let designated = hns
+        .find_nsm(&QueryClass::host_address(), &spice_name)
+        .expect("FindNSM via EE-BIND");
+    let address = NsmClient::new(Arc::clone(&tb.net), tb.hosts.client)
+        .call(&designated, &spice_name, vec![])
+        .expect("host-address query");
+    println!("and asked EE's host-address NSM where turing is -> {address}");
+    assert_eq!(designated.program, hostaddr_program);
+    assert_eq!(address.u32_field("host").expect("host"), ee_app_host.0);
 
     // Day 30: an EE application moves the service and updates *its own*
     // name service through the native interface. Direct access means the

@@ -187,6 +187,37 @@ fn contexts_make_cross_system_conflicts_impossible() {
 }
 
 #[test]
+fn contexts_that_would_share_a_meta_key_are_refused_not_merged() {
+    // `ee.uw` once sanitised onto `ee-uw`'s key, so whichever context was
+    // registered second silently rebound the first, and `ee/uw` resolved
+    // without ever being registered. Composed cache off and on.
+    use hns_repro::hns_core::HnsError;
+    for composed in [false, true] {
+        let tb = Testbed::build();
+        tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+        let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+        hns.set_binding_cache(composed);
+        let ctx = |name: &str| Context::new(name).expect("context");
+        let dotted = hns.register_context(&ctx("ee.uw"), NS_BIND, &NameMapping::Identity);
+        assert!(matches!(dotted, Err(HnsError::BadName(_))), "{dotted:?}");
+        hns.register_context(&ctx("ee-uw"), NS_CH, &NameMapping::Identity)
+            .expect("a keyable context registers");
+        let qc = QueryClass::hrpc_binding();
+        let find =
+            |context: &str| hns.find_nsm(&qc, &HnsName::new(ctx(context), "x").expect("name"));
+        let ch_nsm = find("ee-uw").expect("the registered context resolves");
+        assert_ne!(ch_nsm.program, find("bind-uw").expect("BIND").program);
+        for alias in ["ee.uw", "ee/uw", "ee uw"] {
+            let found = find(alias);
+            assert!(
+                matches!(found, Err(HnsError::BadName(_))),
+                "{alias}: {found:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn name_mappings_remain_invertible_across_the_wire() {
     // A context with a prefix mapping: global names are qualified, local
     // applications keep their bare names, and the mapping inverts exactly.
