@@ -327,6 +327,9 @@ fn fuzz(mut args: Args) -> Result<(), String> {
     let report = conformance::fuzz::run(config);
     println!("{}", report.render());
     corpus?;
+    if !report.alloc_tracked {
+        return Err("fuzz: no counting allocator installed, so no budget was enforced".into());
+    }
     let violations = "fuzz: property violations (see the report above)";
     report.ok().then_some(()).ok_or_else(|| violations.into())
 }

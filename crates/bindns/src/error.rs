@@ -77,6 +77,20 @@ impl Rcode {
             _ => None,
         }
     }
+
+    /// What this outcome means to whoever asked about `name`: nothing for
+    /// [`Rcode::Ok`], else the lookup error it stands for.
+    pub fn into_result(self, name: &crate::name::DomainName) -> NsResult<()> {
+        Err(match self {
+            Rcode::Ok => return Ok(()),
+            Rcode::NameError => NsError::NameError(name.to_string()),
+            Rcode::NoData => NsError::NoData(name.to_string()),
+            // Callers that do not chase referrals treat one as "not here".
+            Rcode::NotAuth | Rcode::Referral => NsError::NotAuthoritative(name.to_string()),
+            Rcode::Refused => NsError::UpdatesDisabled,
+            Rcode::FormErr => NsError::BadRecord("server rejected request".into()),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use wire::{Value, WireResult};
 
 use crate::error::{NsError, NsResult, Rcode};
 use crate::name::DomainName;
-use crate::rr::{RData, RType, ResourceRecord};
+use crate::rr::{RData, RType, RecordRef, ResourceRecord};
 
 /// Procedure: look up records.
 pub const PROC_QUERY: u32 = 1;
@@ -111,16 +111,8 @@ impl Answer {
 
     /// Converts back into a lookup result for `question`.
     pub fn into_result(self, question: &Question) -> NsResult<Vec<ResourceRecord>> {
-        match self.rcode {
-            Rcode::Ok => Ok(self.records),
-            Rcode::NameError => Err(NsError::NameError(question.name.to_string())),
-            Rcode::NoData => Err(NsError::NoData(question.name.to_string())),
-            Rcode::NotAuth => Err(NsError::NotAuthoritative(question.name.to_string())),
-            Rcode::Refused => Err(NsError::UpdatesDisabled),
-            Rcode::FormErr => Err(NsError::BadRecord("server rejected request".into())),
-            // Callers that do not chase referrals treat one as "not here".
-            Rcode::Referral => Err(NsError::NotAuthoritative(question.name.to_string())),
-        }
+        self.rcode.into_result(&question.name)?;
+        Ok(self.records)
     }
 
     /// Serializes to a wire value (the HRPC path).
@@ -135,18 +127,10 @@ impl Answer {
 
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<Answer> {
-        let code = v
-            .u32_field("rcode")
-            .map_err(|e| NsError::BadRecord(e.to_string()))?;
-        let rcode =
-            Rcode::from_u32(code).ok_or_else(|| NsError::BadRecord(format!("bad rcode {code}")))?;
-        let list = v
-            .field("answers")
-            .and_then(Value::as_list)
-            .map_err(|e| NsError::BadRecord(e.to_string()))?;
+        let reply = Reply::read(v)?;
         Ok(Answer {
-            rcode,
-            records: ResourceRecord::list_from_values(list)?,
+            rcode: reply.rcode,
+            records: reply.to_records()?,
         })
     }
 
@@ -202,6 +186,53 @@ impl Answer {
             rcode,
             records: records?,
         })
+    }
+}
+
+/// A `QUERY` reply read where it lies in the wire value: the outcome
+/// code, then each record's fields on demand. [`Answer::from_value`] is
+/// this plus the decoding of every record into an owned one; a caller
+/// that wants the payloads alone reads them here and allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Reply<'a> {
+    /// Outcome code.
+    pub rcode: Rcode,
+    records: &'a [Value],
+}
+
+impl<'a> Reply<'a> {
+    /// Reads the outcome code and finds the record list.
+    pub fn read(v: &'a Value) -> NsResult<Reply<'a>> {
+        let code = v
+            .u32_field("rcode")
+            .map_err(|e| NsError::BadRecord(e.to_string()))?;
+        let rcode =
+            Rcode::from_u32(code).ok_or_else(|| NsError::BadRecord(format!("bad rcode {code}")))?;
+        let records = v
+            .field("answers")
+            .and_then(Value::as_list)
+            .map_err(|e| NsError::BadRecord(e.to_string()))?;
+        Ok(Reply { rcode, records })
+    }
+
+    /// Number of records the reply carries.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True for a reply without records (every error reply).
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The records, each read as it is reached.
+    pub fn records(&self) -> impl Iterator<Item = NsResult<RecordRef<'a>>> + 'a {
+        self.records.iter().map(RecordRef::read)
+    }
+
+    /// The records decoded into owned ones.
+    pub fn to_records(&self) -> NsResult<Vec<ResourceRecord>> {
+        ResourceRecord::list_from_values(self.records)
     }
 }
 
@@ -380,6 +411,53 @@ mod tests {
         let q = Question::new(name("fiji.cs.washington.edu"), RType::A);
         let a = sample_answer(2);
         assert_eq!(a.into_result(&q).expect("ok").len(), 2);
+    }
+
+    #[test]
+    fn the_reply_reader_lends_what_the_answer_decode_owns() {
+        let owner = name("info.nsm-b.hns");
+        let mut records = sample_answer(2).records;
+        records.push(ResourceRecord::unspec(owner, 600, b"host=june".to_vec()));
+        records.push(ResourceRecord::txt(name("a.b"), 60, "t"));
+        let value = Answer::ok(records.clone()).to_value().expect("to value");
+        let reply = Reply::read(&value).expect("reply");
+        assert_eq!((reply.rcode, reply.len()), (Rcode::Ok, 4));
+        assert_eq!(reply.to_records().expect("decode"), records);
+        for (lent, owned) in reply.records().zip(&records) {
+            let lent = lent.expect("record");
+            assert_eq!(lent.owner, owned.name.as_str());
+            assert_eq!((lent.rtype, lent.ttl), (owned.rtype, owned.ttl));
+            assert_eq!(lent.rdata, owned.rdata.to_bytes().expect("rdata"));
+            assert_eq!(lent.opaque(), owned.opaque());
+        }
+        assert_eq!(records[2].opaque(), Some(&b"host=june"[..]));
+        assert_eq!(records[3].opaque(), None, "text is not opaque");
+
+        // An error reply has an outcome and nothing to read.
+        let value = Answer::err(Rcode::NoData).to_value().expect("to value");
+        let reply = Reply::read(&value).expect("reply");
+        assert!(reply.is_empty() && reply.records().next().is_none());
+        assert!(matches!(
+            reply.rcode.into_result(&name("a.b")),
+            Err(NsError::NoData(_))
+        ));
+        // What is no reply is refused before any record is looked at; a
+        // record that is none, when the reader gets to it.
+        for bad in [
+            Value::U32(0),
+            Value::record([("rcode", Value::U32(0))]),
+            Value::record([("rcode", Value::U32(99)), ("answers", Value::List(vec![]))]),
+            Value::record([("rcode", Value::U32(0)), ("answers", Value::U32(1))]),
+        ] {
+            assert!(Reply::read(&bad).is_err(), "{bad:?}");
+            assert!(Answer::from_value(&bad).is_err(), "{bad:?}");
+        }
+        let list = vec![records[0].to_value().expect("value"), Value::U32(7)];
+        let value = Value::record([("rcode", Value::U32(0)), ("answers", Value::List(list))]);
+        let reply = Reply::read(&value).expect("the list is one");
+        let read: Vec<bool> = reply.records().map(|r| r.is_ok()).collect();
+        assert_eq!(read, [true, false]);
+        assert!(reply.to_records().is_err() && Answer::from_value(&value).is_err());
     }
 
     #[test]

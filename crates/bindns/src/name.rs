@@ -14,8 +14,8 @@ pub const MAX_NAME: usize = 255;
 /// A fully qualified domain name: one shared, canonical (lowercase,
 /// dotted, no trailing dot) string; the root is the empty string.
 /// Cloning bumps a reference count, and every relation is computed on
-/// the text in place — names are compared on each B-tree step of a zone
-/// map and cloned into every message, so neither may allocate.
+/// the text in place — names are hashed or compared on every lookup and
+/// cloned into every message, so neither may allocate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DomainName {
     text: Arc<str>,
@@ -36,30 +36,7 @@ impl DomainName {
         if trimmed.is_empty() {
             return Ok(DomainName::root());
         }
-        if trimmed.len() > MAX_NAME {
-            return Err(NsError::BadName(format!(
-                "name too long ({} bytes)",
-                trimmed.len()
-            )));
-        }
-        let mut needs_lowering = false;
-        for label in trimmed.split('.') {
-            if label.is_empty() {
-                return Err(NsError::BadName(format!("empty label in `{s}`")));
-            }
-            if label.len() > MAX_LABEL {
-                return Err(NsError::BadName(format!("label `{label}` too long")));
-            }
-            for b in label.bytes() {
-                if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-                    return Err(NsError::BadName(format!(
-                        "bad character in label `{label}`"
-                    )));
-                }
-                needs_lowering |= b.is_ascii_uppercase();
-            }
-        }
-        let text = if needs_lowering {
+        let text = if check_labels(trimmed, trimmed.len())? {
             Arc::from(trimmed.to_ascii_lowercase())
         } else {
             Arc::from(trimmed)
@@ -116,10 +93,25 @@ impl DomainName {
         })
     }
 
-    /// Prepends a label, producing a child name.
-    pub fn child(&self, label: &str) -> NsResult<DomainName> {
-        let name = format!("{label}.{}", self.as_str());
-        DomainName::parse(name.trim_end_matches('.'))
+    /// Prepends `labels` (one, or several dotted), producing a name
+    /// below this one. This name is valid already, so only the new labels
+    /// and the total length are checked, and the text is assembled on the
+    /// stack: one allocation, the name's own.
+    pub fn child(&self, labels: &str) -> NsResult<DomainName> {
+        let below = labels.len();
+        let total = below + usize::from(!self.is_root()) * (1 + self.text.len());
+        check_labels(labels, total)?;
+        let mut text = [0u8; MAX_NAME];
+        text[..below].copy_from_slice(labels.as_bytes());
+        text[..below].make_ascii_lowercase();
+        if !self.is_root() {
+            text[below] = b'.';
+            text[below + 1..total].copy_from_slice(self.text.as_bytes());
+        }
+        let text = std::str::from_utf8(&text[..total]).expect("checked labels are ASCII");
+        Ok(DomainName {
+            text: Arc::from(text),
+        })
     }
 
     /// Interns the canonical (lowercase, dotted) rendering of this name
@@ -134,13 +126,40 @@ impl DomainName {
     }
 }
 
+/// Checks the dotted, non-empty `labels` of a name `total` bytes long in
+/// all; says whether any of them needs lowering.
+fn check_labels(labels: &str, total: usize) -> NsResult<bool> {
+    if total > MAX_NAME {
+        return Err(NsError::BadName(format!("name too long ({total} bytes)")));
+    }
+    let mut needs_lowering = false;
+    for label in labels.split('.') {
+        if label.is_empty() {
+            return Err(NsError::BadName(format!("empty label in `{labels}`")));
+        }
+        if label.len() > MAX_LABEL {
+            return Err(NsError::BadName(format!("label `{label}` too long")));
+        }
+        for b in label.bytes() {
+            if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
+                return Err(NsError::BadName(format!(
+                    "bad character in label `{label}`"
+                )));
+            }
+            needs_lowering |= b.is_ascii_uppercase();
+        }
+    }
+    Ok(needs_lowering)
+}
+
 /// Label-wise order (compare the leftmost labels, then the next, a
 /// shorter name first on a tie), computed in one pass over the bytes: at
 /// the first differing byte a `.` — the end of a label — ranks below
 /// every label byte. A plain byte compare would misplace `a-b.c` after
-/// `a.c`, because `-` sorts below `.`. Keys of one zone share long
-/// prefixes and every B-tree step compares two of them, so the shared
-/// prefix is skipped eight bytes at a time.
+/// `a.c`, because `-` sorts below `.`. It is the order a zone transfer
+/// ships its owners in; names of one zone share long prefixes and the
+/// sort compares two of them at every step, so the shared prefix is
+/// skipped eight bytes at a time.
 impl Ord for DomainName {
     fn cmp(&self, other: &Self) -> Ordering {
         let (a, b) = (self.text.as_bytes(), other.text.as_bytes());
@@ -231,6 +250,27 @@ mod tests {
         assert_eq!(parent.to_string(), "cs.washington.edu");
         assert_eq!(parent.child("fiji").expect("child"), host);
         assert!(DomainName::root().parent().is_none());
+    }
+
+    #[test]
+    fn child_is_parse_of_the_joined_text() {
+        let zone = DomainName::parse("cs.washington.edu").expect("parse");
+        for (base, labels) in [
+            (&zone, "Fiji"),
+            (&zone, "www.Fiji"),
+            (&DomainName::root(), "edu"),
+        ] {
+            let joined = format!("{labels}.{base}");
+            let parsed = DomainName::parse(joined.trim_end_matches('.')).expect("parse");
+            assert_eq!(base.child(labels).expect("child"), parsed);
+        }
+        for bad in ["", "a..b", "a.", ".a", "a b", &"x".repeat(MAX_LABEL + 1)] {
+            assert!(zone.child(bad).is_err(), "`{bad}` accepted");
+        }
+        // The total is bounded, not just the new labels.
+        let long = DomainName::parse(&format!("{}com", "a.".repeat(120))).expect("243 bytes");
+        assert!(long.child("0123456789").is_ok(), "254 bytes");
+        assert!(long.child("0123456789ab").is_err(), "256 bytes");
     }
 
     #[test]

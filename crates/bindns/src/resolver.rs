@@ -19,12 +19,22 @@ use hrpc::net::RpcNet;
 use hrpc::HrpcBinding;
 
 use crate::cache::TtlCache;
+use crate::error::NsError;
 use crate::message::{
-    Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
+    Answer, MultiAnswer, MultiQuestion, Question, Reply, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
 };
 use crate::name::DomainName;
 use crate::rr::{RType, ResourceRecord};
 use crate::update::UpdateOp;
+
+/// A lookup that found nothing is `NotFound`; any other refusal, or a
+/// reply that does not decode, is the service's failure.
+fn lookup_error(e: NsError) -> RpcError {
+    match e {
+        NsError::NameError(n) | NsError::NoData(n) => RpcError::NotFound(n),
+        other => RpcError::Service(other.to_string()),
+    }
+}
 
 /// The standard resolver: native transport, fast marshalling, TTL cache.
 pub struct StdResolver {
@@ -125,12 +135,7 @@ impl StdResolver {
         self.query_us
             .get(world.metrics(), "bind_resolver", "std_query_us")
             .record(world.now().since(t0).as_us());
-        answer.into_result(&question).map_err(|e| match e {
-            crate::error::NsError::NameError(n) | crate::error::NsError::NoData(n) => {
-                RpcError::NotFound(n)
-            }
-            other => RpcError::Service(other.to_string()),
-        })
+        answer.into_result(&question).map_err(lookup_error)
     }
 
     /// Cache statistics.
@@ -187,6 +192,24 @@ impl HrpcResolver {
     /// Queries the server; returns the answer and charges the generated
     /// marshalling cost plus the interface's fixed overhead.
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Vec<ResourceRecord>> {
+        self.query_reply(name, rtype, |reply| {
+            reply
+                .to_records()
+                .map_err(|e| RpcError::Service(e.to_string()))
+        })
+    }
+
+    /// [`HrpcResolver::query`] for a caller that reads the reply where it
+    /// lies: sends the question, charges the generated marshalling cost
+    /// of the records that came back plus the interface's fixed overhead,
+    /// turns a refusal into its error, and hands the reader of a
+    /// successful reply to `read`.
+    pub fn query_reply<T, E: From<RpcError>>(
+        &self,
+        name: &DomainName,
+        rtype: RType,
+        read: impl FnOnce(Reply<'_>) -> Result<T, E>,
+    ) -> Result<T, E> {
         let t0 = self.net.world().now();
         self.queries
             .get(self.net.world().metrics(), "bind_resolver", "hrpc_queries")
@@ -195,21 +218,16 @@ impl HrpcResolver {
         let reply = self
             .net
             .call(self.host, &self.server, PROC_QUERY, &question.to_value())?;
-        let answer = Answer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+        let reply = Reply::read(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
         let world = self.net.world();
         world.charge_ms(
-            world.costs.generated_miss(answer.records.len().max(1))
-                + world.costs.bind_resolver_overhead,
+            world.costs.generated_miss(reply.len().max(1)) + world.costs.bind_resolver_overhead,
         );
         self.query_us
             .get(world.metrics(), "bind_resolver", "hrpc_query_us")
             .record(world.now().since(t0).as_us());
-        answer.into_result(&question).map_err(|e| match e {
-            crate::error::NsError::NameError(n) | crate::error::NsError::NoData(n) => {
-                RpcError::NotFound(n)
-            }
-            other => RpcError::Service(other.to_string()),
-        })
+        reply.rcode.into_result(name).map_err(lookup_error)?;
+        read(reply)
     }
 
     /// Sends a multi-question query in one round trip; the reply may carry
@@ -366,6 +384,68 @@ mod tests {
             .query(&name("meta.cs.washington.edu"), RType::Unspec)
             .expect("query");
         assert_eq!(found.len(), 1);
+    }
+
+    /// Over the fabric a refused `Replace` once told the client `FormErr`
+    /// while the old set was gone and the serial had moved.
+    #[test]
+    fn a_refused_replace_changes_nothing_on_the_server() {
+        let (_world, net, client, dep) = setup();
+        let origin = name("cs.washington.edu");
+        let owner = name("meta.cs.washington.edu");
+        let unspec = |owner: &DomainName, payload: &str| {
+            ResourceRecord::unspec(owner.clone(), 600, payload.as_bytes().to_vec())
+        };
+        let resolver = HrpcResolver::new(Arc::clone(&net), client, dep.hrpc_binding);
+        let replace = |records| {
+            resolver.update(&UpdateOp::Replace {
+                name: owner.clone(),
+                rtype: RType::Unspec,
+                records,
+            })
+        };
+        replace(vec![unspec(&owner, "ns=BIND")]).expect("first registration");
+        let serial = || crate::axfr::read_serial(&net, client, &dep.hrpc_binding, &origin);
+        let before = serial().expect("serial");
+
+        let other = name("other.cs.washington.edu");
+        let refused = replace(vec![unspec(&owner, "ns=CH"), unspec(&other, "ns=CH")]);
+        assert!(
+            matches!(&refused, Err(RpcError::Service(why)) if why.contains("FormErr")),
+            "{refused:?}"
+        );
+        let found = resolver.query(&owner, RType::Unspec).expect("query");
+        assert_eq!(found, [unspec(&owner, "ns=BIND")], "the old set answers");
+        assert_eq!(serial().expect("serial"), before);
+    }
+
+    #[test]
+    fn query_reply_is_query_with_the_reading_left_to_the_caller() {
+        let (world, net, client, dep) = setup();
+        let resolver = HrpcResolver::new(net, client, dep.hrpc_binding);
+        let fiji = name("fiji.cs.washington.edu");
+        let (records, owned, _) = world.measure(|| resolver.query(&fiji, RType::A));
+        let records = records.expect("query");
+        let read = |reply: Reply<'_>| {
+            let owners: Vec<String> = reply
+                .records()
+                .map(|r| r.expect("record").owner.to_string())
+                .collect();
+            Ok::<_, RpcError>(owners)
+        };
+        let (owners, lent, _) = world.measure(|| resolver.query_reply(&fiji, RType::A, read));
+        assert_eq!(owners.expect("read"), [records[0].name.as_str()]);
+        assert_eq!(lent, owned, "the same charges, whoever reads");
+        // A refusal is an error before there is anything to read.
+        let ghost = name("ghost.cs.washington.edu");
+        let (refused, lent, _) = world.measure(|| {
+            resolver.query_reply(&ghost, RType::A, |_| -> RpcResult<()> {
+                panic!("nothing to read of a refusal")
+            })
+        });
+        assert!(matches!(refused, Err(RpcError::NotFound(_))), "{refused:?}");
+        let (_, owned, _) = world.measure(|| resolver.query(&ghost, RType::A));
+        assert_eq!(lent, owned);
     }
 
     #[test]

@@ -93,6 +93,9 @@ impl std::fmt::Display for RType {
     }
 }
 
+/// The tag byte that opens the rdata of an [`RData::Opaque`] payload.
+const OPAQUE_TAG: u8 = 3;
+
 /// Typed record data.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
@@ -152,7 +155,7 @@ impl RData {
                 b.extend_from_slice(s.as_bytes());
             }
             RData::Opaque(data) => {
-                b.push(3);
+                b.push(OPAQUE_TAG);
                 b.extend_from_slice(data);
             }
             RData::Soa {
@@ -191,7 +194,7 @@ impl RData {
                     .map_err(|_| NsError::BadRecord("bad text rdata".into()))?;
                 Ok(RData::Text(s.to_string()))
             }
-            3 => Ok(RData::Opaque(rest.into())),
+            OPAQUE_TAG => Ok(RData::Opaque(rest.into())),
             4 => {
                 if rest.len() < 8 {
                     return Err(NsError::BadRecord("short SOA rdata".into()));
@@ -294,31 +297,74 @@ impl ResourceRecord {
         Ok(records)
     }
 
-    /// The one per-record decoder; `previous` is the record decoded just
-    /// before this one of the same list, if any.
+    /// The one per-record decoder, over the one field reader; `previous`
+    /// is the record decoded just before this one of the same list, if
+    /// any.
     fn decode(v: &Value, previous: Option<&ResourceRecord>) -> NsResult<ResourceRecord> {
-        fn get<T>(r: Result<T, wire::WireError>) -> NsResult<T> {
-            r.map_err(|e| NsError::BadRecord(e.to_string()))
-        }
-        let owner = get(v.str_field("name"))?;
+        let record = RecordRef::read(v)?;
         let name = match previous {
-            Some(p) if p.name.as_str() == owner => p.name.clone(),
-            _ => DomainName::parse(owner)?,
+            Some(p) if p.name.as_str() == record.owner => p.name.clone(),
+            _ => DomainName::parse(record.owner)?,
         };
-        let rtype = RType::from_code(get(v.u32_field("rtype"))? as u16)?;
-        let ttl = get(v.u32_field("ttl"))?;
-        let rdata_bytes = get(get(v.field("rdata"))?.as_bytes())?;
         Ok(ResourceRecord {
             name,
-            rtype,
-            ttl,
-            rdata: RData::from_bytes(rdata_bytes)?,
+            rtype: record.rtype,
+            ttl: record.ttl,
+            rdata: RData::from_bytes(record.rdata)?,
         })
+    }
+
+    /// The payload of opaque rdata (`UNSPEC`, `WKS`).
+    pub fn opaque(&self) -> Option<&[u8]> {
+        match &self.rdata {
+            RData::Opaque(payload) => Some(payload),
+            _ => None,
+        }
     }
 
     /// Approximate stored size in bytes (for zone-transfer costing).
     pub fn size_bytes(&self) -> usize {
         self.name.wire_len() + 8 + self.rdata.encoded_len().unwrap_or(0)
+    }
+}
+
+/// One record of a reply read where it lies in the wire value: the
+/// fields [`ResourceRecord::to_value`] wrote, borrowed, nothing parsed
+/// beyond the type code and nothing allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Owner name as sent (not validated; canonical from this server).
+    pub owner: &'a str,
+    /// Record type.
+    pub rtype: RType,
+    /// Time to live, seconds.
+    pub ttl: u32,
+    /// The rdata bytes, tag byte included ([`RData::from_bytes`] decodes
+    /// them).
+    pub rdata: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// Reads one record's fields off its wire value.
+    pub fn read(v: &'a Value) -> NsResult<RecordRef<'a>> {
+        fn get<T>(r: Result<T, wire::WireError>) -> NsResult<T> {
+            r.map_err(|e| NsError::BadRecord(e.to_string()))
+        }
+        Ok(RecordRef {
+            owner: get(v.str_field("name"))?,
+            rtype: RType::from_code(get(v.u32_field("rtype"))? as u16)?,
+            ttl: get(v.u32_field("ttl"))?,
+            rdata: get(get(v.field("rdata"))?.as_bytes())?,
+        })
+    }
+
+    /// The payload of opaque rdata, as [`ResourceRecord::opaque`] gives it
+    /// for a decoded record.
+    pub fn opaque(&self) -> Option<&'a [u8]> {
+        match self.rdata.split_first() {
+            Some((&OPAQUE_TAG, payload)) => Some(payload),
+            _ => None,
+        }
     }
 }
 

@@ -8,7 +8,10 @@
 //! — the seed stored a full `ResourceRecord` (owner name included) per
 //! record. [`Zone::size_bytes`] keeps the naive per-record accounting
 //! (it drives calibrated transfer costs); [`Zone::resident_bytes`]
-//! reports what the shared layout actually holds.
+//! reports what the shared layout actually holds. The map is hashed: the
+//! question a server is asked is an exact match, one probe; the one
+//! reader that needs the owners in name order, the transfer payload
+//! ([`Zone::all_records`]), sorts them when the transfer is made.
 //!
 //! Zones also keep a bounded **delta log** of which owner names changed
 //! at which serial, the basis of IXFR-style incremental transfer
@@ -17,7 +20,7 @@
 //! sets of names touched after S, falling back to a full transfer when
 //! the log has been truncated past S.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::error::{NsError, NsResult};
@@ -71,7 +74,9 @@ pub struct Zone {
     origin: DomainName,
     serial: u32,
     default_ttl: u32,
-    records: BTreeMap<DomainName, Vec<Arc<RrBody>>>,
+    /// Hashed, not ordered: an exact-match question is one probe, and
+    /// the one reader that needs name order, [`Zone::all_records`], sorts.
+    records: HashMap<DomainName, Vec<Arc<RrBody>>>,
     /// Content-dedup arena: one shared allocation per distinct body.
     arena: HashSet<Arc<RrBody>>,
     /// `(serial after the mutation, owner name touched)`, oldest first.
@@ -91,7 +96,7 @@ impl Zone {
             origin,
             serial: 1,
             default_ttl,
-            records: BTreeMap::new(),
+            records: HashMap::new(),
             arena: HashSet::new(),
             delta_log: VecDeque::new(),
             delta_floor: 1,
@@ -155,19 +160,17 @@ impl Zone {
         name.is_within(&self.origin)
     }
 
-    /// Adds a record, bumping the serial.
-    ///
-    /// At most one `CNAME` may exist at a name, and a `CNAME` may not
-    /// coexist with other data (the classic BIND rule).
-    pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
+    /// Whether `rr` may join its name, which is `occupied` if it holds any
+    /// record and `has_cname` if one of them is a `CNAME`: the name must
+    /// lie in this zone and the rdata fit, at most one `CNAME` may exist
+    /// at a name, and a `CNAME` may not coexist with other data (the
+    /// classic BIND rule).
+    fn admit(&self, rr: &ResourceRecord, occupied: bool, has_cname: bool) -> NsResult<()> {
         if !self.contains(&rr.name) {
             return Err(NsError::NotAuthoritative(rr.name.to_string()));
         }
-        // Validate rdata size eagerly.
         rr.rdata.encoded_len()?;
-        let set = self.records.entry(rr.name.clone()).or_default();
-        let has_cname = set.iter().any(|r| r.rtype == RType::Cname);
-        if rr.rtype == RType::Cname && !set.is_empty() {
+        if rr.rtype == RType::Cname && occupied {
             return Err(NsError::Conflict(format!(
                 "CNAME cannot coexist at {}",
                 rr.name
@@ -179,15 +182,25 @@ impl Zone {
                 rr.name
             )));
         }
+        Ok(())
+    }
+
+    /// Stores an admitted record, bumping the serial.
+    fn insert(&mut self, rr: ResourceRecord) {
         let body = self.share(RrBody::of(&rr));
-        self.records
-            .get_mut(&rr.name)
-            .expect("just created")
-            .push(body);
+        self.records.entry(rr.name.clone()).or_default().push(body);
         if rr.rtype == RType::Ns && rr.name != self.origin {
             self.cut_ns_records += 1;
         }
         self.log_change(rr.name);
+    }
+
+    /// Adds a record, bumping the serial, if [`Zone::admit`]s it.
+    pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
+        let set = self.records.get(&rr.name).map_or(&[][..], Vec::as_slice);
+        let has_cname = set.iter().any(|r| r.rtype == RType::Cname);
+        self.admit(&rr, !set.is_empty(), has_cname)?;
+        self.insert(rr);
         Ok(())
     }
 
@@ -227,19 +240,31 @@ impl Zone {
         removed
     }
 
-    /// Replaces the record set at (`name`, `rtype`) atomically.
+    /// Replaces the record set at (`name`, `rtype`) atomically: the whole
+    /// new set is checked against what would remain at the name before
+    /// anything is touched, so a refused replace leaves records, serial
+    /// and delta log as they were.
     pub fn replace(
         &mut self,
         name: &DomainName,
         rtype: RType,
         records: Vec<ResourceRecord>,
     ) -> NsResult<()> {
-        self.remove(name, rtype);
-        for rr in records {
+        let set = self.records.get(name).map_or(&[][..], Vec::as_slice);
+        let mut staying = set.iter().filter(|r| r.rtype != rtype);
+        let mut occupied = staying.clone().next().is_some();
+        let mut has_cname = staying.any(|r| r.rtype == RType::Cname);
+        for rr in &records {
             if rr.name != *name || rr.rtype != rtype {
                 return Err(NsError::BadRecord("replace set mismatch".into()));
             }
-            self.add(rr)?;
+            self.admit(rr, occupied, has_cname)?;
+            occupied = true;
+            has_cname |= rtype == RType::Cname;
+        }
+        self.remove(name, rtype);
+        for rr in records {
+            self.insert(rr);
         }
         self.serial += 1;
         Ok(())
@@ -281,11 +306,10 @@ impl Zone {
             .records
             .get(name)
             .ok_or_else(|| NsError::NameError(name.to_string()))?;
-        let matched: Vec<ResourceRecord> = set
-            .iter()
-            .filter(|r| r.rtype == rtype)
-            .map(|b| b.to_record(name))
-            .collect();
+        // Nearly always the whole set matches: sized for it, once.
+        let mut matched = Vec::with_capacity(set.len());
+        let of_type = set.iter().filter(|r| r.rtype == rtype);
+        matched.extend(of_type.map(|b| b.to_record(name)));
         if !matched.is_empty() {
             return Ok(matched);
         }
@@ -358,10 +382,11 @@ impl Zone {
     }
 
     /// All records, in deterministic (name-sorted) order: the zone
-    /// transfer payload.
+    /// transfer payload. The owners are sorted here, at transfer time.
     pub fn all_records(&self) -> Vec<ResourceRecord> {
-        self.records
-            .iter()
+        let mut sets: Vec<_> = self.records.iter().collect();
+        sets.sort_unstable_by_key(|(name, _)| *name);
+        sets.into_iter()
             .flat_map(|(name, set)| set.iter().map(move |b| b.to_record(name)))
             .collect()
     }
@@ -544,8 +569,114 @@ mod tests {
     fn replace_rejects_mismatched_records() {
         let mut z = zone();
         let n = name("svc.cs.washington.edu");
+        let old = ResourceRecord::txt(n.clone(), 60, "old");
+        z.add(old.clone()).expect("add");
         let wrong = ResourceRecord::txt(name("other.cs.washington.edu"), 60, "x");
         assert!(z.replace(&n, RType::Txt, vec![wrong]).is_err());
+        assert_eq!(
+            z.lookup(&n, RType::Txt).expect("old set still there"),
+            [old]
+        );
+    }
+
+    /// A replace refused part-way through its list once had removed the
+    /// old set and added the records before the bad one.
+    #[test]
+    fn a_refused_replace_leaves_the_zone_as_it_was() {
+        let n = name("svc.cs.washington.edu");
+        let txt = |text: &str| ResourceRecord::txt(n.clone(), 60, text);
+        let good = || txt("new");
+        let refused: [(&str, RType, Vec<ResourceRecord>); 5] = [
+            (
+                "another owner second",
+                RType::Txt,
+                vec![
+                    good(),
+                    ResourceRecord::txt(name("other.cs.washington.edu"), 60, "x"),
+                ],
+            ),
+            (
+                "another type second",
+                RType::Txt,
+                vec![
+                    good(),
+                    ResourceRecord::a(n.clone(), 60, NetAddr::of(HostId(1))),
+                ],
+            ),
+            (
+                "oversize rdata second",
+                RType::Txt,
+                vec![good(), txt(&"x".repeat(crate::rr::MAX_RDATA))],
+            ),
+            (
+                "a CNAME beside the A record that stays",
+                RType::Cname,
+                vec![ResourceRecord::cname(
+                    n.clone(),
+                    60,
+                    name("t.cs.washington.edu"),
+                )],
+            ),
+            (
+                "two CNAMEs",
+                RType::Cname,
+                vec![
+                    ResourceRecord::cname(n.clone(), 60, name("t.cs.washington.edu")),
+                    ResourceRecord::cname(n.clone(), 60, name("u.cs.washington.edu")),
+                ],
+            ),
+        ];
+        for (what, rtype, records) in refused {
+            let mut z = zone();
+            z.add(txt("old")).expect("add");
+            if what.contains("stays") {
+                z.add(ResourceRecord::a(n.clone(), 60, NetAddr::of(HostId(2))))
+                    .expect("add");
+            }
+            let (serial, before) = (z.serial(), z.all_records());
+            assert!(z.replace(&n, rtype, records).is_err(), "{what}: accepted");
+            assert_eq!(z.all_records(), before, "{what}: records moved");
+            assert_eq!(z.serial(), serial, "{what}: serial moved");
+            assert_eq!(z.deltas_since(serial), Some(vec![]), "{what}: delta logged");
+        }
+        // An accepted one bumps the serial as it always did: the removal,
+        // each record, and the replace itself.
+        let mut z = zone();
+        z.add(txt("old")).expect("add");
+        let serial = z.serial();
+        z.replace(&n, RType::Txt, vec![txt("a"), txt("b")])
+            .expect("replace");
+        assert_eq!(z.serial(), serial + 4);
+        // Replacing the only other data by a CNAME is no conflict.
+        z.replace(&n, RType::Txt, vec![])
+            .expect("empty replace removes");
+        z.replace(
+            &n,
+            RType::Cname,
+            vec![ResourceRecord::cname(
+                n.clone(),
+                60,
+                name("t.cs.washington.edu"),
+            )],
+        )
+        .expect("a lone CNAME");
+    }
+
+    #[test]
+    fn transfer_payload_is_in_name_order() {
+        let mut z = zone();
+        // `a-b` sorts before `a.x` bytewise, after it label-wise.
+        for owner in ["m", "a-b", "b.a", "z.a", "a"] {
+            let owner = name(&format!("{owner}.cs.washington.edu"));
+            z.add(ResourceRecord::txt(owner.clone(), 60, "1"))
+                .expect("add");
+            z.add(ResourceRecord::txt(owner, 60, "2")).expect("add");
+        }
+        let owners: Vec<String> = z.all_records().iter().map(|r| r.name.to_string()).collect();
+        let mut sorted = z.all_records();
+        sorted.sort_by(|a, b| a.name.cmp(&b.name));
+        assert_eq!(z.all_records(), sorted, "owners in `Ord` order: {owners:?}");
+        assert_eq!(owners[0], "a.cs.washington.edu");
     }
 
     #[test]

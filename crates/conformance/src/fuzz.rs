@@ -14,15 +14,35 @@
 //! 3. **Idempotence** — when a mutant *does* decode, the decoded message
 //!    must survive encode→decode unchanged.
 //!
+//! The wire is not where a message stops being input: a mutant that
+//! decodes to a [`Value`] is then handed to every **message-level**
+//! reader that takes such a value apart — `Answer`, `MultiAnswer`,
+//! `Question`, `MultiQuestion`, `UpdateOp`, `HrpcBinding`, the borrowed
+//! `QUERY` reply reader and, over the payloads that reader finds, the
+//! `MetaRecord` decoder of each record kind — under the same three
+//! properties (accepted ⇒ what it re-encodes to reads back equal). Their
+//! bases are the corpus plus [`meta_seeds`]: replies carrying real meta
+//! record sets, so the typed decoder meets near-valid payloads.
+//!
 //! Everything derives from one [`DetRng`] stream, so a failing seed
 //! replays exactly: `experiments fuzz --seed N --iters M`.
 
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question, Reply};
+use bindns::rr::{RecordRef, ResourceRecord};
+use bindns::update::UpdateOp;
+use bindns::DomainName;
+use hns_core::meta::{Kind, MetaRecord};
+use hns_core::name::Context;
+use hns_core::nsm::{NsmInfo, SuiteTag};
+use hrpc::{HrpcBinding, ProgramId};
 use simnet::rng::DetRng;
+use wire::Value;
 
 use crate::alloc;
-use crate::corpus::{self, check_idempotence, decode_message, CorpusEntry};
+use crate::corpus::{self, check_idempotence, decode_message, CorpusEntry, Decoded, Decoder};
 
 /// Per-byte allocation budget multiplier. A self-describing decode can
 /// legitimately expand input (tags, Vec growth doubling, String
@@ -56,6 +76,11 @@ pub struct FuzzReport {
     pub decode_ok: u64,
     /// Mutants rejected with a typed error.
     pub decode_rejected: u64,
+    /// Message-level reads of decoded values that were accepted (and
+    /// passed idempotence).
+    pub message_ok: u64,
+    /// Message-level reads rejected with a typed error.
+    pub message_rejected: u64,
     /// Property violations (panic, budget, idempotence). Empty on a
     /// clean run.
     pub violations: Vec<String>,
@@ -79,10 +104,13 @@ impl FuzzReport {
             "allocation tracking off (no counting allocator installed)".to_string()
         };
         let mut s = format!(
-            "fuzz: {} iterations, {} decoded, {} rejected, {} violations; {}",
+            "fuzz: {} iterations, {} decoded, {} rejected, message layer {} accepted, \
+             {} rejected, {} violations; {}",
             self.iters,
             self.decode_ok,
             self.decode_rejected,
+            self.message_ok,
+            self.message_rejected,
             self.violations.len(),
             alloc_line
         );
@@ -144,15 +172,204 @@ fn mutate(rng: &mut DetRng, base: &[u8], other: &[u8]) -> Vec<u8> {
     }
 }
 
+/// Replies carrying the record sets `MetaStore::register_*` writes, one
+/// per record kind, as XDR. Bases for mutation beside the corpus — not
+/// part of it: nothing pins their bytes.
+pub fn meta_seeds() -> Vec<CorpusEntry> {
+    let info = NsmInfo {
+        nsm_name: "nsm-hrpcbinding-bind".into(),
+        host_name: "june.cs.washington.edu".into(),
+        host_context: Context::new("bind-uw").expect("static context"),
+        program: ProgramId(300_001),
+        port: 1025,
+        suite: SuiteTag::Sun,
+        version: 1,
+        owner: "hcs-project".into(),
+    };
+    let sets: [(&'static str, &str, Vec<String>); 3] = [
+        (
+            "meta_context_xdr",
+            "ctx.bind-uw.hns",
+            vec!["ns=BIND;map=suf::cs:uw".into()],
+        ),
+        (
+            "meta_nsm_name_xdr",
+            "map.bind--hrpcbinding.hns",
+            vec![info.nsm_name.clone()],
+        ),
+        (
+            "meta_nsm_info_xdr",
+            "info.nsm-hrpcbinding-bind.hns",
+            info.to_records(),
+        ),
+    ];
+    let seed = |(name, key, payloads): (&'static str, &str, Vec<String>)| {
+        let owner = DomainName::parse(key).expect("static key");
+        let value = meta_reply(&owner, payloads).expect("seed answer encodes");
+        CorpusEntry {
+            name,
+            kind: "meta-answer",
+            decoder: Decoder::XdrValue,
+            bytes: wire::xdr::encode(&value).expect("seed value encodes as XDR"),
+        }
+    };
+    sets.into_iter().map(seed).collect()
+}
+
+/// The reply to a question about `owner` whose answer is `payloads`, one
+/// `UNSPEC` record each.
+fn meta_reply(owner: &DomainName, payloads: Vec<String>) -> Option<Value> {
+    let unspec = |p: String| ResourceRecord::unspec(owner.clone(), 600, p.into_bytes());
+    let answer = Answer::ok(payloads.into_iter().map(unspec).collect());
+    answer.to_value().ok()
+}
+
+/// The fields of one record as the reply reader lends them, owned.
+type ReadRecord = (String, u16, u32, Vec<u8>);
+
+/// What the borrowed reply reader reads of a reply, owned for comparison.
+fn read_reply(value: &Value) -> Option<(u32, Vec<ReadRecord>)> {
+    let reply = Reply::read(value).ok()?;
+    let own = |r: RecordRef<'_>| (r.owner.to_string(), r.rtype.code(), r.ttl, r.rdata.to_vec());
+    let records: Result<Vec<_>, _> = reply.records().map(|r| r.map(own)).collect();
+    Some((reply.rcode as u32, records.ok()?))
+}
+
+/// The reply [`read_reply`] reads `read` back from.
+fn write_reply((rcode, records): &(u32, Vec<ReadRecord>)) -> Option<Value> {
+    let record = |(owner, rtype, ttl, rdata): &ReadRecord| {
+        Value::record([
+            ("name", Value::str(owner.as_str())),
+            ("rtype", Value::U32(u32::from(*rtype))),
+            ("ttl", Value::U32(*ttl)),
+            ("rdata", Value::Bytes(rdata.clone())),
+        ])
+    };
+    Some(Value::record([
+        ("rcode", Value::U32(*rcode)),
+        ("answers", Value::List(records.iter().map(record).collect())),
+    ]))
+}
+
+/// The record of `kind` in the opaque payloads of the reply `value`, as
+/// a demand fetch decodes it (the checks on owner and type aside).
+fn decode_meta(kind: Kind, value: &Value) -> Option<MetaRecord> {
+    let reply = Reply::read(value).ok()?;
+    let payloads = reply.records().filter_map(|r| r.ok()?.opaque());
+    MetaRecord::decode(kind, payloads).ok()
+}
+
+/// A reply carrying what `MetaStore::register_*` would write for `record`.
+fn write_meta(record: &MetaRecord) -> Option<Value> {
+    meta_reply(&DomainName::root(), record.payloads()?.1)
+}
+
+/// Hands one decoded mutant to every message-level reader.
+fn read_messages(report: &mut FuzzReport, value: &Value, budget: u64, what: &dyn Display) {
+    let mut read = MessageLayer {
+        report,
+        value,
+        budget,
+        what,
+    };
+    read.one(
+        "Answer",
+        |v| Answer::from_value(v).ok(),
+        |a| a.to_value().ok(),
+    );
+    read.one(
+        "MultiAnswer",
+        |v| MultiAnswer::from_value(v).ok(),
+        |a| a.to_value().ok(),
+    );
+    read.one(
+        "Question",
+        |v| Question::from_value(v).ok(),
+        |q| Some(q.to_value()),
+    );
+    read.one(
+        "MultiQuestion",
+        |v| MultiQuestion::from_value(v).ok(),
+        |q| Some(q.to_value()),
+    );
+    read.one(
+        "UpdateOp",
+        |v| UpdateOp::from_value(v).ok(),
+        |op| op.to_value().ok(),
+    );
+    read.one(
+        "HrpcBinding",
+        |v| HrpcBinding::from_value(v).ok(),
+        |b| Some(b.to_value()),
+    );
+    read.one("Reply", read_reply, write_reply);
+    for kind in Kind::ALL {
+        let name = format!("MetaRecord {kind:?}");
+        read.one(&name, |v| decode_meta(kind, v), write_meta);
+    }
+}
+
+/// One decoded mutant on its way through the message-level readers.
+struct MessageLayer<'a> {
+    report: &'a mut FuzzReport,
+    value: &'a Value,
+    /// Allocation budget of the mutant the value was decoded from.
+    budget: u64,
+    /// The mutant, for a violation's text.
+    what: &'a dyn Display,
+}
+
+impl MessageLayer<'_> {
+    /// Runs one reader under the fuzzer's three properties: `decode` may
+    /// not panic nor allocate beyond the budget, and a message it accepts
+    /// must `encode` to a value it reads back equal.
+    fn one<M: PartialEq>(
+        &mut self,
+        reader: &str,
+        decode: impl Fn(&Value) -> Option<M>,
+        encode: impl Fn(&M) -> Option<Value>,
+    ) {
+        let what = self.what;
+        let mut violation = |why: String| {
+            let text = format!("{what}: {reader} {why}");
+            self.report.violations.push(text);
+        };
+        let measured = || alloc::measure(|| decode(self.value));
+        let Ok((message, used)) = catch_unwind(AssertUnwindSafe(measured)) else {
+            return violation("PANIC".into());
+        };
+        if let Some(used) = used.filter(|used| *used > self.budget) {
+            violation(format!(
+                "allocation {used} bytes exceeds budget {}",
+                self.budget
+            ));
+        }
+        let Some(message) = message else {
+            self.report.message_rejected += 1;
+            return;
+        };
+        // Outside the measured region, like the wire layer's check.
+        match encode(&message).map(|again| decode(&again)) {
+            Some(Some(again)) if again == message => self.report.message_ok += 1,
+            Some(Some(_)) => violation("decode(encode(decode(v))) != decode(v)".into()),
+            Some(None) => violation("re-encoded value failed to decode".into()),
+            None => violation("accepted a message it cannot re-encode".into()),
+        }
+    }
+}
+
 /// Runs the fuzzer. Never panics: decoder panics are caught and
 /// reported as violations in the returned report.
 pub fn run(config: FuzzConfig) -> FuzzReport {
-    let entries = corpus::entries();
+    let mut entries = corpus::entries();
+    entries.extend(meta_seeds());
     let mut rng = DetRng::new(config.seed ^ 0xC0DE_F022_u64);
     let mut report = FuzzReport {
         iters: config.iters,
         decode_ok: 0,
         decode_rejected: 0,
+        message_ok: 0,
+        message_rejected: 0,
         violations: Vec::new(),
         alloc_tracked: false,
         max_alloc: 0,
@@ -212,6 +429,15 @@ pub fn run(config: FuzzConfig) -> FuzzReport {
                         entry.name, config.seed
                     ));
                 }
+                if let Decoded::Value(value) = &message {
+                    let what = format_args!(
+                        "iter {iter}: {}-byte mutant of `{}` (seed {})",
+                        mutant.len(),
+                        entry.name,
+                        config.seed
+                    );
+                    read_messages(&mut report, value, alloc_budget(mutant.len()), &what);
+                }
             }
             None => report.decode_rejected += 1,
         }
@@ -237,11 +463,56 @@ mod tests {
         assert!(a.ok(), "{}", a.render());
         assert!(a.decode_ok > 0, "passthrough mutants must decode");
         assert!(a.decode_rejected > 0, "damage must produce rejections");
+        assert!(a.message_ok > 0 && a.message_rejected > 0);
         let b = run(FuzzConfig {
             iters: 400,
             seed: 7,
         });
         assert_eq!(a.decode_ok, b.decode_ok);
         assert_eq!(a.decode_rejected, b.decode_rejected);
+        assert_eq!(a.message_ok, b.message_ok);
+    }
+
+    /// Every message-level reader accepts the message it is for, and the
+    /// typed decoder the record set of its kind: the layer is reached.
+    #[test]
+    fn every_message_reader_accepts_its_own_message() {
+        let mut report = run(FuzzConfig { iters: 0, seed: 0 });
+        let mut bases = corpus::entries();
+        bases.extend(meta_seeds());
+        let mut accepted = Vec::new();
+        for entry in bases.iter().filter(|e| e.decoder == Decoder::XdrValue) {
+            let Some(Decoded::Value(value)) = decode_message(entry.decoder, &entry.bytes) else {
+                panic!("{} does not decode", entry.name);
+            };
+            let before = report.message_ok;
+            read_messages(
+                &mut report,
+                &value,
+                alloc_budget(entry.bytes.len()),
+                &entry.name,
+            );
+            accepted.push((entry.name, report.message_ok - before));
+        }
+        assert!(report.ok(), "{}", report.render());
+        let readers_of = |name: &str| {
+            let found = accepted.iter().find(|(entry, _)| *entry == name);
+            found.unwrap_or_else(|| panic!("no base `{name}`")).1
+        };
+        // `Reply`, `Answer`, and the NSM-name decoder (any UTF-8 first
+        // payload is a name) read every UNSPEC-carrying answer.
+        assert_eq!(readers_of("meta_context_xdr"), 4, "and the context decoder");
+        assert_eq!(readers_of("meta_nsm_info_xdr"), 4, "and the info decoder");
+        assert_eq!(readers_of("meta_nsm_name_xdr"), 3);
+        for (name, least) in [
+            ("question_xdr", 1),
+            ("multi_question_xdr", 1),
+            ("multi_answer_xdr", 1),
+            ("update_add_xdr", 1),
+            ("update_replace_xdr", 1),
+            ("hrpc_binding_sun_xdr", 1),
+        ] {
+            assert!(readers_of(name) >= least, "{name}: {accepted:?}");
+        }
     }
 }

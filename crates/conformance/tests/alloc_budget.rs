@@ -5,12 +5,20 @@
 //! cost is the allocator. This pins how much one `FindNSM` and one
 //! `Import` request from it, on the paper's testbed with the binding NSMs
 //! on a remote host (the set-up of the benchmark's `hns-core.find_nsm.*`
-//! probes), and what decoding a reply's record list costs, so the diet
-//! cannot silently regress. Print the table with
+//! probes), and what decoding a reply's record list costs.
+//!
+//! The pins are **exact**, `(allocations, bytes)` per row: the counts are
+//! deterministic and the same in debug and release, so a change in either
+//! direction — a diet as much as a regression — fails here and is then
+//! written down. To re-measure, print the table with
 //!
 //! ```text
 //! cargo test --release -p conformance --test alloc_budget -- --nocapture
 //! ```
+//!
+//! (CI prints it too, next to any failure), check that `cargo test -p
+//! conformance --test alloc_budget -- --nocapture` prints the same, and
+//! copy the row into its constant below with a word on what moved it.
 
 use std::sync::Arc;
 
@@ -29,37 +37,52 @@ use simnet::topology::{HostId, NetAddr};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Cold sequential `FindNSM`: every cache off, six remote mappings.
-/// Measured 10,229 B in 136 allocations (11,645 B in 142 while every
-/// record of a reply parsed its owner name anew; 23,946 B in 585 before
-/// names became shared strings and struct field names static).
-const COLD_FIND_NSM_MAX_BYTES: u64 = 12_500;
-/// Warm `Import`: a composed-cache `FindNSM` plus one remote NSM call.
-/// Measured 1,040 B in 11 allocations (1,721 B in 37 before the same
-/// change; 12 while each call built its own `QueryClass`).
-const WARM_IMPORT_MAX_BYTES: u64 = 1_150;
+/// One row of the table: `(allocations, bytes)`.
+type Row = (u64, u64);
+
 /// Warm walk `FindNSM`: six per-mapping cache hits, no composed cache.
-/// Measured 18 allocations — six meta keys, the parsed pieces of five
-/// record sets — against 35 while every hit was first copied out of the
-/// cache into a `Vec<String>`.
-const WARM_WALK_MAX_ALLOCATIONS: u64 = 22;
+/// Five allocations, the five meta keys — each one `Arc<str>`, assembled
+/// on the stack — and nothing else: a demarshalled hit hands back the
+/// cached `MetaRecord`, which the chain reads by reference. (18 while a
+/// key was a `String` and then a name, and every hit's text was parsed
+/// again into owned pieces; 35 while every hit was first copied out of
+/// the cache into a `Vec<String>`.)
+const WARM_WALK: Row = (5, 216);
+/// A composed-cache hit allocates nothing.
+const WARM_COMPOSED: Row = (0, 0);
 /// Warm re-walk: the context's composed entry has lapsed, its mapping 1
-/// and the (query class, name service) entry are live. Measured 108 B in
-/// 3 allocations, all mapping 1's: its meta key (two) and the name
-/// service parsed out of the context record.
-const WARM_REWALK_MAX_ALLOCATIONS: u64 = 3;
+/// and the (query class, name service) entry are live. One allocation,
+/// mapping 1's meta key (3 while that was two and the name service was
+/// parsed out of the context record on every hit).
+const WARM_REWALK: Row = (1, 40);
+/// Warm `Import`: a composed-cache `FindNSM` plus one remote NSM call —
+/// the NSM call path, which the typed meta path does not reach (37
+/// allocations / 1,721 B before names became shared strings; 12 while
+/// each call built its own `QueryClass`).
+const WARM_IMPORT: Row = (11, 1_040);
+/// Cold sequential `FindNSM`: every cache off, six remote mappings. The
+/// client's share per meta mapping is the key, the question (two), the
+/// record's own strings and its `Arc`; the rest is the servers'. (136 /
+/// 10,229 B while each reply became `ResourceRecord`s, then strings, then
+/// parsed pieces, and seven key texts were interned for a cache that
+/// stores nothing; 101 / 8,962 B before a zone sized its answer once;
+/// 585 / 23,946 B before names became shared strings and struct field
+/// names static.)
+const COLD_SEQUENTIAL: Row = (100, 7_786);
+/// Decoding a six-record answer of one owner into owned records: the
+/// record vector, and the owner name — parsed once and shared by all six.
+const ANSWER_DECODE: Row = (2, 376);
 
-/// Decoding a six-record answer of one owner. Measured 376 B in 2
-/// allocations: the record vector, and the owner name — parsed once and
-/// shared by all six records.
-const ANSWER_DECODE_ALLOCATIONS: u64 = 2;
-
-/// Prints one row and returns `(bytes, allocations)`.
-fn row<R>(what: &str, f: impl FnOnce() -> R) -> (u64, u64) {
+/// Prints one row and checks it against its pin.
+fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {
     let (_, used) = measure_calls(f);
     let (bytes, calls) = used.expect("counting allocator installed");
     println!("{what:<28} {calls:>6} allocations {bytes:>8} B");
-    (bytes, calls)
+    assert_eq!(
+        (calls, bytes),
+        pinned,
+        "{what}: (allocations, bytes) moved — see the file header"
+    );
 }
 
 #[test]
@@ -73,20 +96,15 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     warm.find_nsm(&qc, &name).expect("warms the mapping cache");
     warm.find_nsm(&qc, &name).expect("lazy handles resolved");
-    let (_, warm_walk) = row("warm walk FindNSM", || {
+    row("warm walk FindNSM", WARM_WALK, || {
         warm.find_nsm(&qc, &name).expect("walk")
     });
-    assert!(
-        warm_walk <= WARM_WALK_MAX_ALLOCATIONS,
-        "warm walk FindNSM made {warm_walk} allocations, budget {WARM_WALK_MAX_ALLOCATIONS}"
-    );
 
     warm.set_binding_cache(true);
     warm.find_nsm(&qc, &name).expect("seeds the composed entry");
-    let (composed, _) = row("warm composed FindNSM", || {
+    row("warm composed FindNSM", WARM_COMPOSED, || {
         warm.find_nsm(&qc, &name).expect("composed")
     });
-    assert_eq!(composed, 0, "a composed-cache hit allocates nothing");
 
     // A sibling context of the same name service, first asked about
     // half a TTL later: its composed entry inherits what mappings 2-6
@@ -106,7 +124,7 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
         .expect("re-walk refreshes mappings 2-6");
     let context_hits = warm.binding_cache_stats().hits;
     let service_hits = warm.binding_cache_service_stats().hits;
-    let (_, rewalk) = row("warm re-walk FindNSM", || {
+    row("warm re-walk FindNSM", WARM_REWALK, || {
         warm.find_nsm(&qc, &sibling).expect("re-walk")
     });
     assert_eq!(
@@ -116,10 +134,6 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
         ),
         (0, 1),
         "the row measured a service-level hit"
-    );
-    assert!(
-        rewalk <= WARM_REWALK_MAX_ALLOCATIONS,
-        "warm re-walk FindNSM made {rewalk} allocations, budget {WARM_REWALK_MAX_ALLOCATIONS}"
     );
 
     let importer = Importer::new(
@@ -133,21 +147,13 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
             .expect("import")
     };
     import();
-    let (warm_import, _) = row("warm Import", import);
-    assert!(
-        warm_import <= WARM_IMPORT_MAX_BYTES,
-        "warm Import allocated {warm_import} B, budget {WARM_IMPORT_MAX_BYTES}"
-    );
+    row("warm Import", WARM_IMPORT, import);
 
     let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     cold.find_nsm(&qc, &name).expect("lazy handles resolved");
-    let (cold_walk, _) = row("cold sequential FindNSM", || {
+    row("cold sequential FindNSM", COLD_SEQUENTIAL, || {
         cold.find_nsm(&qc, &name).expect("cold walk")
     });
-    assert!(
-        cold_walk <= COLD_FIND_NSM_MAX_BYTES,
-        "cold FindNSM allocated {cold_walk} B, budget {COLD_FIND_NSM_MAX_BYTES}"
-    );
 
     let owner = DomainName::parse("fiji.cs.washington.edu").expect("name");
     let six = Answer::ok(
@@ -157,11 +163,7 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     )
     .to_value()
     .expect("marshals");
-    let (_, decode) = row("6-record answer decode", || {
+    row("6-record answer decode", ANSWER_DECODE, || {
         Answer::from_value(&six).expect("decodes")
     });
-    assert_eq!(
-        decode, ANSWER_DECODE_ALLOCATIONS,
-        "a record of the same owner as the one before it must share its name"
-    );
 }

@@ -2,11 +2,11 @@
 //!
 //! The per-mapping [`HnsCache`](crate::cache::HnsCache) makes a warm
 //! `FindNSM` free of *remote* work, but the walk itself still runs all
-//! six mappings: six meta-key constructions, six shard probes, and —
-//! the dominant cost at load — re-parsing the cached payload strings
-//! into `ContextInfo` / NSM-name / `NsmInfo` structures on every query.
-//! At hundreds of thousands of queries per second that parse-and-alloc
-//! tax *is* the hot path.
+//! six mappings: five meta-key constructions, six shard probes and the
+//! virtual-time bookkeeping of each. (The cached records themselves are
+//! typed and read by reference; a hit parses nothing.) At hundreds of
+//! thousands of queries per second that per-mapping tax *is* the hot
+//! path.
 //!
 //! This cache composes the walk at two levels, both holding the final
 //! [`HrpcBinding`] tagged with the **minimum remaining TTL across the

@@ -22,7 +22,10 @@
 //! * **Storage forms** — [`Stored`], the form-aware store/load pair that
 //!   charges Table 3.2's access costs (shared with the NSM result cache).
 //!   A marshalled entry is cloned out (`Arc<[u8]>`) under the stripe lock
-//!   and demarshalled after it is released.
+//!   and demarshalled after it is released. The cache is generic over the
+//!   decoded form ([`Cacheable`]): a wire [`Value`] by default, the typed
+//!   [`crate::meta::MetaRecord`] for the HNS's own, whose demarshalled hit
+//!   is then the record the mapping chain reads — not copied, not parsed.
 //! * **Negative caching** — a `NotFound` can be remembered via
 //!   [`HnsCache::insert_negative`] for a (short, separate) TTL, so
 //!   repeated lookups of absent names do not hammer the meta server.
@@ -105,23 +108,70 @@ impl std::fmt::Debug for MetaKey {
     }
 }
 
+/// A decoded form the cache can also keep marshalled.
+pub trait Cacheable: Sized {
+    /// The wire form; `None` if the value has none.
+    fn marshal(&self) -> Option<Vec<u8>>;
+    /// Back from the wire form; `None` if the bytes do not decode.
+    fn demarshal(bytes: &[u8]) -> Option<Self>;
+}
+
+/// A wire value marshals as what it is.
+impl Cacheable for Value {
+    fn marshal(&self) -> Option<Vec<u8>> {
+        wire::xdr::encode(self).ok()
+    }
+
+    fn demarshal(bytes: &[u8]) -> Option<Self> {
+        wire::xdr::decode(bytes).ok()
+    }
+}
+
 /// One cached value in its storage form (Table 3.2).
-#[derive(Debug, Clone)]
-pub enum Stored {
+#[derive(Debug)]
+pub enum Stored<V = Value> {
     /// Wire form; every load pays a demarshal.
     Bytes(Arc<[u8]>),
     /// Decoded form; a load is a reference-count bump.
-    Decoded(Arc<Value>),
+    Decoded(Arc<V>),
 }
 
-impl Stored {
-    /// Puts `value` into the form `mode` asks for; `None` when the cache
-    /// is disabled (or the value has no wire form).
-    pub fn store(mode: CacheMode, value: &Value) -> Option<Stored> {
+/// Either form is shared, so a clone copies no value.
+impl<V> Clone for Stored<V> {
+    fn clone(&self) -> Self {
+        match self {
+            Stored::Bytes(bytes) => Stored::Bytes(Arc::clone(bytes)),
+            Stored::Decoded(value) => Stored::Decoded(Arc::clone(value)),
+        }
+    }
+}
+
+impl<V: Cacheable> Stored<V> {
+    /// Puts `value` into the form `mode` asks for, the decoded form being
+    /// a copy; `None` when the cache is disabled (or the value has no
+    /// wire form).
+    pub fn store(mode: CacheMode, value: &V) -> Option<Stored<V>>
+    where
+        V: Clone,
+    {
+        Self::store_with(mode, value, || Arc::new(value.clone()))
+    }
+
+    /// [`Stored::store`] of a value that is shared already: the decoded
+    /// form is that allocation.
+    pub fn share(mode: CacheMode, value: &Arc<V>) -> Option<Stored<V>> {
+        Self::store_with(mode, value, || Arc::clone(value))
+    }
+
+    fn store_with(
+        mode: CacheMode,
+        value: &V,
+        decoded: impl FnOnce() -> Arc<V>,
+    ) -> Option<Stored<V>> {
         match mode {
             CacheMode::Disabled => None,
-            CacheMode::Marshalled => Some(Stored::Bytes(wire::xdr::encode(value).ok()?.into())),
-            CacheMode::Demarshalled => Some(Stored::Decoded(Arc::new(value.clone()))),
+            CacheMode::Marshalled => Some(Stored::Bytes(value.marshal()?.into())),
+            CacheMode::Demarshalled => Some(Stored::Decoded(decoded())),
         }
     }
 
@@ -130,12 +180,9 @@ impl Stored {
     /// taken out of the cache, after the stripe lock is released: the
     /// marshalled form runs a real demarshal. `None` means the bytes no
     /// longer decode and the entry should be dropped.
-    pub fn load(self, world: &World, rrs: usize) -> Option<Arc<Value>> {
+    pub fn load(self, world: &World, rrs: usize) -> Option<Arc<V>> {
         let (form, value) = match self {
-            Stored::Bytes(bytes) => (
-                CacheForm::Marshalled,
-                wire::xdr::decode(&bytes).ok().map(Arc::new),
-            ),
+            Stored::Bytes(bytes) => (CacheForm::Marshalled, V::demarshal(&bytes).map(Arc::new)),
             Stored::Decoded(value) => (CacheForm::Demarshalled, Some(value)),
         };
         world.charge_ms(world.costs.cache_hit(form, rrs));
@@ -145,7 +192,7 @@ impl Stored {
 
 /// What the HNS cache keeps under a key: a value with its record count,
 /// or `None` for a name that was authoritatively absent when cached.
-type Cached = Option<(Stored, usize)>;
+type Cached<V> = Option<(Stored<V>, usize)>;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -199,13 +246,13 @@ impl Flight {
 }
 
 /// Result of a cost-charged cache probe.
-#[derive(Debug, Clone)]
-pub enum CacheLookup {
+#[derive(Debug)]
+pub enum CacheLookup<V = Value> {
     /// A live entry: the (shared) value and its remaining TTL in seconds,
     /// rounded up so a just-inserted entry reports its full TTL.
     Hit {
         /// The cached value; demarshalled hits share the stored allocation.
-        value: Arc<Value>,
+        value: Arc<V>,
         /// Seconds of validity the entry still has.
         remaining_ttl_secs: u32,
     },
@@ -218,11 +265,11 @@ pub enum CacheLookup {
 
 /// Outcome of [`HnsCache::lookup_or_fetch`]: either the cache (or a
 /// coalesced leader's fetch) answered, or this caller owns the fetch.
-pub enum LookupOrFetch<'a> {
+pub enum LookupOrFetch<'a, V = Value> {
     /// A live entry: the (shared) value and its remaining TTL, seconds.
     Hit {
         /// The cached value; demarshalled hits share the stored allocation.
-        value: Arc<Value>,
+        value: Arc<V>,
         /// Seconds of validity the entry still has.
         remaining_ttl_secs: u32,
     },
@@ -247,16 +294,23 @@ pub enum FetchTicket<'a> {
 /// return, error, or panic — the flight is deregistered and all coalesced
 /// waiters are released.
 pub struct FlightGuard<'a> {
-    cache: &'a HnsCache,
-    key: MetaKey,
+    in_flight: &'a Mutex<HashMap<MetaKey, Arc<Flight>>>,
     /// `None` for the ungated lead a disabled cache hands out.
-    flight: Option<Arc<Flight>>,
+    gate: Option<(MetaKey, Arc<Flight>)>,
+}
+
+impl FlightGuard<'_> {
+    /// The key being fetched — `None` from a disabled cache, which
+    /// stores nothing and so never had the key computed.
+    pub fn key(&self) -> Option<MetaKey> {
+        self.gate.as_ref().map(|(key, _)| *key)
+    }
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        if let Some(flight) = &self.flight {
-            self.cache.in_flight.lock().remove(&self.key);
+        if let Some((key, flight)) = &self.gate {
+            self.in_flight.lock().remove(key);
             flight.complete();
         }
     }
@@ -265,9 +319,9 @@ impl Drop for FlightGuard<'_> {
 /// The HNS cache: TTL-tagged, form-aware, negative-caching and
 /// miss-coalescing.
 #[derive(Debug)]
-pub struct HnsCache {
+pub struct HnsCache<V = Value> {
     mode: CacheMode,
-    map: TtlMap<MetaKey, Cached>,
+    map: TtlMap<MetaKey, Cached<V>>,
     /// Fetches in progress. One lock, not a striped one: it is taken only
     /// on a miss, next to a remote fetch.
     in_flight: Mutex<HashMap<MetaKey, Arc<Flight>>>,
@@ -291,8 +345,18 @@ fn bump(counter: &AtomicU64) {
 }
 
 impl HnsCache {
-    /// Creates a cache in the given mode.
+    /// Creates a cache of wire [`Value`]s in the given mode —
+    /// [`HnsCache::of`] for the default decoded form, so that a bare
+    /// `HnsCache::new(mode)` needs no annotation.
     pub fn new(mode: CacheMode) -> Self {
+        HnsCache::of(mode)
+    }
+}
+
+impl<V: Cacheable> HnsCache<V> {
+    /// Creates a cache in the given mode, of whatever decoded form its
+    /// user keeps in it.
+    pub fn of(mode: CacheMode) -> Self {
         HnsCache {
             mode,
             map: TtlMap::default(),
@@ -314,7 +378,7 @@ impl HnsCache {
     /// Callers that follow a miss through the singleflight gate should
     /// prefer [`HnsCache::lookup_or_fetch`], whose accounting counts
     /// each logical operation exactly once even when it coalesces.
-    pub fn lookup(&self, world: &World, key: &MetaKey) -> CacheLookup {
+    pub fn lookup(&self, world: &World, key: &MetaKey) -> CacheLookup<V> {
         if self.mode == CacheMode::Disabled {
             return CacheLookup::Miss;
         }
@@ -333,11 +397,11 @@ impl HnsCache {
         world: &World,
         key: &MetaKey,
         counted: bool,
-    ) -> Result<CacheLookup, CacheOutcome> {
+    ) -> Result<CacheLookup<V>, CacheOutcome> {
         world.charge_ms(world.costs.cache_probe);
         let now = world.now();
         let (cached, remaining_ttl_secs) = if counted {
-            match self.map.probe(now, key, Cached::clone) {
+            match self.map.probe(now, key, Clone::clone) {
                 Probe::Live {
                     value,
                     remaining_secs,
@@ -347,7 +411,7 @@ impl HnsCache {
             }
         } else {
             self.map
-                .peek_live(now, key, Cached::clone)
+                .peek_live(now, key, Clone::clone)
                 .ok_or(CacheOutcome::Miss)?
         };
         let Some((stored, rrs)) = cached else {
@@ -385,7 +449,14 @@ impl HnsCache {
     ///
     /// Also annotates the calling thread's current trace span with the
     /// operation's [`simnet::trace::CacheOutcome`].
-    pub fn lookup_or_fetch(&self, world: &World, key: &MetaKey) -> LookupOrFetch<'_> {
+    ///
+    /// `key` is called only by a cache that stores: deriving one interns
+    /// its text, and a disabled cache has no use for it.
+    pub fn lookup_or_fetch(
+        &self,
+        world: &World,
+        key: impl FnOnce() -> MetaKey,
+    ) -> LookupOrFetch<'_, V> {
         if self.mode == CacheMode::Disabled {
             // A disabled cache stores nothing for a waiter to find, so a
             // gate would only queue same-key fetches behind each other
@@ -393,11 +464,11 @@ impl HnsCache {
             // every caller leads, ungated.
             world.cache_outcome(CacheOutcome::Miss);
             return LookupOrFetch::Lead(FlightGuard {
-                cache: self,
-                key: *key,
-                flight: None,
+                in_flight: &self.in_flight,
+                gate: None,
             });
         }
+        let key = &key();
         // The operation's one outcome, fixed by its first step; the steps
         // after a coalesced wait belong to the same operation.
         let mut outcome = None;
@@ -441,7 +512,10 @@ impl HnsCache {
 
     /// Looks up `key`, cloning the value out on a hit. Negative hits
     /// report as `None`, like plain misses.
-    pub fn get(&self, world: &World, key: &MetaKey) -> Option<Value> {
+    pub fn get(&self, world: &World, key: &MetaKey) -> Option<V>
+    where
+        V: Clone,
+    {
         match self.lookup(world, key) {
             CacheLookup::Hit { value, .. } => Some((*value).clone()),
             CacheLookup::NegativeHit | CacheLookup::Miss => None,
@@ -455,14 +529,14 @@ impl HnsCache {
     /// counts one `stale_serves` when it finds one. Live entries, negatives,
     /// absent keys, and a disabled cache all return `None` — the normal
     /// lookup path is never bypassed for live data.
-    pub fn lookup_stale(&self, world: &World, key: &MetaKey) -> Option<Arc<Value>> {
+    pub fn lookup_stale(&self, world: &World, key: &MetaKey) -> Option<Arc<V>> {
         if self.mode == CacheMode::Disabled {
             return None;
         }
         world.charge_ms(world.costs.cache_probe);
-        // `Cached::clone` is the reader: a negative entry clones to
+        // `Clone::clone` is the reader: a negative entry clones to
         // `None`, which is how the map is told it is not servable.
-        let ((stored, rrs), _stale_for) = self.map.probe_stale(world.now(), key, Cached::clone)?;
+        let ((stored, rrs), _stale_for) = self.map.probe_stale(world.now(), key, Clone::clone)?;
         stored.load(world, rrs)
     }
 
@@ -490,9 +564,8 @@ impl HnsCache {
             Entry::Vacant(slot) => {
                 let flight = Arc::clone(slot.insert(Arc::default()));
                 return FetchTicket::Leader(FlightGuard {
-                    cache: self,
-                    key: *key,
-                    flight: Some(flight),
+                    in_flight: &self.in_flight,
+                    gate: Some((*key, flight)),
                 });
             }
         };
@@ -501,28 +574,53 @@ impl HnsCache {
         FetchTicket::Coalesced
     }
 
-    /// Inserts a value fetched from the meta store or an NSM.
-    pub fn insert(&self, world: &World, key: MetaKey, value: &Value, rrs: usize, ttl_secs: u32) {
-        self.store(world, key, value, rrs, ttl_secs);
+    /// Inserts a value fetched from the meta store or an NSM; the decoded
+    /// form keeps a copy of it.
+    pub fn insert(&self, world: &World, key: MetaKey, value: &V, rrs: usize, ttl_secs: u32)
+    where
+        V: Clone,
+    {
+        self.keep(world, key, Stored::store(self.mode, value), rrs, ttl_secs);
     }
 
-    /// Inserts an entry on behalf of the preload path.
+    /// [`HnsCache::insert`] of a value the caller shares: the decoded
+    /// form keeps that allocation, so a later hit hands back the very
+    /// value that was fetched.
+    pub fn insert_shared(
+        &self,
+        world: &World,
+        key: MetaKey,
+        value: &Arc<V>,
+        rrs: usize,
+        ttl_secs: u32,
+    ) {
+        self.keep(world, key, Stored::share(self.mode, value), rrs, ttl_secs);
+    }
+
+    /// [`HnsCache::insert_shared`] on behalf of the preload path.
     pub fn preload_insert(
         &self,
         world: &World,
         key: MetaKey,
-        value: &Value,
+        value: &Arc<V>,
         rrs: usize,
         ttl_secs: u32,
     ) {
-        if self.store(world, key, value, rrs, ttl_secs) {
+        if self.keep(world, key, Stored::share(self.mode, value), rrs, ttl_secs) {
             bump(&self.own.preloaded);
         }
     }
 
-    /// Stores `value` in this cache's form; false if nothing was stored.
-    fn store(&self, world: &World, key: MetaKey, value: &Value, rrs: usize, ttl_secs: u32) -> bool {
-        let Some(stored) = Stored::store(self.mode, value) else {
+    /// Files what [`Stored`] made of a value; false if that was nothing.
+    fn keep(
+        &self,
+        world: &World,
+        key: MetaKey,
+        stored: Option<Stored<V>>,
+        rrs: usize,
+        ttl_secs: u32,
+    ) -> bool {
+        let Some(stored) = stored else {
             return false;
         };
         self.map
@@ -684,11 +782,41 @@ mod tests {
         assert!((took.as_ms_f64() - 11.16).abs() < 0.1, "took {took}");
     }
 
+    /// The typed instance the HNS keeps: a demarshalled hit is the very
+    /// record that was inserted, a marshalled one an equal record decoded
+    /// afresh, and each is charged what the `Value` instance is.
+    #[test]
+    fn a_shared_insert_is_handed_back_as_it_was() {
+        use crate::meta::MetaRecord;
+        let world = simnet::World::paper();
+        let record = Arc::new(MetaRecord::NsmName("nsm-hrpcbinding-bind".into()));
+        for (mode, shared, hit_ms) in [
+            (CacheMode::Demarshalled, true, 0.88),
+            (CacheMode::Marshalled, false, 11.16),
+        ] {
+            let cache = HnsCache::of(mode);
+            cache.insert_shared(&world, key(), &record, 1, 600);
+            let (hit, took, _) = world.measure(|| cache.lookup(&world, &key()));
+            let CacheLookup::Hit { value, .. } = hit else {
+                panic!("{mode:?}: expected a hit, got {hit:?}");
+            };
+            assert_eq!(value, record);
+            assert_eq!(Arc::ptr_eq(&value, &record), shared, "{mode:?}");
+            assert!(
+                (took.as_ms_f64() - hit_ms).abs() < 0.1,
+                "{mode:?} took {took}"
+            );
+        }
+        let disabled = HnsCache::of(CacheMode::Disabled);
+        disabled.insert_shared(&world, key(), &record, 1, 600);
+        assert!(disabled.is_empty());
+    }
+
     #[test]
     fn preload_counts_separately() {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Marshalled);
-        cache.preload_insert(&world, key(), &value(), 1, 600);
+        cache.preload_insert(&world, key(), &Arc::new(value()), 1, 600);
         let stats = cache.stats();
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.preloaded, 1);
@@ -821,7 +949,7 @@ mod tests {
     fn lookup_or_fetch_counts_cold_miss_once() {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
-        let guard = match cache.lookup_or_fetch(&world, &key()) {
+        let guard = match cache.lookup_or_fetch(&world, key) {
             LookupOrFetch::Lead(guard) => guard,
             _ => panic!("cold probe must lead"),
         };
@@ -833,7 +961,7 @@ mod tests {
         assert_eq!(stats.coalesced, 0);
         // Warm path is a plain hit.
         assert!(matches!(
-            cache.lookup_or_fetch(&world, &key()),
+            cache.lookup_or_fetch(&world, key),
             LookupOrFetch::Hit { .. }
         ));
         let stats = cache.stats();
@@ -847,11 +975,18 @@ mod tests {
         let cache = HnsCache::new(CacheMode::Disabled);
         // Two leads for one key may be alive at once: nothing would be
         // stored for the second to find, so it is not made to wait.
-        let first = cache.lookup_or_fetch(&world, &key());
-        let second = cache.lookup_or_fetch(&world, &key());
-        assert!(matches!(first, LookupOrFetch::Lead(_)));
-        assert!(matches!(second, LookupOrFetch::Lead(_)));
+        // And no key is derived (so none is interned) for either.
+        let unasked = || -> MetaKey { panic!("a cache that stores nothing asked for a key") };
+        let first = cache.lookup_or_fetch(&world, unasked);
+        let second = cache.lookup_or_fetch(&world, unasked);
+        for lead in [&first, &second] {
+            assert!(matches!(lead, LookupOrFetch::Lead(guard) if guard.key().is_none()));
+        }
         assert_eq!(cache.stats(), HnsCacheStats::default());
+        // A cache that stores leads under the key it derived.
+        let storing = HnsCache::new(CacheMode::Demarshalled);
+        let lead = storing.lookup_or_fetch(&world, key);
+        assert!(matches!(lead, LookupOrFetch::Lead(guard) if guard.key() == Some(key())));
     }
 
     #[test]
@@ -860,7 +995,7 @@ mod tests {
         let cache = HnsCache::new(CacheMode::Demarshalled);
         cache.insert(&world, key(), &value(), 1, 1);
         world.charge_ms(1_500.0);
-        match cache.lookup_or_fetch(&world, &key()) {
+        match cache.lookup_or_fetch(&world, key) {
             LookupOrFetch::Lead(_guard) => {}
             _ => panic!("expired entry must lead a refetch"),
         }
@@ -878,7 +1013,7 @@ mod tests {
         let world = simnet::World::paper();
         let cache = Arc::new(HnsCache::new(CacheMode::Demarshalled));
 
-        let guard = match cache.lookup_or_fetch(&world, &key()) {
+        let guard = match cache.lookup_or_fetch(&world, key) {
             LookupOrFetch::Lead(guard) => guard,
             _ => panic!("leader expected"),
         };
@@ -891,7 +1026,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    match cache.lookup_or_fetch(&world, &key()) {
+                    match cache.lookup_or_fetch(&world, key) {
                         LookupOrFetch::Hit { value, .. } => (*value).clone(),
                         _ => panic!("waiter must see the leader's insert"),
                     }

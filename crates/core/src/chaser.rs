@@ -31,7 +31,7 @@ use bindns::ZoneDb;
 use hrpc::RpcError;
 
 use crate::error::HnsError;
-use crate::meta::{chase, records_to_fetched, Got, MetaStore};
+use crate::meta::{chase, decode_records, Step};
 
 /// Chases meta mappings 2–5 inside the meta server's own zone database.
 #[derive(Debug)]
@@ -59,27 +59,35 @@ impl AdditionalProvider for MetaChaser {
         let mut out: Vec<(DomainName, Vec<ResourceRecord>)> = Vec::new();
         // The primary answer must be a context record; its payload names
         // the name service that anchors every chased mapping.
-        let Ok(ctx_info) =
-            records_to_fetched(answer).and_then(|set| MetaStore::parse_context(&set.value))
-        else {
+        let Ok(primary) = decode_records(&question.name, answer) else {
+            return out;
+        };
+        let Ok(ctx_info) = primary.value.as_context() else {
             return out;
         };
         // A set rides back once, however many hints (or mapping 4, for an
         // NSM hosted in the queried context) lead to it.
         let mut seen = HashSet::from([question.name.clone()]);
         for hint in hints {
-            // A broken link ends this hint's chase; what was read up to
-            // it has been attached.
-            let _ = chase(&self.origin, &ctx_info.name_service, hint, &mut |_, key| {
+            let fetch = &mut |_: Step<'_>, key: &DomainName| {
                 let records = db
                     .lookup(key, RType::Unspec)
                     .map_err(|e| HnsError::Rpc(RpcError::NotFound(e.to_string())))?;
-                let set = records_to_fetched(&records)?;
+                let set = decode_records(key, &records)?;
                 if seen.insert(key.clone()) {
                     out.push((key.clone(), records));
                 }
-                Ok((Got::Fetched(set.value), set.ttl_secs))
-            });
+                Ok((Arc::new(set.value), set.ttl_secs))
+            };
+            // A broken link ends this hint's chase; what was read up to
+            // it has been attached.
+            let _ = chase(
+                &self.origin,
+                &ctx_info.name_service,
+                hint,
+                fetch,
+                |_| Ok(()),
+            );
         }
         out
     }
@@ -88,7 +96,7 @@ impl AdditionalProvider for MetaChaser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::{MetaStore, Step, META_TTL};
+    use crate::meta::{MetaStore, META_TTL};
     use crate::name::{Context, NameMapping};
     use crate::nsm::{NsmInfo, SuiteTag};
     use crate::query::QueryClass;

@@ -46,13 +46,13 @@ pub use simnet::obs;
 
 pub use binding_cache::{BindingCache, BindingCacheStats};
 pub use cache::{
-    CacheLookup, CacheMode, FetchTicket, HnsCache, HnsCacheStats, LookupOrFetch, MetaKey,
+    CacheLookup, CacheMode, Cacheable, FetchTicket, HnsCache, HnsCacheStats, LookupOrFetch, MetaKey,
 };
 pub use chaser::MetaChaser;
 pub use colocation::{AgentClient, AgentService, HnsClient, HnsHandle, HnsService};
 pub use error::{HnsError, HnsResult};
-pub use meta::{ContextInfo, Fetched, MetaBatch, MetaStore, META_TTL};
+pub use meta::{ContextInfo, Fetched, Kind, MetaBatch, MetaRecord, MetaStore, META_TTL};
 pub use name::{Context, HnsName, NameMapping};
-pub use nsm::{Nsm, NsmClient, NsmInfo, NsmService, SuiteTag, NSM_PROC_QUERY};
+pub use nsm::{Nsm, NsmBinding, NsmClient, NsmInfo, NsmService, SuiteTag, NSM_PROC_QUERY};
 pub use query::QueryClass;
 pub use service::{FindNsmReport, Hns, PreloadMode, PreloadReport};

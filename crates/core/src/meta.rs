@@ -8,7 +8,7 @@
 //! contexts to name services. ... we use a version of BIND, modified to
 //! support both dynamic updates and also data of unspecified type."
 //!
-//! Three record kinds live here, mirroring `FindNSM`'s decomposition:
+//! Three record [`Kind`]s live here, mirroring `FindNSM`'s decomposition:
 //!
 //! 1. context → name-service name (one `UNSPEC` record),
 //! 2. (name-service name, query class) → NSM name (one record),
@@ -16,28 +16,32 @@
 //!    6-resource-record row of Table 3.2).
 //!
 //! The chain over them is written once, in `chase`: it derives each
-//! `Step`'s key, asks its caller's `fetch` for the record set there and
-//! parses it. Where the sets come from is the caller's business — cache
-//! and meta server for [`crate::service::Hns`], the server's own zone for
-//! [`crate::chaser::MetaChaser`] — and [`records_to_fetched`] is the one
-//! decoder, so a change of record format edits this file only.
+//! `Step`'s key, asks its caller's `fetch` for the record there and reads
+//! it. Where the records come from is the caller's business — cache and
+//! meta server for [`crate::service::Hns`], the server's own zone for
+//! [`crate::chaser::MetaChaser`] — but every one of them is a
+//! [`MetaRecord`], decoded once by [`MetaRecord::decode`] where the set
+//! entered the process, so a change of record format edits this file only.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::{Arc, LazyLock};
 
-use bindns::error::Rcode;
+use bindns::error::{NsResult, Rcode};
 use bindns::message::Question;
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
-use bindns::rr::{RData, RType, ResourceRecord};
+use bindns::rr::{RType, RecordRef, ResourceRecord};
 use bindns::update::UpdateOp;
 use hrpc::error::RpcError;
+use hrpc::ProgramId;
+use simnet::topology::HostId;
 use wire::Value;
 
+use crate::cache::Cacheable;
 use crate::error::{HnsError, HnsResult};
 use crate::name::{Context, NameMapping};
-use crate::nsm::NsmInfo;
+use crate::nsm::{NsmBinding, SuiteTag};
 use crate::query::QueryClass;
 
 /// Default TTL for meta records, seconds.
@@ -64,6 +68,342 @@ pub struct ContextInfo {
     pub mapping: NameMapping,
 }
 
+/// The record kinds of the meta zone. A key's first label says which
+/// kind lives under it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Under `ctx`: context → name service and name mapping.
+    Context,
+    /// Under `map`: (name service, query class) → NSM name.
+    NsmName,
+    /// Under `info`: NSM name → binding information.
+    NsmInfo,
+}
+
+impl Kind {
+    /// Every kind.
+    pub const ALL: [Kind; 3] = [Kind::Context, Kind::NsmName, Kind::NsmInfo];
+
+    /// The first label of this kind's keys.
+    pub fn label(self) -> &'static str {
+        match self {
+            Kind::Context => "ctx",
+            Kind::NsmName => "map",
+            Kind::NsmInfo => "info",
+        }
+    }
+
+    fn of_label(label: &str) -> Option<Kind> {
+        Kind::ALL.into_iter().find(|kind| kind.label() == label)
+    }
+
+    /// The kind of record set `key` names, if it is a meta key at all.
+    pub fn of_key(key: &DomainName) -> Option<Kind> {
+        Kind::of_label(key.labels().next()?)
+    }
+}
+
+/// One mapping of a `FindNSM`, decoded: what the chain reads, and what a
+/// demarshalled cache keeps. Mappings 1–5 are record sets of the meta
+/// zone, [`MetaRecord::decode`]d where they enter the process; mapping 6
+/// is the word of a linked host-address NSM.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MetaRecord {
+    /// Mappings 1 and 4: what a context maps to.
+    Context(ContextInfo),
+    /// Mappings 2 and 5: the NSM serving a (name service, query class).
+    NsmName(String),
+    /// Mapping 3: an NSM's binding information.
+    NsmInfo(NsmBinding),
+    /// Mapping 6: the address of an NSM's host.
+    HostAddr(HostId),
+}
+
+fn bad(what: impl Into<String>) -> HnsError {
+    HnsError::BadMetaRecord(what.into())
+}
+
+/// Files `value` as the one `key=` piece of its record set.
+fn set_once<T>(slot: &mut Option<T>, key: &str, value: T) -> HnsResult<()> {
+    match slot.replace(value) {
+        None => Ok(()),
+        Some(_) => Err(bad(format!("duplicate key `{key}`"))),
+    }
+}
+
+/// The `key=value` pieces of one payload.
+fn pieces(payload: &str) -> impl Iterator<Item = HnsResult<(&str, &str)>> {
+    fn pair(piece: &str) -> HnsResult<(&str, &str)> {
+        piece
+            .split_once('=')
+            .ok_or_else(|| bad(format!("`{piece}`")))
+    }
+    payload.split(';').map(pair)
+}
+
+/// The payload [`MetaStore::register_context`] writes.
+fn context_payload(name_service: &str, mapping: &NameMapping) -> String {
+    format!("ns={name_service};map={}", mapping.encode())
+}
+
+impl MetaRecord {
+    /// The one decoder: the payloads of a `kind` record set, as a reply, a
+    /// zone, a transfer or a marshalled cache entry holds them, into the
+    /// typed record. Every payload must be UTF-8; a context or NSM-name
+    /// set is read off its first record, binding information off all of
+    /// them, each `key=value` piece known, wanted and given once.
+    pub fn decode<P: AsRef<[u8]>>(
+        kind: Kind,
+        payloads: impl IntoIterator<Item = P>,
+    ) -> HnsResult<MetaRecord> {
+        let mut first = None;
+        let mut binding = BindingPieces::default();
+        for (nth, payload) in payloads.into_iter().enumerate() {
+            let payload =
+                std::str::from_utf8(payload.as_ref()).map_err(|_| bad("non-UTF-8 payload"))?;
+            match kind {
+                Kind::Context if nth == 0 => first = Some(decode_context(payload)?),
+                Kind::NsmName if nth == 0 => first = Some(MetaRecord::NsmName(payload.into())),
+                Kind::NsmInfo => binding.read(payload)?,
+                Kind::Context | Kind::NsmName => {}
+            }
+        }
+        match kind {
+            Kind::Context => first.ok_or_else(|| bad("empty context record")),
+            Kind::NsmName => first.ok_or_else(|| bad("empty NSM record")),
+            Kind::NsmInfo => binding.finish().map(MetaRecord::NsmInfo),
+        }
+    }
+
+    /// What [`MetaRecord::decode`] reads this record back from: its kind
+    /// and the payloads `MetaStore::register_*` would write for it.
+    /// `None` for mapping 6, which no zone holds.
+    pub fn payloads(&self) -> Option<(Kind, Vec<String>)> {
+        Some(match self {
+            MetaRecord::Context(info) => (
+                Kind::Context,
+                vec![context_payload(&info.name_service, &info.mapping)],
+            ),
+            MetaRecord::NsmName(name) => (Kind::NsmName, vec![name.clone()]),
+            MetaRecord::NsmInfo(binding) => (Kind::NsmInfo, binding.clone().named("").to_records()),
+            MetaRecord::HostAddr(_) => return None,
+        })
+    }
+
+    fn wrong_kind(&self, wanted: &str) -> HnsError {
+        bad(format!("expected {wanted}, found {self:?}"))
+    }
+
+    /// The context information of a mapping 1 or 4 record.
+    pub fn as_context(&self) -> HnsResult<&ContextInfo> {
+        match self {
+            MetaRecord::Context(info) => Ok(info),
+            other => Err(other.wrong_kind("a context record")),
+        }
+    }
+
+    /// The NSM name of a mapping 2 or 5 record.
+    pub fn as_nsm_name(&self) -> HnsResult<&str> {
+        match self {
+            MetaRecord::NsmName(name) => Ok(name),
+            other => Err(other.wrong_kind("an NSM name")),
+        }
+    }
+
+    /// The binding information of a mapping 3 record.
+    pub fn as_nsm_info(&self) -> HnsResult<&NsmBinding> {
+        match self {
+            MetaRecord::NsmInfo(binding) => Ok(binding),
+            other => Err(other.wrong_kind("NSM binding information")),
+        }
+    }
+
+    /// The host of a mapping 6 record.
+    pub fn as_host_addr(&self) -> HnsResult<HostId> {
+        match self {
+            MetaRecord::HostAddr(host) => Ok(*host),
+            other => Err(other.wrong_kind("a host address")),
+        }
+    }
+}
+
+fn decode_context(payload: &str) -> HnsResult<MetaRecord> {
+    let (mut name_service, mut mapping) = (None, None);
+    for piece in pieces(payload) {
+        match piece? {
+            ("ns", v) => set_once(&mut name_service, "ns", v.to_string())?,
+            ("map", v) => set_once(&mut mapping, "map", NameMapping::decode(v)?)?,
+            (other, _) => return Err(bad(format!("unknown key `{other}`"))),
+        }
+    }
+    Ok(MetaRecord::Context(ContextInfo {
+        name_service: name_service.ok_or_else(|| bad("missing ns"))?,
+        mapping: mapping.ok_or_else(|| bad("missing map"))?,
+    }))
+}
+
+/// The pieces of mapping 3's six records, as they come in.
+#[derive(Default)]
+struct BindingPieces {
+    host_name: Option<String>,
+    host_context: Option<Context>,
+    program: Option<ProgramId>,
+    port: Option<u16>,
+    suite: Option<SuiteTag>,
+    version: Option<u32>,
+    owner: Option<String>,
+}
+
+impl BindingPieces {
+    fn read(&mut self, payload: &str) -> HnsResult<()> {
+        fn number<T: std::str::FromStr>(what: &str, value: &str) -> HnsResult<T> {
+            let unparsed = |_| bad(format!("bad {what} `{value}`"));
+            value.parse().map_err(unparsed)
+        }
+        for piece in pieces(payload) {
+            let (key, value) = piece?;
+            match key {
+                "host" => set_once(&mut self.host_name, key, value.to_string())?,
+                "hostctx" => set_once(&mut self.host_context, key, Context::new(value)?)?,
+                "prog" => set_once(&mut self.program, key, ProgramId(number("program", value)?))?,
+                "port" => set_once(&mut self.port, key, number("port", value)?)?,
+                "suite" => set_once(&mut self.suite, key, SuiteTag::decode(value)?)?,
+                "ver" => set_once(&mut self.version, key, number("version", value)?)?,
+                "owner" => set_once(&mut self.owner, key, value.to_string())?,
+                other => return Err(bad(format!("unknown key `{other}`"))),
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> HnsResult<NsmBinding> {
+        let missing = |what: &str| bad(format!("missing {what}"));
+        Ok(NsmBinding {
+            host_name: self.host_name.ok_or_else(|| missing("host"))?,
+            host_context: self.host_context.ok_or_else(|| missing("hostctx"))?,
+            program: self.program.ok_or_else(|| missing("prog"))?,
+            port: self.port.ok_or_else(|| missing("port"))?,
+            suite: self.suite.ok_or_else(|| missing("suite"))?,
+            version: self.version.ok_or_else(|| missing("ver"))?,
+            owner: self.owner.ok_or_else(|| missing("owner"))?,
+        })
+    }
+}
+
+/// The marshalled form of Table 3.2: the XDR list of the kind's label and
+/// the payloads (of the host alone for mapping 6), so that a marshalled
+/// hit demarshals and then decodes, through [`MetaRecord::decode`].
+impl Cacheable for MetaRecord {
+    fn marshal(&self) -> Option<Vec<u8>> {
+        let list = match self {
+            MetaRecord::HostAddr(host) => vec![Value::U32(host.0)],
+            of_the_zone => {
+                let (kind, payloads) = of_the_zone.payloads()?;
+                let label = std::iter::once(kind.label().to_string());
+                label.chain(payloads).map(Value::Str).collect()
+            }
+        };
+        wire::xdr::encode(&Value::List(list)).ok()
+    }
+
+    fn demarshal(bytes: &[u8]) -> Option<Self> {
+        match wire::xdr::decode(bytes).ok()?.as_list().ok()? {
+            [Value::U32(host)] => Some(MetaRecord::HostAddr(HostId(*host))),
+            [Value::Str(label), payloads @ ..] => {
+                let payloads: Result<Vec<&str>, _> = payloads.iter().map(Value::as_str).collect();
+                MetaRecord::decode(Kind::of_label(label)?, payloads.ok()?).ok()
+            }
+            _ => None,
+        }
+    }
+}
+
+/// One answer record as [`decode_set`] checks it, however it was read.
+struct Answered<'a> {
+    owner: &'a str,
+    rtype: RType,
+    ttl: u32,
+    opaque: Option<&'a [u8]>,
+}
+
+impl<'a> From<RecordRef<'a>> for Answered<'a> {
+    fn from(record: RecordRef<'a>) -> Self {
+        Answered {
+            owner: record.owner,
+            rtype: record.rtype,
+            ttl: record.ttl,
+            opaque: record.opaque(),
+        }
+    }
+}
+
+impl<'a> From<&'a ResourceRecord> for Answered<'a> {
+    fn from(record: &'a ResourceRecord) -> Self {
+        Answered {
+            owner: record.name.as_str(),
+            rtype: record.rtype,
+            ttl: record.ttl,
+            opaque: record.opaque(),
+        }
+    }
+}
+
+/// Decodes the record set that answers a question about `key`, payloads
+/// read where `answers` hold them. Every answer must be an `UNSPEC`
+/// record of opaque data owned by `key`; what its payloads must be is
+/// [`MetaRecord::decode`]'s to say.
+fn decode_set<'a, A: Into<Answered<'a>>>(
+    key: &DomainName,
+    answers: impl Iterator<Item = NsResult<A>>,
+) -> HnsResult<Fetched<MetaRecord>> {
+    let kind = Kind::of_key(key).ok_or_else(|| bad(format!("`{key}` is not a meta key")))?;
+    let check = |answer: NsResult<A>| {
+        let answer: Answered<'a> = answer
+            .map_err(|e| HnsError::Rpc(RpcError::Service(e.to_string())))?
+            .into();
+        if answer.rtype != RType::Unspec {
+            return Err(bad(format!("expected UNSPEC, found {}", answer.rtype)));
+        }
+        if !answer.owner.eq_ignore_ascii_case(key.as_str()) {
+            return Err(bad(format!("`{}` answers for `{key}`", answer.owner)));
+        }
+        let payload = answer.opaque.ok_or_else(|| bad("expected opaque rdata"))?;
+        Ok((payload, answer.ttl))
+    };
+    let (mut rrs, mut ttl_secs, mut refused) = (0, None, None);
+    // The decoder reads the payloads as they are checked; the first
+    // refused answer ends the set, and is the error.
+    let payloads = answers.map_while(|answer| match check(answer) {
+        Ok((payload, ttl)) => {
+            rrs += 1;
+            ttl_secs = Some(ttl_secs.map_or(ttl, |least: u32| least.min(ttl)));
+            Some(payload)
+        }
+        Err(refusal) => {
+            refused = Some(refusal);
+            None
+        }
+    });
+    let record = MetaRecord::decode(kind, payloads);
+    if let Some(refusal) = refused {
+        return Err(refusal);
+    }
+    Ok(Fetched {
+        value: record?,
+        rrs,
+        ttl_secs: ttl_secs.unwrap_or(META_TTL),
+    })
+}
+
+/// [`decode_set`] of decoded records: a zone's answer, a set of an
+/// `MQUERY` batch or of a transfer.
+pub(crate) fn decode_records<R: Borrow<ResourceRecord>>(
+    key: &DomainName,
+    records: &[R],
+) -> HnsResult<Fetched<MetaRecord>> {
+    decode_set(key, records.iter().map(|record| Ok(record.borrow())))
+}
+
 /// The meta store: a client of the modified BIND holding the `hns` zone.
 pub struct MetaStore {
     resolver: HrpcResolver,
@@ -77,53 +417,14 @@ pub struct MetaStore {
 pub struct MetaBatch {
     /// The answer to the primary question; `None` when the meta server
     /// reported the name absent (NameError / NoData).
-    pub primary: Option<Fetched<Vec<String>>>,
+    pub primary: Option<Fetched<MetaRecord>>,
     /// Speculative additional sets, keyed by the meta name they live under.
-    pub additional: Vec<(DomainName, Fetched<Vec<String>>)>,
+    pub additional: Vec<(DomainName, Fetched<MetaRecord>)>,
 }
 
 /// The query class of mapping 5, built once: a `QueryClass` owns a
 /// lowercased copy of its name.
 static HOST_ADDRESS: LazyLock<QueryClass> = LazyLock::new(QueryClass::host_address);
-
-/// What a cached fetch hands back: a hit (live, or expired and served
-/// stale) lends the cached value itself; a fetch owns what it fetched.
-pub(crate) enum Got<T> {
-    Cached(Arc<Value>),
-    Fetched(T),
-}
-
-/// One meta record set as the chain reads it: off a cached list in
-/// place, or out of what [`records_to_fetched`] decoded.
-pub(crate) type Payloads = Got<Vec<String>>;
-
-/// What the cache keeps of a fetched value (mapping 6's is `service`'s).
-pub(crate) trait Cacheable {
-    fn to_cached(&self) -> Cow<'_, Value>;
-}
-
-/// Mappings 1–5: a record set is cached as the list of its payloads,
-/// which is the shape [`Payloads::iter`] reads back.
-impl Cacheable for Vec<String> {
-    fn to_cached(&self) -> Cow<'_, Value> {
-        Cow::Owned(Value::List(self.iter().map(Value::str).collect()))
-    }
-}
-
-impl Payloads {
-    /// The payload strings; a cached value of any other shape is refused.
-    fn iter(&self) -> HnsResult<impl Iterator<Item = &str>> {
-        let (cached, owned): (&[Value], &[String]) = match self {
-            Got::Cached(value) => (value.as_list()?, &[]),
-            Got::Fetched(payloads) => (&[], payloads),
-        };
-        for payload in cached {
-            payload.as_str()?;
-        }
-        let cached = cached.iter().filter_map(|payload| payload.as_str().ok());
-        Ok(cached.chain(owned.iter().map(String::as_str)))
-    }
-}
 
 /// One meta-zone mapping of `FindNSM` and what it is asked about: the
 /// paper's three, then the first two again to locate the NSM's host.
@@ -156,38 +457,45 @@ impl Step<'_> {
 
     /// The meta-zone name this mapping's record set lives under: one
     /// label for the record kind, one for what is asked about, case
-    /// folded. Written once, parsed once — every mapping of every walk,
-    /// read or write, derives one. A key must determine the name it came
+    /// folded. Written once — every mapping of every walk, read or
+    /// write, derives one — in one pass over the text and one
+    /// allocation, the name's own. A key must determine the name it came
     /// from, so a name that is not [`keyable`] is refused, and so is a
     /// name service that would let two (name service, query class) pairs
     /// meet across the `--` that joins them.
     pub(crate) fn key(&self, origin: &DomainName) -> HnsResult<DomainName> {
-        let (kind, about, splits): (&str, &[&str], bool) = match self {
+        let (kind, about, splits): (Kind, &[&str], bool) = match self {
             Step::Context(context) | Step::HostContext(context) => {
-                ("ctx", &[context.as_str()], true)
+                (Kind::Context, &[context.as_str()], true)
             }
             Step::NsmName(ns, qc) | Step::HostAddrNsm(ns, qc) => {
                 let splits = !ns.contains("--") && !ns.ends_with('-');
-                ("map", &[ns, "--", qc], splits)
+                (Kind::NsmName, &[ns, "--", qc], splits)
             }
-            Step::NsmInfo(nsm_name) => ("info", &[nsm_name], true),
+            Step::NsmInfo(nsm_name) => (Kind::NsmInfo, &[nsm_name], true),
         };
-        let mut name = String::with_capacity(64);
-        name.push_str(kind);
-        name.push('.');
-        let label = name.len();
-        let folded = about.iter().flat_map(|piece| piece.chars());
-        name.extend(folded.map(|c| c.to_ascii_lowercase()));
-        if !(splits && about.iter().all(|piece| !piece.is_empty()) && keyable(&name[label..])) {
-            return Err(HnsError::BadName(format!(
-                "`{}` has no meta key: a keyed name is 1..={MAX_KEY_LABEL} characters of \
-                 [A-Za-z0-9_-], a name service holds no `--` and ends in none",
-                about.concat()
-            )));
+        // `kind.about` on the stack; `child` folds the case.
+        let mut text = [0u8; 5 + MAX_KEY_LABEL];
+        let label = kind.label().len() + 1;
+        text[..label - 1].copy_from_slice(kind.label().as_bytes());
+        text[label - 1] = b'.';
+        let mut len = label;
+        let mut keyed = splits;
+        for piece in about {
+            let end = len + piece.len();
+            keyed &= end > len && end <= label + MAX_KEY_LABEL && piece.bytes().all(key_byte);
+            if !keyed {
+                return Err(HnsError::BadName(format!(
+                    "`{}` has no meta key: a keyed name is 1..={MAX_KEY_LABEL} characters of \
+                     [A-Za-z0-9_-], a name service holds no `--` and ends in none",
+                    about.concat()
+                )));
+            }
+            text[len..end].copy_from_slice(piece.as_bytes());
+            len = end;
         }
-        name.push('.');
-        name.push_str(origin.as_str());
-        DomainName::parse(&name).map_err(|e| HnsError::BadMetaRecord(e.to_string()))
+        let text = std::str::from_utf8(&text[..len]).expect("key bytes are ASCII");
+        origin.child(text).map_err(|e| bad(e.to_string()))
     }
 }
 
@@ -204,13 +512,18 @@ impl fmt::Display for Step<'_> {
     }
 }
 
-/// What the chain asks of its caller: the payloads of the record set at
-/// `key` and their remaining TTL in seconds.
-pub(crate) type Fetch<'f> = dyn FnMut(Step<'_>, &DomainName) -> HnsResult<(Payloads, u32)> + 'f;
+/// What the chain asks of its caller: the record at `key` and its
+/// remaining TTL in seconds.
+pub(crate) type Fetch<'f> =
+    dyn FnMut(Step<'_>, &DomainName) -> HnsResult<(Arc<MetaRecord>, u32)> + 'f;
 
-/// Derives `step`'s key and asks `fetch` for the record set there. A
+/// Derives `step`'s key and asks `fetch` for the record there. A
 /// `NotFound` comes back as what it means to the caller of `FindNSM`.
-fn ask(origin: &DomainName, step: Step<'_>, fetch: &mut Fetch<'_>) -> HnsResult<(Payloads, u32)> {
+pub(crate) fn ask(
+    origin: &DomainName,
+    step: Step<'_>,
+    fetch: &mut Fetch<'_>,
+) -> HnsResult<(Arc<MetaRecord>, u32)> {
     use RpcError::NotFound;
     fetch(step, &step.key(origin)?).map_err(|err| match (err, step) {
         (HnsError::Rpc(NotFound(_)), Step::Context(context) | Step::HostContext(context)) => {
@@ -226,112 +539,65 @@ fn ask(origin: &DomainName, step: Step<'_>, fetch: &mut Fetch<'_>) -> HnsResult<
     })
 }
 
-/// Mapping 1 or 4 ([`Step::Context`], [`Step::HostContext`]): context →
-/// name service and name mapping.
-pub(crate) fn context_info(
-    origin: &DomainName,
-    step: Step<'_>,
-    fetch: &mut Fetch<'_>,
-) -> HnsResult<(ContextInfo, u32)> {
-    let (payloads, ttl) = ask(origin, step, fetch)?;
-    let info = MetaStore::parse_context(payloads.iter()?)?;
-    Ok((info, ttl))
-}
-
-/// Mapping 2 or 5 ([`Step::NsmName`], [`Step::HostAddrNsm`]): (name
-/// service, query class) → NSM name.
-fn nsm_name(
-    origin: &DomainName,
-    step: Step<'_>,
-    fetch: &mut Fetch<'_>,
-) -> HnsResult<(String, u32)> {
-    let (payloads, ttl) = ask(origin, step, fetch)?;
-    let name = MetaStore::parse_nsm_name(payloads.iter()?)?;
-    Ok((name, ttl))
-}
-
-/// What [`chase`] found: mappings 2–5 of one `FindNSM`.
-#[derive(Debug)]
-pub(crate) struct Chased {
+/// What [`chase`] found: mappings 2–5 of one `FindNSM`, read where the
+/// fetched records lie.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chased<'a> {
     /// Mapping 2: the NSM serving (name service, query class).
-    pub nsm_name: String,
+    pub nsm_name: &'a str,
     /// Mapping 3: its binding information, naming the host it runs on.
-    pub info: NsmInfo,
+    pub info: &'a NsmBinding,
     /// Mapping 4: what that host's context maps to.
-    pub host_context: ContextInfo,
+    pub host_context: &'a ContextInfo,
     /// Mapping 5: the host-address NSM of the host's name service.
-    pub host_addr_nsm: String,
+    pub host_addr_nsm: &'a str,
     /// Minimum TTL among the four record sets, seconds.
     pub min_ttl: u32,
 }
 
 /// The `FindNSM` chain after mapping 1: from a name service and a query
-/// class to everything needed to call the NSM but its host's address.
-/// Stops at the first link it cannot follow; asks for every key it needs,
-/// in order, even one it has asked for before.
-pub(crate) fn chase(
+/// class to everything needed to call the NSM but its host's address,
+/// handed to `found` while the four records are held. Stops at the first
+/// link it cannot follow; asks for every key it needs, in order, even one
+/// it has asked for before.
+pub(crate) fn chase<T>(
     origin: &DomainName,
     name_service: &str,
     query_class: &str,
     fetch: &mut Fetch<'_>,
-) -> HnsResult<Chased> {
-    let (nsm, ttl2) = nsm_name(origin, Step::NsmName(name_service, query_class), fetch)?;
-    let (payloads, ttl3) = ask(origin, Step::NsmInfo(&nsm), fetch)?;
-    let info = NsmInfo::from_records(&nsm, payloads.iter()?)?;
+    found: impl FnOnce(Chased<'_>) -> HnsResult<T>,
+) -> HnsResult<T> {
+    let (record, ttl2) = ask(origin, Step::NsmName(name_service, query_class), fetch)?;
+    let nsm_name = record.as_nsm_name()?;
+    let (record, ttl3) = ask(origin, Step::NsmInfo(nsm_name), fetch)?;
+    let info = record.as_nsm_info()?;
     // The info names the NSM's host, and translating that name "is in
     // itself an HNS naming operation": mappings 1–2 again.
-    let (host_context, ttl4) = context_info(origin, Step::HostContext(&info.host_context), fetch)?;
+    let (record, ttl4) = ask(origin, Step::HostContext(&info.host_context), fetch)?;
+    let host_context = record.as_context()?;
     let step = Step::HostAddrNsm(&host_context.name_service, HOST_ADDRESS.as_str());
-    let (host_addr_nsm, ttl5) = nsm_name(origin, step, fetch)?;
-    Ok(Chased {
-        nsm_name: nsm,
+    let (record, ttl5) = ask(origin, step, fetch)?;
+    found(Chased {
+        nsm_name,
         info,
         host_context,
-        host_addr_nsm,
+        host_addr_nsm: record.as_nsm_name()?,
         min_ttl: ttl2.min(ttl3).min(ttl4).min(ttl5),
-    })
-}
-
-/// Decodes a meta record set's UNSPEC payloads into a [`Fetched`] value —
-/// the one place records become payload strings, for a reply, a batch, the
-/// server-side chase and a preloaded zone alike.
-pub fn records_to_fetched<R: Borrow<ResourceRecord>>(
-    records: &[R],
-) -> HnsResult<Fetched<Vec<String>>> {
-    let records = records.iter().map(Borrow::borrow);
-    let ttl_secs = records.clone().map(|r| r.ttl).min().unwrap_or(META_TTL);
-    let rrs = records.len();
-    let mut payloads = Vec::with_capacity(rrs);
-    for r in records {
-        match &r.rdata {
-            RData::Opaque(bytes) => payloads.push(
-                std::str::from_utf8(bytes)
-                    .map_err(|_| HnsError::BadMetaRecord("non-UTF-8 payload".into()))?
-                    .to_string(),
-            ),
-            other => {
-                return Err(HnsError::BadMetaRecord(format!(
-                    "expected UNSPEC, found {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(Fetched {
-        value: payloads,
-        rrs,
-        ttl_secs,
     })
 }
 
 /// Longest name a meta key label holds.
 const MAX_KEY_LABEL: usize = 60;
 
+fn key_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
+}
+
 /// Whether `name` survives meta-key derivation, case aside: 1 to 60
 /// characters of `[A-Za-z0-9_-]`. Any other name has no key — were it
 /// folded onto one, two names (`ee.uw`, `ee-uw`) would share a record and
 /// registering either would rebind the other.
 pub fn keyable(name: &str) -> bool {
-    let key_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
     (1..=MAX_KEY_LABEL).contains(&name.len()) && name.bytes().all(key_byte)
 }
 
@@ -377,13 +643,10 @@ impl MetaStore {
             .map_err(HnsError::Rpc)
     }
 
-    /// Reads the raw payload strings at a meta key.
-    pub fn fetch(&self, name: &DomainName) -> HnsResult<Fetched<Vec<String>>> {
-        let records = self
-            .resolver
-            .query(name, RType::Unspec)
-            .map_err(HnsError::Rpc)?;
-        records_to_fetched(&records)
+    /// Reads the record at a meta key, decoded straight off the reply.
+    pub fn fetch(&self, key: &DomainName) -> HnsResult<Fetched<MetaRecord>> {
+        self.resolver
+            .query_reply(key, RType::Unspec, |reply| decode_set(key, reply.records()))
     }
 
     /// Fetches `primary` plus whatever additional sets the meta server's
@@ -403,9 +666,9 @@ impl MetaStore {
         let answer = multi
             .answers
             .first()
-            .ok_or_else(|| HnsError::BadMetaRecord("mquery reply missing answer".into()))?;
+            .ok_or_else(|| bad("mquery reply missing answer"))?;
         let primary_set = match answer.rcode {
-            Rcode::Ok => Some(records_to_fetched(&answer.records)?),
+            Rcode::Ok => Some(decode_records(primary, &answer.records)?),
             Rcode::NameError | Rcode::NoData => None,
             other => {
                 return Err(HnsError::Rpc(RpcError::Service(format!(
@@ -418,8 +681,8 @@ impl MetaStore {
             if set.rcode != Rcode::Ok || set.records.is_empty() {
                 continue;
             }
-            let owner = set.records[0].name.clone();
-            additional.push((owner, records_to_fetched(&set.records)?));
+            let owner = &set.records[0].name;
+            additional.push((owner.clone(), decode_records(owner, &set.records)?));
         }
         Ok(MetaBatch {
             primary: primary_set,
@@ -434,7 +697,7 @@ impl MetaStore {
         name_service: &str,
         mapping: &NameMapping,
     ) -> HnsResult<()> {
-        let payload = format!("ns={name_service};map={}", mapping.encode());
+        let payload = context_payload(name_service, mapping);
         self.write(Step::Context(context).key(&self.origin)?, vec![payload])
     }
 
@@ -451,45 +714,9 @@ impl MetaStore {
     }
 
     /// Registers an NSM's binding information (six records).
-    pub fn register_nsm_info(&self, info: &NsmInfo) -> HnsResult<()> {
+    pub fn register_nsm_info(&self, info: &crate::nsm::NsmInfo) -> HnsResult<()> {
         let key = Step::NsmInfo(&info.nsm_name).key(&self.origin)?;
         self.write(key, info.to_records())
-    }
-
-    /// Parses a context record's payloads, read where they are (a
-    /// `&[String]` off a fetch, borrowed `&str`s off a cached list).
-    pub fn parse_context<S: AsRef<str>>(
-        payloads: impl IntoIterator<Item = S>,
-    ) -> HnsResult<ContextInfo> {
-        let payload = payloads
-            .into_iter()
-            .next()
-            .ok_or_else(|| HnsError::BadMetaRecord("empty context record".into()))?;
-        let mut name_service = None;
-        let mut mapping = None;
-        for piece in payload.as_ref().split(';') {
-            match piece.split_once('=') {
-                Some(("ns", v)) => name_service = Some(v.to_string()),
-                Some(("map", v)) => mapping = Some(NameMapping::decode(v)?),
-                _ => return Err(HnsError::BadMetaRecord(format!("`{piece}`"))),
-            }
-        }
-        Ok(ContextInfo {
-            name_service: name_service
-                .ok_or_else(|| HnsError::BadMetaRecord("missing ns".into()))?,
-            mapping: mapping.ok_or_else(|| HnsError::BadMetaRecord("missing map".into()))?,
-        })
-    }
-
-    /// Parses an NSM-name record's payloads.
-    pub fn parse_nsm_name<S: AsRef<str>>(
-        payloads: impl IntoIterator<Item = S>,
-    ) -> HnsResult<String> {
-        payloads
-            .into_iter()
-            .next()
-            .map(|name| name.as_ref().to_string())
-            .ok_or_else(|| HnsError::BadMetaRecord("empty NSM record".into()))
     }
 }
 
@@ -504,11 +731,12 @@ impl std::fmt::Debug for MetaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nsm::SuiteTag;
+    use crate::nsm::NsmInfo;
+    use bindns::rr::RData;
     use bindns::server::{deploy, single_zone_server};
     use bindns::zone::Zone;
     use hrpc::net::RpcNet;
-    use hrpc::ProgramId;
+    use simnet::topology::NetAddr;
     use simnet::world::World;
     use std::collections::HashMap;
 
@@ -552,13 +780,40 @@ mod tests {
         step.key(&origin()).expect("key")
     }
 
+    /// What [`chase`] found, copied out of the records it held.
+    #[derive(Debug)]
+    struct Found {
+        nsm_name: String,
+        info: NsmInfo,
+        host_context: ContextInfo,
+        host_addr_nsm: String,
+        min_ttl: u32,
+    }
+
+    fn chased(ns: &str, qc: &str, fetch: &mut Fetch<'_>) -> HnsResult<Found> {
+        chase(&origin(), ns, qc, fetch, |found| {
+            Ok(Found {
+                nsm_name: found.nsm_name.into(),
+                info: found.info.clone().named(found.nsm_name),
+                host_context: found.host_context.clone(),
+                host_addr_nsm: found.host_addr_nsm.into(),
+                min_ttl: found.min_ttl,
+            })
+        })
+    }
+
+    fn context_info(step: Step<'_>, fetch: &mut Fetch<'_>) -> HnsResult<(ContextInfo, u32)> {
+        let (record, ttl) = ask(&origin(), step, fetch)?;
+        Ok((record.as_context()?.clone(), ttl))
+    }
+
     /// A `fetch` answering from the real meta store, one RPC per set.
     fn live(
         meta: &MetaStore,
-    ) -> impl FnMut(Step<'_>, &DomainName) -> HnsResult<(Payloads, u32)> + '_ {
+    ) -> impl FnMut(Step<'_>, &DomainName) -> HnsResult<(Arc<MetaRecord>, u32)> + '_ {
         |_, key| {
             let set = meta.fetch(key)?;
-            Ok((Got::Fetched(set.value), set.ttl_secs))
+            Ok((Arc::new(set.value), set.ttl_secs))
         }
     }
 
@@ -609,7 +864,8 @@ mod tests {
             let (payloads, ttl) = zone
                 .get(key.as_str())
                 .ok_or_else(|| HnsError::Rpc(RpcError::NotFound(key.to_string())))?;
-            Ok((Got::Fetched(payloads.clone()), *ttl))
+            let kind = Kind::of_key(key).expect("a meta key");
+            Ok((Arc::new(MetaRecord::decode(kind, payloads)?), *ttl))
         });
         (result, asked)
     }
@@ -618,7 +874,7 @@ mod tests {
     fn chase_asks_for_each_key_in_order() {
         let zone = script();
         let (found, asked) = scripted(&zone, |fetch| {
-            chase(&origin(), "BIND", "hrpcbinding", fetch).expect("BIND chain")
+            chased("BIND", "hrpcbinding", fetch).expect("BIND chain")
         });
         assert_eq!(
             asked,
@@ -636,7 +892,7 @@ mod tests {
         assert_eq!(found.min_ttl, 50, "the earliest-lapsing set bounds it");
 
         let (found, asked) = scripted(&zone, |fetch| {
-            chase(&origin(), "Clearinghouse", "mailboxlocation", fetch).expect("CH chain")
+            chased("Clearinghouse", "mailboxlocation", fetch).expect("CH chain")
         });
         assert_eq!(
             asked,
@@ -657,8 +913,7 @@ mod tests {
         let run = |gone: &str, qc: &str| {
             let mut zone = script();
             zone.remove(gone);
-            let chased = |fetch: &mut Fetch<'_>| chase(&origin(), "BIND", qc, fetch);
-            let (result, asked) = scripted(&zone, chased);
+            let (result, asked) = scripted(&zone, |fetch| chased("BIND", qc, fetch));
             (result.expect_err(gone), asked)
         };
         // Mapping 3 has no error of its own: the `NotFound` names the key.
@@ -693,13 +948,37 @@ mod tests {
         // cache's job, attaching it once the chaser's.
         let (_, asked) = scripted(&script(), |fetch| {
             let queried = ctx("bind-uw");
-            let (ctx_info, ttl) =
-                context_info(&origin(), Step::Context(&queried), fetch).expect("mapping 1");
+            let (ctx_info, ttl) = context_info(Step::Context(&queried), fetch).expect("mapping 1");
             assert_eq!((ctx_info.name_service.as_str(), ttl), ("BIND", 600));
-            chase(&origin(), &ctx_info.name_service, "hrpcbinding", fetch).expect("chain");
+            chased(&ctx_info.name_service, "hrpcbinding", fetch).expect("chain");
         });
         assert_eq!(asked[0], "1 ctx.bind-uw.hns");
         assert_eq!(asked[3], "4 ctx.bind-uw.hns");
+    }
+
+    #[test]
+    fn a_record_of_another_kind_is_a_typed_error_not_a_panic() {
+        // No key derivation files an NSM name under a context key; a
+        // `fetch` that did so anyway is refused where the record is read.
+        let mut zone = script();
+        let misfiled = zone["map.bind--hostaddress.hns"].clone();
+        let (result, _) = scripted(&zone, |fetch| {
+            let mut misfiling = |step: Step<'_>, key: &DomainName| match step {
+                Step::HostContext(_) => Ok((Arc::new(MetaRecord::NsmName("x".into())), 1)),
+                _ => fetch(step, key),
+            };
+            chased("BIND", "hrpcbinding", &mut misfiling)
+        });
+        assert!(
+            matches!(result, Err(HnsError::BadMetaRecord(_))),
+            "{result:?}"
+        );
+        zone.insert("ctx.bind-uw.hns".into(), misfiled);
+        let (result, _) = scripted(&zone, |fetch| chased("BIND", "hrpcbinding", fetch));
+        assert!(
+            matches!(result, Err(HnsError::BadMetaRecord(_))),
+            "{result:?}"
+        );
     }
 
     #[test]
@@ -727,33 +1006,250 @@ mod tests {
             .expect("host-address nsm");
 
         let (ctx_info, ttl) =
-            context_info(&origin(), Step::Context(&ctx("bind-uw")), &mut live(&meta))
-                .expect("mapping 1");
+            context_info(Step::Context(&ctx("bind-uw")), &mut live(&meta)).expect("mapping 1");
         assert_eq!(ctx_info.name_service, "BIND");
         assert_eq!(ctx_info.mapping, mapping);
         assert_eq!(ttl, META_TTL);
-        let found = chase(&origin(), "BIND", qc.as_str(), &mut live(&meta)).expect("chain");
+        let found = chased("BIND", qc.as_str(), &mut live(&meta)).expect("chain");
         assert_eq!(found.nsm_name, "nsm-hrpcbinding-bind");
         assert_eq!(found.info, sample_info());
         assert_eq!(found.host_context, ctx_info);
         assert_eq!(found.host_addr_nsm, "nsm-ha-bind");
         assert_eq!(found.min_ttl, META_TTL);
 
-        let rrs = |step: Step<'_>| meta.fetch(&key(step)).expect("fetch").rrs;
-        assert_eq!(rrs(Step::Context(&ctx("bind-uw"))), 1);
-        assert_eq!(rrs(Step::NsmName("BIND", qc.as_str())), 1);
-        assert_eq!(rrs(Step::NsmInfo("nsm-hrpcbinding-bind")), NsmInfo::RECORDS);
+        // What a fetch decodes is what `register_*` wrote, record for
+        // record, and writes back to the same payloads.
+        let steps = [
+            (Step::Context(&ctx("bind-uw")), 1),
+            (Step::NsmName("BIND", qc.as_str()), 1),
+            (Step::NsmInfo("nsm-hrpcbinding-bind"), NsmInfo::RECORDS),
+        ];
+        for (step, rrs) in steps {
+            let fetched = meta.fetch(&key(step)).expect("fetch");
+            assert_eq!(fetched.rrs, rrs, "{step}");
+            let (kind, payloads) = fetched.value.payloads().expect("a zone record");
+            assert_eq!(Some(kind), Kind::of_key(&key(step)));
+            assert_eq!(payloads.len(), rrs);
+            let again = MetaRecord::decode(kind, &payloads).expect("decodes again");
+            assert_eq!(again, fetched.value, "{step}");
+        }
+        assert_eq!(
+            meta.fetch(&key(steps[2].0)).expect("fetch").value,
+            MetaRecord::decode(Kind::NsmInfo, sample_info().to_records()).expect("decode")
+        );
+    }
+
+    #[test]
+    fn a_record_marshals_to_what_demarshals_to_it() {
+        let binding = MetaRecord::decode(Kind::NsmInfo, sample_info().to_records());
+        let records = [
+            MetaRecord::Context(ContextInfo {
+                name_service: "BIND".into(),
+                mapping: NameMapping::Prefixed {
+                    prefix: "uw:".into(),
+                },
+            }),
+            MetaRecord::NsmName("nsm-ha-bind".into()),
+            binding.expect("decode"),
+            MetaRecord::HostAddr(HostId(7)),
+        ];
+        for record in records {
+            let bytes = record.marshal().expect("marshals");
+            assert_eq!(MetaRecord::demarshal(&bytes), Some(record));
+        }
+        let garbage: [&[u8]; 3] = [&[], &[0xff; 3], b"ns=BIND;map=id"];
+        for bytes in garbage {
+            assert_eq!(MetaRecord::demarshal(bytes), None);
+        }
+        let unlabelled = Value::List(vec![Value::str("ns=BIND;map=id")]);
+        let bytes = wire::xdr::encode(&unlabelled).expect("encodes");
+        assert_eq!(MetaRecord::demarshal(&bytes), None);
+    }
+
+    /// One answer of a set under `key`, well formed unless edited.
+    fn answer(key: &str, payload: &[u8]) -> ResourceRecord {
+        let owner = DomainName::parse(key).expect("key");
+        ResourceRecord::unspec(owner, META_TTL, payload.to_vec())
+    }
+
+    #[test]
+    fn the_decoder_refuses_what_is_not_a_meta_record_set() {
+        use Kind::{Context as C, NsmInfo as I, NsmName as N};
+        let bad_meta = |result: HnsResult<Fetched<MetaRecord>>, what: &str| {
+            assert!(
+                matches!(result, Err(HnsError::BadMetaRecord(_))),
+                "{what}: {result:?}"
+            );
+        };
+        // What answers: owner, type, rdata.
+        let ctx_key = DomainName::parse("ctx.bind-uw.hns").expect("key");
+        let good = answer("ctx.bind-uw.hns", b"ns=BIND;map=id");
+        let decoded = decode_records(&ctx_key, &[&good]).expect("well formed");
+        assert_eq!((decoded.rrs, decoded.ttl_secs), (1, META_TTL));
+        let spelt = answer("CTX.Bind-UW.hns.", b"ns=BIND;map=id");
+        assert_eq!(decode_records(&ctx_key, &[spelt]), Ok(decoded));
+        let other = answer("ctx.ch-uw.hns", b"ns=BIND;map=id");
+        bad_meta(decode_records(&ctx_key, &[&other]), "wrong owner");
+        bad_meta(
+            decode_records(&ctx_key, &[good.clone(), other]),
+            "wrong owner second",
+        );
+        let wks = ResourceRecord {
+            rtype: RType::Wks,
+            ..good.clone()
+        };
+        bad_meta(decode_records(&ctx_key, &[wks]), "opaque, but not UNSPEC");
+        let text = ResourceRecord {
+            rdata: RData::Text("ns=BIND;map=id".into()),
+            ..good.clone()
+        };
+        bad_meta(decode_records(&ctx_key, &[text]), "UNSPEC, but not opaque");
+        let unkeyed = answer("n7.cell0.hns", b"ns=BIND;map=id");
+        bad_meta(decode_records(&unkeyed.name, &[&unkeyed]), "no kind");
+        bad_meta(decode_records::<ResourceRecord>(&ctx_key, &[]), "empty");
+        // The least TTL of the set is the set's.
+        let mut six: Vec<_> = sample_info().to_records().into_iter().collect();
+        six.rotate_left(2);
+        let mut six: Vec<_> = six
+            .iter()
+            .map(|payload| answer("info.nsm-b.hns", payload.as_bytes()))
+            .collect();
+        six[4].ttl = 17;
+        let info_key = six[0].name.clone();
+        let decoded = decode_records(&info_key, &six).expect("six records, any order");
+        assert_eq!((decoded.rrs, decoded.ttl_secs), (6, 17));
+        assert_eq!(decoded.value.as_nsm_info().expect("info").port, 1025);
+
+        // What the payloads hold, by kind.
+        let six = sample_info().to_records();
+        let without = |gone: &str| -> Vec<String> {
+            let kept = six.iter().filter(|payload| !payload.starts_with(gone));
+            kept.cloned().collect()
+        };
+        let with =
+            |more: &str| -> Vec<String> { six.iter().cloned().chain([more.to_string()]).collect() };
+        let text = |payloads: &[&str]| payloads.iter().map(|p| p.to_string()).collect();
+        let refused: Vec<(&str, Kind, Vec<String>)> = vec![
+            ("empty context set", C, vec![]),
+            ("empty NSM-name set", N, vec![]),
+            ("empty info set", I, vec![]),
+            ("context without ns", C, text(&["map=id"])),
+            ("context without map", C, text(&["ns=BIND"])),
+            (
+                "context with a key of its own",
+                C,
+                text(&["ns=BIND;map=id;x=1"]),
+            ),
+            (
+                "context with a piece that is no pair",
+                C,
+                text(&["ns=BIND;map=id;"]),
+            ),
+            ("context with ns twice", C, text(&["ns=BIND;ns=CH;map=id"])),
+            (
+                "context with a mapping unheard of",
+                C,
+                text(&["ns=BIND;map=rot13"]),
+            ),
+            ("info without host", I, without("host=")),
+            ("info without prog and port", I, without("prog=")),
+            ("info without owner", I, without("owner=")),
+            ("info with a key of its own", I, with("colour=red")),
+            ("info with a piece that is no pair", I, with("bogus")),
+            ("info with host twice", I, with("host=elsewhere")),
+            ("info with port twice", I, with("port=1")),
+            (
+                "info with a port that is no number",
+                I,
+                rewritten(&six, "prog=300001;port=http"),
+            ),
+            (
+                "info with a suite unheard of",
+                I,
+                rewritten(&six, "suite=smoke"),
+            ),
+        ];
+        for (what, kind, payloads) in refused {
+            let result = MetaRecord::decode(kind, &payloads);
+            assert!(
+                matches!(result, Err(HnsError::BadMetaRecord(_))),
+                "{what}: {result:?}"
+            );
+        }
+        for kind in Kind::ALL {
+            let result = MetaRecord::decode(kind, [&[0xff_u8, 0xfe][..]]);
+            assert_eq!(
+                result,
+                Err(HnsError::BadMetaRecord("non-UTF-8 payload".into())),
+                "{kind:?}"
+            );
+        }
+        // A second record of a one-record set is not read, but is checked.
+        let spare = MetaRecord::decode(N, ["nsm-b", "spare"]).expect("first one counts");
+        assert_eq!(spare, MetaRecord::NsmName("nsm-b".into()));
+        assert!(MetaRecord::decode(N, [&b"nsm-b"[..], &[0xff]]).is_err());
+        // A context that is malformed as a context is that error still.
+        assert!(matches!(
+            MetaRecord::decode(I, rewritten(&six, "hostctx=a!b")),
+            Err(HnsError::BadName(_))
+        ));
+    }
+
+    /// `six` with the record that opens like `edited` replaced by it.
+    fn rewritten(six: &[String], edited: &str) -> Vec<String> {
+        let opens = edited.split_once('=').expect("a pair").0;
+        let keep = |payload: &String| match payload.starts_with(opens) {
+            true => edited.to_string(),
+            false => payload.clone(),
+        };
+        let edited: Vec<String> = six.iter().map(keep).collect();
+        assert_ne!(edited, six, "`{opens}` opens no record");
+        edited
+    }
+
+    #[test]
+    fn a_reply_is_decoded_as_the_same_records_decoded_are() {
+        use bindns::message::{Answer, Reply};
+        let sets = [
+            vec![answer("ctx.bind-uw.hns", b"ns=BIND;map=suf::cs:uw")],
+            vec![answer("map.bind--hrpcbinding.hns", b"nsm-b")],
+            sample_info()
+                .to_records()
+                .iter()
+                .map(|payload| answer("info.nsm-b.hns", payload.as_bytes()))
+                .collect(),
+            vec![answer("ctx.bind-uw.hns", &[0xff])],
+            vec![answer("ctx.ch-uw.hns", b"ns=BIND;map=id")],
+            vec![ResourceRecord::a(
+                DomainName::parse("ctx.bind-uw.hns").expect("key"),
+                60,
+                NetAddr::of(HostId(1)),
+            )],
+        ];
+        for records in sets {
+            let asked = match records[0].name.as_str() {
+                "ctx.ch-uw.hns" => DomainName::parse("ctx.bind-uw.hns").expect("key"),
+                _ => records[0].name.clone(),
+            };
+            let value = Answer::ok(records.clone()).to_value().expect("marshals");
+            let reply = Reply::read(&value).expect("a reply");
+            assert_eq!(
+                decode_set(&asked, reply.records()),
+                decode_records(&asked, &records),
+                "{records:?}"
+            );
+        }
     }
 
     #[test]
     fn unregistered_names_are_specific_errors() {
         let (_world, meta) = setup();
         assert_eq!(
-            context_info(&origin(), Step::Context(&ctx("ghost")), &mut live(&meta)),
+            context_info(Step::Context(&ctx("ghost")), &mut live(&meta)),
             Err(HnsError::NoSuchContext("ghost".into()))
         );
         assert!(matches!(
-            chase(&origin(), "BIND", "mailboxlocation", &mut live(&meta)),
+            chased("BIND", "mailboxlocation", &mut live(&meta)),
             Err(HnsError::NoSuchNsm { .. })
         ));
     }
@@ -773,8 +1269,111 @@ mod tests {
         .expect("second");
         let fetched = meta.fetch(&key(Step::Context(&ctx("c")))).expect("fetch");
         assert_eq!(fetched.rrs, 1, "replace must not accumulate records");
-        let ctx_info = MetaStore::parse_context(&fetched.value).expect("parse");
+        let ctx_info = fetched.value.as_context().expect("a context record");
         assert_eq!(ctx_info.name_service, "Clearinghouse");
+    }
+
+    /// `Step::key` as it was before it was written in one pass: fold the
+    /// text `char` by `char` into a `String`, check it, parse the whole.
+    fn key_by_fold_and_parse(step: Step<'_>) -> HnsResult<DomainName> {
+        let (kind, about, splits): (&str, Vec<&str>, bool) = match step {
+            Step::Context(context) | Step::HostContext(context) => {
+                ("ctx", vec![context.as_str()], true)
+            }
+            Step::NsmName(ns, qc) | Step::HostAddrNsm(ns, qc) => (
+                "map",
+                vec![ns, "--", qc],
+                !ns.contains("--") && !ns.ends_with('-'),
+            ),
+            Step::NsmInfo(nsm_name) => ("info", vec![nsm_name], true),
+        };
+        let folded: String = about
+            .iter()
+            .flat_map(|piece| piece.chars())
+            .map(|c| c.to_ascii_lowercase())
+            .collect();
+        if !(splits && about.iter().all(|piece| !piece.is_empty()) && keyable(&folded)) {
+            return Err(HnsError::BadName(about.concat()));
+        }
+        DomainName::parse(&format!("{kind}.{folded}.{}", origin().as_str()))
+            .map_err(|e| HnsError::BadMetaRecord(e.to_string()))
+    }
+
+    #[test]
+    fn keys_are_byte_for_byte_what_fold_and_parse_derived() {
+        let long = "n".repeat(61);
+        let names = [
+            // Contexts, name services, query classes and NSM names of the
+            // testbed, the examples and the experiments.
+            "bind-uw",
+            "ch-uw",
+            "hns-hosts",
+            "ee-uw",
+            "bind-uw-sibling",
+            "Bind_UW-2",
+            "ctx0-bind",
+            "ctx1023-ch",
+            "late-arrival",
+            "BIND",
+            "Clearinghouse",
+            "LateNS",
+            "NS-cell0",
+            "HRPCBinding",
+            "hostaddress",
+            "MailboxLocation",
+            "FileLocation",
+            "UserInfo",
+            "Echo",
+            "nsm-hrpcbinding-bind",
+            "nsm-hostaddress-ch",
+            "nsm-b",
+            "b--c",
+            "-b",
+            "_",
+            "0",
+            &long[..60],
+            &long[..58],
+            // And what has no key.
+            "",
+            "ee.uw",
+            "ee/uw",
+            "ee uw",
+            "a--b",
+            "a-",
+            "é",
+            "a\u{212a}",
+            &long,
+        ];
+        let mut keys = 0;
+        let mut agree = |step: Step<'_>| {
+            let (key, was) = (step.key(&origin()), key_by_fold_and_parse(step));
+            match (&key, &was) {
+                (Ok(key), Ok(was)) => assert_eq!(key.as_str(), was.as_str()),
+                (Err(HnsError::BadName(_)), Err(HnsError::BadName(_))) => {}
+                _ => panic!("{step:?}: {key:?} was {was:?}"),
+            }
+            keys += usize::from(key.is_ok());
+        };
+        for one in names {
+            if let Ok(context) = Context::new(one) {
+                agree(Step::Context(&context));
+                agree(Step::HostContext(&context));
+            }
+            agree(Step::NsmInfo(one));
+            for other in names {
+                agree(Step::NsmName(one, other));
+                agree(Step::HostAddrNsm(other, one));
+            }
+        }
+        assert!(keys > 500, "{keys} keys compared");
+        // A key that does not fit a name is a bad record, not a bad name.
+        let deep = DomainName::parse(&format!("{}hns", "a.".repeat(110))).expect("223 bytes");
+        let fits = Step::NsmInfo(&long[..26]).key(&deep).expect("255 bytes");
+        assert_eq!(fits.as_str().len(), 255);
+        assert!(matches!(
+            Step::NsmInfo(&long[..27]).key(&deep),
+            Err(HnsError::BadMetaRecord(_))
+        ));
     }
 
     #[test]
@@ -792,13 +1391,13 @@ mod tests {
                 "BIND",
                 &NameMapping::Identity
             )));
-            let read = context_info(&origin(), Step::Context(&alias), &mut live(&meta));
+            let read = context_info(Step::Context(&alias), &mut live(&meta));
             assert!(
                 refused(read.map(drop)),
                 "{alias} must not read ee-uw's record"
             );
         }
-        let (found, _) = context_info(&origin(), Step::Context(&ctx("ee-uw")), &mut live(&meta))
+        let (found, _) = context_info(Step::Context(&ctx("ee-uw")), &mut live(&meta))
             .expect("the registered context still resolves");
         assert_eq!(found.name_service, "Clearinghouse");
         // ("a", "b--c") and ("a--b", "c") once met at `map.a--b--c`; so
@@ -807,9 +1406,7 @@ mod tests {
         meta.register_nsm("a", &qc("b--c"), "nsm-1").expect("first");
         assert!(refused(meta.register_nsm("a--b", &qc("c"), "nsm-2")));
         assert!(refused(meta.register_nsm("a-", &qc("b"), "nsm-3")));
-        assert!(refused(
-            chase(&origin(), "a--b", "c", &mut live(&meta)).map(drop)
-        ));
+        assert!(refused(chased("a--b", "c", &mut live(&meta)).map(drop)));
         // A label holds 60 characters; the 61st once fell off silently.
         let long = "n".repeat(61);
         assert!(refused(
@@ -855,7 +1452,8 @@ mod tests {
         assert_eq!(delta.remote_calls, 1);
         let primary = batch.primary.expect("primary present");
         assert_eq!(primary.rrs, 1);
-        assert!(primary.value[0].starts_with("ns=BIND"));
+        let ctx_info = primary.value.as_context().expect("a context record");
+        assert_eq!(ctx_info.name_service, "BIND");
         // No chaser installed on the bare test server: nothing piggybacked.
         assert!(batch.additional.is_empty());
     }

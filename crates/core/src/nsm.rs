@@ -22,6 +22,7 @@ use hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use wire::Value;
 
 use crate::error::{HnsError, HnsResult};
+use crate::meta::{Kind, MetaRecord};
 use crate::name::{Context, HnsName};
 use crate::query::QueryClass;
 
@@ -312,59 +313,52 @@ impl NsmInfo {
         ]
     }
 
-    /// Decodes from meta-store record payloads.
-    pub fn from_records<S: AsRef<str>>(
+    /// Decodes from meta-store record payloads — [`MetaRecord::decode`]
+    /// of the six records, under the name they are registered under
+    /// (which they do not carry).
+    pub fn from_records<P: AsRef<[u8]>>(
         nsm_name: &str,
-        records: impl IntoIterator<Item = S>,
+        records: impl IntoIterator<Item = P>,
     ) -> HnsResult<NsmInfo> {
-        let mut host_name = None;
-        let mut host_context = None;
-        let mut program = None;
-        let mut port = None;
-        let mut suite = None;
-        let mut version = None;
-        let mut owner = None;
-        for record in records {
-            for piece in record.as_ref().split(';') {
-                let (key, value) = piece
-                    .split_once('=')
-                    .ok_or_else(|| HnsError::BadMetaRecord(format!("`{piece}`")))?;
-                match key {
-                    "host" => host_name = Some(value.to_string()),
-                    "hostctx" => host_context = Some(Context::new(value)?),
-                    "prog" => {
-                        program = Some(ProgramId(value.parse().map_err(|_| {
-                            HnsError::BadMetaRecord(format!("bad program `{value}`"))
-                        })?))
-                    }
-                    "port" => {
-                        port =
-                            Some(value.parse().map_err(|_| {
-                                HnsError::BadMetaRecord(format!("bad port `{value}`"))
-                            })?)
-                    }
-                    "suite" => suite = Some(SuiteTag::decode(value)?),
-                    "ver" => {
-                        version = Some(value.parse().map_err(|_| {
-                            HnsError::BadMetaRecord(format!("bad version `{value}`"))
-                        })?)
-                    }
-                    "owner" => owner = Some(value.to_string()),
-                    other => return Err(HnsError::BadMetaRecord(format!("unknown key `{other}`"))),
-                }
-            }
-        }
-        let missing = |what: &str| HnsError::BadMetaRecord(format!("missing {what}"));
-        Ok(NsmInfo {
+        let record = MetaRecord::decode(Kind::NsmInfo, records)?;
+        Ok(record.as_nsm_info()?.clone().named(nsm_name))
+    }
+}
+
+/// What mapping 3's six records say: an [`NsmInfo`] less the name it is
+/// registered under, which keys the records and is not in them — so one
+/// decoded set serves whoever asks, under whatever spelling of the name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NsmBinding {
+    /// Host name the NSM runs on — itself an HNS-resolvable name.
+    pub host_name: String,
+    /// Context in which `host_name` is interpreted.
+    pub host_context: Context,
+    /// Exported program number.
+    pub program: ProgramId,
+    /// Exported port.
+    pub port: u16,
+    /// RPC suite to call it with.
+    pub suite: SuiteTag,
+    /// Interface version.
+    pub version: u32,
+    /// Administrative owner (who registered it).
+    pub owner: String,
+}
+
+impl NsmBinding {
+    /// The registration-time description of the NSM called `nsm_name`.
+    pub fn named(self, nsm_name: &str) -> NsmInfo {
+        NsmInfo {
             nsm_name: nsm_name.to_string(),
-            host_name: host_name.ok_or_else(|| missing("host"))?,
-            host_context: host_context.ok_or_else(|| missing("hostctx"))?,
-            program: program.ok_or_else(|| missing("prog"))?,
-            port: port.ok_or_else(|| missing("port"))?,
-            suite: suite.ok_or_else(|| missing("suite"))?,
-            version: version.ok_or_else(|| missing("ver"))?,
-            owner: owner.ok_or_else(|| missing("owner"))?,
-        })
+            host_name: self.host_name,
+            host_context: self.host_context,
+            program: self.program,
+            port: self.port,
+            suite: self.suite,
+            version: self.version,
+            owner: self.owner,
+        }
     }
 }
 

@@ -18,7 +18,6 @@
 //! `cached_fetch`; the chain over the five in the meta zone is
 //! [`crate::meta`]'s, run here against overlay, cache and meta server.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,7 +33,7 @@ use simnet::world::World;
 
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
-use bindns::rr::{RData, ResourceRecord};
+use bindns::rr::{RType, ResourceRecord};
 use hrpc::net::RpcNet;
 use hrpc::{HrpcBinding, ProgramId, RpcError};
 use wire::Value;
@@ -42,9 +41,7 @@ use wire::Value;
 use crate::binding_cache::{BindingCache, BindingCacheStats};
 use crate::cache::{CacheMode, HnsCache, HnsCacheStats, LookupOrFetch, MetaKey};
 use crate::error::{HnsError, HnsResult};
-use crate::meta::{
-    self, records_to_fetched, Cacheable, Chased, Fetch, Fetched, Got, MetaStore, Payloads, Step,
-};
+use crate::meta::{self, Chased, Fetch, Fetched, Kind, MetaRecord, MetaStore, Step};
 use crate::name::{Context, HnsName, NameMapping};
 use crate::nsm::{Nsm, NsmInfo, NsmService, EXPORT_SUITE};
 use crate::query::QueryClass;
@@ -59,7 +56,7 @@ pub struct Hns {
     host: HostId,
     meta: MetaStore,
     meta_binding: HrpcBinding,
-    cache: Arc<HnsCache>,
+    cache: Arc<HnsCache<MetaRecord>>,
     /// Composed `FindNSM` results (off by default; see
     /// [`crate::binding_cache`]).
     binding_cache: Arc<BindingCache>,
@@ -95,18 +92,11 @@ struct HnsMetricHandles {
     stale_served: LazyCounter,
 }
 
-/// Record sets piggybacked by the meta server on a batched fetch, keyed by
-/// meta name. Consulted before the cache so the batch also serves
-/// [`CacheMode::Disabled`] runs; its demarshalling cost was already charged
-/// when the `MQUERY` reply was decoded.
-type BatchOverlay = HashMap<DomainName, Fetched<Vec<String>>>;
-
-/// Mapping 6: the linked NSM's reply is cached as it came.
-impl Cacheable for Value {
-    fn to_cached(&self) -> Cow<'_, Value> {
-        Cow::Borrowed(self)
-    }
-}
+/// Records piggybacked by the meta server on a batched fetch, each with
+/// its TTL in seconds, keyed by meta name. Consulted before the cache so
+/// the batch also serves [`CacheMode::Disabled`] runs; its demarshalling
+/// cost was already charged when the `MQUERY` reply was decoded.
+type BatchOverlay = HashMap<DomainName, (Arc<MetaRecord>, u32)>;
 
 /// Per-query accounting attached to a `FindNSM` by
 /// [`Hns::find_nsm_report`].
@@ -168,7 +158,7 @@ impl Hns {
         cache_mode: CacheMode,
     ) -> Self {
         let resolver = HrpcResolver::new(Arc::clone(&net), host, meta_binding);
-        let cache = Arc::new(HnsCache::new(cache_mode));
+        let cache = Arc::new(HnsCache::of(cache_mode));
         let binding_cache = Arc::new(BindingCache::new());
         // Snapshot-time stats flush through `World::export_all_caches`:
         // `Weak` captures keep dropped instances (e.g. the short-lived
@@ -338,29 +328,41 @@ impl Hns {
         self.binding_cache.clear();
     }
 
+    /// The cache, if it stores anything. A disabled one is handed no key:
+    /// deriving a key interns its text, and nothing would be kept under it.
+    fn storing_cache(&self) -> Option<&HnsCache<MetaRecord>> {
+        (self.cache.mode() != CacheMode::Disabled).then_some(&*self.cache)
+    }
+
     /// One cached fetch, the same for all six mappings: probe `key`; on a
     /// miss enter the singleflight gate (one fetch per key at a time), run
-    /// `fetch` and cache what it returns. Comes back with the value and
-    /// its remaining TTL in seconds — 0 when served stale, so a composed
-    /// entry over it is uncacheable. What differs between the meta zone
-    /// and a linked NSM is passed in: `fetch`, whether its `NotFound` is
-    /// `remembered` (negatively), and its `label` in the serve-stale trace.
-    fn cached_fetch<T: Cacheable>(
+    /// `fetch` and cache what it returns. Comes back with the record — a
+    /// demarshalled hit's is the cached one itself, neither copied nor
+    /// parsed — and its remaining TTL in seconds, 0 when served stale, so a
+    /// composed entry over it is uncacheable. What differs between the
+    /// meta zone and a linked NSM is passed in: `fetch`, whether its
+    /// `NotFound` is `remembered` (negatively), and its `label` in the
+    /// serve-stale trace. `key` is derived by a cache that stores, only.
+    fn cached_fetch(
         &self,
-        key: MetaKey,
+        key: impl FnOnce() -> MetaKey,
         (label, name): (&str, &dyn Display),
         remembered: bool,
-        fetch: impl FnOnce() -> HnsResult<Fetched<T>>,
-    ) -> HnsResult<(Got<T>, u32)> {
+        fetch: impl FnOnce() -> HnsResult<Fetched<MetaRecord>>,
+    ) -> HnsResult<(Arc<MetaRecord>, u32)> {
+        let world = self.world();
         // `lookup_or_fetch` loops through coalesced waits internally and
         // annotates the current span with the cache outcome.
-        match self.cache.lookup_or_fetch(self.world(), &key) {
+        match self.cache.lookup_or_fetch(world, key) {
             LookupOrFetch::Hit {
                 value,
                 remaining_ttl_secs,
-            } => Ok((Got::Cached(value), remaining_ttl_secs)),
+            } => Ok((value, remaining_ttl_secs)),
             LookupOrFetch::NegativeHit => Err(HnsError::Rpc(RpcError::NotFound(name.to_string()))),
-            LookupOrFetch::Lead(_guard) => {
+            LookupOrFetch::Lead(guard) => {
+                // `None` from a disabled cache: nothing to fall back on,
+                // nothing remembered.
+                let key = guard.key();
                 let fetched = match fetch() {
                     Ok(fetched) => fetched,
                     Err(HnsError::Rpc(err)) if err.is_unreachable() => {
@@ -371,8 +373,8 @@ impl Hns {
                         // far more often than not, so stale data beats no
                         // data. The entry stays expired; the next walk
                         // retries the fetch and a success overwrites it.
-                        let world = self.world();
-                        let Some(stale) = self.cache.lookup_stale(world, &key) else {
+                        let Some(stale) = key.and_then(|key| self.cache.lookup_stale(world, &key))
+                        else {
                             return Err(HnsError::Rpc(err));
                         };
                         self.stale_serves.fetch_add(1, Ordering::Relaxed);
@@ -384,51 +386,46 @@ impl Hns {
                         world.trace(Some(self.host), TraceKind::Hns, || {
                             format!("stale_served: {label} {name} ({err})")
                         });
-                        return Ok((Got::Cached(stale), 0));
+                        return Ok((stale, 0));
                     }
                     Err(err) => {
-                        if remembered && matches!(err, HnsError::Rpc(RpcError::NotFound(_))) {
-                            self.cache.insert_negative(self.world(), key);
+                        let absent = matches!(err, HnsError::Rpc(RpcError::NotFound(_)));
+                        if let Some(key) = key.filter(|_| remembered && absent) {
+                            self.cache.insert_negative(world, key);
                         }
                         return Err(err);
                     }
                 };
-                self.remember(key, &fetched);
-                Ok((Got::Fetched(fetched.value), fetched.ttl_secs))
+                let record = Arc::new(fetched.value);
+                if let Some(key) = key {
+                    self.cache
+                        .insert_shared(world, key, &record, fetched.rrs, fetched.ttl_secs);
+                }
+                Ok((record, fetched.ttl_secs))
             }
         }
     }
 
-    /// Caches one fetched value. A disabled cache stores nothing, so the
-    /// cached form is not built for it.
-    fn remember<T: Cacheable>(&self, key: MetaKey, fetched: &Fetched<T>) {
-        if self.cache.mode() != CacheMode::Disabled {
-            let value = fetched.value.to_cached();
-            self.cache
-                .insert(self.world(), key, &value, fetched.rrs, fetched.ttl_secs);
-        }
-    }
-
-    /// Mappings 1–5: the record set at `key` in the meta zone. The overlay
+    /// Mappings 1–5: the record at `key` in the meta zone. The overlay
     /// (sets piggybacked by this query's batched fetch) is consulted
     /// before the cache.
     fn meta_fetch(
         &self,
         key: &DomainName,
         overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<(Payloads, u32)> {
-        if let Some(fetched) = overlay.and_then(|o| o.get(key)) {
+    ) -> HnsResult<(Arc<MetaRecord>, u32)> {
+        if let Some((record, ttl_secs)) = overlay.and_then(|o| o.get(key)) {
             self.world().cache_outcome(CacheOutcome::Overlay);
-            return Ok((Got::Fetched(fetched.value.clone()), fetched.ttl_secs));
+            return Ok((Arc::clone(record), *ttl_secs));
         }
         let fetch = || self.meta.fetch(key);
-        self.cached_fetch(MetaKey::meta(key), ("meta", key), true, fetch)
+        self.cached_fetch(|| MetaKey::meta(key), ("meta", key), true, fetch)
     }
 
     /// Mapping 6: NSM host name → address, via the linked host-address NSM
     /// the chain found for the host's name service.
-    fn host_address(&self, chased: &Chased) -> HnsResult<(HostId, u32)> {
-        let (info, ha_nsm_name) = (&chased.info, &chased.host_addr_nsm);
+    fn host_address(&self, chased: &Chased<'_>) -> HnsResult<(HostId, u32)> {
+        let (info, ha_nsm_name) = (chased.info, chased.host_addr_nsm);
         let (host_ns, host_name) = (&chased.host_context.name_service, &info.host_name);
         let fetch = || {
             let linked = Arc::clone(&self.linked_nsms.read())
@@ -446,25 +443,20 @@ impl Hns {
             });
             let reply = linked.handle(&hns_name, &Value::Void);
             drop(span);
-            let value = reply?;
-            // Checked here so that a reply without a host is never cached.
-            value.u32_field("host")?;
-            let ttl_secs = value.u32_field("ttl").unwrap_or(crate::meta::META_TTL);
+            let reply = reply?;
+            // Read here, so that a reply without a host is never cached.
+            let host = HostId(reply.u32_field("host")?);
             Ok(Fetched {
-                value,
+                value: MetaRecord::HostAddr(host),
                 rrs: 1,
-                ttl_secs,
+                ttl_secs: reply.u32_field("ttl").unwrap_or(crate::meta::META_TTL),
             })
         };
-        let key = MetaKey::host_addr(host_ns, host_name);
+        let key = || MetaKey::host_addr(host_ns, host_name);
         // A linked NSM's `NotFound` is one name service's word about one
         // host, not the meta zone's about a name: it is not remembered.
-        let (got, ttl) = self.cached_fetch(key, ("hostaddr", host_name), false, fetch)?;
-        let reply: &Value = match &got {
-            Got::Cached(reply) => reply,
-            Got::Fetched(reply) => reply,
-        };
-        Ok((HostId(reply.u32_field("host")?), ttl))
+        let (record, ttl) = self.cached_fetch(key, ("hostaddr", host_name), false, fetch)?;
+        Ok((record.as_host_addr()?, ttl))
     }
 
     /// Speculatively fetches the whole meta-mapping chain for (`context`,
@@ -477,25 +469,26 @@ impl Hns {
     fn prefetch_meta_batch(&self, context: &Context, qc: &QueryClass) -> HnsResult<BatchOverlay> {
         let ctx_key = Step::Context(context).key(self.meta.origin())?;
         let mut overlay = BatchOverlay::new();
-        if self
-            .cache
-            .contains_live(self.world(), &MetaKey::meta(&ctx_key))
-        {
+        let (world, cache) = (self.world(), self.storing_cache());
+        if cache.is_some_and(|cache| cache.contains_live(world, &MetaKey::meta(&ctx_key))) {
             return Ok(overlay);
         }
-        self.world().charge_ms(self.world().costs.hns_bookkeeping);
+        world.charge_ms(world.costs.hns_bookkeeping);
         let batch = self
             .meta
             .fetch_batch(&ctx_key, &[qc.as_str().to_string()])?;
-        if batch.primary.is_none() {
-            self.cache
-                .insert_negative(self.world(), MetaKey::meta(&ctx_key));
+        if let (None, Some(cache)) = (&batch.primary, cache) {
+            cache.insert_negative(world, MetaKey::meta(&ctx_key));
         }
         // Every set the reply carried seeds both the cache and the overlay.
         let primary = batch.primary.map(|fetched| (ctx_key, fetched));
         for (key, fetched) in primary.into_iter().chain(batch.additional) {
-            self.remember(MetaKey::meta(&key), &fetched);
-            overlay.insert(key, fetched);
+            let record = Arc::new(fetched.value);
+            if let Some(cache) = cache {
+                let (rrs, ttl_secs) = (fetched.rrs, fetched.ttl_secs);
+                cache.insert_shared(world, MetaKey::meta(&key), &record, rrs, ttl_secs);
+            }
+            overlay.insert(key, (record, fetched.ttl_secs));
         }
         Ok(overlay)
     }
@@ -699,7 +692,8 @@ impl Hns {
             })
         };
         // Mapping 1: Context -> Name Service Name.
-        let (ctx_info, ttl1) = meta::context_info(origin, Step::Context(&name.context), fetch)?;
+        let (record, ttl1) = meta::ask(origin, Step::Context(&name.context), fetch)?;
+        let ctx_info = record.as_context()?;
         if self.binding_cache.enabled() {
             // The outcome lands on the `FindNSM` span: mapping 1's own
             // span has closed.
@@ -721,31 +715,33 @@ impl Hns {
         }
         // Mappings 2-5: name service, query class -> NSM name -> binding
         // info, then the same two steps for the host that info names.
-        let chased = meta::chase(origin, &ctx_info.name_service, qc.as_str(), fetch)?;
-        let info = &chased.info;
-        // Mapping 6: NSM host name -> address.
-        let label = format_args!("host {} -> address", info.host_name);
-        let (host, ttl6) = self.with_mapping(6, label, || self.host_address(&chased))?;
-        let binding = HrpcBinding {
-            host,
-            addr: NetAddr::of(host),
-            program: info.program,
-            port: info.port,
-            components: info.suite.components(info.port),
-        };
-        self.world().trace(Some(self.host), TraceKind::Hns, || {
-            format!("FindNSM -> {} at {host}:{}", chased.nsm_name, info.port)
-        });
-        let service_ttl = chased.min_ttl.min(ttl6);
-        // Refused while the composed cache is off, and for a zero TTL.
-        self.binding_cache.insert_service(
-            self.world(),
-            qc.as_str(),
-            &ctx_info.name_service,
-            binding,
-            service_ttl,
-        );
-        Ok((binding, ttl1.min(service_ttl)))
+        let name_service = &ctx_info.name_service;
+        meta::chase(origin, name_service, qc.as_str(), fetch, |chased| {
+            let info = chased.info;
+            // Mapping 6: NSM host name -> address.
+            let label = format_args!("host {} -> address", info.host_name);
+            let (host, ttl6) = self.with_mapping(6, label, || self.host_address(&chased))?;
+            let binding = HrpcBinding {
+                host,
+                addr: NetAddr::of(host),
+                program: info.program,
+                port: info.port,
+                components: info.suite.components(info.port),
+            };
+            self.world().trace(Some(self.host), TraceKind::Hns, || {
+                format!("FindNSM -> {} at {host}:{}", chased.nsm_name, info.port)
+            });
+            let service_ttl = chased.min_ttl.min(ttl6);
+            // Refused while the composed cache is off, and for a zero TTL.
+            self.binding_cache.insert_service(
+                self.world(),
+                qc.as_str(),
+                name_service,
+                binding,
+                service_ttl,
+            );
+            Ok((binding, ttl1.min(service_ttl)))
+        })
     }
 
     /// Publishes this instance's cache statistics into the world's
@@ -793,14 +789,15 @@ impl Hns {
         };
         // A name the server says is gone gets what a demand fetch would
         // now store for it, and no composed binding built over it stays.
-        for name in &removed {
-            self.cache
-                .insert_negative(self.world(), MetaKey::meta(name));
+        if let Some(cache) = self.storing_cache() {
+            for name in &removed {
+                cache.insert_negative(self.world(), MetaKey::meta(name));
+            }
         }
         if !removed.is_empty() {
             self.binding_cache.clear();
         }
-        let entries = self.preload_records(&records)?;
+        let entries = self.preload_records(&records);
         *self.preload_serial.lock() = Some(serial);
         let metrics = self.world().metrics();
         metrics.inc("hns_preload", tally);
@@ -814,24 +811,33 @@ impl Hns {
         })
     }
 
-    /// Seeds the cache with the transferred meta record sets, one entry
-    /// per owner name, and returns how many that made. Only UNSPEC
-    /// records preload.
-    fn preload_records(&self, records: &[ResourceRecord]) -> HnsResult<usize> {
+    /// Seeds the cache with the transferred meta record sets — what a
+    /// demand fetch would be answered with, the `UNSPEC` records at each
+    /// meta key — one entry per owner name, and returns how many that
+    /// made. A set that is no mapping of the chain's (its key of no
+    /// [`meta::Kind`], its payloads not what the kind holds) is left out:
+    /// nothing would ask the cache for it, or the demand fetch that does
+    /// will say what is wrong with it.
+    fn preload_records(&self, records: &[ResourceRecord]) -> usize {
+        let Some(cache) = self.storing_cache() else {
+            return 0;
+        };
         let mut sets: BTreeMap<&DomainName, Vec<&ResourceRecord>> = BTreeMap::new();
         for rr in records {
-            if matches!(rr.rdata, RData::Opaque(_)) {
+            if rr.rtype == RType::Unspec && Kind::of_key(&rr.name).is_some() {
                 sets.entry(&rr.name).or_default().push(rr);
             }
         }
+        let mut entries = 0;
         for (name, set) in &sets {
-            let fetched = records_to_fetched(set)?;
-            let key = MetaKey::meta(name);
-            let value = fetched.value.to_cached();
-            self.cache
-                .preload_insert(self.world(), key, &value, fetched.rrs, fetched.ttl_secs);
+            let Ok(fetched) = meta::decode_records(name, set) else {
+                continue;
+            };
+            let (record, key) = (Arc::new(fetched.value), MetaKey::meta(name));
+            cache.preload_insert(self.world(), key, &record, fetched.rrs, fetched.ttl_secs);
+            entries += 1;
         }
-        Ok(sets.len())
+        entries
     }
 }
 
@@ -841,7 +847,11 @@ impl Hns {
 /// disabled cache publishes nothing: several instances share one
 /// component, and a disabled one exporting zeros would clobber a live
 /// one's rows.
-fn export_caches(cache: &HnsCache, binding_cache: &BindingCache, metrics: &MetricsRegistry) {
+fn export_caches(
+    cache: &HnsCache<MetaRecord>,
+    binding_cache: &BindingCache,
+    metrics: &MetricsRegistry,
+) {
     if cache.mode() != CacheMode::Disabled {
         cache.export_metrics(metrics, "hns_cache");
     }

@@ -382,6 +382,69 @@ fn hns_service_rejects_unknown_procedures_and_bad_args() {
         .is_err());
 }
 
+/// An NSM of names no other test of this binary uses.
+struct Unseen;
+
+impl Nsm for Unseen {
+    fn nsm_name(&self) -> &str {
+        "nsm-unseen"
+    }
+    fn query_class(&self) -> QueryClass {
+        QueryClass::new("Unseen")
+    }
+    fn handle(&self, hns_name: &HnsName, _args: &Value) -> Result<Value, RpcError> {
+        Ok(Value::str(hns_name.individual.clone()))
+    }
+}
+
+/// Deriving a cache key interns its text, and a cache that stores
+/// nothing is handed no key: a `CacheMode::Disabled` walk — sequential,
+/// batched, or a preload — leaves the process's interner as it found it.
+#[test]
+fn a_disabled_cache_is_handed_no_key_to_intern() {
+    let env = env();
+    let cold = make_hns(&env, env.client, CacheMode::Disabled);
+    let ctx = Context::new("unseen-ctx").expect("ctx");
+    cold.register_context(&ctx, "UnseenNS", &NameMapping::Identity)
+        .expect("ctx");
+    let ha = QueryClass::host_address();
+    cold.register_nsm("UnseenNS", &ha, "nsm-hostaddress-stub")
+        .expect("ha nsm");
+    cold.deploy_nsm(
+        "UnseenNS",
+        Arc::new(Unseen),
+        env.nsm_host,
+        ProgramId(997),
+        &ctx,
+        "test",
+    )
+    .expect("register the NSM");
+    let (qc, name) = (
+        QueryClass::new("Unseen"),
+        HnsName::new(ctx, "x").expect("name"),
+    );
+    // The five meta keys of the walk (mapping 4's is mapping 1's) and the
+    // name service mapping 6's key holds beside the host.
+    let texts = [
+        "ctx.unseen-ctx.hns",
+        "map.unseenns--unseen.hns",
+        "info.nsm-unseen.hns",
+        "map.unseenns--hostaddress.hns",
+        "UnseenNS",
+    ];
+    let interner = hns_core::intern::global();
+    let interned = || texts.iter().filter(|t| interner.get(t).is_some()).count();
+    cold.find_nsm(&qc, &name).expect("sequential walk");
+    cold.set_batching(true);
+    cold.find_nsm(&qc, &name).expect("batched walk");
+    assert_eq!(cold.preload().expect("preload").entries, 0);
+    assert_eq!(interned(), 0, "a cache that stores nothing was given a key");
+    // The same walk through a cache that stores keys every mapping.
+    let warm = make_hns(&env, env.client, CacheMode::Demarshalled);
+    warm.find_nsm(&qc, &name).expect("caching walk");
+    assert_eq!(interned(), texts.len());
+}
+
 #[test]
 fn preload_from_minimal_meta_zone_works() {
     let env = env();
@@ -399,6 +462,62 @@ fn preload_from_minimal_meta_zone_works() {
         delta.remote_calls, 0,
         "stub HA NSM is local; all meta preloaded"
     );
+}
+
+/// A transferred set that is no mapping of the chain's is left out of
+/// the cache and the count; it fails nothing. Before the cache held
+/// typed records, such sets were cached as strings nothing could ask
+/// for, and one non-UTF-8 payload anywhere failed the whole preload.
+#[test]
+fn preload_leaves_out_what_is_no_meta_mapping() {
+    use bindns::rr::{RData, RType, ResourceRecord};
+    let env = env();
+    let hns = make_hns(&env, env.client, CacheMode::Demarshalled);
+    register_echo(&env, &hns);
+    let name = |s: &str| DomainName::parse(s).expect("name");
+    let unspec = |owner: &str, payload: &[u8]| {
+        bindns::UpdateOp::Add(ResourceRecord::unspec(name(owner), 600, payload.to_vec()))
+    };
+    let updater =
+        bindns::HrpcResolver::new(Arc::clone(&env.net), env.client, env.meta.hrpc_binding);
+    for foreign in [
+        unspec("n7.cell0.hns", b"nsm=nsm-cell0-3;host=ns.cell0.hns"),
+        unspec("ctx7.hns", b"ns=NS-cell0;map=id"),
+        unspec("ctx.garbled.hns", &[0xff, 0xfe]),
+        unspec("ctx.half.hns", b"ns=BIND"),
+        bindns::UpdateOp::Add(ResourceRecord {
+            name: name("ctx.stub-ctx.hns"),
+            rtype: RType::Wks,
+            ttl: 600,
+            rdata: RData::Opaque(b"not asked for by an UNSPEC question".to_vec().into()),
+        }),
+    ] {
+        updater.update(&foreign).expect("update");
+    }
+    let report = hns.preload().expect("preload");
+    assert_eq!(
+        report.entries, 4,
+        "ctx + 2 map entries + info, as without them"
+    );
+    assert_eq!(report.records, 9 + 5, "every record was transferred");
+    assert_eq!(hns.cache_stats().preloaded, 4);
+    // The registered chain is preloaded, the `WKS` record beside its
+    // context notwithstanding; the garbled context is the demand fetch's
+    // to report.
+    let (found, _, delta) = env
+        .world
+        .measure(|| hns.find_nsm(&QueryClass::new("Echo"), &echo_name()));
+    found.expect("find");
+    assert_eq!(delta.remote_calls, 0);
+    let garbled = HnsName::new(Context::new("garbled").expect("ctx"), "x").expect("name");
+    let (refused, _, delta) = env
+        .world
+        .measure(|| hns.find_nsm(&QueryClass::new("Echo"), &garbled));
+    assert!(
+        matches!(refused, Err(HnsError::BadMetaRecord(_))),
+        "{refused:?}"
+    );
+    assert_eq!(delta.remote_calls, 1);
 }
 
 #[test]
