@@ -6,17 +6,20 @@
 //! source of our cached data (BIND) also uses this mechanism."
 //!
 //! The mechanism itself — stripes, expiry, retention of expired entries
-//! for the serve-stale fallback, counters — is [`simnet::ttl::TtlMap`],
-//! shared with the HNS and NSM caches. What is this cache's own: the key
-//! is `(owner name, record type)` with the name as an interned
-//! [`NameId`] — eight bytes per entry instead of an owned label vector,
-//! so a million cached names do not hold a million copies of their owner
-//! names — a hit hands back the stored `Arc`-shared record set, and a
-//! set is valid for the minimum TTL among its records.
+//! for the serve-stale fallback until their stripe is full, the capacity
+//! ([`simnet::ttl::CAPACITY`] entries), counters — is
+//! [`simnet::ttl::TtlMap`], shared with the HNS and NSM caches. What is
+//! this cache's own: the key is `(owner name, record type)` with the name
+//! as the [`DomainName`]'s own shared text — an entry allocates no copy of
+//! it and pins nothing outside itself, so evicting one frees all it held
+//! — probed on borrowed `(&str, RType)`; a hit hands back the stored
+//! `Arc`-shared record set, and a set is valid for the minimum TTL among
+//! its records.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use intern::NameId;
 use simnet::obs::MetricsRegistry;
 use simnet::time::{SimDuration, SimTime};
 use simnet::ttl::{Probe, TtlMap};
@@ -40,10 +43,61 @@ pub struct CacheStats {
     pub stale_serves: u64,
 }
 
+/// What an entry is stored under: canonical dotted text, shared with the
+/// [`DomainName`] it was inserted with, and the record type.
+#[derive(Debug, PartialEq, Eq)]
+struct Key(Arc<str>, RType);
+
+/// A key as a probe sees it, owned or borrowed. [`Key`] borrows as one, so
+/// the map is probed with `(&str, RType)` — a suffix of a name's text —
+/// and nothing is allocated to ask.
+trait KeyView {
+    fn view(&self) -> (&str, RType);
+}
+
+impl KeyView for Key {
+    fn view(&self) -> (&str, RType) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyView for (&str, RType) {
+    fn view(&self) -> (&str, RType) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+// `Borrow` requires the owned key to hash as its view does.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
 /// A TTL-invalidated record cache, lock-striped for concurrent readers.
 #[derive(Debug, Default)]
 pub struct TtlCache {
-    map: TtlMap<(NameId, RType), Arc<[ResourceRecord]>>,
+    map: TtlMap<Key, Arc<[ResourceRecord]>>,
 }
 
 impl TtlCache {
@@ -69,21 +123,13 @@ impl TtlCache {
         cache
     }
 
-    /// The key for a probe of `name`, canonical dotted text. Probes never
-    /// intern: a name the interner has not seen cannot be cached, and
-    /// interning it would pin one string per distinct absent name for the
-    /// life of the process.
-    fn probe_key(name: &str, rtype: RType) -> Option<(NameId, RType)> {
-        Some((intern::global().get(name)?, rtype))
-    }
-
     /// Looks up live records for (`name`, `rtype`) at virtual time `now`.
     ///
     /// Hits share the stored record set (`Arc` clone, no per-record
     /// clone); an entry observed past its TTL is counted as both a miss
-    /// and an expiration (once per expiry) but *retained*, so
-    /// [`TtlCache::get_stale`] can serve it if the authoritative server
-    /// turns out to be unreachable.
+    /// and an expiration (once per expiry) but *retained* while its stripe
+    /// has room, so [`TtlCache::get_stale`] can serve it if the
+    /// authoritative server turns out to be unreachable.
     pub fn get(
         &self,
         now: SimTime,
@@ -102,11 +148,8 @@ impl TtlCache {
         name: &str,
         rtype: RType,
     ) -> Option<Arc<[ResourceRecord]>> {
-        let Some(key) = Self::probe_key(name, rtype) else {
-            self.map.count_absent();
-            return None;
-        };
-        match self.map.probe(now, &key, Arc::clone) {
+        let key: &dyn KeyView = &(name, rtype);
+        match self.map.probe(now, key, Arc::clone) {
             Probe::Live { value, .. } => Some(value),
             Probe::Expired | Probe::Absent => None,
         }
@@ -115,9 +158,8 @@ impl TtlCache {
     /// Drops the entry a [`TtlCache::get_text`] hit just handed out and
     /// the caller found unusable, refiling that hit as a miss.
     pub(crate) fn discard(&self, name: &str, rtype: RType) {
-        if let Some(key) = Self::probe_key(name, rtype) {
-            self.map.discard(&key);
-        }
+        let key: &dyn KeyView = &(name, rtype);
+        self.map.discard(key);
     }
 
     /// Returns a retained *expired* record set for (`name`, `rtype`),
@@ -131,9 +173,9 @@ impl TtlCache {
         name: &DomainName,
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
-        let key = Self::probe_key(name.as_str(), rtype)?;
+        let key: &dyn KeyView = &(name.as_str(), rtype);
         self.map
-            .probe_stale(now, &key, |records| Some(Arc::clone(records)))
+            .probe_stale(now, key, |records| Some(Arc::clone(records)))
     }
 
     /// Inserts records, valid for the minimum TTL among them.
@@ -152,7 +194,7 @@ impl TtlCache {
             return;
         };
         self.map
-            .insert(now, (name.interned(), rtype), records, min_ttl);
+            .insert(now, Key(name.into_text(), rtype), records, min_ttl);
     }
 
     /// Removes everything.
@@ -160,17 +202,23 @@ impl TtlCache {
         self.map.clear();
     }
 
-    /// Number of entries not yet observed as expired. Entries whose
-    /// expiry has been observed stay resident (serve-stale fodder) but
-    /// are not counted here, so the figure matches what eviction used to
-    /// report.
+    /// Number of resident entries not yet observed as expired. Entries
+    /// whose expiry has been observed stay resident while their stripe has
+    /// room (serve-stale fodder) but are not counted here;
+    /// [`TtlCache::resident`] counts them too.
     pub fn len(&self) -> usize {
         self.map.live()
     }
 
-    /// True if the cache holds no entries (counting retained stale ones).
+    /// True if nothing is resident, retained expired entries included.
     pub fn is_empty(&self) -> bool {
         self.map.resident() == 0
+    }
+
+    /// Entries resident, expired ones included: at most
+    /// [`simnet::ttl::CAPACITY`].
+    pub fn resident(&self) -> usize {
+        self.map.resident()
     }
 
     /// Statistics snapshot.
@@ -239,26 +287,48 @@ mod tests {
         assert_eq!(c.stats().misses, 2);
     }
 
-    /// A scan of never-cached names must cost and count like any other
-    /// miss without pinning one interned string per name forever.
+    /// An entry is keyed on its name's own text: the cache interns
+    /// nothing, copies no name, and an entry that goes gives the text back.
     #[test]
-    fn absent_probes_do_not_grow_the_interner() {
+    fn an_entry_shares_its_names_text_and_frees_it_when_dropped() {
         let c = TtlCache::new();
-        let names: Vec<DomainName> = (0..10_000)
-            .map(|i| name(&format!("never-cached-{i}.absent-scan.edu")))
-            .collect();
+        let n = name("a.b");
         let before = intern::global().len();
-        for n in &names {
-            assert!(c.get(SimTime::ZERO, n, RType::A).is_none());
-            assert!(c.get_stale(SimTime::ZERO, n, RType::A).is_none());
-        }
-        assert_eq!(c.stats().misses, 10_000);
-        // Other tests in this binary intern concurrently, so compare the
-        // scan's own names rather than the global count alone.
-        assert!(names
-            .iter()
-            .all(|n| intern::global().get(n.as_str()).is_none()));
-        assert!(intern::global().len() < before + 10_000);
+        c.insert(SimTime::ZERO, n.clone(), RType::A, vec![rr(60)]);
+        assert_eq!(
+            Arc::strong_count(&n.clone().into_text()),
+            3,
+            "ours, the key, this"
+        );
+        assert!(c.get(SimTime::ZERO, &n, RType::A).is_some());
+        assert!(c.get_text(SimTime::ZERO, "b", RType::A).is_none());
+        assert!(c
+            .get_stale(SimTime::from_ms(60_000), &n, RType::A)
+            .is_some());
+        c.clear();
+        assert_eq!(Arc::strong_count(&n.into_text()), 1);
+        assert_eq!(
+            intern::global().len(),
+            before,
+            "nothing in this crate interns"
+        );
+    }
+
+    /// The root's text is `.` to a probe, so it is to an insert.
+    #[test]
+    fn the_root_name_is_cached_under_its_dot() {
+        let c = TtlCache::new();
+        let root_ns = ResourceRecord {
+            name: DomainName::root(),
+            rtype: RType::Ns,
+            ttl: 60,
+            rdata: crate::rr::RData::Domain(name("a.root-servers.net")),
+        };
+        c.insert(SimTime::ZERO, DomainName::root(), RType::Ns, vec![root_ns]);
+        assert!(c
+            .get(SimTime::ZERO, &DomainName::root(), RType::Ns)
+            .is_some());
+        assert!(c.get_text(SimTime::ZERO, ".", RType::Ns).is_some());
     }
 
     #[test]
@@ -352,7 +422,9 @@ mod tests {
         assert_eq!(stats.hits, THREADS * HIT_GETS);
         assert_eq!(stats.misses, THREADS * (MISS_GETS + EXPIRING));
         assert_eq!(stats.expirations, THREADS * EXPIRING);
-        // Expired entries were evicted; only the warm keys remain.
+        // Only the warm keys are unexpired; nothing filled a stripe, so
+        // the expired ones are still resident.
         assert_eq!(c.len(), (THREADS * WARM_KEYS) as usize);
+        assert_eq!(c.resident() as u64, THREADS * (WARM_KEYS + EXPIRING));
     }
 }

@@ -114,10 +114,14 @@ impl DomainName {
         })
     }
 
-    /// Interns the canonical (lowercase, dotted) rendering of this name
-    /// in the global interner, returning its compact id.
-    pub fn interned(&self) -> intern::NameId {
-        intern::intern(self.as_str())
+    /// The canonical text, [`DomainName::as_str`], as the shared
+    /// allocation itself: what the resolver's cache keys an entry on.
+    pub(crate) fn into_text(self) -> Arc<str> {
+        if self.is_root() {
+            Arc::from(".")
+        } else {
+            self.text
+        }
     }
 
     /// Serialized length in bytes (labels plus dots).

@@ -138,8 +138,8 @@ impl RecursiveResolver {
     /// The deepest cached cut enclosing `name` — its text, a suffix of
     /// the name's, and where it sends a walk. Ancestors are probed
     /// deepest-first, the name itself included (a cut may sit at the
-    /// question name), on borrowed text: no `DomainName` is built, and a
-    /// suffix the interner has never seen is not interned.
+    /// question name), on borrowed text: no `DomainName` is built and
+    /// nothing is allocated to probe.
     fn deepest_cut<'n>(
         &self,
         world: &World,
@@ -267,6 +267,7 @@ mod tests {
     use crate::zone::Zone;
     use hrpc::server::{CallCtx, RpcService};
     use simnet::faults::FaultPlan;
+    use simnet::obs::MetricsRegistry;
     use simnet::topology::NetAddr;
     use simnet::world::World;
     use wire::Value;
@@ -549,14 +550,16 @@ mod tests {
         assert_eq!(t.cut_fallbacks(), Some(2));
     }
 
-    /// The PR 13 rule: a probe of a name the interner has never seen
-    /// interns nothing — here for every ancestor the cut probes visit.
+    /// Neither cache is keyed through the interner: not the probes (every
+    /// ancestor of a name never seen before), not the inserts (answers,
+    /// and the two cuts learnt on the way to the first).
     #[test]
-    fn cut_probes_of_never_seen_names_do_not_grow_the_interner() {
+    fn the_resolver_never_touches_the_interner() {
         let t = tree();
         let resolver = t.resolver();
-        assert_eq!(t.calls(&resolver, "fiji.cs.washington.edu"), 3);
         let before = intern::global().len();
+        assert_eq!(t.calls(&resolver, "fiji.cs.washington.edu"), 3);
+        assert_eq!(t.calls(&resolver, "june.cs.washington.edu"), 1);
         let calls_before = t.world.counters().remote_calls;
         for i in 0..10_000 {
             let ghost = name(&format!("host-{i}.lab-{i}.cs.washington.edu"));
@@ -564,16 +567,82 @@ mod tests {
                 resolver.query(&ghost, RType::A),
                 Err(RpcError::NotFound(_))
             ));
-            // Other tests in this binary intern concurrently, so check
-            // the scan's own suffixes rather than the global count alone.
-            let text = ghost.as_str();
-            let parent = text.split_once('.').expect("two labels").1;
-            assert!(intern::global().get(text).is_none(), "{text}");
-            assert!(intern::global().get(parent).is_none(), "{parent}");
         }
         // Every one went straight to the cut's server.
         assert_eq!(t.world.counters().remote_calls - calls_before, 10_000);
-        assert!(intern::global().len() < before + 10_000);
+        assert_eq!(
+            (resolver.cache.resident(), resolver.cuts.resident()),
+            (2, 2)
+        );
+        assert_eq!(intern::global().len(), before);
+    }
+
+    /// A server that holds an address for every name it is asked about.
+    struct Anything;
+
+    impl RpcService for Anything {
+        fn service_name(&self) -> &str {
+            "anything"
+        }
+
+        fn dispatch(&self, _ctx: &CallCtx<'_>, _proc_id: u32, args: &Value) -> RpcResult<Value> {
+            let service = |e: NsError| RpcError::Service(e.to_string());
+            let question = Question::from_value(args).map_err(service)?;
+            let record = ResourceRecord::a(question.name, 600, NetAddr::of(HostId(1)));
+            Answer::ok(vec![record]).to_value().map_err(service)
+        }
+    }
+
+    /// Ten times the capacity in distinct names, the clock advancing with
+    /// every round trip: the answer cache stays within its bound by
+    /// shedding what has expired, pins nothing outside itself, and still
+    /// serves stale from what it has not swept.
+    #[test]
+    fn ten_capacities_of_distinct_names_stay_within_the_bound() {
+        const CAPACITY: usize = simnet::ttl::CAPACITY;
+        let world = World::paper();
+        let client = world.add_host("client");
+        let server = world.add_host("server");
+        let net = RpcNet::new(Arc::clone(&world));
+        net.export_at(server, DNS_PORT, BIND_PROGRAM, Arc::new(Anything));
+        let root = HrpcBinding {
+            host: server,
+            addr: NetAddr::of(server),
+            program: BIND_PROGRAM,
+            port: DNS_PORT,
+            components: ComponentSet::native_dns(DNS_PORT),
+        };
+        let resolver = RecursiveResolver::new(net, client, root);
+        let before = intern::global().len();
+        let mut peak = 0;
+        for i in 0..10 * CAPACITY {
+            let n = name(&format!("n{i}.flood.edu"));
+            resolver.query(&n, RType::A).expect("answered");
+            peak = peak.max(resolver.cache.resident());
+        }
+        assert!(peak <= CAPACITY, "{peak} resident");
+        let stats = resolver.cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 10 * CAPACITY as u64));
+        assert_eq!(intern::global().len(), before);
+
+        // The newest entry outlives its TTL unswept — nothing is inserted
+        // after it — and is there for the serve-stale fallback.
+        let last = name(&format!("n{}.flood.edu", 10 * CAPACITY - 1));
+        world.charge_ms(601.0 * 1000.0);
+        assert!(resolver.cache.get(world.now(), &last, RType::A).is_none());
+        assert!(resolver
+            .cache
+            .get_stale(world.now(), &last, RType::A)
+            .is_some());
+
+        let metrics = MetricsRegistry::new();
+        resolver.cache.export_metrics(&metrics, "c");
+        let snap = metrics.snapshot();
+        assert!(snap.counter("c", "evictions") >= Some(9 * CAPACITY as u64));
+        assert_eq!(
+            snap.counter("c", "resident"),
+            Some(resolver.cache.resident() as u64)
+        );
     }
 
     /// A server that answers every query with one fixed answer.

@@ -85,7 +85,7 @@ pub enum MetaKey {
 impl MetaKey {
     /// Keys a meta-zone record set by its domain name.
     pub fn meta(name: &bindns::name::DomainName) -> MetaKey {
-        MetaKey::Meta(name.interned())
+        MetaKey::Meta(intern::intern(name.as_str()))
     }
 
     /// Keys a host-address result by `(name service, host name)`.

@@ -31,6 +31,12 @@
 //! Transfers through this registry extend the cache in place, so the
 //! probe stays a miss on the hot path.
 //!
+//! The cache holds at most [`simnet::ttl::CAPACITY`] heads, the bound of
+//! every cache in the tower. A head is re-derivable by one chain walk, so
+//! a new name finding the cache full simply empties it
+//! (`regd/collapse_evictions` counts the heads dropped, `regd/chain_walks`
+//! shows what re-deriving them cost).
+//!
 //! Reads ride [`ChClient`]'s replica failover; writes stay primary and
 //! surface `RpcError::HostUnreachable` typed when the primary is
 //! partitioned away — degraded write availability is loud, never
@@ -139,6 +145,7 @@ struct RegMetrics {
     chain_walks: LazyCounter,
     chain_extends: LazyCounter,
     collapse_hits: LazyCounter,
+    collapse_evictions: LazyCounter,
     cycle_rejections: LazyCounter,
     write_unreachable: LazyCounter,
     link_gc: LazyCounter,
@@ -323,7 +330,15 @@ impl Registry {
     }
 
     fn cache_insert(&self, name: &str, head: CollapsedHead) {
-        self.collapse.write().insert(name.to_string(), head);
+        let mut cache = self.collapse.write();
+        if cache.len() >= simnet::ttl::CAPACITY && !cache.contains_key(name) {
+            self.metrics
+                .collapse_evictions
+                .get(self.world.metrics(), "regd", "collapse_evictions")
+                .add(cache.len() as u64);
+            cache.clear();
+        }
+        cache.insert(name.to_string(), head);
     }
 
     fn resolution(&self, name: &str, head: &CollapsedHead, walked: bool) -> Resolution {
@@ -368,6 +383,15 @@ impl Registry {
     /// *hits* means the chain grew under us; the walk resumes from
     /// there (`regd/chain_extends`).
     pub fn resolve(&self, name: &str) -> RegResult<Resolution> {
+        let (head, walked) = self.resolve_head(name)?;
+        Ok(self.resolution(name, &head, walked))
+    }
+
+    /// [`Registry::resolve`] as the write paths need it: the collapsed
+    /// head itself (base signature, holder list) and whether it was
+    /// walked for. They work from this copy, not from a second look at
+    /// the cache, which may have been emptied in between.
+    fn resolve_head(&self, name: &str) -> RegResult<(CollapsedHead, bool)> {
         Self::check_name(name)?;
         self.bump(&self.metrics.resolves, "resolves");
         let cached = self.collapse.read().get(name).cloned();
@@ -375,7 +399,7 @@ impl Registry {
             return match self.read_link(name, head.depth + 1)? {
                 None => {
                     self.bump(&self.metrics.collapse_hits, "collapse_hits");
-                    Ok(self.resolution(name, &head, false))
+                    Ok((head, false))
                 }
                 Some(link) => {
                     // Another frontend extended the chain: walk forward
@@ -396,7 +420,7 @@ impl Registry {
                         head.depth = link.seq;
                     }
                     self.cache_insert(name, head.clone());
-                    Ok(self.resolution(name, &head, true))
+                    Ok((head, true))
                 }
             };
         }
@@ -419,7 +443,7 @@ impl Registry {
             service: base.service,
         };
         self.cache_insert(name, head.clone());
-        Ok(self.resolution(name, &head, true))
+        Ok((head, true))
     }
 
     /// Propagates a (re-)binding into the HNS meta zone via dynamic
@@ -494,7 +518,7 @@ impl Registry {
     /// whole base record is rewritten with the new binding.
     pub fn update(&self, owner: &str, key: u64, name: &str, service: &str) -> RegResult<()> {
         self.authorize(owner, key)?;
-        let head = self.resolve(name)?;
+        let (head, _) = self.resolve_head(name)?;
         if head.owner != owner {
             return Err(RegError::NotOwner {
                 name: name.to_string(),
@@ -502,23 +526,16 @@ impl Registry {
                 actual: head.owner,
             });
         }
-        self.write_binding(name, service)?;
+        self.write_binding(name, &head, service)?;
         self.bump(&self.metrics.updates, "updates");
         self.rebind_zone(name, service)
     }
 
-    fn write_binding(&self, name: &str, service: &str) -> RegResult<()> {
-        let (base_owner, base_sig) = {
-            let cache = self.collapse.read();
-            let head = cache
-                .get(name)
-                .ok_or_else(|| RegError::NotRegistered(name.to_string()))?;
-            (head.base_owner.clone(), head.base_sig)
-        };
+    fn write_binding(&self, name: &str, head: &CollapsedHead, service: &str) -> RegResult<()> {
         let record = BaseRecord {
-            owner: base_owner,
+            owner: head.base_owner.clone(),
             service: service.to_string(),
-            sig: base_sig,
+            sig: head.base_sig,
         };
         self.write(
             self.ch
@@ -549,7 +566,7 @@ impl Registry {
     ) -> RegResult<Resolution> {
         let key = self.authorize(from, key)?;
         self.key_of(to)?;
-        let head = self.resolve(name)?;
+        let (mut head, _) = self.resolve_head(name)?;
         if head.owner != from {
             return Err(RegError::NotOwner {
                 name: name.to_string(),
@@ -557,19 +574,12 @@ impl Registry {
                 actual: head.owner,
             });
         }
-        {
-            let cache = self.collapse.read();
-            let cached = cache
-                .get(name)
-                .ok_or_else(|| RegError::NotRegistered(name.to_string()))?;
-            if cached.holders.iter().any(|h| h == to) {
-                drop(cache);
-                self.bump(&self.metrics.cycle_rejections, "cycle_rejections");
-                return Err(RegError::CycleRejected {
-                    name: name.to_string(),
-                    owner: to.to_string(),
-                });
-            }
+        if head.holders.iter().any(|h| h == to) {
+            self.bump(&self.metrics.cycle_rejections, "cycle_rejections");
+            return Err(RegError::CycleRejected {
+                name: name.to_string(),
+                owner: to.to_string(),
+            });
         }
         let link = TransferLink::signed(name, head.depth + 1, from, to, key);
         self.write(self.ch.set_item(
@@ -582,22 +592,16 @@ impl Registry {
             .chain_depth
             .get(self.world.metrics(), "regd", "chain_depth")
             .record(u64::from(link.seq));
-        let updated = {
-            let mut cache = self.collapse.write();
-            let cached = cache.get_mut(name).expect("resolved above");
-            cached.owner = link.to.clone();
-            cached.holders.push(link.to.clone());
-            cached.depth = link.seq;
-            cached.clone()
-        };
+        head.owner = link.to.clone();
+        head.holders.push(link.to);
+        head.depth = link.seq;
+        self.cache_insert(name, head.clone());
         if let Some(service) = rebind {
-            self.write_binding(name, service)?;
+            self.write_binding(name, &head, service)?;
             self.rebind_zone(name, service)?;
-            let mut r = self.resolution(name, &updated, false);
-            r.service = service.to_string();
-            return Ok(r);
+            head.service = service.to_string();
         }
-        Ok(self.resolution(name, &updated, false))
+        Ok(self.resolution(name, &head, false))
     }
 
     /// Releases a registered name. The base record is deleted *first* —
@@ -855,6 +859,51 @@ mod tests {
         let r3 = reg.resolve("svc").expect("re-collapsed");
         assert!(!r3.walked);
         assert_eq!(r3.owner, "carol");
+    }
+
+    /// One name more than the collapse cache holds: the last one empties
+    /// it, every name still resolves to what was registered, and a name
+    /// that was dropped costs one chain walk and collapses again.
+    #[test]
+    fn the_collapse_cache_is_emptied_when_full_and_refills_by_walking() {
+        const CAPACITY: usize = simnet::ttl::CAPACITY;
+        let (env, reg) = setup();
+        let counter = |name| env.world.metrics().snapshot().counter("regd", name);
+        for i in 0..CAPACITY {
+            reg.register("alice", 0xA11CE, &format!("svc-{i}"), "BIND")
+                .expect("register");
+        }
+        reg.transfer("alice", 0xA11CE, "svc-7", "bob", Some("CH"))
+            .expect("transfer");
+        assert_eq!(reg.collapse.read().len(), CAPACITY);
+        assert_eq!(counter("collapse_evictions"), None);
+        assert_eq!(counter("chain_walks"), None);
+
+        reg.register("alice", 0xA11CE, "one-more", "BIND")
+            .expect("register");
+        assert_eq!(reg.collapse.read().len(), 1);
+        assert_eq!(counter("collapse_evictions"), Some(CAPACITY as u64));
+
+        for (name, owner, service, depth) in [
+            ("svc-0", "alice", "BIND", 0),
+            ("svc-7", "bob", "CH", 1),
+            ("one-more", "alice", "BIND", 0),
+        ] {
+            let cold = reg.resolve(name).expect("resolve");
+            assert_eq!(
+                (&*cold.owner, &*cold.service, cold.depth),
+                (owner, service, depth)
+            );
+            assert_eq!(cold.walked, name != "one-more", "{name}");
+            let warm = reg.resolve(name).expect("resolve");
+            assert!(!warm.walked, "{name} collapsed again");
+            assert_eq!(warm.owner, owner);
+        }
+        assert_eq!(counter("chain_walks"), Some(2));
+        // The write paths work from the head they resolved, cache or no.
+        reg.update("alice", 0xA11CE, "svc-1", "CH").expect("update");
+        assert_eq!(reg.resolve("svc-1").expect("resolve").service, "CH");
+        assert_eq!(reg.collapse.read().len(), 4);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! The paper has that one mechanism in three places ("both the HNS and the
 //! NSMs were modified to cache the results of remote lookups", plus the
 //! BIND resolver), so it is written once: [`TtlMap`] owns the stripes, the
-//! `now < expires_at` test, the retention rule, the probe counters and the
-//! exporter. The HNS meta cache, the composed binding cache, the NSM result
+//! `now < expires_at` test, the retention rule, the capacity, the probe
+//! counters and the exporter. The HNS meta cache, the composed binding cache, the NSM result
 //! cache and the resolver's record cache each wrap one and add only what is
 //! theirs (storage forms, negative entries, the singleflight gate, min-TTL
 //! insert).
@@ -19,9 +19,17 @@
 //! * An entry is live while `now < expires_at`; at `now == expires_at` it
 //!   is expired.
 //! * An expired entry is hidden from [`TtlMap::probe`] but **retained**
-//!   until overwritten — it is what [`TtlMap::probe_stale`] serves when the
-//!   authoritative server is unreachable (paper §4: naming data changes
-//!   slowly, so stale data beats no data).
+//!   until overwritten or until its stripe is full — it is what
+//!   [`TtlMap::probe_stale`] serves when the authoritative server is
+//!   unreachable (paper §4: naming data changes slowly, so stale data
+//!   beats no data).
+//! * A map holds at most [`CAPACITY`] entries, a sixteenth of them per
+//!   stripe. The bound is enforced in one place, the insert of a *new* key
+//!   into a full stripe, by one rule: every expired entry of that stripe
+//!   goes, and if that frees less than an eighth of it, the live entries
+//!   soonest to expire go too until an eighth is free. An overwrite never
+//!   evicts, a probe never does, and while a stripe has room nothing is
+//!   ever dropped: a cache that never fills behaves as if it had no bound.
 //! * Every [`TtlMap::probe`] moves exactly one of `hits` / `absent` /
 //!   `expired`; the first probe to see an entry expired also moves
 //!   `expirations`, once per entry lifetime.
@@ -42,6 +50,10 @@ use crate::time::{SimDuration, SimTime};
 
 /// Number of independently locked stripes.
 const STRIPES: usize = 16;
+
+/// The most entries one [`TtlMap`] holds, expired ones included: every
+/// cache in the tower has this bound and no way to choose another.
+pub const CAPACITY: usize = 65_536;
 
 struct Slot<V> {
     value: V,
@@ -91,32 +103,78 @@ pub struct TtlStats<T = u64> {
     pub inserts: T,
     /// Expired entries handed out by [`TtlMap::probe_stale`].
     pub stale_serves: T,
+    /// Entries dropped to make room in a full stripe, expired or live.
+    pub evictions: T,
+    /// Entries resident now, expired ones included.
+    pub resident: T,
 }
 
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
+type Stripe<K, V> = HashMap<K, Slot<V>>;
+
+fn stripe_of<Q: Hash + ?Sized>(key: &Q) -> usize {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    (hasher.finish() as usize) % STRIPES
+}
+
+/// The capacity rule, run on a full stripe about to take a new key: drops
+/// every entry expired at `now`, then — only if that freed less than an
+/// eighth of the stripe — the live entries soonest to expire, until an
+/// eighth is free. Returns how many entries went. One pass over a stripe
+/// buys room for an eighth of a stripe of inserts.
+fn make_room<K, V>(stripe: &mut Stripe<K, V>, now: SimTime) -> usize {
+    let full = stripe.len();
+    stripe.retain(|_, slot| now < slot.expires_at);
+    let keep = full - (full / 8).max(1);
+    if stripe.len() > keep {
+        let excess = stripe.len() - keep;
+        let mut expiries: Vec<SimTime> = stripe.values().map(|slot| slot.expires_at).collect();
+        let (sooner, cutoff, _) = expiries.select_nth_unstable(excess - 1);
+        let cutoff = *cutoff;
+        // Entries that expire at the cutoff itself go only as far as needed.
+        let mut at_cutoff = excess - sooner.iter().filter(|at| **at < cutoff).count();
+        stripe.retain(|_, slot| {
+            if slot.expires_at == cutoff && at_cutoff > 0 {
+                at_cutoff -= 1;
+                return false;
+            }
+            slot.expires_at >= cutoff
+        });
+    }
+    full - stripe.len()
+}
+
 /// A lock-striped map whose entries expire in virtual time.
 pub struct TtlMap<K, V> {
-    stripes: Vec<Mutex<HashMap<K, Slot<V>>>>,
+    stripes: Vec<Mutex<Stripe<K, V>>>,
+    /// Entries one stripe holds before an insert makes room.
+    stripe_capacity: usize,
     counters: TtlStats<AtomicU64>,
 }
 
 impl<K: Hash + Eq, V> Default for TtlMap<K, V> {
     fn default() -> Self {
-        TtlMap {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-            counters: TtlStats::default(),
-        }
+        Self::with_stripe_capacity(CAPACITY / STRIPES)
     }
 }
 
 impl<K: Hash + Eq, V> TtlMap<K, V> {
-    fn stripe<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<HashMap<K, Slot<V>>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.stripes[(hasher.finish() as usize) % STRIPES]
+    /// Tests reach the bound with a small one; everything else gets
+    /// [`CAPACITY`] through `default`.
+    fn with_stripe_capacity(stripe_capacity: usize) -> Self {
+        TtlMap {
+            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            stripe_capacity,
+            counters: TtlStats::default(),
+        }
+    }
+
+    fn stripe<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Stripe<K, V>> {
+        &self.stripes[stripe_of(key)]
     }
 
     /// Probes `key` at virtual time `now`, handing a live value to `read`
@@ -197,14 +255,26 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     }
 
     /// Inserts `value` under `key`, valid for `ttl_secs` from `now`. An
-    /// existing entry — live or expired — is overwritten in place.
+    /// existing entry — live or expired — is overwritten in place; a new
+    /// key finding its stripe full makes room first (the module's
+    /// capacity rule), which is the only time anything is evicted.
     pub fn insert(&self, now: SimTime, key: K, value: V, ttl_secs: u32) {
         let slot = Slot {
             value,
             expires_at: now + SimDuration::from_ms(u64::from(ttl_secs) * 1000),
             expiry_seen: false,
         };
-        self.stripe(&key).lock().insert(key, slot);
+        let mut stripe = self.stripe(&key).lock();
+        if stripe.len() >= self.stripe_capacity && !stripe.contains_key(&key) {
+            let evicted = make_room(&mut stripe, now) as u64;
+            self.counters
+                .evictions
+                .fetch_add(evicted, Ordering::Relaxed);
+            self.counters.resident.fetch_sub(evicted, Ordering::Relaxed);
+        }
+        if stripe.insert(key, slot).is_none() {
+            bump(&self.counters.resident);
+        }
         bump(&self.counters.inserts);
     }
 
@@ -216,7 +286,9 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.stripe(key).lock().remove(key);
+        if self.stripe(key).lock().remove(key).is_some() {
+            self.counters.resident.fetch_sub(1, Ordering::Relaxed);
+        }
         self.counters.hits.fetch_sub(1, Ordering::Relaxed);
         bump(&self.counters.absent);
     }
@@ -224,13 +296,18 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// Drops every entry; the counters keep running.
     pub fn clear(&self) {
         for stripe in &self.stripes {
-            stripe.lock().clear();
+            let mut stripe = stripe.lock();
+            self.counters
+                .resident
+                .fetch_sub(stripe.len() as u64, Ordering::Relaxed);
+            stripe.clear();
         }
     }
 
-    /// Entries resident, expired ones included.
+    /// Entries resident, expired ones included; never more than
+    /// [`CAPACITY`].
     pub fn resident(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+        self.counters.resident.load(Ordering::Relaxed) as usize
     }
 
     /// Entries not yet observed expired — what a cache that evicted on
@@ -252,21 +329,29 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
             expirations: c.expirations.load(Ordering::Relaxed),
             inserts: c.inserts.load(Ordering::Relaxed),
             stale_serves: c.stale_serves.load(Ordering::Relaxed),
+            evictions: c.evictions.load(Ordering::Relaxed),
+            resident: c.resident.load(Ordering::Relaxed),
         }
     }
 
     /// Publishes a cache's counters into `metrics` under `component`: the
     /// rows of `view` (each wrapper's published names, computed from
-    /// [`TtlMap::stats`]) and `stale_serves`. The latter is registered
-    /// only once nonzero, so fault-free snapshots stay byte-for-byte what
-    /// they were before serve-stale existed.
+    /// [`TtlMap::stats`]), `stale_serves`, and `evictions` with
+    /// `resident`. Those are registered only once `stale_serves`, resp.
+    /// `evictions`, is nonzero, so the snapshot of a run with no fault and
+    /// no full stripe stays byte-for-byte what it was before either
+    /// existed.
     pub fn export(&self, metrics: &MetricsRegistry, component: &str, view: &[(&str, u64)]) {
         for (name, value) in view {
             metrics.set_counter(component, name, *value);
         }
-        let stale_serves = self.counters.stale_serves.load(Ordering::Relaxed);
-        if stale_serves > 0 {
-            metrics.set_counter(component, "stale_serves", stale_serves);
+        let stats = self.stats();
+        if stats.stale_serves > 0 {
+            metrics.set_counter(component, "stale_serves", stats.stale_serves);
+        }
+        if stats.evictions > 0 {
+            metrics.set_counter(component, "evictions", stats.evictions);
+            metrics.set_counter(component, "resident", stats.resident);
         }
     }
 }
@@ -385,12 +470,113 @@ mod tests {
                     }
                     _ => now += SimDuration::from_ms(u64::from(n) * 500),
                 }
+                model.stats.resident = model.entries.len() as u64;
                 prop_assert_eq!(map.stats(), model.stats);
                 prop_assert_eq!(map.resident(), model.entries.len());
                 let unseen = model.entries.values().filter(|(_, _, seen)| !seen).count();
                 prop_assert_eq!(map.live(), unseen);
             }
         }
+    }
+
+    proptest! {
+        /// The capacity rule against the same kind of model, on a map
+        /// small enough to fill (4 entries a stripe, 256 keys): the model
+        /// learns what an insert dropped by asking the map which of the
+        /// stripe's keys it still holds, and checks that against the rule
+        /// — it cannot predict *which* of several entries expiring at the
+        /// same instant went, only how many.
+        #[test]
+        fn a_full_stripe_sheds_expired_entries_first_and_the_soonest_to_expire_next(
+            ops in proptest::collection::vec((0u8..4, any::<u8>(), 0u32..6), 1..400),
+        ) {
+            const STRIPE_CAPACITY: usize = 4;
+            let map: TtlMap<u8, u32> = TtlMap::with_stripe_capacity(STRIPE_CAPACITY);
+            let holds = |key: u8| map.stripe(&key).lock().contains_key(&key);
+            let mut model: BTreeMap<u8, SimTime> = BTreeMap::new();
+            let mut evictions = 0;
+            let mut now = SimTime::ZERO;
+            for (op, key, n) in ops {
+                match op {
+                    0 | 1 => {
+                        let stripe: Vec<(u8, SimTime)> = model
+                            .iter()
+                            .filter(|(k, _)| stripe_of(*k) == stripe_of(&key))
+                            .map(|(k, at)| (*k, *at))
+                            .collect();
+                        map.insert(now, key, u32::from(key), n);
+                        let (kept, dropped): (Vec<_>, Vec<_>) =
+                            stripe.iter().partition(|(k, _)| holds(*k));
+                        if stripe.len() < STRIPE_CAPACITY || model.contains_key(&key) {
+                            prop_assert!(dropped.is_empty(), "evicted with room, or on overwrite");
+                        } else {
+                            let expired = stripe.iter().filter(|(_, at)| now >= *at).count();
+                            prop_assert_eq!(dropped.len(), expired.max(1));
+                            // Only if no expired entry was there to take
+                            // did a live one go, and then the soonest.
+                            for (_, at) in dropped.iter().filter(|(_, at)| now < *at) {
+                                prop_assert_eq!(expired, 0);
+                                prop_assert!(kept.iter().all(|(_, kept_at)| at <= kept_at));
+                            }
+                            prop_assert!(kept.iter().all(|(_, at)| now < *at));
+                        }
+                        evictions += dropped.len() as u64;
+                        for (k, _) in dropped {
+                            model.remove(&k);
+                        }
+                        model.insert(key, now + SimDuration::from_ms(u64::from(n) * 1000));
+                        prop_assert!(holds(key));
+                    }
+                    2 => {
+                        // Probes answer from what is left, and drop nothing.
+                        let expected = match model.get(&key) {
+                            Some(at) if now < *at => Some(u32::from(key)),
+                            _ => None,
+                        };
+                        prop_assert_eq!(map.peek_live(now, &key, |v| *v).map(|(v, _)| v), expected);
+                        let _ = map.probe(now, &key, |v| *v);
+                        prop_assert_eq!(holds(key), model.contains_key(&key));
+                    }
+                    _ => now += SimDuration::from_ms(u64::from(n) * 500),
+                }
+                prop_assert_eq!(map.resident(), model.len());
+                prop_assert_eq!(map.stats().evictions, evictions);
+                for stripe in &map.stripes {
+                    prop_assert!(stripe.lock().len() <= STRIPE_CAPACITY);
+                }
+            }
+        }
+    }
+
+    /// At a realistic stripe size the rule frees an eighth: a stripe of
+    /// live entries loses exactly its soonest-to-expire eighth, one whose
+    /// expired entries already make up an eighth loses only those.
+    #[test]
+    fn a_full_stripe_frees_an_eighth() {
+        let map: TtlMap<u64, u64> = TtlMap::with_stripe_capacity(64);
+        let mut keys = (0u64..).filter(|k| stripe_of(k) == 0);
+        // TTLs 1..=64 s, so the key inserted i-th expires i-th.
+        let filled: Vec<u64> = keys.by_ref().take(64).collect();
+        for (i, key) in filled.iter().enumerate() {
+            map.insert(SimTime::ZERO, *key, *key, i as u32 + 1);
+        }
+        assert_eq!((map.resident(), map.stats().evictions), (64, 0));
+        let holds = |key: &u64| map.stripe(key).lock().contains_key(key);
+
+        // All live: the eight soonest to expire go.
+        map.insert(SimTime::ZERO, keys.next().expect("key"), 0, 100);
+        assert_eq!((map.resident(), map.stats().evictions), (57, 8));
+        assert!(!filled[..8].iter().any(holds) && filled[8..].iter().all(holds));
+
+        // Refill; by 20 s the twelve oldest left have expired, which is
+        // more than an eighth: they all go and no live entry does.
+        for key in keys.by_ref().take(7) {
+            map.insert(SimTime::ZERO, key, 0, 100);
+        }
+        assert_eq!(map.resident(), 64);
+        map.insert(SimTime::from_ms(20_000), keys.next().expect("key"), 0, 100);
+        assert_eq!((map.resident(), map.stats().evictions), (53, 20));
+        assert!(!filled[..20].iter().any(holds) && filled[20..].iter().all(holds));
     }
 
     #[test]
@@ -408,6 +594,25 @@ mod tests {
             .is_some());
         map.export(&metrics, "c", &[]);
         assert_eq!(metrics.snapshot().counter("c", "stale_serves"), Some(1));
+    }
+
+    #[test]
+    fn export_publishes_evictions_and_resident_only_once_something_was_evicted() {
+        let map: TtlMap<u64, u64> = TtlMap::with_stripe_capacity(2);
+        let metrics = MetricsRegistry::new();
+        let mut keys = (0u64..).filter(|k| stripe_of(k) == 0);
+        for key in keys.by_ref().take(2) {
+            map.insert(SimTime::ZERO, key, key, 1);
+        }
+        map.export(&metrics, "c", &[]);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("c", "evictions"), None);
+        assert_eq!(snap.counter("c", "resident"), None);
+        map.insert(SimTime::ZERO, keys.next().expect("key"), 0, 1);
+        map.export(&metrics, "c", &[]);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("c", "evictions"), Some(1));
+        assert_eq!(snap.counter("c", "resident"), Some(2));
     }
 
     /// Eight threads on disjoint keys of one map: the stripes must lose
@@ -443,6 +648,8 @@ mod tests {
             expirations: n,
             inserts: n,
             stale_serves: 0,
+            evictions: 0,
+            resident: n,
         };
         assert_eq!(map.stats(), expected);
         assert_eq!(map.resident() as u64, n);
