@@ -250,7 +250,6 @@ impl TimelineRun {
                 + w.counter("hns_cache", "misses") as f64
                 + w.counter("hns_cache", "expired") as f64
                 + w.counter("hns_cache", "negative_hits") as f64
-                + w.counter("hns_cache", "coalesced") as f64
                 + w.counter("hns_cache", "stale_serves") as f64;
             if lookups > 0.0 {
                 hits / lookups

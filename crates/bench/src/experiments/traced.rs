@@ -235,8 +235,8 @@ mod tests {
     fn snapshot_covers_every_required_component() {
         let run = run();
         let s = &run.snapshot;
-        // HNS cache outcomes, including the coalesced and negative rows.
-        for name in ["hits", "misses", "expired", "negative_hits", "coalesced"] {
+        // HNS cache outcomes, including the negative row.
+        for name in ["hits", "misses", "expired", "negative_hits"] {
             assert!(
                 s.counter("hns_cache", name).is_some(),
                 "missing hns_cache/{name}\n{}",

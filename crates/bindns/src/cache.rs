@@ -5,8 +5,8 @@
 //! would not make sense to use a more sophisticated scheme because the
 //! source of our cached data (BIND) also uses this mechanism."
 //!
-//! The mechanism itself — stripes, expiry, retention of expired entries
-//! for the serve-stale fallback until their stripe is full, the capacity
+//! The mechanism itself — the locked table, expiry, retention of expired
+//! entries for the serve-stale fallback until the map is full, the capacity
 //! ([`simnet::ttl::CAPACITY`] entries), counters — is
 //! [`simnet::ttl::TtlMap`], shared with the HNS and NSM caches. What is
 //! this cache's own: the key is `(owner name, record type)` with the name
@@ -94,7 +94,7 @@ impl PartialEq for dyn KeyView + '_ {
 
 impl Eq for dyn KeyView + '_ {}
 
-/// A TTL-invalidated record cache, lock-striped for concurrent readers.
+/// A TTL-invalidated record cache, safe to share between threads.
 #[derive(Debug, Default)]
 pub struct TtlCache {
     map: TtlMap<Key, Arc<[ResourceRecord]>>,
@@ -127,7 +127,7 @@ impl TtlCache {
     ///
     /// Hits share the stored record set (`Arc` clone, no per-record
     /// clone); an entry observed past its TTL is counted as both a miss
-    /// and an expiration (once per expiry) but *retained* while its stripe
+    /// and an expiration (once per expiry) but *retained* while the map
     /// has room, so [`TtlCache::get_stale`] can serve it if the
     /// authoritative server turns out to be unreachable.
     pub fn get(
@@ -203,7 +203,7 @@ impl TtlCache {
     }
 
     /// Number of resident entries not yet observed as expired. Entries
-    /// whose expiry has been observed stay resident while their stripe has
+    /// whose expiry has been observed stay resident while the map has
     /// room (serve-stale fodder) but are not counted here;
     /// [`TtlCache::resident`] counts them too.
     pub fn len(&self) -> usize {
@@ -358,7 +358,7 @@ mod tests {
         assert_eq!(snap.counter("bindns_cache", "stale_serves"), Some(1));
     }
 
-    /// Satellite: 8 threads × >10k ops each over the sharded cache; the
+    /// Satellite: 8 threads × >10k ops each over one shared cache; the
     /// atomic hit/miss/expiration totals must come out exact (the
     /// scripted per-thread workload has known counts, so any lost update
     /// or double count shows up as a wrong total).
@@ -422,7 +422,7 @@ mod tests {
         assert_eq!(stats.hits, THREADS * HIT_GETS);
         assert_eq!(stats.misses, THREADS * (MISS_GETS + EXPIRING));
         assert_eq!(stats.expirations, THREADS * EXPIRING);
-        // Only the warm keys are unexpired; nothing filled a stripe, so
+        // Only the warm keys are unexpired; nothing filled the map, so
         // the expired ones are still resident.
         assert_eq!(c.len(), (THREADS * WARM_KEYS) as usize);
         assert_eq!(c.resident() as u64, THREADS * (WARM_KEYS + EXPIRING));

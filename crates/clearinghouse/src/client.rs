@@ -554,6 +554,27 @@ mod failover_tests {
     }
 
     #[test]
+    fn a_failed_over_read_through_an_alias_is_served_by_the_replica() {
+        // Propagation carries the alias table: with the primary crashed,
+        // the replica resolves the alias as the primary did — a stale
+        // answer at worst, never `NotFound` for a name that exists.
+        let mut env = env();
+        let alias = ThreePartName::parse("hub:cs:uw").expect("name");
+        env.client.add_alias(&alias, &env.name).expect("alias");
+        env.cluster.propagate();
+        crash_primary(&env);
+        env.client.set_read_fallbacks(vec![env.replica_binding]);
+        assert_eq!(
+            env.client
+                .lookup_item(&alias, PROP_ADDRESS)
+                .expect("served by replica through the alias"),
+            Value::U32(5)
+        );
+        let snap = env.world.metrics().snapshot();
+        assert_eq!(snap.counter("faults", "ch_read_failovers"), Some(1));
+    }
+
+    #[test]
     fn fallback_on_the_primary_host_is_skipped() {
         // A fallback that points back at the primary's host cannot help
         // (same crash domain) and must not burn a retry.
@@ -609,6 +630,29 @@ mod alias_list_tests {
 
         let names = client.list("cs", "uw", "printer*").expect("list");
         assert_eq!(names, vec![printer]);
+    }
+
+    #[test]
+    fn a_write_through_an_alias_is_read_back_under_both_names() {
+        let client = setup();
+        let printer = ThreePartName::parse("printer1:cs:uw").expect("name");
+        client
+            .set_item(&printer, PROP_ADDRESS, Value::U32(7))
+            .expect("set");
+        let alias = ThreePartName::parse("lp:cs:uw").expect("name");
+        client.add_alias(&alias, &printer).expect("alias");
+        // Acknowledged, so it must be visible — under either name.
+        client
+            .set_item(&alias, PROP_ADDRESS, Value::U32(9))
+            .expect("set via alias");
+        for asked in [&alias, &printer] {
+            assert_eq!(
+                client.lookup_item(asked, PROP_ADDRESS).expect("lookup"),
+                Value::U32(9),
+                "{asked}"
+            );
+        }
+        assert_eq!(client.list("cs", "uw", "*").expect("list"), vec![printer]);
     }
 
     #[test]

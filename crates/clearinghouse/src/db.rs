@@ -1,16 +1,13 @@
 //! The per-domain entry database.
 //!
-//! Entries and aliases are keyed by interned [`NameId`]s: at scale each
-//! three-part name is stored once in the global interner and the tables
-//! hold four-byte handles, so a database of 10^6 entries does not carry
-//! 10^6 owned name copies (the seed keyed both tables by
-//! `ThreePartName`, three heap strings per key per table). Enumeration
-//! paths (`list`, `snapshot`) resolve and sort, preserving the
-//! name-ordered output the old `BTreeMap` iteration produced.
+//! Entries and aliases are keyed by the [`ThreePartName`] they are stored
+//! under, so a name a client merely asks about leaves nothing behind.
+//! Reads and writes alike go through [`ChDb::canonical`]: an alias names
+//! its target's entry for `lookup`, `set_item`, `add_member` and
+//! `add_entry`. Enumeration paths (`list`, `snapshot`) sort, so their
+//! output is in name order.
 
 use std::collections::HashMap;
-
-use intern::NameId;
 
 use crate::error::{ChError, ChResult};
 use crate::name::ThreePartName;
@@ -21,18 +18,17 @@ use crate::property::{Entry, Property, PropertyId};
 pub struct ChDb {
     /// Domains served, as `(domain, organization)` pairs.
     domains: Vec<(String, String)>,
-    entries: HashMap<NameId, Entry>,
+    entries: HashMap<ThreePartName, Entry>,
     /// Alias → canonical name.
-    aliases: HashMap<NameId, NameId>,
+    aliases: HashMap<ThreePartName, ThreePartName>,
 }
 
-/// Resolves an interned id back into a parsed three-part name. Ids in
-/// the tables were minted from canonical renderings, so this cannot
-/// fail for keys we put there.
-fn resolve_tpn(id: NameId) -> ThreePartName {
-    let s = intern::resolve(id).expect("db key interned");
-    ThreePartName::parse(&s).expect("db key is canonical")
-}
+/// What a replica is refreshed from: every entry and every
+/// `(alias, target)` pair.
+type Snapshot = (
+    Vec<(ThreePartName, Entry)>,
+    Vec<(ThreePartName, ThreePartName)>,
+);
 
 impl ChDb {
     /// Creates a database serving the given domains.
@@ -64,24 +60,35 @@ impl ChDb {
         }
     }
 
-    /// Creates an empty entry.
+    /// Creates an empty entry (the target's, if `name` is an alias).
     pub fn add_entry(&mut self, name: ThreePartName) -> ChResult<()> {
         self.check_serves(&name)?;
-        let id = name.interned();
-        if self.entries.contains_key(&id) {
+        let canonical = self.canonical(&name);
+        if self.entries.contains_key(canonical) {
             return Err(ChError::AlreadyExists(name.to_string()));
         }
-        self.entries.insert(id, Entry::new());
+        self.entries.insert(canonical.clone(), Entry::new());
         Ok(())
     }
 
-    /// Deletes an entry; errors if absent.
+    /// Deletes the entry stored under `name` itself; errors if absent.
     pub fn delete_entry(&mut self, name: &ThreePartName) -> ChResult<()> {
         self.check_serves(name)?;
         self.entries
-            .remove(&name.interned())
+            .remove(name)
             .map(|_| ())
             .ok_or_else(|| ChError::NotFound(name.to_string()))
+    }
+
+    /// Runs `write` on the entry `name` resolves to, creating it if
+    /// needed; only a new entry copies the name.
+    fn write_entry<R>(&mut self, name: &ThreePartName, write: impl FnOnce(&mut Entry) -> R) -> R {
+        // `canonical`, spelled out so that only `aliases` stays borrowed.
+        let name = self.aliases.get(name).unwrap_or(name);
+        match self.entries.get_mut(name) {
+            Some(entry) => write(entry),
+            None => write(self.entries.entry(name.clone()).or_default()),
+        }
     }
 
     /// Sets an item property, creating the entry if needed.
@@ -92,10 +99,7 @@ impl ChDb {
         value: wire::Value,
     ) -> ChResult<()> {
         self.check_serves(name)?;
-        self.entries
-            .entry(name.interned())
-            .or_default()
-            .set_item(id, value);
+        self.write_entry(name, |entry| entry.set_item(id, value));
         Ok(())
     }
 
@@ -107,52 +111,43 @@ impl ChDb {
         member: &str,
     ) -> ChResult<()> {
         self.check_serves(name)?;
-        self.entries
-            .entry(name.interned())
-            .or_default()
-            .add_member(id, member)
-    }
-
-    /// Resolves one level of aliasing (id form; the lookup hot path —
-    /// no name materialization).
-    fn canonical_id(&self, id: NameId) -> NameId {
-        self.aliases.get(&id).copied().unwrap_or(id)
+        self.write_entry(name, |entry| entry.add_member(id, member))
     }
 
     /// Resolves one level of aliasing.
-    pub fn canonical(&self, name: &ThreePartName) -> ThreePartName {
-        match self.aliases.get(&name.interned()) {
-            Some(&target) => resolve_tpn(target),
-            None => name.clone(),
-        }
+    pub fn canonical<'a>(&'a self, name: &'a ThreePartName) -> &'a ThreePartName {
+        self.aliases.get(name).unwrap_or(name)
     }
 
     /// Installs an alias. The alias may not shadow an existing entry, and
-    /// aliases do not chain (an alias must target a non-alias).
+    /// aliases do not chain: an alias must target a non-alias and must not
+    /// itself be the target of one.
     pub fn add_alias(&mut self, alias: ThreePartName, target: ThreePartName) -> ChResult<()> {
         self.check_serves(&alias)?;
         self.check_serves(&target)?;
-        let alias_id = alias.interned();
-        if self.entries.contains_key(&alias_id) {
+        if self.entries.contains_key(&alias) {
             return Err(ChError::AlreadyExists(alias.to_string()));
         }
-        let target_id = target.interned();
-        if self.aliases.contains_key(&target_id) {
+        if self.aliases.contains_key(&target) {
             return Err(ChError::BadName(format!(
                 "alias target {target} is itself an alias"
             )));
         }
-        self.aliases.insert(alias_id, target_id);
+        if self.aliases.values().any(|aliased| *aliased == alias) {
+            return Err(ChError::BadName(format!(
+                "{alias} is the target of an alias"
+            )));
+        }
+        self.aliases.insert(alias, target);
         Ok(())
     }
 
     /// Reads one property of an entry, following aliases.
     pub fn lookup(&self, name: &ThreePartName, id: PropertyId) -> ChResult<Property> {
         self.check_serves(name)?;
-        let canonical = self.canonical_id(name.interned());
         let entry = self
             .entries
-            .get(&canonical)
+            .get(self.canonical(name))
             .ok_or_else(|| ChError::NotFound(name.to_string()))?;
         entry.get(id).cloned()
     }
@@ -168,42 +163,40 @@ impl ChDb {
         let mut names: Vec<ThreePartName> = self
             .entries
             .keys()
-            .map(|&id| resolve_tpn(id))
             .filter(|n| {
                 n.domain() == domain.to_ascii_lowercase()
                     && n.organization() == organization.to_ascii_lowercase()
                     && matcher(n.object())
             })
+            .cloned()
             .collect();
         names.sort();
         names
     }
 
-    /// Reads a whole entry.
+    /// Reads the whole entry stored under `name` itself.
     pub fn entry(&self, name: &ThreePartName) -> ChResult<&Entry> {
         self.check_serves(name)?;
         self.entries
-            .get(&name.interned())
+            .get(name)
             .ok_or_else(|| ChError::NotFound(name.to_string()))
     }
 
-    /// All entries (for replication), in name order.
-    pub fn snapshot(&self) -> Vec<(ThreePartName, Entry)> {
-        let mut entries: Vec<(ThreePartName, Entry)> = self
-            .entries
-            .iter()
-            .map(|(&k, v)| (resolve_tpn(k), v.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
+    /// All entries and all `(alias, target)` pairs (for replication), each
+    /// in name order.
+    pub fn snapshot(&self) -> Snapshot {
+        fn sorted<V: Clone>(map: &HashMap<ThreePartName, V>) -> Vec<(ThreePartName, V)> {
+            let mut pairs: Vec<_> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            pairs
+        }
+        (sorted(&self.entries), sorted(&self.aliases))
     }
 
     /// Replaces contents from a snapshot (replica refresh).
-    pub fn restore(&mut self, snapshot: Vec<(ThreePartName, Entry)>) {
-        self.entries = snapshot
-            .into_iter()
-            .map(|(name, entry)| (name.interned(), entry))
-            .collect();
+    pub fn restore(&mut self, (entries, aliases): Snapshot) {
+        self.entries = entries.into_iter().collect();
+        self.aliases = aliases.into_iter().collect();
     }
 
     /// Number of entries.
@@ -350,7 +343,7 @@ mod alias_tests {
             .lookup(&name("mailhub:cs:uw"), PROP_ADDRESS)
             .expect("via alias");
         assert_eq!(got.as_item().expect("item"), &Value::U32(7));
-        assert_eq!(db.canonical(&name("mailhub:cs:uw")), name("fiji:cs:uw"));
+        assert_eq!(*db.canonical(&name("mailhub:cs:uw")), name("fiji:cs:uw"));
     }
 
     #[test]
@@ -367,6 +360,78 @@ mod alias_tests {
             db.add_alias(name("b:cs:uw"), name("a:cs:uw")).is_err(),
             "aliases must not chain"
         );
+    }
+
+    /// A write through an alias lands on the entry a read through it
+    /// finds: no shadow entry under the alias's own name.
+    #[test]
+    fn writes_through_an_alias_reach_the_target_entry() {
+        let mut db = db();
+        let (hub, fiji) = (name("hub:cs:uw"), name("fiji:cs:uw"));
+        db.set_item(&fiji, PROP_ADDRESS, Value::U32(7))
+            .expect("set");
+        db.add_alias(hub.clone(), fiji.clone()).expect("alias");
+        db.set_item(&hub, PROP_ADDRESS, Value::U32(9))
+            .expect("set via alias");
+        db.add_member(&hub, PropertyId(40), "a:cs:uw")
+            .expect("member via alias");
+        assert_eq!(db.len(), 1, "no entry was created under the alias");
+        for asked in [&hub, &fiji] {
+            let got = db.lookup(asked, PROP_ADDRESS).expect("lookup");
+            assert_eq!(got.as_item().expect("item"), &Value::U32(9), "{asked}");
+            assert!(db.lookup(asked, PropertyId(40)).is_ok(), "{asked}");
+        }
+        assert!(matches!(
+            db.add_entry(hub.clone()),
+            Err(ChError::AlreadyExists(_))
+        ));
+        // An alias whose target does not exist yet creates the target.
+        db.add_alias(name("lp:cs:uw"), name("printer:cs:uw"))
+            .expect("alias");
+        db.set_item(&name("lp:cs:uw"), PROP_ADDRESS, Value::U32(3))
+            .expect("set via alias");
+        assert!(db.entry(&name("printer:cs:uw")).is_ok());
+        assert!(db.entry(&name("lp:cs:uw")).is_err());
+    }
+
+    /// `a -> b` exists; `b -> c` would make `a` resolve (one level) to `b`,
+    /// which has no entry, for ever.
+    #[test]
+    fn an_alias_target_cannot_become_an_alias() {
+        let mut db = db();
+        db.set_item(&name("c:cs:uw"), PROP_ADDRESS, Value::U32(1))
+            .expect("set");
+        db.add_alias(name("a:cs:uw"), name("b:cs:uw"))
+            .expect("alias to a target that does not exist yet");
+        assert!(matches!(
+            db.add_alias(name("b:cs:uw"), name("c:cs:uw")),
+            Err(ChError::BadName(_))
+        ));
+        // `a` still means `b`: once `b` exists, `a` finds it.
+        db.set_item(&name("b:cs:uw"), PROP_ADDRESS, Value::U32(2))
+            .expect("set");
+        let got = db.lookup(&name("a:cs:uw"), PROP_ADDRESS).expect("lookup");
+        assert_eq!(got.as_item().expect("item"), &Value::U32(2));
+    }
+
+    #[test]
+    fn a_snapshot_carries_the_aliases() {
+        let mut primary = db();
+        primary
+            .set_item(&name("fiji:cs:uw"), PROP_ADDRESS, Value::U32(7))
+            .expect("set");
+        primary
+            .add_alias(name("hub:cs:uw"), name("fiji:cs:uw"))
+            .expect("alias");
+        let mut replica = db();
+        replica.restore(primary.snapshot());
+        let got = replica
+            .lookup(&name("hub:cs:uw"), PROP_ADDRESS)
+            .expect("via alias on the replica");
+        assert_eq!(got.as_item().expect("item"), &Value::U32(7));
+        // A later snapshot without the alias takes it away again.
+        replica.restore(db().snapshot());
+        assert!(replica.lookup(&name("hub:cs:uw"), PROP_ADDRESS).is_err());
     }
 
     #[test]

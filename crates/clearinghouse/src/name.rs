@@ -72,22 +72,6 @@ impl ThreePartName {
     pub fn domain_key(&self) -> (String, String) {
         (self.domain.clone(), self.organization.clone())
     }
-
-    /// Interns the canonical (lowercase, colon-joined) rendering of this
-    /// name in the global interner, returning its compact id. A
-    /// thread-local buffer keeps the warm path allocation-free.
-    pub fn interned(&self) -> intern::NameId {
-        use std::fmt::Write as _;
-        thread_local! {
-            static BUF: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-        }
-        BUF.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.clear();
-            let _ = write!(buf, "{self}");
-            intern::intern(&buf)
-        })
-    }
 }
 
 impl fmt::Display for ThreePartName {

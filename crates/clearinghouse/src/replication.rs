@@ -64,9 +64,15 @@ impl ChCluster {
     /// propagation cost proportional to the snapshot size.
     pub fn propagate(&self) {
         let snapshot = self.primary.with_db(|db| db.snapshot());
-        let size: usize = snapshot
+        let (entries, aliases) = &snapshot;
+        let size: usize = entries
             .iter()
             .map(|(n, e)| n.to_string().len() + e.len() * 16 + 8)
+            .chain(
+                aliases
+                    .iter()
+                    .map(|(alias, target)| alias.to_string().len() + target.to_string().len() + 8),
+            )
             .sum();
         for replica in &self.replicas {
             // One courier round trip plus bytes on the wire per replica.

@@ -244,9 +244,11 @@ impl RpcService for ChServer {
                 Ok(Value::List(values))
             }
             PROC_SNAPSHOT => {
-                let snapshot = self.db.read().snapshot();
+                // The entry dump only: replication, which needs the alias
+                // table too, is `ChCluster::propagate`'s in-process copy.
+                let (entries, _aliases) = self.db.read().snapshot();
                 Ok(Value::List(
-                    snapshot
+                    entries
                         .into_iter()
                         .map(|(n, e)| {
                             Value::record([

@@ -2,7 +2,7 @@
 //!
 //! The per-mapping [`HnsCache`](crate::cache::HnsCache) makes a warm
 //! `FindNSM` free of *remote* work, but the walk itself still runs all
-//! six mappings: five meta-key constructions, six shard probes and the
+//! six mappings: five meta-key constructions, six cache probes and the
 //! virtual-time bookkeeping of each. (The cached records themselves are
 //! typed and read by reference; a hit parses nothing.) At hundreds of
 //! thousands of queries per second that per-mapping tax *is* the hot
@@ -13,7 +13,7 @@
 //! constituent mapping entries** observed while the walk ran:
 //!
 //! * **(query class, context)** — all six mappings. A warm `FindNSM`
-//!   is one shard probe returning a `Copy` binding, nothing allocated.
+//!   is one probe returning a `Copy` binding, nothing allocated.
 //! * **(query class, name service)** — mappings 2–6, which are a
 //!   function of that pair alone: every context of one name service
 //!   shares them. This is the paper's "locality of reference to query

@@ -20,8 +20,8 @@
 //!   six cached remote lookups cold, recursion broken by linked
 //!   host-address NSMs; at most two remote round trips with batching
 //!   enabled), plus zone-transfer cache preload.
-//! * [`cache`] — the sharded, miss-coalescing marshalled/demarshalled TTL
-//!   cache of Table 3.2, with negative caching.
+//! * [`cache`] — the marshalled/demarshalled TTL cache of Table 3.2, with
+//!   negative caching.
 //! * [`binding_cache`] — an opt-in composed-result cache: a warm
 //!   `FindNSM` collapses to one probe returning the final binding,
 //!   fresh for the minimum TTL of the constituent mapping entries.
@@ -45,9 +45,7 @@ pub use intern;
 pub use simnet::obs;
 
 pub use binding_cache::{BindingCache, BindingCacheStats};
-pub use cache::{
-    CacheLookup, CacheMode, Cacheable, FetchTicket, HnsCache, HnsCacheStats, LookupOrFetch, MetaKey,
-};
+pub use cache::{CacheLookup, CacheMode, Cacheable, HnsCache, HnsCacheStats, MetaKey};
 pub use chaser::MetaChaser;
 pub use colocation::{AgentClient, AgentService, HnsClient, HnsHandle, HnsService};
 pub use error::{HnsError, HnsResult};

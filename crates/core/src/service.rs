@@ -39,7 +39,7 @@ use hrpc::{HrpcBinding, ProgramId, RpcError};
 use wire::Value;
 
 use crate::binding_cache::{BindingCache, BindingCacheStats};
-use crate::cache::{CacheMode, HnsCache, HnsCacheStats, LookupOrFetch, MetaKey};
+use crate::cache::{CacheLookup, CacheMode, HnsCache, HnsCacheStats, MetaKey};
 use crate::error::{HnsError, HnsResult};
 use crate::meta::{self, Chased, Fetch, Fetched, Kind, MetaRecord, MetaStore, Step};
 use crate::name::{Context, HnsName, NameMapping};
@@ -76,7 +76,7 @@ pub struct Hns {
 }
 
 /// Cached registry handles for the per-query metrics, resolved on first
-/// use so a query costs striped atomic ops — not registry lookups with
+/// use so a query costs atomic adds — not registry lookups with
 /// their key allocations and read locks — per metric update.
 #[derive(Default)]
 struct HnsMetricHandles {
@@ -335,8 +335,7 @@ impl Hns {
     }
 
     /// One cached fetch, the same for all six mappings: probe `key`; on a
-    /// miss enter the singleflight gate (one fetch per key at a time), run
-    /// `fetch` and cache what it returns. Comes back with the record — a
+    /// miss run `fetch` and cache what it returns. Comes back with the record — a
     /// demarshalled hit's is the cached one itself, neither copied nor
     /// parsed — and its remaining TTL in seconds, 0 when served stale, so a
     /// composed entry over it is uncacheable. What differs between the
@@ -351,59 +350,57 @@ impl Hns {
         fetch: impl FnOnce() -> HnsResult<Fetched<MetaRecord>>,
     ) -> HnsResult<(Arc<MetaRecord>, u32)> {
         let world = self.world();
-        // `lookup_or_fetch` loops through coalesced waits internally and
-        // annotates the current span with the cache outcome.
-        match self.cache.lookup_or_fetch(world, key) {
-            LookupOrFetch::Hit {
+        // `None` from a disabled cache: nothing probed, nothing to fall
+        // back on, nothing remembered.
+        let cached = self.storing_cache().map(|cache| (cache, key()));
+        match cached.map(|(cache, key)| cache.lookup(world, &key)) {
+            Some(CacheLookup::Hit {
                 value,
                 remaining_ttl_secs,
-            } => Ok((value, remaining_ttl_secs)),
-            LookupOrFetch::NegativeHit => Err(HnsError::Rpc(RpcError::NotFound(name.to_string()))),
-            LookupOrFetch::Lead(guard) => {
-                // `None` from a disabled cache: nothing to fall back on,
-                // nothing remembered.
-                let key = guard.key();
-                let fetched = match fetch() {
-                    Ok(fetched) => fetched,
-                    Err(HnsError::Rpc(err)) if err.is_unreachable() => {
-                        // Serve-stale (paper §4): the server is down or
-                        // cut off, but an expired entry may still be in
-                        // the cache — meta-naming data changes slowly and
-                        // an old host address still names the right host
-                        // far more often than not, so stale data beats no
-                        // data. The entry stays expired; the next walk
-                        // retries the fetch and a success overwrites it.
-                        let Some(stale) = key.and_then(|key| self.cache.lookup_stale(world, &key))
-                        else {
-                            return Err(HnsError::Rpc(err));
-                        };
-                        self.stale_serves.fetch_add(1, Ordering::Relaxed);
-                        world.cache_outcome(CacheOutcome::Stale);
-                        self.handles
-                            .stale_served
-                            .get(world.metrics(), "faults", "stale_served")
-                            .inc();
-                        world.trace(Some(self.host), TraceKind::Hns, || {
-                            format!("stale_served: {label} {name} ({err})")
-                        });
-                        return Ok((stale, 0));
-                    }
-                    Err(err) => {
-                        let absent = matches!(err, HnsError::Rpc(RpcError::NotFound(_)));
-                        if let Some(key) = key.filter(|_| remembered && absent) {
-                            self.cache.insert_negative(world, key);
-                        }
-                        return Err(err);
-                    }
-                };
-                let record = Arc::new(fetched.value);
-                if let Some(key) = key {
-                    self.cache
-                        .insert_shared(world, key, &record, fetched.rrs, fetched.ttl_secs);
-                }
-                Ok((record, fetched.ttl_secs))
+            }) => return Ok((value, remaining_ttl_secs)),
+            Some(CacheLookup::NegativeHit) => {
+                return Err(HnsError::Rpc(RpcError::NotFound(name.to_string())))
             }
+            Some(CacheLookup::Miss) => {}
+            None => world.cache_outcome(CacheOutcome::Miss),
         }
+        let fetched = match fetch() {
+            Ok(fetched) => fetched,
+            Err(HnsError::Rpc(err)) if err.is_unreachable() => {
+                // Serve-stale (paper §4): the server is down or cut off,
+                // but an expired entry may still be in the cache —
+                // meta-naming data changes slowly and an old host address
+                // still names the right host far more often than not, so
+                // stale data beats no data. The entry stays expired; the
+                // next walk retries the fetch and a success overwrites it.
+                let Some(stale) = cached.and_then(|(cache, key)| cache.lookup_stale(world, &key))
+                else {
+                    return Err(HnsError::Rpc(err));
+                };
+                self.stale_serves.fetch_add(1, Ordering::Relaxed);
+                world.cache_outcome(CacheOutcome::Stale);
+                self.handles
+                    .stale_served
+                    .get(world.metrics(), "faults", "stale_served")
+                    .inc();
+                world.trace(Some(self.host), TraceKind::Hns, || {
+                    format!("stale_served: {label} {name} ({err})")
+                });
+                return Ok((stale, 0));
+            }
+            Err(err) => {
+                let absent = matches!(err, HnsError::Rpc(RpcError::NotFound(_)));
+                if let Some((cache, key)) = cached.filter(|_| remembered && absent) {
+                    cache.insert_negative(world, key);
+                }
+                return Err(err);
+            }
+        };
+        let record = Arc::new(fetched.value);
+        if let Some((cache, key)) = cached {
+            cache.insert_shared(world, key, &record, fetched.rrs, fetched.ttl_secs);
+        }
+        Ok((record, fetched.ttl_secs))
     }
 
     /// Mappings 1–5: the record at `key` in the meta zone. The overlay

@@ -117,68 +117,54 @@ pub fn retry_backoff_ms(attempt: u32) -> f64 {
 /// Total reply-cache entries kept for at-most-once bookkeeping.
 const REPLY_CACHE_LIMIT: usize = 65_536;
 
-/// Shard count for [`ReplyCache`]; power of two.
-const REPLY_CACHE_SHARDS: usize = 16;
-
 #[derive(Default)]
-struct ReplyShard {
+struct ReplyTable {
     map: HashMap<(HostId, u64), Value>,
-    /// Insertion order, for FIFO eviction within the shard.
+    /// Insertion order, for FIFO eviction.
     order: VecDeque<(HostId, u64)>,
 }
 
 /// The at-most-once reply cache, keyed by (caller, call id).
 ///
-/// Lock-striped by call id (xids are sequential, so striping on the low
-/// bits spreads concurrent callers evenly), and each shard evicts its
-/// own oldest entries when it exceeds its share of the capacity. The
-/// seed design kept one global map and *cleared the whole table* at the
+/// One table that evicts its own oldest entries when it exceeds its
+/// capacity, so a reply stays answerable until `capacity` later calls
+/// have been cached. The seed design *cleared the whole table* at the
 /// limit — a burst of fresh calls could wipe the cached reply an
 /// in-flight retransmission still needed, silently re-executing a call
 /// the protocol promised to execute at most once.
 struct ReplyCache {
-    shards: Vec<Mutex<ReplyShard>>,
-    per_shard_cap: usize,
+    table: Mutex<ReplyTable>,
+    capacity: usize,
 }
 
 impl ReplyCache {
     fn new(capacity: usize) -> Self {
         ReplyCache {
-            shards: (0..REPLY_CACHE_SHARDS)
-                .map(|_| Mutex::new(ReplyShard::default()))
-                .collect(),
-            per_shard_cap: (capacity / REPLY_CACHE_SHARDS).max(1),
+            table: Mutex::new(ReplyTable::default()),
+            capacity,
         }
-    }
-
-    fn shard_index(key: &(HostId, u64)) -> usize {
-        key.1 as usize & (REPLY_CACHE_SHARDS - 1)
     }
 
     fn get(&self, key: &(HostId, u64)) -> Option<Value> {
-        self.shards[Self::shard_index(key)]
-            .lock()
-            .map
-            .get(key)
-            .cloned()
+        self.table.lock().map.get(key).cloned()
     }
 
     fn insert(&self, key: (HostId, u64), value: Value) {
-        let mut shard = self.shards[Self::shard_index(&key)].lock();
-        if shard.map.insert(key, value).is_none() {
-            shard.order.push_back(key);
+        let mut table = self.table.lock();
+        if table.map.insert(key, value).is_none() {
+            table.order.push_back(key);
         }
-        while shard.map.len() > self.per_shard_cap {
-            let Some(oldest) = shard.order.pop_front() else {
+        while table.map.len() > self.capacity {
+            let Some(oldest) = table.order.pop_front() else {
                 break;
             };
-            shard.map.remove(&oldest);
+            table.map.remove(&oldest);
         }
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.table.lock().map.len()
     }
 }
 
@@ -854,44 +840,34 @@ mod tests {
         assert_eq!(delta.remote_calls, 2);
     }
 
-    /// Satellite regression: under eviction pressure, an entry whose
-    /// shard is not over capacity must survive — the seed design cleared
-    /// the *entire* table at the limit, so unrelated traffic could wipe
-    /// the reply a retransmission still needed.
+    /// The at-most-once window: a reply is still answerable after
+    /// `capacity - 1` fresh calls have been cached behind it, whatever
+    /// their callers and call ids — the seed design cleared the *entire*
+    /// table at the limit, so a burst could wipe the reply a
+    /// retransmission still needed. The next insert is the one that
+    /// retires it.
     #[test]
-    fn reply_cache_entry_survives_pressure_on_other_shards() {
-        let cache = ReplyCache::new(64); // 4 entries per shard
+    fn reply_cache_entry_survives_a_burst_shorter_than_the_capacity() {
+        let cache = ReplyCache::new(64);
         let victim = (HostId(1), 0u64);
-        let victim_shard = ReplyCache::shard_index(&victim);
         cache.insert(victim, Value::U32(42));
-        // Flood every *other* shard far past its per-shard cap.
-        let mut flooded = 0;
-        let mut xid = 1u64;
-        while flooded < 1_000 {
-            let key = (HostId(2), xid);
-            xid += 1;
-            if ReplyCache::shard_index(&key) == victim_shard {
-                continue;
-            }
-            cache.insert(key, Value::Void);
-            flooded += 1;
+        for xid in 1..64 {
+            cache.insert((HostId(2), xid), Value::Void);
+            assert_eq!(cache.get(&victim), Some(Value::U32(42)), "after {xid}");
         }
-        assert_eq!(
-            cache.get(&victim),
-            Some(Value::U32(42)),
-            "pressure on other shards must not evict a live entry"
-        );
+        cache.insert((HostId(2), 64), Value::Void);
+        assert_eq!(cache.get(&victim), None);
+        assert_eq!(cache.len(), 64);
     }
 
     #[test]
-    fn reply_cache_evicts_oldest_within_a_full_shard() {
-        let cache = ReplyCache::new(64); // 4 entries per shard
-        let shard = REPLY_CACHE_SHARDS as u64; // stride keeps keys in shard 0
-        let keys: Vec<_> = (0..6).map(|i| (HostId(1), i * shard)).collect();
+    fn reply_cache_evicts_oldest_when_full() {
+        let cache = ReplyCache::new(4);
+        let keys: Vec<_> = (0..6).map(|i| (HostId(1), i)).collect();
         for (i, key) in keys.iter().enumerate() {
             cache.insert(*key, Value::U32(i as u32));
         }
-        // 6 inserts into a 4-entry shard: the two oldest are gone, the
+        // 6 inserts into a 4-entry table: the two oldest are gone, the
         // rest (and nothing else) remain.
         assert_eq!(cache.get(&keys[0]), None);
         assert_eq!(cache.get(&keys[1]), None);

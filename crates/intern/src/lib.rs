@@ -1,4 +1,4 @@
-//! A global lock-striped string interner.
+//! A global string interner.
 //!
 //! Name services touch the same handful of strings — query-class tags,
 //! context names, meta keys — millions of times, and at 10^6 registered
@@ -9,15 +9,13 @@
 //! else it travels as a [`NameId`] — a `u32` that hashes in one
 //! instruction, compares in one, and occupies four bytes in a cache key.
 //!
-//! The forward map (string → id) is striped over 16 shards so concurrent
-//! interning from resolver threads does not serialize; the reverse table
-//! (id → string) is a read-mostly `RwLock<Vec<Arc<str>>>` that writers
-//! only ever append to, so resolution never blocks behind interning of
-//! *other* shards. Ids are dense, stable for the life of the process,
-//! and never reused.
+//! The forward map (string → id) and the reverse table (id → string, a
+//! `Vec<Arc<str>>` that writers only ever append to) are each behind a
+//! read-mostly `RwLock`: a string already known is found under a read
+//! lock, and only a first sighting writes. Ids are dense, stable for the
+//! life of the process, and never reused.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -28,11 +26,9 @@ use parking_lot::RwLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NameId(pub u32);
 
-const SHARDS: usize = 16;
-
-/// A lock-striped string interner with a read-mostly reverse table.
+/// A string interner: a forward map beside a read-mostly reverse table.
 pub struct Interner {
-    shards: Vec<RwLock<HashMap<Arc<str>, NameId>>>,
+    forward: RwLock<HashMap<Arc<str>, NameId>>,
     reverse: RwLock<Vec<Arc<str>>>,
 }
 
@@ -40,25 +36,18 @@ impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Interner {
         Interner {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            forward: RwLock::new(HashMap::new()),
             reverse: RwLock::new(Vec::new()),
         }
     }
 
-    fn shard_of(s: &str) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        s.hash(&mut h);
-        (h.finish() as usize) % SHARDS
-    }
-
     /// Interns `s`, returning its stable id. Re-interning an already
-    /// known string takes only a shard read lock and never allocates.
+    /// known string takes only a read lock and never allocates.
     pub fn intern(&self, s: &str) -> NameId {
-        let shard = &self.shards[Self::shard_of(s)];
-        if let Some(&id) = shard.read().get(s) {
+        if let Some(id) = self.get(s) {
             return id;
         }
-        let mut map = shard.write();
+        let mut map = self.forward.write();
         if let Some(&id) = map.get(s) {
             return id;
         }
@@ -73,7 +62,7 @@ impl Interner {
 
     /// Looks up `s` without interning it; `None` if it was never seen.
     pub fn get(&self, s: &str) -> Option<NameId> {
-        self.shards[Self::shard_of(s)].read().get(s).copied()
+        self.forward.read().get(s).copied()
     }
 
     /// Resolves an id back to its string. Ids minted by this interner

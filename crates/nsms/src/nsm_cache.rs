@@ -44,7 +44,7 @@ impl NsmCache {
         }
         world.charge_ms(world.costs.cache_probe);
         let (outcome, value) = match self.map.probe(world.now(), key, Clone::clone) {
-            // The stripe lock is released: a marshalled entry is
+            // The map's lock is released: a marshalled entry is
             // demarshalled here, not under it.
             Probe::Live {
                 value: (stored, rrs),

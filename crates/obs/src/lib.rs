@@ -15,7 +15,7 @@
 //!   nest below those. Spans record sim-time latency, remote round
 //!   trips, and cache outcome; flat walkthrough events (the Figure 2.1
 //!   rendering) ride along inside whatever span is current.
-//! * [`metrics`] — a [`MetricsRegistry`] of lock-striped [`Counter`]s
+//! * [`metrics`] — a [`MetricsRegistry`] of atomic [`Counter`]s
 //!   and fixed-bucket [`Histogram`]s keyed by `(component, name)`, with
 //!   a deterministic [`MetricsSnapshot`] that renders as text or JSON.
 //!

@@ -1,12 +1,11 @@
-//! Unified metrics registry: lock-striped counters and fixed-bucket
-//! latency histograms keyed by `(component, name)`.
+//! Unified metrics registry: atomic counters and fixed-bucket latency
+//! histograms keyed by `(component, name)`.
 //!
 //! Components register metrics lazily through [`MetricsRegistry`]; the
 //! handles ([`Counter`], [`Histogram`]) are cheap `Arc`s that hot paths
-//! cache. Counters stripe their cells across cache lines so concurrent
-//! writers from different threads do not bounce a single word;
-//! histograms use atomic per-bucket counts, so concurrent `record`s are
-//! never lost (asserted by the concurrency tests below).
+//! cache. A counter is one atomic word and a histogram atomic per-bucket
+//! counts, so concurrent `inc`s and `record`s are never lost (asserted by
+//! the concurrency tests below).
 //!
 //! Histogram buckets are fixed at construction: exact buckets for
 //! values `0..64` (so small counts — round trips, record counts — are
@@ -56,39 +55,12 @@ pub(crate) fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// Stripe count for [`Counter`]; power of two.
-const STRIPES: usize = 8;
-
-/// One cache line per stripe so concurrent writers don't false-share.
-#[repr(align(64))]
-struct Stripe(AtomicU64);
-
-/// A monotone counter striped across cache lines.
-///
-/// `inc`/`add` touch one stripe chosen by the calling thread; `value`
-/// sums all stripes (a consistent total once writers are quiescent).
-pub struct Counter {
-    stripes: Vec<Stripe>,
-}
+/// A monotone counter: one atomic word that any thread may add to.
+pub struct Counter(AtomicU64);
 
 impl Counter {
     fn new() -> Self {
-        Counter {
-            stripes: (0..STRIPES).map(|_| Stripe(AtomicU64::new(0))).collect(),
-        }
-    }
-
-    fn stripe(&self) -> &AtomicU64 {
-        use std::hash::{Hash, Hasher};
-        thread_local! {
-            static STRIPE_IDX: usize = {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                std::thread::current().id().hash(&mut h);
-                h.finish() as usize
-            };
-        }
-        let idx = STRIPE_IDX.with(|i| *i) & (STRIPES - 1);
-        &self.stripes[idx].0
+        Counter(AtomicU64::new(0))
     }
 
     /// Adds one.
@@ -98,27 +70,21 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.stripe().fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total across all stripes.
+    /// Current total.
     pub fn value(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Overwrites the total (stripe 0 takes the value, the rest reset).
+    /// Overwrites the total.
     ///
     /// Used to export externally-maintained counters (for example
-    /// `HnsCacheStats`) into the registry at snapshot time; not safe to
-    /// mix with concurrent `add`s.
+    /// `HnsCacheStats`) into the registry at snapshot time; an `add`
+    /// racing it is either kept or overwritten.
     pub fn set(&self, v: u64) {
-        self.stripes[0].0.store(v, Ordering::Relaxed);
-        for s in &self.stripes[1..] {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 }
 
@@ -129,7 +95,7 @@ impl Counter {
 /// owns a `LazyCounter` field pays that once — the first increment
 /// registers the metric (so snapshots look exactly as if the component
 /// had called `inc` directly: a never-touched metric never appears) and
-/// later increments are a single striped atomic add.
+/// later increments are a single atomic add.
 #[derive(Default)]
 pub struct LazyCounter {
     cell: OnceLock<Arc<Counter>>,

@@ -66,14 +66,12 @@ impl fmt::Display for TraceKind {
 pub enum CacheOutcome {
     /// Served from a live cached entry.
     Hit,
-    /// Not cached; a fetch was required (this operation led it).
+    /// Not cached; a fetch was required.
     Miss,
     /// A cached entry existed but its TTL had lapsed.
     Expired,
     /// Served from a cached negative (known-absent) entry.
     NegativeHit,
-    /// Waited on another thread's in-flight fetch for the same key.
-    Coalesced,
     /// Served from a batch-prefetch overlay before touching the cache.
     Overlay,
     /// Served from an *expired* entry because the authoritative server
@@ -88,7 +86,6 @@ impl fmt::Display for CacheOutcome {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Expired => "expired",
             CacheOutcome::NegativeHit => "negative",
-            CacheOutcome::Coalesced => "coalesced",
             CacheOutcome::Overlay => "overlay",
             CacheOutcome::Stale => "stale",
         };
@@ -340,8 +337,8 @@ impl Tracer {
 
     /// Records the cache outcome on the calling thread's current span
     /// (no-op when disabled or outside any span). Later annotations
-    /// overwrite earlier ones, so a coalesced wait that later leads a
-    /// fetch reports the final outcome.
+    /// overwrite earlier ones, so a miss that ends served stale reports
+    /// the final outcome.
     pub fn annotate_cache(&self, outcome: CacheOutcome) {
         if !self.is_enabled() {
             return;
@@ -702,7 +699,7 @@ mod tests {
         let id = t
             .begin_span(0, Some(2), TraceKind::Hns, "q \"quoted\"".into())
             .unwrap();
-        t.annotate_cache(CacheOutcome::Coalesced);
+        t.annotate_cache(CacheOutcome::NegativeHit);
         t.add_round_trips(id, 6);
         t.end_span(id, 500);
         let traces = t.query_traces();
@@ -710,7 +707,7 @@ mod tests {
         let v = crate::json::parse(&json).expect("valid JSON");
         assert_eq!(v.get("round_trips").unwrap().as_u64(), Some(6));
         let spans = v.get("spans").unwrap().as_array().unwrap();
-        assert_eq!(spans[0].get("cache").unwrap().as_str(), Some("coalesced"));
+        assert_eq!(spans[0].get("cache").unwrap().as_str(), Some("negative"));
         assert_eq!(spans[0].get("name").unwrap().as_str(), Some("q \"quoted\""));
     }
 

@@ -22,15 +22,6 @@ pub trait Clock: Send + Sync {
     fn advance(&self, d: SimDuration);
 }
 
-/// Stripe count for [`VirtualClock`]; power of two.
-const STRIPES: usize = 8;
-
-/// One cache line per stripe so concurrent advances don't bounce a
-/// single word between cores.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ClockStripe(AtomicU64);
-
 /// Process-unique ids for clocks, so batched thread-local charges can
 /// never be mis-attributed to a different clock that happens to reuse
 /// a freed clock's address.
@@ -45,28 +36,21 @@ thread_local! {
 
 /// The standard monotonically-advancing virtual clock.
 ///
-/// Cheap to share (`Arc<VirtualClock>`), safe to advance from any thread.
-///
-/// Advances land on a per-thread stripe and `now()` sums all stripes,
-/// so concurrent chargers never contend on one cache line. Because
-/// addition commutes, single-threaded runs read exactly the same
-/// instants as the unstriped design, and a reader's successive `now()`
-/// calls are monotone: each stripe only grows, and per-location
-/// coherence guarantees a later load of a stripe never observes an
-/// older value than an earlier load, even with `Relaxed` ordering — so
-/// the sum never decreases for any single reader.
+/// Cheap to share (`Arc<VirtualClock>`), safe to advance from any thread:
+/// the elapsed time is one atomic word of microseconds that every advance
+/// adds to and every read loads. The word only grows, so a reader's
+/// successive `now()` calls are monotone even with `Relaxed` ordering.
 ///
 /// # Batched charging
 ///
 /// [`VirtualClock::set_batched`] turns per-charge shared-atomic updates
 /// into thread-local accumulation: `advance` adds to a thread-local
-/// pending cell and the pending total is flushed to this thread's
-/// stripe whenever the same thread calls `now()` (or
+/// pending cell and the pending total is flushed to the shared word
+/// whenever the same thread calls `now()` (or
 /// [`VirtualClock::flush_local`]). Because every read flushes first,
 /// a single-threaded run observes *exactly* the same sequence of
-/// instants as unbatched charging — golden outputs stay byte-identical
-/// — while hot loops that charge many times between reads skip the
-/// shared-cache-line traffic entirely. Cross-thread visibility of
+/// instants as unbatched charging — golden outputs stay byte-identical.
+/// Cross-thread visibility of
 /// another thread's still-pending charges lags until that thread reads
 /// or flushes; a thread that stops using a batched clock must call
 /// `flush_local` or its tail charges are dropped with the thread.
@@ -85,7 +69,7 @@ thread_local! {
 pub struct VirtualClock {
     id: u64,
     batched: AtomicBool,
-    stripes: [ClockStripe; STRIPES],
+    elapsed_us: AtomicU64,
 }
 
 impl Default for VirtualClock {
@@ -93,7 +77,7 @@ impl Default for VirtualClock {
         VirtualClock {
             id: NEXT_CLOCK_ID.fetch_add(1, Ordering::Relaxed),
             batched: AtomicBool::new(false),
-            stripes: Default::default(),
+            elapsed_us: AtomicU64::new(0),
         }
     }
 }
@@ -119,8 +103,8 @@ impl VirtualClock {
         self.batched.load(Ordering::Relaxed)
     }
 
-    /// Flushes the calling thread's pending batched charges into its
-    /// stripe. A no-op when nothing is pending.
+    /// Flushes the calling thread's pending batched charges into the
+    /// clock. A no-op when nothing is pending.
     pub fn flush_local(&self) {
         let pending =
             PENDING.with_borrow_mut(|v| match v.iter().position(|&(id, _)| id == self.id) {
@@ -128,22 +112,8 @@ impl VirtualClock {
                 None => 0,
             });
         if pending > 0 {
-            self.stripe().fetch_add(pending, Ordering::Relaxed);
+            self.elapsed_us.fetch_add(pending, Ordering::Relaxed);
         }
-    }
-
-    /// The stripe the calling thread charges against.
-    fn stripe(&self) -> &AtomicU64 {
-        use std::hash::{Hash, Hasher};
-        thread_local! {
-            static STRIPE_IDX: usize = {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                std::thread::current().id().hash(&mut h);
-                h.finish() as usize
-            };
-        }
-        let idx = STRIPE_IDX.with(|i| *i) & (STRIPES - 1);
-        &self.stripes[idx].0
     }
 
     /// Resets the clock to the origin. Intended for experiment harnesses
@@ -151,9 +121,7 @@ impl VirtualClock {
     /// batched charges are discarded with the elapsed time.
     pub fn reset(&self) {
         PENDING.with_borrow_mut(|v| v.retain(|&(id, _)| id != self.id));
-        for s in &self.stripes {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.elapsed_us.store(0, Ordering::Relaxed);
     }
 
     /// Measures the virtual time consumed by `f`.
@@ -169,12 +137,7 @@ impl Clock for VirtualClock {
         if self.batched() {
             self.flush_local();
         }
-        SimTime::from_us(
-            self.stripes
-                .iter()
-                .map(|s| s.0.load(Ordering::Relaxed))
-                .sum(),
-        )
+        SimTime::from_us(self.elapsed_us.load(Ordering::Relaxed))
     }
 
     fn advance(&self, d: SimDuration) {
@@ -185,7 +148,7 @@ impl Clock for VirtualClock {
                 None => v.push((self.id, us)),
             });
         } else {
-            self.stripe().fetch_add(us, Ordering::Relaxed);
+            self.elapsed_us.fetch_add(us, Ordering::Relaxed);
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   primitive in the paper.
 //! * [`trace`] — re-export of the [`obs`] span/event recorder used by the
 //!   Figure 2.1 walkthrough and the per-query flame breakdowns.
-//! * [`ttl`] — the TTL-cache core: the one lock-striped expiry map every
+//! * [`ttl`] — the TTL-cache core: the one expiry map every
 //!   cache in the workspace is built on.
 //! * [`world`] — the shared environment (clock + topology + costs + trace +
 //!   structural counters + the unified [`obs::MetricsRegistry`]).

@@ -1,4 +1,4 @@
-//! The TTL-cache core: one lock-striped expiry map under every cache.
+//! The TTL-cache core: one expiry map under every cache.
 //!
 //! "Cached data is tagged with a time-to-live field for cache invalidation.
 //! While this simplistic mechanism can cause cache consistency problems, it
@@ -7,49 +7,45 @@
 //!
 //! The paper has that one mechanism in three places ("both the HNS and the
 //! NSMs were modified to cache the results of remote lookups", plus the
-//! BIND resolver), so it is written once: [`TtlMap`] owns the stripes, the
-//! `now < expires_at` test, the retention rule, the capacity, the probe
-//! counters and the exporter. The HNS meta cache, the composed binding cache, the NSM result
-//! cache and the resolver's record cache each wrap one and add only what is
-//! theirs (storage forms, negative entries, the singleflight gate, min-TTL
-//! insert).
+//! BIND resolver), so it is written once: [`TtlMap`] owns the table and
+//! its lock, the `now < expires_at` test, the retention rule, the
+//! capacity, the probe counters and the exporter. The HNS meta cache, the
+//! composed binding cache, the NSM result cache and the resolver's record
+//! cache each wrap one and add only what is theirs (storage forms,
+//! negative entries, min-TTL insert).
 //!
 //! One behaviour, no options:
 //!
 //! * An entry is live while `now < expires_at`; at `now == expires_at` it
 //!   is expired.
 //! * An expired entry is hidden from [`TtlMap::probe`] but **retained**
-//!   until overwritten or until its stripe is full — it is what
+//!   until overwritten or until the map is full — it is what
 //!   [`TtlMap::probe_stale`] serves when the authoritative server is
 //!   unreachable (paper §4: naming data changes slowly, so stale data
 //!   beats no data).
-//! * A map holds at most [`CAPACITY`] entries, a sixteenth of them per
-//!   stripe. The bound is enforced in one place, the insert of a *new* key
-//!   into a full stripe, by one rule: every expired entry of that stripe
-//!   goes, and if that frees less than an eighth of it, the live entries
-//!   soonest to expire go too until an eighth is free. An overwrite never
-//!   evicts, a probe never does, and while a stripe has room nothing is
-//!   ever dropped: a cache that never fills behaves as if it had no bound.
+//! * A map holds at most [`CAPACITY`] entries. The bound is enforced in
+//!   one place, the insert of a *new* key into a full map, by one rule:
+//!   every expired entry goes, and if that frees less than an eighth of
+//!   the map, the live entries soonest to expire go too until an eighth is
+//!   free. An overwrite never evicts, a probe never does, and while the
+//!   map has room nothing is ever dropped: a cache that never fills
+//!   behaves as if it had no bound.
 //! * Every [`TtlMap::probe`] moves exactly one of `hits` / `absent` /
 //!   `expired`; the first probe to see an entry expired also moves
 //!   `expirations`, once per entry lifetime.
-//! * A value is handed to a caller-supplied reader while the stripe is
+//! * A value is handed to a caller-supplied reader while the map is
 //!   locked; readers clone a handle out (`Arc`, `Copy` data) and do any
 //!   real work — a demarshal — after the lock is released.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use obs::MetricsRegistry;
 use parking_lot::Mutex;
 
 use crate::time::{SimDuration, SimTime};
-
-/// Number of independently locked stripes.
-const STRIPES: usize = 16;
 
 /// The most entries one [`TtlMap`] holds, expired ones included: every
 /// cache in the tower has this bound and no way to choose another.
@@ -103,7 +99,7 @@ pub struct TtlStats<T = u64> {
     pub inserts: T,
     /// Expired entries handed out by [`TtlMap::probe_stale`].
     pub stale_serves: T,
-    /// Entries dropped to make room in a full stripe, expired or live.
+    /// Entries dropped to make room in a full map, expired or live.
     pub evictions: T,
     /// Entries resident now, expired ones included.
     pub resident: T,
@@ -113,31 +109,25 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-type Stripe<K, V> = HashMap<K, Slot<V>>;
+type Entries<K, V> = HashMap<K, Slot<V>>;
 
-fn stripe_of<Q: Hash + ?Sized>(key: &Q) -> usize {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % STRIPES
-}
-
-/// The capacity rule, run on a full stripe about to take a new key: drops
+/// The capacity rule, run on a full map about to take a new key: drops
 /// every entry expired at `now`, then — only if that freed less than an
-/// eighth of the stripe — the live entries soonest to expire, until an
-/// eighth is free. Returns how many entries went. One pass over a stripe
-/// buys room for an eighth of a stripe of inserts.
-fn make_room<K, V>(stripe: &mut Stripe<K, V>, now: SimTime) -> usize {
-    let full = stripe.len();
-    stripe.retain(|_, slot| now < slot.expires_at);
+/// eighth of the map — the live entries soonest to expire, until an
+/// eighth is free. Returns how many entries went. One pass over the map
+/// buys room for an eighth of a map of inserts.
+fn make_room<K, V>(entries: &mut Entries<K, V>, now: SimTime) -> usize {
+    let full = entries.len();
+    entries.retain(|_, slot| now < slot.expires_at);
     let keep = full - (full / 8).max(1);
-    if stripe.len() > keep {
-        let excess = stripe.len() - keep;
-        let mut expiries: Vec<SimTime> = stripe.values().map(|slot| slot.expires_at).collect();
+    if entries.len() > keep {
+        let excess = entries.len() - keep;
+        let mut expiries: Vec<SimTime> = entries.values().map(|slot| slot.expires_at).collect();
         let (sooner, cutoff, _) = expiries.select_nth_unstable(excess - 1);
         let cutoff = *cutoff;
         // Entries that expire at the cutoff itself go only as far as needed.
         let mut at_cutoff = excess - sooner.iter().filter(|at| **at < cutoff).count();
-        stripe.retain(|_, slot| {
+        entries.retain(|_, slot| {
             if slot.expires_at == cutoff && at_cutoff > 0 {
                 at_cutoff -= 1;
                 return false;
@@ -145,47 +135,43 @@ fn make_room<K, V>(stripe: &mut Stripe<K, V>, now: SimTime) -> usize {
             slot.expires_at >= cutoff
         });
     }
-    full - stripe.len()
+    full - entries.len()
 }
 
-/// A lock-striped map whose entries expire in virtual time.
+/// A map, behind one lock, whose entries expire in virtual time.
 pub struct TtlMap<K, V> {
-    stripes: Vec<Mutex<Stripe<K, V>>>,
-    /// Entries one stripe holds before an insert makes room.
-    stripe_capacity: usize,
+    entries: Mutex<Entries<K, V>>,
+    /// Entries the map holds before an insert makes room.
+    capacity: usize,
     counters: TtlStats<AtomicU64>,
 }
 
 impl<K: Hash + Eq, V> Default for TtlMap<K, V> {
     fn default() -> Self {
-        Self::with_stripe_capacity(CAPACITY / STRIPES)
+        Self::with_capacity(CAPACITY)
     }
 }
 
 impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// Tests reach the bound with a small one; everything else gets
     /// [`CAPACITY`] through `default`.
-    fn with_stripe_capacity(stripe_capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         TtlMap {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-            stripe_capacity,
+            entries: Mutex::new(HashMap::new()),
+            capacity,
             counters: TtlStats::default(),
         }
     }
 
-    fn stripe<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Stripe<K, V>> {
-        &self.stripes[stripe_of(key)]
-    }
-
     /// Probes `key` at virtual time `now`, handing a live value to `read`
-    /// under the stripe lock. Counts one of hits / absent / expired.
+    /// under the lock. Counts one of hits / absent / expired.
     pub fn probe<Q, R>(&self, now: SimTime, key: &Q, read: impl FnOnce(&V) -> R) -> Probe<R>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut stripe = self.stripe(key).lock();
-        match stripe.get_mut(key) {
+        let mut entries = self.entries.lock();
+        match entries.get_mut(key) {
             Some(slot) if now < slot.expires_at => {
                 bump(&self.counters.hits);
                 Probe::Live {
@@ -230,8 +216,8 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let stripe = self.stripe(key).lock();
-        let slot = stripe.get(key).filter(|slot| now >= slot.expires_at)?;
+        let entries = self.entries.lock();
+        let slot = entries.get(key).filter(|slot| now >= slot.expires_at)?;
         let value = read(&slot.value)?;
         bump(&self.counters.stale_serves);
         Some((value, now.since(slot.expires_at)))
@@ -249,14 +235,14 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let stripe = self.stripe(key).lock();
-        let slot = stripe.get(key).filter(|slot| now < slot.expires_at)?;
+        let entries = self.entries.lock();
+        let slot = entries.get(key).filter(|slot| now < slot.expires_at)?;
         Some((read(&slot.value), slot.remaining_secs(now)))
     }
 
     /// Inserts `value` under `key`, valid for `ttl_secs` from `now`. An
     /// existing entry — live or expired — is overwritten in place; a new
-    /// key finding its stripe full makes room first (the module's
+    /// key finding the map full makes room first (the module's
     /// capacity rule), which is the only time anything is evicted.
     pub fn insert(&self, now: SimTime, key: K, value: V, ttl_secs: u32) {
         let slot = Slot {
@@ -264,15 +250,15 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
             expires_at: now + SimDuration::from_ms(u64::from(ttl_secs) * 1000),
             expiry_seen: false,
         };
-        let mut stripe = self.stripe(&key).lock();
-        if stripe.len() >= self.stripe_capacity && !stripe.contains_key(&key) {
-            let evicted = make_room(&mut stripe, now) as u64;
+        let mut entries = self.entries.lock();
+        if entries.len() >= self.capacity && !entries.contains_key(&key) {
+            let evicted = make_room(&mut entries, now) as u64;
             self.counters
                 .evictions
                 .fetch_add(evicted, Ordering::Relaxed);
             self.counters.resident.fetch_sub(evicted, Ordering::Relaxed);
         }
-        if stripe.insert(key, slot).is_none() {
+        if entries.insert(key, slot).is_none() {
             bump(&self.counters.resident);
         }
         bump(&self.counters.inserts);
@@ -286,7 +272,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        if self.stripe(key).lock().remove(key).is_some() {
+        if self.entries.lock().remove(key).is_some() {
             self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         }
         self.counters.hits.fetch_sub(1, Ordering::Relaxed);
@@ -295,13 +281,11 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
 
     /// Drops every entry; the counters keep running.
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            let mut stripe = stripe.lock();
-            self.counters
-                .resident
-                .fetch_sub(stripe.len() as u64, Ordering::Relaxed);
-            stripe.clear();
-        }
+        let mut entries = self.entries.lock();
+        self.counters
+            .resident
+            .fetch_sub(entries.len() as u64, Ordering::Relaxed);
+        entries.clear();
     }
 
     /// Entries resident, expired ones included; never more than
@@ -313,10 +297,8 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// Entries not yet observed expired — what a cache that evicted on
     /// expiry would report as its size.
     pub fn live(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().values().filter(|slot| !slot.expiry_seen).count())
-            .sum()
+        let entries = self.entries.lock();
+        entries.values().filter(|slot| !slot.expiry_seen).count()
     }
 
     /// Counter snapshot.
@@ -339,8 +321,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// [`TtlMap::stats`]), `stale_serves`, and `evictions` with
     /// `resident`. Those are registered only once `stale_serves`, resp.
     /// `evictions`, is nonzero, so the snapshot of a run with no fault and
-    /// no full stripe stays byte-for-byte what it was before either
-    /// existed.
+    /// no full map stays byte-for-byte what it was before either existed.
     pub fn export(&self, metrics: &MetricsRegistry, component: &str, view: &[(&str, u64)]) {
         for (name, value) in view {
             metrics.set_counter(component, name, *value);
@@ -371,7 +352,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// The reference the striped map is checked against: one ordered map
+    /// The reference the map is checked against: one ordered map
     /// of `key -> (value, expires_at, expiry seen)` and plain counters.
     #[derive(Default)]
     struct Model {
@@ -392,7 +373,7 @@ mod tests {
         /// step. Clock steps and TTLs are whole and half seconds, so
         /// `now == expires_at` (expired) comes up constantly.
         #[test]
-        fn striped_map_matches_the_naive_model(
+        fn map_matches_the_naive_model(
             ops in proptest::collection::vec((0u8..9, 0u8..12, any::<u32>(), 0u32..4), 1..150),
         ) {
             let map: TtlMap<u8, u32> = TtlMap::default();
@@ -481,36 +462,33 @@ mod tests {
 
     proptest! {
         /// The capacity rule against the same kind of model, on a map
-        /// small enough to fill (4 entries a stripe, 256 keys): the model
-        /// learns what an insert dropped by asking the map which of the
-        /// stripe's keys it still holds, and checks that against the rule
+        /// small enough to fill (4 entries, 256 keys): the model learns
+        /// what an insert dropped by asking the map which of its keys it
+        /// still holds, and checks that against the rule
         /// — it cannot predict *which* of several entries expiring at the
         /// same instant went, only how many.
         #[test]
-        fn a_full_stripe_sheds_expired_entries_first_and_the_soonest_to_expire_next(
+        fn a_full_map_sheds_expired_entries_first_and_the_soonest_to_expire_next(
             ops in proptest::collection::vec((0u8..4, any::<u8>(), 0u32..6), 1..400),
         ) {
-            const STRIPE_CAPACITY: usize = 4;
-            let map: TtlMap<u8, u32> = TtlMap::with_stripe_capacity(STRIPE_CAPACITY);
-            let holds = |key: u8| map.stripe(&key).lock().contains_key(&key);
+            const CAPACITY: usize = 4;
+            let map: TtlMap<u8, u32> = TtlMap::with_capacity(CAPACITY);
+            let holds = |key: u8| map.entries.lock().contains_key(&key);
             let mut model: BTreeMap<u8, SimTime> = BTreeMap::new();
             let mut evictions = 0;
             let mut now = SimTime::ZERO;
             for (op, key, n) in ops {
                 match op {
                     0 | 1 => {
-                        let stripe: Vec<(u8, SimTime)> = model
-                            .iter()
-                            .filter(|(k, _)| stripe_of(*k) == stripe_of(&key))
-                            .map(|(k, at)| (*k, *at))
-                            .collect();
+                        let before: Vec<(u8, SimTime)> =
+                            model.iter().map(|(k, at)| (*k, *at)).collect();
                         map.insert(now, key, u32::from(key), n);
                         let (kept, dropped): (Vec<_>, Vec<_>) =
-                            stripe.iter().partition(|(k, _)| holds(*k));
-                        if stripe.len() < STRIPE_CAPACITY || model.contains_key(&key) {
+                            before.iter().partition(|(k, _)| holds(*k));
+                        if before.len() < CAPACITY || model.contains_key(&key) {
                             prop_assert!(dropped.is_empty(), "evicted with room, or on overwrite");
                         } else {
-                            let expired = stripe.iter().filter(|(_, at)| now >= *at).count();
+                            let expired = before.iter().filter(|(_, at)| now >= *at).count();
                             prop_assert_eq!(dropped.len(), expired.max(1));
                             // Only if no expired entry was there to take
                             // did a live one go, and then the soonest.
@@ -541,27 +519,25 @@ mod tests {
                 }
                 prop_assert_eq!(map.resident(), model.len());
                 prop_assert_eq!(map.stats().evictions, evictions);
-                for stripe in &map.stripes {
-                    prop_assert!(stripe.lock().len() <= STRIPE_CAPACITY);
-                }
+                prop_assert!(map.entries.lock().len() <= CAPACITY);
             }
         }
     }
 
-    /// At a realistic stripe size the rule frees an eighth: a stripe of
-    /// live entries loses exactly its soonest-to-expire eighth, one whose
+    /// At a realistic size the rule frees an eighth: a map of live
+    /// entries loses exactly its soonest-to-expire eighth, one whose
     /// expired entries already make up an eighth loses only those.
     #[test]
-    fn a_full_stripe_frees_an_eighth() {
-        let map: TtlMap<u64, u64> = TtlMap::with_stripe_capacity(64);
-        let mut keys = (0u64..).filter(|k| stripe_of(k) == 0);
+    fn a_full_map_frees_an_eighth() {
+        let map: TtlMap<u64, u64> = TtlMap::with_capacity(64);
+        let mut keys = 0u64..;
         // TTLs 1..=64 s, so the key inserted i-th expires i-th.
         let filled: Vec<u64> = keys.by_ref().take(64).collect();
         for (i, key) in filled.iter().enumerate() {
             map.insert(SimTime::ZERO, *key, *key, i as u32 + 1);
         }
         assert_eq!((map.resident(), map.stats().evictions), (64, 0));
-        let holds = |key: &u64| map.stripe(key).lock().contains_key(key);
+        let holds = |key: &u64| map.entries.lock().contains_key(key);
 
         // All live: the eight soonest to expire go.
         map.insert(SimTime::ZERO, keys.next().expect("key"), 0, 100);
@@ -598,9 +574,9 @@ mod tests {
 
     #[test]
     fn export_publishes_evictions_and_resident_only_once_something_was_evicted() {
-        let map: TtlMap<u64, u64> = TtlMap::with_stripe_capacity(2);
+        let map: TtlMap<u64, u64> = TtlMap::with_capacity(2);
         let metrics = MetricsRegistry::new();
-        let mut keys = (0u64..).filter(|k| stripe_of(k) == 0);
+        let mut keys = 0u64..;
         for key in keys.by_ref().take(2) {
             map.insert(SimTime::ZERO, key, key, 1);
         }
@@ -615,8 +591,8 @@ mod tests {
         assert_eq!(snap.counter("c", "resident"), Some(2));
     }
 
-    /// Eight threads on disjoint keys of one map: the stripes must lose
-    /// no update, so the totals come out exact.
+    /// Eight threads on disjoint keys of one map: the lock must lose no
+    /// update, so the totals come out exact.
     #[test]
     fn concurrent_totals_are_exact() {
         const THREADS: u64 = 8;

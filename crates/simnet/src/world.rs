@@ -104,7 +104,7 @@ impl std::fmt::Debug for CacheExporters {
 
 /// Cached registry handles for the `net` mirror counters, so the
 /// per-call accounting in [`World::count_remote_call`] and friends costs
-/// one striped atomic add instead of a registry lookup (two `String`
+/// one atomic add instead of a registry lookup (two `String`
 /// allocations plus a read lock) per call.
 #[derive(Debug, Default)]
 struct NetHandles {

@@ -1,7 +1,7 @@
 //! The behaviours every cache gets from the one TTL-cache core
 //! (`simnet::ttl::TtlMap`), driven through the four public caches from
 //! one table. What only one cache does — Table 3.2 charges, negative
-//! entries, the singleflight gate, min-TTL insert, the composed-TTL rule —
+//! entries, min-TTL insert, the composed-TTL rule —
 //! is tested next to that cache; the core itself is checked against a
 //! naive model in `crates/simnet/src/ttl.rs`.
 
@@ -79,7 +79,6 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
             }),
             export: Box::new(|m| hns.export_metrics(m, "c")),
             exported: &[
-                "coalesced",
                 "entries",
                 "expired",
                 "hits",
