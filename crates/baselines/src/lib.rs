@@ -8,6 +8,7 @@
 //!   absorption cost, staleness windows, and the cross-system name
 //!   conflicts that direct access avoids by construction.
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod interim;
 pub mod rereg_ch;

@@ -180,7 +180,7 @@ impl Scenario {
         let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
         let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
         let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
-        let importer = Importer::new(
+        let mut importer = Importer::new(
             Arc::clone(&tb.net),
             tb.hosts.client,
             HnsHandle::Linked(Arc::clone(&warm)),

@@ -16,15 +16,11 @@
 //! (clock, metrics, fault plan), public BIND, Clearinghouse, meta BIND,
 //! NSMs, warm and cold HNS instances, importer, RNG, and latency
 //! histogram. Nothing mutable is shared across threads on the measured
-//! path. Two per-worker switches are on, as in any fast configuration:
-//!
-//! * the **composed binding cache** (see `hns_core::binding_cache`): a
-//!   warm `FindNSM` collapses from six mapping probes with re-parsing
-//!   to one probe returning a `Copy` binding (or, once that entry has
-//!   lapsed, mapping 1 plus one probe for mappings 2–6), and
-//! * **batched virtual-time charging** (`VirtualClock::set_batched`):
-//!   cost charges accumulate thread-locally and flush on read, so hot
-//!   loops skip shared-cache-line traffic.
+//! path. One per-worker switch is on, as in any fast configuration: the
+//! **composed binding cache** (see `hns_core::binding_cache`), with
+//! which a warm `FindNSM` collapses from six mapping probes with
+//! re-parsing to one probe returning a `Copy` binding (or, once that
+//! entry has lapsed, mapping 1 plus one probe for mappings 2–6).
 //!
 //! Per operation a worker draws a (context, query class) pair from the
 //! Zipf sampler and issues, by configured mix: a **warm** `FindNSM`
@@ -333,8 +329,7 @@ fn build_worker_stack(config: &LoadConfig) -> WorkerStack {
 }
 
 /// Builds one private stack per worker, optionally crashing each
-/// shard's meta server, and switches each world to batched charging for
-/// the measured run.
+/// shard's meta server for the measured run.
 fn build_shards(threads: usize, config: &LoadConfig) -> Vec<WorkerStack> {
     (0..threads)
         .map(|_| {
@@ -349,7 +344,6 @@ fn build_shards(threads: usize, config: &LoadConfig) -> Vec<WorkerStack> {
                 plan.crash(stack.tb.hosts.meta, stack.tb.world.now(), None);
                 stack.tb.world.set_faults(Some(plan));
             }
-            stack.tb.world.clock.set_batched(true);
             stack
         })
         .collect()

@@ -316,9 +316,6 @@ pub fn run_open(config: &LoadConfig, offered_qps: f64) -> OpenRunResult {
                         w.sojourn_sum_ns += sojourn;
                         w.sojourn_max_ns = w.sojourn_max_ns.max(sojourn);
                     }
-                    // Batched charges would die with this thread
-                    // otherwise; flush so post-run reads see them.
-                    stack.tb.world.clock.flush_local();
                     out
                 })
             })

@@ -1,10 +1,9 @@
 //! The load engine must not perturb the virtual-time goldens.
 //!
-//! The sharded dispatch work (composed binding cache, batched
-//! virtual-time charging, per-worker worlds) is pure throughput
-//! machinery: it must never change what the simulation *computes*. This
-//! test drives an 8-thread open-loop run — binding cache on, batched
-//! charging on, worker-striped clocks hot — and then re-renders the
+//! The sharded dispatch work (composed binding cache, per-worker
+//! worlds) is pure throughput machinery: it must never change what the
+//! simulation *computes*. This test drives an 8-thread open-loop run —
+//! binding cache on — and then re-renders the
 //! flagship deterministic experiments in the same process, asserting
 //! they are byte-identical to the committed output and to a fresh
 //! render. Any leakage from the load path into simulation semantics

@@ -17,14 +17,13 @@
 //! * [`axfr`] — zone transfer and secondary servers (also the HNS cache
 //!   preload mechanism).
 //! * [`update`] — dynamic update operations.
-//! * [`master`] — a minimal master-file parser for fixtures.
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod axfr;
 pub mod cache;
 pub mod db;
 pub mod error;
-pub mod master;
 pub mod message;
 pub mod name;
 pub mod recursive;

@@ -97,6 +97,10 @@ impl DomainName {
     /// below this one. This name is valid already, so only the new labels
     /// and the total length are checked, and the text is assembled on the
     /// stack: one allocation, the name's own.
+    #[expect(
+        clippy::expect_used,
+        reason = "`check_labels` admits ASCII only and this name is valid already"
+    )]
     pub fn child(&self, labels: &str) -> NsResult<DomainName> {
         let below = labels.len();
         let total = below + usize::from(!self.is_root()) * (1 + self.text.len());

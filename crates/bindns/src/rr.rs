@@ -196,17 +196,15 @@ impl RData {
             }
             OPAQUE_TAG => Ok(RData::Opaque(rest.into())),
             4 => {
-                if rest.len() < 8 {
-                    return Err(NsError::BadRecord("short SOA rdata".into()));
-                }
-                let serial = u32::from_be_bytes(rest[0..4].try_into().expect("4 bytes"));
-                let default_ttl = u32::from_be_bytes(rest[4..8].try_into().expect("4 bytes"));
-                let s = std::str::from_utf8(&rest[8..])
+                let short = || NsError::BadRecord("short SOA rdata".into());
+                let (serial, rest) = rest.split_first_chunk::<4>().ok_or_else(short)?;
+                let (default_ttl, rest) = rest.split_first_chunk::<4>().ok_or_else(short)?;
+                let s = std::str::from_utf8(rest)
                     .map_err(|_| NsError::BadRecord("bad SOA primary".into()))?;
                 Ok(RData::Soa {
                     primary: DomainName::parse(s)?,
-                    serial,
-                    default_ttl,
+                    serial: u32::from_be_bytes(*serial),
+                    default_ttl: u32::from_be_bytes(*default_ttl),
                 })
             }
             other => Err(NsError::BadRecord(format!("unknown rdata tag {other}"))),

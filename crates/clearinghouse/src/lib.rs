@@ -12,6 +12,7 @@
 //! * [`client`] — a typed client over the Courier suite.
 //! * [`replication`] — lazy primary/replica propagation.
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod auth;
 pub mod client;

@@ -303,7 +303,7 @@ fn pin_serve_stale(tb: &Testbed, rng: &mut DetRng, seed: u64, composed: bool) {
 fn pin_nsm_failover(tb: &Testbed, rng: &mut DetRng, seed: u64) {
     let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
     let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    let imp = Importer::new(
+    let mut imp = Importer::new(
         Arc::clone(&tb.net),
         tb.hosts.client,
         HnsHandle::Linked(Arc::clone(&warm)),

@@ -89,7 +89,6 @@ fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {
 fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    tb.world.clock.set_batched(true);
     let qc = QueryClass::hrpc_binding();
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
 

@@ -114,19 +114,6 @@ impl HnsClient {
         self.host
     }
 
-    /// Toggles the batched meta pipeline on the underlying HNS instance.
-    /// Only applies to [`HnsHandle::Linked`] handles; returns whether the
-    /// setting took effect (remote servers manage their own flag).
-    pub fn set_batching(&self, enabled: bool) -> bool {
-        match &self.handle {
-            HnsHandle::Linked(hns) => {
-                hns.set_batching(enabled);
-                true
-            }
-            HnsHandle::Remote(_) => false,
-        }
-    }
-
     /// Calls `FindNSM`.
     pub fn find_nsm(&self, qc: &QueryClass, name: &HnsName) -> HnsResult<HrpcBinding> {
         match &self.handle {

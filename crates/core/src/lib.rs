@@ -28,6 +28,7 @@
 //! * [`colocation`] — linked / remote / agent arrangements of Table 3.1.
 //! * [`analysis`] — equation (1) and the preload break-even model.
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod analysis;
 pub mod binding_cache;

@@ -463,6 +463,10 @@ impl Step<'_> {
     /// from, so a name that is not [`keyable`] is refused, and so is a
     /// name service that would let two (name service, query class) pairs
     /// meet across the `--` that joins them.
+    #[expect(
+        clippy::expect_used,
+        reason = "every byte written is a kind label, `.`, `--` or passed `key_byte`: ASCII"
+    )]
     pub(crate) fn key(&self, origin: &DomainName) -> HnsResult<DomainName> {
         let (kind, about, splits): (Kind, &[&str], bool) = match self {
             Step::Context(context) | Step::HostContext(context) => {

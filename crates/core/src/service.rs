@@ -60,10 +60,9 @@ pub struct Hns {
     /// Composed `FindNSM` results (off by default; see
     /// [`crate::binding_cache`]).
     binding_cache: Arc<BindingCache>,
-    /// Linked NSM registry. Read-mostly: linking happens at deployment,
-    /// mapping 6 reads on every cold walk. Readers take an `Arc`
-    /// snapshot; writers rebuild and swap.
-    linked_nsms: RwLock<Arc<HashMap<String, Arc<dyn Nsm>>>>,
+    /// Linked NSM registry, by NSM name. Mapping 6 clones out the one
+    /// NSM it calls and releases the lock before calling it.
+    linked_nsms: RwLock<HashMap<String, Arc<dyn Nsm>>>,
     batching: AtomicBool,
     handles: HnsMetricHandles,
     /// Serve-stale fallbacks performed, for the per-query
@@ -180,7 +179,7 @@ impl Hns {
             meta_binding,
             cache,
             binding_cache,
-            linked_nsms: RwLock::new(Arc::new(HashMap::new())),
+            linked_nsms: RwLock::default(),
             batching: AtomicBool::new(false),
             handles: HnsMetricHandles::default(),
             stale_serves: AtomicU64::new(0),
@@ -223,10 +222,9 @@ impl Hns {
     /// Links an NSM instance directly with this HNS (the recursion-breaking
     /// arrangement for host-address NSMs).
     pub fn link_nsm(&self, nsm: Arc<dyn Nsm>) {
-        let mut nsms = self.linked_nsms.write();
-        let mut next = HashMap::clone(&nsms);
-        next.insert(nsm.nsm_name().to_string(), nsm);
-        *nsms = Arc::new(next);
+        self.linked_nsms
+            .write()
+            .insert(nsm.nsm_name().to_string(), nsm);
     }
 
     /// Registers a context with its name service and name mapping.
@@ -425,7 +423,9 @@ impl Hns {
         let (info, ha_nsm_name) = (chased.info, chased.host_addr_nsm);
         let (host_ns, host_name) = (&chased.host_context.name_service, &info.host_name);
         let fetch = || {
-            let linked = Arc::clone(&self.linked_nsms.read())
+            let linked = self
+                .linked_nsms
+                .read()
                 .get(ha_nsm_name)
                 .cloned()
                 .ok_or_else(|| HnsError::NoLinkedHostAddrNsm(host_ns.to_string()))?;

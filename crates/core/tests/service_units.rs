@@ -169,6 +169,53 @@ fn linked_hns_resolves_via_stub_nsm() {
     assert_eq!(reply, Value::str("echo:any-entity"));
 }
 
+/// A host-address NSM that links another NSM into its own HNS while it
+/// answers.
+struct RelinkingHostAddr {
+    hns: std::sync::OnceLock<std::sync::Weak<Hns>>,
+    answers: StubHostAddr,
+}
+
+impl Nsm for RelinkingHostAddr {
+    fn nsm_name(&self) -> &str {
+        self.answers.name
+    }
+    fn query_class(&self) -> QueryClass {
+        QueryClass::host_address()
+    }
+    fn handle(&self, hns_name: &HnsName, args: &Value) -> Result<Value, RpcError> {
+        let hns = self.hns.get().and_then(std::sync::Weak::upgrade);
+        hns.expect("set before the first query")
+            .link_nsm(Arc::new(StubEcho));
+        self.answers.handle(hns_name, args)
+    }
+}
+
+/// Mapping 6 holds no lock on the linked-NSM table while the NSM runs: a
+/// linked NSM that links another from inside `handle` completes.
+#[test]
+fn a_linked_nsm_may_link_another_from_inside_handle() {
+    let env = env();
+    let hns = make_hns(&env, env.client, CacheMode::Demarshalled);
+    let relinking = Arc::new(RelinkingHostAddr {
+        hns: std::sync::OnceLock::new(),
+        answers: StubHostAddr {
+            name: "nsm-hostaddress-stub",
+            table: vec![("nsm-server".to_string(), env.nsm_host.0)],
+        },
+    });
+    relinking
+        .hns
+        .set(Arc::downgrade(&hns))
+        .expect("set exactly once");
+    hns.link_nsm(relinking);
+    register_echo(&env, &hns);
+    let binding = hns
+        .find_nsm(&QueryClass::new("Echo"), &echo_name())
+        .expect("find");
+    assert_eq!(binding.host, env.nsm_host);
+}
+
 /// A second context of the same name service shares mappings 2-6 with
 /// the first, for exactly as long as the earliest of them is valid.
 #[test]

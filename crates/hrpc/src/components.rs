@@ -8,9 +8,9 @@
 //! call-time. The set of protocols to be used is determined dynamically at
 //! bind-time."
 //!
-//! Stubs live in [`crate::stub`]; the other four are value types here, so a
-//! [`ComponentSet`] can be carried inside a binding, cached, and sent over
-//! the wire.
+//! The stub is whoever calls [`crate::net::RpcNet::call`]; the other four are
+//! value types here, so a [`ComponentSet`] can be carried inside a binding,
+//! cached, and sent over the wire.
 
 use simnet::costs::RpcSuiteKind;
 use wire::WireFormat;

@@ -13,7 +13,6 @@
 //!   virtual-time charging, built-in portmapper and Courier exchange,
 //!   datagram loss injection.
 //! * [`bindproto`] — port determination per native binding protocol.
-//! * [`stub`] — client stubs with optional interface-typed replies.
 //! * [`server`] — the service trait and a closure-based service builder.
 //!
 //! # Examples
@@ -24,7 +23,6 @@
 //! use hrpc::components::ComponentSet;
 //! use hrpc::net::RpcNet;
 //! use hrpc::server::ProcServer;
-//! use hrpc::stub::ClientStub;
 //! use simnet::world::World;
 //! use wire::Value;
 //!
@@ -41,11 +39,11 @@
 //! let binding = hrpc::bindproto::bind(
 //!     &net, client, server, ProgramId(100_005), "DesiredService", ComponentSet::sun(),
 //! ).expect("bind");
-//! let stub = ClientStub::new(Arc::clone(&net), client);
-//! let reply = stub.call(&binding, 1, &Value::str("ping")).expect("call");
+//! let reply = net.call(client, &binding, 1, &Value::str("ping")).expect("call");
 //! assert_eq!(reply, Value::str("ping"));
 //! ```
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod binding;
 pub mod bindproto;
@@ -53,11 +51,9 @@ pub mod components;
 pub mod error;
 pub mod net;
 pub mod server;
-pub mod stub;
 
 pub use binding::{HrpcBinding, ProgramId};
 pub use components::{BindingProtocol, ComponentSet, ControlProtocol, NativeSystem, Transport};
 pub use error::{RpcError, RpcResult};
 pub use net::{LossPlan, RpcNet};
 pub use server::{CallCtx, ProcServer, RpcService};
-pub use stub::ClientStub;

@@ -40,11 +40,10 @@ pub const EXCHANGE_RESOLVE: u32 = 1;
 /// First dynamically assigned port.
 const FIRST_DYNAMIC_PORT: u16 = 1024;
 
-/// Service/port/name registries. Read-mostly: exports happen during
-/// setup, lookups on every remote call. Readers take an `Arc` snapshot
-/// and resolve lock-free; writers rebuild and swap, so the call path
-/// never serializes on the registry lock.
-#[derive(Default, Clone)]
+/// Service/port/name registries, behind one lock. A reader copies out the
+/// one row it needs and releases the lock before anything is dispatched, so
+/// a service may export or unexport from inside its own `dispatch`.
+#[derive(Default)]
 struct NetTables {
     services: HashMap<(HostId, u16), Arc<dyn RpcService>>,
     /// Per-host portmapper table: program number → (port, service name).
@@ -186,7 +185,7 @@ struct CallMetricHandles {
 /// The RPC fabric shared by all simulated components.
 pub struct RpcNet {
     world: Arc<World>,
-    tables: RwLock<Arc<NetTables>>,
+    tables: RwLock<NetTables>,
     loss: RwLock<Option<LossPlan>>,
     next_xid: std::sync::atomic::AtomicU64,
     replies: ReplyCache,
@@ -198,7 +197,7 @@ impl RpcNet {
     pub fn new(world: Arc<World>) -> Arc<Self> {
         Arc::new(RpcNet {
             world,
-            tables: RwLock::new(Arc::new(NetTables::default())),
+            tables: RwLock::default(),
             loss: RwLock::new(None),
             next_xid: std::sync::atomic::AtomicU64::new(1),
             replies: ReplyCache::new(REPLY_CACHE_LIMIT),
@@ -222,8 +221,7 @@ impl RpcNet {
     /// name with its Courier exchange listener, so both binding protocols
     /// can find it.
     pub fn export(&self, host: HostId, program: ProgramId, service: Arc<dyn RpcService>) -> u16 {
-        let mut tables = self.tables.write();
-        let mut t = NetTables::clone(&tables);
+        let mut t = self.tables.write();
         let port_ref = t.next_port.entry(host).or_insert(FIRST_DYNAMIC_PORT);
         let port = *port_ref;
         *port_ref += 1;
@@ -231,7 +229,6 @@ impl RpcNet {
         t.services.insert((host, port), service);
         t.programs.insert((host, program.0), (port, name.clone()));
         t.by_name.insert((host, name), port);
-        *tables = Arc::new(t);
         port
     }
 
@@ -253,8 +250,7 @@ impl RpcNet {
             port != PORTMAP_PORT && port != EXCHANGE_PORT,
             "port {port} is reserved for a built-in service"
         );
-        let mut tables = self.tables.write();
-        let mut t = NetTables::clone(&tables);
+        let mut t = self.tables.write();
         assert!(
             !t.services.contains_key(&(host, port)),
             "port {port} already exported on {host}"
@@ -263,28 +259,27 @@ impl RpcNet {
         t.services.insert((host, port), service);
         t.programs.insert((host, program.0), (port, name.clone()));
         t.by_name.insert((host, name), port);
-        *tables = Arc::new(t);
     }
 
-    /// Removes an exported service (used by failure-injection tests).
+    /// Removes an exported service (used by failure-injection tests),
+    /// with the portmapper and exchange rows that point at its port. Rows
+    /// a later export of the same program or name has re-pointed at
+    /// another port are left alone.
     pub fn unexport(&self, host: HostId, port: u16) {
-        let mut tables = self.tables.write();
-        let mut t = NetTables::clone(&tables);
+        let mut t = self.tables.write();
         if let Some(service) = t.services.remove(&(host, port)) {
-            let name = service.service_name().to_string();
-            t.by_name.remove(&(host, name));
+            let key = (host, service.service_name().to_string());
+            if t.by_name.get(&key) == Some(&port) {
+                t.by_name.remove(&key);
+            }
             t.programs
                 .retain(|(h, _), (p, _)| !(*h == host && *p == port));
-            *tables = Arc::new(t);
         }
     }
 
-    fn tables_snapshot(&self) -> Arc<NetTables> {
-        Arc::clone(&self.tables.read())
-    }
-
     fn lookup_service(&self, host: HostId, port: u16) -> RpcResult<Arc<dyn RpcService>> {
-        self.tables_snapshot()
+        self.tables
+            .read()
             .services
             .get(&(host, port))
             .cloned()
@@ -294,7 +289,8 @@ impl RpcNet {
     /// Looks up a program's port via the host's portmapper table (the
     /// server side of [`PMAP_GETPORT`]).
     pub fn portmap_getport(&self, host: HostId, program: ProgramId) -> RpcResult<u16> {
-        self.tables_snapshot()
+        self.tables
+            .read()
             .programs
             .get(&(host, program.0))
             .map(|(p, _)| *p)
@@ -307,7 +303,8 @@ impl RpcNet {
     /// Looks up a service's port by name via the host's Courier exchange
     /// table (the server side of [`EXCHANGE_RESOLVE`]).
     pub fn exchange_resolve(&self, host: HostId, name: &str) -> RpcResult<u16> {
-        self.tables_snapshot()
+        self.tables
+            .read()
             .by_name
             .get(&(host, name.to_string()))
             .copied()
@@ -811,6 +808,37 @@ mod tests {
             components: ComponentSet::sun(),
         };
         assert!(net.call(client, &b, 1, &Value::Void).is_ok());
+    }
+
+    /// Registering a service again replaces its rows (`Hns::deploy_nsm`
+    /// relies on it); unexporting the superseded port must not take the
+    /// live port's exchange row with it.
+    #[test]
+    fn unexporting_a_superseded_port_keeps_the_live_ports_rows() {
+        let (_world, net, _client, server) = setup();
+        let old = net.export(server, ProgramId(77), echo_service());
+        let new = net.export(server, ProgramId(77), echo_service());
+        assert_ne!(old, new);
+        net.unexport(server, old);
+        assert_eq!(net.portmap_getport(server, ProgramId(77)), Ok(new));
+        assert_eq!(net.exchange_resolve(server, "echo"), Ok(new));
+    }
+
+    /// No table lock is held while a service runs: a service that exports
+    /// and unexports on the fabric serving it completes.
+    #[test]
+    fn a_service_may_export_and_unexport_from_inside_dispatch() {
+        let (_world, net, client, server) = setup();
+        let redeploy = Arc::new(ProcServer::new("redeploy").with_proc(1, |ctx, _args| {
+            let port = ctx.net.export(ctx.host, ProgramId(78), echo_service());
+            ctx.net.unexport(ctx.host, port);
+            Ok(Value::U32(u32::from(port)))
+        }));
+        net.export(server, ProgramId(77), redeploy);
+        let b = binding_for(&net, server, ComponentSet::sun());
+        let reply = net.call(client, &b, 1, &Value::Void).expect("completes");
+        assert_eq!(reply, Value::U32(1025));
+        assert!(net.portmap_getport(server, ProgramId(78)).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! read-mostly `RwLock`: a string already known is found under a read
 //! lock, and only a first sighting writes. Ids are dense, stable for the
 //! life of the process, and never reused.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -43,6 +44,10 @@ impl Interner {
 
     /// Interns `s`, returning its stable id. Re-interning an already
     /// known string takes only a read lock and never allocates.
+    #[expect(
+        clippy::expect_used,
+        reason = "2^32 distinct strings exhaust memory long before the id space"
+    )]
     pub fn intern(&self, s: &str) -> NameId {
         if let Some(id) = self.get(s) {
             return id;

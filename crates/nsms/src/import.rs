@@ -22,7 +22,6 @@ use hns_core::nsm::NsmClient;
 use hns_core::query::QueryClass;
 use hrpc::net::RpcNet;
 use hrpc::{HrpcBinding, ProgramId};
-use parking_lot::Mutex;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
 use wire::Value;
@@ -35,7 +34,7 @@ pub struct Importer {
     nsm: NsmClient,
     /// The query class every `Import` asks `FindNSM` for, built once.
     query_class: QueryClass,
-    alternate_nsm: Mutex<Option<HrpcBinding>>,
+    alternate_nsm: Option<HrpcBinding>,
 }
 
 impl Importer {
@@ -48,16 +47,17 @@ impl Importer {
             query_class: QueryClass::hrpc_binding(),
             net,
             host,
-            alternate_nsm: Mutex::new(None),
+            alternate_nsm: None,
         }
     }
 
     /// Links an alternate binding NSM (typically a replica on another
     /// host). When the NSM designated by `FindNSM` is unreachable —
     /// crashed or partitioned away — `import` fails over to this binding
-    /// instead of surfacing the error.
-    pub fn set_alternate_nsm(&self, binding: Option<HrpcBinding>) {
-        *self.alternate_nsm.lock() = binding;
+    /// instead of surfacing the error. Set while the importer is being
+    /// built, before it is shared.
+    pub fn set_alternate_nsm(&mut self, binding: Option<HrpcBinding>) {
+        self.alternate_nsm = binding;
     }
 
     /// Imports a service: returns a binding the client can call.
@@ -81,8 +81,10 @@ impl Importer {
             Err(err) if err.is_unreachable() => {
                 // The designated NSM never answered. If an alternate NSM
                 // on a different host is linked, fail over to it.
-                let alternate = *self.alternate_nsm.lock();
-                match alternate.filter(|alt| alt.host != nsm_binding.host) {
+                match self
+                    .alternate_nsm
+                    .filter(|alt| alt.host != nsm_binding.host)
+                {
                     Some(alt) => {
                         let world = self.net.world();
                         world.metrics().inc("faults", "nsm_failovers");

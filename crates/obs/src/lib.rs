@@ -27,6 +27,7 @@
 //!
 //! [`json`] is a minimal JSON writer/parser used for the exports (the
 //! workspace builds offline, so no serde).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod json;
 pub mod metrics;

@@ -530,13 +530,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Drops every registered metric (handles held elsewhere keep their
-    /// values but are no longer reported).
-    pub fn reset(&self) {
-        self.counters.write().clear();
-        self.histograms.write().clear();
-    }
-
     /// Raw per-bucket counts of every histogram, sorted by
     /// `(component, name)` — the bucket-level companion of
     /// [`MetricsRegistry::snapshot`], used by the sampling layer to

@@ -21,6 +21,7 @@
 //! * [`error`] — [`RegError`], including typed fail-fast
 //!   unreachability when the primary is partitioned away.
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod chain;
 pub mod client;

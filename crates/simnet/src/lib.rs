@@ -37,6 +37,7 @@
 //! assert!((world.now().as_ms_f64() - 27.0).abs() < 1.0);
 //! ```
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod clock;
 pub mod costs;
@@ -50,7 +51,7 @@ pub mod world;
 
 pub use obs;
 
-pub use clock::{Clock, VirtualClock};
+pub use clock::VirtualClock;
 pub use costs::{CacheForm, CostModel, RpcSuiteKind};
 pub use faults::{FaultKind, FaultPlan};
 pub use time::{SimDuration, SimTime};

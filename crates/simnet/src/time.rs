@@ -47,6 +47,10 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; virtual time never runs
     /// backwards, so this indicates a harness bug.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: virtual time running backwards is a harness bug"
+    )]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -151,6 +155,10 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "underflow panics as integer subtraction does, in release builds too"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0

@@ -7,7 +7,6 @@
 //! between hosts pays the remote-call overhead of the RPC suite in use.
 
 use std::fmt;
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -41,28 +40,16 @@ impl fmt::Display for NetAddr {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct HostRecord {
     name: String,
 }
 
-/// The set of hosts on the simulated LAN.
-///
-/// Read-mostly: hosts are added during setup and then queried from many
-/// threads. Readers take a snapshot (`Arc` clone under a momentary read
-/// lock) and walk it lock-free; writers swap in a rebuilt list, so the
-/// query path never blocks behind a writer.
-#[derive(Debug)]
+/// The set of hosts on the simulated LAN: one locked list, appended to
+/// during setup and read afterwards.
+#[derive(Debug, Default)]
 pub struct Topology {
-    hosts: RwLock<Arc<Vec<HostRecord>>>,
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology {
-            hosts: RwLock::new(Arc::new(Vec::new())),
-        }
-    }
+    hosts: RwLock<Vec<HostRecord>>,
 }
 
 impl Topology {
@@ -71,28 +58,26 @@ impl Topology {
         Self::default()
     }
 
-    fn snapshot(&self) -> Arc<Vec<HostRecord>> {
-        Arc::clone(&self.hosts.read())
-    }
-
     /// Adds a host with the given human-readable name and returns its id.
     pub fn add_host(&self, name: impl Into<String>) -> HostId {
         let mut hosts = self.hosts.write();
-        let mut next = Vec::clone(&hosts);
-        let id = HostId(next.len() as u32);
-        next.push(HostRecord { name: name.into() });
-        *hosts = Arc::new(next);
+        let id = HostId(hosts.len() as u32);
+        hosts.push(HostRecord { name: name.into() });
         id
     }
 
     /// Returns the name of `host`, if it exists.
     pub fn host_name(&self, host: HostId) -> Option<String> {
-        self.snapshot().get(host.0 as usize).map(|h| h.name.clone())
+        self.hosts
+            .read()
+            .get(host.0 as usize)
+            .map(|h| h.name.clone())
     }
 
     /// Looks a host up by name.
     pub fn host_by_name(&self, name: &str) -> Option<HostId> {
-        self.snapshot()
+        self.hosts
+            .read()
             .iter()
             .position(|h| h.name == name)
             .map(|i| HostId(i as u32))
@@ -100,12 +85,12 @@ impl Topology {
 
     /// Returns the number of hosts.
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.hosts.read().len()
     }
 
     /// Returns true if no hosts have been added.
     pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
+        self.hosts.read().is_empty()
     }
 
     /// Returns true when `a` and `b` are the same machine, i.e. a call

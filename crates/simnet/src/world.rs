@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::clock::{Clock, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::costs::{CostModel, Ms};
 use crate::faults::FaultPlan;
 use crate::time::{SimDuration, SimTime};
@@ -171,9 +171,6 @@ impl World {
     }
 
     fn sample_tick_slow(&self) {
-        // Reading the clock flushes the calling thread's batched pending
-        // charges (`VirtualClock::set_batched`), so the sample always
-        // sees fully charged virtual time.
         let now = self.clock.now().as_us();
         if now < self.sampler_next_due.load(Ordering::Relaxed) {
             return;
@@ -570,27 +567,10 @@ mod tests {
     }
 
     #[test]
-    fn sampling_composes_with_batched_charging() {
-        let w = World::paper();
-        w.clock.set_batched(true);
-        w.start_sampling(SimDuration::from_ms(5));
-        for _ in 0..10 {
-            w.count_remote_call(1);
-            w.charge_ms(1.0);
-        }
-        let t = w.finish_sampling().expect("timeline");
-        w.clock.set_batched(false);
-        let total: u64 = t.counter_series("net", "remote_calls").iter().sum();
-        assert_eq!(total, 10, "batched charges flush before each sample");
-        assert!(t.windows.len() >= 2);
-    }
-
-    #[test]
-    fn window_deltas_conserve_counters_under_threaded_batched_load() {
+    fn window_deltas_conserve_counters_under_threaded_load() {
         const THREADS: u64 = 8;
         const OPS: u64 = 200;
         let w = World::paper();
-        w.clock.set_batched(true);
         w.start_sampling(SimDuration::from_ms(5));
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
@@ -600,12 +580,10 @@ mod tests {
                         w.metrics().add("load", "ops", 1);
                         w.charge_ms(0.25);
                     }
-                    w.clock.flush_local();
                 });
             }
         });
         let t = w.finish_sampling().expect("timeline");
-        w.clock.set_batched(false);
         // Interleaving decides which window each delta lands in, but the
         // telescoping sum must conserve every counter exactly.
         let last = w.metrics().snapshot();

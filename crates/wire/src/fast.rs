@@ -98,21 +98,21 @@ pub fn decode_rr_batch(bytes: &[u8]) -> WireResult<(String, Vec<WireRecord>)> {
 }
 
 fn take_u16(bytes: &[u8], pos: &mut usize) -> WireResult<u16> {
-    if bytes.len() < *pos + 2 {
-        return Err(WireError::Truncated);
-    }
-    let v = u16::from_be_bytes(bytes[*pos..*pos + 2].try_into().expect("2 bytes"));
+    let (head, _) = bytes
+        .get(*pos..)
+        .and_then(<[u8]>::split_first_chunk::<2>)
+        .ok_or(WireError::Truncated)?;
     *pos += 2;
-    Ok(v)
+    Ok(u16::from_be_bytes(*head))
 }
 
 fn take_u32(bytes: &[u8], pos: &mut usize) -> WireResult<u32> {
-    if bytes.len() < *pos + 4 {
-        return Err(WireError::Truncated);
-    }
-    let v = u32::from_be_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes"));
+    let (head, _) = bytes
+        .get(*pos..)
+        .and_then(<[u8]>::split_first_chunk::<4>)
+        .ok_or(WireError::Truncated)?;
     *pos += 4;
-    Ok(v)
+    Ok(u32::from_be_bytes(*head))
 }
 
 #[cfg(test)]

@@ -220,11 +220,11 @@ impl NodeCodec for OptNode {
 }
 
 fn take_u32(bytes: &[u8], pos: usize) -> WireResult<(u32, usize)> {
-    if bytes.len() < pos + 4 {
-        return Err(WireError::Truncated);
-    }
-    let v = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-    Ok((v, pos + 4))
+    let (head, _) = bytes
+        .get(pos..)
+        .and_then(<[u8]>::split_first_chunk::<4>)
+        .ok_or(WireError::Truncated)?;
+    Ok((u32::from_be_bytes(*head), pos + 4))
 }
 
 fn take_opaque(bytes: &[u8], pos: usize) -> WireResult<(Vec<u8>, usize)> {

@@ -28,6 +28,7 @@
 //! # Ok::<(), wire::WireError>(())
 //! ```
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod codec;
 pub mod courier;

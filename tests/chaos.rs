@@ -118,7 +118,7 @@ fn import_fails_over_to_the_alternate_nsm() {
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
     let replica = tb.deploy_binding_bind_replica(tb.hosts.agent, NsmCacheForm::Demarshalled);
     let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    let imp = importer(&tb, &warm);
+    let mut imp = importer(&tb, &warm);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     imp.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)
         .expect("pre-crash Import");
