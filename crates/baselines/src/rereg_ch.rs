@@ -84,7 +84,7 @@ impl ReregisteredChBinder {
             host,
             addr: NetAddr::of(host),
             program: ProgramId(value.u32_field("program")?),
-            port: value.u32_field("port")? as u16,
+            port: value.u16_field("port")?,
             components: ComponentSet::sun(),
         })
     }
@@ -156,6 +156,24 @@ mod tests {
             .call(client, &binding, 1, &Value::str("hi"))
             .expect("call");
         assert_eq!(reply, Value::str("hi"));
+    }
+
+    /// An entry some other writer left with a port beyond 16 bits is
+    /// refused; it used to bind to the port's low half (65,589 as 53).
+    #[test]
+    fn a_port_beyond_sixteen_bits_is_refused_not_truncated() {
+        let (_world, _net, _client, fiji, binder) = setup();
+        let value = Value::record([
+            ("host", Value::U32(fiji.0)),
+            ("program", Value::U32(100_005)),
+            ("port", Value::U32(65_589)),
+        ]);
+        let entry = binder.entry_name("Wide").expect("entry name");
+        binder
+            .client
+            .set_item(&entry, PROP_REREG_BINDING, value)
+            .expect("stored");
+        assert!(matches!(binder.bind("Wide"), Err(RpcError::Wire(_))));
     }
 
     #[test]

@@ -235,3 +235,70 @@ fn the_committed_bench_files_validate_unedited() {
         "{stdout}"
     );
 }
+
+/// `BENCH_trajectory.json` is the committed record of every claimed
+/// gain: one row per claimed PR, in PR order, each about an end-to-end
+/// metric of a workload `BENCHMARK.json` declares — and no PR whose
+/// CHANGES.md line says `perf_opt` is missing from it.
+#[test]
+fn the_committed_trajectory_has_a_row_for_every_claimed_pr() {
+    use hns_bench::obs::json;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).expect(file);
+    let parse = |file: &str| json::parse(&read(file)).unwrap_or_else(|e| panic!("{file}: {e:?}"));
+    let (trajectory, benchmark) = (parse("BENCH_trajectory.json"), parse("BENCHMARK.json"));
+    let declared = |list: &str| -> Vec<(String, Option<String>)> {
+        let entries = benchmark.get(list).and_then(json::Value::as_array);
+        let text = |entry: &json::Value, key: &str| {
+            let value = entry.get(key).and_then(json::Value::as_str);
+            value.map(str::to_string)
+        };
+        let named = |entry| (text(entry, "name").expect("a name"), text(entry, "unit"));
+        entries.expect(list).iter().map(named).collect()
+    };
+    let (workloads, metrics) = (declared("workloads"), declared("end_to_end"));
+
+    let rows = trajectory.get("rows").and_then(json::Value::as_array);
+    let mut prs = Vec::new();
+    for row in rows.expect("rows") {
+        let text = |key: &str| row.get(key).and_then(json::Value::as_str);
+        let count = |key: &str| row.get(key).and_then(json::Value::as_u64);
+        let pr = count("pr").expect("pr");
+        let workload = text("workload").expect("workload");
+        assert!(
+            workloads.iter().any(|(w, _)| w == workload),
+            "PR {pr}: {workload}"
+        );
+        let (metric, unit) = (text("metric").expect("metric"), text("unit"));
+        assert!(
+            metrics
+                .iter()
+                .any(|(m, u)| m == metric && u.as_deref() == unit),
+            "PR {pr}: {metric}"
+        );
+        for median in ["parent_median", "change_median"] {
+            let read = row.get(median).and_then(json::Value::as_f64);
+            assert!(read.is_some_and(|v| v > 0.0), "PR {pr}: {median}");
+        }
+        let (won, pairs) = (count("pairs_won"), count("pairs"));
+        assert!(
+            won.is_some() && won <= pairs,
+            "PR {pr}: {won:?} of {pairs:?}"
+        );
+        assert!(text("seeds").is_some(), "PR {pr}: seeds");
+        assert!(count("run_seconds").is_some() && count("host_cores").is_some());
+        prs.push(pr);
+    }
+    assert!(prs.windows(2).all(|w| w[0] < w[1]), "PR order: {prs:?}");
+
+    for line in read("CHANGES.md")
+        .lines()
+        .filter(|l| l.contains("perf_opt"))
+    {
+        let entry = line.trim_start_matches("- ").strip_prefix("PR ");
+        let digits = entry.map(|e| e.split(|c: char| !c.is_ascii_digit()).next());
+        let pr: u64 = digits.flatten().and_then(|d| d.parse().ok()).expect(line);
+        assert!(prs.contains(&pr), "PR {pr} claims a gain and has no row");
+    }
+}

@@ -1,18 +1,27 @@
 //! Wire messages for the name-server protocol.
 //!
-//! The server speaks four procedures: `QUERY`, `AXFR` (zone transfer),
-//! `UPDATE` (the dynamic-update extension of the modified BIND), and
-//! `SERIAL` (secondary refresh checks). Messages convert both to wire
-//! [`Value`]s (carried by the fabric, used by the HRPC interface to BIND)
-//! and to the hand-written [`wire::fast`] batch format (the standard
-//! resolver path of Table 3.2).
+//! The server speaks six procedures: `QUERY`, `MQUERY`, `AXFR` / `IXFR`
+//! (zone transfer), `UPDATE` (the dynamic-update extension of the
+//! modified BIND), and `SERIAL` (secondary refresh checks). The structs
+//! of `QUERY`, `MQUERY` and `UPDATE` are [`wire::Message`]s: each writes
+//! its shape once, and crosses the fabric as itself between this crate's
+//! resolvers and its server. `to_value` reads that shape as a tree, for
+//! an untyped peer, the corpus and the fuzzer; `from_value` is the edge
+//! where such a peer's tree is decoded. Answers also convert to the
+//! hand-written [`wire::fast`] batch format (the standard resolver path
+//! of Table 3.2).
 
+use std::borrow::Cow;
+
+use hrpc::error::{RpcError, RpcResult};
+use hrpc::Reply;
 use wire::fast::{decode_rr_batch, encode_rr_batch, WireRecord};
-use wire::{Value, WireResult};
+use wire::message::{Shape, Shaped, Tree};
+use wire::{Message, Value, WireResult};
 
 use crate::error::{NsError, NsResult, Rcode};
 use crate::name::DomainName;
-use crate::rr::{RData, RType, RecordRef, ResourceRecord};
+use crate::rr::{bad_field, check_rdata, RData, RType, ResourceRecord};
 
 /// Procedure: look up records.
 pub const PROC_QUERY: u32 = 1;
@@ -32,6 +41,26 @@ pub const PROC_MQUERY: u32 = 5;
 /// [`crate::axfr::transfer_zone_incremental`]).
 pub const PROC_IXFR: u32 = 6;
 
+/// A request as the struct its procedure takes: the caller's own if it
+/// sent one, else decoded from its tree.
+pub(crate) fn sent<T: Message + Clone>(
+    args: &dyn Message,
+    decode: fn(&Value) -> NsResult<T>,
+) -> NsResult<Cow<'_, T>> {
+    match args.downcast_ref::<T>() {
+        Some(typed) => Ok(Cow::Borrowed(typed)),
+        None => decode(&args.tree()).map(Cow::Owned),
+    }
+}
+
+/// A reply as the struct the procedure answers with: the server's own if
+/// it sent one, else decoded — here, once — from its tree.
+pub(crate) fn replied<T: Message>(reply: Reply, decode: fn(&Value) -> NsResult<T>) -> RpcResult<T> {
+    reply
+        .downcast()
+        .or_else(|tree| decode(&tree).map_err(|e| RpcError::Service(e.to_string())))
+}
+
 /// A lookup question.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
@@ -49,10 +78,7 @@ impl Question {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> Value {
-        Value::record([
-            ("name", Value::str(self.name.as_str())),
-            ("rtype", Value::U32(self.rtype.code() as u32)),
-        ])
+        self.shape(&Tree)
     }
 
     /// Deserializes from a wire value.
@@ -61,11 +87,17 @@ impl Question {
             v.str_field("name")
                 .map_err(|e| NsError::BadName(e.to_string()))?,
         )?;
-        let rtype = RType::from_code(
-            v.u32_field("rtype")
-                .map_err(|e| NsError::BadRecord(e.to_string()))? as u16,
-        )?;
+        let rtype = RType::read(v)?;
         Ok(Question { name, rtype })
+    }
+}
+
+impl Shaped for Question {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("name", s.str(self.name.as_str())),
+            ("rtype", s.u32(u32::from(self.rtype.code()))),
+        ])
     }
 }
 
@@ -117,20 +149,22 @@ impl Answer {
 
     /// Serializes to a wire value (the HRPC path).
     pub fn to_value(&self) -> NsResult<Value> {
-        let records: NsResult<Vec<Value>> =
-            self.records.iter().map(ResourceRecord::to_value).collect();
-        Ok(Value::record([
-            ("rcode", Value::U32(self.rcode as u32)),
-            ("answers", Value::List(records?)),
-        ]))
+        check_rdata(&self.records)?;
+        Ok(self.shape(&Tree))
     }
 
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<Answer> {
-        let reply = Reply::read(v)?;
+        let code = v.u32_field("rcode").map_err(bad_field)?;
+        let rcode =
+            Rcode::from_u32(code).ok_or_else(|| NsError::BadRecord(format!("bad rcode {code}")))?;
+        let records = v
+            .field("answers")
+            .and_then(Value::as_list)
+            .map_err(bad_field)?;
         Ok(Answer {
-            rcode: reply.rcode,
-            records: reply.to_records()?,
+            rcode,
+            records: ResourceRecord::list_from_values(records)?,
         })
     }
 
@@ -189,50 +223,12 @@ impl Answer {
     }
 }
 
-/// A `QUERY` reply read where it lies in the wire value: the outcome
-/// code, then each record's fields on demand. [`Answer::from_value`] is
-/// this plus the decoding of every record into an owned one; a caller
-/// that wants the payloads alone reads them here and allocates nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct Reply<'a> {
-    /// Outcome code.
-    pub rcode: Rcode,
-    records: &'a [Value],
-}
-
-impl<'a> Reply<'a> {
-    /// Reads the outcome code and finds the record list.
-    pub fn read(v: &'a Value) -> NsResult<Reply<'a>> {
-        let code = v
-            .u32_field("rcode")
-            .map_err(|e| NsError::BadRecord(e.to_string()))?;
-        let rcode =
-            Rcode::from_u32(code).ok_or_else(|| NsError::BadRecord(format!("bad rcode {code}")))?;
-        let records = v
-            .field("answers")
-            .and_then(Value::as_list)
-            .map_err(|e| NsError::BadRecord(e.to_string()))?;
-        Ok(Reply { rcode, records })
-    }
-
-    /// Number of records the reply carries.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True for a reply without records (every error reply).
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The records, each read as it is reached.
-    pub fn records(&self) -> impl Iterator<Item = NsResult<RecordRef<'a>>> + 'a {
-        self.records.iter().map(RecordRef::read)
-    }
-
-    /// The records decoded into owned ones.
-    pub fn to_records(&self) -> NsResult<Vec<ResourceRecord>> {
-        ResourceRecord::list_from_values(self.records)
+impl Shaped for Answer {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("rcode", s.u32(self.rcode as u32)),
+            ("answers", s.list(self.records.iter(), |r| r.shape(s))),
+        ])
     }
 }
 
@@ -256,16 +252,7 @@ impl MultiQuestion {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> Value {
-        Value::record([
-            (
-                "questions",
-                Value::List(self.questions.iter().map(Question::to_value).collect()),
-            ),
-            (
-                "hints",
-                Value::List(self.hints.iter().map(Value::str).collect()),
-            ),
-        ])
+        self.shape(&Tree)
     }
 
     /// Deserializes from a wire value.
@@ -273,22 +260,27 @@ impl MultiQuestion {
         let questions = v
             .field("questions")
             .and_then(Value::as_list)
-            .map_err(|e| NsError::BadRecord(e.to_string()))?
+            .map_err(bad_field)?
             .iter()
             .map(Question::from_value)
             .collect::<NsResult<Vec<_>>>()?;
         let hints = v
             .field("hints")
             .and_then(Value::as_list)
-            .map_err(|e| NsError::BadRecord(e.to_string()))?
+            .map_err(bad_field)?
             .iter()
-            .map(|h| {
-                h.as_str()
-                    .map(str::to_string)
-                    .map_err(|e| NsError::BadRecord(e.to_string()))
-            })
+            .map(|h| h.as_str().map(str::to_string).map_err(bad_field))
             .collect::<NsResult<Vec<_>>>()?;
         Ok(MultiQuestion { questions, hints })
+    }
+}
+
+impl Shaped for MultiQuestion {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("questions", s.list(self.questions.iter(), |q| q.shape(s))),
+            ("hints", s.list(self.hints.iter(), |h| s.str(h))),
+        ])
     }
 }
 
@@ -317,15 +309,9 @@ impl MultiAnswer {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> NsResult<Value> {
-        let encode = |set: &[Answer]| -> NsResult<Value> {
-            Ok(Value::List(
-                set.iter().map(Answer::to_value).collect::<NsResult<_>>()?,
-            ))
-        };
-        Ok(Value::record([
-            ("answers", encode(&self.answers)?),
-            ("additional", encode(&self.additional)?),
-        ]))
+        let sets = self.answers.iter().chain(&self.additional);
+        check_rdata(sets.flat_map(|set| &set.records))?;
+        Ok(self.shape(&Tree))
     }
 
     /// Deserializes from a wire value.
@@ -333,7 +319,7 @@ impl MultiAnswer {
         let decode = |field: &str| -> NsResult<Vec<Answer>> {
             v.field(field)
                 .and_then(Value::as_list)
-                .map_err(|e| NsError::BadRecord(e.to_string()))?
+                .map_err(bad_field)?
                 .iter()
                 .map(Answer::from_value)
                 .collect()
@@ -342,6 +328,15 @@ impl MultiAnswer {
             answers: decode("answers")?,
             additional: decode("additional")?,
         })
+    }
+}
+
+impl Shaped for MultiAnswer {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("answers", s.list(self.answers.iter(), |a| a.shape(s))),
+            ("additional", s.list(self.additional.iter(), |a| a.shape(s))),
+        ])
     }
 }
 
@@ -413,51 +408,69 @@ mod tests {
         assert_eq!(a.into_result(&q).expect("ok").len(), 2);
     }
 
+    /// What is no answer is refused, whichever part is missing, of the
+    /// wrong type or out of range; so is an answer one record of which is
+    /// none.
     #[test]
-    fn the_reply_reader_lends_what_the_answer_decode_owns() {
-        let owner = name("info.nsm-b.hns");
-        let mut records = sample_answer(2).records;
-        records.push(ResourceRecord::unspec(owner, 600, b"host=june".to_vec()));
-        records.push(ResourceRecord::txt(name("a.b"), 60, "t"));
-        let value = Answer::ok(records.clone()).to_value().expect("to value");
-        let reply = Reply::read(&value).expect("reply");
-        assert_eq!((reply.rcode, reply.len()), (Rcode::Ok, 4));
-        assert_eq!(reply.to_records().expect("decode"), records);
-        for (lent, owned) in reply.records().zip(&records) {
-            let lent = lent.expect("record");
-            assert_eq!(lent.owner, owned.name.as_str());
-            assert_eq!((lent.rtype, lent.ttl), (owned.rtype, owned.ttl));
-            assert_eq!(lent.rdata, owned.rdata.to_bytes().expect("rdata"));
-            assert_eq!(lent.opaque(), owned.opaque());
-        }
-        assert_eq!(records[2].opaque(), Some(&b"host=june"[..]));
-        assert_eq!(records[3].opaque(), None, "text is not opaque");
-
-        // An error reply has an outcome and nothing to read.
-        let value = Answer::err(Rcode::NoData).to_value().expect("to value");
-        let reply = Reply::read(&value).expect("reply");
-        assert!(reply.is_empty() && reply.records().next().is_none());
-        assert!(matches!(
-            reply.rcode.into_result(&name("a.b")),
-            Err(NsError::NoData(_))
-        ));
-        // What is no reply is refused before any record is looked at; a
-        // record that is none, when the reader gets to it.
+    fn a_value_that_is_no_answer_is_refused() {
         for bad in [
             Value::U32(0),
             Value::record([("rcode", Value::U32(0))]),
             Value::record([("rcode", Value::U32(99)), ("answers", Value::List(vec![]))]),
             Value::record([("rcode", Value::U32(0)), ("answers", Value::U32(1))]),
         ] {
-            assert!(Reply::read(&bad).is_err(), "{bad:?}");
             assert!(Answer::from_value(&bad).is_err(), "{bad:?}");
         }
-        let list = vec![records[0].to_value().expect("value"), Value::U32(7)];
+        let record = sample_answer(1).records[0].to_value().expect("value");
+        let list = vec![record, Value::U32(7)];
         let value = Value::record([("rcode", Value::U32(0)), ("answers", Value::List(list))]);
-        let reply = Reply::read(&value).expect("the list is one");
-        let read: Vec<bool> = reply.records().map(|r| r.is_ok()).collect();
-        assert_eq!(read, [true, false]);
-        assert!(reply.to_records().is_err() && Answer::from_value(&value).is_err());
+        assert!(Answer::from_value(&value).is_err());
+    }
+
+    /// `rtype` 65,537 used to read back as `A`.
+    #[test]
+    fn a_question_type_beyond_sixteen_bits_is_refused_not_truncated() {
+        let wide = Value::record([
+            ("name", Value::str("fiji.cs.washington.edu")),
+            ("rtype", Value::U32(65_537)),
+        ]);
+        assert!(matches!(
+            Question::from_value(&wide),
+            Err(NsError::BadRecord(_))
+        ));
+    }
+
+    /// Either edge hands over the peer's own struct when it sent one, and
+    /// decodes a tree when it did not.
+    #[test]
+    fn the_edges_downcast_a_typed_peer_and_decode_an_untyped_one() {
+        let q = Question::new(name("fiji.cs.washington.edu"), RType::A);
+        assert!(matches!(
+            sent(&q, Question::from_value),
+            Ok(Cow::Borrowed(same)) if std::ptr::eq(same, &q)
+        ));
+        let tree = q.to_value();
+        assert!(matches!(
+            sent(&tree, Question::from_value),
+            Ok(Cow::Owned(decoded)) if decoded == q
+        ));
+        assert!(sent(&Value::U32(7), Question::from_value).is_err());
+
+        let a = sample_answer(2);
+        assert_eq!(
+            replied(Reply::typed(a.clone()), Answer::from_value),
+            Ok(a.clone())
+        );
+        let tree = a.to_value().expect("to value");
+        assert_eq!(
+            replied(Reply::Tree(tree), Answer::from_value),
+            Ok(a.clone())
+        );
+        // A typed reply of another type is read through its tree.
+        assert!(matches!(
+            replied(Reply::typed(a), MultiAnswer::from_value),
+            Err(RpcError::Service(_))
+        ));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use hrpc::{ComponentSet, HrpcBinding};
 
 use crate::cache::TtlCache;
 use crate::error::{NsError, Rcode};
-use crate::message::{Answer, Question, PROC_QUERY};
+use crate::message::{replied, Answer, Question, PROC_QUERY};
 use crate::name::DomainName;
 use crate::rr::{RData, RType, ResourceRecord};
 use crate::server::DNS_PORT;
@@ -88,10 +88,8 @@ impl RecursiveResolver {
     }
 
     fn ask(&self, server: &HrpcBinding, question: &Question) -> RpcResult<Answer> {
-        let reply = self
-            .net
-            .call(self.host, server, PROC_QUERY, &question.to_value())?;
-        let answer = Answer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+        let reply = self.net.call_msg(self.host, server, PROC_QUERY, question)?;
+        let answer = replied(reply, Answer::from_value)?;
         let world = self.net.world();
         world.charge_ms(world.costs.fast_marshal(answer.records.len().max(1)));
         Ok(answer)

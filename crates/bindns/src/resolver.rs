@@ -21,10 +21,10 @@ use hrpc::HrpcBinding;
 use crate::cache::TtlCache;
 use crate::error::NsError;
 use crate::message::{
-    Answer, MultiAnswer, MultiQuestion, Question, Reply, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
+    replied, Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
 };
 use crate::name::DomainName;
-use crate::rr::{RType, ResourceRecord};
+use crate::rr::{check_rdata, RType, ResourceRecord};
 use crate::update::UpdateOp;
 
 /// A lookup that found nothing is `NotFound`; any other refusal, or a
@@ -125,8 +125,8 @@ impl StdResolver {
         let question = Question::new(name.clone(), rtype);
         let reply = self
             .net
-            .call(self.host, &self.server, PROC_QUERY, &question.to_value())?;
-        let answer = Answer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+            .call_msg(self.host, &self.server, PROC_QUERY, &question)?;
+        let answer = replied(reply, Answer::from_value)?;
         // Hand-written marshalling cost for the records that came back:
         // exercise the real fast codec and charge its calibrated cost.
         let _wire = answer.to_fast_bytes().map_err(RpcError::Wire)?;
@@ -192,24 +192,6 @@ impl HrpcResolver {
     /// Queries the server; returns the answer and charges the generated
     /// marshalling cost plus the interface's fixed overhead.
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Vec<ResourceRecord>> {
-        self.query_reply(name, rtype, |reply| {
-            reply
-                .to_records()
-                .map_err(|e| RpcError::Service(e.to_string()))
-        })
-    }
-
-    /// [`HrpcResolver::query`] for a caller that reads the reply where it
-    /// lies: sends the question, charges the generated marshalling cost
-    /// of the records that came back plus the interface's fixed overhead,
-    /// turns a refusal into its error, and hands the reader of a
-    /// successful reply to `read`.
-    pub fn query_reply<T, E: From<RpcError>>(
-        &self,
-        name: &DomainName,
-        rtype: RType,
-        read: impl FnOnce(Reply<'_>) -> Result<T, E>,
-    ) -> Result<T, E> {
         let t0 = self.net.world().now();
         self.queries
             .get(self.net.world().metrics(), "bind_resolver", "hrpc_queries")
@@ -217,17 +199,17 @@ impl HrpcResolver {
         let question = Question::new(name.clone(), rtype);
         let reply = self
             .net
-            .call(self.host, &self.server, PROC_QUERY, &question.to_value())?;
-        let reply = Reply::read(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+            .call_msg(self.host, &self.server, PROC_QUERY, &question)?;
+        let answer = replied(reply, Answer::from_value)?;
         let world = self.net.world();
         world.charge_ms(
-            world.costs.generated_miss(reply.len().max(1)) + world.costs.bind_resolver_overhead,
+            world.costs.generated_miss(answer.records.len().max(1))
+                + world.costs.bind_resolver_overhead,
         );
         self.query_us
             .get(world.metrics(), "bind_resolver", "hrpc_query_us")
             .record(world.now().since(t0).as_us());
-        reply.rcode.into_result(name).map_err(lookup_error)?;
-        read(reply)
+        answer.into_result(&question).map_err(lookup_error)
     }
 
     /// Sends a multi-question query in one round trip; the reply may carry
@@ -243,9 +225,8 @@ impl HrpcResolver {
         let mq = MultiQuestion::new(questions.to_vec(), hints.to_vec());
         let reply = self
             .net
-            .call(self.host, &self.server, PROC_MQUERY, &mq.to_value())?;
-        let multi =
-            MultiAnswer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+            .call_msg(self.host, &self.server, PROC_MQUERY, &mq)?;
+        let multi = replied(reply, MultiAnswer::from_value)?;
         let world = self.net.world();
         // Every returned set still pays generated demarshalling, but the
         // whole batch pays the fixed interface overhead exactly once.
@@ -259,11 +240,11 @@ impl HrpcResolver {
 
     /// Sends a dynamic update (requires the modified server).
     pub fn update(&self, op: &UpdateOp) -> RpcResult<()> {
-        let args = op
-            .to_value()
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let reply = self.net.call(self.host, &self.server, PROC_UPDATE, &args)?;
-        let answer = Answer::from_value(&reply).map_err(|e| RpcError::Service(e.to_string()))?;
+        check_rdata(op.records()).map_err(|e| RpcError::Service(e.to_string()))?;
+        let reply = self
+            .net
+            .call_msg(self.host, &self.server, PROC_UPDATE, op)?;
+        let answer = replied(reply, Answer::from_value)?;
         let world = self.net.world();
         world.charge_ms(world.costs.generated_miss(1));
         match answer.rcode {
@@ -417,35 +398,6 @@ mod tests {
         let found = resolver.query(&owner, RType::Unspec).expect("query");
         assert_eq!(found, [unspec(&owner, "ns=BIND")], "the old set answers");
         assert_eq!(serial().expect("serial"), before);
-    }
-
-    #[test]
-    fn query_reply_is_query_with_the_reading_left_to_the_caller() {
-        let (world, net, client, dep) = setup();
-        let resolver = HrpcResolver::new(net, client, dep.hrpc_binding);
-        let fiji = name("fiji.cs.washington.edu");
-        let (records, owned, _) = world.measure(|| resolver.query(&fiji, RType::A));
-        let records = records.expect("query");
-        let read = |reply: Reply<'_>| {
-            let owners: Vec<String> = reply
-                .records()
-                .map(|r| r.expect("record").owner.to_string())
-                .collect();
-            Ok::<_, RpcError>(owners)
-        };
-        let (owners, lent, _) = world.measure(|| resolver.query_reply(&fiji, RType::A, read));
-        assert_eq!(owners.expect("read"), [records[0].name.as_str()]);
-        assert_eq!(lent, owned, "the same charges, whoever reads");
-        // A refusal is an error before there is anything to read.
-        let ghost = name("ghost.cs.washington.edu");
-        let (refused, lent, _) = world.measure(|| {
-            resolver.query_reply(&ghost, RType::A, |_| -> RpcResult<()> {
-                panic!("nothing to read of a refusal")
-            })
-        });
-        assert!(matches!(refused, Err(RpcError::NotFound(_))), "{refused:?}");
-        let (_, owned, _) = world.measure(|| resolver.query(&ghost, RType::A));
-        assert_eq!(lent, owned);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use simnet::topology::{HostId, NetAddr};
+use wire::message::{Shape, Shaped, Tree};
 use wire::Value;
 
 use crate::error::{NsError, NsResult};
@@ -57,6 +58,12 @@ impl RType {
             RType::Txt => 16,
             RType::Unspec => 103,
         }
+    }
+
+    /// Reads the `rtype` field of a wire struct. A code beyond 16 bits
+    /// names no type: it is refused, not truncated onto one.
+    pub(crate) fn read(v: &Value) -> NsResult<RType> {
+        RType::from_code(v.u16_field("rtype").map_err(bad_field)?)
     }
 
     /// Decodes a wire code.
@@ -120,16 +127,22 @@ pub enum RData {
 }
 
 impl RData {
-    /// Serialized length in bytes (one tag byte plus the payload), or the
-    /// error [`RData::to_bytes`] reports when it exceeds [`MAX_RDATA`].
-    pub fn encoded_len(&self) -> NsResult<usize> {
-        let len = 1 + match self {
+    /// Length in bytes of what [`RData::write`] appends: one tag byte
+    /// plus the payload.
+    fn wire_len(&self) -> usize {
+        1 + match self {
             RData::Addr(_) => 4,
             RData::Domain(name) => name.as_str().len(),
             RData::Text(s) => s.len(),
             RData::Opaque(data) => data.len(),
             RData::Soa { primary, .. } => 8 + primary.as_str().len(),
-        };
+        }
+    }
+
+    /// Serialized length in bytes, or the error [`RData::to_bytes`]
+    /// reports when it exceeds [`MAX_RDATA`].
+    pub fn encoded_len(&self) -> NsResult<usize> {
+        let len = self.wire_len();
         if len > MAX_RDATA {
             return Err(NsError::BadRecord(format!(
                 "rdata {len} bytes exceeds {MAX_RDATA}"
@@ -141,6 +154,12 @@ impl RData {
     /// Serializes to rdata bytes (bounded by [`MAX_RDATA`]).
     pub fn to_bytes(&self) -> NsResult<Vec<u8>> {
         let mut b = Vec::with_capacity(self.encoded_len()?);
+        self.write(&mut b);
+        Ok(b)
+    }
+
+    /// Appends the rdata bytes.
+    fn write(&self, b: &mut Vec<u8>) {
         match self {
             RData::Addr(addr) => {
                 b.push(0);
@@ -169,7 +188,6 @@ impl RData {
                 b.extend_from_slice(primary.as_str().as_bytes());
             }
         }
-        Ok(b)
     }
 
     /// Deserializes rdata bytes.
@@ -268,12 +286,8 @@ impl ResourceRecord {
 
     /// Serializes to a wire value (used by the HRPC interface to BIND).
     pub fn to_value(&self) -> NsResult<Value> {
-        Ok(Value::record([
-            ("name", Value::str(self.name.as_str())),
-            ("rtype", Value::U32(self.rtype.code() as u32)),
-            ("ttl", Value::U32(self.ttl)),
-            ("rdata", Value::Bytes(self.rdata.to_bytes()?)),
-        ]))
+        check_rdata([self])?;
+        Ok(self.shape(&Tree))
     }
 
     /// Deserializes from a wire value.
@@ -295,20 +309,25 @@ impl ResourceRecord {
         Ok(records)
     }
 
-    /// The one per-record decoder, over the one field reader; `previous`
-    /// is the record decoded just before this one of the same list, if
-    /// any.
+    /// The one per-record decoder; `previous` is the record decoded just
+    /// before this one of the same list, if any.
     fn decode(v: &Value, previous: Option<&ResourceRecord>) -> NsResult<ResourceRecord> {
-        let record = RecordRef::read(v)?;
+        let owner = v.str_field("name").map_err(bad_field)?;
+        let rtype = RType::read(v)?;
+        let ttl = v.u32_field("ttl").map_err(bad_field)?;
+        let rdata = v
+            .field("rdata")
+            .and_then(Value::as_bytes)
+            .map_err(bad_field)?;
         let name = match previous {
-            Some(p) if p.name.as_str() == record.owner => p.name.clone(),
-            _ => DomainName::parse(record.owner)?,
+            Some(p) if p.name.as_str() == owner => p.name.clone(),
+            _ => DomainName::parse(owner)?,
         };
         Ok(ResourceRecord {
             name,
-            rtype: record.rtype,
-            ttl: record.ttl,
-            rdata: RData::from_bytes(record.rdata)?,
+            rtype,
+            ttl,
+            rdata: RData::from_bytes(rdata)?,
         })
     }
 
@@ -326,44 +345,35 @@ impl ResourceRecord {
     }
 }
 
-/// One record of a reply read where it lies in the wire value: the
-/// fields [`ResourceRecord::to_value`] wrote, borrowed, nothing parsed
-/// beyond the type code and nothing allocated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordRef<'a> {
-    /// Owner name as sent (not validated; canonical from this server).
-    pub owner: &'a str,
-    /// Record type.
-    pub rtype: RType,
-    /// Time to live, seconds.
-    pub ttl: u32,
-    /// The rdata bytes, tag byte included ([`RData::from_bytes`] decodes
-    /// them).
-    pub rdata: &'a [u8],
+/// The record as a wire struct; its rdata is written as it is, the
+/// [`MAX_RDATA`] rule being `check_rdata`'s.
+impl Shaped for ResourceRecord {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("name", s.str(self.name.as_str())),
+            ("rtype", s.u32(u32::from(self.rtype.code()))),
+            ("ttl", s.u32(self.ttl)),
+            (
+                "rdata",
+                s.bytes(self.rdata.wire_len(), |b| self.rdata.write(b)),
+            ),
+        ])
+    }
 }
 
-impl<'a> RecordRef<'a> {
-    /// Reads one record's fields off its wire value.
-    pub fn read(v: &'a Value) -> NsResult<RecordRef<'a>> {
-        fn get<T>(r: Result<T, wire::WireError>) -> NsResult<T> {
-            r.map_err(|e| NsError::BadRecord(e.to_string()))
-        }
-        Ok(RecordRef {
-            owner: get(v.str_field("name"))?,
-            rtype: RType::from_code(get(v.u32_field("rtype"))? as u16)?,
-            ttl: get(v.u32_field("ttl"))?,
-            rdata: get(get(v.field("rdata"))?.as_bytes())?,
-        })
-    }
+/// What a decoder says of a field that is missing or of the wrong type.
+pub(crate) fn bad_field(e: wire::WireError) -> NsError {
+    NsError::BadRecord(e.to_string())
+}
 
-    /// The payload of opaque rdata, as [`ResourceRecord::opaque`] gives it
-    /// for a decoded record.
-    pub fn opaque(&self) -> Option<&'a [u8]> {
-        match self.rdata.split_first() {
-            Some((&OPAQUE_TAG, payload)) => Some(payload),
-            _ => None,
-        }
-    }
+/// Refuses, as [`RData::to_bytes`] would, rdata beyond [`MAX_RDATA`] in
+/// any of `records`: asked of a message before it leaves with them.
+pub(crate) fn check_rdata<'a>(
+    records: impl IntoIterator<Item = &'a ResourceRecord>,
+) -> NsResult<()> {
+    records
+        .into_iter()
+        .try_for_each(|record| record.rdata.encoded_len().map(drop))
 }
 
 #[cfg(test)]
@@ -428,6 +438,28 @@ mod tests {
         );
         let v = rr.to_value().expect("to value");
         assert_eq!(ResourceRecord::from_value(&v).expect("from value"), rr);
+    }
+
+    /// `rtype` 0x0003_0001 used to read back as `A`.
+    #[test]
+    fn a_type_code_beyond_sixteen_bits_is_refused_not_truncated() {
+        let rr = ResourceRecord::txt(name("a.b"), 60, "t");
+        let Value::Struct(mut fields) = rr.to_value().expect("to value") else {
+            panic!("records marshal as structs");
+        };
+        fields[1].1 = Value::U32(0x0003_0001);
+        let wide = Value::Struct(fields);
+        assert!(matches!(
+            ResourceRecord::from_value(&wide),
+            Err(NsError::BadRecord(_))
+        ));
+        assert!(ResourceRecord::list_from_values(&[wide]).is_err());
+    }
+
+    #[test]
+    fn oversized_rdata_never_becomes_a_value() {
+        let rr = ResourceRecord::unspec(name("a.b"), 60, vec![0; MAX_RDATA]);
+        assert!(matches!(rr.to_value(), Err(NsError::BadRecord(_))));
     }
 
     #[test]

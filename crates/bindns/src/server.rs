@@ -21,15 +21,15 @@ use simnet::trace::TraceKind;
 use hrpc::binding::ProgramId;
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, RpcService};
+use hrpc::server::{CallCtx, Reply, RpcService};
 use hrpc::HrpcBinding;
-use wire::Value;
+use wire::{Message, Value};
 
 use crate::db::ZoneDb;
 use crate::error::{NsError, Rcode};
 use crate::message::{
-    Answer, MultiAnswer, MultiQuestion, Question, PROC_AXFR, PROC_IXFR, PROC_MQUERY, PROC_QUERY,
-    PROC_SERIAL, PROC_UPDATE,
+    sent, Answer, MultiAnswer, MultiQuestion, Question, PROC_AXFR, PROC_IXFR, PROC_MQUERY,
+    PROC_QUERY, PROC_SERIAL, PROC_UPDATE,
 };
 use crate::name::DomainName;
 use crate::rr::ResourceRecord;
@@ -144,13 +144,13 @@ impl BindServer {
         }
     }
 
-    fn serve_query(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
+    fn serve_query(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Answer> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
         ctx.world.count_ns_lookup();
         self.queries
             .get(ctx.world.metrics(), "bindns", "queries")
             .inc();
-        let question = Question::from_value(args).map_err(service_err)?;
+        let question = sent(args, Question::from_value).map_err(service_err)?;
         let _span = ctx
             .world
             .span_lazy(Some(ctx.host), TraceKind::NameService, || {
@@ -169,11 +169,11 @@ impl BindServer {
                 answer.records.len()
             )
         });
-        answer.to_value().map_err(service_err)
+        Ok(answer)
     }
 
-    fn serve_mquery(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
-        let mq = MultiQuestion::from_value(args).map_err(service_err)?;
+    fn serve_mquery(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<MultiAnswer> {
+        let mq = sent(args, MultiQuestion::from_value).map_err(service_err)?;
         self.mqueries
             .get(ctx.world.metrics(), "bindns", "mqueries")
             .inc();
@@ -224,12 +224,10 @@ impl BindServer {
                 additional.len()
             )
         });
-        MultiAnswer {
+        Ok(MultiAnswer {
             answers,
             additional,
-        }
-        .to_value()
-        .map_err(service_err)
+        })
     }
 
     fn serve_axfr(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
@@ -321,19 +319,17 @@ impl BindServer {
         ]))
     }
 
-    fn serve_update(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
+    fn serve_update(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Answer> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
         self.updates
             .get(ctx.world.metrics(), "bindns", "updates")
             .inc();
         if !self.allow_updates {
-            let answer = Answer::err(Rcode::Refused);
-            return answer.to_value().map_err(service_err);
+            return Ok(Answer::err(Rcode::Refused));
         }
-        let op = UpdateOp::from_value(args).map_err(service_err)?;
+        let op = sent(args, UpdateOp::from_value).map_err(service_err)?;
         if op.uses_unspec() && !self.allow_unspec {
-            let answer = Answer::err(Rcode::Refused);
-            return answer.to_value().map_err(service_err);
+            return Ok(Answer::err(Rcode::Refused));
         }
         let mut db = self.db.write();
         let outcome = match db.find_zone_mut(op.target()) {
@@ -348,9 +344,7 @@ impl BindServer {
                 outcome.as_ref().err()
             )
         });
-        Answer::from_result(outcome.map(|()| Vec::new()))
-            .to_value()
-            .map_err(service_err)
+        Ok(Answer::from_result(outcome.map(|()| Vec::new())))
     }
 
     fn serve_serial(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
@@ -374,13 +368,25 @@ impl RpcService for BindServer {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+    }
+
+    /// `QUERY`, `MQUERY` and `UPDATE` are served on their structs — this
+    /// crate's resolvers send them, and read the struct that comes back;
+    /// the transfer procedures have none and stay on the tree.
+    fn dispatch_msg(
+        &self,
+        ctx: &CallCtx<'_>,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
         match proc_id {
-            PROC_QUERY => self.serve_query(ctx, args),
-            PROC_MQUERY => self.serve_mquery(ctx, args),
-            PROC_AXFR => self.serve_axfr(ctx, args),
-            PROC_IXFR => self.serve_ixfr(ctx, args),
-            PROC_UPDATE => self.serve_update(ctx, args),
-            PROC_SERIAL => self.serve_serial(ctx, args),
+            PROC_QUERY => self.serve_query(ctx, args).map(Reply::typed),
+            PROC_MQUERY => self.serve_mquery(ctx, args).map(Reply::typed),
+            PROC_UPDATE => self.serve_update(ctx, args).map(Reply::typed),
+            PROC_AXFR => self.serve_axfr(ctx, &args.tree()).map(Reply::Tree),
+            PROC_IXFR => self.serve_ixfr(ctx, &args.tree()).map(Reply::Tree),
+            PROC_SERIAL => self.serve_serial(ctx, &args.tree()).map(Reply::Tree),
             other => Err(RpcError::BadProcedure(other)),
         }
     }

@@ -5,11 +5,12 @@
 //! zones from master files; the HNS meta store needs runtime registration
 //! of name services, NSMs, and contexts.
 
+use wire::message::{Shape, Shaped, Tree};
 use wire::Value;
 
 use crate::error::{NsError, NsResult};
 use crate::name::DomainName;
-use crate::rr::{RType, ResourceRecord};
+use crate::rr::{bad_field, check_rdata, RType, ResourceRecord};
 use crate::zone::Zone;
 
 /// One dynamic-update operation.
@@ -72,52 +73,67 @@ impl UpdateOp {
         }
     }
 
+    /// The records the operation carries.
+    pub fn records(&self) -> &[ResourceRecord] {
+        match self {
+            UpdateOp::Add(rr) => std::slice::from_ref(rr),
+            UpdateOp::Delete { .. } => &[],
+            UpdateOp::Replace { records, .. } => records,
+        }
+    }
+
     /// Serializes to a wire value.
     pub fn to_value(&self) -> NsResult<Value> {
-        Ok(match self {
-            UpdateOp::Add(rr) => Value::record([("op", Value::U32(0)), ("record", rr.to_value()?)]),
-            UpdateOp::Delete { name, rtype } => Value::record([
-                ("op", Value::U32(1)),
-                ("name", Value::str(name.as_str())),
-                ("rtype", Value::U32(rtype.code() as u32)),
+        check_rdata(self.records())?;
+        Ok(self.shape(&Tree))
+    }
+
+    /// Deserializes from a wire value.
+    pub fn from_value(v: &Value) -> NsResult<UpdateOp> {
+        match v.u32_field("op").map_err(bad_field)? {
+            0 => Ok(UpdateOp::Add(ResourceRecord::from_value(
+                v.field("record").map_err(bad_field)?,
+            )?)),
+            1 => Ok(UpdateOp::Delete {
+                name: DomainName::parse(v.str_field("name").map_err(bad_field)?)?,
+                rtype: RType::read(v)?,
+            }),
+            2 => {
+                let list = v
+                    .field("records")
+                    .and_then(Value::as_list)
+                    .map_err(bad_field)?;
+                Ok(UpdateOp::Replace {
+                    name: DomainName::parse(v.str_field("name").map_err(bad_field)?)?,
+                    rtype: RType::read(v)?,
+                    records: ResourceRecord::list_from_values(list)?,
+                })
+            }
+            other => Err(NsError::BadRecord(format!("unknown update op {other}"))),
+        }
+    }
+}
+
+impl Shaped for UpdateOp {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        let code = |rtype: &RType| s.u32(u32::from(rtype.code()));
+        match self {
+            UpdateOp::Add(rr) => s.record([("op", s.u32(0)), ("record", rr.shape(s))]),
+            UpdateOp::Delete { name, rtype } => s.record([
+                ("op", s.u32(1)),
+                ("name", s.str(name.as_str())),
+                ("rtype", code(rtype)),
             ]),
             UpdateOp::Replace {
                 name,
                 rtype,
                 records,
-            } => {
-                let recs: NsResult<Vec<Value>> =
-                    records.iter().map(ResourceRecord::to_value).collect();
-                Value::record([
-                    ("op", Value::U32(2)),
-                    ("name", Value::str(name.as_str())),
-                    ("rtype", Value::U32(rtype.code() as u32)),
-                    ("records", Value::List(recs?)),
-                ])
-            }
-        })
-    }
-
-    /// Deserializes from a wire value.
-    pub fn from_value(v: &Value) -> NsResult<UpdateOp> {
-        let bad = |e: wire::WireError| NsError::BadRecord(e.to_string());
-        match v.u32_field("op").map_err(bad)? {
-            0 => Ok(UpdateOp::Add(ResourceRecord::from_value(
-                v.field("record").map_err(bad)?,
-            )?)),
-            1 => Ok(UpdateOp::Delete {
-                name: DomainName::parse(v.str_field("name").map_err(bad)?)?,
-                rtype: RType::from_code(v.u32_field("rtype").map_err(bad)? as u16)?,
-            }),
-            2 => {
-                let list = v.field("records").and_then(Value::as_list).map_err(bad)?;
-                Ok(UpdateOp::Replace {
-                    name: DomainName::parse(v.str_field("name").map_err(bad)?)?,
-                    rtype: RType::from_code(v.u32_field("rtype").map_err(bad)? as u16)?,
-                    records: ResourceRecord::list_from_values(list)?,
-                })
-            }
-            other => Err(NsError::BadRecord(format!("unknown update op {other}"))),
+            } => s.record([
+                ("op", s.u32(2)),
+                ("name", s.str(name.as_str())),
+                ("rtype", code(rtype)),
+                ("records", s.list(records.iter(), |r| r.shape(s))),
+            ]),
         }
     }
 }
@@ -192,6 +208,36 @@ mod tests {
         for op in ops {
             let v = op.to_value().expect("to value");
             assert_eq!(UpdateOp::from_value(&v).expect("from value"), op);
+        }
+    }
+
+    /// `rtype` 0x0001_0010 used to delete, or replace, `TXT`.
+    #[test]
+    fn a_type_code_beyond_sixteen_bits_is_refused_not_truncated() {
+        let ops = [
+            UpdateOp::Delete {
+                name: name("a.hns"),
+                rtype: RType::Txt,
+            },
+            UpdateOp::Replace {
+                name: name("a.hns"),
+                rtype: RType::Txt,
+                records: vec![],
+            },
+        ];
+        for op in ops {
+            let Value::Struct(mut fields) = op.to_value().expect("to value") else {
+                panic!("updates marshal as structs");
+            };
+            assert_eq!(fields[2].0, "rtype");
+            fields[2].1 = Value::U32(0x0001_0010);
+            assert!(
+                matches!(
+                    UpdateOp::from_value(&Value::Struct(fields)),
+                    Err(NsError::BadRecord(_))
+                ),
+                "{op:?}"
+            );
         }
     }
 

@@ -2,11 +2,14 @@
 
 use proptest::prelude::*;
 
+use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
 use bindns::rr::{RData, RType, ResourceRecord};
 use bindns::update::UpdateOp;
 use bindns::zone::Zone;
+use bindns::Rcode;
 use simnet::topology::{HostId, NetAddr};
+use wire::{Message, WireError, WireFormat};
 
 fn arb_label() -> impl Strategy<Value = String> {
     "[a-z0-9][a-z0-9_-]{0,12}"
@@ -62,6 +65,82 @@ fn rtype_for(rdata: &RData) -> RType {
         RData::Domain(_) => RType::Cname,
         RData::Soa { .. } => RType::Soa,
     }
+}
+
+/// Any rdata kind, a domain and a start of authority included.
+fn arb_any_rdata() -> impl Strategy<Value = RData> {
+    let soa = (arb_name_under("edu"), any::<u32>(), any::<u32>()).prop_map(
+        |(primary, serial, default_ttl)| RData::Soa {
+            primary,
+            serial,
+            default_ttl,
+        },
+    );
+    prop_oneof![
+        arb_rdata(),
+        arb_name_under("edu").prop_map(RData::Domain),
+        soa
+    ]
+}
+
+fn arb_record() -> impl Strategy<Value = ResourceRecord> {
+    (arb_name_under("edu"), any::<u32>(), arb_any_rdata()).prop_map(|(name, ttl, rdata)| {
+        ResourceRecord {
+            name,
+            rtype: rtype_for(&rdata),
+            ttl,
+            rdata,
+        }
+    })
+}
+
+fn arb_answer() -> impl Strategy<Value = Answer> {
+    (0u32..7, proptest::collection::vec(arb_record(), 0..7)).prop_map(|(code, records)| Answer {
+        rcode: Rcode::from_u32(code).expect("a code"),
+        records,
+    })
+}
+
+fn arb_question() -> impl Strategy<Value = Question> {
+    (arb_name_under("edu"), arb_any_rdata())
+        .prop_map(|(name, rdata)| Question::new(name, rtype_for(&rdata)))
+}
+
+/// One hint in three is longer than a Courier word can count.
+fn arb_hint() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-z]{0,12}",
+        "[ -~]{0,40}",
+        (wire::courier::MAX_LEN - 2..wire::courier::MAX_LEN + 3).prop_map(|n| "h".repeat(n)),
+    ]
+}
+
+/// The law the fabric's charges rest on: a message states, under either
+/// format, the length its tree encodes to — or the error encoding it
+/// fails with.
+fn states_the_length_of_its_encoded_tree(msg: &dyn Message) -> Option<WireError> {
+    let mut refused = None;
+    for format in [WireFormat::Xdr, WireFormat::Courier] {
+        let encoded = format.encode(&msg.tree()).map(|bytes| bytes.len());
+        assert_eq!(msg.encoded_len(format), encoded, "{format}");
+        refused = refused.or(encoded.err());
+    }
+    refused
+}
+
+/// More records than a Courier word can count: refused by the length as
+/// by the encoder, and by neither under XDR.
+#[test]
+fn a_record_count_beyond_the_format_is_refused_by_length_and_encoder_alike() {
+    let owner = DomainName::parse("many.edu").expect("valid");
+    let records = vec![ResourceRecord::txt(owner, 60, "t"); wire::courier::MAX_LEN + 1];
+    let count = records.len();
+    let answer = Answer::ok(records);
+    assert_eq!(
+        states_the_length_of_its_encoded_tree(&answer),
+        Some(WireError::Oversize(count))
+    );
+    assert!(answer.encoded_len(WireFormat::Xdr).is_ok());
 }
 
 #[test]
@@ -210,6 +289,38 @@ proptest! {
         ] {
             let v = op.to_value().expect("encode");
             prop_assert_eq!(UpdateOp::from_value(&v).expect("decode"), op);
+        }
+    }
+
+    #[test]
+    fn every_message_states_the_length_of_its_encoded_tree(
+        questions in proptest::collection::vec(arb_question(), 0..4),
+        hints in proptest::collection::vec(arb_hint(), 0..3),
+        answers in proptest::collection::vec(arb_answer(), 0..3),
+        additional in proptest::collection::vec(arb_answer(), 0..3),
+        records in proptest::collection::vec(arb_record(), 1..4),
+    ) {
+        for question in &questions {
+            prop_assert_eq!(states_the_length_of_its_encoded_tree(question), None);
+        }
+        let long_hint = hints.iter().map(String::len).find(|len| *len > wire::courier::MAX_LEN);
+        let batch = MultiQuestion::new(questions, hints);
+        prop_assert_eq!(
+            states_the_length_of_its_encoded_tree(&batch),
+            long_hint.map(WireError::Oversize)
+        );
+        for answer in answers.iter().chain(&additional) {
+            prop_assert_eq!(states_the_length_of_its_encoded_tree(answer), None);
+        }
+        let multi = MultiAnswer { answers, additional };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&multi), None);
+        let (name, rtype) = (records[0].name.clone(), records[0].rtype);
+        for op in [
+            UpdateOp::Add(records[0].clone()),
+            UpdateOp::Delete { name: name.clone(), rtype },
+            UpdateOp::Replace { name, rtype, records },
+        ] {
+            prop_assert_eq!(states_the_length_of_its_encoded_tree(&op), None);
         }
     }
 

@@ -408,3 +408,251 @@ pub fn run_seed(seed: u64) -> SeedSummary {
         fault_scenarios: 4,
     }
 }
+
+/// Typed and tree-only peers: whichever side of a `bindns` exchange
+/// knows the structs, the fabric must charge and the caller must read
+/// the same.
+///
+/// `bindns`'s resolvers and server exchange `Question`, `Answer`,
+/// `MultiQuestion`, `MultiAnswer` and `UpdateOp` as themselves; any
+/// other peer — the benchmark's timing shim, a service that implements
+/// `RpcService::dispatch` alone, a caller of `RpcNet::call` — exchanges
+/// trees, and the two must be indistinguishable from outside. Not every
+/// node on the net may be the subject under test, so the peers that are
+/// not are stood in for here, at the servers' ports.
+pub mod peers {
+    use std::sync::Arc;
+
+    use bindns::message::{
+        Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
+    };
+    use bindns::server::{BindDeployment, BIND_PROGRAM};
+    use bindns::{
+        deploy, single_zone_server, DomainName, HrpcResolver, RData, RType, RecursiveResolver,
+        ResourceRecord, StdResolver, UpdateOp, Zone, DNS_PORT,
+    };
+    use hrpc::error::RpcResult;
+    use hrpc::server::{CallCtx, Reply, RpcService};
+    use hrpc::RpcNet;
+    use simnet::topology::NetAddr;
+    use simnet::world::World;
+    use wire::{Message, Value};
+
+    /// A server that knows no struct: it forwards `dispatch` alone, as
+    /// the benchmark's timing shim does, so the fabric hands it the
+    /// caller's tree and takes a tree back.
+    struct TreeOnlyServer(Arc<dyn RpcService>);
+
+    impl RpcService for TreeOnlyServer {
+        fn service_name(&self) -> &str {
+            self.0.service_name()
+        }
+
+        fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+            self.0.dispatch(ctx, proc_id, args)
+        }
+    }
+
+    /// Stands at a server's port for callers that know no struct: the
+    /// server is handed the tree such a caller would have sent, and the
+    /// caller the tree `RpcNet::call` would have made of the reply.
+    struct TreeOnlyCallers(Arc<dyn RpcService>);
+
+    impl RpcService for TreeOnlyCallers {
+        fn service_name(&self) -> &str {
+            self.0.service_name()
+        }
+
+        fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+            self.0.dispatch(ctx, proc_id, args)
+        }
+
+        fn dispatch_msg(
+            &self,
+            ctx: &CallCtx<'_>,
+            proc_id: u32,
+            args: &dyn Message,
+        ) -> RpcResult<Reply> {
+            let sent: Value = args.tree().into_owned();
+            let reply = self.0.dispatch_msg(ctx, proc_id, &sent)?;
+            Ok(Reply::Tree(reply.into_value()))
+        }
+    }
+
+    /// Which side of every exchange knows the structs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Peers {
+        /// The callers send and read structs.
+        pub typed_callers: bool,
+        /// The servers read and answer with structs.
+        pub typed_servers: bool,
+    }
+
+    impl Peers {
+        /// The four combinations, both sides typed first.
+        pub const ALL: [Peers; 4] = [
+            Peers {
+                typed_callers: true,
+                typed_servers: true,
+            },
+            Peers {
+                typed_callers: true,
+                typed_servers: false,
+            },
+            Peers {
+                typed_callers: false,
+                typed_servers: true,
+            },
+            Peers {
+                typed_callers: false,
+                typed_servers: false,
+            },
+        ];
+
+        /// Puts `deployment`'s server back on its port behind whatever
+        /// stands for the untyped side.
+        fn interpose(self, net: &RpcNet, deployment: &BindDeployment) {
+            let mut service: Arc<dyn RpcService> = Arc::clone(&deployment.server) as _;
+            if !self.typed_servers {
+                service = Arc::new(TreeOnlyServer(service));
+            }
+            if !self.typed_callers {
+                service = Arc::new(TreeOnlyCallers(service));
+            }
+            net.unexport(deployment.host, DNS_PORT);
+            net.export_at(deployment.host, DNS_PORT, BIND_PROGRAM, service);
+        }
+    }
+
+    fn name(s: &str) -> DomainName {
+        DomainName::parse(s).expect("static name")
+    }
+
+    /// Everything one run of the script let an observer see: each answer
+    /// in order, then the world's counters, virtual clock and — caches
+    /// exported — every metric in its registry.
+    pub fn observe(peers: Peers) -> Vec<String> {
+        let world = World::paper();
+        let client = world.add_host("client");
+        let root_host = world.add_host("a.root-servers.net");
+        let cs_host = world.add_host("ns.cs.edu");
+        let net = RpcNet::new(Arc::clone(&world));
+
+        // A conventional parent that delegates `cs.edu` to a modified child.
+        let mut root_zone = Zone::new(name("edu"), 86_400);
+        root_zone
+            .add(ResourceRecord {
+                name: name("cs.edu"),
+                rtype: RType::Ns,
+                ttl: 86_400,
+                rdata: RData::Domain(name("ns.cs.edu")),
+            })
+            .expect("delegation");
+        root_zone
+            .add(ResourceRecord::a(
+                name("ns.cs.edu"),
+                86_400,
+                NetAddr::of(cs_host),
+            ))
+            .expect("glue");
+        let mut cs_zone = Zone::new(name("cs.edu"), 3_600);
+        for (leaf, host) in [("fiji.cs.edu", client), ("june.cs.edu", cs_host)] {
+            cs_zone
+                .add(ResourceRecord::a(name(leaf), 3_600, NetAddr::of(host)))
+                .expect("leaf");
+        }
+        let root = deploy(
+            &net,
+            root_host,
+            single_zone_server("root", root_zone, false),
+        );
+        let cs = deploy(&net, cs_host, single_zone_server("cs", cs_zone, true));
+        peers.interpose(&net, &root);
+        peers.interpose(&net, &cs);
+
+        let mut seen = Vec::new();
+        let mut see = |what: &str, outcome: String| seen.push(format!("{what}: {outcome}"));
+        let fiji = name("fiji.cs.edu");
+        let ghost = name("ghost.cs.edu");
+        let meta = name("meta.cs.edu");
+        let unspec =
+            |owner: &DomainName, p: &[u8]| ResourceRecord::unspec(owner.clone(), 600, p.to_vec());
+
+        // QUERY through each resolver: a miss, the hit it leaves, a NameError.
+        let std = StdResolver::new(Arc::clone(&net), client, cs.std_binding);
+        see("std query", format!("{:?}", std.query(&fiji, RType::A)));
+        see(
+            "std query again",
+            format!("{:?}", std.query(&fiji, RType::A)),
+        );
+        see(
+            "std NameError",
+            format!("{:?}", std.query(&ghost, RType::A)),
+        );
+        let hrpc = HrpcResolver::new(Arc::clone(&net), client, cs.hrpc_binding);
+        see("hrpc query", format!("{:?}", hrpc.query(&fiji, RType::A)));
+        see(
+            "hrpc NameError",
+            format!("{:?}", hrpc.query(&ghost, RType::A)),
+        );
+
+        // UPDATE: accepted, refused by the zone, refused by the server.
+        let replace = |records| UpdateOp::Replace {
+            name: meta.clone(),
+            rtype: RType::Unspec,
+            records,
+        };
+        let accepted = replace(vec![unspec(&meta, b"ns=BIND"), unspec(&meta, b"v=2")]);
+        see("update", format!("{:?}", hrpc.update(&accepted)));
+        let mismatched = replace(vec![unspec(&ghost, b"ns=CH")]);
+        see("refused update", format!("{:?}", hrpc.update(&mismatched)));
+        let at_root = HrpcResolver::new(Arc::clone(&net), client, root.hrpc_binding);
+        let add = UpdateOp::Add(ResourceRecord::txt(name("new.edu"), 60, "x"));
+        see(
+            "update a conventional server",
+            format!("{:?}", at_root.update(&add)),
+        );
+
+        // MQUERY: the set just written, a name that is not there, a hint.
+        let questions = [
+            Question::new(meta.clone(), RType::Unspec),
+            Question::new(ghost.clone(), RType::A),
+        ];
+        let hints = ["hrpcbinding".to_string()];
+        see("mquery", format!("{:?}", hrpc.mquery(&questions, &hints)));
+
+        // A referral walk from the root, a sibling from the cut it cached,
+        // and a NameError from the cut's server.
+        let walker = RecursiveResolver::new(Arc::clone(&net), client, root.std_binding);
+        for target in [&fiji, &name("june.cs.edu"), &ghost] {
+            see("walk", format!("{:?}", walker.query(target, RType::A)));
+        }
+
+        // A caller of `RpcNet::call`, which has only ever exchanged trees.
+        let call = |binding, proc_id, args: &Value| net.call(client, binding, proc_id, args);
+        let asked = Question::new(meta.clone(), RType::Unspec).to_value();
+        let reply = call(&cs.std_binding, PROC_QUERY, &asked).expect("QUERY");
+        see("call QUERY", format!("{:?}", Answer::from_value(&reply)));
+        let asked = MultiQuestion::new(questions.to_vec(), hints.to_vec()).to_value();
+        let reply = call(&cs.hrpc_binding, PROC_MQUERY, &asked).expect("MQUERY");
+        see(
+            "call MQUERY",
+            format!("{:?}", MultiAnswer::from_value(&reply)),
+        );
+        let asked = mismatched.to_value().expect("marshals");
+        let reply = call(&cs.hrpc_binding, PROC_UPDATE, &asked).expect("UPDATE");
+        see("call UPDATE", format!("{:?}", Answer::from_value(&reply)));
+        let referred = call(
+            &root.std_binding,
+            PROC_QUERY,
+            &Question::new(fiji, RType::A).to_value(),
+        );
+        see("call for a referral", format!("{referred:?}"));
+
+        see("counters", format!("{:?}", world.counters()));
+        see("virtual time", format!("{}", world.now()));
+        world.export_all_caches();
+        see("metrics", world.metrics().snapshot().to_json());
+        seen
+    }
+}

@@ -4,7 +4,7 @@
 //! exercises the first tag check), the fuzzer starts from corpus-valid
 //! messages and applies structured damage: truncation, bit flips,
 //! length-field inflation, and cross-message splices. Each iteration
-//! asserts three properties:
+//! asserts three properties (the message layer a fourth):
 //!
 //! 1. **No panics** — malformed input must produce a typed error, never
 //!    an abort (checked via `catch_unwind`).
@@ -17,12 +17,18 @@
 //! The wire is not where a message stops being input: a mutant that
 //! decodes to a [`Value`] is then handed to every **message-level**
 //! reader that takes such a value apart — `Answer`, `MultiAnswer`,
-//! `Question`, `MultiQuestion`, `UpdateOp`, `HrpcBinding`, the borrowed
-//! `QUERY` reply reader and, over the payloads that reader finds, the
-//! `MetaRecord` decoder of each record kind — under the same three
-//! properties (accepted ⇒ what it re-encodes to reads back equal). Their
-//! bases are the corpus plus [`meta_seeds`]: replies carrying real meta
-//! record sets, so the typed decoder meets near-valid payloads.
+//! `Question`, `MultiQuestion`, `UpdateOp`, `HrpcBinding` and, over the
+//! payloads of the records `Answer` finds, the `MetaRecord` decoder of
+//! each record kind — under the same three properties (accepted ⇒ what it
+//! re-encodes to reads back equal). Their bases are the corpus plus
+//! [`meta_seeds`]: replies carrying real meta record sets, so the typed
+//! decoder meets near-valid payloads.
+//!
+//! 4. **The length law** — the five of those that cross the fabric as
+//!    themselves ([`wire::Message`]) are charged by the length they
+//!    state, so every one a reader accepts must state, under either
+//!    format, exactly what encoding its tree gives: the same length, or
+//!    the same error.
 //!
 //! Everything derives from one [`DetRng`] stream, so a failing seed
 //! replays exactly: `experiments fuzz --seed N --iters M`.
@@ -30,16 +36,16 @@
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question, Reply};
-use bindns::rr::{RecordRef, ResourceRecord};
+use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
+use bindns::rr::ResourceRecord;
 use bindns::update::UpdateOp;
-use bindns::DomainName;
+use bindns::{DomainName, NsResult};
 use hns_core::meta::{Kind, MetaRecord};
 use hns_core::name::Context;
 use hns_core::nsm::{NsmInfo, SuiteTag};
 use hrpc::{HrpcBinding, ProgramId};
 use simnet::rng::DetRng;
-use wire::Value;
+use wire::{Message, Value, WireFormat};
 
 use crate::alloc;
 use crate::corpus::{self, check_idempotence, decode_message, CorpusEntry, Decoded, Decoder};
@@ -224,38 +230,11 @@ fn meta_reply(owner: &DomainName, payloads: Vec<String>) -> Option<Value> {
     answer.to_value().ok()
 }
 
-/// The fields of one record as the reply reader lends them, owned.
-type ReadRecord = (String, u16, u32, Vec<u8>);
-
-/// What the borrowed reply reader reads of a reply, owned for comparison.
-fn read_reply(value: &Value) -> Option<(u32, Vec<ReadRecord>)> {
-    let reply = Reply::read(value).ok()?;
-    let own = |r: RecordRef<'_>| (r.owner.to_string(), r.rtype.code(), r.ttl, r.rdata.to_vec());
-    let records: Result<Vec<_>, _> = reply.records().map(|r| r.map(own)).collect();
-    Some((reply.rcode as u32, records.ok()?))
-}
-
-/// The reply [`read_reply`] reads `read` back from.
-fn write_reply((rcode, records): &(u32, Vec<ReadRecord>)) -> Option<Value> {
-    let record = |(owner, rtype, ttl, rdata): &ReadRecord| {
-        Value::record([
-            ("name", Value::str(owner.as_str())),
-            ("rtype", Value::U32(u32::from(*rtype))),
-            ("ttl", Value::U32(*ttl)),
-            ("rdata", Value::Bytes(rdata.clone())),
-        ])
-    };
-    Some(Value::record([
-        ("rcode", Value::U32(*rcode)),
-        ("answers", Value::List(records.iter().map(record).collect())),
-    ]))
-}
-
 /// The record of `kind` in the opaque payloads of the reply `value`, as
 /// a demand fetch decodes it (the checks on owner and type aside).
 fn decode_meta(kind: Kind, value: &Value) -> Option<MetaRecord> {
-    let reply = Reply::read(value).ok()?;
-    let payloads = reply.records().filter_map(|r| r.ok()?.opaque());
+    let answer = Answer::from_value(value).ok()?;
+    let payloads = answer.records.iter().filter_map(ResourceRecord::opaque);
     MetaRecord::decode(kind, payloads).ok()
 }
 
@@ -272,37 +251,20 @@ fn read_messages(report: &mut FuzzReport, value: &Value, budget: u64, what: &dyn
         budget,
         what,
     };
-    read.one(
-        "Answer",
-        |v| Answer::from_value(v).ok(),
-        |a| a.to_value().ok(),
-    );
-    read.one(
-        "MultiAnswer",
-        |v| MultiAnswer::from_value(v).ok(),
-        |a| a.to_value().ok(),
-    );
-    read.one(
-        "Question",
-        |v| Question::from_value(v).ok(),
-        |q| Some(q.to_value()),
-    );
-    read.one(
-        "MultiQuestion",
-        |v| MultiQuestion::from_value(v).ok(),
-        |q| Some(q.to_value()),
-    );
-    read.one(
-        "UpdateOp",
-        |v| UpdateOp::from_value(v).ok(),
-        |op| op.to_value().ok(),
-    );
+    read.message("Answer", Answer::from_value, |a| a.to_value().ok());
+    read.message("MultiAnswer", MultiAnswer::from_value, |a| {
+        a.to_value().ok()
+    });
+    read.message("Question", Question::from_value, |q| Some(q.to_value()));
+    read.message("MultiQuestion", MultiQuestion::from_value, |q| {
+        Some(q.to_value())
+    });
+    read.message("UpdateOp", UpdateOp::from_value, |op| op.to_value().ok());
     read.one(
         "HrpcBinding",
         |v| HrpcBinding::from_value(v).ok(),
         |b| Some(b.to_value()),
     );
-    read.one("Reply", read_reply, write_reply);
     for kind in Kind::ALL {
         let name = format!("MetaRecord {kind:?}");
         read.one(&name, |v| decode_meta(kind, v), write_meta);
@@ -320,15 +282,39 @@ struct MessageLayer<'a> {
 }
 
 impl MessageLayer<'_> {
+    /// [`MessageLayer::one`] for a reader of a message the fabric carries
+    /// as itself, which must also keep the length law.
+    fn message<M: Message + PartialEq>(
+        &mut self,
+        reader: &str,
+        decode: fn(&Value) -> NsResult<M>,
+        encode: impl Fn(&M) -> Option<Value>,
+    ) {
+        let Some(message) = self.one(reader, |v| decode(v).ok(), encode) else {
+            return;
+        };
+        for format in [WireFormat::Xdr, WireFormat::Courier] {
+            let stated = message.encoded_len(format);
+            let encoded = format.encode(&message.tree()).map(|bytes| bytes.len());
+            if stated != encoded {
+                self.report.violations.push(format!(
+                    "{}: {reader} states {stated:?} under {format}, its tree encodes to {encoded:?}",
+                    self.what
+                ));
+            }
+        }
+    }
+
     /// Runs one reader under the fuzzer's three properties: `decode` may
     /// not panic nor allocate beyond the budget, and a message it accepts
-    /// must `encode` to a value it reads back equal.
+    /// — which is handed back — must `encode` to a value it reads back
+    /// equal.
     fn one<M: PartialEq>(
         &mut self,
         reader: &str,
         decode: impl Fn(&Value) -> Option<M>,
         encode: impl Fn(&M) -> Option<Value>,
-    ) {
+    ) -> Option<M> {
         let what = self.what;
         let mut violation = |why: String| {
             let text = format!("{what}: {reader} {why}");
@@ -336,7 +322,8 @@ impl MessageLayer<'_> {
         };
         let measured = || alloc::measure(|| decode(self.value));
         let Ok((message, used)) = catch_unwind(AssertUnwindSafe(measured)) else {
-            return violation("PANIC".into());
+            violation("PANIC".into());
+            return None;
         };
         if let Some(used) = used.filter(|used| *used > self.budget) {
             violation(format!(
@@ -346,7 +333,7 @@ impl MessageLayer<'_> {
         }
         let Some(message) = message else {
             self.report.message_rejected += 1;
-            return;
+            return None;
         };
         // Outside the measured region, like the wire layer's check.
         match encode(&message).map(|again| decode(&again)) {
@@ -355,6 +342,7 @@ impl MessageLayer<'_> {
             Some(None) => violation("re-encoded value failed to decode".into()),
             None => violation("accepted a message it cannot re-encode".into()),
         }
+        Some(message)
     }
 }
 
@@ -499,11 +487,11 @@ mod tests {
             let found = accepted.iter().find(|(entry, _)| *entry == name);
             found.unwrap_or_else(|| panic!("no base `{name}`")).1
         };
-        // `Reply`, `Answer`, and the NSM-name decoder (any UTF-8 first
-        // payload is a name) read every UNSPEC-carrying answer.
-        assert_eq!(readers_of("meta_context_xdr"), 4, "and the context decoder");
-        assert_eq!(readers_of("meta_nsm_info_xdr"), 4, "and the info decoder");
-        assert_eq!(readers_of("meta_nsm_name_xdr"), 3);
+        // `Answer` and the NSM-name decoder (any UTF-8 first payload is a
+        // name) read every UNSPEC-carrying answer.
+        assert_eq!(readers_of("meta_context_xdr"), 3, "and the context decoder");
+        assert_eq!(readers_of("meta_nsm_info_xdr"), 3, "and the info decoder");
+        assert_eq!(readers_of("meta_nsm_name_xdr"), 2);
         for (name, least) in [
             ("question_xdr", 1),
             ("multi_question_xdr", 1),

@@ -61,16 +61,25 @@ const WARM_REWALK: Row = (1, 40);
 /// each call built its own `QueryClass`).
 const WARM_IMPORT: Row = (11, 1_040);
 /// Cold sequential `FindNSM`: every cache off, six remote mappings. The
-/// client's share per meta mapping is the key, the question (two), the
-/// record's own strings and its `Arc`; the rest is the servers'. (136 /
+/// question and the answer cross the fabric as the structs they are, so
+/// a mapping costs its key, the zone's record vector, the box the answer
+/// travels in, and the decoded record's own strings and `Arc`. (100 /
+/// 7,786 B while every question and answer was built into a `Value` tree
+/// and taken apart again — `Answer::to_value` alone was 57 of them; 136 /
 /// 10,229 B while each reply became `ResourceRecord`s, then strings, then
 /// parsed pieces, and seven key texts were interned for a cache that
 /// stores nothing; 101 / 8,962 B before a zone sized its answer once;
 /// 585 / 23,946 B before names became shared strings and struct field
 /// names static.)
-const COLD_SEQUENTIAL: Row = (100, 7_786);
+const COLD_SEQUENTIAL: Row = (40, 2_179);
+/// Cold batched `FindNSM`: every cache off, mappings 1–5 in one `MQUERY`
+/// whose additional sets the meta server's chaser attaches. Holds the
+/// typed `MultiQuestion` / `MultiAnswer` path (152 / 11,525 B while the
+/// batch and its reply were trees).
+const COLD_BATCHED: Row = (68, 4_376);
 /// Decoding a six-record answer of one owner into owned records: the
 /// record vector, and the owner name — parsed once and shared by all six.
+/// What an untyped peer's reply costs at the edge where it is decoded.
 const ANSWER_DECODE: Row = (2, 376);
 
 /// Prints one row and checks it against its pin.
@@ -152,6 +161,11 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     cold.find_nsm(&qc, &name).expect("lazy handles resolved");
     row("cold sequential FindNSM", COLD_SEQUENTIAL, || {
         cold.find_nsm(&qc, &name).expect("cold walk")
+    });
+    cold.set_batching(true);
+    cold.find_nsm(&qc, &name).expect("lazy handles resolved");
+    row("cold batched FindNSM", COLD_BATCHED, || {
+        cold.find_nsm(&qc, &name).expect("batched walk")
     });
 
     let owner = DomainName::parse("fiji.cs.washington.edu").expect("name");

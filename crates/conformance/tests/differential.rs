@@ -19,3 +19,39 @@ fn all_paths_agree_across_the_seed_sweep() {
         assert_eq!(summary.fault_scenarios, 4);
     }
 }
+
+/// Typed or tree-only, caller or server: the same answers, `bytes_sent`,
+/// remote calls, virtual time and every counter of every cache.
+#[test]
+fn typed_and_tree_only_peers_are_indistinguishable() {
+    use differential::peers::{observe, Peers};
+
+    let both_typed = observe(Peers::ALL[0]);
+    let said = |what: &str| {
+        let line = both_typed.iter().find(|line| line.starts_with(what));
+        line.unwrap_or_else(|| panic!("nothing observed of `{what}`"))
+    };
+    // The script did what it says: answers, refusals, a walk.
+    assert!(
+        said("std query:").contains("Ok(["),
+        "{}",
+        said("std query:")
+    );
+    assert!(said("hrpc NameError:").contains("NotFound"));
+    assert!(said("update:").ends_with("Ok(())"));
+    assert!(said("refused update:").contains("FormErr"));
+    assert!(said("update a conventional server:").contains("Refused"));
+    assert!(said("call for a referral:").contains("ns.cs.edu"));
+    assert!(
+        said("counters:").contains("remote_calls: 16"),
+        "{}",
+        said("counters:")
+    );
+    for peers in &Peers::ALL[1..] {
+        let observed = observe(*peers);
+        for (typed, other) in both_typed.iter().zip(&observed) {
+            assert_eq!(typed, other, "{peers:?}");
+        }
+        assert_eq!(both_typed.len(), observed.len(), "{peers:?}");
+    }
+}

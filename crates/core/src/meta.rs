@@ -27,11 +27,11 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::{Arc, LazyLock};
 
-use bindns::error::{NsResult, Rcode};
+use bindns::error::Rcode;
 use bindns::message::Question;
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
-use bindns::rr::{RType, RecordRef, ResourceRecord};
+use bindns::rr::{RType, ResourceRecord};
 use bindns::update::UpdateOp;
 use hrpc::error::RpcError;
 use hrpc::ProgramId;
@@ -318,70 +318,42 @@ impl Cacheable for MetaRecord {
     }
 }
 
-/// One answer record as [`decode_set`] checks it, however it was read.
-struct Answered<'a> {
-    owner: &'a str,
-    rtype: RType,
-    ttl: u32,
-    opaque: Option<&'a [u8]>,
-}
-
-impl<'a> From<RecordRef<'a>> for Answered<'a> {
-    fn from(record: RecordRef<'a>) -> Self {
-        Answered {
-            owner: record.owner,
-            rtype: record.rtype,
-            ttl: record.ttl,
-            opaque: record.opaque(),
-        }
+/// The payload of one record of the set that answers for `key`: it must
+/// be an `UNSPEC` record of opaque data owned by `key`.
+fn payload_of<'r>(key: &DomainName, record: &'r ResourceRecord) -> HnsResult<&'r [u8]> {
+    if record.rtype != RType::Unspec {
+        return Err(bad(format!("expected UNSPEC, found {}", record.rtype)));
     }
-}
-
-impl<'a> From<&'a ResourceRecord> for Answered<'a> {
-    fn from(record: &'a ResourceRecord) -> Self {
-        Answered {
-            owner: record.name.as_str(),
-            rtype: record.rtype,
-            ttl: record.ttl,
-            opaque: record.opaque(),
-        }
+    if !record.name.as_str().eq_ignore_ascii_case(key.as_str()) {
+        return Err(bad(format!("`{}` answers for `{key}`", record.name)));
     }
+    record.opaque().ok_or_else(|| bad("expected opaque rdata"))
 }
 
-/// Decodes the record set that answers a question about `key`, payloads
-/// read where `answers` hold them. Every answer must be an `UNSPEC`
-/// record of opaque data owned by `key`; what its payloads must be is
-/// [`MetaRecord::decode`]'s to say.
-fn decode_set<'a, A: Into<Answered<'a>>>(
+/// Decodes the record set that answers a question about `key`: a meta
+/// server's answer, a zone's, a set of an `MQUERY` batch or of a
+/// transfer. Which records may answer is [`payload_of`]'s to say, what
+/// their payloads must be [`MetaRecord::decode`]'s.
+pub(crate) fn decode_records<R: Borrow<ResourceRecord>>(
     key: &DomainName,
-    answers: impl Iterator<Item = NsResult<A>>,
+    records: &[R],
 ) -> HnsResult<Fetched<MetaRecord>> {
     let kind = Kind::of_key(key).ok_or_else(|| bad(format!("`{key}` is not a meta key")))?;
-    let check = |answer: NsResult<A>| {
-        let answer: Answered<'a> = answer
-            .map_err(|e| HnsError::Rpc(RpcError::Service(e.to_string())))?
-            .into();
-        if answer.rtype != RType::Unspec {
-            return Err(bad(format!("expected UNSPEC, found {}", answer.rtype)));
-        }
-        if !answer.owner.eq_ignore_ascii_case(key.as_str()) {
-            return Err(bad(format!("`{}` answers for `{key}`", answer.owner)));
-        }
-        let payload = answer.opaque.ok_or_else(|| bad("expected opaque rdata"))?;
-        Ok((payload, answer.ttl))
-    };
     let (mut rrs, mut ttl_secs, mut refused) = (0, None, None);
     // The decoder reads the payloads as they are checked; the first
-    // refused answer ends the set, and is the error.
-    let payloads = answers.map_while(|answer| match check(answer) {
-        Ok((payload, ttl)) => {
-            rrs += 1;
-            ttl_secs = Some(ttl_secs.map_or(ttl, |least: u32| least.min(ttl)));
-            Some(payload)
-        }
-        Err(refusal) => {
-            refused = Some(refusal);
-            None
+    // refused record ends the set, and is the error.
+    let payloads = records.iter().map_while(|record| {
+        let record = record.borrow();
+        match payload_of(key, record) {
+            Ok(payload) => {
+                rrs += 1;
+                ttl_secs = Some(ttl_secs.map_or(record.ttl, |least: u32| least.min(record.ttl)));
+                Some(payload)
+            }
+            Err(refusal) => {
+                refused = Some(refusal);
+                None
+            }
         }
     });
     let record = MetaRecord::decode(kind, payloads);
@@ -393,15 +365,6 @@ fn decode_set<'a, A: Into<Answered<'a>>>(
         rrs,
         ttl_secs: ttl_secs.unwrap_or(META_TTL),
     })
-}
-
-/// [`decode_set`] of decoded records: a zone's answer, a set of an
-/// `MQUERY` batch or of a transfer.
-pub(crate) fn decode_records<R: Borrow<ResourceRecord>>(
-    key: &DomainName,
-    records: &[R],
-) -> HnsResult<Fetched<MetaRecord>> {
-    decode_set(key, records.iter().map(|record| Ok(record.borrow())))
 }
 
 /// The meta store: a client of the modified BIND holding the `hns` zone.
@@ -647,10 +610,11 @@ impl MetaStore {
             .map_err(HnsError::Rpc)
     }
 
-    /// Reads the record at a meta key, decoded straight off the reply.
+    /// Reads the record at a meta key, decoded straight off the answer's
+    /// records.
     pub fn fetch(&self, key: &DomainName) -> HnsResult<Fetched<MetaRecord>> {
-        self.resolver
-            .query_reply(key, RType::Unspec, |reply| decode_set(key, reply.records()))
+        let records = self.resolver.query(key, RType::Unspec)?;
+        decode_records(key, &records)
     }
 
     /// Fetches `primary` plus whatever additional sets the meta server's
@@ -740,7 +704,6 @@ mod tests {
     use bindns::server::{deploy, single_zone_server};
     use bindns::zone::Zone;
     use hrpc::net::RpcNet;
-    use simnet::topology::NetAddr;
     use simnet::world::World;
     use std::collections::HashMap;
 
@@ -1209,40 +1172,6 @@ mod tests {
         let edited: Vec<String> = six.iter().map(keep).collect();
         assert_ne!(edited, six, "`{opens}` opens no record");
         edited
-    }
-
-    #[test]
-    fn a_reply_is_decoded_as_the_same_records_decoded_are() {
-        use bindns::message::{Answer, Reply};
-        let sets = [
-            vec![answer("ctx.bind-uw.hns", b"ns=BIND;map=suf::cs:uw")],
-            vec![answer("map.bind--hrpcbinding.hns", b"nsm-b")],
-            sample_info()
-                .to_records()
-                .iter()
-                .map(|payload| answer("info.nsm-b.hns", payload.as_bytes()))
-                .collect(),
-            vec![answer("ctx.bind-uw.hns", &[0xff])],
-            vec![answer("ctx.ch-uw.hns", b"ns=BIND;map=id")],
-            vec![ResourceRecord::a(
-                DomainName::parse("ctx.bind-uw.hns").expect("key"),
-                60,
-                NetAddr::of(HostId(1)),
-            )],
-        ];
-        for records in sets {
-            let asked = match records[0].name.as_str() {
-                "ctx.ch-uw.hns" => DomainName::parse("ctx.bind-uw.hns").expect("key"),
-                _ => records[0].name.clone(),
-            };
-            let value = Answer::ok(records.clone()).to_value().expect("marshals");
-            let reply = Reply::read(&value).expect("a reply");
-            assert_eq!(
-                decode_set(&asked, reply.records()),
-                decode_records(&asked, &records),
-                "{records:?}"
-            );
-        }
     }
 
     #[test]

@@ -73,16 +73,13 @@ impl HrpcBinding {
     pub fn from_value(v: &Value) -> WireResult<HrpcBinding> {
         let host = HostId(v.u32_field("host")?);
         let program = ProgramId(v.u32_field("program")?);
-        let port = v.u32_field("port")? as u16;
+        let port = v.u16_field("port")?;
         let data_rep = decode_format(v.u32_field("data_rep")?)?;
         let transport = decode_transport(v.u32_field("transport")?)?;
         let attempts = v.u32_field("ctl_attempts")?;
         let at_most_once = v.field("ctl_amo")?.as_bool()?;
         let control = decode_control(v.u32_field("control")?, attempts, at_most_once)?;
-        let binding = decode_bindproto(
-            v.u32_field("bindproto")?,
-            v.u32_field("static_port")? as u16,
-        )?;
+        let binding = decode_bindproto(v.u32_field("bindproto")?, v.u16_field("static_port")?)?;
         Ok(HrpcBinding {
             host,
             addr: NetAddr::of(host),
@@ -214,6 +211,29 @@ mod tests {
             .expect("encode");
         let v = wire::WireFormat::Courier.decode(&bytes).expect("decode");
         assert_eq!(HrpcBinding::from_value(&v).expect("from value"), b);
+    }
+
+    /// `port` 65,589 used to read back as 53, `static_port` likewise.
+    #[test]
+    fn a_port_beyond_sixteen_bits_is_refused_not_truncated() {
+        for field in ["port", "static_port"] {
+            let Value::Struct(mut fields) = sample(ComponentSet::raw_tcp(53)).to_value() else {
+                panic!("bindings marshal as structs");
+            };
+            for (name, value) in &mut fields {
+                if name == field {
+                    *value = Value::U32(65_589);
+                }
+            }
+            assert_eq!(
+                HrpcBinding::from_value(&Value::Struct(fields)),
+                Err(wire::WireError::TypeMismatch {
+                    expected: "u16",
+                    found: "u32"
+                }),
+                "{field}"
+            );
+        }
     }
 
     #[test]

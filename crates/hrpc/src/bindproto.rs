@@ -39,7 +39,7 @@ pub fn resolve_port(
                 PMAP_GETPORT,
                 &Value::record([("program", Value::U32(program.0))]),
             )?;
-            Ok(reply.as_u32()? as u16)
+            port_of(&reply)
         }
         BindingProtocol::CourierExchange => {
             let ex = RpcNet::builtin_binding(server, EXCHANGE_PORT, ComponentSet::courier());
@@ -49,9 +49,14 @@ pub fn resolve_port(
                 EXCHANGE_RESOLVE,
                 &Value::record([("service", Value::str(service_name))]),
             )?;
-            Ok(reply.as_u32()? as u16)
+            port_of(&reply)
         }
     }
+}
+
+/// The port a portmapper or exchange listener replied with.
+fn port_of(reply: &Value) -> RpcResult<u16> {
+    Ok(reply.as_u16()?)
 }
 
 /// Runs the full binding protocol and assembles a complete [`HrpcBinding`].
@@ -127,6 +132,16 @@ mod tests {
         assert_eq!(binding.expect("bind ok").port, port);
         // One Courier round trip (38) + service (1).
         assert!((took.as_ms_f64() - 39.0).abs() < 1.0, "took {took}");
+    }
+
+    /// Either listener's reply of 65,589 used to bind to port 53.
+    #[test]
+    fn a_replied_port_beyond_sixteen_bits_is_refused_not_truncated() {
+        assert_eq!(port_of(&Value::U32(65_535)), Ok(65_535));
+        assert!(matches!(
+            port_of(&Value::U32(65_589)),
+            Err(crate::RpcError::Wire(_))
+        ));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! * [`bindproto`] — port determination per native binding protocol.
 //! * [`server`] — the service trait and a closure-based service builder.
 //!
+//! What crosses the fabric is a [`wire::Message`]: [`RpcNet::call_msg`] is
+//! the one call path, [`RpcNet::call`] its wrapper for trees, and a
+//! service sees the caller's own struct if it overrides
+//! [`RpcService::dispatch_msg`].
+//!
 //! # Examples
 //!
 //! ```
@@ -56,4 +61,4 @@ pub use binding::{HrpcBinding, ProgramId};
 pub use components::{BindingProtocol, ComponentSet, ControlProtocol, NativeSystem, Transport};
 pub use error::{RpcError, RpcResult};
 pub use net::{LossPlan, RpcNet};
-pub use server::{CallCtx, ProcServer, RpcService};
+pub use server::{CallCtx, ProcServer, Reply, RpcService};

@@ -3,9 +3,10 @@
 //!
 //! Cost accounting rules (kept strict so nothing is double-charged):
 //!
-//! * `RpcNet::call` charges only *network* costs: the suite's round-trip
-//!   overhead plus a per-kilobyte component, or the (effectively zero)
-//!   local-call cost when caller and server are colocated.
+//! * `RpcNet::call_msg` (and `call`, its wrapper for trees) charges only
+//!   *network* costs: the suite's round-trip overhead plus a per-kilobyte
+//!   component computed from `Message::encoded_len`, or the (effectively
+//!   zero) local-call cost when caller and server are colocated.
 //! * Interface-specific marshalling costs (Table 3.2's generated vs fast
 //!   paths, `FindNSM` argument marshalling on remote hops, …) are charged
 //!   by the *caller* that owns that interface.
@@ -21,12 +22,12 @@ use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::{HostId, NetAddr};
 use simnet::trace::TraceKind;
 use simnet::world::World;
-use wire::Value;
+use wire::{Message, Value};
 
 use crate::binding::{HrpcBinding, ProgramId};
 use crate::components::ComponentSet;
 use crate::error::{RpcError, RpcResult};
-use crate::server::{CallCtx, RpcService};
+use crate::server::{CallCtx, Reply, RpcService};
 
 /// Well-known port of the per-host Sun portmapper.
 pub const PORTMAP_PORT: u16 = 111;
@@ -318,14 +319,7 @@ impl RpcNet {
             .is_some_and(|plan| plan.would_drop(xid, attempt, leg))
     }
 
-    /// Makes a synchronous call through `binding`, charging network costs.
-    ///
-    /// Datagram transports may lose the request or the reply; the control
-    /// protocol retransmits up to its attempt budget. When a reply is lost
-    /// the server has already executed the call — a control protocol with
-    /// at-most-once bookkeeping answers the retransmission from its reply
-    /// cache, while the plain Raw suite re-executes (observable duplicate
-    /// effects, the classic datagram caveat).
+    /// [`RpcNet::call_msg`] for a caller that sends a tree and reads one.
     pub fn call(
         &self,
         caller: HostId,
@@ -333,14 +327,35 @@ impl RpcNet {
         proc_id: u32,
         args: &Value,
     ) -> RpcResult<Value> {
+        self.call_msg(caller, binding, proc_id, args)
+            .map(Reply::into_value)
+    }
+
+    /// Makes a synchronous call through `binding`, charging network costs.
+    /// The message reaches the server as it is, and the server's reply the
+    /// caller: a typed peer downcasts, any other asks for the tree.
+    ///
+    /// Datagram transports may lose the request or the reply; the control
+    /// protocol retransmits up to its attempt budget. When a reply is lost
+    /// the server has already executed the call — a control protocol with
+    /// at-most-once bookkeeping answers the retransmission from its reply
+    /// cache, while the plain Raw suite re-executes (observable duplicate
+    /// effects, the classic datagram caveat).
+    pub fn call_msg(
+        &self,
+        caller: HostId,
+        binding: &HrpcBinding,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
         let components = binding.components;
         // Cost accounting follows the real wire representation without
         // materializing it: the self-describing encodings round-trip
         // losslessly (the wire crate's proptests pin this), so the
         // simulated delivery path computes the exact datagram length for
-        // charging and hands the caller's value straight to the server
+        // charging and hands the caller's message straight to the server
         // instead of allocating an encode/decode copy per datagram.
-        let req_len = components.data_rep.encoded_len(args)?;
+        let req_len = args.encoded_len(components.data_rep)?;
 
         let faults = self.world.faults();
 
@@ -367,7 +382,7 @@ impl RpcNet {
             self.world.charge_ms(self.world.costs.local_call);
             self.world.count_local_call();
             let reply = self.serve(caller, binding, proc_id, args)?;
-            components.data_rep.encoded_len(&reply)?;
+            reply.as_message().encoded_len(components.data_rep)?;
             return Ok(reply);
         }
 
@@ -482,10 +497,12 @@ impl RpcNet {
                     self.world.trace(Some(binding.host), TraceKind::Rpc, || {
                         format!("duplicate xid {xid} answered from reply cache")
                     });
-                    Ok(cached)
+                    Ok(Reply::Tree(cached))
                 } else {
-                    self.serve(caller, binding, proc_id, args)
-                        .inspect(|reply| self.replies.insert(key, reply.clone()))
+                    self.serve(caller, binding, proc_id, args).inspect(|reply| {
+                        self.replies
+                            .insert(key, reply.as_message().tree().into_owned())
+                    })
                 }
             } else {
                 self.serve(caller, binding, proc_id, args)
@@ -520,9 +537,9 @@ impl RpcNet {
                     components.suite_kind()
                 )
             });
-            break components
-                .data_rep
-                .encoded_len(&reply)
+            break reply
+                .as_message()
+                .encoded_len(components.data_rep)
                 .map(|len| (reply, len))
                 .map_err(RpcError::from);
         };
@@ -553,13 +570,16 @@ impl RpcNet {
         caller: HostId,
         binding: &HrpcBinding,
         proc_id: u32,
-        args: &Value,
-    ) -> RpcResult<Value> {
-        // Built-in per-host services.
-        match binding.port {
-            PORTMAP_PORT => return self.serve_portmap(binding.host, proc_id, args),
-            EXCHANGE_PORT => return self.serve_exchange(binding.host, proc_id, args),
-            _ => {}
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
+        // Built-in per-host services, on the tree.
+        let builtin = match binding.port {
+            PORTMAP_PORT => Some(self.serve_portmap(binding.host, proc_id, &args.tree())),
+            EXCHANGE_PORT => Some(self.serve_exchange(binding.host, proc_id, &args.tree())),
+            _ => None,
+        };
+        if let Some(reply) = builtin {
+            return reply.map(Reply::Tree);
         }
         let service = self.lookup_service(binding.host, binding.port)?;
         let ctx = CallCtx {
@@ -568,7 +588,7 @@ impl RpcNet {
             host: binding.host,
             caller,
         };
-        service.dispatch(&ctx, proc_id, args)
+        service.dispatch_msg(&ctx, proc_id, args)
     }
 
     fn serve_portmap(&self, host: HostId, proc_id: u32, args: &Value) -> RpcResult<Value> {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use simnet::topology::HostId;
 use simnet::world::World;
-use wire::Value;
+use wire::{Message, Value};
 
 use crate::error::{RpcError, RpcResult};
 use crate::net::RpcNet;
@@ -26,13 +26,69 @@ pub struct CallCtx<'a> {
     pub caller: HostId,
 }
 
+/// What a call brings back: the server's reply as it made it.
+pub enum Reply {
+    /// A tree — an untyped server's reply, or one the at-most-once cache
+    /// kept.
+    Tree(Value),
+    /// The server's own struct.
+    Typed(Box<dyn Message>),
+}
+
+impl Reply {
+    /// The reply of a typed server.
+    pub fn typed(msg: impl Message) -> Reply {
+        Reply::Typed(Box::new(msg))
+    }
+
+    /// The reply as the fabric charges for it and the at-most-once cache
+    /// keeps it.
+    pub fn as_message(&self) -> &dyn Message {
+        match self {
+            Reply::Tree(tree) => tree,
+            Reply::Typed(msg) => &**msg,
+        }
+    }
+
+    /// The reply as a tree, for a caller that does not know its type.
+    pub fn into_value(self) -> Value {
+        match self {
+            Reply::Tree(tree) => tree,
+            Reply::Typed(msg) => msg.tree().into_owned(),
+        }
+    }
+
+    /// The reply as the `T` a typed server sent; from any other peer,
+    /// its tree, for the caller to decode.
+    pub fn downcast<T: Message>(self) -> Result<T, Value> {
+        match self {
+            Reply::Tree(tree) => Err(tree),
+            Reply::Typed(msg) => msg.downcast().map_err(|other| other.tree().into_owned()),
+        }
+    }
+}
+
 /// A dispatchable service.
 pub trait RpcService: Send + Sync {
     /// Human-readable service name (for traces and errors).
     fn service_name(&self) -> &str;
 
-    /// Handles one procedure call.
+    /// Handles one procedure call on trees.
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value>;
+
+    /// Handles one procedure call as the fabric delivers it. A service
+    /// that knows the structs its callers send overrides this, downcasts
+    /// `args` (decoding the tree of a caller that sent one) and replies
+    /// with [`Reply::typed`]; every other service is reached through
+    /// [`RpcService::dispatch`], on the caller's tree.
+    fn dispatch_msg(
+        &self,
+        ctx: &CallCtx<'_>,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
+        self.dispatch(ctx, proc_id, &args.tree()).map(Reply::Tree)
+    }
 }
 
 /// Procedure handler type used by [`ProcServer`].

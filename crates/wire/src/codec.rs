@@ -12,6 +12,7 @@
 //! each width is compiled as its own straight-line code.
 
 use crate::error::{WireError, WireResult};
+use crate::message::Shape;
 use crate::value::Value;
 
 const TAG_VOID: u32 = 0;
@@ -126,6 +127,53 @@ pub(crate) fn encoded_len<const UNIT: usize>(value: &Value) -> WireResult<usize>
         }
         Value::Opt(Some(v)) => 2 * UNIT + encoded_len::<UNIT>(v)?,
     })
+}
+
+/// [`encoded_len`] of the tree a message's shape describes, read off the
+/// description: the same arithmetic — unit, padding, the `max_len`
+/// checks in encoding order — over pieces instead of nodes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sizer<const UNIT: usize>;
+
+impl<const UNIT: usize> Shape for Sizer<UNIT> {
+    type Out = WireResult<usize>;
+
+    fn u32(&self, _: u32) -> WireResult<usize> {
+        Ok(UNIT + 4)
+    }
+
+    fn str(&self, s: &str) -> WireResult<usize> {
+        Ok(UNIT + opaque_len::<UNIT>(s.len())?)
+    }
+
+    fn bytes(&self, len: usize, _: impl FnOnce(&mut Vec<u8>)) -> WireResult<usize> {
+        Ok(UNIT + opaque_len::<UNIT>(len)?)
+    }
+
+    fn list<T>(
+        &self,
+        items: impl ExactSizeIterator<Item = T>,
+        mut each: impl FnMut(T) -> WireResult<usize>,
+    ) -> WireResult<usize> {
+        check_len::<UNIT>(items.len())?;
+        let mut total = 2 * UNIT;
+        for item in items {
+            total += each(item)?;
+        }
+        Ok(total)
+    }
+
+    fn record<const N: usize>(
+        &self,
+        fields: [(&'static str, WireResult<usize>); N],
+    ) -> WireResult<usize> {
+        check_len::<UNIT>(N)?;
+        let mut total = 2 * UNIT;
+        for (name, v) in fields {
+            total += opaque_len::<UNIT>(name.len())? + v?;
+        }
+        Ok(total)
+    }
 }
 
 /// Decodes a single value, requiring the input to be fully consumed.

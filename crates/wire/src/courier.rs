@@ -14,6 +14,9 @@ const UNIT: usize = 2;
 /// Courier lengths are 16-bit, so no field may exceed this.
 pub const MAX_LEN: usize = codec::max_len(UNIT);
 
+/// The length reading of a message's shape at this unit width.
+pub(crate) const SIZER: codec::Sizer<UNIT> = codec::Sizer;
+
 /// A decoding cursor over Courier bytes.
 pub type Cursor<'a> = codec::Cursor<'a, UNIT>;
 

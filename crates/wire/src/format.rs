@@ -2,6 +2,7 @@
 
 use crate::courier;
 use crate::error::WireResult;
+use crate::message::Shaped;
 use crate::value::Value;
 use crate::xdr;
 
@@ -37,6 +38,15 @@ impl WireFormat {
         match self {
             WireFormat::Xdr => xdr::encoded_len(v),
             WireFormat::Courier => courier::encoded_len(v),
+        }
+    }
+
+    /// [`WireFormat::encoded_len`] of the tree `msg`'s shape describes,
+    /// without building it.
+    pub(crate) fn shaped_len(self, msg: &impl Shaped) -> WireResult<usize> {
+        match self {
+            WireFormat::Xdr => msg.shape(&xdr::SIZER),
+            WireFormat::Courier => msg.shape(&courier::SIZER),
         }
     }
 

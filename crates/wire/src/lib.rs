@@ -9,6 +9,9 @@
 //! * [`courier`] — Xerox Courier representation (16-bit words). Both are
 //!   one self-describing codec instantiated at two unit widths.
 //! * [`format::WireFormat`] — bind-time dispatch between them.
+//! * [`message::Message`] — the fabric's unit of exchange: a `Value`, or
+//!   a typed struct that states its encoded length and yields its tree
+//!   from one description of its shape.
 //! * [`idl::TypeDesc`] — interface descriptions.
 //! * [`generated`] — the stub-compiler-style marshaller: correct but
 //!   layered, reproducing the expensive code path of Table 3.2.
@@ -37,10 +40,12 @@ pub mod fast;
 pub mod format;
 pub mod generated;
 pub mod idl;
+pub mod message;
 pub mod value;
 pub mod xdr;
 
 pub use error::{WireError, WireResult};
 pub use format::WireFormat;
 pub use idl::TypeDesc;
+pub use message::Message;
 pub use value::Value;

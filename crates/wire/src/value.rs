@@ -81,6 +81,15 @@ impl Value {
         }
     }
 
+    /// Extracts a `u32` that must fit 16 bits (a port, a type code):
+    /// one beyond is a type mismatch, not a value to truncate.
+    pub fn as_u16(&self) -> WireResult<u16> {
+        u16::try_from(self.as_u32()?).map_err(|_| WireError::TypeMismatch {
+            expected: "u16",
+            found: "u32",
+        })
+    }
+
     /// Extracts a `u64`.
     pub fn as_u64(&self) -> WireResult<u64> {
         match self {
@@ -164,6 +173,11 @@ impl Value {
     /// Convenience: u32 field of a struct.
     pub fn u32_field(&self, name: &str) -> WireResult<u32> {
         self.field(name)?.as_u32()
+    }
+
+    /// Convenience: 16-bit field of a struct (see [`Value::as_u16`]).
+    pub fn u16_field(&self, name: &str) -> WireResult<u16> {
+        self.field(name)?.as_u16()
     }
 
     /// Approximate serialized size in bytes, used by the network layer for
@@ -255,6 +269,7 @@ mod tests {
     #[test]
     fn accessors_succeed_on_matching_variant() {
         assert_eq!(Value::U32(7).as_u32().unwrap(), 7);
+        assert_eq!(Value::U32(65_535).as_u16().unwrap(), 65_535);
         assert_eq!(Value::U64(8).as_u64().unwrap(), 8);
         assert!(Value::Bool(true).as_bool().unwrap());
         assert_eq!(Value::str("hi").as_str().unwrap(), "hi");
@@ -272,6 +287,17 @@ mod tests {
                 found: "str"
             }
         );
+    }
+
+    #[test]
+    fn a_u32_beyond_sixteen_bits_is_refused_not_truncated() {
+        let mismatch = WireError::TypeMismatch {
+            expected: "u16",
+            found: "u32",
+        };
+        assert_eq!(Value::U32(65_536).as_u16(), Err(mismatch.clone()));
+        let rec = Value::record([("port", Value::U32(65_589))]);
+        assert_eq!(rec.u16_field("port"), Err(mismatch));
     }
 
     #[test]

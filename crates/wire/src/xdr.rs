@@ -15,6 +15,9 @@ const UNIT: usize = 4;
 /// Sanity limit on any declared length (strings, lists, structs).
 pub const MAX_LEN: usize = codec::max_len(UNIT);
 
+/// The length reading of a message's shape at this unit width.
+pub(crate) const SIZER: codec::Sizer<UNIT> = codec::Sizer;
+
 /// A decoding cursor over XDR bytes.
 pub type Cursor<'a> = codec::Cursor<'a, UNIT>;
 
