@@ -11,8 +11,6 @@
 //! hand-written [`wire::fast`] batch format (the standard resolver path
 //! of Table 3.2).
 
-use std::borrow::Cow;
-
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::Reply;
 use wire::fast::{decode_rr_batch, encode_rr_batch, WireRecord};
@@ -41,24 +39,12 @@ pub const PROC_MQUERY: u32 = 5;
 /// [`crate::axfr::transfer_zone_incremental`]).
 pub const PROC_IXFR: u32 = 6;
 
-/// A request as the struct its procedure takes: the caller's own if it
-/// sent one, else decoded from its tree.
-pub(crate) fn sent<T: Message + Clone>(
-    args: &dyn Message,
-    decode: fn(&Value) -> NsResult<T>,
-) -> NsResult<Cow<'_, T>> {
-    match args.downcast_ref::<T>() {
-        Some(typed) => Ok(Cow::Borrowed(typed)),
-        None => decode(&args.tree()).map(Cow::Owned),
-    }
-}
-
-/// A reply as the struct the procedure answers with: the server's own if
-/// it sent one, else decoded — here, once — from its tree.
+/// A reply as the struct the procedure answers with ([`Reply::read`]),
+/// an untyped server's tree that is none being the service's failure.
 pub(crate) fn replied<T: Message>(reply: Reply, decode: fn(&Value) -> NsResult<T>) -> RpcResult<T> {
     reply
-        .downcast()
-        .or_else(|tree| decode(&tree).map_err(|e| RpcError::Service(e.to_string())))
+        .read(decode)
+        .map_err(|e| RpcError::Service(e.to_string()))
 }
 
 /// A lookup question.
@@ -344,6 +330,7 @@ impl Shaped for MultiAnswer {
 mod tests {
     use super::*;
     use simnet::topology::{HostId, NetAddr};
+    use std::borrow::Cow;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).expect("valid name")
@@ -444,17 +431,14 @@ mod tests {
     /// decodes a tree when it did not.
     #[test]
     fn the_edges_downcast_a_typed_peer_and_decode_an_untyped_one() {
+        let sent = |args: &dyn Message| {
+            args.read(Question::from_value)
+                .map(|q| (matches!(q, Cow::Borrowed(_)), q.into_owned()))
+        };
         let q = Question::new(name("fiji.cs.washington.edu"), RType::A);
-        assert!(matches!(
-            sent(&q, Question::from_value),
-            Ok(Cow::Borrowed(same)) if std::ptr::eq(same, &q)
-        ));
-        let tree = q.to_value();
-        assert!(matches!(
-            sent(&tree, Question::from_value),
-            Ok(Cow::Owned(decoded)) if decoded == q
-        ));
-        assert!(sent(&Value::U32(7), Question::from_value).is_err());
+        assert_eq!(sent(&q), Ok((true, q.clone())));
+        assert_eq!(sent(&q.to_value()), Ok((false, q.clone())));
+        assert!(sent(&Value::U32(7)).is_err());
 
         let a = sample_answer(2);
         assert_eq!(

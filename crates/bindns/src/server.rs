@@ -28,8 +28,8 @@ use wire::{Message, Value};
 use crate::db::ZoneDb;
 use crate::error::{NsError, Rcode};
 use crate::message::{
-    sent, Answer, MultiAnswer, MultiQuestion, Question, PROC_AXFR, PROC_IXFR, PROC_MQUERY,
-    PROC_QUERY, PROC_SERIAL, PROC_UPDATE,
+    Answer, MultiAnswer, MultiQuestion, Question, PROC_AXFR, PROC_IXFR, PROC_MQUERY, PROC_QUERY,
+    PROC_SERIAL, PROC_UPDATE,
 };
 use crate::name::DomainName;
 use crate::rr::ResourceRecord;
@@ -150,7 +150,7 @@ impl BindServer {
         self.queries
             .get(ctx.world.metrics(), "bindns", "queries")
             .inc();
-        let question = sent(args, Question::from_value).map_err(service_err)?;
+        let question = args.read(Question::from_value).map_err(service_err)?;
         let _span = ctx
             .world
             .span_lazy(Some(ctx.host), TraceKind::NameService, || {
@@ -173,7 +173,7 @@ impl BindServer {
     }
 
     fn serve_mquery(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<MultiAnswer> {
-        let mq = sent(args, MultiQuestion::from_value).map_err(service_err)?;
+        let mq = args.read(MultiQuestion::from_value).map_err(service_err)?;
         self.mqueries
             .get(ctx.world.metrics(), "bindns", "mqueries")
             .inc();
@@ -327,7 +327,7 @@ impl BindServer {
         if !self.allow_updates {
             return Ok(Answer::err(Rcode::Refused));
         }
-        let op = sent(args, UpdateOp::from_value).map_err(service_err)?;
+        let op = args.read(UpdateOp::from_value).map_err(service_err)?;
         if op.uses_unspec() && !self.allow_unspec {
             return Ok(Answer::err(Rcode::Refused));
         }

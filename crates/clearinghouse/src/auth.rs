@@ -8,11 +8,14 @@
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
+use wire::message::{Shape, Shaped, Tree};
 
 use crate::error::{ChError, ChResult};
 use crate::name::ThreePartName;
 
-/// Caller credentials: an identity and its secret key.
+/// Caller credentials: an identity and its secret key. A clone shares the
+/// identity's text, so every request a client sends carries its own copy
+/// for a reference-count bump.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Credentials {
     /// The caller's Clearinghouse name.
@@ -27,12 +30,10 @@ impl Credentials {
         Credentials { identity, key }
     }
 
-    /// Serializes to a wire value.
+    /// Serializes to a wire value (for the procedures that still travel
+    /// as trees).
     pub fn to_value(&self) -> wire::Value {
-        wire::Value::record([
-            ("identity", wire::Value::str(self.identity.to_string())),
-            ("key", wire::Value::U64(self.key)),
-        ])
+        self.shape(&Tree)
     }
 
     /// Deserializes from a wire value.
@@ -42,6 +43,15 @@ impl Credentials {
             identity: ThreePartName::parse(v.str_field("identity").map_err(bad)?)?,
             key: v.field("key").and_then(wire::Value::as_u64).map_err(bad)?,
         })
+    }
+}
+
+impl Shaped for Credentials {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("identity", s.str(self.identity.as_str())),
+            ("key", s.u64(self.key)),
+        ])
     }
 }
 
@@ -112,6 +122,23 @@ mod tests {
         let auth = Authenticator::new();
         assert!(auth.verify(&Credentials::new(who(), 1)).is_err());
         assert!(auth.is_empty());
+    }
+
+    /// The parent's hand-built `to_value`, kept as the reference the
+    /// shape is held to.
+    #[test]
+    fn credentials_are_the_record_built_by_hand() {
+        use wire::{Message, Value, WireFormat};
+        let c = Credentials::new(who(), u64::MAX);
+        let by_hand = Value::record([
+            ("identity", Value::str(c.identity.to_string())),
+            ("key", Value::U64(c.key)),
+        ]);
+        assert_eq!(c.to_value(), by_hand);
+        for format in [WireFormat::Xdr, WireFormat::Courier] {
+            let bytes = format.encode(&by_hand).expect("encodes");
+            assert_eq!(c.encoded_len(format), Ok(bytes.len()), "{format}");
+        }
     }
 
     #[test]

@@ -6,18 +6,24 @@ use std::sync::Arc;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
 
-use hrpc::error::RpcResult;
+use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
+use hrpc::server::Reply;
 use hrpc::HrpcBinding;
-use wire::Value;
+use wire::{Message, Value};
 
 use crate::auth::Credentials;
+use crate::error::ChError;
 use crate::name::ThreePartName;
 use crate::property::{Property, PropertyId};
 use crate::server::{
-    property_from_value, PROC_ADD_ALIAS, PROC_ADD_ENTRY, PROC_ADD_MEMBER, PROC_DELETE, PROC_LIST,
-    PROC_LOOKUP, PROC_LOOKUP_RUN, PROC_SET_ITEM,
+    Lookup, PROC_ADD_ALIAS, PROC_ADD_ENTRY, PROC_ADD_MEMBER, PROC_DELETE, PROC_LIST, PROC_LOOKUP,
+    PROC_LOOKUP_RUN, PROC_SET_ITEM,
 };
+
+fn service_err(e: ChError) -> RpcError {
+    RpcError::Service(e.to_string())
+}
 
 /// A client of one Clearinghouse server.
 ///
@@ -59,8 +65,8 @@ impl ChClient {
     /// error when every candidate is unreachable; a replica's
     /// non-transport error (e.g. `NotFound`) is returned as-is — the
     /// replica *answered*, it just didn't have the entry.
-    fn call_read(&self, proc: u32, args: &Value) -> RpcResult<Value> {
-        let primary = match self.net.call(self.host, &self.server, proc, args) {
+    fn call_read(&self, proc: u32, args: &dyn Message) -> RpcResult<Reply> {
+        let primary = match self.net.call_msg(self.host, &self.server, proc, args) {
             Err(err) if err.is_unreachable() && !self.fallbacks.is_empty() => err,
             other => return other,
         };
@@ -68,7 +74,7 @@ impl ChClient {
             if replica.host == self.server.host {
                 continue;
             }
-            match self.net.call(self.host, replica, proc, args) {
+            match self.net.call_msg(self.host, replica, proc, args) {
                 Err(err) if err.is_unreachable() => continue,
                 other => {
                     let world = self.net.world();
@@ -89,24 +95,24 @@ impl ChClient {
     fn base_args(&self, name: &ThreePartName) -> Vec<(&'static str, Value)> {
         vec![
             ("creds", self.creds.to_value()),
-            ("name", Value::str(name.to_string())),
+            ("name", Value::str(name.as_str())),
         ]
     }
 
-    /// Reads one property.
+    /// Reads one property: a [`Lookup`] out, the [`Property`] back.
     pub fn lookup(&self, name: &ThreePartName, prop: PropertyId) -> RpcResult<Property> {
-        let mut args = self.base_args(name);
-        args.push(("prop", Value::U32(prop.0)));
-        let reply = self.call_read(PROC_LOOKUP, &Value::record(args))?;
-        property_from_value(&reply)
+        let request = Lookup {
+            creds: self.creds.clone(),
+            name: name.clone(),
+            prop,
+        };
+        let reply = self.call_read(PROC_LOOKUP, &request)?;
+        reply.read(Property::from_value).map_err(service_err)
     }
 
     /// Reads an item property's value.
     pub fn lookup_item(&self, name: &ThreePartName, prop: PropertyId) -> RpcResult<Value> {
-        let p = self.lookup(name, prop)?;
-        p.as_item()
-            .cloned()
-            .map_err(|e| hrpc::RpcError::Service(e.to_string()))
+        self.lookup(name, prop)?.into_item().map_err(service_err)
     }
 
     /// Reads the same item property for each of `names` in one RPC,
@@ -122,11 +128,11 @@ impl ChClient {
             ("creds", self.creds.to_value()),
             (
                 "names",
-                Value::List(names.iter().map(|n| Value::str(n.to_string())).collect()),
+                Value::List(names.iter().map(|n| Value::str(n.as_str())).collect()),
             ),
             ("prop", Value::U32(prop.0)),
         ]);
-        let reply = self.call_read(PROC_LOOKUP_RUN, &args)?;
+        let reply = self.call_read(PROC_LOOKUP_RUN, &args)?.into_value();
         Ok(reply.as_list()?.to_vec())
     }
 
@@ -137,9 +143,7 @@ impl ChClient {
         prop: PropertyId,
     ) -> RpcResult<BTreeSet<String>> {
         let p = self.lookup(name, prop)?;
-        p.as_group()
-            .cloned()
-            .map_err(|e| hrpc::RpcError::Service(e.to_string()))
+        p.as_group().cloned().map_err(service_err)
     }
 
     /// Creates an entry.
@@ -189,7 +193,7 @@ impl ChClient {
     /// Installs an alias for an existing entry.
     pub fn add_alias(&self, alias: &ThreePartName, target: &ThreePartName) -> RpcResult<()> {
         let mut args = self.base_args(alias);
-        args.push(("target", Value::str(target.to_string())));
+        args.push(("target", Value::str(target.as_str())));
         self.net.call(
             self.host,
             &self.server,
@@ -214,14 +218,11 @@ impl ChClient {
             ("organization", Value::str(organization)),
             ("pattern", Value::str(pattern)),
         ]);
-        let reply = self.call_read(PROC_LIST, &args)?;
+        let reply = self.call_read(PROC_LIST, &args)?.into_value();
         reply
             .as_list()?
             .iter()
-            .map(|v| {
-                ThreePartName::parse(v.as_str()?)
-                    .map_err(|e| hrpc::RpcError::Service(e.to_string()))
-            })
+            .map(|v| ThreePartName::parse(v.as_str()?).map_err(service_err))
             .collect()
     }
 }

@@ -45,7 +45,8 @@ impl ChDb {
 
     /// True if this database is responsible for `name`'s domain.
     pub fn serves(&self, name: &ThreePartName) -> bool {
-        self.domains.contains(&name.domain_key())
+        let (domain, organization) = (name.domain(), name.organization());
+        (self.domains.iter()).any(|(d, o)| d == domain && o == organization)
     }
 
     fn check_serves(&self, name: &ThreePartName) -> ChResult<()> {

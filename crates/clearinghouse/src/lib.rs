@@ -29,4 +29,4 @@ pub use db::ChDb;
 pub use error::{ChError, ChResult};
 pub use name::ThreePartName;
 pub use property::{Entry, Property, PropertyId};
-pub use server::{deploy, ChDeployment, ChServer, CH_PROGRAM};
+pub use server::{deploy, ChDeployment, ChServer, Lookup, CH_PROGRAM};

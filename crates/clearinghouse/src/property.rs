@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use wire::message::{Shape, Shaped, Tree};
 use wire::Value;
 
 use crate::error::{ChError, ChResult};
@@ -47,11 +48,53 @@ impl Property {
         }
     }
 
+    /// Takes an item value out.
+    pub fn into_item(self) -> ChResult<Value> {
+        match self {
+            Property::Item(v) => Ok(v),
+            Property::Group(_) => Err(ChError::WrongPropertyKind),
+        }
+    }
+
     /// Extracts a group.
     pub fn as_group(&self) -> ChResult<&BTreeSet<String>> {
         match self {
             Property::Group(g) => Ok(g),
             Property::Item(_) => Err(ChError::WrongPropertyKind),
+        }
+    }
+
+    /// Serializes to a wire value.
+    pub fn to_value(&self) -> Value {
+        self.shape(&Tree)
+    }
+
+    /// Deserializes from a wire value.
+    pub fn from_value(v: &Value) -> ChResult<Property> {
+        let bad = |e: wire::WireError| ChError::BadName(e.to_string());
+        match v.u32_field("kind").map_err(bad)? {
+            0 => Ok(Property::Item(v.field("value").map_err(bad)?.clone())),
+            1 => {
+                let members = v.field("members").and_then(Value::as_list).map_err(bad)?;
+                let names = members.iter().map(|m| m.as_str().map(str::to_string));
+                Ok(Property::Group(
+                    names.collect::<Result<_, _>>().map_err(bad)?,
+                ))
+            }
+            k => Err(ChError::BadName(format!("bad property kind {k}"))),
+        }
+    }
+}
+
+/// `LOOKUP`'s reply: an item carries its value as it is.
+impl Shaped for Property {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        match self {
+            Property::Item(v) => s.record([("kind", s.u32(0)), ("value", s.value(v))]),
+            Property::Group(set) => s.record([
+                ("kind", s.u32(1)),
+                ("members", s.list(set.iter(), |m| s.str(m))),
+            ]),
         }
     }
 }
@@ -219,6 +262,36 @@ mod tests {
         assert!(e.remove(PROP_ADDRESS));
         assert!(!e.remove(PROP_ADDRESS));
         assert!(e.is_empty());
+    }
+
+    /// The parent's hand-built `property_to_value`, kept as the reference
+    /// the shape is held to.
+    #[test]
+    fn a_property_is_the_record_built_by_hand() {
+        use wire::{Message, WireFormat};
+        let item = Property::Item(Value::record([("host", Value::str("fiji"))]));
+        let group = Property::Group(["a".to_string(), "b".to_string()].into_iter().collect());
+        for p in [item, group] {
+            let by_hand = match &p {
+                Property::Item(v) => Value::record([("kind", Value::U32(0)), ("value", v.clone())]),
+                Property::Group(set) => Value::record([
+                    ("kind", Value::U32(1)),
+                    (
+                        "members",
+                        Value::List(set.iter().map(|m| Value::str(m.clone())).collect()),
+                    ),
+                ]),
+            };
+            assert_eq!(p.to_value(), by_hand);
+            for format in [WireFormat::Xdr, WireFormat::Courier] {
+                let bytes = format.encode(&by_hand).expect("encodes");
+                assert_eq!(p.encoded_len(format), Ok(bytes.len()), "{format}");
+            }
+            assert_eq!(Property::from_value(&by_hand), Ok(p));
+        }
+        let bad_kind = Value::record([("kind", Value::U32(2))]);
+        assert!(Property::from_value(&bad_kind).is_err());
+        assert!(Property::from_value(&Value::Void).is_err());
     }
 
     #[test]

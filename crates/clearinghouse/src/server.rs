@@ -4,7 +4,7 @@
 //! the paper measures a Clearinghouse lookup at 156 ms against BIND's
 //! 27 ms: `courier rtt (38) + auth (48) + disk (60) + service (10)`.
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -15,9 +15,10 @@ use simnet::trace::TraceKind;
 use hrpc::binding::ProgramId;
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, RpcService};
+use hrpc::server::{CallCtx, Reply, RpcService};
 use hrpc::HrpcBinding;
-use wire::Value;
+use wire::message::{Shape, Shaped};
+use wire::{Message, Value};
 
 use crate::auth::{Authenticator, Credentials};
 use crate::db::ChDb;
@@ -48,6 +49,60 @@ pub const PROC_LIST: u32 = 8;
 /// the values of the longest prefix that exists.
 pub const PROC_LOOKUP_RUN: u32 = 9;
 
+/// `LOOKUP`'s request: who asks, about which entry, for which property.
+/// Name and credentials are shared strings, so a client builds one for
+/// two reference-count bumps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lookup {
+    /// The caller's credentials.
+    pub creds: Credentials,
+    /// The entry.
+    pub name: ThreePartName,
+    /// The property.
+    pub prop: PropertyId,
+}
+
+impl Lookup {
+    /// Decodes an untyped caller's tree.
+    pub fn from_value(v: &Value) -> RpcResult<Lookup> {
+        Ok(Lookup {
+            creds: creds_of(v)?,
+            name: name_of(v)?,
+            prop: prop_of(v)?,
+        })
+    }
+}
+
+impl Shaped for Lookup {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("creds", self.creds.shape(s)),
+            ("name", s.str(self.name.as_str())),
+            ("prop", s.u32(self.prop.0)),
+        ])
+    }
+}
+
+/// The pieces of a request's tree, each read where the server checks it.
+fn creds_of(v: &Value) -> RpcResult<Credentials> {
+    Credentials::from_value(v.field("creds")?).map_err(|e| RpcError::Service(e.to_string()))
+}
+
+fn name_of(v: &Value) -> RpcResult<ThreePartName> {
+    ThreePartName::parse(v.str_field("name")?).map_err(|e| RpcError::Service(e.to_string()))
+}
+
+fn prop_of(v: &Value) -> RpcResult<PropertyId> {
+    Ok(PropertyId(v.u32_field("prop")?))
+}
+
+/// A call as the server reads it: `LOOKUP` from a caller that sent its
+/// struct, or any procedure's tree.
+enum Args<'a> {
+    Lookup(&'a Lookup),
+    Tree(Cow<'a, Value>),
+}
+
 /// A Clearinghouse server.
 pub struct ChServer {
     name: String,
@@ -77,10 +132,12 @@ impl ChServer {
         f(&mut self.db.write())
     }
 
-    fn authenticate(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<()> {
+    fn authenticate(&self, ctx: &CallCtx<'_>, args: &Args<'_>) -> RpcResult<()> {
         ctx.world.charge_ms(ctx.world.costs.ch_auth);
-        let creds = Credentials::from_value(args.field("creds")?)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
+        let creds = match args {
+            Args::Lookup(lookup) => Cow::Borrowed(&lookup.creds),
+            Args::Tree(tree) => Cow::Owned(creds_of(tree)?),
+        };
         self.auth
             .verify(&creds)
             .map_err(|_| RpcError::AuthFailed(creds.identity.to_string()))
@@ -92,84 +149,29 @@ impl ChServer {
             .charge_ms(ctx.world.costs.ch_disk + ctx.world.costs.ch_service);
     }
 
-    fn parse_name(args: &Value) -> RpcResult<ThreePartName> {
-        ThreePartName::parse(args.str_field("name")?).map_err(|e| RpcError::Service(e.to_string()))
-    }
-}
-
-fn ch_err(e: ChError) -> RpcError {
-    match e {
-        ChError::NotFound(n) => RpcError::NotFound(n),
-        ChError::AuthFailed(w) => RpcError::AuthFailed(w),
-        other => RpcError::Service(other.to_string()),
-    }
-}
-
-/// Encodes a property for the wire.
-pub fn property_to_value(p: &Property) -> Value {
-    match p {
-        Property::Item(v) => Value::record([("kind", Value::U32(0)), ("value", v.clone())]),
-        Property::Group(set) => Value::record([
-            ("kind", Value::U32(1)),
-            (
-                "members",
-                Value::List(set.iter().map(|m| Value::str(m.clone())).collect()),
-            ),
-        ]),
-    }
-}
-
-/// Decodes a property from the wire.
-pub fn property_from_value(v: &Value) -> RpcResult<Property> {
-    match v.u32_field("kind")? {
-        0 => Ok(Property::Item(v.field("value")?.clone())),
-        1 => {
-            let mut set = BTreeSet::new();
-            for m in v.field("members").and_then(Value::as_list)? {
-                set.insert(m.as_str()?.to_string());
-            }
-            Ok(Property::Group(set))
-        }
-        k => Err(RpcError::Service(format!("bad property kind {k}"))),
-    }
-}
-
-impl RpcService for ChServer {
-    fn service_name(&self) -> &str {
-        &self.name
+    fn serve_lookup(
+        &self,
+        ctx: &CallCtx<'_>,
+        name: &ThreePartName,
+        prop: PropertyId,
+    ) -> RpcResult<Property> {
+        let p = self.db.read().lookup(name, prop).map_err(ch_err)?;
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
+            format!("{}: lookup {} prop {}", self.name, name, prop.0)
+        });
+        Ok(p)
     }
 
-    fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.requests
-            .get(ctx.world.metrics(), "clearinghouse", "requests")
-            .inc();
-        let _span = ctx
-            .world
-            .span_lazy(Some(ctx.host), TraceKind::NameService, || {
-                format!("{}: proc {proc_id}", self.name)
-            });
-        self.authenticate(ctx, args).inspect_err(|_| {
-            ctx.world.metrics().inc("clearinghouse", "auth_failures");
-        })?;
-        self.charge_access(ctx);
-        ctx.world.count_ns_lookup();
-        let result = match proc_id {
-            PROC_LOOKUP => {
-                let name = Self::parse_name(args)?;
-                let prop = PropertyId(args.u32_field("prop")?);
-                let p = self.db.read().lookup(&name, prop).map_err(ch_err)?;
-                ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
-                    format!("{}: lookup {} prop {}", self.name, name, prop.0)
-                });
-                Ok(property_to_value(&p))
-            }
+    /// The procedures that travel as trees.
+    fn serve_tree(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+        match proc_id {
             PROC_ADD_ENTRY => {
-                let name = Self::parse_name(args)?;
+                let name = name_of(args)?;
                 self.db.write().add_entry(name).map_err(ch_err)?;
                 Ok(Value::Void)
             }
             PROC_SET_ITEM => {
-                let name = Self::parse_name(args)?;
+                let name = name_of(args)?;
                 let prop = PropertyId(args.u32_field("prop")?);
                 let value = args.field("value")?.clone();
                 self.db
@@ -179,7 +181,7 @@ impl RpcService for ChServer {
                 Ok(Value::Void)
             }
             PROC_ADD_MEMBER => {
-                let name = Self::parse_name(args)?;
+                let name = name_of(args)?;
                 let prop = PropertyId(args.u32_field("prop")?);
                 let member = args.str_field("member")?.to_string();
                 self.db
@@ -189,12 +191,12 @@ impl RpcService for ChServer {
                 Ok(Value::Void)
             }
             PROC_DELETE => {
-                let name = Self::parse_name(args)?;
+                let name = name_of(args)?;
                 self.db.write().delete_entry(&name).map_err(ch_err)?;
                 Ok(Value::Void)
             }
             PROC_ADD_ALIAS => {
-                let alias = Self::parse_name(args)?;
+                let alias = name_of(args)?;
                 let target = ThreePartName::parse(args.str_field("target")?)
                     .map_err(|e| RpcError::Service(e.to_string()))?;
                 self.db.write().add_alias(alias, target).map_err(ch_err)?;
@@ -260,8 +262,62 @@ impl RpcService for ChServer {
                 ))
             }
             other => Err(RpcError::BadProcedure(other)),
+        }
+    }
+}
+
+fn ch_err(e: ChError) -> RpcError {
+    match e {
+        ChError::NotFound(n) => RpcError::NotFound(n),
+        ChError::AuthFailed(w) => RpcError::AuthFailed(w),
+        other => RpcError::Service(other.to_string()),
+    }
+}
+
+impl RpcService for ChServer {
+    fn service_name(&self) -> &str {
+        &self.name
+    }
+
+    fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+    }
+
+    /// `LOOKUP` is served on its structs — [`crate::ChClient`] sends a
+    /// [`Lookup`] and reads the [`Property`] that comes back; the other
+    /// procedures have none and stay on the tree. Either way a request is
+    /// authenticated and charged before anything else of it is read.
+    fn dispatch_msg(
+        &self,
+        ctx: &CallCtx<'_>,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
+        self.requests
+            .get(ctx.world.metrics(), "clearinghouse", "requests")
+            .inc();
+        let _span = ctx
+            .world
+            .span_lazy(Some(ctx.host), TraceKind::NameService, || {
+                format!("{}: proc {proc_id}", self.name)
+            });
+        let args = match args.downcast_ref::<Lookup>() {
+            Some(lookup) if proc_id == PROC_LOOKUP => Args::Lookup(lookup),
+            _ => Args::Tree(args.tree()),
         };
-        result
+        self.authenticate(ctx, &args).inspect_err(|_| {
+            ctx.world.metrics().inc("clearinghouse", "auth_failures");
+        })?;
+        self.charge_access(ctx);
+        ctx.world.count_ns_lookup();
+        let property = match args {
+            Args::Lookup(lookup) => self.serve_lookup(ctx, &lookup.name, lookup.prop),
+            Args::Tree(tree) if proc_id == PROC_LOOKUP => {
+                self.serve_lookup(ctx, &name_of(&tree)?, prop_of(&tree)?)
+            }
+            Args::Tree(tree) => return self.serve_tree(ctx, proc_id, &tree).map(Reply::Tree),
+        };
+        property.map(Reply::typed)
     }
 }
 
@@ -373,7 +429,7 @@ mod tests {
                 &lookup_args(&creds, "fiji:cs:uw", 4),
             )
         });
-        let p = property_from_value(&reply.expect("call")).expect("property");
+        let p = Property::from_value(&reply.expect("call")).expect("property");
         assert_eq!(p.as_item().expect("item"), &Value::U32(9));
         // The paper's primitive: 156 ms.
         assert!((took.as_ms_f64() - 156.0).abs() < 1.0, "took {took}");
@@ -415,7 +471,7 @@ mod tests {
                 &lookup_args(&creds, "printer:cs:uw", 4),
             )
             .expect("lookup");
-        let p = property_from_value(&reply).expect("property");
+        let p = Property::from_value(&reply).expect("property");
         assert_eq!(p.as_item().expect("item"), &Value::U32(17));
     }
 
@@ -438,7 +494,7 @@ mod tests {
                 &lookup_args(&creds, "staff:cs:uw", 40),
             )
             .expect("lookup");
-        let p = property_from_value(&reply).expect("property");
+        let p = Property::from_value(&reply).expect("property");
         assert!(p.as_group().expect("group").contains("alice:cs:uw"));
     }
 
@@ -494,13 +550,60 @@ mod tests {
         assert_eq!(entries[0].0.to_string(), "a:cs:uw");
     }
 
+    /// `lookup_args` — the tree the parent's client built by hand — is
+    /// what a [`Lookup`] yields, and states its length.
     #[test]
-    fn property_value_roundtrip() {
-        let item = Property::Item(Value::str("x"));
-        let group = Property::Group(["a".to_string(), "b".to_string()].into_iter().collect());
-        for p in [item, group] {
-            let v = property_to_value(&p);
-            assert_eq!(property_from_value(&v).expect("roundtrip"), p);
+    fn a_lookup_is_the_record_the_parent_built_by_hand() {
+        let (_world, _net, _client, _dep, creds) = setup();
+        let lookup = Lookup {
+            creds: creds.clone(),
+            name: ThreePartName::parse("fiji:cs:uw").expect("name"),
+            prop: PropertyId(4),
+        };
+        let by_hand = lookup_args(&creds, "fiji:cs:uw", 4);
+        assert_eq!(lookup.tree().into_owned(), by_hand);
+        for format in [wire::WireFormat::Xdr, wire::WireFormat::Courier] {
+            let bytes = format.encode(&by_hand).expect("encodes");
+            assert_eq!(lookup.encoded_len(format), Ok(bytes.len()), "{format}");
         }
+        assert_eq!(Lookup::from_value(&by_hand), Ok(lookup));
+        assert!(Lookup::from_value(&lookup_args(&creds, "two:parts", 4)).is_err());
+    }
+
+    /// Typed or tree, a lookup is authenticated and charged before its
+    /// name is read: a bad name from an untyped caller costs what it did.
+    #[test]
+    fn a_lookup_is_charged_alike_typed_or_not() {
+        let (world, net, client, dep, creds) = setup();
+        dep.server.with_db(|db| {
+            let name = ThreePartName::parse("fiji:cs:uw").expect("name");
+            db.set_item(&name, PROP_ADDRESS, Value::U32(9))
+                .expect("set");
+        });
+        let typed = Lookup {
+            creds: creds.clone(),
+            name: ThreePartName::parse("fiji:cs:uw").expect("name"),
+            prop: PROP_ADDRESS,
+        };
+        let tree = lookup_args(&creds, "fiji:cs:uw", 4);
+        let (by_struct, typed_took, _) =
+            world.measure(|| net.call_msg(client, &dep.binding, PROC_LOOKUP, &typed));
+        let (by_tree, tree_took, _) =
+            world.measure(|| net.call(client, &dep.binding, PROC_LOOKUP, &tree));
+        let by_struct = by_struct.expect("typed").downcast::<Property>().ok();
+        assert_eq!(by_struct, Some(Property::Item(Value::U32(9))));
+        assert_eq!(by_tree.ok(), Some(Property::Item(Value::U32(9)).to_value()));
+        assert_eq!(typed_took, tree_took);
+        let (refused, took, delta) = world.measure(|| {
+            net.call(
+                client,
+                &dep.binding,
+                PROC_LOOKUP,
+                &lookup_args(&creds, "x", 4),
+            )
+        });
+        assert!(matches!(refused, Err(RpcError::Service(_))), "{refused:?}");
+        assert!(took.as_ms_f64() > 150.0, "auth and disk charged: {took}");
+        assert_eq!(delta.ns_lookups, 1);
     }
 }

@@ -4,14 +4,63 @@ use proptest::prelude::*;
 
 use clearinghouse::db::ChDb;
 use clearinghouse::name::ThreePartName;
-use clearinghouse::property::{Entry, PropertyId};
-use wire::Value;
+use clearinghouse::property::{Entry, Property, PropertyId};
+use clearinghouse::{Credentials, Lookup};
+use wire::{Message, Value, WireError, WireFormat};
 
 fn arb_part() -> impl Strategy<Value = String> {
     "[a-z0-9][a-z0-9._-]{0,12}"
 }
 
+/// The law the fabric's charges rest on: a message states, under either
+/// format, the length its tree encodes to — or the error encoding it
+/// fails with.
+fn states_the_length_of_its_encoded_tree(msg: &dyn Message) -> Option<WireError> {
+    let mut refused = None;
+    for format in [WireFormat::Xdr, WireFormat::Courier] {
+        let encoded = format.encode(&msg.tree()).map(|bytes| bytes.len());
+        assert_eq!(msg.encoded_len(format), encoded, "{format}");
+        refused = refused.or(encoded.err());
+    }
+    refused
+}
+
+/// Text, now and then around what a Courier word can count.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[ -~]{0,24}",
+        (wire::courier::MAX_LEN - 2..wire::courier::MAX_LEN + 3).prop_map(|n| "t".repeat(n)),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn lookups_and_properties_state_the_length_of_their_encoded_trees(
+        identity in arb_part(),
+        key in any::<u64>(),
+        object in arb_part(),
+        prop in any::<u32>(),
+        item in arb_text(),
+        members in proptest::collection::btree_set(arb_text(), 0..3),
+    ) {
+        let lookup = Lookup {
+            creds: Credentials::new(ThreePartName::new(&identity, "cs", "uw").expect("valid"), key),
+            name: ThreePartName::new(&object, "cs", "uw").expect("valid"),
+            prop: PropertyId(prop),
+        };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&lookup), None);
+        let long = |t: &String| t.len() > wire::courier::MAX_LEN;
+        let record = Value::record([("host", Value::str(&item)), ("port", Value::U32(prop))]);
+        let item_refused = long(&item);
+        for value in [Value::str(&item), record] {
+            let refused = states_the_length_of_its_encoded_tree(&Property::Item(value));
+            prop_assert_eq!(refused.is_some(), item_refused);
+        }
+        let group_refused = members.iter().any(long);
+        let refused = states_the_length_of_its_encoded_tree(&Property::Group(members));
+        prop_assert_eq!(refused.is_some(), group_refused);
+    }
+
     #[test]
     fn names_roundtrip(object in arb_part(), domain in arb_part(), org in arb_part()) {
         let name = ThreePartName::new(&object, &domain, &org).expect("valid");

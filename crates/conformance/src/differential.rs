@@ -409,13 +409,14 @@ pub fn run_seed(seed: u64) -> SeedSummary {
     }
 }
 
-/// Typed and tree-only peers: whichever side of a `bindns` exchange
-/// knows the structs, the fabric must charge and the caller must read
-/// the same.
+/// Typed and tree-only peers: whichever side of an exchange knows the
+/// structs, the fabric must charge and the caller must read the same.
 ///
 /// `bindns`'s resolvers and server exchange `Question`, `Answer`,
-/// `MultiQuestion`, `MultiAnswer` and `UpdateOp` as themselves; any
-/// other peer — the benchmark's timing shim, a service that implements
+/// `MultiQuestion`, `MultiAnswer` and `UpdateOp` as themselves; the NSM
+/// interface its `NsmRequest` and each query class's reply struct; the
+/// Clearinghouse's `LOOKUP` its `Lookup` and `Property`. Any other peer —
+/// the benchmark's timing shim, a service that implements
 /// `RpcService::dispatch` alone, a caller of `RpcNet::call` — exchanges
 /// trees, and the two must be indistinguishable from outside. Not every
 /// node on the net may be the subject under test, so the peers that are
@@ -426,15 +427,31 @@ pub mod peers {
     use bindns::message::{
         Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
     };
-    use bindns::server::{BindDeployment, BIND_PROGRAM};
+    use bindns::server::BIND_PROGRAM;
     use bindns::{
         deploy, single_zone_server, DomainName, HrpcResolver, RData, RType, RecursiveResolver,
         ResourceRecord, StdResolver, UpdateOp, Zone, DNS_PORT,
     };
+    use clearinghouse::property::{PROP_ADDRESS, PROP_MAILBOX};
+    use clearinghouse::server::CH_PROGRAM;
+    use clearinghouse::ThreePartName;
+    use hns_core::cache::CacheMode;
+    use hns_core::colocation::HnsHandle;
+    use hns_core::name::{HnsName, NameMapping};
+    use hns_core::nsm::{Nsm, NsmClient, NsmService};
+    use hns_core::query::QueryClass;
     use hrpc::error::RpcResult;
     use hrpc::server::{CallCtx, Reply, RpcService};
-    use hrpc::RpcNet;
-    use simnet::topology::NetAddr;
+    use hrpc::{ProgramId, RpcNet};
+    use nsms::file_loc::{FileBindNsm, FileChNsm};
+    use nsms::harness::{
+        Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NSM_EXPORT_PROGRAM, PRINT_SERVICE,
+        PRINT_SERVICE_PROGRAM,
+    };
+    use nsms::mail::{MailBindNsm, MailChNsm};
+    use nsms::nsm_cache::NsmCacheForm;
+    use nsms::Importer;
+    use simnet::topology::{HostId, NetAddr};
     use simnet::world::World;
     use wire::{Message, Value};
 
@@ -509,18 +526,22 @@ pub mod peers {
             },
         ];
 
-        /// Puts `deployment`'s server back on its port behind whatever
-        /// stands for the untyped side.
-        fn interpose(self, net: &RpcNet, deployment: &BindDeployment) {
-            let mut service: Arc<dyn RpcService> = Arc::clone(&deployment.server) as _;
+        /// Puts `service` back on its host's `port` behind whatever stands
+        /// for the untyped side.
+        fn interpose(
+            self,
+            net: &RpcNet,
+            (host, port, program): (HostId, u16, ProgramId),
+            mut service: Arc<dyn RpcService>,
+        ) {
             if !self.typed_servers {
                 service = Arc::new(TreeOnlyServer(service));
             }
             if !self.typed_callers {
                 service = Arc::new(TreeOnlyCallers(service));
             }
-            net.unexport(deployment.host, DNS_PORT);
-            net.export_at(deployment.host, DNS_PORT, BIND_PROGRAM, service);
+            net.unexport(host, port);
+            net.export_at(host, port, program, service);
         }
     }
 
@@ -567,8 +588,10 @@ pub mod peers {
             single_zone_server("root", root_zone, false),
         );
         let cs = deploy(&net, cs_host, single_zone_server("cs", cs_zone, true));
-        peers.interpose(&net, &root);
-        peers.interpose(&net, &cs);
+        for deployment in [&root, &cs] {
+            let at = (deployment.host, DNS_PORT, BIND_PROGRAM);
+            peers.interpose(&net, at, Arc::clone(&deployment.server) as _);
+        }
 
         let mut seen = Vec::new();
         let mut see = |what: &str, outcome: String| seen.push(format!("{what}: {outcome}"));
@@ -653,6 +676,111 @@ pub mod peers {
         see("virtual time", format!("{}", world.now()));
         world.export_all_caches();
         see("metrics", world.metrics().snapshot().to_json());
+        seen.extend(observe_nsms(peers));
+        seen
+    }
+
+    /// The NSM interface and the Clearinghouse read, on the paper's
+    /// testbed with every NSM and the Clearinghouse behind the stand-ins:
+    /// `Import` over either name service (a miss, then the NSM cache's
+    /// hit), the mail and file queries over both, `ChClient::lookup_item`
+    /// — and what each refuses.
+    fn observe_nsms(peers: Peers) -> Vec<String> {
+        let tb = Testbed::build();
+        let host = tb.hosts.nsm;
+        let bound = tb.deploy_binding_nsms(host, NsmCacheForm::Demarshalled);
+        tb.deploy_extension_nsms(host);
+        // The harness keeps no handle to the extension NSMs: the stand-ins
+        // wrap fresh ones built as it builds them, before any is asked.
+        let identity = || NameMapping::Identity;
+        let nsms: [Arc<dyn Nsm>; 6] = [
+            bound.bind,
+            bound.ch,
+            MailBindNsm::new(tb.std_resolver(host), identity()),
+            MailChNsm::new(tb.ch_client(host), identity()),
+            FileBindNsm::new(tb.std_resolver(host), identity()),
+            FileChNsm::new(tb.ch_client(host), identity()),
+        ];
+        for (offset, nsm) in (0..).zip(nsms) {
+            let program = ProgramId(NSM_EXPORT_PROGRAM.0 + offset);
+            let port = tb.net.portmap_getport(host, program).expect("NSM exported");
+            peers.interpose(&tb.net, (host, port, program), NsmService::new(nsm));
+        }
+        let ch = (tb.ch.host, tb.ch.binding.port, CH_PROGRAM);
+        peers.interpose(&tb.net, ch, Arc::clone(&tb.ch.server) as _);
+
+        let mut seen = Vec::new();
+        let mut see = |what: &str, outcome: String| seen.push(format!("{what}: {outcome}"));
+        let client = tb.hosts.client;
+        let hns = tb.make_hns(client, CacheMode::Demarshalled);
+        let importer = Importer::new(
+            Arc::clone(&tb.net),
+            client,
+            HnsHandle::Linked(Arc::clone(&hns)),
+        );
+        let (bind, ch) = (
+            |s: &str| HnsName::new(tb.ctx_bind(), s).expect("name"),
+            |s: &str| HnsName::new(tb.ctx_ch(), s).expect("name"),
+        );
+        let (fiji, printer) = (bind("fiji.cs.washington.edu"), ch("printserver:cs:uw"));
+        for round in ["import", "import again"] {
+            let sun = importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &fiji);
+            see(round, format!("{sun:?}"));
+            let courier = importer.import(PRINT_SERVICE, PRINT_SERVICE_PROGRAM, &printer);
+            see(round, format!("{courier:?}"));
+        }
+        see(
+            "import of a program not exported",
+            format!("{:?}", importer.import("Nothing", ProgramId(42), &fiji)),
+        );
+
+        let nsm = NsmClient::new(Arc::clone(&tb.net), client);
+        let mut query = |qc: QueryClass, name: HnsName, extra: Vec<(&'static str, Value)>| {
+            let reply = hns
+                .find_nsm(&qc, &name)
+                .map_err(|e| e.to_string())
+                .and_then(|binding| nsm.call(&binding, &name, extra).map_err(|e| e.to_string()));
+            see(&format!("{qc} {name}"), format!("{reply:?}"));
+        };
+        let path = |p: &str| vec![("path", Value::str(p))];
+        for name in [
+            bind("alice.cs.washington.edu"),
+            ch("bob:cs:uw"),
+            ch("ghost:cs:uw"),
+        ] {
+            query(QueryClass::mailbox_location(), name, vec![]);
+        }
+        query(
+            QueryClass::file_location(),
+            bind("sources.cs.washington.edu"),
+            path("hrpc/stubs.c"),
+        );
+        query(
+            QueryClass::file_location(),
+            ch("designs:cs:uw"),
+            path("dlion/board.dwg"),
+        );
+        query(QueryClass::file_location(), ch("designs:cs:uw"), vec![]);
+
+        let ch_client = tb.ch_client(client);
+        let tpn = |s: &str| ThreePartName::parse(s).expect("name");
+        for (name, prop) in [
+            ("printserver:cs:uw", PROP_ADDRESS),
+            ("bob:cs:uw", PROP_MAILBOX),
+            ("ghost:cs:uw", PROP_MAILBOX),
+            ("bob:cs:uw", PROP_ADDRESS),
+        ] {
+            let item = ch_client.lookup_item(&tpn(name), prop);
+            see(
+                &format!("lookup_item {name} {}", prop.0),
+                format!("{item:?}"),
+            );
+        }
+
+        see("nsm counters", format!("{:?}", tb.world.counters()));
+        see("nsm virtual time", format!("{}", tb.world.now()));
+        tb.world.export_all_caches();
+        see("nsm metrics", tb.world.metrics().snapshot().to_json());
         seen
     }
 }

@@ -16,19 +16,23 @@
 //!
 //! The wire is not where a message stops being input: a mutant that
 //! decodes to a [`Value`] is then handed to every **message-level**
-//! reader that takes such a value apart — `Answer`, `MultiAnswer`,
-//! `Question`, `MultiQuestion`, `UpdateOp`, `HrpcBinding` and, over the
-//! payloads of the records `Answer` finds, the `MetaRecord` decoder of
-//! each record kind — under the same three properties (accepted ⇒ what it
-//! re-encodes to reads back equal). Their bases are the corpus plus
-//! [`meta_seeds`]: replies carrying real meta record sets, so the typed
-//! decoder meets near-valid payloads.
+//! reader that takes such a value apart — `bindns`'s `Answer`,
+//! `MultiAnswer`, `Question`, `MultiQuestion` and `UpdateOp`; the NSM
+//! interface's `NsmRequest` and the standard replies (`HrpcBinding`,
+//! `HostAddress`, `MailboxLocation`, `FileLocation`, `UserInfo`); the
+//! Clearinghouse's `Lookup` and `Property`; and, over the payloads of the
+//! records `Answer` finds, the `MetaRecord` decoder of each record kind —
+//! under the same three properties (accepted ⇒ what it re-encodes to
+//! reads back equal). Their bases are the corpus plus [`meta_seeds`]
+//! (replies carrying real meta record sets, so the typed decoder meets
+//! near-valid payloads) and [`message_seeds`] (one of each NSM and
+//! Clearinghouse message).
 //!
-//! 4. **The length law** — the five of those that cross the fabric as
-//!    themselves ([`wire::Message`]) are charged by the length they
-//!    state, so every one a reader accepts must state, under either
-//!    format, exactly what encoding its tree gives: the same length, or
-//!    the same error.
+//! 4. **The length law** — every one of those but `MetaRecord` crosses
+//!    the fabric as itself ([`wire::Message`]) and is charged by the
+//!    length it states, so every one a reader accepts must state, under
+//!    either format, exactly what encoding its tree gives: the same
+//!    length, or the same error.
 //!
 //! Everything derives from one [`DetRng`] stream, so a failing seed
 //! replays exactly: `experiments fuzz --seed N --iters M`.
@@ -39,12 +43,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::rr::ResourceRecord;
 use bindns::update::UpdateOp;
-use bindns::{DomainName, NsResult};
+use bindns::DomainName;
+use clearinghouse::property::PROP_FILE_SERVICE;
+use clearinghouse::{Credentials, Lookup, Property, ThreePartName};
 use hns_core::meta::{Kind, MetaRecord};
-use hns_core::name::Context;
-use hns_core::nsm::{NsmInfo, SuiteTag};
+use hns_core::name::{Context, HnsName};
+use hns_core::nsm::{HostAddress, NsmInfo, NsmRequest, QueryArgs, SuiteTag};
+use hns_core::query::QueryClass;
 use hrpc::{HrpcBinding, ProgramId};
+use nsms::file_loc::FileLocation;
+use nsms::mail::MailboxLocation;
+use nsms::user_info::UserInfo;
 use simnet::rng::DetRng;
+use simnet::topology::HostId;
 use wire::{Message, Value, WireFormat};
 
 use crate::alloc;
@@ -222,6 +233,89 @@ pub fn meta_seeds() -> Vec<CorpusEntry> {
     sets.into_iter().map(seed).collect()
 }
 
+/// One message of each NSM and Clearinghouse shape, as XDR: a request to
+/// an NSM and one to a callee that serves every query class, each
+/// standard reply but the binding (which is in the corpus), a `LOOKUP`
+/// request and both kinds of `Property`. Bases for mutation beside the
+/// corpus, as [`meta_seeds`] are.
+pub fn message_seeds() -> Vec<CorpusEntry> {
+    let name = HnsName::new(
+        Context::new("bind-uw").expect("static context"),
+        "fiji.cs.washington.edu",
+    )
+    .expect("static name");
+    let to_nsm = NsmRequest::new(
+        name.clone(),
+        QueryArgs::Binding {
+            service: "DesiredService".into(),
+            program: ProgramId(100_005),
+        },
+    );
+    let to_agent = NsmRequest {
+        query_class: Some(QueryClass::file_location()),
+        ..NsmRequest::new(
+            name,
+            QueryArgs::File {
+                path: "hrpc/stubs.c".into(),
+            },
+        )
+    };
+    let tpn = |s: &str| ThreePartName::parse(s).expect("static three-part name");
+    let lookup = Lookup {
+        creds: Credentials::new(tpn("hcs:cs:uw"), 0x4843_5331_3938_3755),
+        name: tpn("designs:cs:uw"),
+        prop: PROP_FILE_SERVICE,
+    };
+    let item = Property::Item(Value::record([
+        ("host", Value::str("printserver:cs:uw")),
+        ("root", Value::str("/designs")),
+    ]));
+    let group = Property::Group(["alice:cs:uw", "bob:cs:uw"].map(String::from).into());
+    let messages: [(&'static str, &dyn Message); 9] = [
+        ("nsm_request_xdr", &to_nsm),
+        ("agent_request_xdr", &to_agent),
+        (
+            "host_address_xdr",
+            &HostAddress {
+                host: HostId(7),
+                ttl: 86_400,
+            },
+        ),
+        (
+            "mailbox_location_xdr",
+            &MailboxLocation {
+                mailbox_host: "printserver:cs:uw".into(),
+            },
+        ),
+        (
+            "file_location_xdr",
+            &FileLocation {
+                file_host: "fiji.cs.washington.edu".into(),
+                local_path: "/usr/src/hrpc/stubs.c".into(),
+            },
+        ),
+        (
+            "user_info_xdr",
+            &UserInfo {
+                full_name: "Michael F. Schwartz".into(),
+                host: "fiji.cs.washington.edu".into(),
+            },
+        ),
+        ("ch_lookup_xdr", &lookup),
+        ("ch_property_item_xdr", &item),
+        ("ch_property_group_xdr", &group),
+    ];
+    messages
+        .into_iter()
+        .map(|(name, msg)| CorpusEntry {
+            name,
+            kind: "nsm-message",
+            decoder: Decoder::XdrValue,
+            bytes: wire::xdr::encode(&msg.tree()).expect("seed message encodes as XDR"),
+        })
+        .collect()
+}
+
 /// The reply to a question about `owner` whose answer is `payloads`, one
 /// `UNSPEC` record each.
 fn meta_reply(owner: &DomainName, payloads: Vec<String>) -> Option<Value> {
@@ -260,11 +354,15 @@ fn read_messages(report: &mut FuzzReport, value: &Value, budget: u64, what: &dyn
         Some(q.to_value())
     });
     read.message("UpdateOp", UpdateOp::from_value, |op| op.to_value().ok());
-    read.one(
-        "HrpcBinding",
-        |v| HrpcBinding::from_value(v).ok(),
-        |b| Some(b.to_value()),
-    );
+    let tree = |m: &dyn Message| Some(m.tree().into_owned());
+    read.message("NsmRequest", NsmRequest::from_value, |m| tree(m));
+    read.message("HrpcBinding", HrpcBinding::from_value, |m| tree(m));
+    read.message("HostAddress", HostAddress::from_value, |m| tree(m));
+    read.message("MailboxLocation", MailboxLocation::from_value, |m| tree(m));
+    read.message("FileLocation", FileLocation::from_value, |m| tree(m));
+    read.message("UserInfo", UserInfo::from_value, |m| tree(m));
+    read.message("Lookup", Lookup::from_value, |m| tree(m));
+    read.message("Property", Property::from_value, |m| tree(m));
     for kind in Kind::ALL {
         let name = format!("MetaRecord {kind:?}");
         read.one(&name, |v| decode_meta(kind, v), write_meta);
@@ -284,10 +382,10 @@ struct MessageLayer<'a> {
 impl MessageLayer<'_> {
     /// [`MessageLayer::one`] for a reader of a message the fabric carries
     /// as itself, which must also keep the length law.
-    fn message<M: Message + PartialEq>(
+    fn message<M: Message + PartialEq, E>(
         &mut self,
         reader: &str,
-        decode: fn(&Value) -> NsResult<M>,
+        decode: fn(&Value) -> Result<M, E>,
         encode: impl Fn(&M) -> Option<Value>,
     ) {
         let Some(message) = self.one(reader, |v| decode(v).ok(), encode) else {
@@ -351,6 +449,7 @@ impl MessageLayer<'_> {
 pub fn run(config: FuzzConfig) -> FuzzReport {
     let mut entries = corpus::entries();
     entries.extend(meta_seeds());
+    entries.extend(message_seeds());
     let mut rng = DetRng::new(config.seed ^ 0xC0DE_F022_u64);
     let mut report = FuzzReport {
         iters: config.iters,
@@ -468,6 +567,7 @@ mod tests {
         let mut report = run(FuzzConfig { iters: 0, seed: 0 });
         let mut bases = corpus::entries();
         bases.extend(meta_seeds());
+        bases.extend(message_seeds());
         let mut accepted = Vec::new();
         for entry in bases.iter().filter(|e| e.decoder == Decoder::XdrValue) {
             let Some(Decoded::Value(value)) = decode_message(entry.decoder, &entry.bytes) else {
@@ -500,6 +600,10 @@ mod tests {
             ("update_replace_xdr", 1),
             ("hrpc_binding_sun_xdr", 1),
         ] {
+            assert!(readers_of(name) >= least, "{name}: {accepted:?}");
+        }
+        for entry in message_seeds() {
+            let (name, least) = (entry.name, 1);
             assert!(readers_of(name) >= least, "{name}: {accepted:?}");
         }
     }

@@ -24,10 +24,13 @@ use std::sync::Arc;
 
 use bindns::message::Answer;
 use bindns::{DomainName, ResourceRecord};
+use clearinghouse::property::PROP_MAILBOX;
+use clearinghouse::ThreePartName;
 use conformance::alloc::{measure_calls, CountingAlloc};
 use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
 use hns_core::name::{Context, HnsName, NameMapping};
+use hns_core::nsm::NsmClient;
 use hns_core::query::QueryClass;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND};
 use nsms::import::Importer;
@@ -55,11 +58,30 @@ const WARM_COMPOSED: Row = (0, 0);
 /// mapping 1's meta key (3 while that was two and the name service was
 /// parsed out of the context record on every hit).
 const WARM_REWALK: Row = (1, 40);
-/// Warm `Import`: a composed-cache `FindNSM` plus one remote NSM call —
-/// the NSM call path, which the typed meta path does not reach (37
-/// allocations / 1,721 B before names became shared strings; 12 while
-/// each call built its own `QueryClass`).
-const WARM_IMPORT: Row = (11, 1_040);
+/// Warm `Import`: a composed-cache `FindNSM` plus one remote NSM call.
+/// The request crosses as the `NsmRequest` it is and the binding NSM's
+/// cache hit as the `HrpcBinding` itself, so what is left is the
+/// request's copy of the name (two strings) and of the service, the NSM's
+/// local name, and the box the binding travels back in. (11 / 1,040 B
+/// while the argument record and the reply were trees and the NSM keyed
+/// its cache on a formatted string; 37 / 1,721 B before names became
+/// shared strings; 12 while each call built its own `QueryClass`.)
+const WARM_IMPORT: Row = (5, 97);
+/// A Clearinghouse-backed mail query, the NSM call alone: the request's
+/// name, the NSM's local name and the three-part name parsed from it (one
+/// shared string), the item the Clearinghouse copies out of its entry,
+/// the two boxes the `Property` and the `MailboxLocation` travel in, and
+/// the tree `NsmClient::call` hands its caller (a field vector and a
+/// string). (35 / 1,235 B while request, lookup and both replies were
+/// trees, and a three-part name was four allocations to parse.)
+const WARM_CH_MAIL: Row = (9, 201);
+/// `ChClient::lookup_item`: the item the server copies out of its entry
+/// and the box the `Property` comes back in. The `Lookup` it sends shares
+/// the name and the credentials. (23 / 942 B while the request was a
+/// tree of the credentials, the name's text and the property, the reply
+/// a tree copied once more on the way out, and `ChDb::serves` cloned the
+/// domain's two strings on every operation.)
+const CH_LOOKUP_ITEM: Row = (2, 49);
 /// Cold sequential `FindNSM`: every cache off, six remote mappings. The
 /// question and the answer cross the fabric as the structs they are, so
 /// a mapping costs its key, the zone's record vector, the box the answer
@@ -70,13 +92,16 @@ const WARM_IMPORT: Row = (11, 1_040);
 /// parsed pieces, and seven key texts were interned for a cache that
 /// stores nothing; 101 / 8,962 B before a zone sized its answer once;
 /// 585 / 23,946 B before names became shared strings and struct field
-/// names static.)
-const COLD_SEQUENTIAL: Row = (40, 2_179);
+/// names static; 40 / 2,179 B while the linked host-address NSM of
+/// mapping 6 answered with a two-field vector, not its eight-byte
+/// `HostAddress` in a box.)
+const COLD_SEQUENTIAL: Row = (40, 2_075);
 /// Cold batched `FindNSM`: every cache off, mappings 1–5 in one `MQUERY`
 /// whose additional sets the meta server's chaser attaches. Holds the
 /// typed `MultiQuestion` / `MultiAnswer` path (152 / 11,525 B while the
-/// batch and its reply were trees).
-const COLD_BATCHED: Row = (68, 4_376);
+/// batch and its reply were trees; 68 / 4,376 B while mapping 6's reply
+/// was a vector, as above).
+const COLD_BATCHED: Row = (68, 4_272);
 /// Decoding a six-record answer of one owner into owned records: the
 /// record vector, and the owner name — parsed once and shared by all six.
 /// What an untyped peer's reply costs at the edge where it is decoded.
@@ -86,7 +111,7 @@ const ANSWER_DECODE: Row = (2, 376);
 fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {
     let (_, used) = measure_calls(f);
     let (bytes, calls) = used.expect("counting allocator installed");
-    println!("{what:<28} {calls:>6} allocations {bytes:>8} B");
+    println!("{what:<32} {calls:>6} allocations {bytes:>8} B");
     assert_eq!(
         (calls, bytes),
         pinned,
@@ -156,6 +181,25 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     };
     import();
     row("warm Import", WARM_IMPORT, import);
+
+    // A Clearinghouse-backed mail query: the NSM call alone, its binding
+    // found beforehand. The NSM keeps no cache, so every call is one
+    // authenticated Clearinghouse read.
+    tb.deploy_extension_nsms(tb.hosts.nsm);
+    let bob = HnsName::new(tb.ctx_ch(), "bob:cs:uw").expect("name");
+    let mail_nsm = warm
+        .find_nsm(&QueryClass::mailbox_location(), &bob)
+        .expect("mail NSM");
+    let nsm_client = NsmClient::new(Arc::clone(&tb.net), tb.hosts.client);
+    let mail = || nsm_client.call(&mail_nsm, &bob, vec![]).expect("mail");
+    mail();
+    row("warm Clearinghouse mail NSM call", WARM_CH_MAIL, mail);
+
+    let ch = tb.ch_client(tb.hosts.client);
+    let bob = ThreePartName::parse("bob:cs:uw").expect("name");
+    let item = || ch.lookup_item(&bob, PROP_MAILBOX).expect("item");
+    item();
+    row("ChClient::lookup_item", CH_LOOKUP_ITEM, item);
 
     let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     cold.find_nsm(&qc, &name).expect("lazy handles resolved");

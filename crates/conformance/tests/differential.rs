@@ -47,6 +47,16 @@ fn typed_and_tree_only_peers_are_indistinguishable() {
         "{}",
         said("counters:")
     );
+    // The NSM interface and the Clearinghouse read: both imports, mail
+    // and file over either service, an item, and what each refuses.
+    assert!(said("import again:").starts_with("import again: Ok(HrpcBinding"));
+    assert!(said("import of a program not exported:").contains("NoSuchProgram"));
+    assert!(said("mailboxlocation ch-uw!bob:cs:uw:").contains("printserver:cs:uw"));
+    assert!(said("mailboxlocation ch-uw!ghost:cs:uw:").contains("not found"));
+    assert!(said("filelocation bind-uw!sources").contains("/usr/src/hrpc/stubs.c"));
+    assert!(said("lookup_item bob:cs:uw 31:").contains("Ok(Str(\"printserver:cs:uw\"))"));
+    assert!(said("lookup_item ghost:cs:uw 31:").contains("NotFound"));
+    assert!(said("nsm counters:").contains("remote_calls: 43"));
     for peers in &Peers::ALL[1..] {
         let observed = observe(*peers);
         for (typed, other) in both_typed.iter().zip(&observed) {

@@ -124,6 +124,18 @@ impl Cacheable for Value {
     }
 }
 
+/// A binding marshals as the tree it describes (what the binding NSMs'
+/// result cache keeps).
+impl Cacheable for hrpc::HrpcBinding {
+    fn marshal(&self) -> Option<Vec<u8>> {
+        self.to_value().marshal()
+    }
+
+    fn demarshal(bytes: &[u8]) -> Option<Self> {
+        hrpc::HrpcBinding::from_value(&Value::demarshal(bytes)?).ok()
+    }
+}
+
 /// One cached value in its storage form (Table 3.2).
 #[derive(Debug)]
 pub enum Stored<V = Value> {

@@ -20,13 +20,13 @@ use simnet::topology::HostId;
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, RpcService};
+use hrpc::server::{CallCtx, Reply, RpcService};
 use hrpc::{HrpcBinding, ProgramId};
-use wire::Value;
+use wire::{Message, Value};
 
 use crate::error::{HnsError, HnsResult};
 use crate::name::HnsName;
-use crate::nsm::{self, NsmClient};
+use crate::nsm::{NsmClient, NsmRequest, QueryArgs};
 use crate::query::QueryClass;
 use crate::service::Hns;
 
@@ -68,13 +68,26 @@ impl RpcService for HnsService {
         "hns"
     }
 
-    fn dispatch(&self, _ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+    fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+    }
+
+    /// `FindNSM` is served on the [`NsmRequest`] and answers with the
+    /// [`HrpcBinding`] itself.
+    fn dispatch_msg(
+        &self,
+        _ctx: &CallCtx<'_>,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
         match proc_id {
             HNS_PROC_FINDNSM => {
-                let qc = nsm::decode_class(args)?;
-                let (name, _) = nsm::decode_args(args)?;
-                let binding = self.hns.find_nsm(&qc, &name).map_err(hns_err)?;
-                Ok(binding.to_value())
+                let request = args.read(NsmRequest::from_value)?;
+                let binding = self
+                    .hns
+                    .find_nsm(request.class()?, &request.name)
+                    .map_err(hns_err)?;
+                Ok(Reply::typed(binding))
             }
             other => Err(RpcError::BadProcedure(other)),
         }
@@ -123,12 +136,15 @@ impl HnsClient {
                 if !world.topology.colocated(self.host, binding.host) {
                     world.charge_ms(world.costs.findnsm_arg_marshal);
                 }
-                let args = nsm::encode_args(Some(qc), name, std::iter::empty());
+                let request = NsmRequest {
+                    query_class: Some(qc.clone()),
+                    ..NsmRequest::new(name.clone(), QueryArgs::None)
+                };
                 let reply = self
                     .net
-                    .call(self.host, binding, HNS_PROC_FINDNSM, &args)
+                    .call_msg(self.host, binding, HNS_PROC_FINDNSM, &request)
                     .map_err(HnsError::Rpc)?;
-                HrpcBinding::from_value(&reply).map_err(HnsError::from)
+                reply.read(HrpcBinding::from_value).map_err(HnsError::from)
             }
         }
     }
@@ -166,16 +182,29 @@ impl RpcService for AgentService {
         "hns-agent"
     }
 
-    fn dispatch(&self, _ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+    fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+    }
+
+    /// Served on the [`NsmRequest`]; the NSM's reply goes back as it came.
+    fn dispatch_msg(
+        &self,
+        _ctx: &CallCtx<'_>,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
         if proc_id != AGENT_PROC_QUERY {
             return Err(RpcError::BadProcedure(proc_id));
         }
-        let qc = nsm::decode_class(args)?;
-        let (name, extra) = nsm::decode_args(args)?;
-        let nsm_binding = self.hns.find_nsm(&qc, &name).map_err(hns_err)?;
+        let request = args.read(NsmRequest::from_value)?;
+        let nsm_binding = self
+            .hns
+            .find_nsm(request.class()?, &request.name)
+            .map_err(hns_err)?;
         // The query class's own fields travel on to the NSM as they came.
+        let to_nsm = NsmRequest::new(request.name.clone(), request.args.clone());
         let nsm_client = NsmClient::new(Arc::clone(self.hns.net()), self.host);
-        nsm_client.call_with_fields(&nsm_binding, &name, extra.cloned())
+        nsm_client.call_msg(&nsm_binding, &to_nsm)
     }
 }
 
@@ -211,10 +240,13 @@ impl AgentClient {
         if !world.topology.colocated(self.host, self.binding.host) {
             world.charge_ms(world.costs.agent_arg_marshal);
         }
-        let extra = extra.into_iter().map(|(k, v)| (k.into(), v));
-        let args = nsm::encode_args(Some(qc), name, extra);
+        let request = NsmRequest {
+            query_class: Some(qc.clone()),
+            ..NsmRequest::new(name.clone(), QueryArgs::from_fields(&extra)?)
+        };
         self.net
-            .call(self.host, &self.binding, AGENT_PROC_QUERY, &args)
+            .call_msg(self.host, &self.binding, AGENT_PROC_QUERY, &request)
+            .map(Reply::into_value)
             .map_err(HnsError::Rpc)
     }
 }

@@ -52,6 +52,9 @@ pub use colocation::{AgentClient, AgentService, HnsClient, HnsHandle, HnsService
 pub use error::{HnsError, HnsResult};
 pub use meta::{ContextInfo, Fetched, Kind, MetaBatch, MetaRecord, MetaStore, META_TTL};
 pub use name::{Context, HnsName, NameMapping};
-pub use nsm::{Nsm, NsmBinding, NsmClient, NsmInfo, NsmService, SuiteTag, NSM_PROC_QUERY};
+pub use nsm::{
+    HostAddress, Nsm, NsmBinding, NsmClient, NsmInfo, NsmRequest, NsmService, QueryArgs, SuiteTag,
+    NSM_PROC_QUERY,
+};
 pub use query::QueryClass;
 pub use service::{FindNsmReport, Hns, PreloadMode, PreloadReport};

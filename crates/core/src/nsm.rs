@@ -9,7 +9,6 @@
 //! "The NSMs are neither HNS nor application code per se. Rather, they are
 //! code managed by the HNS and shared by the applications."
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use simnet::obs::LazyCounter;
@@ -17,61 +16,190 @@ use simnet::topology::{HostId, NetAddr};
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, RpcService};
+use hrpc::server::{CallCtx, Reply, RpcService};
 use hrpc::{ComponentSet, HrpcBinding, ProgramId};
-use wire::Value;
+use wire::message::{Shape, Shaped};
+use wire::{Message, Value, WireError, WireResult};
 
 use crate::error::{HnsError, HnsResult};
-use crate::meta::{Kind, MetaRecord};
+use crate::meta::{Kind, MetaRecord, META_TTL};
 use crate::name::{Context, HnsName};
 use crate::query::QueryClass;
 
 /// The single NSM procedure: perform a query.
 pub const NSM_PROC_QUERY: u32 = 1;
 
-/// One named field of an argument record.
-pub(crate) type Field = (Cow<'static, str>, Value);
-
-/// The standard fields of an argument record, in wire order.
-const STANDARD: [&str; 3] = ["query_class", "context", "name"];
-
-/// Encodes the standard argument record, the one shape every call made
-/// for an HNS query carries: the query class when the callee serves them
-/// all (the HNS, an agent — an NSM serves one and is sent none), the HNS
-/// name as `context` and `name`, then the query class's own fields.
-pub(crate) fn encode_args(
-    qc: Option<&QueryClass>,
-    hns_name: &HnsName,
-    extra: impl Iterator<Item = Field>,
-) -> Value {
-    let [class, context, name] = STANDARD.map(Cow::Borrowed);
-    let qc = qc.map(|qc| (class, Value::str(qc.as_str())));
-    let mut fields = Vec::with_capacity(usize::from(qc.is_some()) + 2 + extra.size_hint().0);
-    fields.extend(qc);
-    fields.push((context, Value::str(hns_name.context.as_str())));
-    fields.push((name, Value::str(hns_name.individual.clone())));
-    fields.extend(extra);
-    Value::Struct(fields)
+/// The standard argument record, the one message every call made for an
+/// HNS query carries: the query class when the callee serves them all
+/// (the HNS, an agent — an NSM serves one and is sent none), the HNS name
+/// as `context` and `name`, then the query class's own fields.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NsmRequest {
+    /// The query class, for a callee that serves them all.
+    pub query_class: Option<QueryClass>,
+    /// The HNS name asked about.
+    pub name: HnsName,
+    /// The query class's own fields.
+    pub args: QueryArgs,
 }
 
-/// The query class [`encode_args`] wrote for a callee that serves them
-/// all; its absence is that callee's first complaint.
-pub(crate) fn decode_class(args: &Value) -> RpcResult<QueryClass> {
-    Ok(QueryClass::new(args.str_field(STANDARD[0])?))
+/// A query class's own fields, in wire order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QueryArgs {
+    /// None: `MailboxLocation`, `UserInfo`, `HostAddress`, `FindNSM`.
+    None,
+    /// `HRPCBinding`'s: the service to bind to, and its program.
+    Binding {
+        /// The service's name.
+        service: String,
+        /// The service's program number.
+        program: ProgramId,
+    },
+    /// `FileLocation`'s: the file's path under its volume.
+    File {
+        /// The path.
+        path: String,
+    },
 }
 
-/// Decodes the rest of what [`encode_args`] wrote: the HNS name, and the
-/// query class's own fields — every field that is not a standard one.
-pub(crate) fn decode_args(args: &Value) -> RpcResult<(HnsName, impl Iterator<Item = &Field>)> {
-    let [_, context, name] = STANDARD;
-    let service_err = |e: HnsError| RpcError::Service(e.to_string());
-    let context = Context::new(args.str_field(context)?).map_err(service_err)?;
-    let hns_name = HnsName::new(context, args.str_field(name)?).map_err(service_err)?;
-    let fields = args.as_struct()?.iter();
-    Ok((
-        hns_name,
-        fields.filter(|(k, _)| !STANDARD.contains(&k.as_ref())),
-    ))
+fn missing(field: &str) -> RpcError {
+    RpcError::Wire(WireError::FieldMissing(field.to_string()))
+}
+
+impl NsmRequest {
+    /// A request to an NSM, which serves one query class and is sent none.
+    pub fn new(name: HnsName, args: QueryArgs) -> NsmRequest {
+        NsmRequest {
+            query_class: None,
+            name,
+            args,
+        }
+    }
+
+    /// The query class a callee that serves them all was asked for; its
+    /// absence is that callee's first complaint.
+    pub fn class(&self) -> RpcResult<&QueryClass> {
+        self.query_class
+            .as_ref()
+            .ok_or_else(|| missing("query_class"))
+    }
+
+    /// Decodes the record from an untyped peer's tree. Fields of a query
+    /// class this record has no place for are not read.
+    pub fn from_value(v: &Value) -> RpcResult<NsmRequest> {
+        let service_err = |e: HnsError| RpcError::Service(e.to_string());
+        let query_class = match v.field("query_class") {
+            Ok(class) => Some(QueryClass::new(class.as_str()?)),
+            Err(_) => None,
+        };
+        let context = Context::new(v.str_field("context")?).map_err(service_err)?;
+        let name = HnsName::new(context, v.str_field("name")?).map_err(service_err)?;
+        let args = QueryArgs::read(|field| v.field(field).ok())?;
+        Ok(NsmRequest {
+            query_class,
+            name,
+            args,
+        })
+    }
+}
+
+impl Shaped for NsmRequest {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        let context = ("context", s.str(self.name.context.as_str()));
+        let name = ("name", s.str(&self.name.individual));
+        let class = |qc: &QueryClass| ("query_class", s.str(qc.as_str()));
+        let binding = |service: &str, program: ProgramId| {
+            [("service", s.str(service)), ("program", s.u32(program.0))]
+        };
+        match (&self.query_class, &self.args) {
+            (None, QueryArgs::None) => s.record([context, name]),
+            (Some(qc), QueryArgs::None) => s.record([class(qc), context, name]),
+            (None, QueryArgs::Binding { service, program }) => {
+                let [service, program] = binding(service, *program);
+                s.record([context, name, service, program])
+            }
+            (Some(qc), QueryArgs::Binding { service, program }) => {
+                let [service, program] = binding(service, *program);
+                s.record([class(qc), context, name, service, program])
+            }
+            (None, QueryArgs::File { path }) => s.record([context, name, ("path", s.str(path))]),
+            (Some(qc), QueryArgs::File { path }) => {
+                s.record([class(qc), context, name, ("path", s.str(path))])
+            }
+        }
+    }
+}
+
+impl QueryArgs {
+    /// The class's own fields as a caller of [`NsmClient::call`] or
+    /// [`crate::colocation::AgentClient::query`] names them.
+    pub fn from_fields(fields: &[(&str, Value)]) -> WireResult<QueryArgs> {
+        QueryArgs::read(|field| fields.iter().find(|(k, _)| *k == field).map(|(_, v)| v))
+    }
+
+    /// Reads the fields `field` finds by name: `service` and `program`
+    /// are an `HRPCBinding` query's, `path` a `FileLocation` query's; a
+    /// query with neither has none.
+    fn read<'a>(field: impl Fn(&str) -> Option<&'a Value>) -> WireResult<QueryArgs> {
+        if let Some(service) = field("service") {
+            let program = field("program")
+                .ok_or_else(|| WireError::FieldMissing("program".into()))?
+                .as_u32()?;
+            return Ok(QueryArgs::Binding {
+                service: service.as_str()?.to_string(),
+                program: ProgramId(program),
+            });
+        }
+        match field("path") {
+            Some(path) => Ok(QueryArgs::File {
+                path: path.as_str()?.to_string(),
+            }),
+            None => Ok(QueryArgs::None),
+        }
+    }
+
+    /// An `HRPCBinding` query's service and program.
+    pub fn binding(&self) -> RpcResult<(&str, ProgramId)> {
+        match self {
+            QueryArgs::Binding { service, program } => Ok((service, *program)),
+            _ => Err(missing("service")),
+        }
+    }
+
+    /// A `FileLocation` query's path.
+    pub fn path(&self) -> RpcResult<&str> {
+        match self {
+            QueryArgs::File { path } => Ok(path),
+            _ => Err(missing("path")),
+        }
+    }
+}
+
+/// The `HostAddress` query class's standard reply: the host, and the
+/// seconds the answer may be kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostAddress {
+    /// The host.
+    pub host: HostId,
+    /// Seconds the answer may be kept.
+    pub ttl: u32,
+}
+
+impl HostAddress {
+    /// Decodes an untyped NSM's reply; one that states no TTL may be kept
+    /// as long as a meta record.
+    pub fn from_value(v: &Value) -> WireResult<HostAddress> {
+        Ok(HostAddress {
+            host: HostId(v.u32_field("host")?),
+            ttl: v.u32_field("ttl").unwrap_or(META_TTL),
+        })
+    }
+}
+
+impl Shaped for HostAddress {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([("host", s.u32(self.host.0)), ("ttl", s.u32(self.ttl))])
+    }
 }
 
 /// A Naming Semantics Manager.
@@ -82,10 +210,11 @@ pub trait Nsm: Send + Sync {
     /// The query class this NSM serves.
     fn query_class(&self) -> QueryClass;
 
-    /// Handles one query. `hns_name` is the original HNS name; the NSM
-    /// translates the individual name to the local name, interrogates its
-    /// name service, and returns the query class's standard result format.
-    fn handle(&self, hns_name: &HnsName, args: &Value) -> RpcResult<Value>;
+    /// Handles one query. `request.name` is the original HNS name; the
+    /// NSM translates the individual name to the local name, interrogates
+    /// its name service, and returns the query class's standard reply —
+    /// its struct ([`Reply::typed`]), for a typed caller to read as it is.
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply>;
 }
 
 /// Adapts an [`Nsm`] into an RPC service so it can be exported remotely.
@@ -129,23 +258,35 @@ impl RpcService for NsmService {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+    }
+
+    /// Served on the [`NsmRequest`]: a caller's own, or decoded from the
+    /// tree of a caller that sent one.
+    fn dispatch_msg(
+        &self,
+        ctx: &CallCtx<'_>,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
         if proc_id != NSM_PROC_QUERY {
             return Err(RpcError::BadProcedure(proc_id));
         }
-        let (hns_name, _) = decode_args(args)?;
+        let request = args.read(NsmRequest::from_value)?;
         self.queries
             .get(ctx.world.metrics(), "nsm", "queries")
             .inc();
+        let name = &request.name;
         ctx.world
             .trace(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
-                format!("{}: query for {}", self.inner.nsm_name(), hns_name)
+                format!("{}: query for {}", self.inner.nsm_name(), name)
             });
         let span = ctx
             .world
             .span_lazy(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
-                format!("NSM {} handles {}", self.inner.nsm_name(), hns_name)
+                format!("NSM {} handles {}", self.inner.nsm_name(), name)
             });
-        let result = self.inner.handle(&hns_name, args);
+        let result = self.inner.handle(&request);
         drop(span);
         result
     }
@@ -178,25 +319,22 @@ impl NsmClient {
     }
 
     /// Calls the NSM designated by `binding` with the original HNS name
-    /// and any query-specific arguments.
+    /// and the query class's own fields, and reads its reply as a tree:
+    /// [`NsmClient::call_msg`] for a caller that names fields and reads
+    /// trees.
     pub fn call(
         &self,
         binding: &HrpcBinding,
         hns_name: &HnsName,
         extra: Vec<(&'static str, Value)>,
     ) -> RpcResult<Value> {
-        let extra = extra.into_iter().map(|(k, v)| (Cow::Borrowed(k), v));
-        self.call_with_fields(binding, hns_name, extra)
+        let request = NsmRequest::new(hns_name.clone(), QueryArgs::from_fields(&extra)?);
+        self.call_msg(binding, &request).map(Reply::into_value)
     }
 
-    /// [`NsmClient::call`] for a caller relaying fields it decoded from
-    /// a message (the agent), whose names are owned.
-    pub(crate) fn call_with_fields(
-        &self,
-        binding: &HrpcBinding,
-        hns_name: &HnsName,
-        extra: impl Iterator<Item = Field>,
-    ) -> RpcResult<Value> {
+    /// Sends `request` to the NSM designated by `binding`; the reply is
+    /// the NSM's struct if it sent one.
+    pub fn call_msg(&self, binding: &HrpcBinding, request: &NsmRequest) -> RpcResult<Reply> {
         let world = self.net.world();
         self.client_calls
             .get(world.metrics(), "nsm", "client_calls")
@@ -205,8 +343,8 @@ impl NsmClient {
             // Marshalling of the NSM interface arguments on a remote hop.
             world.charge_ms(world.costs.nsm_arg_marshal);
         }
-        let args = encode_args(None, hns_name, extra);
-        self.net.call(self.host, binding, NSM_PROC_QUERY, &args)
+        self.net
+            .call_msg(self.host, binding, NSM_PROC_QUERY, request)
     }
 }
 
@@ -375,8 +513,9 @@ mod tests {
         fn query_class(&self) -> QueryClass {
             QueryClass::new("Echo")
         }
-        fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-            Ok(Value::str(hns_name.individual.clone()))
+        /// An untyped NSM: it answers with a tree.
+        fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+            Ok(Reply::Tree(Value::str(request.name.individual.clone())))
         }
     }
 
@@ -443,33 +582,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_argument_record_is_one_shape_in_one_order() {
+    /// The parent's `encode_args`, kept as the reference the request's
+    /// shape is held to: the query class when given, `context`, `name`,
+    /// then the class's own fields as the caller listed them.
+    fn encode_args(
+        qc: Option<&QueryClass>,
+        hns_name: &HnsName,
+        extra: Vec<(&'static str, Value)>,
+    ) -> Value {
+        let qc = qc.map(|qc| ("query_class", Value::str(qc.as_str())));
+        let mut fields = Vec::with_capacity(usize::from(qc.is_some()) + 2 + extra.len());
+        fields.extend(qc);
+        fields.push(("context", Value::str(hns_name.context.as_str())));
+        fields.push(("name", Value::str(hns_name.individual.clone())));
+        fields.extend(extra);
+        Value::record(fields)
+    }
+
+    fn every_request() -> Vec<(NsmRequest, Vec<(&'static str, Value)>)> {
         let name = HnsName::new(Context::new("Bind-UW").expect("ctx"), "fiji").expect("name");
-        let own = || [(Cow::Borrowed("service"), Value::str("S"))].into_iter();
-        let keys = |args: &Value| -> Vec<String> {
-            let fields = args.as_struct().expect("struct").iter();
-            fields.map(|(k, _)| k.to_string()).collect()
+        let binding = QueryArgs::Binding {
+            service: "DesiredService".into(),
+            program: ProgramId(100_005),
         };
-        // To an NSM: no query class. To the HNS or an agent: it leads.
-        let qc = QueryClass::hrpc_binding();
-        let (to_nsm, to_agent) = (
-            encode_args(None, &name, own()),
-            encode_args(Some(&qc), &name, own()),
-        );
-        assert_eq!(keys(&to_nsm), ["context", "name", "service"]);
-        assert_eq!(keys(&to_agent)[0], "query_class");
-        assert_eq!(keys(&to_agent)[1..], keys(&to_nsm));
-        for args in [&to_nsm, &to_agent] {
-            let (decoded, extra) = decode_args(args).expect("decode");
-            assert_eq!(decoded, name);
-            assert!(extra.cloned().eq(own()));
+        let binding_fields = vec![
+            ("service", Value::str("DesiredService")),
+            ("program", Value::U32(100_005)),
+        ];
+        let file = QueryArgs::File {
+            path: "hrpc/stubs.c".into(),
+        };
+        let file_fields = vec![("path", Value::str("hrpc/stubs.c"))];
+        let mut all = Vec::new();
+        for class in [None, Some(QueryClass::hrpc_binding())] {
+            for (args, fields) in [
+                (QueryArgs::None, vec![]),
+                (binding.clone(), binding_fields.clone()),
+                (file.clone(), file_fields.clone()),
+            ] {
+                let request = NsmRequest {
+                    query_class: class.clone(),
+                    name: name.clone(),
+                    args,
+                };
+                all.push((request, fields));
+            }
         }
-        assert_eq!(decode_class(&to_agent).expect("class"), qc);
-        // A callee that needs the class says so; so does a nameless record.
-        let missing = decode_class(&to_nsm).unwrap_err();
+        all
+    }
+
+    /// To an NSM no query class, to the HNS or an agent the class first;
+    /// either way the tree the parent built by hand, the length its
+    /// encoding has, and the request back when decoded.
+    #[test]
+    fn the_request_is_the_record_the_parent_built_by_hand() {
+        for (request, fields) in every_request() {
+            let by_hand = encode_args(request.query_class.as_ref(), &request.name, fields.clone());
+            assert_eq!(request.tree().into_owned(), by_hand, "{request:?}");
+            for format in [wire::WireFormat::Xdr, wire::WireFormat::Courier] {
+                let bytes = format.encode(&by_hand).expect("encodes");
+                assert_eq!(request.encoded_len(format), Ok(bytes.len()), "{format}");
+            }
+            assert_eq!(NsmRequest::from_value(&by_hand).as_ref(), Ok(&request));
+            assert_eq!(QueryArgs::from_fields(&fields), Ok(request.args.clone()));
+        }
+    }
+
+    #[test]
+    fn a_request_says_what_it_lacks() {
+        let (to_nsm, _) = every_request().swap_remove(0);
+        let missing = to_nsm.class().unwrap_err();
         assert!(missing.to_string().contains("query_class"), "{missing}");
-        assert!(decode_args(&Value::record([("name", Value::str("n"))])).is_err());
+        for (absent, got) in [
+            ("service", to_nsm.args.binding().map(|_| ())),
+            ("path", to_nsm.args.path().map(|_| ())),
+        ] {
+            assert!(got.unwrap_err().to_string().contains(absent));
+        }
+        // A nameless record; a service without its program; a path that
+        // is no string.
+        assert!(NsmRequest::from_value(&Value::record([("name", Value::str("n"))])).is_err());
+        let half = [("service", Value::str("S"))];
+        assert!(QueryArgs::from_fields(&half).is_err());
+        assert!(QueryArgs::from_fields(&[("path", Value::U32(1))]).is_err());
+        // A field no query class takes is not read.
+        let odd = [("flavour", Value::str("vanilla"))];
+        assert_eq!(QueryArgs::from_fields(&odd), Ok(QueryArgs::None));
+    }
+
+    /// The reply the parent's host-address NSMs built by hand; one that
+    /// states no TTL is kept as long as a meta record.
+    #[test]
+    fn a_host_address_is_the_record_built_by_hand() {
+        let reply = HostAddress {
+            host: HostId(7),
+            ttl: 86_400,
+        };
+        let by_hand = Value::record([("host", Value::U32(7)), ("ttl", Value::U32(86_400))]);
+        assert_eq!(reply.tree().into_owned(), by_hand);
+        assert_eq!(HostAddress::from_value(&by_hand), Ok(reply));
+        let bare = Value::record([("host", Value::U32(7))]);
+        assert_eq!(HostAddress::from_value(&bare).map(|r| r.ttl), Ok(META_TTL));
+        assert!(HostAddress::from_value(&Value::Void).is_err());
     }
 
     #[test]

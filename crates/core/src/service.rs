@@ -36,14 +36,13 @@ use bindns::resolver::HrpcResolver;
 use bindns::rr::{RType, ResourceRecord};
 use hrpc::net::RpcNet;
 use hrpc::{HrpcBinding, ProgramId, RpcError};
-use wire::Value;
 
 use crate::binding_cache::{BindingCache, BindingCacheStats};
 use crate::cache::{CacheLookup, CacheMode, HnsCache, HnsCacheStats, MetaKey};
 use crate::error::{HnsError, HnsResult};
 use crate::meta::{self, Chased, Fetch, Fetched, Kind, MetaRecord, MetaStore, Step};
 use crate::name::{Context, HnsName, NameMapping};
-use crate::nsm::{Nsm, NsmInfo, NsmService, EXPORT_SUITE};
+use crate::nsm::{HostAddress, Nsm, NsmInfo, NsmRequest, NsmService, QueryArgs, EXPORT_SUITE};
 use crate::query::QueryClass;
 
 /// One HNS instance: meta-store client, cache, and linked NSMs.
@@ -430,6 +429,7 @@ impl Hns {
                 .cloned()
                 .ok_or_else(|| HnsError::NoLinkedHostAddrNsm(host_ns.to_string()))?;
             let hns_name = HnsName::new(info.host_context.clone(), host_name)?;
+            let request = NsmRequest::new(hns_name, QueryArgs::None);
             let world = self.world();
             self.handles
                 .linked_calls
@@ -438,15 +438,14 @@ impl Hns {
             let span = world.span_lazy(Some(self.host), TraceKind::Nsm, || {
                 format!("linked NSM {ha_nsm_name}: {host_name} -> address")
             });
-            let reply = linked.handle(&hns_name, &Value::Void);
+            let reply = linked.handle(&request);
             drop(span);
-            let reply = reply?;
             // Read here, so that a reply without a host is never cached.
-            let host = HostId(reply.u32_field("host")?);
+            let HostAddress { host, ttl } = reply?.read(HostAddress::from_value)?;
             Ok(Fetched {
                 value: MetaRecord::HostAddr(host),
                 rrs: 1,
-                ttl_secs: reply.u32_field("ttl").unwrap_or(crate::meta::META_TTL),
+                ttl_secs: ttl,
             })
         };
         let key = || MetaKey::host_addr(host_ns, host_name);

@@ -12,18 +12,19 @@ use hns_core::colocation::{
     AgentClient, AgentService, HnsClient, HnsHandle, HnsService, AGENT_PROGRAM, HNS_PROGRAM,
 };
 use hns_core::name::{Context, HnsName, NameMapping};
-use hns_core::nsm::Nsm;
+use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hns_core::service::Hns;
 use hns_core::HnsError;
 use hrpc::net::RpcNet;
-use hrpc::server::ProcServer;
+use hrpc::server::{ProcServer, Reply};
 use hrpc::{ComponentSet, HrpcBinding, ProgramId, RpcError};
 use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
 use wire::Value;
 
-/// A stub host-address NSM answering from a fixed table.
+/// A stub host-address NSM answering from a fixed table — an untyped one:
+/// it answers with a tree, which the HNS decodes where it reads it.
 struct StubHostAddr {
     name: &'static str,
     table: Vec<(String, u32)>,
@@ -36,15 +37,16 @@ impl Nsm for StubHostAddr {
     fn query_class(&self) -> QueryClass {
         QueryClass::host_address()
     }
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> Result<Value, RpcError> {
+    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
+        let hns_name = &request.name;
         self.table
             .iter()
             .find(|(n, _)| *n == hns_name.individual)
             .map(|(_, host)| {
-                Ok(Value::record(vec![
+                Ok(Reply::Tree(Value::record(vec![
                     ("host", Value::U32(*host)),
                     ("ttl", Value::U32(600)),
-                ]))
+                ])))
             })
             .unwrap_or_else(|| Err(RpcError::NotFound(hns_name.individual.clone())))
     }
@@ -60,8 +62,9 @@ impl Nsm for StubEcho {
     fn query_class(&self) -> QueryClass {
         QueryClass::new("Echo")
     }
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> Result<Value, RpcError> {
-        Ok(Value::str(format!("echo:{}", hns_name.individual)))
+    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
+        let echo = format!("echo:{}", request.name.individual);
+        Ok(Reply::Tree(Value::str(echo)))
     }
 }
 
@@ -183,11 +186,11 @@ impl Nsm for RelinkingHostAddr {
     fn query_class(&self) -> QueryClass {
         QueryClass::host_address()
     }
-    fn handle(&self, hns_name: &HnsName, args: &Value) -> Result<Value, RpcError> {
+    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
         let hns = self.hns.get().and_then(std::sync::Weak::upgrade);
         hns.expect("set before the first query")
             .link_nsm(Arc::new(StubEcho));
-        self.answers.handle(hns_name, args)
+        self.answers.handle(request)
     }
 }
 
@@ -439,8 +442,8 @@ impl Nsm for Unseen {
     fn query_class(&self) -> QueryClass {
         QueryClass::new("Unseen")
     }
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> Result<Value, RpcError> {
-        Ok(Value::str(hns_name.individual.clone()))
+    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
+        Ok(Reply::Tree(Value::str(request.name.individual.clone())))
     }
 }
 

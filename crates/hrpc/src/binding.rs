@@ -6,10 +6,10 @@
 //! from system to system."
 
 use simnet::topology::{HostId, NetAddr};
-use wire::{Value, WireResult};
+use wire::message::{Shape, Shaped, Tree};
+use wire::{Value, WireFormat, WireResult};
 
 use crate::components::{BindingProtocol, ComponentSet, ControlProtocol, Transport};
-use wire::WireFormat;
 
 /// A program (service) number, as in Sun RPC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,42 +31,10 @@ pub struct HrpcBinding {
 }
 
 impl HrpcBinding {
-    /// Serializes the binding into a wire value (for caching and for
-    /// returning from `FindNSM` and binding NSMs).
+    /// Serializes the binding into a wire value (for an untyped peer of
+    /// `FindNSM` or a binding NSM, the corpus and the marshalled caches).
     pub fn to_value(&self) -> Value {
-        Value::record([
-            ("host", Value::U32(self.host.0)),
-            ("program", Value::U32(self.program.0)),
-            ("port", Value::U32(self.port as u32)),
-            (
-                "data_rep",
-                Value::U32(encode_format(self.components.data_rep)),
-            ),
-            (
-                "transport",
-                Value::U32(encode_transport(self.components.transport)),
-            ),
-            (
-                "control",
-                Value::U32(encode_control(self.components.control)),
-            ),
-            (
-                "ctl_attempts",
-                Value::U32(self.components.control.max_attempts()),
-            ),
-            (
-                "ctl_amo",
-                Value::Bool(self.components.control.at_most_once()),
-            ),
-            (
-                "bindproto",
-                Value::U32(encode_bindproto(self.components.binding)),
-            ),
-            (
-                "static_port",
-                Value::U32(static_port(self.components.binding) as u32),
-            ),
-        ])
+        self.shape(&Tree)
     }
 
     /// Reconstructs a binding from its wire value.
@@ -92,6 +60,25 @@ impl HrpcBinding {
                 binding,
             },
         })
+    }
+}
+
+/// The `HRPCBinding` query class's standard reply, and `FindNSM`'s.
+impl Shaped for HrpcBinding {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        let c = self.components;
+        s.record([
+            ("host", s.u32(self.host.0)),
+            ("program", s.u32(self.program.0)),
+            ("port", s.u32(u32::from(self.port))),
+            ("data_rep", s.u32(encode_format(c.data_rep))),
+            ("transport", s.u32(encode_transport(c.transport))),
+            ("control", s.u32(encode_control(c.control))),
+            ("ctl_attempts", s.u32(c.control.max_attempts())),
+            ("ctl_amo", s.bool(c.control.at_most_once())),
+            ("bindproto", s.u32(encode_bindproto(c.binding))),
+            ("static_port", s.u32(u32::from(static_port(c.binding)))),
+        ])
     }
 }
 
@@ -200,6 +187,42 @@ mod tests {
             let b = sample(components);
             let back = HrpcBinding::from_value(&b.to_value()).expect("roundtrip");
             assert_eq!(back, b);
+        }
+    }
+
+    /// The tree a binding was built into by hand before it described its
+    /// shape (PR 24's `to_value`), kept as the reference.
+    fn by_hand(b: &HrpcBinding) -> Value {
+        let c = b.components;
+        Value::record([
+            ("host", Value::U32(b.host.0)),
+            ("program", Value::U32(b.program.0)),
+            ("port", Value::U32(b.port as u32)),
+            ("data_rep", Value::U32(encode_format(c.data_rep))),
+            ("transport", Value::U32(encode_transport(c.transport))),
+            ("control", Value::U32(encode_control(c.control))),
+            ("ctl_attempts", Value::U32(c.control.max_attempts())),
+            ("ctl_amo", Value::Bool(c.control.at_most_once())),
+            ("bindproto", Value::U32(encode_bindproto(c.binding))),
+            ("static_port", Value::U32(static_port(c.binding) as u32)),
+        ])
+    }
+
+    #[test]
+    fn the_shape_is_the_tree_built_by_hand_and_states_its_length() {
+        use wire::Message;
+        for components in [
+            ComponentSet::sun(),
+            ComponentSet::courier(),
+            ComponentSet::raw_tcp(7),
+            ComponentSet::raw_udp(9),
+        ] {
+            let b = sample(components);
+            assert_eq!(b.tree().into_owned(), by_hand(&b));
+            for format in [WireFormat::Xdr, WireFormat::Courier] {
+                let bytes = format.encode(&by_hand(&b)).expect("encodes");
+                assert_eq!(b.encoded_len(format), Ok(bytes.len()), "{format}");
+            }
         }
     }
 

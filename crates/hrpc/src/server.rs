@@ -66,6 +66,12 @@ impl Reply {
             Reply::Typed(msg) => msg.downcast().map_err(|other| other.tree().into_owned()),
         }
     }
+
+    /// The reply as the `T` a typed server sent; from any other peer,
+    /// `decode`d — once, here — from its tree.
+    pub fn read<T: Message, E>(self, decode: impl FnOnce(&Value) -> Result<T, E>) -> Result<T, E> {
+        self.downcast().or_else(|tree| decode(&tree))
+    }
 }
 
 /// A dispatchable service.

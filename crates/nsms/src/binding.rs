@@ -11,22 +11,25 @@
 //! aware of which name service it is calling."
 //!
 //! Client interface for the `HRPCBinding` query class (identical across
-//! NSMs): extra args `{ service: str, program: u32 }`; reply: a serialized
-//! [`HrpcBinding`].
+//! NSMs): the request's own fields `service` and `program`
+//! ([`hns_core::nsm::QueryArgs::Binding`]); reply: the [`HrpcBinding`]
+//! itself.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use bindns::resolver::StdResolver;
 use clearinghouse::client::ChClient;
-use hns_core::name::{HnsName, NameMapping};
-use hns_core::nsm::Nsm;
+use hns_core::name::NameMapping;
+use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::bindproto;
 use hrpc::error::RpcResult;
 use hrpc::net::RpcNet;
+use hrpc::server::Reply;
 use hrpc::{HrpcBinding, ProgramId};
 use simnet::topology::{HostId, NetAddr};
-use wire::Value;
 
 use crate::adapter::{Adapter, HostLookup};
 use crate::nsm_cache::{NsmCache, NsmCacheForm};
@@ -37,6 +40,62 @@ const BINDING_MARSHAL_RRS: usize = 6;
 /// Records a cached completed binding occupies.
 const CACHED_BINDING_RRS: usize = 2;
 
+/// What a completed binding is cached under: the host's local name, the
+/// service and its program — the query, field by field, so that no two
+/// queries share an entry.
+#[derive(Debug, PartialEq, Eq)]
+struct Key {
+    local: String,
+    service: String,
+    program: ProgramId,
+}
+
+/// A key as a probe sees it, owned or borrowed. [`Key`] borrows as one,
+/// so the cache is probed with the query's own strings and nothing is
+/// allocated to ask (as `bindns::TtlCache` is).
+trait KeyView {
+    fn view(&self) -> (&str, &str, ProgramId);
+}
+
+impl KeyView for Key {
+    fn view(&self) -> (&str, &str, ProgramId) {
+        (&self.local, &self.service, self.program)
+    }
+}
+
+impl KeyView for (&str, &str, ProgramId) {
+    fn view(&self) -> (&str, &str, ProgramId) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+// `Borrow` requires the owned key to hash as its view does.
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
 /// The binding NSM over the name service whose client is `S`. Its adapter
 /// supplies the host lookup, the emulation suite native to the target
 /// service, and how long a completed binding may be cached.
@@ -46,7 +105,7 @@ pub struct BindingNsm<S> {
     net: Arc<RpcNet>,
     host: HostId,
     adapter: Adapter<S>,
-    cache: NsmCache,
+    cache: NsmCache<Key, HrpcBinding>,
 }
 
 /// The binding NSM for BIND/Sun systems.
@@ -74,7 +133,7 @@ impl<S> BindingNsm<S> {
             net,
             host,
             adapter: Adapter::new(service, mapping),
-            cache: NsmCache::new(cache_form),
+            cache: NsmCache::of(cache_form),
         })
     }
 
@@ -138,18 +197,17 @@ where
         QueryClass::hrpc_binding()
     }
 
-    fn handle(&self, hns_name: &HnsName, args: &Value) -> RpcResult<Value> {
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
         let world = self.net.world();
-        let service = args.str_field("service")?;
-        let program = ProgramId(args.u32_field("program")?);
+        let (service, program) = request.args.binding()?;
 
         // Translate the individual name to the local name.
-        let local = self.adapter.translate(hns_name)?;
+        let local = self.adapter.translate(&request.name)?;
 
-        let cache_key = format!("{local}|{service}|{}", program.0);
-        if let Some(cached) = self.cache.get(world, &cache_key) {
+        let asked: &dyn KeyView = &(local.as_str(), service, program);
+        if let Some(cached) = self.cache.get(world, asked) {
             world.charge_ms(world.costs.nsm_assemble);
-            return Ok(cached);
+            return Ok(Reply::typed(*cached));
         }
 
         // 1. Look the host up in the name service.
@@ -161,8 +219,8 @@ where
         let port =
             bindproto::resolve_port(&self.net, self.host, host, program, service, components)?;
 
-        // 3. Assemble and marshal the completed binding through the
-        //    generated routines.
+        // 3. Assemble the completed binding, charged as marshalled
+        //    through the generated routines.
         let binding = HrpcBinding {
             host,
             addr: NetAddr::of(host),
@@ -171,9 +229,13 @@ where
             components,
         };
         world.charge_ms(world.costs.generated_miss(BINDING_MARSHAL_RRS) + world.costs.nsm_assemble);
-        let reply = binding.to_value();
+        let key = Key {
+            local,
+            service: service.to_string(),
+            program,
+        };
         self.cache
-            .insert(world, cache_key, &reply, CACHED_BINDING_RRS, ttl);
-        Ok(reply)
+            .insert(world, key, &binding, CACHED_BINDING_RRS, ttl);
+        Ok(Reply::typed(binding))
     }
 }

@@ -4,28 +4,58 @@
 //! a heterogeneous file system that mediates access to the set of local
 //! file systems present in the environment." These NSMs answer "which file
 //! service holds this file, and under what local path?" Client interface
-//! for `FileLocation`: extra args `{ path: str }`; reply
-//! `{ file_host: str, local_path: str }`.
+//! for `FileLocation`: the request's own field `path`
+//! ([`hns_core::nsm::QueryArgs::File`]); reply [`FileLocation`].
 
 use std::sync::Arc;
 
 use bindns::resolver::StdResolver;
 use clearinghouse::client::ChClient;
 use clearinghouse::property::PROP_FILE_SERVICE;
-use hns_core::name::{HnsName, NameMapping};
-use hns_core::nsm::Nsm;
+use hns_core::name::NameMapping;
+use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use wire::Value;
+use hrpc::server::Reply;
+use wire::message::{Shape, Shaped};
+use wire::{Value, WireResult};
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
-/// Builds the standard `FileLocation` reply.
-pub fn file_reply(file_host: &str, local_path: &str) -> Value {
-    Value::record([
-        ("file_host", Value::str(file_host)),
-        ("local_path", Value::str(local_path)),
-    ])
+/// The `FileLocation` query class's standard reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FileLocation {
+    /// The file service holding the file.
+    pub file_host: String,
+    /// The file's path there.
+    pub local_path: String,
+}
+
+impl FileLocation {
+    /// The file at `path` under the volume `root` of `file_host`.
+    fn under(file_host: &str, root: &str, path: &str) -> FileLocation {
+        FileLocation {
+            file_host: file_host.to_string(),
+            local_path: format!("{root}/{path}"),
+        }
+    }
+
+    /// Decodes an untyped NSM's reply.
+    pub fn from_value(v: &Value) -> WireResult<FileLocation> {
+        Ok(FileLocation {
+            file_host: v.str_field("file_host")?.to_string(),
+            local_path: v.str_field("local_path")?.to_string(),
+        })
+    }
+}
+
+impl Shaped for FileLocation {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("file_host", s.str(&self.file_host)),
+            ("local_path", s.str(&self.local_path)),
+        ])
+    }
 }
 
 /// File-location NSM over BIND `TXT` records of the form
@@ -52,12 +82,15 @@ impl Nsm for FileBindNsm {
         QueryClass::file_location()
     }
 
-    fn handle(&self, hns_name: &HnsName, args: &Value) -> RpcResult<Value> {
-        let path = args.str_field("path")?;
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+        let path = request.args.path()?;
         let keys = ["fileservice", "root"];
-        self.0.lookup_pair(hns_name, "file", keys, |host, root| {
-            file_reply(host, &format!("{root}/{path}"))
-        })
+        let location = self
+            .0
+            .lookup_pair(&request.name, "file", keys, |host, root| {
+                FileLocation::under(host, root, path)
+            })?;
+        Ok(Reply::typed(location))
     }
 }
 
@@ -85,10 +118,10 @@ impl Nsm for FileChNsm {
         QueryClass::file_location()
     }
 
-    fn handle(&self, hns_name: &HnsName, args: &Value) -> RpcResult<Value> {
-        let path = args.str_field("path")?;
-        let service = self.0.lookup(hns_name, PROP_FILE_SERVICE)?;
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+        let path = request.args.path()?;
+        let service = self.0.lookup(&request.name, PROP_FILE_SERVICE)?;
         let (host, root) = (service.str_field("host")?, service.str_field("root")?);
-        Ok(file_reply(host, &format!("{root}/{path}")))
+        Ok(Reply::typed(FileLocation::under(host, root, path)))
     }
 }

@@ -4,24 +4,19 @@
 //! Instances of these are linked directly with every HNS to break the
 //! `FindNSM` recursion ("so that their network addresses need not be
 //! found"). The identical client interface for the `HostAddress` query
-//! class: no extra arguments; reply `{ host: u32, ttl: u32 }`.
+//! class: no fields of its own; reply [`HostAddress`].
 
 use std::sync::Arc;
 
 use bindns::resolver::StdResolver;
 use clearinghouse::client::ChClient;
-use hns_core::name::{HnsName, NameMapping};
-use hns_core::nsm::Nsm;
+use hns_core::name::NameMapping;
+use hns_core::nsm::{HostAddress, Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use wire::Value;
+use hrpc::server::Reply;
 
 use crate::adapter::{Adapter, HostLookup};
-
-/// Builds the standard `HostAddress` reply.
-pub fn host_reply(host: u32, ttl: u32) -> Value {
-    Value::record([("host", Value::U32(host)), ("ttl", Value::U32(ttl))])
-}
 
 /// The host-address NSM, written once over the adapter of either service:
 /// the adapter knows what a host's address is there and how long it keeps
@@ -81,9 +76,9 @@ where
         QueryClass::host_address()
     }
 
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let local = self.adapter.translate(hns_name)?;
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+        let local = self.adapter.translate(&request.name)?;
         let (host, ttl) = self.adapter.address(&local)?;
-        Ok(host_reply(host.0, ttl))
+        Ok(Reply::typed(HostAddress { host, ttl }))
     }
 }

@@ -18,13 +18,12 @@ use std::sync::Arc;
 use hns_core::colocation::{HnsClient, HnsHandle};
 use hns_core::error::{HnsError, HnsResult};
 use hns_core::name::HnsName;
-use hns_core::nsm::NsmClient;
+use hns_core::nsm::{NsmClient, NsmRequest, QueryArgs};
 use hns_core::query::QueryClass;
 use hrpc::net::RpcNet;
 use hrpc::{HrpcBinding, ProgramId};
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
-use wire::Value;
 
 /// The HRPC `Import` entry point for one client process.
 pub struct Importer {
@@ -70,13 +69,9 @@ impl Importer {
         // FindNSM: which NSM understands binding for this context?
         let nsm_binding = self.hns.find_nsm(&self.query_class, host_name)?;
         // Call the designated binding NSM with the original HNS name.
-        let extra = || {
-            vec![
-                ("service", Value::str(service_name)),
-                ("program", Value::U32(program.0)),
-            ]
-        };
-        let reply = match self.nsm.call(&nsm_binding, host_name, extra()) {
+        let service = service_name.to_string();
+        let request = NsmRequest::new(host_name.clone(), QueryArgs::Binding { service, program });
+        let reply = match self.nsm.call_msg(&nsm_binding, &request) {
             Ok(reply) => reply,
             Err(err) if err.is_unreachable() => {
                 // The designated NSM never answered. If an alternate NSM
@@ -91,16 +86,14 @@ impl Importer {
                         world.trace(Some(self.host), TraceKind::Nsm, || {
                             format!("NSM failover: {} -> {} ({err})", nsm_binding.host, alt.host)
                         });
-                        self.nsm
-                            .call(&alt, host_name, extra())
-                            .map_err(HnsError::Rpc)?
+                        self.nsm.call_msg(&alt, &request).map_err(HnsError::Rpc)?
                     }
                     None => return Err(HnsError::Rpc(err)),
                 }
             }
             Err(err) => return Err(HnsError::Rpc(err)),
         };
-        HrpcBinding::from_value(&reply).map_err(HnsError::from)
+        reply.read(HrpcBinding::from_value).map_err(HnsError::from)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The paper's HCS project provided network-wide mail atop the HNS; these
 //! NSMs answer "where does this user's mail go?" from each underlying
-//! service. Client interface for `MailboxLocation`: no extra args; reply
-//! `{ mailbox_host: str }`.
+//! service. Client interface for `MailboxLocation`: no fields of its own;
+//! reply [`MailboxLocation`].
 
 use std::sync::Arc;
 
@@ -11,17 +11,36 @@ use bindns::resolver::StdResolver;
 use bindns::rr::{RData, RType};
 use clearinghouse::client::ChClient;
 use clearinghouse::property::PROP_MAILBOX;
-use hns_core::name::{HnsName, NameMapping};
-use hns_core::nsm::Nsm;
+use hns_core::name::NameMapping;
+use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use wire::Value;
+use hrpc::server::Reply;
+use wire::message::{Shape, Shaped};
+use wire::{Value, WireResult};
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
-/// Builds the standard `MailboxLocation` reply.
-pub fn mailbox_reply(host: &str) -> Value {
-    Value::record([("mailbox_host", Value::str(host))])
+/// The `MailboxLocation` query class's standard reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MailboxLocation {
+    /// Where the user's mail is delivered.
+    pub mailbox_host: String,
+}
+
+impl MailboxLocation {
+    /// Decodes an untyped NSM's reply.
+    pub fn from_value(v: &Value) -> WireResult<MailboxLocation> {
+        Ok(MailboxLocation {
+            mailbox_host: v.str_field("mailbox_host")?.to_string(),
+        })
+    }
+}
+
+impl Shaped for MailboxLocation {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([("mailbox_host", s.str(&self.mailbox_host))])
+    }
 }
 
 /// Mailbox NSM over BIND `MX` records.
@@ -47,11 +66,14 @@ impl Nsm for MailBindNsm {
         QueryClass::mailbox_location()
     }
 
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        self.0.lookup(hns_name, RType::Mx, |rdata| match rdata {
-            RData::Domain(target) => Some(mailbox_reply(&target.to_string())),
-            _ => None,
-        })
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+        let mailbox_host = self
+            .0
+            .lookup(&request.name, RType::Mx, |rdata| match rdata {
+                RData::Domain(target) => Some(target.to_string()),
+                _ => None,
+            })?;
+        Ok(Reply::typed(MailboxLocation { mailbox_host }))
     }
 }
 
@@ -78,8 +100,8 @@ impl Nsm for MailChNsm {
         QueryClass::mailbox_location()
     }
 
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let mailbox = self.0.lookup(hns_name, PROP_MAILBOX)?;
-        Ok(mailbox_reply(mailbox.as_str()?))
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+        let mailbox_host = self.0.lookup(&request.name, PROP_MAILBOX)?.into_str()?;
+        Ok(Reply::typed(MailboxLocation { mailbox_host }))
     }
 }

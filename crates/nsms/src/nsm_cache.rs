@@ -5,10 +5,16 @@
 //! keyed by the query it answered, with the same marshalled/demarshalled
 //! form distinction as the HNS cache — literally the same: the expiry map
 //! is [`simnet::ttl::TtlMap`] and the form-aware store/load pair is
-//! [`hns_core::cache::Stored`]. This wrapper adds the string key and the
-//! `(hits, misses)` view the NSMs report.
+//! [`hns_core::cache::Stored`]. As the HNS cache is, it is generic over
+//! what it keeps (a wire [`Value`] under a `String` by default, the typed
+//! [`hrpc::HrpcBinding`] for the binding NSMs) and adds the `(hits,
+//! misses)` view the NSMs report.
 
-use hns_core::cache::Stored;
+use std::borrow::Borrow;
+use std::hash::Hash;
+use std::sync::Arc;
+
+use hns_core::cache::{Cacheable, Stored};
 use simnet::trace::CacheOutcome;
 use simnet::ttl::{Probe, TtlMap};
 use simnet::world::World;
@@ -19,16 +25,25 @@ use wire::Value;
 pub use hns_core::cache::CacheMode as NsmCacheForm;
 
 /// A cache of completed NSM results.
-#[derive(Debug)]
-pub struct NsmCache {
+pub struct NsmCache<K = String, V = Value> {
     form: NsmCacheForm,
     /// Each value with its record count (which sets the Table 3.2 cost).
-    map: TtlMap<String, (Stored, usize)>,
+    map: TtlMap<K, (Stored<V>, usize)>,
 }
 
 impl NsmCache {
-    /// Creates a cache with the given storage form.
+    /// Creates a cache of wire [`Value`]s under strings —
+    /// [`NsmCache::of`] for the default key and value, so that a bare
+    /// `NsmCache::new(form)` needs no annotation.
     pub fn new(form: NsmCacheForm) -> Self {
+        NsmCache::of(form)
+    }
+}
+
+impl<K: Hash + Eq, V: Cacheable> NsmCache<K, V> {
+    /// Creates a cache with the given storage form, of whatever key and
+    /// value its NSM keeps.
+    pub fn of(form: NsmCacheForm) -> Self {
         NsmCache {
             form,
             map: TtlMap::default(),
@@ -36,9 +51,14 @@ impl NsmCache {
     }
 
     /// Looks up a completed result, charging probe + form-dependent cost.
-    /// An entry that no longer decodes is dropped and the probe counts as
-    /// a miss, as in the HNS cache.
-    pub fn get(&self, world: &World, key: &str) -> Option<Value> {
+    /// A demarshalled hit shares the stored value. An entry that no longer
+    /// decodes is dropped and the probe counts as a miss, as in the HNS
+    /// cache.
+    pub fn get<Q>(&self, world: &World, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         if self.form == NsmCacheForm::Disabled {
             return None;
         }
@@ -50,12 +70,7 @@ impl NsmCache {
                 value: (stored, rrs),
                 ..
             } => match stored.load(world, rrs) {
-                // `Nsm::handle` replies with an owned Value, so the clone
-                // of a shared demarshalled entry happens at this boundary.
-                Some(value) => (
-                    CacheOutcome::Hit,
-                    Some(std::sync::Arc::unwrap_or_clone(value)),
-                ),
+                Some(value) => (CacheOutcome::Hit, Some(value)),
                 None => {
                     self.map.discard(key);
                     (CacheOutcome::Miss, None)
@@ -69,7 +84,10 @@ impl NsmCache {
     }
 
     /// Inserts a completed result.
-    pub fn insert(&self, world: &World, key: String, value: &Value, rrs: usize, ttl_secs: u32) {
+    pub fn insert(&self, world: &World, key: K, value: &V, rrs: usize, ttl_secs: u32)
+    where
+        V: Clone,
+    {
         if let Some(stored) = Stored::store(self.form, value) {
             self.map.insert(world.now(), key, (stored, rrs), ttl_secs);
         }
@@ -103,6 +121,15 @@ impl NsmCache {
     }
 }
 
+impl<K: Hash + Eq, V> std::fmt::Debug for NsmCache<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NsmCache")
+            .field("form", &self.form)
+            .field("map", &self.map)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +148,7 @@ mod tests {
         let cache = NsmCache::new(NsmCacheForm::Marshalled);
         cache.insert(&world, "k".into(), &Value::U32(1), 2, 600);
         let (got, took, _) = world.measure(|| cache.get(&world, "k"));
-        assert_eq!(got, Some(Value::U32(1)));
+        assert_eq!(got.as_deref(), Some(&Value::U32(1)));
         // probe 0.05 + 8.10 + 2*3.01 = 14.17
         assert!((took.as_ms_f64() - 14.17).abs() < 0.1, "took {took}");
         assert_eq!(cache.stats(), (1, 0));

@@ -3,31 +3,59 @@
 //! Peterson's problem (§4, *Administrative Autonomy*) is naming *users*
 //! across autonomous organizations; the HCS answer is the same structure
 //! as everything else: a query class with one NSM per underlying service.
-//! Client interface: no extra args; reply
-//! `{ full_name: str, host: str }`.
+//! Client interface: no fields of its own; reply [`UserInfo`].
 
 use std::sync::Arc;
 
 use bindns::resolver::StdResolver;
 use clearinghouse::client::ChClient;
 use clearinghouse::property::PropertyId;
-use hns_core::name::{HnsName, NameMapping};
-use hns_core::nsm::Nsm;
+use hns_core::name::NameMapping;
+use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use wire::Value;
+use hrpc::server::Reply;
+use wire::message::{Shape, Shaped};
+use wire::{Value, WireResult};
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
 /// The Clearinghouse property carrying user descriptions.
 pub const PROP_USER: PropertyId = PropertyId(20);
 
-/// Builds the standard `UserInfo` reply.
-pub fn user_reply(full_name: &str, host: &str) -> Value {
-    Value::record([
-        ("full_name", Value::str(full_name)),
-        ("host", Value::str(host)),
-    ])
+/// The `UserInfo` query class's standard reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UserInfo {
+    /// The user's full name.
+    pub full_name: String,
+    /// The user's home host.
+    pub host: String,
+}
+
+impl UserInfo {
+    fn new(full_name: &str, host: &str) -> UserInfo {
+        UserInfo {
+            full_name: full_name.to_string(),
+            host: host.to_string(),
+        }
+    }
+
+    /// Decodes an untyped NSM's reply.
+    pub fn from_value(v: &Value) -> WireResult<UserInfo> {
+        Ok(UserInfo::new(
+            v.str_field("full_name")?,
+            v.str_field("host")?,
+        ))
+    }
+}
+
+impl Shaped for UserInfo {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("full_name", s.str(&self.full_name)),
+            ("host", s.str(&self.host)),
+        ])
+    }
 }
 
 /// User-info NSM over BIND `TXT` records of the form
@@ -54,9 +82,10 @@ impl Nsm for UserBindNsm {
         QueryClass::user_info()
     }
 
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        self.0
-            .lookup_pair(hns_name, "user", ["name", "host"], user_reply)
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+        let keys = ["name", "host"];
+        let user = (self.0).lookup_pair(&request.name, "user", keys, UserInfo::new)?;
+        Ok(Reply::typed(user))
     }
 }
 
@@ -84,8 +113,9 @@ impl Nsm for UserChNsm {
         QueryClass::user_info()
     }
 
-    fn handle(&self, hns_name: &HnsName, _args: &Value) -> RpcResult<Value> {
-        let user = self.0.lookup(hns_name, PROP_USER)?;
-        Ok(user_reply(user.str_field("name")?, user.str_field("host")?))
+    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+        let user = self.0.lookup(&request.name, PROP_USER)?;
+        let info = UserInfo::new(user.str_field("name")?, user.str_field("host")?);
+        Ok(Reply::typed(info))
     }
 }

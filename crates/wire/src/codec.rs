@@ -138,12 +138,24 @@ pub(crate) struct Sizer<const UNIT: usize>;
 impl<const UNIT: usize> Shape for Sizer<UNIT> {
     type Out = WireResult<usize>;
 
+    fn bool(&self, _: bool) -> WireResult<usize> {
+        Ok(2 * UNIT)
+    }
+
     fn u32(&self, _: u32) -> WireResult<usize> {
         Ok(UNIT + 4)
     }
 
+    fn u64(&self, _: u64) -> WireResult<usize> {
+        Ok(UNIT + 8)
+    }
+
     fn str(&self, s: &str) -> WireResult<usize> {
         Ok(UNIT + opaque_len::<UNIT>(s.len())?)
+    }
+
+    fn value(&self, v: &Value) -> WireResult<usize> {
+        encoded_len::<UNIT>(v)
     }
 
     fn bytes(&self, len: usize, _: impl FnOnce(&mut Vec<u8>)) -> WireResult<usize> {

@@ -52,6 +52,19 @@ impl dyn Message {
         let any: Box<dyn Any> = self;
         Ok(*any.downcast::<T>().expect("checked to be a T"))
     }
+
+    /// The message as the `T` a typed peer reads: the sender's own struct
+    /// if that is what it sent, else `decode`d from its tree — the edge
+    /// where an untyped peer's message is decoded, once.
+    pub fn read<T: Message + Clone, E>(
+        &self,
+        decode: impl FnOnce(&Value) -> Result<T, E>,
+    ) -> Result<Cow<'_, T>, E> {
+        match self.downcast_ref::<T>() {
+            Some(typed) => Ok(Cow::Borrowed(typed)),
+            None => decode(&self.tree()).map(Cow::Owned),
+        }
+    }
 }
 
 impl Message for Value {
@@ -71,11 +84,21 @@ pub trait Shape {
     /// What a piece becomes.
     type Out;
 
+    /// A boolean.
+    fn bool(&self, b: bool) -> Self::Out;
+
     /// An unsigned 32-bit integer.
     fn u32(&self, v: u32) -> Self::Out;
 
+    /// An unsigned 64-bit integer.
+    fn u64(&self, v: u64) -> Self::Out;
+
     /// A string.
     fn str(&self, s: &str) -> Self::Out;
+
+    /// A tree the message carries as it is (a Clearinghouse item: opaque
+    /// to everything but its reader).
+    fn value(&self, v: &Value) -> Self::Out;
 
     /// Opaque data of `len` bytes, which `write` appends.
     fn bytes(&self, len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Self::Out;
@@ -115,12 +138,24 @@ pub struct Tree;
 impl Shape for Tree {
     type Out = Value;
 
+    fn bool(&self, b: bool) -> Value {
+        Value::Bool(b)
+    }
+
     fn u32(&self, v: u32) -> Value {
         Value::U32(v)
     }
 
+    fn u64(&self, v: u64) -> Value {
+        Value::U64(v)
+    }
+
     fn str(&self, s: &str) -> Value {
         Value::str(s)
+    }
+
+    fn value(&self, v: &Value) -> Value {
+        v.clone()
     }
 
     fn bytes(&self, len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Value {
@@ -149,9 +184,19 @@ mod tests {
     use crate::error::WireError;
 
     /// Every kind of piece, and a string the caller sizes.
+    #[derive(Debug, Clone, PartialEq)]
     struct Sample {
         text: String,
         items: Vec<u32>,
+    }
+
+    /// A carried tree of every kind of node.
+    fn carried() -> Value {
+        Value::record([
+            ("opt", Value::Opt(Some(Box::new(Value::I32(-1))))),
+            ("none", Value::Opt(None)),
+            ("void", Value::Void),
+        ])
     }
 
     impl Shaped for Sample {
@@ -160,6 +205,9 @@ mod tests {
                 ("text", s.str(&self.text)),
                 ("blob", s.bytes(3, |out| out.extend_from_slice(b"abc"))),
                 ("items", s.list(self.items.iter(), |v| s.u32(*v))),
+                ("flag", s.bool(true)),
+                ("wide", s.u64(u64::MAX)),
+                ("carried", s.value(&carried())),
             ])
         }
     }
@@ -180,6 +228,9 @@ mod tests {
                 "items",
                 Value::List(vec![Value::U32(1), Value::U32(2), Value::U32(3)]),
             ),
+            ("flag", Value::Bool(true)),
+            ("wide", Value::U64(u64::MAX)),
+            ("carried", carried()),
         ]);
         assert_eq!(sample(2).tree().into_owned(), by_hand);
     }
@@ -235,5 +286,26 @@ mod tests {
             msg.downcast::<Sample>().ok().map(|s| s.items.len()),
             Some(3)
         );
+    }
+
+    /// A typed peer reads the sender's struct as it is, and decodes the
+    /// tree of a sender that sent one — with the decoder's own error.
+    #[test]
+    fn read_lends_the_struct_and_decodes_a_tree() {
+        let decode = |v: &Value| -> Result<Sample, &'static str> {
+            let text = v.str_field("text").map_err(|_| "no text")?;
+            Ok(Sample {
+                text: text.to_string(),
+                items: vec![1, 2, 3],
+            })
+        };
+        let typed = sample(2);
+        let msg: &dyn Message = &typed;
+        assert!(matches!(msg.read(decode), Ok(Cow::Borrowed(s)) if std::ptr::eq(s, &typed)));
+        let tree = typed.tree().into_owned();
+        let msg: &dyn Message = &tree;
+        assert!(matches!(msg.read(decode), Ok(Cow::Owned(s)) if s == typed));
+        let msg: &dyn Message = &Value::U32(7);
+        assert_eq!(msg.read(decode), Err("no text"));
     }
 }

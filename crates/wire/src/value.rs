@@ -123,6 +123,17 @@ impl Value {
         }
     }
 
+    /// Takes the string out, for a reader that keeps it.
+    pub fn into_str(self) -> WireResult<String> {
+        match self {
+            Value::Str(s) => Ok(s),
+            other => Err(WireError::TypeMismatch {
+                expected: "str",
+                found: other.kind(),
+            }),
+        }
+    }
+
     /// Extracts the byte payload.
     pub fn as_bytes(&self) -> WireResult<&[u8]> {
         match self {
@@ -273,6 +284,8 @@ mod tests {
         assert_eq!(Value::U64(8).as_u64().unwrap(), 8);
         assert!(Value::Bool(true).as_bool().unwrap());
         assert_eq!(Value::str("hi").as_str().unwrap(), "hi");
+        assert_eq!(Value::str("hi").into_str().unwrap(), "hi");
+        assert!(Value::U32(1).into_str().is_err());
         assert_eq!(Value::Bytes(vec![1, 2]).as_bytes().unwrap(), &[1, 2]);
         assert_eq!(Value::List(vec![Value::Void]).as_list().unwrap().len(), 1);
     }
