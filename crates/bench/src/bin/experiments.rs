@@ -10,7 +10,7 @@
 use std::str::FromStr;
 
 use hns_bench::experiments as exp;
-use hns_bench::{export, loadgen};
+use hns_bench::export;
 
 // The conformance fuzzer's allocation-budget property only bites when a
 // counting allocator is installed; the negligible bookkeeping cost does
@@ -174,49 +174,6 @@ fn traced(mut args: Args) -> Result<(), String> {
     finish("trace", &run.render(), &run.to_json(), out.as_deref())
 }
 
-const LOADGEN_USAGE: &str = "loadgen [--offered-qps Q1,Q2,..] [--open-threads N] \
-    [--open-duration-ms MS] [--open-window-ms MS] [--zipf S] [--cold F] [--bind F] \
-    [--write-frac F] [--transfer-frac F] [--faults] [--seed N] [--out PATH]   \
-    the open-loop offered-load engine (E-L); hns-load-v3";
-
-fn load(mut args: Args) -> Result<(), String> {
-    let mut config = loadgen::LoadConfig::default();
-    args.set_list("--offered-qps", &mut config.offered_qps)?;
-    args.set("--open-threads", &mut config.open_threads)?;
-    args.set("--open-duration-ms", &mut config.open_duration_ms)?;
-    args.set("--open-window-ms", &mut config.open_window_ms)?;
-    args.set("--zipf", &mut config.zipf_s)?;
-    args.set("--cold", &mut config.cold_frac)?;
-    args.set("--bind", &mut config.bind_frac)?;
-    args.set("--write-frac", &mut config.write_frac)?;
-    args.set("--transfer-frac", &mut config.transfer_frac)?;
-    config.faults = args.switch("--faults");
-    args.set("--seed", &mut config.seed)?;
-    let out: Option<String> = args.value("--out")?;
-    for (flag, positive) in [
-        ("--offered-qps", config.offered_qps.iter().all(|&q| q > 0.0)),
-        ("--open-threads", config.open_threads > 0),
-        ("--open-duration-ms", config.open_duration_ms > 0),
-        ("--open-window-ms", config.open_window_ms > 0),
-    ] {
-        args.require(positive, &format!("{flag} must be positive"))?;
-    }
-    for (flag, fraction) in [
-        ("--cold", config.cold_frac),
-        ("--bind", config.bind_frac),
-        ("--write-frac", config.write_frac),
-        ("--transfer-frac", config.transfer_frac),
-    ] {
-        let in_range = (0.0..=1.0).contains(&fraction);
-        args.require(in_range, &format!("{flag} must be within [0, 1]"))?;
-    }
-    args.done()?;
-
-    println!("=== experiment: loadgen ===");
-    let rep = loadgen::run(&config);
-    finish("load", &rep.render(), &rep.to_json(), out.as_deref())
-}
-
 const CHAOS_USAGE: &str =
     "chaos [--crash] [--partition] [--latency-spike] [--seed N] [--out PATH] \
     [--timeline-out PATH] [--timeline-window-ms MS]   fault injection (E-C); hns-chaos-v1. \
@@ -361,7 +318,6 @@ type Subcommand = (&'static str, &'static str, fn(Args) -> Result<(), String>);
 
 const SUBCOMMANDS: &[Subcommand] = &[
     ("traced", TRACED_USAGE, traced),
-    ("loadgen", LOADGEN_USAGE, load),
     ("chaos", CHAOS_USAGE, chaos),
     ("register", REGISTER_USAGE, register),
     ("scale", SCALE_USAGE, scale),

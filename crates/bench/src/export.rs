@@ -37,28 +37,13 @@ pub struct Schema {
 }
 
 /// Every export schema the driver writes, one row each.
-pub static SCHEMAS: [Schema; 6] = [
+pub static SCHEMAS: [Schema; 5] = [
     Schema {
         tag: "hns-trace-v1",
         written_by: "traced --out",
         shape: "{schema:s queries:[+{label,flame:s remote_round_trips,duration_us:u}] \
                 metrics:@metrics}",
         invariants: |_| Ok(()),
-    },
-    Schema {
-        tag: "hns-load-v3",
-        written_by: "loadgen --out",
-        // Every `*_ns` field is wall-clock nanoseconds.
-        shape: "{schema:s host:{cores:u os,arch:s} \
-                config:{seed,open_threads,open_duration_ms:u \
-                  zipf_s,cold_frac,bind_frac,write_frac,transfer_frac:n \
-                  faults:b offered_qps:[+n]} \
-                open_runs:[+{offered_qps,wall_secs,achieved_qps:n latency_ns,lateness_ns:@stats \
-                  threads,duration_ms,scheduled,ops,errors,warm_ops,cold_ops,bind_ops,write_ops,\
-                  transfer_ops,late_ops,backlog_max,window_ms:u \
-                  windows:[+{index,ops,errors,late_ops,backlog_max,lateness_max_ns,sojourn_max_ns:u \
-                    lateness_mean_ns,sojourn_mean_ns:n}]}]}",
-        invariants: load_invariants,
     },
     Schema {
         tag: "hns-chaos-v1",
@@ -114,8 +99,6 @@ pub static SCHEMAS: [Schema; 6] = [
 /// The shapes more than one row embeds.
 fn shared(name: &str) -> &'static str {
     match name {
-        // A `HistogramStats` summary.
-        "stats" => "{count,min,max,p50,p95,p99:u mean:n}",
         // `MetricsSnapshot::to_json`.
         "metrics" => {
             "{counters:[{component,name:s value:u}] \
@@ -314,30 +297,17 @@ fn labelled(doc: &Value, list: &str, key: &str, required: &[&str]) -> Result<(),
     }
 }
 
-/// `windows[i].index == i`; `at` prefixes the path in the message.
-fn contiguous(at: &str, parent: &Value) -> Result<(), String> {
-    for (i, w) in items(parent, "windows").iter().enumerate() {
-        if num(w, "index") != i as f64 {
-            return Err(format!("{at}windows[{i}].index: expected {i} (contiguous)"));
-        }
-    }
-    Ok(())
-}
-
-fn load_invariants(doc: &Value) -> Result<(), String> {
-    for (i, run) in items(doc, "open_runs").iter().enumerate() {
-        contiguous(&format!("open_runs[{i}]."), run)?;
-    }
-    Ok(())
-}
-
+/// Windows numbered contiguously from 0, each ending no earlier than it
+/// starts; every `series` as long as `windows`; the three phases.
 fn timeline_invariants(doc: &Value) -> Result<(), String> {
     if num(doc, "interval_us") == 0.0 {
         return Err("interval_us: expected a positive width".into());
     }
-    contiguous("", doc)?;
     let windows = items(doc, "windows");
     for (i, w) in windows.iter().enumerate() {
+        if num(w, "index") != i as f64 {
+            return Err(format!("windows[{i}].index: expected {i} (contiguous)"));
+        }
         if num(w, "end_us") < num(w, "start_us") {
             return Err(format!("windows[{i}].end_us: before start_us"));
         }
@@ -419,18 +389,11 @@ mod tests {
 
     use super::*;
     use crate::experiments::{chaos, register, scale, timeline, traced};
-    use crate::loadgen;
 
     /// One real export per row, each from a small run of its producer.
     fn samples() -> &'static [Value] {
         static SAMPLES: OnceLock<Vec<Value>> = OnceLock::new();
         SAMPLES.get_or_init(|| {
-            let load = loadgen::LoadConfig {
-                offered_qps: vec![2_000.0],
-                open_duration_ms: 50,
-                open_window_ms: 10,
-                ..loadgen::LoadConfig::default()
-            };
             let scale_config = scale::ScaleConfig {
                 names: vec![2000],
                 queries: 64,
@@ -441,7 +404,6 @@ mod tests {
             };
             let texts = [
                 traced::run().to_json(),
-                loadgen::run(&load).to_json(),
                 chaos::run(&chaos::ChaosConfig::default()).to_json(),
                 timeline::run(&timeline::TimelineConfig::default()).to_json(),
                 register::run(&register::RegisterConfig::default()).to_json(),
@@ -602,11 +564,6 @@ mod tests {
         type Break = Box<dyn Fn(&mut Value)>;
         let cases: Vec<(&str, Break, &str)> = vec![
             (
-                "hns-load-v3",
-                Box::new(set("open_runs/0/windows/1/index", Value::Number(5.0))),
-                "open_runs[0].windows[1].index: expected 1",
-            ),
-            (
                 "hns-chaos-v1",
                 Box::new(drop_phase("events", "phase", "fault")),
                 "events: no item with phase `fault`",
@@ -676,13 +633,14 @@ mod tests {
 
     #[test]
     fn emptiness_is_refused_only_where_the_row_says_non_empty() {
-        let mut load = sample("hns-load-v3");
-        elements(at(&mut load, "open_runs/0/windows")).clear();
-        let err = check_doc(&load).expect_err("empty window series");
-        assert_eq!(err, "open_runs[0].windows: expected non-empty array");
-        elements(at(&mut load, "open_runs")).clear();
-        let err = check_doc(&load).expect_err("a sweep with no runs");
-        assert_eq!(err, "open_runs: expected non-empty array");
+        for (path, refusal) in [
+            ("points", "points: expected non-empty array"),
+            ("config/names", "config.names: expected non-empty array"),
+        ] {
+            let mut scale = sample("hns-scale-v1");
+            elements(at(&mut scale, path)).clear();
+            assert_eq!(check_doc(&scale), Err(refusal.to_string()));
+        }
         let mut chaos = sample("hns-chaos-v1");
         elements(at(&mut chaos, "events")).clear();
         assert!(check_doc(&chaos).is_err());

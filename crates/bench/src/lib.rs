@@ -1,9 +1,9 @@
 //! `hns-bench` — the experiment harness.
 //!
 //! Regenerates every table and figure of the paper's evaluation in
-//! calibrated virtual time ([`experiments`]), drives the real-time load
-//! engine ([`loadgen`]), and checks every JSON export either writes
-//! against one schema table ([`export`]). Run everything with:
+//! calibrated virtual time ([`experiments`]) and checks every JSON export
+//! they write against one schema table ([`export`]). Wall-clock time is
+//! measured by `benchmark/` and nowhere else. Run everything with:
 //!
 //! ```text
 //! cargo run -p hns-bench --bin experiments -- all
@@ -13,7 +13,6 @@
 pub mod cells;
 pub mod experiments;
 pub mod export;
-pub mod loadgen;
 pub mod scenario;
 
 pub use cells::{Cell, PaperTable, PlainTable};

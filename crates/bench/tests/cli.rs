@@ -1,12 +1,38 @@
 //! The `experiments` binary's argument shape, end to end: exactly one
 //! subcommand per invocation, every argument error reported before
-//! anything runs, every export checked before it is written.
+//! anything runs, every export checked before it is written, every
+//! command the docs show accepted; and the committed bench files hold.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// The start of `loadgen`'s one-line usage, as every refusal prints it.
-const LOADGEN_USAGE: &str = "usage: experiments loadgen [--offered-qps Q1,Q2,..]";
+use hns_bench::obs::json;
+
+/// The start of `register`'s one-line usage, as every refusal prints it.
+const REGISTER_USAGE: &str = "usage: experiments register [--names N]";
+
+/// The documents whose fenced `experiments …` commands must parse.
+const DOCS: &[&str] = &[
+    "README.md",
+    "EXPERIMENTS.md",
+    "TESTING.md",
+    "OBSERVABILITY.md",
+    "DESIGN.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn read(file: &str) -> String {
+    std::fs::read_to_string(repo_root().join(file)).expect(file)
+}
+
+fn parse(file: &str) -> json::Value {
+    json::parse(&read(file)).unwrap_or_else(|e| panic!("{file}: {e:?}"))
+}
 
 /// A scratch directory removed on drop.
 struct Scratch(PathBuf);
@@ -84,14 +110,14 @@ fn a_bad_flag_is_refused_before_anything_runs() {
     // A misspelt flag must not cost a full default sweep before it is named.
     refused(
         "unknown-flag",
-        &["loadgen", "--open-thread", "4"],
-        &["`--open-thread`", LOADGEN_USAGE],
+        &["register", "--name", "4", "--out", "r.json"],
+        &["`--name`", REGISTER_USAGE],
     );
     refused(
         "other-subcommands-flag",
-        &["scale", "--open-threads", "2", "--out", "s.json"],
+        &["scale", "--names", "2", "--out", "s.json"],
         &[
-            "`--open-threads`",
+            "`--names`",
             "usage: experiments scale [--scale-names A,B,..]",
         ],
     );
@@ -118,53 +144,161 @@ fn a_bad_flag_is_refused_before_anything_runs() {
 }
 
 #[test]
-fn loadgen_refuses_bad_load_arguments_and_the_deleted_flags() {
-    let cases = [
-        ("--open-threads", "0", "--open-threads must be positive"),
+fn bad_values_and_deleted_flags_are_refused_with_the_usage_line() {
+    let cases: [(&str, &[&str], &[&str]); 7] = [
         (
-            "--open-duration-ms",
-            "0",
-            "--open-duration-ms must be positive",
-        ),
-        ("--open-window-ms", "0", "--open-window-ms must be positive"),
-        ("--offered-qps", "5000,0", "--offered-qps must be positive"),
-        ("--offered-qps", "nan", "--offered-qps must be positive"),
-        ("--cold", "1.5", "--cold must be within [0, 1]"),
-        ("--cold", "nan", "--cold must be within [0, 1]"),
-        ("--bind", "-1", "--bind must be within [0, 1]"),
-        ("--write-frac", "2", "--write-frac must be within [0, 1]"),
-        (
-            "--transfer-frac",
-            "-0.1",
-            "--transfer-frac must be within [0, 1]",
-        ),
-        // The closed-loop sweep and its baseline guard are gone; their
-        // flags are unknown, not ignored.
-        ("--threads", "1,2", "unknown or repeated flag `--threads`"),
-        ("--ops", "500", "unknown or repeated flag `--ops`"),
-        (
-            "--duration-ms",
-            "50",
-            "unknown or repeated flag `--duration-ms`",
+            "zero-names",
+            &["register", "--names", "0", "--out", "r.json"],
+            &["--names must be positive", REGISTER_USAGE],
         ),
         (
-            "--baseline",
-            "b.json",
-            "unknown or repeated flag `--baseline`",
+            "zero-scale",
+            &["scale", "--scale-names", "1000,0", "--out", "s.json"],
+            &["must be positive", "usage: experiments scale"],
         ),
-        ("--regress", "0.5", "unknown or repeated flag `--regress`"),
+        (
+            "zero-iters",
+            &["fuzz", "--iters", "0"],
+            &["--iters must be positive", "usage: experiments fuzz"],
+        ),
+        (
+            "zero-window",
+            &["chaos", "--timeline-window-ms", "0", "--out", "c.json"],
+            &[
+                "--timeline-window-ms must be positive",
+                "usage: experiments chaos",
+            ],
+        ),
+        // The open-loop load engine is gone (open-loop load is
+        // `benchmark/`'s `open_mixed`); its name and its flags are
+        // unknown, not ignored.
+        (
+            "deleted-subcommand",
+            &["loadgen"],
+            &["unknown experiment `loadgen`", "known experiments: table31"],
+        ),
+        (
+            "deleted-switch",
+            &["chaos", "--faults", "--out", "c.json"],
+            &[
+                "unknown or repeated flag `--faults`",
+                "usage: experiments chaos",
+            ],
+        ),
+        (
+            "deleted-value-flag",
+            &["register", "--write-frac", "0.3", "--out", "r.json"],
+            &["unknown or repeated flag `--write-frac`", REGISTER_USAGE],
+        ),
     ];
-    for (flag, value, complaint) in cases {
-        let args = ["loadgen", "--out", "l.json", flag, value];
-        refused(flag, &args, &[complaint, LOADGEN_USAGE]);
+    for (test, args, expected) in cases {
+        refused(test, args, expected);
     }
+}
+
+/// The table ids and every subcommand's usage line, by name, as the
+/// refusal of an unknown experiment lists them — nothing runs.
+fn cli_surface() -> (Vec<String>, Vec<(String, String)>) {
+    let out = experiments(&repo_root(), &["no-such-experiment"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let (mut ids, mut usages) = (Vec::new(), Vec::new());
+    for line in stderr.lines() {
+        if let Some(known) = line.strip_prefix("known experiments: ") {
+            ids = known.split_whitespace().map(str::to_string).collect();
+        } else if let Some((_, usage)) = line.split_once("experiments ") {
+            let name = usage.split_whitespace().next().unwrap_or_default();
+            usages.push((name.to_string(), usage.to_string()));
+        }
+    }
+    ids.push("all".to_string());
+    (ids, usages)
+}
+
+/// The `--flag`s a usage line names.
+fn flags_of(usage: &str) -> BTreeSet<&str> {
+    let words = usage
+        .split_whitespace()
+        .map(|w| w.trim_matches(['[', ']', '.', ',']));
+    words.filter(|w| w.starts_with("--")).collect()
+}
+
+/// The argument words of every `experiments …` command in a fenced block
+/// of `doc`: a command is `experiments` first on its line or after
+/// `--bin`, continued over trailing `\`, up to a shell operator or a
+/// comment.
+fn documented_commands(doc: &str) -> Vec<Vec<String>> {
+    let (mut fenced, mut commands, mut pending) = (false, Vec::new(), String::new());
+    for line in doc.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if !fenced {
+            continue;
+        }
+        pending.push_str(line.trim_end_matches('\\'));
+        pending.push(' ');
+        if line.ends_with('\\') {
+            continue;
+        }
+        let joined = std::mem::take(&mut pending);
+        let words: Vec<&str> = joined.split_whitespace().collect();
+        let at = words
+            .iter()
+            .enumerate()
+            .position(|(i, w)| *w == "experiments" && (i == 0 || words[i - 1] == "--bin"));
+        let Some(at) = at else { continue };
+        let args = words[at + 1..].iter().skip_while(|w| **w == "--");
+        let args =
+            args.take_while(|w| !["|", ">", "&&", "||", ";"].contains(w) && !w.starts_with('#'));
+        commands.push(args.map(|w| w.to_string()).collect());
+    }
+    commands
+}
+
+/// Every `experiments …` command the docs show in a fenced block names a
+/// known subcommand (or table ids), and only flags its usage line lists —
+/// checked against the binary's own usage lines, without running
+/// anything. A documented command for a deleted subcommand or flag fails
+/// here.
+#[test]
+fn every_documented_command_parses() {
+    let (table_ids, usages) = cli_surface();
+    let mut checked = 0;
+    for doc in DOCS {
+        for args in documented_commands(&read(doc)) {
+            let shown = format!("{doc}: `experiments {}`", args.join(" "));
+            let sub = args.first().map_or("all", String::as_str);
+            checked += 1;
+            let Some((_, usage)) = usages.iter().find(|(name, _)| name == sub) else {
+                let unknown = args.iter().find(|a| !table_ids.contains(a));
+                assert!(unknown.is_none(), "{shown}: unknown experiment {unknown:?}");
+                continue;
+            };
+            let known = flags_of(usage);
+            for flag in args.iter().filter(|a| a.starts_with("--")) {
+                assert!(
+                    known.contains(flag.as_str()),
+                    "{shown}: `{flag}` is not in `{usage}`"
+                );
+            }
+        }
+    }
+    assert!(checked >= 20, "only {checked} documented commands found");
+
+    // The whole CLI surface, as the usage lines state it.
+    let all_flags: BTreeSet<&str> = usages
+        .iter()
+        .flat_map(|(_, usage)| flags_of(usage))
+        .collect();
+    assert_eq!(all_flags.len(), 16, "{all_flags:?}");
 }
 
 #[test]
 fn all_prints_the_committed_tables_byte_for_byte() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let committed = std::fs::read(root.join("experiments_output.txt")).expect("committed output");
-    let out = experiments(&root, &["all"]);
+    let committed = read("experiments_output.txt").into_bytes();
+    let out = experiments(&repo_root(), &["all"]);
     assert!(out.status.success());
     assert!(
         out.stdout == committed,
@@ -215,20 +349,12 @@ fn validate_names_the_failing_path_and_exits_1() {
 
 #[test]
 fn the_committed_bench_files_validate_unedited() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = experiments(
-        &root,
-        &["validate", "BENCH_throughput.json", "BENCH_scale.json"],
-    );
+    let out = experiments(&repo_root(), &["validate", "BENCH_scale.json"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("BENCH_throughput.json: valid hns-load-v3 export"),
-        "{stdout}"
     );
     assert!(
         stdout.contains("BENCH_scale.json: valid hns-scale-v1 export"),
@@ -242,11 +368,6 @@ fn the_committed_bench_files_validate_unedited() {
 /// CHANGES.md line says `perf_opt` is missing from it.
 #[test]
 fn the_committed_trajectory_has_a_row_for_every_claimed_pr() {
-    use hns_bench::obs::json;
-
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let read = |file: &str| std::fs::read_to_string(root.join(file)).expect(file);
-    let parse = |file: &str| json::parse(&read(file)).unwrap_or_else(|e| panic!("{file}: {e:?}"));
     let (trajectory, benchmark) = (parse("BENCH_trajectory.json"), parse("BENCHMARK.json"));
     let declared = |list: &str| -> Vec<(String, Option<String>)> {
         let entries = benchmark.get(list).and_then(json::Value::as_array);
@@ -301,4 +422,42 @@ fn the_committed_trajectory_has_a_row_for_every_claimed_pr() {
         let pr: u64 = digits.flatten().and_then(|d| d.parse().ok()).expect(line);
         assert!(prs.contains(&pr), "PR {pr} claims a gain and has no row");
     }
+}
+
+/// The trajectory table of EXPERIMENTS.md, rendered from
+/// `BENCH_trajectory.json`: one line per claimed gain.
+fn trajectory_table(trajectory: &json::Value) -> String {
+    let mut out = String::from(
+        "| PR | workload | metric | parent → change (medians) | change / parent | pairs won | seeds |\n\
+         |---|---|---|---|---|---|---|\n",
+    );
+    let rows = trajectory.get("rows").and_then(json::Value::as_array);
+    for row in rows.expect("rows") {
+        let text = |key| row.get(key).and_then(json::Value::as_str).expect(key);
+        let number = |key| row.get(key).and_then(json::Value::as_f64).expect(key);
+        let (parent, change) = (number("parent_median"), number("change_median"));
+        out.push_str(&format!(
+            "| {} | `{}` | `{}` | {parent} → {change} {} | {:.2}× | {}/{} | {} |\n",
+            number("pr"),
+            text("workload"),
+            text("metric"),
+            text("unit"),
+            change / parent,
+            number("pairs_won"),
+            number("pairs"),
+            text("seeds"),
+        ));
+    }
+    out
+}
+
+/// EXPERIMENTS.md carries the table [`trajectory_table`] renders from the
+/// committed file, byte for byte, so the two cannot drift.
+#[test]
+fn the_trajectory_table_in_the_docs_matches_the_committed_file() {
+    let table = trajectory_table(&parse("BENCH_trajectory.json"));
+    assert!(
+        read("EXPERIMENTS.md").contains(&table),
+        "EXPERIMENTS.md's trajectory table differs from BENCH_trajectory.json; it should read:\n{table}"
+    );
 }

@@ -11,9 +11,10 @@ use bindns::zone::DELTA_LOG_CAP;
 use hns_core::cache::CacheMode;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::query::QueryClass;
-use hns_core::service::PreloadMode;
+use hns_core::service::{PreloadMode, PreloadReport};
 use hns_core::HnsError;
-use nsms::harness::{Testbed, NS_BIND};
+use hrpc::ProgramId;
+use nsms::harness::{Testbed, CTX_BIND, NSM_EXPORT_PROGRAM, NS_BIND, NS_CH};
 use nsms::nsm_cache::NsmCacheForm;
 use std::sync::Arc;
 
@@ -110,6 +111,68 @@ fn preload_reports_the_right_mode_at_each_edge() {
     let (result, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
     assert_eq!(result, Err(HnsError::NoSuchContext("doomed".into())));
     assert_eq!(delta.remote_calls, 0, "answered from the preloaded absence");
+}
+
+/// A context re-registered to another name service rides an incremental
+/// transfer as a changed record set, not as a removal. The instance
+/// composing its walks must then answer what the walking one does: the
+/// Clearinghouse binding NSM, not the BIND one its composed entry
+/// remembers until that entry's TTL lapses.
+#[test]
+fn a_preloaded_change_reaches_the_composed_cache() {
+    let tb = Testbed::build();
+    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    let walking = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    let composed = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    composed.set_binding_cache(true);
+    let moving = Context::new("moving").expect("context");
+    let name = HnsName::new(moving.clone(), "fiji.cs.washington.edu").expect("name");
+    let qc = QueryClass::hrpc_binding();
+    // The binding NSMs are exported BIND's first, the Clearinghouse's next.
+    let (bind_nsm, ch_nsm) = (NSM_EXPORT_PROGRAM, ProgramId(NSM_EXPORT_PROGRAM.0 + 1));
+    let preload_and_find = |expected: ProgramId, mode: PreloadMode| {
+        for (label, hns) in [("walking", &walking), ("composed", &composed)] {
+            assert_eq!(hns.preload().expect("preload").mode, mode, "{label}");
+            let binding = hns.find_nsm(&qc, &name).expect("FindNSM");
+            assert_eq!(binding.program, expected, "{label}");
+        }
+    };
+
+    walking
+        .register_context(&moving, NS_BIND, &NameMapping::Identity)
+        .expect("register under BIND");
+    preload_and_find(bind_nsm, PreloadMode::Full);
+    walking
+        .register_context(&moving, NS_CH, &NameMapping::Identity)
+        .expect("re-register under the Clearinghouse");
+    preload_and_find(ch_nsm, PreloadMode::Incremental);
+}
+
+/// A cleared cache forgets the serial it was current to, so the next
+/// preload ships the whole zone again instead of an empty "unchanged"
+/// delta, and the `FindNSM` after it is as warm as after the first.
+#[test]
+fn a_preload_after_clear_cache_warms_the_cache_again() {
+    let tb = Testbed::build();
+    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    let name = HnsName::new(
+        Context::new(CTX_BIND).expect("context"),
+        "fiji.cs.washington.edu",
+    )
+    .expect("name");
+    let qc = QueryClass::hrpc_binding();
+    let calls_after = |report: PreloadReport| {
+        let (result, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+        assert!(result.is_ok(), "{result:?}");
+        (report.mode, delta.remote_calls)
+    };
+
+    let first = calls_after(hns.preload().expect("first preload"));
+    hns.clear_cache();
+    let again = calls_after(hns.preload().expect("preload after clear_cache"));
+    assert_eq!(first.0, PreloadMode::Full);
+    assert_eq!(again, first, "the same full preload, the same warm FindNSM");
 }
 
 /// Wire-level pinning of the truncation boundary: with the log full,

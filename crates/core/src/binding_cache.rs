@@ -24,17 +24,17 @@
 //!   is kept because its hit skips mapping 1 too (DESIGN.md "Composed
 //!   caches: two levels").
 //!
-//! Until a composed TTL lapses, no constituent can have expired either
-//! (meta entries only leave the cache by TTL; dynamic updates
-//! re-register and bump serials before any TTL math would let a
-//! composed entry outlive its parts), so serving the composed binding
-//! is exactly as fresh as re-walking the per-mapping cache. A walk that
-//! served a part stale reports TTL 0 for it and is not cached at a
+//! Until a composed TTL lapses, no constituent can have expired by TTL
+//! either. That alone does not make it as fresh as re-walking the
+//! per-mapping cache: a preload overwrites parts in place, so every
+//! preload that ships records clears both levels, as
+//! [`Hns::clear_cache`](crate::service::Hns::clear_cache) does. A walk
+//! that served a part stale reports TTL 0 for it and is not cached at a
 //! level that covers that part.
 //!
 //! Disabled by default: the paper's measured shape (Table 3.1) is the
 //! six-mapping walk, and every golden experiment keeps that shape.
-//! The load engine enables it per instance via
+//! `benchmark/` enables it per instance via
 //! [`Hns::set_binding_cache`](crate::service::Hns::set_binding_cache);
 //! while disabled neither level is consulted, charged or published.
 

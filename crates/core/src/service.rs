@@ -319,10 +319,12 @@ impl Hns {
     }
 
     /// Clears the per-mapping cache and both composed levels: the next
-    /// `FindNSM` is a cold walk.
+    /// `FindNSM` is a cold walk. The preload serial goes too, so the next
+    /// [`Hns::preload`] is a full transfer, not an empty delta.
     pub fn clear_cache(&self) {
         self.cache.clear();
         self.binding_cache.clear();
+        *self.preload_serial.lock() = None;
     }
 
     /// The cache, if it stores anything. A disabled one is handed no key:
@@ -784,13 +786,14 @@ impl Hns {
             }
         };
         // A name the server says is gone gets what a demand fetch would
-        // now store for it, and no composed binding built over it stays.
+        // now store for it. No composed binding survives a transfer that
+        // shipped anything: a changed set rides `records`, not `removed`.
         if let Some(cache) = self.storing_cache() {
             for name in &removed {
                 cache.insert_negative(self.world(), MetaKey::meta(name));
             }
         }
-        if !removed.is_empty() {
+        if mode != PreloadMode::Unchanged {
             self.binding_cache.clear();
         }
         let entries = self.preload_records(&records);

@@ -193,6 +193,10 @@ fn crashed_host_honors_attempt_budget_and_charges_virtual_backoff() {
 
     let b = binding(&env, ComponentSet::raw_udp(env.port));
     let budget = b.components.control.max_attempts();
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the assertion is about the wall clock: backoff must not sleep"
+    )]
     let wall = std::time::Instant::now();
     let (result, took, _) = env
         .world
@@ -229,7 +233,7 @@ fn crashed_host_honors_attempt_budget_and_charges_virtual_backoff() {
 
 /// Regression for the loss-determinism bug: the old implementation drew
 /// from a shared RNG under the loss mutex on every datagram attempt, so
-/// the *order* of concurrent loadgen threads changed which calls lost
+/// the *order* of concurrent caller threads changed which calls lost
 /// their datagrams. Hash-derived draws depend only on (xid, attempt,
 /// leg), so an 8-thread run must match a sequential replay exactly.
 #[test]

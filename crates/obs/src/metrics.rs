@@ -270,15 +270,8 @@ pub fn percentile_from_buckets(buckets: &[u64], p: f64) -> u64 {
 }
 
 /// A single-owner histogram with the exact bucket layout of
-/// [`Histogram`] but plain (non-atomic) cells.
-///
-/// The sharded load engine gives each worker one of these: the per-op
-/// record is two array writes and four scalar updates with no shared
-/// cache-line traffic at all, and the per-worker histograms merge into
-/// one global distribution after the run. [`LocalHistogram::merge`] is
-/// exact — merging K workers' histograms yields bucket-for-bucket the
-/// same distribution as recording every sample into one histogram
-/// (proptested in the bench crate).
+/// [`Histogram`] but plain (non-atomic) cells: a record is two array
+/// writes and four scalar updates with no shared cache-line traffic.
 #[derive(Clone)]
 pub struct LocalHistogram {
     buckets: Vec<u64>,
@@ -323,17 +316,6 @@ impl LocalHistogram {
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Folds `other` into `self`, bucket by bucket.
-    pub fn merge(&mut self, other: &LocalHistogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// The value at quantile `p` in `[0, 1]`, as [`Histogram::percentile`].
@@ -880,28 +862,8 @@ mod tests {
     }
 
     #[test]
-    fn local_histogram_merge_is_exact() {
-        let mut a = LocalHistogram::new();
-        let mut b = LocalHistogram::new();
-        let mut all = LocalHistogram::new();
-        for v in 0..1000u64 {
-            if v % 3 == 0 {
-                a.record(v * 17);
-            } else {
-                b.record(v * 17);
-            }
-            all.record(v * 17);
-        }
-        a.merge(&b);
-        assert_eq!(a.stats(), all.stats());
-        assert_eq!(a.buckets, all.buckets);
-    }
-
-    #[test]
-    fn local_histogram_empty_merge_and_stats() {
-        let mut a = LocalHistogram::new();
-        let b = LocalHistogram::new();
-        a.merge(&b);
+    fn local_histogram_empty_stats() {
+        let a = LocalHistogram::new();
         assert!(a.is_empty());
         let s = a.stats();
         assert_eq!((s.count, s.min, s.max, s.p50), (0, 0, 0, 0));

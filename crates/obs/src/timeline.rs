@@ -2,8 +2,7 @@
 //! [`MetricsRegistry`].
 //!
 //! A [`Sampler`] closes fixed-width windows over a monotone timestamp
-//! stream (virtual microseconds in the simulation, wall-clock
-//! microseconds in the real-time load engine — the sampler only sees
+//! stream (virtual microseconds in the simulation; the sampler only sees
 //! `u64`s). At each closed window it captures a [`MetricsSnapshot`] and
 //! the raw histogram buckets, and stores the *difference* since the
 //! previous capture: counter deltas, plus windowed histogram

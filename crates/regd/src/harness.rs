@@ -5,8 +5,8 @@
 //! frontend wired for the paper's loose-consistency regime: writes go
 //! to the primary, reads fail over to the replica, registrations and
 //! re-binds propagate into the HNS meta zone so `FindNSM` follows a
-//! transferred name transparently. Experiments, the write-heavy
-//! loadgen mix, and the chaos suite all build on this.
+//! transferred name transparently. The experiments and the chaos suite
+//! build on this.
 
 use std::sync::Arc;
 

@@ -16,8 +16,8 @@
 //!   reads may fail over) and the collapse cache.
 //! * [`server`] / [`client`] — the exported Courier-style service and
 //!   its typed client; transport errors stay typed across the wire.
-//! * [`harness`] — the replicated write-path testbed experiments and
-//!   the write-heavy loadgen mix build on.
+//! * [`harness`] — the replicated write-path testbed the experiments
+//!   build on.
 //! * [`error`] — [`RegError`], including typed fail-fast
 //!   unreachability when the primary is partitioned away.
 #![warn(missing_docs)]
