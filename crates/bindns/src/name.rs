@@ -118,6 +118,21 @@ impl DomainName {
         })
     }
 
+    /// The canonical text as stored, the root's empty: what a zone keeps
+    /// of an owner name.
+    pub(crate) fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The name whose [`DomainName::text`] is `text`, which is not
+    /// checked again: how a zone hands back an owner name it kept as
+    /// text. One allocation, the name's own.
+    pub(crate) fn from_text_unchecked(text: &str) -> DomainName {
+        DomainName {
+            text: Arc::from(text),
+        }
+    }
+
     /// The canonical text, [`DomainName::as_str`], as the shared
     /// allocation itself: what the resolver's cache keys an entry on.
     pub(crate) fn into_text(self) -> Arc<str> {

@@ -1,31 +1,46 @@
 //! Authoritative zones.
 //!
-//! Record storage is **content-shared**: the owner name lives once as the
-//! map key, and the owner-independent remainder of each record (type, TTL,
-//! rdata) is kept as an [`Arc<RrBody>`] deduplicated through a per-zone
-//! arena. A meta zone of 10^6 names whose NSM bindings are near-identical
-//! therefore stores each distinct body once and each record as one pointer
-//! — the seed stored a full `ResourceRecord` (owner name included) per
-//! record. [`Zone::size_bytes`] keeps the naive per-record accounting
-//! (it drives calibrated transfer costs); [`Zone::resident_bytes`]
-//! reports what the shared layout actually holds. The map is hashed: the
-//! question a server is asked is an exact match, one probe; the one
-//! reader that needs the owners in name order, the transfer payload
-//! ([`Zone::all_records`]), sorts them when the transfer is made.
+//! Record storage is **content-shared**: the owner-independent remainder
+//! of each record (type, TTL, rdata) is kept as an [`Arc<RrBody>`]
+//! deduplicated through a per-zone set, so a meta zone of 10^6 names
+//! whose NSM bindings are near-identical stores each distinct body once.
+//! The owner names live in one **owner store** (`owners`, private): their
+//! text back to back in one append-only arena, a 16-byte row per name —
+//! arena offset, length, and the record itself when the name holds one,
+//! as nearly every meta name does — and an open-addressed index of `u32`
+//! row ids, hashed with a fixed hash, so the question a server is asked,
+//! an exact match, is one probe that allocates nothing. A record leaving
+//! with its owner name gets one rebuilt from the arena (`all_records`,
+//! `deltas_since`, a referral's cut); `lookup` and `records_at` hand back
+//! the asker's own name. The one reader that needs the owners in name
+//! order, the transfer payload ([`Zone::all_records`]), sorts them when
+//! the transfer is made.
 //!
-//! Zones also keep a bounded **delta log** of which owner names changed
-//! at which serial, the basis of IXFR-style incremental transfer
+//! [`Zone::size_bytes`] keeps the naive per-record accounting (it drives
+//! calibrated transfer costs); [`Zone::resident_bytes`] counts what the
+//! zone holds, capacities included, and is pinned against an allocator's
+//! count (`crates/conformance/tests/zone_store.rs`).
+//!
+//! Zones also keep a bounded **delta log** of which owners changed at
+//! which serial, the basis of IXFR-style incremental transfer
 //! ([`crate::axfr::transfer_zone_incremental`]): a client that preloaded
 //! at serial S asks for "changes since S" and receives only the record
 //! sets of names touched after S, falling back to a full transfer when
-//! the log has been truncated past S.
+//! the log has been truncated past S. The log holds row ids, so a name
+//! whose last record goes keeps its emptied row while the log names it;
+//! once the rows nothing needs are over half the store, it is rebuilt
+//! without them and the log's ids are renumbered.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::error::{NsError, NsResult};
 use crate::name::DomainName;
 use crate::rr::{RData, RType, ResourceRecord};
+
+mod owners;
+
+use owners::Owners;
 
 /// The owner-independent remainder of a resource record. Two records at
 /// different names with the same type, TTL and rdata share one body.
@@ -40,14 +55,6 @@ pub struct RrBody {
 }
 
 impl RrBody {
-    fn of(rr: &ResourceRecord) -> RrBody {
-        RrBody {
-            rtype: rr.rtype,
-            ttl: rr.ttl,
-            rdata: rr.rdata.clone(),
-        }
-    }
-
     fn to_record(&self, name: &DomainName) -> ResourceRecord {
         ResourceRecord {
             name: name.clone(),
@@ -61,6 +68,36 @@ impl RrBody {
     fn body_bytes(&self) -> usize {
         8 + self.rdata.encoded_len().unwrap_or(0)
     }
+
+    /// Bytes the shared body holds: its `Arc` allocation and whatever
+    /// the rdata points at.
+    fn resident_bytes(&self) -> usize {
+        let rdata = match &self.rdata {
+            RData::Addr(_) => 0,
+            RData::Domain(name) | RData::Soa { primary: name, .. } => arc_bytes(name.text().len()),
+            RData::Text(text) => text.capacity(),
+            RData::Opaque(payload) => arc_bytes(payload.len()),
+        };
+        arc_bytes(std::mem::size_of::<RrBody>()) + rdata
+    }
+}
+
+/// Bytes of an `Arc` allocation holding `len` bytes: two counts, the
+/// data, rounded up to a word.
+fn arc_bytes(len: usize) -> usize {
+    (2 * std::mem::size_of::<usize>() + len).next_multiple_of(std::mem::size_of::<usize>())
+}
+
+/// Bytes std's hash table allocates for `capacity` entries of `T`: a
+/// power of two of buckets, at most 7/8 full (3 of 4 when small), each
+/// one entry and one control byte, plus a group of 16 control bytes.
+fn table_bytes<T>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..7 => capacity + 1,
+        _ => capacity / 7 * 8,
+    };
+    (buckets * std::mem::size_of::<T>()).next_multiple_of(16) + buckets + 16
 }
 
 /// Maximum delta-log entries retained; older entries are dropped and the
@@ -74,18 +111,18 @@ pub struct Zone {
     origin: DomainName,
     serial: u32,
     default_ttl: u32,
-    /// Hashed, not ordered: an exact-match question is one probe, and
-    /// the one reader that needs name order, [`Zone::all_records`], sorts.
-    records: HashMap<DomainName, Vec<Arc<RrBody>>>,
-    /// Content-dedup arena: one shared allocation per distinct body.
-    arena: HashSet<Arc<RrBody>>,
-    /// `(serial after the mutation, owner name touched)`, oldest first.
-    delta_log: VecDeque<(u32, DomainName)>,
+    /// Every owner name once, with its records.
+    owners: Owners,
+    /// Content dedup: one shared allocation per distinct body.
+    bodies: HashSet<Arc<RrBody>>,
+    /// `(serial after the mutation, row of the owner touched)`, oldest
+    /// first.
+    delta_log: VecDeque<(u32, u32)>,
     /// Lowest client serial the log can still serve incrementally.
     delta_floor: u32,
     /// `NS` records held below the origin, i.e. at zone cuts. While it
     /// is zero — every meta zone — [`Zone::find_delegation`] answers
-    /// without walking (and building) the ancestors of the name.
+    /// without walking the ancestors of the name.
     cut_ns_records: usize,
 }
 
@@ -96,51 +133,65 @@ impl Zone {
             origin,
             serial: 1,
             default_ttl,
-            records: HashMap::new(),
-            arena: HashSet::new(),
+            owners: Owners::default(),
+            bodies: HashSet::new(),
             delta_log: VecDeque::new(),
             delta_floor: 1,
             cut_ns_records: 0,
         }
     }
 
-    /// Interns `body` in the arena, returning the shared copy.
+    /// Interns `body` in the dedup set, returning the shared copy.
     fn share(&mut self, body: RrBody) -> Arc<RrBody> {
-        match self.arena.get(&body) {
+        match self.bodies.get(&body) {
             Some(shared) => Arc::clone(shared),
             None => {
                 let shared = Arc::new(body);
-                self.arena.insert(Arc::clone(&shared));
+                self.bodies.insert(Arc::clone(&shared));
                 shared
             }
         }
     }
 
-    /// Drops arena bodies no longer referenced by any record (`dropped`
+    /// Drops bodies no longer referenced by any record (`dropped`
     /// are the per-name copies just removed). Conservative: bodies still
     /// shared with a cloned zone are kept.
     fn prune(&mut self, dropped: Vec<Arc<RrBody>>) {
         for body in dropped {
-            // The arena holds one reference and `body` itself holds one;
+            // The set holds one reference and `body` itself holds one;
             // exactly two means no record (here or in a clone) uses it.
             if Arc::strong_count(&body) == 2 {
-                self.arena.remove(&body);
+                self.bodies.remove(&body);
             }
         }
     }
 
-    /// Bumps the serial and logs `name` as changed at the new serial.
-    fn log_change(&mut self, name: DomainName) {
+    /// Bumps the serial and logs row `id` as changed at the new serial.
+    fn log_change(&mut self, id: u32) {
         self.serial += 1;
         if self.delta_log.len() == DELTA_LOG_CAP {
-            if let Some((dropped_serial, _)) = self.delta_log.pop_front() {
+            if let Some((dropped_serial, dropped)) = self.delta_log.pop_front() {
                 self.delta_floor = dropped_serial;
+                self.owners.unlog(dropped);
             }
         }
-        self.delta_log.push_back((self.serial, name));
+        self.delta_log.push_back((self.serial, id));
+        self.owners.log(id);
     }
 
-    /// The zone origin.
+    /// Ends a mutation: once the rows nothing needs are over half the
+    /// owner store, it is rebuilt without them and the log renumbered.
+    fn settle(&mut self) {
+        if self.owners.sparse() {
+            let renumbered = self.owners.compact();
+            for (_, id) in &mut self.delta_log {
+                *id = renumbered[*id as usize];
+            }
+            self.bodies.shrink_to_fit();
+        }
+    }
+
+    /// The origin.
     pub fn origin(&self) -> &DomainName {
         &self.origin
     }
@@ -170,6 +221,12 @@ impl Zone {
             return Err(NsError::NotAuthoritative(rr.name.to_string()));
         }
         rr.rdata.encoded_len()?;
+        if !self.owners.has_room(rr.name.text()) {
+            return Err(NsError::BadRecord(format!(
+                "zone {} holds all the owner names it can",
+                self.origin
+            )));
+        }
         if rr.rtype == RType::Cname && occupied {
             return Err(NsError::Conflict(format!(
                 "CNAME cannot coexist at {}",
@@ -187,20 +244,28 @@ impl Zone {
 
     /// Stores an admitted record, bumping the serial.
     fn insert(&mut self, rr: ResourceRecord) {
-        let body = self.share(RrBody::of(&rr));
-        self.records.entry(rr.name.clone()).or_default().push(body);
-        if rr.rtype == RType::Ns && rr.name != self.origin {
+        let ResourceRecord {
+            name,
+            rtype,
+            ttl,
+            rdata,
+        } = rr;
+        let body = self.share(RrBody { rtype, ttl, rdata });
+        let id = self.owners.intern(name.text());
+        self.owners.push(id, body);
+        if rtype == RType::Ns && name != self.origin {
             self.cut_ns_records += 1;
         }
-        self.log_change(rr.name);
+        self.log_change(id);
     }
 
     /// Adds a record, bumping the serial, if [`Zone::admit`]s it.
     pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
-        let set = self.records.get(&rr.name).map_or(&[][..], Vec::as_slice);
+        let set = self.owners.get(rr.name.text());
         let has_cname = set.iter().any(|r| r.rtype == RType::Cname);
         self.admit(&rr, !set.is_empty(), has_cname)?;
         self.insert(rr);
+        self.settle();
         Ok(())
     }
 
@@ -213,29 +278,25 @@ impl Zone {
     /// Removes all records at `name` of type `rtype`; returns how many were
     /// removed. Bumps the serial if anything changed.
     pub fn remove(&mut self, name: &DomainName, rtype: RType) -> usize {
-        let mut removed = 0;
-        let mut dropped = Vec::new();
-        if let Some(set) = self.records.get_mut(name) {
-            let before = set.len();
-            set.retain(|r| {
-                if r.rtype == rtype {
-                    dropped.push(Arc::clone(r));
-                    false
-                } else {
-                    true
-                }
-            });
-            removed = before - set.len();
-            if set.is_empty() {
-                self.records.remove(name);
-            }
-        }
+        let removed = self.take(name, rtype);
+        self.settle();
+        removed
+    }
+
+    /// [`Zone::remove`] without [`Zone::settle`], so row ids stay what
+    /// they were for the caller.
+    fn take(&mut self, name: &DomainName, rtype: RType) -> usize {
+        let Some(id) = self.owners.find(name.text()) else {
+            return 0;
+        };
+        let dropped = self.owners.take(id, |r| r.rtype == rtype);
+        let removed = dropped.len();
         if removed > 0 {
             if rtype == RType::Ns && *name != self.origin {
                 self.cut_ns_records -= removed;
             }
             self.prune(dropped);
-            self.log_change(name.clone());
+            self.log_change(id);
         }
         removed
     }
@@ -250,7 +311,7 @@ impl Zone {
         rtype: RType,
         records: Vec<ResourceRecord>,
     ) -> NsResult<()> {
-        let set = self.records.get(name).map_or(&[][..], Vec::as_slice);
+        let set = self.owners.get(name.text());
         let mut staying = set.iter().filter(|r| r.rtype != rtype);
         let mut occupied = staying.clone().next().is_some();
         let mut has_cname = staying.any(|r| r.rtype == RType::Cname);
@@ -262,11 +323,12 @@ impl Zone {
             occupied = true;
             has_cname |= rtype == RType::Cname;
         }
-        self.remove(name, rtype);
+        self.take(name, rtype);
         for rr in records {
             self.insert(rr);
         }
         self.serial += 1;
+        self.settle();
         Ok(())
     }
 
@@ -279,33 +341,50 @@ impl Zone {
         if from_serial < self.delta_floor {
             return None;
         }
-        let changed: BTreeSet<DomainName> = self
+        let mut changed: Vec<u32> = self
             .delta_log
             .iter()
             .filter(|(serial, _)| *serial > from_serial)
-            .map(|(_, name)| name.clone())
+            .map(|(_, id)| *id)
             .collect();
-        Some(changed.into_iter().collect())
+        changed.sort_unstable();
+        changed.dedup();
+        let mut names: Vec<DomainName> = changed
+            .into_iter()
+            .map(|id| DomainName::from_text_unchecked(self.owners.name(id)))
+            .collect();
+        names.sort_unstable();
+        Some(names)
     }
 
     /// Every record at `name` (all types), or `None` if nothing is
     /// stored there.
     pub fn records_at(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
-        self.records
-            .get(name)
-            .map(|set| set.iter().map(|b| b.to_record(name)).collect())
+        let set = self.owners.get(name.text());
+        (!set.is_empty()).then(|| set.iter().map(|b| b.to_record(name)).collect())
     }
 
     /// Looks up records of `rtype` at `name`, following at most one level
     /// of `CNAME` indirection within the zone.
     pub fn lookup(&self, name: &DomainName, rtype: RType) -> NsResult<Vec<ResourceRecord>> {
+        self.lookup_chasing(name, rtype, true)
+    }
+
+    /// [`Zone::lookup`], following a `CNAME` only if `chase`: the target
+    /// is looked up without, so a chain or a loop of aliases is one step.
+    fn lookup_chasing(
+        &self,
+        name: &DomainName,
+        rtype: RType,
+        chase: bool,
+    ) -> NsResult<Vec<ResourceRecord>> {
         if !self.contains(name) {
             return Err(NsError::NotAuthoritative(name.to_string()));
         }
-        let set = self
-            .records
-            .get(name)
-            .ok_or_else(|| NsError::NameError(name.to_string()))?;
+        let set = self.owners.get(name.text());
+        if set.is_empty() {
+            return Err(NsError::NameError(name.to_string()));
+        }
         // Nearly always the whole set matches: sized for it, once.
         let mut matched = Vec::with_capacity(set.len());
         let of_type = set.iter().filter(|r| r.rtype == rtype);
@@ -313,18 +392,16 @@ impl Zone {
         if !matched.is_empty() {
             return Ok(matched);
         }
-        // CNAME chase (one level).
-        if rtype != RType::Cname {
+        if chase && rtype != RType::Cname {
             if let Some(cname) = set.iter().find(|r| r.rtype == RType::Cname) {
                 if let RData::Domain(target) = &cname.rdata {
+                    let mut result = vec![cname.to_record(name)];
                     if self.contains(target) {
-                        let mut result = vec![cname.to_record(name)];
-                        if let Ok(mut chased) = self.lookup(target, rtype) {
+                        if let Ok(mut chased) = self.lookup_chasing(target, rtype, false) {
                             result.append(&mut chased);
                         }
-                        return Ok(result);
                     }
-                    return Ok(vec![cname.to_record(name)]);
+                    return Ok(result);
                 }
             }
         }
@@ -339,61 +416,62 @@ impl Zone {
         if self.cut_ns_records == 0 {
             return None;
         }
-        let mut cursor = Some(name.clone());
-        let mut best: Option<Vec<ResourceRecord>> = None;
-        while let Some(candidate) = cursor {
-            if candidate.depth() <= self.origin.depth() {
-                break;
-            }
-            if let Some(set) = self.records.get(&candidate) {
-                let ns: Vec<ResourceRecord> = set
-                    .iter()
-                    .filter(|r| r.rtype == RType::Ns)
-                    .map(|b| b.to_record(&candidate))
-                    .collect();
-                if !ns.is_empty() {
-                    // Prefer the deepest cut; the first found walking up
-                    // from `name` is the deepest.
-                    if best.is_none() {
-                        best = Some(ns);
-                    }
-                }
-            }
-            cursor = candidate.parent();
-        }
-        best.map(|ns| {
-            let mut referral = ns;
-            let glue: Vec<ResourceRecord> = referral
+        // The ancestors-or-self below the origin, deepest first: each is
+        // the name's text from the start or from just after a dot.
+        let text = name.text();
+        let below = name.depth().saturating_sub(self.origin.depth());
+        let starts = std::iter::once(0).chain(text.match_indices('.').map(|(dot, _)| dot + 1));
+        let (cut, ns) = starts.take(below).find_map(|start| {
+            let owner = &text[start..];
+            let ns: Vec<&Arc<RrBody>> = self
+                .owners
+                .get(owner)
                 .iter()
-                .filter_map(|r| match &r.rdata {
-                    RData::Domain(target) => self.records.get(target).map(|set| {
-                        set.iter()
-                            .filter(|g| g.rtype == RType::A)
-                            .map(|b| b.to_record(target))
-                            .collect::<Vec<_>>()
-                    }),
-                    _ => None,
-                })
-                .flatten()
+                .filter(|r| r.rtype == RType::Ns)
                 .collect();
-            referral.extend(glue);
-            referral
-        })
+            (!ns.is_empty()).then_some((owner, ns))
+        })?;
+        let cut = if cut.len() == text.len() {
+            name.clone()
+        } else {
+            DomainName::from_text_unchecked(cut)
+        };
+        let mut referral: Vec<ResourceRecord> = ns.iter().map(|b| b.to_record(&cut)).collect();
+        let glue: Vec<ResourceRecord> = referral
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Domain(target) => Some(target),
+                _ => None,
+            })
+            .flat_map(|target| {
+                self.owners
+                    .get(target.text())
+                    .iter()
+                    .filter(|g| g.rtype == RType::A)
+                    .map(|b| b.to_record(target))
+            })
+            .collect();
+        referral.extend(glue);
+        Some(referral)
     }
 
     /// All records, in deterministic (name-sorted) order: the zone
     /// transfer payload. The owners are sorted here, at transfer time.
     pub fn all_records(&self) -> Vec<ResourceRecord> {
-        let mut sets: Vec<_> = self.records.iter().collect();
-        sets.sort_unstable_by_key(|(name, _)| *name);
+        let mut sets: Vec<(DomainName, &[Arc<RrBody>])> = self
+            .owners
+            .iter()
+            .map(|(name, set)| (DomainName::from_text_unchecked(name), set))
+            .collect();
+        sets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         sets.into_iter()
-            .flat_map(|(name, set)| set.iter().map(move |b| b.to_record(name)))
+            .flat_map(|(name, set)| set.iter().map(move |b| b.to_record(&name)))
             .collect()
     }
 
     /// Number of records in the zone.
     pub fn record_count(&self) -> usize {
-        self.records.values().map(Vec::len).sum()
+        self.owners.iter().map(|(_, set)| set.len()).sum()
     }
 
     /// Total stored size in bytes, counted naively — every record pays
@@ -402,28 +480,28 @@ impl Zone {
     /// zone-transfer cost) and the baseline [`Zone::resident_bytes`] is
     /// measured against.
     pub fn size_bytes(&self) -> usize {
-        self.records
+        // The root's wire length is 1 (`.`), its stored text empty.
+        self.owners
             .iter()
-            .flat_map(|(name, set)| set.iter().map(move |b| name.wire_len() + b.body_bytes()))
+            .flat_map(|(name, set)| set.iter().map(move |b| name.len().max(1) + b.body_bytes()))
             .sum()
     }
 
-    /// Bytes the shared layout actually holds resident: each owner name
-    /// once (the map key), one `Arc` pointer per record slot, and each
-    /// distinct body once (the arena copy).
+    /// Bytes the zone holds: the owner store (arena, rows and index at
+    /// their capacity), the delta log and the dedup set at theirs, and
+    /// each distinct body once with its `Arc` header and payload.
     pub fn resident_bytes(&self) -> usize {
-        let names_and_slots: usize = self
-            .records
-            .iter()
-            .map(|(name, set)| name.wire_len() + set.len() * std::mem::size_of::<usize>())
-            .sum();
-        let bodies: usize = self.arena.iter().map(|b| b.body_bytes()).sum();
-        names_and_slots + bodies
+        let bodies: usize = self.bodies.iter().map(|b| b.resident_bytes()).sum();
+        arc_bytes(self.origin.text().len())
+            + self.owners.resident_bytes()
+            + self.delta_log.capacity() * std::mem::size_of::<(u32, u32)>()
+            + table_bytes::<Arc<RrBody>>(self.bodies.capacity())
+            + bodies
     }
 
-    /// Number of distinct record bodies shared through the arena.
+    /// Number of distinct record bodies shared through the dedup set.
     pub fn distinct_bodies(&self) -> usize {
-        self.arena.len()
+        self.bodies.len()
     }
 }
 
@@ -751,11 +829,14 @@ mod tests {
     #[test]
     fn identical_bodies_are_shared_across_names() {
         let mut z = zone();
+        // A binding-sized payload: a 20-byte one costs less than the
+        // log and the index hold for 100 names.
+        let payload = "suite=sun;port=1234;".repeat(6);
         for i in 0..100 {
             z.add(ResourceRecord::txt(
                 name(&format!("host{i}.cs.washington.edu")),
                 600,
-                "suite=sun;port=1234",
+                payload.as_str(),
             ))
             .expect("add");
         }
@@ -770,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn removing_last_user_of_a_body_prunes_the_arena() {
+    fn removing_last_user_of_a_body_prunes_the_dedup_set() {
         let mut z = zone();
         z.add(ResourceRecord::txt(name("a.cs.washington.edu"), 60, "x"))
             .expect("add");
@@ -855,6 +936,67 @@ mod tests {
             z.deltas_since(floor - 1).is_none(),
             "one serial past the log forces full fallback"
         );
+    }
+
+    /// The log names owners by row, so a removed name keeps its (empty)
+    /// row while the log names it; the rows the log has let go of are
+    /// dropped once they are over half the store, and the log is
+    /// renumbered to match.
+    #[test]
+    fn a_removed_name_is_reported_while_logged_and_its_row_goes_after() {
+        let mut z = zone();
+        let n = |i: usize| name(&format!("n{i}.cs.washington.edu"));
+        for i in 0..2000 {
+            z.add(ResourceRecord::txt(n(i), 60, "x")).expect("add");
+        }
+        let mut midway = 0;
+        for i in 0..2000 {
+            assert_eq!(z.remove(&n(i), RType::Txt), 1);
+            if i == 1499 {
+                midway = z.serial();
+            }
+        }
+        let full = z.resident_bytes();
+        // Churn at one name until the removals of n0..n1000 have left
+        // the log: their rows are then over half the store.
+        let churn = name("churn.cs.washington.edu");
+        for _ in 0..30 {
+            z.add(ResourceRecord::txt(churn.clone(), 60, "c"))
+                .expect("add");
+            assert_eq!(z.remove(&churn, RType::Txt), 1);
+        }
+        assert!(
+            z.resident_bytes() < full,
+            "{} !< {full}",
+            z.resident_bytes()
+        );
+        let mut expected: Vec<DomainName> = (1500..2000).map(n).collect();
+        expected.push(churn);
+        expected.sort();
+        assert_eq!(z.deltas_since(midway), Some(expected));
+        assert_eq!(z.records_at(&n(1700)), None);
+        assert!(matches!(
+            z.lookup(&n(1700), RType::Txt),
+            Err(NsError::NameError(_))
+        ));
+        assert_eq!((z.record_count(), z.size_bytes()), (0, 0));
+        assert!(z.all_records().is_empty());
+    }
+
+    /// A `CNAME` is followed one step, so an alias of itself answers
+    /// with the alias instead of recursing until the stack runs out.
+    #[test]
+    fn a_cname_loop_is_followed_once() {
+        let mut z = zone();
+        let (a, b) = (name("a.cs.washington.edu"), name("b.cs.washington.edu"));
+        z.add(ResourceRecord::cname(a.clone(), 60, a.clone()))
+            .expect("add");
+        z.add(ResourceRecord::cname(b.clone(), 60, a.clone()))
+            .expect("add");
+        let looped = z.lookup(&a, RType::A).expect("the alias");
+        assert_eq!(looped, [ResourceRecord::cname(a.clone(), 60, a.clone())]);
+        let chained = z.lookup(&b, RType::A).expect("the first alias");
+        assert_eq!(chained, [ResourceRecord::cname(b.clone(), 60, a.clone())]);
     }
 
     #[test]

@@ -1,0 +1,343 @@
+//! The owner store under a [`super::Zone`]: every owner name once, as
+//! text in one append-only arena, a 16-byte row per name holding its
+//! lone record inline, and an open-addressed index of `u32` row ids.
+//!
+//! A row whose last record goes stays, empty, while the zone's delta log
+//! names it, so an incremental transfer can still report the name. Once
+//! the rows nothing needs — no record, no log entry — are over half the
+//! store, [`Owners::compact`] drops them and rebuilds arena and index at
+//! the size of what is left.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use super::{table_bytes, RrBody, DELTA_LOG_CAP};
+
+/// One owner name: where its text lies in the arena, and its records.
+/// Most names hold one record, kept here; a name holding several keeps
+/// them in [`Owners::several`] instead.
+#[derive(Debug, Clone)]
+struct Row {
+    /// The record, when the name holds exactly one.
+    lone: Option<Arc<RrBody>>,
+    /// Where the name's text starts in the arena.
+    offset: u32,
+    /// Its length: a name is at most 255 bytes.
+    len: u8,
+    /// Whether the records are in [`Owners::several`].
+    several: bool,
+    /// Delta-log entries naming this row.
+    logged: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() == 16);
+const _: () = assert!(DELTA_LOG_CAP <= u16::MAX as usize);
+
+impl Row {
+    /// Neither a record nor a log entry needs this row.
+    fn droppable(&self) -> bool {
+        self.lone.is_none() && !self.several && self.logged == 0
+    }
+}
+
+/// Every owner name of a zone, with its records.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Owners {
+    /// The names' canonical text, back to back.
+    text: String,
+    /// One per name, in the order the names arrived.
+    rows: Vec<Row>,
+    /// Row id + 1 at the slot a name's hash probes to first (or after,
+    /// linearly), 0 for none; a power of two long and at most half full.
+    index: Vec<u32>,
+    /// The records of each row holding more than one.
+    several: HashMap<u32, Vec<Arc<RrBody>>>,
+    /// Rows that are [`Row::droppable`].
+    droppable: usize,
+}
+
+/// Index slots for `rows` rows: at most half full, never fewer than 8.
+fn slots_for(rows: usize) -> usize {
+    if rows == 0 {
+        0
+    } else {
+        (2 * rows).next_power_of_two().max(8)
+    }
+}
+
+/// A fixed hash of a name's bytes, eight at a time. Fixed, not seeded
+/// per process: a zone lays out the same way on every run.
+fn hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let (words, _) = bytes.as_chunks::<8>();
+    let h = words
+        .iter()
+        .fold(bytes.len() as u64, |h, w| mix(h, u64::from_le_bytes(*w)));
+    // The last eight bytes again, overlapping the words before them (the
+    // length is in the hash), or a short name byte by byte.
+    let last = match bytes.last_chunk::<8>() {
+        Some(w) => u64::from_le_bytes(*w),
+        None => bytes.iter().fold(0, |w, &b| w << 8 | u64::from(b)),
+    };
+    let mut h = mix(h, last);
+    // Slots are taken from the low bits, which the multiplies leave the
+    // least mixed.
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
+
+impl Owners {
+    /// The row of `name`, whether it holds records or not.
+    pub(super) fn find(&self, name: &str) -> Option<u32> {
+        self.probe(name).ok()
+    }
+
+    /// The row of `name`, or the free slot its row would take.
+    fn probe(&self, name: &str) -> Result<u32, usize> {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut slot = hash(name.as_bytes()) as usize & mask;
+        loop {
+            match self.index.get(slot).map(|&entry| entry.checked_sub(1)) {
+                Some(Some(id)) if self.name(id) == name => return Ok(id),
+                Some(Some(_)) => slot = (slot + 1) & mask,
+                Some(None) | None => return Err(slot),
+            }
+        }
+    }
+
+    /// The text of row `id`.
+    pub(super) fn name(&self, id: u32) -> &str {
+        let row = &self.rows[id as usize];
+        let start = row.offset as usize;
+        &self.text[start..start + usize::from(row.len)]
+    }
+
+    /// The records of row `id`, in the order they were added.
+    pub(super) fn records(&self, id: u32) -> &[Arc<RrBody>] {
+        let row = &self.rows[id as usize];
+        if row.several {
+            self.several.get(&id).map_or(&[], Vec::as_slice)
+        } else {
+            row.lone.as_slice()
+        }
+    }
+
+    /// The records at `name`; none if the store has no such row.
+    pub(super) fn get(&self, name: &str) -> &[Arc<RrBody>] {
+        self.find(name).map_or(&[], |id| self.records(id))
+    }
+
+    /// Every name holding records, with them, in no particular order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (&str, &[Arc<RrBody>])> {
+        (0..self.rows.len() as u32)
+            .map(|id| (self.name(id), self.records(id)))
+            .filter(|(_, set)| !set.is_empty())
+    }
+
+    /// Whether row ids and arena offsets still fit a `u32` with `name`
+    /// added.
+    pub(super) fn has_room(&self, name: &str) -> bool {
+        self.text.len() + name.len() <= u32::MAX as usize && self.rows.len() < u32::MAX as usize
+    }
+
+    /// The row of `name`, appended (with no record) if there is none.
+    /// The zone has checked [`Owners::has_room`].
+    pub(super) fn intern(&mut self, name: &str) -> u32 {
+        let slot = match self.probe(name) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = self.rows.len() as u32;
+        self.rows.push(Row {
+            lone: None,
+            offset: self.text.len() as u32,
+            len: name.len() as u8,
+            several: false,
+            logged: 0,
+        });
+        self.text.push_str(name);
+        if 2 * self.rows.len() > self.index.len() {
+            self.rehash(slots_for(self.rows.len()));
+        } else {
+            self.index[slot] = id + 1;
+        }
+        self.droppable += 1;
+        id
+    }
+
+    /// Rebuilds the index at `slots` slots, every row in it.
+    fn rehash(&mut self, slots: usize) {
+        self.index = vec![0; slots];
+        let mask = slots.wrapping_sub(1);
+        for id in 0..self.rows.len() as u32 {
+            let mut slot = hash(self.name(id).as_bytes()) as usize & mask;
+            while self.index[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.index[slot] = id + 1;
+        }
+    }
+
+    /// Runs `f` on row `id` (and the several-record sets), keeping the
+    /// count of droppable rows.
+    fn update<R>(
+        &mut self,
+        id: u32,
+        f: impl FnOnce(&mut Row, &mut HashMap<u32, Vec<Arc<RrBody>>>) -> R,
+    ) -> R {
+        let row = &mut self.rows[id as usize];
+        let was = row.droppable();
+        let result = f(row, &mut self.several);
+        match (was, row.droppable()) {
+            (false, true) => self.droppable += 1,
+            (true, false) => self.droppable -= 1,
+            _ => {}
+        }
+        result
+    }
+
+    /// Appends `body` to the records of row `id`.
+    pub(super) fn push(&mut self, id: u32, body: Arc<RrBody>) {
+        self.update(id, |row, several| {
+            if row.several {
+                several.entry(id).or_default().push(body);
+            } else if let Some(first) = row.lone.take() {
+                several.insert(id, vec![first, body]);
+                row.several = true;
+            } else {
+                row.lone = Some(body);
+            }
+        });
+    }
+
+    /// Takes the records of row `id` that `doomed` picks, keeping the
+    /// order of the rest.
+    pub(super) fn take(&mut self, id: u32, doomed: impl Fn(&RrBody) -> bool) -> Vec<Arc<RrBody>> {
+        self.update(id, |row, several| {
+            if !row.several {
+                return match row.lone.take_if(|body| doomed(body)) {
+                    Some(body) => vec![body],
+                    None => Vec::new(),
+                };
+            }
+            let set = several.remove(&id).unwrap_or_default();
+            let (gone, mut kept): (Vec<_>, Vec<_>) = set.into_iter().partition(|b| doomed(b));
+            if kept.len() > 1 {
+                several.insert(id, kept);
+            } else {
+                row.several = false;
+                row.lone = kept.pop();
+            }
+            gone
+        })
+    }
+
+    /// A delta-log entry now names row `id`.
+    pub(super) fn log(&mut self, id: u32) {
+        self.update(id, |row, _| row.logged += 1);
+    }
+
+    /// A delta-log entry naming row `id` was dropped.
+    pub(super) fn unlog(&mut self, id: u32) {
+        self.update(id, |row, _| row.logged -= 1);
+    }
+
+    /// Whether the rows nothing needs are over half the store.
+    pub(super) fn sparse(&self) -> bool {
+        2 * self.droppable > self.rows.len()
+    }
+
+    /// Drops the rows nothing needs and rebuilds arena, rows and index
+    /// at the size of what is left. Returns each old row's new id
+    /// (`u32::MAX` for a dropped one).
+    pub(super) fn compact(&mut self) -> Vec<u32> {
+        let rows = std::mem::take(&mut self.rows);
+        let text_len = rows
+            .iter()
+            .filter(|row| !row.droppable())
+            .map(|row| usize::from(row.len))
+            .sum();
+        let mut text = String::with_capacity(text_len);
+        let mut kept = Vec::with_capacity(rows.len() - self.droppable);
+        let mut several = HashMap::with_capacity(self.several.len());
+        let mut renumbered = Vec::with_capacity(rows.len());
+        for (old, row) in (0u32..).zip(rows) {
+            if row.droppable() {
+                renumbered.push(u32::MAX);
+                continue;
+            }
+            let new = kept.len() as u32;
+            if let Some(set) = self.several.remove(&old) {
+                several.insert(new, set);
+            }
+            let start = row.offset as usize;
+            let offset = text.len() as u32;
+            text.push_str(&self.text[start..start + usize::from(row.len)]);
+            kept.push(Row { offset, ..row });
+            renumbered.push(new);
+        }
+        (self.text, self.rows, self.several) = (text, kept, several);
+        self.droppable = 0;
+        self.rehash(slots_for(self.rows.len()));
+        renumbered
+    }
+
+    /// Bytes the store holds: arena, rows and index at their capacity,
+    /// and the several-record sets.
+    pub(super) fn resident_bytes(&self) -> usize {
+        let sets: usize = self
+            .several
+            .values()
+            .map(|set| set.capacity() * std::mem::size_of::<Arc<RrBody>>())
+            .sum();
+        self.text.capacity()
+            + self.rows.capacity() * std::mem::size_of::<Row>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
+            + table_bytes::<(u32, Vec<Arc<RrBody>>)>(self.several.capacity())
+            + sets
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A rebuilt store finds every name it kept, at its new id.
+    #[test]
+    fn compaction_keeps_what_is_needed_and_finds_it_again() {
+        let mut owners = Owners::default();
+        let names: Vec<String> = (0..100).map(|i| format!("n{i}.z")).collect();
+        let ids: Vec<u32> = names.iter().map(|n| owners.intern(n)).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            if i % 10 == 0 {
+                owners.log(id);
+            }
+        }
+        // Rows without a record or a log entry are all but every tenth.
+        assert!(owners.sparse());
+        let renumbered = owners.compact();
+        assert!(!owners.sparse());
+        for (i, name) in names.iter().enumerate() {
+            let new = renumbered[ids[i] as usize];
+            if i % 10 == 0 {
+                assert_eq!(owners.find(name), Some(new), "{name}");
+                assert_eq!(owners.name(new), name);
+            } else {
+                assert_eq!((new, owners.find(name)), (u32::MAX, None), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_store_finds_nothing_and_holds_nothing() {
+        let mut owners = Owners::default();
+        assert_eq!(owners.find(""), None);
+        assert_eq!(owners.resident_bytes(), 0);
+        let id = owners.intern("");
+        assert_eq!(owners.find(""), Some(id), "the root is a name too");
+        owners.compact();
+        assert_eq!((owners.find(""), owners.resident_bytes()), (None, 0));
+    }
+}

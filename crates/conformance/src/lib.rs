@@ -21,6 +21,9 @@
 //!   MQUERY-batched, and composed-BindingCache `FindNSM` paths — and
 //!   the serve-stale, NSM-failover, and ChClient-failover fault paths —
 //!   to byte-identical bindings.
+//! * [`model`] — naive executable specifications of the stateful parts
+//!   (a zone today), which seeded operation sequences hold the real
+//!   structures to.
 //!
 //! `TESTING.md` at the repository root describes the harness design and
 //! the regeneration workflow.
@@ -32,3 +35,4 @@ pub mod corpus;
 pub mod differential;
 pub mod fuzz;
 pub mod hexdump;
+pub mod model;

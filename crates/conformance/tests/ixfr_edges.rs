@@ -13,8 +13,10 @@ use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::query::QueryClass;
 use hns_core::service::{PreloadMode, PreloadReport};
 use hns_core::HnsError;
+use hns_core::META_TTL;
 use hrpc::ProgramId;
-use nsms::harness::{Testbed, CTX_BIND, NSM_EXPORT_PROGRAM, NS_BIND, NS_CH};
+use nsms::binding::BindingBindNsm;
+use nsms::harness::{Testbed, CTX_BIND, CTX_CH, NSM_EXPORT_PROGRAM, NS_BIND, NS_CH};
 use nsms::nsm_cache::NsmCacheForm;
 use std::sync::Arc;
 
@@ -259,4 +261,97 @@ fn ixfr_boundary_serial_is_exact_on_the_wire() {
     .expect("IXFR at the current serial");
     assert!(matches!(current.contents, IxfrContents::Unchanged));
     assert_eq!(current.size_bytes, 0);
+}
+
+/// Retiring an NSM (`Hns::retire_nsm`: unexport, delete mapping 3, then
+/// mapping 2) is a deletion on the meta zone like any other. The next
+/// incremental transfer ships both owner names as removed, and the
+/// instance that preloads it stops designating the NSM at once. An
+/// instance that walked before the retire still hands out the binding —
+/// to an NSM that no longer answers — until its cached mappings lapse
+/// (TESTING.md "Retiring a binding"), and then fails as a cold one would.
+#[test]
+fn a_retired_nsm_leaves_with_the_next_preload_or_when_its_ttl_lapses() {
+    let tb = Testbed::build();
+    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    let preloaded = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    let walking = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
+    let qc = QueryClass::hrpc_binding();
+    let before = preloaded.preload().expect("preload");
+    let binding = preloaded
+        .find_nsm(&qc, &name)
+        .expect("the BIND binding NSM");
+    assert_eq!(walking.find_nsm(&qc, &name), Ok(binding));
+
+    let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
+    registrar
+        .retire_nsm(NS_BIND, &qc, BindingBindNsm::NAME, &binding)
+        .expect("retire");
+
+    let xfer = transfer_zone_incremental(
+        &tb.net,
+        tb.hosts.client,
+        &tb.meta_bind.hrpc_binding,
+        &tb.meta_origin,
+        before.serial,
+    )
+    .expect("IXFR after the retire");
+    let IxfrContents::Incremental { records, removed } = xfer.contents else {
+        panic!(
+            "two deletions ride an incremental transfer: {:?}",
+            xfer.contents
+        );
+    };
+    assert!(records.is_empty(), "{records:?}");
+    let info = dn(&format!("info.{}.hns", BindingBindNsm::NAME));
+    let pair = dn(&format!("map.{NS_BIND}--{qc}.hns"));
+    assert_eq!(removed, [info, pair]);
+
+    let no_nsm = Err(HnsError::NoSuchNsm {
+        name_service: NS_BIND.into(),
+        query_class: qc.as_str().into(),
+    });
+    assert_eq!(
+        preloaded.preload().expect("preload").mode,
+        PreloadMode::Incremental
+    );
+    let (result, _, delta) = tb.world.measure(|| preloaded.find_nsm(&qc, &name));
+    assert_eq!((result, delta.remote_calls), (no_nsm.clone(), 0));
+
+    assert_eq!(
+        walking.find_nsm(&qc, &name),
+        Ok(binding),
+        "inside the window"
+    );
+    let unexported = tb
+        .net
+        .call(tb.hosts.client, &binding, 1, &wire::Value::Void);
+    assert!(unexported.is_err(), "{unexported:?}");
+    tb.world.charge_ms(f64::from(META_TTL) * 1000.0);
+    assert_eq!(walking.find_nsm(&qc, &name), no_nsm, "after the window");
+}
+
+/// `Hns::unregister_context` deletes mapping 1: an incremental preload
+/// ships the context's key as removed, and the context is then unknown.
+#[test]
+fn an_unregistered_context_leaves_with_the_next_preload() {
+    let tb = Testbed::build();
+    tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    let name = HnsName::new(tb.ctx_ch(), "printserver").expect("name");
+    let qc = QueryClass::hrpc_binding();
+    hns.preload().expect("preload");
+    assert!(hns.find_nsm(&qc, &name).is_ok());
+    let registrar = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
+    registrar
+        .unregister_context(&tb.ctx_ch())
+        .expect("unregister");
+    assert_eq!(
+        hns.preload().expect("preload").mode,
+        PreloadMode::Incremental
+    );
+    let (result, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    assert_eq!(result, Err(HnsError::NoSuchContext(CTX_CH.into())));
+    assert_eq!(delta.remote_calls, 0, "answered from the preloaded absence");
 }

@@ -595,7 +595,9 @@ impl MetaStore {
         *self.record_ttl.lock()
     }
 
-    fn write(&self, name: DomainName, payloads: Vec<String>) -> HnsResult<()> {
+    /// Replaces the record set at meta key `name` by one `UNSPEC` record
+    /// per payload; no payloads deletes it.
+    pub(crate) fn write(&self, name: DomainName, payloads: Vec<String>) -> HnsResult<()> {
         let ttl = self.record_ttl();
         let records: Vec<ResourceRecord> = payloads
             .into_iter()

@@ -236,6 +236,36 @@ impl Hns {
         self.meta.register_context(context, name_service, mapping)
     }
 
+    /// Unregisters a context, the inverse of [`Hns::register_context`]:
+    /// mapping 1's record set is deleted. How long an instance that had
+    /// it may still answer from it: TESTING.md "Retiring a binding".
+    pub fn unregister_context(&self, context: &Context) -> HnsResult<()> {
+        let key = Step::Context(context).key(self.meta.origin())?;
+        self.meta.write(key, Vec::new())
+    }
+
+    /// Retires an NSM, the inverse of [`Hns::deploy_nsm`]: unexports it
+    /// from where `binding` (what `deploy_nsm` returned) says it answers,
+    /// then deletes mapping 3 (`nsm_name`'s binding information), then
+    /// mapping 2 ((`name_service`, `query_class`) → `nsm_name`). Both keys
+    /// are derived first, so a name with none retires nothing. How long an
+    /// instance may still hand out the old binding: TESTING.md "Retiring
+    /// a binding".
+    pub fn retire_nsm(
+        &self,
+        name_service: &str,
+        query_class: &QueryClass,
+        nsm_name: &str,
+        binding: &HrpcBinding,
+    ) -> HnsResult<()> {
+        let origin = self.meta.origin();
+        let info = Step::NsmInfo(nsm_name).key(origin)?;
+        let pair = Step::NsmName(name_service, query_class.as_str()).key(origin)?;
+        self.net.unexport(binding.host, binding.port);
+        self.meta.write(info, Vec::new())?;
+        self.meta.write(pair, Vec::new())
+    }
+
     /// Registers which NSM serves a (name service, query class) pair:
     /// mapping 2 alone, for re-pointing a pair ([`Hns::deploy_nsm`] is
     /// the whole operation).
