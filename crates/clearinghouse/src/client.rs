@@ -16,8 +16,9 @@ use crate::auth::Credentials;
 use crate::error::ChError;
 use crate::name::ThreePartName;
 use crate::property::{Property, PropertyId};
+use crate::request::{AddAlias, AddMember, List, Lookup, LookupRun, Named, SetItem};
 use crate::server::{
-    Lookup, PROC_ADD_ALIAS, PROC_ADD_ENTRY, PROC_ADD_MEMBER, PROC_DELETE, PROC_LIST, PROC_LOOKUP,
+    PROC_ADD_ALIAS, PROC_ADD_ENTRY, PROC_ADD_MEMBER, PROC_DELETE, PROC_LIST, PROC_LOOKUP,
     PROC_LOOKUP_RUN, PROC_SET_ITEM,
 };
 
@@ -92,11 +93,18 @@ impl ChClient {
         Err(primary)
     }
 
-    fn base_args(&self, name: &ThreePartName) -> Vec<(&'static str, Value)> {
-        vec![
-            ("creds", self.creds.to_value()),
-            ("name", Value::str(name.as_str())),
-        ]
+    /// Calls a write procedure on the primary.
+    fn call_write(&self, proc: u32, request: &dyn Message) -> RpcResult<()> {
+        self.net.call_msg(self.host, &self.server, proc, request)?;
+        Ok(())
+    }
+
+    /// [`Named`] for `name`.
+    fn named(&self, name: &ThreePartName) -> Named {
+        Named {
+            creds: self.creds.clone(),
+            name: name.clone(),
+        }
     }
 
     /// Reads one property: a [`Lookup`] out, the [`Property`] back.
@@ -124,16 +132,13 @@ impl ChClient {
         names: &[ThreePartName],
         prop: PropertyId,
     ) -> RpcResult<Vec<Value>> {
-        let args = Value::record([
-            ("creds", self.creds.to_value()),
-            (
-                "names",
-                Value::List(names.iter().map(|n| Value::str(n.as_str())).collect()),
-            ),
-            ("prop", Value::U32(prop.0)),
-        ]);
-        let reply = self.call_read(PROC_LOOKUP_RUN, &args)?.into_value();
-        Ok(reply.as_list()?.to_vec())
+        let request = LookupRun {
+            creds: self.creds.clone(),
+            names: names.to_vec(),
+            prop,
+        };
+        let reply = self.call_read(PROC_LOOKUP_RUN, &request)?;
+        Ok(reply.into_value().into_list()?)
     }
 
     /// Reads a group property's members.
@@ -148,20 +153,18 @@ impl ChClient {
 
     /// Creates an entry.
     pub fn add_entry(&self, name: &ThreePartName) -> RpcResult<()> {
-        let args = Value::record(self.base_args(name));
-        self.net
-            .call(self.host, &self.server, PROC_ADD_ENTRY, &args)?;
-        Ok(())
+        self.call_write(PROC_ADD_ENTRY, &self.named(name))
     }
 
     /// Sets an item property.
     pub fn set_item(&self, name: &ThreePartName, prop: PropertyId, value: Value) -> RpcResult<()> {
-        let mut args = self.base_args(name);
-        args.push(("prop", Value::U32(prop.0)));
-        args.push(("value", value));
-        self.net
-            .call(self.host, &self.server, PROC_SET_ITEM, &Value::record(args))?;
-        Ok(())
+        let request = SetItem {
+            creds: self.creds.clone(),
+            name: name.clone(),
+            prop,
+            value,
+        };
+        self.call_write(PROC_SET_ITEM, &request)
     }
 
     /// Adds a group member.
@@ -171,36 +174,28 @@ impl ChClient {
         prop: PropertyId,
         member: &str,
     ) -> RpcResult<()> {
-        let mut args = self.base_args(name);
-        args.push(("prop", Value::U32(prop.0)));
-        args.push(("member", Value::str(member)));
-        self.net.call(
-            self.host,
-            &self.server,
-            PROC_ADD_MEMBER,
-            &Value::record(args),
-        )?;
-        Ok(())
+        let request = AddMember {
+            creds: self.creds.clone(),
+            name: name.clone(),
+            prop,
+            member: member.to_string(),
+        };
+        self.call_write(PROC_ADD_MEMBER, &request)
     }
 
     /// Deletes an entry.
     pub fn delete(&self, name: &ThreePartName) -> RpcResult<()> {
-        let args = Value::record(self.base_args(name));
-        self.net.call(self.host, &self.server, PROC_DELETE, &args)?;
-        Ok(())
+        self.call_write(PROC_DELETE, &self.named(name))
     }
 
     /// Installs an alias for an existing entry.
     pub fn add_alias(&self, alias: &ThreePartName, target: &ThreePartName) -> RpcResult<()> {
-        let mut args = self.base_args(alias);
-        args.push(("target", Value::str(target.as_str())));
-        self.net.call(
-            self.host,
-            &self.server,
-            PROC_ADD_ALIAS,
-            &Value::record(args),
-        )?;
-        Ok(())
+        let request = AddAlias {
+            creds: self.creds.clone(),
+            name: alias.clone(),
+            target: target.clone(),
+        };
+        self.call_write(PROC_ADD_ALIAS, &request)
     }
 
     /// Enumerates entries whose object part matches `pattern` (literal or
@@ -211,14 +206,8 @@ impl ChClient {
         organization: &str,
         pattern: &str,
     ) -> RpcResult<Vec<ThreePartName>> {
-        let args = Value::record([
-            ("creds", self.creds.to_value()),
-            ("name", Value::str(format!("x:{domain}:{organization}"))),
-            ("domain", Value::str(domain)),
-            ("organization", Value::str(organization)),
-            ("pattern", Value::str(pattern)),
-        ]);
-        let reply = self.call_read(PROC_LIST, &args)?.into_value();
+        let request = List::new(self.creds.clone(), domain, organization, pattern);
+        let reply = self.call_read(PROC_LIST, &request)?.into_value();
         reply
             .as_list()?
             .iter()

@@ -9,6 +9,7 @@
 //! * [`db`] — per-domain databases.
 //! * [`auth`] / [`server`] — the authenticated, disk-bound server whose
 //!   per-lookup cost reproduces the paper's 156 ms primitive.
+//! * [`request`] — the request struct of each procedure.
 //! * [`client`] — a typed client over the Courier suite.
 //! * [`replication`] — lazy primary/replica propagation.
 #![warn(missing_docs)]
@@ -21,6 +22,7 @@ pub mod error;
 pub mod name;
 pub mod property;
 pub mod replication;
+pub mod request;
 pub mod server;
 
 pub use auth::{Authenticator, Credentials};
@@ -29,4 +31,5 @@ pub use db::ChDb;
 pub use error::{ChError, ChResult};
 pub use name::ThreePartName;
 pub use property::{Entry, Property, PropertyId};
-pub use server::{deploy, ChDeployment, ChServer, Lookup, CH_PROGRAM};
+pub use request::{AddAlias, AddMember, List, Lookup, LookupRun, Named, SetItem};
+pub use server::{deploy, ChDeployment, ChServer, CH_PROGRAM};

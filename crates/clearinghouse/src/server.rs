@@ -4,7 +4,6 @@
 //! the paper measures a Clearinghouse lookup at 156 ms against BIND's
 //! 27 ms: `courier rtt (38) + auth (48) + disk (60) + service (10)`.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -17,14 +16,16 @@ use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
 use hrpc::server::{CallCtx, Reply, RpcService};
 use hrpc::HrpcBinding;
-use wire::message::{Shape, Shaped};
 use wire::{Message, Value};
 
 use crate::auth::{Authenticator, Credentials};
 use crate::db::ChDb;
 use crate::error::ChError;
 use crate::name::ThreePartName;
-use crate::property::{Entry, Property, PropertyId};
+use crate::property::Entry;
+use crate::request::{
+    creds_of, AddAlias, AddMember, List, Lookup, LookupRun, Named, Request, SetItem,
+};
 
 /// Program number Clearinghouse servers are exported under.
 pub const CH_PROGRAM: ProgramId = ProgramId(200_001);
@@ -48,60 +49,6 @@ pub const PROC_LIST: u32 = 8;
 /// Procedure: read the same item property for a run of names, returning
 /// the values of the longest prefix that exists.
 pub const PROC_LOOKUP_RUN: u32 = 9;
-
-/// `LOOKUP`'s request: who asks, about which entry, for which property.
-/// Name and credentials are shared strings, so a client builds one for
-/// two reference-count bumps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lookup {
-    /// The caller's credentials.
-    pub creds: Credentials,
-    /// The entry.
-    pub name: ThreePartName,
-    /// The property.
-    pub prop: PropertyId,
-}
-
-impl Lookup {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Lookup> {
-        Ok(Lookup {
-            creds: creds_of(v)?,
-            name: name_of(v)?,
-            prop: prop_of(v)?,
-        })
-    }
-}
-
-impl Shaped for Lookup {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("name", s.str(self.name.as_str())),
-            ("prop", s.u32(self.prop.0)),
-        ])
-    }
-}
-
-/// The pieces of a request's tree, each read where the server checks it.
-fn creds_of(v: &Value) -> RpcResult<Credentials> {
-    Credentials::from_value(v.field("creds")?).map_err(|e| RpcError::Service(e.to_string()))
-}
-
-fn name_of(v: &Value) -> RpcResult<ThreePartName> {
-    ThreePartName::parse(v.str_field("name")?).map_err(|e| RpcError::Service(e.to_string()))
-}
-
-fn prop_of(v: &Value) -> RpcResult<PropertyId> {
-    Ok(PropertyId(v.u32_field("prop")?))
-}
-
-/// A call as the server reads it: `LOOKUP` from a caller that sent its
-/// struct, or any procedure's tree.
-enum Args<'a> {
-    Lookup(&'a Lookup),
-    Tree(Cow<'a, Value>),
-}
 
 /// A Clearinghouse server.
 pub struct ChServer {
@@ -132,137 +79,125 @@ impl ChServer {
         f(&mut self.db.write())
     }
 
-    fn authenticate(&self, ctx: &CallCtx<'_>, args: &Args<'_>) -> RpcResult<()> {
+    /// Charges authentication, then checks `creds` (a request whose
+    /// credentials did not decode fails here too), then charges the disk
+    /// access every operation makes — before anything else of the request
+    /// is read.
+    fn admit(&self, ctx: &CallCtx<'_>, creds: RpcResult<&Credentials>) -> RpcResult<()> {
         ctx.world.charge_ms(ctx.world.costs.ch_auth);
-        let creds = match args {
-            Args::Lookup(lookup) => Cow::Borrowed(&lookup.creds),
-            Args::Tree(tree) => Cow::Owned(creds_of(tree)?),
-        };
-        self.auth
-            .verify(&creds)
-            .map_err(|_| RpcError::AuthFailed(creds.identity.to_string()))
-    }
-
-    fn charge_access(&self, ctx: &CallCtx<'_>) {
+        let verified = creds.and_then(|creds| {
+            (self.auth.verify(creds)).map_err(|_| RpcError::AuthFailed(creds.identity.to_string()))
+        });
+        verified.inspect_err(|_| {
+            ctx.world.metrics().inc("clearinghouse", "auth_failures");
+        })?;
         // "virtually all data is retrieved from disk".
         ctx.world
             .charge_ms(ctx.world.costs.ch_disk + ctx.world.costs.ch_service);
+        ctx.world.count_ns_lookup();
+        Ok(())
     }
 
-    fn serve_lookup(
+    /// Admits a request and serves it as the `T` it is: the caller's own
+    /// struct, or — from a caller that sent a tree — the struct decoded
+    /// from it once admitted, so that a request whose name does not parse
+    /// is charged as one that does.
+    fn serve<T: Request>(
         &self,
         ctx: &CallCtx<'_>,
-        name: &ThreePartName,
-        prop: PropertyId,
-    ) -> RpcResult<Property> {
-        let p = self.db.read().lookup(name, prop).map_err(ch_err)?;
+        args: &dyn Message,
+        decode: fn(&Value) -> RpcResult<T>,
+        serve: impl FnOnce(&T) -> RpcResult<Reply>,
+    ) -> RpcResult<Reply> {
+        if let Some(request) = args.downcast_ref::<T>() {
+            self.admit(ctx, Ok(request.creds()))?;
+            return serve(request);
+        }
+        let tree = args.tree();
+        self.admit_tree(ctx, &tree)?;
+        serve(&decode(&tree)?)
+    }
+
+    /// [`ChServer::admit`] on the credentials of a request's tree.
+    fn admit_tree(&self, ctx: &CallCtx<'_>, tree: &Value) -> RpcResult<()> {
+        let creds = creds_of(tree);
+        self.admit(ctx, creds.as_ref().map_err(RpcError::clone))
+    }
+
+    /// A write, acknowledged with nothing.
+    fn write(&self, write: impl FnOnce(&mut ChDb) -> Result<(), ChError>) -> RpcResult<Reply> {
+        write(&mut self.db.write()).map_err(ch_err)?;
+        Ok(Reply::Tree(Value::Void))
+    }
+
+    fn serve_lookup(&self, ctx: &CallCtx<'_>, request: &Lookup) -> RpcResult<Reply> {
+        let Lookup { name, prop, .. } = request;
+        let p = self.db.read().lookup(name, *prop).map_err(ch_err)?;
         ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!("{}: lookup {} prop {}", self.name, name, prop.0)
         });
-        Ok(p)
+        Ok(Reply::typed(p))
     }
 
-    /// The procedures that travel as trees.
-    fn serve_tree(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        match proc_id {
-            PROC_ADD_ENTRY => {
-                let name = name_of(args)?;
-                self.db.write().add_entry(name).map_err(ch_err)?;
-                Ok(Value::Void)
+    /// One RPC covers a run of entries: the round trip and auth are paid
+    /// once, but every entry examined past the first is still a disk
+    /// access. The reply is the items of the run's longest present prefix.
+    fn serve_lookup_run(&self, ctx: &CallCtx<'_>, request: &LookupRun) -> RpcResult<Reply> {
+        let LookupRun { names, prop, .. } = request;
+        let db = self.db.read();
+        let mut values = Vec::new();
+        let mut examined = 0usize;
+        for name in names {
+            examined += 1;
+            match db.lookup(name, *prop) {
+                Ok(p) => values.push(p.as_item().cloned().map_err(ch_err)?),
+                Err(ChError::NotFound(_)) => break,
+                Err(e) => return Err(ch_err(e)),
             }
-            PROC_SET_ITEM => {
-                let name = name_of(args)?;
-                let prop = PropertyId(args.u32_field("prop")?);
-                let value = args.field("value")?.clone();
-                self.db
-                    .write()
-                    .set_item(&name, prop, value)
-                    .map_err(ch_err)?;
-                Ok(Value::Void)
-            }
-            PROC_ADD_MEMBER => {
-                let name = name_of(args)?;
-                let prop = PropertyId(args.u32_field("prop")?);
-                let member = args.str_field("member")?.to_string();
-                self.db
-                    .write()
-                    .add_member(&name, prop, &member)
-                    .map_err(ch_err)?;
-                Ok(Value::Void)
-            }
-            PROC_DELETE => {
-                let name = name_of(args)?;
-                self.db.write().delete_entry(&name).map_err(ch_err)?;
-                Ok(Value::Void)
-            }
-            PROC_ADD_ALIAS => {
-                let alias = name_of(args)?;
-                let target = ThreePartName::parse(args.str_field("target")?)
-                    .map_err(|e| RpcError::Service(e.to_string()))?;
-                self.db.write().add_alias(alias, target).map_err(ch_err)?;
-                Ok(Value::Void)
-            }
-            PROC_LIST => {
-                let domain = args.str_field("domain")?;
-                let organization = args.str_field("organization")?;
-                let pattern = args.str_field("pattern")?;
-                let names = self.db.read().list(domain, organization, pattern);
-                Ok(Value::List(
-                    names.iter().map(|n| Value::str(n.to_string())).collect(),
-                ))
-            }
-            PROC_LOOKUP_RUN => {
-                // One RPC covers a run of entries: the round trip and
-                // auth are paid once, but every entry examined past the
-                // first is still a disk access.
-                let prop = PropertyId(args.u32_field("prop")?);
-                let names = args.field("names").and_then(Value::as_list)?;
-                let db = self.db.read();
-                let mut values = Vec::new();
-                let mut examined = 0usize;
-                for raw in names {
-                    let name = ThreePartName::parse(raw.as_str()?)
-                        .map_err(|e| RpcError::Service(e.to_string()))?;
-                    examined += 1;
-                    match db.lookup(&name, prop) {
-                        Ok(p) => values.push(p.as_item().cloned().map_err(ch_err)?),
-                        Err(ChError::NotFound(_)) => break,
-                        Err(e) => return Err(ch_err(e)),
-                    }
-                }
-                if examined > 1 {
-                    ctx.world
-                        .charge_ms(ctx.world.costs.ch_disk * (examined - 1) as f64);
-                }
-                ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
-                    format!(
-                        "{}: lookup run prop {} ({} of {} present)",
-                        self.name,
-                        prop.0,
-                        values.len(),
-                        names.len()
-                    )
-                });
-                Ok(Value::List(values))
-            }
-            PROC_SNAPSHOT => {
-                // The entry dump only: replication, which needs the alias
-                // table too, is `ChCluster::propagate`'s in-process copy.
-                let (entries, _aliases) = self.db.read().snapshot();
-                Ok(Value::List(
-                    entries
-                        .into_iter()
-                        .map(|(n, e)| {
-                            Value::record([
-                                ("name", Value::str(n.to_string())),
-                                ("entry", e.to_value()),
-                            ])
-                        })
-                        .collect(),
-                ))
-            }
-            other => Err(RpcError::BadProcedure(other)),
         }
+        if examined > 1 {
+            ctx.world
+                .charge_ms(ctx.world.costs.ch_disk * (examined - 1) as f64);
+        }
+        ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
+            format!(
+                "{}: lookup run prop {} ({} of {} present)",
+                self.name,
+                prop.0,
+                values.len(),
+                names.len()
+            )
+        });
+        Ok(Reply::Tree(Value::List(values)))
+    }
+
+    fn serve_list(&self, request: &List) -> RpcResult<Reply> {
+        let List {
+            domain,
+            organization,
+            pattern,
+            ..
+        } = request;
+        let names = self.db.read().list(domain, organization, pattern);
+        Ok(Reply::Tree(Value::List(
+            names.iter().map(|n| Value::str(n.as_str())).collect(),
+        )))
+    }
+
+    /// The entry dump only: replication, which needs the alias table too,
+    /// is `ChCluster::propagate`'s in-process copy. Its request is the
+    /// record of the caller's credentials, read as a tree.
+    fn serve_snapshot(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Reply> {
+        self.admit_tree(ctx, &args.tree())?;
+        let (entries, _aliases) = self.db.read().snapshot();
+        Ok(Reply::Tree(Value::List(
+            entries
+                .into_iter()
+                .map(|(n, e)| {
+                    Value::record([("name", Value::str(n.as_str())), ("entry", e.to_value())])
+                })
+                .collect(),
+        )))
     }
 }
 
@@ -283,9 +218,9 @@ impl RpcService for ChServer {
         self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
     }
 
-    /// `LOOKUP` is served on its structs — [`crate::ChClient`] sends a
-    /// [`Lookup`] and reads the [`Property`] that comes back; the other
-    /// procedures have none and stay on the tree. Either way a request is
+    /// Every procedure but `SNAPSHOT` is served on its request struct —
+    /// [`crate::ChClient`] sends one, and reads a `LOOKUP`'s
+    /// [`crate::Property`] as the struct that comes back. Typed or tree, a request is
     /// authenticated and charged before anything else of it is read.
     fn dispatch_msg(
         &self,
@@ -301,23 +236,33 @@ impl RpcService for ChServer {
             .span_lazy(Some(ctx.host), TraceKind::NameService, || {
                 format!("{}: proc {proc_id}", self.name)
             });
-        let args = match args.downcast_ref::<Lookup>() {
-            Some(lookup) if proc_id == PROC_LOOKUP => Args::Lookup(lookup),
-            _ => Args::Tree(args.tree()),
-        };
-        self.authenticate(ctx, &args).inspect_err(|_| {
-            ctx.world.metrics().inc("clearinghouse", "auth_failures");
-        })?;
-        self.charge_access(ctx);
-        ctx.world.count_ns_lookup();
-        let property = match args {
-            Args::Lookup(lookup) => self.serve_lookup(ctx, &lookup.name, lookup.prop),
-            Args::Tree(tree) if proc_id == PROC_LOOKUP => {
-                self.serve_lookup(ctx, &name_of(&tree)?, prop_of(&tree)?)
+        match proc_id {
+            PROC_LOOKUP => self.serve(ctx, args, Lookup::from_value, |r| self.serve_lookup(ctx, r)),
+            PROC_SET_ITEM => self.serve(ctx, args, SetItem::from_value, |r| {
+                self.write(|db| db.set_item(&r.name, r.prop, r.value.clone()))
+            }),
+            PROC_ADD_ENTRY => self.serve(ctx, args, Named::from_value, |r| {
+                self.write(|db| db.add_entry(r.name.clone()))
+            }),
+            PROC_DELETE => self.serve(ctx, args, Named::from_value, |r| {
+                self.write(|db| db.delete_entry(&r.name))
+            }),
+            PROC_ADD_MEMBER => self.serve(ctx, args, AddMember::from_value, |r| {
+                self.write(|db| db.add_member(&r.name, r.prop, &r.member))
+            }),
+            PROC_ADD_ALIAS => self.serve(ctx, args, AddAlias::from_value, |r| {
+                self.write(|db| db.add_alias(r.name.clone(), r.target.clone()))
+            }),
+            PROC_LOOKUP_RUN => self.serve(ctx, args, LookupRun::from_value, |r| {
+                self.serve_lookup_run(ctx, r)
+            }),
+            PROC_LIST => self.serve(ctx, args, List::from_value, |r| self.serve_list(r)),
+            PROC_SNAPSHOT => self.serve_snapshot(ctx, args),
+            other => {
+                self.admit_tree(ctx, &args.tree())?;
+                Err(RpcError::BadProcedure(other))
             }
-            Args::Tree(tree) => return self.serve_tree(ctx, proc_id, &tree).map(Reply::Tree),
-        };
-        property.map(Reply::typed)
+        }
     }
 }
 
@@ -374,7 +319,7 @@ pub fn snapshot_from_value(v: &Value) -> RpcResult<Vec<(ThreePartName, Entry)>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::property::PROP_ADDRESS;
+    use crate::property::{Property, PropertyId, PROP_ADDRESS, PROP_MEMBERS};
     use simnet::world::World;
 
     fn setup() -> (
@@ -550,60 +495,137 @@ mod tests {
         assert_eq!(entries[0].0.to_string(), "a:cs:uw");
     }
 
-    /// `lookup_args` — the tree the parent's client built by hand — is
-    /// what a [`Lookup`] yields, and states its length.
-    #[test]
-    fn a_lookup_is_the_record_the_parent_built_by_hand() {
-        let (_world, _net, _client, _dep, creds) = setup();
-        let lookup = Lookup {
-            creds: creds.clone(),
-            name: ThreePartName::parse("fiji:cs:uw").expect("name"),
-            prop: PropertyId(4),
-        };
-        let by_hand = lookup_args(&creds, "fiji:cs:uw", 4);
-        assert_eq!(lookup.tree().into_owned(), by_hand);
-        for format in [wire::WireFormat::Xdr, wire::WireFormat::Courier] {
-            let bytes = format.encode(&by_hand).expect("encodes");
-            assert_eq!(lookup.encoded_len(format), Ok(bytes.len()), "{format}");
-        }
-        assert_eq!(Lookup::from_value(&by_hand), Ok(lookup));
-        assert!(Lookup::from_value(&lookup_args(&creds, "two:parts", 4)).is_err());
+    /// Every procedure's request as [`crate::ChClient`] sends it, to a
+    /// server holding `fiji:cs:uw`.
+    fn requests(creds: &Credentials) -> Vec<(u32, Box<dyn Message>)> {
+        let tpn = |s: &str| ThreePartName::parse(s).expect("name");
+        let creds = || creds.clone();
+        vec![
+            (
+                PROC_LOOKUP,
+                Box::new(Lookup {
+                    creds: creds(),
+                    name: tpn("fiji:cs:uw"),
+                    prop: PROP_ADDRESS,
+                }),
+            ),
+            (
+                PROC_SET_ITEM,
+                Box::new(SetItem {
+                    creds: creds(),
+                    name: tpn("fiji:cs:uw"),
+                    prop: PropertyId(5),
+                    value: Value::record([("port", Value::U32(2049))]),
+                }),
+            ),
+            (
+                PROC_ADD_ENTRY,
+                Box::new(Named {
+                    creds: creds(),
+                    name: tpn("temp:cs:uw"),
+                }),
+            ),
+            (
+                PROC_DELETE,
+                Box::new(Named {
+                    creds: creds(),
+                    name: tpn("fiji:cs:uw"),
+                }),
+            ),
+            (
+                PROC_ADD_MEMBER,
+                Box::new(AddMember {
+                    creds: creds(),
+                    name: tpn("staff:cs:uw"),
+                    prop: PROP_MEMBERS,
+                    member: "alice:cs:uw".into(),
+                }),
+            ),
+            (
+                PROC_ADD_ALIAS,
+                Box::new(AddAlias {
+                    creds: creds(),
+                    name: tpn("hub:cs:uw"),
+                    target: tpn("fiji:cs:uw"),
+                }),
+            ),
+            (
+                PROC_LOOKUP_RUN,
+                Box::new(LookupRun {
+                    creds: creds(),
+                    names: vec![tpn("fiji:cs:uw"), tpn("ghost:cs:uw")],
+                    prop: PROP_ADDRESS,
+                }),
+            ),
+            (PROC_LIST, Box::new(List::new(creds(), "cs", "UW", "f*"))),
+        ]
     }
 
-    /// Typed or tree, a lookup is authenticated and charged before its
-    /// name is read: a bad name from an untyped caller costs what it did.
-    #[test]
-    fn a_lookup_is_charged_alike_typed_or_not() {
-        let (world, net, client, dep, creds) = setup();
+    /// What one call shows on a fresh server holding `fiji:cs:uw`: the
+    /// reply as a tree, the virtual time, the counters and the database
+    /// it leaves.
+    fn call_fresh(
+        proc_id: u32,
+        request: &dyn Message,
+    ) -> (
+        RpcResult<Value>,
+        simnet::time::SimDuration,
+        simnet::world::CounterSnapshot,
+        String,
+    ) {
+        let (world, net, client, dep, _) = setup();
+        let fiji = ThreePartName::parse("fiji:cs:uw").expect("name");
         dep.server.with_db(|db| {
-            let name = ThreePartName::parse("fiji:cs:uw").expect("name");
-            db.set_item(&name, PROP_ADDRESS, Value::U32(9))
-                .expect("set");
+            db.set_item(&fiji, PROP_ADDRESS, Value::U32(9))
+                .expect("set")
         });
-        let typed = Lookup {
-            creds: creds.clone(),
-            name: ThreePartName::parse("fiji:cs:uw").expect("name"),
-            prop: PROP_ADDRESS,
-        };
-        let tree = lookup_args(&creds, "fiji:cs:uw", 4);
-        let (by_struct, typed_took, _) =
-            world.measure(|| net.call_msg(client, &dep.binding, PROC_LOOKUP, &typed));
-        let (by_tree, tree_took, _) =
-            world.measure(|| net.call(client, &dep.binding, PROC_LOOKUP, &tree));
-        let by_struct = by_struct.expect("typed").downcast::<Property>().ok();
-        assert_eq!(by_struct, Some(Property::Item(Value::U32(9))));
-        assert_eq!(by_tree.ok(), Some(Property::Item(Value::U32(9)).to_value()));
-        assert_eq!(typed_took, tree_took);
-        let (refused, took, delta) = world.measure(|| {
-            net.call(
-                client,
-                &dep.binding,
-                PROC_LOOKUP,
-                &lookup_args(&creds, "x", 4),
-            )
+        let (reply, took, delta) =
+            world.measure(|| net.call_msg(client, &dep.binding, proc_id, request));
+        let after = dep.server.with_db(|db| format!("{:?}", db.snapshot()));
+        (reply.map(Reply::into_value), took, delta, after)
+    }
+
+    /// `tree` with `field` replaced by `value`.
+    fn with_field(tree: &Value, field: &str, value: Value) -> Value {
+        let fields = tree.as_struct().expect("a record");
+        let swapped = fields.iter().map(|(name, v)| {
+            let v = if name == field {
+                value.clone()
+            } else {
+                v.clone()
+            };
+            (name.clone(), v)
         });
-        assert!(matches!(refused, Err(RpcError::Service(_))), "{refused:?}");
-        assert!(took.as_ms_f64() > 150.0, "auth and disk charged: {took}");
-        assert_eq!(delta.ns_lookups, 1);
+        Value::Struct(swapped.collect())
+    }
+
+    /// Typed or tree, every procedure answers, charges and leaves the
+    /// same; and a request is authenticated and charged before its names
+    /// are read, so a tree whose name does not parse costs auth and disk.
+    #[test]
+    fn every_procedure_is_charged_alike_typed_or_not() {
+        let (_world, _net, _client, _dep, creds) = setup();
+        for (proc_id, typed) in requests(&creds) {
+            let tree = typed.tree().into_owned();
+            let by_struct = call_fresh(proc_id, &*typed);
+            assert!(by_struct.0.is_ok(), "proc {proc_id}: {:?}", by_struct.0);
+            assert_eq!(by_struct, call_fresh(proc_id, &tree), "proc {proc_id}");
+            let names = [
+                ("name", Value::str("x")),
+                ("target", Value::str("two:parts")),
+                ("names", Value::List(vec![Value::str("x")])),
+            ];
+            let parsed = names.into_iter().filter(|(field, _)| {
+                tree.field(field).is_ok() && !(proc_id == PROC_LIST && *field == "name")
+            });
+            for (field, unparsable) in parsed {
+                let bad = with_field(&tree, field, unparsable);
+                let (refused, took, delta, _) = call_fresh(proc_id, &bad);
+                let what = format!("proc {proc_id}, {field}");
+                assert!(matches!(refused, Err(RpcError::Service(_))), "{what}");
+                assert!(took.as_ms_f64() > 150.0, "{what}: auth and disk: {took}");
+                assert_eq!(delta.ns_lookups, 1, "{what}");
+            }
+        }
     }
 }

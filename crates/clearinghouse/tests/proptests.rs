@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use clearinghouse::db::ChDb;
 use clearinghouse::name::ThreePartName;
 use clearinghouse::property::{Entry, Property, PropertyId};
-use clearinghouse::{Credentials, Lookup};
+use clearinghouse::{AddAlias, AddMember, Credentials, List, Lookup, LookupRun, Named, SetItem};
 use wire::{Message, Value, WireError, WireFormat};
 
 fn arb_part() -> impl Strategy<Value = String> {
@@ -59,6 +59,46 @@ proptest! {
         let group_refused = members.iter().any(long);
         let refused = states_the_length_of_its_encoded_tree(&Property::Group(members));
         prop_assert_eq!(refused.is_some(), group_refused);
+    }
+
+    /// Every request a client writes or enumerates with states the length
+    /// its tree encodes to, and is what decoding that tree gives back.
+    #[test]
+    fn every_request_states_its_length_and_is_its_decoded_tree(
+        identity in arb_part(),
+        key in any::<u64>(),
+        objects in proptest::collection::vec(arb_part(), 1..5),
+        prop in any::<u32>(),
+        texts in proptest::collection::vec(arb_text(), 4..5),
+    ) {
+        let tpn = |object: &str| ThreePartName::new(object, "cs", "uw").expect("valid");
+        let creds = Credentials::new(tpn(&identity), key);
+        let (name, prop) = (tpn(&objects[0]), PropertyId(prop));
+        let long = |texts: &[&String]| texts.iter().any(|t| t.len() > wire::courier::MAX_LEN);
+        let [a, b, c, d] = [&texts[0], &texts[1], &texts[2], &texts[3]];
+
+        let set = SetItem { creds: creds.clone(), name: name.clone(), prop, value: Value::str(a) };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&set).is_some(), long(&[a]));
+        prop_assert_eq!(SetItem::from_value(&set.tree()), Ok(set));
+        let named = Named { creds: creds.clone(), name: name.clone() };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&named), None);
+        prop_assert_eq!(Named::from_value(&named.tree()), Ok(named));
+        let member = AddMember { creds: creds.clone(), name: name.clone(), prop, member: b.clone() };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&member).is_some(), long(&[b]));
+        prop_assert_eq!(AddMember::from_value(&member.tree()), Ok(member));
+        let alias = AddAlias {
+            creds: creds.clone(),
+            name: name.clone(),
+            target: tpn(objects.last().expect("one at least")),
+        };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&alias), None);
+        prop_assert_eq!(AddAlias::from_value(&alias.tree()), Ok(alias));
+        let run = LookupRun { creds: creds.clone(), names: objects.iter().map(|o| tpn(o)).collect(), prop };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&run), None);
+        prop_assert_eq!(LookupRun::from_value(&run.tree()), Ok(run));
+        let list = List::new(creds, b, c, d);
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&list).is_some(), long(&[b, c, d]) || list.name.len() > wire::courier::MAX_LEN);
+        prop_assert_eq!(List::from_value(&list.tree()), Ok(list));
     }
 
     #[test]

@@ -415,7 +415,8 @@ pub fn run_seed(seed: u64) -> SeedSummary {
 /// `bindns`'s resolvers and server exchange `Question`, `Answer`,
 /// `MultiQuestion`, `MultiAnswer` and `UpdateOp` as themselves; the NSM
 /// interface its `NsmRequest` and each query class's reply struct; the
-/// Clearinghouse's `LOOKUP` its `Lookup` and `Property`. Any other peer —
+/// Clearinghouse each procedure's request struct and `Property`; `regd`
+/// its request structs and `Resolution`. Any other peer —
 /// the benchmark's timing shim, a service that implements
 /// `RpcService::dispatch` alone, a caller of `RpcNet::call` — exchanges
 /// trees, and the two must be indistinguishable from outside. Not every
@@ -432,7 +433,7 @@ pub mod peers {
         deploy, single_zone_server, DomainName, HrpcResolver, RData, RType, RecursiveResolver,
         ResourceRecord, StdResolver, UpdateOp, Zone, DNS_PORT,
     };
-    use clearinghouse::property::{PROP_ADDRESS, PROP_MAILBOX};
+    use clearinghouse::property::{PROP_ADDRESS, PROP_MAILBOX, PROP_MEMBERS};
     use clearinghouse::server::CH_PROGRAM;
     use clearinghouse::ThreePartName;
     use hns_core::cache::CacheMode;
@@ -445,12 +446,13 @@ pub mod peers {
     use hrpc::{ProgramId, RpcNet};
     use nsms::file_loc::{FileBindNsm, FileChNsm};
     use nsms::harness::{
-        Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NSM_EXPORT_PROGRAM, PRINT_SERVICE,
-        PRINT_SERVICE_PROGRAM,
+        Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NSM_EXPORT_PROGRAM, NS_BIND, NS_CH,
+        PRINT_SERVICE, PRINT_SERVICE_PROGRAM,
     };
     use nsms::mail::{MailBindNsm, MailChNsm};
     use nsms::nsm_cache::NsmCacheForm;
     use nsms::Importer;
+    use regd::{owner_key, owner_name, RegClient, RegServer, RegTestbed, REG_PROGRAM};
     use simnet::topology::{HostId, NetAddr};
     use simnet::world::World;
     use wire::{Message, Value};
@@ -781,6 +783,93 @@ pub mod peers {
         see("nsm virtual time", format!("{}", tb.world.now()));
         tb.world.export_all_caches();
         see("nsm metrics", tb.world.metrics().snapshot().to_json());
+        seen.extend(observe_write_plane(peers));
+        seen
+    }
+
+    /// The write plane, on the registration testbed with the primary
+    /// Clearinghouse and an exported `regd` frontend behind the
+    /// stand-ins: every Clearinghouse write and enumeration through
+    /// `ChClient`, every `regd` procedure through `RegClient` — whose
+    /// frontend reaches the Clearinghouse through the same stand-in — and
+    /// what each refuses.
+    fn observe_write_plane(peers: Peers) -> Vec<String> {
+        let rt = RegTestbed::build(3);
+        let tb = &rt.tb;
+        let ch = (tb.ch.host, tb.ch.binding.port, CH_PROGRAM);
+        peers.interpose(&tb.net, ch, Arc::clone(&tb.ch.server) as _);
+        let frontend = RegServer::new(Arc::clone(&rt.registry));
+        let reg_binding = regd::deploy(&tb.net, tb.hosts.agent, Arc::clone(&frontend));
+        let reg = (tb.hosts.agent, reg_binding.port, REG_PROGRAM);
+        peers.interpose(&tb.net, reg, frontend);
+
+        let mut seen = Vec::new();
+        let mut see = |what: &str, outcome: String| seen.push(format!("{what}: {outcome}"));
+        let client = tb.hosts.client;
+        let ch = tb.ch_client(client);
+        let tpn = |s: &str| ThreePartName::parse(s).expect("name");
+        let (temp, printer, staff, lp) = (
+            tpn("temp:cs:uw"),
+            tpn("printer1:cs:uw"),
+            tpn("staff:cs:uw"),
+            tpn("lp:cs:uw"),
+        );
+        see("add_entry", format!("{:?}", ch.add_entry(&temp)));
+        see("add_entry again", format!("{:?}", ch.add_entry(&temp)));
+        let set = ch.set_item(&printer, PROP_ADDRESS, Value::U32(9));
+        see("set_item", format!("{set:?}"));
+        let elsewhere = ch.set_item(&tpn("x:ee:uw"), PROP_ADDRESS, Value::U32(1));
+        see("set_item elsewhere", format!("{elsewhere:?}"));
+        let member = ch.add_member(&staff, PROP_MEMBERS, "alice:cs:uw");
+        see("add_member", format!("{member:?}"));
+        see("add_alias", format!("{:?}", ch.add_alias(&lp, &printer)));
+        let shadow = ch.add_alias(&printer, &staff);
+        see("add_alias over an entry", format!("{shadow:?}"));
+        let via_alias = ch.lookup_item(&lp, PROP_ADDRESS);
+        see("lookup_item via alias", format!("{via_alias:?}"));
+        let group = ch.lookup_group(&staff, PROP_MEMBERS);
+        see("lookup_group", format!("{group:?}"));
+        see("list", format!("{:?}", ch.list("cs", "uw", "print*")));
+        let run = ch.lookup_item_run(&[printer.clone(), tpn("ghost:cs:uw")], PROP_ADDRESS);
+        see("lookup_item_run", format!("{run:?}"));
+        see("delete", format!("{:?}", ch.delete(&temp)));
+        see("delete again", format!("{:?}", ch.delete(&temp)));
+
+        let regc = RegClient::new(Arc::clone(&tb.net), client, reg_binding);
+        let owner = |i| (owner_name(i), owner_key(i));
+        let ((o0, k0), (o1, k1), (o2, k2)) = (owner(0), owner(1), owner(2));
+        see(
+            "register",
+            format!("{:?}", regc.register(&o0, k0, "relay", NS_BIND)),
+        );
+        let again = regc.register(&o0, k0, "relay", NS_BIND);
+        see("register again", format!("{again:?}"));
+        let forged = regc.register(&o0, k1, "other", NS_BIND);
+        see("register with a wrong key", format!("{forged:?}"));
+        see("resolve", format!("{:?}", regc.resolve("relay")));
+        see(
+            "update",
+            format!("{:?}", regc.update(&o0, k0, "relay", NS_CH)),
+        );
+        let rebound = regc.transfer(&o0, k0, "relay", &o1, Some(NS_BIND));
+        see("transfer, re-bound", format!("{rebound:?}"));
+        let cycle = regc.transfer(&o1, k1, "relay", &o0, None);
+        see("transfer back", format!("{cycle:?}"));
+        see(
+            "transfer",
+            format!("{:?}", regc.transfer(&o1, k1, "relay", &o2, None)),
+        );
+        see("resolve after", format!("{:?}", regc.resolve("relay")));
+        let naive = rt.registry.resolve_naive("relay");
+        see("naive walk", format!("{naive:?}"));
+        see("release", format!("{:?}", regc.release(&o2, k2, "relay")));
+        see("resolve released", format!("{:?}", regc.resolve("relay")));
+        see("resolve bad name", format!("{:?}", regc.resolve("my.svc")));
+
+        see("write counters", format!("{:?}", tb.world.counters()));
+        see("write virtual time", format!("{}", tb.world.now()));
+        tb.world.export_all_caches();
+        see("write metrics", tb.world.metrics().snapshot().to_json());
         seen
     }
 }

@@ -20,13 +20,15 @@
 //! `MultiAnswer`, `Question`, `MultiQuestion` and `UpdateOp`; the NSM
 //! interface's `NsmRequest` and the standard replies (`HrpcBinding`,
 //! `HostAddress`, `MailboxLocation`, `FileLocation`, `UserInfo`); the
-//! Clearinghouse's `Lookup` and `Property`; and, over the payloads of the
-//! records `Answer` finds, the `MetaRecord` decoder of each record kind —
-//! under the same three properties (accepted ⇒ what it re-encodes to
-//! reads back equal). Their bases are the corpus plus [`meta_seeds`]
-//! (replies carrying real meta record sets, so the typed decoder meets
-//! near-valid payloads) and [`message_seeds`] (one of each NSM and
-//! Clearinghouse message).
+//! Clearinghouse's requests (`Lookup`, `SetItem`, `Named`, `AddMember`,
+//! `AddAlias`, `LookupRun`, `List`) and `Property`; `regd`'s requests
+//! (`Register`, `Update`, `Transfer`, `Release`, `Resolve`) and
+//! `Resolution`; and, over the payloads of the records `Answer` finds, the
+//! `MetaRecord` decoder of each record kind — under the same three
+//! properties (accepted ⇒ what it re-encodes to reads back equal). Their
+//! bases are the corpus plus [`meta_seeds`] (replies carrying real meta
+//! record sets, so the typed decoder meets near-valid payloads) and
+//! [`message_seeds`] (one of each NSM, Clearinghouse and `regd` message).
 //!
 //! 4. **The length law** — every one of those but `MetaRecord` crosses
 //!    the fabric as itself ([`wire::Message`]) and is charged by the
@@ -44,8 +46,11 @@ use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::rr::ResourceRecord;
 use bindns::update::UpdateOp;
 use bindns::DomainName;
-use clearinghouse::property::PROP_FILE_SERVICE;
-use clearinghouse::{Credentials, Lookup, Property, ThreePartName};
+use clearinghouse::property::{PROP_FILE_SERVICE, PROP_MEMBERS};
+use clearinghouse::{
+    AddAlias, AddMember, Credentials, List, Lookup, LookupRun, Named, Property, PropertyId,
+    SetItem, ThreePartName,
+};
 use hns_core::meta::{Kind, MetaRecord};
 use hns_core::name::{Context, HnsName};
 use hns_core::nsm::{HostAddress, NsmInfo, NsmRequest, QueryArgs, SuiteTag};
@@ -54,6 +59,8 @@ use hrpc::{HrpcBinding, ProgramId};
 use nsms::file_loc::FileLocation;
 use nsms::mail::MailboxLocation;
 use nsms::user_info::UserInfo;
+use regd::registry::Resolution;
+use regd::{Register, Release, Resolve, Transfer, Update};
 use simnet::rng::DetRng;
 use simnet::topology::HostId;
 use wire::{Message, Value, WireFormat};
@@ -233,11 +240,12 @@ pub fn meta_seeds() -> Vec<CorpusEntry> {
     sets.into_iter().map(seed).collect()
 }
 
-/// One message of each NSM and Clearinghouse shape, as XDR: a request to
-/// an NSM and one to a callee that serves every query class, each
-/// standard reply but the binding (which is in the corpus), a `LOOKUP`
-/// request and both kinds of `Property`. Bases for mutation beside the
-/// corpus, as [`meta_seeds`] are.
+/// One message of each NSM, Clearinghouse and `regd` shape, as XDR: a
+/// request to an NSM and one to a callee that serves every query class,
+/// each standard reply but the binding (which is in the corpus), every
+/// Clearinghouse request and both kinds of `Property`, every `regd`
+/// request and the `Resolution`. Bases for mutation beside the corpus, as
+/// [`meta_seeds`] are.
 pub fn message_seeds() -> Vec<CorpusEntry> {
     let name = HnsName::new(
         Context::new("bind-uw").expect("static context"),
@@ -271,7 +279,72 @@ pub fn message_seeds() -> Vec<CorpusEntry> {
         ("root", Value::str("/designs")),
     ]));
     let group = Property::Group(["alice:cs:uw", "bob:cs:uw"].map(String::from).into());
-    let messages: [(&'static str, &dyn Message); 9] = [
+    let creds = || lookup.creds.clone();
+    let set_item = SetItem {
+        creds: creds(),
+        name: tpn("reg--relay:cs:uw"),
+        prop: PropertyId(70),
+        value: Value::record([
+            ("owner", Value::str("owner0")),
+            ("service", Value::str("BIND")),
+            ("sig", Value::U64(0x1987)),
+        ]),
+    };
+    let named = Named {
+        creds: creds(),
+        name: tpn("reg--relay--t1:cs:uw"),
+    };
+    let add_member = AddMember {
+        creds: creds(),
+        name: tpn("staff:cs:uw"),
+        prop: PROP_MEMBERS,
+        member: "alice:cs:uw".into(),
+    };
+    let add_alias = AddAlias {
+        creds: creds(),
+        name: tpn("lp:cs:uw"),
+        target: tpn("printserver:cs:uw"),
+    };
+    let lookup_run = LookupRun {
+        creds: creds(),
+        names: vec![tpn("reg--relay--t1:cs:uw"), tpn("reg--relay--t2:cs:uw")],
+        prop: PropertyId(71),
+    };
+    let list = List::new(creds(), "cs", "uw", "printer*");
+    let (owner, key, relay) = (|| "owner0".to_string(), 0x5eed, || "relay".to_string());
+    let register = Register {
+        owner: owner(),
+        key,
+        name: relay(),
+        service: "BIND".into(),
+    };
+    let update = Update {
+        owner: owner(),
+        key,
+        name: relay(),
+        service: "Clearinghouse".into(),
+    };
+    let transfer = Transfer {
+        owner: owner(),
+        key,
+        name: relay(),
+        to: "owner1".into(),
+        rebind: Some("Clearinghouse".into()),
+    };
+    let release = Release {
+        owner: owner(),
+        key,
+        name: relay(),
+    };
+    let resolution = Resolution {
+        name: relay(),
+        owner: "owner1".into(),
+        base_owner: owner(),
+        service: "Clearinghouse".into(),
+        depth: 1,
+        walked: false,
+    };
+    let messages: [(&'static str, &dyn Message); 21] = [
         ("nsm_request_xdr", &to_nsm),
         ("agent_request_xdr", &to_agent),
         (
@@ -304,6 +377,18 @@ pub fn message_seeds() -> Vec<CorpusEntry> {
         ("ch_lookup_xdr", &lookup),
         ("ch_property_item_xdr", &item),
         ("ch_property_group_xdr", &group),
+        ("ch_set_item_xdr", &set_item),
+        ("ch_named_xdr", &named),
+        ("ch_add_member_xdr", &add_member),
+        ("ch_add_alias_xdr", &add_alias),
+        ("ch_lookup_run_xdr", &lookup_run),
+        ("ch_list_xdr", &list),
+        ("reg_register_xdr", &register),
+        ("reg_update_xdr", &update),
+        ("reg_transfer_xdr", &transfer),
+        ("reg_release_xdr", &release),
+        ("reg_resolve_xdr", &Resolve { name: relay() }),
+        ("reg_resolution_xdr", &resolution),
     ];
     messages
         .into_iter()
@@ -363,6 +448,18 @@ fn read_messages(report: &mut FuzzReport, value: &Value, budget: u64, what: &dyn
     read.message("UserInfo", UserInfo::from_value, |m| tree(m));
     read.message("Lookup", Lookup::from_value, |m| tree(m));
     read.message("Property", Property::from_value, |m| tree(m));
+    read.message("SetItem", SetItem::from_value, |m| tree(m));
+    read.message("Named", Named::from_value, |m| tree(m));
+    read.message("AddMember", AddMember::from_value, |m| tree(m));
+    read.message("AddAlias", AddAlias::from_value, |m| tree(m));
+    read.message("LookupRun", LookupRun::from_value, |m| tree(m));
+    read.message("List", List::from_value, |m| tree(m));
+    read.message("Register", Register::from_value, |m| tree(m));
+    read.message("Update", Update::from_value, |m| tree(m));
+    read.message("Transfer", Transfer::from_value, |m| tree(m));
+    read.message("Release", Release::from_value, |m| tree(m));
+    read.message("Resolve", Resolve::from_value, |m| tree(m));
+    read.message("Resolution", Resolution::from_value, |m| tree(m));
     for kind in Kind::ALL {
         let name = format!("MetaRecord {kind:?}");
         read.one(&name, |v| decode_meta(kind, v), write_meta);

@@ -6,5 +6,11 @@
 //! down.
 //!
 //! * [`zone`] — a `bindns` zone: records by owner, serial, delta log.
+//! * [`ch`] — a Clearinghouse database: entries, item and group
+//!   properties, aliases.
+//! * [`reg`] — `regd`: holders per name, the cycle rule, release and
+//!   re-registration, written through into a [`ch::ChModel`].
 
+pub mod ch;
+pub mod reg;
 pub mod zone;

@@ -5,7 +5,10 @@
 //! cost is the allocator. This pins how much one `FindNSM` and one
 //! `Import` request from it, on the paper's testbed with the binding NSMs
 //! on a remote host (the set-up of the benchmark's `hns-core.find_nsm.*`
-//! probes), and what decoding a reply's record list costs.
+//! probes), what decoding a reply's record list costs, and — on the
+//! registration testbed — what the write plane's operations cost: a warm
+//! `regd` resolve, a re-bind, a transfer, a Clearinghouse write and
+//! delete.
 //!
 //! The pins are **exact**, `(allocations, bytes)` per row: the counts are
 //! deterministic and the same in debug and release, so a change in either
@@ -32,10 +35,12 @@ use hns_core::colocation::HnsHandle;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::NsmClient;
 use hns_core::query::QueryClass;
-use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND};
+use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND, NS_CH};
 use nsms::import::Importer;
 use nsms::nsm_cache::NsmCacheForm;
+use regd::{owner_key, owner_name, RegTestbed};
 use simnet::topology::{HostId, NetAddr};
+use wire::Value;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -106,6 +111,38 @@ const COLD_BATCHED: Row = (68, 4_272);
 /// record vector, and the owner name — parsed once and shared by all six.
 /// What an untyped peer's reply costs at the edge where it is decoded.
 const ANSWER_DECODE: Row = (2, 376);
+
+/// Warm `Registry::resolve`, the write plane's read: one probe of the link
+/// past the collapsed head, which the Clearinghouse answers "no such
+/// entry" (its error text is one allocation), and the `Resolution`'s four
+/// strings. The head is shared out of the cache and carries its probe's
+/// three-part name. (12 / 139 B while every resolve cloned the head —
+/// three strings and the holder list — and formatted and parsed the probe
+/// name.)
+const REG_RESOLVE: Row = (5, 37);
+/// `Registry::update`: the warm resolve's probe, the base record (a
+/// three-field tree) the Clearinghouse copies into its entry, the cached
+/// head's new service — changed in place, nobody else holding it — and
+/// the meta zone's dynamic update through the rebinder. (38 / 1,641 B
+/// while the `SET_ITEM` request was a tree the server parsed back, and
+/// the head was cloned on the way in and copied again to be changed.)
+const REG_UPDATE: Row = (19, 767);
+/// `Registry::transfer`: the probe, the signed link (its two owners) and
+/// its tree, the server's copy of that, the new head — the cached one
+/// copied, one holder more, the next probe's name — and the `Resolution`.
+/// (42 / 2,051 B while the link's write was a tree the server parsed
+/// back, and both entry names were formatted and parsed per operation.)
+const REG_TRANSFER: Row = (25, 1_336);
+/// `ChClient::set_item` of a string item over an existing one: the string
+/// and the server's copy of it. The `SetItem` it sends shares the name
+/// and the credentials. (10 / 740 B while the request was a tree of the
+/// credentials, the name's text, the property and the value, and the
+/// server parsed the name and the identity back out of it.)
+const CH_SET_ITEM: Row = (2, 34);
+/// `ChClient::delete`: nothing. The `Named` it sends shares the name and
+/// the credentials, and an entry going away frees. (7 / 403 B while the
+/// request was a tree the server parsed back.)
+const CH_DELETE: Row = (0, 0);
 
 /// Prints one row and checks it against its pin.
 fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {
@@ -222,5 +259,54 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     .expect("marshals");
     row("6-record answer decode", ANSWER_DECODE, || {
         Answer::from_value(&six).expect("decodes")
+    });
+}
+
+/// The write plane on the registration testbed: `regd` over the
+/// Clearinghouse, re-binds propagated into the meta zone. Each row is
+/// measured after the same operation has run once, so what it counts is
+/// the operation, not a lazily registered metric.
+#[test]
+fn the_write_plane_stays_within_its_allocation_budgets() {
+    let rt = RegTestbed::build(4);
+    let reg = &rt.registry;
+    let owner = |i| (owner_name(i), owner_key(i));
+    let (alice, alice_key) = owner(0);
+    reg.register(&alice, alice_key, "svc", NS_BIND)
+        .expect("register");
+    reg.resolve("svc").expect("warm");
+    row("warm Registry::resolve", REG_RESOLVE, || {
+        reg.resolve("svc").expect("resolve")
+    });
+
+    reg.update(&alice, alice_key, "svc", NS_CH).expect("update");
+    row("Registry::update", REG_UPDATE, || {
+        reg.update(&alice, alice_key, "svc", NS_BIND)
+            .expect("update")
+    });
+
+    let (bob, bob_key) = owner(1);
+    reg.transfer(&alice, alice_key, "svc", &bob, None)
+        .expect("transfer");
+    let carol = owner_name(2);
+    row("Registry::transfer", REG_TRANSFER, || {
+        reg.transfer(&bob, bob_key, "svc", &carol, None)
+            .expect("transfer")
+    });
+
+    let ch = rt.tb.ch_client(rt.tb.hosts.client);
+    let bob = ThreePartName::parse("bob:cs:uw").expect("name");
+    let mailbox = || Value::str("printserver:cs:uw");
+    ch.set_item(&bob, PROP_MAILBOX, mailbox()).expect("set");
+    row("ChClient::set_item", CH_SET_ITEM, || {
+        ch.set_item(&bob, PROP_MAILBOX, mailbox()).expect("set")
+    });
+
+    let temp = ThreePartName::parse("temp:cs:uw").expect("name");
+    ch.add_entry(&temp).expect("add");
+    ch.delete(&temp).expect("delete");
+    ch.add_entry(&temp).expect("add");
+    row("ChClient::delete", CH_DELETE, || {
+        ch.delete(&temp).expect("delete")
     });
 }

@@ -57,6 +57,22 @@ fn typed_and_tree_only_peers_are_indistinguishable() {
     assert!(said("lookup_item bob:cs:uw 31:").contains("Ok(Str(\"printserver:cs:uw\"))"));
     assert!(said("lookup_item ghost:cs:uw 31:").contains("NotFound"));
     assert!(said("nsm counters:").contains("remote_calls: 43"));
+    // The write plane: every Clearinghouse write and enumeration, every
+    // `regd` procedure, and what each refuses.
+    assert!(said("add_entry again:").contains("entry exists"));
+    assert!(said("set_item elsewhere:").contains("not served here"));
+    assert!(said("lookup_item via alias:").ends_with("Ok(U32(9))"));
+    assert!(said("lookup_item_run:").ends_with("Ok([U32(9)])"));
+    assert!(said("list:").contains("printer1"));
+    assert!(said("delete again:").contains("NotFound"));
+    assert!(said("register again:").contains("already registered"));
+    assert!(said("register with a wrong key:").contains("bad signature"));
+    assert!(said("transfer, re-bound:").contains("depth: 1"));
+    assert!(said("transfer back:").contains("previous holder"));
+    assert!(said("resolve after:").contains("owner: \"owner2\""));
+    assert!(said("resolve released:").contains("NotFound"));
+    assert!(said("resolve bad name:").contains("bad registration record"));
+    assert!(said("write counters:").contains("remote_calls: 46"));
     for peers in &Peers::ALL[1..] {
         let observed = observe(*peers);
         for (typed, other) in both_typed.iter().zip(&observed) {

@@ -178,13 +178,20 @@ impl Histogram {
         }
     }
 
-    /// Records one sample.
+    /// Records one sample. The extremes are written only when a load says
+    /// the sample is a new one: the minimum only ever falls and the
+    /// maximum only rises, so a sample the load finds inside them stays
+    /// inside them, and skipping its compare-and-swap is exact.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Total recorded samples.
@@ -892,6 +899,42 @@ mod tests {
         assert_eq!(h.count(), THREADS as u64 * PER_THREAD);
         let bucket_total: u64 = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
         assert_eq!(bucket_total, THREADS as u64 * PER_THREAD);
+    }
+
+    /// Eight threads released together record interleaved rising and
+    /// falling runs, each thread's extremes its own: the skipped
+    /// compare-and-swaps lose no minimum and no maximum.
+    #[test]
+    fn concurrent_extremes_are_exact() {
+        const THREADS: u64 = 8;
+        const RUN: u64 = 2_000;
+        let h = Arc::new(Histogram::new());
+        let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        // Thread `t` records `base..base + RUN` rising, then falling, then
+        // rising again, with `base = 1_000 + t * 100`.
+        let samples = |t: u64| {
+            let base = 1_000 + t * 100;
+            let rising = base..base + RUN;
+            rising.clone().chain(rising.clone().rev()).chain(rising)
+        };
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (h, start) = (Arc::clone(&h), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    samples(t).for_each(|v| h.record(v));
+                })
+            })
+            .collect();
+        for j in handles {
+            j.join().expect("join");
+        }
+        let all = (0..THREADS).flat_map(samples);
+        let stats = h.sample();
+        assert_eq!(stats.count, THREADS * 3 * RUN);
+        assert_eq!(stats.sum, all.clone().sum::<u64>());
+        assert_eq!(stats.min, all.clone().min().expect("samples"));
+        assert_eq!(stats.max, all.max().expect("samples"));
     }
 
     /// Satellite: concurrent counter increments across threads are exact.

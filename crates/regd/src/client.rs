@@ -3,15 +3,15 @@
 use std::sync::Arc;
 
 use hrpc::net::RpcNet;
+use hrpc::server::Reply;
 use hrpc::HrpcBinding;
 use simnet::topology::HostId;
-use wire::Value;
+use wire::Message;
 
 use crate::error::{RegError, RegResult};
+use crate::message::{Register, Release, Resolve, Transfer, Update};
 use crate::registry::Resolution;
-use crate::server::{
-    resolution_from_value, PROC_REGISTER, PROC_RELEASE, PROC_RESOLVE, PROC_TRANSFER, PROC_UPDATE,
-};
+use crate::server::{PROC_REGISTER, PROC_RELEASE, PROC_RESOLVE, PROC_TRANSFER, PROC_UPDATE};
 
 /// A client of a remote registration frontend.
 ///
@@ -32,18 +32,14 @@ impl RegClient {
         RegClient { net, host, server }
     }
 
-    fn call(&self, proc_id: u32, args: Value) -> RegResult<Value> {
+    fn call(&self, proc_id: u32, request: &dyn Message) -> RegResult<Reply> {
         self.net
-            .call(self.host, &self.server, proc_id, &args)
+            .call_msg(self.host, &self.server, proc_id, request)
             .map_err(RegError::Rpc)
     }
 
-    fn auth_args(owner: &str, key: u64, name: &str) -> Vec<(&'static str, Value)> {
-        vec![
-            ("owner", Value::str(owner)),
-            ("key", Value::U64(key)),
-            ("name", Value::str(name)),
-        ]
+    fn resolution(&self, proc_id: u32, request: &dyn Message) -> RegResult<Resolution> {
+        Ok(self.call(proc_id, request)?.read(Resolution::from_value)?)
     }
 
     /// Registers `name` to `owner`, bound to `service`.
@@ -54,17 +50,24 @@ impl RegClient {
         name: &str,
         service: &str,
     ) -> RegResult<Resolution> {
-        let mut args = Self::auth_args(owner, key, name);
-        args.push(("service", Value::str(service)));
-        let v = self.call(PROC_REGISTER, Value::record(args))?;
-        Ok(resolution_from_value(&v)?)
+        let request = Register {
+            owner: owner.into(),
+            key,
+            name: name.into(),
+            service: service.into(),
+        };
+        self.resolution(PROC_REGISTER, &request)
     }
 
     /// Re-binds a registered name to a different name service.
     pub fn update(&self, owner: &str, key: u64, name: &str, service: &str) -> RegResult<()> {
-        let mut args = Self::auth_args(owner, key, name);
-        args.push(("service", Value::str(service)));
-        self.call(PROC_UPDATE, Value::record(args))?;
+        let request = Update {
+            owner: owner.into(),
+            key,
+            name: name.into(),
+            service: service.into(),
+        };
+        self.call(PROC_UPDATE, &request)?;
         Ok(())
     }
 
@@ -77,29 +80,30 @@ impl RegClient {
         to: &str,
         rebind: Option<&str>,
     ) -> RegResult<Resolution> {
-        let mut args = Self::auth_args(from, key, name);
-        args.push(("to", Value::str(to)));
-        args.push((
-            "rebind",
-            Value::Opt(rebind.map(|s| Box::new(Value::str(s)))),
-        ));
-        let v = self.call(PROC_TRANSFER, Value::record(args))?;
-        Ok(resolution_from_value(&v)?)
+        let request = Transfer {
+            owner: from.into(),
+            key,
+            name: name.into(),
+            to: to.into(),
+            rebind: rebind.map(str::to_string),
+        };
+        self.resolution(PROC_TRANSFER, &request)
     }
 
     /// Releases a registered name.
     pub fn release(&self, owner: &str, key: u64, name: &str) -> RegResult<()> {
-        self.call(
-            PROC_RELEASE,
-            Value::record(Self::auth_args(owner, key, name)),
-        )?;
+        let request = Release {
+            owner: owner.into(),
+            key,
+            name: name.into(),
+        };
+        self.call(PROC_RELEASE, &request)?;
         Ok(())
     }
 
     /// Resolves a name to its collapsed chain head.
     pub fn resolve(&self, name: &str) -> RegResult<Resolution> {
-        let v = self.call(PROC_RESOLVE, Value::record([("name", Value::str(name))]))?;
-        Ok(resolution_from_value(&v)?)
+        self.resolution(PROC_RESOLVE, &Resolve { name: name.into() })
     }
 }
 

@@ -16,6 +16,7 @@
 //!   reads may fail over) and the collapse cache.
 //! * [`server`] / [`client`] — the exported Courier-style service and
 //!   its typed client; transport errors stay typed across the wire.
+//! * [`message`] — the service's request structs and its reply.
 //! * [`harness`] — the replicated write-path testbed the experiments
 //!   build on.
 //! * [`error`] — [`RegError`], including typed fail-fast
@@ -27,6 +28,7 @@ pub mod chain;
 pub mod client;
 pub mod error;
 pub mod harness;
+pub mod message;
 pub mod registry;
 pub mod server;
 
@@ -34,5 +36,6 @@ pub use chain::{sign_link, TransferLink};
 pub use client::RegClient;
 pub use error::{RegError, RegResult};
 pub use harness::{owner_key, owner_name, RegTestbed};
+pub use message::{Register, Release, Resolve, Transfer, Update};
 pub use registry::{Registry, Resolution, PROP_REG_LINK, PROP_REG_RECORD};
 pub use server::{deploy, RegServer, REG_PROGRAM};

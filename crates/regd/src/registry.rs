@@ -87,11 +87,12 @@ struct BaseRecord {
 }
 
 impl BaseRecord {
-    fn to_value(&self) -> Value {
+    /// The record of `owner`'s registration, bound to `service`.
+    fn value(owner: &str, service: &str, sig: u64) -> Value {
         Value::record([
-            ("owner", Value::str(&*self.owner)),
-            ("service", Value::str(&*self.service)),
-            ("sig", Value::U64(self.sig)),
+            ("owner", Value::str(owner)),
+            ("service", Value::str(service)),
+            ("sig", Value::U64(sig)),
         ])
     }
 
@@ -106,7 +107,9 @@ impl BaseRecord {
 }
 
 /// A cached collapsed head: everything a warm resolve needs plus the
-/// holder list the cycle rule checks.
+/// holder list the cycle rule checks, and the two entries it touches —
+/// built when the head changes, not on every operation. The cache holds
+/// it shared, so a warm resolve copies no string.
 #[derive(Debug, Clone)]
 struct CollapsedHead {
     base_owner: String,
@@ -115,6 +118,10 @@ struct CollapsedHead {
     owner: String,
     depth: u32,
     holders: Vec<String>,
+    /// `reg--<name>`, where the base record lives.
+    base_entry: ThreePartName,
+    /// `reg--<name>--t<depth + 1>`, the link a warm resolve probes for.
+    probe: ThreePartName,
 }
 
 /// What a name resolves to.
@@ -161,7 +168,7 @@ pub struct Registry {
     domain: String,
     organization: String,
     owners: RwLock<HashMap<String, u64>>,
-    collapse: RwLock<HashMap<String, CollapsedHead>>,
+    collapse: RwLock<HashMap<String, Arc<CollapsedHead>>>,
     rebinder: Option<Arc<Hns>>,
     metrics: RegMetrics,
 }
@@ -270,19 +277,16 @@ impl Registry {
         })
     }
 
-    fn read_base(&self, name: &str) -> RegResult<Option<BaseRecord>> {
-        match self.ch.lookup_item(&self.base_tpn(name)?, PROP_REG_RECORD) {
+    fn read_base(&self, entry: &ThreePartName) -> RegResult<Option<BaseRecord>> {
+        match self.ch.lookup_item(entry, PROP_REG_RECORD) {
             Ok(v) => Ok(Some(BaseRecord::from_value(&v)?)),
             Err(RpcError::NotFound(_)) => Ok(None),
             Err(e) => Err(RegError::Rpc(e)),
         }
     }
 
-    fn read_link(&self, name: &str, seq: u32) -> RegResult<Option<TransferLink>> {
-        match self
-            .ch
-            .lookup_item(&self.link_tpn(name, seq)?, PROP_REG_LINK)
-        {
+    fn read_link(&self, entry: &ThreePartName) -> RegResult<Option<TransferLink>> {
+        match self.ch.lookup_item(entry, PROP_REG_LINK) {
             Ok(v) => Ok(Some(TransferLink::from_value(&v)?)),
             Err(RpcError::NotFound(_)) => Ok(None),
             Err(e) => Err(RegError::Rpc(e)),
@@ -305,31 +309,36 @@ impl Registry {
     /// fetching [`LINK_BATCH`] links per coalesced Clearinghouse read:
     /// a cold walk over a 64-link chain is five run RPCs, not
     /// sixty-five per-link lookups. A run that comes back short ends
-    /// the walk — the server stopped at the first missing link.
-    fn walk_links(&self, name: &str, from_seq: u32, into: &mut Vec<TransferLink>) -> RegResult<()> {
+    /// the walk — the server stopped at the first missing link, whose
+    /// entry is returned: the head's next probe.
+    fn walk_links(
+        &self,
+        name: &str,
+        from_seq: u32,
+        into: &mut Vec<TransferLink>,
+    ) -> RegResult<ThreePartName> {
         let mut seq = from_seq;
         loop {
-            let run: Vec<ThreePartName> = (seq..seq + LINK_BATCH)
+            let mut run: Vec<ThreePartName> = (seq..seq + LINK_BATCH)
                 .map(|s| self.link_tpn(name, s))
                 .collect::<RegResult<_>>()?;
             let values = self
                 .ch
                 .lookup_item_run(&run, PROP_REG_LINK)
                 .map_err(RegError::Rpc)?;
-            let got = values.len() as u32;
             for v in &values {
                 let link = TransferLink::from_value(v)?;
                 self.verify_link(name, &link)?;
                 into.push(link);
             }
-            if got < LINK_BATCH {
-                return Ok(());
+            if values.len() < run.len() {
+                return Ok(run.swap_remove(values.len()));
             }
             seq += LINK_BATCH;
         }
     }
 
-    fn cache_insert(&self, name: &str, head: CollapsedHead) {
+    fn cache_insert(&self, name: &str, head: Arc<CollapsedHead>) {
         let mut cache = self.collapse.write();
         if cache.len() >= simnet::ttl::CAPACITY && !cache.contains_key(name) {
             self.metrics
@@ -359,7 +368,7 @@ impl Registry {
     pub fn resolve_naive(&self, name: &str) -> RegResult<Resolution> {
         Self::check_name(name)?;
         let base = self
-            .read_base(name)?
+            .read_base(&self.base_tpn(name)?)?
             .ok_or_else(|| RegError::NotRegistered(name.to_string()))?;
         let mut links = Vec::new();
         self.walk_links(name, 1, &mut links)?;
@@ -388,15 +397,15 @@ impl Registry {
     }
 
     /// [`Registry::resolve`] as the write paths need it: the collapsed
-    /// head itself (base signature, holder list) and whether it was
-    /// walked for. They work from this copy, not from a second look at
-    /// the cache, which may have been emptied in between.
-    fn resolve_head(&self, name: &str) -> RegResult<(CollapsedHead, bool)> {
+    /// head itself (base signature, holder list, entries) and whether it
+    /// was walked for. They work from this head, not from a second look
+    /// at the cache, which may have been emptied in between.
+    fn resolve_head(&self, name: &str) -> RegResult<(Arc<CollapsedHead>, bool)> {
         Self::check_name(name)?;
         self.bump(&self.metrics.resolves, "resolves");
         let cached = self.collapse.read().get(name).cloned();
-        if let Some(mut head) = cached {
-            return match self.read_link(name, head.depth + 1)? {
+        if let Some(head) = cached {
+            return match self.read_link(&head.probe)? {
                 None => {
                     self.bump(&self.metrics.collapse_hits, "collapse_hits");
                     Ok((head, false))
@@ -406,32 +415,35 @@ impl Registry {
                     // from the probe, never from the base.
                     self.bump(&self.metrics.chain_extends, "chain_extends");
                     self.verify_link(name, &link)?;
+                    let mut head = Arc::unwrap_or_clone(head);
                     let mut fresh = vec![link];
-                    self.walk_links(name, head.depth + 2, &mut fresh)?;
-                    for link in &fresh {
+                    head.probe = self.walk_links(name, head.depth + 2, &mut fresh)?;
+                    for link in fresh {
                         if link.from != head.owner {
                             return Err(RegError::BadRecord(format!(
                                 "{name}: link {} from {} but head was {}",
                                 link.seq, link.from, head.owner
                             )));
                         }
-                        head.owner = link.to.clone();
-                        head.holders.push(link.to.clone());
+                        head.owner.clone_from(&link.to);
+                        head.holders.push(link.to);
                         head.depth = link.seq;
                     }
-                    self.cache_insert(name, head.clone());
+                    let head = Arc::new(head);
+                    self.cache_insert(name, Arc::clone(&head));
                     Ok((head, true))
                 }
             };
         }
         self.bump(&self.metrics.chain_walks, "chain_walks");
+        let base_entry = self.base_tpn(name)?;
         let base = self
-            .read_base(name)?
+            .read_base(&base_entry)?
             .ok_or_else(|| RegError::NotRegistered(name.to_string()))?;
         let mut links = Vec::new();
-        self.walk_links(name, 1, &mut links)?;
+        let probe = self.walk_links(name, 1, &mut links)?;
         chain::check_linkage(name, &base.owner, &links)?;
-        let head = CollapsedHead {
+        let head = Arc::new(CollapsedHead {
             owner: chain::head_owner(&base.owner, &links).to_string(),
             holders: chain::holders(&base.owner, &links)
                 .into_iter()
@@ -441,8 +453,10 @@ impl Registry {
             base_owner: base.owner,
             base_sig: base.sig,
             service: base.service,
-        };
-        self.cache_insert(name, head.clone());
+            base_entry,
+            probe,
+        });
+        self.cache_insert(name, Arc::clone(&head));
         Ok((head, true))
     }
 
@@ -481,36 +495,36 @@ impl Registry {
     ) -> RegResult<Resolution> {
         Self::check_name(name)?;
         let key = self.authorize(owner, key)?;
-        if self.read_base(name)?.is_some() {
+        let base_entry = self.base_tpn(name)?;
+        if self.read_base(&base_entry)?.is_some() {
             return Err(RegError::AlreadyRegistered(name.to_string()));
         }
-        let mut seq = 1;
-        while self.read_link(name, seq)?.is_some() {
-            self.write(self.ch.delete(&self.link_tpn(name, seq)?))?;
+        let probe = self.link_tpn(name, 1)?;
+        let (mut seq, mut orphan) = (1, probe.clone());
+        while self.read_link(&orphan)?.is_some() {
+            self.write(self.ch.delete(&orphan))?;
             self.bump(&self.metrics.link_gc, "link_gc");
             seq += 1;
+            orphan = self.link_tpn(name, seq)?;
         }
-        let record = BaseRecord {
-            owner: owner.to_string(),
-            service: service.to_string(),
-            sig: chain::sign_link(name, 0, owner, owner, key),
-        };
-        self.write(
-            self.ch
-                .set_item(&self.base_tpn(name)?, PROP_REG_RECORD, record.to_value()),
-        )?;
+        let sig = chain::sign_link(name, 0, owner, owner, key);
+        let record = BaseRecord::value(owner, service, sig);
+        self.write(self.ch.set_item(&base_entry, PROP_REG_RECORD, record))?;
         self.bump(&self.metrics.registers, "registers");
         let head = CollapsedHead {
-            base_owner: record.owner.clone(),
-            base_sig: record.sig,
-            service: record.service.clone(),
-            owner: record.owner.clone(),
+            base_owner: owner.to_string(),
+            base_sig: sig,
+            service: service.to_string(),
+            owner: owner.to_string(),
             depth: 0,
-            holders: vec![record.owner.clone()],
+            holders: vec![owner.to_string()],
+            base_entry,
+            probe,
         };
-        self.cache_insert(name, head.clone());
+        let resolution = self.resolution(name, &head, false);
+        self.cache_insert(name, Arc::new(head));
         self.rebind_zone(name, service)?;
-        Ok(self.resolution(name, &head, false))
+        Ok(resolution)
     }
 
     /// Re-binds a registered name to a different name service. The
@@ -523,26 +537,23 @@ impl Registry {
             return Err(RegError::NotOwner {
                 name: name.to_string(),
                 claimed: owner.to_string(),
-                actual: head.owner,
+                actual: head.owner.clone(),
             });
         }
-        self.write_binding(name, &head, service)?;
+        self.write_binding(name, head, service)?;
         self.bump(&self.metrics.updates, "updates");
         self.rebind_zone(name, service)
     }
 
-    fn write_binding(&self, name: &str, head: &CollapsedHead, service: &str) -> RegResult<()> {
-        let record = BaseRecord {
-            owner: head.base_owner.clone(),
-            service: service.to_string(),
-            sig: head.base_sig,
-        };
-        self.write(
-            self.ch
-                .set_item(&self.base_tpn(name)?, PROP_REG_RECORD, record.to_value()),
-        )?;
+    /// Rewrites the base record of `head`'s name with a new binding, and
+    /// the cached head with it. `head` is let go first, so a head nobody
+    /// else holds is changed in place.
+    fn write_binding(&self, name: &str, head: Arc<CollapsedHead>, service: &str) -> RegResult<()> {
+        let record = BaseRecord::value(&head.base_owner, service, head.base_sig);
+        self.write(self.ch.set_item(&head.base_entry, PROP_REG_RECORD, record))?;
+        drop(head);
         if let Some(head) = self.collapse.write().get_mut(name) {
-            head.service = service.to_string();
+            Arc::make_mut(head).service = service.to_string();
         }
         Ok(())
     }
@@ -566,12 +577,12 @@ impl Registry {
     ) -> RegResult<Resolution> {
         let key = self.authorize(from, key)?;
         self.key_of(to)?;
-        let (mut head, _) = self.resolve_head(name)?;
+        let (head, _) = self.resolve_head(name)?;
         if head.owner != from {
             return Err(RegError::NotOwner {
                 name: name.to_string(),
                 claimed: from.to_string(),
-                actual: head.owner,
+                actual: head.owner.clone(),
             });
         }
         if head.holders.iter().any(|h| h == to) {
@@ -582,26 +593,30 @@ impl Registry {
             });
         }
         let link = TransferLink::signed(name, head.depth + 1, from, to, key);
-        self.write(self.ch.set_item(
-            &self.link_tpn(name, link.seq)?,
-            PROP_REG_LINK,
-            link.to_value(),
-        ))?;
+        // The probe is the entry the new link is written to.
+        self.write(
+            self.ch
+                .set_item(&head.probe, PROP_REG_LINK, link.to_value()),
+        )?;
         self.bump(&self.metrics.transfers, "transfers");
         self.metrics
             .chain_depth
             .get(self.world.metrics(), "regd", "chain_depth")
             .record(u64::from(link.seq));
-        head.owner = link.to.clone();
+        let mut head = Arc::unwrap_or_clone(head);
+        head.probe = self.link_tpn(name, link.seq + 1)?;
+        head.owner.clone_from(&link.to);
         head.holders.push(link.to);
         head.depth = link.seq;
-        self.cache_insert(name, head.clone());
+        let head = Arc::new(head);
+        self.cache_insert(name, Arc::clone(&head));
+        let mut resolution = self.resolution(name, &head, false);
         if let Some(service) = rebind {
-            self.write_binding(name, &head, service)?;
+            self.write_binding(name, head, service)?;
             self.rebind_zone(name, service)?;
-            head.service = service.to_string();
+            resolution.service = service.to_string();
         }
-        Ok(self.resolution(name, &head, false))
+        Ok(resolution)
     }
 
     /// Releases a registered name. The base record is deleted *first* —
@@ -611,15 +626,15 @@ impl Registry {
     /// registration of the same name.
     pub fn release(&self, owner: &str, key: u64, name: &str) -> RegResult<()> {
         self.authorize(owner, key)?;
-        let head = self.resolve(name)?;
+        let (head, _) = self.resolve_head(name)?;
         if head.owner != owner {
             return Err(RegError::NotOwner {
                 name: name.to_string(),
                 claimed: owner.to_string(),
-                actual: head.owner,
+                actual: head.owner.clone(),
             });
         }
-        self.write(self.ch.delete(&self.base_tpn(name)?))?;
+        self.write(self.ch.delete(&head.base_entry))?;
         self.collapse.write().remove(name);
         for seq in 1..=head.depth {
             self.write(self.ch.delete(&self.link_tpn(name, seq)?))?;

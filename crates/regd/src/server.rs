@@ -10,12 +10,13 @@ use std::sync::Arc;
 
 use hrpc::binding::ProgramId;
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, RpcService};
+use hrpc::server::{CallCtx, Reply, RpcService};
 use hrpc::{HrpcBinding, RpcError, RpcResult};
 use simnet::topology::{HostId, NetAddr};
-use wire::Value;
+use wire::{Message, Value};
 
-use crate::registry::{Registry, Resolution};
+use crate::message::{Register, Release, Resolve, Transfer, Update};
+use crate::registry::Registry;
 
 /// Program number of the registration service.
 pub const REG_PROGRAM: ProgramId = ProgramId(400_001);
@@ -30,29 +31,6 @@ pub const PROC_TRANSFER: u32 = 3;
 pub const PROC_RELEASE: u32 = 4;
 /// Resolves a name to its collapsed chain head.
 pub const PROC_RESOLVE: u32 = 5;
-
-fn resolution_value(r: &Resolution) -> Value {
-    Value::record([
-        ("name", Value::str(&*r.name)),
-        ("owner", Value::str(&*r.owner)),
-        ("base_owner", Value::str(&*r.base_owner)),
-        ("service", Value::str(&*r.service)),
-        ("depth", Value::U32(r.depth)),
-        ("walked", Value::Bool(r.walked)),
-    ])
-}
-
-/// Decodes a resolution record from the wire.
-pub fn resolution_from_value(v: &Value) -> RpcResult<Resolution> {
-    Ok(Resolution {
-        name: v.str_field("name")?.to_string(),
-        owner: v.str_field("owner")?.to_string(),
-        base_owner: v.str_field("base_owner")?.to_string(),
-        service: v.str_field("service")?.to_string(),
-        depth: v.u32_field("depth")?,
-        walked: v.field("walked")?.as_bool()?,
-    })
-}
 
 /// The registration service: a [`Registry`] behind [`REG_PROGRAM`].
 pub struct RegServer {
@@ -88,49 +66,47 @@ impl RpcService for RegServer {
         "regd"
     }
 
-    fn dispatch(&self, _ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        let owner = || args.str_field("owner");
-        let key = || args.field("key").and_then(Value::as_u64);
-        let name = || args.str_field("name");
+    fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
+        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+    }
+
+    /// Served on the request structs ([`crate::message`]): a caller's own,
+    /// or decoded from the tree it sent. A resolution goes back as itself.
+    fn dispatch_msg(
+        &self,
+        _ctx: &CallCtx<'_>,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
+        let reg = &self.registry;
         match proc_id {
             PROC_REGISTER => {
-                let r = self.registry.register(
-                    owner()?,
-                    key()?,
-                    name()?,
-                    args.str_field("service")?,
-                )?;
-                Ok(resolution_value(&r))
+                let r = args.read(Register::from_value)?;
+                Ok(Reply::typed(
+                    reg.register(&r.owner, r.key, &r.name, &r.service)?,
+                ))
             }
             PROC_UPDATE => {
-                self.registry
-                    .update(owner()?, key()?, name()?, args.str_field("service")?)?;
-                Ok(Value::Void)
+                let r = args.read(Update::from_value)?;
+                reg.update(&r.owner, r.key, &r.name, &r.service)?;
+                Ok(Reply::Tree(Value::Void))
             }
             PROC_TRANSFER => {
-                let rebind = match args.field("rebind")? {
-                    Value::Opt(inner) => inner.as_deref().map(Value::as_str).transpose()?,
-                    other => {
-                        return Err(RpcError::Service(format!(
-                            "rebind must be opt, got {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                let r = self.registry.transfer(
-                    owner()?,
-                    key()?,
-                    name()?,
-                    args.str_field("to")?,
-                    rebind,
-                )?;
-                Ok(resolution_value(&r))
+                let r = args.read(Transfer::from_value)?;
+                let rebind = r.rebind.as_deref();
+                Ok(Reply::typed(
+                    reg.transfer(&r.owner, r.key, &r.name, &r.to, rebind)?,
+                ))
             }
             PROC_RELEASE => {
-                self.registry.release(owner()?, key()?, name()?)?;
-                Ok(Value::Void)
+                let r = args.read(Release::from_value)?;
+                reg.release(&r.owner, r.key, &r.name)?;
+                Ok(Reply::Tree(Value::Void))
             }
-            PROC_RESOLVE => Ok(resolution_value(&self.registry.resolve(name()?)?)),
+            PROC_RESOLVE => {
+                let r = args.read(Resolve::from_value)?;
+                Ok(Reply::typed(reg.resolve(&r.name)?))
+            }
             other => Err(RpcError::BadProcedure(other)),
         }
     }
@@ -141,5 +117,110 @@ impl std::fmt::Debug for RegServer {
         f.debug_struct("RegServer")
             .field("registry", &self.registry)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::{Register, Release, Resolve, Transfer, Update};
+    use clearinghouse::auth::Credentials;
+    use clearinghouse::db::ChDb;
+    use clearinghouse::name::ThreePartName;
+    use clearinghouse::server::ChServer;
+    use simnet::world::World;
+
+    /// Every procedure's request as [`crate::RegClient`] sends it, to a
+    /// frontend where `alice` holds `svc`.
+    fn requests() -> Vec<(u32, Box<dyn Message>)> {
+        let (alice, bob, key) = (String::from("alice"), String::from("bob"), 0xA11CE);
+        let svc = String::from("svc");
+        let transfer = |rebind: Option<&str>| Transfer {
+            owner: alice.clone(),
+            key,
+            name: svc.clone(),
+            to: bob.clone(),
+            rebind: rebind.map(String::from),
+        };
+        vec![
+            (
+                PROC_REGISTER,
+                Box::new(Register {
+                    owner: bob.clone(),
+                    key: 0xB0B,
+                    name: "other".into(),
+                    service: "BIND".into(),
+                }),
+            ),
+            (
+                PROC_UPDATE,
+                Box::new(Update {
+                    owner: alice.clone(),
+                    key,
+                    name: svc.clone(),
+                    service: "Clearinghouse".into(),
+                }),
+            ),
+            (PROC_TRANSFER, Box::new(transfer(None))),
+            (PROC_TRANSFER, Box::new(transfer(Some("Clearinghouse")))),
+            (
+                PROC_RELEASE,
+                Box::new(Release {
+                    owner: alice.clone(),
+                    key,
+                    name: svc.clone(),
+                }),
+            ),
+            (PROC_RESOLVE, Box::new(Resolve { name: svc.clone() })),
+        ]
+    }
+
+    /// What one call shows on a fresh frontend where `alice` holds `svc`:
+    /// the reply as a tree, the virtual time, the counters, and what a
+    /// naive walk finds of `svc` after.
+    fn call_fresh(
+        proc_id: u32,
+        request: &dyn Message,
+    ) -> (
+        RpcResult<Value>,
+        simnet::time::SimDuration,
+        simnet::world::CounterSnapshot,
+        String,
+    ) {
+        let world = World::paper();
+        let (ch_host, frontend, client) = (
+            world.add_host("ch"),
+            world.add_host("frontend"),
+            world.add_host("client"),
+        );
+        let net = RpcNet::new(Arc::clone(&world));
+        let server = ChServer::new("ch", ChDb::new(vec![("cs".into(), "uw".into())]));
+        let identity = ThreePartName::parse("regd:cs:uw").expect("name");
+        server.register_key(identity.clone(), 7);
+        let ch = clearinghouse::deploy(&net, ch_host, server);
+        let creds = Credentials::new(identity, 7);
+        let registry = Registry::new(Arc::clone(&net), frontend, ch.binding, creds, "cs", "uw");
+        registry.register_owner("alice", 0xA11CE);
+        registry.register_owner("bob", 0xB0B);
+        registry
+            .register("alice", 0xA11CE, "svc", "BIND")
+            .expect("register");
+        let registry = Arc::new(registry);
+        let binding = deploy(&net, frontend, RegServer::new(Arc::clone(&registry)));
+        let (reply, took, delta) =
+            world.measure(|| net.call_msg(client, &binding, proc_id, request));
+        let after = format!("{:?}", registry.resolve_naive("svc"));
+        (reply.map(Reply::into_value), took, delta, after)
+    }
+
+    /// Typed or tree, every procedure answers, costs and leaves the same.
+    #[test]
+    fn every_procedure_is_charged_alike_typed_or_not() {
+        for (proc_id, typed) in requests() {
+            let by_struct = call_fresh(proc_id, &*typed);
+            assert!(by_struct.0.is_ok(), "proc {proc_id}: {:?}", by_struct.0);
+            let tree = typed.tree().into_owned();
+            assert_eq!(by_struct, call_fresh(proc_id, &tree), "proc {proc_id}");
+        }
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! The invariants, per the issue: collapsed resolution always equals
 //! the naive chain walk, collapsing is idempotent, and a
-//! cycle-creating transfer is rejected.
+//! cycle-creating transfer is rejected. And the service's messages keep
+//! the length law the fabric charges by.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,9 +16,10 @@ use clearinghouse::db::ChDb;
 use clearinghouse::name::ThreePartName;
 use clearinghouse::server::{deploy, ChServer};
 use hrpc::net::RpcNet;
-use regd::registry::Registry;
-use regd::RegError;
+use regd::registry::{Registry, Resolution};
+use regd::{RegError, Register, Release, Resolve, Transfer, Update};
 use simnet::world::World;
+use wire::{Message, WireError, WireFormat};
 
 const OWNERS: usize = 5;
 const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -75,6 +77,72 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// The model: per registered name, every holder in order (head last).
 type Model = HashMap<&'static str, Vec<usize>>;
+
+/// The law the fabric's charges rest on: a message states, under either
+/// format, the length its tree encodes to — or the error encoding it
+/// fails with.
+fn states_the_length_of_its_encoded_tree(msg: &dyn Message) -> Option<WireError> {
+    let mut refused = None;
+    for format in [WireFormat::Xdr, WireFormat::Courier] {
+        let encoded = format.encode(&msg.tree()).map(|bytes| bytes.len());
+        assert_eq!(msg.encoded_len(format), encoded, "{format}");
+        refused = refused.or(encoded.err());
+    }
+    refused
+}
+
+/// Text, now and then around what a Courier word can count.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[ -~]{0,24}",
+        (wire::courier::MAX_LEN - 2..wire::courier::MAX_LEN + 3).prop_map(|n| "t".repeat(n)),
+    ]
+}
+
+proptest! {
+    /// Every request and the resolution state the length their trees
+    /// encode to, and are what decoding those trees gives back.
+    #[test]
+    fn every_message_states_its_length_and_is_its_decoded_tree(
+        texts in proptest::collection::vec(arb_text(), 4..5),
+        key in any::<u64>(),
+        depth in any::<u32>(),
+        flags in (any::<bool>(), any::<bool>()),
+    ) {
+        let [owner, name, service, to] = [&texts[0], &texts[1], &texts[2], &texts[3]];
+        let refused = |texts: &[&String]| texts.iter().any(|t| t.len() > wire::courier::MAX_LEN);
+        let (owner, name, service, to) = (owner.clone(), name.clone(), service.clone(), to.clone());
+        let register = Register { owner: owner.clone(), key, name: name.clone(), service: service.clone() };
+        let long = refused(&[&owner, &name, &service]);
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&register).is_some(), long);
+        prop_assert_eq!(Register::from_value(&register.tree()), Ok(register));
+        let update = Update { owner: owner.clone(), key, name: name.clone(), service: service.clone() };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&update).is_some(), long);
+        prop_assert_eq!(Update::from_value(&update.tree()), Ok(update));
+        let rebind = flags.0.then(|| service.clone());
+        let transfer = Transfer { owner: owner.clone(), key, name: name.clone(), to: to.clone(), rebind };
+        let long = refused(&[&owner, &name, &to]) || (flags.0 && refused(&[&service]));
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&transfer).is_some(), long);
+        prop_assert_eq!(Transfer::from_value(&transfer.tree()), Ok(transfer));
+        let release = Release { owner: owner.clone(), key, name: name.clone() };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&release).is_some(), refused(&[&owner, &name]));
+        prop_assert_eq!(Release::from_value(&release.tree()), Ok(release));
+        let resolve = Resolve { name: name.clone() };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&resolve).is_some(), refused(&[&name]));
+        prop_assert_eq!(Resolve::from_value(&resolve.tree()), Ok(resolve));
+        let resolution = Resolution {
+            name: name.clone(),
+            owner: to.clone(),
+            base_owner: owner.clone(),
+            service: service.clone(),
+            depth,
+            walked: flags.1,
+        };
+        let long = refused(&[&name, &to, &owner, &service]);
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&resolution).is_some(), long);
+        prop_assert_eq!(Resolution::from_value(&resolution.tree()), Ok(resolution));
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

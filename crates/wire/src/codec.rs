@@ -175,6 +175,10 @@ impl<const UNIT: usize> Shape for Sizer<UNIT> {
         Ok(total)
     }
 
+    fn opt(&self, inner: Option<WireResult<usize>>) -> WireResult<usize> {
+        Ok(2 * UNIT + inner.transpose()?.unwrap_or(0))
+    }
+
     fn record<const N: usize>(
         &self,
         fields: [(&'static str, WireResult<usize>); N],

@@ -110,6 +110,9 @@ pub trait Shape {
         each: impl FnMut(T) -> Self::Out,
     ) -> Self::Out;
 
+    /// An optional piece.
+    fn opt(&self, inner: Option<Self::Out>) -> Self::Out;
+
     /// A struct of named fields.
     fn record<const N: usize>(&self, fields: [(&'static str, Self::Out); N]) -> Self::Out;
 }
@@ -173,6 +176,10 @@ impl Shape for Tree {
         Value::List(items.map(each).collect())
     }
 
+    fn opt(&self, inner: Option<Value>) -> Value {
+        Value::Opt(inner.map(Box::new))
+    }
+
     fn record<const N: usize>(&self, fields: [(&'static str, Value); N]) -> Value {
         Value::record(fields)
     }
@@ -208,6 +215,8 @@ mod tests {
                 ("flag", s.bool(true)),
                 ("wide", s.u64(u64::MAX)),
                 ("carried", s.value(&carried())),
+                ("maybe", s.opt(Some(s.str(&self.text)))),
+                ("absent", s.opt(None)),
             ])
         }
     }
@@ -231,6 +240,8 @@ mod tests {
             ("flag", Value::Bool(true)),
             ("wide", Value::U64(u64::MAX)),
             ("carried", carried()),
+            ("maybe", Value::Opt(Some(Box::new(Value::str("xx"))))),
+            ("absent", Value::Opt(None)),
         ]);
         assert_eq!(sample(2).tree().into_owned(), by_hand);
     }

@@ -156,6 +156,17 @@ impl Value {
         }
     }
 
+    /// Takes the elements out, for a reader that keeps them.
+    pub fn into_list(self) -> WireResult<Vec<Value>> {
+        match self {
+            Value::List(items) => Ok(items),
+            other => Err(WireError::TypeMismatch {
+                expected: "list",
+                found: other.kind(),
+            }),
+        }
+    }
+
     /// Extracts struct fields.
     pub fn as_struct(&self) -> WireResult<&[(Cow<'static, str>, Value)]> {
         match self {
