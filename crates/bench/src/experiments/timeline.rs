@@ -6,16 +6,17 @@
 //! which is what ROADMAP item 5's self-tuning controller needs. A probe
 //! loop (warm `FindNSM`, cold `FindNSM`, `Import` with an NSM-failover
 //! alternate) runs every [`PROBE_MS`] virtual milliseconds while the
-//! [`World`]'s sampler closes fixed windows:
+//! [`World`](simnet::world::World)'s sampler closes fixed windows:
 //!
 //! 1. **baseline** — probes succeed, the warm cache fills and hits.
 //! 2. **quiet TTL gap** — no probes while every cache entry expires
 //!    (one big virtual-time jump; the crossed windows land in the
 //!    timeline as empty rows, exercising the zero-activity sparkline
 //!    clamp).
-//! 3. **fault** — the seeded [`FaultPlan`] windows open: serve-stale on
-//!    the warm path, fail-fast `HostUnreachable` on the cold path, NSM
-//!    failover on `Import` — visible per window in `faults/*` deltas.
+//! 3. **fault** — the seeded [`FaultPlan`](simnet::faults::FaultPlan)
+//!    windows open: serve-stale on the warm path, fail-fast
+//!    `HostUnreachable` on the cold path, NSM failover on `Import` —
+//!    visible per window in `faults/*` deltas.
 //! 4. **recovery** — time passes the last fault window (the plan stays
 //!    installed; closed windows are inert) and probing resumes.
 //!

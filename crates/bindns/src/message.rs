@@ -5,11 +5,12 @@
 //! modified BIND), and `SERIAL` (secondary refresh checks). The structs
 //! of `QUERY`, `MQUERY` and `UPDATE` are [`wire::Message`]s: each writes
 //! its shape once, and crosses the fabric as itself between this crate's
-//! resolvers and its server. `to_value` reads that shape as a tree, for
-//! an untyped peer, the corpus and the fuzzer; `from_value` is the edge
-//! where such a peer's tree is decoded. Answers also convert to the
-//! hand-written [`wire::fast`] batch format (the standard resolver path
-//! of Table 3.2).
+//! resolvers and its server. Its tree is for an untyped peer, the corpus
+//! and the fuzzer; `from_value` is the edge where such a peer's tree is
+//! decoded. The two questions are plain records ([`wire::record!`]); an
+//! answer's rdata and shared owner names, and an update's kinds, are
+//! written by hand. Answers also convert to the hand-written
+//! [`wire::fast`] batch format (the standard resolver path of Table 3.2).
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::Reply;
@@ -61,31 +62,9 @@ impl Question {
     pub fn new(name: DomainName, rtype: RType) -> Self {
         Question { name, rtype }
     }
-
-    /// Serializes to a wire value.
-    pub fn to_value(&self) -> Value {
-        self.shape(&Tree)
-    }
-
-    /// Deserializes from a wire value.
-    pub fn from_value(v: &Value) -> NsResult<Question> {
-        let name = DomainName::parse(
-            v.str_field("name")
-                .map_err(|e| NsError::BadName(e.to_string()))?,
-        )?;
-        let rtype = RType::read(v)?;
-        Ok(Question { name, rtype })
-    }
 }
 
-impl Shaped for Question {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("name", s.str(self.name.as_str())),
-            ("rtype", s.u32(u32::from(self.rtype.code()))),
-        ])
-    }
-}
+wire::record!(Question { name, rtype });
 
 /// A lookup answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,40 +214,9 @@ impl MultiQuestion {
     pub fn new(questions: Vec<Question>, hints: Vec<String>) -> Self {
         MultiQuestion { questions, hints }
     }
-
-    /// Serializes to a wire value.
-    pub fn to_value(&self) -> Value {
-        self.shape(&Tree)
-    }
-
-    /// Deserializes from a wire value.
-    pub fn from_value(v: &Value) -> NsResult<MultiQuestion> {
-        let questions = v
-            .field("questions")
-            .and_then(Value::as_list)
-            .map_err(bad_field)?
-            .iter()
-            .map(Question::from_value)
-            .collect::<NsResult<Vec<_>>>()?;
-        let hints = v
-            .field("hints")
-            .and_then(Value::as_list)
-            .map_err(bad_field)?
-            .iter()
-            .map(|h| h.as_str().map(str::to_string).map_err(bad_field))
-            .collect::<NsResult<Vec<_>>>()?;
-        Ok(MultiQuestion { questions, hints })
-    }
 }
 
-impl Shaped for MultiQuestion {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("questions", s.list(self.questions.iter(), |q| q.shape(s))),
-            ("hints", s.list(self.hints.iter(), |h| s.str(h))),
-        ])
-    }
-}
+wire::record!(MultiQuestion { questions, hints });
 
 /// A batched reply: one answer per question, plus any speculative
 /// *additional* record sets the server chose to piggyback. Each additional
@@ -348,7 +296,7 @@ mod tests {
     #[test]
     fn question_value_roundtrip() {
         let q = Question::new(name("fiji.cs.washington.edu"), RType::A);
-        assert_eq!(Question::from_value(&q.to_value()).expect("roundtrip"), q);
+        assert_eq!(Question::from_value(&q.tree()).expect("roundtrip"), q);
     }
 
     #[test]
@@ -421,10 +369,11 @@ mod tests {
             ("name", Value::str("fiji.cs.washington.edu")),
             ("rtype", Value::U32(65_537)),
         ]);
-        assert!(matches!(
-            Question::from_value(&wide),
-            Err(NsError::BadRecord(_))
-        ));
+        let mismatch = wire::WireError::TypeMismatch {
+            expected: "u16",
+            found: "u32",
+        };
+        assert_eq!(Question::from_value(&wide), Err(mismatch));
     }
 
     /// Either edge hands over the peer's own struct when it sent one, and
@@ -437,7 +386,7 @@ mod tests {
         };
         let q = Question::new(name("fiji.cs.washington.edu"), RType::A);
         assert_eq!(sent(&q), Ok((true, q.clone())));
-        assert_eq!(sent(&q.to_value()), Ok((false, q.clone())));
+        assert_eq!(sent(&q.tree().into_owned()), Ok((false, q.clone())));
         assert!(sent(&Value::U32(7)).is_err());
 
         let a = sample_answer(2);
@@ -466,7 +415,7 @@ mod tests {
             ],
             vec!["hrpcbinding".into()],
         );
-        let back = MultiQuestion::from_value(&mq.to_value()).expect("roundtrip");
+        let back = MultiQuestion::from_value(&mq.tree()).expect("roundtrip");
         assert_eq!(back, mq);
     }
 
@@ -474,7 +423,7 @@ mod tests {
     fn multi_question_accepts_empty_hints() {
         let mq = MultiQuestion::new(vec![Question::new(name("a.hns"), RType::Unspec)], vec![]);
         assert_eq!(
-            MultiQuestion::from_value(&mq.to_value()).expect("roundtrip"),
+            MultiQuestion::from_value(&mq.tree()).expect("roundtrip"),
             mq
         );
     }

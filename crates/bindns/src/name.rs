@@ -4,6 +4,9 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use wire::message::{Field, Shape};
+use wire::{Value, WireError, WireResult};
+
 use crate::error::{NsError, NsResult};
 
 /// Maximum bytes in one label.
@@ -217,6 +220,17 @@ impl std::str::FromStr for DomainName {
 
     fn from_str(s: &str) -> NsResult<DomainName> {
         DomainName::parse(s)
+    }
+}
+
+/// Crosses the fabric as its text; text that is no name is refused.
+impl Field for DomainName {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.str(self.as_str())
+    }
+
+    fn read(v: &Value) -> WireResult<DomainName> {
+        DomainName::parse(v.as_str()?).map_err(|e| WireError::Refused(e.to_string()))
     }
 }
 

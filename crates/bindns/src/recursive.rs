@@ -584,10 +584,10 @@ mod tests {
         }
 
         fn dispatch(&self, _ctx: &CallCtx<'_>, _proc_id: u32, args: &Value) -> RpcResult<Value> {
-            let service = |e: NsError| RpcError::Service(e.to_string());
-            let question = Question::from_value(args).map_err(service)?;
+            let question = Question::from_value(args)?;
             let record = ResourceRecord::a(question.name, 600, NetAddr::of(HostId(1)));
-            Answer::ok(vec![record]).to_value().map_err(service)
+            let answer = Answer::ok(vec![record]).to_value();
+            answer.map_err(|e| RpcError::Service(e.to_string()))
         }
     }
 

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use simnet::topology::{HostId, NetAddr};
-use wire::message::{Shape, Shaped, Tree};
-use wire::Value;
+use wire::message::{Field, Shape, Shaped, Tree};
+use wire::{Value, WireError, WireResult};
 
 use crate::error::{NsError, NsResult};
 use crate::name::DomainName;
@@ -80,6 +80,18 @@ impl RType {
             103 => Ok(RType::Unspec),
             other => Err(NsError::BadRecord(format!("unknown rtype code {other}"))),
         }
+    }
+}
+
+/// Crosses the fabric as its code; a code beyond 16 bits, or one that
+/// names no type, is refused, not truncated onto one.
+impl Field for RType {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.u32(u32::from(self.code()))
+    }
+
+    fn read(v: &Value) -> WireResult<RType> {
+        RType::from_code(v.as_u16()?).map_err(|e| WireError::Refused(e.to_string()))
     }
 }
 

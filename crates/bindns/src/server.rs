@@ -150,7 +150,7 @@ impl BindServer {
         self.queries
             .get(ctx.world.metrics(), "bindns", "queries")
             .inc();
-        let question = args.read(Question::from_value).map_err(service_err)?;
+        let question = args.read(Question::from_value)?;
         let _span = ctx
             .world
             .span_lazy(Some(ctx.host), TraceKind::NameService, || {
@@ -173,7 +173,7 @@ impl BindServer {
     }
 
     fn serve_mquery(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<MultiAnswer> {
-        let mq = args.read(MultiQuestion::from_value).map_err(service_err)?;
+        let mq = args.read(MultiQuestion::from_value)?;
         self.mqueries
             .get(ctx.world.metrics(), "bindns", "mqueries")
             .inc();
@@ -488,7 +488,7 @@ mod tests {
         let (world, net, client, dep) = setup(false);
         let q = Question::new(name("fiji.cs.washington.edu"), RType::A);
         let (reply, took, delta) =
-            world.measure(|| net.call(client, &dep.std_binding, PROC_QUERY, &q.to_value()));
+            world.measure(|| net.call(client, &dep.std_binding, PROC_QUERY, &q.tree()));
         let answer = Answer::from_value(&reply.expect("call ok")).expect("decode");
         assert_eq!(answer.rcode, Rcode::Ok);
         assert_eq!(answer.records.len(), 1);
@@ -503,7 +503,7 @@ mod tests {
         let (_world, net, client, dep) = setup(false);
         let q = Question::new(name("ghost.cs.washington.edu"), RType::A);
         let reply = net
-            .call(client, &dep.std_binding, PROC_QUERY, &q.to_value())
+            .call(client, &dep.std_binding, PROC_QUERY, &q.tree())
             .expect("call");
         assert_eq!(
             Answer::from_value(&reply).expect("decode").rcode,
@@ -547,7 +547,7 @@ mod tests {
 
         let q = Question::new(name("meta.cs.washington.edu"), RType::Unspec);
         let reply = net
-            .call(client, &dep.std_binding, PROC_QUERY, &q.to_value())
+            .call(client, &dep.std_binding, PROC_QUERY, &q.tree())
             .expect("call");
         let answer = Answer::from_value(&reply).expect("decode");
         assert_eq!(answer.records, vec![rr]);
@@ -589,7 +589,7 @@ mod tests {
             vec!["fiji".to_string()],
         );
         let reply = net
-            .call(client, &dep.hrpc_binding, PROC_MQUERY, &mq.to_value())
+            .call(client, &dep.hrpc_binding, PROC_MQUERY, &mq.tree())
             .expect("call");
         let multi = MultiAnswer::from_value(&reply).expect("decode");
         assert_eq!(multi.answers.len(), 2);
@@ -617,7 +617,7 @@ mod tests {
             vec!["tonga".to_string(), "missing".to_string()],
         );
         let (reply, _, delta) =
-            world.measure(|| net.call(client, &dep.hrpc_binding, PROC_MQUERY, &mq.to_value()));
+            world.measure(|| net.call(client, &dep.hrpc_binding, PROC_MQUERY, &mq.tree()));
         let multi = MultiAnswer::from_value(&reply.expect("call")).expect("decode");
         assert_eq!(multi.answers.len(), 1);
         assert_eq!(multi.additional.len(), 1, "one hint resolves");
@@ -638,7 +638,7 @@ mod tests {
             vec!["fiji".to_string()],
         );
         let reply = net
-            .call(client, &dep.hrpc_binding, PROC_MQUERY, &mq.to_value())
+            .call(client, &dep.hrpc_binding, PROC_MQUERY, &mq.tree())
             .expect("call");
         let multi = MultiAnswer::from_value(&reply).expect("decode");
         assert_eq!(multi.answers[0].rcode, Rcode::NameError);

@@ -259,7 +259,7 @@ impl Zone {
         self.log_change(id);
     }
 
-    /// Adds a record, bumping the serial, if [`Zone::admit`]s it.
+    /// Adds a record, bumping the serial, if `Zone::admit` admits it.
     pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
         let set = self.owners.get(rr.name.text());
         let has_cname = set.iter().any(|r| r.rtype == RType::Cname);

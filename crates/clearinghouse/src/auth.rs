@@ -8,7 +8,6 @@
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
-use wire::message::{Shape, Shaped, Tree};
 
 use crate::error::{ChError, ChResult};
 use crate::name::ThreePartName;
@@ -29,31 +28,9 @@ impl Credentials {
     pub fn new(identity: ThreePartName, key: u64) -> Self {
         Credentials { identity, key }
     }
-
-    /// Serializes to a wire value (for the procedures that still travel
-    /// as trees).
-    pub fn to_value(&self) -> wire::Value {
-        self.shape(&Tree)
-    }
-
-    /// Deserializes from a wire value.
-    pub fn from_value(v: &wire::Value) -> ChResult<Credentials> {
-        let bad = |e: wire::WireError| ChError::BadName(e.to_string());
-        Ok(Credentials {
-            identity: ThreePartName::parse(v.str_field("identity").map_err(bad)?)?,
-            key: v.field("key").and_then(wire::Value::as_u64).map_err(bad)?,
-        })
-    }
 }
 
-impl Shaped for Credentials {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("identity", s.str(self.identity.as_str())),
-            ("key", s.u64(self.key)),
-        ])
-    }
-}
+wire::record!(Credentials { identity, key });
 
 /// The server-side key table.
 #[derive(Debug, Default)]
@@ -124,8 +101,8 @@ mod tests {
         assert!(auth.is_empty());
     }
 
-    /// The parent's hand-built `to_value`, kept as the reference the
-    /// shape is held to.
+    /// The record as a hand-written `to_value` built it, kept as the
+    /// reference the shape is held to.
     #[test]
     fn credentials_are_the_record_built_by_hand() {
         use wire::{Message, Value, WireFormat};
@@ -134,7 +111,7 @@ mod tests {
             ("identity", Value::str(c.identity.to_string())),
             ("key", Value::U64(c.key)),
         ]);
-        assert_eq!(c.to_value(), by_hand);
+        assert_eq!(c.tree().into_owned(), by_hand);
         for format in [WireFormat::Xdr, WireFormat::Courier] {
             let bytes = format.encode(&by_hand).expect("encodes");
             assert_eq!(c.encoded_len(format), Ok(bytes.len()), "{format}");
@@ -143,11 +120,9 @@ mod tests {
 
     #[test]
     fn credentials_value_roundtrip() {
+        use wire::Message;
         let c = Credentials::new(who(), 42);
-        assert_eq!(
-            Credentials::from_value(&c.to_value()).expect("roundtrip"),
-            c
-        );
+        assert_eq!(Credentials::from_value(&c.tree()), Ok(c));
     }
 
     #[test]

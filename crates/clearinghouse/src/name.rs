@@ -8,6 +8,9 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use wire::message::{Field, Shape};
+use wire::{Value, WireError, WireResult};
+
 use crate::error::{ChError, ChResult};
 
 /// Longest part, in bytes.
@@ -138,6 +141,18 @@ impl std::str::FromStr for ThreePartName {
 
     fn from_str(s: &str) -> ChResult<Self> {
         ThreePartName::parse(s)
+    }
+}
+
+/// Crosses the fabric as its text; text that is not three parts is
+/// refused.
+impl Field for ThreePartName {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.str(self.as_str())
+    }
+
+    fn read(v: &Value) -> WireResult<ThreePartName> {
+        ThreePartName::parse(v.as_str()?).map_err(|e| WireError::Refused(e.to_string()))
     }
 }
 

@@ -8,14 +8,24 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use wire::message::{Shape, Shaped, Tree};
-use wire::Value;
+use wire::message::{Field, Shape, Shaped};
+use wire::{Value, WireResult};
 
 use crate::error::{ChError, ChResult};
 
 /// A property number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PropertyId(pub u32);
+
+impl Field for PropertyId {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.u32(self.0)
+    }
+
+    fn read(v: &Value) -> WireResult<PropertyId> {
+        v.as_u32().map(PropertyId)
+    }
+}
 
 /// Well-known property: network address of a host entry.
 pub const PROP_ADDRESS: PropertyId = PropertyId(4);
@@ -62,11 +72,6 @@ impl Property {
             Property::Group(g) => Ok(g),
             Property::Item(_) => Err(ChError::WrongPropertyKind),
         }
-    }
-
-    /// Serializes to a wire value.
-    pub fn to_value(&self) -> Value {
-        self.shape(&Tree)
     }
 
     /// Deserializes from a wire value.
@@ -282,7 +287,7 @@ mod tests {
                     ),
                 ]),
             };
-            assert_eq!(p.to_value(), by_hand);
+            assert_eq!(p.tree().into_owned(), by_hand);
             for format in [WireFormat::Xdr, WireFormat::Courier] {
                 let bytes = format.encode(&by_hand).expect("encodes");
                 assert_eq!(p.encoded_len(format), Ok(bytes.len()), "{format}");

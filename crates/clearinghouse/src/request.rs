@@ -5,11 +5,12 @@
 //! was typed, field for field and in the same order, so a request costs
 //! the bytes and the virtual time it did. Names and credentials are
 //! shared strings: a client builds a request for reference-count bumps.
-//! A caller that sends a tree is decoded into the same struct by
-//! `from_value`, once, where the server reads it.
+//! Each is a [`wire::record!`]: a caller that sends a tree is decoded into
+//! the same struct by `from_value`, once, where the server reads it, and
+//! a name in it that is not three parts is refused as the service's
+//! failure.
 
-use hrpc::error::{RpcError, RpcResult};
-use wire::message::{Shape, Shaped};
+use wire::message::Field;
 use wire::Value;
 
 use crate::auth::Credentials;
@@ -17,22 +18,9 @@ use crate::name::ThreePartName;
 use crate::property::PropertyId;
 
 /// What every request carries first: who asks.
-pub(crate) trait Request: wire::Message + Clone {
+pub(crate) trait Request: Field + wire::Message {
     /// The caller's credentials.
     fn creds(&self) -> &Credentials;
-}
-
-/// The credentials of a request's tree.
-pub(crate) fn creds_of(v: &Value) -> RpcResult<Credentials> {
-    Credentials::from_value(v.field("creds")?).map_err(|e| RpcError::Service(e.to_string()))
-}
-
-fn parse(text: &str) -> RpcResult<ThreePartName> {
-    ThreePartName::parse(text).map_err(|e| RpcError::Service(e.to_string()))
-}
-
-fn name_of(v: &Value, field: &str) -> RpcResult<ThreePartName> {
-    parse(v.str_field(field)?)
 }
 
 /// `LOOKUP`: who asks, about which entry, for which property.
@@ -44,27 +32,6 @@ pub struct Lookup {
     pub name: ThreePartName,
     /// The property.
     pub prop: PropertyId,
-}
-
-impl Lookup {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Lookup> {
-        Ok(Lookup {
-            creds: creds_of(v)?,
-            name: name_of(v, "name")?,
-            prop: PropertyId(v.u32_field("prop")?),
-        })
-    }
-}
-
-impl Shaped for Lookup {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("name", s.str(self.name.as_str())),
-            ("prop", s.u32(self.prop.0)),
-        ])
-    }
 }
 
 /// `SET_ITEM`: an item property's new value, carried as it is.
@@ -80,29 +47,6 @@ pub struct SetItem {
     pub value: Value,
 }
 
-impl SetItem {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<SetItem> {
-        Ok(SetItem {
-            creds: creds_of(v)?,
-            name: name_of(v, "name")?,
-            prop: PropertyId(v.u32_field("prop")?),
-            value: v.field("value")?.clone(),
-        })
-    }
-}
-
-impl Shaped for SetItem {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("name", s.str(self.name.as_str())),
-            ("prop", s.u32(self.prop.0)),
-            ("value", s.value(&self.value)),
-        ])
-    }
-}
-
 /// `ADD_ENTRY` and `DELETE`: an entry, named.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Named {
@@ -110,25 +54,6 @@ pub struct Named {
     pub creds: Credentials,
     /// The entry.
     pub name: ThreePartName,
-}
-
-impl Named {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Named> {
-        Ok(Named {
-            creds: creds_of(v)?,
-            name: name_of(v, "name")?,
-        })
-    }
-}
-
-impl Shaped for Named {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("name", s.str(self.name.as_str())),
-        ])
-    }
 }
 
 /// `ADD_MEMBER`: one more member of a group property.
@@ -144,29 +69,6 @@ pub struct AddMember {
     pub member: String,
 }
 
-impl AddMember {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<AddMember> {
-        Ok(AddMember {
-            creds: creds_of(v)?,
-            name: name_of(v, "name")?,
-            prop: PropertyId(v.u32_field("prop")?),
-            member: v.str_field("member")?.to_string(),
-        })
-    }
-}
-
-impl Shaped for AddMember {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("name", s.str(self.name.as_str())),
-            ("prop", s.u32(self.prop.0)),
-            ("member", s.str(&self.member)),
-        ])
-    }
-}
-
 /// `ADD_ALIAS`: the alias, under `name`, and the entry it stands for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddAlias {
@@ -178,27 +80,6 @@ pub struct AddAlias {
     pub target: ThreePartName,
 }
 
-impl AddAlias {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<AddAlias> {
-        Ok(AddAlias {
-            creds: creds_of(v)?,
-            name: name_of(v, "name")?,
-            target: name_of(v, "target")?,
-        })
-    }
-}
-
-impl Shaped for AddAlias {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("name", s.str(self.name.as_str())),
-            ("target", s.str(self.target.as_str())),
-        ])
-    }
-}
-
 /// `LOOKUP_RUN`: one item property of each of a run of entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupRun {
@@ -208,29 +89,6 @@ pub struct LookupRun {
     pub names: Vec<ThreePartName>,
     /// The item property.
     pub prop: PropertyId,
-}
-
-impl LookupRun {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<LookupRun> {
-        Ok(LookupRun {
-            creds: creds_of(v)?,
-            names: (v.field("names")?.as_list()?.iter())
-                .map(|n| parse(n.as_str()?))
-                .collect::<RpcResult<_>>()?,
-            prop: PropertyId(v.u32_field("prop")?),
-        })
-    }
-}
-
-impl Shaped for LookupRun {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("names", s.list(self.names.iter(), |n| s.str(n.as_str()))),
-            ("prop", s.u32(self.prop.0)),
-        ])
-    }
 }
 
 /// `LIST`: the entries of one domain whose object part matches a
@@ -261,31 +119,35 @@ impl List {
             pattern: pattern.to_string(),
         }
     }
-
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<List> {
-        let text = |field| v.str_field(field).map(str::to_string);
-        Ok(List {
-            creds: creds_of(v)?,
-            name: text("name")?,
-            domain: text("domain")?,
-            organization: text("organization")?,
-            pattern: text("pattern")?,
-        })
-    }
 }
 
-impl Shaped for List {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("creds", self.creds.shape(s)),
-            ("name", s.str(&self.name)),
-            ("domain", s.str(&self.domain)),
-            ("organization", s.str(&self.organization)),
-            ("pattern", s.str(&self.pattern)),
-        ])
-    }
-}
+wire::record!(Lookup { creds, name, prop });
+wire::record!(SetItem {
+    creds,
+    name,
+    prop,
+    value
+});
+wire::record!(Named { creds, name });
+wire::record!(AddMember {
+    creds,
+    name,
+    prop,
+    member
+});
+wire::record!(AddAlias {
+    creds,
+    name,
+    target
+});
+wire::record!(LookupRun { creds, names, prop });
+wire::record!(List {
+    creds,
+    name,
+    domain,
+    organization,
+    pattern
+});
 
 macro_rules! requests {
     ($($request:ty),*) => {$(
@@ -303,14 +165,14 @@ requests!(Lookup, SetItem, Named, AddMember, AddAlias, LookupRun, List);
 mod tests {
     use super::*;
     use crate::property::{PROP_ADDRESS, PROP_MEMBERS};
-    use wire::{Message, WireFormat};
+    use wire::{Message, WireError, WireFormat, WireResult};
 
     /// `request` yields `by_hand`, states its length, and is what
     /// `decode` reads back from it.
     fn is_the_record_built_by_hand<T: Message + PartialEq + std::fmt::Debug>(
         request: &T,
         by_hand: &Value,
-        decode: fn(&Value) -> RpcResult<T>,
+        decode: fn(&Value) -> WireResult<T>,
     ) {
         assert_eq!(&request.tree().into_owned(), by_hand);
         for format in [WireFormat::Xdr, WireFormat::Courier] {
@@ -326,7 +188,8 @@ mod tests {
     fn every_request_is_the_record_the_client_built_by_hand() {
         let tpn = |s: &str| ThreePartName::parse(s).expect("name");
         let creds = Credentials::new(tpn("hns:cs:uw"), 0xC0FFEE);
-        let base = |name: &str| vec![("creds", creds.to_value()), ("name", Value::str(name))];
+        let creds_tree = || creds.tree().into_owned();
+        let base = |name: &str| vec![("creds", creds_tree()), ("name", Value::str(name))];
         let record = |mut fields: Vec<(&'static str, Value)>, more: Vec<(&'static str, Value)>| {
             fields.extend(more);
             Value::record(fields)
@@ -391,7 +254,7 @@ mod tests {
             prop: PROP_ADDRESS,
         };
         let by_hand = Value::record([
-            ("creds", creds.to_value()),
+            ("creds", creds_tree()),
             (
                 "names",
                 Value::List(vec![Value::str("link1:cs:uw"), Value::str("link2:cs:uw")]),
@@ -402,7 +265,7 @@ mod tests {
 
         let list = List::new(creds.clone(), "cs", "UW", "printer*");
         let by_hand = Value::record([
-            ("creds", creds.to_value()),
+            ("creds", creds_tree()),
             ("name", Value::str("x:cs:UW")),
             ("domain", Value::str("cs")),
             ("organization", Value::str("UW")),
@@ -411,28 +274,31 @@ mod tests {
         is_the_record_built_by_hand(&list, &by_hand, List::from_value);
     }
 
-    /// A name that is not three parts is refused where it is read, as a
-    /// service error; a missing field as the wire's.
+    /// A name that is not three parts is refused where it is read, which
+    /// the server answers as its failure; a missing or wrongly kinded
+    /// field as the wire's.
     #[test]
     fn a_tree_with_a_bad_name_or_no_field_is_refused() {
         let creds = Credentials::new(ThreePartName::parse("hns:cs:uw").expect("name"), 1);
         let tree = |name: &str| {
             Value::record([
-                ("creds", creds.to_value()),
+                ("creds", creds.tree().into_owned()),
                 ("name", Value::str(name)),
                 ("prop", Value::U32(4)),
             ])
         };
+        let refused = Lookup::from_value(&tree("two:parts")).unwrap_err();
+        assert!(matches!(refused, WireError::Refused(_)), "{refused}");
         assert!(matches!(
-            Lookup::from_value(&tree("two:parts")),
-            Err(RpcError::Service(_))
+            hrpc::RpcError::from(refused),
+            hrpc::RpcError::Service(_)
         ));
-        assert!(matches!(
+        assert_eq!(
             SetItem::from_value(&tree("fiji:cs:uw")),
-            Err(RpcError::Wire(wire::WireError::FieldMissing(f))) if f == "value"
-        ));
+            Err(WireError::FieldMissing("value".into()))
+        );
         let names = Value::record([
-            ("creds", creds.to_value()),
+            ("creds", creds.tree().into_owned()),
             (
                 "names",
                 Value::List(vec![Value::str("a:cs:uw"), Value::U32(1)]),
@@ -441,7 +307,7 @@ mod tests {
         ]);
         assert!(matches!(
             LookupRun::from_value(&names),
-            Err(RpcError::Wire(_))
+            Err(WireError::TypeMismatch { .. })
         ));
     }
 }

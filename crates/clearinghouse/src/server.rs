@@ -23,9 +23,7 @@ use crate::db::ChDb;
 use crate::error::ChError;
 use crate::name::ThreePartName;
 use crate::property::Entry;
-use crate::request::{
-    creds_of, AddAlias, AddMember, List, Lookup, LookupRun, Named, Request, SetItem,
-};
+use crate::request::{AddAlias, AddMember, List, Lookup, LookupRun, Named, Request, SetItem};
 
 /// Program number Clearinghouse servers are exported under.
 pub const CH_PROGRAM: ProgramId = ProgramId(200_001);
@@ -106,7 +104,6 @@ impl ChServer {
         &self,
         ctx: &CallCtx<'_>,
         args: &dyn Message,
-        decode: fn(&Value) -> RpcResult<T>,
         serve: impl FnOnce(&T) -> RpcResult<Reply>,
     ) -> RpcResult<Reply> {
         if let Some(request) = args.downcast_ref::<T>() {
@@ -115,13 +112,13 @@ impl ChServer {
         }
         let tree = args.tree();
         self.admit_tree(ctx, &tree)?;
-        serve(&decode(&tree)?)
+        serve(&T::read(&tree)?)
     }
 
     /// [`ChServer::admit`] on the credentials of a request's tree.
     fn admit_tree(&self, ctx: &CallCtx<'_>, tree: &Value) -> RpcResult<()> {
-        let creds = creds_of(tree);
-        self.admit(ctx, creds.as_ref().map_err(RpcError::clone))
+        let creds = tree.field("creds").and_then(Credentials::from_value);
+        self.admit(ctx, creds.as_ref().map_err(|e| e.clone().into()))
     }
 
     /// A write, acknowledged with nothing.
@@ -237,26 +234,24 @@ impl RpcService for ChServer {
                 format!("{}: proc {proc_id}", self.name)
             });
         match proc_id {
-            PROC_LOOKUP => self.serve(ctx, args, Lookup::from_value, |r| self.serve_lookup(ctx, r)),
-            PROC_SET_ITEM => self.serve(ctx, args, SetItem::from_value, |r| {
+            PROC_LOOKUP => self.serve(ctx, args, |r: &Lookup| self.serve_lookup(ctx, r)),
+            PROC_SET_ITEM => self.serve(ctx, args, |r: &SetItem| {
                 self.write(|db| db.set_item(&r.name, r.prop, r.value.clone()))
             }),
-            PROC_ADD_ENTRY => self.serve(ctx, args, Named::from_value, |r| {
+            PROC_ADD_ENTRY => self.serve(ctx, args, |r: &Named| {
                 self.write(|db| db.add_entry(r.name.clone()))
             }),
-            PROC_DELETE => self.serve(ctx, args, Named::from_value, |r| {
+            PROC_DELETE => self.serve(ctx, args, |r: &Named| {
                 self.write(|db| db.delete_entry(&r.name))
             }),
-            PROC_ADD_MEMBER => self.serve(ctx, args, AddMember::from_value, |r| {
+            PROC_ADD_MEMBER => self.serve(ctx, args, |r: &AddMember| {
                 self.write(|db| db.add_member(&r.name, r.prop, &r.member))
             }),
-            PROC_ADD_ALIAS => self.serve(ctx, args, AddAlias::from_value, |r| {
+            PROC_ADD_ALIAS => self.serve(ctx, args, |r: &AddAlias| {
                 self.write(|db| db.add_alias(r.name.clone(), r.target.clone()))
             }),
-            PROC_LOOKUP_RUN => self.serve(ctx, args, LookupRun::from_value, |r| {
-                self.serve_lookup_run(ctx, r)
-            }),
-            PROC_LIST => self.serve(ctx, args, List::from_value, |r| self.serve_list(r)),
+            PROC_LOOKUP_RUN => self.serve(ctx, args, |r: &LookupRun| self.serve_lookup_run(ctx, r)),
+            PROC_LIST => self.serve(ctx, args, |r: &List| self.serve_list(r)),
             PROC_SNAPSHOT => self.serve_snapshot(ctx, args),
             other => {
                 self.admit_tree(ctx, &args.tree())?;
@@ -349,7 +344,7 @@ mod tests {
 
     fn lookup_args(creds: &Credentials, name: &str, prop: u32) -> Value {
         Value::record([
-            ("creds", creds.to_value()),
+            ("creds", creds.tree().into_owned()),
             ("name", Value::str(name)),
             ("prop", Value::U32(prop)),
         ])
@@ -401,7 +396,7 @@ mod tests {
     fn write_then_read_through_wire() {
         let (_world, net, client, dep, creds) = setup();
         let set = Value::record([
-            ("creds", creds.to_value()),
+            ("creds", creds.tree().into_owned()),
             ("name", Value::str("printer:cs:uw")),
             ("prop", Value::U32(4)),
             ("value", Value::U32(17)),
@@ -424,7 +419,7 @@ mod tests {
     fn group_membership_through_wire() {
         let (_world, net, client, dep, creds) = setup();
         let add = Value::record([
-            ("creds", creds.to_value()),
+            ("creds", creds.tree().into_owned()),
             ("name", Value::str("staff:cs:uw")),
             ("prop", Value::U32(40)),
             ("member", Value::str("alice:cs:uw")),
@@ -461,7 +456,7 @@ mod tests {
     fn add_and_delete_entries() {
         let (_world, net, client, dep, creds) = setup();
         let args = Value::record([
-            ("creds", creds.to_value()),
+            ("creds", creds.tree().into_owned()),
             ("name", Value::str("temp:cs:uw")),
         ]);
         net.call(client, &dep.binding, PROC_ADD_ENTRY, &args)
@@ -486,7 +481,7 @@ mod tests {
             )
             .expect("set");
         });
-        let args = Value::record([("creds", creds.to_value())]);
+        let args = Value::record([("creds", creds.tree().into_owned())]);
         let reply = net
             .call(client, &dep.binding, PROC_SNAPSHOT, &args)
             .expect("snapshot");

@@ -19,7 +19,7 @@ use hrpc::{HrpcBinding, ProgramId};
 use regd::chain::TransferLink;
 use simnet::topology::{HostId, NetAddr};
 use wire::fast::{encode_rr_batch, WireRecord};
-use wire::Value;
+use wire::{Message, Value};
 
 use crate::hexdump;
 
@@ -151,12 +151,12 @@ fn ixfr_reply(mode: &str, with_records: bool) -> Value {
     ])
 }
 
-fn xdr(v: &Value) -> Vec<u8> {
-    wire::xdr::encode(v).expect("corpus value encodes as XDR")
+fn xdr(m: &dyn Message) -> Vec<u8> {
+    wire::xdr::encode(&m.tree()).expect("corpus value encodes as XDR")
 }
 
-fn courier(v: &Value) -> Vec<u8> {
-    wire::courier::encode(v).expect("corpus value encodes as Courier")
+fn courier(m: &dyn Message) -> Vec<u8> {
+    wire::courier::encode(&m.tree()).expect("corpus value encodes as Courier")
 }
 
 /// Builds every corpus entry from its deterministic constructor.
@@ -172,7 +172,7 @@ pub fn entries() -> Vec<CorpusEntry> {
     };
 
     // Questions (PROC_QUERY request), both self-describing formats.
-    let q = Question::new(dn("fiji.cs.washington.edu"), RType::A).to_value();
+    let q = Question::new(dn("fiji.cs.washington.edu"), RType::A);
     push("question_xdr", "question", Decoder::XdrValue, xdr(&q));
     push(
         "question_courier",
@@ -212,7 +212,7 @@ pub fn entries() -> Vec<CorpusEntry> {
     );
 
     // The batched meta pipeline (PROC_MQUERY request and reply).
-    let mq = MultiQuestion::new(sample_questions(), vec!["hrpcbinding".into()]).to_value();
+    let mq = MultiQuestion::new(sample_questions(), vec!["hrpcbinding".into()]);
     push(
         "multi_question_xdr",
         "multi-question",
@@ -305,7 +305,7 @@ pub fn entries() -> Vec<CorpusEntry> {
     );
 
     // regd transfer-chain links (Clearinghouse property values).
-    let link = TransferLink::signed("printer:accounting:uw", 2, "alice", "bob", 0x1987).to_value();
+    let link = TransferLink::signed("printer:accounting:uw", 2, "alice", "bob", 0x1987);
     push(
         "regd_chain_link_xdr",
         "chain-link",

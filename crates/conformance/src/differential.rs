@@ -655,11 +655,11 @@ pub mod peers {
 
         // A caller of `RpcNet::call`, which has only ever exchanged trees.
         let call = |binding, proc_id, args: &Value| net.call(client, binding, proc_id, args);
-        let asked = Question::new(meta.clone(), RType::Unspec).to_value();
-        let reply = call(&cs.std_binding, PROC_QUERY, &asked).expect("QUERY");
+        let asked = Question::new(meta.clone(), RType::Unspec);
+        let reply = call(&cs.std_binding, PROC_QUERY, &asked.tree()).expect("QUERY");
         see("call QUERY", format!("{:?}", Answer::from_value(&reply)));
-        let asked = MultiQuestion::new(questions.to_vec(), hints.to_vec()).to_value();
-        let reply = call(&cs.hrpc_binding, PROC_MQUERY, &asked).expect("MQUERY");
+        let asked = MultiQuestion::new(questions.to_vec(), hints.to_vec());
+        let reply = call(&cs.hrpc_binding, PROC_MQUERY, &asked.tree()).expect("MQUERY");
         see(
             "call MQUERY",
             format!("{:?}", MultiAnswer::from_value(&reply)),
@@ -670,7 +670,7 @@ pub mod peers {
         let referred = call(
             &root.std_binding,
             PROC_QUERY,
-            &Question::new(fiji, RType::A).to_value(),
+            &Question::new(fiji, RType::A).tree(),
         );
         see("call for a referral", format!("{referred:?}"));
 

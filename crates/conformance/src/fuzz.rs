@@ -434,12 +434,10 @@ fn read_messages(report: &mut FuzzReport, value: &Value, budget: u64, what: &dyn
     read.message("MultiAnswer", MultiAnswer::from_value, |a| {
         a.to_value().ok()
     });
-    read.message("Question", Question::from_value, |q| Some(q.to_value()));
-    read.message("MultiQuestion", MultiQuestion::from_value, |q| {
-        Some(q.to_value())
-    });
     read.message("UpdateOp", UpdateOp::from_value, |op| op.to_value().ok());
     let tree = |m: &dyn Message| Some(m.tree().into_owned());
+    read.message("Question", Question::from_value, |m| tree(m));
+    read.message("MultiQuestion", MultiQuestion::from_value, |m| tree(m));
     read.message("NsmRequest", NsmRequest::from_value, |m| tree(m));
     read.message("HrpcBinding", HrpcBinding::from_value, |m| tree(m));
     read.message("HostAddress", HostAddress::from_value, |m| tree(m));

@@ -12,7 +12,7 @@ use clearinghouse::ThreePartName;
 use regd::chain::{sign_link, TransferLink};
 use regd::registry::{MAX_NAME_LEN, PROP_REG_LINK, PROP_REG_RECORD};
 use regd::{RegError, RegResult};
-use wire::Value;
+use wire::{Message, Value};
 
 use super::ch::ChModel;
 
@@ -69,7 +69,8 @@ impl RegModel {
     }
 
     /// A name that can become a context: 1 to [`MAX_NAME_LEN`] bytes of
-    /// `[A-Za-z0-9_-]`, no `--`.
+    /// `[A-Za-z0-9_-]`, no `--` — and no upper case, which three-part
+    /// names would lose.
     fn check_name(name: &str) -> RegResult<()> {
         if name.is_empty() || name.len() > MAX_NAME_LEN {
             return Err(RegError::BadRecord(format!(
@@ -80,6 +81,11 @@ impl RegModel {
         if name.contains("--") || !name.bytes().all(keyable) {
             return Err(RegError::BadRecord(format!(
                 "name `{name}` may hold only [A-Za-z0-9_-] and no `--`"
+            )));
+        }
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            return Err(RegError::BadRecord(format!(
+                "name `{name}` may not hold upper case"
             )));
         }
         Ok(())
@@ -200,7 +206,9 @@ impl RegModel {
             registration.holders.len() as u32,
             registration.holders[0].clone(),
         );
-        let link = TransferLink::signed(name, seq, from, to, key).to_value();
+        let link = TransferLink::signed(name, seq, from, to, key)
+            .tree()
+            .into_owned();
         let entry = self.entry(&format!("reg--{name}--t{seq}"));
         ch.set_item(&entry, PROP_REG_LINK, link).expect("served");
         if let Some(service) = rebind {

@@ -237,7 +237,7 @@ fn only_zone_transfers_and_the_snapshot_still_reach_a_server_as_trees() {
         .expect("run");
     chc.list("cs", "uw", "*").expect("list");
     chc.delete(&temp).expect("delete");
-    let creds = Value::record([("creds", tb.creds.to_value())]);
+    let creds = Value::record([("creds", tb.creds.tree().into_owned())]);
     net.call(client, &tb.ch.binding, PROC_SNAPSHOT, &creds)
         .expect("snapshot");
 

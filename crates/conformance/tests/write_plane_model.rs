@@ -33,8 +33,8 @@ use wire::{Message, Value};
 
 /// Owners with keys on file; the last one has none.
 const OWNERS: [&str; 5] = ["o0", "o1", "o2", "o3", "mallory"];
-/// Registered names; the last one is refused.
-const NAMES: [&str; 3] = ["alpha", "beta", "my.svc"];
+/// Registered names; the last two are refused (no meta key, upper case).
+const NAMES: [&str; 4] = ["alpha", "beta", "my.svc", "Svc"];
 const SERVICES: [&str; 2] = ["BIND", "Clearinghouse"];
 /// Entries the raw Clearinghouse operations touch: none of `regd`'s, and
 /// one in a domain the server does not serve.

@@ -93,9 +93,13 @@ impl std::error::Error for RpcError {
     }
 }
 
+/// A value its type refused is the service's failure; any other, marshalling's.
 impl From<WireError> for RpcError {
     fn from(e: WireError) -> Self {
-        RpcError::Wire(e)
+        match e {
+            WireError::Refused(why) => RpcError::Service(why),
+            other => RpcError::Wire(other),
+        }
     }
 }
 
@@ -160,5 +164,7 @@ mod tests {
         assert_eq!(err, RpcError::Wire(WireError::BadUtf8));
         assert!(std::error::Error::source(&err).is_some());
         assert!(std::error::Error::source(&RpcError::BadProcedure(1)).is_none());
+        let refused: RpcError = WireError::Refused("bad name".into()).into();
+        assert_eq!(refused, RpcError::Service("bad name".into()));
     }
 }

@@ -17,8 +17,6 @@ use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
 use hrpc::server::Reply;
-use wire::message::{Shape, Shaped};
-use wire::{Value, WireResult};
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
@@ -39,24 +37,12 @@ impl FileLocation {
             local_path: format!("{root}/{path}"),
         }
     }
-
-    /// Decodes an untyped NSM's reply.
-    pub fn from_value(v: &Value) -> WireResult<FileLocation> {
-        Ok(FileLocation {
-            file_host: v.str_field("file_host")?.to_string(),
-            local_path: v.str_field("local_path")?.to_string(),
-        })
-    }
 }
 
-impl Shaped for FileLocation {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("file_host", s.str(&self.file_host)),
-            ("local_path", s.str(&self.local_path)),
-        ])
-    }
-}
+wire::record!(FileLocation {
+    file_host,
+    local_path
+});
 
 /// File-location NSM over BIND `TXT` records of the form
 /// `fileservice=<host>;root=<path>`.

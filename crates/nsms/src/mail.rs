@@ -16,8 +16,6 @@ use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
 use hrpc::server::Reply;
-use wire::message::{Shape, Shaped};
-use wire::{Value, WireResult};
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
@@ -28,20 +26,7 @@ pub struct MailboxLocation {
     pub mailbox_host: String,
 }
 
-impl MailboxLocation {
-    /// Decodes an untyped NSM's reply.
-    pub fn from_value(v: &Value) -> WireResult<MailboxLocation> {
-        Ok(MailboxLocation {
-            mailbox_host: v.str_field("mailbox_host")?.to_string(),
-        })
-    }
-}
-
-impl Shaped for MailboxLocation {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([("mailbox_host", s.str(&self.mailbox_host))])
-    }
-}
+wire::record!(MailboxLocation { mailbox_host });
 
 /// Mailbox NSM over BIND `MX` records.
 #[derive(Debug)]

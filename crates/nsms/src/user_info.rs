@@ -15,8 +15,6 @@ use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
 use hrpc::server::Reply;
-use wire::message::{Shape, Shaped};
-use wire::{Value, WireResult};
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
@@ -39,24 +37,9 @@ impl UserInfo {
             host: host.to_string(),
         }
     }
-
-    /// Decodes an untyped NSM's reply.
-    pub fn from_value(v: &Value) -> WireResult<UserInfo> {
-        Ok(UserInfo::new(
-            v.str_field("full_name")?,
-            v.str_field("host")?,
-        ))
-    }
 }
 
-impl Shaped for UserInfo {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("full_name", s.str(&self.full_name)),
-            ("host", s.str(&self.host)),
-        ])
-    }
-}
+wire::record!(UserInfo { full_name, host });
 
 /// User-info NSM over BIND `TXT` records of the form
 /// `name=<full name>;host=<home host>`.

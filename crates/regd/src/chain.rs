@@ -9,11 +9,9 @@
 //! base record and follows links `1, 2, 3, …` until one is missing; the
 //! last link's `to` is the current holder.
 //!
-//! This module is pure data: signing, wire encoding, the naive walk
+//! This module is pure data: signing, the link's record, the naive walk
 //! over an in-memory link list, and the cycle rule. Storage and RPC
 //! live in [`crate::registry`].
-
-use wire::Value;
 
 use crate::error::{RegError, RegResult};
 
@@ -67,28 +65,10 @@ impl TransferLink {
     pub fn verify(&self, name: &str, key: u64) -> bool {
         self.sig == sign_link(name, self.seq, &self.from, &self.to, key)
     }
-
-    /// Encodes for the Clearinghouse property value.
-    pub fn to_value(&self) -> Value {
-        Value::record([
-            ("seq", Value::U32(self.seq)),
-            ("from", Value::str(&*self.from)),
-            ("to", Value::str(&*self.to)),
-            ("sig", Value::U64(self.sig)),
-        ])
-    }
-
-    /// Decodes from a Clearinghouse property value.
-    pub fn from_value(v: &Value) -> RegResult<TransferLink> {
-        let bad = |e: wire::WireError| RegError::BadRecord(format!("link: {e}"));
-        Ok(TransferLink {
-            seq: v.u32_field("seq").map_err(bad)?,
-            from: v.str_field("from").map_err(bad)?.to_string(),
-            to: v.str_field("to").map_err(bad)?.to_string(),
-            sig: v.field("sig").and_then(Value::as_u64).map_err(bad)?,
-        })
-    }
 }
+
+// The Clearinghouse property value a link is stored as.
+wire::record!(TransferLink { seq, from, to, sig });
 
 /// Every holder a chain has had, in order: the base owner, then each
 /// link's `to`.
@@ -171,8 +151,9 @@ mod tests {
 
     #[test]
     fn wire_roundtrip() {
+        use wire::{Message, Value};
         let l = TransferLink::signed("n", 3, "x", "y", 9);
-        assert_eq!(TransferLink::from_value(&l.to_value()).expect("decode"), l);
+        assert_eq!(TransferLink::from_value(&l.tree()), Ok(l));
         assert!(TransferLink::from_value(&Value::U32(1)).is_err());
     }
 

@@ -84,9 +84,10 @@ impl From<RpcError> for RegError {
     }
 }
 
+/// A record that does not decode (a stored link, a resolution) is malformed.
 impl From<wire::WireError> for RegError {
     fn from(e: wire::WireError) -> Self {
-        RegError::Rpc(RpcError::Wire(e))
+        RegError::BadRecord(e.to_string())
     }
 }
 

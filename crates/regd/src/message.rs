@@ -2,15 +2,11 @@
 //! request struct per procedure, and a [`Resolution`] back from those that
 //! resolve.
 //!
-//! Each is shaped as exactly the record [`crate::RegClient`] built by
-//! hand before it was typed, field for field and in the same order, so a
-//! call costs the bytes and the virtual time it did. A caller that sends a
-//! tree is decoded into the same struct by `from_value`, once, where the
-//! server reads it.
-
-use hrpc::{RpcError, RpcResult};
-use wire::message::{Shape, Shaped};
-use wire::Value;
+//! Each is a [`wire::record!`], shaped as exactly the record
+//! [`crate::RegClient`] built by hand before it was typed, field for field
+//! and in the same order, so a call costs the bytes and the virtual time
+//! it did. A caller that sends a tree is decoded into the same struct by
+//! `from_value`, once, where the server reads it.
 
 use crate::registry::Resolution;
 
@@ -73,172 +69,47 @@ pub struct Resolve {
     pub name: String,
 }
 
-/// The `(owner, key, name)` every request but `RESOLVE` starts with.
-fn signed(v: &Value) -> RpcResult<(String, u64, String)> {
-    Ok((
-        v.str_field("owner")?.to_string(),
-        v.field("key")?.as_u64()?,
-        v.str_field("name")?.to_string(),
-    ))
-}
-
-impl Register {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Register> {
-        let (owner, key, name) = signed(v)?;
-        let service = v.str_field("service")?.to_string();
-        Ok(Register {
-            owner,
-            key,
-            name,
-            service,
-        })
-    }
-}
-
-impl Update {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Update> {
-        let (owner, key, name) = signed(v)?;
-        let service = v.str_field("service")?.to_string();
-        Ok(Update {
-            owner,
-            key,
-            name,
-            service,
-        })
-    }
-}
-
-impl Transfer {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Transfer> {
-        let (owner, key, name) = signed(v)?;
-        let to = v.str_field("to")?.to_string();
-        let rebind = match v.field("rebind")? {
-            Value::Opt(inner) => inner.as_deref().map(Value::as_str).transpose()?,
-            other => {
-                return Err(RpcError::Service(format!(
-                    "rebind must be opt, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        Ok(Transfer {
-            owner,
-            key,
-            name,
-            to,
-            rebind: rebind.map(str::to_string),
-        })
-    }
-}
-
-impl Release {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Release> {
-        let (owner, key, name) = signed(v)?;
-        Ok(Release { owner, key, name })
-    }
-}
-
-impl Resolve {
-    /// Decodes an untyped caller's tree.
-    pub fn from_value(v: &Value) -> RpcResult<Resolve> {
-        Ok(Resolve {
-            name: v.str_field("name")?.to_string(),
-        })
-    }
-}
-
-impl Shaped for Register {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("owner", s.str(&self.owner)),
-            ("key", s.u64(self.key)),
-            ("name", s.str(&self.name)),
-            ("service", s.str(&self.service)),
-        ])
-    }
-}
-
-impl Shaped for Update {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("owner", s.str(&self.owner)),
-            ("key", s.u64(self.key)),
-            ("name", s.str(&self.name)),
-            ("service", s.str(&self.service)),
-        ])
-    }
-}
-
-impl Shaped for Transfer {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("owner", s.str(&self.owner)),
-            ("key", s.u64(self.key)),
-            ("name", s.str(&self.name)),
-            ("to", s.str(&self.to)),
-            ("rebind", s.opt(self.rebind.as_deref().map(|r| s.str(r)))),
-        ])
-    }
-}
-
-impl Shaped for Release {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("owner", s.str(&self.owner)),
-            ("key", s.u64(self.key)),
-            ("name", s.str(&self.name)),
-        ])
-    }
-}
-
-impl Shaped for Resolve {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([("name", s.str(&self.name))])
-    }
-}
-
-impl Resolution {
-    /// Decodes the tree an untyped server replies with.
-    pub fn from_value(v: &Value) -> RpcResult<Resolution> {
-        Ok(Resolution {
-            name: v.str_field("name")?.to_string(),
-            owner: v.str_field("owner")?.to_string(),
-            base_owner: v.str_field("base_owner")?.to_string(),
-            service: v.str_field("service")?.to_string(),
-            depth: v.u32_field("depth")?,
-            walked: v.field("walked")?.as_bool()?,
-        })
-    }
-}
-
-impl Shaped for Resolution {
-    fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("name", s.str(&self.name)),
-            ("owner", s.str(&self.owner)),
-            ("base_owner", s.str(&self.base_owner)),
-            ("service", s.str(&self.service)),
-            ("depth", s.u32(self.depth)),
-            ("walked", s.bool(self.walked)),
-        ])
-    }
-}
+wire::record!(Register {
+    owner,
+    key,
+    name,
+    service
+});
+wire::record!(Update {
+    owner,
+    key,
+    name,
+    service
+});
+wire::record!(Transfer {
+    owner,
+    key,
+    name,
+    to,
+    rebind
+});
+wire::record!(Release { owner, key, name });
+wire::record!(Resolve { name });
+wire::record!(Resolution {
+    name,
+    owner,
+    base_owner,
+    service,
+    depth,
+    walked
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wire::{Message, WireFormat};
+    use wire::{Message, Value, WireError, WireFormat, WireResult};
 
     /// `message` yields `by_hand`, states its length, and is what
     /// `decode` reads back from it.
     fn is_the_record_built_by_hand<T: Message + PartialEq + std::fmt::Debug>(
         message: &T,
         by_hand: &Value,
-        decode: fn(&Value) -> RpcResult<T>,
+        decode: fn(&Value) -> WireResult<T>,
     ) {
         assert_eq!(&message.tree().into_owned(), by_hand);
         for format in [WireFormat::Xdr, WireFormat::Courier] {
@@ -324,8 +195,8 @@ mod tests {
         is_the_record_built_by_hand(&resolution, &by_hand, Resolution::from_value);
     }
 
-    /// A re-bind that is not an option is refused as the server refused
-    /// it; a missing field as the wire's.
+    /// A re-bind that is not an option is refused as a mismatch of kind,
+    /// a missing field as missing.
     #[test]
     fn a_malformed_tree_is_refused() {
         let transfer = Value::record([
@@ -335,13 +206,14 @@ mod tests {
             ("to", Value::str("bob")),
             ("rebind", Value::str("BIND")),
         ]);
+        let mismatch = WireError::TypeMismatch {
+            expected: "opt",
+            found: "str",
+        };
+        assert_eq!(Transfer::from_value(&transfer), Err(mismatch));
         assert_eq!(
-            Transfer::from_value(&transfer),
-            Err(RpcError::Service("rebind must be opt, got str".into()))
-        );
-        assert!(matches!(
             Register::from_value(&Value::record([("owner", Value::str("a"))])),
-            Err(RpcError::Wire(wire::WireError::FieldMissing(f))) if f == "key"
-        ));
+            Err(WireError::FieldMissing("key".into()))
+        );
     }
 }

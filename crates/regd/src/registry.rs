@@ -20,7 +20,7 @@
 //! # Resolution and the collapse cache
 //!
 //! A cold resolve reads the base record and walks the chain in
-//! coalesced runs of [`LINK_BATCH`] links per Clearinghouse RPC —
+//! coalesced runs of `LINK_BATCH` (16) links per Clearinghouse RPC —
 //! `1 + ceil((depth + 1) / LINK_BATCH)` reads for a chain of `depth`
 //! links (the short final run confirms the head). The result is cached
 //! as the *collapsed head*. A warm resolve issues exactly
@@ -60,7 +60,7 @@ use hrpc::error::RpcError;
 use hrpc::net::RpcNet;
 use hrpc::HrpcBinding;
 use simnet::obs::{LazyCounter, LazyHistogram};
-use wire::Value;
+use wire::{Message, Value};
 
 use crate::chain::{self, TransferLink};
 use crate::error::{RegError, RegResult};
@@ -250,6 +250,13 @@ impl Registry {
                 "name `{name}` may hold only [A-Za-z0-9_-] and no `--`"
             )));
         }
+        // Its entries' three-part names are lowercased, but its links are
+        // signed as given: `Svc` would fail its own check once `svc` moved.
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            return Err(RegError::BadRecord(format!(
+                "name `{name}` may not hold upper case"
+            )));
+        }
         Ok(())
     }
 
@@ -386,7 +393,7 @@ impl Registry {
     /// Resolves a name to its current holder and binding.
     ///
     /// Cold: one base read plus one coalesced run read per
-    /// [`LINK_BATCH`] links (counted in `regd/chain_walks`). Warm:
+    /// `LINK_BATCH` (16) links (counted in `regd/chain_walks`). Warm:
     /// exactly one Clearinghouse read — the probe of link `depth + 1` —
     /// however long the chain is (`regd/collapse_hits`). A probe that
     /// *hits* means the chain grew under us; the walk resumes from
@@ -596,7 +603,7 @@ impl Registry {
         // The probe is the entry the new link is written to.
         self.write(
             self.ch
-                .set_item(&head.probe, PROP_REG_LINK, link.to_value()),
+                .set_item(&head.probe, PROP_REG_LINK, link.tree().into_owned()),
         )?;
         self.bump(&self.metrics.transfers, "transfers");
         self.metrics
@@ -936,5 +943,31 @@ mod tests {
         }
         let calls = env.world.counters().remote_calls - before;
         assert_eq!(calls, 0, "refused before the first Clearinghouse write");
+    }
+
+    /// `Svc` used to be registered: stored under `reg--svc` (three-part
+    /// names are lowercased) but signed as `Svc`, so once `svc` had been
+    /// transferred, `resolve("Svc")` failed `BadSignature`. Upper case is
+    /// refused, in every operation, before anything is written.
+    #[test]
+    fn a_name_in_upper_case_is_refused_before_anything_is_written() {
+        let (env, reg) = setup();
+        let before = env.world.counters().remote_calls;
+        let refused = |r: RegResult<Resolution>| matches!(r, Err(RegError::BadRecord(_)));
+        assert!(refused(reg.register("alice", 0xA11CE, "Svc", "BIND")));
+        assert_eq!(env.world.counters().remote_calls, before, "nothing written");
+        reg.register("alice", 0xA11CE, "svc", "BIND")
+            .expect("register");
+        assert!(refused(reg.transfer("alice", 0xA11CE, "Svc", "bob", None)));
+        reg.transfer("alice", 0xA11CE, "svc", "bob", None)
+            .expect("transfer");
+        assert!(refused(reg.resolve("Svc")));
+        assert!(refused(reg.resolve_naive("Svc")));
+        assert!(matches!(
+            reg.update("bob", 0xB0B, "Svc", "CH"),
+            Err(RegError::BadRecord(_))
+        ));
+        let r = reg.resolve_naive("svc").expect("resolve");
+        assert_eq!((r.owner.as_str(), r.depth), ("bob", 1));
     }
 }

@@ -24,6 +24,9 @@ pub enum WireError {
     },
     /// Trailing bytes remained after a complete value.
     TrailingBytes(usize),
+    /// A value of the right kind that the type reading it refused (text
+    /// that is no name, a code that names nothing), and why.
+    Refused(String),
 }
 
 impl fmt::Display for WireError {
@@ -38,6 +41,7 @@ impl fmt::Display for WireError {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            WireError::Refused(why) => write!(f, "refused: {why}"),
         }
     }
 }
@@ -67,5 +71,8 @@ mod tests {
         assert!(WireError::TrailingBytes(4).to_string().contains('4'));
         assert!(WireError::Oversize(1 << 30).to_string().contains("limit"));
         assert!(WireError::BadUtf8.to_string().contains("UTF-8"));
+        assert!(WireError::Refused("bad name".into())
+            .to_string()
+            .contains("bad name"));
     }
 }

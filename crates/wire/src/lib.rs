@@ -11,7 +11,9 @@
 //! * [`format::WireFormat`] — bind-time dispatch between them.
 //! * [`message::Message`] — the fabric's unit of exchange: a `Value`, or
 //!   a typed struct that states its encoded length and yields its tree
-//!   from one description of its shape.
+//!   from one description of its shape. A plain record's description is
+//!   its field list, given once to [`record!`]: the shape and the tree
+//!   decoder are both read off it, each field a [`message::Field`].
 //! * [`idl::TypeDesc`] — interface descriptions.
 //! * [`generated`] — the stub-compiler-style marshaller: correct but
 //!   layered, reproducing the expensive code path of Table 3.2.

@@ -16,11 +16,16 @@
 //! typed message writes its [`Shaped::shape`] once; read by [`Tree`] that
 //! description builds the value, read by the codec's sizer it gives the
 //! length, so the two cannot drift.
+//!
+//! A plain record goes one step further: [`crate::record!`] reads its field
+//! list — each field a [`Field`] — as its shape and as its tree decoder,
+//! so the struct is described once, as HRPC's stubs were generated from
+//! one interface description.
 
 use std::any::Any;
 use std::borrow::Cow;
 
-use crate::error::WireResult;
+use crate::error::{WireError, WireResult};
 use crate::format::WireFormat;
 use crate::value::Value;
 
@@ -134,6 +139,134 @@ impl<T: Shaped + Any> Message for T {
     }
 }
 
+/// One field of a record: how it is shaped, and how it is read back from
+/// an untyped peer's tree.
+pub trait Field: Sized {
+    /// The field, for `s` to read.
+    fn shape<S: Shape>(&self, s: &S) -> S::Out;
+
+    /// The field decoded from `v`: refused with the accessor's error when
+    /// `v` is of another kind, with [`WireError::Refused`] when this type
+    /// refuses what it holds.
+    fn read(v: &Value) -> WireResult<Self>;
+}
+
+/// A number or a flag: its own piece of the shape, read by its accessor.
+macro_rules! scalar_fields {
+    ($($ty:ty => $piece:ident, $accessor:ident;)+) => {$(
+        impl Field for $ty {
+            fn shape<S: Shape>(&self, s: &S) -> S::Out {
+                s.$piece(*self)
+            }
+
+            fn read(v: &Value) -> WireResult<$ty> {
+                v.$accessor()
+            }
+        }
+    )+};
+}
+
+scalar_fields! {
+    u32 => u32, as_u32;
+    u64 => u64, as_u64;
+    bool => bool, as_bool;
+}
+
+impl Field for String {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.str(self)
+    }
+
+    fn read(v: &Value) -> WireResult<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+/// A tree carried as it is.
+impl Field for Value {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.value(self)
+    }
+
+    fn read(v: &Value) -> WireResult<Value> {
+        Ok(v.clone())
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.list(self.iter(), |item| item.shape(s))
+    }
+
+    fn read(v: &Value) -> WireResult<Vec<T>> {
+        v.as_list()?.iter().map(T::read).collect()
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.opt(self.as_ref().map(|inner| inner.shape(s)))
+    }
+
+    fn read(v: &Value) -> WireResult<Option<T>> {
+        match v {
+            Value::Opt(inner) => inner.as_deref().map(T::read).transpose(),
+            other => Err(WireError::TypeMismatch {
+                expected: "opt",
+                found: other.kind(),
+            }),
+        }
+    }
+}
+
+/// Describes a struct once, as the record of its fields in wire order —
+/// `record!(Type { field, field: "wire_name" })`, a field's wire name
+/// being its own unless given — and reads that one list three ways: as
+/// the struct's [`Shaped::shape`], as its [`Field`] (so records nest), and
+/// as its `from_value`, the decoder of an untyped peer's tree. Each
+/// field's type must be a [`Field`]; a missing or wrongly kinded field is
+/// refused with the error of the [`Value`] accessor that found it.
+#[macro_export]
+macro_rules! record {
+    ($ty:ident { $($field:ident $(: $wire:literal)?),+ $(,)? }) => {
+        impl $crate::message::Shaped for $ty {
+            fn shape<S: $crate::message::Shape>(&self, s: &S) -> S::Out {
+                s.record([$((
+                    $crate::record!(@wire $field $($wire)?),
+                    $crate::message::Field::shape(&self.$field, s),
+                )),+])
+            }
+        }
+
+        impl $crate::message::Field for $ty {
+            fn shape<S: $crate::message::Shape>(&self, s: &S) -> S::Out {
+                $crate::message::Shaped::shape(self, s)
+            }
+
+            fn read(v: &$crate::Value) -> $crate::WireResult<$ty> {
+                ::core::result::Result::Ok($ty {$(
+                    $field: $crate::message::Field::read(
+                        v.field($crate::record!(@wire $field $($wire)?))?,
+                    )?,
+                )+})
+            }
+        }
+
+        impl $ty {
+            /// Decodes an untyped peer's tree, field by field.
+            pub fn from_value(v: &$crate::Value) -> $crate::WireResult<$ty> {
+                <$ty as $crate::message::Field>::read(v)
+            }
+        }
+    };
+    (@wire $field:ident) => {
+        stringify!($field)
+    };
+    (@wire $field:ident $wire:literal) => {
+        $wire
+    };
+}
+
 /// The reading that builds the tree.
 #[derive(Debug, Clone, Copy)]
 pub struct Tree;
@@ -188,14 +321,55 @@ impl Shape for Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::WireError;
 
-    /// Every kind of piece, and a string the caller sizes.
+    /// Opaque data: a field with a rule of its own, written by hand.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Blob(Vec<u8>);
+
+    impl Field for Blob {
+        fn shape<S: Shape>(&self, s: &S) -> S::Out {
+            s.bytes(self.0.len(), |out| out.extend_from_slice(&self.0))
+        }
+
+        fn read(v: &Value) -> WireResult<Blob> {
+            v.as_bytes().map(|b| Blob(b.to_vec()))
+        }
+    }
+
+    /// A record nested in another.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Inner {
+        count: u32,
+    }
+
+    crate::record!(Inner { count });
+
+    /// Every kind of field — one renamed on the wire, one a nested
+    /// record — and a string the caller sizes.
     #[derive(Debug, Clone, PartialEq)]
     struct Sample {
         text: String,
+        blob: Blob,
         items: Vec<u32>,
+        flag: bool,
+        wide: u64,
+        carried: Value,
+        maybe: Option<String>,
+        absent: Option<String>,
+        inner: Inner,
     }
+
+    crate::record!(Sample {
+        text,
+        blob,
+        items: "list",
+        flag,
+        wide,
+        carried,
+        maybe,
+        absent,
+        inner,
+    });
 
     /// A carried tree of every kind of node.
     fn carried() -> Value {
@@ -206,35 +380,28 @@ mod tests {
         ])
     }
 
-    impl Shaped for Sample {
-        fn shape<S: Shape>(&self, s: &S) -> S::Out {
-            s.record([
-                ("text", s.str(&self.text)),
-                ("blob", s.bytes(3, |out| out.extend_from_slice(b"abc"))),
-                ("items", s.list(self.items.iter(), |v| s.u32(*v))),
-                ("flag", s.bool(true)),
-                ("wide", s.u64(u64::MAX)),
-                ("carried", s.value(&carried())),
-                ("maybe", s.opt(Some(s.str(&self.text)))),
-                ("absent", s.opt(None)),
-            ])
-        }
-    }
-
     fn sample(text_len: usize) -> Sample {
+        let text = "x".repeat(text_len);
         Sample {
-            text: "x".repeat(text_len),
+            maybe: Some(text.clone()),
+            text,
+            blob: Blob(b"abc".to_vec()),
             items: vec![1, 2, 3],
+            flag: true,
+            wide: u64::MAX,
+            carried: carried(),
+            absent: None,
+            inner: Inner { count: 7 },
         }
     }
 
-    #[test]
-    fn a_shape_read_as_a_tree_is_the_value_written_by_hand() {
-        let by_hand = Value::record([
+    /// `sample(2)`, written by hand.
+    fn by_hand() -> Value {
+        Value::record([
             ("text", Value::str("xx")),
             ("blob", Value::Bytes(b"abc".to_vec())),
             (
-                "items",
+                "list",
                 Value::List(vec![Value::U32(1), Value::U32(2), Value::U32(3)]),
             ),
             ("flag", Value::Bool(true)),
@@ -242,8 +409,24 @@ mod tests {
             ("carried", carried()),
             ("maybe", Value::Opt(Some(Box::new(Value::str("xx"))))),
             ("absent", Value::Opt(None)),
-        ]);
-        assert_eq!(sample(2).tree().into_owned(), by_hand);
+            ("inner", Value::record([("count", Value::U32(7))])),
+        ])
+    }
+
+    /// `tree` with its field `name` set to `value`, or dropped for none.
+    fn with(tree: &Value, name: &str, value: Option<Value>) -> Value {
+        let fields = tree.as_struct().expect("a record").iter();
+        let kept = fields.filter_map(|(k, v)| match k == name {
+            false => Some((k.clone(), v.clone())),
+            true => value.clone().map(|value| (k.clone(), value)),
+        });
+        Value::Struct(kept.collect())
+    }
+
+    #[test]
+    fn a_shape_read_as_a_tree_is_the_value_written_by_hand() {
+        assert_eq!(sample(2).tree().into_owned(), by_hand());
+        assert_eq!(Sample::from_value(&by_hand()), Ok(sample(2)));
     }
 
     #[test]
@@ -273,11 +456,53 @@ mod tests {
         let many = Sample {
             text: String::new(),
             items: vec![0; over],
+            ..sample(0)
         };
         assert_eq!(
             many.encoded_len(WireFormat::Courier),
             WireFormat::Courier.encode(&many.tree()).map(|b| b.len())
         );
+    }
+
+    /// A field that is missing — at the top, under its wire name, or in
+    /// the nested record — or of the wrong kind is refused with the error
+    /// the accessor that found it gives.
+    #[test]
+    fn a_missing_or_wrongly_kinded_field_is_refused_as_the_accessor_refuses_it() {
+        let tree = by_hand();
+        for name in ["wide", "list", "absent"] {
+            let bad = with(&tree, name, None);
+            assert_eq!(Sample::from_value(&bad), Err(bad.field(name).unwrap_err()));
+        }
+        let inner = Value::record([("n", Value::U32(7))]);
+        let missing = inner.field("count").unwrap_err();
+        assert_eq!(Inner::from_value(&inner), Err(missing.clone()));
+        let bad = with(&tree, "inner", Some(inner));
+        assert_eq!(Sample::from_value(&bad), Err(missing));
+        let (one, text) = (Value::U32(1), Value::str("1"));
+        for (name, wrong, refusal) in [
+            ("wide", one.clone(), one.as_u64().unwrap_err()),
+            ("flag", one.clone(), one.as_bool().unwrap_err()),
+            ("text", one.clone(), one.as_str().unwrap_err()),
+            ("blob", one.clone(), one.as_bytes().unwrap_err()),
+            ("inner", one.clone(), one.as_struct().unwrap_err()),
+            (
+                "list",
+                Value::List(vec![text.clone()]),
+                text.as_u32().unwrap_err(),
+            ),
+            (
+                "maybe",
+                text,
+                WireError::TypeMismatch {
+                    expected: "opt",
+                    found: "str",
+                },
+            ),
+        ] {
+            let bad = with(&tree, name, Some(wrong));
+            assert_eq!(Sample::from_value(&bad), Err(refusal), "{name}");
+        }
     }
 
     #[test]
@@ -303,20 +528,17 @@ mod tests {
     /// tree of a sender that sent one — with the decoder's own error.
     #[test]
     fn read_lends_the_struct_and_decodes_a_tree() {
-        let decode = |v: &Value| -> Result<Sample, &'static str> {
-            let text = v.str_field("text").map_err(|_| "no text")?;
-            Ok(Sample {
-                text: text.to_string(),
-                items: vec![1, 2, 3],
-            })
-        };
         let typed = sample(2);
         let msg: &dyn Message = &typed;
-        assert!(matches!(msg.read(decode), Ok(Cow::Borrowed(s)) if std::ptr::eq(s, &typed)));
+        let read = msg.read(Sample::from_value);
+        assert!(matches!(read, Ok(Cow::Borrowed(s)) if std::ptr::eq(s, &typed)));
         let tree = typed.tree().into_owned();
         let msg: &dyn Message = &tree;
-        assert!(matches!(msg.read(decode), Ok(Cow::Owned(s)) if s == typed));
+        assert!(matches!(msg.read(Sample::from_value), Ok(Cow::Owned(s)) if s == typed));
         let msg: &dyn Message = &Value::U32(7);
-        assert_eq!(msg.read(decode), Err("no text"));
+        assert_eq!(
+            msg.read(Sample::from_value).err(),
+            Value::U32(7).as_struct().err()
+        );
     }
 }
