@@ -15,6 +15,7 @@ use hrpc::net::RpcNet;
 use hrpc::HrpcBinding;
 use wire::Value;
 
+use crate::db::ZoneDb;
 use crate::message::{PROC_AXFR, PROC_IXFR, PROC_SERIAL};
 use crate::name::DomainName;
 use crate::rr::ResourceRecord;
@@ -166,8 +167,24 @@ pub struct Secondary {
     host: HostId,
     primary: HrpcBinding,
     origin: DomainName,
+    default_ttl: u32,
     server: Arc<BindServer>,
     last_serial: parking_lot::Mutex<u32>,
+}
+
+/// The database a secondary serves a transferred copy of `origin` from.
+fn served(
+    origin: &DomainName,
+    default_ttl: u32,
+    records: Vec<ResourceRecord>,
+) -> RpcResult<ZoneDb> {
+    let mut zone = Zone::new(origin.clone(), default_ttl);
+    for rr in records {
+        zone.add(rr).map_err(|e| RpcError::Service(e.to_string()))?;
+    }
+    let mut db = ZoneDb::new();
+    db.add_zone(zone);
+    Ok(db)
 }
 
 impl Secondary {
@@ -180,19 +197,14 @@ impl Secondary {
         default_ttl: u32,
     ) -> RpcResult<Secondary> {
         let xfer = transfer_zone(&net, host, &primary, &origin)?;
-        let mut zone = Zone::new(origin.clone(), default_ttl);
-        for rr in &xfer.records {
-            zone.add(rr.clone())
-                .map_err(|e| RpcError::Service(e.to_string()))?;
-        }
-        let mut db = crate::db::ZoneDb::new();
-        db.add_zone(zone);
-        let server = crate::server::BindServer::conventional(format!("secondary-{origin}"), db);
+        let db = served(&origin, default_ttl, xfer.records)?;
+        let server = BindServer::conventional(format!("secondary-{origin}"), db);
         Ok(Secondary {
             net,
             host,
             primary,
             origin,
+            default_ttl,
             server,
             last_serial: parking_lot::Mutex::new(xfer.serial),
         })
@@ -216,16 +228,8 @@ impl Secondary {
             return Ok(false);
         }
         let xfer = transfer_zone(&self.net, self.host, &self.primary, &self.origin)?;
-        let mut zone = Zone::new(self.origin.clone(), 3600);
-        for rr in &xfer.records {
-            zone.add(rr.clone())
-                .map_err(|e| RpcError::Service(e.to_string()))?;
-        }
-        self.server.with_db(|db| {
-            // Swap in the fresh copy.
-            *db = crate::db::ZoneDb::new();
-            db.add_zone(zone);
-        });
+        let fresh = served(&self.origin, self.default_ttl, xfer.records)?;
+        self.server.with_db(|db| *db = fresh);
         *self.last_serial.lock() = xfer.serial;
         Ok(true)
     }
@@ -339,6 +343,30 @@ mod tests {
             .lookup_direct(&name("new.hns"), RType::Txt)
             .expect("lookup");
         assert_eq!(found.len(), 1);
+    }
+
+    /// A refresh once rebuilt the served zone with a default TTL of 3600,
+    /// whatever the secondary was bootstrapped with.
+    #[test]
+    fn a_refreshed_secondary_keeps_its_default_ttl() {
+        let (_world, net, client, dep) = setup();
+        let secondary =
+            Secondary::bootstrap(Arc::clone(&net), client, dep.hrpc_binding, name("hns"), 600)
+                .expect("bootstrap");
+        let updater =
+            crate::resolver::HrpcResolver::new(Arc::clone(&net), client, dep.hrpc_binding);
+        updater
+            .update(&UpdateOp::Add(ResourceRecord::txt(
+                name("new.hns"),
+                600,
+                "x",
+            )))
+            .expect("update");
+        assert!(secondary.refresh().expect("refresh"), "serial advanced");
+        let ttl = secondary
+            .server()
+            .with_db(|db| db.zone(&name("hns")).map(Zone::default_ttl));
+        assert_eq!(ttl, Some(600));
     }
 
     #[test]

@@ -19,12 +19,13 @@ impl ZoneDb {
         Self::default()
     }
 
-    /// Adds a zone.
+    /// Adds a zone, trimmed to what it holds ([`Zone::shrink_to_fit`]).
     ///
     /// # Panics
     ///
     /// Panics if a zone with the same origin already exists.
-    pub fn add_zone(&mut self, zone: Zone) {
+    pub fn add_zone(&mut self, mut zone: Zone) {
+        zone.shrink_to_fit();
         let origin = zone.origin().clone();
         let prev = self.zones.insert(origin.clone(), zone);
         assert!(prev.is_none(), "duplicate zone {origin}");

@@ -98,16 +98,27 @@ impl DomainName {
 
     /// Prepends `labels` (one, or several dotted), producing a name
     /// below this one. This name is valid already, so only the new labels
-    /// and the total length are checked, and the text is assembled on the
-    /// stack: one allocation, the name's own.
+    /// and the total length are checked.
+    pub fn child(&self, labels: &str) -> NsResult<DomainName> {
+        check_labels(labels, self.joined_len(labels))?;
+        Ok(self.prefixed_unchecked(labels))
+    }
+
+    /// Length of the text of `labels` prepended to this name.
+    fn joined_len(&self, labels: &str) -> usize {
+        labels.len() + usize::from(!self.is_root()) * (1 + self.text.len())
+    }
+
+    /// The non-empty `labels`, lowered, a dot, and this name's text,
+    /// assembled on the stack: one allocation, the name's own. The
+    /// labels are not checked again: the caller has checked them, or a
+    /// zone kept them from a checked name below its origin.
     #[expect(
         clippy::expect_used,
-        reason = "`check_labels` admits ASCII only and this name is valid already"
+        reason = "checked labels are ASCII and this name is valid already"
     )]
-    pub fn child(&self, labels: &str) -> NsResult<DomainName> {
-        let below = labels.len();
-        let total = below + usize::from(!self.is_root()) * (1 + self.text.len());
-        check_labels(labels, total)?;
+    pub(crate) fn prefixed_unchecked(&self, labels: &str) -> DomainName {
+        let (below, total) = (labels.len(), self.joined_len(labels));
         let mut text = [0u8; MAX_NAME];
         text[..below].copy_from_slice(labels.as_bytes());
         text[..below].make_ascii_lowercase();
@@ -116,20 +127,20 @@ impl DomainName {
             text[below + 1..total].copy_from_slice(self.text.as_bytes());
         }
         let text = std::str::from_utf8(&text[..total]).expect("checked labels are ASCII");
-        Ok(DomainName {
+        DomainName {
             text: Arc::from(text),
-        })
+        }
     }
 
-    /// The canonical text as stored, the root's empty: what a zone keeps
-    /// of an owner name.
+    /// The canonical text as stored, the root's empty: what a zone strips
+    /// its origin from to keep an owner name.
     pub(crate) fn text(&self) -> &str {
         &self.text
     }
 
     /// The name whose [`DomainName::text`] is `text`, which is not
-    /// checked again: how a zone hands back an owner name it kept as
-    /// text. One allocation, the name's own.
+    /// checked again: how a zone hands back a suffix of a name it was
+    /// asked about. One allocation, the name's own.
     pub(crate) fn from_text_unchecked(text: &str) -> DomainName {
         DomainName {
             text: Arc::from(text),

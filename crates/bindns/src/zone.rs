@@ -5,21 +5,30 @@
 //! deduplicated through a per-zone set, so a meta zone of 10^6 names
 //! whose NSM bindings are near-identical stores each distinct body once.
 //! The owner names live in one **owner store** (`owners`, private): their
-//! text back to back in one append-only arena, a 16-byte row per name —
-//! arena offset, length, and the record itself when the name holds one,
-//! as nearly every meta name does — and an open-addressed index of `u32`
-//! row ids, hashed with a fixed hash, so the question a server is asked,
-//! an exact match, is one probe that allocates nothing. A record leaving
-//! with its owner name gets one rebuilt from the arena (`all_records`,
+//! text relative to the origin (`n17`, not `n17.cell0.hns`; the apex is
+//! the empty string) back to back in one append-only arena, a 16-byte
+//! row per name — arena offset, length, and the record itself when the
+//! name holds one, as nearly every meta name does — and an open-addressed
+//! index of `u32` row ids, hashed with a fixed hash and at most half
+//! full, so the question a server is asked, an exact match, is one probe
+//! that allocates nothing: the origin is stripped from the asker's text
+//! as a borrowed slice once [`Zone::contains`] has checked the label
+//! boundary. A record leaving with its owner name gets one rebuilt, in
+//! one allocation, from the arena and the origin (`all_records`,
 //! `deltas_since`, a referral's cut); `lookup` and `records_at` hand back
 //! the asker's own name. The one reader that needs the owners in name
 //! order, the transfer payload ([`Zone::all_records`]), sorts them when
 //! the transfer is made.
 //!
-//! [`Zone::size_bytes`] keeps the naive per-record accounting (it drives
-//! calibrated transfer costs); [`Zone::resident_bytes`] counts what the
-//! zone holds, capacities included, and is pinned against an allocator's
-//! count (`crates/conformance/tests/zone_store.rs`).
+//! A zone grows by doubling while it is built; [`Zone::shrink_to_fit`],
+//! which [`crate::db::ZoneDb::add_zone`] calls when a server takes the
+//! zone, trims it to what it holds.
+//!
+//! [`Zone::size_bytes`] keeps the naive per-record accounting, absolute
+//! owner names included (it drives calibrated transfer costs);
+//! [`Zone::resident_bytes`] counts what the zone holds, capacities
+//! included, and is pinned against an allocator's count
+//! (`crates/conformance/tests/zone_store.rs`).
 //!
 //! Zones also keep a bounded **delta log** of which owners changed at
 //! which serial, the basis of IXFR-style incremental transfer
@@ -211,17 +220,55 @@ impl Zone {
         name.is_within(&self.origin)
     }
 
+    /// `name`'s text below the origin, what the owner store keeps, or
+    /// `None` if the name is not in this zone.
+    fn relative<'a>(&self, name: &'a DomainName) -> Option<&'a str> {
+        self.contains(name).then(|| self.strip(name.text()))
+    }
+
+    /// The text of a name in this zone with the origin stripped: empty at
+    /// the apex, all of it when the origin is the root.
+    fn strip<'a>(&self, text: &'a str) -> &'a str {
+        let origin = self.origin.text().len() + usize::from(!self.origin.is_root());
+        &text[..text.len().saturating_sub(origin)]
+    }
+
+    /// The owner name the store keeps as `relative`.
+    fn absolute(&self, relative: &str) -> DomainName {
+        if relative.is_empty() {
+            self.origin.clone()
+        } else {
+            self.origin.prefixed_unchecked(relative)
+        }
+    }
+
+    /// The records at `name`; none if it is not in this zone.
+    fn set(&self, name: &DomainName) -> &[Arc<RrBody>] {
+        self.relative(name)
+            .map_or(&[], |relative| self.owners.get(relative))
+    }
+
+    /// Trims the zone to what it holds: arena, rows, delta log and dedup
+    /// set to their length, the owner index to twice the rows. Growth
+    /// after it doubles again. A server calls it when it takes the zone
+    /// ([`crate::db::ZoneDb::add_zone`]).
+    pub fn shrink_to_fit(&mut self) {
+        self.owners.shrink_to_fit();
+        self.delta_log.shrink_to_fit();
+        self.bodies.shrink_to_fit();
+    }
+
     /// Whether `rr` may join its name, which is `occupied` if it holds any
     /// record and `has_cname` if one of them is a `CNAME`: the name must
     /// lie in this zone and the rdata fit, at most one `CNAME` may exist
     /// at a name, and a `CNAME` may not coexist with other data (the
     /// classic BIND rule).
     fn admit(&self, rr: &ResourceRecord, occupied: bool, has_cname: bool) -> NsResult<()> {
-        if !self.contains(&rr.name) {
+        let Some(relative) = self.relative(&rr.name) else {
             return Err(NsError::NotAuthoritative(rr.name.to_string()));
-        }
+        };
         rr.rdata.encoded_len()?;
-        if !self.owners.has_room(rr.name.text()) {
+        if !self.owners.has_room(relative) {
             return Err(NsError::BadRecord(format!(
                 "zone {} holds all the owner names it can",
                 self.origin
@@ -251,7 +298,7 @@ impl Zone {
             rdata,
         } = rr;
         let body = self.share(RrBody { rtype, ttl, rdata });
-        let id = self.owners.intern(name.text());
+        let id = self.owners.intern(self.strip(name.text()));
         self.owners.push(id, body);
         if rtype == RType::Ns && name != self.origin {
             self.cut_ns_records += 1;
@@ -261,7 +308,7 @@ impl Zone {
 
     /// Adds a record, bumping the serial, if `Zone::admit` admits it.
     pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
-        let set = self.owners.get(rr.name.text());
+        let set = self.set(&rr.name);
         let has_cname = set.iter().any(|r| r.rtype == RType::Cname);
         self.admit(&rr, !set.is_empty(), has_cname)?;
         self.insert(rr);
@@ -286,7 +333,7 @@ impl Zone {
     /// [`Zone::remove`] without [`Zone::settle`], so row ids stay what
     /// they were for the caller.
     fn take(&mut self, name: &DomainName, rtype: RType) -> usize {
-        let Some(id) = self.owners.find(name.text()) else {
+        let Some(id) = self.relative(name).and_then(|r| self.owners.find(r)) else {
             return 0;
         };
         let dropped = self.owners.take(id, |r| r.rtype == rtype);
@@ -311,7 +358,7 @@ impl Zone {
         rtype: RType,
         records: Vec<ResourceRecord>,
     ) -> NsResult<()> {
-        let set = self.owners.get(name.text());
+        let set = self.set(name);
         let mut staying = set.iter().filter(|r| r.rtype != rtype);
         let mut occupied = staying.clone().next().is_some();
         let mut has_cname = staying.any(|r| r.rtype == RType::Cname);
@@ -351,7 +398,7 @@ impl Zone {
         changed.dedup();
         let mut names: Vec<DomainName> = changed
             .into_iter()
-            .map(|id| DomainName::from_text_unchecked(self.owners.name(id)))
+            .map(|id| self.absolute(self.owners.name(id)))
             .collect();
         names.sort_unstable();
         Some(names)
@@ -360,7 +407,7 @@ impl Zone {
     /// Every record at `name` (all types), or `None` if nothing is
     /// stored there.
     pub fn records_at(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
-        let set = self.owners.get(name.text());
+        let set = self.set(name);
         (!set.is_empty()).then(|| set.iter().map(|b| b.to_record(name)).collect())
     }
 
@@ -378,10 +425,10 @@ impl Zone {
         rtype: RType,
         chase: bool,
     ) -> NsResult<Vec<ResourceRecord>> {
-        if !self.contains(name) {
+        let Some(relative) = self.relative(name) else {
             return Err(NsError::NotAuthoritative(name.to_string()));
-        }
-        let set = self.owners.get(name.text());
+        };
+        let set = self.owners.get(relative);
         if set.is_empty() {
             return Err(NsError::NameError(name.to_string()));
         }
@@ -417,24 +464,24 @@ impl Zone {
             return None;
         }
         // The ancestors-or-self below the origin, deepest first: each is
-        // the name's text from the start or from just after a dot.
-        let text = name.text();
-        let below = name.depth().saturating_sub(self.origin.depth());
-        let starts = std::iter::once(0).chain(text.match_indices('.').map(|(dot, _)| dot + 1));
-        let (cut, ns) = starts.take(below).find_map(|start| {
-            let owner = &text[start..];
+        // the name's text below the origin from its start or from just
+        // after a dot, and the same suffix of the whole text names it.
+        let relative = self.relative(name).filter(|r| !r.is_empty())?;
+        let mut starts =
+            std::iter::once(0).chain(relative.match_indices('.').map(|(dot, _)| dot + 1));
+        let (start, ns) = starts.find_map(|start| {
             let ns: Vec<&Arc<RrBody>> = self
                 .owners
-                .get(owner)
+                .get(&relative[start..])
                 .iter()
                 .filter(|r| r.rtype == RType::Ns)
                 .collect();
-            (!ns.is_empty()).then_some((owner, ns))
+            (!ns.is_empty()).then_some((start, ns))
         })?;
-        let cut = if cut.len() == text.len() {
+        let cut = if start == 0 {
             name.clone()
         } else {
-            DomainName::from_text_unchecked(cut)
+            DomainName::from_text_unchecked(&name.text()[start..])
         };
         let mut referral: Vec<ResourceRecord> = ns.iter().map(|b| b.to_record(&cut)).collect();
         let glue: Vec<ResourceRecord> = referral
@@ -444,8 +491,7 @@ impl Zone {
                 _ => None,
             })
             .flat_map(|target| {
-                self.owners
-                    .get(target.text())
+                self.set(target)
                     .iter()
                     .filter(|g| g.rtype == RType::A)
                     .map(|b| b.to_record(target))
@@ -461,7 +507,7 @@ impl Zone {
         let mut sets: Vec<(DomainName, &[Arc<RrBody>])> = self
             .owners
             .iter()
-            .map(|(name, set)| (DomainName::from_text_unchecked(name), set))
+            .map(|(name, set)| (self.absolute(name), set))
             .collect();
         sets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         sets.into_iter()
@@ -480,10 +526,21 @@ impl Zone {
     /// zone-transfer cost) and the baseline [`Zone::resident_bytes`] is
     /// measured against.
     pub fn size_bytes(&self) -> usize {
-        // The root's wire length is 1 (`.`), its stored text empty.
+        // An owner's whole text is the kept text, a dot and the origin's;
+        // the apex's is the origin's. The root's wire length is 1 (`.`),
+        // its text empty.
+        let origin = self.origin.text().len();
+        let whole = |relative: &str| match (relative.len(), origin) {
+            (0, _) => origin,
+            (len, 0) => len,
+            (len, _) => len + 1 + origin,
+        };
         self.owners
             .iter()
-            .flat_map(|(name, set)| set.iter().map(move |b| name.len().max(1) + b.body_bytes()))
+            .flat_map(|(name, set)| {
+                let name_len = whole(name).max(1);
+                set.iter().map(move |b| name_len + b.body_bytes())
+            })
             .sum()
     }
 

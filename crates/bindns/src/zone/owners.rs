@@ -1,12 +1,15 @@
 //! The owner store under a [`super::Zone`]: every owner name once, as
-//! text in one append-only arena, a 16-byte row per name holding its
-//! lone record inline, and an open-addressed index of `u32` row ids.
+//! text relative to the zone's origin (`n17` for `n17.cell0.hns`, the
+//! apex empty) in one append-only arena, a 16-byte row per name holding
+//! its lone record inline, and an open-addressed index of `u32` row ids
+//! at most half full.
 //!
 //! A row whose last record goes stays, empty, while the zone's delta log
 //! names it, so an incremental transfer can still report the name. Once
 //! the rows nothing needs — no record, no log entry — are over half the
 //! store, [`Owners::compact`] drops them and rebuilds arena and index at
-//! the size of what is left.
+//! the size of what is left. [`Owners::shrink_to_fit`] does the same
+//! without dropping anything; growth after either doubles.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,12 +46,13 @@ impl Row {
 /// Every owner name of a zone, with its records.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Owners {
-    /// The names' canonical text, back to back.
+    /// The names' canonical text below the origin, back to back.
     text: String,
     /// One per name, in the order the names arrived.
     rows: Vec<Row>,
     /// Row id + 1 at the slot a name's hash probes to first (or after,
-    /// linearly), 0 for none; a power of two long and at most half full.
+    /// linearly, wrapping at the end), 0 for none; at least twice as
+    /// long as `rows`, so at most half full.
     index: Vec<u32>,
     /// The records of each row holding more than one.
     several: HashMap<u32, Vec<Arc<RrBody>>>,
@@ -56,12 +60,18 @@ pub(super) struct Owners {
     droppable: usize,
 }
 
-/// Index slots for `rows` rows: at most half full, never fewer than 8.
-fn slots_for(rows: usize) -> usize {
-    if rows == 0 {
+/// The slot of `slots` a name hashed to `hash` probes first: the hash
+/// scaled onto the index, which may be any length.
+fn home(hash: u64, slots: usize) -> usize {
+    ((u128::from(hash) * slots as u128) >> 64) as usize
+}
+
+/// The slot after `slot` in an index of `slots`.
+fn next(slot: usize, slots: usize) -> usize {
+    if slot + 1 == slots {
         0
     } else {
-        (2 * rows).next_power_of_two().max(8)
+        slot + 1
     }
 }
 
@@ -81,8 +91,8 @@ fn hash(bytes: &[u8]) -> u64 {
         None => bytes.iter().fold(0, |w, &b| w << 8 | u64::from(b)),
     };
     let mut h = mix(h, last);
-    // Slots are taken from the low bits, which the multiplies leave the
-    // least mixed.
+    // An avalanche (murmur3's), so the high bits [`home`] reads depend on
+    // every byte.
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^ (h >> 33)
@@ -96,12 +106,12 @@ impl Owners {
 
     /// The row of `name`, or the free slot its row would take.
     fn probe(&self, name: &str) -> Result<u32, usize> {
-        let mask = self.index.len().wrapping_sub(1);
-        let mut slot = hash(name.as_bytes()) as usize & mask;
+        let slots = self.index.len();
+        let mut slot = home(hash(name.as_bytes()), slots);
         loop {
             match self.index.get(slot).map(|&entry| entry.checked_sub(1)) {
                 Some(Some(id)) if self.name(id) == name => return Ok(id),
-                Some(Some(_)) => slot = (slot + 1) & mask,
+                Some(Some(_)) => slot = next(slot, slots),
                 Some(None) | None => return Err(slot),
             }
         }
@@ -159,7 +169,8 @@ impl Owners {
         });
         self.text.push_str(name);
         if 2 * self.rows.len() > self.index.len() {
-            self.rehash(slots_for(self.rows.len()));
+            // Room for as many rows again before the next rebuild.
+            self.rehash(4 * self.rows.len());
         } else {
             self.index[slot] = id + 1;
         }
@@ -170,14 +181,23 @@ impl Owners {
     /// Rebuilds the index at `slots` slots, every row in it.
     fn rehash(&mut self, slots: usize) {
         self.index = vec![0; slots];
-        let mask = slots.wrapping_sub(1);
         for id in 0..self.rows.len() as u32 {
-            let mut slot = hash(self.name(id).as_bytes()) as usize & mask;
+            let mut slot = home(hash(self.name(id).as_bytes()), slots);
             while self.index[slot] != 0 {
-                slot = (slot + 1) & mask;
+                slot = next(slot, slots);
             }
             self.index[slot] = id + 1;
         }
+    }
+
+    /// Trims arena, rows and the several-record sets to their length, and
+    /// rebuilds the index at exactly twice the rows.
+    pub(super) fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        self.several.values_mut().for_each(Vec::shrink_to_fit);
+        self.several.shrink_to_fit();
+        self.rehash(2 * self.rows.len());
     }
 
     /// Runs `f` on row `id` (and the several-record sets), keeping the
@@ -280,7 +300,7 @@ impl Owners {
         }
         (self.text, self.rows, self.several) = (text, kept, several);
         self.droppable = 0;
-        self.rehash(slots_for(self.rows.len()));
+        self.rehash(2 * self.rows.len());
         renumbered
     }
 
@@ -336,8 +356,33 @@ mod tests {
         assert_eq!(owners.find(""), None);
         assert_eq!(owners.resident_bytes(), 0);
         let id = owners.intern("");
-        assert_eq!(owners.find(""), Some(id), "the root is a name too");
+        assert_eq!(owners.find(""), Some(id), "the apex is a name too");
         owners.compact();
         assert_eq!((owners.find(""), owners.resident_bytes()), (None, 0));
+        owners.shrink_to_fit();
+        assert_eq!((owners.find(""), owners.resident_bytes()), (None, 0));
+    }
+
+    /// A fitted index is twice the rows, whatever that is, and every name
+    /// is found in it, and in the index it grows into.
+    #[test]
+    fn a_fitted_store_finds_every_name_and_grows_again() {
+        let mut owners = Owners::default();
+        let names: Vec<String> = (0..1000).map(|i| format!("n{i}")).collect();
+        for name in &names[..300] {
+            owners.intern(name);
+        }
+        owners.shrink_to_fit();
+        assert_eq!(owners.index.len(), 600);
+        assert_eq!(owners.text.capacity(), owners.text.len());
+        assert_eq!(owners.rows.capacity(), owners.rows.len());
+        for name in &names {
+            owners.intern(name);
+        }
+        assert!(2 * owners.rows.len() <= owners.index.len());
+        for (id, name) in (0u32..).zip(&names) {
+            assert_eq!(owners.find(name), Some(id), "{name}");
+        }
+        assert_eq!(owners.find("n1000"), None);
     }
 }

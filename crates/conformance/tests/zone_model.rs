@@ -1,9 +1,12 @@
 //! The `bindns` zone against its model (`conformance::model::zone`).
 //!
 //! Seeded sequences of add, remove, whole-name delete and replace —
-//! refused ones included — and floods of changes at one name that push
-//! the delta log past everything before them, run against a `Zone` and a
-//! `ZoneModel` side by side. After every step the two must agree on
+//! refused ones included — floods of changes at one name that push the
+//! delta log past everything before them, and trims of the store
+//! (`Zone::shrink_to_fit`), run against a `Zone` and a `ZoneModel` side
+//! by side, once under the origin `z` and once under the root (the zone
+//! keeps owner names below its origin, so both the empty origin and the
+//! apex are edge cases). After every step the two must agree on
 //! `serial`, `all_records`, `record_count`, `size_bytes`, and, at every
 //! name of the pool, `records_at`, `find_delegation` and `lookup` of
 //! every type, and on `deltas_since` a sample of the serials seen.
@@ -15,10 +18,11 @@ use conformance::model::zone::ZoneModel;
 use proptest::prelude::*;
 use simnet::topology::{HostId, NetAddr};
 
-/// Apex, a chain of cuts-to-be, siblings, and one name of another zone.
-const POOL: [&str; 14] = [
+/// Apex, a chain of cuts-to-be, siblings, one name of another zone, and
+/// one that ends in the text of the origin `z` but not at a label.
+const POOL: [&str; 15] = [
     "z", "a.z", "b.z", "c.b.z", "d.c.b.z", "ns.b.z", "e.z", "f.e.z", "k.f.e.z", "g.z", "h.z",
-    "i.z", "j.z", "x.y",
+    "i.z", "j.z", "x.y", "yz",
 ];
 
 const TYPES: [RType; 5] = [RType::A, RType::Ns, RType::Cname, RType::Txt, RType::Unspec];
@@ -37,10 +41,10 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(names: Vec<DomainName>) -> Pair {
+    fn new(origin: DomainName, names: Vec<DomainName>) -> Pair {
         Pair {
-            zone: Zone::new(dn("z"), 60),
-            model: ZoneModel::new(dn("z")),
+            zone: Zone::new(origin.clone(), 60),
+            model: ZoneModel::new(origin),
             names,
             serials: vec![1],
         }
@@ -115,7 +119,9 @@ impl Pair {
                     "{what}"
                 );
             }
-            _ => self.flood(n, d, count),
+            9 | 10 => self.flood(n, d, count),
+            // Changes nothing the model can see.
+            _ => self.zone.shrink_to_fit(),
         }
         self.serials.push(self.zone.serial());
         self.check();
@@ -151,13 +157,15 @@ proptest! {
     #[test]
     fn a_zone_answers_what_its_model_does(
         steps in proptest::collection::vec(
-            (0u8..11, 0usize..POOL.len(), 0usize..TYPES.len(), 0usize..64, 0usize..600),
+            (0u8..12, 0usize..POOL.len(), 0usize..TYPES.len(), 0usize..64, 0usize..600),
             1..60,
         ),
     ) {
-        let mut pair = Pair::new(POOL.iter().map(|s| dn(s)).collect());
-        for step in steps {
-            pair.step(step);
+        for origin in [dn("z"), DomainName::root()] {
+            let mut pair = Pair::new(origin, POOL.iter().map(|s| dn(s)).collect());
+            for &step in &steps {
+                pair.step(step);
+            }
         }
     }
 }
@@ -170,7 +178,7 @@ proptest! {
 #[test]
 fn a_compaction_under_a_log_that_names_deleted_owners_agrees_with_the_model() {
     let names: Vec<DomainName> = (0..40).map(|i| dn(&format!("n{i}.z"))).collect();
-    let mut pair = Pair::new(names);
+    let mut pair = Pair::new(dn("z"), names);
     // A full log first, so that what is measured below is the store.
     pair.flood(39, 0, 512);
     for n in 0..39 {

@@ -3,8 +3,9 @@
 //! `Zone::resident_bytes` is what `experiments scale` exports as
 //! `resident_bytes` and the benchmark as `zone_resident_bytes_per_name`.
 //! This holds it to the bytes the counting allocator sees a zone keep
-//! while it is built, and holds the store to its size under churn and
-//! after every name is gone. Print the gauge against the count with
+//! while it is built, holds a zone a server has taken to a per-name
+//! ceiling, and holds the store to its size under churn and after every
+//! name is gone. Print the gauge against the count with
 //!
 //! ```text
 //! cargo test -p conformance --test zone_store -- --nocapture
@@ -12,7 +13,7 @@
 
 use bindns::rr::{RData, RType, ResourceRecord};
 use bindns::zone::{Zone, DELTA_LOG_CAP};
-use bindns::DomainName;
+use bindns::{DomainName, ZoneDb};
 use conformance::alloc::{measure_live, CountingAlloc};
 use simnet::rng::DetRng;
 use simnet::topology::{HostId, NetAddr};
@@ -74,6 +75,29 @@ fn resident_bytes_is_within_a_tenth_of_what_the_allocator_counts() {
             );
         }
     }
+}
+
+/// A zone shaped like one cell of the scale world — 4,096 names, a pool
+/// of 8 bindings — once a server has taken it: at most 40 B a name by the
+/// allocator's count (owner names kept below the origin, the store
+/// trimmed to fit), and the gauge within a tenth of that count.
+#[test]
+fn a_served_cell_holds_at_most_forty_bytes_a_name() {
+    let names = 4096;
+    let (db, live) = measure_live(|| {
+        let mut db = ZoneDb::new();
+        db.add_zone(build(names, 8, false));
+        db
+    });
+    let live = live.expect("the counting allocator is installed");
+    let gauge = db.zone(&origin()).expect("served").resident_bytes() as i64;
+    let per_name = live as f64 / names as f64;
+    println!("served cell: gauge {gauge} B, allocator {live} B ({per_name:.1} B/name)");
+    assert!(per_name <= 40.0, "{per_name:.1} B/name");
+    assert!(
+        (gauge - live).abs() * 10 <= live,
+        "gauge {gauge} B against {live} B live"
+    );
 }
 
 fn pick(rng: &mut DetRng, bound: usize) -> usize {
