@@ -12,9 +12,14 @@
 //! this cache's own: the key is `(owner name, record type)` with the name
 //! as the [`DomainName`]'s own shared text — an entry allocates no copy of
 //! it and pins nothing outside itself, so evicting one frees all it held
-//! — probed on borrowed `(&str, RType)`; a hit hands back the stored
-//! `Arc`-shared record set, and a set is valid for the minimum TTL among
-//! its records.
+//! — probed on borrowed `(&str, RType)`; a set is valid for the minimum
+//! TTL among its records; and what an entry keeps of the set. A
+//! one-record answer owned by the key's own name — nearly every answer a
+//! resolver caches — keeps only its body (type, TTL, rdata), not a second
+//! copy of the name: a hit rebuilds the record on the asker's
+//! [`DomainName`], in one allocation, the `Arc` the caller receives. Any
+//! other set (a `CNAME` chain, a referral and its glue) is kept whole, and
+//! a hit shares it.
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -22,11 +27,12 @@ use std::sync::Arc;
 
 use simnet::obs::MetricsRegistry;
 use simnet::time::{SimDuration, SimTime};
-use simnet::ttl::{Probe, TtlMap};
+use simnet::ttl::{arc_share, Probe, TtlMap};
 use simnet::world::World;
 
 use crate::name::DomainName;
-use crate::rr::{RType, ResourceRecord};
+use crate::rr::{RData, RType, ResourceRecord};
+use crate::zone::RrBody;
 
 /// Hit/miss statistics, a view of the core's counters
 /// ([`simnet::ttl::TtlStats`]).
@@ -94,10 +100,71 @@ impl PartialEq for dyn KeyView + '_ {
 
 impl Eq for dyn KeyView + '_ {}
 
+/// What an entry keeps of a record set.
+#[derive(Debug, Clone)]
+enum Entry {
+    /// The one record of the set, owned by the key's own name: its body.
+    Body(RrBody),
+    /// Any other set, whole.
+    Records(Arc<[ResourceRecord]>),
+}
+
+impl Entry {
+    /// What to keep of `records`, the set at `owner`.
+    fn of(owner: &DomainName, records: Arc<[ResourceRecord]>) -> Entry {
+        match &records[..] {
+            [only] if only.name == *owner => Entry::Body(RrBody {
+                rtype: only.rtype,
+                ttl: only.ttl,
+                rdata: only.rdata.clone(),
+            }),
+            _ => Entry::Records(records),
+        }
+    }
+
+    /// The set again, a body's record rebuilt on `owner()`'s name.
+    fn records(self, owner: impl FnOnce() -> DomainName) -> Arc<[ResourceRecord]> {
+        match self {
+            Entry::Body(RrBody { rtype, ttl, rdata }) => Arc::from([ResourceRecord {
+                name: owner(),
+                rtype,
+                ttl,
+                rdata,
+            }]),
+            Entry::Records(records) => records,
+        }
+    }
+
+    /// Bytes the entry holds beyond its slot: its share of each shared
+    /// allocation it points at.
+    fn resident_bytes(&self) -> usize {
+        match self {
+            Entry::Body(body) => rdata_bytes(&body.rdata),
+            Entry::Records(records) => {
+                let inner: usize = records
+                    .iter()
+                    .map(|r| r.name.resident_share() + rdata_bytes(&r.rdata))
+                    .sum();
+                arc_share(records) + inner / Arc::strong_count(records)
+            }
+        }
+    }
+}
+
+/// What `rdata` holds on the heap, a shared allocation as its share.
+fn rdata_bytes(rdata: &RData) -> usize {
+    match rdata {
+        RData::Addr(_) => 0,
+        RData::Domain(name) | RData::Soa { primary: name, .. } => name.resident_share(),
+        RData::Text(text) => text.capacity(),
+        RData::Opaque(payload) => arc_share(payload),
+    }
+}
+
 /// A TTL-invalidated record cache, safe to share between threads.
 #[derive(Debug, Default)]
 pub struct TtlCache {
-    map: TtlMap<Key, Arc<[ResourceRecord]>>,
+    map: TtlMap<Key, Entry>,
 }
 
 impl TtlCache {
@@ -125,32 +192,49 @@ impl TtlCache {
 
     /// Looks up live records for (`name`, `rtype`) at virtual time `now`.
     ///
-    /// Hits share the stored record set (`Arc` clone, no per-record
-    /// clone); an entry observed past its TTL is counted as both a miss
-    /// and an expiration (once per expiry) but *retained* while the map
-    /// has room, so [`TtlCache::get_stale`] can serve it if the
-    /// authoritative server turns out to be unreachable.
+    /// A set kept whole is shared (`Arc` clone, no per-record clone); a
+    /// kept body comes back as one record on `name`. An entry observed
+    /// past its TTL is counted as both a miss and an expiration (once per
+    /// expiry) but *retained* while the map has room, so
+    /// [`TtlCache::get_stale`] can serve it if the authoritative server
+    /// turns out to be unreachable.
     pub fn get(
         &self,
         now: SimTime,
         name: &DomainName,
         rtype: RType,
     ) -> Option<Arc<[ResourceRecord]>> {
-        self.get_text(now, name.as_str(), rtype)
+        self.live(now, name.as_str(), rtype, || name.clone())
     }
 
     /// [`TtlCache::get`] for a name held as canonical text — a suffix
     /// borrowed from a [`DomainName`] is one, so probing a name's
-    /// ancestors builds no `DomainName`.
+    /// ancestors builds no `DomainName` (a kept body's hit builds the one
+    /// its record is owned by).
     pub(crate) fn get_text(
         &self,
         now: SimTime,
         name: &str,
         rtype: RType,
     ) -> Option<Arc<[ResourceRecord]>> {
+        self.live(now, name, rtype, || match name {
+            "." => DomainName::root(),
+            text => DomainName::from_text_unchecked(text),
+        })
+    }
+
+    /// The probe under [`TtlCache::get`] and [`TtlCache::get_text`]; the
+    /// entry is rebuilt after the map's lock is released.
+    fn live(
+        &self,
+        now: SimTime,
+        name: &str,
+        rtype: RType,
+        owner: impl FnOnce() -> DomainName,
+    ) -> Option<Arc<[ResourceRecord]>> {
         let key: &dyn KeyView = &(name, rtype);
-        match self.map.probe(now, key, Arc::clone) {
-            Probe::Live { value, .. } => Some(value),
+        match self.map.probe(now, key, Entry::clone) {
+            Probe::Live { value, .. } => Some(value.records(owner)),
             Probe::Expired | Probe::Absent => None,
         }
     }
@@ -174,8 +258,10 @@ impl TtlCache {
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
         let key: &dyn KeyView = &(name.as_str(), rtype);
-        self.map
-            .probe_stale(now, key, |records| Some(Arc::clone(records)))
+        let (entry, stale_for) = self
+            .map
+            .probe_stale(now, key, |entry| Some(entry.clone()))?;
+        Some((entry.records(|| name.clone()), stale_for))
     }
 
     /// Inserts records, valid for the minimum TTL among them.
@@ -193,8 +279,9 @@ impl TtlCache {
         let Some(min_ttl) = records.iter().map(|r| r.ttl).min() else {
             return;
         };
+        let entry = Entry::of(&name, records);
         self.map
-            .insert(now, Key(name.into_text(), rtype), records, min_ttl);
+            .insert(now, Key(name.into_text(), rtype), entry, min_ttl);
     }
 
     /// Removes everything.
@@ -219,6 +306,16 @@ impl TtlCache {
     /// [`simnet::ttl::CAPACITY`].
     pub fn resident(&self) -> usize {
         self.map.resident()
+    }
+
+    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab and index
+    /// at capacity, each key's text and what each entry keeps, an
+    /// allocation shared with others — a name's text the asker still
+    /// holds, a payload a zone serves — counted as this cache's share.
+    /// Not exported as a metric.
+    pub fn resident_bytes(&self) -> usize {
+        self.map
+            .resident_bytes(|Key(text, _), entry| arc_share(text) + entry.resident_bytes())
     }
 
     /// Statistics snapshot.

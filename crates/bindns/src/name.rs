@@ -157,6 +157,12 @@ impl DomainName {
         }
     }
 
+    /// This name's share of its text's allocation, which every clone of
+    /// it holds: what a structure keeping the name keeps resident.
+    pub(crate) fn resident_share(&self) -> usize {
+        simnet::ttl::arc_share(&self.text)
+    }
+
     /// Serialized length in bytes (labels plus dots).
     pub fn wire_len(&self) -> usize {
         self.as_str().len()

@@ -43,6 +43,8 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
+use simnet::ttl::arc_bytes;
+
 use crate::error::{NsError, NsResult};
 use crate::name::DomainName;
 use crate::rr::{RData, RType, ResourceRecord};
@@ -89,12 +91,6 @@ impl RrBody {
         };
         arc_bytes(std::mem::size_of::<RrBody>()) + rdata
     }
-}
-
-/// Bytes of an `Arc` allocation holding `len` bytes: two counts, the
-/// data, rounded up to a word.
-fn arc_bytes(len: usize) -> usize {
-    (2 * std::mem::size_of::<usize>() + len).next_multiple_of(std::mem::size_of::<usize>())
 }
 
 /// Bytes std's hash table allocates for `capacity` entries of `T`: a

@@ -2,7 +2,8 @@
 //! text relative to the zone's origin (`n17` for `n17.cell0.hns`, the
 //! apex empty) in one append-only arena, a 16-byte row per name holding
 //! its lone record inline, and an open-addressed index of `u32` row ids
-//! at most half full.
+//! at most half full — [`simnet::index::Index`], the one the TTL maps
+//! use too.
 //!
 //! A row whose last record goes stays, empty, while the zone's delta log
 //! names it, so an incremental transfer can still report the name. Once
@@ -13,6 +14,8 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+
+use simnet::index::{hash, Index};
 
 use super::{table_bytes, RrBody, DELTA_LOG_CAP};
 
@@ -50,52 +53,20 @@ pub(super) struct Owners {
     text: String,
     /// One per name, in the order the names arrived.
     rows: Vec<Row>,
-    /// Row id + 1 at the slot a name's hash probes to first (or after,
-    /// linearly, wrapping at the end), 0 for none; at least twice as
-    /// long as `rows`, so at most half full.
-    index: Vec<u32>,
+    /// Row ids by the fixed hash of their name
+    /// ([`simnet::index`]); at least twice as long as `rows`, so at most
+    /// half full.
+    index: Index,
     /// The records of each row holding more than one.
     several: HashMap<u32, Vec<Arc<RrBody>>>,
     /// Rows that are [`Row::droppable`].
     droppable: usize,
 }
 
-/// The slot of `slots` a name hashed to `hash` probes first: the hash
-/// scaled onto the index, which may be any length.
-fn home(hash: u64, slots: usize) -> usize {
-    ((u128::from(hash) * slots as u128) >> 64) as usize
-}
-
-/// The slot after `slot` in an index of `slots`.
-fn next(slot: usize, slots: usize) -> usize {
-    if slot + 1 == slots {
-        0
-    } else {
-        slot + 1
-    }
-}
-
-/// A fixed hash of a name's bytes, eight at a time. Fixed, not seeded
-/// per process: a zone lays out the same way on every run.
-fn hash(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mix = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
-    let (words, _) = bytes.as_chunks::<8>();
-    let h = words
-        .iter()
-        .fold(bytes.len() as u64, |h, w| mix(h, u64::from_le_bytes(*w)));
-    // The last eight bytes again, overlapping the words before them (the
-    // length is in the hash), or a short name byte by byte.
-    let last = match bytes.last_chunk::<8>() {
-        Some(w) => u64::from_le_bytes(*w),
-        None => bytes.iter().fold(0, |w, &b| w << 8 | u64::from(b)),
-    };
-    let mut h = mix(h, last);
-    // An avalanche (murmur3's), so the high bits [`home`] reads depend on
-    // every byte.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^ (h >> 33)
+/// The text of `row` in the arena `text`.
+fn text_of<'t>(text: &'t str, row: &Row) -> &'t str {
+    let start = row.offset as usize;
+    &text[start..start + usize::from(row.len)]
 }
 
 impl Owners {
@@ -106,22 +77,15 @@ impl Owners {
 
     /// The row of `name`, or the free slot its row would take.
     fn probe(&self, name: &str) -> Result<u32, usize> {
-        let slots = self.index.len();
-        let mut slot = home(hash(name.as_bytes()), slots);
-        loop {
-            match self.index.get(slot).map(|&entry| entry.checked_sub(1)) {
-                Some(Some(id)) if self.name(id) == name => return Ok(id),
-                Some(Some(_)) => slot = next(slot, slots),
-                Some(None) | None => return Err(slot),
-            }
-        }
+        let found = self
+            .index
+            .find(hash(name.as_bytes()), |id| self.name(id) == name);
+        found.map(|(_, id)| id)
     }
 
     /// The text of row `id`.
     pub(super) fn name(&self, id: u32) -> &str {
-        let row = &self.rows[id as usize];
-        let start = row.offset as usize;
-        &self.text[start..start + usize::from(row.len)]
+        text_of(&self.text, &self.rows[id as usize])
     }
 
     /// The records of row `id`, in the order they were added.
@@ -168,11 +132,11 @@ impl Owners {
             logged: 0,
         });
         self.text.push_str(name);
-        if 2 * self.rows.len() > self.index.len() {
+        if 2 * self.rows.len() > self.index.slots() {
             // Room for as many rows again before the next rebuild.
             self.rehash(4 * self.rows.len());
         } else {
-            self.index[slot] = id + 1;
+            self.index.set(slot, id);
         }
         self.droppable += 1;
         id
@@ -180,14 +144,12 @@ impl Owners {
 
     /// Rebuilds the index at `slots` slots, every row in it.
     fn rehash(&mut self, slots: usize) {
-        self.index = vec![0; slots];
-        for id in 0..self.rows.len() as u32 {
-            let mut slot = home(hash(self.name(id).as_bytes()), slots);
-            while self.index[slot] != 0 {
-                slot = next(slot, slots);
-            }
-            self.index[slot] = id + 1;
-        }
+        let text = &self.text;
+        let hashes = self
+            .rows
+            .iter()
+            .map(|row| hash(text_of(text, row).as_bytes()));
+        self.index.rebuild(slots, hashes);
     }
 
     /// Trims arena, rows and the several-record sets to their length, and
@@ -314,7 +276,7 @@ impl Owners {
             .sum();
         self.text.capacity()
             + self.rows.capacity() * std::mem::size_of::<Row>()
-            + self.index.capacity() * std::mem::size_of::<u32>()
+            + self.index.resident_bytes()
             + table_bytes::<(u32, Vec<Arc<RrBody>>)>(self.several.capacity())
             + sets
     }
@@ -373,13 +335,13 @@ mod tests {
             owners.intern(name);
         }
         owners.shrink_to_fit();
-        assert_eq!(owners.index.len(), 600);
+        assert_eq!(owners.index.slots(), 600);
         assert_eq!(owners.text.capacity(), owners.text.len());
         assert_eq!(owners.rows.capacity(), owners.rows.len());
         for name in &names {
             owners.intern(name);
         }
-        assert!(2 * owners.rows.len() <= owners.index.len());
+        assert!(2 * owners.rows.len() <= owners.index.slots());
         for (id, name) in (0u32..).zip(&names) {
             assert_eq!(owners.find(name), Some(id), "{name}");
         }

@@ -205,6 +205,15 @@ impl BindingCache {
         }
     }
 
+    /// Bytes both levels hold ([`simnet::ttl::TtlMap::resident_bytes`]):
+    /// slab and index at capacity. A binding holds nothing beyond its
+    /// slot, and a key's interned text belongs to the interner and is not
+    /// counted. Not exported as a metric.
+    pub fn resident_bytes(&self) -> usize {
+        let level = |level: &Level| level.map.resident_bytes(|_, _| 0);
+        level(&self.by_context) + level(&self.by_service)
+    }
+
     /// Statistics of the `(query class, context)` level.
     pub fn stats(&self) -> BindingCacheStats {
         self.by_context.stats()

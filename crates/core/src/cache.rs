@@ -33,12 +33,13 @@
 //! A miss is not gated: two threads that miss one key both fetch, and the
 //! second insert overwrites an equal record.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intern::NameId;
 use simnet::trace::{CacheOutcome, TraceKind};
-use simnet::ttl::{Probe, TtlMap};
+use simnet::ttl::{arc_share, Probe, TtlMap};
 use simnet::world::World;
 use simnet::CacheForm;
 use wire::Value;
@@ -136,6 +137,58 @@ impl Cacheable for hrpc::HrpcBinding {
     }
 }
 
+/// Bytes a value holds on the heap beyond its own size: what a cache
+/// entry keeping it keeps resident besides its slot
+/// ([`simnet::ttl::TtlMap::resident_bytes`]).
+pub trait HeapBytes {
+    /// Heap bytes held, at capacity.
+    fn heap_bytes(&self) -> usize;
+}
+
+impl HeapBytes for String {
+    fn heap_bytes(&self) -> usize {
+        self.capacity()
+    }
+}
+
+impl HeapBytes for Value {
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match self {
+            Value::Str(s) => s.capacity(),
+            Value::Bytes(bytes) => bytes.capacity(),
+            Value::List(items) => {
+                items.capacity() * size_of::<Value>()
+                    + items.iter().map(Value::heap_bytes).sum::<usize>()
+            }
+            Value::Struct(fields) => {
+                let name = |name: &Cow<'static, str>| match name {
+                    Cow::Owned(name) => name.capacity(),
+                    Cow::Borrowed(_) => 0,
+                };
+                fields.capacity() * size_of::<(Cow<'static, str>, Value)>()
+                    + fields
+                        .iter()
+                        .map(|(n, value)| name(n) + value.heap_bytes())
+                        .sum::<usize>()
+            }
+            Value::Opt(Some(inner)) => size_of::<Value>() + inner.heap_bytes(),
+            Value::Void
+            | Value::Bool(_)
+            | Value::U32(_)
+            | Value::I32(_)
+            | Value::U64(_)
+            | Value::Opt(None) => 0,
+        }
+    }
+}
+
+impl HeapBytes for hrpc::HrpcBinding {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
 /// One cached value in its storage form (Table 3.2).
 #[derive(Debug)]
 pub enum Stored<V = Value> {
@@ -151,6 +204,18 @@ impl<V> Clone for Stored<V> {
         match self {
             Stored::Bytes(bytes) => Stored::Bytes(Arc::clone(bytes)),
             Stored::Decoded(value) => Stored::Decoded(Arc::clone(value)),
+        }
+    }
+}
+
+/// The stored form, as this holder's share of the `Arc` it is kept in.
+impl<V: HeapBytes> HeapBytes for Stored<V> {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Stored::Bytes(bytes) => arc_share(bytes),
+            Stored::Decoded(value) => {
+                arc_share(value) + value.heap_bytes() / Arc::strong_count(value)
+            }
         }
     }
 }
@@ -447,6 +512,19 @@ impl<V: Cacheable> HnsCache<V> {
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab and index
+    /// at capacity and each entry's stored form, a shared one as its
+    /// share. A key's interned text belongs to the interner and is not
+    /// counted. Not exported as a metric.
+    pub fn resident_bytes(&self) -> usize
+    where
+        V: HeapBytes,
+    {
+        self.map.resident_bytes(|_, cached| {
+            cached.as_ref().map_or(0, |(stored, _)| stored.heap_bytes())
+        })
     }
 
     /// Statistics snapshot: a view of the map's counters

@@ -38,7 +38,7 @@ use hrpc::ProgramId;
 use simnet::topology::HostId;
 use wire::Value;
 
-use crate::cache::Cacheable;
+use crate::cache::{Cacheable, HeapBytes};
 use crate::error::{HnsError, HnsResult};
 use crate::name::{Context, NameMapping};
 use crate::nsm::{NsmBinding, SuiteTag};
@@ -314,6 +314,21 @@ impl Cacheable for MetaRecord {
                 MetaRecord::decode(Kind::of_label(label)?, payloads.ok()?).ok()
             }
             _ => None,
+        }
+    }
+}
+
+impl HeapBytes for MetaRecord {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            MetaRecord::Context(info) => info.name_service.capacity() + info.mapping.heap_bytes(),
+            MetaRecord::NsmName(nsm) => nsm.capacity(),
+            MetaRecord::NsmInfo(binding) => {
+                binding.host_name.capacity()
+                    + binding.host_context.heap_bytes()
+                    + binding.owner.capacity()
+            }
+            MetaRecord::HostAddr(_) => 0,
         }
     }
 }

@@ -13,11 +13,18 @@
 
 use std::fmt;
 
+use crate::cache::HeapBytes;
 use crate::error::{HnsError, HnsResult};
 
 /// A context identifier (case-insensitive).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Context(String);
+
+impl HeapBytes for Context {
+    fn heap_bytes(&self) -> usize {
+        self.0.capacity()
+    }
+}
 
 impl Context {
     /// Creates a context (normalized to lowercase).
@@ -105,6 +112,17 @@ pub enum NameMapping {
         /// The suffix appended to local names.
         suffix: String,
     },
+}
+
+impl HeapBytes for NameMapping {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            NameMapping::Identity => 0,
+            NameMapping::Prefixed { prefix: piece } | NameMapping::Suffixed { suffix: piece } => {
+                piece.capacity()
+            }
+        }
+    }
 }
 
 impl NameMapping {

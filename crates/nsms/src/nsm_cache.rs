@@ -14,7 +14,7 @@ use std::borrow::Borrow;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use hns_core::cache::{Cacheable, Stored};
+use hns_core::cache::{Cacheable, HeapBytes, Stored};
 use simnet::trace::CacheOutcome;
 use simnet::ttl::{Probe, TtlMap};
 use simnet::world::World;
@@ -91,6 +91,18 @@ impl<K: Hash + Eq, V: Cacheable> NsmCache<K, V> {
         if let Some(stored) = Stored::store(self.form, value) {
             self.map.insert(world.now(), key, (stored, rrs), ttl_secs);
         }
+    }
+
+    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab and index
+    /// at capacity, each key's heap and each entry's stored form, a
+    /// shared one as its share. Not exported as a metric.
+    pub fn resident_bytes(&self) -> usize
+    where
+        K: HeapBytes,
+        V: HeapBytes,
+    {
+        self.map
+            .resident_bytes(|key, (stored, _)| key.heap_bytes() + stored.heap_bytes())
     }
 
     /// (hits, misses) so far; an expired entry is a miss.

@@ -15,6 +15,8 @@
 //!   Figure 2.1 walkthrough and the per-query flame breakdowns.
 //! * [`ttl`] — the TTL-cache core: the one expiry map every
 //!   cache in the workspace is built on.
+//! * [`index`] — the open-addressed `u32` index, with its fixed hash,
+//!   that the TTL maps and the zone's owner store find entries by.
 //! * [`world`] — the shared environment (clock + topology + costs + trace +
 //!   structural counters + the unified [`obs::MetricsRegistry`]).
 //! * [`rng`] — a self-contained deterministic PRNG.
@@ -42,6 +44,7 @@
 pub mod clock;
 pub mod costs;
 pub mod faults;
+pub mod index;
 pub mod rng;
 pub mod time;
 pub mod topology;

@@ -36,29 +36,46 @@
 //! * A value is handed to a caller-supplied reader while the map is
 //!   locked; readers clone a handle out (`Arc`, `Copy` data) and do any
 //!   real work — a demarshal — after the lock is released.
+//!
+//! The table is a slab and an index: entries, key beside value, in one
+//! dense `Vec` in no particular order, found through a
+//! [`crate::index::Index`] of `u32` slab positions under the fixed hash —
+//! the zone's owner store uses the same index. The index is at most half
+//! full and doubles with the slab up to twice the capacity, so a full
+//! map holds one slot per entry and two index words, and never pays for a
+//! last table doubling. The capacity rule `retain`s the slab and rebuilds
+//! the index; a [`TtlMap::discard`] frees its index slot by backward
+//! shift and moves the slab's last entry into its place.
+//! [`TtlMap::resident_bytes`] counts slab and index at capacity plus what
+//! each cache says its entries hold.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use obs::MetricsRegistry;
 use parking_lot::Mutex;
 
+use crate::index::{hash_of, Index};
 use crate::time::{SimDuration, SimTime};
 
 /// The most entries one [`TtlMap`] holds, expired ones included: every
 /// cache in the tower has this bound and no way to choose another.
 pub const CAPACITY: usize = 65_536;
 
-struct Slot<V> {
+/// Index slots a map starts with once it holds anything.
+const MIN_SLOTS: usize = 8;
+
+struct Slot<K, V> {
+    key: K,
     value: V,
     expires_at: SimTime,
     /// Whether a probe has already seen (and counted) this entry expired.
     expiry_seen: bool,
 }
 
-impl<V> Slot<V> {
+impl<K, V> Slot<K, V> {
     /// Validity left at `now`, rounded up to whole seconds so a fresh
     /// entry reports its full TTL.
     fn remaining_secs(&self, now: SimTime) -> u32 {
@@ -105,29 +122,124 @@ pub struct TtlStats<T = u64> {
     pub resident: T,
 }
 
+/// Bytes of an `Arc` allocation holding `len` bytes: two counts and the
+/// data, rounded up to a word.
+pub fn arc_bytes(len: usize) -> usize {
+    (2 * std::mem::size_of::<usize>() + len).next_multiple_of(std::mem::size_of::<usize>())
+}
+
+/// One holder's share of an `Arc`'s allocation: its [`arc_bytes`] divided
+/// among the `Arc`s that hold it. What a heap count passed to
+/// [`TtlMap::resident_bytes`] charges an entry for a shared allocation.
+pub fn arc_share<T: ?Sized>(arc: &Arc<T>) -> usize {
+    arc_bytes(std::mem::size_of_val::<T>(arc)) / Arc::strong_count(arc)
+}
+
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-type Entries<K, V> = HashMap<K, Slot<V>>;
+/// The entries of a map, in no particular order, and the index that
+/// finds each by its key's hash: at most half full, doubling as the slab
+/// grows, up to twice the map's capacity.
+struct Entries<K, V> {
+    slab: Vec<Slot<K, V>>,
+    index: Index,
+}
+
+impl<K: Hash + Eq, V> Entries<K, V> {
+    /// The index slot and slab position of `key`, whose hash is `hash`,
+    /// or the free slot its entry would take.
+    fn find<Q>(&self, hash: u64, key: &Q) -> Result<(usize, u32), usize>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.index
+            .find(hash, |id| self.slab[id as usize].key.borrow() == key)
+    }
+
+    fn get<Q>(&self, key: &Q) -> Option<&Slot<K, V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (_, id) = self.find(hash_of(key), key).ok()?;
+        Some(&self.slab[id as usize])
+    }
+
+    fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut Slot<K, V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (_, id) = self.find(hash_of(key), key).ok()?;
+        Some(&mut self.slab[id as usize])
+    }
+
+    /// Appends a new key's entry, whose key hashes to `hash`. The index
+    /// doubles (up to `max_slots`) when the entry would leave it over half
+    /// full.
+    fn push(&mut self, slot: Slot<K, V>, hash: u64, max_slots: usize) {
+        self.slab.push(slot);
+        let id = self.slab.len() - 1;
+        if 2 * self.slab.len() > self.index.slots() {
+            self.reindex((2 * self.index.slots()).max(MIN_SLOTS).min(max_slots));
+        } else {
+            let free = self.index.free_slot(hash);
+            self.index.set(free, id as u32);
+        }
+    }
+
+    /// Drops the entry of `key`, if any: its index slot is freed by
+    /// backward shift, and the slab's last entry moves into its place.
+    fn remove<Q>(&mut self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let Ok((slot, id)) = self.find(hash_of(key), key) else {
+            return false;
+        };
+        let slab = &self.slab;
+        self.index
+            .remove(slot, |id| hash_of(&slab[id as usize].key));
+        let (id, last) = (id as usize, self.slab.len() - 1);
+        self.slab.swap_remove(id);
+        if id != last {
+            let moved = hash_of(&self.slab[id].key);
+            if let Ok((slot, _)) = self.index.find(moved, |at| at as usize == last) {
+                self.index.set(slot, id as u32);
+            }
+        }
+        true
+    }
+
+    /// Rebuilds the index at `slots` slots over the slab as it stands.
+    fn reindex(&mut self, slots: usize) {
+        let hashes = self.slab.iter().map(|slot| hash_of(&slot.key));
+        self.index.rebuild(slots, hashes);
+    }
+}
 
 /// The capacity rule, run on a full map about to take a new key: drops
 /// every entry expired at `now`, then — only if that freed less than an
 /// eighth of the map — the live entries soonest to expire, until an
 /// eighth is free. Returns how many entries went. One pass over the map
 /// buys room for an eighth of a map of inserts.
-fn make_room<K, V>(entries: &mut Entries<K, V>, now: SimTime) -> usize {
-    let full = entries.len();
-    entries.retain(|_, slot| now < slot.expires_at);
+fn make_room<K: Hash + Eq, V>(entries: &mut Entries<K, V>, now: SimTime) -> usize {
+    let slab = &mut entries.slab;
+    let full = slab.len();
+    slab.retain(|slot| now < slot.expires_at);
     let keep = full - (full / 8).max(1);
-    if entries.len() > keep {
-        let excess = entries.len() - keep;
-        let mut expiries: Vec<SimTime> = entries.values().map(|slot| slot.expires_at).collect();
+    if slab.len() > keep {
+        let excess = slab.len() - keep;
+        let mut expiries: Vec<SimTime> = slab.iter().map(|slot| slot.expires_at).collect();
         let (sooner, cutoff, _) = expiries.select_nth_unstable(excess - 1);
         let cutoff = *cutoff;
         // Entries that expire at the cutoff itself go only as far as needed.
         let mut at_cutoff = excess - sooner.iter().filter(|at| **at < cutoff).count();
-        entries.retain(|_, slot| {
+        slab.retain(|slot| {
             if slot.expires_at == cutoff && at_cutoff > 0 {
                 at_cutoff -= 1;
                 return false;
@@ -135,7 +247,9 @@ fn make_room<K, V>(entries: &mut Entries<K, V>, now: SimTime) -> usize {
             slot.expires_at >= cutoff
         });
     }
-    full - entries.len()
+    let evicted = full - slab.len();
+    entries.reindex(entries.index.slots());
+    evicted
 }
 
 /// A map, behind one lock, whose entries expire in virtual time.
@@ -157,7 +271,10 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// [`CAPACITY`] through `default`.
     fn with_capacity(capacity: usize) -> Self {
         TtlMap {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries {
+                slab: Vec::new(),
+                index: Index::default(),
+            }),
             capacity,
             counters: TtlStats::default(),
         }
@@ -245,21 +362,32 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// key finding the map full makes room first (the module's
     /// capacity rule), which is the only time anything is evicted.
     pub fn insert(&self, now: SimTime, key: K, value: V, ttl_secs: u32) {
-        let slot = Slot {
-            value,
-            expires_at: now + SimDuration::from_ms(u64::from(ttl_secs) * 1000),
-            expiry_seen: false,
-        };
+        let expires_at = now + SimDuration::from_ms(u64::from(ttl_secs) * 1000);
+        let hash = hash_of(&key);
         let mut entries = self.entries.lock();
-        if entries.len() >= self.capacity && !entries.contains_key(&key) {
-            let evicted = make_room(&mut entries, now) as u64;
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-            self.counters.resident.fetch_sub(evicted, Ordering::Relaxed);
-        }
-        if entries.insert(key, slot).is_none() {
-            bump(&self.counters.resident);
+        match entries.find(hash, &key) {
+            // An overwrite keeps the key it finds, as a `HashMap` does.
+            Ok((_, id)) => {
+                let slot = &mut entries.slab[id as usize];
+                (slot.value, slot.expires_at, slot.expiry_seen) = (value, expires_at, false);
+            }
+            Err(_) => {
+                if entries.slab.len() >= self.capacity {
+                    let evicted = make_room(&mut entries, now) as u64;
+                    self.counters
+                        .evictions
+                        .fetch_add(evicted, Ordering::Relaxed);
+                    self.counters.resident.fetch_sub(evicted, Ordering::Relaxed);
+                }
+                let slot = Slot {
+                    key,
+                    value,
+                    expires_at,
+                    expiry_seen: false,
+                };
+                entries.push(slot, hash, 2 * self.capacity);
+                bump(&self.counters.resident);
+            }
         }
         bump(&self.counters.inserts);
     }
@@ -272,7 +400,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        if self.entries.lock().remove(key).is_some() {
+        if self.entries.lock().remove(key) {
             self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         }
         self.counters.hits.fetch_sub(1, Ordering::Relaxed);
@@ -284,8 +412,9 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         let mut entries = self.entries.lock();
         self.counters
             .resident
-            .fetch_sub(entries.len() as u64, Ordering::Relaxed);
-        entries.clear();
+            .fetch_sub(entries.slab.len() as u64, Ordering::Relaxed);
+        entries.slab.clear();
+        entries.index.clear();
     }
 
     /// Entries resident, expired ones included; never more than
@@ -298,7 +427,24 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// expiry would report as its size.
     pub fn live(&self) -> usize {
         let entries = self.entries.lock();
-        entries.values().filter(|slot| !slot.expiry_seen).count()
+        entries.slab.iter().filter(|slot| !slot.expiry_seen).count()
+    }
+
+    /// Bytes the map holds: its slab and index at their capacity, and
+    /// what `heap` says each entry's key and value hold beyond their
+    /// slot. Each cache supplies its own `heap`; the four in the
+    /// workspace count a shared allocation as the share of it their entry
+    /// holds, and an interned string not at all (it is the interner's).
+    pub fn resident_bytes(&self, heap: impl Fn(&K, &V) -> usize) -> usize {
+        let entries = self.entries.lock();
+        let held: usize = entries
+            .slab
+            .iter()
+            .map(|slot| heap(&slot.key, &slot.value))
+            .sum();
+        entries.slab.capacity() * std::mem::size_of::<Slot<K, V>>()
+            + entries.index.resident_bytes()
+            + held
     }
 
     /// Counter snapshot.
@@ -355,8 +501,8 @@ mod tests {
     /// The reference the map is checked against: one ordered map
     /// of `key -> (value, expires_at, expiry seen)` and plain counters.
     #[derive(Default)]
-    struct Model {
-        entries: BTreeMap<u8, (u32, SimTime, bool)>,
+    struct Model<K = u8> {
+        entries: BTreeMap<K, (u32, SimTime, bool)>,
         stats: TtlStats,
     }
 
@@ -473,7 +619,7 @@ mod tests {
         ) {
             const CAPACITY: usize = 4;
             let map: TtlMap<u8, u32> = TtlMap::with_capacity(CAPACITY);
-            let holds = |key: u8| map.entries.lock().contains_key(&key);
+            let holds = |key: u8| map.entries.lock().get(&key).is_some();
             let mut model: BTreeMap<u8, SimTime> = BTreeMap::new();
             let mut evictions = 0;
             let mut now = SimTime::ZERO;
@@ -519,7 +665,129 @@ mod tests {
                 }
                 prop_assert_eq!(map.resident(), model.len());
                 prop_assert_eq!(map.stats().evictions, evictions);
-                prop_assert!(map.entries.lock().len() <= CAPACITY);
+                prop_assert!(map.entries.lock().slab.len() <= CAPACITY);
+            }
+        }
+    }
+
+    /// A key that hashes to one of three values whatever it is: two of
+    /// every four keys to a word whose home is the last slot of any index
+    /// of up to 1,024 slots, so their chain wraps past the end, one to a
+    /// word homed at the first slot, which the wrapped chain runs into,
+    /// and one to a word homed mid-index. Equality is the whole key, so
+    /// keys of one class are told apart only by comparing them.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+    struct Clash(u8);
+
+    impl Hash for Clash {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            static WORDS: std::sync::OnceLock<[u64; 3]> = std::sync::OnceLock::new();
+            let words = WORDS.get_or_init(|| {
+                let slot = u64::MAX / 1024;
+                let homed = |lo: u64, hi: u64| {
+                    (0u64..)
+                        .find(|word| (lo..=hi).contains(&hash_of(word)))
+                        .expect("a word hashes there")
+                };
+                [
+                    homed(u64::MAX - slot, u64::MAX),
+                    homed(0, slot),
+                    homed(u64::MAX / 2, u64::MAX / 2 + slot),
+                ]
+            });
+            state.write_u64(words[[0, 0, 1, 2][usize::from(self.0 % 4)]]);
+        }
+    }
+
+    proptest! {
+        /// The index where open addressing breaks: a map of eight entries
+        /// (an index of up to sixteen slots) keyed by [`Clash`], so every
+        /// chain is long, one wraps past the end into another, and
+        /// `discard` deletes from the middle of them. Seeded inserts,
+        /// probes, discards, full-map `make_room`s, clears and clock steps
+        /// against the model: every probe answers and counts as the model
+        /// says, what an insert into a full map dropped obeys the rule (the
+        /// model learns which entries went by asking the map, as above),
+        /// and after every step every key the model holds is found with
+        /// its value and no other key is found at all.
+        #[test]
+        fn colliding_keys_match_the_model(
+            ops in proptest::collection::vec((0u8..10, 0u8..24, any::<u32>(), 0u32..5), 1..300),
+        ) {
+            const CAPACITY: usize = 8;
+            let map: TtlMap<Clash, u32> = TtlMap::with_capacity(CAPACITY);
+            let mut model: Model<Clash> = Model::default();
+            let mut now = SimTime::ZERO;
+            for (op, key, value, n) in ops {
+                let key = Clash(key);
+                match op {
+                    0..=3 => {
+                        let before: Vec<(Clash, SimTime)> =
+                            model.entries.iter().map(|(k, (_, at, _))| (*k, *at)).collect();
+                        map.insert(now, key, value, n);
+                        if before.len() == CAPACITY && !model.entries.contains_key(&key) {
+                            let expired = before.iter().filter(|(_, at)| now >= *at).count();
+                            let (kept, dropped): (Vec<_>, Vec<_>) = before
+                                .iter()
+                                .partition(|(k, _)| map.entries.lock().get(k).is_some());
+                            prop_assert_eq!(dropped.len(), expired.max(1));
+                            for (_, at) in dropped.iter().filter(|(_, at)| now < *at) {
+                                prop_assert_eq!(expired, 0);
+                                prop_assert!(kept.iter().all(|(_, kept_at)| at <= kept_at));
+                            }
+                            model.stats.evictions += dropped.len() as u64;
+                            for (k, _) in dropped {
+                                model.entries.remove(&k);
+                            }
+                        }
+                        let expires_at = now + SimDuration::from_ms(u64::from(n) * 1000);
+                        model.entries.insert(key, (value, expires_at, false));
+                        model.stats.inserts += 1;
+                    }
+                    4..=6 => {
+                        let expected = match model.entries.get_mut(&key) {
+                            Some((v, expires_at, _)) if now < *expires_at => {
+                                model.stats.hits += 1;
+                                let left = expires_at.since(now).as_us().div_ceil(1_000_000);
+                                Probe::Live { value: *v, remaining_secs: left as u32 }
+                            }
+                            Some((_, _, seen)) => {
+                                model.stats.expired += 1;
+                                if !*seen {
+                                    *seen = true;
+                                    model.stats.expirations += 1;
+                                }
+                                Probe::Expired
+                            }
+                            None => {
+                                model.stats.absent += 1;
+                                Probe::Absent
+                            }
+                        };
+                        let got = map.probe(now, &key, |v| *v);
+                        prop_assert_eq!(got, expected);
+                        if op != 4 && matches!(got, Probe::Live { .. }) {
+                            map.discard(&key);
+                            model.entries.remove(&key);
+                            model.stats.hits -= 1;
+                            model.stats.absent += 1;
+                        }
+                    }
+                    7 if n == 0 => {
+                        map.clear();
+                        model.entries.clear();
+                    }
+                    _ => now += SimDuration::from_ms(u64::from(n) * 500),
+                }
+                model.stats.resident = model.entries.len() as u64;
+                prop_assert_eq!(map.stats(), model.stats);
+                let entries = map.entries.lock();
+                prop_assert!(2 * entries.slab.len() <= entries.index.slots());
+                prop_assert!(entries.index.slots() <= 2 * CAPACITY);
+                for k in (0..24).map(Clash) {
+                    let held = entries.get(&k).map(|slot| slot.value);
+                    prop_assert_eq!(held, model.entries.get(&k).map(|(v, _, _)| *v), "{:?}", k);
+                }
             }
         }
     }
@@ -537,7 +805,7 @@ mod tests {
             map.insert(SimTime::ZERO, *key, *key, i as u32 + 1);
         }
         assert_eq!((map.resident(), map.stats().evictions), (64, 0));
-        let holds = |key: &u64| map.entries.lock().contains_key(key);
+        let holds = |key: &u64| map.entries.lock().get(key).is_some();
 
         // All live: the eight soonest to expire go.
         map.insert(SimTime::ZERO, keys.next().expect("key"), 0, 100);
