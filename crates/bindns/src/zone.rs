@@ -1,24 +1,27 @@
 //! Authoritative zones.
 //!
 //! Record storage is **content-shared**: the owner-independent remainder
-//! of each record (type, TTL, rdata) is kept as an [`Arc<RrBody>`]
-//! deduplicated through a per-zone set, so a meta zone of 10^6 names
-//! whose NSM bindings are near-identical stores each distinct body once.
+//! of each record (type, TTL, rdata), an [`RrBody`], is held once per
+//! zone in a **body table** (`bodies`, private) — by value, with the
+//! count of records that use it, under a `u32` id — so a meta zone of
+//! 10^6 names whose NSM bindings are near-identical stores each distinct
+//! body once. The table is its own dedup set, found by the fixed hash; a
+//! body whose last user goes frees its id for the next new one.
 //! The owner names live in one **owner store** (`owners`, private): their
 //! text relative to the origin (`n17`, not `n17.cell0.hns`; the apex is
-//! the empty string) back to back in one append-only arena, a 16-byte
-//! row per name — arena offset, length, and the record itself when the
-//! name holds one, as nearly every meta name does — and an open-addressed
-//! index of `u32` row ids, hashed with a fixed hash and at most half
-//! full, so the question a server is asked, an exact match, is one probe
-//! that allocates nothing: the origin is stripped from the asker's text
-//! as a borrowed slice once [`Zone::contains`] has checked the label
-//! boundary. A record leaving with its owner name gets one rebuilt, in
-//! one allocation, from the arena and the origin (`all_records`,
-//! `deltas_since`, a referral's cut); `lookup` and `records_at` hand back
-//! the asker's own name. The one reader that needs the owners in name
-//! order, the transfer payload ([`Zone::all_records`]), sorts them when
-//! the transfer is made.
+//! the empty string) back to back in one append-only arena, a 12-byte
+//! row per name — arena offset, length, and the record's body id when
+//! the name holds one, as nearly every meta name does — and an
+//! open-addressed index of `u32` row ids, hashed with a fixed hash and at
+//! most three quarters full, so the question a server is asked, an exact
+//! match, is one probe that allocates nothing: the origin is stripped
+//! from the asker's text as a borrowed slice once [`Zone::contains`] has
+//! checked the label boundary. A record leaving with its owner name gets
+//! one rebuilt, in one allocation, from the arena and the origin
+//! (`all_records`, `deltas_since`, a referral's cut); `lookup` and
+//! `records_at` hand back the asker's own name. The one reader that needs
+//! the owners in name order, the transfer payload
+//! ([`Zone::all_records`]), sorts them when the transfer is made.
 //!
 //! A zone grows by doubling while it is built; [`Zone::shrink_to_fit`],
 //! which [`crate::db::ZoneDb::add_zone`] calls when a server takes the
@@ -40,8 +43,7 @@
 //! once the rows nothing needs are over half the store, it is rebuilt
 //! without them and the log's ids are renumbered.
 
-use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
 use simnet::ttl::arc_bytes;
 
@@ -49,9 +51,11 @@ use crate::error::{NsError, NsResult};
 use crate::name::DomainName;
 use crate::rr::{RData, RType, ResourceRecord};
 
+mod bodies;
 mod owners;
 
-use owners::Owners;
+use bodies::{Bodies, BodyId};
+use owners::{Owners, Vacancy};
 
 /// The owner-independent remainder of a resource record. Two records at
 /// different names with the same type, TTL and rdata share one body.
@@ -80,17 +84,27 @@ impl RrBody {
         8 + self.rdata.encoded_len().unwrap_or(0)
     }
 
-    /// Bytes the shared body holds: its `Arc` allocation and whatever
-    /// the rdata points at.
-    fn resident_bytes(&self) -> usize {
-        let rdata = match &self.rdata {
+    /// Bytes the body's rdata points at.
+    fn heap_bytes(&self) -> usize {
+        match &self.rdata {
             RData::Addr(_) => 0,
             RData::Domain(name) | RData::Soa { primary: name, .. } => arc_bytes(name.text().len()),
             RData::Text(text) => text.capacity(),
             RData::Opaque(payload) => arc_bytes(payload.len()),
-        };
-        arc_bytes(std::mem::size_of::<RrBody>()) + rdata
+        }
     }
+}
+
+/// Index slots that hold `len` entries at most three quarters full: how
+/// the owner store and the body table size theirs.
+fn fitted_slots(len: usize) -> usize {
+    (4 * len).div_ceil(3)
+}
+
+/// Whether `len` entries leave an index of `slots` over three quarters
+/// full.
+fn overfull(len: usize, slots: usize) -> bool {
+    4 * len > 3 * slots
 }
 
 /// Bytes std's hash table allocates for `capacity` entries of `T`: a
@@ -116,10 +130,10 @@ pub struct Zone {
     origin: DomainName,
     serial: u32,
     default_ttl: u32,
-    /// Every owner name once, with its records.
+    /// Every owner name once, with its records' body ids.
     owners: Owners,
-    /// Content dedup: one shared allocation per distinct body.
-    bodies: HashSet<Arc<RrBody>>,
+    /// Every distinct body once, with its users: the content dedup.
+    bodies: Bodies,
     /// `(serial after the mutation, row of the owner touched)`, oldest
     /// first.
     delta_log: VecDeque<(u32, u32)>,
@@ -139,35 +153,10 @@ impl Zone {
             serial: 1,
             default_ttl,
             owners: Owners::default(),
-            bodies: HashSet::new(),
+            bodies: Bodies::default(),
             delta_log: VecDeque::new(),
             delta_floor: 1,
             cut_ns_records: 0,
-        }
-    }
-
-    /// Interns `body` in the dedup set, returning the shared copy.
-    fn share(&mut self, body: RrBody) -> Arc<RrBody> {
-        match self.bodies.get(&body) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let shared = Arc::new(body);
-                self.bodies.insert(Arc::clone(&shared));
-                shared
-            }
-        }
-    }
-
-    /// Drops bodies no longer referenced by any record (`dropped`
-    /// are the per-name copies just removed). Conservative: bodies still
-    /// shared with a cloned zone are kept.
-    fn prune(&mut self, dropped: Vec<Arc<RrBody>>) {
-        for body in dropped {
-            // The set holds one reference and `body` itself holds one;
-            // exactly two means no record (here or in a clone) uses it.
-            if Arc::strong_count(&body) == 2 {
-                self.bodies.remove(&body);
-            }
         }
     }
 
@@ -185,7 +174,8 @@ impl Zone {
     }
 
     /// Ends a mutation: once the rows nothing needs are over half the
-    /// owner store, it is rebuilt without them and the log renumbered.
+    /// owner store, it is rebuilt without them and the log renumbered,
+    /// and the body table trimmed.
     fn settle(&mut self) {
         if self.owners.sparse() {
             let renumbered = self.owners.compact();
@@ -238,16 +228,17 @@ impl Zone {
         }
     }
 
-    /// The records at `name`; none if it is not in this zone.
-    fn set(&self, name: &DomainName) -> &[Arc<RrBody>] {
+    /// The body ids of the records at `name`; none if it is not in this
+    /// zone.
+    fn set(&self, name: &DomainName) -> &[BodyId] {
         self.relative(name)
             .map_or(&[], |relative| self.owners.get(relative))
     }
 
-    /// Trims the zone to what it holds: arena, rows, delta log and dedup
-    /// set to their length, the owner index to twice the rows. Growth
-    /// after it doubles again. A server calls it when it takes the zone
-    /// ([`crate::db::ZoneDb::add_zone`]).
+    /// Trims the zone to what it holds: arena, rows, delta log and body
+    /// table to their length, the owner and body indexes to a third more
+    /// slots than entries. Growth after it doubles again. A server calls
+    /// it when it takes the zone ([`crate::db::ZoneDb::add_zone`]).
     pub fn shrink_to_fit(&mut self) {
         self.owners.shrink_to_fit();
         self.delta_log.shrink_to_fit();
@@ -285,16 +276,17 @@ impl Zone {
         Ok(())
     }
 
-    /// Stores an admitted record, bumping the serial.
-    fn insert(&mut self, rr: ResourceRecord) {
+    /// Stores an admitted record, bumping the serial. `at` is where
+    /// [`Owners::locate`] found its owner, the store untouched since.
+    fn insert(&mut self, rr: ResourceRecord, at: Result<u32, Vacancy>) {
         let ResourceRecord {
             name,
             rtype,
             ttl,
             rdata,
         } = rr;
-        let body = self.share(RrBody { rtype, ttl, rdata });
-        let id = self.owners.intern(self.strip(name.text()));
+        let body = self.bodies.share(RrBody { rtype, ttl, rdata });
+        let id = self.owners.intern(self.strip(name.text()), at);
         self.owners.push(id, body);
         if rtype == RType::Ns && name != self.origin {
             self.cut_ns_records += 1;
@@ -304,10 +296,15 @@ impl Zone {
 
     /// Adds a record, bumping the serial, if `Zone::admit` admits it.
     pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
-        let set = self.set(&rr.name);
-        let has_cname = set.iter().any(|r| r.rtype == RType::Cname);
+        let Some(relative) = self.relative(&rr.name) else {
+            return Err(NsError::NotAuthoritative(rr.name.to_string()));
+        };
+        // The owner is located once, for the checks and the insert.
+        let at = self.owners.locate(relative);
+        let set = at.map_or(&[][..], |id| self.owners.records(id));
+        let has_cname = self.bodies.of(set).any(|r| r.rtype == RType::Cname);
         self.admit(&rr, !set.is_empty(), has_cname)?;
-        self.insert(rr);
+        self.insert(rr, at);
         self.settle();
         Ok(())
     }
@@ -332,13 +329,14 @@ impl Zone {
         let Some(id) = self.relative(name).and_then(|r| self.owners.find(r)) else {
             return 0;
         };
-        let dropped = self.owners.take(id, |r| r.rtype == rtype);
+        let bodies = &self.bodies;
+        let dropped = self.owners.take(id, |b| bodies.get(b).rtype == rtype);
         let removed = dropped.len();
         if removed > 0 {
             if rtype == RType::Ns && *name != self.origin {
                 self.cut_ns_records -= removed;
             }
-            self.prune(dropped);
+            dropped.into_iter().for_each(|b| self.bodies.release(b));
             self.log_change(id);
         }
         removed
@@ -354,10 +352,11 @@ impl Zone {
         rtype: RType,
         records: Vec<ResourceRecord>,
     ) -> NsResult<()> {
-        let set = self.set(name);
-        let mut staying = set.iter().filter(|r| r.rtype != rtype);
-        let mut occupied = staying.clone().next().is_some();
-        let mut has_cname = staying.any(|r| r.rtype == RType::Cname);
+        let (mut occupied, mut has_cname) = {
+            let mut staying = self.bodies.of(self.set(name)).filter(|r| r.rtype != rtype);
+            let occupied = staying.clone().next().is_some();
+            (occupied, staying.any(|r| r.rtype == RType::Cname))
+        };
         for rr in &records {
             if rr.name != *name || rr.rtype != rtype {
                 return Err(NsError::BadRecord("replace set mismatch".into()));
@@ -368,7 +367,8 @@ impl Zone {
         }
         self.take(name, rtype);
         for rr in records {
-            self.insert(rr);
+            let at = self.owners.locate(self.strip(rr.name.text()));
+            self.insert(rr, at);
         }
         self.serial += 1;
         self.settle();
@@ -404,7 +404,7 @@ impl Zone {
     /// stored there.
     pub fn records_at(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
         let set = self.set(name);
-        (!set.is_empty()).then(|| set.iter().map(|b| b.to_record(name)).collect())
+        (!set.is_empty()).then(|| self.bodies.of(set).map(|b| b.to_record(name)).collect())
     }
 
     /// Looks up records of `rtype` at `name`, following at most one level
@@ -430,13 +430,13 @@ impl Zone {
         }
         // Nearly always the whole set matches: sized for it, once.
         let mut matched = Vec::with_capacity(set.len());
-        let of_type = set.iter().filter(|r| r.rtype == rtype);
+        let of_type = self.bodies.of(set).filter(|r| r.rtype == rtype);
         matched.extend(of_type.map(|b| b.to_record(name)));
         if !matched.is_empty() {
             return Ok(matched);
         }
         if chase && rtype != RType::Cname {
-            if let Some(cname) = set.iter().find(|r| r.rtype == RType::Cname) {
+            if let Some(cname) = self.bodies.of(set).find(|r| r.rtype == RType::Cname) {
                 if let RData::Domain(target) = &cname.rdata {
                     let mut result = vec![cname.to_record(name)];
                     if self.contains(target) {
@@ -466,10 +466,10 @@ impl Zone {
         let mut starts =
             std::iter::once(0).chain(relative.match_indices('.').map(|(dot, _)| dot + 1));
         let (start, ns) = starts.find_map(|start| {
-            let ns: Vec<&Arc<RrBody>> = self
-                .owners
-                .get(&relative[start..])
-                .iter()
+            let set = self.owners.get(&relative[start..]);
+            let ns: Vec<&RrBody> = self
+                .bodies
+                .of(set)
                 .filter(|r| r.rtype == RType::Ns)
                 .collect();
             (!ns.is_empty()).then_some((start, ns))
@@ -487,8 +487,8 @@ impl Zone {
                 _ => None,
             })
             .flat_map(|target| {
-                self.set(target)
-                    .iter()
+                self.bodies
+                    .of(self.set(target))
                     .filter(|g| g.rtype == RType::A)
                     .map(|b| b.to_record(target))
             })
@@ -500,14 +500,14 @@ impl Zone {
     /// All records, in deterministic (name-sorted) order: the zone
     /// transfer payload. The owners are sorted here, at transfer time.
     pub fn all_records(&self) -> Vec<ResourceRecord> {
-        let mut sets: Vec<(DomainName, &[Arc<RrBody>])> = self
+        let mut sets: Vec<(DomainName, &[BodyId])> = self
             .owners
             .iter()
             .map(|(name, set)| (self.absolute(name), set))
             .collect();
         sets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         sets.into_iter()
-            .flat_map(|(name, set)| set.iter().map(move |b| b.to_record(&name)))
+            .flat_map(|(name, set)| self.bodies.of(set).map(move |b| b.to_record(&name)))
             .collect()
     }
 
@@ -535,26 +535,31 @@ impl Zone {
             .iter()
             .flat_map(|(name, set)| {
                 let name_len = whole(name).max(1);
-                set.iter().map(move |b| name_len + b.body_bytes())
+                self.bodies.of(set).map(move |b| name_len + b.body_bytes())
             })
             .sum()
     }
 
     /// Bytes the zone holds: the owner store (arena, rows and index at
-    /// their capacity), the delta log and the dedup set at theirs, and
-    /// each distinct body once with its `Arc` header and payload.
+    /// their capacity), the delta log at its, and the body table (entries,
+    /// free list and index at their capacity, and each held body's
+    /// rdata).
     pub fn resident_bytes(&self) -> usize {
-        let bodies: usize = self.bodies.iter().map(|b| b.resident_bytes()).sum();
         arc_bytes(self.origin.text().len())
             + self.owners.resident_bytes()
             + self.delta_log.capacity() * std::mem::size_of::<(u32, u32)>()
-            + table_bytes::<Arc<RrBody>>(self.bodies.capacity())
-            + bodies
+            + self.bodies.resident_bytes()
     }
 
-    /// Number of distinct record bodies shared through the dedup set.
+    /// Number of distinct record bodies the zone holds, each once.
     pub fn distinct_bodies(&self) -> usize {
         self.bodies.len()
+    }
+
+    /// Entries of the zone's body table, free ones included: the most
+    /// distinct bodies it has held at once since it was last trimmed.
+    pub fn body_table_len(&self) -> usize {
+        self.bodies.table_len()
     }
 }
 

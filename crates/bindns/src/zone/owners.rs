@@ -1,9 +1,12 @@
 //! The owner store under a [`super::Zone`]: every owner name once, as
 //! text relative to the zone's origin (`n17` for `n17.cell0.hns`, the
-//! apex empty) in one append-only arena, a 16-byte row per name holding
-//! its lone record inline, and an open-addressed index of `u32` row ids
-//! at most half full — [`simnet::index::Index`], the one the TTL maps
-//! use too.
+//! apex empty) in one append-only arena, a 12-byte row per name holding
+//! its lone record inline as a body id (the zone's body table holds the
+//! body), and an open-addressed index of `u32` row ids at most three
+//! quarters full — [`simnet::index::Index`], the one the body table and
+//! the TTL maps use too. The index's tags keep most wrong candidates from
+//! costing a row or an arena load; a candidate whose tag matches is
+//! compared as bytes.
 //!
 //! A row whose last record goes stays, empty, while the zone's delta log
 //! names it, so an incremental transfer can still report the name. Once
@@ -13,19 +16,20 @@
 //! without dropping anything; growth after either doubles.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
 
 use simnet::index::{hash, Index};
 
-use super::{table_bytes, RrBody, DELTA_LOG_CAP};
+use super::bodies::BodyId;
+use super::{fitted_slots, overfull, table_bytes, DELTA_LOG_CAP};
 
 /// One owner name: where its text lies in the arena, and its records.
 /// Most names hold one record, kept here; a name holding several keeps
 /// them in [`Owners::several`] instead.
 #[derive(Debug, Clone)]
 struct Row {
-    /// The record, when the name holds exactly one.
-    lone: Option<Arc<RrBody>>,
+    /// The record's body, when the name holds exactly one.
+    lone: Option<BodyId>,
     /// Where the name's text starts in the arena.
     offset: u32,
     /// Its length: a name is at most 255 bytes.
@@ -36,10 +40,16 @@ struct Row {
     logged: u16,
 }
 
-const _: () = assert!(std::mem::size_of::<Row>() == 16);
+const _: () = assert!(std::mem::size_of::<Row>() == 12);
 const _: () = assert!(DELTA_LOG_CAP <= u16::MAX as usize);
 
 impl Row {
+    /// Where the name's text lies in the arena.
+    fn span(&self) -> Range<usize> {
+        let start = self.offset as usize;
+        start..start + usize::from(self.len)
+    }
+
     /// Neither a record nor a log entry needs this row.
     fn droppable(&self) -> bool {
         self.lone.is_none() && !self.several && self.logged == 0
@@ -54,42 +64,49 @@ pub(super) struct Owners {
     /// One per name, in the order the names arrived.
     rows: Vec<Row>,
     /// Row ids by the fixed hash of their name
-    /// ([`simnet::index`]); at least twice as long as `rows`, so at most
-    /// half full.
+    /// ([`simnet::index`]); at least a third longer than `rows`, so at
+    /// most three quarters full.
     index: Index,
-    /// The records of each row holding more than one.
-    several: HashMap<u32, Vec<Arc<RrBody>>>,
+    /// The record bodies of each row holding more than one.
+    several: HashMap<u32, Vec<BodyId>>,
     /// Rows that are [`Row::droppable`].
     droppable: usize,
 }
 
-/// The text of `row` in the arena `text`.
-fn text_of<'t>(text: &'t str, row: &Row) -> &'t str {
-    let start = row.offset as usize;
-    &text[start..start + usize::from(row.len)]
+/// Where a name with no row would get one: the free index slot that
+/// ends its chain, and its hash.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Vacancy {
+    slot: usize,
+    hash: u64,
 }
 
 impl Owners {
     /// The row of `name`, whether it holds records or not.
     pub(super) fn find(&self, name: &str) -> Option<u32> {
-        self.probe(name).ok()
+        self.locate(name).ok()
     }
 
-    /// The row of `name`, or the free slot its row would take.
-    fn probe(&self, name: &str) -> Result<u32, usize> {
+    /// The row of `name`, or where its row would go. A candidate is
+    /// compared as bytes, so no `&str` is made of it.
+    pub(super) fn locate(&self, name: &str) -> Result<u32, Vacancy> {
+        let (text, name) = (self.text.as_bytes(), name.as_bytes());
+        let hash = hash(name);
         let found = self
             .index
-            .find(hash(name.as_bytes()), |id| self.name(id) == name);
-        found.map(|(_, id)| id)
+            .find(hash, |id| text[self.rows[id as usize].span()] == *name);
+        found
+            .map(|(_, id)| id)
+            .map_err(|slot| Vacancy { slot, hash })
     }
 
     /// The text of row `id`.
     pub(super) fn name(&self, id: u32) -> &str {
-        text_of(&self.text, &self.rows[id as usize])
+        &self.text[self.rows[id as usize].span()]
     }
 
-    /// The records of row `id`, in the order they were added.
-    pub(super) fn records(&self, id: u32) -> &[Arc<RrBody>] {
+    /// The record bodies of row `id`, in the order they were added.
+    pub(super) fn records(&self, id: u32) -> &[BodyId] {
         let row = &self.rows[id as usize];
         if row.several {
             self.several.get(&id).map_or(&[], Vec::as_slice)
@@ -99,12 +116,12 @@ impl Owners {
     }
 
     /// The records at `name`; none if the store has no such row.
-    pub(super) fn get(&self, name: &str) -> &[Arc<RrBody>] {
+    pub(super) fn get(&self, name: &str) -> &[BodyId] {
         self.find(name).map_or(&[], |id| self.records(id))
     }
 
     /// Every name holding records, with them, in no particular order.
-    pub(super) fn iter(&self) -> impl Iterator<Item = (&str, &[Arc<RrBody>])> {
+    pub(super) fn iter(&self) -> impl Iterator<Item = (&str, &[BodyId])> {
         (0..self.rows.len() as u32)
             .map(|id| (self.name(id), self.records(id)))
             .filter(|(_, set)| !set.is_empty())
@@ -116,12 +133,13 @@ impl Owners {
         self.text.len() + name.len() <= u32::MAX as usize && self.rows.len() < u32::MAX as usize
     }
 
-    /// The row of `name`, appended (with no record) if there is none.
-    /// The zone has checked [`Owners::has_room`].
-    pub(super) fn intern(&mut self, name: &str) -> u32 {
-        let slot = match self.probe(name) {
+    /// The row of `name`, appended (with no record) if there is none:
+    /// `at` is what [`Owners::locate`] answered for `name`, the store
+    /// untouched since. The zone has checked [`Owners::has_room`].
+    pub(super) fn intern(&mut self, name: &str, at: Result<u32, Vacancy>) -> u32 {
+        let Vacancy { slot, hash } = match at {
             Ok(id) => return id,
-            Err(slot) => slot,
+            Err(vacancy) => vacancy,
         };
         let id = self.rows.len() as u32;
         self.rows.push(Row {
@@ -132,11 +150,11 @@ impl Owners {
             logged: 0,
         });
         self.text.push_str(name);
-        if 2 * self.rows.len() > self.index.slots() {
+        if overfull(self.rows.len(), self.index.slots()) {
             // Room for as many rows again before the next rebuild.
-            self.rehash(4 * self.rows.len());
+            self.rehash(fitted_slots(2 * self.rows.len()));
         } else {
-            self.index.set(slot, id);
+            self.index.set(slot, id, hash);
         }
         self.droppable += 1;
         id
@@ -144,22 +162,19 @@ impl Owners {
 
     /// Rebuilds the index at `slots` slots, every row in it.
     fn rehash(&mut self, slots: usize) {
-        let text = &self.text;
-        let hashes = self
-            .rows
-            .iter()
-            .map(|row| hash(text_of(text, row).as_bytes()));
+        let text = self.text.as_bytes();
+        let hashes = self.rows.iter().map(|row| hash(&text[row.span()]));
         self.index.rebuild(slots, hashes);
     }
 
     /// Trims arena, rows and the several-record sets to their length, and
-    /// rebuilds the index at exactly twice the rows.
+    /// rebuilds the index at a third more slots than rows (rounded up).
     pub(super) fn shrink_to_fit(&mut self) {
         self.text.shrink_to_fit();
         self.rows.shrink_to_fit();
         self.several.values_mut().for_each(Vec::shrink_to_fit);
         self.several.shrink_to_fit();
-        self.rehash(2 * self.rows.len());
+        self.rehash(fitted_slots(self.rows.len()));
     }
 
     /// Runs `f` on row `id` (and the several-record sets), keeping the
@@ -167,7 +182,7 @@ impl Owners {
     fn update<R>(
         &mut self,
         id: u32,
-        f: impl FnOnce(&mut Row, &mut HashMap<u32, Vec<Arc<RrBody>>>) -> R,
+        f: impl FnOnce(&mut Row, &mut HashMap<u32, Vec<BodyId>>) -> R,
     ) -> R {
         let row = &mut self.rows[id as usize];
         let was = row.droppable();
@@ -180,8 +195,8 @@ impl Owners {
         result
     }
 
-    /// Appends `body` to the records of row `id`.
-    pub(super) fn push(&mut self, id: u32, body: Arc<RrBody>) {
+    /// Appends the record whose body is `body` to row `id`.
+    pub(super) fn push(&mut self, id: u32, body: BodyId) {
         self.update(id, |row, several| {
             if row.several {
                 several.entry(id).or_default().push(body);
@@ -194,18 +209,18 @@ impl Owners {
         });
     }
 
-    /// Takes the records of row `id` that `doomed` picks, keeping the
-    /// order of the rest.
-    pub(super) fn take(&mut self, id: u32, doomed: impl Fn(&RrBody) -> bool) -> Vec<Arc<RrBody>> {
+    /// Takes the records of row `id` whose bodies `doomed` picks, keeping
+    /// the order of the rest.
+    pub(super) fn take(&mut self, id: u32, doomed: impl Fn(BodyId) -> bool) -> Vec<BodyId> {
         self.update(id, |row, several| {
             if !row.several {
-                return match row.lone.take_if(|body| doomed(body)) {
+                return match row.lone.take_if(|body| doomed(*body)) {
                     Some(body) => vec![body],
                     None => Vec::new(),
                 };
             }
             let set = several.remove(&id).unwrap_or_default();
-            let (gone, mut kept): (Vec<_>, Vec<_>) = set.into_iter().partition(|b| doomed(b));
+            let (gone, mut kept): (Vec<_>, Vec<_>) = set.into_iter().partition(|&b| doomed(b));
             if kept.len() > 1 {
                 several.insert(id, kept);
             } else {
@@ -254,15 +269,14 @@ impl Owners {
             if let Some(set) = self.several.remove(&old) {
                 several.insert(new, set);
             }
-            let start = row.offset as usize;
             let offset = text.len() as u32;
-            text.push_str(&self.text[start..start + usize::from(row.len)]);
+            text.push_str(&self.text[row.span()]);
             kept.push(Row { offset, ..row });
             renumbered.push(new);
         }
         (self.text, self.rows, self.several) = (text, kept, several);
         self.droppable = 0;
-        self.rehash(2 * self.rows.len());
+        self.rehash(fitted_slots(self.rows.len()));
         renumbered
     }
 
@@ -272,12 +286,12 @@ impl Owners {
         let sets: usize = self
             .several
             .values()
-            .map(|set| set.capacity() * std::mem::size_of::<Arc<RrBody>>())
+            .map(|set| set.capacity() * std::mem::size_of::<BodyId>())
             .sum();
         self.text.capacity()
             + self.rows.capacity() * std::mem::size_of::<Row>()
             + self.index.resident_bytes()
-            + table_bytes::<(u32, Vec<Arc<RrBody>>)>(self.several.capacity())
+            + table_bytes::<(u32, Vec<BodyId>)>(self.several.capacity())
             + sets
     }
 }
@@ -291,7 +305,10 @@ mod tests {
     fn compaction_keeps_what_is_needed_and_finds_it_again() {
         let mut owners = Owners::default();
         let names: Vec<String> = (0..100).map(|i| format!("n{i}.z")).collect();
-        let ids: Vec<u32> = names.iter().map(|n| owners.intern(n)).collect();
+        let ids: Vec<u32> = names
+            .iter()
+            .map(|n| owners.intern(n, owners.locate(n)))
+            .collect();
         for (i, &id) in ids.iter().enumerate() {
             if i % 10 == 0 {
                 owners.log(id);
@@ -317,7 +334,7 @@ mod tests {
         let mut owners = Owners::default();
         assert_eq!(owners.find(""), None);
         assert_eq!(owners.resident_bytes(), 0);
-        let id = owners.intern("");
+        let id = owners.intern("", owners.locate(""));
         assert_eq!(owners.find(""), Some(id), "the apex is a name too");
         owners.compact();
         assert_eq!((owners.find(""), owners.resident_bytes()), (None, 0));
@@ -325,23 +342,23 @@ mod tests {
         assert_eq!((owners.find(""), owners.resident_bytes()), (None, 0));
     }
 
-    /// A fitted index is twice the rows, whatever that is, and every name
-    /// is found in it, and in the index it grows into.
+    /// A fitted index is a third longer than the rows, whatever that is,
+    /// and every name is found in it, and in the index it grows into.
     #[test]
     fn a_fitted_store_finds_every_name_and_grows_again() {
         let mut owners = Owners::default();
         let names: Vec<String> = (0..1000).map(|i| format!("n{i}")).collect();
         for name in &names[..300] {
-            owners.intern(name);
+            owners.intern(name, owners.locate(name));
         }
         owners.shrink_to_fit();
-        assert_eq!(owners.index.slots(), 600);
+        assert_eq!(owners.index.slots(), 400);
         assert_eq!(owners.text.capacity(), owners.text.len());
         assert_eq!(owners.rows.capacity(), owners.rows.len());
         for name in &names {
-            owners.intern(name);
+            owners.intern(name, owners.locate(name));
         }
-        assert!(2 * owners.rows.len() <= owners.index.slots());
+        assert!(4 * owners.rows.len() <= 3 * owners.index.slots());
         for (id, name) in (0u32..).zip(&names) {
             assert_eq!(owners.find(name), Some(id), "{name}");
         }

@@ -125,8 +125,10 @@ const REG_RESOLVE: Row = (5, 37);
 /// head's new service — changed in place, nobody else holding it — and
 /// the meta zone's dynamic update through the rebinder. (38 / 1,641 B
 /// while the `SET_ITEM` request was a tree the server parsed back, and
-/// the head was cloned on the way in and copied again to be changed.)
-const REG_UPDATE: Row = (19, 767);
+/// the head was cloned on the way in and copied again to be changed; 19
+/// / 767 B while the zone named a record's body by an 8-byte `Arc`, not
+/// a 4-byte id, in the vector of the records a replace takes out.)
+const REG_UPDATE: Row = (19, 763);
 /// `Registry::transfer`: the probe, the signed link (its two owners) and
 /// its tree, the server's copy of that, the new head — the cached one
 /// copied, one holder more, the next probe's name — and the `Resolution`.

@@ -78,11 +78,12 @@ fn resident_bytes_is_within_a_tenth_of_what_the_allocator_counts() {
 }
 
 /// A zone shaped like one cell of the scale world — 4,096 names, a pool
-/// of 8 bindings — once a server has taken it: at most 40 B a name by the
-/// allocator's count (owner names kept below the origin, the store
-/// trimmed to fit), and the gauge within a tenth of that count.
+/// of 8 bindings — once a server has taken it: at most 27 B a name by the
+/// allocator's count (owner names kept below the origin, 12-byte rows,
+/// an owner index three quarters full, the store trimmed to fit), and
+/// the gauge within a tenth of that count.
 #[test]
-fn a_served_cell_holds_at_most_forty_bytes_a_name() {
+fn a_served_cell_holds_at_most_twenty_seven_bytes_a_name() {
     let names = 4096;
     let (db, live) = measure_live(|| {
         let mut db = ZoneDb::new();
@@ -93,11 +94,36 @@ fn a_served_cell_holds_at_most_forty_bytes_a_name() {
     let gauge = db.zone(&origin()).expect("served").resident_bytes() as i64;
     let per_name = live as f64 / names as f64;
     println!("served cell: gauge {gauge} B, allocator {live} B ({per_name:.1} B/name)");
-    assert!(per_name <= 40.0, "{per_name:.1} B/name");
+    assert!(per_name <= 27.0, "{per_name:.1} B/name");
     assert!(
         (gauge - live).abs() * 10 <= live,
         "gauge {gauge} B against {live} B live"
     );
+}
+
+/// One name rebound 10^4 times, each time to a payload no other record
+/// holds, then given back its first: every binding it let go of left the
+/// body table, whose length never passed where it started — each new body
+/// took the id the last one freed.
+#[test]
+fn a_name_rebound_ten_thousand_times_leaves_the_body_table_as_it_was() {
+    let mut zone = build(4096, 16, false);
+    let churn = DomainName::parse("churn.cell0.hns").expect("name");
+    let first = binding(churn.clone(), 99);
+    zone.add(first.clone()).expect("its own binding");
+    let start = (zone.distinct_bodies(), zone.body_table_len());
+    assert_eq!(start, (17, 17));
+    for k in 0..10_000 {
+        let record = binding(churn.clone(), 1000 + k);
+        zone.replace(&churn, RType::Unspec, vec![record])
+            .expect("replace");
+        assert_eq!(zone.distinct_bodies(), start.0, "rebinding {k}");
+        assert_eq!(zone.body_table_len(), start.1, "rebinding {k}");
+    }
+    zone.replace(&churn, RType::Unspec, vec![first.clone()])
+        .expect("given back");
+    assert_eq!((zone.distinct_bodies(), zone.body_table_len()), start);
+    assert_eq!(zone.records_at(&churn), Some(vec![first]));
 }
 
 fn pick(rng: &mut DetRng, bound: usize) -> usize {

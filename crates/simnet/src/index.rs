@@ -1,13 +1,25 @@
-//! One open-addressed index of `u32` ids: how the zone's owner store and
-//! every [`crate::ttl::TtlMap`] find an entry.
+//! One open-addressed index of `u32` ids: how the zone's owner store, its
+//! body table and every [`crate::ttl::TtlMap`] find an entry.
 //!
 //! The entries live elsewhere, in a dense vector the index's user owns;
 //! the index holds each one's position + 1 (0 is a free slot) in the slot
 //! its hash probes to first, or after it, linearly, wrapping at the end.
-//! The user keeps it at most half full, so every chain ends at a free slot
-//! within a few steps. It may be any length: a home slot is the 64-bit
-//! hash scaled onto the index (`hash × slots >> 64`), not its low bits,
-//! so it is never rounded up to a power of two.
+//! It may be any length: a home slot is the 64-bit hash scaled onto the
+//! index (`hash × slots >> 64`), so it is never rounded up to a power of
+//! two. How full it runs is its user's choice, as long as every chain
+//! ends at a free slot: the zone's stores keep it at most three quarters
+//! full, the TTL maps half.
+//!
+//! **Tags.** A slot word keeps the position + 1 in its low bits, as many
+//! as the index's length needs (`id_bits`: enough to write the length
+//! itself, so every position below it fits), and a tag in the bits above:
+//! the hash's low bits, where the home reads the high ones. A probe asks
+//! its user's `is` about a candidate only when the tags match, so a wrong
+//! candidate costs no load of the user's entry — the row, slab slot or
+//! text an `is` reads. Tags decide nothing: an entry is found only when
+//! `is` says so. A rebuild at a new length re-splits every word; from
+//! 2^31 slots the position takes all 32 bits, the tag none, and every
+//! candidate is asked.
 //!
 //! The hash is fixed, not seeded per process: a structure lays out the
 //! same way on every run. That gives up a seeded hash's defence against
@@ -20,6 +32,23 @@ use std::hash::{Hash, Hasher};
 /// index, which may be any length.
 fn home(hash: u64, slots: usize) -> usize {
     ((u128::from(hash) * slots as u128) >> 64) as usize
+}
+
+/// Low bits of a slot word that hold position + 1 in an index of `slots`:
+/// enough to write `slots` itself, and at most all 32.
+fn id_bits(slots: usize) -> u32 {
+    (usize::BITS - slots.leading_zeros()).min(u32::BITS)
+}
+
+/// The word's bits that hold position + 1, given [`id_bits`].
+fn id_mask(id_bits: u32) -> u32 {
+    u32::MAX.checked_shr(u32::BITS - id_bits).unwrap_or(0)
+}
+
+/// The tag of `hash` above [`id_bits`] bits: the hash's low bits, as many
+/// as are left, shifted up past the id; none when the id takes the word.
+fn tag(hash: u64, id_bits: u32) -> u32 {
+    (hash as u32).checked_shl(id_bits).unwrap_or(0)
 }
 
 /// The slot after `slot` in an index of `slots`.
@@ -95,7 +124,7 @@ pub fn hash(bytes: &[u8]) -> u64 {
 }
 
 /// The fixed hash of anything hashable.
-pub(crate) fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = FixedHasher::default();
     value.hash(&mut hasher);
     hasher.finish()
@@ -104,8 +133,8 @@ pub(crate) fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
 /// Ids of entries held elsewhere, found by their hash.
 #[derive(Debug, Clone, Default)]
 pub struct Index {
-    /// Id + 1 at the slot an entry's hash probes to first, or after it;
-    /// 0 for none.
+    /// At the slot an entry's hash probes to first, or after it: its tag
+    /// over its id + 1 (the module's split); 0 for none.
     slots: Vec<u32>,
 }
 
@@ -115,17 +144,24 @@ impl Index {
         self.slots.len()
     }
 
-    /// Probes the chain of `hash` for the id `is` accepts: `Ok((slot,
-    /// id))`, or `Err` of the free slot that ends the chain (0 in an
-    /// index with no slots).
+    /// Probes the chain of `hash` for the id `is` accepts, asking only
+    /// about ids whose tag matches: `Ok((slot, id))`, or `Err` of the free
+    /// slot that ends the chain (0 in an index with no slots).
     pub fn find(&self, hash: u64, mut is: impl FnMut(u32) -> bool) -> Result<(usize, u32), usize> {
         let slots = self.slots.len();
+        let bits = id_bits(slots);
+        let (mask, tag) = (id_mask(bits), tag(hash, bits));
         let mut slot = home(hash, slots);
         loop {
-            match self.slots.get(slot).map(|&entry| entry.checked_sub(1)) {
-                Some(Some(id)) if is(id) => return Ok((slot, id)),
-                Some(Some(_)) => slot = next(slot, slots),
-                Some(None) | None => return Err(slot),
+            match self.slots.get(slot) {
+                Some(0) | None => return Err(slot),
+                Some(&word) => {
+                    let id = (word & mask) - 1;
+                    if word & !mask == tag && is(id) {
+                        return Ok((slot, id));
+                    }
+                    slot = next(slot, slots);
+                }
             }
         }
     }
@@ -138,9 +174,12 @@ impl Index {
     }
 
     /// Points `slot` — a free one [`Index::find`] or [`Index::free_slot`]
-    /// named, or one holding an entry that moved — at `id`.
-    pub fn set(&mut self, slot: usize, id: u32) {
-        self.slots[slot] = id + 1;
+    /// named for `hash`, or one holding an entry that moved — at `id`,
+    /// which is below the index's length, tagged by `hash`.
+    pub fn set(&mut self, slot: usize, id: u32, hash: u64) {
+        let bits = id_bits(self.slots.len());
+        debug_assert!(id < id_mask(bits), "id {id} does not fit {bits} bits");
+        self.slots[slot] = tag(hash, bits) | (id + 1);
     }
 
     /// Empties every slot, keeping the length.
@@ -149,8 +188,9 @@ impl Index {
     }
 
     /// Rebuilds the index at `slots` slots, holding ids 0, 1, … at the
-    /// hashes `hashes` yields in turn. A new length is a new allocation
-    /// of exactly that many slots.
+    /// hashes `hashes` yields in turn, each word split for the new
+    /// length. A new length is a new allocation of exactly that many
+    /// slots.
     pub fn rebuild(&mut self, slots: usize, hashes: impl IntoIterator<Item = u64>) {
         if self.slots.len() == slots {
             self.clear();
@@ -159,7 +199,7 @@ impl Index {
         }
         for (id, hash) in (0u32..).zip(hashes) {
             let slot = self.free_slot(hash);
-            self.set(slot, id);
+            self.set(slot, id, hash);
         }
     }
 
@@ -168,9 +208,10 @@ impl Index {
     /// still ends at its first free slot. `hash_of` gives an id's hash.
     pub fn remove(&mut self, slot: usize, hash_of: impl Fn(u32) -> u64) {
         let slots = self.slots.len();
+        let mask = id_mask(id_bits(slots));
         let mut hole = slot;
         let mut at = next(slot, slots);
-        while let Some(id) = self.slots[at].checked_sub(1) {
+        while let Some(id) = (self.slots[at] & mask).checked_sub(1) {
             let home = home(hash_of(id), slots);
             // The entry at `at` stays if its home lies cyclically in
             // `(hole, at]`: moved to the hole, it would sit before it.
@@ -245,6 +286,102 @@ mod tests {
         let mut index = Index::default();
         index.rebuild(slots, hashes.iter().copied());
         index
+    }
+
+    /// The id takes just the bits that write the length, at 1, 2^k − 1,
+    /// 2^k and 2^k + 1; from 2^31 it takes the word and the tag is gone.
+    #[test]
+    fn the_id_takes_the_bits_the_length_needs_and_the_tag_the_rest() {
+        assert_eq!((id_bits(0), id_mask(0)), (0, 0));
+        assert_eq!((id_bits(1), id_mask(1)), (1, 1));
+        for k in [1, 2, 3, 7, 10, 16, 20, 30] {
+            let pow = 1usize << k;
+            assert_eq!(id_bits(pow - 1), k, "2^{k} - 1");
+            assert_eq!(id_bits(pow), k + 1, "2^{k}");
+            assert_eq!(id_bits(pow + 1), k + 1, "2^{k} + 1");
+            // Every id below the length fits the mask, with 0 kept free.
+            assert!(id_mask(id_bits(pow + 1)) as usize > pow);
+        }
+        assert_eq!(id_bits((1 << 31) - 1), 31);
+        let hash = 0x0123_4567_89ab_cdef;
+        assert_eq!(tag(hash, 31), 1 << 31, "one bit: the hash's lowest");
+        for slots in [1usize << 31, 1 << 32, usize::MAX] {
+            let bits = id_bits(slots);
+            assert_eq!((bits, id_mask(bits)), (32, u32::MAX), "{slots}");
+            assert_eq!((tag(hash, bits), tag(u64::MAX, bits)), (0, 0));
+        }
+        assert_eq!(tag(hash, 0), 0x89ab_cdef, "no id bits: the tag is the word");
+        assert_eq!(tag(hash, 4), 0x9abc_def0);
+    }
+
+    /// Every word of an index of 1, 2^k − 1, 2^k or 2^k + 1 slots, three
+    /// quarters full, holds its id + 1 below the split and its hash's low
+    /// bits above it.
+    #[test]
+    fn every_word_holds_its_id_under_its_tag() {
+        for k in [1, 4, 9] {
+            for slots in [1usize, (1 << k) - 1, 1 << k, (1 << k) + 1] {
+                let bits = usize::BITS - slots.leading_zeros();
+                let hashes: Vec<u64> = (0..slots * 3 / 4).map(|i| hash_of(&i)).collect();
+                let index = built(&hashes, slots);
+                let mut held = 0;
+                for &word in index.slots.iter().filter(|&&w| w != 0) {
+                    let id = (word & ((1 << bits) - 1)) - 1;
+                    let low = hashes[id as usize] & ((1 << (32 - bits)) - 1);
+                    assert_eq!(u64::from(word >> bits), low, "{slots} slots, id {id}");
+                    held += 1;
+                }
+                assert_eq!(held, hashes.len(), "{slots} slots");
+                for (id, &h) in (0u32..).zip(&hashes) {
+                    assert!(matches!(index.find(h, |i| i == id), Ok((_, i)) if i == id));
+                }
+            }
+        }
+    }
+
+    /// Entries sharing a home and not a tag: a probe asks only about the
+    /// candidate whose tag matches, and a probe matching no tag asks
+    /// about none, however long the chain.
+    #[test]
+    fn a_wrong_tag_is_never_asked_about() {
+        // One high half, so one home; low halves apart in every bit a
+        // tag of a 16-slot index (5 id bits) reads.
+        let hashes: Vec<u64> = (0..8).map(|i| 0xabcd_0000_0000_0000 | i << 5 | i).collect();
+        let index = built(&hashes, 16);
+        assert!(hashes.iter().all(|&h| home(h, 16) == home(hashes[0], 16)));
+        for (id, &h) in (0u32..).zip(&hashes) {
+            let mut asked = 0;
+            let found = index.find(h, |i| {
+                asked += 1;
+                i == id
+            });
+            assert_eq!((found.map(|(_, i)| i), asked), (Ok(id), 1), "id {id}");
+        }
+        let mut asked = 0;
+        let missing = index.find(0xabcd_0000_0000_0000 | 9 << 5, |_| {
+            asked += 1;
+            true
+        });
+        assert_eq!((missing.is_err(), asked), (true, 0));
+    }
+
+    /// A rebuild at another length re-splits every word for it: growing
+    /// 8 → 1,000 slots and back to 7, each id is found and its word holds
+    /// the new split.
+    #[test]
+    fn a_rebuild_at_a_new_length_re_splits_every_word() {
+        let hashes: Vec<u64> = (0u32..5).map(|i| hash_of(&i)).collect();
+        let mut index = built(&hashes, 8);
+        for slots in [1000, 7] {
+            index.rebuild(slots, hashes.iter().copied());
+            let bits = id_bits(slots);
+            for (id, &h) in (0u32..).zip(&hashes) {
+                let Ok((slot, _)) = index.find(h, |i| i == id) else {
+                    panic!("{slots} slots: {id} not found");
+                };
+                assert_eq!(index.slots[slot], tag(h, bits) | (id + 1));
+            }
+        }
     }
 
     /// A full chain that starts at the last slot wraps to the first, and

@@ -40,10 +40,12 @@
 //! The table is a slab and an index: entries, key beside value, in one
 //! dense `Vec` in no particular order, found through a
 //! [`crate::index::Index`] of `u32` slab positions under the fixed hash —
-//! the zone's owner store uses the same index. The index is at most half
-//! full and doubles with the slab up to twice the capacity, so a full
-//! map holds one slot per entry and two index words, and never pays for a
-//! last table doubling. The capacity rule `retain`s the slab and rebuilds
+//! the zone's owner store and body table use the same index, three
+//! quarters full. A map's index is at most half full (at three quarters,
+//! set-ups that fill maps from empty ran slower) and doubles with the
+//! slab up to twice the capacity, so a full map holds one slot per entry
+//! and two index words, and never pays for a last table doubling. The
+//! capacity rule `retain`s the slab and rebuilds
 //! the index; a [`TtlMap::discard`] frees its index slot by backward
 //! shift and moves the slab's last entry into its place.
 //! [`TtlMap::resident_bytes`] counts slab and index at capacity plus what
@@ -187,7 +189,7 @@ impl<K: Hash + Eq, V> Entries<K, V> {
             self.reindex((2 * self.index.slots()).max(MIN_SLOTS).min(max_slots));
         } else {
             let free = self.index.free_slot(hash);
-            self.index.set(free, id as u32);
+            self.index.set(free, id as u32, hash);
         }
     }
 
@@ -209,7 +211,7 @@ impl<K: Hash + Eq, V> Entries<K, V> {
         if id != last {
             let moved = hash_of(&self.slab[id].key);
             if let Ok((slot, _)) = self.index.find(moved, |at| at as usize == last) {
-                self.index.set(slot, id as u32);
+                self.index.set(slot, id as u32, moved);
             }
         }
         true
