@@ -9,25 +9,23 @@
 //! entries for the serve-stale fallback until the map is full, the capacity
 //! ([`simnet::ttl::CAPACITY`] entries), counters — is
 //! [`simnet::ttl::TtlMap`], shared with the HNS and NSM caches. What is
-//! this cache's own: the key is `(owner name, record type)` with the name
-//! as the [`DomainName`]'s own shared text — an entry allocates no copy of
-//! it and pins nothing outside itself, so evicting one frees all it held
-//! — probed on borrowed `(&str, RType)`; a set is valid for the minimum
-//! TTL among its records; and what an entry keeps of the set. A
-//! one-record answer owned by the key's own name — nearly every answer a
-//! resolver caches — keeps only its body (type, TTL, rdata), not a second
-//! copy of the name: a hit rebuilds the record on the asker's
-//! [`DomainName`], in one allocation, the `Arc` the caller receives. Any
-//! other set (a `CNAME` chain, a referral and its glue) is kept whole, and
-//! a hit shares it.
+//! this cache's own: the key is the record type's code and the owner
+//! name's text, handed to the map as those two parts — a suffix of a
+//! name's text is probed where it lies — and copied into the map's arena
+//! by an insert, so an entry keeps no handle on any name and evicting one
+//! frees all it held; a set is valid for the minimum TTL among its
+//! records; and what an entry keeps of the set. A one-record
+//! answer owned by the key's own name — nearly every answer a resolver
+//! caches — keeps only its body (type, TTL, rdata), not a second copy of
+//! the name: a hit rebuilds the record on the asker's [`DomainName`], in
+//! one allocation, the `Arc` the caller receives. Any other set (a `CNAME`
+//! chain, a referral and its glue) is kept whole, and a hit shares it.
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use simnet::obs::MetricsRegistry;
 use simnet::time::{SimDuration, SimTime};
-use simnet::ttl::{arc_share, Probe, TtlMap};
+use simnet::ttl::{arc_share, Key, Probe, TtlMap};
 use simnet::world::World;
 
 use crate::name::DomainName;
@@ -49,56 +47,14 @@ pub struct CacheStats {
     pub stale_serves: u64,
 }
 
-/// What an entry is stored under: canonical dotted text, shared with the
-/// [`DomainName`] it was inserted with, and the record type.
-#[derive(Debug, PartialEq, Eq)]
-struct Key(Arc<str>, RType);
-
-/// A key as a probe sees it, owned or borrowed. [`Key`] borrows as one, so
-/// the map is probed with `(&str, RType)` — a suffix of a name's text —
-/// and nothing is allocated to ask.
-trait KeyView {
-    fn view(&self) -> (&str, RType);
+/// Hands `f` what an entry of (`name`, `rtype`) is stored under:
+/// `rtype ‖ name`, the type as its wire code, little-endian, and the name
+/// as canonical dotted text. The type is fixed-width and the name ends the
+/// key, so no byte need mark where either ends; the type goes first
+/// because a hash reads a key's varying length best at its end.
+fn with_key<R>(name: &str, rtype: RType, f: impl FnOnce(&Key<'_>) -> R) -> R {
+    f(&[&rtype.code().to_le_bytes(), name.as_bytes()])
 }
-
-impl KeyView for Key {
-    fn view(&self) -> (&str, RType) {
-        (&self.0, self.1)
-    }
-}
-
-impl KeyView for (&str, RType) {
-    fn view(&self) -> (&str, RType) {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn KeyView + 'a> for Key {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.view().hash(state);
-    }
-}
-
-// `Borrow` requires the owned key to hash as its view does.
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.view().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.view() == other.view()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
 
 /// What an entry keeps of a record set.
 #[derive(Debug, Clone)]
@@ -164,7 +120,7 @@ fn rdata_bytes(rdata: &RData) -> usize {
 /// A TTL-invalidated record cache, safe to share between threads.
 #[derive(Debug, Default)]
 pub struct TtlCache {
-    map: TtlMap<Key, Entry>,
+    map: TtlMap<Entry>,
 }
 
 impl TtlCache {
@@ -232,8 +188,7 @@ impl TtlCache {
         rtype: RType,
         owner: impl FnOnce() -> DomainName,
     ) -> Option<Arc<[ResourceRecord]>> {
-        let key: &dyn KeyView = &(name, rtype);
-        match self.map.probe(now, key, Entry::clone) {
+        match with_key(name, rtype, |key| self.map.probe(now, key, Entry::clone)) {
             Probe::Live { value, .. } => Some(value.records(owner)),
             Probe::Expired | Probe::Absent => None,
         }
@@ -242,8 +197,7 @@ impl TtlCache {
     /// Drops the entry a [`TtlCache::get_text`] hit just handed out and
     /// the caller found unusable, refiling that hit as a miss.
     pub(crate) fn discard(&self, name: &str, rtype: RType) {
-        let key: &dyn KeyView = &(name, rtype);
-        self.map.discard(key);
+        with_key(name, rtype, |key| self.map.discard(key));
     }
 
     /// Returns a retained *expired* record set for (`name`, `rtype`),
@@ -257,10 +211,9 @@ impl TtlCache {
         name: &DomainName,
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
-        let key: &dyn KeyView = &(name.as_str(), rtype);
-        let (entry, stale_for) = self
-            .map
-            .probe_stale(now, key, |entry| Some(entry.clone()))?;
+        let (entry, stale_for) = with_key(name.as_str(), rtype, |key| {
+            self.map.probe_stale(now, key, |entry| Some(entry.clone()))
+        })?;
         Some((entry.records(|| name.clone()), stale_for))
     }
 
@@ -280,8 +233,9 @@ impl TtlCache {
             return;
         };
         let entry = Entry::of(&name, records);
-        self.map
-            .insert(now, Key(name.into_text(), rtype), entry, min_ttl);
+        with_key(name.as_str(), rtype, |key| {
+            self.map.insert(now, key, entry, min_ttl)
+        });
     }
 
     /// Removes everything.
@@ -308,14 +262,12 @@ impl TtlCache {
         self.map.resident()
     }
 
-    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab and index
-    /// at capacity, each key's text and what each entry keeps, an
-    /// allocation shared with others — a name's text the asker still
-    /// holds, a payload a zone serves — counted as this cache's share.
-    /// Not exported as a metric.
+    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab, index
+    /// and key arena at capacity, and what each entry keeps, an allocation
+    /// shared with others — a payload a zone serves, a name's text — counted
+    /// as this cache's share. Not exported as a metric.
     pub fn resident_bytes(&self) -> usize {
-        self.map
-            .resident_bytes(|Key(text, _), entry| arc_share(text) + entry.resident_bytes())
+        self.map.resident_bytes(Entry::resident_bytes)
     }
 
     /// Statistics snapshot.
@@ -384,31 +336,47 @@ mod tests {
         assert_eq!(c.stats().misses, 2);
     }
 
-    /// An entry is keyed on its name's own text: the cache interns
-    /// nothing, copies no name, and an entry that goes gives the text back.
+    /// An entry's key is bytes in the map's arena: the cache interns
+    /// nothing and keeps no handle on the name it was given.
     #[test]
-    fn an_entry_shares_its_names_text_and_frees_it_when_dropped() {
+    fn an_entry_keeps_no_handle_on_its_names_text() {
         let c = TtlCache::new();
         let n = name("a.b");
         let before = intern::global().len();
         c.insert(SimTime::ZERO, n.clone(), RType::A, vec![rr(60)]);
-        assert_eq!(
-            Arc::strong_count(&n.clone().into_text()),
-            3,
-            "ours, the key, this"
-        );
+        let whole = simnet::ttl::arc_bytes("a.b".len());
+        assert_eq!(n.resident_share(), whole, "the name's text is ours alone");
         assert!(c.get(SimTime::ZERO, &n, RType::A).is_some());
+        assert!(c.get_text(SimTime::ZERO, "a.b", RType::A).is_some());
         assert!(c.get_text(SimTime::ZERO, "b", RType::A).is_none());
         assert!(c
             .get_stale(SimTime::from_ms(60_000), &n, RType::A)
             .is_some());
-        c.clear();
-        assert_eq!(Arc::strong_count(&n.into_text()), 1);
         assert_eq!(
             intern::global().len(),
             before,
             "nothing in this crate interns"
         );
+    }
+
+    /// One name under two record types is two keys and two entries.
+    #[test]
+    fn one_name_under_two_types_is_two_entries() {
+        let bytes = |rtype| with_key("a.b", rtype, |key| key.concat());
+        assert_ne!(bytes(RType::A), bytes(RType::Txt));
+        let c = TtlCache::new();
+        let txt = ResourceRecord {
+            name: name("a.b"),
+            rtype: RType::Txt,
+            ttl: 60,
+            rdata: RData::Text("text".into()),
+        };
+        c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(60)]);
+        c.insert(SimTime::ZERO, name("a.b"), RType::Txt, vec![txt.clone()]);
+        assert_eq!(c.resident(), 2);
+        let got = |rtype| c.get(SimTime::ZERO, &name("a.b"), rtype).expect("hit");
+        assert_eq!(got(RType::A)[0].rtype, RType::A);
+        assert_eq!(got(RType::Txt)[0], txt);
     }
 
     /// The root's text is `.` to a probe, so it is to an insert.

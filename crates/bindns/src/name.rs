@@ -147,16 +147,6 @@ impl DomainName {
         }
     }
 
-    /// The canonical text, [`DomainName::as_str`], as the shared
-    /// allocation itself: what the resolver's cache keys an entry on.
-    pub(crate) fn into_text(self) -> Arc<str> {
-        if self.is_root() {
-            Arc::from(".")
-        } else {
-            self.text
-        }
-    }
-
     /// This name's share of its text's allocation, which every clone of
     /// it holds: what a structure keeping the name keeps resident.
     pub(crate) fn resident_share(&self) -> usize {

@@ -1,8 +1,9 @@
 //! The caches at the size they report.
 //!
 //! Every cache is a `simnet::ttl::TtlMap` — one slab of entries under a
-//! `u32` index — wrapped by `bindns::TtlCache`, `hns_core`'s `HnsCache`
-//! and `BindingCache`, and `nsms`'s `NsmCache`. This holds each wrapper's
+//! `u32` index, their keys' bytes in an arena beside it — wrapped by
+//! `bindns::TtlCache`, `hns_core`'s `HnsCache` and `BindingCache`, and
+//! `nsms`'s `NsmCache`. This holds each wrapper's
 //! `resident_bytes` to the bytes the counting allocator sees the cache
 //! keep while it is filled, and holds the resolver cache, filled to
 //! `ttl::CAPACITY` with answers shaped like a scale cell's, to a per-entry
@@ -82,18 +83,20 @@ fn within_a_tenth(what: &str, entries: usize, gauge: usize, live: Option<i64>) {
     );
 }
 
-/// The resolver cache full, as `scale_zipf` keeps it: at most 140 B an
+/// The resolver cache full, as `scale_zipf` keeps it: at most 90 B an
 /// entry by the allocator's count — the slab slot, its share of the
-/// index, and the key's text; no second copy of the owner name, no record
-/// set of one (218 B while it was a `HashMap` of `Arc<[ResourceRecord]>`).
+/// index, and the key's bytes in the arena; no handle on the owner name,
+/// no record set of one, and no doubling's slack in the arena (218 B
+/// while it was a `HashMap` of `Arc<[ResourceRecord]>`, 120 B with each
+/// key an `Arc<str>` beside the slot).
 #[test]
-fn a_full_resolver_cache_holds_at_most_140_bytes_an_entry() {
+fn a_full_resolver_cache_holds_at_most_90_bytes_an_entry() {
     let pool = payloads();
     let (cache, live) = measure_live(|| fill(CAPACITY, &pool, false));
     assert_eq!(cache.resident(), CAPACITY);
     let per_entry = live.expect("the counting allocator is installed") as f64 / CAPACITY as f64;
     println!("full resolver cache: {per_entry:.1} B/entry");
-    assert!(per_entry <= 140.0, "{per_entry:.1} B/entry");
+    assert!(per_entry <= 90.0, "{per_entry:.1} B/entry");
     within_a_tenth(
         "full resolver cache",
         CAPACITY,
@@ -169,24 +172,18 @@ fn the_hns_cache_gauge_is_within_a_tenth_of_the_allocator() {
     }
 }
 
-/// Both composed levels; the scopes are interned before measuring.
+/// Both composed levels, their keys' bytes counted in each level's arena.
 #[test]
 fn the_binding_cache_gauge_is_within_a_tenth_of_the_allocator() {
     let world = World::paper();
     let scopes: Vec<String> = (0..4096).map(|i| format!("ctx{i}")).collect();
-    let fill = |cache: &BindingCache| {
+    let (cache, live) = measure_live(|| {
+        let cache = BindingCache::new();
+        cache.set_enabled(true);
         for (i, scope) in (0u32..).zip(&scopes) {
             cache.insert(&world, "hrpcbinding", scope, binding(i), 600);
             cache.insert_service(&world, "hrpcbinding", scope, binding(i), 600);
         }
-    };
-    let warm = BindingCache::new();
-    warm.set_enabled(true);
-    fill(&warm);
-    let (cache, live) = measure_live(|| {
-        let cache = BindingCache::new();
-        cache.set_enabled(true);
-        fill(&cache);
         cache
     });
     within_a_tenth(
@@ -198,12 +195,12 @@ fn the_binding_cache_gauge_is_within_a_tenth_of_the_allocator() {
 }
 
 /// The binding NSMs' typed cache and the default tree cache, under
-/// string keys.
+/// string keys, their bytes counted in the arena.
 #[test]
 fn the_nsm_cache_gauge_is_within_a_tenth_of_the_allocator() {
     let world = World::paper();
     let (typed, live) = measure_live(|| {
-        let cache: NsmCache<String, HrpcBinding> = NsmCache::of(NsmCacheForm::Demarshalled);
+        let cache: NsmCache<HrpcBinding> = NsmCache::of(NsmCacheForm::Demarshalled);
         for i in 0..4096 {
             cache.insert(
                 &world,

@@ -24,6 +24,10 @@
 //!   is kept because its hit skips mapping 1 too (DESIGN.md "Composed
 //!   caches: two levels").
 //!
+//! Both levels key on `qc ‖ FF ‖ scope`, handed to the map as the strings
+//! the walk was asked with and copied into its arena by an insert, so
+//! neither a probe nor an insert goes through the interner.
+//!
 //! Until a composed TTL lapses, no constituent can have expired by TTL
 //! either. That alone does not make it as fresh as re-walking the
 //! per-mapping cache: a preload overwrites parts in place, so every
@@ -41,8 +45,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use hrpc::HrpcBinding;
-use intern::NameId;
-use simnet::ttl::{Probe, TtlMap};
+use simnet::ttl::{Probe, TtlMap, END};
 use simnet::world::World;
 
 /// Statistics of one level of a [`BindingCache`]: the counters of its
@@ -59,29 +62,27 @@ pub struct BindingCacheStats {
     pub inserts: u64,
 }
 
-/// One composed level: bindings under interned `(query class, scope)`
-/// ids, the scope being a context or a name service. Probing with
-/// [`NameId`]s keeps the warm path free of per-query key allocation.
+/// One composed level: bindings under `qc ‖ FF ‖ scope`, the scope being
+/// a context or a name service. A probe hands the map the two strings as
+/// they are and an insert copies them into the map's arena: nothing is
+/// interned, so a scope seen once pins nothing once its entry is gone.
 #[derive(Debug, Default)]
 struct Level {
     /// Each entry expires when the *earliest* constituent mapping entry
     /// of the walk that produced it does.
-    map: TtlMap<(NameId, NameId), HrpcBinding>,
+    map: TtlMap<HrpcBinding>,
+}
+
+/// The key of `scope` under query class `qc`, as the map takes it.
+fn key<'a>(qc: &'a str, scope: &'a str) -> [&'a [u8]; 3] {
+    [qc.as_bytes(), &[END], scope.as_bytes()]
 }
 
 impl Level {
     /// One probe, charging one cache-probe cost.
     fn lookup(&self, world: &World, qc: &str, scope: &str) -> Probe<HrpcBinding> {
         world.charge_ms(world.costs.cache_probe);
-        // Probes never intern: a string the interner has not seen cannot
-        // be part of a key, and interning it would pin one string per
-        // distinct absent scope for the life of the process.
-        let names = intern::global();
-        let (Some(qc), Some(scope)) = (names.get(qc), names.get(scope)) else {
-            self.map.count_absent();
-            return Probe::Absent;
-        };
-        self.map.probe(world.now(), &(qc, scope), |b| *b)
+        self.map.probe(world.now(), &key(qc, scope), |b| *b)
     }
 
     /// A zero TTL (a stale-served part) is not cached.
@@ -89,8 +90,8 @@ impl Level {
         if ttl_secs == 0 {
             return;
         }
-        let key = (intern::intern(qc), intern::intern(scope));
-        self.map.insert(world.now(), key, binding, ttl_secs);
+        self.map
+            .insert(world.now(), &key(qc, scope), binding, ttl_secs);
     }
 
     fn stats(&self) -> BindingCacheStats {
@@ -206,11 +207,10 @@ impl BindingCache {
     }
 
     /// Bytes both levels hold ([`simnet::ttl::TtlMap::resident_bytes`]):
-    /// slab and index at capacity. A binding holds nothing beyond its
-    /// slot, and a key's interned text belongs to the interner and is not
-    /// counted. Not exported as a metric.
+    /// slab, index and key arena at capacity. A binding holds nothing
+    /// beyond its slot. Not exported as a metric.
     pub fn resident_bytes(&self) -> usize {
-        let level = |level: &Level| level.map.resident_bytes(|_, _| 0);
+        let level = |level: &Level| level.map.resident_bytes(|_| 0);
         level(&self.by_context) + level(&self.by_service)
     }
 
@@ -382,29 +382,57 @@ mod tests {
         assert_eq!(c.lookup(&w, "a", "other"), None);
     }
 
-    /// A scan of never-cached contexts must cost and count like any other
-    /// miss without pinning one interned string per context forever.
+    /// A `(query class, scope)` pair split at two places is two keys, and
+    /// two entries.
     #[test]
-    fn absent_probes_do_not_grow_the_interner() {
+    fn a_pair_split_at_two_places_is_two_entries() {
+        assert_ne!(key("ab", "c").concat(), key("a", "bc").concat());
+        let w = World::paper();
+        let c = BindingCache::new();
+        c.set_enabled(true);
+        c.insert(&w, "ab", "c", binding(11), 600);
+        c.insert(&w, "a", "bc", binding(12), 600);
+        assert_eq!(c.lookup(&w, "ab", "c"), Some(binding(11)));
+        assert_eq!(c.lookup(&w, "a", "bc"), Some(binding(12)));
+        c.insert_service(&w, "ab", "c", binding(13), 600);
+        assert_eq!(c.lookup_service(&w, "a", "bc"), Probe::Absent);
+    }
+
+    /// Neither level goes through the interner: 10^4 distinct contexts
+    /// inserted and probed at both levels cost and count like any others,
+    /// and none of them is interned afterwards.
+    #[test]
+    fn contexts_inserted_and_probed_are_never_interned() {
         let w = World::paper();
         let c = BindingCache::new();
         c.set_enabled(true);
         let contexts: Vec<String> = (0..10_000)
-            .map(|i| format!("never-composed-context-{i}"))
+            .map(|i| format!("never-interned-context-{i}"))
             .collect();
         for ctx in &contexts {
             assert_eq!(c.lookup(&w, "hrpc_binding", ctx), None);
             assert_eq!(c.lookup_service(&w, "hrpc_binding", ctx), Probe::Absent);
+            c.insert(&w, "hrpc_binding", ctx, binding(1), 600);
+            c.insert_service(&w, "hrpc_binding", ctx, binding(2), 600);
+            assert_eq!(c.lookup(&w, "hrpc_binding", ctx), Some(binding(1)));
+            assert!(matches!(
+                c.lookup_service(&w, "hrpc_binding", ctx),
+                Probe::Live { value, .. } if value == binding(2)
+            ));
         }
-        assert_eq!(c.stats().misses, 10_000);
-        assert_eq!(c.service_stats().misses, 10_000);
+        for stats in [c.stats(), c.service_stats()] {
+            assert_eq!(
+                (stats.hits, stats.misses, stats.inserts),
+                (10_000, 10_000, 10_000)
+            );
+        }
         // Other tests in this binary intern concurrently, so check the
-        // scan's own strings rather than the global count.
+        // contexts themselves rather than the global count.
         assert!(contexts
             .iter()
             .all(|ctx| intern::global().get(ctx).is_none()));
-        // Each probe still charged the cache-probe cost.
-        let expected_ms = 20_000.0 * w.costs.cache_probe;
+        // Each probe charged the cache-probe cost.
+        let expected_ms = 40_000.0 * w.costs.cache_probe;
         assert!((w.now().as_ms_f64() - expected_ms).abs() < 1.0);
     }
 }

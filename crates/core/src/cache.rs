@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use intern::NameId;
 use simnet::trace::{CacheOutcome, TraceKind};
-use simnet::ttl::{arc_share, Probe, TtlMap};
+use simnet::ttl::{arc_share, Key, Probe, TtlMap};
 use simnet::world::World;
 use simnet::CacheForm;
 use wire::Value;
@@ -68,9 +68,10 @@ pub enum CacheMode {
 /// exactly the same keys as the demand-fetch path.
 ///
 /// Keys carry interned [`NameId`]s rather than owned strings: a key is
-/// `Copy`, eight bytes, hashes as one or two `u32`s, and a million cached
-/// mappings share one stored copy of each distinct name. `Debug` resolves
-/// the ids so traces stay human-readable.
+/// `Copy` (`benchmark/` copies one out of a reference), and the cache
+/// files it under its ids' bytes, four or eight. Deriving one interns its
+/// text for good — the last use of the interner in the stack. `Debug`
+/// resolves the ids so traces stay human-readable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetaKey {
     /// Mappings 1–5: a record set in the meta zone.
@@ -89,6 +90,19 @@ impl MetaKey {
     /// Keys a host-address result by `(name service, host name)`.
     pub fn host_addr(ns: &str, host: &str) -> MetaKey {
         MetaKey::HostAddr(intern::intern(ns), intern::intern(host))
+    }
+
+    /// Hands `f` the bytes the cache files the key under: `id`, or
+    /// `ns ‖ host`, each id little-endian. Four bytes or eight, so the
+    /// length tells the kinds apart, and either is one part, hashed as
+    /// one word.
+    fn with_bytes<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        match *self {
+            MetaKey::Meta(NameId(id)) => f(&[&id.to_le_bytes()]),
+            MetaKey::HostAddr(NameId(ns), NameId(host)) => {
+                f(&[&(u64::from(host) << 32 | u64::from(ns)).to_le_bytes()])
+            }
+        }
     }
 }
 
@@ -143,12 +157,6 @@ impl Cacheable for hrpc::HrpcBinding {
 pub trait HeapBytes {
     /// Heap bytes held, at capacity.
     fn heap_bytes(&self) -> usize;
-}
-
-impl HeapBytes for String {
-    fn heap_bytes(&self) -> usize {
-        self.capacity()
-    }
 }
 
 impl HeapBytes for Value {
@@ -311,7 +319,7 @@ pub enum CacheLookup<V = Value> {
 #[derive(Debug)]
 pub struct HnsCache<V = Value> {
     mode: CacheMode,
-    map: TtlMap<MetaKey, Cached<V>>,
+    map: TtlMap<Cached<V>>,
     own: OwnCounters,
 }
 
@@ -365,7 +373,8 @@ impl<V: Cacheable> HnsCache<V> {
             return CacheLookup::Miss;
         }
         world.charge_ms(world.costs.cache_probe);
-        let (outcome, answer) = match self.map.probe(world.now(), key, Clone::clone) {
+        let probe = key.with_bytes(|bytes| self.map.probe(world.now(), bytes, Clone::clone));
+        let (outcome, answer) = match probe {
             Probe::Live { value: None, .. } => {
                 bump(&self.own.negative_hits);
                 (CacheOutcome::NegativeHit, CacheLookup::NegativeHit)
@@ -383,7 +392,7 @@ impl<V: Cacheable> HnsCache<V> {
                     (CacheOutcome::Hit, hit)
                 }
                 None => {
-                    self.map.discard(key);
+                    key.with_bytes(|bytes| self.map.discard(bytes));
                     (CacheOutcome::Miss, CacheLookup::Miss)
                 }
             },
@@ -420,7 +429,8 @@ impl<V: Cacheable> HnsCache<V> {
         world.charge_ms(world.costs.cache_probe);
         // `Clone::clone` is the reader: a negative entry clones to
         // `None`, which is how the map is told it is not servable.
-        let ((stored, rrs), _stale_for) = self.map.probe_stale(world.now(), key, Clone::clone)?;
+        let ((stored, rrs), _stale_for) =
+            key.with_bytes(|bytes| self.map.probe_stale(world.now(), bytes, Clone::clone))?;
         stored.load(world, rrs)
     }
 
@@ -430,7 +440,7 @@ impl<V: Cacheable> HnsCache<V> {
     pub fn contains_live(&self, world: &World, key: &MetaKey) -> bool {
         self.mode != CacheMode::Disabled
             && matches!(
-                self.map.peek_live(world.now(), key, Option::is_some),
+                key.with_bytes(|bytes| self.map.peek_live(world.now(), bytes, Option::is_some)),
                 Some((true, _))
             )
     }
@@ -484,8 +494,10 @@ impl<V: Cacheable> HnsCache<V> {
         let Some(stored) = stored else {
             return false;
         };
-        self.map
-            .insert(world.now(), key, Some((stored, rrs)), ttl_secs);
+        key.with_bytes(|bytes| {
+            self.map
+                .insert(world.now(), bytes, Some((stored, rrs)), ttl_secs)
+        });
         true
     }
 
@@ -495,7 +507,7 @@ impl<V: Cacheable> HnsCache<V> {
         if self.mode == CacheMode::Disabled {
             return;
         }
-        self.map.insert(world.now(), key, None, NEGATIVE_TTL);
+        key.with_bytes(|bytes| self.map.insert(world.now(), bytes, None, NEGATIVE_TTL));
         bump(&self.own.negative_inserts);
     }
 
@@ -514,17 +526,16 @@ impl<V: Cacheable> HnsCache<V> {
         self.len() == 0
     }
 
-    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab and index
-    /// at capacity and each entry's stored form, a shared one as its
-    /// share. A key's interned text belongs to the interner and is not
-    /// counted. Not exported as a metric.
+    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab, index
+    /// and key arena at capacity and each entry's stored form, a shared one
+    /// as its share. The text behind a key's ids belongs to the interner
+    /// and is not counted. Not exported as a metric.
     pub fn resident_bytes(&self) -> usize
     where
         V: HeapBytes,
     {
-        self.map.resident_bytes(|_, cached| {
-            cached.as_ref().map_or(0, |(stored, _)| stored.heap_bytes())
-        })
+        self.map
+            .resident_bytes(|cached| cached.as_ref().map_or(0, |(stored, _)| stored.heap_bytes()))
     }
 
     /// Statistics snapshot: a view of the map's counters
@@ -714,6 +725,37 @@ mod tests {
         assert_eq!(cache.get(&world, &k4), Some(Value::str("d")));
     }
 
+    /// A meta key and a host-address key whose ids are equal as integers
+    /// are different bytes and different entries.
+    #[test]
+    fn keys_of_the_two_kinds_never_share_bytes() {
+        let world = simnet::World::paper();
+        let cache = HnsCache::new(CacheMode::Demarshalled);
+        let keys = [
+            MetaKey::Meta(NameId(7)),
+            MetaKey::HostAddr(NameId(7), NameId(0)),
+            MetaKey::HostAddr(NameId(0), NameId(7)),
+            MetaKey::Meta(NameId(1)),
+            MetaKey::HostAddr(NameId(0), NameId(1)),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                let (a, b) = (
+                    a.with_bytes(|key| key.concat()),
+                    b.with_bytes(|key| key.concat()),
+                );
+                assert_ne!(a, b);
+            }
+        }
+        for (i, key) in (0u32..).zip(&keys) {
+            cache.insert(&world, *key, &Value::U32(i), 1, 600);
+        }
+        assert_eq!(cache.len(), keys.len());
+        for (i, key) in (0u32..).zip(&keys) {
+            assert_eq!(cache.get(&world, key), Some(Value::U32(i)));
+        }
+    }
+
     #[test]
     fn lookup_reports_remaining_ttl() {
         let world = simnet::World::paper();
@@ -817,9 +859,11 @@ mod tests {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Marshalled);
         let garbage = Stored::Bytes([0xff_u8; 3].as_slice().into());
-        cache
-            .map
-            .insert(world.now(), key(), Some((garbage, 1)), 600);
+        key().with_bytes(|bytes| {
+            cache
+                .map
+                .insert(world.now(), bytes, Some((garbage, 1)), 600)
+        });
         assert!(matches!(cache.lookup(&world, &key()), CacheLookup::Miss));
         assert!(cache.is_empty(), "the undecodable entry is gone");
         let stats = cache.stats();

@@ -13,7 +13,13 @@
 //! `Vec<Arc<str>>` that writers only ever append to) are each behind a
 //! read-mostly `RwLock`: a string already known is found under a read
 //! lock, and only a first sighting writes. Ids are dense, stable for the
-//! life of the process, and never reused.
+//! life of the process, and never reused — so an interned string is never
+//! freed.
+//!
+//! Its last user in the stack is `hns_core::cache::MetaKey`, the HNS meta
+//! cache's key, which stays a `Copy` pair of ids because `benchmark/`
+//! copies one out of a reference. Every other cache keys on its own bytes
+//! (`simnet::ttl`); once `MetaKey` does too, this crate goes.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;

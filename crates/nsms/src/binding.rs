@@ -13,10 +13,11 @@
 //! Client interface for the `HRPCBinding` query class (identical across
 //! NSMs): the request's own fields `service` and `program`
 //! ([`hns_core::nsm::QueryArgs::Binding`]); reply: the [`HrpcBinding`]
-//! itself.
+//! itself. A completed binding is cached under the query laid out as
+//! bytes over its own strings — local name, service, program — so a probe
+//! copies nothing and an insert copies the key once, into the cache's
+//! arena.
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use bindns::resolver::StdResolver;
@@ -28,8 +29,9 @@ use hrpc::bindproto;
 use hrpc::error::RpcResult;
 use hrpc::net::RpcNet;
 use hrpc::server::Reply;
-use hrpc::{HrpcBinding, ProgramId};
+use hrpc::HrpcBinding;
 use simnet::topology::{HostId, NetAddr};
+use simnet::ttl::END;
 
 use crate::adapter::{Adapter, HostLookup};
 use crate::nsm_cache::{NsmCache, NsmCacheForm};
@@ -40,61 +42,19 @@ const BINDING_MARSHAL_RRS: usize = 6;
 /// Records a cached completed binding occupies.
 const CACHED_BINDING_RRS: usize = 2;
 
-/// What a completed binding is cached under: the host's local name, the
-/// service and its program — the query, field by field, so that no two
-/// queries share an entry.
-#[derive(Debug, PartialEq, Eq)]
-struct Key {
-    local: String,
-    service: String,
-    program: ProgramId,
+/// What a completed binding is cached under: the query, field by field —
+/// `local ‖ FF ‖ service ‖ FF ‖ program`, the program little-endian — so
+/// that no two queries share an entry. Laid out over the query's own
+/// strings, to probe and to insert.
+fn key<'a>(local: &'a str, service: &'a str, program: &'a [u8; 4]) -> [&'a [u8]; 5] {
+    [
+        local.as_bytes(),
+        &[END],
+        service.as_bytes(),
+        &[END],
+        program,
+    ]
 }
-
-/// A key as a probe sees it, owned or borrowed. [`Key`] borrows as one,
-/// so the cache is probed with the query's own strings and nothing is
-/// allocated to ask (as `bindns::TtlCache` is).
-trait KeyView {
-    fn view(&self) -> (&str, &str, ProgramId);
-}
-
-impl KeyView for Key {
-    fn view(&self) -> (&str, &str, ProgramId) {
-        (&self.local, &self.service, self.program)
-    }
-}
-
-impl KeyView for (&str, &str, ProgramId) {
-    fn view(&self) -> (&str, &str, ProgramId) {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn KeyView + 'a> for Key {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.view().hash(state);
-    }
-}
-
-// `Borrow` requires the owned key to hash as its view does.
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.view().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.view() == other.view()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
 
 /// The binding NSM over the name service whose client is `S`. Its adapter
 /// supplies the host lookup, the emulation suite native to the target
@@ -105,7 +65,7 @@ pub struct BindingNsm<S> {
     net: Arc<RpcNet>,
     host: HostId,
     adapter: Adapter<S>,
-    cache: NsmCache<Key, HrpcBinding>,
+    cache: NsmCache<HrpcBinding>,
 }
 
 /// The binding NSM for BIND/Sun systems.
@@ -204,8 +164,9 @@ where
         // Translate the individual name to the local name.
         let local = self.adapter.translate(&request.name)?;
 
-        let asked: &dyn KeyView = &(local.as_str(), service, program);
-        if let Some(cached) = self.cache.get(world, asked) {
+        let program_bytes = program.0.to_le_bytes();
+        let key = key(&local, service, &program_bytes);
+        if let Some(cached) = self.cache.get(world, &key) {
             world.charge_ms(world.costs.nsm_assemble);
             return Ok(Reply::typed(*cached));
         }
@@ -229,13 +190,37 @@ where
             components,
         };
         world.charge_ms(world.costs.generated_miss(BINDING_MARSHAL_RRS) + world.costs.nsm_assemble);
-        let key = Key {
-            local,
-            service: service.to_string(),
-            program,
-        };
         self.cache
             .insert(world, key, &binding, CACHED_BINDING_RRS, ttl);
         Ok(Reply::typed(binding))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hrpc::{ComponentSet, ProgramId};
+
+    /// Two queries whose strings run together the same way are two keys,
+    /// and two entries.
+    #[test]
+    fn queries_split_at_two_places_are_two_entries() {
+        let program = 7u32.to_le_bytes();
+        let (a, b) = (key("ab", "c", &program), key("a", "bc", &program));
+        assert_ne!(a.concat(), b.concat());
+        let world = simnet::World::paper();
+        let cache = NsmCache::of(NsmCacheForm::Demarshalled);
+        let binding = |host| HrpcBinding {
+            host: HostId(host),
+            addr: NetAddr::of(HostId(host)),
+            program: ProgramId(7),
+            port: 1024,
+            components: ComponentSet::sun(),
+        };
+        cache.insert(&world, a, &binding(1), CACHED_BINDING_RRS, 600);
+        cache.insert(&world, b, &binding(2), CACHED_BINDING_RRS, 600);
+        assert_eq!(cache.get(&world, &a).as_deref(), Some(&binding(1)));
+        assert_eq!(cache.get(&world, &b).as_deref(), Some(&binding(2)));
+        assert_eq!(cache.stats(), (2, 0));
     }
 }

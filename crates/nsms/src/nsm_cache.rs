@@ -6,17 +6,18 @@
 //! form distinction as the HNS cache — literally the same: the expiry map
 //! is [`simnet::ttl::TtlMap`] and the form-aware store/load pair is
 //! [`hns_core::cache::Stored`]. As the HNS cache is, it is generic over
-//! what it keeps (a wire [`Value`] under a `String` by default, the typed
+//! what it keeps (a wire [`Value`] by default, the typed
 //! [`hrpc::HrpcBinding`] for the binding NSMs) and adds the `(hits,
-//! misses)` view the NSMs report.
+//! misses)` view the NSMs report. A key is bytes ([`NsmKey`]): a string's
+//! own, or the parts an NSM lays a query of several fields out in, handed
+//! to the map where they lie; an insert copies a new key into the map's
+//! arena.
 
-use std::borrow::Borrow;
-use std::hash::Hash;
 use std::sync::Arc;
 
 use hns_core::cache::{Cacheable, HeapBytes, Stored};
 use simnet::trace::CacheOutcome;
-use simnet::ttl::{Probe, TtlMap};
+use simnet::ttl::{Key, Probe, TtlMap};
 use simnet::world::World;
 use wire::Value;
 
@@ -24,25 +25,58 @@ use wire::Value;
 /// name the NSM constructors have always taken.
 pub use hns_core::cache::CacheMode as NsmCacheForm;
 
+/// What an NSM's cache is keyed by: the byte strings whose concatenation
+/// the key is.
+pub trait NsmKey {
+    /// Hands `f` the key's parts, in order.
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R;
+}
+
+/// A string is its bytes.
+impl NsmKey for str {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        f(&[self.as_bytes()])
+    }
+}
+
+impl NsmKey for String {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        self.as_str().with_parts(f)
+    }
+}
+
+/// A query laid out in parts, as the binding NSMs key theirs.
+impl<const N: usize> NsmKey for [&[u8]; N] {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        f(self)
+    }
+}
+
+impl<T: NsmKey + ?Sized> NsmKey for &T {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        (**self).with_parts(f)
+    }
+}
+
 /// A cache of completed NSM results.
-pub struct NsmCache<K = String, V = Value> {
+pub struct NsmCache<V = Value> {
     form: NsmCacheForm,
     /// Each value with its record count (which sets the Table 3.2 cost).
-    map: TtlMap<K, (Stored<V>, usize)>,
+    map: TtlMap<(Stored<V>, usize)>,
 }
 
 impl NsmCache {
-    /// Creates a cache of wire [`Value`]s under strings —
-    /// [`NsmCache::of`] for the default key and value, so that a bare
-    /// `NsmCache::new(form)` needs no annotation.
+    /// Creates a cache of wire [`Value`]s — [`NsmCache::of`] for the
+    /// default value, so that a bare `NsmCache::new(form)` needs no
+    /// annotation.
     pub fn new(form: NsmCacheForm) -> Self {
         NsmCache::of(form)
     }
 }
 
-impl<K: Hash + Eq, V: Cacheable> NsmCache<K, V> {
-    /// Creates a cache with the given storage form, of whatever key and
-    /// value its NSM keeps.
+impl<V: Cacheable> NsmCache<V> {
+    /// Creates a cache with the given storage form, of whatever value its
+    /// NSM keeps.
     pub fn of(form: NsmCacheForm) -> Self {
         NsmCache {
             form,
@@ -54,16 +88,13 @@ impl<K: Hash + Eq, V: Cacheable> NsmCache<K, V> {
     /// A demarshalled hit shares the stored value. An entry that no longer
     /// decodes is dropped and the probe counts as a miss, as in the HNS
     /// cache.
-    pub fn get<Q>(&self, world: &World, key: &Q) -> Option<Arc<V>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    pub fn get(&self, world: &World, key: &(impl NsmKey + ?Sized)) -> Option<Arc<V>> {
         if self.form == NsmCacheForm::Disabled {
             return None;
         }
         world.charge_ms(world.costs.cache_probe);
-        let (outcome, value) = match self.map.probe(world.now(), key, Clone::clone) {
+        let probe = key.with_parts(|parts| self.map.probe(world.now(), parts, Clone::clone));
+        let (outcome, value) = match probe {
             // The map's lock is released: a marshalled entry is
             // demarshalled here, not under it.
             Probe::Live {
@@ -72,7 +103,7 @@ impl<K: Hash + Eq, V: Cacheable> NsmCache<K, V> {
             } => match stored.load(world, rrs) {
                 Some(value) => (CacheOutcome::Hit, Some(value)),
                 None => {
-                    self.map.discard(key);
+                    key.with_parts(|parts| self.map.discard(parts));
                     (CacheOutcome::Miss, None)
                 }
             },
@@ -84,25 +115,23 @@ impl<K: Hash + Eq, V: Cacheable> NsmCache<K, V> {
     }
 
     /// Inserts a completed result.
-    pub fn insert(&self, world: &World, key: K, value: &V, rrs: usize, ttl_secs: u32)
+    pub fn insert(&self, world: &World, key: impl NsmKey, value: &V, rrs: usize, ttl_secs: u32)
     where
         V: Clone,
     {
         if let Some(stored) = Stored::store(self.form, value) {
-            self.map.insert(world.now(), key, (stored, rrs), ttl_secs);
+            key.with_parts(|parts| self.map.insert(world.now(), parts, (stored, rrs), ttl_secs));
         }
     }
 
-    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab and index
-    /// at capacity, each key's heap and each entry's stored form, a
-    /// shared one as its share. Not exported as a metric.
+    /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab, index
+    /// and key arena at capacity and each entry's stored form, a shared
+    /// one as its share. Not exported as a metric.
     pub fn resident_bytes(&self) -> usize
     where
-        K: HeapBytes,
         V: HeapBytes,
     {
-        self.map
-            .resident_bytes(|key, (stored, _)| key.heap_bytes() + stored.heap_bytes())
+        self.map.resident_bytes(|(stored, _)| stored.heap_bytes())
     }
 
     /// (hits, misses) so far; an expired entry is a miss.
@@ -133,7 +162,7 @@ impl<K: Hash + Eq, V: Cacheable> NsmCache<K, V> {
     }
 }
 
-impl<K: Hash + Eq, V> std::fmt::Debug for NsmCache<K, V> {
+impl<V> std::fmt::Debug for NsmCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NsmCache")
             .field("form", &self.form)
@@ -150,7 +179,7 @@ mod tests {
     fn disabled_form_never_caches() {
         let world = simnet::World::paper();
         let cache = NsmCache::new(NsmCacheForm::Disabled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 1, 600);
+        cache.insert(&world, "k", &Value::U32(1), 1, 600);
         assert!(cache.get(&world, "k").is_none());
     }
 
@@ -158,7 +187,7 @@ mod tests {
     fn marshalled_hit_cost() {
         let world = simnet::World::paper();
         let cache = NsmCache::new(NsmCacheForm::Marshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 2, 600);
+        cache.insert(&world, "k", &Value::U32(1), 2, 600);
         let (got, took, _) = world.measure(|| cache.get(&world, "k"));
         assert_eq!(got.as_deref(), Some(&Value::U32(1)));
         // probe 0.05 + 8.10 + 2*3.01 = 14.17
@@ -170,7 +199,7 @@ mod tests {
     fn demarshalled_hit_is_cheap() {
         let world = simnet::World::paper();
         let cache = NsmCache::new(NsmCacheForm::Demarshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 2, 600);
+        cache.insert(&world, "k", &Value::U32(1), 2, 600);
         let (_, took, _) = world.measure(|| cache.get(&world, "k"));
         assert!(took.as_ms_f64() < 1.1, "took {took}");
     }
@@ -179,7 +208,7 @@ mod tests {
     fn clear_empties() {
         let world = simnet::World::paper();
         let cache = NsmCache::new(NsmCacheForm::Demarshalled);
-        cache.insert(&world, "k".into(), &Value::U32(1), 1, 600);
+        cache.insert(&world, "k", &Value::U32(1), 1, 600);
         cache.clear();
         assert!(cache.get(&world, "k").is_none());
     }
@@ -192,9 +221,7 @@ mod tests {
         world.tracer.set_enabled(true);
         let cache = NsmCache::new(NsmCacheForm::Marshalled);
         let garbage = Stored::Bytes([0xff_u8; 3].as_slice().into());
-        cache
-            .map
-            .insert(world.now(), "k".to_string(), (garbage, 1), 600);
+        cache.map.insert(world.now(), &[b"k"], (garbage, 1), 600);
         let span = world.span(None, simnet::trace::TraceKind::Nsm, "probe");
         assert!(cache.get(&world, "k").is_none());
         drop(span);

@@ -123,6 +123,90 @@ pub fn hash(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
+/// [`hash`] of the concatenation of `parts`, read from the parts where
+/// they lie: a key made of several parts is never copied into one to be
+/// hashed. Words are gathered across part boundaries in a register; the
+/// last eight bytes are the last part's own when it has eight, and are
+/// rebuilt from the last whole word and what follows it when it has not.
+pub fn hash_parts(parts: &[&[u8]]) -> u64 {
+    if let [whole] = parts {
+        return hash(whole);
+    }
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    let mut h = len as u64;
+    // The last whole word, and the `filled` bytes after it, as a word.
+    let (mut last_whole, mut word, mut filled) = (0u64, 0u64, 0);
+    // Bytes after the last whole word not yet read into `word`.
+    let mut pending: &[u8] = &[];
+    for part in parts {
+        let mut bytes = *part;
+        if !pending.is_empty() {
+            (word, filled, pending) = (le_partial(pending), pending.len(), &[]);
+        }
+        if filled > 0 {
+            let (head, rest) = bytes.split_at(bytes.len().min(8 - filled));
+            word |= le_partial(head) << (8 * filled);
+            filled += head.len();
+            bytes = rest;
+            if filled < 8 {
+                continue;
+            }
+            (h, last_whole, filled) = (mix(h, word), word, 0);
+        }
+        let (words, tail) = bytes.as_chunks::<8>();
+        for w in words {
+            last_whole = u64::from_le_bytes(*w);
+            h = mix(h, last_whole);
+        }
+        pending = tail;
+    }
+    // What `FixedHasher::write` folds in last: the last eight bytes, or a
+    // shorter string byte by byte, its first byte highest.
+    let last = match (parts.last().and_then(|part| part.last_chunk::<8>()), len) {
+        (Some(own), _) => u64::from_le_bytes(*own),
+        (None, 0) => 0,
+        (None, _) => {
+            if !pending.is_empty() {
+                (word, filled) = (le_partial(pending), pending.len());
+            }
+            match filled {
+                _ if len < 8 => word.swap_bytes() >> (8 * (8 - len)),
+                0 => last_whole,
+                _ => last_whole >> (8 * filled) | word << (8 * (8 - filled)),
+            }
+        }
+    };
+    FixedHasher(mix(h, last)).finish()
+}
+
+/// Up to eight bytes as a little-endian word, in at most two loads.
+fn le_partial(bytes: &[u8]) -> u64 {
+    let len = bytes.len();
+    match *bytes {
+        [] => 0,
+        [only] => u64::from(only),
+        // First, middle and last byte, each at its place: three bytes at
+        // most, so that is every byte, one of them twice.
+        [first, .., last] if len < 4 => {
+            let middle = u64::from(bytes[len / 2]) << (8 * (len / 2));
+            u64::from(first) | middle | u64::from(last) << (8 * (len - 1))
+        }
+        // The first four and the last four, overlapping where they meet.
+        _ if len < 8 => {
+            let lo = bytes
+                .first_chunk::<4>()
+                .map_or(0, |w| u32::from_le_bytes(*w));
+            let hi = bytes
+                .last_chunk::<4>()
+                .map_or(0, |w| u32::from_le_bytes(*w));
+            u64::from(lo) | u64::from(hi) << (8 * (len - 4))
+        }
+        _ => bytes
+            .first_chunk::<8>()
+            .map_or(0, |w| u64::from_le_bytes(*w)),
+    }
+}
+
 /// The fixed hash of anything hashable.
 pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = FixedHasher::default();
@@ -280,6 +364,24 @@ mod tests {
         // Integers are one word each, and differ in the high bits.
         let (a, b) = (hash_of(&1u32), hash_of(&2u32));
         assert_ne!(a >> 48, b >> 48);
+    }
+
+    /// Any string split anywhere hashes as the whole: empty parts, parts
+    /// that end mid-word, strings shorter than a word and longer.
+    #[test]
+    fn a_string_in_parts_hashes_as_the_whole() {
+        let text: Vec<u8> = (0u8..40).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for len in 0..=text.len() {
+            let whole = &text[..len];
+            assert_eq!(hash_parts(&[whole]), hash(whole), "{len}");
+            for a in 0..=len {
+                for b in a..=len {
+                    let parts = [&whole[..a], &[][..], &whole[a..b], &whole[b..]];
+                    assert_eq!(hash_parts(&parts), hash(whole), "{len} split at {a}, {b}");
+                }
+            }
+        }
+        assert_eq!(hash_parts(&[]), hash(b""));
     }
 
     fn built(hashes: &[u64], slots: usize) -> Index {

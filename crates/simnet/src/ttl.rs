@@ -37,29 +37,36 @@
 //!   locked; readers clone a handle out (`Arc`, `Copy` data) and do any
 //!   real work — a demarshal — after the lock is released.
 //!
-//! The table is a slab and an index: entries, key beside value, in one
-//! dense `Vec` in no particular order, found through a
-//! [`crate::index::Index`] of `u32` slab positions under the fixed hash —
-//! the zone's owner store and body table use the same index, three
-//! quarters full. A map's index is at most half full (at three quarters,
-//! set-ups that fill maps from empty ran slower) and doubles with the
-//! slab up to twice the capacity, so a full map holds one slot per entry
-//! and two index words, and never pays for a last table doubling. The
-//! capacity rule `retain`s the slab and rebuilds
-//! the index; a [`TtlMap::discard`] frees its index slot by backward
-//! shift and moves the slab's last entry into its place.
-//! [`TtlMap::resident_bytes`] counts slab and index at capacity plus what
-//! each cache says its entries hold.
+//! The table is a slab and an index: entries in one dense `Vec` in no
+//! particular order, found through a [`crate::index::Index`] of `u32` slab
+//! positions under the fixed hash — the zone's owner store and body table
+//! use the same index, three quarters full. A map's index is at most half
+//! full (at three quarters, set-ups that fill maps from empty ran slower)
+//! and doubles with the slab up to twice the capacity, so a full map holds
+//! one slot per entry and two index words, and never pays for a last table
+//! doubling. The capacity rule `retain`s the slab and rebuilds the index; a
+//! [`TtlMap::discard`] frees its index slot by backward shift and moves the
+//! slab's last entry into its place.
+//!
+//! **Keys are bytes.** A cache hands each key over as the byte strings
+//! whose concatenation it is ([`Key`]); a probe hashes and compares them
+//! where they lie, and an insert copies a new key into an arena the map
+//! owns beside its slab, the slot keeping the key's offset and length, not
+//! the key. So an entry pins nothing outside its map, and a probe copies
+//! and allocates nothing. The arena grows in step with the slab, so a map
+//! that fills holds its keys' bytes and not a doubling's worth of slack;
+//! the capacity rule compacts it, `clear` empties it, and a discarded
+//! key's bytes stay until the next of those. [`TtlMap::resident_bytes`]
+//! counts slab, index and arena at capacity plus what each cache says its
+//! values hold.
 
-use std::borrow::Borrow;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obs::MetricsRegistry;
 use parking_lot::Mutex;
 
-use crate::index::{hash_of, Index};
+use crate::index::Index;
 use crate::time::{SimDuration, SimTime};
 
 /// The most entries one [`TtlMap`] holds, expired ones included: every
@@ -69,20 +76,51 @@ pub const CAPACITY: usize = 65_536;
 /// Index slots a map starts with once it holds anything.
 const MIN_SLOTS: usize = 8;
 
-struct Slot<K, V> {
-    key: K,
-    value: V,
-    expires_at: SimTime,
-    /// Whether a probe has already seen (and counted) this entry expired.
-    expiry_seen: bool,
+/// Ends a text part of a key that another part follows: UTF-8 never
+/// contains this byte, so a key of text parts and fixed-width numbers
+/// reads back one way only.
+pub const END: u8 = 0xFF;
+
+/// A key as the map is asked about it: byte strings whose concatenation
+/// is the key, each left where it lies. A cache lays its key out as text
+/// parts, each but a last one ended by [`END`], and fixed-width numbers;
+/// nothing is copied to ask, as the hash is gathered from the parts
+/// ([`crate::index::hash_parts`]) and a candidate compared with them.
+pub type Key<'a> = [&'a [u8]];
+
+/// Whether `stored` is the concatenation of `parts`.
+fn is_key(stored: &[u8], parts: &Key<'_>) -> bool {
+    let mut rest = stored;
+    for part in parts {
+        match rest.split_at_checked(part.len()) {
+            Some((head, tail)) if head == *part => rest = tail,
+            _ => return false,
+        }
+    }
+    rest.is_empty()
 }
 
-impl<K, V> Slot<K, V> {
+struct Slot<V> {
+    /// Where the key's bytes start in the map's arena, and how many.
+    key_at: u32,
+    key_len: u16,
+    /// Whether a probe has already seen (and counted) this entry expired.
+    expiry_seen: bool,
+    value: V,
+    expires_at: SimTime,
+}
+
+impl<V> Slot<V> {
     /// Validity left at `now`, rounded up to whole seconds so a fresh
     /// entry reports its full TTL.
     fn remaining_secs(&self, now: SimTime) -> u32 {
         let us = self.expires_at.saturating_since(now).as_us();
         u32::try_from(us.div_ceil(1_000_000)).unwrap_or(u32::MAX)
+    }
+
+    /// The slot's key, read from `arena`.
+    fn key<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.key_at as usize..][..usize::from(self.key_len)]
     }
 }
 
@@ -141,49 +179,77 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The entries of a map, in no particular order, and the index that
-/// finds each by its key's hash: at most half full, doubling as the slab
-/// grows, up to twice the map's capacity.
-struct Entries<K, V> {
-    slab: Vec<Slot<K, V>>,
+/// The entries of a map, in no particular order, the index that finds
+/// each by its key's hash — at most half full, doubling as the slab grows,
+/// up to twice the map's capacity — and the arena holding the keys.
+struct Entries<V> {
+    slab: Vec<Slot<V>>,
     index: Index,
+    /// Each resident key's bytes at its slot's span, and a discarded key's
+    /// until the next [`Entries::compact`] or clear.
+    arena: Vec<u8>,
+    /// The hash a test files keys under, to make them collide.
+    #[cfg(test)]
+    hash: fn(&Key<'_>) -> u64,
 }
 
-impl<K: Hash + Eq, V> Entries<K, V> {
-    /// The index slot and slab position of `key`, whose hash is `hash`,
-    /// or the free slot its entry would take.
-    fn find<Q>(&self, hash: u64, key: &Q) -> Result<(usize, u32), usize>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.index
-            .find(hash, |id| self.slab[id as usize].key.borrow() == key)
+impl<V> Entries<V> {
+    fn new() -> Self {
+        Entries {
+            slab: Vec::new(),
+            index: Index::default(),
+            arena: Vec::new(),
+            #[cfg(test)]
+            hash: crate::index::hash_parts,
+        }
     }
 
-    fn get<Q>(&self, key: &Q) -> Option<&Slot<K, V>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let (_, id) = self.find(hash_of(key), key).ok()?;
+    /// The hash keys are filed under.
+    #[cfg(not(test))]
+    fn hasher(&self) -> fn(&Key<'_>) -> u64 {
+        crate::index::hash_parts
+    }
+
+    #[cfg(test)]
+    fn hasher(&self) -> fn(&Key<'_>) -> u64 {
+        self.hash
+    }
+
+    /// The index slot and slab position of `key`, whose hash is `hash`,
+    /// or the free slot its entry would take.
+    fn find(&self, hash: u64, key: &Key<'_>) -> Result<(usize, u32), usize> {
+        self.index.find(hash, |id| {
+            is_key(self.slab[id as usize].key(&self.arena), key)
+        })
+    }
+
+    fn get(&self, key: &Key<'_>) -> Option<&Slot<V>> {
+        let (_, id) = self.find(self.hasher()(key), key).ok()?;
         Some(&self.slab[id as usize])
     }
 
-    fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut Slot<K, V>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let (_, id) = self.find(hash_of(key), key).ok()?;
+    fn get_mut(&mut self, key: &Key<'_>) -> Option<&mut Slot<V>> {
+        let (_, id) = self.find(self.hasher()(key), key).ok()?;
         Some(&mut self.slab[id as usize])
     }
 
-    /// Appends a new key's entry, whose key hashes to `hash`. The index
-    /// doubles (up to `max_slots`) when the entry would leave it over half
-    /// full.
-    fn push(&mut self, slot: Slot<K, V>, hash: u64, max_slots: usize) {
-        self.slab.push(slot);
+    /// Appends a new key's entry, whose key hashes to `hash`, and copies
+    /// the key into the arena. The index doubles (up to `max_slots`) when
+    /// the entry would leave it over half full.
+    #[expect(
+        clippy::expect_used,
+        reason = "every key is made by the simulation, none near 64 KiB, so the arena stays far below 4 GiB"
+    )]
+    fn push(&mut self, key: &Key<'_>, hash: u64, value: V, expires_at: SimTime, max_slots: usize) {
+        let len = key.iter().map(|part| part.len()).sum();
+        self.slab.push(Slot {
+            key_at: u32::try_from(self.arena.len()).expect("an arena under 4 GiB"),
+            key_len: u16::try_from(len).expect("a key under 64 KiB"),
+            expiry_seen: false,
+            value,
+            expires_at,
+        });
+        self.store_key(key, len);
         let id = self.slab.len() - 1;
         if 2 * self.slab.len() > self.index.slots() {
             self.reindex((2 * self.index.slots()).max(MIN_SLOTS).min(max_slots));
@@ -193,23 +259,39 @@ impl<K: Hash + Eq, V> Entries<K, V> {
         }
     }
 
+    /// Appends the key of the slot just pushed, `len` bytes, to the arena.
+    /// When it must grow, the arena grows in step with the slab — to room
+    /// for as many keys of the mean length as the slab has room for slots —
+    /// and by at least an eighth, so a map that fills holds about its keys'
+    /// bytes.
+    fn store_key(&mut self, key: &Key<'_>, len: usize) {
+        let arena = &mut self.arena;
+        if arena.capacity() - arena.len() < len {
+            let needed = arena.len() + len;
+            let mean = needed.div_ceil(self.slab.len());
+            let want = (mean * self.slab.capacity()).max(needed + arena.len() / 8);
+            arena.reserve_exact(want - arena.len());
+        }
+        for part in key {
+            arena.extend_from_slice(part);
+        }
+    }
+
     /// Drops the entry of `key`, if any: its index slot is freed by
-    /// backward shift, and the slab's last entry moves into its place.
-    fn remove<Q>(&mut self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let Ok((slot, id)) = self.find(hash_of(key), key) else {
+    /// backward shift, and the slab's last entry moves into its place. The
+    /// key's bytes stay in the arena until it is next compacted.
+    fn remove(&mut self, key: &Key<'_>) -> bool {
+        let hash = self.hasher();
+        let Ok((slot, id)) = self.find(hash(key), key) else {
             return false;
         };
-        let slab = &self.slab;
+        let (slab, arena) = (&self.slab, &self.arena);
         self.index
-            .remove(slot, |id| hash_of(&slab[id as usize].key));
+            .remove(slot, |id| hash(&[slab[id as usize].key(arena)]));
         let (id, last) = (id as usize, self.slab.len() - 1);
         self.slab.swap_remove(id);
         if id != last {
-            let moved = hash_of(&self.slab[id].key);
+            let moved = hash(&[self.slab[id].key(&self.arena)]);
             if let Ok((slot, _)) = self.index.find(moved, |at| at as usize == last) {
                 self.index.set(slot, id as u32, moved);
             }
@@ -219,8 +301,42 @@ impl<K: Hash + Eq, V> Entries<K, V> {
 
     /// Rebuilds the index at `slots` slots over the slab as it stands.
     fn reindex(&mut self, slots: usize) {
-        let hashes = self.slab.iter().map(|slot| hash_of(&slot.key));
+        let hash = self.hasher();
+        let hashes = self.slab.iter().map(|slot| hash(&[slot.key(&self.arena)]));
         self.index.rebuild(slots, hashes);
+    }
+
+    /// Moves every resident key down over the bytes of keys gone, keeping
+    /// the arena's capacity for the keys to come.
+    fn compact(&mut self) {
+        let Entries { slab, arena, .. } = self;
+        let mut end = 0;
+        let mut settle = |slot: &mut Slot<V>| {
+            let at = slot.key_at as usize;
+            let len = usize::from(slot.key_len);
+            arena.copy_within(at..at + len, end);
+            slot.key_at = end as u32;
+            end += len;
+        };
+        // A key only moves down, so keys move in arena order and none is
+        // overwritten before it has moved. That is the slab's order unless
+        // a discard moved a slot out of it.
+        if slab.is_sorted_by_key(|slot| slot.key_at) {
+            slab.iter_mut().for_each(settle);
+        } else {
+            let mut order: Vec<usize> = (0..slab.len()).collect();
+            order.sort_unstable_by_key(|&id| slab[id].key_at);
+            for id in order {
+                settle(&mut slab[id]);
+            }
+        }
+        arena.truncate(end);
+    }
+
+    fn clear(&mut self) {
+        self.slab.clear();
+        self.index.clear();
+        self.arena.clear();
     }
 }
 
@@ -229,7 +345,7 @@ impl<K: Hash + Eq, V> Entries<K, V> {
 /// eighth of the map — the live entries soonest to expire, until an
 /// eighth is free. Returns how many entries went. One pass over the map
 /// buys room for an eighth of a map of inserts.
-fn make_room<K: Hash + Eq, V>(entries: &mut Entries<K, V>, now: SimTime) -> usize {
+fn make_room<V>(entries: &mut Entries<V>, now: SimTime) -> usize {
     let slab = &mut entries.slab;
     let full = slab.len();
     slab.retain(|slot| now < slot.expires_at);
@@ -250,33 +366,32 @@ fn make_room<K: Hash + Eq, V>(entries: &mut Entries<K, V>, now: SimTime) -> usiz
         });
     }
     let evicted = full - slab.len();
+    entries.compact();
     entries.reindex(entries.index.slots());
     evicted
 }
 
-/// A map, behind one lock, whose entries expire in virtual time.
-pub struct TtlMap<K, V> {
-    entries: Mutex<Entries<K, V>>,
+/// A map, behind one lock, from byte-string keys to entries that expire
+/// in virtual time.
+pub struct TtlMap<V> {
+    entries: Mutex<Entries<V>>,
     /// Entries the map holds before an insert makes room.
     capacity: usize,
     counters: TtlStats<AtomicU64>,
 }
 
-impl<K: Hash + Eq, V> Default for TtlMap<K, V> {
+impl<V> Default for TtlMap<V> {
     fn default() -> Self {
         Self::with_capacity(CAPACITY)
     }
 }
 
-impl<K: Hash + Eq, V> TtlMap<K, V> {
+impl<V> TtlMap<V> {
     /// Tests reach the bound with a small one; everything else gets
     /// [`CAPACITY`] through `default`.
     fn with_capacity(capacity: usize) -> Self {
         TtlMap {
-            entries: Mutex::new(Entries {
-                slab: Vec::new(),
-                index: Index::default(),
-            }),
+            entries: Mutex::new(Entries::new()),
             capacity,
             counters: TtlStats::default(),
         }
@@ -284,11 +399,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
 
     /// Probes `key` at virtual time `now`, handing a live value to `read`
     /// under the lock. Counts one of hits / absent / expired.
-    pub fn probe<Q, R>(&self, now: SimTime, key: &Q, read: impl FnOnce(&V) -> R) -> Probe<R>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    pub fn probe<R>(&self, now: SimTime, key: &Key<'_>, read: impl FnOnce(&V) -> R) -> Probe<R> {
         let mut entries = self.entries.lock();
         match entries.get_mut(key) {
             Some(slot) if now < slot.expires_at => {
@@ -313,28 +424,17 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         }
     }
 
-    /// Counts an `absent` probe for something that cannot be a key — a
-    /// string the interner has never seen — without interning it, so a
-    /// scan of absent names costs and counts the same but pins no memory.
-    pub fn count_absent(&self) {
-        bump(&self.counters.absent);
-    }
-
     /// The serve-stale probe: hands an **expired** entry to `read` and
     /// returns what it made of it with how long the entry has been stale.
     /// `read` returns `None` for an entry that is not servable (a cached
     /// absence). Live and absent keys return `None`. Counts one
     /// `stale_serves` on success and nothing otherwise.
-    pub fn probe_stale<Q, R>(
+    pub fn probe_stale<R>(
         &self,
         now: SimTime,
-        key: &Q,
+        key: &Key<'_>,
         read: impl FnOnce(&V) -> Option<R>,
-    ) -> Option<(R, SimDuration)>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    ) -> Option<(R, SimDuration)> {
         let entries = self.entries.lock();
         let slot = entries.get(key).filter(|slot| now >= slot.expires_at)?;
         let value = read(&slot.value)?;
@@ -344,16 +444,12 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
 
     /// Reads a live entry (with its remaining seconds, as
     /// [`Probe::Live`] reports them) without counting anything.
-    pub fn peek_live<Q, R>(
+    pub fn peek_live<R>(
         &self,
         now: SimTime,
-        key: &Q,
+        key: &Key<'_>,
         read: impl FnOnce(&V) -> R,
-    ) -> Option<(R, u32)>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    ) -> Option<(R, u32)> {
         let entries = self.entries.lock();
         let slot = entries.get(key).filter(|slot| now < slot.expires_at)?;
         Some((read(&slot.value), slot.remaining_secs(now)))
@@ -363,12 +459,11 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// existing entry — live or expired — is overwritten in place; a new
     /// key finding the map full makes room first (the module's
     /// capacity rule), which is the only time anything is evicted.
-    pub fn insert(&self, now: SimTime, key: K, value: V, ttl_secs: u32) {
+    pub fn insert(&self, now: SimTime, key: &Key<'_>, value: V, ttl_secs: u32) {
         let expires_at = now + SimDuration::from_ms(u64::from(ttl_secs) * 1000);
-        let hash = hash_of(&key);
         let mut entries = self.entries.lock();
-        match entries.find(hash, &key) {
-            // An overwrite keeps the key it finds, as a `HashMap` does.
+        let hash = entries.hasher()(key);
+        match entries.find(hash, key) {
             Ok((_, id)) => {
                 let slot = &mut entries.slab[id as usize];
                 (slot.value, slot.expires_at, slot.expiry_seen) = (value, expires_at, false);
@@ -381,13 +476,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
                         .fetch_add(evicted, Ordering::Relaxed);
                     self.counters.resident.fetch_sub(evicted, Ordering::Relaxed);
                 }
-                let slot = Slot {
-                    key,
-                    value,
-                    expires_at,
-                    expiry_seen: false,
-                };
-                entries.push(slot, hash, 2 * self.capacity);
+                entries.push(key, hash, value, expires_at, 2 * self.capacity);
                 bump(&self.counters.resident);
             }
         }
@@ -397,11 +486,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// Drops an entry whose value a live probe handed out but the caller
     /// then found unusable (wire bytes that no longer decode), and refiles
     /// that probe from `hits` to `absent`: the cache answered nothing.
-    pub fn discard<Q>(&self, key: &Q)
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    pub fn discard(&self, key: &Key<'_>) {
         if self.entries.lock().remove(key) {
             self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         }
@@ -415,8 +500,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         self.counters
             .resident
             .fetch_sub(entries.slab.len() as u64, Ordering::Relaxed);
-        entries.slab.clear();
-        entries.index.clear();
+        entries.clear();
     }
 
     /// Entries resident, expired ones included; never more than
@@ -432,20 +516,16 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         entries.slab.iter().filter(|slot| !slot.expiry_seen).count()
     }
 
-    /// Bytes the map holds: its slab and index at their capacity, and
-    /// what `heap` says each entry's key and value hold beyond their
-    /// slot. Each cache supplies its own `heap`; the four in the
-    /// workspace count a shared allocation as the share of it their entry
-    /// holds, and an interned string not at all (it is the interner's).
-    pub fn resident_bytes(&self, heap: impl Fn(&K, &V) -> usize) -> usize {
+    /// Bytes the map holds: its slab, index and key arena at their
+    /// capacity, and what `heap` says each value holds beyond its slot.
+    /// Each cache supplies its own `heap`; the four in the workspace count
+    /// a shared allocation as the share of it their entry holds.
+    pub fn resident_bytes(&self, heap: impl Fn(&V) -> usize) -> usize {
         let entries = self.entries.lock();
-        let held: usize = entries
-            .slab
-            .iter()
-            .map(|slot| heap(&slot.key, &slot.value))
-            .sum();
-        entries.slab.capacity() * std::mem::size_of::<Slot<K, V>>()
+        let held: usize = entries.slab.iter().map(|slot| heap(&slot.value)).sum();
+        entries.slab.capacity() * std::mem::size_of::<Slot<V>>()
             + entries.index.resident_bytes()
+            + entries.arena.capacity()
             + held
     }
 
@@ -485,7 +565,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     }
 }
 
-impl<K: Hash + Eq, V> std::fmt::Debug for TtlMap<K, V> {
+impl<V> std::fmt::Debug for TtlMap<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TtlMap")
             .field("resident", &self.resident())
@@ -500,12 +580,29 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// The bytes model key `k` is filed under: `k` once to five times, and
+    /// nothing for 0, so keys of several lengths, the empty one among
+    /// them, share the arena.
+    fn key(k: u8) -> Vec<u8> {
+        vec![k; usize::from(k % 5) + usize::from(k != 0)]
+    }
+
+    /// `key` as two parts, split `at` bytes in (or at its end): a key is
+    /// found however it is split.
+    fn split(key: &[u8], at: u32) -> [&[u8]; 2] {
+        let (head, tail) = key.split_at((at as usize).min(key.len()));
+        [head, tail]
+    }
+
     /// The reference the map is checked against: one ordered map
-    /// of `key -> (value, expires_at, expiry seen)` and plain counters.
+    /// of `key -> (value, expires_at, expiry seen)`, plain counters, and
+    /// the bytes of keys discarded since the arena was last compacted or
+    /// cleared.
     #[derive(Default)]
-    struct Model<K = u8> {
-        entries: BTreeMap<K, (u32, SimTime, bool)>,
+    struct Model {
+        entries: BTreeMap<u8, (u32, SimTime, bool)>,
         stats: TtlStats,
+        discarded: usize,
     }
 
     /// The stale reader used on both sides: odd values are "not servable"
@@ -514,31 +611,60 @@ mod tests {
         value.is_multiple_of(2).then_some(*value)
     }
 
+    /// The arena against the keys the map should hold: each slot's span
+    /// holds a key, the keys so read are exactly `keys`, and the arena
+    /// holds no more than their bytes and the `discarded` ones.
+    fn check_arena<V>(map: &TtlMap<V>, keys: impl Iterator<Item = u8>, discarded: usize) {
+        let entries = map.entries.lock();
+        let mut held: Vec<&[u8]> = entries
+            .slab
+            .iter()
+            .map(|slot| slot.key(&entries.arena))
+            .collect();
+        let mut expected: Vec<Vec<u8>> = keys.map(key).collect();
+        held.sort_unstable();
+        expected.sort_unstable();
+        prop_assert!(
+            held.iter().eq(expected.iter()),
+            "{:?} vs {:?}",
+            held,
+            expected
+        );
+        let live: usize = expected.iter().map(Vec::len).sum();
+        prop_assert!(
+            entries.arena.len() <= live + discarded,
+            "arena {} B, keys {} B, discarded {} B",
+            entries.arena.len(),
+            live,
+            discarded
+        );
+    }
+
     proptest! {
         /// Seeded sequences of insert / probe / probe_stale / peek_live /
-        /// discard / count_absent / clear / advance-clock: every answer,
-        /// every counter and both sizes agree with the model after every
-        /// step. Clock steps and TTLs are whole and half seconds, so
+        /// discard / clear / advance-clock: every answer, every counter,
+        /// both sizes and the arena agree with the model after every step.
+        /// Clock steps and TTLs are whole and half seconds, so
         /// `now == expires_at` (expired) comes up constantly.
         #[test]
         fn map_matches_the_naive_model(
             ops in proptest::collection::vec((0u8..9, 0u8..12, any::<u32>(), 0u32..4), 1..150),
         ) {
-            let map: TtlMap<u8, u32> = TtlMap::default();
+            let map: TtlMap<u32> = TtlMap::default();
             let mut model = Model::default();
             let mut now = SimTime::ZERO;
-            for (op, key, value, n) in ops {
+            for (op, k, value, n) in ops {
                 match op {
-                    0 | 1 => {
-                        map.insert(now, key, value, n);
+                    0..=2 => {
+                        map.insert(now, &split(&key(k), n), value, n);
                         let expires_at = now + SimDuration::from_ms(u64::from(n) * 1000);
                         // Overwriting starts a new lifetime: the expiry
                         // of the old entry no longer counts as seen.
-                        model.entries.insert(key, (value, expires_at, false));
+                        model.entries.insert(k, (value, expires_at, false));
                         model.stats.inserts += 1;
                     }
-                    2 | 3 => {
-                        let expected = match model.entries.get_mut(&key) {
+                    3 | 4 => {
+                        let expected = match model.entries.get_mut(&k) {
                             Some((v, expires_at, _)) if now < *expires_at => {
                                 model.stats.hits += 1;
                                 let left = expires_at.since(now).as_us().div_ceil(1_000_000);
@@ -557,45 +683,43 @@ mod tests {
                                 Probe::Absent
                             }
                         };
-                        let got = map.probe(now, &key, |v| *v);
+                        let got = map.probe(now, &split(&key(k), n), |v| *v);
                         prop_assert_eq!(got, expected);
                         // `discard` follows a live probe whose value the
                         // caller could not use: the entry goes and the
                         // probe is refiled from hits to absent.
-                        if op == 3 && matches!(got, Probe::Live { .. }) {
-                            map.discard(&key);
-                            model.entries.remove(&key);
+                        if op == 4 && matches!(got, Probe::Live { .. }) {
+                            map.discard(&split(&key(k), n + 1));
+                            model.entries.remove(&k);
                             model.stats.hits -= 1;
                             model.stats.absent += 1;
+                            model.discarded += key(k).len();
                         }
                     }
-                    4 => {
-                        let expected = match model.entries.get(&key) {
+                    5 => {
+                        let expected = match model.entries.get(&k) {
                             Some((v, expires_at, _)) if now >= *expires_at => {
                                 servable(v).map(|v| (v, now.since(*expires_at)))
                             }
                             _ => None,
                         };
                         model.stats.stale_serves += u64::from(expected.is_some());
-                        prop_assert_eq!(map.probe_stale(now, &key, servable), expected);
+                        prop_assert_eq!(map.probe_stale(now, &split(&key(k), n), servable), expected);
                     }
-                    5 => {
-                        let expected = match model.entries.get(&key) {
+                    6 => {
+                        let expected = match model.entries.get(&k) {
                             Some((v, expires_at, _)) if now < *expires_at => {
                                 let left = expires_at.since(now).as_us().div_ceil(1_000_000);
                                 Some((*v, left as u32))
                             }
                             _ => None,
                         };
-                        prop_assert_eq!(map.peek_live(now, &key, |v| *v), expected);
-                    }
-                    6 => {
-                        map.count_absent();
-                        model.stats.absent += 1;
+                        prop_assert_eq!(map.peek_live(now, &split(&key(k), n), |v| *v), expected);
                     }
                     7 if n == 0 => {
                         map.clear();
                         model.entries.clear();
+                        model.discarded = 0;
                     }
                     _ => now += SimDuration::from_ms(u64::from(n) * 500),
                 }
@@ -604,6 +728,7 @@ mod tests {
                 prop_assert_eq!(map.resident(), model.entries.len());
                 let unseen = model.entries.values().filter(|(_, _, seen)| !seen).count();
                 prop_assert_eq!(map.live(), unseen);
+                check_arena(&map, model.entries.keys().copied(), model.discarded);
             }
         }
     }
@@ -614,26 +739,27 @@ mod tests {
         /// what an insert dropped by asking the map which of its keys it
         /// still holds, and checks that against the rule
         /// — it cannot predict *which* of several entries expiring at the
-        /// same instant went, only how many.
+        /// same instant went, only how many. The arena is compacted by
+        /// every insert that makes room.
         #[test]
         fn a_full_map_sheds_expired_entries_first_and_the_soonest_to_expire_next(
             ops in proptest::collection::vec((0u8..4, any::<u8>(), 0u32..6), 1..400),
         ) {
             const CAPACITY: usize = 4;
-            let map: TtlMap<u8, u32> = TtlMap::with_capacity(CAPACITY);
-            let holds = |key: u8| map.entries.lock().get(&key).is_some();
+            let map: TtlMap<u32> = TtlMap::with_capacity(CAPACITY);
+            let holds = |k: u8| map.entries.lock().get(&[&key(k)]).is_some();
             let mut model: BTreeMap<u8, SimTime> = BTreeMap::new();
             let mut evictions = 0;
             let mut now = SimTime::ZERO;
-            for (op, key, n) in ops {
+            for (op, k, n) in ops {
                 match op {
                     0 | 1 => {
                         let before: Vec<(u8, SimTime)> =
                             model.iter().map(|(k, at)| (*k, *at)).collect();
-                        map.insert(now, key, u32::from(key), n);
+                        map.insert(now, &split(&key(k), n), u32::from(k), n);
                         let (kept, dropped): (Vec<_>, Vec<_>) =
                             before.iter().partition(|(k, _)| holds(*k));
-                        if before.len() < CAPACITY || model.contains_key(&key) {
+                        if before.len() < CAPACITY || model.contains_key(&k) {
                             prop_assert!(dropped.is_empty(), "evicted with room, or on overwrite");
                         } else {
                             let expired = before.iter().filter(|(_, at)| now >= *at).count();
@@ -650,88 +776,76 @@ mod tests {
                         for (k, _) in dropped {
                             model.remove(&k);
                         }
-                        model.insert(key, now + SimDuration::from_ms(u64::from(n) * 1000));
-                        prop_assert!(holds(key));
+                        model.insert(k, now + SimDuration::from_ms(u64::from(n) * 1000));
+                        prop_assert!(holds(k));
                     }
                     2 => {
                         // Probes answer from what is left, and drop nothing.
-                        let expected = match model.get(&key) {
-                            Some(at) if now < *at => Some(u32::from(key)),
+                        let expected = match model.get(&k) {
+                            Some(at) if now < *at => Some(u32::from(k)),
                             _ => None,
                         };
-                        prop_assert_eq!(map.peek_live(now, &key, |v| *v).map(|(v, _)| v), expected);
-                        let _ = map.probe(now, &key, |v| *v);
-                        prop_assert_eq!(holds(key), model.contains_key(&key));
+                        prop_assert_eq!(map.peek_live(now, &split(&key(k), n), |v| *v).map(|(v, _)| v), expected);
+                        let _ = map.probe(now, &split(&key(k), n), |v| *v);
+                        prop_assert_eq!(holds(k), model.contains_key(&k));
                     }
                     _ => now += SimDuration::from_ms(u64::from(n) * 500),
                 }
                 prop_assert_eq!(map.resident(), model.len());
                 prop_assert_eq!(map.stats().evictions, evictions);
                 prop_assert!(map.entries.lock().slab.len() <= CAPACITY);
+                check_arena(&map, model.keys().copied(), 0);
             }
         }
     }
 
-    /// A key that hashes to one of three values whatever it is: two of
-    /// every four keys to a word whose home is the last slot of any index
-    /// of up to 1,024 slots, so their chain wraps past the end, one to a
-    /// word homed at the first slot, which the wrapped chain runs into,
-    /// and one to a word homed mid-index. Equality is the whole key, so
-    /// keys of one class are told apart only by comparing them.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-    struct Clash(u8);
-
-    impl Hash for Clash {
-        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-            static WORDS: std::sync::OnceLock<[u64; 3]> = std::sync::OnceLock::new();
-            let words = WORDS.get_or_init(|| {
-                let slot = u64::MAX / 1024;
-                let homed = |lo: u64, hi: u64| {
-                    (0u64..)
-                        .find(|word| (lo..=hi).contains(&hash_of(word)))
-                        .expect("a word hashes there")
-                };
-                [
-                    homed(u64::MAX - slot, u64::MAX),
-                    homed(0, slot),
-                    homed(u64::MAX / 2, u64::MAX / 2 + slot),
-                ]
-            });
-            state.write_u64(words[[0, 0, 1, 2][usize::from(self.0 % 4)]]);
-        }
+    /// A hash of three values whatever the key, by its first byte: two of
+    /// every four keys to the word whose home is the last slot of any
+    /// index, so their chain wraps past the end, one to the word homed at
+    /// the first slot, which the wrapped chain runs into, and one to a
+    /// word homed mid-index. Keys of one class share the whole hash, tag
+    /// included, so they are told apart only by comparing their bytes.
+    fn clash(key: &Key<'_>) -> u64 {
+        let k = key
+            .iter()
+            .find_map(|part| part.first())
+            .copied()
+            .unwrap_or(0);
+        [u64::MAX, u64::MAX, 0, 1 << 63][usize::from(k % 4)]
     }
 
     proptest! {
         /// The index where open addressing breaks: a map of eight entries
-        /// (an index of up to sixteen slots) keyed by [`Clash`], so every
-        /// chain is long, one wraps past the end into another, and
-        /// `discard` deletes from the middle of them. Seeded inserts,
+        /// (an index of up to sixteen slots) whose keys hash by [`clash`],
+        /// so every chain is long, one wraps past the end into another,
+        /// and `discard` deletes from the middle of them. Seeded inserts,
         /// probes, discards, full-map `make_room`s, clears and clock steps
         /// against the model: every probe answers and counts as the model
         /// says, what an insert into a full map dropped obeys the rule (the
         /// model learns which entries went by asking the map, as above),
-        /// and after every step every key the model holds is found with
-        /// its value and no other key is found at all.
+        /// after every step every key the model holds is found with its
+        /// value and no other key is found at all, and the arena holds
+        /// exactly those keys at their slots' spans.
         #[test]
         fn colliding_keys_match_the_model(
             ops in proptest::collection::vec((0u8..10, 0u8..24, any::<u32>(), 0u32..5), 1..300),
         ) {
             const CAPACITY: usize = 8;
-            let map: TtlMap<Clash, u32> = TtlMap::with_capacity(CAPACITY);
-            let mut model: Model<Clash> = Model::default();
+            let map: TtlMap<u32> = TtlMap::with_capacity(CAPACITY);
+            map.entries.lock().hash = clash;
+            let mut model = Model::default();
             let mut now = SimTime::ZERO;
-            for (op, key, value, n) in ops {
-                let key = Clash(key);
+            for (op, k, value, n) in ops {
                 match op {
                     0..=3 => {
-                        let before: Vec<(Clash, SimTime)> =
+                        let before: Vec<(u8, SimTime)> =
                             model.entries.iter().map(|(k, (_, at, _))| (*k, *at)).collect();
-                        map.insert(now, key, value, n);
-                        if before.len() == CAPACITY && !model.entries.contains_key(&key) {
+                        map.insert(now, &split(&key(k), n), value, n);
+                        if before.len() == CAPACITY && !model.entries.contains_key(&k) {
                             let expired = before.iter().filter(|(_, at)| now >= *at).count();
                             let (kept, dropped): (Vec<_>, Vec<_>) = before
                                 .iter()
-                                .partition(|(k, _)| map.entries.lock().get(k).is_some());
+                                .partition(|(k, _)| map.entries.lock().get(&[&key(*k)]).is_some());
                             prop_assert_eq!(dropped.len(), expired.max(1));
                             for (_, at) in dropped.iter().filter(|(_, at)| now < *at) {
                                 prop_assert_eq!(expired, 0);
@@ -741,13 +855,14 @@ mod tests {
                             for (k, _) in dropped {
                                 model.entries.remove(&k);
                             }
+                            model.discarded = 0;
                         }
                         let expires_at = now + SimDuration::from_ms(u64::from(n) * 1000);
-                        model.entries.insert(key, (value, expires_at, false));
+                        model.entries.insert(k, (value, expires_at, false));
                         model.stats.inserts += 1;
                     }
                     4..=6 => {
-                        let expected = match model.entries.get_mut(&key) {
+                        let expected = match model.entries.get_mut(&k) {
                             Some((v, expires_at, _)) if now < *expires_at => {
                                 model.stats.hits += 1;
                                 let left = expires_at.since(now).as_us().div_ceil(1_000_000);
@@ -766,30 +881,35 @@ mod tests {
                                 Probe::Absent
                             }
                         };
-                        let got = map.probe(now, &key, |v| *v);
+                        let got = map.probe(now, &split(&key(k), n), |v| *v);
                         prop_assert_eq!(got, expected);
                         if op != 4 && matches!(got, Probe::Live { .. }) {
-                            map.discard(&key);
-                            model.entries.remove(&key);
+                            map.discard(&split(&key(k), n + 1));
+                            model.entries.remove(&k);
                             model.stats.hits -= 1;
                             model.stats.absent += 1;
+                            model.discarded += key(k).len();
                         }
                     }
                     7 if n == 0 => {
                         map.clear();
                         model.entries.clear();
+                        model.discarded = 0;
                     }
                     _ => now += SimDuration::from_ms(u64::from(n) * 500),
                 }
                 model.stats.resident = model.entries.len() as u64;
                 prop_assert_eq!(map.stats(), model.stats);
-                let entries = map.entries.lock();
-                prop_assert!(2 * entries.slab.len() <= entries.index.slots());
-                prop_assert!(entries.index.slots() <= 2 * CAPACITY);
-                for k in (0..24).map(Clash) {
-                    let held = entries.get(&k).map(|slot| slot.value);
-                    prop_assert_eq!(held, model.entries.get(&k).map(|(v, _, _)| *v), "{:?}", k);
+                {
+                    let entries = map.entries.lock();
+                    prop_assert!(2 * entries.slab.len() <= entries.index.slots());
+                    prop_assert!(entries.index.slots() <= 2 * CAPACITY);
+                    for k in 0..24 {
+                        let held = entries.get(&[&key(k)]).map(|slot| slot.value);
+                        prop_assert_eq!(held, model.entries.get(&k).map(|(v, _, _)| *v), "{}", k);
+                    }
                 }
+                check_arena(&map, model.entries.keys().copied(), model.discarded);
             }
         }
     }
@@ -799,36 +919,54 @@ mod tests {
     /// expired entries already make up an eighth loses only those.
     #[test]
     fn a_full_map_frees_an_eighth() {
-        let map: TtlMap<u64, u64> = TtlMap::with_capacity(64);
+        let map: TtlMap<u64> = TtlMap::with_capacity(64);
         let mut keys = 0u64..;
         // TTLs 1..=64 s, so the key inserted i-th expires i-th.
         let filled: Vec<u64> = keys.by_ref().take(64).collect();
         for (i, key) in filled.iter().enumerate() {
-            map.insert(SimTime::ZERO, *key, *key, i as u32 + 1);
+            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], *key, i as u32 + 1);
         }
         assert_eq!((map.resident(), map.stats().evictions), (64, 0));
-        let holds = |key: &u64| map.entries.lock().get(key).is_some();
+        let holds = |key: &u64| map.entries.lock().get(&[&key.to_le_bytes()]).is_some();
 
         // All live: the eight soonest to expire go.
-        map.insert(SimTime::ZERO, keys.next().expect("key"), 0, 100);
+        map.insert(SimTime::ZERO, &[&64u64.to_le_bytes()], 0, 100);
         assert_eq!((map.resident(), map.stats().evictions), (57, 8));
         assert!(!filled[..8].iter().any(holds) && filled[8..].iter().all(holds));
 
         // Refill; by 20 s the twelve oldest left have expired, which is
         // more than an eighth: they all go and no live entry does.
-        for key in keys.by_ref().take(7) {
-            map.insert(SimTime::ZERO, key, 0, 100);
+        for key in (65u64..).take(7) {
+            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], 0, 100);
         }
         assert_eq!(map.resident(), 64);
-        map.insert(SimTime::from_ms(20_000), keys.next().expect("key"), 0, 100);
+        map.insert(SimTime::from_ms(20_000), &[&72u64.to_le_bytes()], 0, 100);
         assert_eq!((map.resident(), map.stats().evictions), (53, 20));
         assert!(!filled[..20].iter().any(holds) && filled[20..].iter().all(holds));
     }
 
+    /// A map filled to its capacity holds its keys' bytes and less than
+    /// an eighth more, not the doubling a `Vec` would leave.
+    #[test]
+    fn a_full_maps_arena_is_its_keys_and_little_more() {
+        let map: TtlMap<()> = TtlMap::default();
+        let keys = (0..CAPACITY as u64).map(|i| format!("n{i}.cell0.hns"));
+        let mut bytes = 0;
+        for key in keys {
+            map.insert(SimTime::ZERO, &[key.as_bytes()], (), 60);
+            bytes += key.len();
+        }
+        let arena = map.entries.lock().arena.capacity();
+        assert!(
+            arena >= bytes && 8 * arena <= 9 * bytes,
+            "{arena} B for {bytes} B of keys"
+        );
+    }
+
     #[test]
     fn export_publishes_the_view_and_stale_serves_only_once_nonzero() {
-        let map: TtlMap<&str, u32> = TtlMap::default();
-        map.insert(SimTime::ZERO, "k", 2, 1);
+        let map: TtlMap<u32> = TtlMap::default();
+        map.insert(SimTime::ZERO, &[b"k"], 2, 1);
         let metrics = MetricsRegistry::new();
         map.export(&metrics, "c", &[("hits", 3), ("entries", 1)]);
         let snap = metrics.snapshot();
@@ -836,7 +974,7 @@ mod tests {
         assert_eq!(snap.counter("c", "entries"), Some(1));
         assert_eq!(snap.counter("c", "stale_serves"), None);
         assert!(map
-            .probe_stale(SimTime::from_ms(1_000), "k", servable)
+            .probe_stale(SimTime::from_ms(1_000), &[b"k"], servable)
             .is_some());
         map.export(&metrics, "c", &[]);
         assert_eq!(metrics.snapshot().counter("c", "stale_serves"), Some(1));
@@ -844,17 +982,16 @@ mod tests {
 
     #[test]
     fn export_publishes_evictions_and_resident_only_once_something_was_evicted() {
-        let map: TtlMap<u64, u64> = TtlMap::with_capacity(2);
+        let map: TtlMap<u64> = TtlMap::with_capacity(2);
         let metrics = MetricsRegistry::new();
-        let mut keys = 0u64..;
-        for key in keys.by_ref().take(2) {
-            map.insert(SimTime::ZERO, key, key, 1);
+        for key in 0u64..2 {
+            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], key, 1);
         }
         map.export(&metrics, "c", &[]);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("c", "evictions"), None);
         assert_eq!(snap.counter("c", "resident"), None);
-        map.insert(SimTime::ZERO, keys.next().expect("key"), 0, 1);
+        map.insert(SimTime::ZERO, &[&2u64.to_le_bytes()], 0, 1);
         map.export(&metrics, "c", &[]);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("c", "evictions"), Some(1));
@@ -867,21 +1004,23 @@ mod tests {
     fn concurrent_totals_are_exact() {
         const THREADS: u64 = 8;
         const KEYS: u64 = 500;
-        let map: TtlMap<(u64, u64), u64> = TtlMap::default();
+        let map: TtlMap<u64> = TtlMap::default();
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let map = &map;
                 scope.spawn(move || {
                     for k in 0..KEYS {
-                        assert_eq!(map.probe(SimTime::ZERO, &(t, k), |v| *v), Probe::Absent);
-                        map.insert(SimTime::ZERO, (t, k), k, 1);
+                        let (t, k8) = (t.to_le_bytes(), k.to_le_bytes());
+                        let key: [&[u8]; 2] = [&t, &k8];
+                        assert_eq!(map.probe(SimTime::ZERO, &key, |v| *v), Probe::Absent);
+                        map.insert(SimTime::ZERO, &key, k, 1);
                         assert!(matches!(
-                            map.probe(SimTime::ZERO, &(t, k), |v| *v),
+                            map.probe(SimTime::ZERO, &key, |v| *v),
                             Probe::Live { value, .. } if value == k
                         ));
                         let late = SimTime::from_ms(1_000);
-                        assert_eq!(map.probe(late, &(t, k), |v| *v), Probe::Expired);
-                        assert_eq!(map.probe(late, &(t, k), |v| *v), Probe::Expired);
+                        assert_eq!(map.probe(late, &key, |v| *v), Probe::Expired);
+                        assert_eq!(map.probe(late, &key, |v| *v), Probe::Expired);
                     }
                 });
             }

@@ -113,7 +113,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
         },
         Driver {
             name: "NsmCache",
-            insert: Box::new(|ttl| nsm.insert(w, "k".into(), &Value::U32(7), 1, ttl)),
+            insert: Box::new(|ttl| nsm.insert(w, "k", &Value::U32(7), 1, ttl)),
             probe: Box::new(|| nsm.get(w, "k").map(|_| 0)),
             stale: None,
             resident: None,
