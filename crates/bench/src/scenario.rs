@@ -1,6 +1,7 @@
 //! Deployment scenarios: the Table 3.1 colocation matrix and the
 //! cell-sharded world generator for the scale-out experiment (E-S).
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bindns::name::DomainName;
@@ -247,17 +248,51 @@ pub fn cell_name(cell: usize, index: usize) -> DomainName {
 /// One of the `PAYLOAD_POOL` near-identical NSM binding blobs names in
 /// `cell` point at. A compact record store keeps each blob once per
 /// cell; a naive per-name copy keeps it once per name.
-fn binding_payload(cell: usize, slot: usize) -> Vec<u8> {
+fn binding_payload(cell: usize, slot: usize) -> Arc<[u8]> {
     format!(
         "nsm=nsm-cell{cell}-{slot};host=ns.cell{cell}.hns;context=cell{cell};\
          program=30000{slot};port=102{slot};suite=sun;version=1;owner=admin-cell{cell}"
     )
     .into_bytes()
+    .into()
+}
+
+/// Cell `cell`'s records, made as they are loaded: per context
+/// directory `k` its `ctx{k}` and `map{k}` records, then the names
+/// `n0`, `n1`, …, each mapping and name a binding drawn from the cell's
+/// pool by `rng`. Each blob is built once and shared; each owner name is
+/// its label, written into one reused buffer, below `origin`. The count
+/// is exact, so the zone is sized once.
+fn cell_records<'a>(
+    plan: &CellPlan,
+    cell: usize,
+    origin: &'a DomainName,
+    rng: &'a mut DetRng,
+    ttl: u32,
+) -> impl ExactSizeIterator<Item = ResourceRecord> + 'a {
+    let pool: Vec<Arc<[u8]>> = (0..PAYLOAD_POOL)
+        .map(|slot| binding_payload(cell, slot))
+        .collect();
+    let context: Arc<[u8]> = format!("ns=NS-cell{cell};map=identity").into_bytes().into();
+    let mut draw = move || Arc::clone(&pool[rng.next_below(PAYLOAD_POOL as u64) as usize]);
+    let directories = 2 * plan.contexts_in_cell(cell);
+    let mut label = String::new();
+    (0..directories + plan.names_in_cell(cell)).map(move |i| {
+        let (prefix, index, data) = match i.checked_sub(directories) {
+            None if i % 2 == 0 => ("ctx", i / 2, Arc::clone(&context)),
+            None => ("map", i / 2, draw()),
+            Some(index) => ("n", index, draw()),
+        };
+        label.clear();
+        write!(label, "{prefix}{index}").expect("a String takes any text");
+        ResourceRecord::unspec(origin.child(&label).expect("cell name"), ttl, data)
+    })
 }
 
 /// Builds and deploys a cell-sharded world for `plan`, assigning each
 /// name's binding payload with a rng seeded from `seed` (so worlds are
-/// byte-identical per seed).
+/// byte-identical per seed). Every zone is stood up by one
+/// [`Zone::load`].
 pub fn build_cell_world(plan: &CellPlan, seed: u64) -> CellWorld {
     let world = World::paper();
     let client = world.add_host("client");
@@ -266,58 +301,33 @@ pub fn build_cell_world(plan: &CellPlan, seed: u64) -> CellWorld {
     let mut rng = DetRng::new(seed);
     let ttl = 600;
 
-    let mut root_zone = Zone::new(DomainName::parse("hns").expect("origin"), ttl);
+    // The root's delegation and glue for each cell, in cell order.
+    let mut delegations = Vec::with_capacity(2 * plan.cells);
     let mut cells = Vec::with_capacity(plan.cells);
     let mut records = 0usize;
     for c in 0..plan.cells {
         let host = world.add_host(format!("ns.cell{c}.hns"));
         let origin = cell_origin(c);
-        let ns_name = DomainName::parse(&format!("ns.cell{c}.hns")).expect("ns name");
-        root_zone
-            .add(ResourceRecord {
-                name: origin.clone(),
-                rtype: RType::Ns,
-                ttl,
-                rdata: RData::Domain(ns_name.clone()),
-            })
-            .expect("delegation");
-        root_zone
-            .add(ResourceRecord::a(ns_name, ttl, NetAddr::of(host)))
-            .expect("glue");
-        records += 2;
-
-        let mut zone = Zone::new(origin.clone(), ttl);
-        let names = plan.names_in_cell(c);
-        for k in 0..plan.contexts_in_cell(c) {
-            let ctx = DomainName::parse(&format!("ctx{k}.cell{c}.hns")).expect("ctx");
-            zone.add(ResourceRecord::unspec(
-                ctx,
-                ttl,
-                format!("ns=NS-cell{c};map=identity").into_bytes(),
-            ))
-            .expect("context record");
-            let map = DomainName::parse(&format!("map{k}.cell{c}.hns")).expect("map");
-            let slot = rng.next_below(PAYLOAD_POOL as u64) as usize;
-            zone.add(ResourceRecord::unspec(map, ttl, binding_payload(c, slot)))
-                .expect("nsm mapping");
-            records += 2;
-        }
-        for i in 0..names {
-            let slot = rng.next_below(PAYLOAD_POOL as u64) as usize;
-            zone.add(ResourceRecord::unspec(
-                cell_name(c, i),
-                ttl,
-                binding_payload(c, slot),
-            ))
-            .expect("name record");
-        }
-        records += names;
+        let ns_name = origin.child("ns").expect("ns name");
+        delegations.push(ResourceRecord {
+            name: origin.clone(),
+            rtype: RType::Ns,
+            ttl,
+            rdata: RData::Domain(ns_name.clone()),
+        });
+        delegations.push(ResourceRecord::a(ns_name, ttl, NetAddr::of(host)));
+        let cell_records = cell_records(plan, c, &origin, &mut rng, ttl);
+        records += cell_records.len();
+        let zone = Zone::load(origin.clone(), ttl, cell_records).expect("cell zone");
         cells.push(deploy_bind(
             &net,
             host,
             single_zone_server(format!("meta-cell{c}"), zone, true),
         ));
     }
+    records += delegations.len();
+    let hns = DomainName::parse("hns").expect("origin");
+    let root_zone = Zone::load(hns, ttl, delegations).expect("root zone");
     let root = deploy_bind(
         &net,
         root_host,

@@ -178,10 +178,8 @@ fn served(
     default_ttl: u32,
     records: Vec<ResourceRecord>,
 ) -> RpcResult<ZoneDb> {
-    let mut zone = Zone::new(origin.clone(), default_ttl);
-    for rr in records {
-        zone.add(rr).map_err(|e| RpcError::Service(e.to_string()))?;
-    }
+    let zone = Zone::load(origin.clone(), default_ttl, records)
+        .map_err(|e| RpcError::Service(e.to_string()))?;
     let mut db = ZoneDb::new();
     db.add_zone(zone);
     Ok(db)
@@ -367,6 +365,41 @@ mod tests {
             .server()
             .with_db(|db| db.zone(&name("hns")).map(Zone::default_ttl));
         assert_eq!(ttl, Some(600));
+    }
+
+    /// A refresh serves its transfer as `Zone::load` stands it up: the
+    /// server taking the zone trims nothing more, so the copy holds the
+    /// bytes of a zone loaded from the same records, one name holding
+    /// two of them.
+    #[test]
+    fn a_refreshed_secondary_holds_its_transfer_as_loaded() {
+        let (_world, net, client, dep) = setup();
+        let secondary =
+            Secondary::bootstrap(Arc::clone(&net), client, dep.hrpc_binding, name("hns"), 600)
+                .expect("bootstrap");
+        let updater =
+            crate::resolver::HrpcResolver::new(Arc::clone(&net), client, dep.hrpc_binding);
+        updater
+            .update(&UpdateOp::Add(ResourceRecord::txt(
+                name("e3.hns"),
+                600,
+                "second",
+            )))
+            .expect("update");
+        assert!(secondary.refresh().expect("refresh"), "serial advanced");
+        let xfer = transfer_zone(&net, client, &dep.hrpc_binding, &name("hns")).expect("axfr");
+        let loaded = Zone::load(name("hns"), 600, xfer.records).expect("load");
+        let served = secondary.server().with_db(|db| {
+            db.zone(&name("hns"))
+                .map(|z| (z.resident_bytes(), z.all_records(), z.serial()))
+        });
+        let expected = (
+            loaded.resident_bytes(),
+            loaded.all_records(),
+            loaded.serial(),
+        );
+        assert_eq!(served, Some(expected));
+        assert_eq!(loaded.record_count(), 9);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The per-server zone database.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 use crate::error::{NsError, NsResult};
 use crate::name::DomainName;
@@ -19,7 +20,8 @@ impl ZoneDb {
         Self::default()
     }
 
-    /// Adds a zone, trimmed to what it holds ([`Zone::shrink_to_fit`]).
+    /// Adds a zone, trimmed to what it holds ([`Zone::shrink_to_fit`]);
+    /// one [`Zone::load`] stood up is fitted already and stays as it is.
     ///
     /// # Panics
     ///
@@ -33,21 +35,12 @@ impl ZoneDb {
 
     /// Finds the most specific zone containing `name`.
     pub fn find_zone(&self, name: &DomainName) -> Option<&Zone> {
-        self.zones
-            .values()
-            .filter(|z| z.contains(name))
-            .max_by_key(|z| z.origin().depth())
+        deepest(self.zones.values(), name)
     }
 
-    /// Mutable variant of [`ZoneDb::find_zone`].
+    /// Mutable variant of [`ZoneDb::find_zone`], in the same one pass.
     pub fn find_zone_mut(&mut self, name: &DomainName) -> Option<&mut Zone> {
-        let origin = self
-            .zones
-            .values()
-            .filter(|z| z.contains(name))
-            .max_by_key(|z| z.origin().depth())
-            .map(|z| z.origin().clone())?;
-        self.zones.get_mut(&origin)
+        deepest(self.zones.values_mut(), name)
     }
 
     /// Gets a zone by exact origin.
@@ -79,6 +72,17 @@ impl ZoneDb {
     }
 }
 
+/// The deepest of `zones` that contains `name`. Two zones holding it
+/// are one inside the other, so their depths differ.
+fn deepest<Z: Deref<Target = Zone>>(
+    zones: impl Iterator<Item = Z>,
+    name: &DomainName,
+) -> Option<Z> {
+    zones
+        .filter(|z| z.contains(name))
+        .max_by_key(|z| z.origin().depth())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +107,16 @@ mod tests {
         let z = db.find_zone(&name("ee.washington.edu")).expect("zone");
         assert_eq!(z.origin().to_string(), "washington.edu");
         assert!(db.find_zone(&name("mit.edu")).is_none());
+        let mut db = db;
+        for (asked, origin) in [
+            ("fiji.cs.washington.edu", "cs.washington.edu"),
+            ("cs.washington.edu", "cs.washington.edu"),
+            ("ee.washington.edu", "washington.edu"),
+        ] {
+            let z = db.find_zone_mut(&name(asked)).expect("zone");
+            assert_eq!(z.origin().to_string(), origin, "{asked}");
+        }
+        assert!(db.find_zone_mut(&name("mit.edu")).is_none());
     }
 
     #[test]

@@ -159,30 +159,66 @@ impl DomainName {
     }
 }
 
+/// A byte a label may hold, in [`CLASSES`].
+const LABEL: u8 = 1;
+/// A label byte that needs lowering.
+const UPPER: u8 = 2;
+/// The separator.
+const DOT: u8 = 4;
+
+/// What each byte of a name's text is: [`LABEL`] for a label byte (with
+/// [`UPPER`] too when it needs lowering), [`DOT`] for the separator, 0
+/// for anything else.
+const CLASSES: [u8; 256] = {
+    let mut classes = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        classes[b] = match c {
+            b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' => LABEL,
+            b'A'..=b'Z' => LABEL | UPPER,
+            b'.' => DOT,
+            _ => 0,
+        };
+        b += 1;
+    }
+    classes
+};
+
 /// Checks the dotted, non-empty `labels` of a name `total` bytes long in
-/// all; says whether any of them needs lowering.
+/// all; says whether any of them needs lowering. One pass over the
+/// bytes: a label is judged at the dot or end that closes it — empty,
+/// then too long, then holding a byte no label may — so the first bad
+/// label is the one reported.
 fn check_labels(labels: &str, total: usize) -> NsResult<bool> {
     if total > MAX_NAME {
         return Err(NsError::BadName(format!("name too long ({total} bytes)")));
     }
-    let mut needs_lowering = false;
-    for label in labels.split('.') {
+    let bytes = labels.as_bytes();
+    // Per label, the classes of its bytes ANDed (LABEL is gone once one
+    // byte is no label byte) and, over the whole text, ORed.
+    let (mut start, mut all, mut any) = (0, LABEL, 0);
+    for at in 0..=bytes.len() {
+        let class = bytes.get(at).map_or(DOT, |&b| CLASSES[usize::from(b)]);
+        if class != DOT {
+            (all, any) = (all & class, any | class);
+            continue;
+        }
+        let label = &labels[start..at];
         if label.is_empty() {
             return Err(NsError::BadName(format!("empty label in `{labels}`")));
         }
         if label.len() > MAX_LABEL {
             return Err(NsError::BadName(format!("label `{label}` too long")));
         }
-        for b in label.bytes() {
-            if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-                return Err(NsError::BadName(format!(
-                    "bad character in label `{label}`"
-                )));
-            }
-            needs_lowering |= b.is_ascii_uppercase();
+        if all & LABEL == 0 {
+            return Err(NsError::BadName(format!(
+                "bad character in label `{label}`"
+            )));
         }
+        (start, all) = (at + 1, LABEL);
     }
-    Ok(needs_lowering)
+    Ok(any & UPPER != 0)
 }
 
 /// Label-wise order (compare the leftmost labels, then the next, a
@@ -315,6 +351,89 @@ mod tests {
         let long = DomainName::parse(&format!("{}com", "a.".repeat(120))).expect("243 bytes");
         assert!(long.child("0123456789").is_ok(), "254 bytes");
         assert!(long.child("0123456789ab").is_err(), "256 bytes");
+    }
+
+    /// The label checker as it was written before it ran in one pass:
+    /// the model the one-pass checker is held to.
+    fn check_labels_by_label(labels: &str, total: usize) -> NsResult<bool> {
+        if total > MAX_NAME {
+            return Err(NsError::BadName(format!("name too long ({total} bytes)")));
+        }
+        let mut needs_lowering = false;
+        for label in labels.split('.') {
+            if label.is_empty() {
+                return Err(NsError::BadName(format!("empty label in `{labels}`")));
+            }
+            if label.len() > MAX_LABEL {
+                return Err(NsError::BadName(format!("label `{label}` too long")));
+            }
+            for b in label.bytes() {
+                if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
+                    return Err(NsError::BadName(format!(
+                        "bad character in label `{label}`"
+                    )));
+                }
+                needs_lowering |= b.is_ascii_uppercase();
+            }
+        }
+        Ok(needs_lowering)
+    }
+
+    /// Seeded texts of every byte class — label bytes, upper case, dots,
+    /// space, punctuation, a control byte, non-ASCII — with empty labels,
+    /// labels of 63 and 64 bytes, and totals of 255 and 256, judged by
+    /// both checkers alike: the same verdict and the same error text.
+    #[test]
+    fn the_one_pass_checker_judges_as_the_label_by_label_one() {
+        const GOOD: [&str; 8] = ["a", "z", "Q", "0", "9", "-", "_", "Ab"];
+        const BAD: [&str; 5] = [" ", "*", "\0", "é", "~"];
+        let mut rng = simnet::rng::DetRng::new(35);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        let mut texts: Vec<String> = vec![
+            "a".repeat(63),
+            "a".repeat(64),
+            format!("{}.{}", "b".repeat(63), "C".repeat(64)),
+            format!("{}.{}", "b".repeat(64), "c d"),
+            format!("x y.{}", "b".repeat(64)),
+            ".a".into(),
+            "a.".into(),
+            "a..b".into(),
+            "..".into(),
+        ];
+        // Totals of 255 and 256: labels of 63 and a tail to make up the
+        // length.
+        for total in [254, 255, 256, 257] {
+            let mut text = vec!["a".repeat(63); 3].join(".");
+            text.push('.');
+            text.push_str(&"B".repeat(total - text.len()));
+            texts.push(text);
+        }
+        for _ in 0..4000 {
+            let (pieces, bad_odds) = (1 + pick(40), 20 + pick(400));
+            let text: String = (0..pieces)
+                .map(|_| match pick(bad_odds) {
+                    // A long run of one piece: labels near 63 and 64.
+                    0..4 => GOOD[pick(GOOD.len())].repeat(50 + pick(20)),
+                    4..8 => ".".into(),
+                    8 => BAD[pick(BAD.len())].into(),
+                    _ => GOOD[pick(GOOD.len())].into(),
+                })
+                .collect();
+            texts.push(text);
+        }
+        let mut verdicts = [0; 2];
+        for text in &texts {
+            for total in [text.len(), text.len() + 11, MAX_NAME, MAX_NAME + 1] {
+                let got = check_labels(text, total);
+                assert_eq!(
+                    got,
+                    check_labels_by_label(text, total),
+                    "`{text}` of {total}"
+                );
+                verdicts[usize::from(got.is_ok())] += 1;
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 1000), "{verdicts:?}");
     }
 
     #[test]

@@ -130,17 +130,19 @@ impl BindServer {
 
     /// Answers one question against the database, honoring zone cuts: a
     /// delegation below the authoritative data produces a referral to the
-    /// delegated servers rather than an answer.
+    /// delegated servers rather than an answer. The zone is found once,
+    /// for the cut and the lookup both.
     fn answer_one(db: &ZoneDb, question: &Question) -> Answer {
-        let delegation = db
-            .find_zone(&question.name)
-            .and_then(|zone| zone.find_delegation(&question.name));
-        match delegation {
+        let name = &question.name;
+        let Some(zone) = db.find_zone(name) else {
+            return Answer::from_result(Err(NsError::NotAuthoritative(name.to_string())));
+        };
+        match zone.find_delegation(name) {
             Some(records) => Answer {
                 rcode: Rcode::Referral,
                 records,
             },
-            None => Answer::from_result(db.lookup(&question.name, question.rtype)),
+            None => Answer::from_result(zone.lookup(name, question.rtype)),
         }
     }
 

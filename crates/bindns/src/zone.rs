@@ -23,9 +23,13 @@
 //! the owners in name order, the transfer payload
 //! ([`Zone::all_records`]), sorts them when the transfer is made.
 //!
-//! A zone grows by doubling while it is built; [`Zone::shrink_to_fit`],
+//! A whole zone arriving at once — a transfer's records, a generated
+//! world's — is stood up by [`Zone::load`]: its rows, owner index and
+//! delta log are sized once from the records' size hint, every record
+//! goes through [`Zone::add`], and the zone comes back fitted. A zone
+//! built record by record grows by doubling; [`Zone::shrink_to_fit`],
 //! which [`crate::db::ZoneDb::add_zone`] calls when a server takes the
-//! zone, trims it to what it holds.
+//! zone, trims it to what it holds, and leaves a fitted one as it is.
 //!
 //! [`Zone::size_bytes`] keeps the naive per-record accounting, absolute
 //! owner names included (it drives calibrated transfer costs);
@@ -160,6 +164,32 @@ impl Zone {
         }
     }
 
+    /// The zone `records` make, added in their order by [`Zone::add`] to
+    /// an empty one and then fitted ([`Zone::shrink_to_fit`]): the same
+    /// records, serial and delta log as those adds. What differs is the
+    /// work: the rows, the owner index and the delta log are sized once,
+    /// from the records' size hint, so a load of distinct owners never
+    /// rebuilds its index, and the zone it returns is fitted already. The
+    /// first record [`Zone::add`] refuses fails the load with its error.
+    pub fn load(
+        origin: DomainName,
+        default_ttl: u32,
+        records: impl IntoIterator<Item = ResourceRecord>,
+    ) -> NsResult<Zone> {
+        let records = records.into_iter();
+        let expected = records.size_hint().0;
+        let mut zone = Zone {
+            owners: Owners::with_capacity(expected),
+            delta_log: VecDeque::with_capacity(expected.min(DELTA_LOG_CAP)),
+            ..Zone::new(origin, default_ttl)
+        };
+        for rr in records {
+            zone.add(rr)?;
+        }
+        zone.shrink_to_fit();
+        Ok(zone)
+    }
+
     /// Bumps the serial and logs row `id` as changed at the new serial.
     fn log_change(&mut self, id: u32) {
         self.serial += 1;
@@ -237,8 +267,10 @@ impl Zone {
 
     /// Trims the zone to what it holds: arena, rows, delta log and body
     /// table to their length, the owner and body indexes to a third more
-    /// slots than entries. Growth after it doubles again. A server calls
-    /// it when it takes the zone ([`crate::db::ZoneDb::add_zone`]).
+    /// slots than entries (an index of that length already is kept as it
+    /// is). Growth after it doubles again. A server calls it when it
+    /// takes the zone ([`crate::db::ZoneDb::add_zone`]); on a zone
+    /// [`Zone::load`] returned it does nothing.
     pub fn shrink_to_fit(&mut self) {
         self.owners.shrink_to_fit();
         self.delta_log.shrink_to_fit();

@@ -133,7 +133,9 @@ impl Bodies {
     }
 
     /// Drops the free entries at the end of the table, and trims table
-    /// and free list to their length and the index to fit.
+    /// and free list to their length and the index to fit, unless it fits
+    /// already: it holds every held body whatever its length, and a
+    /// dropped entry was taken out of it when its body went.
     pub(super) fn shrink_to_fit(&mut self) {
         let held = self.table.iter().rposition(|entry| entry.body.is_some());
         let len = held.map_or(0, |last| last + 1);
@@ -141,7 +143,10 @@ impl Bodies {
         self.free.retain(|&at| (at as usize) < len);
         self.table.shrink_to_fit();
         self.free.shrink_to_fit();
-        self.reindex(fitted_slots(len));
+        let slots = fitted_slots(len);
+        if self.index.slots() != slots {
+            self.reindex(slots);
+        }
     }
 
     /// Rebuilds the index at `slots` slots over the held bodies.

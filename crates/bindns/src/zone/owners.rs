@@ -13,7 +13,8 @@
 //! the rows nothing needs — no record, no log entry — are over half the
 //! store, [`Owners::compact`] drops them and rebuilds arena and index at
 //! the size of what is left. [`Owners::shrink_to_fit`] does the same
-//! without dropping anything; growth after either doubles.
+//! without dropping anything, and [`Owners::with_capacity`] sizes a store
+//! for a known count of names once; growth past any of them doubles.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -82,6 +83,17 @@ pub(super) struct Vacancy {
 }
 
 impl Owners {
+    /// An empty store whose rows and index hold `names` names without
+    /// growing.
+    pub(super) fn with_capacity(names: usize) -> Owners {
+        let mut owners = Owners {
+            rows: Vec::with_capacity(names),
+            ..Owners::default()
+        };
+        owners.rehash(fitted_slots(names));
+        owners
+    }
+
     /// The row of `name`, whether it holds records or not.
     pub(super) fn find(&self, name: &str) -> Option<u32> {
         self.locate(name).ok()
@@ -168,13 +180,19 @@ impl Owners {
     }
 
     /// Trims arena, rows and the several-record sets to their length, and
-    /// rebuilds the index at a third more slots than rows (rounded up).
+    /// rebuilds the index at a third more slots than rows (rounded up)
+    /// unless it has that length already. Between rebuilds the index only
+    /// gains rows, each new one last, so at that length it is what the
+    /// rebuild would make.
     pub(super) fn shrink_to_fit(&mut self) {
         self.text.shrink_to_fit();
         self.rows.shrink_to_fit();
         self.several.values_mut().for_each(Vec::shrink_to_fit);
         self.several.shrink_to_fit();
-        self.rehash(fitted_slots(self.rows.len()));
+        let slots = fitted_slots(self.rows.len());
+        if self.index.slots() != slots {
+            self.rehash(slots);
+        }
     }
 
     /// Runs `f` on row `id` (and the several-record sets), keeping the
@@ -340,6 +358,27 @@ mod tests {
         assert_eq!((owners.find(""), owners.resident_bytes()), (None, 0));
         owners.shrink_to_fit();
         assert_eq!((owners.find(""), owners.resident_bytes()), (None, 0));
+    }
+
+    /// A store sized for its names never rebuilds its index while they
+    /// arrive, and is fitted when the last has: its index is word for
+    /// word the one a rebuild makes, which trimming therefore skips.
+    #[test]
+    fn a_store_sized_for_its_names_is_the_fitted_one() {
+        let names: Vec<String> = (0..1000).map(|i| format!("n{i}")).collect();
+        let mut sized = Owners::with_capacity(names.len());
+        let mut grown = Owners::default();
+        for name in &names {
+            sized.intern(name, sized.locate(name));
+            grown.intern(name, grown.locate(name));
+        }
+        assert_eq!(sized.index.slots(), fitted_slots(names.len()));
+        let before = format!("{:?}", sized.index);
+        sized.shrink_to_fit();
+        grown.shrink_to_fit();
+        assert_eq!(format!("{:?}", sized.index), before, "rebuilt");
+        assert_eq!(format!("{:?}", grown.index), before, "not the rebuild");
+        assert_eq!(sized.resident_bytes(), grown.resident_bytes());
     }
 
     /// A fitted index is a third longer than the rows, whatever that is,

@@ -8,7 +8,7 @@
 //! probes), what decoding a reply's record list costs, and — on the
 //! registration testbed — what the write plane's operations cost: a warm
 //! `regd` resolve, a re-bind, a transfer, a Clearinghouse write and
-//! delete.
+//! delete; and what standing up a cell's zone costs a server.
 //!
 //! The pins are **exact**, `(allocations, bytes)` per row: the counts are
 //! deterministic and the same in debug and release, so a change in either
@@ -26,7 +26,8 @@
 use std::sync::Arc;
 
 use bindns::message::Answer;
-use bindns::{DomainName, ResourceRecord};
+use bindns::zone::Zone;
+use bindns::{DomainName, ResourceRecord, ZoneDb};
 use clearinghouse::property::PROP_MAILBOX;
 use clearinghouse::ThreePartName;
 use conformance::alloc::{measure_calls, CountingAlloc};
@@ -145,6 +146,16 @@ const CH_SET_ITEM: Row = (2, 34);
 /// the credentials, and an entry going away frees. (7 / 403 B while the
 /// request was a tree the server parsed back.)
 const CH_DELETE: Row = (0, 0);
+
+/// `Zone::load` of a 4,096-name cell shaped like the scale world's, 8
+/// binding payloads shared by `Arc`, then `ZoneDb::add_zone`: the zone's
+/// rows, owner index and delta log once each, its name arena as it
+/// doubles and then trimmed, its body table, and the database's node —
+/// `add_zone` trims nothing more. The records, built beforehand, are
+/// moved in. (The same records through `Zone::new`, 4,096 `add`s and
+/// `add_zone`: 54 / 312,518 B, the index rebuilt at every doubling and
+/// again by `add_zone`, rows and log regrown and trimmed.)
+const CELL_LOAD: Row = (24, 168_014);
 
 /// Prints one row and checks it against its pin.
 fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {
@@ -310,5 +321,48 @@ fn the_write_plane_stays_within_its_allocation_budgets() {
     ch.add_entry(&temp).expect("add");
     row("ChClient::delete", CH_DELETE, || {
         ch.delete(&temp).expect("delete")
+    });
+}
+
+/// Standing up a cell's zone: what a server taking a transferred or
+/// generated zone pays before its first answer.
+#[test]
+fn a_cell_zone_loads_within_its_allocation_budget() {
+    let origin = DomainName::parse("cell0.hns").expect("origin");
+    let payloads: Vec<Arc<[u8]>> = (0..8)
+        .map(|slot| {
+            let text = format!(
+                "nsm=nsm-cell0-{slot};host=ns.cell0.hns;context=cell0;\
+                 program=30000{slot};port=102{slot};suite=sun;version=1;owner=admin-cell0"
+            );
+            text.into_bytes().into()
+        })
+        .collect();
+    let records = || -> Vec<ResourceRecord> {
+        (0..4096)
+            .map(|i| {
+                let name = origin.child(&format!("n{i}")).expect("name");
+                ResourceRecord::unspec(name, 600, Arc::clone(&payloads[i * 7 % 8]))
+            })
+            .collect()
+    };
+    let added = records();
+    let (_, used) = measure_calls(|| {
+        let mut zone = Zone::new(origin.clone(), 600);
+        added.into_iter().for_each(|rr| zone.add(rr).expect("add"));
+        let mut db = ZoneDb::new();
+        db.add_zone(zone);
+        db
+    });
+    let (bytes, calls) = used.expect("counting allocator installed");
+    println!(
+        "{:<32} {calls:>6} allocations {bytes:>8} B",
+        "(4,096 adds, then add_zone)"
+    );
+    let loaded = records();
+    row("Zone::load 4,096 names, add_zone", CELL_LOAD, || {
+        let mut db = ZoneDb::new();
+        db.add_zone(Zone::load(origin.clone(), 600, loaded).expect("load"));
+        db
     });
 }

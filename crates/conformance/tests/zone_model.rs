@@ -10,13 +10,22 @@
 //! `serial`, `all_records`, `record_count`, `size_bytes`, and, at every
 //! name of the pool, `records_at`, `find_delegation` and `lookup` of
 //! every type, and on `deltas_since` a sample of the serials seen.
+//!
+//! `Zone::load` is held to the zone it stands for — `Zone::new`, `add`
+//! of each record in turn, `shrink_to_fit` — on the same seeded records,
+//! refused ones included, and, by the counting allocator, to sizing its
+//! rows, owner index and delta log once.
 
 use bindns::rr::{RData, RType, ResourceRecord, MAX_RDATA};
-use bindns::zone::Zone;
+use bindns::zone::{Zone, DELTA_LOG_CAP};
 use bindns::DomainName;
+use conformance::alloc::{measure_calls, CountingAlloc};
 use conformance::model::zone::ZoneModel;
 use proptest::prelude::*;
 use simnet::topology::{HostId, NetAddr};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Apex, a chain of cuts-to-be, siblings, one name of another zone, and
 /// one that ends in the text of the origin `z` but not at a label.
@@ -208,4 +217,132 @@ fn a_compaction_under_a_log_that_names_deleted_owners_agrees_with_the_model() {
         pair.add(pair.record(n, RType::Txt, n));
     }
     pair.check();
+}
+
+/// `Zone::new`, `add` of each of `records` in turn, `shrink_to_fit`: the
+/// zone `Zone::load` stands for. With it, the error of the first record
+/// `add` refused, if one was, and the records it took.
+fn added(
+    origin: &DomainName,
+    records: &[ResourceRecord],
+) -> (Zone, Option<bindns::NsError>, Vec<ResourceRecord>) {
+    let mut zone = Zone::new(origin.clone(), 60);
+    let (mut refused, mut taken) = (None, Vec::new());
+    for rr in records {
+        match zone.add(rr.clone()) {
+            Ok(()) => taken.push(rr.clone()),
+            Err(e) => {
+                refused.get_or_insert(e);
+            }
+        }
+    }
+    zone.shrink_to_fit();
+    (zone, refused, taken)
+}
+
+/// Everything a loaded zone and the zone it stands for must agree on:
+/// records, serial, the delta log from every serial, the bytes held and
+/// the bodies.
+fn assert_same(loaded: &Zone, added: &Zone) {
+    assert_eq!(loaded.all_records(), added.all_records());
+    assert_eq!(loaded.serial(), added.serial());
+    for serial in 0..=added.serial() + 1 {
+        let got = loaded.deltas_since(serial);
+        assert_eq!(got, added.deltas_since(serial), "since {serial}");
+    }
+    assert_eq!(loaded.resident_bytes(), added.resident_bytes());
+    assert_eq!(loaded.distinct_bodies(), added.distinct_bodies());
+}
+
+proptest! {
+    /// Seeded records at the pool's names, of every type: a load of them
+    /// fails with the error `add` gives the first one it refuses (a
+    /// CNAME beside other data, a name outside the zone, an rdata too
+    /// long), and a load of the ones `add` took is the zone they made.
+    #[test]
+    fn a_load_is_the_zone_its_records_make_one_by_one(
+        records in proptest::collection::vec(
+            (0usize..POOL.len(), 0usize..TYPES.len(), 0usize..64),
+            0..80,
+        ),
+    ) {
+        for origin in [dn("z"), DomainName::root()] {
+            let pair = Pair::new(origin.clone(), POOL.iter().map(|s| dn(s)).collect());
+            let records: Vec<ResourceRecord> = records
+                .iter()
+                .map(|&(n, t, d)| pair.record(n, TYPES[t], d))
+                .collect();
+            let (reference, refused, taken) = added(&origin, &records);
+            let loaded = Zone::load(origin.clone(), 60, records);
+            prop_assert_eq!(loaded.err(), refused);
+            let loaded = Zone::load(origin.clone(), 60, taken).expect("every one taken once");
+            assert_same(&loaded, &reference);
+        }
+    }
+}
+
+/// Past the delta log's length, with several records at some names and
+/// bodies shared and not: a load is still the zone its adds make.
+#[test]
+fn a_load_past_the_delta_log_is_the_zone_its_adds_make() {
+    let origin = dn("cell0.hns");
+    let records: Vec<ResourceRecord> = (0..3 * DELTA_LOG_CAP)
+        .map(|i| {
+            let name = dn(&format!("n{}.cell0.hns", i % (2 * DELTA_LOG_CAP + 7)));
+            ResourceRecord::unspec(name, 60, vec![(i % 5) as u8, (i % 300 / 299) as u8])
+        })
+        .collect();
+    let loaded = Zone::load(origin.clone(), 60, records.clone()).expect("load");
+    let (reference, refused, _) = added(&origin, &records);
+    assert_eq!(refused, None);
+    assert!(loaded.deltas_since(1).is_none(), "the log was outrun");
+    assert_same(&loaded, &reference);
+}
+
+/// A load of `n` records at `n` names, one body among them, requests its
+/// 12-byte rows, its owner index (4 bytes a slot, a third more slots than
+/// names) and its delta log (8 bytes an entry, at most the log's length)
+/// once each: beyond those and the owner-name arena, which grows as it
+/// does under `add`, it requests the same bytes whatever `n` is. The
+/// zone comes back fitted: trimming it again requests nothing.
+#[test]
+fn a_load_sizes_its_rows_index_and_log_once() {
+    let origin = dn("cell0.hns");
+    let payload: std::sync::Arc<[u8]> = vec![7; 100].into();
+    let mut rest = Vec::new();
+    for n in [
+        1,
+        2,
+        3,
+        4,
+        100,
+        1000,
+        DELTA_LOG_CAP,
+        DELTA_LOG_CAP + 1,
+        4096,
+        10_000,
+    ] {
+        let labels: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+        let records: Vec<ResourceRecord> = labels
+            .iter()
+            .map(|label| {
+                let name = origin.child(label).expect("name");
+                ResourceRecord::unspec(name, 60, std::sync::Arc::clone(&payload))
+            })
+            .collect();
+        let (mut zone, used) = measure_calls(|| Zone::load(origin.clone(), 60, records));
+        let (bytes, _) = used.expect("the counting allocator is installed");
+        let (_, arena) = measure_calls(|| {
+            let mut text = String::new();
+            labels.iter().for_each(|label| text.push_str(label));
+            text.shrink_to_fit();
+        });
+        let (arena, _) = arena.expect("the counting allocator is installed");
+        let sized = 12 * n + 4 * (4 * n).div_ceil(3) + 8 * n.min(DELTA_LOG_CAP);
+        rest.push((n, bytes - arena - sized as u64));
+        let zone = zone.as_mut().expect("load");
+        let (_, trim) = measure_calls(|| zone.shrink_to_fit());
+        assert_eq!(trim, Some((0, 0)), "{n} names: trimmed again");
+    }
+    assert!(rest.iter().all(|&(_, r)| r == rest[0].1), "{rest:?}");
 }
