@@ -211,10 +211,10 @@ impl TtlCache {
         name: &DomainName,
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
-        let (entry, stale_for) = with_key(name.as_str(), rtype, |key| {
+        let (entry, lapsed) = with_key(name.as_str(), rtype, |key| {
             self.map.probe_stale(now, key, |entry| Some(entry.clone()))
         })?;
-        Some((entry.records(|| name.clone()), stale_for))
+        Some((entry.records(|| name.clone()), now.since(lapsed)))
     }
 
     /// Inserts records, valid for the minimum TTL among them.
@@ -229,12 +229,12 @@ impl TtlCache {
         records: impl Into<Arc<[ResourceRecord]>>,
     ) {
         let records = records.into();
-        let Some(min_ttl) = records.iter().map(|r| r.ttl).min() else {
+        let Some(ttl) = records.iter().map(|r| r.ttl).min() else {
             return;
         };
         let entry = Entry::of(&name, records);
         with_key(name.as_str(), rtype, |key| {
-            self.map.insert(now, key, entry, min_ttl)
+            self.map.insert(now, key, entry, now.after_secs(ttl))
         });
     }
 

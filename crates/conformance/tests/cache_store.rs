@@ -182,7 +182,8 @@ fn the_binding_cache_gauge_is_within_a_tenth_of_the_allocator() {
         cache.set_enabled(true);
         for (i, scope) in (0u32..).zip(&scopes) {
             cache.insert(&world, "hrpcbinding", scope, binding(i), 600);
-            cache.insert_service(&world, "hrpcbinding", scope, binding(i), 600);
+            let expires_at = world.now().after_secs(600);
+            cache.insert_service(&world, "hrpcbinding", scope, binding(i), expires_at);
         }
         cache
     });

@@ -9,8 +9,8 @@
 //! path.
 //!
 //! This cache composes the walk at two levels, both holding the final
-//! [`HrpcBinding`] tagged with the **minimum remaining TTL across the
-//! constituent mapping entries** observed while the walk ran:
+//! [`HrpcBinding`] filed to expire at the **earliest expiry instant among
+//! the constituent mapping entries** the walk read:
 //!
 //! * **(query class, context)** — all six mappings. A warm `FindNSM`
 //!   is one probe returning a `Copy` binding, nothing allocated.
@@ -28,13 +28,15 @@
 //! the walk was asked with and copied into its arena by an insert, so
 //! neither a probe nor an insert goes through the interner.
 //!
-//! Until a composed TTL lapses, no constituent can have expired by TTL
-//! either. That alone does not make it as fresh as re-walking the
-//! per-mapping cache: a preload overwrites parts in place, so every
+//! Each part's instant is computed once, where its TTL arrived, and is the
+//! one its per-mapping entry is filed under, so a composed entry lapses no
+//! later than its earliest part, to the microsecond, however long the walk
+//! that built it took. That alone does not make it as fresh as re-walking
+//! the per-mapping cache: a preload overwrites parts in place, so every
 //! preload that ships records clears both levels, as
-//! [`Hns::clear_cache`](crate::service::Hns::clear_cache) does. A walk
-//! that served a part stale reports TTL 0 for it and is not cached at a
-//! level that covers that part.
+//! [`Hns::clear_cache`](crate::service::Hns::clear_cache) does. A part
+//! served stale carries the instant it lapsed at, so no level that covers
+//! it takes the result: a level refuses an instant at or before `now`.
 //!
 //! Disabled by default: the paper's measured shape (Table 3.1) is the
 //! six-mapping walk, and every golden experiment keeps that shape.
@@ -45,6 +47,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use hrpc::HrpcBinding;
+use simnet::time::SimTime;
 use simnet::ttl::{Probe, TtlMap, END};
 use simnet::world::World;
 
@@ -85,13 +88,13 @@ impl Level {
         self.map.probe(world.now(), &key(qc, scope), |b| *b)
     }
 
-    /// A zero TTL (a stale-served part) is not cached.
-    fn insert(&self, world: &World, qc: &str, scope: &str, binding: HrpcBinding, ttl_secs: u32) {
-        if ttl_secs == 0 {
-            return;
+    /// Files `binding` to expire at `at`, unless that is not after `now`
+    /// (a part was served stale, or lapsed while the walk ran).
+    fn insert(&self, world: &World, qc: &str, scope: &str, binding: HrpcBinding, at: SimTime) {
+        let now = world.now();
+        if at > now {
+            self.map.insert(now, &key(qc, scope), binding, at);
         }
-        self.map
-            .insert(world.now(), &key(qc, scope), binding, ttl_secs);
     }
 
     fn stats(&self) -> BindingCacheStats {
@@ -157,26 +160,24 @@ impl BindingCache {
         }
     }
 
-    /// Inserts a whole-walk result whose earliest constituent expires in
-    /// `min_ttl_secs`. A zero TTL (a stale-served walk) is not cached.
-    pub fn insert(
-        &self,
-        world: &World,
-        qc: &str,
-        context: &str,
-        binding: HrpcBinding,
-        min_ttl_secs: u32,
-    ) {
+    /// [`BindingCache::insert_until`] `ttl_secs` from now: the seconds
+    /// form, kept only because `benchmark/src/probes.rs` times it.
+    pub fn insert(&self, world: &World, qc: &str, ctx: &str, b: HrpcBinding, ttl_secs: u32) {
+        self.insert_until(world, qc, ctx, b, world.now().after_secs(ttl_secs));
+    }
+
+    /// Inserts a whole-walk result to expire at `at`, when its earliest
+    /// part does. An instant at or before `now` is not cached.
+    pub fn insert_until(&self, world: &World, qc: &str, ctx: &str, b: HrpcBinding, at: SimTime) {
         if self.enabled() {
-            self.by_context
-                .insert(world, qc, context, binding, min_ttl_secs);
+            self.by_context.insert(world, qc, ctx, b, at);
         }
     }
 
     /// Probes for the result of mappings 2–6 under `name_service`: live,
-    /// it is the binding and the seconds until the earliest of those
-    /// mappings expires. Charges one cache-probe cost; [`Probe::Absent`]
-    /// (without charging or counting) when disabled.
+    /// it is the binding and the instant the earliest of those mappings
+    /// expires. Charges one cache-probe cost; [`Probe::Absent`] (without
+    /// charging or counting) when disabled.
     pub fn lookup_service(
         &self,
         world: &World,
@@ -189,20 +190,12 @@ impl BindingCache {
         self.by_service.lookup(world, qc, name_service)
     }
 
-    /// Inserts the result of mappings 2–6 under `name_service`, the
-    /// earliest of which expires in `min_ttl_secs`. A zero TTL is not
-    /// cached.
-    pub fn insert_service(
-        &self,
-        world: &World,
-        qc: &str,
-        name_service: &str,
-        binding: HrpcBinding,
-        min_ttl_secs: u32,
-    ) {
+    /// Inserts the result of mappings 2–6 under `ns` to expire at `at`,
+    /// when the earliest of them does. An instant at or before `now` is
+    /// not cached.
+    pub fn insert_service(&self, world: &World, qc: &str, ns: &str, b: HrpcBinding, at: SimTime) {
         if self.enabled() {
-            self.by_service
-                .insert(world, qc, name_service, binding, min_ttl_secs);
+            self.by_service.insert(world, qc, ns, b, at);
         }
     }
 
@@ -289,14 +282,27 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.expired, s.inserts), (1, 1, 1, 1));
     }
 
+    /// An instant at or before `now` — a part served stale, or one that
+    /// lapsed while the walk ran — is refused by both levels, whichever
+    /// form it arrives in; one microsecond later is taken.
     #[test]
-    fn zero_ttl_walks_are_not_cached() {
+    fn both_levels_refuse_an_instant_at_or_before_now() {
         let w = World::paper();
         let c = BindingCache::new();
         c.set_enabled(true);
+        w.charge_ms(5_000.0);
+        let now = w.now();
+        for at in [SimTime::ZERO, SimTime::from_ms(4_999), now] {
+            c.insert_until(&w, "qc", "ctx", binding(3), at);
+            c.insert_service(&w, "qc", "BIND", binding(3), at);
+        }
         c.insert(&w, "qc", "ctx", binding(3), 0);
-        assert_eq!(c.lookup(&w, "qc", "ctx"), None);
-        assert_eq!(c.stats().inserts, 0);
+        assert_eq!((c.stats().inserts, c.service_stats().inserts), (0, 0));
+        assert_eq!(w.now(), now, "a refused insert charges nothing");
+        let next = SimTime::from_us(now.as_us() + 1);
+        c.insert_until(&w, "qc", "ctx", binding(3), next);
+        c.insert_service(&w, "qc", "BIND", binding(3), next);
+        assert_eq!((c.stats().inserts, c.service_stats().inserts), (1, 1));
     }
 
     #[test]
@@ -305,7 +311,7 @@ mod tests {
         let c = BindingCache::new();
         c.set_enabled(true);
         c.insert(&w, "qc", "ctx", binding(4), 600);
-        c.insert_service(&w, "qc", "BIND", binding(4), 600);
+        c.insert_service(&w, "qc", "BIND", binding(4), w.now().after_secs(600));
         c.set_enabled(false);
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
         assert_eq!(w.now().as_us(), 0, "a disabled probe charges nothing");
@@ -314,45 +320,37 @@ mod tests {
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
     }
 
-    /// A service-level entry is inserted with the minimum remaining TTL
-    /// of mappings 2–6, reports what is left of it (which bounds the
-    /// context entries made from it), and lapses with it.
+    /// A service-level entry is inserted at the earliest instant of
+    /// mappings 2–6, reports that instant (which bounds the context
+    /// entries made from it), and lapses at it.
     #[test]
     fn service_entry_never_outlives_the_earliest_of_mappings_2_to_6() {
         let w = World::paper();
         let c = BindingCache::new();
         c.set_enabled(true);
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
-        let (ttl2, ttl3, ttl4, ttl5, ttl6) = (600u32, 90, 600, 600, 300);
-        let min_ttl = ttl2.min(ttl3).min(ttl4).min(ttl5).min(ttl6);
-        c.insert_service(&w, "qc", "BIND", binding(7), min_ttl);
+        let mapping3 = w.now().after_secs(90);
+        let parts = [600, 600, 600, 300].map(|ttl| w.now().after_secs(ttl));
+        let earliest = parts.into_iter().fold(mapping3, SimTime::min);
+        c.insert_service(&w, "qc", "BIND", binding(7), earliest);
         w.charge_ms(60_000.0);
-        match c.lookup_service(&w, "qc", "BIND") {
+        assert_eq!(
+            c.lookup_service(&w, "qc", "BIND"),
             Probe::Live {
-                value,
-                remaining_secs,
-            } => {
-                assert_eq!(value, binding(7));
-                assert_eq!(remaining_secs, 30, "what mapping 3 has left");
-            }
-            other => panic!("expected a live entry, got {other:?}"),
-        }
-        w.charge_ms(30_000.0);
+                value: binding(7),
+                expires_at: mapping3
+            },
+            "mapping 3's instant"
+        );
+        // The probe charges its cost first, so it looks at mapping 3's
+        // instant itself.
+        w.charge_ms(30_000.0 - 2.0 * w.costs.cache_probe);
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Expired);
+        assert_eq!(w.now(), mapping3);
         let s = c.service_stats();
         assert_eq!((s.hits, s.misses, s.expired, s.inserts), (1, 1, 1, 1));
         // The levels count apart: nothing above touched the context one.
         assert_eq!(c.stats(), BindingCacheStats::default());
-    }
-
-    #[test]
-    fn zero_ttl_service_results_are_not_cached() {
-        let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
-        c.insert_service(&w, "qc", "BIND", binding(8), 0);
-        assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
-        assert_eq!(c.service_stats().inserts, 0);
     }
 
     #[test]
@@ -363,7 +361,7 @@ mod tests {
         // A context may be named like a name service.
         c.insert(&w, "qc", "BIND", binding(9), 600);
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
-        c.insert_service(&w, "qc", "BIND", binding(10), 600);
+        c.insert_service(&w, "qc", "BIND", binding(10), w.now().after_secs(600));
         assert_eq!(c.lookup(&w, "qc", "BIND"), Some(binding(9)));
         c.clear();
         assert_eq!(c.lookup(&w, "qc", "BIND"), None);
@@ -394,7 +392,7 @@ mod tests {
         c.insert(&w, "a", "bc", binding(12), 600);
         assert_eq!(c.lookup(&w, "ab", "c"), Some(binding(11)));
         assert_eq!(c.lookup(&w, "a", "bc"), Some(binding(12)));
-        c.insert_service(&w, "ab", "c", binding(13), 600);
+        c.insert_service(&w, "ab", "c", binding(13), w.now().after_secs(600));
         assert_eq!(c.lookup_service(&w, "a", "bc"), Probe::Absent);
     }
 
@@ -413,7 +411,7 @@ mod tests {
             assert_eq!(c.lookup(&w, "hrpc_binding", ctx), None);
             assert_eq!(c.lookup_service(&w, "hrpc_binding", ctx), Probe::Absent);
             c.insert(&w, "hrpc_binding", ctx, binding(1), 600);
-            c.insert_service(&w, "hrpc_binding", ctx, binding(2), 600);
+            c.insert_service(&w, "hrpc_binding", ctx, binding(2), w.now().after_secs(600));
             assert_eq!(c.lookup(&w, "hrpc_binding", ctx), Some(binding(1)));
             assert!(matches!(
                 c.lookup_service(&w, "hrpc_binding", ctx),

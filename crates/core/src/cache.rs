@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intern::NameId;
+use simnet::time::SimTime;
 use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::ttl::{arc_share, Key, Probe, TtlMap};
 use simnet::world::World;
@@ -300,13 +301,14 @@ pub struct HnsCacheStats {
 /// Result of a cost-charged cache probe.
 #[derive(Debug)]
 pub enum CacheLookup<V = Value> {
-    /// A live entry: the (shared) value and its remaining TTL in seconds,
-    /// rounded up so a just-inserted entry reports its full TTL.
+    /// A live entry: the (shared) value and the instant the entry expires
+    /// at — the one it was filed under, computed where its TTL arrived,
+    /// which a composed entry built on it may not outlive.
     Hit {
         /// The cached value; demarshalled hits share the stored allocation.
         value: Arc<V>,
-        /// Seconds of validity the entry still has.
-        remaining_ttl_secs: u32,
+        /// When the entry expires; always after the probe's `now`.
+        expires_at: SimTime,
     },
     /// A live negative entry: the name was authoritatively absent within
     /// the negative TTL.
@@ -381,15 +383,11 @@ impl<V: Cacheable> HnsCache<V> {
             }
             Probe::Live {
                 value: Some((stored, rrs)),
-                remaining_secs: remaining_ttl_secs,
+                expires_at,
             } => match stored.load(world, rrs) {
                 Some(value) => {
                     world.trace(None, TraceKind::Cache, || format!("hit {key:?}"));
-                    let hit = CacheLookup::Hit {
-                        value,
-                        remaining_ttl_secs,
-                    };
-                    (CacheOutcome::Hit, hit)
+                    (CacheOutcome::Hit, CacheLookup::Hit { value, expires_at })
                 }
                 None => {
                     key.with_bytes(|bytes| self.map.discard(bytes));
@@ -418,20 +416,22 @@ impl<V: Cacheable> HnsCache<V> {
     /// Probes `key` for an **expired** positive entry — the serve-stale
     /// fallback used when the authoritative meta server is unreachable
     /// (paper §4: meta-naming data changes slowly, so stale data beats
-    /// no data). Charges the probe plus the form-dependent hit cost and
-    /// counts one `stale_serves` when it finds one. Live entries, negatives,
-    /// absent keys, and a disabled cache all return `None` — the normal
-    /// lookup path is never bypassed for live data.
-    pub fn lookup_stale(&self, world: &World, key: &MetaKey) -> Option<Arc<V>> {
+    /// no data) — and returns it with the instant it lapsed at, which no
+    /// composed entry can be filed under. Charges the probe plus the
+    /// form-dependent hit cost and counts one `stale_serves` when it finds
+    /// one. Live entries, negatives, absent keys, and a disabled cache all
+    /// return `None` — the normal lookup path is never bypassed for live
+    /// data.
+    pub fn lookup_stale(&self, world: &World, key: &MetaKey) -> Option<(Arc<V>, SimTime)> {
         if self.mode == CacheMode::Disabled {
             return None;
         }
         world.charge_ms(world.costs.cache_probe);
         // `Clone::clone` is the reader: a negative entry clones to
         // `None`, which is how the map is told it is not servable.
-        let ((stored, rrs), _stale_for) =
+        let ((stored, rrs), lapsed) =
             key.with_bytes(|bytes| self.map.probe_stale(world.now(), bytes, Clone::clone))?;
-        stored.load(world, rrs)
+        Some((stored.load(world, rrs)?, lapsed))
     }
 
     /// True if a live (positive) entry exists. Charges nothing and moves
@@ -441,31 +441,32 @@ impl<V: Cacheable> HnsCache<V> {
         self.mode != CacheMode::Disabled
             && matches!(
                 key.with_bytes(|bytes| self.map.peek_live(world.now(), bytes, Option::is_some)),
-                Some((true, _))
+                Some(true)
             )
     }
 
-    /// Inserts a value fetched from the meta store or an NSM; the decoded
-    /// form keeps a copy of it.
+    /// Inserts a value fetched from the meta store or an NSM, valid for
+    /// `ttl_secs` from now; the decoded form keeps a copy of it.
     pub fn insert(&self, world: &World, key: MetaKey, value: &V, rrs: usize, ttl_secs: u32)
     where
         V: Clone,
     {
-        self.keep(world, key, Stored::store(self.mode, value), rrs, ttl_secs);
+        let expires_at = world.now().after_secs(ttl_secs);
+        self.keep(world, key, Stored::store(self.mode, value), rrs, expires_at);
     }
 
-    /// [`HnsCache::insert`] of a value the caller shares: the decoded
-    /// form keeps that allocation, so a later hit hands back the very
-    /// value that was fetched.
+    /// [`HnsCache::insert`] of a value the caller shares, to expire at
+    /// `expires_at`: the decoded form keeps that allocation, so a later
+    /// hit hands back the very value that was fetched.
     pub fn insert_shared(
         &self,
         world: &World,
         key: MetaKey,
         value: &Arc<V>,
         rrs: usize,
-        ttl_secs: u32,
+        expires_at: SimTime,
     ) {
-        self.keep(world, key, Stored::share(self.mode, value), rrs, ttl_secs);
+        self.keep(world, key, Stored::share(self.mode, value), rrs, expires_at);
     }
 
     /// [`HnsCache::insert_shared`] on behalf of the preload path.
@@ -475,9 +476,9 @@ impl<V: Cacheable> HnsCache<V> {
         key: MetaKey,
         value: &Arc<V>,
         rrs: usize,
-        ttl_secs: u32,
+        expires_at: SimTime,
     ) {
-        if self.keep(world, key, Stored::share(self.mode, value), rrs, ttl_secs) {
+        if self.keep(world, key, Stored::share(self.mode, value), rrs, expires_at) {
             bump(&self.own.preloaded);
         }
     }
@@ -489,14 +490,14 @@ impl<V: Cacheable> HnsCache<V> {
         key: MetaKey,
         stored: Option<Stored<V>>,
         rrs: usize,
-        ttl_secs: u32,
+        expires_at: SimTime,
     ) -> bool {
         let Some(stored) = stored else {
             return false;
         };
         key.with_bytes(|bytes| {
             self.map
-                .insert(world.now(), bytes, Some((stored, rrs)), ttl_secs)
+                .insert(world.now(), bytes, Some((stored, rrs)), expires_at)
         });
         true
     }
@@ -507,7 +508,8 @@ impl<V: Cacheable> HnsCache<V> {
         if self.mode == CacheMode::Disabled {
             return;
         }
-        key.with_bytes(|bytes| self.map.insert(world.now(), bytes, None, NEGATIVE_TTL));
+        let (now, expires_at) = (world.now(), world.now().after_secs(NEGATIVE_TTL));
+        key.with_bytes(|bytes| self.map.insert(now, bytes, None, expires_at));
         bump(&self.own.negative_inserts);
     }
 
@@ -658,8 +660,13 @@ mod tests {
         cache.insert(&world, key(), &value(), 1, 1);
         world.charge_ms(1_500.0);
         let (stale, took, _) = world.measure(|| cache.lookup_stale(&world, &key()));
-        let stale = stale.expect("stale fallback");
+        let (stale, lapsed) = stale.expect("stale fallback");
         assert_eq!(*stale, value());
+        assert_eq!(
+            lapsed,
+            SimTime::ZERO.after_secs(1),
+            "the instant it lapsed at"
+        );
         // probe (0.05) + marshalled hit for 1 RR (11.11): stale hits pay
         // the same access cost a live hit would.
         assert!((took.as_ms_f64() - 11.16).abs() < 0.1, "took {took}");
@@ -678,7 +685,7 @@ mod tests {
             (CacheMode::Marshalled, false, 11.16),
         ] {
             let cache = HnsCache::of(mode);
-            cache.insert_shared(&world, key(), &record, 1, 600);
+            cache.insert_shared(&world, key(), &record, 1, world.now().after_secs(600));
             let (hit, took, _) = world.measure(|| cache.lookup(&world, &key()));
             let CacheLookup::Hit { value, .. } = hit else {
                 panic!("{mode:?}: expected a hit, got {hit:?}");
@@ -691,7 +698,7 @@ mod tests {
             );
         }
         let disabled = HnsCache::of(CacheMode::Disabled);
-        disabled.insert_shared(&world, key(), &record, 1, 600);
+        disabled.insert_shared(&world, key(), &record, 1, world.now().after_secs(600));
         assert!(disabled.is_empty());
     }
 
@@ -699,7 +706,8 @@ mod tests {
     fn preload_counts_separately() {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Marshalled);
-        cache.preload_insert(&world, key(), &Arc::new(value()), 1, 600);
+        let expires_at = world.now().after_secs(600);
+        cache.preload_insert(&world, key(), &Arc::new(value()), 1, expires_at);
         let stats = cache.stats();
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.preloaded, 1);
@@ -756,23 +764,25 @@ mod tests {
         }
     }
 
+    /// A hit reports the instant its entry was filed under, however much
+    /// of it is left: to the microsecond, with no rounding.
     #[test]
-    fn lookup_reports_remaining_ttl() {
+    fn lookup_reports_the_filed_instant() {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
+        world.charge_ms(0.25);
+        let filed = world.now().after_secs(600);
         cache.insert(&world, key(), &value(), 1, 600);
-        match cache.lookup(&world, &key()) {
-            CacheLookup::Hit {
-                remaining_ttl_secs, ..
-            } => assert_eq!(remaining_ttl_secs, 600, "fresh entry reports full TTL"),
-            other => panic!("expected hit, got {other:?}"),
-        }
-        world.charge_ms(250_000.0); // 250 s elapse.
-        match cache.lookup(&world, &key()) {
-            CacheLookup::Hit {
-                remaining_ttl_secs, ..
-            } => assert_eq!(remaining_ttl_secs, 350),
-            other => panic!("expected hit, got {other:?}"),
+        let shared = MetaKey::host_addr("BIND", "fiji");
+        cache.insert_shared(&world, shared, &Arc::new(value()), 1, filed);
+        for elapse_ms in [0.0, 250_000.0, 349_000.0] {
+            world.charge_ms(elapse_ms);
+            for key in [key(), shared] {
+                match cache.lookup(&world, &key) {
+                    CacheLookup::Hit { expires_at, .. } => assert_eq!(expires_at, filed),
+                    other => panic!("expected hit, got {other:?}"),
+                }
+            }
         }
     }
 
@@ -860,9 +870,12 @@ mod tests {
         let cache = HnsCache::new(CacheMode::Marshalled);
         let garbage = Stored::Bytes([0xff_u8; 3].as_slice().into());
         key().with_bytes(|bytes| {
-            cache
-                .map
-                .insert(world.now(), bytes, Some((garbage, 1)), 600)
+            cache.map.insert(
+                world.now(),
+                bytes,
+                Some((garbage, 1)),
+                world.now().after_secs(600),
+            )
         });
         assert!(matches!(cache.lookup(&world, &key()), CacheLookup::Miss));
         assert!(cache.is_empty(), "the undecodable entry is gone");

@@ -77,7 +77,7 @@ impl AdditionalProvider for MetaChaser {
                 if seen.insert(key.clone()) {
                     out.push((key.clone(), records));
                 }
-                Ok((Arc::new(set.value), set.ttl_secs))
+                Ok(Arc::new(set.value))
             };
             // A broken link ends this hint's chase; what was read up to
             // it has been attached.

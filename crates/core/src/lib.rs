@@ -24,7 +24,7 @@
 //!   negative caching.
 //! * [`binding_cache`] — an opt-in composed-result cache: a warm
 //!   `FindNSM` collapses to one probe returning the final binding,
-//!   fresh for the minimum TTL of the constituent mapping entries.
+//!   fresh until the earliest constituent mapping entry expires.
 //! * [`colocation`] — linked / remote / agent arrangements of Table 3.1.
 //! * [`analysis`] — equation (1) and the preload break-even model.
 #![warn(missing_docs)]

@@ -494,10 +494,8 @@ impl fmt::Display for Step<'_> {
     }
 }
 
-/// What the chain asks of its caller: the record at `key` and its
-/// remaining TTL in seconds.
-pub(crate) type Fetch<'f> =
-    dyn FnMut(Step<'_>, &DomainName) -> HnsResult<(Arc<MetaRecord>, u32)> + 'f;
+/// What the chain asks of its caller: the record at `key`.
+pub(crate) type Fetch<'f> = dyn FnMut(Step<'_>, &DomainName) -> HnsResult<Arc<MetaRecord>> + 'f;
 
 /// Derives `step`'s key and asks `fetch` for the record there. A
 /// `NotFound` comes back as what it means to the caller of `FindNSM`.
@@ -505,7 +503,7 @@ pub(crate) fn ask(
     origin: &DomainName,
     step: Step<'_>,
     fetch: &mut Fetch<'_>,
-) -> HnsResult<(Arc<MetaRecord>, u32)> {
+) -> HnsResult<Arc<MetaRecord>> {
     use RpcError::NotFound;
     fetch(step, &step.key(origin)?).map_err(|err| match (err, step) {
         (HnsError::Rpc(NotFound(_)), Step::Context(context) | Step::HostContext(context)) => {
@@ -533,8 +531,6 @@ pub(crate) struct Chased<'a> {
     pub host_context: &'a ContextInfo,
     /// Mapping 5: the host-address NSM of the host's name service.
     pub host_addr_nsm: &'a str,
-    /// Minimum TTL among the four record sets, seconds.
-    pub min_ttl: u32,
 }
 
 /// The `FindNSM` chain after mapping 1: from a name service and a query
@@ -549,22 +545,21 @@ pub(crate) fn chase<T>(
     fetch: &mut Fetch<'_>,
     found: impl FnOnce(Chased<'_>) -> HnsResult<T>,
 ) -> HnsResult<T> {
-    let (record, ttl2) = ask(origin, Step::NsmName(name_service, query_class), fetch)?;
+    let record = ask(origin, Step::NsmName(name_service, query_class), fetch)?;
     let nsm_name = record.as_nsm_name()?;
-    let (record, ttl3) = ask(origin, Step::NsmInfo(nsm_name), fetch)?;
+    let record = ask(origin, Step::NsmInfo(nsm_name), fetch)?;
     let info = record.as_nsm_info()?;
     // The info names the NSM's host, and translating that name "is in
     // itself an HNS naming operation": mappings 1–2 again.
-    let (record, ttl4) = ask(origin, Step::HostContext(&info.host_context), fetch)?;
+    let record = ask(origin, Step::HostContext(&info.host_context), fetch)?;
     let host_context = record.as_context()?;
     let step = Step::HostAddrNsm(&host_context.name_service, HOST_ADDRESS.as_str());
-    let (record, ttl5) = ask(origin, step, fetch)?;
+    let record = ask(origin, step, fetch)?;
     found(Chased {
         nsm_name,
         info,
         host_context,
         host_addr_nsm: record.as_nsm_name()?,
-        min_ttl: ttl2.min(ttl3).min(ttl4).min(ttl5),
     })
 }
 
@@ -771,7 +766,6 @@ mod tests {
         info: NsmInfo,
         host_context: ContextInfo,
         host_addr_nsm: String,
-        min_ttl: u32,
     }
 
     fn chased(ns: &str, qc: &str, fetch: &mut Fetch<'_>) -> HnsResult<Found> {
@@ -781,75 +775,66 @@ mod tests {
                 info: found.info.clone().named(found.nsm_name),
                 host_context: found.host_context.clone(),
                 host_addr_nsm: found.host_addr_nsm.into(),
-                min_ttl: found.min_ttl,
             })
         })
     }
 
-    fn context_info(step: Step<'_>, fetch: &mut Fetch<'_>) -> HnsResult<(ContextInfo, u32)> {
-        let (record, ttl) = ask(&origin(), step, fetch)?;
-        Ok((record.as_context()?.clone(), ttl))
+    fn context_info(step: Step<'_>, fetch: &mut Fetch<'_>) -> HnsResult<ContextInfo> {
+        Ok(ask(&origin(), step, fetch)?.as_context()?.clone())
     }
 
     /// A `fetch` answering from the real meta store, one RPC per set.
     fn live(
         meta: &MetaStore,
-    ) -> impl FnMut(Step<'_>, &DomainName) -> HnsResult<(Arc<MetaRecord>, u32)> + '_ {
-        |_, key| {
-            let set = meta.fetch(key)?;
-            Ok((Arc::new(set.value), set.ttl_secs))
-        }
+    ) -> impl FnMut(Step<'_>, &DomainName) -> HnsResult<Arc<MetaRecord>> + '_ {
+        |_, key| Ok(Arc::new(meta.fetch(key)?.value))
     }
 
     /// A scripted meta zone — no world, no RPC: the BIND and Clearinghouse
     /// chains of the paper's testbed, the binding NSMs' host named in
     /// `bind-uw` and the mail NSM's in `ch-uw`.
-    fn script() -> HashMap<String, (Vec<String>, u32)> {
-        let sets: [(&str, Vec<String>, u32); 8] = [
-            ("ctx.bind-uw.hns", vec!["ns=BIND;map=id".into()], 600),
-            ("ctx.ch-uw.hns", vec!["ns=Clearinghouse;map=id".into()], 500),
-            ("map.bind--hrpcbinding.hns", vec!["nsm-b".into()], 400),
+    fn script() -> HashMap<String, Vec<String>> {
+        let sets: [(&str, Vec<String>); 8] = [
+            ("ctx.bind-uw.hns", vec!["ns=BIND;map=id".into()]),
+            ("ctx.ch-uw.hns", vec!["ns=Clearinghouse;map=id".into()]),
+            ("map.bind--hrpcbinding.hns", vec!["nsm-b".into()]),
             (
                 "map.clearinghouse--mailboxlocation.hns",
                 vec!["nsm-m".into()],
-                300,
             ),
             (
                 "info.nsm-b.hns",
                 info("nsm-b", "june", "bind-uw").to_records(),
-                200,
             ),
             (
                 "info.nsm-m.hns",
                 info("nsm-m", "ivory", "ch-uw").to_records(),
-                100,
             ),
-            ("map.bind--hostaddress.hns", vec!["nsm-ha-b".into()], 50),
+            ("map.bind--hostaddress.hns", vec!["nsm-ha-b".into()]),
             (
                 "map.clearinghouse--hostaddress.hns",
                 vec!["nsm-ha-c".into()],
-                25,
             ),
         ];
-        let sets = sets.into_iter();
-        sets.map(|(k, payloads, ttl)| (k.to_string(), (payloads, ttl)))
+        sets.into_iter()
+            .map(|(k, payloads)| (k.to_string(), payloads))
             .collect()
     }
 
     /// Runs `f` against a `fetch` answering from `zone`; returns its
     /// result and one `mapping key` line per call it made.
     fn scripted<R>(
-        zone: &HashMap<String, (Vec<String>, u32)>,
+        zone: &HashMap<String, Vec<String>>,
         f: impl FnOnce(&mut Fetch<'_>) -> R,
     ) -> (R, Vec<String>) {
         let mut asked = Vec::new();
         let result = f(&mut |step, key| {
             asked.push(format!("{} {key}", step.mapping()));
-            let (payloads, ttl) = zone
+            let payloads = zone
                 .get(key.as_str())
                 .ok_or_else(|| HnsError::Rpc(RpcError::NotFound(key.to_string())))?;
             let kind = Kind::of_key(key).expect("a meta key");
-            Ok((Arc::new(MetaRecord::decode(kind, payloads)?), *ttl))
+            Ok(Arc::new(MetaRecord::decode(kind, payloads)?))
         });
         (result, asked)
     }
@@ -873,7 +858,9 @@ mod tests {
         assert_eq!(found.info, info("nsm-b", "june", "bind-uw"));
         assert_eq!(found.host_context.name_service, "BIND");
         assert_eq!(found.host_addr_nsm, "nsm-ha-b");
-        assert_eq!(found.min_ttl, 50, "the earliest-lapsing set bounds it");
+        // The chain carries records only: which of them lapses first is the
+        // walk's to fold, and `service::tests` holds the composed expiry to
+        // the earliest part's instant, where the chain's TTL asserts were.
 
         let (found, asked) = scripted(&zone, |fetch| {
             chased("Clearinghouse", "mailboxlocation", fetch).expect("CH chain")
@@ -888,7 +875,6 @@ mod tests {
             ]
         );
         assert_eq!(found.host_addr_nsm, "nsm-ha-c");
-        assert_eq!(found.min_ttl, 25);
     }
 
     #[test]
@@ -932,8 +918,8 @@ mod tests {
         // cache's job, attaching it once the chaser's.
         let (_, asked) = scripted(&script(), |fetch| {
             let queried = ctx("bind-uw");
-            let (ctx_info, ttl) = context_info(Step::Context(&queried), fetch).expect("mapping 1");
-            assert_eq!((ctx_info.name_service.as_str(), ttl), ("BIND", 600));
+            let ctx_info = context_info(Step::Context(&queried), fetch).expect("mapping 1");
+            assert_eq!(ctx_info.name_service, "BIND");
             chased(&ctx_info.name_service, "hrpcbinding", fetch).expect("chain");
         });
         assert_eq!(asked[0], "1 ctx.bind-uw.hns");
@@ -948,7 +934,7 @@ mod tests {
         let misfiled = zone["map.bind--hostaddress.hns"].clone();
         let (result, _) = scripted(&zone, |fetch| {
             let mut misfiling = |step: Step<'_>, key: &DomainName| match step {
-                Step::HostContext(_) => Ok((Arc::new(MetaRecord::NsmName("x".into())), 1)),
+                Step::HostContext(_) => Ok(Arc::new(MetaRecord::NsmName("x".into()))),
                 _ => fetch(step, key),
             };
             chased("BIND", "hrpcbinding", &mut misfiling)
@@ -989,17 +975,15 @@ mod tests {
         meta.register_nsm("BIND", &QueryClass::host_address(), "nsm-ha-bind")
             .expect("host-address nsm");
 
-        let (ctx_info, ttl) =
+        let ctx_info =
             context_info(Step::Context(&ctx("bind-uw")), &mut live(&meta)).expect("mapping 1");
         assert_eq!(ctx_info.name_service, "BIND");
         assert_eq!(ctx_info.mapping, mapping);
-        assert_eq!(ttl, META_TTL);
         let found = chased("BIND", qc.as_str(), &mut live(&meta)).expect("chain");
         assert_eq!(found.nsm_name, "nsm-hrpcbinding-bind");
         assert_eq!(found.info, sample_info());
         assert_eq!(found.host_context, ctx_info);
         assert_eq!(found.host_addr_nsm, "nsm-ha-bind");
-        assert_eq!(found.min_ttl, META_TTL);
 
         // What a fetch decodes is what `register_*` wrote, record for
         // record, and writes back to the same payloads.
@@ -1347,7 +1331,7 @@ mod tests {
                 "{alias} must not read ee-uw's record"
             );
         }
-        let (found, _) = context_info(Step::Context(&ctx("ee-uw")), &mut live(&meta))
+        let found = context_info(Step::Context(&ctx("ee-uw")), &mut live(&meta))
             .expect("the registered context still resolves");
         assert_eq!(found.name_service, "Clearinghouse");
         // ("a", "b--c") and ("a--b", "c") once met at `map.a--b--c`; so

@@ -18,6 +18,7 @@
 //! `cached_fetch`; the chain over the five in the meta zone is
 //! [`crate::meta`]'s, run here against overlay, cache and meta server.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,7 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use simnet::obs::{LazyCounter, LazyHistogram, MetricsRegistry};
-use simnet::time::SimDuration;
+use simnet::time::{SimDuration, SimTime};
 use simnet::topology::{HostId, NetAddr};
 use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::ttl::Probe;
@@ -91,10 +92,10 @@ struct HnsMetricHandles {
 }
 
 /// Records piggybacked by the meta server on a batched fetch, each with
-/// its TTL in seconds, keyed by meta name. Consulted before the cache so
-/// the batch also serves [`CacheMode::Disabled`] runs; its demarshalling
+/// its expiry, keyed by meta name. Consulted before the cache so the
+/// batch also serves [`CacheMode::Disabled`] runs; its demarshalling
 /// cost was already charged when the `MQUERY` reply was decoded.
-type BatchOverlay = HashMap<DomainName, (Arc<MetaRecord>, u32)>;
+type BatchOverlay = HashMap<DomainName, (Arc<MetaRecord>, SimTime)>;
 
 /// Per-query accounting attached to a `FindNSM` by
 /// [`Hns::find_nsm_report`].
@@ -366,27 +367,25 @@ impl Hns {
     /// One cached fetch, the same for all six mappings: probe `key`; on a
     /// miss run `fetch` and cache what it returns. Comes back with the record — a
     /// demarshalled hit's is the cached one itself, neither copied nor
-    /// parsed — and its remaining TTL in seconds, 0 when served stale, so a
-    /// composed entry over it is uncacheable. What differs between the
-    /// meta zone and a linked NSM is passed in: `fetch`, whether its
-    /// `NotFound` is `remembered` (negatively), and its `label` in the
-    /// serve-stale trace. `key` is derived by a cache that stores, only.
+    /// parsed — and its expiry, computed here once where the TTL arrives,
+    /// or the past instant it lapsed at when served stale. What differs
+    /// between the meta zone and a linked NSM is passed in: `fetch`,
+    /// whether its `NotFound` is `remembered` (negatively), and its
+    /// `label` in the serve-stale trace. `key` is derived by a cache that
+    /// stores, only.
     fn cached_fetch(
         &self,
         key: impl FnOnce() -> MetaKey,
         (label, name): (&str, &dyn Display),
         remembered: bool,
         fetch: impl FnOnce() -> HnsResult<Fetched<MetaRecord>>,
-    ) -> HnsResult<(Arc<MetaRecord>, u32)> {
+    ) -> HnsResult<(Arc<MetaRecord>, SimTime)> {
         let world = self.world();
         // `None` from a disabled cache: nothing probed, nothing to fall
         // back on, nothing remembered.
         let cached = self.storing_cache().map(|cache| (cache, key()));
         match cached.map(|(cache, key)| cache.lookup(world, &key)) {
-            Some(CacheLookup::Hit {
-                value,
-                remaining_ttl_secs,
-            }) => return Ok((value, remaining_ttl_secs)),
+            Some(CacheLookup::Hit { value, expires_at }) => return Ok((value, expires_at)),
             Some(CacheLookup::NegativeHit) => {
                 return Err(HnsError::Rpc(RpcError::NotFound(name.to_string())))
             }
@@ -415,7 +414,7 @@ impl Hns {
                 world.trace(Some(self.host), TraceKind::Hns, || {
                     format!("stale_served: {label} {name} ({err})")
                 });
-                return Ok((stale, 0));
+                return Ok(stale);
             }
             Err(err) => {
                 let absent = matches!(err, HnsError::Rpc(RpcError::NotFound(_)));
@@ -425,11 +424,12 @@ impl Hns {
                 return Err(err);
             }
         };
+        let expires_at = world.now().after_secs(fetched.ttl_secs);
         let record = Arc::new(fetched.value);
         if let Some((cache, key)) = cached {
-            cache.insert_shared(world, key, &record, fetched.rrs, fetched.ttl_secs);
+            cache.insert_shared(world, key, &record, fetched.rrs, expires_at);
         }
-        Ok((record, fetched.ttl_secs))
+        Ok((record, expires_at))
     }
 
     /// Mappings 1–5: the record at `key` in the meta zone. The overlay
@@ -439,10 +439,10 @@ impl Hns {
         &self,
         key: &DomainName,
         overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<(Arc<MetaRecord>, u32)> {
-        if let Some((record, ttl_secs)) = overlay.and_then(|o| o.get(key)) {
+    ) -> HnsResult<(Arc<MetaRecord>, SimTime)> {
+        if let Some((record, expires_at)) = overlay.and_then(|o| o.get(key)) {
             self.world().cache_outcome(CacheOutcome::Overlay);
-            return Ok((Arc::clone(record), *ttl_secs));
+            return Ok((Arc::clone(record), *expires_at));
         }
         let fetch = || self.meta.fetch(key);
         self.cached_fetch(|| MetaKey::meta(key), ("meta", key), true, fetch)
@@ -450,7 +450,7 @@ impl Hns {
 
     /// Mapping 6: NSM host name → address, via the linked host-address NSM
     /// the chain found for the host's name service.
-    fn host_address(&self, chased: &Chased<'_>) -> HnsResult<(HostId, u32)> {
+    fn host_address(&self, chased: &Chased<'_>) -> HnsResult<(HostId, SimTime)> {
         let (info, ha_nsm_name) = (chased.info, chased.host_addr_nsm);
         let (host_ns, host_name) = (&chased.host_context.name_service, &info.host_name);
         let fetch = || {
@@ -483,8 +483,8 @@ impl Hns {
         let key = || MetaKey::host_addr(host_ns, host_name);
         // A linked NSM's `NotFound` is one name service's word about one
         // host, not the meta zone's about a name: it is not remembered.
-        let (record, ttl) = self.cached_fetch(key, ("hostaddr", host_name), false, fetch)?;
-        Ok((record.as_host_addr()?, ttl))
+        let (record, expires_at) = self.cached_fetch(key, ("hostaddr", host_name), false, fetch)?;
+        Ok((record.as_host_addr()?, expires_at))
     }
 
     /// Speculatively fetches the whole meta-mapping chain for (`context`,
@@ -511,12 +511,12 @@ impl Hns {
         // Every set the reply carried seeds both the cache and the overlay.
         let primary = batch.primary.map(|fetched| (ctx_key, fetched));
         for (key, fetched) in primary.into_iter().chain(batch.additional) {
+            let expires_at = world.now().after_secs(fetched.ttl_secs);
             let record = Arc::new(fetched.value);
             if let Some(cache) = cache {
-                let (rrs, ttl_secs) = (fetched.rrs, fetched.ttl_secs);
-                cache.insert_shared(world, MetaKey::meta(&key), &record, rrs, ttl_secs);
+                cache.insert_shared(world, MetaKey::meta(&key), &record, fetched.rrs, expires_at);
             }
-            overlay.insert(key, (record, fetched.ttl_secs));
+            overlay.insert(key, (record, expires_at));
         }
         Ok(overlay)
     }
@@ -583,11 +583,12 @@ impl Hns {
 
         self.record_query_metrics(&world, batched, remote_round_trips, took, result.is_err());
 
-        let (binding, min_ttl) = result?;
-        // A zero `min_ttl` (some constituent was stale-served) is refused
-        // by the insert, so composed entries never outlive their parts.
+        let (binding, expires_at) = result?;
+        // An instant at or before now (a part was served stale, or lapsed
+        // while the walk ran) is refused by the insert.
+        let context = name.context.as_str();
         self.binding_cache
-            .insert(&world, qc.as_str(), name.context.as_str(), binding, min_ttl);
+            .insert_until(&world, qc.as_str(), context, binding, expires_at);
         Ok((
             binding,
             FindNsmReport {
@@ -684,9 +685,9 @@ impl Hns {
         })
     }
 
-    /// The mapping walk. Returns the binding plus the minimum remaining
-    /// TTL across the six mapping entries consulted — the freshness
-    /// bound for a composed (query class, context) entry.
+    /// The mapping walk. Returns the binding plus the earliest expiry of
+    /// the six parts it read, folded here as each arrives — when a
+    /// composed (query class, context) entry of it must expire.
     ///
     /// The chain is [`crate::meta`]'s; supplied here are its record sets
     /// (overlay, cache, meta server) and what surrounds each fetch (span,
@@ -700,7 +701,7 @@ impl Hns {
         qc: &QueryClass,
         name: &HnsName,
         batched: bool,
-    ) -> HnsResult<(HrpcBinding, u32)> {
+    ) -> HnsResult<(HrpcBinding, SimTime)> {
         // With batching enabled, one MQUERY fetches mapping 1 and lets the
         // meta server's chaser piggyback mappings 2-5; the walk below then
         // runs against the overlay instead of making per-mapping calls.
@@ -714,13 +715,18 @@ impl Hns {
             None
         };
         let origin = self.meta.origin();
+        // The earliest instant among the parts fetched since it was reset.
+        let earliest = Cell::new(SimTime::MAX);
         let fetch: &mut Fetch<'_> = &mut |step, key| {
-            self.with_mapping(step.mapping(), step, || {
+            let (record, expires_at) = self.with_mapping(step.mapping(), step, || {
                 self.meta_fetch(key, overlay.as_ref())
-            })
+            })?;
+            earliest.set(earliest.get().min(expires_at));
+            Ok(record)
         };
         // Mapping 1: Context -> Name Service Name.
-        let (record, ttl1) = meta::ask(origin, Step::Context(&name.context), fetch)?;
+        let record = meta::ask(origin, Step::Context(&name.context), fetch)?;
+        let mapping1 = earliest.replace(SimTime::MAX);
         let ctx_info = record.as_context()?;
         if self.binding_cache.enabled() {
             // The outcome lands on the `FindNSM` span: mapping 1's own
@@ -730,12 +736,9 @@ impl Hns {
                 .binding_cache
                 .lookup_service(world, qc.as_str(), &ctx_info.name_service)
             {
-                Probe::Live {
-                    value,
-                    remaining_secs,
-                } => {
+                Probe::Live { value, expires_at } => {
                     world.cache_outcome(CacheOutcome::Hit);
-                    return Ok((value, ttl1.min(remaining_secs)));
+                    return Ok((value, mapping1.min(expires_at)));
                 }
                 Probe::Expired => world.cache_outcome(CacheOutcome::Expired),
                 Probe::Absent => world.cache_outcome(CacheOutcome::Miss),
@@ -748,7 +751,7 @@ impl Hns {
             let info = chased.info;
             // Mapping 6: NSM host name -> address.
             let label = format_args!("host {} -> address", info.host_name);
-            let (host, ttl6) = self.with_mapping(6, label, || self.host_address(&chased))?;
+            let (host, mapping6) = self.with_mapping(6, label, || self.host_address(&chased))?;
             let binding = HrpcBinding {
                 host,
                 addr: NetAddr::of(host),
@@ -759,16 +762,16 @@ impl Hns {
             self.world().trace(Some(self.host), TraceKind::Hns, || {
                 format!("FindNSM -> {} at {host}:{}", chased.nsm_name, info.port)
             });
-            let service_ttl = chased.min_ttl.min(ttl6);
-            // Refused while the composed cache is off, and for a zero TTL.
+            let service = earliest.get().min(mapping6);
+            // Refused while the composed cache is off, and at or before now.
             self.binding_cache.insert_service(
                 self.world(),
                 qc.as_str(),
                 name_service,
                 binding,
-                service_ttl,
+                service,
             );
-            Ok((binding, ttl1.min(service_ttl)))
+            Ok((binding, mapping1.min(service)))
         })
     }
 
@@ -863,7 +866,8 @@ impl Hns {
                 continue;
             };
             let (record, key) = (Arc::new(fetched.value), MetaKey::meta(name));
-            cache.preload_insert(self.world(), key, &record, fetched.rrs, fetched.ttl_secs);
+            let expires_at = self.world().now().after_secs(fetched.ttl_secs);
+            cache.preload_insert(self.world(), key, &record, fetched.rrs, expires_at);
             entries += 1;
         }
         entries
@@ -895,5 +899,202 @@ impl std::fmt::Debug for Hns {
             .field("host", &self.host)
             .field("cache", &self.cache)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaser::MetaChaser;
+    use crate::nsm::SuiteTag;
+    use bindns::server::{deploy, single_zone_server};
+    use bindns::zone::Zone;
+    use hrpc::server::Reply;
+    use proptest::prelude::*;
+    use simnet::faults::FaultPlan;
+    use wire::Value;
+
+    /// Mapping 6: a linked host-address NSM answering after `delay_ms`
+    /// with a TTL of `ttl` seconds.
+    struct SlowHostAddr {
+        world: Arc<World>,
+        ttl: u32,
+        delay_ms: f64,
+    }
+
+    impl Nsm for SlowHostAddr {
+        fn nsm_name(&self) -> &str {
+            "nsm-ha"
+        }
+        fn query_class(&self) -> QueryClass {
+            QueryClass::host_address()
+        }
+        fn handle(&self, _: &NsmRequest) -> Result<Reply, RpcError> {
+            self.world.charge_ms(self.delay_ms);
+            let reply = [("host", Value::U32(7)), ("ttl", Value::U32(self.ttl))];
+            Ok(Reply::Tree(Value::record(reply)))
+        }
+    }
+
+    fn ctx(name: &str) -> Context {
+        Context::new(name).expect("context")
+    }
+
+    /// An HNS over a meta server whose chain for `ctx-a` and `ctx-b` (both
+    /// on `NS`) has record TTLs `ttls` — mapping 1 of `ctx-a`, mappings
+    /// 2–5, mapping 6 (the linked NSM's answer), mapping 1 of `ctx-b` —
+    /// with every call to the meta server slowed by `meta_ms` and the
+    /// linked NSM by `linked_ms`. Reading a cache costs nothing in its
+    /// world, so a probe looks at the instant it is made.
+    fn hns(ttls: [u32; 7], meta_ms: f64, linked_ms: f64) -> Hns {
+        let world = World::new(simnet::CostModel {
+            cache_probe: 0.0,
+            demar_hit_base: 0.0,
+            demar_hit_per_rr: 0.0,
+            ..simnet::CostModel::paper_calibrated()
+        });
+        let (client, meta_host) = (world.add_host("client"), world.add_host("meta"));
+        let net = RpcNet::new(Arc::clone(&world));
+        let origin = DomainName::parse("hns").expect("origin");
+        let zone = Zone::new(origin.clone(), 600);
+        let meta = deploy(&net, meta_host, single_zone_server("meta", zone, true));
+        meta.server
+            .set_additional_provider(MetaChaser::new(origin.clone()));
+        let hns = Hns::new(
+            net,
+            client,
+            meta.hrpc_binding,
+            origin,
+            CacheMode::Demarshalled,
+        );
+        let ns_context = |name: &str, ttl| {
+            hns.meta().set_record_ttl(ttl);
+            hns.register_context(&ctx(name), "NS", &NameMapping::Identity)
+        };
+        ns_context("ctx-a", ttls[0]).expect("mapping 1");
+        hns.meta().set_record_ttl(ttls[1]);
+        hns.register_nsm("NS", &QueryClass::hrpc_binding(), "nsm-q")
+            .expect("mapping 2");
+        hns.meta().set_record_ttl(ttls[2]);
+        hns.register_nsm_info(&NsmInfo {
+            nsm_name: "nsm-q".into(),
+            host_name: "nsm-host".into(),
+            host_context: ctx("ctx-h"),
+            program: ProgramId(300_001),
+            port: 1025,
+            suite: SuiteTag::Sun,
+            version: 1,
+            owner: "hcs".into(),
+        })
+        .expect("mapping 3");
+        ns_context("ctx-h", ttls[3]).expect("mapping 4");
+        hns.meta().set_record_ttl(ttls[4]);
+        hns.register_nsm("NS", &QueryClass::host_address(), "nsm-ha")
+            .expect("mapping 5");
+        ns_context("ctx-b", ttls[6]).expect("mapping 1 of ctx-b");
+        let (ttl, delay_ms) = (ttls[5], linked_ms);
+        let world = Arc::clone(&world);
+        hns.link_nsm(Arc::new(SlowHostAddr {
+            world,
+            ttl,
+            delay_ms,
+        }));
+        hns.set_binding_cache(true);
+        let mut plan = FaultPlan::new();
+        plan.latency_spike(client, meta_host, SimTime::ZERO, None, meta_ms);
+        hns.world().set_faults(Some(plan));
+        hns
+    }
+
+    /// When the part `key` names expires: the instant its per-mapping
+    /// entry was filed under, live or lapsed.
+    fn part(hns: &Hns, key: MetaKey) -> SimTime {
+        match hns.cache.lookup(hns.world(), &key) {
+            CacheLookup::Hit { expires_at, .. } => expires_at,
+            _ => hns.cache.lookup_stale(hns.world(), &key).expect("a part").1,
+        }
+    }
+
+    /// Both composed levels of a walk just made in `context` expire with
+    /// their earliest part, to the microsecond: the service level with
+    /// mappings 2–6, the context level with those and mapping 1. The
+    /// service level says its instant; the context level is probed 1 µs
+    /// before the instant and at it, so the clock ends there. A level
+    /// whose earliest part had lapsed by the end of the walk holds nothing.
+    fn check_composed(hns: &Hns, context: &str) {
+        let (world, qc) = (hns.world(), QueryClass::hrpc_binding());
+        let meta = |step: Step<'_>| MetaKey::meta(&step.key(hns.meta.origin()).expect("key"));
+        let (ctx_h, host_address) = (ctx("ctx-h"), QueryClass::host_address());
+        let parts = [
+            meta(Step::NsmName("NS", qc.as_str())),
+            meta(Step::NsmInfo("nsm-q")),
+            meta(Step::HostContext(&ctx_h)),
+            meta(Step::HostAddrNsm("NS", host_address.as_str())),
+            MetaKey::host_addr("NS", "nsm-host"),
+        ];
+        let service = parts.into_iter().map(|key| part(hns, key)).min();
+        let service = service.expect("five parts");
+        let whole = service.min(part(hns, meta(Step::Context(&ctx(context)))));
+        let now = world.now();
+        match hns.binding_cache.lookup_service(world, qc.as_str(), "NS") {
+            Probe::Live { expires_at, .. } => assert_eq!(expires_at, service),
+            _ => assert!(service <= now, "{service:?} is after {now:?}"),
+        }
+        let live = || {
+            hns.binding_cache
+                .lookup(world, qc.as_str(), context)
+                .is_some()
+        };
+        if whole > now {
+            world.charge(whole.since(now) - SimDuration::from_us(1));
+            assert!(live(), "live 1 µs before {whole:?}");
+            world.charge(SimDuration::from_us(1));
+        }
+        assert!(!live(), "lapsed at {whole:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The composed expiry is the earliest part expiry, to the
+        /// microsecond, over random part TTLs and walk delays, in the
+        /// three shapes a composed entry is made in: a cold walk, a walk
+        /// served from the batch overlay, and a service-level hit under a
+        /// freshly fetched mapping 1, its service parts `left_us` short of
+        /// lapsing — under a second, often — when that walk began (or,
+        /// when one lapses while mapping 1 is fetched, a walk over the
+        /// parts still cached).
+        #[test]
+        fn a_composed_entry_expires_with_its_earliest_part(
+            ttls in proptest::collection::vec(prop_oneof![1u32..=8, 9u32..=600], 7..8),
+            meta_ms in 0.0f64..1_500.0,
+            linked_ms in 0.0f64..1_500.0,
+            shape in 0u8..3,
+            left_us in 0u64..1_500_000,
+        ) {
+            let hns = hns(ttls.try_into().expect("seven TTLs"), meta_ms, linked_ms);
+            let find = |context: &str| {
+                let name = HnsName::new(ctx(context), "x").expect("name");
+                let found = hns.find_nsm_report(&QueryClass::hrpc_binding(), &name);
+                found.expect("the walk").1.remote_round_trips
+            };
+            hns.set_batching(shape == 1);
+            // Five meta fetches, or one batch that the overlay serves.
+            prop_assert_eq!(find("ctx-a"), if shape == 1 { 1 } else { 5 });
+            if shape == 2 {
+                let world = hns.world();
+                let qc = QueryClass::hrpc_binding();
+                if let Probe::Live { expires_at, .. } =
+                    hns.binding_cache.lookup_service(world, qc.as_str(), "NS")
+                {
+                    let left = expires_at.since(world.now());
+                    world.charge(left.saturating_sub(SimDuration::from_us(left_us)));
+                }
+                find("ctx-b");
+                check_composed(&hns, "ctx-b");
+            } else {
+                check_composed(&hns, "ctx-a");
+            }
+        }
     }
 }

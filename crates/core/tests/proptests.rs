@@ -140,7 +140,6 @@ proptest! {
         // either. TTLs are either 1 s (expired by any 2 s advance, with
         // a margin far exceeding the sub-ms cost charges lookups add) or
         // 10_000 s (never expires in-sequence).
-        use simnet::time::SimDuration;
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
         let key_of = |k: usize| MetaKey::host_addr("NS", &format!("host-{k}"));
@@ -150,7 +149,7 @@ proptest! {
             match op {
                 0 => {
                     let ttl_secs = if long_ttl { 10_000 } else { 1 };
-                    let expires = world.now() + SimDuration::from_ms(u64::from(ttl_secs) * 1000);
+                    let expires = world.now().after_secs(ttl_secs);
                     cache.insert(&world, key_of(k), &Value::U32(v), 1, ttl_secs);
                     model.insert(k, (v, expires));
                 }

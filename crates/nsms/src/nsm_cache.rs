@@ -114,13 +114,14 @@ impl<V: Cacheable> NsmCache<V> {
         value
     }
 
-    /// Inserts a completed result.
+    /// Inserts a completed result, valid for `ttl_secs` from now.
     pub fn insert(&self, world: &World, key: impl NsmKey, value: &V, rrs: usize, ttl_secs: u32)
     where
         V: Clone,
     {
         if let Some(stored) = Stored::store(self.form, value) {
-            key.with_parts(|parts| self.map.insert(world.now(), parts, (stored, rrs), ttl_secs));
+            let (now, entry) = (world.now(), (stored, rrs));
+            key.with_parts(|parts| self.map.insert(now, parts, entry, now.after_secs(ttl_secs)));
         }
     }
 
@@ -221,7 +222,12 @@ mod tests {
         world.tracer.set_enabled(true);
         let cache = NsmCache::new(NsmCacheForm::Marshalled);
         let garbage = Stored::Bytes([0xff_u8; 3].as_slice().into());
-        cache.map.insert(world.now(), &[b"k"], (garbage, 1), 600);
+        cache.map.insert(
+            world.now(),
+            &[b"k"],
+            (garbage, 1),
+            world.now().after_secs(600),
+        );
         let span = world.span(None, simnet::trace::TraceKind::Nsm, "probe");
         assert!(cache.get(&world, "k").is_none());
         drop(span);

@@ -21,6 +21,9 @@ impl SimTime {
     /// The origin of the virtual timeline.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The last instant, from which the earliest of several expiries folds.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates an instant `us` microseconds after the origin.
     pub const fn from_us(us: u64) -> Self {
         SimTime(us)
@@ -34,6 +37,11 @@ impl SimTime {
     /// Returns the instant as whole microseconds since the origin.
     pub const fn as_us(self) -> u64 {
         self.0
+    }
+
+    /// The instant `secs` seconds after this one: a record's TTL as expiry.
+    pub fn after_secs(self, secs: u32) -> SimTime {
+        SimTime(self.0 + u64::from(secs) * 1_000_000)
     }
 
     /// Returns the instant as fractional milliseconds since the origin.
@@ -57,11 +65,6 @@ impl SimTime {
                 .checked_sub(earlier.0)
                 .expect("virtual time ran backwards"),
         )
-    }
-
-    /// Saturating duration since `earlier`; zero if `earlier` is later.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -215,6 +218,8 @@ mod tests {
         assert_eq!(SimDuration::from_ms(3).as_us(), 3000);
         assert_eq!(SimTime::from_ms(2).as_us(), 2000);
         assert_eq!(SimDuration::from_us(1500).as_ms_f64(), 1.5);
+        assert_eq!(SimTime::from_ms(2).after_secs(3).as_us(), 3_002_000);
+        assert!(SimTime::MAX > SimTime::ZERO.after_secs(u32::MAX));
     }
 
     #[test]
@@ -251,10 +256,6 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        assert_eq!(
-            SimTime::from_ms(1).saturating_since(SimTime::from_ms(2)),
-            SimDuration::ZERO
-        );
         assert_eq!(
             SimDuration::from_ms(1).saturating_sub(SimDuration::from_ms(2)),
             SimDuration::ZERO

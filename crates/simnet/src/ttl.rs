@@ -16,6 +16,12 @@
 //!
 //! One behaviour, no options:
 //!
+//! * Freshness is an instant. An insert files its entry under the
+//!   `expires_at` its caller computed once, where the TTL arrived
+//!   ([`SimTime::after_secs`]), and a live probe hands that instant back,
+//!   so a cache built from several entries can expire with the earliest of
+//!   them, to the microsecond. An instant at or before `now` files an
+//!   entry that is already expired, as a TTL of 0 does.
 //! * An entry is live while `now < expires_at`; at `now == expires_at` it
 //!   is expired.
 //! * An expired entry is hidden from [`TtlMap::probe`] but **retained**
@@ -67,7 +73,7 @@ use obs::MetricsRegistry;
 use parking_lot::Mutex;
 
 use crate::index::Index;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// The most entries one [`TtlMap`] holds, expired ones included: every
 /// cache in the tower has this bound and no way to choose another.
@@ -111,13 +117,6 @@ struct Slot<V> {
 }
 
 impl<V> Slot<V> {
-    /// Validity left at `now`, rounded up to whole seconds so a fresh
-    /// entry reports its full TTL.
-    fn remaining_secs(&self, now: SimTime) -> u32 {
-        let us = self.expires_at.saturating_since(now).as_us();
-        u32::try_from(us.div_ceil(1_000_000)).unwrap_or(u32::MAX)
-    }
-
     /// The slot's key, read from `arena`.
     fn key<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
         &arena[self.key_at as usize..][..usize::from(self.key_len)]
@@ -127,12 +126,12 @@ impl<V> Slot<V> {
 /// Outcome of [`TtlMap::probe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe<R> {
-    /// A live entry: what the reader returned, and the validity left.
+    /// A live entry: what the reader returned, and when the entry expires.
     Live {
         /// The reader's result.
         value: R,
-        /// Seconds of validity the entry still has.
-        remaining_secs: u32,
+        /// The instant the entry was filed to expire at.
+        expires_at: SimTime,
     },
     /// An entry is resident but its TTL has lapsed.
     Expired,
@@ -406,7 +405,7 @@ impl<V> TtlMap<V> {
                 bump(&self.counters.hits);
                 Probe::Live {
                     value: read(&slot.value),
-                    remaining_secs: slot.remaining_secs(now),
+                    expires_at: slot.expires_at,
                 }
             }
             Some(slot) => {
@@ -425,7 +424,7 @@ impl<V> TtlMap<V> {
     }
 
     /// The serve-stale probe: hands an **expired** entry to `read` and
-    /// returns what it made of it with how long the entry has been stale.
+    /// returns what it made of it with the instant the entry lapsed at.
     /// `read` returns `None` for an entry that is not servable (a cached
     /// absence). Live and absent keys return `None`. Counts one
     /// `stale_serves` on success and nothing otherwise.
@@ -434,33 +433,32 @@ impl<V> TtlMap<V> {
         now: SimTime,
         key: &Key<'_>,
         read: impl FnOnce(&V) -> Option<R>,
-    ) -> Option<(R, SimDuration)> {
+    ) -> Option<(R, SimTime)> {
         let entries = self.entries.lock();
         let slot = entries.get(key).filter(|slot| now >= slot.expires_at)?;
         let value = read(&slot.value)?;
         bump(&self.counters.stale_serves);
-        Some((value, now.since(slot.expires_at)))
+        Some((value, slot.expires_at))
     }
 
-    /// Reads a live entry (with its remaining seconds, as
-    /// [`Probe::Live`] reports them) without counting anything.
+    /// Reads a live entry without counting anything.
     pub fn peek_live<R>(
         &self,
         now: SimTime,
         key: &Key<'_>,
         read: impl FnOnce(&V) -> R,
-    ) -> Option<(R, u32)> {
+    ) -> Option<R> {
         let entries = self.entries.lock();
         let slot = entries.get(key).filter(|slot| now < slot.expires_at)?;
-        Some((read(&slot.value), slot.remaining_secs(now)))
+        Some(read(&slot.value))
     }
 
-    /// Inserts `value` under `key`, valid for `ttl_secs` from `now`. An
-    /// existing entry — live or expired — is overwritten in place; a new
-    /// key finding the map full makes room first (the module's
-    /// capacity rule), which is the only time anything is evicted.
-    pub fn insert(&self, now: SimTime, key: &Key<'_>, value: V, ttl_secs: u32) {
-        let expires_at = now + SimDuration::from_ms(u64::from(ttl_secs) * 1000);
+    /// Inserts `value` under `key`, to expire at `expires_at` — already
+    /// expired if that is not after `now`. An existing entry — live or
+    /// expired — is overwritten in place; a new key finding the map full
+    /// makes room first (the module's capacity rule), which is the only
+    /// time anything is evicted.
+    pub fn insert(&self, now: SimTime, key: &Key<'_>, value: V, expires_at: SimTime) {
         let mut entries = self.entries.lock();
         let hash = entries.hasher()(key);
         match entries.find(hash, key) {
@@ -577,6 +575,7 @@ impl<V> std::fmt::Debug for TtlMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -656,8 +655,8 @@ mod tests {
             for (op, k, value, n) in ops {
                 match op {
                     0..=2 => {
-                        map.insert(now, &split(&key(k), n), value, n);
-                        let expires_at = now + SimDuration::from_ms(u64::from(n) * 1000);
+                        let expires_at = now.after_secs(n);
+                        map.insert(now, &split(&key(k), n), value, expires_at);
                         // Overwriting starts a new lifetime: the expiry
                         // of the old entry no longer counts as seen.
                         model.entries.insert(k, (value, expires_at, false));
@@ -667,8 +666,7 @@ mod tests {
                         let expected = match model.entries.get_mut(&k) {
                             Some((v, expires_at, _)) if now < *expires_at => {
                                 model.stats.hits += 1;
-                                let left = expires_at.since(now).as_us().div_ceil(1_000_000);
-                                Probe::Live { value: *v, remaining_secs: left as u32 }
+                                Probe::Live { value: *v, expires_at: *expires_at }
                             }
                             Some((_, _, seen)) => {
                                 model.stats.expired += 1;
@@ -699,7 +697,7 @@ mod tests {
                     5 => {
                         let expected = match model.entries.get(&k) {
                             Some((v, expires_at, _)) if now >= *expires_at => {
-                                servable(v).map(|v| (v, now.since(*expires_at)))
+                                servable(v).map(|v| (v, *expires_at))
                             }
                             _ => None,
                         };
@@ -708,10 +706,7 @@ mod tests {
                     }
                     6 => {
                         let expected = match model.entries.get(&k) {
-                            Some((v, expires_at, _)) if now < *expires_at => {
-                                let left = expires_at.since(now).as_us().div_ceil(1_000_000);
-                                Some((*v, left as u32))
-                            }
+                            Some((v, expires_at, _)) if now < *expires_at => Some(*v),
                             _ => None,
                         };
                         prop_assert_eq!(map.peek_live(now, &split(&key(k), n), |v| *v), expected);
@@ -756,7 +751,7 @@ mod tests {
                     0 | 1 => {
                         let before: Vec<(u8, SimTime)> =
                             model.iter().map(|(k, at)| (*k, *at)).collect();
-                        map.insert(now, &split(&key(k), n), u32::from(k), n);
+                        map.insert(now, &split(&key(k), n), u32::from(k), now.after_secs(n));
                         let (kept, dropped): (Vec<_>, Vec<_>) =
                             before.iter().partition(|(k, _)| holds(*k));
                         if before.len() < CAPACITY || model.contains_key(&k) {
@@ -776,7 +771,7 @@ mod tests {
                         for (k, _) in dropped {
                             model.remove(&k);
                         }
-                        model.insert(k, now + SimDuration::from_ms(u64::from(n) * 1000));
+                        model.insert(k, now.after_secs(n));
                         prop_assert!(holds(k));
                     }
                     2 => {
@@ -785,7 +780,7 @@ mod tests {
                             Some(at) if now < *at => Some(u32::from(k)),
                             _ => None,
                         };
-                        prop_assert_eq!(map.peek_live(now, &split(&key(k), n), |v| *v).map(|(v, _)| v), expected);
+                        prop_assert_eq!(map.peek_live(now, &split(&key(k), n), |v| *v), expected);
                         let _ = map.probe(now, &split(&key(k), n), |v| *v);
                         prop_assert_eq!(holds(k), model.contains_key(&k));
                     }
@@ -840,7 +835,7 @@ mod tests {
                     0..=3 => {
                         let before: Vec<(u8, SimTime)> =
                             model.entries.iter().map(|(k, (_, at, _))| (*k, *at)).collect();
-                        map.insert(now, &split(&key(k), n), value, n);
+                        map.insert(now, &split(&key(k), n), value, now.after_secs(n));
                         if before.len() == CAPACITY && !model.entries.contains_key(&k) {
                             let expired = before.iter().filter(|(_, at)| now >= *at).count();
                             let (kept, dropped): (Vec<_>, Vec<_>) = before
@@ -857,16 +852,14 @@ mod tests {
                             }
                             model.discarded = 0;
                         }
-                        let expires_at = now + SimDuration::from_ms(u64::from(n) * 1000);
-                        model.entries.insert(k, (value, expires_at, false));
+                        model.entries.insert(k, (value, now.after_secs(n), false));
                         model.stats.inserts += 1;
                     }
                     4..=6 => {
                         let expected = match model.entries.get_mut(&k) {
                             Some((v, expires_at, _)) if now < *expires_at => {
                                 model.stats.hits += 1;
-                                let left = expires_at.since(now).as_us().div_ceil(1_000_000);
-                                Probe::Live { value: *v, remaining_secs: left as u32 }
+                                Probe::Live { value: *v, expires_at: *expires_at }
                             }
                             Some((_, _, seen)) => {
                                 model.stats.expired += 1;
@@ -924,23 +917,25 @@ mod tests {
         // TTLs 1..=64 s, so the key inserted i-th expires i-th.
         let filled: Vec<u64> = keys.by_ref().take(64).collect();
         for (i, key) in filled.iter().enumerate() {
-            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], *key, i as u32 + 1);
+            let expires_at = SimTime::ZERO.after_secs(i as u32 + 1);
+            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], *key, expires_at);
         }
         assert_eq!((map.resident(), map.stats().evictions), (64, 0));
         let holds = |key: &u64| map.entries.lock().get(&[&key.to_le_bytes()]).is_some();
 
         // All live: the eight soonest to expire go.
-        map.insert(SimTime::ZERO, &[&64u64.to_le_bytes()], 0, 100);
+        let late = SimTime::ZERO.after_secs(100);
+        map.insert(SimTime::ZERO, &[&64u64.to_le_bytes()], 0, late);
         assert_eq!((map.resident(), map.stats().evictions), (57, 8));
         assert!(!filled[..8].iter().any(holds) && filled[8..].iter().all(holds));
 
         // Refill; by 20 s the twelve oldest left have expired, which is
         // more than an eighth: they all go and no live entry does.
         for key in (65u64..).take(7) {
-            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], 0, 100);
+            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], 0, late);
         }
         assert_eq!(map.resident(), 64);
-        map.insert(SimTime::from_ms(20_000), &[&72u64.to_le_bytes()], 0, 100);
+        map.insert(SimTime::from_ms(20_000), &[&72u64.to_le_bytes()], 0, late);
         assert_eq!((map.resident(), map.stats().evictions), (53, 20));
         assert!(!filled[..20].iter().any(holds) && filled[20..].iter().all(holds));
     }
@@ -953,7 +948,12 @@ mod tests {
         let keys = (0..CAPACITY as u64).map(|i| format!("n{i}.cell0.hns"));
         let mut bytes = 0;
         for key in keys {
-            map.insert(SimTime::ZERO, &[key.as_bytes()], (), 60);
+            map.insert(
+                SimTime::ZERO,
+                &[key.as_bytes()],
+                (),
+                SimTime::ZERO.after_secs(60),
+            );
             bytes += key.len();
         }
         let arena = map.entries.lock().arena.capacity();
@@ -966,7 +966,7 @@ mod tests {
     #[test]
     fn export_publishes_the_view_and_stale_serves_only_once_nonzero() {
         let map: TtlMap<u32> = TtlMap::default();
-        map.insert(SimTime::ZERO, &[b"k"], 2, 1);
+        map.insert(SimTime::ZERO, &[b"k"], 2, SimTime::ZERO.after_secs(1));
         let metrics = MetricsRegistry::new();
         map.export(&metrics, "c", &[("hits", 3), ("entries", 1)]);
         let snap = metrics.snapshot();
@@ -985,13 +985,23 @@ mod tests {
         let map: TtlMap<u64> = TtlMap::with_capacity(2);
         let metrics = MetricsRegistry::new();
         for key in 0u64..2 {
-            map.insert(SimTime::ZERO, &[&key.to_le_bytes()], key, 1);
+            map.insert(
+                SimTime::ZERO,
+                &[&key.to_le_bytes()],
+                key,
+                SimTime::ZERO.after_secs(1),
+            );
         }
         map.export(&metrics, "c", &[]);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("c", "evictions"), None);
         assert_eq!(snap.counter("c", "resident"), None);
-        map.insert(SimTime::ZERO, &[&2u64.to_le_bytes()], 0, 1);
+        map.insert(
+            SimTime::ZERO,
+            &[&2u64.to_le_bytes()],
+            0,
+            SimTime::ZERO.after_secs(1),
+        );
         map.export(&metrics, "c", &[]);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("c", "evictions"), Some(1));
@@ -1013,7 +1023,7 @@ mod tests {
                         let (t, k8) = (t.to_le_bytes(), k.to_le_bytes());
                         let key: [&[u8]; 2] = [&t, &k8];
                         assert_eq!(map.probe(SimTime::ZERO, &key, |v| *v), Probe::Absent);
-                        map.insert(SimTime::ZERO, &key, k, 1);
+                        map.insert(SimTime::ZERO, &key, k, SimTime::ZERO.after_secs(1));
                         assert!(matches!(
                             map.probe(SimTime::ZERO, &key, |v| *v),
                             Probe::Live { value, .. } if value == k

@@ -149,6 +149,13 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
         assert_eq!((d.probe)(), None, "{name}: a cold probe misses");
         assert_eq!(stale(), d.stale.as_ref().map(|_| false), "{name}: absent");
 
+        // An insert whose expiry is `now` (TTL 0) files an entry expired on
+        // arrival: no live probe returns it, and the caches that serve
+        // stale hold it. The composed cache refuses it outright.
+        (d.insert)(0);
+        assert_eq!((d.probe)(), None, "{name}: expired on arrival");
+        assert_eq!(stale(), d.stale.as_ref().map(|_| true), "{name}: filed");
+
         // A live hit hands out the stored allocation, not a copy of it.
         (d.insert)(2);
         let first = (d.probe)().unwrap_or_else(|| panic!("{name}: live hit"));
@@ -174,7 +181,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
 
         assert_eq!(
             (d.hits_and_others)(),
-            (3, 2),
+            (3, 3),
             "{name}: every probe is a hit or exactly one kind of miss"
         );
 

@@ -4,14 +4,21 @@
 use std::sync::Arc;
 
 use hns_repro::baselines::reregistration::{Reregistrar, SourceService};
+use hns_repro::bindns::resolver::StdResolver;
 use hns_repro::bindns::rr::RType;
 use hns_repro::bindns::update::UpdateOp;
 use hns_repro::bindns::ResourceRecord;
 use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hns_core::query::QueryClass;
+use hns_repro::hns_core::service::Hns;
+use hns_repro::hns_core::META_TTL;
+use hns_repro::hrpc::ControlProtocol;
 use hns_repro::nsms::harness::{Testbed, NS_BIND, NS_CH};
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
+use hns_repro::nsms::HostAddrBindNsm;
+use hns_repro::simnet::faults::FaultPlan;
+use hns_repro::simnet::time::{SimDuration, SimTime};
 use hns_repro::simnet::World;
 
 #[test]
@@ -97,6 +104,152 @@ fn a_rebound_context_is_followed_to_the_other_services_composed_entry() {
         "mapping 1 alone was refetched"
     );
     assert_eq!(hns.binding_cache_service_stats().hits, service_hits + 1);
+}
+
+/// A testbed after one cold `FindNSM` of `bind-uw` with the composed
+/// cache on, whose mapping 6 met a crashed public BIND and retried for
+/// over two seconds of virtual time after mappings 1–5 had arrived.
+struct StretchedWalk {
+    tb: Testbed,
+    hns: Hns,
+    /// When the walk's span of each mapping (1–6) closed: when its part
+    /// arrived.
+    arrived: [SimTime; 7],
+}
+
+impl StretchedWalk {
+    fn new() -> StretchedWalk {
+        let tb = Testbed::build();
+        tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
+        let (net, client) = (Arc::clone(&tb.net), tb.hosts.client);
+        let meta = tb.meta_bind.hrpc_binding;
+        let hns = Hns::new(
+            net,
+            client,
+            meta,
+            tb.meta_origin.clone(),
+            CacheMode::Demarshalled,
+        );
+        // Mapping 6's resolver tries an unreachable server eight times,
+        // backing off 50, 100, … up to 800 ms between tries.
+        let mut patient = tb.public_bind.std_binding;
+        patient.components.control = ControlProtocol::Raw {
+            max_attempts: 8,
+            at_most_once: true,
+        };
+        let resolver = Arc::new(StdResolver::new(Arc::clone(&tb.net), client, patient));
+        hns.link_nsm(HostAddrBindNsm::new(resolver, NameMapping::Identity));
+        hns.set_binding_cache(true);
+
+        let (world, start) = (Arc::clone(&tb.world), tb.world.now());
+        let mut plan = FaultPlan::new();
+        let healed = start + SimDuration::from_ms(2_500);
+        plan.crash(tb.hosts.bind, start, Some(healed));
+        world.set_faults(Some(plan));
+        world.tracer.set_enabled(true);
+        let mut walk = StretchedWalk {
+            tb,
+            hns,
+            arrived: [SimTime::ZERO; 7],
+        };
+        let (round_trips, _, _) = walk.find(walk.tb.ctx_bind());
+        world.tracer.set_enabled(false);
+        world.set_faults(None);
+        assert_eq!(round_trips, 5 + 7, "mapping 6 on its 7th try");
+        for span in world.tracer.spans() {
+            if let Some(label) = span.name.strip_prefix("mapping ") {
+                let mapping: usize = label[..1].parse().expect("a mapping number");
+                walk.arrived[mapping] = SimTime::from_us(span.end_us.expect("closed"));
+            }
+        }
+        let stretch = walk.arrived[6].since(walk.arrived[1]);
+        assert!(
+            stretch > SimDuration::from_ms(2_000),
+            "stretched by {stretch}"
+        );
+        walk
+    }
+
+    /// The earliest expiry among `mappings`: each part's TTL after it
+    /// arrived, `META_TTL` for the meta records and a day for the public
+    /// BIND's addresses. Every part of the cold walk was fetched.
+    fn earliest(&self, mappings: std::ops::RangeInclusive<usize>) -> SimTime {
+        let ttl = |mapping| if mapping == 6 { 86_400 } else { META_TTL };
+        let expiry = mappings.map(|m| self.arrived[m].after_secs(ttl(m)));
+        expiry.min().expect("a part")
+    }
+
+    /// A `FindNSM` in `context`: its round trips, what it moved of the
+    /// composed levels — context hits and expiries, then service hits and
+    /// expiries — and the virtual time it took, the composed probes'
+    /// included.
+    fn find(&self, context: Context) -> (u64, [u64; 4], SimDuration) {
+        let counts = || {
+            let ctx = self.hns.binding_cache_stats();
+            let svc = self.hns.binding_cache_service_stats();
+            [ctx.hits, ctx.expired, svc.hits, svc.expired]
+        };
+        let (before, start) = (counts(), self.tb.world.now());
+        let name = HnsName::new(context, "fiji.cs.washington.edu").expect("name");
+        let qc = QueryClass::hrpc_binding();
+        let (_, report) = self.hns.find_nsm_report(&qc, &name).expect("find");
+        let moved = std::array::from_fn(|i| counts()[i] - before[i]);
+        let took = self.tb.world.now().since(start);
+        (report.remote_round_trips, moved, took)
+    }
+
+    /// Advances the clock to `lead` before `at`.
+    fn advance_to(&self, at: SimTime, lead: SimDuration) {
+        let world = &self.tb.world;
+        world.charge(SimTime::from_us(at.as_us() - lead.as_us()).since(world.now()));
+    }
+}
+
+/// A composed entry lapses no later than the earliest part it was built
+/// from — live 1 µs before that part's instant, expired at it — however
+/// long the walk that built it ran: here retries stretch a cold walk by
+/// over two seconds after its first part arrived, which the composed
+/// entries once outlived it by. Each check runs on a testbed of its own,
+/// identical and deterministic, since the clock only moves on.
+#[test]
+fn composed_entries_lapse_with_their_earliest_part_however_long_the_walk() {
+    // How long after the call each level's probe looks: a context-level
+    // hit of `bind-uw`, and a service-level hit under a live mapping 1 —
+    // `hns-hosts`, the binding NSMs' host context, on BIND too, was the
+    // walk's mapping 4.
+    let walk = StretchedWalk::new();
+    let (bind_uw, hns_hosts) = (walk.tb.ctx_bind(), walk.tb.ctx_nsm_hosts());
+    let (round_trips, moved, context_lead) = walk.find(bind_uw.clone());
+    assert_eq!((round_trips, moved), (0, [1, 0, 0, 0]));
+    let (round_trips, moved, service_lead) = walk.find(hns_hosts.clone());
+    assert_eq!((round_trips, moved), (0, [0, 0, 1, 0]));
+    let before = |at: SimTime| SimTime::from_us(at.as_us() - 1);
+
+    let live = StretchedWalk::new();
+    let (context, service) = (live.earliest(1..=6), live.earliest(2..=6));
+    live.advance_to(before(context), context_lead);
+    assert_eq!(live.find(bind_uw.clone()).1, [1, 0, 0, 0]);
+    assert_eq!(live.tb.world.now(), before(context), "probed 1 µs before");
+    live.advance_to(before(service), service_lead);
+    assert_eq!(live.find(hns_hosts.clone()).1, [0, 0, 1, 0]);
+    assert_eq!(live.tb.world.now(), before(service), "probed 1 µs before");
+
+    let lapsed = StretchedWalk::new();
+    lapsed.advance_to(lapsed.earliest(1..=6), context_lead);
+    let (_, moved, _) = lapsed.find(bind_uw);
+    assert_eq!(
+        moved[..2],
+        [0, 1],
+        "the context level expired at its instant"
+    );
+    let lapsed = StretchedWalk::new();
+    lapsed.advance_to(lapsed.earliest(2..=6), service_lead);
+    let (_, moved, _) = lapsed.find(hns_hosts);
+    assert_eq!(
+        moved,
+        [0, 0, 0, 1],
+        "the service level expired at its instant"
+    );
 }
 
 #[test]
