@@ -5,6 +5,12 @@
 //! caches." Both uses exist here: [`transfer_zone`] is the raw client (the
 //! HNS preload path), and [`Secondary`] is a secondary server that refreshes
 //! itself when the primary's serial advances.
+//!
+//! The transfer procedures cross the fabric as their structs, as `QUERY`
+//! does: a request is a plain record ([`ZoneRequest`], [`IxfrRequest`]),
+//! a reply the [`ZoneTransfer`] or [`IncrementalTransfer`] the client
+//! returns, its records written by hand as [`crate::message::Answer`]'s
+//! are. `SERIAL` answers with the bare number.
 
 use std::sync::Arc;
 
@@ -13,17 +19,43 @@ use simnet::topology::HostId;
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
 use hrpc::HrpcBinding;
-use wire::Value;
+use wire::message::{Field, Shape, Shaped};
+use wire::{Value, WireError, WireResult};
 
 use crate::db::ZoneDb;
-use crate::message::{PROC_AXFR, PROC_IXFR, PROC_SERIAL};
+use crate::error::NsResult;
+use crate::message::{replied, PROC_AXFR, PROC_IXFR, PROC_SERIAL};
 use crate::name::DomainName;
-use crate::rr::ResourceRecord;
+use crate::rr::{bad_field, ResourceRecord};
 use crate::server::BindServer;
 use crate::zone::Zone;
 
-/// The result of a zone transfer.
-#[derive(Debug, Clone)]
+/// An `AXFR` or `SERIAL` request: the zone asked about.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ZoneRequest {
+    /// The zone's origin.
+    pub origin: DomainName,
+}
+
+wire::record!(ZoneRequest { origin });
+
+/// An `IXFR` request: the zone, and the serial of the copy the caller
+/// holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IxfrRequest {
+    /// The zone's origin.
+    pub origin: DomainName,
+    /// The serial the caller's copy was taken at.
+    pub from_serial: u32,
+}
+
+wire::record!(IxfrRequest {
+    origin,
+    from_serial
+});
+
+/// The result of a zone transfer: the `AXFR` reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneTransfer {
     /// Zone serial at transfer time.
     pub serial: u32,
@@ -31,6 +63,128 @@ pub struct ZoneTransfer {
     pub size_bytes: usize,
     /// Every record in the zone.
     pub records: Vec<ResourceRecord>,
+}
+
+impl ZoneTransfer {
+    /// Decodes an untyped server's tree.
+    pub fn from_value(v: &Value) -> NsResult<ZoneTransfer> {
+        Ok(ZoneTransfer {
+            serial: v.u32_field("serial").map_err(bad_field)?,
+            size_bytes: v.u32_field("size_bytes").map_err(bad_field)? as usize,
+            records: records_of(v)?,
+        })
+    }
+}
+
+impl Shaped for ZoneTransfer {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("serial", s.u32(self.serial)),
+            ("size_bytes", s.u32(self.size_bytes as u32)),
+            ("records", s.list(self.records.iter(), |r| r.shape(s))),
+        ])
+    }
+}
+
+/// What an incremental transfer shipped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IxfrMode {
+    /// The client's serial is current; nothing shipped.
+    Unchanged,
+    /// Only names changed since the client's serial: their current
+    /// record sets, plus the changed names whose records were all
+    /// removed.
+    Incremental,
+    /// The delta log was truncated past the client's serial; the whole
+    /// zone rode back (exactly an AXFR).
+    Full,
+}
+
+impl IxfrMode {
+    /// The mode's name, as it crosses the fabric.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            IxfrMode::Unchanged => "unchanged",
+            IxfrMode::Incremental => "incremental",
+            IxfrMode::Full => "full",
+        }
+    }
+}
+
+/// Crosses the fabric as its name; any other text is refused.
+impl Field for IxfrMode {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.str(self.as_str())
+    }
+
+    fn read(v: &Value) -> WireResult<IxfrMode> {
+        match v.as_str()? {
+            "unchanged" => Ok(IxfrMode::Unchanged),
+            "incremental" => Ok(IxfrMode::Incremental),
+            "full" => Ok(IxfrMode::Full),
+            other => Err(WireError::Refused(format!("unknown IXFR mode `{other}`"))),
+        }
+    }
+}
+
+/// The result of an incremental ([`PROC_IXFR`]) zone transfer: the
+/// `IXFR` reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IncrementalTransfer {
+    /// Zone serial at transfer time.
+    pub serial: u32,
+    /// What rode back.
+    pub mode: IxfrMode,
+    /// Bytes actually shipped (drives the calibrated transfer cost);
+    /// zero when unchanged, the full zone size on fallback.
+    pub size_bytes: usize,
+    /// The current records of every changed name that still exists
+    /// (flat, grouped by the caller), or on fallback every record in the
+    /// zone.
+    pub records: Vec<ResourceRecord>,
+    /// Changed names with no remaining records.
+    pub removed: Vec<DomainName>,
+}
+
+impl IncrementalTransfer {
+    /// Decodes an untyped server's tree.
+    pub fn from_value(v: &Value) -> NsResult<IncrementalTransfer> {
+        let read = |name| v.field(name).map_err(bad_field);
+        Ok(IncrementalTransfer {
+            serial: v.u32_field("serial").map_err(bad_field)?,
+            mode: IxfrMode::read(read("mode")?).map_err(bad_field)?,
+            size_bytes: v.u32_field("size_bytes").map_err(bad_field)? as usize,
+            records: records_of(v)?,
+            removed: Field::read(read("removed")?).map_err(bad_field)?,
+        })
+    }
+}
+
+impl Shaped for IncrementalTransfer {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        s.record([
+            ("serial", s.u32(self.serial)),
+            ("mode", self.mode.shape(s)),
+            ("size_bytes", s.u32(self.size_bytes as u32)),
+            ("records", s.list(self.records.iter(), |r| r.shape(s))),
+            ("removed", self.removed.shape(s)),
+        ])
+    }
+}
+
+/// The `records` of a transfer reply's tree.
+fn records_of(v: &Value) -> NsResult<Vec<ResourceRecord>> {
+    let list = v.field("records").and_then(Value::as_list);
+    ResourceRecord::list_from_values(list.map_err(bad_field)?)
+}
+
+/// Charges a transfer that shipped `size_bytes` the calibrated
+/// per-kilobyte cost, minus the round trip the fabric already charged.
+fn charge_transfer(net: &RpcNet, binding: &HrpcBinding, size_bytes: usize) {
+    let world = net.world();
+    let kb = size_bytes as f64 / 1024.0;
+    let rtt = world.costs.rpc_rtt(binding.components.suite_kind());
+    world.charge_ms((world.costs.axfr(kb) - rtt).max(0.0));
 }
 
 /// Transfers `origin` from the server behind `binding`, charging the
@@ -41,58 +195,13 @@ pub fn transfer_zone(
     binding: &HrpcBinding,
     origin: &DomainName,
 ) -> RpcResult<ZoneTransfer> {
-    let args = Value::record([("origin", Value::str(origin.as_str()))]);
-    let reply = net.call(caller, binding, PROC_AXFR, &args)?;
-    let serial = reply.u32_field("serial")?;
-    let size_bytes = reply.u32_field("size_bytes")? as usize;
-    let list = reply.field("records").and_then(Value::as_list)?;
-    let records =
-        ResourceRecord::list_from_values(list).map_err(|e| RpcError::Service(e.to_string()))?;
-    // The transfer itself: charged by size, minus the single round trip the
-    // fabric already charged.
-    let world = net.world();
-    let kb = size_bytes as f64 / 1024.0;
-    let rtt = world.costs.rpc_rtt(binding.components.suite_kind());
-    world.charge_ms((world.costs.axfr(kb) - rtt).max(0.0));
-    Ok(ZoneTransfer {
-        serial,
-        size_bytes,
-        records,
-    })
-}
-
-/// What an incremental transfer shipped.
-#[derive(Debug, Clone)]
-pub enum IxfrContents {
-    /// The client's serial is current; nothing shipped.
-    Unchanged,
-    /// Only names changed since the client's serial: their current
-    /// record sets (flat, grouped by the caller) plus names whose
-    /// records were removed entirely.
-    Incremental {
-        /// Current records of every changed name that still exists.
-        records: Vec<ResourceRecord>,
-        /// Changed names with no remaining records.
-        removed: Vec<DomainName>,
-    },
-    /// The delta log was truncated past the client's serial; the whole
-    /// zone rode back (exactly an AXFR).
-    Full {
-        /// Every record in the zone.
-        records: Vec<ResourceRecord>,
-    },
-}
-
-/// The result of an incremental ([`PROC_IXFR`]) zone transfer.
-#[derive(Debug, Clone)]
-pub struct IncrementalTransfer {
-    /// Zone serial at transfer time.
-    pub serial: u32,
-    /// Bytes actually shipped (drives the calibrated transfer cost);
-    /// zero when unchanged, the full zone size on fallback.
-    pub size_bytes: usize,
-    /// What rode back.
-    pub contents: IxfrContents,
+    let request = ZoneRequest {
+        origin: origin.clone(),
+    };
+    let reply = net.call_msg(caller, binding, PROC_AXFR, &request)?;
+    let xfer = replied(reply, ZoneTransfer::from_value)?;
+    charge_transfer(net, binding, xfer.size_bytes);
+    Ok(xfer)
 }
 
 /// Transfers the changes to `origin` since `from_serial` from the server
@@ -106,47 +215,14 @@ pub fn transfer_zone_incremental(
     origin: &DomainName,
     from_serial: u32,
 ) -> RpcResult<IncrementalTransfer> {
-    let args = Value::record([
-        ("origin", Value::str(origin.as_str())),
-        ("from_serial", Value::U32(from_serial)),
-    ]);
-    let reply = net.call(caller, binding, PROC_IXFR, &args)?;
-    let serial = reply.u32_field("serial")?;
-    let mode = reply.str_field("mode")?;
-    let size_bytes = reply.u32_field("size_bytes")? as usize;
-    let list = reply.field("records").and_then(Value::as_list)?;
-    let records =
-        ResourceRecord::list_from_values(list).map_err(|e| RpcError::Service(e.to_string()))?;
-    let removed: Result<Vec<DomainName>, _> = reply
-        .field("removed")
-        .and_then(Value::as_list)?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map_err(RpcError::from)
-                .and_then(|s| DomainName::parse(s).map_err(|e| RpcError::Service(e.to_string())))
-        })
-        .collect();
-    let contents = match mode {
-        "unchanged" => IxfrContents::Unchanged,
-        "incremental" => IxfrContents::Incremental {
-            records,
-            removed: removed?,
-        },
-        "full" => IxfrContents::Full { records },
-        other => return Err(RpcError::Service(format!("unknown IXFR mode `{other}`"))),
+    let request = IxfrRequest {
+        origin: origin.clone(),
+        from_serial,
     };
-    // Charge for shipped bytes, minus the round trip the fabric already
-    // charged (same accounting as the full transfer).
-    let world = net.world();
-    let kb = size_bytes as f64 / 1024.0;
-    let rtt = world.costs.rpc_rtt(binding.components.suite_kind());
-    world.charge_ms((world.costs.axfr(kb) - rtt).max(0.0));
-    Ok(IncrementalTransfer {
-        serial,
-        size_bytes,
-        contents,
-    })
+    let reply = net.call_msg(caller, binding, PROC_IXFR, &request)?;
+    let xfer = replied(reply, IncrementalTransfer::from_value)?;
+    charge_transfer(net, binding, xfer.size_bytes);
+    Ok(xfer)
 }
 
 /// Reads the primary's current serial for `origin`.
@@ -156,8 +232,11 @@ pub fn read_serial(
     binding: &HrpcBinding,
     origin: &DomainName,
 ) -> RpcResult<u32> {
-    let args = Value::record([("origin", Value::str(origin.as_str()))]);
-    Ok(net.call(caller, binding, PROC_SERIAL, &args)?.as_u32()?)
+    let request = ZoneRequest {
+        origin: origin.clone(),
+    };
+    let reply = net.call_msg(caller, binding, PROC_SERIAL, &request)?;
+    Ok(reply.into_value().as_u32()?)
 }
 
 /// A secondary server: holds a copy of one zone and refreshes it from the
@@ -411,7 +490,7 @@ mod tests {
         let up_to_date =
             transfer_zone_incremental(&net, client, &dep.hrpc_binding, &name("hns"), full.serial)
                 .expect("ixfr");
-        assert!(matches!(up_to_date.contents, IxfrContents::Unchanged));
+        assert_eq!(up_to_date.mode, IxfrMode::Unchanged);
         assert_eq!(up_to_date.size_bytes, 0);
 
         // One update: only the changed name's set ships, far below full.
@@ -427,14 +506,14 @@ mod tests {
         let delta =
             transfer_zone_incremental(&net, client, &dep.hrpc_binding, &name("hns"), full.serial)
                 .expect("ixfr");
-        match &delta.contents {
-            IxfrContents::Incremental { records, removed } => {
-                assert!(records.iter().all(|r| r.name == name("e0.hns")));
-                assert_eq!(records.len(), 2, "the changed name's full current set");
-                assert!(removed.is_empty());
-            }
-            other => panic!("expected incremental, got {other:?}"),
-        }
+        assert_eq!(delta.mode, IxfrMode::Incremental);
+        assert!(delta.records.iter().all(|r| r.name == name("e0.hns")));
+        assert_eq!(
+            delta.records.len(),
+            2,
+            "the changed name's full current set"
+        );
+        assert!(delta.removed.is_empty());
         assert!(
             delta.size_bytes < full.size_bytes,
             "delta {} must undercut full {}",
@@ -452,12 +531,8 @@ mod tests {
         let delta2 =
             transfer_zone_incremental(&net, client, &dep.hrpc_binding, &name("hns"), delta.serial)
                 .expect("ixfr");
-        match &delta2.contents {
-            IxfrContents::Incremental { removed, .. } => {
-                assert_eq!(removed, &vec![name("e1.hns")]);
-            }
-            other => panic!("expected incremental, got {other:?}"),
-        }
+        assert_eq!(delta2.mode, IxfrMode::Incremental);
+        assert_eq!(delta2.removed, vec![name("e1.hns")]);
     }
 
     #[test]
@@ -485,10 +560,8 @@ mod tests {
         // cannot serve it.
         let xfer = transfer_zone_incremental(&net, client, &dep.hrpc_binding, &name("hns"), 0)
             .expect("ixfr");
-        match &xfer.contents {
-            IxfrContents::Full { records } => assert_eq!(records.len(), 8),
-            other => panic!("expected full fallback, got {other:?}"),
-        }
+        assert_eq!(xfer.mode, IxfrMode::Full);
+        assert_eq!(xfer.records.len(), 8);
         assert!(xfer.size_bytes > 0);
     }
 

@@ -3,14 +3,15 @@
 //! The server speaks six procedures: `QUERY`, `MQUERY`, `AXFR` / `IXFR`
 //! (zone transfer), `UPDATE` (the dynamic-update extension of the
 //! modified BIND), and `SERIAL` (secondary refresh checks). The structs
-//! of `QUERY`, `MQUERY` and `UPDATE` are [`wire::Message`]s: each writes
-//! its shape once, and crosses the fabric as itself between this crate's
-//! resolvers and its server. Its tree is for an untyped peer, the corpus
-//! and the fuzzer; `from_value` is the edge where such a peer's tree is
-//! decoded. The two questions are plain records ([`wire::record!`]); an
-//! answer's rdata and shared owner names, and an update's kinds, are
-//! written by hand. Answers also convert to the hand-written
-//! [`wire::fast`] batch format (the standard resolver path of Table 3.2).
+//! of all six are [`wire::Message`]s — those of the transfer procedures
+//! are [`crate::axfr`]'s: each writes its shape once, and crosses the
+//! fabric as itself between this crate's clients and its server. Its tree
+//! is for an untyped peer, the corpus and the fuzzer; `from_value` is the
+//! edge where such a peer's tree is decoded. The two questions are plain
+//! records ([`wire::record!`]); an answer's rdata and shared owner names,
+//! and an update's kinds, are written by hand. Answers also convert to the
+//! hand-written [`wire::fast`] batch format (the standard resolver path
+//! of Table 3.2).
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::Reply;
@@ -356,7 +357,7 @@ mod tests {
         ] {
             assert!(Answer::from_value(&bad).is_err(), "{bad:?}");
         }
-        let record = sample_answer(1).records[0].to_value().expect("value");
+        let record = sample_answer(1).records[0].tree().into_owned();
         let list = vec![record, Value::U32(7)];
         let value = Value::record([("rcode", Value::U32(0)), ("answers", Value::List(list))]);
         assert!(Answer::from_value(&value).is_err());

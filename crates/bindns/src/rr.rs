@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use simnet::topology::{HostId, NetAddr};
-use wire::message::{Field, Shape, Shaped, Tree};
+use wire::message::{Field, Shape, Shaped};
 use wire::{Value, WireError, WireResult};
 
 use crate::error::{NsError, NsResult};
@@ -296,12 +296,6 @@ impl ResourceRecord {
         }
     }
 
-    /// Serializes to a wire value (used by the HRPC interface to BIND).
-    pub fn to_value(&self) -> NsResult<Value> {
-        check_rdata([self])?;
-        Ok(self.shape(&Tree))
-    }
-
     /// Deserializes from a wire value.
     pub fn from_value(v: &Value) -> NsResult<ResourceRecord> {
         Self::decode(v, None)
@@ -391,6 +385,7 @@ pub(crate) fn check_rdata<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wire::Message;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).expect("valid name")
@@ -448,7 +443,7 @@ mod tests {
             86_400,
             NetAddr::of(HostId(3)),
         );
-        let v = rr.to_value().expect("to value");
+        let v = rr.tree().into_owned();
         assert_eq!(ResourceRecord::from_value(&v).expect("from value"), rr);
     }
 
@@ -456,7 +451,7 @@ mod tests {
     #[test]
     fn a_type_code_beyond_sixteen_bits_is_refused_not_truncated() {
         let rr = ResourceRecord::txt(name("a.b"), 60, "t");
-        let Value::Struct(mut fields) = rr.to_value().expect("to value") else {
+        let Value::Struct(mut fields) = rr.tree().into_owned() else {
             panic!("records marshal as structs");
         };
         fields[1].1 = Value::U32(0x0003_0001);
@@ -471,13 +466,14 @@ mod tests {
     #[test]
     fn oversized_rdata_never_becomes_a_value() {
         let rr = ResourceRecord::unspec(name("a.b"), 60, vec![0; MAX_RDATA]);
-        assert!(matches!(rr.to_value(), Err(NsError::BadRecord(_))));
+        let answer = crate::message::Answer::ok(vec![rr]);
+        assert!(matches!(answer.to_value(), Err(NsError::BadRecord(_))));
     }
 
     #[test]
     fn unspec_record_value_roundtrip() {
         let rr = ResourceRecord::unspec(name("hns-meta.hns"), 600, b"ns=BIND".to_vec());
-        let v = rr.to_value().expect("to value");
+        let v = rr.tree().into_owned();
         assert_eq!(ResourceRecord::from_value(&v).expect("from value"), rr);
     }
 
@@ -491,7 +487,7 @@ mod tests {
             .enumerate()
             .map(|(i, owner)| {
                 let rr = ResourceRecord::txt(name("x.y"), 60, format!("t{i}"));
-                let Value::Struct(mut fields) = rr.to_value().expect("to value") else {
+                let Value::Struct(mut fields) = rr.tree().into_owned() else {
                     panic!("records marshal as structs");
                 };
                 fields[0].1 = Value::str(*owner);

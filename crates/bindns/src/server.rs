@@ -25,6 +25,7 @@ use hrpc::server::{CallCtx, Reply, RpcService};
 use hrpc::HrpcBinding;
 use wire::{Message, Value};
 
+use crate::axfr::{IncrementalTransfer, IxfrMode, IxfrRequest, ZoneRequest, ZoneTransfer};
 use crate::db::ZoneDb;
 use crate::error::{NsError, Rcode};
 use crate::message::{
@@ -232,19 +233,12 @@ impl BindServer {
         })
     }
 
-    fn serve_axfr(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
+    fn serve_axfr(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<ZoneTransfer> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
         ctx.world.metrics().inc("bindns", "zone_transfers");
-        let origin = DomainName::parse(args.str_field("origin")?).map_err(service_err)?;
+        let origin = &args.read(ZoneRequest::from_value)?.origin;
         let db = self.db.read();
-        let zone = db
-            .zone(&origin)
-            .ok_or_else(|| RpcError::NotFound(format!("zone {origin}")))?;
-        let records: Result<Vec<Value>, _> = zone
-            .all_records()
-            .iter()
-            .map(ResourceRecord::to_value)
-            .collect();
+        let zone = served_zone(&db, origin)?;
         ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
                 "{}: AXFR {} ({} bytes)",
@@ -253,31 +247,29 @@ impl BindServer {
                 zone.size_bytes()
             )
         });
-        Ok(Value::record([
-            ("serial", Value::U32(zone.serial())),
-            ("size_bytes", Value::U32(zone.size_bytes() as u32)),
-            ("records", Value::List(records.map_err(service_err)?)),
-        ]))
+        Ok(ZoneTransfer {
+            serial: zone.serial(),
+            size_bytes: zone.size_bytes(),
+            records: zone.all_records(),
+        })
     }
 
     /// Incremental transfer: records of names changed since the client's
-    /// serial. Reply `mode` is `"unchanged"` (client is current),
-    /// `"incremental"` (only changed sets shipped; a changed name whose
-    /// records were all removed appears in `removed`), or `"full"` (the
-    /// delta log no longer reaches the client's serial — the entire zone
-    /// rides back, exactly an AXFR).
-    fn serve_ixfr(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
+    /// serial. The reply's mode is [`IxfrMode::Unchanged`] (client is
+    /// current), [`IxfrMode::Incremental`] (only changed sets shipped; a
+    /// changed name whose records were all removed appears in `removed`),
+    /// or [`IxfrMode::Full`] (the delta log no longer reaches the
+    /// client's serial — the entire zone rides back, exactly an AXFR).
+    fn serve_ixfr(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<IncrementalTransfer> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
         ctx.world.metrics().inc("bindns", "zone_transfers");
-        let origin = DomainName::parse(args.str_field("origin")?).map_err(service_err)?;
-        let from_serial = args.u32_field("from_serial")?;
+        let request = args.read(IxfrRequest::from_value)?;
+        let (origin, from_serial) = (&request.origin, request.from_serial);
         let db = self.db.read();
-        let zone = db
-            .zone(&origin)
-            .ok_or_else(|| RpcError::NotFound(format!("zone {origin}")))?;
+        let zone = served_zone(&db, origin)?;
         let serial = zone.serial();
         let (mode, records, removed, size_bytes) = if from_serial == serial {
-            ("unchanged", Vec::new(), Vec::new(), 0usize)
+            (IxfrMode::Unchanged, Vec::new(), Vec::new(), 0usize)
         } else {
             match zone.deltas_since(from_serial) {
                 Some(changed) => {
@@ -294,31 +286,33 @@ impl BindServer {
                         .map(ResourceRecord::size_bytes)
                         .sum::<usize>()
                         + removed.iter().map(DomainName::wire_len).sum::<usize>();
-                    ("incremental", records, removed, size)
+                    (IxfrMode::Incremental, records, removed, size)
                 }
                 None => {
                     ctx.world.metrics().inc("bindns", "ixfr_fallbacks");
-                    ("full", zone.all_records(), Vec::new(), zone.size_bytes())
+                    (
+                        IxfrMode::Full,
+                        zone.all_records(),
+                        Vec::new(),
+                        zone.size_bytes(),
+                    )
                 }
             }
         };
         ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(
-                "{}: IXFR {origin} from serial {from_serial} -> {mode} ({size_bytes} bytes)",
-                self.name
+                "{}: IXFR {origin} from serial {from_serial} -> {} ({size_bytes} bytes)",
+                self.name,
+                mode.as_str()
             )
         });
-        let records: Result<Vec<Value>, _> = records.iter().map(ResourceRecord::to_value).collect();
-        Ok(Value::record([
-            ("serial", Value::U32(serial)),
-            ("mode", Value::str(mode)),
-            ("size_bytes", Value::U32(size_bytes as u32)),
-            ("records", Value::List(records.map_err(service_err)?)),
-            (
-                "removed",
-                Value::List(removed.iter().map(|n| Value::str(n.as_str())).collect()),
-            ),
-        ]))
+        Ok(IncrementalTransfer {
+            serial,
+            mode,
+            size_bytes,
+            records,
+            removed,
+        })
     }
 
     fn serve_update(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Answer> {
@@ -329,7 +323,9 @@ impl BindServer {
         if !self.allow_updates {
             return Ok(Answer::err(Rcode::Refused));
         }
-        let op = args.read(UpdateOp::from_value).map_err(service_err)?;
+        let op = args
+            .read(UpdateOp::from_value)
+            .map_err(|e| RpcError::Service(e.to_string()))?;
         if op.uses_unspec() && !self.allow_unspec {
             return Ok(Answer::err(Rcode::Refused));
         }
@@ -349,19 +345,18 @@ impl BindServer {
         Ok(Answer::from_result(outcome.map(|()| Vec::new())))
     }
 
-    fn serve_serial(&self, ctx: &CallCtx<'_>, args: &Value) -> RpcResult<Value> {
+    fn serve_serial(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Value> {
         ctx.world.charge_ms(ctx.world.costs.bind_service);
-        let origin = DomainName::parse(args.str_field("origin")?).map_err(service_err)?;
-        let db = self.db.read();
-        let zone = db
-            .zone(&origin)
-            .ok_or_else(|| RpcError::NotFound(format!("zone {origin}")))?;
-        Ok(Value::U32(zone.serial()))
+        let origin = &args.read(ZoneRequest::from_value)?.origin;
+        Ok(Value::U32(served_zone(&self.db.read(), origin)?.serial()))
     }
 }
 
-fn service_err(e: NsError) -> RpcError {
-    RpcError::Service(e.to_string())
+/// The zone at `origin`, or the `NotFound` a transfer of one not served
+/// here fails with.
+fn served_zone<'a>(db: &'a ZoneDb, origin: &DomainName) -> RpcResult<&'a Zone> {
+    db.zone(origin)
+        .ok_or_else(|| RpcError::NotFound(format!("zone {origin}")))
 }
 
 impl RpcService for BindServer {
@@ -373,9 +368,9 @@ impl RpcService for BindServer {
         self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
     }
 
-    /// `QUERY`, `MQUERY` and `UPDATE` are served on their structs — this
-    /// crate's resolvers send them, and read the struct that comes back;
-    /// the transfer procedures have none and stay on the tree.
+    /// Every procedure is served on its request struct — this crate's
+    /// resolvers and transfer clients send them, and read the struct that
+    /// comes back (`SERIAL`'s, a bare number, as a tree).
     fn dispatch_msg(
         &self,
         ctx: &CallCtx<'_>,
@@ -386,9 +381,9 @@ impl RpcService for BindServer {
             PROC_QUERY => self.serve_query(ctx, args).map(Reply::typed),
             PROC_MQUERY => self.serve_mquery(ctx, args).map(Reply::typed),
             PROC_UPDATE => self.serve_update(ctx, args).map(Reply::typed),
-            PROC_AXFR => self.serve_axfr(ctx, &args.tree()).map(Reply::Tree),
-            PROC_IXFR => self.serve_ixfr(ctx, &args.tree()).map(Reply::Tree),
-            PROC_SERIAL => self.serve_serial(ctx, &args.tree()).map(Reply::Tree),
+            PROC_AXFR => self.serve_axfr(ctx, args).map(Reply::typed),
+            PROC_IXFR => self.serve_ixfr(ctx, args).map(Reply::typed),
+            PROC_SERIAL => self.serve_serial(ctx, args).map(Reply::Tree),
             other => Err(RpcError::BadProcedure(other)),
         }
     }

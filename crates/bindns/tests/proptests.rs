@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use bindns::axfr::{IncrementalTransfer, IxfrMode, IxfrRequest, ZoneRequest, ZoneTransfer};
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
 use bindns::rr::{RData, RType, ResourceRecord};
@@ -203,8 +204,7 @@ proptest! {
     #[test]
     fn record_value_roundtrip(name in arb_name_under("cs.washington.edu"), ttl in 0u32..1_000_000, rdata in arb_rdata()) {
         let rr = ResourceRecord { name, rtype: rtype_for(&rdata), ttl, rdata };
-        let v = rr.to_value().expect("encode");
-        prop_assert_eq!(ResourceRecord::from_value(&v).expect("decode"), rr);
+        prop_assert_eq!(ResourceRecord::from_value(&rr.tree()).expect("decode"), rr);
     }
 
     #[test]
@@ -322,6 +322,30 @@ proptest! {
         ] {
             prop_assert_eq!(states_the_length_of_its_encoded_tree(&op), None);
         }
+    }
+
+    #[test]
+    fn every_transfer_message_states_its_length_and_is_its_decoded_tree(
+        origin in arb_name_under("edu"),
+        serial in any::<u32>(),
+        size in any::<u32>(),
+        mode in prop_oneof![Just(IxfrMode::Unchanged), Just(IxfrMode::Incremental), Just(IxfrMode::Full)],
+        records in proptest::collection::vec(arb_record(), 0..6),
+        removed in proptest::collection::vec(arb_name_under("edu"), 0..3),
+    ) {
+        let axfr = ZoneRequest { origin: origin.clone() };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&axfr), None);
+        prop_assert_eq!(ZoneRequest::from_value(&axfr.tree()), Ok(axfr));
+        let ixfr = IxfrRequest { origin, from_serial: serial };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&ixfr), None);
+        prop_assert_eq!(IxfrRequest::from_value(&ixfr.tree()), Ok(ixfr));
+        let size_bytes = size as usize;
+        let full = ZoneTransfer { serial, size_bytes, records: records.clone() };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&full), None);
+        prop_assert_eq!(ZoneTransfer::from_value(&full.tree()), Ok(full));
+        let delta = IncrementalTransfer { serial, mode, size_bytes, records, removed };
+        prop_assert_eq!(states_the_length_of_its_encoded_tree(&delta), None);
+        prop_assert_eq!(IncrementalTransfer::from_value(&delta.tree()), Ok(delta));
     }
 
     #[test]

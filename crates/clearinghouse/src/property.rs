@@ -159,58 +159,6 @@ impl Entry {
     pub fn is_empty(&self) -> bool {
         self.properties.is_empty()
     }
-
-    /// Serializes to a wire value.
-    pub fn to_value(&self) -> Value {
-        Value::List(
-            self.properties
-                .iter()
-                .map(|(id, p)| match p {
-                    Property::Item(v) => Value::record([
-                        ("id", Value::U32(id.0)),
-                        ("kind", Value::U32(0)),
-                        ("value", v.clone()),
-                    ]),
-                    Property::Group(set) => Value::record([
-                        ("id", Value::U32(id.0)),
-                        ("kind", Value::U32(1)),
-                        (
-                            "members",
-                            Value::List(set.iter().map(|m| Value::str(m.clone())).collect()),
-                        ),
-                    ]),
-                })
-                .collect(),
-        )
-    }
-
-    /// Deserializes from a wire value.
-    pub fn from_value(v: &Value) -> ChResult<Entry> {
-        let bad = |e: wire::WireError| ChError::BadName(e.to_string());
-        let mut entry = Entry::new();
-        for item in v.as_list().map_err(bad)? {
-            let id = PropertyId(item.u32_field("id").map_err(bad)?);
-            match item.u32_field("kind").map_err(bad)? {
-                0 => entry.set_item(id, item.field("value").map_err(bad)?.clone()),
-                1 => {
-                    for m in item
-                        .field("members")
-                        .and_then(Value::as_list)
-                        .map_err(bad)?
-                    {
-                        entry.add_member(id, m.as_str().map_err(bad)?)?;
-                    }
-                    // Preserve empty groups.
-                    entry
-                        .properties
-                        .entry(id)
-                        .or_insert_with(|| Property::Group(BTreeSet::new()));
-                }
-                k => return Err(ChError::BadName(format!("bad property kind {k}"))),
-            }
-        }
-        Ok(entry)
-    }
 }
 
 #[cfg(test)]
@@ -297,25 +245,5 @@ mod tests {
         let bad_kind = Value::record([("kind", Value::U32(2))]);
         assert!(Property::from_value(&bad_kind).is_err());
         assert!(Property::from_value(&Value::Void).is_err());
-    }
-
-    #[test]
-    fn value_roundtrip() {
-        let mut e = Entry::new();
-        e.set_item(PROP_ADDRESS, Value::U32(9));
-        e.set_item(PROP_SERVICE_PORT, Value::U32(2049));
-        e.add_member(PROP_MEMBERS, "alice:cs:uw").expect("add");
-        let v = e.to_value();
-        assert_eq!(Entry::from_value(&v).expect("roundtrip"), e);
-    }
-
-    #[test]
-    fn malformed_value_rejected() {
-        assert!(Entry::from_value(&Value::U32(1)).is_err());
-        let bad_kind = Value::List(vec![Value::record([
-            ("id", Value::U32(1)),
-            ("kind", Value::U32(9)),
-        ])]);
-        assert!(Entry::from_value(&bad_kind).is_err());
     }
 }

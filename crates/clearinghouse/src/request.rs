@@ -1,5 +1,4 @@
-//! The requests a Clearinghouse server serves, one struct per procedure
-//! (`SNAPSHOT`, replication's, aside).
+//! The requests a Clearinghouse server serves, one struct per procedure.
 //!
 //! Each is shaped as exactly the record a client built by hand before it
 //! was typed, field for field and in the same order, so a request costs

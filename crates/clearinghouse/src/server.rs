@@ -22,7 +22,6 @@ use crate::auth::{Authenticator, Credentials};
 use crate::db::ChDb;
 use crate::error::ChError;
 use crate::name::ThreePartName;
-use crate::property::Entry;
 use crate::request::{AddAlias, AddMember, List, Lookup, LookupRun, Named, Request, SetItem};
 
 /// Program number Clearinghouse servers are exported under.
@@ -38,8 +37,6 @@ pub const PROC_SET_ITEM: u32 = 3;
 pub const PROC_ADD_MEMBER: u32 = 4;
 /// Procedure: delete an entry.
 pub const PROC_DELETE: u32 = 5;
-/// Procedure: dump all entries (replication).
-pub const PROC_SNAPSHOT: u32 = 6;
 /// Procedure: install an alias.
 pub const PROC_ADD_ALIAS: u32 = 7;
 /// Procedure: enumerate entries by object-part pattern.
@@ -180,22 +177,6 @@ impl ChServer {
             names.iter().map(|n| Value::str(n.as_str())).collect(),
         )))
     }
-
-    /// The entry dump only: replication, which needs the alias table too,
-    /// is `ChCluster::propagate`'s in-process copy. Its request is the
-    /// record of the caller's credentials, read as a tree.
-    fn serve_snapshot(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Reply> {
-        self.admit_tree(ctx, &args.tree())?;
-        let (entries, _aliases) = self.db.read().snapshot();
-        Ok(Reply::Tree(Value::List(
-            entries
-                .into_iter()
-                .map(|(n, e)| {
-                    Value::record([("name", Value::str(n.as_str())), ("entry", e.to_value())])
-                })
-                .collect(),
-        )))
-    }
 }
 
 fn ch_err(e: ChError) -> RpcError {
@@ -215,7 +196,7 @@ impl RpcService for ChServer {
         self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
     }
 
-    /// Every procedure but `SNAPSHOT` is served on its request struct —
+    /// Every procedure is served on its request struct —
     /// [`crate::ChClient`] sends one, and reads a `LOOKUP`'s
     /// [`crate::Property`] as the struct that comes back. Typed or tree, a request is
     /// authenticated and charged before anything else of it is read.
@@ -252,7 +233,6 @@ impl RpcService for ChServer {
             }),
             PROC_LOOKUP_RUN => self.serve(ctx, args, |r: &LookupRun| self.serve_lookup_run(ctx, r)),
             PROC_LIST => self.serve(ctx, args, |r: &List| self.serve_list(r)),
-            PROC_SNAPSHOT => self.serve_snapshot(ctx, args),
             other => {
                 self.admit_tree(ctx, &args.tree())?;
                 Err(RpcError::BadProcedure(other))
@@ -296,19 +276,6 @@ pub fn deploy(net: &RpcNet, host: HostId, server: Arc<ChServer>) -> ChDeployment
         binding,
         server,
     }
-}
-
-/// Decodes a `PROC_SNAPSHOT` reply into entries.
-pub fn snapshot_from_value(v: &Value) -> RpcResult<Vec<(ThreePartName, Entry)>> {
-    let mut out = Vec::new();
-    for item in v.as_list()? {
-        let name = ThreePartName::parse(item.str_field("name")?)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        let entry = Entry::from_value(item.field("entry")?)
-            .map_err(|e| RpcError::Service(e.to_string()))?;
-        out.push((name, entry));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -468,26 +435,6 @@ mod tests {
         net.call(client, &dep.binding, PROC_DELETE, &args)
             .expect("delete");
         assert!(net.call(client, &dep.binding, PROC_DELETE, &args).is_err());
-    }
-
-    #[test]
-    fn snapshot_roundtrips() {
-        let (_world, net, client, dep, creds) = setup();
-        dep.server.with_db(|db| {
-            db.set_item(
-                &ThreePartName::parse("a:cs:uw").expect("name"),
-                PROP_ADDRESS,
-                Value::U32(1),
-            )
-            .expect("set");
-        });
-        let args = Value::record([("creds", creds.tree().into_owned())]);
-        let reply = net
-            .call(client, &dep.binding, PROC_SNAPSHOT, &args)
-            .expect("snapshot");
-        let entries = snapshot_from_value(&reply).expect("decode");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].0.to_string(), "a:cs:uw");
     }
 
     /// Every procedure's request as [`crate::ChClient`] sends it, to a

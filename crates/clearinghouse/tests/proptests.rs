@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use clearinghouse::db::ChDb;
 use clearinghouse::name::ThreePartName;
-use clearinghouse::property::{Entry, Property, PropertyId};
+use clearinghouse::property::{Property, PropertyId};
 use clearinghouse::{AddAlias, AddMember, Credentials, List, Lookup, LookupRun, Named, SetItem};
 use wire::{Message, Value, WireError, WireFormat};
 
@@ -111,22 +111,6 @@ proptest! {
     #[test]
     fn name_parse_never_panics(s in "[ -~]{0,64}") {
         let _ = ThreePartName::parse(&s);
-    }
-
-    #[test]
-    fn entries_roundtrip_through_wire(
-        items in proptest::collection::btree_map(1u32..64, any::<u32>(), 0..8),
-        members in proptest::collection::btree_set("[a-z:]{1,16}", 0..6),
-    ) {
-        let mut entry = Entry::new();
-        for (id, v) in &items {
-            entry.set_item(PropertyId(*id), Value::U32(*v));
-        }
-        for m in &members {
-            entry.add_member(PropertyId(200), m.clone()).expect("group");
-        }
-        let v = entry.to_value();
-        prop_assert_eq!(Entry::from_value(&v).expect("decode"), entry);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::path::PathBuf;
 
+use bindns::axfr::{IncrementalTransfer, IxfrMode, ZoneTransfer};
 use bindns::error::Rcode;
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
@@ -114,41 +115,29 @@ fn sample_binding(components: hrpc::ComponentSet) -> HrpcBinding {
     }
 }
 
-/// The AXFR reply frame exactly as `BindServer::serve_axfr` builds it.
-fn axfr_reply() -> Value {
-    let records: Vec<Value> = sample_records()
-        .iter()
-        .map(|r| r.to_value().expect("corpus record encodes"))
-        .collect();
-    Value::record([
-        ("serial", Value::U32(1987)),
-        ("size_bytes", Value::U32(212)),
-        ("records", Value::List(records)),
-    ])
+/// An AXFR reply of the six sample records.
+fn axfr_reply() -> ZoneTransfer {
+    ZoneTransfer {
+        serial: 1987,
+        size_bytes: 212,
+        records: sample_records(),
+    }
 }
 
-/// An IXFR reply frame exactly as `BindServer::serve_ixfr` builds it.
-fn ixfr_reply(mode: &str, with_records: bool) -> Value {
-    let records: Vec<Value> = if with_records {
-        sample_records()
-            .iter()
-            .map(|r| r.to_value().expect("corpus record encodes"))
-            .collect()
-    } else {
-        Vec::new()
+/// An IXFR reply in `mode`: the six sample records and one removed name,
+/// or nothing.
+fn ixfr_reply(mode: IxfrMode, with_records: bool) -> IncrementalTransfer {
+    let (records, removed) = match with_records {
+        true => (sample_records(), vec![dn("gone.cs.washington.edu")]),
+        false => (Vec::new(), Vec::new()),
     };
-    let removed = if with_records {
-        vec![Value::str("gone.cs.washington.edu")]
-    } else {
-        Vec::new()
-    };
-    Value::record([
-        ("serial", Value::U32(1993)),
-        ("mode", Value::str(mode)),
-        ("size_bytes", Value::U32(if with_records { 96 } else { 0 })),
-        ("records", Value::List(records)),
-        ("removed", Value::List(removed)),
-    ])
+    IncrementalTransfer {
+        serial: 1993,
+        mode,
+        size_bytes: if with_records { 96 } else { 0 },
+        records,
+        removed,
+    }
 }
 
 fn xdr(m: &dyn Message) -> Vec<u8> {
@@ -289,19 +278,19 @@ pub fn entries() -> Vec<CorpusEntry> {
         "ixfr_incremental_xdr",
         "ixfr",
         Decoder::XdrValue,
-        xdr(&ixfr_reply("incremental", true)),
+        xdr(&ixfr_reply(IxfrMode::Incremental, true)),
     );
     push(
         "ixfr_unchanged_xdr",
         "ixfr",
         Decoder::XdrValue,
-        xdr(&ixfr_reply("unchanged", false)),
+        xdr(&ixfr_reply(IxfrMode::Unchanged, false)),
     );
     push(
         "ixfr_full_xdr",
         "ixfr",
         Decoder::XdrValue,
-        xdr(&ixfr_reply("full", true)),
+        xdr(&ixfr_reply(IxfrMode::Full, true)),
     );
 
     // regd transfer-chain links (Clearinghouse property values).

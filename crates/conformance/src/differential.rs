@@ -413,7 +413,9 @@ pub fn run_seed(seed: u64) -> SeedSummary {
 /// structs, the fabric must charge and the caller must read the same.
 ///
 /// `bindns`'s resolvers and server exchange `Question`, `Answer`,
-/// `MultiQuestion`, `MultiAnswer` and `UpdateOp` as themselves; the NSM
+/// `MultiQuestion`, `MultiAnswer` and `UpdateOp` as themselves, and its
+/// transfer clients their requests, `ZoneTransfer` and
+/// `IncrementalTransfer`; the NSM
 /// interface its `NsmRequest` and each query class's reply struct; the
 /// Clearinghouse each procedure's request struct and `Property`; `regd`
 /// its request structs and `Resolution`. Any other peer —
@@ -425,6 +427,7 @@ pub fn run_seed(seed: u64) -> SeedSummary {
 pub mod peers {
     use std::sync::Arc;
 
+    use bindns::axfr::{read_serial, transfer_zone, transfer_zone_incremental};
     use bindns::message::{
         Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
     };
@@ -621,6 +624,13 @@ pub mod peers {
             format!("{:?}", hrpc.query(&ghost, RType::A)),
         );
 
+        // The zone's serial, and the whole of it.
+        let origin = name("cs.edu");
+        let serial = read_serial(&net, client, &cs.hrpc_binding, &origin);
+        see("serial", format!("{serial:?}"));
+        let axfr = transfer_zone(&net, client, &cs.hrpc_binding, &origin);
+        see("axfr", format!("{axfr:?}"));
+
         // UPDATE: accepted, refused by the zone, refused by the server.
         let replace = |records| UpdateOp::Replace {
             name: meta.clone(),
@@ -637,6 +647,13 @@ pub mod peers {
             "update a conventional server",
             format!("{:?}", at_root.update(&add)),
         );
+
+        // What the accepted update changed, then nothing since.
+        let ixfr = |from| transfer_zone_incremental(&net, client, &cs.hrpc_binding, &origin, from);
+        let changed = ixfr(serial.expect("serial"));
+        see("ixfr", format!("{changed:?}"));
+        let unchanged = ixfr(changed.expect("ixfr").serial);
+        see("ixfr at the new serial", format!("{unchanged:?}"));
 
         // MQUERY: the set just written, a name that is not there, a hint.
         let questions = [

@@ -17,8 +17,10 @@
 //! The wire is not where a message stops being input: a mutant that
 //! decodes to a [`Value`] is then handed to every **message-level**
 //! reader that takes such a value apart — `bindns`'s `Answer`,
-//! `MultiAnswer`, `Question`, `MultiQuestion` and `UpdateOp`; the NSM
-//! interface's `NsmRequest` and the standard replies (`HrpcBinding`,
+//! `MultiAnswer`, `Question`, `MultiQuestion` and `UpdateOp`, and the
+//! zone transfers' `ZoneRequest`, `IxfrRequest`, `ZoneTransfer` and
+//! `IncrementalTransfer`; the binders' `GetPort` and `ResolveService`; the
+//! NSM interface's `NsmRequest` and the standard replies (`HrpcBinding`,
 //! `HostAddress`, `MailboxLocation`, `FileLocation`, `UserInfo`); the
 //! Clearinghouse's requests (`Lookup`, `SetItem`, `Named`, `AddMember`,
 //! `AddAlias`, `LookupRun`, `List`) and `Property`; `regd`'s requests
@@ -42,6 +44,7 @@
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use bindns::axfr::{IncrementalTransfer, IxfrRequest, ZoneRequest, ZoneTransfer};
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::rr::ResourceRecord;
 use bindns::update::UpdateOp;
@@ -55,6 +58,7 @@ use hns_core::meta::{Kind, MetaRecord};
 use hns_core::name::{Context, HnsName};
 use hns_core::nsm::{HostAddress, NsmInfo, NsmRequest, QueryArgs, SuiteTag};
 use hns_core::query::QueryClass;
+use hrpc::bindproto::{GetPort, ResolveService};
 use hrpc::{HrpcBinding, ProgramId};
 use nsms::file_loc::FileLocation;
 use nsms::mail::MailboxLocation;
@@ -458,6 +462,16 @@ fn read_messages(report: &mut FuzzReport, value: &Value, budget: u64, what: &dyn
     read.message("Release", Release::from_value, |m| tree(m));
     read.message("Resolve", Resolve::from_value, |m| tree(m));
     read.message("Resolution", Resolution::from_value, |m| tree(m));
+    read.message("ZoneRequest", ZoneRequest::from_value, |m| tree(m));
+    read.message("IxfrRequest", IxfrRequest::from_value, |m| tree(m));
+    read.message("ZoneTransfer", ZoneTransfer::from_value, |m| tree(m));
+    read.message(
+        "IncrementalTransfer",
+        IncrementalTransfer::from_value,
+        |m| tree(m),
+    );
+    read.message("GetPort", GetPort::from_value, |m| tree(m));
+    read.message("ResolveService", ResolveService::from_value, |m| tree(m));
     for kind in Kind::ALL {
         let name = format!("MetaRecord {kind:?}");
         read.one(&name, |v| decode_meta(kind, v), write_meta);
@@ -693,6 +707,10 @@ mod tests {
             ("multi_answer_xdr", 1),
             ("update_add_xdr", 1),
             ("update_replace_xdr", 1),
+            ("axfr_reply_xdr", 1),
+            ("ixfr_incremental_xdr", 1),
+            ("ixfr_unchanged_xdr", 1),
+            ("ixfr_full_xdr", 1),
             ("hrpc_binding_sun_xdr", 1),
         ] {
             assert!(readers_of(name) >= least, "{name}: {accepted:?}");
@@ -701,5 +719,26 @@ mod tests {
             let (name, least) = (entry.name, 1);
             assert!(readers_of(name) >= least, "{name}: {accepted:?}");
         }
+        // The requests no base carries: each one's own tree.
+        let origin = DomainName::parse("cs.washington.edu").expect("static name");
+        let requests: [&dyn Message; 4] = [
+            &ZoneRequest {
+                origin: origin.clone(),
+            },
+            &IxfrRequest {
+                origin,
+                from_serial: 1987,
+            },
+            &GetPort { program: 100_005 },
+            &ResolveService {
+                service: "DesiredService".into(),
+            },
+        ];
+        for request in requests {
+            let before = report.message_ok;
+            read_messages(&mut report, &request.tree(), ALLOC_FIXED_BUDGET, &"request");
+            assert!(report.message_ok > before, "{:?}", request.tree());
+        }
+        assert!(report.ok(), "{}", report.render());
     }
 }

@@ -8,7 +8,8 @@
 //! probes), what decoding a reply's record list costs, and — on the
 //! registration testbed — what the write plane's operations cost: a warm
 //! `regd` resolve, a re-bind, a transfer, a Clearinghouse write and
-//! delete; and what standing up a cell's zone costs a server.
+//! delete; what standing up a cell's zone costs a server; and what one
+//! zone transfer, the preload path, costs its caller and the server.
 //!
 //! The pins are **exact**, `(allocations, bytes)` per row: the counts are
 //! deterministic and the same in debug and release, so a change in either
@@ -25,7 +26,9 @@
 
 use std::sync::Arc;
 
+use bindns::axfr::transfer_zone;
 use bindns::message::Answer;
+use bindns::server::{deploy, single_zone_server};
 use bindns::zone::Zone;
 use bindns::{DomainName, ResourceRecord, ZoneDb};
 use clearinghouse::property::PROP_MAILBOX;
@@ -36,11 +39,13 @@ use hns_core::colocation::HnsHandle;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::NsmClient;
 use hns_core::query::QueryClass;
+use hrpc::RpcNet;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND, NS_CH};
 use nsms::import::Importer;
 use nsms::nsm_cache::NsmCacheForm;
 use regd::{owner_key, owner_name, RegTestbed};
 use simnet::topology::{HostId, NetAddr};
+use simnet::world::World;
 use wire::Value;
 
 #[global_allocator]
@@ -156,6 +161,17 @@ const CH_DELETE: Row = (0, 0);
 /// `add_zone`: 54 / 312,518 B, the index rebuilt at every doubling and
 /// again by `add_zone`, rows and log regrown and trimmed.)
 const CELL_LOAD: Row = (24, 168_014);
+
+/// `transfer_zone` of an eight-name zone of one text record each, typed
+/// both ways: the server's sorted copy of the records (20: the sorted
+/// owners, the record vector as it grows, each owner's full name and
+/// each text), the two strings the metrics registry keys its
+/// `zone_transfers` lookup with, and the box the `ZoneTransfer` travels
+/// back in — nothing on the client, which reads that struct as it is.
+/// (69 / 4,559 B while request and reply were trees: every record was
+/// built into a four-field tree, and decoded back into a record and its
+/// owner's name on the client.)
+const ZONE_TRANSFER: Row = (23, 1_364);
 
 /// Prints one row and checks it against its pin.
 fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {
@@ -365,4 +381,25 @@ fn a_cell_zone_loads_within_its_allocation_budget() {
         db.add_zone(Zone::load(origin.clone(), 600, loaded).expect("load"));
         db
     });
+}
+
+/// A zone transfer, the preload path: what one `AXFR` costs its caller
+/// and the server answering it.
+#[test]
+fn a_zone_transfer_stays_within_its_allocation_budget() {
+    let world = World::paper();
+    let client = world.add_host("client");
+    let primary = world.add_host("primary");
+    let net = RpcNet::new(Arc::clone(&world));
+    let origin = DomainName::parse("hns").expect("origin");
+    let mut zone = Zone::new(origin.clone(), 600);
+    for i in 0..8 {
+        let owner = origin.child(&format!("e{i}")).expect("name");
+        let record = ResourceRecord::txt(owner, 600, format!("entry {i}"));
+        zone.add(record).expect("add");
+    }
+    let dep = deploy(&net, primary, single_zone_server("primary", zone, true));
+    let transfer = || transfer_zone(&net, client, &dep.hrpc_binding, &origin).expect("axfr");
+    transfer();
+    row("transfer_zone, 8 names", ZONE_TRANSFER, transfer);
 }

@@ -42,8 +42,15 @@ fn typed_and_tree_only_peers_are_indistinguishable() {
     assert!(said("refused update:").contains("FormErr"));
     assert!(said("update a conventional server:").contains("Refused"));
     assert!(said("call for a referral:").contains("ns.cs.edu"));
+    // And the transfers: the zone whole, what the update changed, then
+    // nothing since.
+    assert!(said("serial:").starts_with("serial: Ok("));
+    assert!(said("axfr:").contains("june.cs.edu"));
+    assert!(said("ixfr:").contains("mode: Incremental"));
+    assert!(said("ixfr:").contains("meta.cs.edu"));
+    assert!(said("ixfr at the new serial:").contains("mode: Unchanged"));
     assert!(
-        said("counters:").contains("remote_calls: 16"),
+        said("counters:").contains("remote_calls: 20"),
         "{}",
         said("counters:")
     );

@@ -2,7 +2,7 @@
 //! serial equality, the exact delta-log truncation boundary, and the
 //! full-AXFR fallback — at both the preload-report and wire levels.
 
-use bindns::axfr::{read_serial, transfer_zone_incremental, IxfrContents};
+use bindns::axfr::{read_serial, transfer_zone_incremental, IxfrMode};
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
 use bindns::rr::{RType, ResourceRecord};
@@ -209,10 +209,10 @@ fn ixfr_boundary_serial_is_exact_on_the_wire() {
         floor,
     )
     .expect("IXFR at the floor");
-    assert!(
-        matches!(at_floor.contents, IxfrContents::Incremental { .. }),
-        "from = floor must still be incremental, got {:?}",
-        at_floor.contents
+    assert_eq!(
+        at_floor.mode,
+        IxfrMode::Incremental,
+        "from = floor must still be incremental"
     );
     let fallbacks_before = tb
         .world
@@ -229,9 +229,10 @@ fn ixfr_boundary_serial_is_exact_on_the_wire() {
         floor - 1,
     )
     .expect("IXFR past the floor");
-    assert!(
-        matches!(past_floor.contents, IxfrContents::Full { .. }),
-        "from = floor - 1 must fall back to full, got a different mode"
+    assert_eq!(
+        past_floor.mode,
+        IxfrMode::Full,
+        "from = floor - 1 must fall back to full"
     );
     assert_eq!(past_floor.serial, serial);
     assert!(
@@ -259,7 +260,7 @@ fn ixfr_boundary_serial_is_exact_on_the_wire() {
         serial,
     )
     .expect("IXFR at the current serial");
-    assert!(matches!(current.contents, IxfrContents::Unchanged));
+    assert_eq!(current.mode, IxfrMode::Unchanged);
     assert_eq!(current.size_bytes, 0);
 }
 
@@ -297,12 +298,12 @@ fn a_retired_nsm_leaves_with_the_next_preload_or_when_its_ttl_lapses() {
         before.serial,
     )
     .expect("IXFR after the retire");
-    let IxfrContents::Incremental { records, removed } = xfer.contents else {
-        panic!(
-            "two deletions ride an incremental transfer: {:?}",
-            xfer.contents
-        );
-    };
+    assert_eq!(
+        xfer.mode,
+        IxfrMode::Incremental,
+        "two deletions ride an incremental transfer"
+    );
+    let (records, removed) = (xfer.records, xfer.removed);
     assert!(records.is_empty(), "{records:?}");
     let info = dn(&format!("info.{}.hns", BindingBindNsm::NAME));
     let pair = dn(&format!("map.{NS_BIND}--{qc}.hns"));

@@ -1,26 +1,27 @@
-//! What still crosses the fabric as a tree.
+//! Nothing crosses the fabric as a tree.
 //!
 //! Every in-tree server — the Clearinghouse, the `regd` frontend, both
 //! BIND servers and every remotely exported NSM — is put back at its port
 //! behind a recorder that notes, per procedure, whether the request
 //! reached it as a struct or as a tree. Every client method is then
-//! driven once (and `SNAPSHOT`, which no client sends, by hand). The
-//! procedures that arrived as trees are the fabric's untyped remainder;
-//! this pins the set, so a procedure that goes typed — or back to the
-//! tree — is written down here.
+//! driven once. The procedures that arrived as trees would be the
+//! fabric's untyped remainder; this pins the set empty, so a procedure
+//! that goes back to the tree is written down here.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use bindns::axfr::{read_serial, transfer_zone, transfer_zone_incremental};
-use bindns::message::{Question, PROC_AXFR, PROC_IXFR, PROC_MQUERY, PROC_QUERY, PROC_SERIAL};
+use bindns::message::{
+    Question, PROC_AXFR, PROC_IXFR, PROC_MQUERY, PROC_QUERY, PROC_SERIAL, PROC_UPDATE,
+};
 use bindns::server::BIND_PROGRAM;
 use bindns::{
     DomainName, HrpcResolver, RType, RecursiveResolver, ResourceRecord, StdResolver, UpdateOp,
     DNS_PORT,
 };
 use clearinghouse::property::{PROP_ADDRESS, PROP_MAILBOX, PROP_MEMBERS};
-use clearinghouse::server::{CH_PROGRAM, PROC_SNAPSHOT};
+use clearinghouse::server::CH_PROGRAM;
 use clearinghouse::ThreePartName;
 use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
@@ -93,7 +94,7 @@ fn record(
 }
 
 #[test]
-fn only_zone_transfers_and_the_snapshot_still_reach_a_server_as_trees() {
+fn no_request_reaches_a_server_as_a_tree() {
     let rt = RegTestbed::build(3);
     let tb = &rt.tb;
     let (net, nsm_host, client) = (&tb.net, tb.hosts.nsm, tb.hosts.client);
@@ -218,7 +219,7 @@ fn only_zone_transfers_and_the_snapshot_still_reach_a_server_as_trees() {
         nsm.call(&binding, &name, extra).expect("NSM call");
     }
 
-    // The Clearinghouse: every `ChClient` method, and the snapshot.
+    // The Clearinghouse: every `ChClient` method.
     let chc = tb.ch_client(client);
     let tpn = |s: &str| ThreePartName::parse(s).expect("name");
     let (temp, staff, lp) = (tpn("temp:cs:uw"), tpn("staff:cs:uw"), tpn("lp:cs:uw"));
@@ -237,9 +238,6 @@ fn only_zone_transfers_and_the_snapshot_still_reach_a_server_as_trees() {
         .expect("run");
     chc.list("cs", "uw", "*").expect("list");
     chc.delete(&temp).expect("delete");
-    let creds = Value::record([("creds", tb.creds.tree().into_owned())]);
-    net.call(client, &tb.ch.binding, PROC_SNAPSHOT, &creds)
-        .expect("snapshot");
 
     // regd: every `RegClient` method.
     let regc = RegClient::new(Arc::clone(net), client, reg_binding);
@@ -256,13 +254,7 @@ fn only_zone_transfers_and_the_snapshot_still_reach_a_server_as_trees() {
         .filter(|(_, _, tree)| *tree)
         .map(|&(label, proc_id, _)| (label, proc_id))
         .collect();
-    let remainder = [
-        ("bind", PROC_AXFR),
-        ("bind", PROC_SERIAL),
-        ("bind", PROC_IXFR),
-        ("clearinghouse", PROC_SNAPSHOT),
-    ];
-    assert_eq!(trees, remainder.into_iter().collect(), "{log:?}");
+    assert_eq!(trees, BTreeSet::new(), "{log:?}");
     // And every procedure the clients sent was seen: the recorders stood
     // where the calls went.
     let typed = |label: &str| -> BTreeSet<u32> {
@@ -271,9 +263,14 @@ fn only_zone_transfers_and_the_snapshot_still_reach_a_server_as_trees() {
     };
     assert_eq!(typed("clearinghouse"), [1, 2, 3, 4, 5, 7, 8, 9].into());
     assert_eq!(typed("regd"), (1..=5).collect());
-    assert_eq!(
-        typed("bind"),
-        [PROC_QUERY, bindns::message::PROC_UPDATE, PROC_MQUERY].into()
-    );
+    let bind = [
+        PROC_QUERY,
+        PROC_UPDATE,
+        PROC_MQUERY,
+        PROC_AXFR,
+        PROC_IXFR,
+        PROC_SERIAL,
+    ];
+    assert_eq!(typed("bind"), bind.into());
     assert_eq!(typed("nsm"), [NSM_PROC_QUERY].into());
 }

@@ -791,32 +791,24 @@ impl Hns {
     /// small amount of information (currently about 2KB) required to
     /// guarantee HNS cache hits."
     pub fn preload(&self) -> HnsResult<PreloadReport> {
-        use bindns::axfr::{self, IxfrContents};
+        use bindns::axfr::{self, IxfrMode};
         let (net, origin) = (&self.net, self.meta.origin());
         let last_serial = *self.preload_serial.lock();
-        let (serial, bytes, contents) = match last_serial {
+        let (serial, bytes, mode, records, removed) = match last_serial {
             None => {
-                let xfer = axfr::transfer_zone(net, self.host, &self.meta_binding, origin)?;
-                let records = xfer.records;
-                (xfer.serial, xfer.size_bytes, IxfrContents::Full { records })
+                let x = axfr::transfer_zone(net, self.host, &self.meta_binding, origin)?;
+                (x.serial, x.size_bytes, IxfrMode::Full, x.records, vec![])
             }
             Some(from) => {
                 let binding = &self.meta_binding;
-                let xfer = axfr::transfer_zone_incremental(net, self.host, binding, origin, from)?;
-                (xfer.serial, xfer.size_bytes, xfer.contents)
+                let x = axfr::transfer_zone_incremental(net, self.host, binding, origin, from)?;
+                (x.serial, x.size_bytes, x.mode, x.records, x.removed)
             }
         };
-        let (mode, tally, records, removed) = match contents {
-            IxfrContents::Unchanged => (PreloadMode::Unchanged, "unchanged_probes", vec![], vec![]),
-            IxfrContents::Incremental { records, removed } => (
-                PreloadMode::Incremental,
-                "incremental_transfers",
-                records,
-                removed,
-            ),
-            IxfrContents::Full { records } => {
-                (PreloadMode::Full, "full_transfers", records, vec![])
-            }
+        let (mode, tally) = match mode {
+            IxfrMode::Unchanged => (PreloadMode::Unchanged, "unchanged_probes"),
+            IxfrMode::Incremental => (PreloadMode::Incremental, "incremental_transfers"),
+            IxfrMode::Full => (PreloadMode::Full, "full_transfers"),
         };
         // A name the server says is gone gets what a demand fetch would
         // now store for it. No composed binding survives a transfer that

@@ -14,6 +14,26 @@ use crate::components::{BindingProtocol, ComponentSet};
 use crate::error::RpcResult;
 use crate::net::{RpcNet, EXCHANGE_PORT, EXCHANGE_RESOLVE, PMAP_GETPORT, PORTMAP_PORT};
 
+/// A portmapper's [`PMAP_GETPORT`] request: the program whose port is
+/// asked for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GetPort {
+    /// The program number.
+    pub program: u32,
+}
+
+wire::record!(GetPort { program });
+
+/// A Courier exchange listener's [`EXCHANGE_RESOLVE`] request: the
+/// service whose port is asked for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolveService {
+    /// The service's name.
+    pub service: String,
+}
+
+wire::record!(ResolveService { service });
+
 /// Resolves the port for (`server`, `program`, `service_name`) by running
 /// the binding protocol of `components`, originating from `caller`.
 ///
@@ -28,30 +48,23 @@ pub fn resolve_port(
     service_name: &str,
     components: ComponentSet,
 ) -> RpcResult<u16> {
-    match components.binding {
-        BindingProtocol::StaticPort(port) => Ok(port),
-        BindingProtocol::SunPortmapper => {
-            let pm =
-                RpcNet::builtin_binding(server, PORTMAP_PORT, ComponentSet::raw_udp(PORTMAP_PORT));
-            let reply = net.call(
-                caller,
-                &pm,
-                PMAP_GETPORT,
-                &Value::record([("program", Value::U32(program.0))]),
-            )?;
-            port_of(&reply)
-        }
-        BindingProtocol::CourierExchange => {
-            let ex = RpcNet::builtin_binding(server, EXCHANGE_PORT, ComponentSet::courier());
-            let reply = net.call(
-                caller,
-                &ex,
-                EXCHANGE_RESOLVE,
-                &Value::record([("service", Value::str(service_name))]),
-            )?;
-            port_of(&reply)
-        }
-    }
+    let (binding, proc_id, request): (_, _, &dyn wire::Message) = match components.binding {
+        BindingProtocol::StaticPort(port) => return Ok(port),
+        BindingProtocol::SunPortmapper => (
+            RpcNet::builtin_binding(server, PORTMAP_PORT, ComponentSet::raw_udp(PORTMAP_PORT)),
+            PMAP_GETPORT,
+            &GetPort { program: program.0 },
+        ),
+        BindingProtocol::CourierExchange => (
+            RpcNet::builtin_binding(server, EXCHANGE_PORT, ComponentSet::courier()),
+            EXCHANGE_RESOLVE,
+            &ResolveService {
+                service: service_name.to_string(),
+            },
+        ),
+    };
+    let reply = net.call_msg(caller, &binding, proc_id, request)?;
+    port_of(&reply.into_value())
 }
 
 /// The port a portmapper or exchange listener replied with.

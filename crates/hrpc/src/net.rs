@@ -25,6 +25,7 @@ use simnet::world::World;
 use wire::{Message, Value};
 
 use crate::binding::{HrpcBinding, ProgramId};
+use crate::bindproto::{GetPort, ResolveService};
 use crate::components::ComponentSet;
 use crate::error::{RpcError, RpcResult};
 use crate::server::{CallCtx, Reply, RpcService};
@@ -572,14 +573,8 @@ impl RpcNet {
         proc_id: u32,
         args: &dyn Message,
     ) -> RpcResult<Reply> {
-        // Built-in per-host services, on the tree.
-        let builtin = match binding.port {
-            PORTMAP_PORT => Some(self.serve_portmap(binding.host, proc_id, &args.tree())),
-            EXCHANGE_PORT => Some(self.serve_exchange(binding.host, proc_id, &args.tree())),
-            _ => None,
-        };
-        if let Some(reply) = builtin {
-            return reply.map(Reply::Tree);
+        if let PORTMAP_PORT | EXCHANGE_PORT = binding.port {
+            return self.serve_listener(binding, proc_id, args);
         }
         let service = self.lookup_service(binding.host, binding.port)?;
         let ctx = CallCtx {
@@ -591,28 +586,27 @@ impl RpcNet {
         service.dispatch_msg(&ctx, proc_id, args)
     }
 
-    fn serve_portmap(&self, host: HostId, proc_id: u32, args: &Value) -> RpcResult<Value> {
+    /// The built-in per-host listeners: the portmapper maps a program to
+    /// its port, the Courier exchange listener a service's name.
+    fn serve_listener(
+        &self,
+        listener: &HrpcBinding,
+        proc_id: u32,
+        args: &dyn Message,
+    ) -> RpcResult<Reply> {
         self.world.charge_ms(self.world.costs.portmap_service);
-        match proc_id {
-            PMAP_GETPORT => {
-                let program = ProgramId(args.u32_field("program")?);
-                let port = self.portmap_getport(host, program)?;
-                Ok(Value::U32(port as u32))
+        let port = match (listener.port, proc_id) {
+            (PORTMAP_PORT, PMAP_GETPORT) => {
+                let program = ProgramId(args.read(GetPort::from_value)?.program);
+                self.portmap_getport(listener.host, program)?
             }
-            other => Err(RpcError::BadProcedure(other)),
-        }
-    }
-
-    fn serve_exchange(&self, host: HostId, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.world.charge_ms(self.world.costs.portmap_service);
-        match proc_id {
-            EXCHANGE_RESOLVE => {
-                let name = args.str_field("service")?;
-                let port = self.exchange_resolve(host, name)?;
-                Ok(Value::U32(port as u32))
+            (EXCHANGE_PORT, EXCHANGE_RESOLVE) => {
+                let request = args.read(ResolveService::from_value)?;
+                self.exchange_resolve(listener.host, &request.service)?
             }
-            other => Err(RpcError::BadProcedure(other)),
-        }
+            (_, other) => return Err(RpcError::BadProcedure(other)),
+        };
+        Ok(Reply::Tree(Value::U32(u32::from(port))))
     }
 
     /// Builds the binding for a built-in per-host service (portmapper or

@@ -327,19 +327,7 @@ impl LocalHistogram {
 
     /// The value at quantile `p` in `[0, 1]`, as [`Histogram::percentile`].
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let p = p.clamp(0.0, 1.0);
-        let target = ((p * self.count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cumulative += b;
-            if cumulative >= target {
-                return bucket_upper(i);
-            }
-        }
-        self.max
+        percentile_from_buckets(&self.buckets, p)
     }
 
     /// Point-in-time statistics, shaped like [`Histogram`]'s.
