@@ -1,13 +1,12 @@
 //! Deployment scenarios: the Table 3.1 colocation matrix and the
 //! cell-sharded world generator for the scale-out experiment (E-S).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bindns::name::DomainName;
-use bindns::rr::{RData, RType, ResourceRecord};
+use bindns::rr::{RData, RType};
 use bindns::server::{deploy as deploy_bind, single_zone_server, BindDeployment};
-use bindns::zone::Zone;
+use bindns::zone::{RrBody, Zone};
 use simnet::rng::DetRng;
 use simnet::world::World;
 use simnet::HostId;
@@ -257,35 +256,76 @@ fn binding_payload(cell: usize, slot: usize) -> Arc<[u8]> {
     .into()
 }
 
+/// An owner label `{prefix}{index}` — `n17`, `ctx3`, `ns.cell5` —
+/// written on the stack as `format!` would write it: the digits from the
+/// last one back, then the prefix before them, so the label ends the
+/// buffer.
+struct Label {
+    text: [u8; Label::MAX],
+    start: u8,
+}
+
+impl Label {
+    /// Bytes a label holds: a prefix of up to twelve, and any `usize`.
+    const MAX: usize = 32;
+
+    fn new(prefix: &str, index: usize) -> Label {
+        let (mut text, mut start, mut rest) = ([0; Label::MAX], Label::MAX, index);
+        loop {
+            start -= 1;
+            text[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        start -= prefix.len();
+        text[start..start + prefix.len()].copy_from_slice(prefix.as_bytes());
+        Label {
+            text,
+            start: start as u8,
+        }
+    }
+}
+
+impl AsRef<str> for Label {
+    fn as_ref(&self) -> &str {
+        std::str::from_utf8(&self.text[usize::from(self.start)..])
+            .expect("an ASCII prefix and digits")
+    }
+}
+
 /// Cell `cell`'s records, made as they are loaded: per context
 /// directory `k` its `ctx{k}` and `map{k}` records, then the names
 /// `n0`, `n1`, …, each mapping and name a binding drawn from the cell's
-/// pool by `rng`. Each blob is built once and shared; each owner name is
-/// its label, written into one reused buffer, below `origin`. The count
-/// is exact, so the zone is sized once.
+/// pool by `rng`. Each blob is built once and shared; each record is
+/// its owner's label, written on the stack, and its body, as
+/// [`Zone::load`] takes them. The count is exact, so the zone is sized
+/// once.
 fn cell_records<'a>(
     plan: &CellPlan,
     cell: usize,
-    origin: &'a DomainName,
     rng: &'a mut DetRng,
     ttl: u32,
-) -> impl ExactSizeIterator<Item = ResourceRecord> + 'a {
+) -> impl ExactSizeIterator<Item = (Label, RrBody)> + 'a {
     let pool: Vec<Arc<[u8]>> = (0..PAYLOAD_POOL)
         .map(|slot| binding_payload(cell, slot))
         .collect();
     let context: Arc<[u8]> = format!("ns=NS-cell{cell};map=identity").into_bytes().into();
     let mut draw = move || Arc::clone(&pool[rng.next_below(PAYLOAD_POOL as u64) as usize]);
     let directories = 2 * plan.contexts_in_cell(cell);
-    let mut label = String::new();
     (0..directories + plan.names_in_cell(cell)).map(move |i| {
         let (prefix, index, data) = match i.checked_sub(directories) {
             None if i % 2 == 0 => ("ctx", i / 2, Arc::clone(&context)),
             None => ("map", i / 2, draw()),
             Some(index) => ("n", index, draw()),
         };
-        label.clear();
-        write!(label, "{prefix}{index}").expect("a String takes any text");
-        ResourceRecord::unspec(origin.child(&label).expect("cell name"), ttl, data)
+        let body = RrBody {
+            rtype: RType::Unspec,
+            ttl,
+            rdata: RData::Opaque(data),
+        };
+        (Label::new(prefix, index), body)
     })
 }
 
@@ -309,16 +349,21 @@ pub fn build_cell_world(plan: &CellPlan, seed: u64) -> CellWorld {
         let host = world.add_host(format!("ns.cell{c}.hns"));
         let origin = cell_origin(c);
         let ns_name = origin.child("ns").expect("ns name");
-        delegations.push(ResourceRecord {
-            name: origin.clone(),
+        let cut = RrBody {
             rtype: RType::Ns,
             ttl,
-            rdata: RData::Domain(ns_name.clone()),
-        });
-        delegations.push(ResourceRecord::a(ns_name, ttl, NetAddr::of(host)));
-        let cell_records = cell_records(plan, c, &origin, &mut rng, ttl);
+            rdata: RData::Domain(ns_name),
+        };
+        let glue = RrBody {
+            rtype: RType::A,
+            ttl,
+            rdata: RData::Addr(NetAddr::of(host)),
+        };
+        delegations.push((Label::new("cell", c), cut));
+        delegations.push((Label::new("ns.cell", c), glue));
+        let cell_records = cell_records(plan, c, &mut rng, ttl);
         records += cell_records.len();
-        let zone = Zone::load(origin.clone(), ttl, cell_records).expect("cell zone");
+        let zone = Zone::load(origin, ttl, cell_records).expect("cell zone");
         cells.push(deploy_bind(
             &net,
             host,
@@ -376,6 +421,18 @@ impl CellWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The labels written on the stack are the ones `format!` writes,
+    /// at every change in the count of digits.
+    #[test]
+    fn a_label_is_its_prefix_and_index_as_format_writes_them() {
+        for index in [0, 9, 10, 99, 100, 4095, 4096, 999_999, usize::MAX] {
+            for prefix in ["n", "ctx", "map", "cell", "ns.cell"] {
+                let label = Label::new(prefix, index);
+                assert_eq!(label.as_ref(), format!("{prefix}{index}"));
+            }
+        }
+    }
 
     #[test]
     fn cell_world_delegates_and_dedups_record_bodies() {

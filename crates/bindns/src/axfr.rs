@@ -23,12 +23,12 @@ use wire::message::{Field, Shape, Shaped};
 use wire::{Value, WireError, WireResult};
 
 use crate::db::ZoneDb;
-use crate::error::NsResult;
+use crate::error::{NsError, NsResult};
 use crate::message::{replied, PROC_AXFR, PROC_IXFR, PROC_SERIAL};
 use crate::name::DomainName;
 use crate::rr::{bad_field, ResourceRecord};
 use crate::server::BindServer;
-use crate::zone::Zone;
+use crate::zone::{RrBody, Zone};
 
 /// An `AXFR` or `SERIAL` request: the zone asked about.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,14 +251,24 @@ pub struct Secondary {
     last_serial: parking_lot::Mutex<u32>,
 }
 
-/// The database a secondary serves a transferred copy of `origin` from.
+/// The database a secondary serves a transferred copy of `origin` from:
+/// each record's name stripped to the text the zone keeps, as
+/// [`Zone::add`] strips it, and the records loaded.
 fn served(
     origin: &DomainName,
     default_ttl: u32,
     records: Vec<ResourceRecord>,
 ) -> RpcResult<ZoneDb> {
-    let zone = Zone::load(origin.clone(), default_ttl, records)
-        .map_err(|e| RpcError::Service(e.to_string()))?;
+    let refused = |e: NsError| RpcError::Service(e.to_string());
+    let stripped = records
+        .iter()
+        .map(|rr| match rr.name.below(origin) {
+            Some(owner) => Ok((owner, RrBody::of(rr))),
+            None => Err(NsError::NotAuthoritative(rr.name.to_string())),
+        })
+        .collect::<NsResult<Vec<_>>>()
+        .map_err(refused)?;
+    let zone = Zone::load(origin.clone(), default_ttl, stripped).map_err(refused)?;
     let mut db = ZoneDb::new();
     db.add_zone(zone);
     Ok(db)
@@ -467,7 +477,11 @@ mod tests {
             .expect("update");
         assert!(secondary.refresh().expect("refresh"), "serial advanced");
         let xfer = transfer_zone(&net, client, &dep.hrpc_binding, &name("hns")).expect("axfr");
-        let loaded = Zone::load(name("hns"), 600, xfer.records).expect("load");
+        let stripped = xfer.records.iter().map(|rr| {
+            let owner = rr.name.below(&name("hns")).expect("in the zone");
+            (owner, RrBody::of(rr))
+        });
+        let loaded = Zone::load(name("hns"), 600, stripped).expect("load");
         let served = secondary.server().with_db(|db| {
             db.zone(&name("hns"))
                 .map(|z| (z.resident_bytes(), z.all_records(), z.serial()))

@@ -69,11 +69,7 @@ impl Entry {
     /// What to keep of `records`, the set at `owner`.
     fn of(owner: &DomainName, records: Arc<[ResourceRecord]>) -> Entry {
         match &records[..] {
-            [only] if only.name == *owner => Entry::Body(RrBody {
-                rtype: only.rtype,
-                ttl: only.ttl,
-                rdata: only.rdata.clone(),
-            }),
+            [only] if only.name == *owner => Entry::Body(RrBody::of(only)),
             _ => Entry::Records(records),
         }
     }

@@ -79,9 +79,19 @@ impl DomainName {
     /// (`fiji.cs.washington.edu` is within `cs.washington.edu`): a suffix
     /// test that must land on a label boundary.
     pub fn is_within(&self, zone: &DomainName) -> bool {
-        match self.text.strip_suffix(&*zone.text) {
-            Some(below) => zone.is_root() || below.is_empty() || below.ends_with('.'),
-            None => false,
+        self.below(zone).is_some()
+    }
+
+    /// This name's text below `origin`, what a zone keeps as its owner
+    /// name: `n17` for `n17.cell0.hns` below `cell0.hns`, empty for
+    /// `origin` itself, all of it below the root. `None` if the name is
+    /// not within `origin`.
+    pub(crate) fn below(&self, origin: &DomainName) -> Option<&str> {
+        let below = self.text.strip_suffix(&*origin.text)?;
+        if origin.is_root() || below.is_empty() {
+            Some(below)
+        } else {
+            below.strip_suffix('.')
         }
     }
 
@@ -102,6 +112,28 @@ impl DomainName {
     pub fn child(&self, labels: &str) -> NsResult<DomainName> {
         check_labels(labels, self.joined_len(labels))?;
         Ok(self.prefixed_unchecked(labels))
+    }
+
+    /// `labels` (empty for this name itself) checked as
+    /// [`DomainName::child`] checks them, and lowered into `lowered` if
+    /// any needs it: the text [`DomainName::below`] gives of the name
+    /// they make below this one, with the error `child` gives for them.
+    #[expect(
+        clippy::expect_used,
+        reason = "checked labels are ASCII and fit a name"
+    )]
+    pub(crate) fn checked_below<'a>(
+        &self,
+        labels: &'a str,
+        lowered: &'a mut [u8; MAX_NAME],
+    ) -> NsResult<&'a str> {
+        if labels.is_empty() || !check_labels(labels, self.joined_len(labels))? {
+            return Ok(labels);
+        }
+        let lowered = &mut lowered[..labels.len()];
+        lowered.copy_from_slice(labels.as_bytes());
+        lowered.make_ascii_lowercase();
+        Ok(std::str::from_utf8(lowered).expect("checked labels are ASCII"))
     }
 
     /// Length of the text of `labels` prepended to this name.
@@ -351,6 +383,42 @@ mod tests {
         let long = DomainName::parse(&format!("{}com", "a.".repeat(120))).expect("243 bytes");
         assert!(long.child("0123456789").is_ok(), "254 bytes");
         assert!(long.child("0123456789ab").is_err(), "256 bytes");
+    }
+
+    /// `below` is the text a zone keeps; `checked_below` is `child` with
+    /// that text for its answer: the same text, lowered, or the same
+    /// error.
+    #[test]
+    fn checked_below_is_child_stripped() {
+        let zone = DomainName::parse("cs.washington.edu").expect("parse");
+        let host = zone.child("fiji").expect("child");
+        assert_eq!(host.below(&zone), Some("fiji"));
+        assert_eq!(zone.below(&zone), Some(""));
+        assert_eq!(host.below(&DomainName::root()), Some(host.text()));
+        let other = DomainName::parse("xcs.washington.edu").expect("parse");
+        assert_eq!(other.below(&zone), None);
+        let long = vec!["x".repeat(MAX_LABEL); 4].join(".");
+        let mut lowered = [0; MAX_NAME];
+        for origin in [zone, DomainName::root()] {
+            for labels in [
+                "",
+                "Fiji",
+                "www.FIJI",
+                "a..b",
+                "a.",
+                "a b",
+                &"x".repeat(64),
+                &long,
+            ] {
+                let want = match labels {
+                    "" => Ok(origin.clone()),
+                    labels => origin.child(labels),
+                };
+                let want = want.map(|name| name.below(&origin).map(str::to_owned));
+                let got = origin.checked_below(labels, &mut lowered);
+                assert_eq!(got.map(|text| Some(text.to_owned())), want, "`{labels}`");
+            }
+        }
     }
 
     /// The label checker as it was written before it ran in one pass:

@@ -24,12 +24,18 @@
 //! ([`Zone::all_records`]), sorts them when the transfer is made.
 //!
 //! A whole zone arriving at once — a transfer's records, a generated
-//! world's — is stood up by [`Zone::load`]: its rows, owner index and
-//! delta log are sized once from the records' size hint, every record
-//! goes through [`Zone::add`], and the zone comes back fitted. A zone
-//! built record by record grows by doubling; [`Zone::shrink_to_fit`],
-//! which [`crate::db::ZoneDb::add_zone`] calls when a server takes the
-//! zone, trims it to what it holds, and leaves a fitted one as it is.
+//! world's — is stood up by [`Zone::load`], handed each record as the
+//! zone stores it: its owner's text below the origin and its [`RrBody`].
+//! Its rows, owner index and delta log are sized once from the records'
+//! size hint; each owner's labels are checked as [`DomainName::child`]
+//! checks them and lowered, and the record goes through the insert
+//! [`Zone::add`] makes once it has stripped its name; the zone comes
+//! back fitted. A load also files each opaque payload it stores by its
+//! allocation, so a payload shared by `Arc` across its records is hashed
+//! once, not once a record. A zone built record by record grows by
+//! doubling; [`Zone::shrink_to_fit`], which
+//! [`crate::db::ZoneDb::add_zone`] calls when a server takes the zone,
+//! trims it to what it holds, and leaves a fitted one as it is.
 //!
 //! [`Zone::size_bytes`] keeps the naive per-record accounting, absolute
 //! owner names included (it drives calibrated transfer costs);
@@ -52,13 +58,13 @@ use std::collections::VecDeque;
 use simnet::ttl::arc_bytes;
 
 use crate::error::{NsError, NsResult};
-use crate::name::DomainName;
+use crate::name::{DomainName, MAX_NAME};
 use crate::rr::{RData, RType, ResourceRecord};
 
 mod bodies;
 mod owners;
 
-use bodies::{Bodies, BodyId};
+use bodies::{Bodies, BodyId, Filed};
 use owners::{Owners, Vacancy};
 
 /// The owner-independent remainder of a resource record. Two records at
@@ -74,6 +80,15 @@ pub struct RrBody {
 }
 
 impl RrBody {
+    /// The body of `rr`.
+    pub(crate) fn of(rr: &ResourceRecord) -> RrBody {
+        RrBody {
+            rtype: rr.rtype,
+            ttl: rr.ttl,
+            rdata: rr.rdata.clone(),
+        }
+    }
+
     fn to_record(&self, name: &DomainName) -> ResourceRecord {
         ResourceRecord {
             name: name.clone(),
@@ -164,17 +179,25 @@ impl Zone {
         }
     }
 
-    /// The zone `records` make, added in their order by [`Zone::add`] to
-    /// an empty one and then fitted ([`Zone::shrink_to_fit`]): the same
-    /// records, serial and delta log as those adds. What differs is the
-    /// work: the rows, the owner index and the delta log are sized once,
-    /// from the records' size hint, so a load of distinct owners never
-    /// rebuilds its index, and the zone it returns is fitted already. The
-    /// first record [`Zone::add`] refuses fails the load with its error.
-    pub fn load(
+    /// The zone `records` make, each an owner's text below the origin
+    /// (`n17` for `n17.cell0.hns`, empty for the apex) and a body: the
+    /// zone [`Zone::add`] makes of the records at those names, added in
+    /// their order to an empty zone, which is then fitted
+    /// ([`Zone::shrink_to_fit`]) — the same records, bodies, serial and
+    /// delta log. The first owner [`DomainName::child`] would refuse
+    /// fails the load with its error, and so does the first record
+    /// `add` would refuse; upper case is lowered.
+    ///
+    /// What differs is the work: no name is made; the rows, the owner
+    /// index and the delta log are sized once, from the records' size
+    /// hint, so a load of distinct owners never rebuilds its index, and
+    /// the zone it returns is fitted already; and an opaque payload
+    /// shared by `Arc` with a record loaded before, under the same type
+    /// and TTL, takes that record's body without its bytes being hashed.
+    pub fn load<O: AsRef<str>>(
         origin: DomainName,
         default_ttl: u32,
-        records: impl IntoIterator<Item = ResourceRecord>,
+        records: impl IntoIterator<Item = (O, RrBody)>,
     ) -> NsResult<Zone> {
         let records = records.into_iter();
         let expected = records.size_hint().0;
@@ -183,8 +206,10 @@ impl Zone {
             delta_log: VecDeque::with_capacity(expected.min(DELTA_LOG_CAP)),
             ..Zone::new(origin, default_ttl)
         };
-        for rr in records {
-            zone.add(rr)?;
+        let (mut filed, mut lowered) = (Filed::default(), [0; MAX_NAME]);
+        for (owner, body) in records {
+            let owner = zone.origin.checked_below(owner.as_ref(), &mut lowered)?;
+            zone.put(owner, body, Some(&mut filed))?;
         }
         zone.shrink_to_fit();
         Ok(zone)
@@ -239,14 +264,7 @@ impl Zone {
     /// `name`'s text below the origin, what the owner store keeps, or
     /// `None` if the name is not in this zone.
     fn relative<'a>(&self, name: &'a DomainName) -> Option<&'a str> {
-        self.contains(name).then(|| self.strip(name.text()))
-    }
-
-    /// The text of a name in this zone with the origin stripped: empty at
-    /// the apex, all of it when the origin is the root.
-    fn strip<'a>(&self, text: &'a str) -> &'a str {
-        let origin = self.origin.text().len() + usize::from(!self.origin.is_root());
-        &text[..text.len().saturating_sub(origin)]
+        name.below(&self.origin)
     }
 
     /// The owner name the store keeps as `relative`.
@@ -277,66 +295,90 @@ impl Zone {
         self.bodies.shrink_to_fit();
     }
 
-    /// Whether `rr` may join its name, which is `occupied` if it holds any
-    /// record and `has_cname` if one of them is a `CNAME`: the name must
-    /// lie in this zone and the rdata fit, at most one `CNAME` may exist
-    /// at a name, and a `CNAME` may not coexist with other data (the
-    /// classic BIND rule).
-    fn admit(&self, rr: &ResourceRecord, occupied: bool, has_cname: bool) -> NsResult<()> {
-        let Some(relative) = self.relative(&rr.name) else {
-            return Err(NsError::NotAuthoritative(rr.name.to_string()));
-        };
-        rr.rdata.encoded_len()?;
+    /// Whether a record of `rtype` and `rdata` may join the owner kept as
+    /// `relative`, which is `occupied` if it holds any record and
+    /// `has_cname` if one of them is a `CNAME`: the rdata must fit, at
+    /// most one `CNAME` may exist at a name, and a `CNAME` may not
+    /// coexist with other data (the classic BIND rule).
+    fn admit(
+        &self,
+        relative: &str,
+        rtype: RType,
+        rdata: &RData,
+        occupied: bool,
+        has_cname: bool,
+    ) -> NsResult<()> {
+        rdata.encoded_len()?;
         if !self.owners.has_room(relative) {
             return Err(NsError::BadRecord(format!(
                 "zone {} holds all the owner names it can",
                 self.origin
             )));
         }
-        if rr.rtype == RType::Cname && occupied {
+        if rtype == RType::Cname && occupied {
             return Err(NsError::Conflict(format!(
                 "CNAME cannot coexist at {}",
-                rr.name
+                self.absolute(relative)
             )));
         }
         if has_cname {
             return Err(NsError::Conflict(format!(
                 "{} already holds a CNAME",
-                rr.name
+                self.absolute(relative)
             )));
         }
         Ok(())
     }
 
-    /// Stores an admitted record, bumping the serial. `at` is where
-    /// [`Owners::locate`] found its owner, the store untouched since.
-    fn insert(&mut self, rr: ResourceRecord, at: Result<u32, Vacancy>) {
+    /// Stores an admitted record of `rtype`, whose body is `body`, at the
+    /// owner kept as `relative`, bumping the serial. `at` is where
+    /// [`Owners::locate`] found the owner, the store untouched since.
+    fn insert(&mut self, relative: &str, rtype: RType, body: BodyId, at: Result<u32, Vacancy>) {
+        let id = self.owners.intern(relative, at);
+        self.owners.push(id, body);
+        if rtype == RType::Ns && !relative.is_empty() {
+            self.cut_ns_records += 1;
+        }
+        self.log_change(id);
+    }
+
+    /// Adds `body` at the owner kept as `relative`, bumping the serial, if
+    /// [`Zone::admit`] admits it: [`Zone::add`] once it has stripped its
+    /// name, and [`Zone::load`] for each record, sharing through the
+    /// load's `filed` payloads.
+    fn put(&mut self, relative: &str, body: RrBody, filed: Option<&mut Filed>) -> NsResult<()> {
+        // The owner is located once, for the checks and the insert.
+        let at = self.owners.locate(relative);
+        let set = at.map_or(&[][..], |id| self.owners.records(id));
+        let has_cname = self.bodies.of(set).any(|r| r.rtype == RType::Cname);
+        self.admit(
+            relative,
+            body.rtype,
+            &body.rdata,
+            !set.is_empty(),
+            has_cname,
+        )?;
+        let rtype = body.rtype;
+        let body = match filed {
+            Some(filed) => filed.share(&mut self.bodies, body),
+            None => self.bodies.share(body),
+        };
+        self.insert(relative, rtype, body, at);
+        Ok(())
+    }
+
+    /// Adds a record, bumping the serial, if `Zone::admit` admits it.
+    pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
         let ResourceRecord {
             name,
             rtype,
             ttl,
             rdata,
         } = rr;
-        let body = self.bodies.share(RrBody { rtype, ttl, rdata });
-        let id = self.owners.intern(self.strip(name.text()), at);
-        self.owners.push(id, body);
-        if rtype == RType::Ns && name != self.origin {
-            self.cut_ns_records += 1;
-        }
-        self.log_change(id);
-    }
-
-    /// Adds a record, bumping the serial, if `Zone::admit` admits it.
-    pub fn add(&mut self, rr: ResourceRecord) -> NsResult<()> {
-        let Some(relative) = self.relative(&rr.name) else {
-            return Err(NsError::NotAuthoritative(rr.name.to_string()));
+        let Some(relative) = self.relative(&name) else {
+            return Err(NsError::NotAuthoritative(name.to_string()));
         };
-        // The owner is located once, for the checks and the insert.
-        let at = self.owners.locate(relative);
-        let set = at.map_or(&[][..], |id| self.owners.records(id));
-        let has_cname = self.bodies.of(set).any(|r| r.rtype == RType::Cname);
-        self.admit(&rr, !set.is_empty(), has_cname)?;
-        self.insert(rr, at);
+        self.put(relative, RrBody { rtype, ttl, rdata }, None)?;
         self.settle();
         Ok(())
     }
@@ -389,18 +431,25 @@ impl Zone {
             let occupied = staying.clone().next().is_some();
             (occupied, staying.any(|r| r.rtype == RType::Cname))
         };
+        let relative = self.relative(name);
         for rr in &records {
             if rr.name != *name || rr.rtype != rtype {
                 return Err(NsError::BadRecord("replace set mismatch".into()));
             }
-            self.admit(rr, occupied, has_cname)?;
+            let Some(relative) = relative else {
+                return Err(NsError::NotAuthoritative(name.to_string()));
+            };
+            self.admit(relative, rtype, &rr.rdata, occupied, has_cname)?;
             occupied = true;
             has_cname |= rtype == RType::Cname;
         }
         self.take(name, rtype);
-        for rr in records {
-            let at = self.owners.locate(self.strip(rr.name.text()));
-            self.insert(rr, at);
+        for ResourceRecord { ttl, rdata, .. } in records {
+            // Not in this zone only when there are no records.
+            let relative = relative.unwrap_or_default();
+            let at = self.owners.locate(relative);
+            let body = self.bodies.share(RrBody { rtype, ttl, rdata });
+            self.insert(relative, rtype, body, at);
         }
         self.serial += 1;
         self.settle();
@@ -581,6 +630,13 @@ impl Zone {
             + self.owners.resident_bytes()
             + self.delta_log.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.bodies.resident_bytes()
+    }
+
+    /// The ids of the bodies of the records at `name`, in the order they
+    /// were added: two records share a body exactly when they share an
+    /// id. An id is good only until the zone next changes.
+    pub fn body_ids(&self, name: &DomainName) -> Vec<u32> {
+        self.set(name).iter().map(|id| id.get()).collect()
     }
 
     /// Number of distinct record bodies the zone holds, each once.

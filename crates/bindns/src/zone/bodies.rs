@@ -9,12 +9,18 @@
 //! which the next new body takes before the table grows, so a name
 //! rebound over and over holds one entry, not one per binding it had.
 //! [`Bodies::shrink_to_fit`] drops the free entries at the table's end.
+//!
+//! A load files what it shares in a [`Filed`] table as well: a record
+//! whose opaque payload is an allocation the table already holds, under
+//! the same type and TTL, takes that body's id without its bytes being
+//! hashed again.
 
 use std::num::NonZeroU32;
 
 use simnet::index::{hash_of, Index};
 
 use super::{fitted_slots, overfull, RrBody};
+use crate::rr::{RData, RType};
 
 /// A body's id in its zone's table: its position + 1.
 pub(super) type BodyId = NonZeroU32;
@@ -104,6 +110,11 @@ impl Bodies {
         BodyId::MIN.saturating_add(at)
     }
 
+    /// One user more of `id`, which is held.
+    fn reuse(&mut self, id: BodyId) {
+        self.table[id.get() as usize - 1].users += 1;
+    }
+
     /// One user of `id` fewer; the last one's going drops the body and
     /// frees its id.
     pub(super) fn release(&mut self, id: BodyId) {
@@ -175,6 +186,68 @@ impl Bodies {
             + self.index.resident_bytes()
             + rdata
     }
+}
+
+/// A [`Filed`] table has `1 << FILED_BITS` slots.
+const FILED_BITS: u32 = 6;
+
+/// The opaque payloads one load has filed in its zone's table, each under
+/// the address of the allocation the table holds, its type and its TTL:
+/// a fixed table on the load's stack, a later payload at the same slot
+/// taking the place of an earlier one.
+///
+/// A record whose payload is a filed allocation, under the same type and
+/// TTL, has the filed body's bytes and so is that body. The address
+/// names that allocation only while the table holds it — freed, it could
+/// be handed out again for other bytes — so this holds because a load
+/// releases no body. A payload equal to a held one in another
+/// allocation misses here, and is found by its hash as any body is.
+pub(super) struct Filed {
+    slots: [Option<(usize, RType, u32, BodyId)>; 1 << FILED_BITS],
+}
+
+impl Default for Filed {
+    fn default() -> Self {
+        Filed {
+            slots: [None; 1 << FILED_BITS],
+        }
+    }
+}
+
+impl Filed {
+    /// [`Bodies::share`] of `body`, unless its payload is filed: then the
+    /// filed id with one user more, its bytes not hashed. Files the
+    /// payload the table holds for it.
+    pub(super) fn share(&mut self, bodies: &mut Bodies, body: RrBody) -> BodyId {
+        let RData::Opaque(payload) = &body.rdata else {
+            return bodies.share(body);
+        };
+        let key = (payload.as_ptr() as usize, body.rtype, body.ttl);
+        if let Some((address, rtype, ttl, id)) = self.slots[slot(key.0)] {
+            if (address, rtype, ttl) == key {
+                bodies.reuse(id);
+                return id;
+            }
+        }
+        let id = bodies.share(body);
+        let held = bodies.get(id);
+        if let RData::Opaque(payload) = &held.rdata {
+            let address = payload.as_ptr() as usize;
+            self.slots[slot(address)] = Some((address, held.rtype, held.ttl, id));
+        }
+        id
+    }
+}
+
+/// The slot of a [`Filed`] table for the payload at `address`: the top
+/// bits of the address mixed by MurmurHash3's finalizer, since blobs
+/// allocated one after another lie a fixed stride apart, and a stride
+/// can map them all to one slot of a plain multiplicative hash.
+fn slot(address: usize) -> usize {
+    let mut x = address as u64;
+    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    ((x ^ (x >> 33)) >> (u64::BITS - FILED_BITS)) as usize
 }
 
 #[cfg(test)]

@@ -11,13 +11,18 @@
 //! name of the pool, `records_at`, `find_delegation` and `lookup` of
 //! every type, and on `deltas_since` a sample of the serials seen.
 //!
-//! `Zone::load` is held to the zone it stands for — `Zone::new`, `add`
-//! of each record in turn, `shrink_to_fit` — on the same seeded records,
-//! refused ones included, and, by the counting allocator, to sizing its
+//! `Zone::load`, handed each record as its owner's text below the
+//! origin and its body, is held to the zone it stands for — `Zone::new`,
+//! `add` of each record in turn at the name `DomainName::child` makes of
+//! its owner, `shrink_to_fit` — on the same seeded records, refused ones
+//! included (the first error, the owner's or the record's, is the same),
+//! down to the body ids; and, by the counting allocator, to sizing its
 //! rows, owner index and delta log once.
 
+use std::sync::Arc;
+
 use bindns::rr::{RData, RType, ResourceRecord, MAX_RDATA};
-use bindns::zone::{Zone, DELTA_LOG_CAP};
+use bindns::zone::{RrBody, Zone, DELTA_LOG_CAP};
 use bindns::DomainName;
 use conformance::alloc::{measure_calls, CountingAlloc};
 use conformance::model::zone::ZoneModel;
@@ -219,18 +224,65 @@ fn a_compaction_under_a_log_that_names_deleted_owners_agrees_with_the_model() {
     pair.check();
 }
 
-/// `Zone::new`, `add` of each of `records` in turn, `shrink_to_fit`: the
-/// zone `Zone::load` stands for. With it, the error of the first record
-/// `add` refused, if one was, and the records it took.
+/// Owners as a load takes them, below the origin `z` or the root: the
+/// apex, the pool's names and upper-case spellings of two of them, and
+/// owners `DomainName::child` refuses — an empty label, a 64-byte label,
+/// bad characters — and four 63-byte labels, a name that fits below the
+/// root and is too long below `z`.
+fn load_owners() -> Vec<String> {
+    let mut owners: Vec<String> = [
+        "", "a", "b", "c.b", "d.c.b", "ns.b", "e", "f.e", "k.f.e", "g", "A", "C.B", "a..b", ".a",
+        "a.", "a b", "a/b", "é",
+    ]
+    .map(String::from)
+    .to_vec();
+    owners.push("x".repeat(64));
+    owners.push(vec!["x".repeat(63); 4].join("."));
+    owners
+}
+
+/// The body of type `rtype` chosen by `d`: one TXT in eight does not fit;
+/// an opaque payload is one of four shared allocations half the time and
+/// a fresh allocation of the same bytes otherwise; the TTL is one of two.
+fn load_body(rtype: RType, d: usize, targets: &[DomainName], shared: &[Arc<[u8]>]) -> RrBody {
+    let rdata = match rtype {
+        RType::A => RData::Addr(NetAddr::of(HostId(d as u32 % 4))),
+        RType::Ns | RType::Cname => RData::Domain(targets[d % targets.len()].clone()),
+        RType::Txt if d % 8 == 7 => RData::Text("x".repeat(MAX_RDATA)),
+        RType::Txt => RData::Text(format!("t{}", d % 4)),
+        _ if d % 8 < 4 => RData::Opaque(Arc::clone(&shared[d % 4])),
+        _ => RData::Opaque(vec![d as u8 % 4].into()),
+    };
+    let ttl = 60 + (d / 8 % 2) as u32;
+    RrBody { rtype, ttl, rdata }
+}
+
+/// `Zone::new`, `add` of each of `records` in turn at the name
+/// `DomainName::child` makes of its owner (the origin for the empty
+/// one), `shrink_to_fit`: the zone `Zone::load` stands for. With it, the
+/// error of the first record refused — by `child` or by `add` — if one
+/// was, and the records taken.
 fn added(
     origin: &DomainName,
-    records: &[ResourceRecord],
-) -> (Zone, Option<bindns::NsError>, Vec<ResourceRecord>) {
+    records: &[(String, RrBody)],
+) -> (Zone, Option<bindns::NsError>, Vec<(String, RrBody)>) {
     let mut zone = Zone::new(origin.clone(), 60);
     let (mut refused, mut taken) = (None, Vec::new());
-    for rr in records {
-        match zone.add(rr.clone()) {
-            Ok(()) => taken.push(rr.clone()),
+    for (owner, body) in records {
+        let name = match owner.as_str() {
+            "" => Ok(origin.clone()),
+            labels => origin.child(labels),
+        };
+        let added = name.and_then(|name| {
+            zone.add(ResourceRecord {
+                name,
+                rtype: body.rtype,
+                ttl: body.ttl,
+                rdata: body.rdata.clone(),
+            })
+        });
+        match added {
+            Ok(()) => taken.push((owner.clone(), body.clone())),
             Err(e) => {
                 refused.get_or_insert(e);
             }
@@ -241,9 +293,9 @@ fn added(
 }
 
 /// Everything a loaded zone and the zone it stands for must agree on:
-/// records, serial, the delta log from every serial, the bytes held and
-/// the bodies.
-fn assert_same(loaded: &Zone, added: &Zone) {
+/// records, serial, the delta log from every serial, the bytes held, the
+/// bodies, and at each of `names` its records and their body ids.
+fn assert_same(loaded: &Zone, added: &Zone, names: &[DomainName]) {
     assert_eq!(loaded.all_records(), added.all_records());
     assert_eq!(loaded.serial(), added.serial());
     for serial in 0..=added.serial() + 1 {
@@ -252,32 +304,113 @@ fn assert_same(loaded: &Zone, added: &Zone) {
     }
     assert_eq!(loaded.resident_bytes(), added.resident_bytes());
     assert_eq!(loaded.distinct_bodies(), added.distinct_bodies());
+    assert_eq!(loaded.body_table_len(), added.body_table_len());
+    for name in names {
+        assert_eq!(loaded.records_at(name), added.records_at(name), "{name}");
+        assert_eq!(loaded.body_ids(name), added.body_ids(name), "{name}");
+    }
 }
 
 proptest! {
-    /// Seeded records at the pool's names, of every type: a load of them
-    /// fails with the error `add` gives the first one it refuses (a
-    /// CNAME beside other data, a name outside the zone, an rdata too
-    /// long), and a load of the ones `add` took is the zone they made.
+    /// Seeded records at owners below the origin, of every type: a load
+    /// of them fails with the error `child` or `add` gives the first one
+    /// refused (an owner `child` refuses, a CNAME beside other data, an
+    /// rdata too long), and a load of the ones taken is the zone their
+    /// adds made, upper case folded and equal payloads sharing a body
+    /// whichever allocation holds them.
     #[test]
     fn a_load_is_the_zone_its_records_make_one_by_one(
         records in proptest::collection::vec(
-            (0usize..POOL.len(), 0usize..TYPES.len(), 0usize..64),
+            (0usize..load_owners().len(), 0usize..TYPES.len(), 0usize..64),
             0..80,
         ),
     ) {
+        let owners = load_owners();
+        let shared: Vec<Arc<[u8]>> = (0..4u8).map(|b| vec![b].into()).collect();
         for origin in [dn("z"), DomainName::root()] {
-            let pair = Pair::new(origin.clone(), POOL.iter().map(|s| dn(s)).collect());
-            let records: Vec<ResourceRecord> = records
+            let names: Vec<DomainName> = owners
                 .iter()
-                .map(|&(n, t, d)| pair.record(n, TYPES[t], d))
+                .filter_map(|owner| match owner.as_str() {
+                    "" => Some(origin.clone()),
+                    labels => origin.child(labels).ok(),
+                })
+                .collect();
+            let records: Vec<(String, RrBody)> = records
+                .iter()
+                .map(|&(n, t, d)| (owners[n].clone(), load_body(TYPES[t], d, &names, &shared)))
                 .collect();
             let (reference, refused, taken) = added(&origin, &records);
             let loaded = Zone::load(origin.clone(), 60, records);
             prop_assert_eq!(loaded.err(), refused);
             let loaded = Zone::load(origin.clone(), 60, taken).expect("every one taken once");
-            assert_same(&loaded, &reference);
+            assert_same(&loaded, &reference, &names);
         }
+    }
+}
+
+/// Equal payloads share one body, whether a load meets them in one
+/// allocation or in two, and under another TTL are another body; the
+/// body holds the allocation it met first.
+#[test]
+fn equal_payloads_share_a_body_in_one_allocation_or_two() {
+    let (first, second): (Arc<[u8]>, Arc<[u8]>) = (vec![1, 2, 3].into(), vec![1, 2, 3].into());
+    let body = |payload: &Arc<[u8]>, ttl| RrBody {
+        rtype: RType::Unspec,
+        ttl,
+        rdata: RData::Opaque(Arc::clone(payload)),
+    };
+    let records = [
+        ("a", body(&first, 60)),
+        ("b", body(&second, 60)),
+        ("c", body(&first, 60)),
+        ("d", body(&first, 61)),
+        ("e", body(&second, 61)),
+        ("f", body(&second, 60)),
+    ];
+    let loaded = Zone::load(dn("z"), 60, records).expect("load");
+    let ids = |labels: &str| -> Vec<u32> {
+        labels
+            .split(' ')
+            .flat_map(|label| loaded.body_ids(&dn(&format!("{label}.z"))))
+            .collect()
+    };
+    let (at_60, at_61) = (ids("a b c f"), ids("d e"));
+    assert!(at_60.iter().all(|&id| id == at_60[0]), "{at_60:?}");
+    assert!(at_61.iter().all(|&id| id == at_61[0]), "{at_61:?}");
+    assert_ne!(at_60[0], at_61[0]);
+    assert_eq!(loaded.distinct_bodies(), 2);
+    for label in ["b", "e", "f"] {
+        let held = loaded.records_at(&dn(&format!("{label}.z"))).expect("held");
+        let RData::Opaque(payload) = &held[0].rdata else {
+            panic!("{held:?}");
+        };
+        assert!(Arc::ptr_eq(payload, &first), "{label}: a copy of `first`");
+    }
+}
+
+/// A payload equal to a held one in another allocation is dropped once
+/// its body is found, and the allocator may hand its address to the
+/// next payload made: a load files only the allocation its table holds,
+/// so each payload, made as the load reads it, is stored with its own
+/// bytes.
+#[test]
+fn a_payload_at_a_freed_address_is_read_for_its_own_bytes() {
+    let bytes = |i: u8| vec![i * (i % 2)];
+    let records = (0..64).map(|i| (format!("n{i}"), unspec(bytes(i).into())));
+    let loaded = Zone::load(dn("z"), 60, records).expect("load");
+    for i in 0..64 {
+        let held = loaded.records_at(&dn(&format!("n{i}.z"))).expect("held");
+        assert_eq!(held[0].rdata, RData::Opaque(bytes(i).into()), "n{i}");
+    }
+    assert_eq!(loaded.distinct_bodies(), 33);
+}
+
+/// An opaque body of TTL 60 holding `payload`.
+fn unspec(payload: Arc<[u8]>) -> RrBody {
+    RrBody {
+        rtype: RType::Unspec,
+        ttl: 60,
+        rdata: RData::Opaque(payload),
     }
 }
 
@@ -286,17 +419,21 @@ proptest! {
 #[test]
 fn a_load_past_the_delta_log_is_the_zone_its_adds_make() {
     let origin = dn("cell0.hns");
-    let records: Vec<ResourceRecord> = (0..3 * DELTA_LOG_CAP)
+    let records: Vec<(String, RrBody)> = (0..3 * DELTA_LOG_CAP)
         .map(|i| {
-            let name = dn(&format!("n{}.cell0.hns", i % (2 * DELTA_LOG_CAP + 7)));
-            ResourceRecord::unspec(name, 60, vec![(i % 5) as u8, (i % 300 / 299) as u8])
+            let label = format!("n{}", i % (2 * DELTA_LOG_CAP + 7));
+            let payload = vec![(i % 5) as u8, (i % 300 / 299) as u8];
+            (label, unspec(payload.into()))
         })
         .collect();
     let loaded = Zone::load(origin.clone(), 60, records.clone()).expect("load");
     let (reference, refused, _) = added(&origin, &records);
     assert_eq!(refused, None);
     assert!(loaded.deltas_since(1).is_none(), "the log was outrun");
-    assert_same(&loaded, &reference);
+    let names: Vec<DomainName> = (0..2 * DELTA_LOG_CAP + 7)
+        .map(|i| dn(&format!("n{i}.cell0.hns")))
+        .collect();
+    assert_same(&loaded, &reference, &names);
 }
 
 /// A load of `n` records at `n` names, one body among them, requests its
@@ -308,7 +445,7 @@ fn a_load_past_the_delta_log_is_the_zone_its_adds_make() {
 #[test]
 fn a_load_sizes_its_rows_index_and_log_once() {
     let origin = dn("cell0.hns");
-    let payload: std::sync::Arc<[u8]> = vec![7; 100].into();
+    let payload: Arc<[u8]> = vec![7; 100].into();
     let mut rest = Vec::new();
     for n in [
         1,
@@ -323,12 +460,9 @@ fn a_load_sizes_its_rows_index_and_log_once() {
         10_000,
     ] {
         let labels: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
-        let records: Vec<ResourceRecord> = labels
+        let records: Vec<(&str, RrBody)> = labels
             .iter()
-            .map(|label| {
-                let name = origin.child(label).expect("name");
-                ResourceRecord::unspec(name, 60, std::sync::Arc::clone(&payload))
-            })
+            .map(|label| (label.as_str(), unspec(Arc::clone(&payload))))
             .collect();
         let (mut zone, used) = measure_calls(|| Zone::load(origin.clone(), 60, records));
         let (bytes, _) = used.expect("the counting allocator is installed");
