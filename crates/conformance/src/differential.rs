@@ -144,8 +144,8 @@ fn alias_targets(tb: &Testbed, targets: &[Target]) -> Vec<Target> {
             } else {
                 NS_CH
             };
-            let alias =
-                HnsName::new(alias_context(name_service), &name.individual).expect("alias name");
+            let alias = HnsName::new(alias_context(name_service), Arc::clone(&name.individual))
+                .expect("alias name");
             (qc.clone(), alias, *label)
         })
         .collect()

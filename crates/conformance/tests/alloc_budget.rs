@@ -72,20 +72,34 @@ const WARM_REWALK: Row = (1, 40);
 /// Warm `Import`: a composed-cache `FindNSM` plus one remote NSM call.
 /// The request crosses as the `NsmRequest` it is and the binding NSM's
 /// cache hit as the `HrpcBinding` itself, so what is left is the
-/// request's copy of the name (two strings) and of the service, the NSM's
-/// local name, and the box the binding travels back in. (11 / 1,040 B
+/// request's copy of the service and the box the binding travels back
+/// in. The request shares the caller's name, and the NSM's local name is
+/// a slice of it. (5 / 97 B while the request copied the name's two
+/// strings and the NSM copied the local name out of it; 11 / 1,040 B
 /// while the argument record and the reply were trees and the NSM keyed
 /// its cache on a formatted string; 37 / 1,721 B before names became
 /// shared strings; 12 while each call built its own `QueryClass`.)
-const WARM_IMPORT: Row = (5, 97);
-/// A Clearinghouse-backed mail query, the NSM call alone: the request's
-/// name, the NSM's local name and the three-part name parsed from it (one
-/// shared string), the item the Clearinghouse copies out of its entry,
-/// the two boxes the `Property` and the `MailboxLocation` travel in, and
-/// the tree `NsmClient::call` hands its caller (a field vector and a
-/// string). (35 / 1,235 B while request, lookup and both replies were
-/// trees, and a three-part name was four allocations to parse.)
-const WARM_CH_MAIL: Row = (9, 201);
+const WARM_IMPORT: Row = (2, 46);
+/// A Clearinghouse-backed mail query, the NSM call alone: the three-part
+/// name parsed from the NSM's local name (one shared string), the item
+/// the Clearinghouse copies out of its entry, the two boxes the
+/// `Property` and the `MailboxLocation` travel in, and the tree
+/// `NsmClient::call` hands its caller (a field vector and a string). (9 /
+/// 201 B while the request copied the name's two strings and the NSM
+/// copied the local name out of it; 35 / 1,235 B while request, lookup
+/// and both replies were trees, and a three-part name was four
+/// allocations to parse.)
+const WARM_CH_MAIL: Row = (6, 178);
+/// The costliest warm op kind, a BIND-backed file-location query, the
+/// NSM call alone: the caller's field vector and the path in it (moved
+/// into the request, not copied), the local name parsed as a domain name,
+/// the resolver's cached answer rebuilt on it (two blocks), the
+/// `FileLocation`'s two strings and the box it travels in, and the tree
+/// `NsmClient::call` hands its caller (a field vector and two strings).
+/// (17 / 578 B while the request copied the name's two strings and the
+/// path, the NSM copied the local name out of the name, and the local
+/// path was formatted, growing twice.)
+const WARM_BIND_FILE: Row = (11, 474);
 /// `ChClient::lookup_item`: the item the server copies out of its entry
 /// and the box the `Property` comes back in. The `Lookup` it sends shares
 /// the name and the credentials. (23 / 942 B while the request was a
@@ -96,7 +110,10 @@ const CH_LOOKUP_ITEM: Row = (2, 49);
 /// Cold sequential `FindNSM`: every cache off, six remote mappings. The
 /// question and the answer cross the fabric as the structs they are, so
 /// a mapping costs its key, the zone's record vector, the box the answer
-/// travels in, and the decoded record's own strings and `Arc`. (100 /
+/// travels in, and the decoded record's own strings and `Arc`; mapping
+/// 6's request shares the host's context and copies only its name. (40
+/// / 2,075 B while that request copied the context too and the linked
+/// NSM copied the local name out of the name; 100 /
 /// 7,786 B while every question and answer was built into a `Value` tree
 /// and taken apart again — `Answer::to_value` alone was 57 of them; 136 /
 /// 10,229 B while each reply became `ResourceRecord`s, then strings, then
@@ -106,13 +123,14 @@ const CH_LOOKUP_ITEM: Row = (2, 49);
 /// names static; 40 / 2,179 B while the linked host-address NSM of
 /// mapping 6 answered with a two-field vector, not its eight-byte
 /// `HostAddress` in a box.)
-const COLD_SEQUENTIAL: Row = (40, 2_075);
+const COLD_SEQUENTIAL: Row = (38, 2_039);
 /// Cold batched `FindNSM`: every cache off, mappings 1–5 in one `MQUERY`
 /// whose additional sets the meta server's chaser attaches. Holds the
 /// typed `MultiQuestion` / `MultiAnswer` path (152 / 11,525 B while the
 /// batch and its reply were trees; 68 / 4,376 B while mapping 6's reply
-/// was a vector, as above).
-const COLD_BATCHED: Row = (68, 4_272);
+/// was a vector, as above; 68 / 4,272 B while every copy of a context
+/// copied its text, and mapping 6 as above).
+const COLD_BATCHED: Row = (66, 4_195);
 /// Decoding a six-record answer of one owner into owned records: the
 /// record vector, and the owner name — parsed once and shared by all six.
 /// What an untyped peer's reply costs at the edge where it is decoded.
@@ -129,12 +147,14 @@ const REG_RESOLVE: Row = (5, 37);
 /// `Registry::update`: the warm resolve's probe, the base record (a
 /// three-field tree) the Clearinghouse copies into its entry, the cached
 /// head's new service — changed in place, nobody else holding it — and
-/// the meta zone's dynamic update through the rebinder. (38 / 1,641 B
-/// while the `SET_ITEM` request was a tree the server parsed back, and
+/// the meta zone's dynamic update through the rebinder. The context the
+/// rebinder names is a shared string, 24 B where its `String` was 3. (19
+/// / 763 B while the meta store took its one payload in a vector; 38 /
+/// 1,641 B while the `SET_ITEM` request was a tree the server parsed back, and
 /// the head was cloned on the way in and copied again to be changed; 19
 /// / 767 B while the zone named a record's body by an 8-byte `Arc`, not
 /// a 4-byte id, in the vector of the records a replace takes out.)
-const REG_UPDATE: Row = (19, 763);
+const REG_UPDATE: Row = (18, 760);
 /// `Registry::transfer`: the probe, the signed link (its two owners) and
 /// its tree, the server's copy of that, the new head — the cached one
 /// copied, one holder more, the next probe's name — and the `Resolution`.
@@ -263,6 +283,21 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     let mail = || nsm_client.call(&mail_nsm, &bob, vec![]).expect("mail");
     mail();
     row("warm Clearinghouse mail NSM call", WARM_CH_MAIL, mail);
+
+    // A BIND-backed file-location query, the NSM call alone: the path
+    // handed over in the caller's fields, the record read through the
+    // NSM's resolver cache.
+    let sources = HnsName::new(tb.ctx_bind(), "sources.cs.washington.edu").expect("name");
+    let file_nsm = warm
+        .find_nsm(&QueryClass::file_location(), &sources)
+        .expect("file NSM");
+    let file = || {
+        let path = vec![("path", Value::str("hrpc/stubs.c"))];
+        nsm_client.call(&file_nsm, &sources, path).expect("file")
+    };
+    file();
+    file();
+    row("warm BIND file-location NSM call", WARM_BIND_FILE, file);
 
     let ch = tb.ch_client(tb.hosts.client);
     let bob = ThreePartName::parse("bob:cs:uw").expect("name");

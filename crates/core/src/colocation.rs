@@ -242,7 +242,7 @@ impl AgentClient {
         }
         let request = NsmRequest {
             query_class: Some(qc.clone()),
-            ..NsmRequest::new(name.clone(), QueryArgs::from_fields(&extra)?)
+            ..NsmRequest::new(name.clone(), QueryArgs::from_fields(extra)?)
         };
         self.net
             .call_msg(self.host, &self.binding, AGENT_PROC_QUERY, &request)

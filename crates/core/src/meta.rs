@@ -607,7 +607,11 @@ impl MetaStore {
 
     /// Replaces the record set at meta key `name` by one `UNSPEC` record
     /// per payload; no payloads deletes it.
-    pub(crate) fn write(&self, name: DomainName, payloads: Vec<String>) -> HnsResult<()> {
+    pub(crate) fn write(
+        &self,
+        name: DomainName,
+        payloads: impl IntoIterator<Item = String>,
+    ) -> HnsResult<()> {
         let ttl = self.record_ttl();
         let records: Vec<ResourceRecord> = payloads
             .into_iter()
@@ -678,7 +682,7 @@ impl MetaStore {
         mapping: &NameMapping,
     ) -> HnsResult<()> {
         let payload = context_payload(name_service, mapping);
-        self.write(Step::Context(context).key(&self.origin)?, vec![payload])
+        self.write(Step::Context(context).key(&self.origin)?, [payload])
     }
 
     /// Registers (or replaces) which NSM serves a (name service, query
@@ -690,7 +694,7 @@ impl MetaStore {
         nsm_name: &str,
     ) -> HnsResult<()> {
         let key = Step::NsmName(name_service, qc.as_str()).key(&self.origin)?;
-        self.write(key, vec![nsm_name.to_string()])
+        self.write(key, [nsm_name.to_string()])
     }
 
     /// Registers an NSM's binding information (six records).

@@ -12,17 +12,21 @@
 //! invertible mappings this implementation supports.
 
 use std::fmt;
+use std::sync::Arc;
+
+use simnet::ttl::arc_share;
 
 use crate::cache::HeapBytes;
 use crate::error::{HnsError, HnsResult};
 
-/// A context identifier (case-insensitive).
+/// A context identifier (case-insensitive), its text shared by every
+/// copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Context(String);
+pub struct Context(Arc<str>);
 
 impl HeapBytes for Context {
     fn heap_bytes(&self) -> usize {
-        self.0.capacity()
+        arc_share(&self.0)
     }
 }
 
@@ -39,7 +43,13 @@ impl Context {
         if name.contains('!') {
             return Err(HnsError::BadName(format!("`!` in context `{name}`")));
         }
-        Ok(Context(name.to_ascii_lowercase()))
+        // Lowered only where it must be, so a lower-case name is copied
+        // once, straight into the shared string.
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Ok(Context(name.to_ascii_lowercase().into()))
+        } else {
+            Ok(Context(name.into()))
+        }
     }
 
     /// The normalized name.
@@ -54,18 +64,19 @@ impl fmt::Display for Context {
     }
 }
 
-/// A complete HNS name.
+/// A complete HNS name. Both parts are shared, so a copy of the name —
+/// into a request, a span, a reply — copies no text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HnsName {
     /// The context (selects the local name service).
     pub context: Context,
     /// The individual name within that context.
-    pub individual: String,
+    pub individual: Arc<str>,
 }
 
 impl HnsName {
     /// Builds a name.
-    pub fn new(context: Context, individual: impl Into<String>) -> HnsResult<Self> {
+    pub fn new(context: Context, individual: impl Into<Arc<str>>) -> HnsResult<Self> {
         let individual = individual.into();
         if individual.is_empty() {
             return Err(HnsError::BadName("empty individual name".into()));
@@ -135,22 +146,21 @@ impl NameMapping {
         }
     }
 
-    /// Maps an individual name back to the local name.
-    pub fn to_local(&self, individual: &str) -> HnsResult<String> {
+    /// Maps an individual name back to the local name, the part of it
+    /// that the mapping did not add.
+    pub fn to_local<'a>(&self, individual: &'a str) -> HnsResult<&'a str> {
         match self {
-            NameMapping::Identity => Ok(individual.to_string()),
-            NameMapping::Prefixed { prefix } => individual
-                .strip_prefix(prefix.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| {
+            NameMapping::Identity => Ok(individual),
+            NameMapping::Prefixed { prefix } => {
+                individual.strip_prefix(prefix.as_str()).ok_or_else(|| {
                     HnsError::BadName(format!("`{individual}` lacks prefix `{prefix}`"))
-                }),
-            NameMapping::Suffixed { suffix } => individual
-                .strip_suffix(suffix.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| {
+                })
+            }
+            NameMapping::Suffixed { suffix } => {
+                individual.strip_suffix(suffix.as_str()).ok_or_else(|| {
                     HnsError::BadName(format!("`{individual}` lacks suffix `{suffix}`"))
-                }),
+                })
+            }
         }
     }
 
@@ -197,7 +207,7 @@ mod tests {
     fn hns_name_parse_and_display() {
         let n = HnsName::parse("hrpcbinding-bind!fiji.cs.washington.edu").expect("parse");
         assert_eq!(n.context.as_str(), "hrpcbinding-bind");
-        assert_eq!(n.individual, "fiji.cs.washington.edu");
+        assert_eq!(&*n.individual, "fiji.cs.washington.edu");
         assert_eq!(n.to_string(), "hrpcbinding-bind!fiji.cs.washington.edu");
         assert!(HnsName::parse("no-separator").is_err());
         let ctx = Context::new("c").expect("ok");

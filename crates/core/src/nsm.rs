@@ -9,6 +9,7 @@
 //! "The NSMs are neither HNS nor application code per se. Rather, they are
 //! code managed by the HNS and shared by the applications."
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use simnet::obs::LazyCounter;
@@ -94,7 +95,7 @@ impl NsmRequest {
         };
         let context = Context::new(v.str_field("context")?).map_err(service_err)?;
         let name = HnsName::new(context, v.str_field("name")?).map_err(service_err)?;
-        let args = QueryArgs::read(|field| v.field(field).ok())?;
+        let args = QueryArgs::read(|field| v.field(field).ok().map(Cow::Borrowed))?;
         Ok(NsmRequest {
             query_class,
             name,
@@ -132,28 +133,37 @@ impl Shaped for NsmRequest {
 
 impl QueryArgs {
     /// The class's own fields as a caller of [`NsmClient::call`] or
-    /// [`crate::colocation::AgentClient::query`] names them.
-    pub fn from_fields(fields: &[(&str, Value)]) -> WireResult<QueryArgs> {
-        QueryArgs::read(|field| fields.iter().find(|(k, _)| *k == field).map(|(_, v)| v))
+    /// [`crate::colocation::AgentClient::query`] names them, each moved
+    /// out of the caller's vector rather than copied.
+    pub fn from_fields(mut fields: Vec<(&str, Value)>) -> WireResult<QueryArgs> {
+        QueryArgs::read(|field| {
+            let at = fields.iter().position(|(k, _)| *k == field)?;
+            Some(Cow::Owned(fields.swap_remove(at).1))
+        })
     }
 
     /// Reads the fields `field` finds by name: `service` and `program`
     /// are an `HRPCBinding` query's, `path` a `FileLocation` query's; a
-    /// query with neither has none.
-    fn read<'a>(field: impl Fn(&str) -> Option<&'a Value>) -> WireResult<QueryArgs> {
+    /// query with neither has none. A text field `field` hands over owned
+    /// is moved, one it lends is copied.
+    fn read<'a>(mut field: impl FnMut(&str) -> Option<Cow<'a, Value>>) -> WireResult<QueryArgs> {
+        fn text(value: Cow<'_, Value>) -> WireResult<String> {
+            match value {
+                Cow::Borrowed(value) => value.as_str().map(str::to_string),
+                Cow::Owned(value) => value.into_str(),
+            }
+        }
         if let Some(service) = field("service") {
             let program = field("program")
                 .ok_or_else(|| WireError::FieldMissing("program".into()))?
                 .as_u32()?;
             return Ok(QueryArgs::Binding {
-                service: service.as_str()?.to_string(),
+                service: text(service)?,
                 program: ProgramId(program),
             });
         }
         match field("path") {
-            Some(path) => Ok(QueryArgs::File {
-                path: path.as_str()?.to_string(),
-            }),
+            Some(path) => Ok(QueryArgs::File { path: text(path)? }),
             None => Ok(QueryArgs::None),
         }
     }
@@ -328,7 +338,7 @@ impl NsmClient {
         hns_name: &HnsName,
         extra: Vec<(&'static str, Value)>,
     ) -> RpcResult<Value> {
-        let request = NsmRequest::new(hns_name.clone(), QueryArgs::from_fields(&extra)?);
+        let request = NsmRequest::new(hns_name.clone(), QueryArgs::from_fields(extra)?);
         self.call_msg(binding, &request).map(Reply::into_value)
     }
 
@@ -515,7 +525,7 @@ mod tests {
         }
         /// An untyped NSM: it answers with a tree.
         fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
-            Ok(Reply::Tree(Value::str(request.name.individual.clone())))
+            Ok(Reply::Tree(Value::str(&*request.name.individual)))
         }
     }
 
@@ -594,7 +604,7 @@ mod tests {
         let mut fields = Vec::with_capacity(usize::from(qc.is_some()) + 2 + extra.len());
         fields.extend(qc);
         fields.push(("context", Value::str(hns_name.context.as_str())));
-        fields.push(("name", Value::str(hns_name.individual.clone())));
+        fields.push(("name", Value::str(&*hns_name.individual)));
         fields.extend(extra);
         Value::record(fields)
     }
@@ -644,7 +654,7 @@ mod tests {
                 assert_eq!(request.encoded_len(format), Ok(bytes.len()), "{format}");
             }
             assert_eq!(NsmRequest::from_value(&by_hand).as_ref(), Ok(&request));
-            assert_eq!(QueryArgs::from_fields(&fields), Ok(request.args.clone()));
+            assert_eq!(QueryArgs::from_fields(fields), Ok(request.args.clone()));
         }
     }
 
@@ -662,12 +672,12 @@ mod tests {
         // A nameless record; a service without its program; a path that
         // is no string.
         assert!(NsmRequest::from_value(&Value::record([("name", Value::str("n"))])).is_err());
-        let half = [("service", Value::str("S"))];
-        assert!(QueryArgs::from_fields(&half).is_err());
-        assert!(QueryArgs::from_fields(&[("path", Value::U32(1))]).is_err());
+        let half = vec![("service", Value::str("S"))];
+        assert!(QueryArgs::from_fields(half).is_err());
+        assert!(QueryArgs::from_fields(vec![("path", Value::U32(1))]).is_err());
         // A field no query class takes is not read.
-        let odd = [("flavour", Value::str("vanilla"))];
-        assert_eq!(QueryArgs::from_fields(&odd), Ok(QueryArgs::None));
+        let odd = vec![("flavour", Value::str("vanilla"))];
+        assert_eq!(QueryArgs::from_fields(odd), Ok(QueryArgs::None));
     }
 
     /// The reply the parent's host-address NSMs built by hand; one that

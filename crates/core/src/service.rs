@@ -460,7 +460,7 @@ impl Hns {
                 .get(ha_nsm_name)
                 .cloned()
                 .ok_or_else(|| HnsError::NoLinkedHostAddrNsm(host_ns.to_string()))?;
-            let hns_name = HnsName::new(info.host_context.clone(), host_name)?;
+            let hns_name = HnsName::new(info.host_context.clone(), host_name.as_str())?;
             let request = NsmRequest::new(hns_name, QueryArgs::None);
             let world = self.world();
             self.handles

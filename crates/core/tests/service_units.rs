@@ -41,14 +41,14 @@ impl Nsm for StubHostAddr {
         let hns_name = &request.name;
         self.table
             .iter()
-            .find(|(n, _)| *n == hns_name.individual)
+            .find(|(n, _)| *n == *hns_name.individual)
             .map(|(_, host)| {
                 Ok(Reply::Tree(Value::record(vec![
                     ("host", Value::U32(*host)),
                     ("ttl", Value::U32(600)),
                 ])))
             })
-            .unwrap_or_else(|| Err(RpcError::NotFound(hns_name.individual.clone())))
+            .unwrap_or_else(|| Err(RpcError::NotFound(hns_name.individual.to_string())))
     }
 }
 
@@ -443,7 +443,7 @@ impl Nsm for Unseen {
         QueryClass::new("Unseen")
     }
     fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
-        Ok(Reply::Tree(Value::str(request.name.individual.clone())))
+        Ok(Reply::Tree(Value::str(&*request.name.individual)))
     }
 }
 

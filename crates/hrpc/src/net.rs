@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use simnet::faults::FaultKind;
+use simnet::index::FixedState;
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::{HostId, NetAddr};
 use simnet::trace::TraceKind;
@@ -44,15 +45,16 @@ const FIRST_DYNAMIC_PORT: u16 = 1024;
 
 /// Service/port/name registries, behind one lock. A reader copies out the
 /// one row it needs and releases the lock before anything is dispatched, so
-/// a service may export or unexport from inside its own `dispatch`.
+/// a service may export or unexport from inside its own `dispatch`. Keys
+/// are the simulation's own, so the tables hash with the fixed hash.
 #[derive(Default)]
 struct NetTables {
-    services: HashMap<(HostId, u16), Arc<dyn RpcService>>,
+    services: HashMap<(HostId, u16), Arc<dyn RpcService>, FixedState>,
     /// Per-host portmapper table: program number → (port, service name).
-    programs: HashMap<(HostId, u32), (u16, String)>,
+    programs: HashMap<(HostId, u32), (u16, String), FixedState>,
     /// Per-host Courier exchange table: service name → port.
-    by_name: HashMap<(HostId, String), u16>,
-    next_port: HashMap<HostId, u16>,
+    by_name: HashMap<(HostId, String), u16, FixedState>,
+    next_port: HashMap<HostId, u16, FixedState>,
 }
 
 /// The request leg of a datagram exchange, for [`LossPlan::would_drop`].
@@ -120,7 +122,7 @@ const REPLY_CACHE_LIMIT: usize = 65_536;
 
 #[derive(Default)]
 struct ReplyTable {
-    map: HashMap<(HostId, u64), Value>,
+    map: HashMap<(HostId, u64), Value, FixedState>,
     /// Insertion order, for FIFO eviction.
     order: VecDeque<(HostId, u64)>,
 }

@@ -44,8 +44,9 @@ impl<S> Adapter<S> {
         Adapter { service, mapping }
     }
 
-    /// Step one: the local name behind `hns_name`'s individual name.
-    pub fn translate(&self, hns_name: &HnsName) -> RpcResult<String> {
+    /// Step one: the local name behind `hns_name`'s individual name, a
+    /// slice of it.
+    pub fn translate<'a>(&self, hns_name: &'a HnsName) -> RpcResult<&'a str> {
         self.mapping
             .to_local(&hns_name.individual)
             .map_err(service_err)
@@ -63,7 +64,7 @@ impl BindAdapter {
         shape: impl FnOnce(&RData) -> Option<T>,
     ) -> RpcResult<T> {
         let local = self.translate(hns_name)?;
-        self.first(&local, rtype, true, |rr| shape(&rr.rdata))
+        self.first(local, rtype, true, |rr| shape(&rr.rdata))
     }
 
     /// Steps one and two for a structured value, which BIND holds as a
@@ -121,7 +122,7 @@ impl ChAdapter {
     /// Steps one and two: the item `prop` of the entry at `hns_name`'s
     /// local name, by an authenticated lookup.
     pub fn lookup(&self, hns_name: &HnsName, prop: PropertyId) -> RpcResult<Value> {
-        self.item(&self.translate(hns_name)?, prop)
+        self.item(self.translate(hns_name)?, prop)
     }
 
     fn item(&self, local: &str, prop: PropertyId) -> RpcResult<Value> {

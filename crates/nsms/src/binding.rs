@@ -165,14 +165,14 @@ where
         let local = self.adapter.translate(&request.name)?;
 
         let program_bytes = program.0.to_le_bytes();
-        let key = key(&local, service, &program_bytes);
+        let key = key(local, service, &program_bytes);
         if let Some(cached) = self.cache.get(world, &key) {
             world.charge_ms(world.costs.nsm_assemble);
             return Ok(Reply::typed(*cached));
         }
 
         // 1. Look the host up in the name service.
-        let (host, ttl) = self.adapter.address(&local)?;
+        let (host, ttl) = self.adapter.address(local)?;
 
         // 2. Determine the port with the system's own binding protocol
         //    (Sun portmapper, Courier exchange).

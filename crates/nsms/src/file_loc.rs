@@ -34,7 +34,7 @@ impl FileLocation {
     fn under(file_host: &str, root: &str, path: &str) -> FileLocation {
         FileLocation {
             file_host: file_host.to_string(),
-            local_path: format!("{root}/{path}"),
+            local_path: [root, "/", path].concat(),
         }
     }
 }

@@ -78,7 +78,7 @@ where
 
     fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
         let local = self.adapter.translate(&request.name)?;
-        let (host, ttl) = self.adapter.address(&local)?;
+        let (host, ttl) = self.adapter.address(local)?;
         Ok(Reply::typed(HostAddress { host, ttl }))
     }
 }

@@ -71,7 +71,7 @@ proptest! {
         numbers in (any::<u32>(), any::<u32>(), any::<u16>()),
         components in arb_components(),
     ) {
-        let name = HnsName::new(Context::new(&context).expect("context"), &individual)
+        let name = HnsName::new(Context::new(&context).expect("context"), individual.as_str())
             .expect("name");
         let query_class = class.then(QueryClass::file_location);
         let own: Vec<&str> = match &args {

@@ -35,8 +35,8 @@ pub mod timeline;
 pub mod trace;
 
 pub use metrics::{
-    Counter, CounterDelta, CounterSample, Histogram, HistogramDelta, HistogramSample, LazyCounter,
-    LazyHistogram, LocalHistogram, MetricsDelta, MetricsRegistry, MetricsSnapshot,
+    ms_to_us, Counter, CounterDelta, CounterSample, Histogram, HistogramDelta, HistogramSample,
+    LazyCounter, LazyHistogram, LocalHistogram, MetricsDelta, MetricsRegistry, MetricsSnapshot,
 };
 pub use timeline::{Sampler, Timeline, TimelineMark, TimelineWindow, WindowHistogram};
 pub use trace::{CacheOutcome, QueryTrace, SpanId, SpanRecord, TraceEvent, TraceKind, Tracer};

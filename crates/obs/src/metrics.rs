@@ -55,6 +55,18 @@ pub(crate) fn bucket_upper(i: usize) -> u64 {
     }
 }
 
+/// `ms` milliseconds as whole microseconds: `(ms * 1000.0).round()`,
+/// halves away from zero, saturating — 0 for a negative or NaN duration,
+/// `u64::MAX` from 2^64 µs up — with no call into libm. Every charge of
+/// virtual time and every `_us` histogram converts through it.
+pub fn ms_to_us(ms: f64) -> u64 {
+    let us = ms * 1000.0;
+    // `as` truncates toward zero and saturates, NaN to 0; below 2^64 the
+    // fraction `us - whole` is exact.
+    let whole = us as u64;
+    whole.saturating_add(u64::from(us - whole as f64 >= 0.5))
+}
+
 /// A monotone counter: one atomic word that any thread may add to.
 pub struct Counter(AtomicU64);
 
@@ -68,9 +80,11 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`; adding zero touches nothing.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            self.0.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current total.
@@ -112,6 +126,11 @@ impl LazyCounter {
     pub fn get(&self, registry: &MetricsRegistry, component: &str, name: &str) -> &Counter {
         self.cell.get_or_init(|| registry.counter(component, name))
     }
+
+    /// The counter's total, 0 while unresolved. Registers nothing.
+    pub fn value(&self) -> u64 {
+        self.cell.get().map_or(0, |counter| counter.value())
+    }
 }
 
 impl std::fmt::Debug for LazyCounter {
@@ -142,11 +161,10 @@ impl LazyHistogram {
             .get_or_init(|| registry.histogram(component, name))
     }
 
-    /// Records a millisecond duration (converted to whole microseconds),
+    /// Records a millisecond duration (converted by [`ms_to_us`]),
     /// mirroring [`MetricsRegistry::record_ms`].
     pub fn record_ms(&self, registry: &MetricsRegistry, component: &str, name: &str, ms: f64) {
-        let us = (ms * 1000.0).round().max(0.0) as u64;
-        self.get(registry, component, name).record(us);
+        self.get(registry, component, name).record(ms_to_us(ms));
     }
 }
 
@@ -158,10 +176,10 @@ impl std::fmt::Debug for LazyHistogram {
     }
 }
 
-/// A fixed-bucket histogram of `u64` samples with atomic buckets.
+/// A fixed-bucket histogram of `u64` samples with atomic buckets. A
+/// sample is counted once, in its bucket: the total is their sum.
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -171,7 +189,6 @@ impl Histogram {
     fn new() -> Self {
         Histogram {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -181,11 +198,13 @@ impl Histogram {
     /// Records one sample. The extremes are written only when a load says
     /// the sample is a new one: the minimum only ever falls and the
     /// maximum only rises, so a sample the load finds inside them stays
-    /// inside them, and skipping its compare-and-swap is exact.
+    /// inside them, and skipping its compare-and-swap is exact. A zero
+    /// sample leaves the sum alone.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        if v != 0 {
+            self.sum.fetch_add(v, Ordering::Relaxed);
+        }
         if v < self.min.load(Ordering::Relaxed) {
             self.min.fetch_min(v, Ordering::Relaxed);
         }
@@ -194,9 +213,9 @@ impl Histogram {
         }
     }
 
-    /// Total recorded samples.
+    /// Total recorded samples: the buckets' sum.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all recorded samples.
@@ -208,26 +227,12 @@ impl Histogram {
     /// bucket holding the sample of rank `ceil(p * count)`. Returns 0
     /// for an empty histogram. Monotone in `p`.
     pub fn percentile(&self, p: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let p = p.clamp(0.0, 1.0);
-        let target = ((p * count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cumulative += b.load(Ordering::Relaxed);
-            if cumulative >= target {
-                return bucket_upper(i);
-            }
-        }
-        // Writers may have bumped `count` after our bucket pass; fall
-        // back to the highest non-empty bucket.
-        self.max.load(Ordering::Relaxed)
+        percentile_from_buckets(&self.bucket_counts(), p)
     }
 
     fn sample(&self) -> HistogramStats {
-        let count = self.count();
+        let buckets = self.bucket_counts();
+        let count = buckets.iter().sum();
         HistogramStats {
             count,
             sum: self.sum(),
@@ -237,9 +242,9 @@ impl Histogram {
                 self.min.load(Ordering::Relaxed)
             },
             max: self.max.load(Ordering::Relaxed),
-            p50: self.percentile(0.50),
-            p95: self.percentile(0.95),
-            p99: self.percentile(0.99),
+            p50: percentile_from_buckets(&buckets, 0.50),
+            p95: percentile_from_buckets(&buckets, 0.95),
+            p99: percentile_from_buckets(&buckets, 0.99),
         }
     }
 
@@ -470,10 +475,9 @@ impl MetricsRegistry {
     }
 
     /// Records a millisecond duration into the `_us` histogram
-    /// `component/name` (converted to whole microseconds).
+    /// `component/name` (converted by [`ms_to_us`]).
     pub fn record_ms(&self, component: &str, name: &str, ms: f64) {
-        let us = (ms * 1000.0).round().max(0.0) as u64;
-        self.histogram(component, name).record(us);
+        self.histogram(component, name).record(ms_to_us(ms));
     }
 
     /// A deterministic point-in-time snapshot of every metric, sorted
@@ -845,6 +849,75 @@ mod tests {
         ));
     }
 
+    /// The reference: libm's `round`, clamped at zero.
+    fn libm_ms_to_us(ms: f64) -> u64 {
+        (ms * 1000.0).round().max(0.0) as u64
+    }
+
+    #[test]
+    fn ms_to_us_rounds_as_libm_did() {
+        // The half-microsecond grid, where rounding is decided, on both
+        // sides of zero and at magnitudes where the fraction thins out.
+        for base in [0.0, 1e3, 1e9, 2f64.powi(40), 2f64.powi(51)] {
+            for i in -4_000i32..4_000 {
+                let us = base + f64::from(i) * 0.5;
+                for ms in [
+                    us / 1000.0,
+                    (us / 1000.0).next_up(),
+                    (us / 1000.0).next_down(),
+                ] {
+                    assert_eq!(ms_to_us(ms), libm_ms_to_us(ms), "{ms:e} ms");
+                }
+            }
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            -0.0004,
+            -0.0005,
+            -1.0,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let huge = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        for ms in specials.into_iter().chain(huge) {
+            assert_eq!(ms_to_us(ms), libm_ms_to_us(ms), "{ms:e} ms");
+        }
+        // From 2^64 µs up `whole` saturates, and an unsaturated `+ 1`
+        // would wrap to 0.
+        for us in [
+            2f64.powi(64),
+            2f64.powi(64).next_up(),
+            1.5 * 2f64.powi(64),
+            2f64.powi(70),
+        ] {
+            assert_eq!(ms_to_us(us / 1000.0), u64::MAX, "{us:e} µs");
+            assert_eq!(libm_ms_to_us(us / 1000.0), u64::MAX);
+        }
+        assert_eq!(
+            ms_to_us(2f64.powi(64).next_down() / 1000.0),
+            libm_ms_to_us(2f64.powi(64).next_down() / 1000.0)
+        );
+    }
+
+    /// A zero sample is counted in its bucket and adds nothing to the sum.
+    #[test]
+    fn a_zero_sample_counts_and_leaves_the_sum_alone() {
+        let h = Histogram::new();
+        h.record(0);
+        h.record(0);
+        assert_eq!((h.count(), h.sum(), h.percentile(1.0)), (2, 0, 0));
+        h.record(7);
+        let stats = h.sample();
+        assert_eq!((stats.count, stats.sum, stats.min, stats.max), (3, 7, 0, 7));
+    }
+
     #[test]
     fn local_histogram_matches_atomic_histogram() {
         let atomic = Histogram::new();
@@ -1023,6 +1096,15 @@ mod tests {
     mod prop {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            /// Any bit pattern converts as libm's `round` did.
+            #[test]
+            fn ms_to_us_matches_libm_on_any_bits(bits in any::<u64>()) {
+                let ms = f64::from_bits(bits);
+                prop_assert_eq!(ms_to_us(ms), libm_ms_to_us(ms));
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]

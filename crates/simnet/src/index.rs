@@ -24,9 +24,11 @@
 //! The hash is fixed, not seeded per process: a structure lays out the
 //! same way on every run. That gives up a seeded hash's defence against
 //! keys crafted to collide, which nothing here needs: every key is made
-//! by the simulation, none arrives from a peer outside it.
+//! by the simulation, none arrives from a peer outside it. The same hash
+//! serves a `HashMap` whose keys are the simulation's own, as
+//! [`FixedState`].
 
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// The slot of `slots` a hash probes first: the hash scaled onto the
 /// index, which may be any length.
@@ -71,7 +73,10 @@ fn mix(h: u64, word: u64) -> u64 {
 /// avalanche (murmur3's), so the high bits a home slot reads depend on
 /// every byte.
 #[derive(Debug, Clone, Copy, Default)]
-struct FixedHasher(u64);
+pub struct FixedHasher(u64);
+
+/// The fixed hash as a `HashMap`'s [`std::hash::BuildHasher`].
+pub type FixedState = BuildHasherDefault<FixedHasher>;
 
 impl Hasher for FixedHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -209,9 +214,7 @@ fn le_partial(bytes: &[u8]) -> u64 {
 
 /// The fixed hash of anything hashable.
 pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut hasher = FixedHasher::default();
-    value.hash(&mut hasher);
-    hasher.finish()
+    FixedState::default().hash_one(value)
 }
 
 /// Ids of entries held elsewhere, found by their hash.

@@ -83,13 +83,10 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional milliseconds (rounded to the
-    /// nearest microsecond, saturating at zero for negative input).
+    /// nearest microsecond, saturating at zero for negative input; see
+    /// [`obs::ms_to_us`]).
     pub fn from_ms_f64(ms: f64) -> Self {
-        if ms <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration((ms * 1000.0).round() as u64)
-        }
+        SimDuration(obs::ms_to_us(ms))
     }
 
     /// Returns the duration as whole microseconds.

@@ -66,7 +66,6 @@
 //! counts slab, index and arena at capacity plus what each cache says its
 //! values hold.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obs::MetricsRegistry;
@@ -139,26 +138,25 @@ pub enum Probe<R> {
     Absent,
 }
 
-/// A [`TtlMap`]'s counters: `TtlStats<AtomicU64>` is the live block every
-/// probe and insert moves, `TtlStats` (plain `u64`s) a snapshot of it.
+/// A [`TtlMap`]'s counters, as [`TtlMap::stats`] reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TtlStats<T = u64> {
+pub struct TtlStats {
     /// Probes that found a live entry.
-    pub hits: T,
+    pub hits: u64,
     /// Probes that found nothing resident.
-    pub absent: T,
+    pub absent: u64,
     /// Probes that found an entry past its TTL.
-    pub expired: T,
+    pub expired: u64,
     /// Entries first observed past their TTL (once per entry lifetime).
-    pub expirations: T,
+    pub expirations: u64,
     /// Entries inserted, overwrites included.
-    pub inserts: T,
+    pub inserts: u64,
     /// Expired entries handed out by [`TtlMap::probe_stale`].
-    pub stale_serves: T,
+    pub stale_serves: u64,
     /// Entries dropped to make room in a full map, expired or live.
-    pub evictions: T,
-    /// Entries resident now, expired ones included.
-    pub resident: T,
+    pub evictions: u64,
+    /// Entries resident now, expired ones included: the slab's length.
+    pub resident: u64,
 }
 
 /// Bytes of an `Arc` allocation holding `len` bytes: two counts and the
@@ -174,19 +172,18 @@ pub fn arc_share<T: ?Sized>(arc: &Arc<T>) -> usize {
     arc_bytes(std::mem::size_of_val::<T>(arc)) / Arc::strong_count(arc)
 }
 
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
 /// The entries of a map, in no particular order, the index that finds
 /// each by its key's hash — at most half full, doubling as the slab grows,
-/// up to twice the map's capacity — and the arena holding the keys.
+/// up to twice the map's capacity — the arena holding the keys, and the
+/// counters, kept under the lock every probe and insert already takes.
 struct Entries<V> {
     slab: Vec<Slot<V>>,
     index: Index,
     /// Each resident key's bytes at its slot's span, and a discarded key's
     /// until the next [`Entries::compact`] or clear.
     arena: Vec<u8>,
+    /// Every counter but `resident`, which is the slab's length.
+    stats: TtlStats,
     /// The hash a test files keys under, to make them collide.
     #[cfg(test)]
     hash: fn(&Key<'_>) -> u64,
@@ -198,6 +195,7 @@ impl<V> Entries<V> {
             slab: Vec::new(),
             index: Index::default(),
             arena: Vec::new(),
+            stats: TtlStats::default(),
             #[cfg(test)]
             hash: crate::index::hash_parts,
         }
@@ -225,11 +223,6 @@ impl<V> Entries<V> {
     fn get(&self, key: &Key<'_>) -> Option<&Slot<V>> {
         let (_, id) = self.find(self.hasher()(key), key).ok()?;
         Some(&self.slab[id as usize])
-    }
-
-    fn get_mut(&mut self, key: &Key<'_>) -> Option<&mut Slot<V>> {
-        let (_, id) = self.find(self.hasher()(key), key).ok()?;
-        Some(&mut self.slab[id as usize])
     }
 
     /// Appends a new key's entry, whose key hashes to `hash`, and copies
@@ -279,10 +272,10 @@ impl<V> Entries<V> {
     /// Drops the entry of `key`, if any: its index slot is freed by
     /// backward shift, and the slab's last entry moves into its place. The
     /// key's bytes stay in the arena until it is next compacted.
-    fn remove(&mut self, key: &Key<'_>) -> bool {
+    fn remove(&mut self, key: &Key<'_>) {
         let hash = self.hasher();
         let Ok((slot, id)) = self.find(hash(key), key) else {
-            return false;
+            return;
         };
         let (slab, arena) = (&self.slab, &self.arena);
         self.index
@@ -295,7 +288,6 @@ impl<V> Entries<V> {
                 self.index.set(slot, id as u32, moved);
             }
         }
-        true
     }
 
     /// Rebuilds the index at `slots` slots over the slab as it stands.
@@ -376,7 +368,6 @@ pub struct TtlMap<V> {
     entries: Mutex<Entries<V>>,
     /// Entries the map holds before an insert makes room.
     capacity: usize,
-    counters: TtlStats<AtomicU64>,
 }
 
 impl<V> Default for TtlMap<V> {
@@ -392,35 +383,31 @@ impl<V> TtlMap<V> {
         TtlMap {
             entries: Mutex::new(Entries::new()),
             capacity,
-            counters: TtlStats::default(),
         }
     }
 
     /// Probes `key` at virtual time `now`, handing a live value to `read`
     /// under the lock. Counts one of hits / absent / expired.
     pub fn probe<R>(&self, now: SimTime, key: &Key<'_>, read: impl FnOnce(&V) -> R) -> Probe<R> {
-        let mut entries = self.entries.lock();
-        match entries.get_mut(key) {
-            Some(slot) if now < slot.expires_at => {
-                bump(&self.counters.hits);
-                Probe::Live {
-                    value: read(&slot.value),
-                    expires_at: slot.expires_at,
-                }
-            }
-            Some(slot) => {
-                bump(&self.counters.expired);
-                if !slot.expiry_seen {
-                    slot.expiry_seen = true;
-                    bump(&self.counters.expirations);
-                }
-                Probe::Expired
-            }
-            None => {
-                bump(&self.counters.absent);
-                Probe::Absent
-            }
+        let entries = &mut *self.entries.lock();
+        let Ok((_, id)) = entries.find(entries.hasher()(key), key) else {
+            entries.stats.absent += 1;
+            return Probe::Absent;
+        };
+        let (slot, stats) = (&mut entries.slab[id as usize], &mut entries.stats);
+        if now < slot.expires_at {
+            stats.hits += 1;
+            return Probe::Live {
+                value: read(&slot.value),
+                expires_at: slot.expires_at,
+            };
         }
+        stats.expired += 1;
+        if !slot.expiry_seen {
+            slot.expiry_seen = true;
+            stats.expirations += 1;
+        }
+        Probe::Expired
     }
 
     /// The serve-stale probe: hands an **expired** entry to `read` and
@@ -434,11 +421,11 @@ impl<V> TtlMap<V> {
         key: &Key<'_>,
         read: impl FnOnce(&V) -> Option<R>,
     ) -> Option<(R, SimTime)> {
-        let entries = self.entries.lock();
+        let entries = &mut *self.entries.lock();
         let slot = entries.get(key).filter(|slot| now >= slot.expires_at)?;
-        let value = read(&slot.value)?;
-        bump(&self.counters.stale_serves);
-        Some((value, slot.expires_at))
+        let served = (read(&slot.value)?, slot.expires_at);
+        entries.stats.stale_serves += 1;
+        Some(served)
     }
 
     /// Reads a live entry without counting anything.
@@ -468,43 +455,33 @@ impl<V> TtlMap<V> {
             }
             Err(_) => {
                 if entries.slab.len() >= self.capacity {
-                    let evicted = make_room(&mut entries, now) as u64;
-                    self.counters
-                        .evictions
-                        .fetch_add(evicted, Ordering::Relaxed);
-                    self.counters.resident.fetch_sub(evicted, Ordering::Relaxed);
+                    entries.stats.evictions += make_room(&mut entries, now) as u64;
                 }
                 entries.push(key, hash, value, expires_at, 2 * self.capacity);
-                bump(&self.counters.resident);
             }
         }
-        bump(&self.counters.inserts);
+        entries.stats.inserts += 1;
     }
 
     /// Drops an entry whose value a live probe handed out but the caller
     /// then found unusable (wire bytes that no longer decode), and refiles
     /// that probe from `hits` to `absent`: the cache answered nothing.
     pub fn discard(&self, key: &Key<'_>) {
-        if self.entries.lock().remove(key) {
-            self.counters.resident.fetch_sub(1, Ordering::Relaxed);
-        }
-        self.counters.hits.fetch_sub(1, Ordering::Relaxed);
-        bump(&self.counters.absent);
+        let mut entries = self.entries.lock();
+        entries.remove(key);
+        entries.stats.hits -= 1;
+        entries.stats.absent += 1;
     }
 
     /// Drops every entry; the counters keep running.
     pub fn clear(&self) {
-        let mut entries = self.entries.lock();
-        self.counters
-            .resident
-            .fetch_sub(entries.slab.len() as u64, Ordering::Relaxed);
-        entries.clear();
+        self.entries.lock().clear();
     }
 
     /// Entries resident, expired ones included; never more than
     /// [`CAPACITY`].
     pub fn resident(&self) -> usize {
-        self.counters.resident.load(Ordering::Relaxed) as usize
+        self.entries.lock().slab.len()
     }
 
     /// Entries not yet observed expired — what a cache that evicted on
@@ -529,16 +506,10 @@ impl<V> TtlMap<V> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> TtlStats {
-        let c = &self.counters;
+        let entries = self.entries.lock();
         TtlStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            absent: c.absent.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            expirations: c.expirations.load(Ordering::Relaxed),
-            inserts: c.inserts.load(Ordering::Relaxed),
-            stale_serves: c.stale_serves.load(Ordering::Relaxed),
-            evictions: c.evictions.load(Ordering::Relaxed),
-            resident: c.resident.load(Ordering::Relaxed),
+            resident: entries.slab.len() as u64,
+            ..entries.stats
         }
     }
 
@@ -721,6 +692,7 @@ mod tests {
                 model.stats.resident = model.entries.len() as u64;
                 prop_assert_eq!(map.stats(), model.stats);
                 prop_assert_eq!(map.resident(), model.entries.len());
+                prop_assert_eq!(map.resident(), map.entries.lock().slab.len());
                 let unseen = model.entries.values().filter(|(_, _, seen)| !seen).count();
                 prop_assert_eq!(map.live(), unseen);
                 check_arena(&map, model.entries.keys().copied(), model.discarded);
@@ -787,6 +759,7 @@ mod tests {
                     _ => now += SimDuration::from_ms(u64::from(n) * 500),
                 }
                 prop_assert_eq!(map.resident(), model.len());
+                prop_assert_eq!(map.resident(), map.entries.lock().slab.len());
                 prop_assert_eq!(map.stats().evictions, evictions);
                 prop_assert!(map.entries.lock().slab.len() <= CAPACITY);
                 check_arena(&map, model.keys().copied(), 0);
@@ -893,6 +866,7 @@ mod tests {
                 }
                 model.stats.resident = model.entries.len() as u64;
                 prop_assert_eq!(map.stats(), model.stats);
+                prop_assert_eq!(map.resident(), map.entries.lock().slab.len());
                 {
                     let entries = map.entries.lock();
                     prop_assert!(2 * entries.slab.len() <= entries.index.slots());

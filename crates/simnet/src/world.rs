@@ -16,17 +16,10 @@ use crate::topology::{HostId, Topology};
 use crate::trace::{CacheOutcome, SpanId, TraceKind, Tracer};
 use obs::{LazyCounter, MetricsRegistry, Sampler, Timeline};
 
-/// Global counters, useful for asserting the *structure* of operations
-/// (e.g. "a cold `FindNSM` makes exactly six remote data mappings").
-#[derive(Debug, Default)]
-pub struct Counters {
-    remote_calls: AtomicU64,
-    local_calls: AtomicU64,
-    bytes_sent: AtomicU64,
-    ns_lookups: AtomicU64,
-}
-
-/// A point-in-time snapshot of [`Counters`].
+/// A point-in-time snapshot of a world's structural counters, useful for
+/// asserting the *structure* of operations (e.g. "a cold `FindNSM` makes
+/// exactly six remote data mappings"): the `net` component's counters,
+/// read from the registry handles the calls count into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSnapshot {
     /// Remote (cross-host) calls made.
@@ -62,9 +55,8 @@ pub struct World {
     pub costs: CostModel,
     /// Optional event and span recorder.
     pub tracer: Tracer,
-    counters: Counters,
     metrics: MetricsRegistry,
-    net_handles: NetHandles,
+    net: NetCounters,
     faults: RwLock<Option<Arc<FaultPlan>>>,
     /// Mirrors `faults.is_some()` so the per-call fault query on the RPC
     /// hot path is one relaxed load in the (overwhelmingly common)
@@ -102,12 +94,15 @@ impl std::fmt::Debug for CacheExporters {
     }
 }
 
-/// Cached registry handles for the `net` mirror counters, so the
-/// per-call accounting in [`World::count_remote_call`] and friends costs
-/// one atomic add instead of a registry lookup (two `String`
-/// allocations plus a read lock) per call.
+/// The `net` component's counters, each kept once, in the registry: the
+/// per-call accounting in [`World::count_remote_call`] and friends is one
+/// atomic add through a cached handle, not a registry lookup (two
+/// `String` allocations plus a read lock) per call, and
+/// [`World::counters`] reads the same handles. A handle registers its
+/// counter on first use, so a world that made no call publishes no `net`
+/// row.
 #[derive(Debug, Default)]
-struct NetHandles {
+struct NetCounters {
     remote_calls: LazyCounter,
     bytes_sent: LazyCounter,
     local_calls: LazyCounter,
@@ -122,9 +117,8 @@ impl World {
             topology: Topology::new(),
             costs,
             tracer: Tracer::new(),
-            counters: Counters::default(),
             metrics: MetricsRegistry::new(),
-            net_handles: NetHandles::default(),
+            net: NetCounters::default(),
             faults: RwLock::new(None),
             faults_installed: AtomicBool::new(false),
             sampler: Mutex::new(None),
@@ -315,46 +309,32 @@ impl World {
         self.tracer.annotate_cache(outcome);
     }
 
-    /// Notes one remote (cross-host) call carrying `bytes` in total,
-    /// mirrored into the `net` metrics component.
+    /// Notes one remote (cross-host) call carrying `bytes` in total.
     pub fn count_remote_call(&self, bytes: u64) {
-        self.counters.remote_calls.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        self.net_handles
-            .remote_calls
-            .get(&self.metrics, "net", "remote_calls")
-            .inc();
-        self.net_handles
-            .bytes_sent
-            .get(&self.metrics, "net", "bytes_sent")
-            .add(bytes);
+        let (net, metrics) = (&self.net, &self.metrics);
+        net.remote_calls.get(metrics, "net", "remote_calls").inc();
+        net.bytes_sent.get(metrics, "net", "bytes_sent").add(bytes);
     }
 
     /// Notes one local (same-host) call.
     pub fn count_local_call(&self) {
-        self.counters.local_calls.fetch_add(1, Ordering::Relaxed);
-        self.net_handles
-            .local_calls
-            .get(&self.metrics, "net", "local_calls")
-            .inc();
+        let (net, metrics) = (&self.net, &self.metrics);
+        net.local_calls.get(metrics, "net", "local_calls").inc();
     }
 
     /// Notes one lookup served by an underlying name service.
     pub fn count_ns_lookup(&self) {
-        self.counters.ns_lookups.fetch_add(1, Ordering::Relaxed);
-        self.net_handles
-            .ns_lookups
-            .get(&self.metrics, "net", "ns_lookups")
-            .inc();
+        let (net, metrics) = (&self.net, &self.metrics);
+        net.ns_lookups.get(metrics, "net", "ns_lookups").inc();
     }
 
     /// Snapshot of all counters.
     pub fn counters(&self) -> CounterSnapshot {
         CounterSnapshot {
-            remote_calls: self.counters.remote_calls.load(Ordering::Relaxed),
-            local_calls: self.counters.local_calls.load(Ordering::Relaxed),
-            bytes_sent: self.counters.bytes_sent.load(Ordering::Relaxed),
-            ns_lookups: self.counters.ns_lookups.load(Ordering::Relaxed),
+            remote_calls: self.net.remote_calls.value(),
+            local_calls: self.net.local_calls.value(),
+            bytes_sent: self.net.bytes_sent.value(),
+            ns_lookups: self.net.ns_lookups.value(),
         }
     }
 
@@ -446,9 +426,13 @@ mod tests {
         assert_eq!(w.now().as_us(), 27_000);
     }
 
+    /// Each call is counted once, in the registry's `net` component, which
+    /// `counters` reads; a world that made no call has no `net` row.
     #[test]
     fn counters_track_calls() {
         let w = World::paper();
+        assert_eq!(w.counters(), CounterSnapshot::default());
+        assert!(w.metrics().snapshot().counters.is_empty());
         w.count_remote_call(128);
         w.count_remote_call(64);
         w.count_local_call();
@@ -458,6 +442,11 @@ mod tests {
         assert_eq!(c.local_calls, 1);
         assert_eq!(c.bytes_sent, 192);
         assert_eq!(c.ns_lookups, 1);
+        let snap = w.metrics().snapshot();
+        assert_eq!(snap.counter("net", "remote_calls"), Some(2));
+        assert_eq!(snap.counter("net", "bytes_sent"), Some(192));
+        assert_eq!(snap.counter("net", "local_calls"), Some(1));
+        assert_eq!(snap.counter("net", "ns_lookups"), Some(1));
     }
 
     #[test]
@@ -521,18 +510,6 @@ mod tests {
         assert!(span.id().is_none());
         drop(span);
         assert!(w.tracer.spans().is_empty());
-    }
-
-    #[test]
-    fn counters_mirror_into_metrics_registry() {
-        let w = World::paper();
-        w.count_remote_call(128);
-        w.count_remote_call(64);
-        w.count_local_call();
-        let snap = w.metrics().snapshot();
-        assert_eq!(snap.counter("net", "remote_calls"), Some(2));
-        assert_eq!(snap.counter("net", "bytes_sent"), Some(192));
-        assert_eq!(snap.counter("net", "local_calls"), Some(1));
     }
 
     #[test]

@@ -170,6 +170,22 @@ fn metrics_registry_reflects_the_run() {
         .expect("round trips");
     assert_eq!(rt.max, 6);
     assert_eq!(rt.min, 0, "warm query is zero round trips");
+
+    // An HNS beside the meta server makes local calls too; what the world
+    // counts is the `net` component, every count once.
+    let local = tb.make_hns(tb.hosts.meta, CacheMode::Disabled);
+    local.find_nsm(&qc, &name).expect("local walk");
+    let (snap, counted) = (tb.world.metrics().snapshot(), tb.world.counters());
+    let net = |name| snap.counter("net", name).expect("a net row");
+    assert!(counted.local_calls > 0 && counted.ns_lookups > 0);
+    assert_eq!(
+        (counted.remote_calls, counted.local_calls),
+        (net("remote_calls"), net("local_calls"))
+    );
+    assert_eq!(
+        (counted.bytes_sent, counted.ns_lookups),
+        (net("bytes_sent"), net("ns_lookups"))
+    );
 }
 
 #[test]
