@@ -134,6 +134,27 @@ impl Answer {
         })
     }
 
+    /// The length of [`Answer::to_fast_bytes`]'s encoding, or the error
+    /// it would return, computed without building it: the rcode byte, the
+    /// owner's length and text, the record count, and each record's type,
+    /// TTL, rdata length and rdata. An owner is a [`DomainName`], at most
+    /// 255 bytes, so never too long for its `u16` length.
+    pub fn fast_len(&self) -> WireResult<usize> {
+        let owner = self.records.first().map_or("", |r| r.name.as_str());
+        let mut len = 1 + 2 + owner.len() + 2;
+        for r in &self.records {
+            let rdata = r
+                .rdata
+                .encoded_len()
+                .map_err(|_| wire::WireError::Oversize(0))?;
+            len += 2 + 4 + 2 + rdata;
+        }
+        if self.records.len() > usize::from(u16::MAX) {
+            return Err(wire::WireError::Oversize(self.records.len()));
+        }
+        Ok(len)
+    }
+
     /// Serializes through the hand-written fast path. All records must
     /// share one owner name (true for every standard lookup reply).
     pub fn to_fast_bytes(&self) -> WireResult<Vec<u8>> {

@@ -212,7 +212,7 @@ impl RecursiveResolver {
     /// walk from a cached cut that dead-ends costs that cut its entry and
     /// is retried from the root, once.
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<[ResourceRecord]>> {
-        let world = Arc::clone(self.net.world());
+        let world = self.net.world();
         world.charge_ms(world.costs.cache_probe);
         let now = world.now();
         if let Some(records) = self.cache.get(now, name, rtype) {
@@ -228,7 +228,7 @@ impl RecursiveResolver {
             depth: 0,
             server: self.root,
         };
-        let start = self.deepest_cut(&world, now, name);
+        let start = self.deepest_cut(world, now, name);
         let mut walked = self.walk(&question, start.map_or(root, |(_, hop)| hop));
         if let (Some((cut, _)), Err(WalkError { dead_end: true, .. })) = (start, &walked) {
             self.cuts.discard(cut, RType::Ns);

@@ -74,7 +74,7 @@ impl StdResolver {
     /// the resolver serves it stale rather than failing — RFC 8767
     /// behaviour, mirroring the HNS meta cache's serve-stale fallback.
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<[ResourceRecord]>> {
-        let world = Arc::clone(self.world());
+        let world = self.world();
         world.charge_ms(world.costs.cache_probe);
         if let Some(records) = self.cache.get(world.now(), name, rtype) {
             self.cache_hits
@@ -128,8 +128,9 @@ impl StdResolver {
             .call_msg(self.host, &self.server, PROC_QUERY, &question)?;
         let answer = replied(reply, Answer::from_value)?;
         // Hand-written marshalling cost for the records that came back:
-        // exercise the real fast codec and charge its calibrated cost.
-        let _wire = answer.to_fast_bytes().map_err(RpcError::Wire)?;
+        // the records must fit the fast codec, whose calibrated cost is
+        // charged; sizing them refuses exactly what encoding would.
+        answer.fast_len().map_err(RpcError::Wire)?;
         let world = self.world();
         world.charge_ms(world.costs.fast_marshal(answer.records.len().max(1)));
         self.query_us

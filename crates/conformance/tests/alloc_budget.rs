@@ -110,27 +110,34 @@ const CH_LOOKUP_ITEM: Row = (2, 49);
 /// Cold sequential `FindNSM`: every cache off, six remote mappings. The
 /// question and the answer cross the fabric as the structs they are, so
 /// a mapping costs its key, the zone's record vector, the box the answer
-/// travels in, and the decoded record's own strings and `Arc`; mapping
-/// 6's request shares the host's context and copies only its name. (40
-/// / 2,075 B while that request copied the context too and the linked
-/// NSM copied the local name out of the name; 100 /
-/// 7,786 B while every question and answer was built into a `Value` tree
-/// and taken apart again — `Answer::to_value` alone was 57 of them; 136 /
-/// 10,229 B while each reply became `ResourceRecord`s, then strings, then
-/// parsed pieces, and seven key texts were interned for a cache that
-/// stores nothing; 101 / 8,962 B before a zone sized its answer once;
-/// 585 / 23,946 B before names became shared strings and struct field
-/// names static; 40 / 2,179 B while the linked host-address NSM of
-/// mapping 6 answered with a two-field vector, not its eight-byte
-/// `HostAddress` in a box.)
-const COLD_SEQUENTIAL: Row = (38, 2_039);
+/// travels in, and the decoded record's own strings — handed to the walk
+/// by value, as no cache keeps it; mapping 6's request shares the host's
+/// context and copies only its name. (38 / 2,039 B while each decoded
+/// record was wrapped in an `Arc` nobody shared, 6 / 576 B, and the
+/// host-address NSM's resolver built and dropped the fast-codec bytes of
+/// its answer to check they encode, 5 / 219 B; 40 / 2,075 B while that
+/// request copied the context too and the linked NSM copied the local
+/// name out of the name; 100 / 7,786 B while every question and answer
+/// was built into a `Value` tree and taken apart again —
+/// `Answer::to_value` alone was 57 of them; 136 / 10,229 B while each
+/// reply became `ResourceRecord`s, then strings, then parsed pieces, and
+/// seven key texts were interned for a cache that stores nothing; 101 /
+/// 8,962 B before a zone sized its answer once; 585 / 23,946 B before
+/// names became shared strings and struct field names static; 40 / 2,179
+/// B while the linked host-address NSM of mapping 6 answered with a
+/// two-field vector, not its eight-byte `HostAddress` in a box.)
+const COLD_SEQUENTIAL: Row = (27, 1_244);
 /// Cold batched `FindNSM`: every cache off, mappings 1–5 in one `MQUERY`
 /// whose additional sets the meta server's chaser attaches. Holds the
-/// typed `MultiQuestion` / `MultiAnswer` path (152 / 11,525 B while the
-/// batch and its reply were trees; 68 / 4,376 B while mapping 6's reply
-/// was a vector, as above; 68 / 4,272 B while every copy of a context
-/// copied its text, and mapping 6 as above).
-const COLD_BATCHED: Row = (66, 4_195);
+/// typed `MultiQuestion` / `MultiAnswer` path. The chaser reads the four
+/// sets it attaches by value, and mapping 6's record is handed over as in
+/// the sequential walk. (66 / 4,195 B while the chaser wrapped each of
+/// its four records in an `Arc`, 4 / 384 B, and mapping 6 paid the `Arc`
+/// and the fast-codec bytes of the sequential row, 6 / 315 B; 152 /
+/// 11,525 B while the batch and its reply were trees; 68 / 4,376 B while
+/// mapping 6's reply was a vector, as above; 68 / 4,272 B while every
+/// copy of a context copied its text, and mapping 6 as above).
+const COLD_BATCHED: Row = (56, 3_496);
 /// Decoding a six-record answer of one owner into owned records: the
 /// record vector, and the owner name — parsed once and shared by all six.
 /// What an untyped peer's reply costs at the edge where it is decoded.

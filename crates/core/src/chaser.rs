@@ -31,7 +31,7 @@ use bindns::ZoneDb;
 use hrpc::RpcError;
 
 use crate::error::HnsError;
-use crate::meta::{chase, decode_records, Step};
+use crate::meta::{chase, decode_records, Held, Step};
 
 /// Chases meta mappings 2–5 inside the meta server's own zone database.
 #[derive(Debug)]
@@ -77,7 +77,7 @@ impl AdditionalProvider for MetaChaser {
                 if seen.insert(key.clone()) {
                     out.push((key.clone(), records));
                 }
-                Ok(Arc::new(set.value))
+                Ok(Held::Owned(set.value))
             };
             // A broken link ends this hint's chase; what was read up to
             // it has been attached.

@@ -494,16 +494,35 @@ impl fmt::Display for Step<'_> {
     }
 }
 
+/// A record as the chain holds it: shared with a cache or a batch's
+/// overlay that keeps it, or owned outright when nothing keeps it — a
+/// cache-off walk, the server's chaser — so that no walk wraps a record
+/// in an `Arc` nobody shares.
+#[derive(Debug)]
+pub(crate) enum Held {
+    /// Kept elsewhere too.
+    Shared(Arc<MetaRecord>),
+    /// The walk's alone.
+    Owned(MetaRecord),
+}
+
+impl std::ops::Deref for Held {
+    type Target = MetaRecord;
+
+    fn deref(&self) -> &MetaRecord {
+        match self {
+            Held::Shared(record) => record,
+            Held::Owned(record) => record,
+        }
+    }
+}
+
 /// What the chain asks of its caller: the record at `key`.
-pub(crate) type Fetch<'f> = dyn FnMut(Step<'_>, &DomainName) -> HnsResult<Arc<MetaRecord>> + 'f;
+pub(crate) type Fetch<'f> = dyn FnMut(Step<'_>, &DomainName) -> HnsResult<Held> + 'f;
 
 /// Derives `step`'s key and asks `fetch` for the record there. A
 /// `NotFound` comes back as what it means to the caller of `FindNSM`.
-pub(crate) fn ask(
-    origin: &DomainName,
-    step: Step<'_>,
-    fetch: &mut Fetch<'_>,
-) -> HnsResult<Arc<MetaRecord>> {
+pub(crate) fn ask(origin: &DomainName, step: Step<'_>, fetch: &mut Fetch<'_>) -> HnsResult<Held> {
     use RpcError::NotFound;
     fetch(step, &step.key(origin)?).map_err(|err| match (err, step) {
         (HnsError::Rpc(NotFound(_)), Step::Context(context) | Step::HostContext(context)) => {
@@ -788,10 +807,8 @@ mod tests {
     }
 
     /// A `fetch` answering from the real meta store, one RPC per set.
-    fn live(
-        meta: &MetaStore,
-    ) -> impl FnMut(Step<'_>, &DomainName) -> HnsResult<Arc<MetaRecord>> + '_ {
-        |_, key| Ok(Arc::new(meta.fetch(key)?.value))
+    fn live(meta: &MetaStore) -> impl FnMut(Step<'_>, &DomainName) -> HnsResult<Held> + '_ {
+        |_, key| Ok(Held::Owned(meta.fetch(key)?.value))
     }
 
     /// A scripted meta zone — no world, no RPC: the BIND and Clearinghouse
@@ -838,7 +855,7 @@ mod tests {
                 .get(key.as_str())
                 .ok_or_else(|| HnsError::Rpc(RpcError::NotFound(key.to_string())))?;
             let kind = Kind::of_key(key).expect("a meta key");
-            Ok(Arc::new(MetaRecord::decode(kind, payloads)?))
+            Ok(Held::Owned(MetaRecord::decode(kind, payloads)?))
         });
         (result, asked)
     }
@@ -938,7 +955,7 @@ mod tests {
         let misfiled = zone["map.bind--hostaddress.hns"].clone();
         let (result, _) = scripted(&zone, |fetch| {
             let mut misfiling = |step: Step<'_>, key: &DomainName| match step {
-                Step::HostContext(_) => Ok(Arc::new(MetaRecord::NsmName("x".into()))),
+                Step::HostContext(_) => Ok(Held::Owned(MetaRecord::NsmName("x".into()))),
                 _ => fetch(step, key),
             };
             chased("BIND", "hrpcbinding", &mut misfiling)

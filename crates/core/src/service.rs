@@ -41,7 +41,7 @@ use hrpc::{HrpcBinding, ProgramId, RpcError};
 use crate::binding_cache::{BindingCache, BindingCacheStats};
 use crate::cache::{CacheLookup, CacheMode, HnsCache, HnsCacheStats, MetaKey};
 use crate::error::{HnsError, HnsResult};
-use crate::meta::{self, Chased, Fetch, Fetched, Kind, MetaRecord, MetaStore, Step};
+use crate::meta::{self, Chased, Fetch, Fetched, Held, Kind, MetaRecord, MetaStore, Step};
 use crate::name::{Context, HnsName, NameMapping};
 use crate::nsm::{HostAddress, Nsm, NsmInfo, NsmRequest, NsmService, QueryArgs, EXPORT_SUITE};
 use crate::query::QueryClass;
@@ -367,7 +367,8 @@ impl Hns {
     /// One cached fetch, the same for all six mappings: probe `key`; on a
     /// miss run `fetch` and cache what it returns. Comes back with the record — a
     /// demarshalled hit's is the cached one itself, neither copied nor
-    /// parsed — and its expiry, computed here once where the TTL arrives,
+    /// parsed, and with no cache that stores, the decoded record itself,
+    /// by value — and its expiry, computed here once where the TTL arrives,
     /// or the past instant it lapsed at when served stale. What differs
     /// between the meta zone and a linked NSM is passed in: `fetch`,
     /// whether its `NotFound` is `remembered` (negatively), and its
@@ -379,13 +380,15 @@ impl Hns {
         (label, name): (&str, &dyn Display),
         remembered: bool,
         fetch: impl FnOnce() -> HnsResult<Fetched<MetaRecord>>,
-    ) -> HnsResult<(Arc<MetaRecord>, SimTime)> {
+    ) -> HnsResult<(Held, SimTime)> {
         let world = self.world();
         // `None` from a disabled cache: nothing probed, nothing to fall
         // back on, nothing remembered.
         let cached = self.storing_cache().map(|cache| (cache, key()));
         match cached.map(|(cache, key)| cache.lookup(world, &key)) {
-            Some(CacheLookup::Hit { value, expires_at }) => return Ok((value, expires_at)),
+            Some(CacheLookup::Hit { value, expires_at }) => {
+                return Ok((Held::Shared(value), expires_at))
+            }
             Some(CacheLookup::NegativeHit) => {
                 return Err(HnsError::Rpc(RpcError::NotFound(name.to_string())))
             }
@@ -401,7 +404,8 @@ impl Hns {
                 // still names the right host far more often than not, so
                 // stale data beats no data. The entry stays expired; the
                 // next walk retries the fetch and a success overwrites it.
-                let Some(stale) = cached.and_then(|(cache, key)| cache.lookup_stale(world, &key))
+                let Some((record, lapsed)) =
+                    cached.and_then(|(cache, key)| cache.lookup_stale(world, &key))
                 else {
                     return Err(HnsError::Rpc(err));
                 };
@@ -414,7 +418,7 @@ impl Hns {
                 world.trace(Some(self.host), TraceKind::Hns, || {
                     format!("stale_served: {label} {name} ({err})")
                 });
-                return Ok(stale);
+                return Ok((Held::Shared(record), lapsed));
             }
             Err(err) => {
                 let absent = matches!(err, HnsError::Rpc(RpcError::NotFound(_)));
@@ -425,11 +429,13 @@ impl Hns {
             }
         };
         let expires_at = world.now().after_secs(fetched.ttl_secs);
+        let Some((cache, key)) = cached else {
+            // Nothing keeps it: the walk reads it and drops it.
+            return Ok((Held::Owned(fetched.value), expires_at));
+        };
         let record = Arc::new(fetched.value);
-        if let Some((cache, key)) = cached {
-            cache.insert_shared(world, key, &record, fetched.rrs, expires_at);
-        }
-        Ok((record, expires_at))
+        cache.insert_shared(world, key, &record, fetched.rrs, expires_at);
+        Ok((Held::Shared(record), expires_at))
     }
 
     /// Mappings 1–5: the record at `key` in the meta zone. The overlay
@@ -439,10 +445,10 @@ impl Hns {
         &self,
         key: &DomainName,
         overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<(Arc<MetaRecord>, SimTime)> {
+    ) -> HnsResult<(Held, SimTime)> {
         if let Some((record, expires_at)) = overlay.and_then(|o| o.get(key)) {
             self.world().cache_outcome(CacheOutcome::Overlay);
-            return Ok((Arc::clone(record), *expires_at));
+            return Ok((Held::Shared(Arc::clone(record)), *expires_at));
         }
         let fetch = || self.meta.fetch(key);
         self.cached_fetch(|| MetaKey::meta(key), ("meta", key), true, fetch)
@@ -541,7 +547,7 @@ impl Hns {
         qc: &QueryClass,
         name: &HnsName,
     ) -> HnsResult<(HrpcBinding, FindNsmReport)> {
-        let world = Arc::clone(self.world());
+        let world = self.world();
         let batched = self.batching();
 
         // Composed fast path: a live (query class, context) entry answers
@@ -551,11 +557,11 @@ impl Hns {
             let t0 = world.now();
             if let Some(binding) =
                 self.binding_cache
-                    .lookup(&world, qc.as_str(), name.context.as_str())
+                    .lookup(world, qc.as_str(), name.context.as_str())
             {
                 world.cache_outcome(CacheOutcome::Hit);
                 let took = world.now().since(t0);
-                self.record_query_metrics(&world, batched, 0, took, false);
+                self.record_query_metrics(world, batched, 0, took, false);
                 return Ok((
                     binding,
                     FindNsmReport {
@@ -581,14 +587,14 @@ impl Hns {
         span.add_round_trips(remote_round_trips);
         drop(span);
 
-        self.record_query_metrics(&world, batched, remote_round_trips, took, result.is_err());
+        self.record_query_metrics(world, batched, remote_round_trips, took, result.is_err());
 
         let (binding, expires_at) = result?;
         // An instant at or before now (a part was served stale, or lapsed
         // while the walk ran) is refused by the insert.
         let context = name.context.as_str();
         self.binding_cache
-            .insert_until(&world, qc.as_str(), context, binding, expires_at);
+            .insert_until(world, qc.as_str(), context, binding, expires_at);
         Ok((
             binding,
             FindNsmReport {
@@ -641,7 +647,8 @@ impl Hns {
             .record(remote_round_trips);
         self.handles
             .find_nsm_us
-            .record_ms(metrics, "hns", "find_nsm_us", took.as_ms_f64());
+            .get(metrics, "hns", "find_nsm_us")
+            .record(took.as_us());
     }
 
     /// Runs `f` inside a child span named `label` and records its virtual
@@ -656,9 +663,11 @@ impl Hns {
         let span = world.span_lazy(Some(self.host), TraceKind::Hns, || label.to_string());
         let t0 = world.now();
         let result = f();
-        let took_ms = world.now().since(t0).as_ms_f64();
+        let took = world.now().since(t0);
         drop(span);
-        handle.record_ms(world.metrics(), "hns_meta", name, took_ms);
+        handle
+            .get(world.metrics(), "hns_meta", name)
+            .record(took.as_us());
         result
     }
 

@@ -15,9 +15,12 @@
 //!   nest below those. Spans record sim-time latency, remote round
 //!   trips, and cache outcome; flat walkthrough events (the Figure 2.1
 //!   rendering) ride along inside whatever span is current.
-//! * [`metrics`] — a [`MetricsRegistry`] of atomic [`Counter`]s
-//!   and fixed-bucket [`Histogram`]s keyed by `(component, name)`, with
-//!   a deterministic [`MetricsSnapshot`] that renders as text or JSON.
+//! * [`metrics`] — a [`MetricsRegistry`] of [`Counter`]s and
+//!   fixed-bucket [`Histogram`]s keyed by `(component, name)`, with a
+//!   deterministic [`MetricsSnapshot`] that renders as text or JSON. Both
+//!   are built on [`word`]'s single-writer word: the thread that writes
+//!   first owns it and writes without a lock-prefixed instruction, any
+//!   other thread atomically into a second word, merged on read.
 //!
 //! [`timeline`] layers windowed sampling on top of [`metrics`]: a
 //! [`Sampler`] differences successive registry captures at fixed window
@@ -33,6 +36,7 @@ pub mod json;
 pub mod metrics;
 pub mod timeline;
 pub mod trace;
+pub mod word;
 
 pub use metrics::{
     ms_to_us, Counter, CounterDelta, CounterSample, Histogram, HistogramDelta, HistogramSample,

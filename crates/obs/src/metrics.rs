@@ -1,11 +1,13 @@
-//! Unified metrics registry: atomic counters and fixed-bucket latency
+//! Unified metrics registry: counters and fixed-bucket latency
 //! histograms keyed by `(component, name)`.
 //!
 //! Components register metrics lazily through [`MetricsRegistry`]; the
 //! handles ([`Counter`], [`Histogram`]) are cheap `Arc`s that hot paths
-//! cache. A counter is one atomic word and a histogram atomic per-bucket
-//! counts, so concurrent `inc`s and `record`s are never lost (asserted by
-//! the concurrency tests below).
+//! cache. Both are single-writer structures ([`crate::word`]): the first
+//! thread to write one owns it and writes with plain loads and stores,
+//! any other thread atomically into a shared half, and a reader merges
+//! the two — so concurrent `inc`s and `record`s are never lost (asserted
+//! by the concurrency tests below).
 //!
 //! Histogram buckets are fixed at construction: exact buckets for
 //! values `0..64` (so small counts — round trips, record counts — are
@@ -19,6 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
+
+use crate::word::{OwnedWord, Owner};
 
 /// Number of exact (width-1) buckets at the bottom of every histogram.
 const LINEAR_BUCKETS: usize = 64;
@@ -58,7 +62,8 @@ pub(crate) fn bucket_upper(i: usize) -> u64 {
 /// `ms` milliseconds as whole microseconds: `(ms * 1000.0).round()`,
 /// halves away from zero, saturating — 0 for a negative or NaN duration,
 /// `u64::MAX` from 2^64 µs up — with no call into libm. Every charge of
-/// virtual time and every `_us` histogram converts through it.
+/// virtual time in milliseconds converts through it; a `_us` histogram is
+/// handed whole microseconds (`SimDuration::as_us`).
 pub fn ms_to_us(ms: f64) -> u64 {
     let us = ms * 1000.0;
     // `as` truncates toward zero and saturates, NaN to 0; below 2^64 the
@@ -67,12 +72,14 @@ pub fn ms_to_us(ms: f64) -> u64 {
     whole.saturating_add(u64::from(us - whole as f64 >= 0.5))
 }
 
-/// A monotone counter: one atomic word that any thread may add to.
-pub struct Counter(AtomicU64);
+/// A monotone counter: one [`OwnedWord`], which its first adder — in a
+/// run, the thread driving it — adds to without a lock-prefixed
+/// instruction.
+pub struct Counter(OwnedWord);
 
 impl Counter {
     fn new() -> Self {
-        Counter(AtomicU64::new(0))
+        Counter(OwnedWord::new())
     }
 
     /// Adds one.
@@ -83,13 +90,13 @@ impl Counter {
     /// Adds `n`; adding zero touches nothing.
     pub fn add(&self, n: u64) {
         if n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
+            self.0.add(n);
         }
     }
 
     /// Current total.
     pub fn value(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 
     /// Overwrites the total.
@@ -98,7 +105,7 @@ impl Counter {
     /// `HnsCacheStats`) into the registry at snapshot time; an `add`
     /// racing it is either kept or overwritten.
     pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.0.set(v);
     }
 }
 
@@ -109,7 +116,7 @@ impl Counter {
 /// owns a `LazyCounter` field pays that once — the first increment
 /// registers the metric (so snapshots look exactly as if the component
 /// had called `inc` directly: a never-touched metric never appears) and
-/// later increments are a single atomic add.
+/// later increments are one add to its word.
 #[derive(Default)]
 pub struct LazyCounter {
     cell: OnceLock<Arc<Counter>>,
@@ -160,12 +167,6 @@ impl LazyHistogram {
         self.cell
             .get_or_init(|| registry.histogram(component, name))
     }
-
-    /// Records a millisecond duration (converted by [`ms_to_us`]),
-    /// mirroring [`MetricsRegistry::record_ms`].
-    pub fn record_ms(&self, registry: &MetricsRegistry, component: &str, name: &str, ms: f64) {
-        self.get(registry, component, name).record(ms_to_us(ms));
-    }
 }
 
 impl std::fmt::Debug for LazyHistogram {
@@ -176,18 +177,32 @@ impl std::fmt::Debug for LazyHistogram {
     }
 }
 
-/// A fixed-bucket histogram of `u64` samples with atomic buckets. A
-/// sample is counted once, in its bucket: the total is their sum.
+/// A fixed-bucket histogram of `u64` samples. A sample is counted once,
+/// in its bucket: the total is their sum.
+///
+/// A single-writer structure, as [`OwnedWord`] is: the first thread to
+/// record owns the histogram's own buckets, sum and extremes, and writes
+/// them with plain loads and stores. Any other thread records atomically
+/// into a shared half of the same shape, allocated on the first such
+/// record — so a histogram only one thread writes costs one half. Every
+/// reading merges the halves.
 pub struct Histogram {
-    buckets: Vec<AtomicU64>,
+    owner: Owner,
+    own: Cells,
+    shared: OnceLock<Box<Cells>>,
+}
+
+/// One half of a [`Histogram`].
+struct Cells {
+    buckets: Box<[AtomicU64]>,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-impl Histogram {
+impl Cells {
     fn new() -> Self {
-        Histogram {
+        Cells {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -195,12 +210,28 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. The extremes are written only when a load says
-    /// the sample is a new one: the minimum only ever falls and the
-    /// maximum only rises, so a sample the load finds inside them stays
-    /// inside them, and skipping its compare-and-swap is exact. A zero
-    /// sample leaves the sum alone.
-    pub fn record(&self, v: u64) {
+    /// The owner's record: no other thread writes these cells, so each is
+    /// a relaxed load and store.
+    fn record_owned(&self, v: u64) {
+        let bucket = &self.buckets[bucket_of(v)];
+        bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        if v != 0 {
+            let sum = self.sum.load(Ordering::Relaxed);
+            self.sum.store(sum.wrapping_add(v), Ordering::Relaxed);
+        }
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.store(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// A foreign thread's record. The extremes are written only when a
+    /// load says the sample is a new one: the minimum only ever falls and
+    /// the maximum only rises, so a sample the load finds inside them
+    /// stays inside them, and skipping its read-modify-write is exact.
+    fn record_shared(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         if v != 0 {
             self.sum.fetch_add(v, Ordering::Relaxed);
@@ -212,15 +243,47 @@ impl Histogram {
             self.max.fetch_max(v, Ordering::Relaxed);
         }
     }
+}
+
+impl Histogram {
+    fn new() -> Self {
+        Histogram {
+            owner: Owner::default(),
+            own: Cells::new(),
+            shared: OnceLock::new(),
+        }
+    }
+
+    /// Records one sample. A zero sample leaves the sum alone.
+    pub fn record(&self, v: u64) {
+        if self.owner.is_mine() {
+            self.own.record_owned(v);
+        } else {
+            self.shared
+                .get_or_init(|| Box::new(Cells::new()))
+                .record_shared(v);
+        }
+    }
+
+    /// The halves written so far: the own one, and the shared one once a
+    /// foreign thread has recorded.
+    fn halves(&self) -> impl Iterator<Item = &Cells> {
+        std::iter::once(&self.own).chain(self.shared.get().map(|cells| &**cells))
+    }
 
     /// Total recorded samples: the buckets' sum.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.halves()
+            .flat_map(|cells| cells.buckets.iter())
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.halves()
+            .map(|cells| cells.sum.load(Ordering::Relaxed))
+            .fold(0, u64::wrapping_add)
     }
 
     /// The value at quantile `p` in `[0, 1]`: the upper bound of the
@@ -233,30 +296,39 @@ impl Histogram {
     fn sample(&self) -> HistogramStats {
         let buckets = self.bucket_counts();
         let count = buckets.iter().sum();
+        let (mut min, mut max) = (u64::MAX, 0);
+        for cells in self.halves() {
+            min = min.min(cells.min.load(Ordering::Relaxed));
+            max = max.max(cells.max.load(Ordering::Relaxed));
+        }
         HistogramStats {
             count,
             sum: self.sum(),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
+            min: if count == 0 { 0 } else { min },
+            max,
             p50: percentile_from_buckets(&buckets, 0.50),
             p95: percentile_from_buckets(&buckets, 0.95),
             p99: percentile_from_buckets(&buckets, 0.99),
         }
     }
 
-    /// A copy of the raw per-bucket counts. The sampling layer diffs two
-    /// of these to compute *windowed* percentiles (the per-window
-    /// distribution is exactly the bucketwise difference, since buckets
-    /// only grow).
+    /// A copy of the raw per-bucket counts, both halves merged. The
+    /// sampling layer diffs two of these to compute *windowed*
+    /// percentiles (the per-window distribution is exactly the bucketwise
+    /// difference, since buckets only grow).
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
+        let mut counts: Vec<u64> = self
+            .own
+            .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+            .collect();
+        if let Some(shared) = self.shared.get() {
+            for (count, b) in counts.iter_mut().zip(shared.buckets.iter()) {
+                *count += b.load(Ordering::Relaxed);
+            }
+        }
+        counts
     }
 }
 
@@ -472,12 +544,6 @@ impl MetricsRegistry {
     /// Records a raw sample into the histogram `component/name`.
     pub fn record(&self, component: &str, name: &str, v: u64) {
         self.histogram(component, name).record(v);
-    }
-
-    /// Records a millisecond duration into the `_us` histogram
-    /// `component/name` (converted by [`ms_to_us`]).
-    pub fn record_ms(&self, component: &str, name: &str, ms: f64) {
-        self.histogram(component, name).record(ms_to_us(ms));
     }
 
     /// A deterministic point-in-time snapshot of every metric, sorted
@@ -802,10 +868,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         a.add(3);
         m.inc("hns_cache", "hits");
-        m.record_ms("hns_meta", "mapping1_ms", 32.9);
+        m.record("hns_meta", "mapping1_us", 32_900);
         let snap = m.snapshot();
         assert_eq!(snap.counter("hns_cache", "hits"), Some(4));
-        let hist = snap.histogram("hns_meta", "mapping1_ms").expect("hist");
+        let hist = snap.histogram("hns_meta", "mapping1_us").expect("hist");
         assert_eq!(hist.count, 1);
         assert_eq!(hist.sum, 32_900);
         // Deterministic ordering.
@@ -838,7 +904,7 @@ mod tests {
         assert!(m.snapshot().histograms.is_empty());
         c.get(&m, "net", "remote_calls").add(3);
         c.get(&m, "net", "remote_calls").inc();
-        h.record_ms(&m, "hns", "find_nsm_us", 1.5);
+        h.get(&m, "hns", "find_nsm_us").record(1_500);
         let snap = m.snapshot();
         assert_eq!(snap.counter("net", "remote_calls"), Some(4));
         assert_eq!(snap.histogram("hns", "find_nsm_us").unwrap().sum, 1_500);
@@ -958,7 +1024,7 @@ mod tests {
             j.join().expect("join");
         }
         assert_eq!(h.count(), THREADS as u64 * PER_THREAD);
-        let bucket_total: u64 = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        let bucket_total: u64 = h.bucket_counts().iter().sum();
         assert_eq!(bucket_total, THREADS as u64 * PER_THREAD);
     }
 
@@ -996,6 +1062,62 @@ mod tests {
         assert_eq!(stats.sum, all.clone().sum::<u64>());
         assert_eq!(stats.min, all.clone().min().expect("samples"));
         assert_eq!(stats.max, all.max().expect("samples"));
+    }
+
+    /// Samples recorded by the owner and by a foreign thread merge into
+    /// one histogram: buckets, sum, minimum and maximum are those of every
+    /// sample recorded in one place — whichever half holds each extreme.
+    #[test]
+    fn owner_and_shared_halves_merge() {
+        let owned = [5u64, 64, 900, 70_000];
+        let foreign = [0u64, 3, 64, 1 << 40];
+        for (first, second) in [(&owned, &foreign), (&foreign, &owned)] {
+            let h = Histogram::new();
+            let mut reference = LocalHistogram::new();
+            first.iter().for_each(|&v| h.record(v));
+            std::thread::scope(|s| {
+                s.spawn(|| second.iter().for_each(|&v| h.record(v)));
+            });
+            first
+                .iter()
+                .chain(second)
+                .for_each(|&v| reference.record(v));
+            assert!(h.shared.get().is_some(), "the foreign records went shared");
+            assert_eq!(h.bucket_counts(), reference.buckets);
+            assert_eq!(h.sample(), reference.stats());
+            assert_eq!((h.count(), h.sum()), (8, reference.sum));
+        }
+    }
+
+    /// A histogram only its owner records into allocates no shared half.
+    #[test]
+    fn a_single_writer_histogram_has_one_half() {
+        let h = Histogram::new();
+        (0..1_000).for_each(|v| h.record(v));
+        assert!(h.shared.get().is_none());
+        assert_eq!(h.count(), 1_000);
+    }
+
+    /// `Counter::set` after adds from the owner and from a foreign thread
+    /// is the new total, and adds from either side count on from it.
+    #[test]
+    fn counter_set_after_adds_from_both_sides() {
+        let c = Counter::new();
+        c.add(10);
+        std::thread::scope(|s| {
+            s.spawn(|| c.add(5));
+        });
+        assert_eq!(c.value(), 15);
+        c.set(4);
+        assert_eq!(c.value(), 4);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                c.inc();
+                c.set(40);
+            });
+        });
+        c.inc();
+        assert_eq!(c.value(), 41);
     }
 
     /// Satellite: concurrent counter increments across threads are exact.

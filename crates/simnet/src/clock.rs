@@ -1,4 +1,5 @@
-//! The clock components charge virtual time against: one atomic word.
+//! The clock components charge virtual time against: one single-writer
+//! word.
 //!
 //! The paper's methodology measures the *elapsed time of one operation at
 //! light load*: a single logical thread of control moves through the client,
@@ -8,16 +9,18 @@
 //! virtual time elapsed across an operation is exactly the paper's elapsed
 //! time, computed deterministically.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use obs::word::OwnedWord;
 
 use crate::time::{SimDuration, SimTime};
 
 /// The monotonically-advancing virtual clock.
 ///
-/// One atomic word of elapsed microseconds: [`VirtualClock::advance`] adds
-/// to it, [`VirtualClock::now`] loads it. Safe to advance from any thread;
-/// the word only grows, so a reader's successive `now()` calls are monotone
-/// even with `Relaxed` ordering.
+/// Elapsed microseconds in one [`OwnedWord`]: the thread driving the
+/// simulation — the first to advance it — adds with a plain load and
+/// store, any other thread with one `fetch_add` into the word's shared
+/// half, and [`VirtualClock::now`] sums the two. Safe to advance from any
+/// thread, and no advance is lost; both halves only grow, so a reader's
+/// successive `now()` calls are monotone even with `Relaxed` loads.
 ///
 /// # Examples
 ///
@@ -31,7 +34,7 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Default)]
 pub struct VirtualClock {
-    elapsed_us: AtomicU64,
+    elapsed_us: OwnedWord,
 }
 
 impl VirtualClock {
@@ -42,18 +45,18 @@ impl VirtualClock {
 
     /// Returns the current virtual instant.
     pub fn now(&self) -> SimTime {
-        SimTime::from_us(self.elapsed_us.load(Ordering::Relaxed))
+        SimTime::from_us(self.elapsed_us.get())
     }
 
     /// Advances virtual time by `d`.
     pub fn advance(&self, d: SimDuration) {
-        self.elapsed_us.fetch_add(d.as_us(), Ordering::Relaxed);
+        self.elapsed_us.add(d.as_us());
     }
 
     /// Does nothing. The thread-local batched charging mode this used to
     /// select is gone (one uncontended word is as cheap); the function
     /// stays only because `benchmark/` still calls it, and goes with
-    /// ROADMAP item 4(b).
+    /// ROADMAP item 5.
     pub fn set_batched(&self, _: bool) {}
 }
 

@@ -96,7 +96,7 @@ impl std::fmt::Debug for CacheExporters {
 
 /// The `net` component's counters, each kept once, in the registry: the
 /// per-call accounting in [`World::count_remote_call`] and friends is one
-/// atomic add through a cached handle, not a registry lookup (two
+/// add through a cached handle, not a registry lookup (two
 /// `String` allocations plus a read lock) per call, and
 /// [`World::counters`] reads the same handles. A handle registers its
 /// counter on first use, so a world that made no call publishes no `net`
