@@ -104,8 +104,8 @@ mod collapsed {
             let mut addr = None;
             let mut prog = None;
             let mut port = None;
-            for r in &records {
-                if let bindns::rr::RData::Opaque(bytes) = &r.rdata {
+            for (_, body) in records.iter() {
+                if let bindns::rr::RData::Opaque(bytes) = &body.rdata {
                     let s = String::from_utf8_lossy(bytes).to_string();
                     if let Some((k, v)) = s.split_once('=') {
                         match k {

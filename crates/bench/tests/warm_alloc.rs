@@ -19,12 +19,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const OPS: usize = 60_000;
 
-/// At most eight allocations a warm op. (10.70 while every probe of a
+/// At most 6.8 allocations a warm op. (6.82 while each typed reply — the
+/// NSM's struct, the Clearinghouse's `Property` — travelled in a box;
+/// 10.70 while every probe of a
 /// shared name copied its text: the context and individual name into
 /// each request, the local name out of every NSM's mapping, the path out
 /// of the caller's fields.)
 #[test]
-fn a_warm_query_allocates_at_most_eight_blocks() {
+fn a_warm_query_allocates_at_most_six_point_eight_blocks() {
     let (per_op, bytes_per_op) = allocations_an_op(
         CacheMode::Demarshalled,
         true,
@@ -32,5 +34,5 @@ fn a_warm_query_allocates_at_most_eight_blocks() {
         OPS,
     );
     println!("{OPS} warm ops: {per_op:.2} allocations an op, {bytes_per_op:.0} B an op");
-    assert!(per_op <= 8.0, "{per_op:.2} allocations a warm op");
+    assert!(per_op <= 6.8, "{per_op:.2} allocations a warm op");
 }

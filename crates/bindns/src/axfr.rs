@@ -18,13 +18,14 @@ use simnet::topology::HostId;
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
+use hrpc::server::ReplySlot;
 use hrpc::HrpcBinding;
 use wire::message::{Field, Shape, Shaped};
 use wire::{Value, WireError, WireResult};
 
 use crate::db::ZoneDb;
 use crate::error::{NsError, NsResult};
-use crate::message::{replied, PROC_AXFR, PROC_IXFR, PROC_SERIAL};
+use crate::message::{decoded, PROC_AXFR, PROC_IXFR, PROC_SERIAL};
 use crate::name::DomainName;
 use crate::rr::{bad_field, ResourceRecord};
 use crate::server::BindServer;
@@ -198,8 +199,8 @@ pub fn transfer_zone(
     let request = ZoneRequest {
         origin: origin.clone(),
     };
-    let reply = net.call_msg(caller, binding, PROC_AXFR, &request)?;
-    let xfer = replied(reply, ZoneTransfer::from_value)?;
+    let decode = decoded(ZoneTransfer::from_value);
+    let xfer = net.call_msg(caller, binding, PROC_AXFR, &request, decode)?;
     charge_transfer(net, binding, xfer.size_bytes);
     Ok(xfer)
 }
@@ -219,8 +220,8 @@ pub fn transfer_zone_incremental(
         origin: origin.clone(),
         from_serial,
     };
-    let reply = net.call_msg(caller, binding, PROC_IXFR, &request)?;
-    let xfer = replied(reply, IncrementalTransfer::from_value)?;
+    let decode = decoded(IncrementalTransfer::from_value);
+    let xfer = net.call_msg(caller, binding, PROC_IXFR, &request, decode)?;
     charge_transfer(net, binding, xfer.size_bytes);
     Ok(xfer)
 }
@@ -235,8 +236,9 @@ pub fn read_serial(
     let request = ZoneRequest {
         origin: origin.clone(),
     };
-    let reply = net.call_msg(caller, binding, PROC_SERIAL, &request)?;
-    Ok(reply.into_value().as_u32()?)
+    let call =
+        |reply: &mut ReplySlot<'_>| net.call_into(caller, binding, PROC_SERIAL, &request, reply);
+    Ok(ReplySlot::tree(call)?.as_u32()?)
 }
 
 /// A secondary server: holds a copy of one zone and refreshes it from the

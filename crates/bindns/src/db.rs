@@ -5,7 +5,7 @@ use std::ops::Deref;
 
 use crate::error::{NsError, NsResult};
 use crate::name::DomainName;
-use crate::rr::{RType, ResourceRecord};
+use crate::rr::{RType, Records};
 use crate::zone::Zone;
 
 /// All zones held by one authoritative server, keyed by origin.
@@ -54,7 +54,7 @@ impl ZoneDb {
     }
 
     /// Authoritative lookup across all zones.
-    pub fn lookup(&self, name: &DomainName, rtype: RType) -> NsResult<Vec<ResourceRecord>> {
+    pub fn lookup(&self, name: &DomainName, rtype: RType) -> NsResult<Records> {
         match self.find_zone(name) {
             Some(zone) => zone.lookup(name, rtype),
             None => Err(NsError::NotAuthoritative(name.to_string())),
@@ -86,6 +86,7 @@ fn deepest<Z: Deref<Target = Zone>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rr::ResourceRecord;
     use simnet::topology::{HostId, NetAddr};
 
     fn name(s: &str) -> DomainName {

@@ -40,7 +40,7 @@ pub use error::{NsError, NsResult, Rcode};
 pub use name::DomainName;
 pub use recursive::RecursiveResolver;
 pub use resolver::{HrpcResolver, StdResolver};
-pub use rr::{RData, RType, ResourceRecord};
+pub use rr::{RData, RType, Records, ResourceRecord, RrBody};
 pub use server::{deploy, single_zone_server, BindDeployment, BindServer, DNS_PORT};
 pub use update::UpdateOp;
 pub use zone::Zone;

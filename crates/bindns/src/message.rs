@@ -14,14 +14,13 @@
 //! of Table 3.2).
 
 use hrpc::error::{RpcError, RpcResult};
-use hrpc::Reply;
 use wire::fast::{decode_rr_batch, encode_rr_batch, WireRecord};
 use wire::message::{Shape, Shaped, Tree};
-use wire::{Message, Value, WireResult};
+use wire::{Value, WireResult};
 
 use crate::error::{NsError, NsResult, Rcode};
 use crate::name::DomainName;
-use crate::rr::{bad_field, check_rdata, RData, RType, ResourceRecord};
+use crate::rr::{bad_field, check_rdata, record_shape, RData, RType, Records, RrBody};
 
 /// Procedure: look up records.
 pub const PROC_QUERY: u32 = 1;
@@ -41,12 +40,10 @@ pub const PROC_MQUERY: u32 = 5;
 /// [`crate::axfr::transfer_zone_incremental`]).
 pub const PROC_IXFR: u32 = 6;
 
-/// A reply as the struct the procedure answers with ([`Reply::read`]),
-/// an untyped server's tree that is none being the service's failure.
-pub(crate) fn replied<T: Message>(reply: Reply, decode: fn(&Value) -> NsResult<T>) -> RpcResult<T> {
-    reply
-        .read(decode)
-        .map_err(|e| RpcError::Service(e.to_string()))
+/// The decoder of the struct a procedure answers with, for the tree of
+/// an untyped server: a tree that is none is the service's failure.
+pub(crate) fn decoded<T>(decode: fn(&Value) -> NsResult<T>) -> impl FnOnce(&Value) -> RpcResult<T> {
+    move |tree| decode(tree).map_err(|e| RpcError::Service(e.to_string()))
 }
 
 /// A lookup question.
@@ -67,18 +64,20 @@ impl Question {
 
 wire::record!(Question { name, rtype });
 
-/// A lookup answer.
+/// A lookup answer: its outcome, and what was found — an owner and its
+/// bodies, then the records of any other owner ([`Records`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answer {
     /// Outcome code.
     pub rcode: Rcode,
-    /// Matching records (empty unless `rcode` is [`Rcode::Ok`]).
-    pub records: Vec<ResourceRecord>,
+    /// What was found (none unless `rcode` is [`Rcode::Ok`] or
+    /// [`Rcode::Referral`]).
+    pub records: Records,
 }
 
 impl Answer {
     /// Builds a successful answer.
-    pub fn ok(records: Vec<ResourceRecord>) -> Self {
+    pub fn ok(records: Records) -> Self {
         Answer {
             rcode: Rcode::Ok,
             records,
@@ -89,12 +88,12 @@ impl Answer {
     pub fn err(rcode: Rcode) -> Self {
         Answer {
             rcode,
-            records: Vec::new(),
+            records: Records::none(),
         }
     }
 
     /// Maps a lookup result into an answer.
-    pub fn from_result(result: NsResult<Vec<ResourceRecord>>) -> Answer {
+    pub fn from_result(result: NsResult<Records>) -> Answer {
         match result {
             Ok(records) => Answer::ok(records),
             Err(NsError::NameError(_)) => Answer::err(Rcode::NameError),
@@ -108,14 +107,14 @@ impl Answer {
     }
 
     /// Converts back into a lookup result for `question`.
-    pub fn into_result(self, question: &Question) -> NsResult<Vec<ResourceRecord>> {
+    pub fn into_result(self, question: &Question) -> NsResult<Records> {
         self.rcode.into_result(&question.name)?;
         Ok(self.records)
     }
 
     /// Serializes to a wire value (the HRPC path).
     pub fn to_value(&self) -> NsResult<Value> {
-        check_rdata(&self.records)?;
+        check_rdata(self.records.iter().map(|(_, body)| &body.rdata))?;
         Ok(self.shape(&Tree))
     }
 
@@ -130,7 +129,21 @@ impl Answer {
             .map_err(bad_field)?;
         Ok(Answer {
             rcode,
-            records: ResourceRecord::list_from_values(records)?,
+            records: Records::from_values(records)?,
+        })
+    }
+
+    /// The owner the fast encoding names: empty for no records. It names
+    /// one: an answer with records of another owner is refused.
+    fn fast_owner(&self) -> WireResult<&str> {
+        if !self.records.others().is_empty() {
+            return Err(wire::WireError::Refused(
+                "a fast answer names one owner".into(),
+            ));
+        }
+        Ok(match self.records.is_empty() {
+            true => "",
+            false => self.records.owner().as_str(),
         })
     }
 
@@ -140,33 +153,34 @@ impl Answer {
     /// TTL, rdata length and rdata. An owner is a [`DomainName`], at most
     /// 255 bytes, so never too long for its `u16` length.
     pub fn fast_len(&self) -> WireResult<usize> {
-        let owner = self.records.first().map_or("", |r| r.name.as_str());
-        let mut len = 1 + 2 + owner.len() + 2;
-        for r in &self.records {
-            let rdata = r
+        let mut len = 1 + 2 + self.fast_owner()?.len() + 2;
+        let bodies = self.records.bodies();
+        for body in bodies {
+            let rdata = body
                 .rdata
                 .encoded_len()
                 .map_err(|_| wire::WireError::Oversize(0))?;
             len += 2 + 4 + 2 + rdata;
         }
-        if self.records.len() > usize::from(u16::MAX) {
-            return Err(wire::WireError::Oversize(self.records.len()));
+        if bodies.len() > usize::from(u16::MAX) {
+            return Err(wire::WireError::Oversize(bodies.len()));
         }
         Ok(len)
     }
 
-    /// Serializes through the hand-written fast path. All records must
-    /// share one owner name (true for every standard lookup reply).
+    /// Serializes through the hand-written fast path: the owner once,
+    /// then each of its bodies.
     pub fn to_fast_bytes(&self) -> WireResult<Vec<u8>> {
-        let owner = self.records.first().map_or("", |r| r.name.as_str());
+        let owner = self.fast_owner()?;
         let wire_records: Vec<WireRecord> = self
             .records
+            .bodies()
             .iter()
-            .map(|r| {
+            .map(|body| {
                 Ok(WireRecord {
-                    rtype: r.rtype.code(),
-                    ttl: r.ttl,
-                    rdata: r
+                    rtype: body.rtype.code(),
+                    ttl: body.ttl,
+                    rdata: body
                         .rdata
                         .to_bytes()
                         .map_err(|_| wire::WireError::Oversize(0))?,
@@ -187,25 +201,24 @@ impl Answer {
             .ok_or_else(|| NsError::BadRecord(format!("bad rcode {code}")))?;
         let (owner, wire_records) =
             decode_rr_batch(rest).map_err(|e| NsError::BadRecord(e.to_string()))?;
-        let name = if owner.is_empty() {
+        let owner = if owner.is_empty() {
             DomainName::root()
         } else {
             DomainName::parse(&owner)?
         };
-        let records: NsResult<Vec<ResourceRecord>> = wire_records
+        let bodies = wire_records
             .into_iter()
             .map(|w| {
-                Ok(ResourceRecord {
-                    name: name.clone(),
+                Ok(RrBody {
                     rtype: RType::from_code(w.rtype)?,
                     ttl: w.ttl,
                     rdata: RData::from_bytes(&w.rdata)?,
                 })
             })
-            .collect();
+            .collect::<NsResult<Vec<RrBody>>>()?;
         Ok(Answer {
             rcode,
-            records: records?,
+            records: Records::of(owner, bodies),
         })
     }
 }
@@ -214,7 +227,12 @@ impl Shaped for Answer {
     fn shape<S: Shape>(&self, s: &S) -> S::Out {
         s.record([
             ("rcode", s.u32(self.rcode as u32)),
-            ("answers", s.list(self.records.iter(), |r| r.shape(s))),
+            (
+                "answers",
+                s.list(self.records.iter(), |(name, body)| {
+                    record_shape(s, name, body.rtype, body.ttl, &body.rdata)
+                }),
+            ),
         ])
     }
 }
@@ -242,8 +260,7 @@ wire::record!(MultiQuestion { questions, hints });
 
 /// A batched reply: one answer per question, plus any speculative
 /// *additional* record sets the server chose to piggyback. Each additional
-/// answer is a complete single-owner record set (its owner name is carried
-/// by the records themselves).
+/// answer is a complete record set of its own owner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiAnswer {
     /// Answers aligned with the request's questions.
@@ -253,20 +270,10 @@ pub struct MultiAnswer {
 }
 
 impl MultiAnswer {
-    /// Total records across answers and additional sets (drives the
-    /// client's demarshalling cost).
-    pub fn total_records(&self) -> usize {
-        self.answers
-            .iter()
-            .chain(self.additional.iter())
-            .map(|a| a.records.len())
-            .sum()
-    }
-
     /// Serializes to a wire value.
     pub fn to_value(&self) -> NsResult<Value> {
         let sets = self.answers.iter().chain(&self.additional);
-        check_rdata(sets.flat_map(|set| &set.records))?;
+        check_rdata(sets.flat_map(|set| set.records.iter().map(|(_, body)| &body.rdata)))?;
         Ok(self.shape(&Tree))
     }
 
@@ -299,8 +306,12 @@ impl Shaped for MultiAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rr::ResourceRecord;
+    use crate::zone::Zone;
+    use hrpc::ReplySlot;
     use simnet::topology::{HostId, NetAddr};
     use std::borrow::Cow;
+    use wire::Message;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).expect("valid name")
@@ -308,11 +319,27 @@ mod tests {
 
     fn sample_answer(n: usize) -> Answer {
         let owner = name("fiji.cs.washington.edu");
-        Answer::ok(
-            (0..n)
-                .map(|i| ResourceRecord::a(owner.clone(), 3600, NetAddr::of(HostId(i as u32))))
-                .collect(),
-        )
+        let bodies = (0..n).map(|i| RrBody {
+            rtype: RType::A,
+            ttl: 3600,
+            rdata: RData::Addr(NetAddr::of(HostId(i as u32))),
+        });
+        Answer::ok(Records::of(owner, bodies))
+    }
+
+    /// A `TXT` record at `fiji` asked for at its alias `www`: the alias's
+    /// `CNAME`, then the target's record under its own owner.
+    fn alias_answer() -> Answer {
+        let mut zone = Zone::new(name("cs.washington.edu"), 60);
+        let (www, fiji) = (
+            name("www.cs.washington.edu"),
+            name("fiji.cs.washington.edu"),
+        );
+        zone.add(ResourceRecord::cname(www.clone(), 60, fiji.clone()))
+            .expect("alias");
+        zone.add(ResourceRecord::txt(fiji, 60, "VAX"))
+            .expect("target");
+        Answer::ok(zone.lookup(&www, RType::Txt).expect("chased"))
     }
 
     #[test]
@@ -323,20 +350,71 @@ mod tests {
 
     #[test]
     fn answer_value_roundtrip() {
-        for n in [0usize, 1, 6] {
-            let a = sample_answer(n);
+        for a in [
+            sample_answer(0),
+            sample_answer(1),
+            sample_answer(6),
+            alias_answer(),
+        ] {
             let v = a.to_value().expect("to value");
             assert_eq!(Answer::from_value(&v).expect("from value"), a);
         }
     }
 
+    /// A list whose owners interleave, or spell the owner otherwise,
+    /// decodes to the owner's bodies up to the first record of another
+    /// owner, the rest after them, and writes back record for record.
+    #[test]
+    fn an_interleaved_list_reads_back_as_it_was_written() {
+        let record = |owner: &str| {
+            let rr = ResourceRecord::txt(name("x.y"), 60, owner);
+            let Value::Struct(mut fields) = rr.tree().into_owned() else {
+                panic!("records marshal as structs");
+            };
+            fields[0].1 = Value::str(owner);
+            Value::Struct(fields)
+        };
+        let list = ["a.edu", "a.edu", "b.edu", "a.edu"].map(record);
+        let tree = Value::record([
+            ("rcode", Value::U32(0)),
+            ("answers", Value::List(list.into())),
+        ]);
+        let answer = Answer::from_value(&tree).expect("decodes");
+        let records = &answer.records;
+        assert_eq!(
+            (records.owner(), records.bodies().len()),
+            (&name("a.edu"), 2)
+        );
+        assert_eq!(records.others().len(), 2);
+        assert_eq!(answer.tree().into_owned(), tree);
+        let spelt = Value::List(vec![record("a.edu"), record("A.EDU.")]);
+        let tree = Value::record([("rcode", Value::U32(0)), ("answers", spelt)]);
+        let answer = Answer::from_value(&tree).expect("decodes");
+        assert_eq!(answer.records.bodies().len(), 2, "one owner, spelt twice");
+    }
+
+    /// An answer comes back from the fast path as it went, or is refused
+    /// by the encoder and by `fast_len` alike: the fast encoding names
+    /// one owner, so an alias's answer, whose target's record it would
+    /// re-own, is refused.
     #[test]
     fn answer_fast_roundtrip() {
-        for n in [0usize, 1, 6] {
-            let a = sample_answer(n);
-            let bytes = a.to_fast_bytes().expect("fast encode");
-            assert_eq!(Answer::from_fast_bytes(&bytes).expect("fast decode"), a);
+        let alias = alias_answer();
+        for a in [
+            sample_answer(0),
+            sample_answer(1),
+            sample_answer(6),
+            alias.clone(),
+        ] {
+            match a.to_fast_bytes() {
+                Ok(bytes) => {
+                    assert_eq!(a.fast_len(), Ok(bytes.len()));
+                    assert_eq!(Answer::from_fast_bytes(&bytes).expect("fast decode"), a);
+                }
+                Err(refused) => assert_eq!(a.fast_len(), Err(refused)),
+            }
         }
+        assert!(alias.to_fast_bytes().is_err());
     }
 
     #[test]
@@ -378,7 +456,9 @@ mod tests {
         ] {
             assert!(Answer::from_value(&bad).is_err(), "{bad:?}");
         }
-        let record = sample_answer(1).records[0].tree().into_owned();
+        let record = sample_answer(1).records.whole().collect::<Vec<_>>()[0]
+            .tree()
+            .into_owned();
         let list = vec![record, Value::U32(7)];
         let value = Value::record([("rcode", Value::U32(0)), ("answers", Value::List(list))]);
         assert!(Answer::from_value(&value).is_err());
@@ -412,18 +492,22 @@ mod tests {
         assert!(sent(&Value::U32(7)).is_err());
 
         let a = sample_answer(2);
-        assert_eq!(
-            replied(Reply::typed(a.clone()), Answer::from_value),
-            Ok(a.clone())
-        );
+        let typed = |reply: &mut ReplySlot<'_>| {
+            reply.put(a.clone());
+            Ok(())
+        };
+        let read = ReplySlot::read(typed, decoded(Answer::from_value));
+        assert_eq!(read, Ok(a.clone()));
         let tree = a.to_value().expect("to value");
-        assert_eq!(
-            replied(Reply::Tree(tree), Answer::from_value),
-            Ok(a.clone())
-        );
+        let untyped = |reply: &mut ReplySlot<'_>| {
+            reply.put(tree);
+            Ok(())
+        };
+        let read = ReplySlot::read(untyped, decoded(Answer::from_value));
+        assert_eq!(read, Ok(a.clone()));
         // A typed reply of another type is read through its tree.
         assert!(matches!(
-            replied(Reply::typed(a), MultiAnswer::from_value),
+            ReplySlot::read(typed, decoded(MultiAnswer::from_value)),
             Err(RpcError::Service(_))
         ));
     }
@@ -456,7 +540,6 @@ mod tests {
             answers: vec![sample_answer(1), Answer::err(Rcode::NameError)],
             additional: vec![sample_answer(6), sample_answer(2)],
         };
-        assert_eq!(ma.total_records(), 9);
         let v = ma.to_value().expect("to value");
         assert_eq!(MultiAnswer::from_value(&v).expect("from value"), ma);
     }

@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use wire::message::{Field, Shape};
 use wire::{Value, WireError, WireResult};
@@ -25,11 +25,12 @@ pub struct DomainName {
 }
 
 impl DomainName {
-    /// The root (empty) name.
+    /// The root (empty) name: one shared text, made once.
     pub fn root() -> Self {
-        DomainName {
+        static ROOT: LazyLock<DomainName> = LazyLock::new(|| DomainName {
             text: Arc::from(""),
-        }
+        });
+        ROOT.clone()
     }
 
     /// Parses a dotted name. A single trailing dot (absolute form) is

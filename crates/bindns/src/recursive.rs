@@ -23,9 +23,9 @@ use hrpc::{ComponentSet, HrpcBinding};
 
 use crate::cache::TtlCache;
 use crate::error::{NsError, Rcode};
-use crate::message::{replied, Answer, Question, PROC_QUERY};
+use crate::message::{decoded, Answer, Question, PROC_QUERY};
 use crate::name::DomainName;
-use crate::rr::{RData, RType, ResourceRecord};
+use crate::rr::{RData, RType, Records, ResourceRecord};
 use crate::server::DNS_PORT;
 
 /// Maximum servers asked in one walk before reporting a delegation loop.
@@ -88,8 +88,8 @@ impl RecursiveResolver {
     }
 
     fn ask(&self, server: &HrpcBinding, question: &Question) -> RpcResult<Answer> {
-        let reply = self.net.call_msg(self.host, server, PROC_QUERY, question)?;
-        let answer = replied(reply, Answer::from_value)?;
+        let decode = decoded(Answer::from_value);
+        let answer = (self.net).call_msg(self.host, server, PROC_QUERY, question, decode)?;
         let world = self.net.world();
         world.charge_ms(world.costs.fast_marshal(answer.records.len().max(1)));
         Ok(answer)
@@ -168,7 +168,7 @@ impl RecursiveResolver {
 
     /// Asks `at.server` and follows referrals downward until a server
     /// answers for itself, keeping every referral followed.
-    fn walk(&self, question: &Question, mut at: Hop) -> Result<Vec<ResourceRecord>, WalkError> {
+    fn walk(&self, question: &Question, mut at: Hop) -> Result<Records, WalkError> {
         let world = self.net.world();
         let name = &question.name;
         for _ in 0..MAX_REFERRALS {
@@ -186,7 +186,8 @@ impl RecursiveResolver {
                     dead_end,
                 });
             }
-            let Some(cut) = Self::referred_cut(&answer.records, name, at.depth) else {
+            let referral: Arc<[ResourceRecord]> = answer.records.whole().collect();
+            let Some(cut) = Self::referred_cut(&referral, name, at.depth) else {
                 return Err(WalkError {
                     error: RpcError::Service(format!(
                         "refused a referral resolving {name}: referrals must name one \
@@ -197,10 +198,10 @@ impl RecursiveResolver {
             };
             at = Hop {
                 depth: cut.depth(),
-                server: Self::next_server(&answer.records).map_err(WalkError::conclusive)?,
+                server: Self::next_server(&referral).map_err(WalkError::conclusive)?,
             };
-            self.cuts
-                .insert(world.now(), cut.clone(), RType::Ns, answer.records);
+            let cut = cut.clone();
+            self.cuts.insert(world.now(), cut, RType::Ns, referral);
         }
         Err(WalkError::conclusive(RpcError::Service(format!(
             "more than {MAX_REFERRALS} referrals resolving {name}"
@@ -237,7 +238,7 @@ impl RecursiveResolver {
                 .inc();
             walked = self.walk(&question, root);
         }
-        let records: Arc<[ResourceRecord]> = walked.map_err(|e| e.error)?.into();
+        let records: Arc<[ResourceRecord]> = walked.map_err(|e| e.error)?.whole().collect();
         self.cache
             .insert(world.now(), name.clone(), rtype, Arc::clone(&records));
         Ok(records)
@@ -586,7 +587,7 @@ mod tests {
         fn dispatch(&self, _ctx: &CallCtx<'_>, _proc_id: u32, args: &Value) -> RpcResult<Value> {
             let question = Question::from_value(args)?;
             let record = ResourceRecord::a(question.name, 600, NetAddr::of(HostId(1)));
-            let answer = Answer::ok(vec![record]).to_value();
+            let answer = Answer::ok([record].into_iter().collect()).to_value();
             answer.map_err(|e| RpcError::Service(e.to_string()))
         }
     }
@@ -684,7 +685,7 @@ mod tests {
                 BIND_PROGRAM,
                 Arc::new(Scripted(Answer {
                     rcode: Rcode::Referral,
-                    records: referral.all_records(),
+                    records: referral.all_records().into_iter().collect(),
                 })),
             );
 

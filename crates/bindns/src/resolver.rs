@@ -21,10 +21,10 @@ use hrpc::HrpcBinding;
 use crate::cache::TtlCache;
 use crate::error::NsError;
 use crate::message::{
-    replied, Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
+    decoded, Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
 };
 use crate::name::DomainName;
-use crate::rr::{check_rdata, RType, ResourceRecord};
+use crate::rr::{check_rdata, RType, Records, ResourceRecord};
 use crate::update::UpdateOp;
 
 /// A lookup that found nothing is `NotFound`; any other refusal, or a
@@ -88,7 +88,7 @@ impl StdResolver {
             return Ok(records);
         }
         let records: Arc<[ResourceRecord]> = match self.query_uncached(name, rtype) {
-            Ok(records) => records.into(),
+            Ok(records) => records.whole().collect(),
             Err(err) if err.is_unreachable() => {
                 let Some((records, stale_for)) = self.cache.get_stale(world.now(), name, rtype)
                 else {
@@ -113,20 +113,14 @@ impl StdResolver {
     }
 
     /// Queries the server directly, bypassing the cache.
-    pub fn query_uncached(
-        &self,
-        name: &DomainName,
-        rtype: RType,
-    ) -> RpcResult<Vec<ResourceRecord>> {
+    pub fn query_uncached(&self, name: &DomainName, rtype: RType) -> RpcResult<Records> {
         let t0 = self.world().now();
         self.queries
             .get(self.world().metrics(), "bind_resolver", "std_queries")
             .inc();
         let question = Question::new(name.clone(), rtype);
-        let reply = self
-            .net
-            .call_msg(self.host, &self.server, PROC_QUERY, &question)?;
-        let answer = replied(reply, Answer::from_value)?;
+        let decode = decoded(Answer::from_value);
+        let answer = (self.net).call_msg(self.host, &self.server, PROC_QUERY, &question, decode)?;
         // Hand-written marshalling cost for the records that came back:
         // the records must fit the fast codec, whose calibrated cost is
         // charged; sizing them refuses exactly what encoding would.
@@ -192,16 +186,14 @@ impl HrpcResolver {
 
     /// Queries the server; returns the answer and charges the generated
     /// marshalling cost plus the interface's fixed overhead.
-    pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Vec<ResourceRecord>> {
+    pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Records> {
         let t0 = self.net.world().now();
         self.queries
             .get(self.net.world().metrics(), "bind_resolver", "hrpc_queries")
             .inc();
         let question = Question::new(name.clone(), rtype);
-        let reply = self
-            .net
-            .call_msg(self.host, &self.server, PROC_QUERY, &question)?;
-        let answer = replied(reply, Answer::from_value)?;
+        let decode = decoded(Answer::from_value);
+        let answer = (self.net).call_msg(self.host, &self.server, PROC_QUERY, &question, decode)?;
         let world = self.net.world();
         world.charge_ms(
             world.costs.generated_miss(answer.records.len().max(1))
@@ -224,10 +216,8 @@ impl HrpcResolver {
             .get(self.net.world().metrics(), "bind_resolver", "mqueries")
             .inc();
         let mq = MultiQuestion::new(questions.to_vec(), hints.to_vec());
-        let reply = self
-            .net
-            .call_msg(self.host, &self.server, PROC_MQUERY, &mq)?;
-        let multi = replied(reply, MultiAnswer::from_value)?;
+        let decode = decoded(MultiAnswer::from_value);
+        let multi = (self.net).call_msg(self.host, &self.server, PROC_MQUERY, &mq, decode)?;
         let world = self.net.world();
         // Every returned set still pays generated demarshalling, but the
         // whole batch pays the fixed interface overhead exactly once.
@@ -241,11 +231,10 @@ impl HrpcResolver {
 
     /// Sends a dynamic update (requires the modified server).
     pub fn update(&self, op: &UpdateOp) -> RpcResult<()> {
-        check_rdata(op.records()).map_err(|e| RpcError::Service(e.to_string()))?;
-        let reply = self
-            .net
-            .call_msg(self.host, &self.server, PROC_UPDATE, op)?;
-        let answer = replied(reply, Answer::from_value)?;
+        let rdata = op.records().iter().map(|r| &r.rdata);
+        check_rdata(rdata).map_err(|e| RpcError::Service(e.to_string()))?;
+        let decode = decoded(Answer::from_value);
+        let answer = (self.net).call_msg(self.host, &self.server, PROC_UPDATE, op, decode)?;
         let world = self.net.world();
         world.charge_ms(world.costs.generated_miss(1));
         match answer.rcode {
@@ -397,7 +386,12 @@ mod tests {
             "{refused:?}"
         );
         let found = resolver.query(&owner, RType::Unspec).expect("query");
-        assert_eq!(found, [unspec(&owner, "ns=BIND")], "the old set answers");
+        let old = [unspec(&owner, "ns=BIND")];
+        assert_eq!(
+            found.whole().collect::<Vec<_>>(),
+            old,
+            "the old set answers"
+        );
         assert_eq!(serial().expect("serial"), before);
     }
 

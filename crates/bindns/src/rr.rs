@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use simnet::topology::{HostId, NetAddr};
+use simnet::ttl::arc_bytes;
 use wire::message::{Field, Shape, Shaped};
 use wire::{Value, WireError, WireResult};
 
@@ -242,6 +243,214 @@ impl RData {
     }
 }
 
+/// The owner-independent remainder of a resource record: the one form a
+/// record takes from a zone's body table to an answer's reader. Two
+/// records at different names with the same type, TTL and rdata share
+/// one body.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RrBody {
+    /// Record type.
+    pub rtype: RType,
+    /// Time to live, seconds.
+    pub ttl: u32,
+    /// Payload.
+    pub rdata: RData,
+}
+
+impl RrBody {
+    /// The body of `rr`.
+    pub(crate) fn of(rr: &ResourceRecord) -> RrBody {
+        RrBody {
+            rtype: rr.rtype,
+            ttl: rr.ttl,
+            rdata: rr.rdata.clone(),
+        }
+    }
+
+    /// Stored bytes of the body alone (type + ttl + rdata).
+    pub(crate) fn body_bytes(&self) -> usize {
+        8 + self.rdata.encoded_len().unwrap_or(0)
+    }
+
+    /// Bytes the body's rdata points at.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.rdata {
+            RData::Addr(_) => 0,
+            RData::Domain(name) | RData::Soa { primary: name, .. } => arc_bytes(name.text().len()),
+            RData::Text(text) => text.capacity(),
+            RData::Opaque(payload) => arc_bytes(payload.len()),
+        }
+    }
+}
+
+/// What a lookup finds: an owner and its record bodies, the owner named
+/// once, then the records of any other owner — a `CNAME`'s target, a
+/// referral's glue. One body is held inline, so a one-record answer
+/// allocates nothing; more share one vector.
+#[derive(Debug, Clone)]
+pub struct Records {
+    owner: DomainName,
+    bodies: BodyList,
+    others: Vec<(DomainName, RrBody)>,
+}
+
+/// An owner's bodies: one inline, more in a vector.
+#[derive(Debug, Clone)]
+enum BodyList {
+    One(RrBody),
+    Many(Vec<RrBody>),
+}
+
+impl BodyList {
+    fn as_slice(&self) -> &[RrBody] {
+        match self {
+            BodyList::One(body) => std::slice::from_ref(body),
+            BodyList::Many(bodies) => bodies,
+        }
+    }
+}
+
+/// Equal when they hold the same records, however they hold them: the
+/// owner of no bodies is nobody's.
+impl PartialEq for Records {
+    fn eq(&self, other: &Self) -> bool {
+        let bodies = self.bodies();
+        bodies == other.bodies()
+            && (bodies.is_empty() || self.owner == other.owner)
+            && self.others == other.others
+    }
+}
+
+impl Eq for Records {}
+
+impl Records {
+    /// No records, owned by nobody: the root stands in.
+    pub fn none() -> Records {
+        Records::of(DomainName::root(), [])
+    }
+
+    /// `owner` and its `bodies`: none or one allocates nothing, more are
+    /// collected once, sized by the iterator's bound.
+    pub fn of(owner: DomainName, bodies: impl IntoIterator<Item = RrBody>) -> Records {
+        let mut bodies = bodies.into_iter();
+        let bodies = match (bodies.next(), bodies.next()) {
+            (None, _) => BodyList::Many(Vec::new()),
+            (Some(only), None) => BodyList::One(only),
+            (Some(first), Some(second)) => {
+                let (least, most) = bodies.size_hint();
+                let mut list = Vec::with_capacity(most.unwrap_or(least) + 2);
+                list.extend([first, second].into_iter().chain(bodies));
+                BodyList::Many(list)
+            }
+        };
+        let others = Vec::new();
+        Records {
+            owner,
+            bodies,
+            others,
+        }
+    }
+
+    /// Adds the record of `body` at `name`, after every record held: the
+    /// owner's if it is the first, or the owner's with no other owner's
+    /// before it; else another owner's.
+    pub fn push(&mut self, name: DomainName, body: RrBody) {
+        if self.is_empty() {
+            self.owner = name;
+        } else if !self.others.is_empty() || name != self.owner {
+            return self.others.push((name, body));
+        }
+        self.bodies = match std::mem::replace(&mut self.bodies, BodyList::Many(Vec::new())) {
+            BodyList::Many(bodies) if bodies.capacity() == 0 => BodyList::One(body),
+            BodyList::Many(mut bodies) => {
+                bodies.push(body);
+                BodyList::Many(bodies)
+            }
+            BodyList::One(held) => {
+                let mut bodies = Vec::with_capacity(4);
+                bodies.extend([held, body]);
+                BodyList::Many(bodies)
+            }
+        };
+    }
+
+    /// The owner of [`Records::bodies`].
+    pub fn owner(&self) -> &DomainName {
+        &self.owner
+    }
+
+    /// The owner's bodies, in order.
+    pub fn bodies(&self) -> &[RrBody] {
+        self.bodies.as_slice()
+    }
+
+    /// The records of other owners, in order, after the owner's.
+    pub fn others(&self) -> &[(DomainName, RrBody)] {
+        &self.others
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.bodies().len() + self.others.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every record, the owner's first: its owner and its body.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&DomainName, &RrBody)> + Clone {
+        let bodies = self.bodies();
+        (0..self.len()).map(move |i| match bodies.get(i) {
+            Some(body) => (&self.owner, body),
+            None => {
+                let (name, body) = &self.others[i - bodies.len()];
+                (name, body)
+            }
+        })
+    }
+
+    /// The records made whole, each named by its owner: what a client
+    /// that keeps them is handed (collected, they fill one allocation).
+    pub fn whole(&self) -> impl ExactSizeIterator<Item = ResourceRecord> + '_ {
+        (self.iter()).map(|(name, body)| ResourceRecord::new(name.clone(), body.clone()))
+    }
+
+    /// Decodes a list of record trees, as lookup replies carry them, as
+    /// [`Records::push`] takes them in order; each owner is shared with
+    /// the record before it as [`ResourceRecord::list_from_values`]
+    /// shares it.
+    pub(crate) fn from_values(list: &[Value]) -> NsResult<Records> {
+        let mut records = Records::none();
+        if list.len() > 1 {
+            records.bodies = BodyList::Many(Vec::with_capacity(list.len()));
+        }
+        for (i, v) in list.iter().enumerate() {
+            let previous = match records.others.last() {
+                Some((other, _)) => other,
+                None => &records.owner,
+            };
+            let record = ResourceRecord::decode(v, (i > 0).then_some(previous))?;
+            let (name, body) = record.into_parts();
+            records.push(name, body);
+        }
+        Ok(records)
+    }
+}
+
+/// Whole records as [`Records::push`] takes them in order.
+impl FromIterator<ResourceRecord> for Records {
+    fn from_iter<I: IntoIterator<Item = ResourceRecord>>(records: I) -> Records {
+        let mut found = Records::none();
+        for record in records {
+            let (name, body) = record.into_parts();
+            found.push(name, body);
+        }
+        found
+    }
+}
+
 /// One resource record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceRecord {
@@ -256,6 +465,17 @@ pub struct ResourceRecord {
 }
 
 impl ResourceRecord {
+    /// The record of `body` at `name`.
+    pub(crate) fn new(name: DomainName, body: RrBody) -> Self {
+        let RrBody { rtype, ttl, rdata } = body;
+        ResourceRecord {
+            name,
+            rtype,
+            ttl,
+            rdata,
+        }
+    }
+
     /// Builds an `A` record.
     pub fn a(name: DomainName, ttl: u32, addr: NetAddr) -> Self {
         ResourceRecord {
@@ -301,23 +521,23 @@ impl ResourceRecord {
         Self::decode(v, None)
     }
 
-    /// Deserializes a list of records, as lookup and transfer replies
-    /// carry them. Records of one owner arrive together, so an owner
-    /// whose text equals the previous record's name shares that name
-    /// instead of being validated and allocated again — equal canonical
-    /// text parses to an equal name.
+    /// Deserializes a list of records, as transfer replies carry them.
+    /// Records of one owner arrive together, so an owner whose text equals
+    /// the previous record's name shares that name instead of being
+    /// validated and allocated again — equal canonical text parses to an
+    /// equal name.
     pub fn list_from_values(list: &[Value]) -> NsResult<Vec<ResourceRecord>> {
         let mut records: Vec<ResourceRecord> = Vec::with_capacity(list.len());
         for v in list {
-            let rr = Self::decode(v, records.last())?;
+            let rr = Self::decode(v, records.last().map(|r| &r.name))?;
             records.push(rr);
         }
         Ok(records)
     }
 
-    /// The one per-record decoder; `previous` is the record decoded just
-    /// before this one of the same list, if any.
-    fn decode(v: &Value, previous: Option<&ResourceRecord>) -> NsResult<ResourceRecord> {
+    /// The one per-record decoder; `previous` names the record decoded
+    /// just before this one of the same list, if any.
+    fn decode(v: &Value, previous: Option<&DomainName>) -> NsResult<ResourceRecord> {
         let owner = v.str_field("name").map_err(bad_field)?;
         let rtype = RType::read(v)?;
         let ttl = v.u32_field("ttl").map_err(bad_field)?;
@@ -326,7 +546,7 @@ impl ResourceRecord {
             .and_then(Value::as_bytes)
             .map_err(bad_field)?;
         let name = match previous {
-            Some(p) if p.name.as_str() == owner => p.name.clone(),
+            Some(p) if p.as_str() == owner => p.clone(),
             _ => DomainName::parse(owner)?,
         };
         Ok(ResourceRecord {
@@ -337,12 +557,15 @@ impl ResourceRecord {
         })
     }
 
-    /// The payload of opaque rdata (`UNSPEC`, `WKS`).
-    pub fn opaque(&self) -> Option<&[u8]> {
-        match &self.rdata {
-            RData::Opaque(payload) => Some(payload),
-            _ => None,
-        }
+    /// The record's owner and its body.
+    pub fn into_parts(self) -> (DomainName, RrBody) {
+        let ResourceRecord {
+            name,
+            rtype,
+            ttl,
+            rdata,
+        } = self;
+        (name, RrBody { rtype, ttl, rdata })
     }
 
     /// Approximate stored size in bytes (for zone-transfer costing).
@@ -351,20 +574,28 @@ impl ResourceRecord {
     }
 }
 
-/// The record as a wire struct; its rdata is written as it is, the
-/// [`MAX_RDATA`] rule being `check_rdata`'s.
 impl Shaped for ResourceRecord {
     fn shape<S: Shape>(&self, s: &S) -> S::Out {
-        s.record([
-            ("name", s.str(self.name.as_str())),
-            ("rtype", s.u32(u32::from(self.rtype.code()))),
-            ("ttl", s.u32(self.ttl)),
-            (
-                "rdata",
-                s.bytes(self.rdata.wire_len(), |b| self.rdata.write(b)),
-            ),
-        ])
+        let (name, rdata) = (&self.name, &self.rdata);
+        record_shape(s, name, self.rtype, self.ttl, rdata)
     }
+}
+
+/// A record as a wire struct; its rdata is written as it is, the
+/// [`MAX_RDATA`] rule being `check_rdata`'s.
+pub(crate) fn record_shape<S: Shape>(
+    s: &S,
+    name: &DomainName,
+    rtype: RType,
+    ttl: u32,
+    rdata: &RData,
+) -> S::Out {
+    s.record([
+        ("name", s.str(name.as_str())),
+        ("rtype", s.u32(u32::from(rtype.code()))),
+        ("ttl", s.u32(ttl)),
+        ("rdata", s.bytes(rdata.wire_len(), |b| rdata.write(b))),
+    ])
 }
 
 /// What a decoder says of a field that is missing or of the wrong type.
@@ -373,13 +604,11 @@ pub(crate) fn bad_field(e: wire::WireError) -> NsError {
 }
 
 /// Refuses, as [`RData::to_bytes`] would, rdata beyond [`MAX_RDATA`] in
-/// any of `records`: asked of a message before it leaves with them.
-pub(crate) fn check_rdata<'a>(
-    records: impl IntoIterator<Item = &'a ResourceRecord>,
-) -> NsResult<()> {
-    records
+/// any of `rdata`: asked of a message before it leaves with it.
+pub(crate) fn check_rdata<'a>(rdata: impl IntoIterator<Item = &'a RData>) -> NsResult<()> {
+    rdata
         .into_iter()
-        .try_for_each(|record| record.rdata.encoded_len().map(drop))
+        .try_for_each(|rdata| rdata.encoded_len().map(drop))
 }
 
 #[cfg(test)]
@@ -466,7 +695,7 @@ mod tests {
     #[test]
     fn oversized_rdata_never_becomes_a_value() {
         let rr = ResourceRecord::unspec(name("a.b"), 60, vec![0; MAX_RDATA]);
-        let answer = crate::message::Answer::ok(vec![rr]);
+        let answer = crate::message::Answer::ok([rr].into_iter().collect());
         assert!(matches!(answer.to_value(), Err(NsError::BadRecord(_))));
     }
 

@@ -21,7 +21,7 @@ use simnet::trace::TraceKind;
 use hrpc::binding::ProgramId;
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, Reply, RpcService};
+use hrpc::server::{CallCtx, ReplySlot, RpcService};
 use hrpc::HrpcBinding;
 use wire::{Message, Value};
 
@@ -33,7 +33,7 @@ use crate::message::{
     PROC_SERIAL, PROC_UPDATE,
 };
 use crate::name::DomainName;
-use crate::rr::ResourceRecord;
+use crate::rr::{Records, ResourceRecord};
 use crate::update::UpdateOp;
 use crate::zone::Zone;
 
@@ -46,16 +46,17 @@ use crate::zone::Zone;
 /// The server charges one service quantum per returned set — the provider
 /// does a real lookup's work; only the per-call transport is elided.
 pub trait AdditionalProvider: Send + Sync {
-    /// Returns additional `(owner name, records)` sets to piggyback onto
-    /// the reply. `hints` are opaque client-supplied strings (for the HNS
-    /// meta pipeline, the query classes being resolved).
+    /// Returns additional record sets, each of its own owner, to
+    /// piggyback onto the reply. `hints` are opaque client-supplied
+    /// strings (for the HNS meta pipeline, the query classes being
+    /// resolved).
     fn additional(
         &self,
         db: &ZoneDb,
         question: &Question,
-        answer: &[ResourceRecord],
+        answer: &Records,
         hints: &[String],
-    ) -> Vec<(DomainName, Vec<ResourceRecord>)>;
+    ) -> Vec<Records>;
 }
 
 /// The Sun-style program number BIND servers are exported under.
@@ -120,7 +121,7 @@ impl BindServer {
         &self,
         name: &DomainName,
         rtype: crate::rr::RType,
-    ) -> crate::error::NsResult<Vec<ResourceRecord>> {
+    ) -> crate::error::NsResult<Records> {
         self.db.read().lookup(name, rtype)
     }
 
@@ -202,9 +203,7 @@ impl BindServer {
         if let Some(provider) = provider {
             if let (Some(question), Some(answer)) = (mq.questions.first(), answers.first()) {
                 if answer.rcode == Rcode::Ok {
-                    for (_owner, records) in
-                        provider.additional(&db, question, &answer.records, &mq.hints)
-                    {
+                    for records in provider.additional(&db, question, &answer.records, &mq.hints) {
                         if records.is_empty() {
                             continue;
                         }
@@ -277,7 +276,7 @@ impl BindServer {
                     let mut removed: Vec<DomainName> = Vec::new();
                     for name in changed {
                         match zone.records_at(&name) {
-                            Some(set) => records.extend(set),
+                            Some(set) => records.extend(set.whole()),
                             None => removed.push(name),
                         }
                     }
@@ -342,7 +341,7 @@ impl BindServer {
                 outcome.as_ref().err()
             )
         });
-        Ok(Answer::from_result(outcome.map(|()| Vec::new())))
+        Ok(Answer::from_result(outcome.map(|()| Records::none())))
     }
 
     fn serve_serial(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Value> {
@@ -365,7 +364,7 @@ impl RpcService for BindServer {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.dispatch_msg(ctx, proc_id, args, reply))
     }
 
     /// Every procedure is served on its request struct — this crate's
@@ -376,16 +375,18 @@ impl RpcService for BindServer {
         ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         match proc_id {
-            PROC_QUERY => self.serve_query(ctx, args).map(Reply::typed),
-            PROC_MQUERY => self.serve_mquery(ctx, args).map(Reply::typed),
-            PROC_UPDATE => self.serve_update(ctx, args).map(Reply::typed),
-            PROC_AXFR => self.serve_axfr(ctx, args).map(Reply::typed),
-            PROC_IXFR => self.serve_ixfr(ctx, args).map(Reply::typed),
-            PROC_SERIAL => self.serve_serial(ctx, args).map(Reply::Tree),
-            other => Err(RpcError::BadProcedure(other)),
+            PROC_QUERY => reply.put(self.serve_query(ctx, args)?),
+            PROC_MQUERY => reply.put(self.serve_mquery(ctx, args)?),
+            PROC_UPDATE => reply.put(self.serve_update(ctx, args)?),
+            PROC_AXFR => reply.put(self.serve_axfr(ctx, args)?),
+            PROC_IXFR => reply.put(self.serve_ixfr(ctx, args)?),
+            PROC_SERIAL => reply.put(self.serve_serial(ctx, args)?),
+            other => return Err(RpcError::BadProcedure(other)),
         }
+        Ok(())
     }
 }
 
@@ -547,7 +548,55 @@ mod tests {
             .call(client, &dep.std_binding, PROC_QUERY, &q.tree())
             .expect("call");
         let answer = Answer::from_value(&reply).expect("decode");
-        assert_eq!(answer.records, vec![rr]);
+        assert_eq!(answer.records.whole().collect::<Vec<_>>(), vec![rr]);
+    }
+
+    /// A typed caller reads a reply the at-most-once reply cache kept: the
+    /// first reply is lost, the retransmission is answered from the cache
+    /// as a tree, and the caller decodes it into the answer a lossless
+    /// call reads — the server having run once.
+    #[test]
+    fn a_typed_caller_reads_a_reply_the_reply_cache_kept() {
+        use crate::message::decoded;
+        use hrpc::net::{LossPlan, LEG_REPLY, LEG_REQUEST};
+        let question = Question::new(name("fiji.cs.washington.edu"), RType::A);
+        let ask = |loss: Option<LossPlan>| {
+            let (world, net, client, dep) = setup(false);
+            let components = hrpc::ComponentSet::raw_udp_at_most_once(DNS_PORT);
+            let binding = HrpcBinding {
+                components,
+                ..dep.std_binding
+            };
+            net.set_loss(loss);
+            let decode = decoded(Answer::from_value);
+            let answer = net.call_msg(client, &binding, PROC_QUERY, &question, decode);
+            let counters = world.metrics().snapshot();
+            let served = counters.counter("bindns", "queries");
+            let hits = counters.counter("hrpc_net", "reply_cache_hits");
+            (answer.expect("answered"), served, hits)
+        };
+        // The first call on a fresh fabric is xid 1: its first attempt
+        // delivers the request and loses the reply, its second delivers
+        // both.
+        let seed = (0..100_000u64)
+            .find(|&s| {
+                let plan = LossPlan::new(0.5, s);
+                !plan.would_drop(1, 1, LEG_REQUEST)
+                    && plan.would_drop(1, 1, LEG_REPLY)
+                    && !plan.would_drop(1, 2, LEG_REQUEST)
+                    && !plan.would_drop(1, 2, LEG_REPLY)
+            })
+            .expect("a drop-reply-only seed exists");
+        let (lossless, served, hits) = ask(None);
+        assert_eq!((lossless.rcode, served, hits), (Rcode::Ok, Some(1), None));
+        let (retransmitted, served, hits) = ask(Some(LossPlan::new(0.5, seed)));
+        assert_eq!(retransmitted, lossless);
+        assert_eq!(served, Some(1), "the server ran once");
+        assert_eq!(
+            hits,
+            Some(1),
+            "the retransmission came from the reply cache"
+        );
     }
 
     /// Test provider: for every hint, attaches the A records of
@@ -559,17 +608,14 @@ mod tests {
             &self,
             db: &ZoneDb,
             _question: &Question,
-            _answer: &[ResourceRecord],
+            _answer: &Records,
             hints: &[String],
-        ) -> Vec<(DomainName, Vec<ResourceRecord>)> {
+        ) -> Vec<Records> {
             hints
                 .iter()
                 .filter_map(|hint| {
                     let owner = name(&format!("{hint}.cs.washington.edu"));
-                    match db.lookup(&owner, RType::A) {
-                        Ok(records) => Some((owner, records)),
-                        Err(_) => None,
-                    }
+                    db.lookup(&owner, RType::A).ok()
                 })
                 .collect()
         }

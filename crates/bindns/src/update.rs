@@ -84,7 +84,7 @@ impl UpdateOp {
 
     /// Serializes to a wire value.
     pub fn to_value(&self) -> NsResult<Value> {
-        check_rdata(self.records())?;
+        check_rdata(self.records().iter().map(|r| &r.rdata))?;
         Ok(self.shape(&Tree))
     }
 
@@ -157,7 +157,10 @@ mod tests {
         let rr = ResourceRecord::unspec(name("ctx.hns"), 600, b"BIND".to_vec());
         UpdateOp::Add(rr.clone()).apply(&mut z).expect("apply");
         assert_eq!(
-            z.lookup(&name("ctx.hns"), RType::Unspec).expect("lookup"),
+            z.lookup(&name("ctx.hns"), RType::Unspec)
+                .expect("lookup")
+                .whole()
+                .collect::<Vec<_>>(),
             vec![rr]
         );
     }

@@ -19,7 +19,8 @@
 //! checked the label boundary. A record leaving with its owner name gets
 //! one rebuilt, in one allocation, from the arena and the origin
 //! (`all_records`, `deltas_since`, a referral's cut); `lookup` and
-//! `records_at` hand back the asker's own name. The one reader that needs
+//! `records_at` answer with a [`Records`] owned by the asker's own name,
+//! the bodies cloned out of the table. The one reader that needs
 //! the owners in name order, the transfer payload
 //! ([`Zone::all_records`]), sorts them when the transfer is made.
 //!
@@ -59,7 +60,7 @@ use simnet::ttl::arc_bytes;
 
 use crate::error::{NsError, NsResult};
 use crate::name::{DomainName, MAX_NAME};
-use crate::rr::{RData, RType, ResourceRecord};
+use crate::rr::{RData, RType, Records, ResourceRecord};
 
 mod bodies;
 mod owners;
@@ -67,52 +68,7 @@ mod owners;
 use bodies::{Bodies, BodyId, Filed};
 use owners::{Owners, Vacancy};
 
-/// The owner-independent remainder of a resource record. Two records at
-/// different names with the same type, TTL and rdata share one body.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RrBody {
-    /// Record type.
-    pub rtype: RType,
-    /// Time to live, seconds.
-    pub ttl: u32,
-    /// Payload.
-    pub rdata: RData,
-}
-
-impl RrBody {
-    /// The body of `rr`.
-    pub(crate) fn of(rr: &ResourceRecord) -> RrBody {
-        RrBody {
-            rtype: rr.rtype,
-            ttl: rr.ttl,
-            rdata: rr.rdata.clone(),
-        }
-    }
-
-    fn to_record(&self, name: &DomainName) -> ResourceRecord {
-        ResourceRecord {
-            name: name.clone(),
-            rtype: self.rtype,
-            ttl: self.ttl,
-            rdata: self.rdata.clone(),
-        }
-    }
-
-    /// Stored bytes of the body alone (type + ttl + rdata).
-    fn body_bytes(&self) -> usize {
-        8 + self.rdata.encoded_len().unwrap_or(0)
-    }
-
-    /// Bytes the body's rdata points at.
-    fn heap_bytes(&self) -> usize {
-        match &self.rdata {
-            RData::Addr(_) => 0,
-            RData::Domain(name) | RData::Soa { primary: name, .. } => arc_bytes(name.text().len()),
-            RData::Text(text) => text.capacity(),
-            RData::Opaque(payload) => arc_bytes(payload.len()),
-        }
-    }
-}
+pub use crate::rr::RrBody;
 
 /// Index slots that hold `len` entries at most three quarters full: how
 /// the owner store and the body table size theirs.
@@ -483,60 +439,61 @@ impl Zone {
 
     /// Every record at `name` (all types), or `None` if nothing is
     /// stored there.
-    pub fn records_at(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
+    pub fn records_at(&self, name: &DomainName) -> Option<Records> {
         let set = self.set(name);
-        (!set.is_empty()).then(|| self.bodies.of(set).map(|b| b.to_record(name)).collect())
+        (!set.is_empty()).then(|| Records::of(name.clone(), self.bodies.of(set).cloned()))
     }
 
     /// Looks up records of `rtype` at `name`, following at most one level
-    /// of `CNAME` indirection within the zone.
-    pub fn lookup(&self, name: &DomainName, rtype: RType) -> NsResult<Vec<ResourceRecord>> {
-        self.lookup_chasing(name, rtype, true)
+    /// of `CNAME` indirection within the zone: the owner is the asker's
+    /// own name, and an alias's answer is its `CNAME` followed by its
+    /// target's records.
+    pub fn lookup(&self, name: &DomainName, rtype: RType) -> NsResult<Records> {
+        let set = self.owned_set(name)?;
+        let found = Records::of(name.clone(), self.of_type(set, rtype).cloned());
+        if !found.is_empty() {
+            return Ok(found);
+        }
+        let no_data = || NsError::NoData(name.to_string());
+        let alias = self.bodies.of(set).find(|r| r.rtype == RType::Cname);
+        let cname = alias
+            .filter(|_| rtype != RType::Cname)
+            .ok_or_else(no_data)?;
+        let RData::Domain(target) = &cname.rdata else {
+            return Err(no_data());
+        };
+        let mut alias = Records::of(name.clone(), [cname.clone()]);
+        // The target is looked up without chasing, so a chain or a loop
+        // of aliases is one step.
+        if let Ok(set) = self.owned_set(target) {
+            for body in self.of_type(set, rtype) {
+                alias.push(target.clone(), body.clone());
+            }
+        }
+        Ok(alias)
     }
 
-    /// [`Zone::lookup`], following a `CNAME` only if `chase`: the target
-    /// is looked up without, so a chain or a loop of aliases is one step.
-    fn lookup_chasing(
-        &self,
-        name: &DomainName,
-        rtype: RType,
-        chase: bool,
-    ) -> NsResult<Vec<ResourceRecord>> {
+    /// The body ids at `name`, which must be in this zone and hold some.
+    fn owned_set(&self, name: &DomainName) -> NsResult<&[BodyId]> {
         let Some(relative) = self.relative(name) else {
             return Err(NsError::NotAuthoritative(name.to_string()));
         };
-        let set = self.owners.get(relative);
-        if set.is_empty() {
-            return Err(NsError::NameError(name.to_string()));
+        match self.owners.get(relative) {
+            [] => Err(NsError::NameError(name.to_string())),
+            set => Ok(set),
         }
-        // Nearly always the whole set matches: sized for it, once.
-        let mut matched = Vec::with_capacity(set.len());
-        let of_type = self.bodies.of(set).filter(|r| r.rtype == rtype);
-        matched.extend(of_type.map(|b| b.to_record(name)));
-        if !matched.is_empty() {
-            return Ok(matched);
-        }
-        if chase && rtype != RType::Cname {
-            if let Some(cname) = self.bodies.of(set).find(|r| r.rtype == RType::Cname) {
-                if let RData::Domain(target) = &cname.rdata {
-                    let mut result = vec![cname.to_record(name)];
-                    if self.contains(target) {
-                        if let Ok(mut chased) = self.lookup_chasing(target, rtype, false) {
-                            result.append(&mut chased);
-                        }
-                    }
-                    return Ok(result);
-                }
-            }
-        }
-        Err(NsError::NoData(name.to_string()))
+    }
+
+    /// The bodies of `set` of type `rtype`.
+    fn of_type<'a>(&'a self, set: &'a [BodyId], rtype: RType) -> impl Iterator<Item = &'a RrBody> {
+        self.bodies.of(set).filter(move |r| r.rtype == rtype)
     }
 
     /// Finds a delegation (zone cut) covering `name`, if any: the deepest
     /// ancestor-or-self of `name` that lies strictly below the origin and
-    /// holds `NS` records. Returns the cut's `NS` records plus any glue
-    /// `A` records this zone holds for the named servers.
-    pub fn find_delegation(&self, name: &DomainName) -> Option<Vec<ResourceRecord>> {
+    /// holds `NS` records. Returns the cut and its `NS` bodies, followed
+    /// by any glue `A` records this zone holds for the named servers.
+    pub fn find_delegation(&self, name: &DomainName) -> Option<Records> {
         if self.cut_ns_records == 0 {
             return None;
         }
@@ -546,35 +503,24 @@ impl Zone {
         let relative = self.relative(name).filter(|r| !r.is_empty())?;
         let mut starts =
             std::iter::once(0).chain(relative.match_indices('.').map(|(dot, _)| dot + 1));
-        let (start, ns) = starts.find_map(|start| {
+        let (start, set) = starts.find_map(|start| {
             let set = self.owners.get(&relative[start..]);
-            let ns: Vec<&RrBody> = self
-                .bodies
-                .of(set)
-                .filter(|r| r.rtype == RType::Ns)
-                .collect();
-            (!ns.is_empty()).then_some((start, ns))
+            self.of_type(set, RType::Ns).next().map(|_| (start, set))
         })?;
         let cut = if start == 0 {
             name.clone()
         } else {
             DomainName::from_text_unchecked(&name.text()[start..])
         };
-        let mut referral: Vec<ResourceRecord> = ns.iter().map(|b| b.to_record(&cut)).collect();
-        let glue: Vec<ResourceRecord> = referral
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Domain(target) => Some(target),
-                _ => None,
-            })
-            .flat_map(|target| {
-                self.bodies
-                    .of(self.set(target))
-                    .filter(|g| g.rtype == RType::A)
-                    .map(|b| b.to_record(target))
-            })
-            .collect();
-        referral.extend(glue);
+        let mut referral = Records::of(cut, self.of_type(set, RType::Ns).cloned());
+        for ns in self.of_type(set, RType::Ns) {
+            let RData::Domain(target) = &ns.rdata else {
+                continue;
+            };
+            for glue in self.of_type(self.set(target), RType::A) {
+                referral.push(target.clone(), glue.clone());
+            }
+        }
         Some(referral)
     }
 
@@ -588,7 +534,10 @@ impl Zone {
             .collect();
         sets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         sets.into_iter()
-            .flat_map(|(name, set)| self.bodies.of(set).map(move |b| b.to_record(&name)))
+            .flat_map(|(name, set)| {
+                let records = self.bodies.of(set).cloned();
+                records.map(move |body| ResourceRecord::new(name.clone(), body))
+            })
             .collect()
     }
 
@@ -672,7 +621,7 @@ mod tests {
         let found = z
             .lookup(&name("fiji.cs.washington.edu"), RType::A)
             .expect("lookup");
-        assert_eq!(found, vec![rr]);
+        assert_eq!(found.whole().collect::<Vec<_>>(), vec![rr]);
     }
 
     #[test]
@@ -736,8 +685,10 @@ mod tests {
         .expect("add");
         let found = z.lookup(&alias, RType::A).expect("lookup");
         assert_eq!(found.len(), 2);
-        assert_eq!(found[0].rtype, RType::Cname);
-        assert_eq!(found[1].rtype, RType::A);
+        assert_eq!(found.owner(), &alias);
+        assert_eq!(found.bodies()[0].rtype, RType::Cname);
+        let (chased, body) = &found.others()[0];
+        assert_eq!((chased, body.rtype), (&target, RType::A));
     }
 
     #[test]
@@ -786,7 +737,7 @@ mod tests {
         assert_eq!(found.len(), 2);
         assert!(found
             .iter()
-            .all(|r| matches!(&r.rdata, RData::Text(t) if t.starts_with("new"))));
+            .all(|(_, r)| matches!(&r.rdata, RData::Text(t) if t.starts_with("new"))));
     }
 
     #[test]
@@ -798,7 +749,10 @@ mod tests {
         let wrong = ResourceRecord::txt(name("other.cs.washington.edu"), 60, "x");
         assert!(z.replace(&n, RType::Txt, vec![wrong]).is_err());
         assert_eq!(
-            z.lookup(&n, RType::Txt).expect("old set still there"),
+            z.lookup(&n, RType::Txt)
+                .expect("old set still there")
+                .whole()
+                .collect::<Vec<_>>(),
             [old]
         );
     }
@@ -920,7 +874,7 @@ mod tests {
         let found = z
             .lookup(&name("a.cs.washington.edu"), RType::Txt)
             .expect("lookup");
-        assert_eq!(found[0].ttl, 3600);
+        assert_eq!(found.bodies()[0].ttl, 3600);
         assert_eq!(z.default_ttl(), 3600);
     }
 
@@ -945,8 +899,8 @@ mod tests {
             .find_delegation(&name("fiji.cs.washington.edu"))
             .expect("delegated");
         assert_eq!(referral.len(), 2);
-        assert!(referral.iter().any(|r| r.rtype == RType::Ns));
-        assert!(referral.iter().any(|r| r.rtype == RType::A));
+        assert!(referral.iter().any(|(_, r)| r.rtype == RType::Ns));
+        assert!(referral.iter().any(|(_, r)| r.rtype == RType::A));
         // At the cut itself: also a referral.
         assert!(z.find_delegation(&name("cs.washington.edu")).is_some());
         // Outside the cut: no referral.
@@ -1140,8 +1094,10 @@ mod tests {
         z.add(ResourceRecord::cname(b.clone(), 60, a.clone()))
             .expect("add");
         let looped = z.lookup(&a, RType::A).expect("the alias");
+        let looped = looped.whole().collect::<Vec<_>>();
         assert_eq!(looped, [ResourceRecord::cname(a.clone(), 60, a.clone())]);
         let chained = z.lookup(&b, RType::A).expect("the first alias");
+        let chained = chained.whole().collect::<Vec<_>>();
         assert_eq!(chained, [ResourceRecord::cname(b.clone(), 60, a.clone())]);
     }
 

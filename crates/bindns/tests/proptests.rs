@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use bindns::axfr::{IncrementalTransfer, IxfrMode, IxfrRequest, ZoneRequest, ZoneTransfer};
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
-use bindns::rr::{RData, RType, ResourceRecord, MAX_RDATA};
+use bindns::rr::{RData, RType, Records, ResourceRecord, RrBody, MAX_RDATA};
 use bindns::update::UpdateOp;
 use bindns::zone::Zone;
 use bindns::Rcode;
@@ -98,7 +98,7 @@ fn arb_record() -> impl Strategy<Value = ResourceRecord> {
 fn arb_answer() -> impl Strategy<Value = Answer> {
     (0u32..7, proptest::collection::vec(arb_record(), 0..7)).prop_map(|(code, records)| Answer {
         rcode: Rcode::from_u32(code).expect("a code"),
-        records,
+        records: records.into_iter().collect(),
     })
 }
 
@@ -136,7 +136,7 @@ fn a_record_count_beyond_the_format_is_refused_by_length_and_encoder_alike() {
     let owner = DomainName::parse("many.edu").expect("valid");
     let records = vec![ResourceRecord::txt(owner, 60, "t"); wire::courier::MAX_LEN + 1];
     let count = records.len();
-    let answer = Answer::ok(records);
+    let answer = Answer::ok(records.into_iter().collect());
     assert_eq!(
         states_the_length_of_its_encoded_tree(&answer),
         Some(WireError::Oversize(count))
@@ -190,7 +190,8 @@ fn fast_len_refuses_a_record_count_beyond_the_format_as_encoding_does() {
     let owner = DomainName::parse("many.edu").expect("valid");
     let most = usize::from(u16::MAX);
     for count in [most, most + 1] {
-        let answer = Answer::ok(vec![ResourceRecord::txt(owner.clone(), 60, "t"); count]);
+        let records = vec![ResourceRecord::txt(owner.clone(), 60, "t"); count];
+        let answer = Answer::ok(records.into_iter().collect());
         let encoded = answer.to_fast_bytes().map(|bytes| bytes.len());
         assert_eq!(answer.fast_len(), encoded, "{count} records");
         assert_eq!(encoded.is_err(), count > most, "{count} records");
@@ -244,22 +245,25 @@ proptest! {
 
 proptest! {
     /// `Answer::fast_len` is the length of `to_fast_bytes`, and fails
-    /// exactly when it does, with the same error.
+    /// exactly when it does, with the same error — a record of a second
+    /// owner (an alias's target, a referral's glue) included.
     #[test]
     fn fast_len_is_the_fast_encodings_length_or_its_error(
         owner in arb_fast_owner(),
         code in 0u32..7,
         body in proptest::collection::vec((any::<u32>(), arb_fast_rdata()), 0..8),
+        others in proptest::collection::vec(arb_record(), 0..2),
     ) {
-        let records = body
-            .into_iter()
-            .map(|(ttl, rdata)| ResourceRecord {
-                name: owner.clone(),
-                rtype: rtype_for(&rdata),
-                ttl,
-                rdata,
-            })
-            .collect();
+        let bodies = body.into_iter().map(|(ttl, rdata)| RrBody {
+            rtype: rtype_for(&rdata),
+            ttl,
+            rdata,
+        });
+        let mut records = Records::of(owner, bodies);
+        for other in others {
+            let (name, body) = other.into_parts();
+            records.push(name, body);
+        }
         let answer = Answer {
             rcode: Rcode::from_u32(code).expect("a code"),
             records,
@@ -321,7 +325,7 @@ proptest! {
             let name = DomainName::parse(&format!("{}.z", labels.join("."))).expect("valid");
             let found = zone.lookup(&name, RType::A).expect("present");
             prop_assert_eq!(found.len(), 1);
-            prop_assert_eq!(&found[0].rdata, &RData::Addr(NetAddr::of(HostId(*host))));
+            prop_assert_eq!(&found.bodies()[0].rdata, &RData::Addr(NetAddr::of(HostId(*host))));
         }
     }
 

@@ -8,7 +8,7 @@ use simnet::trace::TraceKind;
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::Reply;
+use hrpc::server::ReplySlot;
 use hrpc::HrpcBinding;
 use wire::{Message, Value};
 
@@ -66,8 +66,16 @@ impl ChClient {
     /// error when every candidate is unreachable; a replica's
     /// non-transport error (e.g. `NotFound`) is returned as-is — the
     /// replica *answered*, it just didn't have the entry.
-    fn call_read(&self, proc: u32, args: &dyn Message) -> RpcResult<Reply> {
-        let primary = match self.net.call_msg(self.host, &self.server, proc, args) {
+    fn call_read<T: Message>(
+        &self,
+        proc: u32,
+        args: &dyn Message,
+        decode: fn(&Value) -> RpcResult<T>,
+    ) -> RpcResult<T> {
+        let primary = match self
+            .net
+            .call_msg(self.host, &self.server, proc, args, decode)
+        {
             Err(err) if err.is_unreachable() && !self.fallbacks.is_empty() => err,
             other => return other,
         };
@@ -75,7 +83,7 @@ impl ChClient {
             if replica.host == self.server.host {
                 continue;
             }
-            match self.net.call_msg(self.host, replica, proc, args) {
+            match self.net.call_msg(self.host, replica, proc, args, decode) {
                 Err(err) if err.is_unreachable() => continue,
                 other => {
                     let world = self.net.world();
@@ -93,9 +101,13 @@ impl ChClient {
         Err(primary)
     }
 
-    /// Calls a write procedure on the primary.
+    /// Calls a write procedure on the primary, whose acknowledgement
+    /// carries nothing.
     fn call_write(&self, proc: u32, request: &dyn Message) -> RpcResult<()> {
-        self.net.call_msg(self.host, &self.server, proc, request)?;
+        let call = |reply: &mut ReplySlot<'_>| {
+            (self.net).call_into(self.host, &self.server, proc, request, reply)
+        };
+        ReplySlot::tree(call)?;
         Ok(())
     }
 
@@ -114,8 +126,8 @@ impl ChClient {
             name: name.clone(),
             prop,
         };
-        let reply = self.call_read(PROC_LOOKUP, &request)?;
-        reply.read(Property::from_value).map_err(service_err)
+        let decode = |tree: &Value| Property::from_value(tree).map_err(service_err);
+        self.call_read(PROC_LOOKUP, &request, decode)
     }
 
     /// Reads an item property's value.
@@ -137,8 +149,8 @@ impl ChClient {
             names: names.to_vec(),
             prop,
         };
-        let reply = self.call_read(PROC_LOOKUP_RUN, &request)?;
-        Ok(reply.into_value().into_list()?)
+        let reply = self.call_read(PROC_LOOKUP_RUN, &request, |tree| Ok(tree.clone()))?;
+        Ok(reply.into_list()?)
     }
 
     /// Reads a group property's members.
@@ -207,7 +219,7 @@ impl ChClient {
         pattern: &str,
     ) -> RpcResult<Vec<ThreePartName>> {
         let request = List::new(self.creds.clone(), domain, organization, pattern);
-        let reply = self.call_read(PROC_LIST, &request)?.into_value();
+        let reply = self.call_read(PROC_LIST, &request, |tree| Ok(tree.clone()))?;
         reply
             .as_list()?
             .iter()

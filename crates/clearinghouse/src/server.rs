@@ -14,7 +14,7 @@ use simnet::trace::TraceKind;
 use hrpc::binding::ProgramId;
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, Reply, RpcService};
+use hrpc::server::{CallCtx, ReplySlot, RpcService};
 use hrpc::HrpcBinding;
 use wire::{Message, Value};
 
@@ -22,6 +22,7 @@ use crate::auth::{Authenticator, Credentials};
 use crate::db::ChDb;
 use crate::error::ChError;
 use crate::name::ThreePartName;
+use crate::property::Property;
 use crate::request::{AddAlias, AddMember, List, Lookup, LookupRun, Named, Request, SetItem};
 
 /// Program number Clearinghouse servers are exported under.
@@ -97,19 +98,26 @@ impl ChServer {
     /// struct, or — from a caller that sent a tree — the struct decoded
     /// from it once admitted, so that a request whose name does not parse
     /// is charged as one that does.
-    fn serve<T: Request>(
+    fn serve<T: Request, R: Message>(
         &self,
         ctx: &CallCtx<'_>,
         args: &dyn Message,
-        serve: impl FnOnce(&T) -> RpcResult<Reply>,
-    ) -> RpcResult<Reply> {
-        if let Some(request) = args.downcast_ref::<T>() {
-            self.admit(ctx, Ok(request.creds()))?;
-            return serve(request);
-        }
-        let tree = args.tree();
-        self.admit_tree(ctx, &tree)?;
-        serve(&T::read(&tree)?)
+        reply: &mut ReplySlot<'_>,
+        serve: impl FnOnce(&T) -> RpcResult<R>,
+    ) -> RpcResult<()> {
+        let served = match args.downcast_ref::<T>() {
+            Some(request) => {
+                self.admit(ctx, Ok(request.creds()))?;
+                serve(request)?
+            }
+            None => {
+                let tree = args.tree();
+                self.admit_tree(ctx, &tree)?;
+                serve(&T::read(&tree)?)?
+            }
+        };
+        reply.put(served);
+        Ok(())
     }
 
     /// [`ChServer::admit`] on the credentials of a request's tree.
@@ -119,24 +127,24 @@ impl ChServer {
     }
 
     /// A write, acknowledged with nothing.
-    fn write(&self, write: impl FnOnce(&mut ChDb) -> Result<(), ChError>) -> RpcResult<Reply> {
+    fn write(&self, write: impl FnOnce(&mut ChDb) -> Result<(), ChError>) -> RpcResult<Value> {
         write(&mut self.db.write()).map_err(ch_err)?;
-        Ok(Reply::Tree(Value::Void))
+        Ok(Value::Void)
     }
 
-    fn serve_lookup(&self, ctx: &CallCtx<'_>, request: &Lookup) -> RpcResult<Reply> {
+    fn serve_lookup(&self, ctx: &CallCtx<'_>, request: &Lookup) -> RpcResult<Property> {
         let Lookup { name, prop, .. } = request;
         let p = self.db.read().lookup(name, *prop).map_err(ch_err)?;
         ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!("{}: lookup {} prop {}", self.name, name, prop.0)
         });
-        Ok(Reply::typed(p))
+        Ok(p)
     }
 
     /// One RPC covers a run of entries: the round trip and auth are paid
     /// once, but every entry examined past the first is still a disk
     /// access. The reply is the items of the run's longest present prefix.
-    fn serve_lookup_run(&self, ctx: &CallCtx<'_>, request: &LookupRun) -> RpcResult<Reply> {
+    fn serve_lookup_run(&self, ctx: &CallCtx<'_>, request: &LookupRun) -> RpcResult<Value> {
         let LookupRun { names, prop, .. } = request;
         let db = self.db.read();
         let mut values = Vec::new();
@@ -162,10 +170,10 @@ impl ChServer {
                 names.len()
             )
         });
-        Ok(Reply::Tree(Value::List(values)))
+        Ok(Value::List(values))
     }
 
-    fn serve_list(&self, request: &List) -> RpcResult<Reply> {
+    fn serve_list(&self, request: &List) -> RpcResult<Value> {
         let List {
             domain,
             organization,
@@ -173,9 +181,9 @@ impl ChServer {
             ..
         } = request;
         let names = self.db.read().list(domain, organization, pattern);
-        Ok(Reply::Tree(Value::List(
+        Ok(Value::List(
             names.iter().map(|n| Value::str(n.as_str())).collect(),
-        )))
+        ))
     }
 }
 
@@ -193,7 +201,7 @@ impl RpcService for ChServer {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.dispatch_msg(ctx, proc_id, args, reply))
     }
 
     /// Every procedure is served on its request struct —
@@ -205,7 +213,8 @@ impl RpcService for ChServer {
         ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         self.requests
             .get(ctx.world.metrics(), "clearinghouse", "requests")
             .inc();
@@ -215,24 +224,26 @@ impl RpcService for ChServer {
                 format!("{}: proc {proc_id}", self.name)
             });
         match proc_id {
-            PROC_LOOKUP => self.serve(ctx, args, |r: &Lookup| self.serve_lookup(ctx, r)),
-            PROC_SET_ITEM => self.serve(ctx, args, |r: &SetItem| {
+            PROC_LOOKUP => self.serve(ctx, args, reply, |r: &Lookup| self.serve_lookup(ctx, r)),
+            PROC_SET_ITEM => self.serve(ctx, args, reply, |r: &SetItem| {
                 self.write(|db| db.set_item(&r.name, r.prop, r.value.clone()))
             }),
-            PROC_ADD_ENTRY => self.serve(ctx, args, |r: &Named| {
+            PROC_ADD_ENTRY => self.serve(ctx, args, reply, |r: &Named| {
                 self.write(|db| db.add_entry(r.name.clone()))
             }),
-            PROC_DELETE => self.serve(ctx, args, |r: &Named| {
+            PROC_DELETE => self.serve(ctx, args, reply, |r: &Named| {
                 self.write(|db| db.delete_entry(&r.name))
             }),
-            PROC_ADD_MEMBER => self.serve(ctx, args, |r: &AddMember| {
+            PROC_ADD_MEMBER => self.serve(ctx, args, reply, |r: &AddMember| {
                 self.write(|db| db.add_member(&r.name, r.prop, &r.member))
             }),
-            PROC_ADD_ALIAS => self.serve(ctx, args, |r: &AddAlias| {
+            PROC_ADD_ALIAS => self.serve(ctx, args, reply, |r: &AddAlias| {
                 self.write(|db| db.add_alias(r.name.clone(), r.target.clone()))
             }),
-            PROC_LOOKUP_RUN => self.serve(ctx, args, |r: &LookupRun| self.serve_lookup_run(ctx, r)),
-            PROC_LIST => self.serve(ctx, args, |r: &List| self.serve_list(r)),
+            PROC_LOOKUP_RUN => self.serve(ctx, args, reply, |r: &LookupRun| {
+                self.serve_lookup_run(ctx, r)
+            }),
+            PROC_LIST => self.serve(ctx, args, reply, |r: &List| self.serve_list(r)),
             other => {
                 self.admit_tree(ctx, &args.tree())?;
                 Err(RpcError::BadProcedure(other))
@@ -521,10 +532,11 @@ mod tests {
             db.set_item(&fiji, PROP_ADDRESS, Value::U32(9))
                 .expect("set")
         });
-        let (reply, took, delta) =
-            world.measure(|| net.call_msg(client, &dep.binding, proc_id, request));
+        let (reply, took, delta) = world.measure(|| {
+            ReplySlot::tree(|r| net.call_into(client, &dep.binding, proc_id, request, r))
+        });
         let after = dep.server.with_db(|db| format!("{:?}", db.snapshot()));
-        (reply.map(Reply::into_value), took, delta, after)
+        (reply, took, delta, after)
     }
 
     /// `tree` with `field` replaced by `value`.

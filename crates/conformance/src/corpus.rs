@@ -95,7 +95,7 @@ fn sample_records() -> Vec<ResourceRecord> {
 }
 
 fn sample_answer() -> Answer {
-    Answer::ok(sample_records())
+    Answer::ok(sample_records().into_iter().collect())
 }
 
 fn sample_questions() -> Vec<Question> {

@@ -445,7 +445,7 @@ pub mod peers {
     use hns_core::nsm::{Nsm, NsmClient, NsmService};
     use hns_core::query::QueryClass;
     use hrpc::error::RpcResult;
-    use hrpc::server::{CallCtx, Reply, RpcService};
+    use hrpc::server::{CallCtx, ReplySlot, RpcService};
     use hrpc::{ProgramId, RpcNet};
     use nsms::file_loc::{FileBindNsm, FileChNsm};
     use nsms::harness::{
@@ -494,10 +494,12 @@ pub mod peers {
             ctx: &CallCtx<'_>,
             proc_id: u32,
             args: &dyn Message,
-        ) -> RpcResult<Reply> {
+            reply: &mut ReplySlot<'_>,
+        ) -> RpcResult<()> {
             let sent: Value = args.tree().into_owned();
-            let reply = self.0.dispatch_msg(ctx, proc_id, &sent)?;
-            Ok(Reply::Tree(reply.into_value()))
+            let tree = |tree: &mut ReplySlot<'_>| self.0.dispatch_msg(ctx, proc_id, &sent, tree);
+            reply.put(ReplySlot::tree(tree)?);
+            Ok(())
         }
     }
 

@@ -46,7 +46,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bindns::axfr::{IncrementalTransfer, IxfrRequest, ZoneRequest, ZoneTransfer};
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
-use bindns::rr::ResourceRecord;
+use bindns::rr::{RData, ResourceRecord};
 use bindns::update::UpdateOp;
 use bindns::DomainName;
 use clearinghouse::property::{PROP_FILE_SERVICE, PROP_MEMBERS};
@@ -417,7 +417,13 @@ fn meta_reply(owner: &DomainName, payloads: Vec<String>) -> Option<Value> {
 /// a demand fetch decodes it (the checks on owner and type aside).
 fn decode_meta(kind: Kind, value: &Value) -> Option<MetaRecord> {
     let answer = Answer::from_value(value).ok()?;
-    let payloads = answer.records.iter().filter_map(ResourceRecord::opaque);
+    let payloads = answer
+        .records
+        .iter()
+        .filter_map(|(_, body)| match &body.rdata {
+            RData::Opaque(payload) => Some(&payload[..]),
+            _ => None,
+        });
     MetaRecord::decode(kind, payloads).ok()
 }
 

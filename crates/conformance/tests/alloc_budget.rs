@@ -71,48 +71,56 @@ const WARM_COMPOSED: Row = (0, 0);
 const WARM_REWALK: Row = (1, 40);
 /// Warm `Import`: a composed-cache `FindNSM` plus one remote NSM call.
 /// The request crosses as the `NsmRequest` it is and the binding NSM's
-/// cache hit as the `HrpcBinding` itself, so what is left is the
-/// request's copy of the service and the box the binding travels back
-/// in. The request shares the caller's name, and the NSM's local name is
-/// a slice of it. (5 / 97 B while the request copied the name's two
+/// cache hit as the `HrpcBinding` itself, moved into the caller's reply
+/// slot, so what is left is the request's copy of the service. The
+/// request shares the caller's name, and the NSM's local name is a slice
+/// of it. (2 / 46 B while the binding travelled back in a box; 5 / 97 B
+/// while the request copied the name's two
 /// strings and the NSM copied the local name out of it; 11 / 1,040 B
 /// while the argument record and the reply were trees and the NSM keyed
 /// its cache on a formatted string; 37 / 1,721 B before names became
 /// shared strings; 12 while each call built its own `QueryClass`.)
-const WARM_IMPORT: Row = (2, 46);
+const WARM_IMPORT: Row = (1, 14);
 /// A Clearinghouse-backed mail query, the NSM call alone: the three-part
 /// name parsed from the NSM's local name (one shared string), the item
-/// the Clearinghouse copies out of its entry, the two boxes the
-/// `Property` and the `MailboxLocation` travel in, and the tree
-/// `NsmClient::call` hands its caller (a field vector and a string). (9 /
-/// 201 B while the request copied the name's two strings and the NSM
+/// the Clearinghouse copies out of its entry, and the tree
+/// `NsmClient::call` hands its caller (a field vector and a string); the
+/// `Property` and the `MailboxLocation` are moved into their callers'
+/// slots. (6 / 178 B while each travelled in a box; 9 / 201 B while the
+/// request copied the name's two strings and the NSM
 /// copied the local name out of it; 35 / 1,235 B while request, lookup
 /// and both replies were trees, and a three-part name was four
 /// allocations to parse.)
-const WARM_CH_MAIL: Row = (6, 178);
+const WARM_CH_MAIL: Row = (4, 122);
 /// The costliest warm op kind, a BIND-backed file-location query, the
 /// NSM call alone: the caller's field vector and the path in it (moved
 /// into the request, not copied), the local name parsed as a domain name,
 /// the resolver's cached answer rebuilt on it (two blocks), the
-/// `FileLocation`'s two strings and the box it travels in, and the tree
-/// `NsmClient::call` hands its caller (a field vector and two strings).
-/// (17 / 578 B while the request copied the name's two strings and the
+/// `FileLocation`'s two strings, and the tree `NsmClient::call` hands its
+/// caller (a field vector and two strings). (11 / 474 B while the
+/// `FileLocation` travelled in a box; 17 / 578 B while the request
+/// copied the name's two strings and the
 /// path, the NSM copied the local name out of the name, and the local
 /// path was formatted, growing twice.)
-const WARM_BIND_FILE: Row = (11, 474);
-/// `ChClient::lookup_item`: the item the server copies out of its entry
-/// and the box the `Property` comes back in. The `Lookup` it sends shares
-/// the name and the credentials. (23 / 942 B while the request was a
+const WARM_BIND_FILE: Row = (10, 426);
+/// `ChClient::lookup_item`: the item the server copies out of its entry;
+/// the `Property` is moved into the client's slot. The `Lookup` it sends
+/// shares the name and the credentials. (2 / 49 B while the `Property`
+/// came back in a box; 23 / 942 B while the request was a
 /// tree of the credentials, the name's text and the property, the reply
 /// a tree copied once more on the way out, and `ChDb::serves` cloned the
 /// domain's two strings on every operation.)
-const CH_LOOKUP_ITEM: Row = (2, 49);
+const CH_LOOKUP_ITEM: Row = (1, 17);
 /// Cold sequential `FindNSM`: every cache off, six remote mappings. The
-/// question and the answer cross the fabric as the structs they are, so
-/// a mapping costs its key, the zone's record vector, the box the answer
-/// travels in, and the decoded record's own strings — handed to the walk
-/// by value, as no cache keeps it; mapping 6's request shares the host's
-/// context and copies only its name. (38 / 2,039 B while each decoded
+/// question crosses the fabric as the struct it is, and the answer —
+/// its owner and that owner's bodies, one held inline — is moved into
+/// the caller's slot, so a mapping costs its key and the decoded
+/// record's own strings, handed to the walk by value, as no cache keeps
+/// it; mapping 3's six bodies share one vector, and mapping 6's request
+/// shares the host's context and copies only its name. (27 / 1,244 B
+/// while each of the six answers was a vector of whole records, five of
+/// them of one, and each answer and mapping 6's `HostAddress` travelled
+/// in a box; 38 / 2,039 B while each decoded
 /// record was wrapped in an `Arc` nobody shared, 6 / 576 B, and the
 /// host-address NSM's resolver built and dropped the fast-codec bytes of
 /// its answer to check they encode, 5 / 219 B; 40 / 2,075 B while that
@@ -126,22 +134,27 @@ const CH_LOOKUP_ITEM: Row = (2, 49);
 /// names became shared strings and struct field names static; 40 / 2,179
 /// B while the linked host-address NSM of mapping 6 answered with a
 /// two-field vector, not its eight-byte `HostAddress` in a box.)
-const COLD_SEQUENTIAL: Row = (27, 1_244);
+const COLD_SEQUENTIAL: Row = (15, 668);
 /// Cold batched `FindNSM`: every cache off, mappings 1–5 in one `MQUERY`
 /// whose additional sets the meta server's chaser attaches. Holds the
 /// typed `MultiQuestion` / `MultiAnswer` path. The chaser reads the four
-/// sets it attaches by value, and mapping 6's record is handed over as in
-/// the sequential walk. (66 / 4,195 B while the chaser wrapped each of
+/// sets it attaches by value, each an answer of its own owner, and
+/// mapping 6's record is handed over as in the sequential walk. (56 /
+/// 3,496 B while every answer was a vector of whole records, the chaser's
+/// sets came with their owners beside them, and the reply and mapping
+/// 6's `HostAddress` travelled in a box; 66 / 4,195 B while the chaser
+/// wrapped each of
 /// its four records in an `Arc`, 4 / 384 B, and mapping 6 paid the `Arc`
 /// and the fast-codec bytes of the sequential row, 6 / 315 B; 152 /
 /// 11,525 B while the batch and its reply were trees; 68 / 4,376 B while
 /// mapping 6's reply was a vector, as above; 68 / 4,272 B while every
 /// copy of a context copied its text, and mapping 6 as above).
-const COLD_BATCHED: Row = (56, 3_496);
-/// Decoding a six-record answer of one owner into owned records: the
-/// record vector, and the owner name — parsed once and shared by all six.
-/// What an untyped peer's reply costs at the edge where it is decoded.
-const ANSWER_DECODE: Row = (2, 376);
+const COLD_BATCHED: Row = (48, 3_472);
+/// Decoding a six-record answer of one owner: the owner name, parsed
+/// once, and the vector of its six bodies. What an untyped peer's reply
+/// costs at the edge where it is decoded. (2 / 376 B while each record
+/// carried a copy of its owner's name.)
+const ANSWER_DECODE: Row = (2, 280);
 
 /// Warm `Registry::resolve`, the write plane's read: one probe of the link
 /// past the collapsed head, which the Clearinghouse answers "no such
@@ -154,14 +167,16 @@ const REG_RESOLVE: Row = (5, 37);
 /// `Registry::update`: the warm resolve's probe, the base record (a
 /// three-field tree) the Clearinghouse copies into its entry, the cached
 /// head's new service — changed in place, nobody else holding it — and
-/// the meta zone's dynamic update through the rebinder. The context the
-/// rebinder names is a shared string, 24 B where its `String` was 3. (19
+/// the meta zone's dynamic update through the rebinder, whose answer is
+/// moved into the caller's slot. The context the rebinder names is a
+/// shared string, 24 B where its `String` was 3. (18 / 760 B while that
+/// answer travelled in a box; 19
 /// / 763 B while the meta store took its one payload in a vector; 38 /
 /// 1,641 B while the `SET_ITEM` request was a tree the server parsed back, and
 /// the head was cloned on the way in and copied again to be changed; 19
 /// / 767 B while the zone named a record's body by an 8-byte `Arc`, not
 /// a 4-byte id, in the vector of the records a replace takes out.)
-const REG_UPDATE: Row = (18, 760);
+const REG_UPDATE: Row = (17, 728);
 /// `Registry::transfer`: the probe, the signed link (its two owners) and
 /// its tree, the server's copy of that, the new head — the cached one
 /// copied, one holder more, the next probe's name — and the `Resolution`.
@@ -195,13 +210,13 @@ const CELL_LOAD: Row = (24, 168_014);
 /// `transfer_zone` of an eight-name zone of one text record each, typed
 /// both ways: the server's sorted copy of the records (20: the sorted
 /// owners, the record vector as it grows, each owner's full name and
-/// each text), the two strings the metrics registry keys its
-/// `zone_transfers` lookup with, and the box the `ZoneTransfer` travels
-/// back in — nothing on the client, which reads that struct as it is.
-/// (69 / 4,559 B while request and reply were trees: every record was
+/// each text) and the two strings the metrics registry keys its
+/// `zone_transfers` lookup with — nothing on the client, whose slot the
+/// `ZoneTransfer` is moved into. (23 / 1,364 B while it travelled back in
+/// a box; 69 / 4,559 B while request and reply were trees: every record was
 /// built into a four-field tree, and decoded back into a record and its
 /// owner's name on the client.)
-const ZONE_TRANSFER: Row = (23, 1_364);
+const ZONE_TRANSFER: Row = (22, 1_324);
 
 /// Prints one row and checks it against its pin.
 fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {

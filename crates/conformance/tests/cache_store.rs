@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use bindns::rr::{RType, ResourceRecord};
+use bindns::rr::{RData, RType, ResourceRecord};
 use bindns::{DomainName, TtlCache};
 use conformance::alloc::{measure_live, CountingAlloc};
 use hns_core::binding_cache::BindingCache;
@@ -118,7 +118,7 @@ fn a_kept_body_answers_the_record_it_was() {
             .expect("cached");
         assert_eq!(got.len(), if whole { 2 } else { 1 });
         assert_eq!(got[0].name, name);
-        assert_eq!(got[0].opaque(), Some(&pool[3][..]));
+        assert_eq!(got[0].rdata, RData::Opaque(Arc::clone(&pool[3])));
         assert_eq!((got[0].rtype, got[0].ttl), (RType::Unspec, 600));
     }
 }

@@ -1,12 +1,17 @@
-//! Nothing crosses the fabric as a tree.
+//! Nothing crosses the fabric as a tree but the replies that are one.
 //!
 //! Every in-tree server — the Clearinghouse, the `regd` frontend, both
 //! BIND servers and every remotely exported NSM — is put back at its port
 //! behind a recorder that notes, per procedure, whether the request
-//! reached it as a struct or as a tree. Every client method is then
-//! driven once. The procedures that arrived as trees would be the
-//! fabric's untyped remainder; this pins the set empty, so a procedure
-//! that goes back to the tree is written down here.
+//! reached it as a struct or as a tree, and whether the reply left it as
+//! one. Every client method is then driven once, each reading the struct
+//! the procedure answers with. The procedures whose requests arrived as
+//! trees would be the fabric's untyped remainder; this pins the set
+//! empty. The replies that left as trees are the ones that are a bare
+//! value — a serial, an acknowledgement, a list — and this pins that set
+//! too, so a procedure that goes back to the tree either way is written
+//! down here. (The built-in portmapper and exchange listener, which no
+//! recorder can stand in front of, answer a bare port number too.)
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -21,33 +26,39 @@ use bindns::{
     DNS_PORT,
 };
 use clearinghouse::property::{PROP_ADDRESS, PROP_MAILBOX, PROP_MEMBERS};
-use clearinghouse::server::CH_PROGRAM;
+use clearinghouse::server::{
+    CH_PROGRAM, PROC_ADD_ALIAS, PROC_ADD_ENTRY, PROC_ADD_MEMBER, PROC_DELETE, PROC_LIST,
+    PROC_LOOKUP_RUN, PROC_SET_ITEM,
+};
 use clearinghouse::ThreePartName;
 use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
 use hns_core::name::{HnsName, NameMapping};
-use hns_core::nsm::{Nsm, NsmClient, NsmService, NSM_PROC_QUERY};
+use hns_core::nsm::{Nsm, NsmClient, NsmRequest, NsmService, QueryArgs, NSM_PROC_QUERY};
 use hns_core::query::QueryClass;
-use hrpc::error::RpcResult;
-use hrpc::server::{CallCtx, Reply, RpcService};
+use hns_core::service::Hns;
+use hrpc::error::{RpcError, RpcResult};
+use hrpc::server::{CallCtx, ReplySlot, RpcService};
 use hrpc::{HrpcBinding, ProgramId, RpcNet};
-use nsms::file_loc::{FileBindNsm, FileChNsm};
+use nsms::file_loc::{FileBindNsm, FileChNsm, FileLocation};
 use nsms::harness::{
     DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NSM_EXPORT_PROGRAM, NS_BIND, NS_CH, PRINT_SERVICE,
     PRINT_SERVICE_PROGRAM,
 };
-use nsms::mail::{MailBindNsm, MailChNsm};
+use nsms::mail::{MailBindNsm, MailChNsm, MailboxLocation};
 use nsms::nsm_cache::NsmCacheForm;
-use nsms::user_info::{UserBindNsm, UserChNsm};
+use nsms::user_info::{UserBindNsm, UserChNsm, UserInfo};
 use nsms::Importer;
 use regd::{owner_key, owner_name, RegClient, RegServer, RegTestbed, REG_PROGRAM};
 use simnet::topology::HostId;
-use wire::{Message, Value};
+use wire::{Message, Value, WireResult};
 
-/// `(server, procedure, arrived as a tree)`, for every call served.
-type Log = Arc<Mutex<BTreeSet<(&'static str, u32, bool)>>>;
+/// `(server, procedure, request arrived as a tree, reply left as one)`,
+/// for every call served.
+type Log = Arc<Mutex<BTreeSet<(&'static str, u32, bool, bool)>>>;
 
-/// A server put back at its port, noting how each request arrived.
+/// A server put back at its port, noting how each request arrived and
+/// each reply left.
 struct Recorder {
     label: &'static str,
     inner: Arc<dyn RpcService>,
@@ -60,7 +71,7 @@ impl RpcService for Recorder {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.dispatch_msg(ctx, proc_id, args, reply))
     }
 
     fn dispatch_msg(
@@ -68,11 +79,14 @@ impl RpcService for Recorder {
         ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
-        let tree = args.downcast_ref::<Value>().is_some();
-        let entry = (self.label, proc_id, tree);
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
+        let tree = |msg: &dyn Message| msg.downcast_ref::<Value>().is_some();
+        self.inner.dispatch_msg(ctx, proc_id, args, reply)?;
+        let left = reply.message().expect("a reply was left");
+        let entry = (self.label, proc_id, tree(args), tree(left));
         self.log.lock().expect("log").insert(entry);
-        self.inner.dispatch_msg(ctx, proc_id, args)
+        Ok(())
     }
 }
 
@@ -91,6 +105,23 @@ fn record(
         program,
         Arc::new(Recorder { label, inner, log }),
     );
+}
+
+/// Asks the NSM `FindNSM` names for `qc` about `name`, reading the
+/// class's reply struct.
+fn ask<T: Message>(
+    hns: &Hns,
+    nsm: &NsmClient,
+    qc: &QueryClass,
+    name: HnsName,
+    args: QueryArgs,
+    decode: fn(&Value) -> WireResult<T>,
+) -> T {
+    let binding: HrpcBinding = hns.find_nsm(qc, &name).expect("FindNSM");
+    let decode = |tree: &Value| Ok::<_, RpcError>(decode(tree)?);
+    let request = NsmRequest::new(name, args);
+    let call = |reply: &mut ReplySlot<'_>| nsm.call_into(&binding, &request, reply);
+    ReplySlot::read(call, decode).expect("NSM call")
 }
 
 #[test]
@@ -190,34 +221,60 @@ fn no_request_reaches_a_server_as_a_tree() {
         )
         .expect("import");
     let nsm = NsmClient::new(Arc::clone(net), client);
-    let path = |p: &str| vec![("path", Value::str(p))];
-    for (qc, name, extra) in [
-        (
-            QueryClass::mailbox_location(),
-            bind("alice.cs.washington.edu"),
-            vec![],
-        ),
-        (QueryClass::mailbox_location(), ch("bob:cs:uw"), vec![]),
-        (
-            QueryClass::file_location(),
-            bind("sources.cs.washington.edu"),
-            path("hrpc/stubs.c"),
-        ),
-        (
-            QueryClass::file_location(),
-            ch("designs:cs:uw"),
-            path("dlion/board.dwg"),
-        ),
-        (
-            QueryClass::user_info(),
-            bind("mfs.cs.washington.edu"),
-            vec![],
-        ),
-        (QueryClass::user_info(), ch("bob:cs:uw"), vec![]),
-    ] {
-        let binding: HrpcBinding = hns.find_nsm(&qc, &name).expect("FindNSM");
-        nsm.call(&binding, &name, extra).expect("NSM call");
-    }
+    let path = |p: &str| QueryArgs::from_fields(vec![("path", Value::str(p))]).expect("args");
+    let mail = QueryClass::mailbox_location();
+    ask(
+        &hns,
+        &nsm,
+        &mail,
+        bind("alice.cs.washington.edu"),
+        QueryArgs::None,
+        MailboxLocation::from_value,
+    );
+    ask(
+        &hns,
+        &nsm,
+        &mail,
+        ch("bob:cs:uw"),
+        QueryArgs::None,
+        MailboxLocation::from_value,
+    );
+    let file = QueryClass::file_location();
+    let stubs = path("hrpc/stubs.c");
+    ask(
+        &hns,
+        &nsm,
+        &file,
+        bind("sources.cs.washington.edu"),
+        stubs,
+        FileLocation::from_value,
+    );
+    let board = path("dlion/board.dwg");
+    ask(
+        &hns,
+        &nsm,
+        &file,
+        ch("designs:cs:uw"),
+        board,
+        FileLocation::from_value,
+    );
+    let user = QueryClass::user_info();
+    ask(
+        &hns,
+        &nsm,
+        &user,
+        bind("mfs.cs.washington.edu"),
+        QueryArgs::None,
+        UserInfo::from_value,
+    );
+    ask(
+        &hns,
+        &nsm,
+        &user,
+        ch("bob:cs:uw"),
+        QueryArgs::None,
+        UserInfo::from_value,
+    );
 
     // The Clearinghouse: every `ChClient` method.
     let chc = tb.ch_client(client);
@@ -251,15 +308,35 @@ fn no_request_reaches_a_server_as_a_tree() {
 
     let log = log.lock().expect("log");
     let trees: BTreeSet<(&str, u32)> = (log.iter())
-        .filter(|(_, _, tree)| *tree)
-        .map(|&(label, proc_id, _)| (label, proc_id))
+        .filter(|(_, _, tree, _)| *tree)
+        .map(|&(label, proc_id, _, _)| (label, proc_id))
         .collect();
     assert_eq!(trees, BTreeSet::new(), "{log:?}");
+    // The replies that are a bare value: `SERIAL`'s number, the
+    // Clearinghouse's and `regd`'s acknowledgements, and the
+    // Clearinghouse's lists.
+    let tree_replies: BTreeSet<(&str, u32)> = (log.iter())
+        .filter(|(_, _, _, tree)| *tree)
+        .map(|&(label, proc_id, _, _)| (label, proc_id))
+        .collect();
+    let bare = [
+        ("bind", PROC_SERIAL),
+        ("clearinghouse", PROC_ADD_ENTRY),
+        ("clearinghouse", PROC_SET_ITEM),
+        ("clearinghouse", PROC_ADD_MEMBER),
+        ("clearinghouse", PROC_DELETE),
+        ("clearinghouse", PROC_ADD_ALIAS),
+        ("clearinghouse", PROC_LIST),
+        ("clearinghouse", PROC_LOOKUP_RUN),
+        ("regd", regd::server::PROC_UPDATE),
+        ("regd", regd::server::PROC_RELEASE),
+    ];
+    assert_eq!(tree_replies, bare.into(), "{log:?}");
     // And every procedure the clients sent was seen: the recorders stood
     // where the calls went.
     let typed = |label: &str| -> BTreeSet<u32> {
-        let typed = log.iter().filter(|(l, _, tree)| *l == label && !tree);
-        typed.map(|&(_, proc_id, _)| proc_id).collect()
+        let typed = log.iter().filter(|(l, _, tree, _)| *l == label && !tree);
+        typed.map(|&(_, proc_id, _, _)| proc_id).collect()
     };
     assert_eq!(typed("clearinghouse"), [1, 2, 3, 4, 5, 7, 8, 9].into());
     assert_eq!(typed("regd"), (1..=5).collect());

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use bindns::message::Question;
 use bindns::name::DomainName;
-use bindns::rr::{RType, ResourceRecord};
+use bindns::rr::{RType, Records};
 use bindns::server::AdditionalProvider;
 use bindns::ZoneDb;
 use hrpc::RpcError;
@@ -53,10 +53,10 @@ impl AdditionalProvider for MetaChaser {
         &self,
         db: &ZoneDb,
         question: &Question,
-        answer: &[ResourceRecord],
+        answer: &Records,
         hints: &[String],
-    ) -> Vec<(DomainName, Vec<ResourceRecord>)> {
-        let mut out: Vec<(DomainName, Vec<ResourceRecord>)> = Vec::new();
+    ) -> Vec<Records> {
+        let mut out: Vec<Records> = Vec::new();
         // The primary answer must be a context record; its payload names
         // the name service that anchors every chased mapping.
         let Ok(primary) = decode_records(&question.name, answer) else {
@@ -75,7 +75,7 @@ impl AdditionalProvider for MetaChaser {
                     .map_err(|e| HnsError::Rpc(RpcError::NotFound(e.to_string())))?;
                 let set = decode_records(key, &records)?;
                 if seen.insert(key.clone()) {
-                    out.push((key.clone(), records));
+                    out.push(records);
                 }
                 Ok(Held::Owned(set.value))
             };

@@ -20,7 +20,7 @@ use simnet::topology::HostId;
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, Reply, RpcService};
+use hrpc::server::{CallCtx, ReplySlot, RpcService};
 use hrpc::{HrpcBinding, ProgramId};
 use wire::{Message, Value};
 
@@ -69,7 +69,7 @@ impl RpcService for HnsService {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.dispatch_msg(ctx, proc_id, args, reply))
     }
 
     /// `FindNSM` is served on the [`NsmRequest`] and answers with the
@@ -79,18 +79,18 @@ impl RpcService for HnsService {
         _ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
-        match proc_id {
-            HNS_PROC_FINDNSM => {
-                let request = args.read(NsmRequest::from_value)?;
-                let binding = self
-                    .hns
-                    .find_nsm(request.class()?, &request.name)
-                    .map_err(hns_err)?;
-                Ok(Reply::typed(binding))
-            }
-            other => Err(RpcError::BadProcedure(other)),
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
+        if proc_id != HNS_PROC_FINDNSM {
+            return Err(RpcError::BadProcedure(proc_id));
         }
+        let request = args.read(NsmRequest::from_value)?;
+        let binding = self
+            .hns
+            .find_nsm(request.class()?, &request.name)
+            .map_err(hns_err)?;
+        reply.put(binding);
+        Ok(())
     }
 }
 
@@ -140,11 +140,8 @@ impl HnsClient {
                     query_class: Some(qc.clone()),
                     ..NsmRequest::new(name.clone(), QueryArgs::None)
                 };
-                let reply = self
-                    .net
-                    .call_msg(self.host, binding, HNS_PROC_FINDNSM, &request)
-                    .map_err(HnsError::Rpc)?;
-                reply.read(HrpcBinding::from_value).map_err(HnsError::from)
+                let decode = |tree: &Value| HrpcBinding::from_value(tree).map_err(HnsError::from);
+                (self.net).call_msg(self.host, binding, HNS_PROC_FINDNSM, &request, decode)
             }
         }
     }
@@ -183,16 +180,18 @@ impl RpcService for AgentService {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.dispatch_msg(ctx, proc_id, args, reply))
     }
 
-    /// Served on the [`NsmRequest`]; the NSM's reply goes back as it came.
+    /// Served on the [`NsmRequest`]; the NSM leaves its reply in the
+    /// caller's slot.
     fn dispatch_msg(
         &self,
         _ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         if proc_id != AGENT_PROC_QUERY {
             return Err(RpcError::BadProcedure(proc_id));
         }
@@ -204,7 +203,7 @@ impl RpcService for AgentService {
         // The query class's own fields travel on to the NSM as they came.
         let to_nsm = NsmRequest::new(request.name.clone(), request.args.clone());
         let nsm_client = NsmClient::new(Arc::clone(self.hns.net()), self.host);
-        nsm_client.call_msg(&nsm_binding, &to_nsm)
+        nsm_client.call_into(&nsm_binding, &to_nsm, reply)
     }
 }
 
@@ -244,10 +243,10 @@ impl AgentClient {
             query_class: Some(qc.clone()),
             ..NsmRequest::new(name.clone(), QueryArgs::from_fields(extra)?)
         };
-        self.net
-            .call_msg(self.host, &self.binding, AGENT_PROC_QUERY, &request)
-            .map(Reply::into_value)
-            .map_err(HnsError::Rpc)
+        let call = |reply: &mut ReplySlot<'_>| {
+            (self.net).call_into(self.host, &self.binding, AGENT_PROC_QUERY, &request, reply)
+        };
+        ReplySlot::tree(call).map_err(HnsError::Rpc)
     }
 }
 

@@ -23,7 +23,6 @@
 //! [`MetaRecord`], decoded once by [`MetaRecord::decode`] where the set
 //! entered the process, so a change of record format edits this file only.
 
-use std::borrow::Borrow;
 use std::fmt;
 use std::sync::{Arc, LazyLock};
 
@@ -31,7 +30,7 @@ use bindns::error::Rcode;
 use bindns::message::Question;
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
-use bindns::rr::{RType, ResourceRecord};
+use bindns::rr::{RData, RType, Records, ResourceRecord, RrBody};
 use bindns::update::UpdateOp;
 use hrpc::error::RpcError;
 use hrpc::ProgramId;
@@ -333,47 +332,57 @@ impl HeapBytes for MetaRecord {
     }
 }
 
-/// The payload of one record of the set that answers for `key`: it must
-/// be an `UNSPEC` record of opaque data owned by `key`.
-fn payload_of<'r>(key: &DomainName, record: &'r ResourceRecord) -> HnsResult<&'r [u8]> {
-    if record.rtype != RType::Unspec {
-        return Err(bad(format!("expected UNSPEC, found {}", record.rtype)));
+/// The payload of one body of the set that answers for `key`: it must be
+/// an `UNSPEC` body of opaque data, of an owner that is `key` — `owned`,
+/// which the caller checks once.
+fn payload_of<'r>(
+    key: &DomainName,
+    (owner, owned): (&DomainName, bool),
+    body: &'r RrBody,
+) -> HnsResult<&'r [u8]> {
+    if body.rtype != RType::Unspec {
+        return Err(bad(format!("expected UNSPEC, found {}", body.rtype)));
     }
-    if !record.name.as_str().eq_ignore_ascii_case(key.as_str()) {
-        return Err(bad(format!("`{}` answers for `{key}`", record.name)));
+    match (owned, &body.rdata) {
+        (false, _) => Err(bad(format!("`{owner}` answers for `{key}`"))),
+        (true, RData::Opaque(payload)) => Ok(payload),
+        (true, _) => Err(bad("expected opaque rdata")),
     }
-    record.opaque().ok_or_else(|| bad("expected opaque rdata"))
 }
 
-/// Decodes the record set that answers a question about `key`: a meta
+/// Decodes the records that answer a question about `key`: a meta
 /// server's answer, a zone's, a set of an `MQUERY` batch or of a
-/// transfer. Which records may answer is [`payload_of`]'s to say, what
-/// their payloads must be [`MetaRecord::decode`]'s.
-pub(crate) fn decode_records<R: Borrow<ResourceRecord>>(
+/// transfer. They must be `key`'s bodies alone, the owner checked once,
+/// and the first that [`payload_of`] refuses ends the set and is the
+/// error; what their payloads must be is [`MetaRecord::decode`]'s to say.
+pub(crate) fn decode_records(
     key: &DomainName,
-    records: &[R],
+    records: &Records,
 ) -> HnsResult<Fetched<MetaRecord>> {
     let kind = Kind::of_key(key).ok_or_else(|| bad(format!("`{key}` is not a meta key")))?;
+    let owner = records.owner();
+    let owner = (owner, owner.as_str().eq_ignore_ascii_case(key.as_str()));
     let (mut rrs, mut ttl_secs, mut refused) = (0, None, None);
-    // The decoder reads the payloads as they are checked; the first
-    // refused record ends the set, and is the error.
-    let payloads = records.iter().map_while(|record| {
-        let record = record.borrow();
-        match payload_of(key, record) {
+    let payloads = records
+        .bodies()
+        .iter()
+        .map_while(|body| match payload_of(key, owner, body) {
             Ok(payload) => {
                 rrs += 1;
-                ttl_secs = Some(ttl_secs.map_or(record.ttl, |least: u32| least.min(record.ttl)));
+                ttl_secs = Some(ttl_secs.map_or(body.ttl, |least: u32| least.min(body.ttl)));
                 Some(payload)
             }
             Err(refusal) => {
                 refused = Some(refusal);
                 None
             }
-        }
-    });
+        });
     let record = MetaRecord::decode(kind, payloads);
     if let Some(refusal) = refused {
         return Err(refusal);
+    }
+    if let Some((other, _)) = records.others().first() {
+        return Err(bad(format!("`{other}` answers for `{key}`")));
     }
     Ok(Fetched {
         value: record?,
@@ -684,7 +693,7 @@ impl MetaStore {
             if set.rcode != Rcode::Ok || set.records.is_empty() {
                 continue;
             }
-            let owner = &set.records[0].name;
+            let owner = set.records.owner();
             additional.push((owner.clone(), decode_records(owner, &set.records)?));
         }
         Ok(MetaBatch {
@@ -1055,6 +1064,12 @@ mod tests {
         assert_eq!(MetaRecord::demarshal(&bytes), None);
     }
 
+    /// The records an answer of `records` holds, decoded for `key`.
+    fn decode(key: &DomainName, records: &[&ResourceRecord]) -> HnsResult<Fetched<MetaRecord>> {
+        let records: Records = records.iter().map(|&rr| rr.clone()).collect();
+        decode_records(key, &records)
+    }
+
     /// One answer of a set under `key`, well formed unless edited.
     fn answer(key: &str, payload: &[u8]) -> ResourceRecord {
         let owner = DomainName::parse(key).expect("key");
@@ -1073,29 +1088,26 @@ mod tests {
         // What answers: owner, type, rdata.
         let ctx_key = DomainName::parse("ctx.bind-uw.hns").expect("key");
         let good = answer("ctx.bind-uw.hns", b"ns=BIND;map=id");
-        let decoded = decode_records(&ctx_key, &[&good]).expect("well formed");
+        let decoded = decode(&ctx_key, &[&good]).expect("well formed");
         assert_eq!((decoded.rrs, decoded.ttl_secs), (1, META_TTL));
         let spelt = answer("CTX.Bind-UW.hns.", b"ns=BIND;map=id");
-        assert_eq!(decode_records(&ctx_key, &[spelt]), Ok(decoded));
+        assert_eq!(decode(&ctx_key, &[&spelt]), Ok(decoded));
         let other = answer("ctx.ch-uw.hns", b"ns=BIND;map=id");
-        bad_meta(decode_records(&ctx_key, &[&other]), "wrong owner");
-        bad_meta(
-            decode_records(&ctx_key, &[good.clone(), other]),
-            "wrong owner second",
-        );
+        bad_meta(decode(&ctx_key, &[&other]), "wrong owner");
+        bad_meta(decode(&ctx_key, &[&good, &other]), "wrong owner second");
         let wks = ResourceRecord {
             rtype: RType::Wks,
             ..good.clone()
         };
-        bad_meta(decode_records(&ctx_key, &[wks]), "opaque, but not UNSPEC");
+        bad_meta(decode(&ctx_key, &[&wks]), "opaque, but not UNSPEC");
         let text = ResourceRecord {
             rdata: RData::Text("ns=BIND;map=id".into()),
             ..good.clone()
         };
-        bad_meta(decode_records(&ctx_key, &[text]), "UNSPEC, but not opaque");
+        bad_meta(decode(&ctx_key, &[&text]), "UNSPEC, but not opaque");
         let unkeyed = answer("n7.cell0.hns", b"ns=BIND;map=id");
-        bad_meta(decode_records(&unkeyed.name, &[&unkeyed]), "no kind");
-        bad_meta(decode_records::<ResourceRecord>(&ctx_key, &[]), "empty");
+        bad_meta(decode(&unkeyed.name, &[&unkeyed]), "no kind");
+        bad_meta(decode(&ctx_key, &[]), "empty");
         // The least TTL of the set is the set's.
         let mut six: Vec<_> = sample_info().to_records().into_iter().collect();
         six.rotate_left(2);
@@ -1105,7 +1117,8 @@ mod tests {
             .collect();
         six[4].ttl = 17;
         let info_key = six[0].name.clone();
-        let decoded = decode_records(&info_key, &six).expect("six records, any order");
+        let decoded =
+            decode(&info_key, &six.iter().collect::<Vec<_>>()).expect("six records, any order");
         assert_eq!((decoded.rrs, decoded.ttl_secs), (6, 17));
         assert_eq!(decoded.value.as_nsm_info().expect("info").port, 1025);
 

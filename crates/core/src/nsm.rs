@@ -17,7 +17,7 @@ use simnet::topology::{HostId, NetAddr};
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, Reply, RpcService};
+use hrpc::server::{CallCtx, ReplySlot, RpcService};
 use hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use wire::message::{Shape, Shaped};
 use wire::{Message, Value, WireError, WireResult};
@@ -222,9 +222,10 @@ pub trait Nsm: Send + Sync {
 
     /// Handles one query. `request.name` is the original HNS name; the
     /// NSM translates the individual name to the local name, interrogates
-    /// its name service, and returns the query class's standard reply —
-    /// its struct ([`Reply::typed`]), for a typed caller to read as it is.
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply>;
+    /// its name service, and leaves the query class's standard reply in
+    /// `reply` — its struct ([`ReplySlot::put`]), for a typed caller to
+    /// read as it is.
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()>;
 }
 
 /// Adapts an [`Nsm`] into an RPC service so it can be exported remotely.
@@ -268,7 +269,7 @@ impl RpcService for NsmService {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.dispatch_msg(ctx, proc_id, args, reply))
     }
 
     /// Served on the [`NsmRequest`]: a caller's own, or decoded from the
@@ -278,7 +279,8 @@ impl RpcService for NsmService {
         ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         if proc_id != NSM_PROC_QUERY {
             return Err(RpcError::BadProcedure(proc_id));
         }
@@ -296,7 +298,7 @@ impl RpcService for NsmService {
             .span_lazy(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
                 format!("NSM {} handles {}", self.inner.nsm_name(), name)
             });
-        let result = self.inner.handle(&request);
+        let result = self.inner.handle(&request, reply);
         drop(span);
         result
     }
@@ -330,7 +332,7 @@ impl NsmClient {
 
     /// Calls the NSM designated by `binding` with the original HNS name
     /// and the query class's own fields, and reads its reply as a tree:
-    /// [`NsmClient::call_msg`] for a caller that names fields and reads
+    /// [`NsmClient::call_into`] for a caller that names fields and reads
     /// trees.
     pub fn call(
         &self,
@@ -339,12 +341,17 @@ impl NsmClient {
         extra: Vec<(&'static str, Value)>,
     ) -> RpcResult<Value> {
         let request = NsmRequest::new(hns_name.clone(), QueryArgs::from_fields(extra)?);
-        self.call_msg(binding, &request).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.call_into(binding, &request, reply))
     }
 
-    /// Sends `request` to the NSM designated by `binding`; the reply is
-    /// the NSM's struct if it sent one.
-    pub fn call_msg(&self, binding: &HrpcBinding, request: &NsmRequest) -> RpcResult<Reply> {
+    /// Sends `request` to the NSM designated by `binding`, which leaves
+    /// its reply in the caller's `reply` slot.
+    pub fn call_into(
+        &self,
+        binding: &HrpcBinding,
+        request: &NsmRequest,
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         let world = self.net.world();
         self.client_calls
             .get(world.metrics(), "nsm", "client_calls")
@@ -354,7 +361,7 @@ impl NsmClient {
             world.charge_ms(world.costs.nsm_arg_marshal);
         }
         self.net
-            .call_msg(self.host, binding, NSM_PROC_QUERY, request)
+            .call_into(self.host, binding, NSM_PROC_QUERY, request, reply)
     }
 }
 
@@ -524,8 +531,9 @@ mod tests {
             QueryClass::new("Echo")
         }
         /// An untyped NSM: it answers with a tree.
-        fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
-            Ok(Reply::Tree(Value::str(&*request.name.individual)))
+        fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
+            reply.put(Value::str(&*request.name.individual));
+            Ok(())
         }
     }
 

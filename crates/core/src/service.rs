@@ -34,8 +34,9 @@ use simnet::world::World;
 
 use bindns::name::DomainName;
 use bindns::resolver::HrpcResolver;
-use bindns::rr::{RType, ResourceRecord};
+use bindns::rr::{RType, Records, ResourceRecord};
 use hrpc::net::RpcNet;
+use hrpc::server::ReplySlot;
 use hrpc::{HrpcBinding, ProgramId, RpcError};
 
 use crate::binding_cache::{BindingCache, BindingCacheStats};
@@ -476,10 +477,11 @@ impl Hns {
             let span = world.span_lazy(Some(self.host), TraceKind::Nsm, || {
                 format!("linked NSM {ha_nsm_name}: {host_name} -> address")
             });
-            let reply = linked.handle(&request);
+            let reply = ReplySlot::fill::<HostAddress>(|reply| linked.handle(&request, reply));
             drop(span);
             // Read here, so that a reply without a host is never cached.
-            let HostAddress { host, ttl } = reply?.read(HostAddress::from_value)?;
+            let HostAddress { host, ttl } =
+                reply?.or_else(|tree| HostAddress::from_value(&tree))?;
             Ok(Fetched {
                 value: MetaRecord::HostAddr(host),
                 rrs: 1,
@@ -855,10 +857,13 @@ impl Hns {
         let Some(cache) = self.storing_cache() else {
             return 0;
         };
-        let mut sets: BTreeMap<&DomainName, Vec<&ResourceRecord>> = BTreeMap::new();
+        let mut sets: BTreeMap<&DomainName, Records> = BTreeMap::new();
         for rr in records {
             if rr.rtype == RType::Unspec && Kind::of_key(&rr.name).is_some() {
-                sets.entry(&rr.name).or_default().push(rr);
+                let (name, body) = rr.clone().into_parts();
+                sets.entry(&rr.name)
+                    .or_insert_with(Records::none)
+                    .push(name, body);
             }
         }
         let mut entries = 0;
@@ -910,7 +915,6 @@ mod tests {
     use crate::nsm::SuiteTag;
     use bindns::server::{deploy, single_zone_server};
     use bindns::zone::Zone;
-    use hrpc::server::Reply;
     use proptest::prelude::*;
     use simnet::faults::FaultPlan;
     use wire::Value;
@@ -930,10 +934,13 @@ mod tests {
         fn query_class(&self) -> QueryClass {
             QueryClass::host_address()
         }
-        fn handle(&self, _: &NsmRequest) -> Result<Reply, RpcError> {
+        fn handle(&self, _: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
             self.world.charge_ms(self.delay_ms);
-            let reply = [("host", Value::U32(7)), ("ttl", Value::U32(self.ttl))];
-            Ok(Reply::Tree(Value::record(reply)))
+            reply.put(Value::record([
+                ("host", Value::U32(7)),
+                ("ttl", Value::U32(self.ttl)),
+            ]));
+            Ok(())
         }
     }
 

@@ -17,7 +17,7 @@ use hns_core::query::QueryClass;
 use hns_core::service::Hns;
 use hns_core::HnsError;
 use hrpc::net::RpcNet;
-use hrpc::server::{ProcServer, Reply};
+use hrpc::server::{ProcServer, ReplySlot};
 use hrpc::{ComponentSet, HrpcBinding, ProgramId, RpcError};
 use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
@@ -37,18 +37,16 @@ impl Nsm for StubHostAddr {
     fn query_class(&self) -> QueryClass {
         QueryClass::host_address()
     }
-    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
         let hns_name = &request.name;
-        self.table
-            .iter()
+        let (_, host) = (self.table.iter())
             .find(|(n, _)| *n == *hns_name.individual)
-            .map(|(_, host)| {
-                Ok(Reply::Tree(Value::record(vec![
-                    ("host", Value::U32(*host)),
-                    ("ttl", Value::U32(600)),
-                ])))
-            })
-            .unwrap_or_else(|| Err(RpcError::NotFound(hns_name.individual.to_string())))
+            .ok_or_else(|| RpcError::NotFound(hns_name.individual.to_string()))?;
+        reply.put(Value::record(vec![
+            ("host", Value::U32(*host)),
+            ("ttl", Value::U32(600)),
+        ]));
+        Ok(())
     }
 }
 
@@ -62,9 +60,9 @@ impl Nsm for StubEcho {
     fn query_class(&self) -> QueryClass {
         QueryClass::new("Echo")
     }
-    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
-        let echo = format!("echo:{}", request.name.individual);
-        Ok(Reply::Tree(Value::str(echo)))
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
+        reply.put(Value::str(format!("echo:{}", request.name.individual)));
+        Ok(())
     }
 }
 
@@ -186,11 +184,11 @@ impl Nsm for RelinkingHostAddr {
     fn query_class(&self) -> QueryClass {
         QueryClass::host_address()
     }
-    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
         let hns = self.hns.get().and_then(std::sync::Weak::upgrade);
         hns.expect("set before the first query")
             .link_nsm(Arc::new(StubEcho));
-        self.answers.handle(request)
+        self.answers.handle(request, reply)
     }
 }
 
@@ -442,8 +440,9 @@ impl Nsm for Unseen {
     fn query_class(&self) -> QueryClass {
         QueryClass::new("Unseen")
     }
-    fn handle(&self, request: &NsmRequest) -> Result<Reply, RpcError> {
-        Ok(Reply::Tree(Value::str(&*request.name.individual)))
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
+        reply.put(Value::str(&*request.name.individual));
+        Ok(())
     }
 }
 

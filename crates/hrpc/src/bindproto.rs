@@ -13,6 +13,7 @@ use crate::binding::{HrpcBinding, ProgramId};
 use crate::components::{BindingProtocol, ComponentSet};
 use crate::error::RpcResult;
 use crate::net::{RpcNet, EXCHANGE_PORT, EXCHANGE_RESOLVE, PMAP_GETPORT, PORTMAP_PORT};
+use crate::server::ReplySlot;
 
 /// A portmapper's [`PMAP_GETPORT`] request: the program whose port is
 /// asked for.
@@ -63,8 +64,8 @@ pub fn resolve_port(
             },
         ),
     };
-    let reply = net.call_msg(caller, &binding, proc_id, request)?;
-    port_of(&reply.into_value())
+    let reply = ReplySlot::tree(|reply| net.call_into(caller, &binding, proc_id, request, reply))?;
+    port_of(&reply)
 }
 
 /// The port a portmapper or exchange listener replied with.

@@ -15,10 +15,12 @@
 //! * [`bindproto`] — port determination per native binding protocol.
 //! * [`server`] — the service trait and a closure-based service builder.
 //!
-//! What crosses the fabric is a [`wire::Message`]: [`RpcNet::call_msg`] is
-//! the one call path, [`RpcNet::call`] its wrapper for trees, and a
+//! What crosses the fabric is a [`wire::Message`]: [`RpcNet::call_into`]
+//! is the one call path, [`RpcNet::call_msg`] its wrapper for a caller
+//! that reads a struct and [`RpcNet::call`] for one that reads trees. A
 //! service sees the caller's own struct if it overrides
-//! [`RpcService::dispatch_msg`].
+//! [`RpcService::dispatch_msg`], and leaves its reply in a [`ReplySlot`]
+//! the caller owns: moved there if it is the type the caller reads.
 //!
 //! # Examples
 //!
@@ -61,4 +63,4 @@ pub use binding::{HrpcBinding, ProgramId};
 pub use components::{BindingProtocol, ComponentSet, ControlProtocol, NativeSystem, Transport};
 pub use error::{RpcError, RpcResult};
 pub use net::{LossPlan, RpcNet};
-pub use server::{CallCtx, ProcServer, Reply, RpcService};
+pub use server::{CallCtx, ProcServer, ReplySlot, RpcService};

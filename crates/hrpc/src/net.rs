@@ -29,7 +29,7 @@ use crate::binding::{HrpcBinding, ProgramId};
 use crate::bindproto::{GetPort, ResolveService};
 use crate::components::ComponentSet;
 use crate::error::{RpcError, RpcResult};
-use crate::server::{CallCtx, Reply, RpcService};
+use crate::server::{no_reply, CallCtx, ReplySlot, RpcService};
 
 /// Well-known port of the per-host Sun portmapper.
 pub const PORTMAP_PORT: u16 = 111;
@@ -119,6 +119,12 @@ pub fn retry_backoff_ms(attempt: u32) -> f64 {
 
 /// Total reply-cache entries kept for at-most-once bookkeeping.
 const REPLY_CACHE_LIMIT: usize = 65_536;
+
+/// The length of the reply left in `reply`, as the fabric charges it.
+fn reply_len(reply: &ReplySlot<'_>, components: ComponentSet) -> RpcResult<usize> {
+    let reply = reply.message().ok_or_else(no_reply)?;
+    Ok(reply.encoded_len(components.data_rep)?)
+}
 
 #[derive(Default)]
 struct ReplyTable {
@@ -322,7 +328,7 @@ impl RpcNet {
             .is_some_and(|plan| plan.would_drop(xid, attempt, leg))
     }
 
-    /// [`RpcNet::call_msg`] for a caller that sends a tree and reads one.
+    /// [`RpcNet::call_into`] for a caller that sends a tree and reads one.
     pub fn call(
         &self,
         caller: HostId,
@@ -330,13 +336,28 @@ impl RpcNet {
         proc_id: u32,
         args: &Value,
     ) -> RpcResult<Value> {
-        self.call_msg(caller, binding, proc_id, args)
-            .map(Reply::into_value)
+        ReplySlot::tree(|reply| self.call_into(caller, binding, proc_id, args, reply))
+    }
+
+    /// [`RpcNet::call_into`] for a caller that reads a `T`: a typed
+    /// server's `T` is moved to it, and any other reply `decode`d — once,
+    /// here — from its tree.
+    pub fn call_msg<T: Message, E: From<RpcError>>(
+        &self,
+        caller: HostId,
+        binding: &HrpcBinding,
+        proc_id: u32,
+        args: &dyn Message,
+        decode: impl FnOnce(&Value) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let call =
+            |reply: &mut ReplySlot<'_>| self.call_into(caller, binding, proc_id, args, reply);
+        ReplySlot::read(call, decode)
     }
 
     /// Makes a synchronous call through `binding`, charging network costs.
-    /// The message reaches the server as it is, and the server's reply the
-    /// caller: a typed peer downcasts, any other asks for the tree.
+    /// The message reaches the server as it is, and the server leaves its
+    /// reply in the caller's `reply` slot.
     ///
     /// Datagram transports may lose the request or the reply; the control
     /// protocol retransmits up to its attempt budget. When a reply is lost
@@ -344,13 +365,14 @@ impl RpcNet {
     /// at-most-once bookkeeping answers the retransmission from its reply
     /// cache, while the plain Raw suite re-executes (observable duplicate
     /// effects, the classic datagram caveat).
-    pub fn call_msg(
+    pub fn call_into(
         &self,
         caller: HostId,
         binding: &HrpcBinding,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         let components = binding.components;
         // Cost accounting follows the real wire representation without
         // materializing it: the self-describing encodings round-trip
@@ -384,9 +406,9 @@ impl RpcNet {
             }
             self.world.charge_ms(self.world.costs.local_call);
             self.world.count_local_call();
-            let reply = self.serve(caller, binding, proc_id, args)?;
-            reply.as_message().encoded_len(components.data_rep)?;
-            return Ok(reply);
+            self.serve(caller, binding, proc_id, args, reply)?;
+            reply_len(reply, components)?;
+            return Ok(());
         }
 
         let rtt = self.world.costs.rpc_rtt(components.suite_kind());
@@ -500,20 +522,22 @@ impl RpcNet {
                     self.world.trace(Some(binding.host), TraceKind::Rpc, || {
                         format!("duplicate xid {xid} answered from reply cache")
                     });
-                    Ok(Reply::Tree(cached))
+                    reply.put_tree(cached);
+                    Ok(())
                 } else {
-                    self.serve(caller, binding, proc_id, args).inspect(|reply| {
-                        self.replies
-                            .insert(key, reply.as_message().tree().into_owned())
-                    })
+                    self.serve(caller, binding, proc_id, args, reply)
+                        .and_then(|()| {
+                            let kept = reply.message().ok_or_else(no_reply)?.tree();
+                            self.replies.insert(key, kept.into_owned());
+                            Ok(())
+                        })
                 }
             } else {
-                self.serve(caller, binding, proc_id, args)
+                self.serve(caller, binding, proc_id, args, reply)
             };
-            let reply = match served {
-                Ok(reply) => reply,
-                Err(err) => break Err(err),
-            };
+            if let Err(err) = served {
+                break Err(err);
+            }
 
             // Response leg.
             if datagram && self.datagram_dropped(xid, attempts, LEG_REPLY) {
@@ -540,16 +564,11 @@ impl RpcNet {
                     components.suite_kind()
                 )
             });
-            break reply
-                .as_message()
-                .encoded_len(components.data_rep)
-                .map(|len| (reply, len))
-                .map_err(RpcError::from);
+            break reply_len(reply, components);
         };
-        let result = result.map(|(reply, reply_len)| {
+        let result = result.map(|reply_len| {
             self.world
                 .charge_ms(self.world.costs.per_kb * reply_len as f64 / 1024.0);
-            reply
         });
 
         span.add_round_trips(u64::from(attempts));
@@ -574,9 +593,12 @@ impl RpcNet {
         binding: &HrpcBinding,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         if let PORTMAP_PORT | EXCHANGE_PORT = binding.port {
-            return self.serve_listener(binding, proc_id, args);
+            let port = self.serve_listener(binding, proc_id, args)?;
+            reply.put(Value::U32(u32::from(port)));
+            return Ok(());
         }
         let service = self.lookup_service(binding.host, binding.port)?;
         let ctx = CallCtx {
@@ -585,30 +607,30 @@ impl RpcNet {
             host: binding.host,
             caller,
         };
-        service.dispatch_msg(&ctx, proc_id, args)
+        service.dispatch_msg(&ctx, proc_id, args, reply)
     }
 
     /// The built-in per-host listeners: the portmapper maps a program to
-    /// its port, the Courier exchange listener a service's name.
+    /// its port, the Courier exchange listener a service's name; either
+    /// answers the port as a bare number.
     fn serve_listener(
         &self,
         listener: &HrpcBinding,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+    ) -> RpcResult<u16> {
         self.world.charge_ms(self.world.costs.portmap_service);
-        let port = match (listener.port, proc_id) {
+        match (listener.port, proc_id) {
             (PORTMAP_PORT, PMAP_GETPORT) => {
                 let program = ProgramId(args.read(GetPort::from_value)?.program);
-                self.portmap_getport(listener.host, program)?
+                self.portmap_getport(listener.host, program)
             }
             (EXCHANGE_PORT, EXCHANGE_RESOLVE) => {
                 let request = args.read(ResolveService::from_value)?;
-                self.exchange_resolve(listener.host, &request.service)?
+                self.exchange_resolve(listener.host, &request.service)
             }
-            (_, other) => return Err(RpcError::BadProcedure(other)),
-        };
-        Ok(Reply::Tree(Value::U32(u32::from(port))))
+            (_, other) => Err(RpcError::BadProcedure(other)),
+        }
     }
 
     /// Builds the binding for a built-in per-host service (portmapper or

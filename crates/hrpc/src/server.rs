@@ -1,5 +1,6 @@
 //! Server-side service abstraction.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -26,52 +27,97 @@ pub struct CallCtx<'a> {
     pub caller: HostId,
 }
 
-/// What a call brings back: the server's reply as it made it.
-pub enum Reply {
-    /// A tree — an untyped server's reply, or one the at-most-once cache
-    /// kept.
-    Tree(Value),
-    /// The server's own struct.
-    Typed(Box<dyn Message>),
+/// Where a served call leaves its reply: a slot its caller owns, of the
+/// type the caller reads. A reply of that type is moved in; any other is
+/// kept as its tree, for the caller to decode once — an untyped server's,
+/// or one the at-most-once cache kept.
+pub struct ReplySlot<'a> {
+    typed: &'a mut dyn Typed,
+    tree: Option<Value>,
 }
 
-impl Reply {
-    /// The reply of a typed server.
-    pub fn typed(msg: impl Message) -> Reply {
-        Reply::Typed(Box::new(msg))
-    }
+/// The caller's half of a slot: the `Option<T>` of the type it reads.
+trait Typed: Any {
+    fn message(&self) -> Option<&dyn Message>;
+}
 
-    /// The reply as the fabric charges for it and the at-most-once cache
-    /// keeps it.
-    pub fn as_message(&self) -> &dyn Message {
-        match self {
-            Reply::Tree(tree) => tree,
-            Reply::Typed(msg) => &**msg,
+impl<T: Message> Typed for Option<T> {
+    fn message(&self) -> Option<&dyn Message> {
+        self.as_ref().map(|reply| reply as &dyn Message)
+    }
+}
+
+impl ReplySlot<'_> {
+    /// Leaves `reply` for the caller, in place of anything left before:
+    /// moved into the slot if it is what the caller reads, else as its
+    /// tree.
+    pub fn put<M: Message>(&mut self, reply: M) {
+        let typed: &mut dyn Any = self.typed;
+        match typed.downcast_mut::<Option<M>>() {
+            Some(slot) => {
+                *slot = Some(reply);
+                self.tree = None;
+            }
+            None => self.put_tree(reply.into_tree()),
         }
     }
 
-    /// The reply as a tree, for a caller that does not know its type.
-    pub fn into_value(self) -> Value {
-        match self {
-            Reply::Tree(tree) => tree,
-            Reply::Typed(msg) => msg.tree().into_owned(),
+    /// Leaves a tree: in the slot of a caller that reads trees; beside
+    /// any other's, where it is read before what that slot holds.
+    pub(crate) fn put_tree(&mut self, tree: Value) {
+        let typed: &mut dyn Any = self.typed;
+        match typed.downcast_mut::<Option<Value>>() {
+            Some(slot) => *slot = Some(tree),
+            None => self.tree = Some(tree),
         }
     }
 
-    /// The reply as the `T` a typed server sent; from any other peer,
-    /// its tree, for the caller to decode.
-    pub fn downcast<T: Message>(self) -> Result<T, Value> {
-        match self {
-            Reply::Tree(tree) => Err(tree),
-            Reply::Typed(msg) => msg.downcast().map_err(|other| other.tree().into_owned()),
+    /// The reply left so far, as the fabric charges for it and the
+    /// at-most-once cache keeps it.
+    pub fn message(&self) -> Option<&dyn Message> {
+        match &self.tree {
+            Some(tree) => Some(tree),
+            None => self.typed.message(),
         }
     }
 
-    /// The reply as the `T` a typed server sent; from any other peer,
-    /// `decode`d — once, here — from its tree.
-    pub fn read<T: Message, E>(self, decode: impl FnOnce(&Value) -> Result<T, E>) -> Result<T, E> {
-        self.downcast().or_else(|tree| decode(&tree))
+    /// Runs `serve` with a slot for a `T` and hands back what it left: the
+    /// `T` itself, or the tree of any other reply.
+    pub fn fill<T: Message>(
+        serve: impl FnOnce(&mut ReplySlot<'_>) -> RpcResult<()>,
+    ) -> RpcResult<Result<T, Value>> {
+        let mut typed: Option<T> = None;
+        let mut slot = ReplySlot {
+            typed: &mut typed,
+            tree: None,
+        };
+        serve(&mut slot)?;
+        match (slot.tree, typed) {
+            (Some(tree), _) => Ok(Err(tree)),
+            (None, Some(reply)) => Ok(Ok(reply)),
+            (None, None) => Err(no_reply()),
+        }
     }
+
+    /// [`ReplySlot::fill`] for a caller that reads a `T`: any other reply
+    /// is `decode`d — once, here — from its tree.
+    pub fn read<T: Message, E: From<RpcError>>(
+        serve: impl FnOnce(&mut ReplySlot<'_>) -> RpcResult<()>,
+        decode: impl FnOnce(&Value) -> Result<T, E>,
+    ) -> Result<T, E> {
+        Self::fill(serve)?.or_else(|tree| decode(&tree))
+    }
+
+    /// [`ReplySlot::fill`] for a caller that reads trees: every reply
+    /// lands in its slot as one.
+    pub fn tree(serve: impl FnOnce(&mut ReplySlot<'_>) -> RpcResult<()>) -> RpcResult<Value> {
+        Self::fill(serve).map(|reply| reply.unwrap_or_else(|tree| tree))
+    }
+}
+
+/// What a service that returned without leaving a reply answered.
+pub(crate) fn no_reply() -> RpcError {
+    RpcError::Service("the service left no reply".into())
 }
 
 /// A dispatchable service.
@@ -82,18 +128,21 @@ pub trait RpcService: Send + Sync {
     /// Handles one procedure call on trees.
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value>;
 
-    /// Handles one procedure call as the fabric delivers it. A service
-    /// that knows the structs its callers send overrides this, downcasts
-    /// `args` (decoding the tree of a caller that sent one) and replies
-    /// with [`Reply::typed`]; every other service is reached through
+    /// Handles one procedure call as the fabric delivers it, leaving the
+    /// reply in the caller's slot. A service that knows the structs its
+    /// callers send overrides this, downcasts `args` (decoding the tree
+    /// of a caller that sent one) and [`ReplySlot::put`]s its reply
+    /// struct; every other service is reached through
     /// [`RpcService::dispatch`], on the caller's tree.
     fn dispatch_msg(
         &self,
         ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
-        self.dispatch(ctx, proc_id, &args.tree()).map(Reply::Tree)
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
+        reply.put(self.dispatch(ctx, proc_id, &args.tree())?);
+        Ok(())
     }
 }
 
@@ -155,5 +204,36 @@ impl std::fmt::Debug for ProcServer {
             .field("name", &self.name)
             .field("procs", &self.procs.keys().collect::<Vec<_>>())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bindproto::GetPort;
+
+    /// A reply of the type the caller reads is moved into its slot; any
+    /// other lands as its tree, which a reader of trees takes as it is and
+    /// a reader of the struct decodes. A service that leaves nothing is
+    /// refused.
+    #[test]
+    fn a_reply_lands_as_the_type_read_or_as_its_tree() {
+        let port = GetPort { program: 7 };
+        let tree = port.tree().into_owned();
+        let typed = |reply: &mut ReplySlot<'_>| {
+            reply.put(port.clone());
+            Ok(())
+        };
+        let untyped = |reply: &mut ReplySlot<'_>| {
+            reply.put(tree.clone());
+            Ok(())
+        };
+        assert_eq!(ReplySlot::fill::<GetPort>(typed), Ok(Ok(port.clone())));
+        assert_eq!(ReplySlot::fill::<Value>(typed), Ok(Ok(tree.clone())));
+        assert_eq!(ReplySlot::tree(typed), Ok(tree.clone()));
+        assert_eq!(ReplySlot::fill::<GetPort>(untyped), Ok(Err(tree.clone())));
+        let decode = |tree: &Value| Ok::<_, RpcError>(GetPort::from_value(tree)?);
+        assert_eq!(ReplySlot::read(untyped, decode), Ok(port));
+        assert_eq!(ReplySlot::fill::<GetPort>(|_| Ok(())), Err(no_reply()));
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bindns::name::DomainName;
 use bindns::resolver::StdResolver;
-use bindns::rr::{RData, RType, ResourceRecord};
+use bindns::rr::{RData, RType};
 use clearinghouse::client::ChClient;
 use clearinghouse::name::ThreePartName;
 use clearinghouse::property::{PropertyId, PROP_ADDRESS};
@@ -64,7 +64,7 @@ impl BindAdapter {
         shape: impl FnOnce(&RData) -> Option<T>,
     ) -> RpcResult<T> {
         let local = self.translate(hns_name)?;
-        self.first(local, rtype, true, |rr| shape(&rr.rdata))
+        self.first(local, rtype, true, |_, rdata| shape(rdata))
     }
 
     /// Steps one and two for a structured value, which BIND holds as a
@@ -93,28 +93,34 @@ impl BindAdapter {
         })?
     }
 
-    /// Step two: `NotFound(local)` unless a record of `rtype` came back.
+    /// Step two: `NotFound(local)` unless a record of `rtype` came back;
+    /// its TTL and data as `shape` takes them.
     fn first<T>(
         &self,
         local: &str,
         rtype: RType,
         cached: bool,
-        shape: impl FnOnce(&ResourceRecord) -> Option<T>,
+        shape: impl FnOnce(u32, &RData) -> Option<T>,
     ) -> RpcResult<T> {
         let domain = DomainName::parse(local).map_err(service_err)?;
-        let (shared, fresh);
-        let records: &[ResourceRecord] = if cached {
-            shared = self.service.query(&domain, rtype)?;
-            &shared
-        } else {
-            fresh = self.service.query_uncached(&domain, rtype)?;
-            &fresh
+        let read = |found: Option<(u32, &RData)>| {
+            let (ttl, rdata) = found.ok_or_else(|| RpcError::NotFound(local.to_string()))?;
+            let bad = || RpcError::Service(format!("bad {rtype} rdata {rdata:?}"));
+            shape(ttl, rdata).ok_or_else(bad)
         };
-        let rr = records
-            .iter()
-            .find(|r| r.rtype == rtype)
-            .ok_or_else(|| RpcError::NotFound(local.to_string()))?;
-        shape(rr).ok_or_else(|| RpcError::Service(format!("bad {rtype} rdata {:?}", rr.rdata)))
+        if cached {
+            let records = self.service.query(&domain, rtype)?;
+            read(
+                records
+                    .iter()
+                    .find(|r| r.rtype == rtype)
+                    .map(|r| (r.ttl, &r.rdata)),
+            )
+        } else {
+            let records = self.service.query_uncached(&domain, rtype)?;
+            let found = records.iter().find(|(_, body)| body.rtype == rtype);
+            read(found.map(|(_, body)| (body.ttl, &body.rdata)))
+        }
     }
 }
 
@@ -149,8 +155,8 @@ impl HostLookup for BindAdapter {
     }
 
     fn address(&self, local: &str) -> RpcResult<(HostId, u32)> {
-        self.first(local, RType::A, false, |rr| match &rr.rdata {
-            RData::Addr(addr) => Some((addr.host, rr.ttl)),
+        self.first(local, RType::A, false, |ttl, rdata| match rdata {
+            RData::Addr(addr) => Some((addr.host, ttl)),
             _ => None,
         })
     }

@@ -28,7 +28,7 @@ use hns_core::query::QueryClass;
 use hrpc::bindproto;
 use hrpc::error::RpcResult;
 use hrpc::net::RpcNet;
-use hrpc::server::Reply;
+use hrpc::server::ReplySlot;
 use hrpc::HrpcBinding;
 use simnet::topology::{HostId, NetAddr};
 use simnet::ttl::END;
@@ -157,7 +157,7 @@ where
         QueryClass::hrpc_binding()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let world = self.net.world();
         let (service, program) = request.args.binding()?;
 
@@ -168,7 +168,8 @@ where
         let key = key(local, service, &program_bytes);
         if let Some(cached) = self.cache.get(world, &key) {
             world.charge_ms(world.costs.nsm_assemble);
-            return Ok(Reply::typed(*cached));
+            reply.put(*cached);
+            return Ok(());
         }
 
         // 1. Look the host up in the name service.
@@ -192,7 +193,8 @@ where
         world.charge_ms(world.costs.generated_miss(BINDING_MARSHAL_RRS) + world.costs.nsm_assemble);
         self.cache
             .insert(world, key, &binding, CACHED_BINDING_RRS, ttl);
-        Ok(Reply::typed(binding))
+        reply.put(binding);
+        Ok(())
     }
 }
 

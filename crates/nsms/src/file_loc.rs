@@ -16,7 +16,7 @@ use hns_core::name::NameMapping;
 use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use hrpc::server::Reply;
+use hrpc::server::ReplySlot;
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
@@ -68,7 +68,7 @@ impl Nsm for FileBindNsm {
         QueryClass::file_location()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let path = request.args.path()?;
         let keys = ["fileservice", "root"];
         let location = self
@@ -76,7 +76,8 @@ impl Nsm for FileBindNsm {
             .lookup_pair(&request.name, "file", keys, |host, root| {
                 FileLocation::under(host, root, path)
             })?;
-        Ok(Reply::typed(location))
+        reply.put(location);
+        Ok(())
     }
 }
 
@@ -104,10 +105,11 @@ impl Nsm for FileChNsm {
         QueryClass::file_location()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let path = request.args.path()?;
         let service = self.0.lookup(&request.name, PROP_FILE_SERVICE)?;
         let (host, root) = (service.str_field("host")?, service.str_field("root")?);
-        Ok(Reply::typed(FileLocation::under(host, root, path)))
+        reply.put(FileLocation::under(host, root, path));
+        Ok(())
     }
 }

@@ -14,7 +14,7 @@ use hns_core::name::NameMapping;
 use hns_core::nsm::{HostAddress, Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use hrpc::server::Reply;
+use hrpc::server::ReplySlot;
 
 use crate::adapter::{Adapter, HostLookup};
 
@@ -76,9 +76,10 @@ where
         QueryClass::host_address()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let local = self.adapter.translate(&request.name)?;
         let (host, ttl) = self.adapter.address(local)?;
-        Ok(Reply::typed(HostAddress { host, ttl }))
+        reply.put(HostAddress { host, ttl });
+        Ok(())
     }
 }

@@ -21,9 +21,10 @@ use hns_core::name::HnsName;
 use hns_core::nsm::{NsmClient, NsmRequest, QueryArgs};
 use hns_core::query::QueryClass;
 use hrpc::net::RpcNet;
-use hrpc::{HrpcBinding, ProgramId};
+use hrpc::{HrpcBinding, ProgramId, ReplySlot};
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
+use wire::Value;
 
 /// The HRPC `Import` entry point for one client process.
 pub struct Importer {
@@ -71,9 +72,12 @@ impl Importer {
         // Call the designated binding NSM with the original HNS name.
         let service = service_name.to_string();
         let request = NsmRequest::new(host_name.clone(), QueryArgs::Binding { service, program });
-        let reply = match self.nsm.call_msg(&nsm_binding, &request) {
-            Ok(reply) => reply,
-            Err(err) if err.is_unreachable() => {
+        let decode = |tree: &Value| HrpcBinding::from_value(tree).map_err(HnsError::from);
+        let call = |binding: &HrpcBinding| {
+            ReplySlot::read(|reply| self.nsm.call_into(binding, &request, reply), decode)
+        };
+        match call(&nsm_binding) {
+            Err(HnsError::Rpc(err)) if err.is_unreachable() => {
                 // The designated NSM never answered. If an alternate NSM
                 // on a different host is linked, fail over to it.
                 match self
@@ -86,14 +90,13 @@ impl Importer {
                         world.trace(Some(self.host), TraceKind::Nsm, || {
                             format!("NSM failover: {} -> {} ({err})", nsm_binding.host, alt.host)
                         });
-                        self.nsm.call_msg(&alt, &request).map_err(HnsError::Rpc)?
+                        call(&alt)
                     }
-                    None => return Err(HnsError::Rpc(err)),
+                    None => Err(HnsError::Rpc(err)),
                 }
             }
-            Err(err) => return Err(HnsError::Rpc(err)),
-        };
-        reply.read(HrpcBinding::from_value).map_err(HnsError::from)
+            other => other,
+        }
     }
 }
 

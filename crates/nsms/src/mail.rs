@@ -15,7 +15,7 @@ use hns_core::name::NameMapping;
 use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use hrpc::server::Reply;
+use hrpc::server::ReplySlot;
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
@@ -51,14 +51,15 @@ impl Nsm for MailBindNsm {
         QueryClass::mailbox_location()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let mailbox_host = self
             .0
             .lookup(&request.name, RType::Mx, |rdata| match rdata {
                 RData::Domain(target) => Some(target.to_string()),
                 _ => None,
             })?;
-        Ok(Reply::typed(MailboxLocation { mailbox_host }))
+        reply.put(MailboxLocation { mailbox_host });
+        Ok(())
     }
 }
 
@@ -85,8 +86,9 @@ impl Nsm for MailChNsm {
         QueryClass::mailbox_location()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let mailbox_host = self.0.lookup(&request.name, PROP_MAILBOX)?.into_str()?;
-        Ok(Reply::typed(MailboxLocation { mailbox_host }))
+        reply.put(MailboxLocation { mailbox_host });
+        Ok(())
     }
 }

@@ -14,7 +14,7 @@ use hns_core::name::NameMapping;
 use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
 use hrpc::error::RpcResult;
-use hrpc::server::Reply;
+use hrpc::server::ReplySlot;
 
 use crate::adapter::{BindAdapter, ChAdapter};
 
@@ -65,10 +65,11 @@ impl Nsm for UserBindNsm {
         QueryClass::user_info()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let keys = ["name", "host"];
         let user = (self.0).lookup_pair(&request.name, "user", keys, UserInfo::new)?;
-        Ok(Reply::typed(user))
+        reply.put(user);
+        Ok(())
     }
 }
 
@@ -96,9 +97,10 @@ impl Nsm for UserChNsm {
         QueryClass::user_info()
     }
 
-    fn handle(&self, request: &NsmRequest) -> RpcResult<Reply> {
+    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let user = self.0.lookup(&request.name, PROP_USER)?;
         let info = UserInfo::new(user.str_field("name")?, user.str_field("host")?);
-        Ok(Reply::typed(info))
+        reply.put(info);
+        Ok(())
     }
 }

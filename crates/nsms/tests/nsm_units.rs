@@ -8,7 +8,7 @@ use std::sync::Arc;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::nsm::{HostAddress, Nsm, NsmRequest, QueryArgs};
 use hns_core::query::QueryClass;
-use hrpc::{HrpcBinding, RpcError, RpcResult};
+use hrpc::{HrpcBinding, ReplySlot, RpcError, RpcResult};
 use nsms::file_loc::{FileBindNsm, FileChNsm, FileLocation};
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
 use nsms::hostaddr::{HostAddrBindNsm, HostAddrChNsm};
@@ -28,8 +28,9 @@ fn ch_name(tb: &Testbed, individual: &str) -> HnsName {
 /// Asks `nsm` about `name` with the query class's own `args`; a typed NSM
 /// answers with its reply struct, which is handed back as it came.
 fn ask<T: Message>(nsm: &dyn Nsm, name: HnsName, args: QueryArgs) -> RpcResult<T> {
-    let reply = nsm.handle(&NsmRequest::new(name, args))?;
-    Ok(reply.downcast::<T>().expect("the NSM's own struct"))
+    let request = NsmRequest::new(name, args);
+    let reply = ReplySlot::fill::<T>(|reply| nsm.handle(&request, reply))?;
+    Ok(reply.expect("the NSM's own struct"))
 }
 
 fn binding_args(service: &str) -> QueryArgs {

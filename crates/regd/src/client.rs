@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use hrpc::net::RpcNet;
-use hrpc::server::Reply;
+use hrpc::server::ReplySlot;
 use hrpc::HrpcBinding;
 use simnet::topology::HostId;
-use wire::Message;
+use wire::{Message, Value};
 
-use crate::error::{RegError, RegResult};
+use crate::error::RegResult;
 use crate::message::{Register, Release, Resolve, Transfer, Update};
 use crate::registry::Resolution;
 use crate::server::{PROC_REGISTER, PROC_RELEASE, PROC_RESOLVE, PROC_TRANSFER, PROC_UPDATE};
@@ -32,14 +32,18 @@ impl RegClient {
         RegClient { net, host, server }
     }
 
-    fn call(&self, proc_id: u32, request: &dyn Message) -> RegResult<Reply> {
-        self.net
-            .call_msg(self.host, &self.server, proc_id, request)
-            .map_err(RegError::Rpc)
+    /// Sends a write, whose acknowledgement carries nothing.
+    fn call(&self, proc_id: u32, request: &dyn Message) -> RegResult<()> {
+        let call = |reply: &mut ReplySlot<'_>| {
+            (self.net).call_into(self.host, &self.server, proc_id, request, reply)
+        };
+        ReplySlot::tree(call)?;
+        Ok(())
     }
 
     fn resolution(&self, proc_id: u32, request: &dyn Message) -> RegResult<Resolution> {
-        Ok(self.call(proc_id, request)?.read(Resolution::from_value)?)
+        let decode = |tree: &Value| Ok(Resolution::from_value(tree)?);
+        (self.net).call_msg(self.host, &self.server, proc_id, request, decode)
     }
 
     /// Registers `name` to `owner`, bound to `service`.
@@ -67,8 +71,7 @@ impl RegClient {
             name: name.into(),
             service: service.into(),
         };
-        self.call(PROC_UPDATE, &request)?;
-        Ok(())
+        self.call(PROC_UPDATE, &request)
     }
 
     /// Transfers `name` from `from` to `to`, optionally re-binding it.
@@ -97,8 +100,7 @@ impl RegClient {
             key,
             name: name.into(),
         };
-        self.call(PROC_RELEASE, &request)?;
-        Ok(())
+        self.call(PROC_RELEASE, &request)
     }
 
     /// Resolves a name to its collapsed chain head.

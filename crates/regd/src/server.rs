@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hrpc::binding::ProgramId;
 use hrpc::net::RpcNet;
-use hrpc::server::{CallCtx, Reply, RpcService};
+use hrpc::server::{CallCtx, ReplySlot, RpcService};
 use hrpc::{HrpcBinding, RpcError, RpcResult};
 use simnet::topology::{HostId, NetAddr};
 use wire::{Message, Value};
@@ -67,7 +67,7 @@ impl RpcService for RegServer {
     }
 
     fn dispatch(&self, ctx: &CallCtx<'_>, proc_id: u32, args: &Value) -> RpcResult<Value> {
-        self.dispatch_msg(ctx, proc_id, args).map(Reply::into_value)
+        ReplySlot::tree(|reply| self.dispatch_msg(ctx, proc_id, args, reply))
     }
 
     /// Served on the request structs ([`crate::message`]): a caller's own,
@@ -77,38 +77,36 @@ impl RpcService for RegServer {
         _ctx: &CallCtx<'_>,
         proc_id: u32,
         args: &dyn Message,
-    ) -> RpcResult<Reply> {
+        reply: &mut ReplySlot<'_>,
+    ) -> RpcResult<()> {
         let reg = &self.registry;
         match proc_id {
             PROC_REGISTER => {
                 let r = args.read(Register::from_value)?;
-                Ok(Reply::typed(
-                    reg.register(&r.owner, r.key, &r.name, &r.service)?,
-                ))
+                reply.put(reg.register(&r.owner, r.key, &r.name, &r.service)?);
             }
             PROC_UPDATE => {
                 let r = args.read(Update::from_value)?;
                 reg.update(&r.owner, r.key, &r.name, &r.service)?;
-                Ok(Reply::Tree(Value::Void))
+                reply.put(Value::Void);
             }
             PROC_TRANSFER => {
                 let r = args.read(Transfer::from_value)?;
                 let rebind = r.rebind.as_deref();
-                Ok(Reply::typed(
-                    reg.transfer(&r.owner, r.key, &r.name, &r.to, rebind)?,
-                ))
+                reply.put(reg.transfer(&r.owner, r.key, &r.name, &r.to, rebind)?);
             }
             PROC_RELEASE => {
                 let r = args.read(Release::from_value)?;
                 reg.release(&r.owner, r.key, &r.name)?;
-                Ok(Reply::Tree(Value::Void))
+                reply.put(Value::Void);
             }
             PROC_RESOLVE => {
                 let r = args.read(Resolve::from_value)?;
-                Ok(Reply::typed(reg.resolve(&r.name)?))
+                reply.put(reg.resolve(&r.name)?);
             }
-            other => Err(RpcError::BadProcedure(other)),
+            other => return Err(RpcError::BadProcedure(other)),
         }
+        Ok(())
     }
 }
 
@@ -207,10 +205,10 @@ mod tests {
             .expect("register");
         let registry = Arc::new(registry);
         let binding = deploy(&net, frontend, RegServer::new(Arc::clone(&registry)));
-        let (reply, took, delta) =
-            world.measure(|| net.call_msg(client, &binding, proc_id, request));
+        let (reply, took, delta) = world
+            .measure(|| ReplySlot::tree(|r| net.call_into(client, &binding, proc_id, request, r)));
         let after = format!("{:?}", registry.resolve_naive("svc"));
-        (reply.map(Reply::into_value), took, delta, after)
+        (reply, took, delta, after)
     }
 
     /// Typed or tree, every procedure answers, costs and leaves the same.

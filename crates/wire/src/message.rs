@@ -37,25 +37,20 @@ pub trait Message: Any {
 
     /// The message as a tree, for a peer that does not know its type.
     fn tree(&self) -> Cow<'_, Value>;
+
+    /// The message made into its tree: a tree is itself, moved.
+    fn into_tree(self) -> Value
+    where
+        Self: Sized,
+    {
+        self.tree().into_owned()
+    }
 }
 
 impl dyn Message {
     /// The message as a `T`, if that is what it is.
     pub fn downcast_ref<T: Message>(&self) -> Option<&T> {
         (self as &dyn Any).downcast_ref()
-    }
-
-    /// The message itself as a `T`; handed back if it is something else.
-    #[expect(
-        clippy::expect_used,
-        reason = "the type was checked on the line before"
-    )]
-    pub fn downcast<T: Message>(self: Box<Self>) -> Result<T, Box<dyn Message>> {
-        if self.downcast_ref::<T>().is_none() {
-            return Err(self);
-        }
-        let any: Box<dyn Any> = self;
-        Ok(*any.downcast::<T>().expect("checked to be a T"))
     }
 
     /// The message as the `T` a typed peer reads: the sender's own struct
@@ -79,6 +74,10 @@ impl Message for Value {
 
     fn tree(&self) -> Cow<'_, Value> {
         Cow::Borrowed(self)
+    }
+
+    fn into_tree(self) -> Value {
+        self
     }
 }
 
@@ -517,11 +516,8 @@ mod tests {
         let msg: Box<dyn Message> = Box::new(sample(1));
         assert!(msg.downcast_ref::<Value>().is_none());
         assert_eq!(msg.downcast_ref::<Sample>().map(|s| s.text.len()), Some(1));
-        let msg = msg.downcast::<Value>().expect_err("not a value");
-        assert_eq!(
-            msg.downcast::<Sample>().ok().map(|s| s.items.len()),
-            Some(3)
-        );
+        assert!(matches!(sample(1).into_tree(), Value::Struct(_)));
+        assert_eq!(value.clone().into_tree(), value);
     }
 
     /// A typed peer reads the sender's struct as it is, and decodes the

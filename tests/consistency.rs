@@ -301,7 +301,7 @@ fn native_updates_to_public_bind_flow_through_unmodified() {
             RType::A,
         )
         .expect("lookup");
-    match &records[0].rdata {
+    match &records.bodies()[0].rdata {
         bindns::RData::Addr(addr) => assert_eq!(addr.host, new_home),
         other => panic!("unexpected rdata {other:?}"),
     }
