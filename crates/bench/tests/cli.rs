@@ -336,15 +336,26 @@ fn validate_names_the_failing_path_and_exits_1() {
     let scratch = Scratch::new("validate-bad");
     let bad = "{\"schema\": \"hns-scale-v1\", \"config\": {}, \"points\": []}";
     std::fs::write(scratch.0.join("bad.json"), bad).expect("write");
-    let out = experiments(&scratch.0, &["validate", "bad.json", "absent.json"]);
+    // 120 KB of nested arrays: named like any other bad file, not a
+    // stack overflow.
+    let deep = "[".repeat(60_000) + &"]".repeat(60_000);
+    std::fs::write(scratch.0.join("deep.json"), deep).expect("write");
+    let args = ["validate", "bad.json", "absent.json", "deep.json"];
+    let out = experiments(&scratch.0, &args);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
         stderr.contains("bad.json: config.names: missing"),
         "{stderr}"
     );
     assert!(stderr.contains("absent.json: read:"), "{stderr}");
-    assert!(stderr.contains("2 of 2 file(s) invalid"), "{stderr}");
+    assert!(
+        stderr.contains(
+            "deep.json: JSON parse error at byte 128: arrays and objects nest too deeply"
+        ),
+        "{stderr}"
+    );
+    assert!(stderr.contains("3 of 3 file(s) invalid"), "{stderr}");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! IXFR edge cases for the incremental preload path (PR 8 follow-up):
+//! IXFR edge cases for the incremental preload path:
 //! serial equality, the exact delta-log truncation boundary, and the
 //! full-AXFR fallback — at both the preload-report and wire levels.
 

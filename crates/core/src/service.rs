@@ -21,7 +21,7 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -66,10 +66,6 @@ pub struct Hns {
     linked_nsms: RwLock<HashMap<String, Arc<dyn Nsm>>>,
     batching: AtomicBool,
     handles: HnsMetricHandles,
-    /// Serve-stale fallbacks performed, for the per-query
-    /// [`FindNsmReport::stale_served`] marker (the cache keeps its own
-    /// aggregate in `HnsCacheStats::stale_serves`).
-    stale_serves: AtomicU64,
     /// Meta-zone serial of the last successful preload; later preloads
     /// ask for only the delta since it (IXFR).
     preload_serial: parking_lot::Mutex<Option<u32>>,
@@ -97,6 +93,34 @@ struct HnsMetricHandles {
 /// batch also serves [`CacheMode::Disabled`] runs; its demarshalling
 /// cost was already charged when the `MQUERY` reply was decoded.
 type BatchOverlay = HashMap<DomainName, (Arc<MetaRecord>, SimTime)>;
+
+/// When a part of a walk expires, and whether it was served stale: an
+/// expired entry handed out because its server was unreachable, whose
+/// instant is the past one it lapsed at. Folded over a walk's parts, it
+/// is when the composed result expires and whether the query served
+/// anything stale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Expiry {
+    at: SimTime,
+    stale: bool,
+}
+
+impl Expiry {
+    /// What a walk that has read no part yet folds from.
+    const NEVER: Expiry = Expiry::fresh(SimTime::MAX);
+
+    const fn fresh(at: SimTime) -> Expiry {
+        Expiry { at, stale: false }
+    }
+
+    /// The earlier instant; stale if either is.
+    fn min(self, other: Expiry) -> Expiry {
+        Expiry {
+            at: self.at.min(other.at),
+            stale: self.stale || other.stale,
+        }
+    }
+}
 
 /// Per-query accounting attached to a `FindNSM` by
 /// [`Hns::find_nsm_report`].
@@ -183,7 +207,6 @@ impl Hns {
             linked_nsms: RwLock::default(),
             batching: AtomicBool::new(false),
             handles: HnsMetricHandles::default(),
-            stale_serves: AtomicU64::new(0),
             preload_serial: parking_lot::Mutex::new(None),
         }
     }
@@ -370,25 +393,25 @@ impl Hns {
     /// demarshalled hit's is the cached one itself, neither copied nor
     /// parsed, and with no cache that stores, the decoded record itself,
     /// by value — and its expiry, computed here once where the TTL arrives,
-    /// or the past instant it lapsed at when served stale. What differs
-    /// between the meta zone and a linked NSM is passed in: `fetch`,
-    /// whether its `NotFound` is `remembered` (negatively), and its
-    /// `label` in the serve-stale trace. `key` is derived by a cache that
-    /// stores, only.
+    /// or the past instant it lapsed at, marked stale, when served stale.
+    /// What differs between the meta zone and a linked NSM is passed in:
+    /// `fetch`, whether its `NotFound` is `remembered` (negatively), and
+    /// its `label` in the serve-stale trace. `key` is derived by a cache
+    /// that stores, only.
     fn cached_fetch(
         &self,
         key: impl FnOnce() -> MetaKey,
         (label, name): (&str, &dyn Display),
         remembered: bool,
         fetch: impl FnOnce() -> HnsResult<Fetched<MetaRecord>>,
-    ) -> HnsResult<(Held, SimTime)> {
+    ) -> HnsResult<(Held, Expiry)> {
         let world = self.world();
         // `None` from a disabled cache: nothing probed, nothing to fall
         // back on, nothing remembered.
         let cached = self.storing_cache().map(|cache| (cache, key()));
         match cached.map(|(cache, key)| cache.lookup(world, &key)) {
             Some(CacheLookup::Hit { value, expires_at }) => {
-                return Ok((Held::Shared(value), expires_at))
+                return Ok((Held::Shared(value), Expiry::fresh(expires_at)))
             }
             Some(CacheLookup::NegativeHit) => {
                 return Err(HnsError::Rpc(RpcError::NotFound(name.to_string())))
@@ -410,7 +433,6 @@ impl Hns {
                 else {
                     return Err(HnsError::Rpc(err));
                 };
-                self.stale_serves.fetch_add(1, Ordering::Relaxed);
                 world.cache_outcome(CacheOutcome::Stale);
                 self.handles
                     .stale_served
@@ -419,7 +441,11 @@ impl Hns {
                 world.trace(Some(self.host), TraceKind::Hns, || {
                     format!("stale_served: {label} {name} ({err})")
                 });
-                return Ok((Held::Shared(record), lapsed));
+                let stale = Expiry {
+                    at: lapsed,
+                    stale: true,
+                };
+                return Ok((Held::Shared(record), stale));
             }
             Err(err) => {
                 let absent = matches!(err, HnsError::Rpc(RpcError::NotFound(_)));
@@ -432,11 +458,11 @@ impl Hns {
         let expires_at = world.now().after_secs(fetched.ttl_secs);
         let Some((cache, key)) = cached else {
             // Nothing keeps it: the walk reads it and drops it.
-            return Ok((Held::Owned(fetched.value), expires_at));
+            return Ok((Held::Owned(fetched.value), Expiry::fresh(expires_at)));
         };
         let record = Arc::new(fetched.value);
         cache.insert_shared(world, key, &record, fetched.rrs, expires_at);
-        Ok((Held::Shared(record), expires_at))
+        Ok((Held::Shared(record), Expiry::fresh(expires_at)))
     }
 
     /// Mappings 1–5: the record at `key` in the meta zone. The overlay
@@ -446,10 +472,11 @@ impl Hns {
         &self,
         key: &DomainName,
         overlay: Option<&BatchOverlay>,
-    ) -> HnsResult<(Held, SimTime)> {
+    ) -> HnsResult<(Held, Expiry)> {
         if let Some((record, expires_at)) = overlay.and_then(|o| o.get(key)) {
             self.world().cache_outcome(CacheOutcome::Overlay);
-            return Ok((Held::Shared(Arc::clone(record)), *expires_at));
+            let expiry = Expiry::fresh(*expires_at);
+            return Ok((Held::Shared(Arc::clone(record)), expiry));
         }
         let fetch = || self.meta.fetch(key);
         self.cached_fetch(|| MetaKey::meta(key), ("meta", key), true, fetch)
@@ -457,7 +484,7 @@ impl Hns {
 
     /// Mapping 6: NSM host name → address, via the linked host-address NSM
     /// the chain found for the host's name service.
-    fn host_address(&self, chased: &Chased<'_>) -> HnsResult<(HostId, SimTime)> {
+    fn host_address(&self, chased: &Chased<'_>) -> HnsResult<(HostId, Expiry)> {
         let (info, ha_nsm_name) = (chased.info, chased.host_addr_nsm);
         let (host_ns, host_name) = (&chased.host_context.name_service, &info.host_name);
         let fetch = || {
@@ -581,28 +608,26 @@ impl Hns {
         });
         let t0 = world.now();
         let calls0 = world.counters().remote_calls;
-        let stale0 = self.stale_serves.load(Ordering::Relaxed);
         let result = self.find_nsm_inner(qc, name, batched);
         let took = world.now().since(t0);
         let remote_round_trips = world.counters().remote_calls.saturating_sub(calls0);
-        let stale_served = self.stale_serves.load(Ordering::Relaxed) > stale0;
         span.add_round_trips(remote_round_trips);
         drop(span);
 
         self.record_query_metrics(world, batched, remote_round_trips, took, result.is_err());
 
-        let (binding, expires_at) = result?;
+        let (binding, expiry) = result?;
         // An instant at or before now (a part was served stale, or lapsed
         // while the walk ran) is refused by the insert.
         let context = name.context.as_str();
         self.binding_cache
-            .insert_until(world, qc.as_str(), context, binding, expires_at);
+            .insert_until(world, qc.as_str(), context, binding, expiry.at);
         Ok((
             binding,
             FindNsmReport {
                 remote_round_trips,
                 batched,
-                stale_served,
+                stale_served: expiry.stale,
                 took,
             },
         ))
@@ -698,7 +723,8 @@ impl Hns {
 
     /// The mapping walk. Returns the binding plus the earliest expiry of
     /// the six parts it read, folded here as each arrives — when a
-    /// composed (query class, context) entry of it must expire.
+    /// composed (query class, context) entry of it must expire, and
+    /// whether this query served any part stale.
     ///
     /// The chain is [`crate::meta`]'s; supplied here are its record sets
     /// (overlay, cache, meta server) and what surrounds each fetch (span,
@@ -712,7 +738,7 @@ impl Hns {
         qc: &QueryClass,
         name: &HnsName,
         batched: bool,
-    ) -> HnsResult<(HrpcBinding, SimTime)> {
+    ) -> HnsResult<(HrpcBinding, Expiry)> {
         // With batching enabled, one MQUERY fetches mapping 1 and lets the
         // meta server's chaser piggyback mappings 2-5; the walk below then
         // runs against the overlay instead of making per-mapping calls.
@@ -726,18 +752,18 @@ impl Hns {
             None
         };
         let origin = self.meta.origin();
-        // The earliest instant among the parts fetched since it was reset.
-        let earliest = Cell::new(SimTime::MAX);
+        // The earliest expiry among the parts fetched since it was reset.
+        let earliest = Cell::new(Expiry::NEVER);
         let fetch: &mut Fetch<'_> = &mut |step, key| {
-            let (record, expires_at) = self.with_mapping(step.mapping(), step, || {
+            let (record, expiry) = self.with_mapping(step.mapping(), step, || {
                 self.meta_fetch(key, overlay.as_ref())
             })?;
-            earliest.set(earliest.get().min(expires_at));
+            earliest.set(earliest.get().min(expiry));
             Ok(record)
         };
         // Mapping 1: Context -> Name Service Name.
         let record = meta::ask(origin, Step::Context(&name.context), fetch)?;
-        let mapping1 = earliest.replace(SimTime::MAX);
+        let mapping1 = earliest.replace(Expiry::NEVER);
         let ctx_info = record.as_context()?;
         if self.binding_cache.enabled() {
             // The outcome lands on the `FindNSM` span: mapping 1's own
@@ -749,7 +775,7 @@ impl Hns {
             {
                 Probe::Live { value, expires_at } => {
                     world.cache_outcome(CacheOutcome::Hit);
-                    return Ok((value, mapping1.min(expires_at)));
+                    return Ok((value, mapping1.min(Expiry::fresh(expires_at))));
                 }
                 Probe::Expired => world.cache_outcome(CacheOutcome::Expired),
                 Probe::Absent => world.cache_outcome(CacheOutcome::Miss),
@@ -780,7 +806,7 @@ impl Hns {
                 qc.as_str(),
                 name_service,
                 binding,
-                service,
+                service.at,
             );
             Ok((binding, mapping1.min(service)))
         })
@@ -1059,6 +1085,77 @@ mod tests {
             world.charge(SimDuration::from_us(1));
         }
         assert!(!live(), "lapsed at {whole:?}");
+    }
+
+    /// Mapping 6 as a linked NSM that, once armed, runs one more
+    /// `FindNSM` on the same instance in `ctx-b` from inside its answer,
+    /// and keeps that query's report.
+    #[derive(Default)]
+    struct Reentrant {
+        armed: parking_lot::Mutex<Option<Arc<Hns>>>,
+        nested: parking_lot::Mutex<Option<FindNsmReport>>,
+    }
+
+    impl Nsm for Reentrant {
+        fn nsm_name(&self) -> &str {
+            "nsm-ha"
+        }
+        fn query_class(&self) -> QueryClass {
+            QueryClass::host_address()
+        }
+        fn handle(&self, _: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
+            let armed = self.armed.lock().take();
+            if let Some(hns) = armed {
+                let name = HnsName::new(ctx("ctx-b"), "x").expect("name");
+                let (_, report) = hns
+                    .find_nsm_report(&QueryClass::hrpc_binding(), &name)
+                    .expect("the nested query");
+                *self.nested.lock() = Some(report);
+            }
+            reply.put(Value::record([
+                ("host", Value::U32(7)),
+                ("ttl", Value::U32(1)),
+            ]));
+            Ok(())
+        }
+    }
+
+    /// A query's report says whether *it* served stale, whatever another
+    /// query on the same instance served meanwhile: here a second query,
+    /// run inside the first one's walk, serves mapping 1 of `ctx-b`
+    /// stale; the first one reads every part live or fresh.
+    #[test]
+    fn stale_served_is_the_querys_own() {
+        // `ctx-b`'s mapping 1 and mapping 6 lapse after a second; the
+        // rest of both chains lives ten minutes.
+        let hns = Arc::new(hns([600, 600, 600, 600, 600, 1, 1], 0.0, 0.0));
+        let reentrant = Arc::new(Reentrant::default());
+        hns.link_nsm(Arc::clone(&reentrant) as Arc<dyn Nsm>);
+        let find = |context: &str| {
+            let name = HnsName::new(ctx(context), "x").expect("name");
+            let found = hns.find_nsm_report(&QueryClass::hrpc_binding(), &name);
+            found.expect("the walk").1
+        };
+        find("ctx-a");
+        find("ctx-b");
+        let world = hns.world();
+        world.charge_ms(2_000.0);
+        let mut plan = FaultPlan::new();
+        plan.crash(hns.meta_binding.host, world.now(), None);
+        world.set_faults(Some(plan));
+
+        *reentrant.armed.lock() = Some(Arc::clone(&hns));
+        let outer = find("ctx-a");
+        let nested = reentrant
+            .nested
+            .lock()
+            .take()
+            .expect("the nested query ran");
+        assert!(
+            nested.stale_served,
+            "ctx-b's mapping 1 came from its lapsed entry"
+        );
+        assert!(!outer.stale_served, "{outer:?}");
     }
 
     proptest! {

@@ -190,8 +190,8 @@ mod tests {
         }
     }
 
-    /// The tree a binding was built into by hand before it described its
-    /// shape (PR 24's `to_value`), kept as the reference.
+    /// The binding's tree built field by field, the reference its
+    /// described shape must encode to.
     fn by_hand(b: &HrpcBinding) -> Value {
         let c = b.components;
         Value::record([

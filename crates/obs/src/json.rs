@@ -112,11 +112,19 @@ impl Value {
     }
 }
 
-/// Parses a complete JSON document, rejecting trailing garbage.
+/// How deeply arrays and objects may nest. The parser recurses once a
+/// level, so a document nested deeper is refused with a [`ParseError`]
+/// rather than overflowing the stack; every export nests a handful of
+/// levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document, rejecting trailing garbage and
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -149,6 +157,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,8 +199,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and objects nest too deeply"));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => self.string().map(Value::String),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -390,6 +411,21 @@ mod tests {
         let doc = format!("{{\"s\": {}}}", string(original));
         let v = parse(&doc).expect("parse");
         assert_eq!(v.get("s").unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_bound_is_an_error_not_an_overflow() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\": ".repeat(depth) + "1" + &"}".repeat(depth);
+        // Sixty thousand levels overflow any thread's stack if recursed.
+        let err = parse(&arrays(60_000)).expect_err("a nesting bomb");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for too_deep in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&too_deep).expect_err("one level too deep");
+            assert_eq!(err.message, "arrays and objects nest too deeply");
+        }
     }
 
     #[test]

@@ -192,6 +192,9 @@ impl<const UNIT: usize> Shape for Sizer<UNIT> {
     }
 }
 
+/// How many lists, structs and options a decoded value may nest.
+pub const MAX_DEPTH: usize = 128;
+
 /// Decodes a single value, requiring the input to be fully consumed.
 pub(crate) fn decode<const UNIT: usize>(bytes: &[u8]) -> WireResult<Value> {
     let mut cur = Cursor::<UNIT>::new(bytes);
@@ -290,6 +293,17 @@ impl<'a, const UNIT: usize> Cursor<'a, UNIT> {
 
     /// Reads one self-describing value.
     pub fn read_value(&mut self) -> WireResult<Value> {
+        self.read_nested(0)
+    }
+
+    /// Reads a value `depth` lists, structs and options deep. Each level
+    /// is a recursion, so a frame nesting deeper than [`MAX_DEPTH`] is
+    /// refused rather than allowed to overflow the stack (depth-bomb
+    /// defence).
+    fn read_nested(&mut self, depth: usize) -> WireResult<Value> {
+        if depth > MAX_DEPTH {
+            return Err(WireError::TooDeep);
+        }
         let tag = self.read_be::<UNIT>()? as u32;
         match tag {
             TAG_VOID => Ok(Value::Void),
@@ -309,7 +323,7 @@ impl<'a, const UNIT: usize> Cursor<'a, UNIT> {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(self.read_value()?);
+                    items.push(self.read_nested(depth + 1)?);
                 }
                 Ok(Value::List(items))
             }
@@ -323,14 +337,14 @@ impl<'a, const UNIT: usize> Cursor<'a, UNIT> {
                 let mut fields = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = self.read_string()?;
-                    let v = self.read_value()?;
+                    let v = self.read_nested(depth + 1)?;
                     fields.push((name.into(), v));
                 }
                 Ok(Value::Struct(fields))
             }
             TAG_OPT => Ok(Value::Opt(match self.read_be::<UNIT>()? {
                 0 => None,
-                _ => Some(Box::new(self.read_value()?)),
+                _ => Some(Box::new(self.read_nested(depth + 1)?)),
             })),
             other => Err(WireError::BadTag((other & 0xFF) as u8)),
         }
@@ -364,6 +378,7 @@ mod tests {
         bad_utf8_is_rejected,
         oversize_string_rejected,
         length_bomb_rejected_before_allocation,
+        depth_bomb_rejected_without_recursing_through_it,
     );
 
     fn roundtrip<const UNIT: usize>(v: &Value) {
@@ -479,5 +494,21 @@ mod tests {
         // A claim the remaining bytes almost — but not quite — satisfy.
         let bytes = units::<UNIT>(&[TAG_LIST, 3, TAG_VOID, TAG_VOID]);
         assert_eq!(decode::<UNIT>(&bytes), Err(WireError::Truncated));
+    }
+
+    fn depth_bomb_rejected_without_recursing_through_it<const UNIT: usize>() {
+        // `depth` options, each present, around a void.
+        let nested = |depth: usize| {
+            let mut frame = units::<UNIT>(&[TAG_OPT, 1]).repeat(depth);
+            frame.extend_from_slice(&units::<UNIT>(&[TAG_VOID]));
+            frame
+        };
+        // Sixty thousand levels overflow any thread's stack if recursed.
+        assert_eq!(decode::<UNIT>(&nested(60_000)), Err(WireError::TooDeep));
+        assert!(decode::<UNIT>(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            decode::<UNIT>(&nested(MAX_DEPTH + 1)),
+            Err(WireError::TooDeep)
+        );
     }
 }

@@ -24,6 +24,9 @@ pub enum WireError {
     },
     /// Trailing bytes remained after a complete value.
     TrailingBytes(usize),
+    /// Lists, structs and options nested deeper than
+    /// [`MAX_DEPTH`](crate::MAX_DEPTH).
+    TooDeep,
     /// A value of the right kind that the type reading it refused (text
     /// that is no name, a code that names nothing), and why.
     Refused(String),
@@ -41,6 +44,7 @@ impl fmt::Display for WireError {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            WireError::TooDeep => write!(f, "nested deeper than {}", crate::MAX_DEPTH),
             WireError::Refused(why) => write!(f, "refused: {why}"),
         }
     }
@@ -71,6 +75,7 @@ mod tests {
         assert!(WireError::TrailingBytes(4).to_string().contains('4'));
         assert!(WireError::Oversize(1 << 30).to_string().contains("limit"));
         assert!(WireError::BadUtf8.to_string().contains("UTF-8"));
+        assert!(WireError::TooDeep.to_string().contains("128"));
         assert!(WireError::Refused("bad name".into())
             .to_string()
             .contains("bad name"));

@@ -46,6 +46,7 @@ pub mod message;
 pub mod value;
 pub mod xdr;
 
+pub use codec::MAX_DEPTH;
 pub use error::{WireError, WireResult};
 pub use format::WireFormat;
 pub use idl::TypeDesc;

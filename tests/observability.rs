@@ -361,3 +361,57 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
         );
     }
 }
+
+/// Every component and metric name the Metric names table of
+/// OBSERVABILITY.md lists (its first two columns) is a string literal in
+/// the non-test source under `crates/`: a renamed or deleted counter
+/// leaves a row naming nothing, and fails here.
+#[test]
+fn metric_names_table_names_only_registered_metrics() {
+    use std::path::Path;
+
+    fn non_test_sources(dir: &Path, out: &mut String) {
+        for entry in std::fs::read_dir(dir).expect("dir").flatten() {
+            let path = entry.path();
+            let name = entry.file_name();
+            if path.is_dir() {
+                if name != "tests" && name != "target" {
+                    non_test_sources(&path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("source");
+                let end = text.find("#[cfg(test)]\nmod ").unwrap_or(text.len());
+                out.push_str(&text[..end]);
+            }
+        }
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut source = String::new();
+    non_test_sources(&root.join("crates"), &mut source);
+    let doc = std::fs::read_to_string(root.join("OBSERVABILITY.md")).expect("OBSERVABILITY.md");
+    let table = doc
+        .split("## Metric names")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("a Metric names section");
+
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for row in table.lines().filter(|l| l.starts_with("| `")) {
+        let cells: Vec<&str> = row.split('|').collect();
+        for cell in &cells[1..3] {
+            for name in cell.split('`').skip(1).step_by(2) {
+                checked += 1;
+                if !source.contains(&format!("\"{name}\"")) {
+                    missing.push(name);
+                }
+            }
+        }
+    }
+    assert!(checked >= 80, "only {checked} names read from the table");
+    assert!(
+        missing.is_empty(),
+        "OBSERVABILITY.md's Metric names table lists names no code registers: {missing:?}"
+    );
+}
