@@ -9,7 +9,7 @@
 
 use hns_core::cache::CacheMode;
 use hns_core::name::HnsName;
-use hns_core::nsm::{NsmInfo, SuiteTag};
+use hns_core::nsm::{NsmBinding, NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
 use nsms::nsm_cache::NsmCacheForm;
@@ -45,13 +45,15 @@ pub fn run_point(ttl_secs: u32, move_period_s: u64, query_period_s: u64, total_s
         registrar
             .register_nsm_info(&NsmInfo {
                 nsm_name: BindingBindNsm::NAME.into(),
-                host_name: host_names[idx].clone(),
-                host_context: tb.ctx_nsm_hosts(),
-                program: nsms::harness::NSM_EXPORT_PROGRAM,
-                port: 1024,
-                suite: SuiteTag::Sun,
-                version: 1,
-                owner: "hcs".into(),
+                binding: NsmBinding {
+                    host_name: host_names[idx].clone(),
+                    host_context: tb.ctx_nsm_hosts(),
+                    program: nsms::harness::NSM_EXPORT_PROGRAM,
+                    port: 1024,
+                    suite: SuiteTag::Sun,
+                    version: 1,
+                    owner: "hcs".into(),
+                },
             })
             .expect("re-register");
     };

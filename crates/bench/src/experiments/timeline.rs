@@ -5,8 +5,11 @@
 //! degradation modes happen; this one shows their *shape over time*,
 //! which is what ROADMAP item 5's self-tuning controller needs. A probe
 //! loop (warm `FindNSM`, cold `FindNSM`, `Import` with an NSM-failover
-//! alternate) runs every [`PROBE_MS`] virtual milliseconds while the
-//! [`World`](simnet::world::World)'s sampler closes fixed windows:
+//! alternate) runs every [`PROBE_MS`] virtual milliseconds while an
+//! [`obs::Sampler`](hns_core::obs::Sampler) over the world's registry
+//! closes fixed windows. The run ticks it after each pace, each probe
+//! round and the TTL-gap jump, so a probe round lands whole in the window
+//! it starts in:
 //!
 //! 1. **baseline** — probes succeed, the warm cache fills and hits.
 //! 2. **quiet TTL gap** — no probes while every cache entry expires
@@ -30,8 +33,10 @@
 //! and the JSON export are byte-identical across same-seed runs
 //! (golden-tested below).
 
+use std::cell::RefCell;
+
 use hns_core::obs::json::{number, string};
-use hns_core::obs::{Timeline, TimelineWindow};
+use hns_core::obs::{Sampler, Timeline, TimelineWindow};
 use simnet::time::{SimDuration, SimTime};
 
 use super::chaos::{ChaosConfig, Scenario};
@@ -111,34 +116,50 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     let scenario = Scenario::build();
     let world = &scenario.tb.world;
     let probe_step = SimDuration::from_ms(PROBE_MS);
+    world.export_all_caches();
+    let sampler = Sampler::new(
+        world.metrics(),
+        world.now().as_us(),
+        config.window_ms * 1000,
+    );
+    let sampler = RefCell::new(sampler);
+    // Closes the windows that have ended, caches flushed first so a
+    // window reads current cache totals.
+    let tick = || {
+        world.export_all_caches();
+        sampler
+            .borrow_mut()
+            .tick(world.metrics(), world.now().as_us());
+    };
     // A round is clean when all three probes succeed with no stale serve
     // and no failover.
     let probe_round = || {
         let mut clean = true;
         scenario.probe(|_, _, result| clean &= matches!(result, Ok("ok")));
+        tick();
         clean
     };
 
-    world.start_sampling(SimDuration::from_ms(config.window_ms));
     let mut phases: Vec<Phase> = Vec::new();
     let phase_open = |phases: &mut Vec<Phase>, label: &'static str| {
         let now = world.now().as_us();
         if let Some(last) = phases.last_mut() {
             last.until_us = now;
         }
-        world.sample_mark(label);
+        sampler.borrow_mut().mark(now, label);
         phases.push(Phase {
             label,
             from_us: now,
             until_us: now,
         });
     };
-    // Pads virtual time forward to `target` (sampler ticks ride along).
+    // Pads virtual time forward to `target`.
     let pace = |target: SimTime| {
         let now = world.now();
         if now < target {
             world.charge(target.since(now));
         }
+        tick();
     };
 
     // Phase 1: baseline probing.
@@ -153,6 +174,7 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     // crossed windows stay empty.
     phase_open(&mut phases, "ttl-gap");
     world.charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + 1_000.0);
+    tick();
 
     // Phase 3: open the fault windows (the chaos scenario's, with the
     // same seeded jitter) and probe through them.
@@ -186,7 +208,10 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
         last.until_us = world.now().as_us();
     }
 
-    let timeline = world.finish_sampling().expect("sampler installed");
+    world.export_all_caches();
+    let timeline = sampler
+        .into_inner()
+        .finish(world.metrics(), world.now().as_us());
 
     // Recovery accounting from the timeline: the first window after the
     // fault clear with probe traffic and zero fault activity.

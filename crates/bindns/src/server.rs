@@ -103,11 +103,6 @@ impl BindServer {
         Self::new(name.into(), db, true)
     }
 
-    /// Whether dynamic updates are accepted.
-    pub fn updates_enabled(&self) -> bool {
-        self.allow_updates
-    }
-
     /// Installs (or replaces) the additional-record provider consulted by
     /// [`PROC_MQUERY`]. Without one, batched queries still answer every
     /// question but piggyback nothing.
@@ -525,7 +520,6 @@ mod tests {
             Answer::from_value(&reply).expect("decode").rcode,
             Rcode::Refused
         );
-        assert!(!dep.server.updates_enabled());
     }
 
     #[test]
@@ -558,16 +552,16 @@ mod tests {
     #[test]
     fn a_typed_caller_reads_a_reply_the_reply_cache_kept() {
         use crate::message::decoded;
-        use hrpc::net::{LossPlan, LEG_REPLY, LEG_REQUEST};
+        use simnet::faults::{FaultPlan, LEG_REPLY, LEG_REQUEST};
         let question = Question::new(name("fiji.cs.washington.edu"), RType::A);
-        let ask = |loss: Option<LossPlan>| {
+        let ask = |loss: Option<FaultPlan>| {
             let (world, net, client, dep) = setup(false);
             let components = hrpc::ComponentSet::raw_udp_at_most_once(DNS_PORT);
             let binding = HrpcBinding {
                 components,
                 ..dep.std_binding
             };
-            net.set_loss(loss);
+            world.set_faults(loss);
             let decode = decoded(Answer::from_value);
             let answer = net.call_msg(client, &binding, PROC_QUERY, &question, decode);
             let counters = world.metrics().snapshot();
@@ -580,16 +574,16 @@ mod tests {
         // both.
         let seed = (0..100_000u64)
             .find(|&s| {
-                let plan = LossPlan::new(0.5, s);
-                !plan.would_drop(1, 1, LEG_REQUEST)
-                    && plan.would_drop(1, 1, LEG_REPLY)
-                    && !plan.would_drop(1, 2, LEG_REQUEST)
-                    && !plan.would_drop(1, 2, LEG_REPLY)
+                let plan = FaultPlan::new().loss(0.5, s).clone();
+                !plan.drops(1, 1, LEG_REQUEST)
+                    && plan.drops(1, 1, LEG_REPLY)
+                    && !plan.drops(1, 2, LEG_REQUEST)
+                    && !plan.drops(1, 2, LEG_REPLY)
             })
             .expect("a drop-reply-only seed exists");
         let (lossless, served, hits) = ask(None);
         assert_eq!((lossless.rcode, served, hits), (Rcode::Ok, Some(1), None));
-        let (retransmitted, served, hits) = ask(Some(LossPlan::new(0.5, seed)));
+        let (retransmitted, served, hits) = ask(Some(FaultPlan::new().loss(0.5, seed).clone()));
         assert_eq!(retransmitted, lossless);
         assert_eq!(served, Some(1), "the server ran once");
         assert_eq!(

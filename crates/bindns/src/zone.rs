@@ -207,7 +207,8 @@ impl Zone {
         self.serial
     }
 
-    /// Default TTL applied by [`Zone::add_with_default_ttl`].
+    /// The default TTL the zone was made with ([`Zone::new`],
+    /// [`Zone::load`]); a secondary keeps it across refreshes.
     pub fn default_ttl(&self) -> u32 {
         self.default_ttl
     }
@@ -337,12 +338,6 @@ impl Zone {
         self.put(relative, RrBody { rtype, ttl, rdata }, None)?;
         self.settle();
         Ok(())
-    }
-
-    /// Adds a record with the zone's default TTL.
-    pub fn add_with_default_ttl(&mut self, mut rr: ResourceRecord) -> NsResult<()> {
-        rr.ttl = self.default_ttl;
-        self.add(rr)
     }
 
     /// Removes all records at `name` of type `rtype`; returns how many were
@@ -864,18 +859,6 @@ mod tests {
             z.add(ResourceRecord::txt(name("a.mit.edu"), 60, "x")),
             Err(NsError::NotAuthoritative(_))
         ));
-    }
-
-    #[test]
-    fn default_ttl_applied() {
-        let mut z = zone();
-        z.add_with_default_ttl(ResourceRecord::txt(name("a.cs.washington.edu"), 1, "x"))
-            .expect("add");
-        let found = z
-            .lookup(&name("a.cs.washington.edu"), RType::Txt)
-            .expect("lookup");
-        assert_eq!(found.bodies()[0].ttl, 3600);
-        assert_eq!(z.default_ttl(), 3600);
     }
 
     #[test]

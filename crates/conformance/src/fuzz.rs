@@ -56,7 +56,7 @@ use clearinghouse::{
 };
 use hns_core::meta::{Kind, MetaRecord};
 use hns_core::name::{Context, HnsName};
-use hns_core::nsm::{HostAddress, NsmInfo, NsmRequest, QueryArgs, SuiteTag};
+use hns_core::nsm::{HostAddress, NsmBinding, NsmInfo, NsmRequest, QueryArgs, SuiteTag};
 use hns_core::query::QueryClass;
 use hrpc::bindproto::{GetPort, ResolveService};
 use hrpc::{HrpcBinding, ProgramId};
@@ -206,13 +206,15 @@ fn mutate(rng: &mut DetRng, base: &[u8], other: &[u8]) -> Vec<u8> {
 pub fn meta_seeds() -> Vec<CorpusEntry> {
     let info = NsmInfo {
         nsm_name: "nsm-hrpcbinding-bind".into(),
-        host_name: "june.cs.washington.edu".into(),
-        host_context: Context::new("bind-uw").expect("static context"),
-        program: ProgramId(300_001),
-        port: 1025,
-        suite: SuiteTag::Sun,
-        version: 1,
-        owner: "hcs-project".into(),
+        binding: NsmBinding {
+            host_name: "june.cs.washington.edu".into(),
+            host_context: Context::new("bind-uw").expect("static context"),
+            program: ProgramId(300_001),
+            port: 1025,
+            suite: SuiteTag::Sun,
+            version: 1,
+            owner: "hcs-project".into(),
+        },
     };
     let sets: [(&'static str, &str, Vec<String>); 3] = [
         (
@@ -228,7 +230,7 @@ pub fn meta_seeds() -> Vec<CorpusEntry> {
         (
             "meta_nsm_info_xdr",
             "info.nsm-hrpcbinding-bind.hns",
-            info.to_records(),
+            info.binding.to_records(),
         ),
     ];
     let seed = |(name, key, payloads): (&'static str, &str, Vec<String>)| {

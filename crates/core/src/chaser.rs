@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use crate::meta::{MetaStore, META_TTL};
     use crate::name::{Context, NameMapping};
-    use crate::nsm::{NsmInfo, SuiteTag};
+    use crate::nsm::{NsmBinding, NsmInfo, SuiteTag};
     use crate::query::QueryClass;
     use bindns::server::{deploy, single_zone_server, BindDeployment};
     use bindns::zone::Zone;
@@ -134,13 +134,15 @@ mod tests {
             .expect("map");
         meta.register_nsm_info(&NsmInfo {
             nsm_name: "nsm-hrpc-bind".into(),
-            host_name: "june.cs.washington.edu".into(),
-            host_context: ctx("bind-uw"),
-            program: ProgramId(300_001),
-            port: 1025,
-            suite: SuiteTag::Sun,
-            version: 1,
-            owner: "hcs".into(),
+            binding: NsmBinding {
+                host_name: "june.cs.washington.edu".into(),
+                host_context: ctx("bind-uw"),
+                program: ProgramId(300_001),
+                port: 1025,
+                suite: SuiteTag::Sun,
+                version: 1,
+                owner: "hcs".into(),
+            },
         })
         .expect("info");
         meta.register_nsm("BIND", &QueryClass::host_address(), "nsm-ha-bind")
@@ -183,13 +185,15 @@ mod tests {
             .expect("ha map");
         meta.register_nsm_info(&NsmInfo {
             nsm_name: "nsm-hrpc-bind".into(),
-            host_name: "ivory.cs.washington.edu".into(),
-            host_context: ctx("ch-uw"),
-            program: ProgramId(300_001),
-            port: 1025,
-            suite: SuiteTag::Sun,
-            version: 1,
-            owner: "hcs".into(),
+            binding: NsmBinding {
+                host_name: "ivory.cs.washington.edu".into(),
+                host_context: ctx("ch-uw"),
+                program: ProgramId(300_001),
+                port: 1025,
+                suite: SuiteTag::Sun,
+                version: 1,
+                owner: "hcs".into(),
+            },
         })
         .expect("info");
         let key = Step::Context(&ctx("bind-uw")).key(&origin()).expect("key");

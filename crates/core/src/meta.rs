@@ -184,7 +184,7 @@ impl MetaRecord {
                 vec![context_payload(&info.name_service, &info.mapping)],
             ),
             MetaRecord::NsmName(name) => (Kind::NsmName, vec![name.clone()]),
-            MetaRecord::NsmInfo(binding) => (Kind::NsmInfo, binding.clone().named("").to_records()),
+            MetaRecord::NsmInfo(binding) => (Kind::NsmInfo, binding.to_records()),
             MetaRecord::HostAddr(_) => return None,
         })
     }
@@ -728,7 +728,7 @@ impl MetaStore {
     /// Registers an NSM's binding information (six records).
     pub fn register_nsm_info(&self, info: &crate::nsm::NsmInfo) -> HnsResult<()> {
         let key = Step::NsmInfo(&info.nsm_name).key(&self.origin)?;
-        self.write(key, info.to_records())
+        self.write(key, info.binding.to_records())
     }
 }
 
@@ -773,13 +773,15 @@ mod tests {
     fn info(nsm_name: &str, host_name: &str, host_context: &str) -> NsmInfo {
         NsmInfo {
             nsm_name: nsm_name.into(),
-            host_name: host_name.into(),
-            host_context: ctx(host_context),
-            program: ProgramId(300_001),
-            port: 1025,
-            suite: SuiteTag::Sun,
-            version: 1,
-            owner: "hcs".into(),
+            binding: NsmBinding {
+                host_name: host_name.into(),
+                host_context: ctx(host_context),
+                program: ProgramId(300_001),
+                port: 1025,
+                suite: SuiteTag::Sun,
+                version: 1,
+                owner: "hcs".into(),
+            },
         }
     }
 
@@ -804,7 +806,10 @@ mod tests {
         chase(&origin(), ns, qc, fetch, |found| {
             Ok(Found {
                 nsm_name: found.nsm_name.into(),
-                info: found.info.clone().named(found.nsm_name),
+                info: NsmInfo {
+                    nsm_name: found.nsm_name.into(),
+                    binding: found.info.clone(),
+                },
                 host_context: found.host_context.clone(),
                 host_addr_nsm: found.host_addr_nsm.into(),
             })
@@ -834,11 +839,11 @@ mod tests {
             ),
             (
                 "info.nsm-b.hns",
-                info("nsm-b", "june", "bind-uw").to_records(),
+                info("nsm-b", "june", "bind-uw").binding.to_records(),
             ),
             (
                 "info.nsm-m.hns",
-                info("nsm-m", "ivory", "ch-uw").to_records(),
+                info("nsm-m", "ivory", "ch-uw").binding.to_records(),
             ),
             ("map.bind--hostaddress.hns", vec!["nsm-ha-b".into()]),
             (
@@ -1033,13 +1038,13 @@ mod tests {
         }
         assert_eq!(
             meta.fetch(&key(steps[2].0)).expect("fetch").value,
-            MetaRecord::decode(Kind::NsmInfo, sample_info().to_records()).expect("decode")
+            MetaRecord::decode(Kind::NsmInfo, sample_info().binding.to_records()).expect("decode")
         );
     }
 
     #[test]
     fn a_record_marshals_to_what_demarshals_to_it() {
-        let binding = MetaRecord::decode(Kind::NsmInfo, sample_info().to_records());
+        let binding = MetaRecord::decode(Kind::NsmInfo, sample_info().binding.to_records());
         let records = [
             MetaRecord::Context(ContextInfo {
                 name_service: "BIND".into(),
@@ -1109,7 +1114,7 @@ mod tests {
         bad_meta(decode(&unkeyed.name, &[&unkeyed]), "no kind");
         bad_meta(decode(&ctx_key, &[]), "empty");
         // The least TTL of the set is the set's.
-        let mut six: Vec<_> = sample_info().to_records().into_iter().collect();
+        let mut six: Vec<_> = sample_info().binding.to_records().into_iter().collect();
         six.rotate_left(2);
         let mut six: Vec<_> = six
             .iter()
@@ -1123,7 +1128,7 @@ mod tests {
         assert_eq!(decoded.value.as_nsm_info().expect("info").port, 1025);
 
         // What the payloads hold, by kind.
-        let six = sample_info().to_records();
+        let six = sample_info().binding.to_records();
         let without = |gone: &str| -> Vec<String> {
             let kept = six.iter().filter(|payload| !payload.starts_with(gone));
             kept.cloned().collect()

@@ -428,45 +428,19 @@ impl SuiteTag {
     }
 }
 
-/// Registration-time description of an NSM: the "binding information"
-/// mapping 3 of `FindNSM` retrieves. Stored as six resource records
-/// ("contains, among other information, the host name on which the NSM
-/// resides").
+/// Registration-time description of an NSM: its registered name and the
+/// "binding information" mapping 3 of `FindNSM` retrieves under it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NsmInfo {
     /// The NSM's registered name.
     pub nsm_name: String,
-    /// Host name the NSM runs on — itself an HNS-resolvable name.
-    pub host_name: String,
-    /// Context in which `host_name` is interpreted.
-    pub host_context: Context,
-    /// Exported program number.
-    pub program: ProgramId,
-    /// Exported port.
-    pub port: u16,
-    /// RPC suite to call it with.
-    pub suite: SuiteTag,
-    /// Interface version.
-    pub version: u32,
-    /// Administrative owner (who registered it).
-    pub owner: String,
+    /// What its six records say.
+    pub binding: NsmBinding,
 }
 
 impl NsmInfo {
     /// Number of resource records this info occupies in the meta store.
     pub const RECORDS: usize = 6;
-
-    /// Encodes into the six meta-store record payloads.
-    pub fn to_records(&self) -> Vec<String> {
-        vec![
-            format!("host={}", self.host_name),
-            format!("hostctx={}", self.host_context),
-            format!("prog={};port={}", self.program.0, self.port),
-            format!("suite={}", self.suite.encode()),
-            format!("ver={}", self.version),
-            format!("owner={}", self.owner),
-        ]
-    }
 
     /// Decodes from meta-store record payloads — [`MetaRecord::decode`]
     /// of the six records, under the name they are registered under
@@ -476,13 +450,18 @@ impl NsmInfo {
         records: impl IntoIterator<Item = P>,
     ) -> HnsResult<NsmInfo> {
         let record = MetaRecord::decode(Kind::NsmInfo, records)?;
-        Ok(record.as_nsm_info()?.clone().named(nsm_name))
+        Ok(NsmInfo {
+            nsm_name: nsm_name.to_string(),
+            binding: record.as_nsm_info()?.clone(),
+        })
     }
 }
 
-/// What mapping 3's six records say: an [`NsmInfo`] less the name it is
-/// registered under, which keys the records and is not in them — so one
-/// decoded set serves whoever asks, under whatever spelling of the name.
+/// What mapping 3's six records say ("contains, among other information,
+/// the host name on which the NSM resides"): an NSM's binding less the
+/// name it is registered under, which keys the records and is not in
+/// them — so one decoded set serves whoever asks, under whatever spelling
+/// of the name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NsmBinding {
     /// Host name the NSM runs on — itself an HNS-resolvable name.
@@ -502,18 +481,16 @@ pub struct NsmBinding {
 }
 
 impl NsmBinding {
-    /// The registration-time description of the NSM called `nsm_name`.
-    pub fn named(self, nsm_name: &str) -> NsmInfo {
-        NsmInfo {
-            nsm_name: nsm_name.to_string(),
-            host_name: self.host_name,
-            host_context: self.host_context,
-            program: self.program,
-            port: self.port,
-            suite: self.suite,
-            version: self.version,
-            owner: self.owner,
-        }
+    /// Encodes into the six meta-store record payloads.
+    pub fn to_records(&self) -> Vec<String> {
+        vec![
+            format!("host={}", self.host_name),
+            format!("hostctx={}", self.host_context),
+            format!("prog={};port={}", self.program.0, self.port),
+            format!("suite={}", self.suite.encode()),
+            format!("ver={}", self.version),
+            format!("owner={}", self.owner),
+        ]
     }
 }
 
@@ -540,26 +517,28 @@ mod tests {
     fn info() -> NsmInfo {
         NsmInfo {
             nsm_name: "nsm-hrpcbinding-bind".into(),
-            host_name: "june.cs.washington.edu".into(),
-            host_context: Context::new("bind-uw").expect("ctx"),
-            program: ProgramId(300_001),
-            port: 1025,
-            suite: SuiteTag::Sun,
-            version: 1,
-            owner: "hcs-project".into(),
+            binding: NsmBinding {
+                host_name: "june.cs.washington.edu".into(),
+                host_context: Context::new("bind-uw").expect("ctx"),
+                program: ProgramId(300_001),
+                port: 1025,
+                suite: SuiteTag::Sun,
+                version: 1,
+                owner: "hcs-project".into(),
+            },
         }
     }
 
     #[test]
     fn info_occupies_six_records() {
-        let records = info().to_records();
+        let records = info().binding.to_records();
         assert_eq!(records.len(), NsmInfo::RECORDS);
     }
 
     #[test]
     fn info_roundtrips_through_records() {
         let i = info();
-        let records = i.to_records();
+        let records = i.binding.to_records();
         let back = NsmInfo::from_records(&i.nsm_name, &records).expect("decode");
         assert_eq!(back, i);
     }

@@ -44,7 +44,9 @@ use crate::cache::{CacheLookup, CacheMode, HnsCache, HnsCacheStats, MetaKey};
 use crate::error::{HnsError, HnsResult};
 use crate::meta::{self, Chased, Fetch, Fetched, Held, Kind, MetaRecord, MetaStore, Step};
 use crate::name::{Context, HnsName, NameMapping};
-use crate::nsm::{HostAddress, Nsm, NsmInfo, NsmRequest, NsmService, QueryArgs, EXPORT_SUITE};
+use crate::nsm::{
+    HostAddress, Nsm, NsmBinding, NsmInfo, NsmRequest, NsmService, QueryArgs, EXPORT_SUITE,
+};
 use crate::query::QueryClass;
 
 /// One HNS instance: meta-store client, cache, and linked NSMs.
@@ -338,13 +340,15 @@ impl Hns {
         self.register_nsm(name_service, &query_class, &nsm_name)?;
         self.register_nsm_info(&NsmInfo {
             nsm_name,
-            host_name,
-            host_context: host_context.clone(),
-            program,
-            port: binding.port,
-            suite: EXPORT_SUITE,
-            version: 1,
-            owner: owner.to_string(),
+            binding: NsmBinding {
+                host_name,
+                host_context: host_context.clone(),
+                program,
+                port: binding.port,
+                suite: EXPORT_SUITE,
+                version: 1,
+                owner: owner.to_string(),
+            },
         })?;
         Ok(binding)
     }
@@ -1012,13 +1016,15 @@ mod tests {
         hns.meta().set_record_ttl(ttls[2]);
         hns.register_nsm_info(&NsmInfo {
             nsm_name: "nsm-q".into(),
-            host_name: "nsm-host".into(),
-            host_context: ctx("ctx-h"),
-            program: ProgramId(300_001),
-            port: 1025,
-            suite: SuiteTag::Sun,
-            version: 1,
-            owner: "hcs".into(),
+            binding: NsmBinding {
+                host_name: "nsm-host".into(),
+                host_context: ctx("ctx-h"),
+                program: ProgramId(300_001),
+                port: 1025,
+                suite: SuiteTag::Sun,
+                version: 1,
+                owner: "hcs".into(),
+            },
         })
         .expect("mapping 3");
         ns_context("ctx-h", ttls[3]).expect("mapping 4");

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use hns_core::analysis::{Eq1Inputs, PreloadModel};
 use hns_core::cache::{CacheMode, HnsCache, MetaKey};
 use hns_core::name::{Context, HnsName, NameMapping};
-use hns_core::nsm::{NsmInfo, SuiteTag};
+use hns_core::nsm::{NsmBinding, NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
 use hrpc::ProgramId;
 use wire::Value;
@@ -44,15 +44,17 @@ proptest! {
     ) {
         let info = NsmInfo {
             nsm_name: nsm.clone(),
-            host_name: host,
-            host_context: Context::new(&ctx).expect("ctx"),
-            program: ProgramId(program),
-            port,
-            suite,
-            version,
-            owner,
+            binding: NsmBinding {
+                host_name: host,
+                host_context: Context::new(&ctx).expect("ctx"),
+                program: ProgramId(program),
+                port,
+                suite,
+                version,
+                owner,
+            },
         };
-        let records = info.to_records();
+        let records = info.binding.to_records();
         prop_assert_eq!(records.len(), NsmInfo::RECORDS);
         let back = NsmInfo::from_records(&nsm, &records).expect("decode");
         prop_assert_eq!(back, info);

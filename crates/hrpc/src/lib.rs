@@ -62,5 +62,5 @@ pub mod server;
 pub use binding::{HrpcBinding, ProgramId};
 pub use components::{BindingProtocol, ComponentSet, ControlProtocol, NativeSystem, Transport};
 pub use error::{RpcError, RpcResult};
-pub use net::{LossPlan, RpcNet};
+pub use net::RpcNet;
 pub use server::{CallCtx, ProcServer, ReplySlot, RpcService};

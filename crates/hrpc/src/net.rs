@@ -12,12 +12,16 @@
 //!   by the *caller* that owns that interface.
 //! * Server-side service time (BIND lookup, Clearinghouse auth + disk) is
 //!   charged inside the service's `dispatch`.
+//!
+//! What the network does to a call — crash and partition windows, latency
+//! spikes, datagram loss — is the world's [`simnet::faults::FaultPlan`],
+//! read once per call; the fabric holds no fault state of its own.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use simnet::faults::FaultKind;
+use simnet::faults::{FaultKind, LEG_REPLY, LEG_REQUEST};
 use simnet::index::FixedState;
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::{HostId, NetAddr};
@@ -55,52 +59,6 @@ struct NetTables {
     /// Per-host Courier exchange table: service name → port.
     by_name: HashMap<(HostId, String), u16, FixedState>,
     next_port: HashMap<HostId, u16, FixedState>,
-}
-
-/// The request leg of a datagram exchange, for [`LossPlan::would_drop`].
-pub const LEG_REQUEST: u8 = 0;
-/// The reply leg of a datagram exchange, for [`LossPlan::would_drop`].
-pub const LEG_REPLY: u8 = 1;
-
-/// Deterministic datagram-loss injection.
-///
-/// Each draw is *hash-derived* from `(seed, xid, attempt, leg)` rather
-/// than consumed from a shared sequential RNG stream. The seed design
-/// advanced one `DetRng` under the `loss` mutex on every datagram
-/// attempt, so the thread interleaving of a concurrent load generator
-/// changed which call observed which draw — same seed, different loss
-/// pattern. A hash-derived draw is a pure function of the call it
-/// belongs to: concurrency cannot reorder it.
-#[derive(Debug, Clone, Copy)]
-pub struct LossPlan {
-    /// Probability that any single datagram attempt is lost.
-    pub drop_prob: f64,
-    seed: u64,
-}
-
-impl LossPlan {
-    /// Creates a loss plan with the given drop probability and seed.
-    pub fn new(drop_prob: f64, seed: u64) -> Self {
-        LossPlan { drop_prob, seed }
-    }
-
-    /// Whether the datagram for (`xid`, `attempt`, `leg`) is lost.
-    ///
-    /// Pure: equal inputs always agree, regardless of how calls from
-    /// different threads interleave. Uses the same splitmix64 finalizer
-    /// as [`simnet::rng::DetRng`] over the mixed key.
-    pub fn would_drop(&self, xid: u64, attempt: u32, leg: u8) -> bool {
-        let mut z = self
-            .seed
-            .wrapping_add(xid.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(
-                ((u64::from(attempt) << 8) | u64::from(leg)).wrapping_mul(0x94D0_49BB_1331_11EB),
-            );
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 11) as f64 / (1u64 << 53) as f64) < self.drop_prob
-    }
 }
 
 /// Base of the capped exponential backoff charged between attempts to
@@ -196,7 +154,6 @@ struct CallMetricHandles {
 pub struct RpcNet {
     world: Arc<World>,
     tables: RwLock<NetTables>,
-    loss: RwLock<Option<LossPlan>>,
     next_xid: std::sync::atomic::AtomicU64,
     replies: ReplyCache,
     call_metrics: CallMetricHandles,
@@ -208,7 +165,6 @@ impl RpcNet {
         Arc::new(RpcNet {
             world,
             tables: RwLock::default(),
-            loss: RwLock::new(None),
             next_xid: std::sync::atomic::AtomicU64::new(1),
             replies: ReplyCache::new(REPLY_CACHE_LIMIT),
             call_metrics: CallMetricHandles::default(),
@@ -218,11 +174,6 @@ impl RpcNet {
     /// The underlying simulation environment.
     pub fn world(&self) -> &Arc<World> {
         &self.world
-    }
-
-    /// Installs (or clears) datagram loss injection.
-    pub fn set_loss(&self, plan: Option<LossPlan>) {
-        *self.loss.write() = plan;
     }
 
     /// Exports `service` on `host` under `program`, assigning a fresh port.
@@ -321,13 +272,6 @@ impl RpcNet {
             .ok_or_else(|| RpcError::NotFound(format!("service `{name}` on {host}")))
     }
 
-    fn datagram_dropped(&self, xid: u64, attempt: u32, leg: u8) -> bool {
-        self.loss
-            .read()
-            .as_ref()
-            .is_some_and(|plan| plan.would_drop(xid, attempt, leg))
-    }
-
     /// [`RpcNet::call_into`] for a caller that sends a tree and reads one.
     pub fn call(
         &self,
@@ -359,12 +303,13 @@ impl RpcNet {
     /// The message reaches the server as it is, and the server leaves its
     /// reply in the caller's `reply` slot.
     ///
-    /// Datagram transports may lose the request or the reply; the control
-    /// protocol retransmits up to its attempt budget. When a reply is lost
-    /// the server has already executed the call — a control protocol with
-    /// at-most-once bookkeeping answers the retransmission from its reply
-    /// cache, while the plain Raw suite re-executes (observable duplicate
-    /// effects, the classic datagram caveat).
+    /// Under the world's fault plan, datagram transports may lose the
+    /// request or the reply; the control protocol retransmits up to its
+    /// attempt budget. When a reply is lost the server has already
+    /// executed the call — a control protocol with at-most-once
+    /// bookkeeping answers the retransmission from its reply cache, while
+    /// the plain Raw suite re-executes (observable duplicate effects, the
+    /// classic datagram caveat).
     pub fn call_into(
         &self,
         caller: HostId,
@@ -414,11 +359,6 @@ impl RpcNet {
         let rtt = self.world.costs.rpc_rtt(components.suite_kind());
         let per_req = rtt + self.world.costs.per_kb * req_len as f64 / 1024.0;
         let datagram = components.transport.is_datagram();
-        let max_attempts = if datagram {
-            components.control.max_attempts()
-        } else {
-            1
-        };
         let xid = self
             .next_xid
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -434,10 +374,11 @@ impl RpcNet {
             )
         });
         let t0 = self.world.now();
-        // Crash/partition outages are retried up to the control
-        // protocol's attempt budget even on stream transports: the
-        // connection attempt itself times out and is retried.
-        let fault_budget = components.control.max_attempts();
+        // One attempt budget for every retry: a lost datagram leg is
+        // retransmitted, and a crash or partition outage is retried even
+        // on stream transports (the connection attempt itself times out).
+        let budget = components.control.max_attempts();
+        let dedup = (datagram && components.control.at_most_once()).then_some(xid);
         let mut attempts = 0;
         let result = loop {
             attempts += 1;
@@ -466,7 +407,7 @@ impl RpcNet {
                 self.world.trace(Some(caller), TraceKind::Rpc, || {
                     format!("{} unreachable: {kind} (attempt {attempts})", binding.host)
                 });
-                if attempts >= fault_budget {
+                if attempts >= budget {
                     self.call_metrics
                         .fault_unreachable
                         .get(self.world.metrics(), "faults", "unreachable_calls")
@@ -495,60 +436,26 @@ impl RpcNet {
                 }
             }
 
-            // Request leg.
-            if datagram && self.datagram_dropped(xid, attempts, LEG_REQUEST) {
-                self.call_metrics
-                    .datagrams_lost
-                    .get(self.world.metrics(), "hrpc_net", "datagrams_lost")
-                    .inc();
-                self.world.trace(Some(caller), TraceKind::Rpc, || {
-                    format!("request to {} lost (attempt {attempts})", binding.host)
-                });
-                if attempts >= max_attempts {
-                    break Err(RpcError::Timeout { attempts });
-                }
-                continue;
-            }
-
-            // Execution, with at-most-once duplicate suppression where the
-            // control protocol keeps call state.
-            let served = if datagram && components.control.at_most_once() {
-                let key = (caller, xid);
-                if let Some(cached) = self.replies.get(&key) {
-                    self.call_metrics
-                        .reply_cache_hits
-                        .get(self.world.metrics(), "hrpc_net", "reply_cache_hits")
-                        .inc();
-                    self.world.trace(Some(binding.host), TraceKind::Rpc, || {
-                        format!("duplicate xid {xid} answered from reply cache")
-                    });
-                    reply.put_tree(cached);
-                    Ok(())
-                } else {
-                    self.serve(caller, binding, proc_id, args, reply)
-                        .and_then(|()| {
-                            let kept = reply.message().ok_or_else(no_reply)?.tree();
-                            self.replies.insert(key, kept.into_owned());
-                            Ok(())
-                        })
-                }
-            } else {
-                self.serve(caller, binding, proc_id, args, reply)
-            };
-            if let Err(err) = served {
+            // The request leg, execution, then the reply leg; a lost leg
+            // spends the attempt.
+            let drops =
+                |leg| datagram && faults.as_ref().is_some_and(|f| f.drops(xid, attempts, leg));
+            let lost = if drops(LEG_REQUEST) {
+                Some("request to")
+            } else if let Err(err) = self.execute(caller, binding, proc_id, args, reply, dedup) {
                 break Err(err);
-            }
-
-            // Response leg.
-            if datagram && self.datagram_dropped(xid, attempts, LEG_REPLY) {
+            } else {
+                drops(LEG_REPLY).then_some("reply from")
+            };
+            if let Some(leg) = lost {
                 self.call_metrics
                     .datagrams_lost
                     .get(self.world.metrics(), "hrpc_net", "datagrams_lost")
                     .inc();
                 self.world.trace(Some(caller), TraceKind::Rpc, || {
-                    format!("reply from {} lost (attempt {attempts})", binding.host)
+                    format!("{leg} {} lost (attempt {attempts})", binding.host)
                 });
-                if attempts >= max_attempts {
+                if attempts >= budget {
                     break Err(RpcError::Timeout { attempts });
                 }
                 continue;
@@ -585,6 +492,39 @@ impl RpcNet {
                 .inc();
         }
         result
+    }
+
+    /// Runs the call on the server. `dedup` is the call id where the
+    /// control protocol keeps at-most-once call state: a retransmission
+    /// is then answered from the reply cache, not executed again.
+    fn execute(
+        &self,
+        caller: HostId,
+        binding: &HrpcBinding,
+        proc_id: u32,
+        args: &dyn Message,
+        reply: &mut ReplySlot<'_>,
+        dedup: Option<u64>,
+    ) -> RpcResult<()> {
+        let Some(xid) = dedup else {
+            return self.serve(caller, binding, proc_id, args, reply);
+        };
+        let key = (caller, xid);
+        if let Some(cached) = self.replies.get(&key) {
+            self.call_metrics
+                .reply_cache_hits
+                .get(self.world.metrics(), "hrpc_net", "reply_cache_hits")
+                .inc();
+            self.world.trace(Some(binding.host), TraceKind::Rpc, || {
+                format!("duplicate xid {xid} answered from reply cache")
+            });
+            reply.put_tree(cached);
+            return Ok(());
+        }
+        self.serve(caller, binding, proc_id, args, reply)?;
+        let kept = reply.message().ok_or_else(no_reply)?.tree();
+        self.replies.insert(key, kept.into_owned());
+        Ok(())
     }
 
     fn serve(
@@ -661,6 +601,7 @@ mod tests {
     use super::*;
     use crate::components::ComponentSet;
     use crate::server::ProcServer;
+    use simnet::faults::FaultPlan;
 
     fn setup() -> (Arc<World>, Arc<RpcNet>, HostId, HostId) {
         let world = World::paper();
@@ -792,22 +733,22 @@ mod tests {
 
         // Total loss: every attempt drops, so the call times out after the
         // control protocol's maximum attempts, charging each attempt.
-        net.set_loss(Some(LossPlan::new(1.0, 42)));
+        world.set_faults(Some(FaultPlan::new().loss(1.0, 42).clone()));
         let (result, took, delta) = world.measure(|| net.call(client, &b, 1, &Value::Void));
         assert!(matches!(result, Err(RpcError::Timeout { attempts: 4 })));
         assert!(took.as_ms_f64() >= 4.0 * 25.0, "took {took}");
         assert_eq!(delta.remote_calls, 4);
 
         // No loss: immediate success.
-        net.set_loss(None);
+        world.set_faults(None);
         assert!(net.call(client, &b, 1, &Value::Void).is_ok());
     }
 
     #[test]
     fn stream_transports_ignore_loss_plan() {
-        let (_world, net, client, server) = setup();
+        let (world, net, client, server) = setup();
         net.export(server, ProgramId(77), echo_service());
-        net.set_loss(Some(LossPlan::new(1.0, 42)));
+        world.set_faults(Some(FaultPlan::new().loss(1.0, 42).clone()));
         let b = binding_for(&net, server, ComponentSet::sun());
         assert!(net.call(client, &b, 1, &Value::Void).is_ok());
     }
@@ -976,14 +917,14 @@ mod tests {
         // the retransmission must be answered from the reply cache.
         let seed = (0..100_000u64)
             .find(|&s| {
-                let plan = LossPlan::new(0.5, s);
-                !plan.would_drop(1, 1, LEG_REQUEST)
-                    && plan.would_drop(1, 1, LEG_REPLY)
-                    && !plan.would_drop(1, 2, LEG_REQUEST)
-                    && !plan.would_drop(1, 2, LEG_REPLY)
+                let plan = FaultPlan::new().loss(0.5, s).clone();
+                !plan.drops(1, 1, LEG_REQUEST)
+                    && plan.drops(1, 1, LEG_REPLY)
+                    && !plan.drops(1, 2, LEG_REQUEST)
+                    && !plan.drops(1, 2, LEG_REPLY)
             })
             .expect("a drop-reply-only seed exists");
-        net.set_loss(Some(LossPlan::new(0.5, seed)));
+        world.set_faults(Some(FaultPlan::new().loss(0.5, seed).clone()));
         let ok = net.call(client, &b, 1, &Value::Void).expect("retried call");
         assert_eq!(ok, Value::U32(7));
         assert_eq!(
@@ -998,8 +939,6 @@ mod tests {
 
     #[test]
     fn crashed_host_fails_fast_with_typed_error_and_backoff() {
-        use simnet::faults::FaultPlan;
-
         let (world, net, client, server) = setup();
         net.export(server, ProgramId(77), echo_service());
         let b = binding_for(&net, server, ComponentSet::sun());
@@ -1028,7 +967,6 @@ mod tests {
 
     #[test]
     fn partition_blocks_link_until_window_closes() {
-        use simnet::faults::FaultPlan;
         use simnet::time::SimDuration;
 
         let (world, net, client, server) = setup();
@@ -1062,8 +1000,6 @@ mod tests {
 
     #[test]
     fn latency_spike_slows_but_does_not_block() {
-        use simnet::faults::FaultPlan;
-
         let (world, net, client, server) = setup();
         net.export(server, ProgramId(77), echo_service());
         let b = binding_for(&net, server, ComponentSet::sun());
@@ -1090,8 +1026,6 @@ mod tests {
 
     #[test]
     fn colocated_call_to_crashed_host_fails_immediately() {
-        use simnet::faults::FaultPlan;
-
         let (world, net, _client, server) = setup();
         net.export(server, ProgramId(77), echo_service());
         let b = binding_for(&net, server, ComponentSet::sun());

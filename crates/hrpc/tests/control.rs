@@ -4,13 +4,10 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use hrpc::net::{
-    retry_backoff_ms, LossPlan, RpcNet, LEG_REPLY, LEG_REQUEST, RETRY_BACKOFF_BASE_MS,
-    RETRY_BACKOFF_CAP_MS,
-};
+use hrpc::net::{retry_backoff_ms, RpcNet, RETRY_BACKOFF_BASE_MS, RETRY_BACKOFF_CAP_MS};
 use hrpc::server::{CallCtx, RpcService};
 use hrpc::{ComponentSet, HrpcBinding, ProgramId, RpcError, RpcResult};
-use simnet::faults::FaultPlan;
+use simnet::faults::{FaultPlan, LEG_REPLY, LEG_REQUEST};
 use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
 use wire::Value;
@@ -74,7 +71,8 @@ fn binding(env: &Env, components: ComponentSet) -> HrpcBinding {
 
 /// Runs calls under loss and returns (successful calls, executions).
 fn run_lossy(env: &Env, components: ComponentSet, calls: u32, seed: u64) -> (u32, u32) {
-    env.net.set_loss(Some(LossPlan::new(0.35, seed)));
+    env.world
+        .set_faults(Some(FaultPlan::new().loss(0.35, seed).clone()));
     env.counter.executions.store(0, Ordering::SeqCst);
     let b = binding(env, components);
     let mut ok = 0;
@@ -83,7 +81,7 @@ fn run_lossy(env: &Env, components: ComponentSet, calls: u32, seed: u64) -> (u32
             ok += 1;
         }
     }
-    env.net.set_loss(None);
+    env.world.set_faults(None);
     (ok, env.counter.executions.load(Ordering::SeqCst))
 }
 
@@ -143,7 +141,8 @@ fn retransmissions_cost_virtual_time() {
 
     // Certain request loss on the first three attempts is impossible to
     // arrange exactly with a probabilistic plan, so compare aggregates:
-    env.net.set_loss(Some(LossPlan::new(0.5, 11)));
+    env.world
+        .set_faults(Some(FaultPlan::new().loss(0.5, 11).clone()));
     let mut total = 0.0;
     let calls = 40;
     for _ in 0..calls {
@@ -152,7 +151,7 @@ fn retransmissions_cost_virtual_time() {
             .measure(|| env.net.call(env.client, &b, 1, &Value::Void));
         total += took.as_ms_f64();
     }
-    env.net.set_loss(None);
+    env.world.set_faults(None);
     let mean = total / f64::from(calls);
     assert!(
         mean > clean.as_ms_f64() * 1.4,
@@ -164,7 +163,8 @@ fn retransmissions_cost_virtual_time() {
 #[test]
 fn total_loss_times_out_with_attempt_budget() {
     let env = env();
-    env.net.set_loss(Some(LossPlan::new(1.0, 3)));
+    env.world
+        .set_faults(Some(FaultPlan::new().loss(1.0, 3).clone()));
     let b = binding(&env, ComponentSet::raw_udp_at_most_once(env.port));
     let err = env.net.call(env.client, &b, 1, &Value::Void).unwrap_err();
     assert!(matches!(err, RpcError::Timeout { attempts: 4 }), "{err}");
@@ -240,10 +240,10 @@ fn crashed_host_honors_attempt_budget_and_charges_virtual_backoff() {
 fn concurrent_loss_draws_are_order_independent() {
     const THREADS: u64 = 8;
     const CALLS_PER_THREAD: u64 = 50;
-    let plan = LossPlan::new(0.5, 1987);
+    let plan = FaultPlan::new().loss(0.5, 1987).clone();
 
     let env = env();
-    env.net.set_loss(Some(plan));
+    env.world.set_faults(Some(plan.clone()));
     let b = binding(&env, ComponentSet::raw_udp(env.port));
     let budget = b.components.control.max_attempts();
     let ok = Arc::new(AtomicU32::new(0));
@@ -261,7 +261,7 @@ fn concurrent_loss_draws_are_order_independent() {
             });
         }
     });
-    env.net.set_loss(None);
+    env.world.set_faults(None);
 
     // Sequential replay over the same xid range (fresh nets assign xids
     // from 1): per xid, walk the attempts the control protocol makes and
@@ -271,11 +271,11 @@ fn concurrent_loss_draws_are_order_independent() {
     for xid in 1..=(THREADS * CALLS_PER_THREAD) {
         let mut succeeded = false;
         for attempt in 1..=budget {
-            if plan.would_drop(xid, attempt, LEG_REQUEST) {
+            if plan.drops(xid, attempt, LEG_REQUEST) {
                 expect_lost += 1;
                 continue;
             }
-            if plan.would_drop(xid, attempt, LEG_REPLY) {
+            if plan.drops(xid, attempt, LEG_REPLY) {
                 expect_lost += 1;
                 continue;
             }

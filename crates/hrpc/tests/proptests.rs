@@ -4,9 +4,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hrpc::net::{LossPlan, RpcNet};
+use hrpc::net::RpcNet;
 use hrpc::server::ProcServer;
 use hrpc::{ComponentSet, HrpcBinding, ProgramId, RpcError};
+use simnet::faults::FaultPlan;
 use simnet::topology::NetAddr;
 use simnet::world::World;
 use wire::Value;
@@ -78,7 +79,7 @@ proptest! {
             let net = RpcNet::new(Arc::clone(&world));
             let svc = Arc::new(ProcServer::new("echo").with_proc(1, |_c, a| Ok(a.clone())));
             let port = net.export(server, ProgramId(7), svc);
-            net.set_loss(Some(LossPlan::new(prob, seed)));
+            world.set_faults(Some(FaultPlan::new().loss(prob, seed).clone()));
             let binding = HrpcBinding {
                 host: server,
                 addr: NetAddr::of(server),
@@ -101,7 +102,7 @@ proptest! {
         let net = RpcNet::new(Arc::clone(&world));
         let svc = Arc::new(ProcServer::new("echo").with_proc(1, |_c, a| Ok(a.clone())));
         let port = net.export(server, ProgramId(7), svc);
-        net.set_loss(Some(LossPlan::new(prob, seed)));
+        world.set_faults(Some(FaultPlan::new().loss(prob, seed).clone()));
         for components in [ComponentSet::sun(), ComponentSet::courier(), ComponentSet::raw_tcp(port)] {
             let binding = HrpcBinding {
                 host: server,

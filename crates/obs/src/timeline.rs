@@ -12,7 +12,7 @@
 //!
 //! Window semantics: window `i` covers
 //! `[origin + i·interval, origin + (i+1)·interval)`. Ticks are driven by
-//! the caller (the `World` hooks its clock's `advance`); a single tick
+//! the caller, with whatever clock it runs on; a single tick
 //! may cross several boundaries at once (e.g. a TTL-expiry jump), in
 //! which case the whole delta is attributed to the first crossed window
 //! and the remaining crossed windows are emitted empty — the windows
@@ -339,13 +339,6 @@ impl Sampler {
         }
     }
 
-    /// The timestamp at which the next window closes. Callers use this
-    /// for a cheap due check before taking whatever lock guards the
-    /// sampler.
-    pub fn next_due_us(&self) -> u64 {
-        self.next_due_us
-    }
-
     fn window_start(&self, index: usize) -> u64 {
         self.origin_us + index as u64 * self.interval_us
     }
@@ -390,8 +383,8 @@ impl Sampler {
     /// Advances the sampler to `now_us`, closing every window whose end
     /// has passed. A tick that crosses several boundaries at once
     /// snapshots only once: the whole delta lands in the first crossed
-    /// window and the rest are emitted quiet. Cheap no-op while
-    /// `now_us < next_due_us()`.
+    /// window and the rest are emitted quiet. Cheap no-op until the
+    /// current window's end.
     pub fn tick(&mut self, registry: &MetricsRegistry, now_us: u64) {
         if now_us < self.next_due_us {
             return;

@@ -109,14 +109,6 @@ pub fn check_linkage(name: &str, base_owner: &str, links: &[TransferLink]) -> Re
     Ok(())
 }
 
-/// The cycle rule: a transfer may never hand a name back to *any*
-/// previous holder (the base owner or any link's endpoint) — chains
-/// only ever grow forward through fresh owners, so the collapsed head
-/// is always well-defined.
-pub fn would_cycle(base_owner: &str, links: &[TransferLink], to: &str) -> bool {
-    holders(base_owner, links).contains(&to)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +166,5 @@ mod tests {
         let mut links = chain();
         links[1].from = "mallory".into();
         assert!(check_linkage("n", "alice", &links).is_err());
-    }
-
-    #[test]
-    fn cycle_rule_covers_every_previous_holder() {
-        let links = chain();
-        for prev in ["alice", "bob", "carol"] {
-            assert!(would_cycle("alice", &links, prev), "{prev}");
-        }
-        assert!(!would_cycle("alice", &links, "dave"));
     }
 }

@@ -592,6 +592,10 @@ impl Registry {
                 actual: head.owner.clone(),
             });
         }
+        // The cycle rule: never back to any previous holder (the base
+        // owner, a middle holder or the head), so a chain only grows
+        // forward through fresh owners and its collapsed head is
+        // well-defined.
         if head.holders.iter().any(|h| h == to) {
             self.bump(&self.metrics.cycle_rejections, "cycle_rejections");
             return Err(RegError::CycleRejected {
@@ -779,6 +783,32 @@ mod tests {
         assert_eq!(naive.owner, fast.owner);
         assert_eq!(naive.depth, fast.depth);
         assert_eq!(naive.service, fast.service);
+    }
+
+    #[test]
+    fn a_transfer_back_to_any_previous_holder_is_a_cycle() {
+        let (_env, reg) = setup();
+        reg.register_owner("dave", 0xDA7E);
+        reg.register("alice", 0xA11CE, "svc", "BIND")
+            .expect("register");
+        reg.transfer("alice", 0xA11CE, "svc", "bob", None)
+            .expect("to bob");
+        reg.transfer("bob", 0xB0B, "svc", "carol", None)
+            .expect("to carol");
+        // The base owner, a middle holder and the head itself.
+        for prev in ["alice", "bob", "carol"] {
+            let err = reg
+                .transfer("carol", 0xCA401, "svc", prev, None)
+                .unwrap_err();
+            assert!(
+                matches!(err, RegError::CycleRejected { .. }),
+                "{prev}: {err}"
+            );
+        }
+        let r = reg
+            .transfer("carol", 0xCA401, "svc", "dave", None)
+            .expect("a fresh owner");
+        assert_eq!((r.owner.as_str(), r.depth), ("dave", 3));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Deterministic fault injection: crash windows, link partitions, and
-//! latency spikes scheduled in virtual time.
+//! Deterministic fault injection: crash windows, link partitions,
+//! latency spikes and datagram loss.
 //!
 //! A [`FaultPlan`] is a declarative schedule installed on a
 //! [`crate::world::World`]. Components that move data between hosts (the
@@ -9,14 +9,17 @@
 //!   connection attempts to it vanish;
 //! * a **partition window** symmetrically severs one (host, host) link;
 //! * a **latency spike** adds a fixed per-attempt delay to a link while
-//!   its window is active.
+//!   its window is active;
+//! * **loss** drops each datagram leg with a fixed probability, drawn
+//!   from the leg itself ([`FaultPlan::drops`]).
 //!
-//! Everything is expressed in virtual time, so a plan is exactly as
-//! deterministic as the simulation it is installed on: two runs with the
-//! same plan (and the same workload) charge the same costs, trip the same
-//! faults, and export byte-identical traces. With no plan installed every
-//! query below is a no-op and no cost is charged, keeping fault-free runs
-//! byte-identical to a build without the subsystem.
+//! Windows are expressed in virtual time and loss draws in call ids, so a
+//! plan is exactly as deterministic as the simulation it is installed on:
+//! two runs with the same plan (and the same workload) charge the same
+//! costs, trip the same faults, and export byte-identical traces. With no
+//! plan installed every query below is a no-op and no cost is charged,
+//! keeping fault-free runs byte-identical to a build without the
+//! subsystem.
 
 use crate::time::SimTime;
 use crate::topology::HostId;
@@ -74,17 +77,31 @@ struct LatencySpike {
     extra_ms: f64,
 }
 
-/// A deterministic schedule of crashes, partitions, and latency spikes.
+/// The request leg of a datagram exchange, for [`FaultPlan::drops`].
+pub const LEG_REQUEST: u8 = 0;
+/// The reply leg of a datagram exchange, for [`FaultPlan::drops`].
+pub const LEG_REPLY: u8 = 1;
+
+#[derive(Debug, Clone, Copy)]
+struct Loss {
+    drop_prob: f64,
+    seed: u64,
+}
+
+/// A deterministic schedule of crashes, partitions, latency spikes and
+/// datagram loss.
 ///
-/// Built imperatively (each builder method appends one window) and
-/// installed via [`crate::world::World::set_faults`]. Windows may overlap
-/// freely; a host may crash and restart repeatedly by adding several
-/// windows for it.
+/// Built imperatively (each window builder appends one window; `loss`
+/// sets the one loss rate) and installed via
+/// [`crate::world::World::set_faults`]. Windows may overlap freely; a
+/// host may crash and restart repeatedly by adding several windows for
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     crashes: Vec<CrashWindow>,
     partitions: Vec<PartitionWindow>,
     spikes: Vec<LatencySpike>,
+    loss: Option<Loss>,
 }
 
 impl FaultPlan {
@@ -139,9 +156,20 @@ impl FaultPlan {
         self
     }
 
+    /// Drops each datagram leg with probability `drop_prob`, drawn from
+    /// `seed` and the leg ([`FaultPlan::drops`]); replaces any earlier
+    /// rate. Stream transports are not subject to loss.
+    pub fn loss(&mut self, drop_prob: f64, seed: u64) -> &mut Self {
+        self.loss = Some(Loss { drop_prob, seed });
+        self
+    }
+
     /// True if the plan schedules nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.partitions.is_empty() && self.spikes.is_empty()
+        self.crashes.is_empty()
+            && self.partitions.is_empty()
+            && self.spikes.is_empty()
+            && self.loss.is_none()
     }
 
     /// Whether `host` is inside a crash window at `now`.
@@ -179,6 +207,28 @@ impl FaultPlan {
         }
         None
     }
+
+    /// Whether the datagram leg (`xid`, `attempt`, `leg`) is lost.
+    ///
+    /// The draw is hash-derived from `(seed, xid, attempt, leg)`, not
+    /// consumed from a shared sequential stream: equal inputs always
+    /// agree, however calls from different threads interleave. Uses the
+    /// same splitmix64 finalizer as [`crate::rng::DetRng`] over the mixed
+    /// key. Never true without a loss rate.
+    pub fn drops(&self, xid: u64, attempt: u32, leg: u8) -> bool {
+        let Some(Loss { drop_prob, seed }) = self.loss else {
+            return false;
+        };
+        let mut z = seed
+            .wrapping_add(xid.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(
+                ((u64::from(attempt) << 8) | u64::from(leg)).wrapping_mul(0x94D0_49BB_1331_11EB),
+            );
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        ((z >> 11) as f64 / (1u64 << 53) as f64) < drop_prob
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +247,7 @@ mod tests {
         assert!(!plan.host_down(HostId(1), t(0)));
         assert!(plan.blocks(HostId(1), HostId(2), t(5)).is_none());
         assert_eq!(plan.extra_latency_ms(HostId(1), HostId(2), t(5)), 0.0);
+        assert!(!plan.drops(1, 1, LEG_REQUEST));
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
-
-    /// Multiplies the duration by a non-negative factor (rounded).
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_ms_f64(self.as_ms_f64() * factor)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -236,13 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_mul_f64() {
+    fn durations_sum() {
         let total: SimDuration = [1, 2, 3].iter().map(|&m| SimDuration::from_ms(m)).sum();
         assert_eq!(total, SimDuration::from_ms(6));
-        assert_eq!(
-            SimDuration::from_ms(10).mul_f64(0.5),
-            SimDuration::from_ms(5)
-        );
     }
 
     #[test]

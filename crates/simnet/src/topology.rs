@@ -74,15 +74,6 @@ impl Topology {
             .map(|h| h.name.clone())
     }
 
-    /// Looks a host up by name.
-    pub fn host_by_name(&self, name: &str) -> Option<HostId> {
-        self.hosts
-            .read()
-            .iter()
-            .position(|h| h.name == name)
-            .map(|i| HostId(i as u32))
-    }
-
     /// Returns the number of hosts.
     pub fn len(&self) -> usize {
         self.hosts.read().len()
@@ -111,8 +102,7 @@ mod tests {
         let b = t.add_host("june.cs.washington.edu");
         assert_ne!(a, b);
         assert_eq!(t.host_name(a).as_deref(), Some("fiji.cs.washington.edu"));
-        assert_eq!(t.host_by_name("june.cs.washington.edu"), Some(b));
-        assert_eq!(t.host_by_name("absent"), None);
+        assert_eq!(t.host_name(b).as_deref(), Some("june.cs.washington.edu"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }

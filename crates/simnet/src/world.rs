@@ -1,12 +1,15 @@
 //! The shared simulation environment.
 //!
 //! A [`World`] bundles the virtual clock, the host topology, the calibrated
-//! [`CostModel`], a [`Tracer`], and global operation counters. Every
-//! simulated component (RPC suites, name services, the HNS, NSMs) holds an
-//! `Arc<World>` and charges its costs against it.
+//! [`CostModel`], a [`Tracer`], the metrics registry with global operation
+//! counters, and the installed [`FaultPlan`]. Every simulated component
+//! (RPC suites, name services, the HNS, NSMs) holds an `Arc<World>` and
+//! charges its costs against it. Charging only advances the clock: a
+//! caller that wants a time series over the registry drives its own
+//! [`obs::Sampler`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 
 use crate::clock::VirtualClock;
 use crate::costs::{CostModel, Ms};
@@ -14,7 +17,7 @@ use crate::faults::FaultPlan;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, Topology};
 use crate::trace::{CacheOutcome, SpanId, TraceKind, Tracer};
-use obs::{LazyCounter, MetricsRegistry, Sampler, Timeline};
+use obs::{LazyCounter, MetricsRegistry};
 
 /// A point-in-time snapshot of a world's structural counters, useful for
 /// asserting the *structure* of operations (e.g. "a cold `FindNSM` makes
@@ -64,15 +67,6 @@ pub struct World {
     /// lock word was a measurable serialization point under
     /// multi-threaded load.
     faults_installed: AtomicBool,
-    sampler: Mutex<Option<Sampler>>,
-    /// Mirrors `sampler.is_some()` (the same pattern as
-    /// `faults_installed`): every `charge` checks it with one relaxed
-    /// load, so runs without sampling pay nothing on the hot path.
-    sampler_installed: AtomicBool,
-    /// Mirrors the sampler's `next_due_us`, so an installed sampler
-    /// costs a clock read plus one relaxed load per charge between
-    /// window boundaries instead of a mutex acquisition.
-    sampler_next_due: AtomicU64,
     cache_exporters: CacheExporters,
 }
 
@@ -83,7 +77,7 @@ pub type CacheExporter = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
 /// Snapshot-time cache exporters registered by components whose caches
 /// keep private atomics (`hns_cache`, `hns_binding_cache`, `nsm_cache`,
 /// `bindns_cache`). [`World::export_all_caches`] runs them all, so a
-/// mid-run sample sees current totals instead of stale zeros.
+/// mid-run snapshot sees current totals instead of stale zeros.
 #[derive(Default)]
 struct CacheExporters(RwLock<Vec<CacheExporter>>);
 
@@ -121,9 +115,6 @@ impl World {
             net: NetCounters::default(),
             faults: RwLock::new(None),
             faults_installed: AtomicBool::new(false),
-            sampler: Mutex::new(None),
-            sampler_installed: AtomicBool::new(false),
-            sampler_next_due: AtomicU64::new(u64::MAX),
             cache_exporters: CacheExporters::default(),
         })
     }
@@ -146,82 +137,11 @@ impl World {
     /// Charges `ms` virtual milliseconds.
     pub fn charge_ms(&self, ms: Ms) {
         self.clock.advance(SimDuration::from_ms_f64(ms));
-        self.sample_tick();
     }
 
     /// Charges a duration.
     pub fn charge(&self, d: SimDuration) {
         self.clock.advance(d);
-        self.sample_tick();
-    }
-
-    /// The sampler hook on the charge path: one relaxed load when no
-    /// sampler is installed.
-    #[inline]
-    fn sample_tick(&self) {
-        if self.sampler_installed.load(Ordering::Relaxed) {
-            self.sample_tick_slow();
-        }
-    }
-
-    fn sample_tick_slow(&self) {
-        let now = self.clock.now().as_us();
-        if now < self.sampler_next_due.load(Ordering::Relaxed) {
-            return;
-        }
-        // Flush snapshot-time cache exports before sampling, so the
-        // window delta reads current cache totals, not stale zeros.
-        self.export_all_caches();
-        let mut guard = self.sampler.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(sampler) = guard.as_mut() {
-            sampler.tick(&self.metrics, now);
-            self.sampler_next_due
-                .store(sampler.next_due_us(), Ordering::Relaxed);
-        }
-    }
-
-    /// Starts windowed metrics sampling with the given window width.
-    /// Caches are flushed first so window 0's delta starts from current
-    /// totals. Replaces any sampler already running.
-    pub fn start_sampling(&self, interval: SimDuration) {
-        self.export_all_caches();
-        let sampler = Sampler::new(&self.metrics, self.clock.now().as_us(), interval.as_us());
-        self.sampler_next_due
-            .store(sampler.next_due_us(), Ordering::Relaxed);
-        *self.sampler.lock().unwrap_or_else(|e| e.into_inner()) = Some(sampler);
-        self.sampler_installed.store(true, Ordering::Release);
-    }
-
-    /// Stops sampling and returns the accumulated [`Timeline`] (caches
-    /// flushed, residual partial window captured). `None` if no sampler
-    /// was running.
-    pub fn finish_sampling(&self) -> Option<Timeline> {
-        self.sampler_installed.store(false, Ordering::Release);
-        self.sampler_next_due.store(u64::MAX, Ordering::Relaxed);
-        let sampler = self
-            .sampler
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()?;
-        self.export_all_caches();
-        Some(sampler.finish(&self.metrics, self.clock.now().as_us()))
-    }
-
-    /// Places a labeled mark on the running timeline (no-op without a
-    /// sampler).
-    pub fn sample_mark(&self, label: &str) {
-        if !self.sampler_installed.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = self.clock.now().as_us();
-        if let Some(sampler) = self
-            .sampler
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_mut()
-        {
-            sampler.mark(now, label);
-        }
     }
 
     /// Registers a snapshot-time cache exporter (see
@@ -237,9 +157,9 @@ impl World {
     }
 
     /// Runs every registered cache exporter, publishing current cache
-    /// totals into the metrics registry. Called automatically before
-    /// each sample and at `finish_sampling`; end-of-run snapshot takers
-    /// call it directly instead of hand-listing `export_metrics` sites.
+    /// totals into the metrics registry. Whoever reads the registry —
+    /// an end-of-run snapshot, a timeline sampler's tick — calls it first
+    /// instead of hand-listing `export_metrics` sites.
     pub fn export_all_caches(&self) {
         for exporter in self
             .cache_exporters
@@ -524,64 +444,11 @@ mod tests {
         assert!(w.faults().is_none());
     }
 
+    /// An exporter publishes its cache's current total on every run of
+    /// `export_all_caches`; once the cache is dropped it goes inert
+    /// instead of publishing stale totals.
     #[test]
-    fn sampler_windows_follow_the_virtual_clock() {
-        let w = World::paper();
-        w.start_sampling(SimDuration::from_ms(10));
-        w.count_remote_call(100);
-        w.charge_ms(10.0); // closes window 0
-        w.count_remote_call(50);
-        w.sample_mark("mid");
-        w.charge_ms(25.0); // closes windows 1 and 2
-        let t = w.finish_sampling().expect("timeline");
-        assert!(w.finish_sampling().is_none(), "sampler consumed");
-        assert_eq!(t.interval_us, 10_000);
-        assert_eq!(t.windows.len(), 3);
-        assert_eq!(t.counter_series("net", "remote_calls"), vec![1, 1, 0]);
-        assert_eq!(t.counter_series("net", "bytes_sent"), vec![100, 50, 0]);
-        assert_eq!(t.marks[0].label, "mid");
-        assert_eq!(t.marks[0].window, 1);
-    }
-
-    #[test]
-    fn window_deltas_conserve_counters_under_threaded_load() {
-        const THREADS: u64 = 8;
-        const OPS: u64 = 200;
-        let w = World::paper();
-        w.start_sampling(SimDuration::from_ms(5));
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    for _ in 0..OPS {
-                        w.count_remote_call(1);
-                        w.metrics().add("load", "ops", 1);
-                        w.charge_ms(0.25);
-                    }
-                });
-            }
-        });
-        let t = w.finish_sampling().expect("timeline");
-        // Interleaving decides which window each delta lands in, but the
-        // telescoping sum must conserve every counter exactly.
-        let last = w.metrics().snapshot();
-        let keys = t.counter_keys();
-        assert!(!keys.is_empty());
-        for (component, name) in &keys {
-            let windowed: u64 = t.counter_series(component, name).iter().sum();
-            assert_eq!(
-                Some(windowed),
-                last.counter(component, name),
-                "counter {component}/{name} leaked across windows"
-            );
-        }
-        assert!(keys.contains(&("load".to_string(), "ops".to_string())));
-        let ops: u64 = t.counter_series("load", "ops").iter().sum();
-        assert_eq!(ops, THREADS * OPS);
-        assert!(t.windows.len() >= 2, "threads advanced virtual time");
-    }
-
-    #[test]
-    fn cache_exporters_flush_on_every_sample() {
+    fn cache_exporters_publish_until_their_owner_drops() {
         use std::sync::atomic::AtomicU64;
         let w = World::paper();
         let stat = Arc::new(AtomicU64::new(0));
@@ -591,16 +458,9 @@ mod tests {
                 m.set_counter("hns_cache", "hits", stat.load(Ordering::Relaxed));
             }
         }));
-        w.start_sampling(SimDuration::from_ms(10));
         stat.store(7, Ordering::Relaxed);
-        w.charge_ms(10.0);
-        stat.store(12, Ordering::Relaxed);
-        let t = w.finish_sampling().expect("timeline");
-        // Window 0 saw the mid-run export (7), the residual the rest.
-        assert_eq!(t.windows[0].counter("hns_cache", "hits"), 7);
-        assert_eq!(t.windows[1].counter("hns_cache", "hits"), 5);
-        // A dropped owner leaves the exporter inert instead of
-        // publishing stale totals.
+        w.export_all_caches();
+        assert_eq!(w.metrics().snapshot().counter("hns_cache", "hits"), Some(7));
         drop(stat);
         w.metrics().set_counter("hns_cache", "hits", 99);
         w.export_all_caches();

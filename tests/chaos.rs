@@ -18,7 +18,6 @@ use hns_repro::hns_core::error::HnsError;
 use hns_repro::hns_core::name::HnsName;
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hns_core::service::Hns;
-use hns_repro::hrpc::net::LossPlan;
 use hns_repro::hrpc::RpcError;
 use hns_repro::nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
@@ -174,9 +173,10 @@ fn same_seed_chaos_experiment_is_byte_identical() {
 }
 
 /// One deterministic workload under an optional fault plan and an
-/// optional datagram-loss plan; returns the full trace + metrics export
-/// the determinism properties compare byte-for-byte.
-fn traced_scenario(params: Option<&PlanParams>, loss: Option<LossPlan>) -> String {
+/// optional datagram loss (`(drop_prob, seed)`, added to the plan);
+/// returns the full trace + metrics export the determinism properties
+/// compare byte-for-byte.
+fn traced_scenario(params: Option<&PlanParams>, loss: Option<(f64, u64)>) -> String {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
     let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
@@ -184,8 +184,11 @@ fn traced_scenario(params: Option<&PlanParams>, loss: Option<LossPlan>) -> Strin
     let imp = importer(&tb, &warm);
     let qc = QueryClass::hrpc_binding();
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
-    tb.world.set_faults(params.map(|p| plan_from(&tb, p)));
-    tb.net.set_loss(loss);
+    let mut plan = params.map(|p| plan_from(&tb, p));
+    if let Some((drop_prob, seed)) = loss {
+        plan.get_or_insert_default().loss(drop_prob, seed);
+    }
+    tb.world.set_faults(plan);
     tb.world.tracer.set_enabled(true);
 
     // A short mixed workload; outcomes (including failures) go into the
@@ -283,7 +286,7 @@ proptest! {
             partition: partition_on.then_some(partition),
             spike: spike_on.then_some(spike),
         };
-        let loss = LossPlan::new(f64::from(drop_pct) / 100.0, loss_seed);
+        let loss = (f64::from(drop_pct) / 100.0, loss_seed);
         let a = traced_scenario(Some(&params), Some(loss));
         let b = traced_scenario(Some(&params), Some(loss));
         prop_assert_eq!(a, b);
@@ -301,7 +304,7 @@ proptest! {
             partition: None,
             spike: None,
         };
-        let with = traced_scenario(Some(&empty), Some(LossPlan::new(0.0, loss_seed)));
+        let with = traced_scenario(Some(&empty), Some((0.0, loss_seed)));
         let without = traced_scenario(None, None);
         prop_assert_eq!(with, without);
     }

@@ -213,13 +213,15 @@ fn concurrent_registration_and_lookup() {
             writer_tb
                 .register_nsm_info(&hns_repro::hns_core::NsmInfo {
                     nsm_name: hns_repro::nsms::BindingBindNsm::NAME.into(),
-                    host_name: topology_names[idx].clone(),
-                    host_context: hns_repro::hns_core::Context::new("hns-hosts").expect("ctx"),
-                    program: hns_repro::nsms::harness::NSM_EXPORT_PROGRAM,
-                    port: 1024,
-                    suite: hns_repro::hns_core::SuiteTag::Sun,
-                    version: 1,
-                    owner: "writer".into(),
+                    binding: hns_repro::hns_core::NsmBinding {
+                        host_name: topology_names[idx].clone(),
+                        host_context: hns_repro::hns_core::Context::new("hns-hosts").expect("ctx"),
+                        program: hns_repro::nsms::harness::NSM_EXPORT_PROGRAM,
+                        port: 1024,
+                        suite: hns_repro::hns_core::SuiteTag::Sun,
+                        version: 1,
+                        owner: "writer".into(),
+                    },
                 })
                 .expect("re-register");
         }

@@ -8,11 +8,11 @@ use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::colocation::{HnsHandle, HnsService, HNS_PROGRAM};
 use hns_repro::hns_core::name::HnsName;
 use hns_repro::hns_core::query::QueryClass;
-use hns_repro::hrpc::net::LossPlan;
 use hns_repro::hrpc::{ComponentSet, HrpcBinding};
 use hns_repro::nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::nsms::Importer;
+use hns_repro::simnet::faults::FaultPlan;
 use hns_repro::simnet::topology::NetAddr;
 use hns_repro::wire::Value;
 
@@ -114,7 +114,8 @@ fn datagram_loss_is_retried_transparently() {
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
 
-    tb.net.set_loss(Some(LossPlan::new(0.2, 2026)));
+    tb.world
+        .set_faults(Some(FaultPlan::new().loss(0.2, 2026).clone()));
     let mut ok = 0;
     for _ in 0..20 {
         if importer
