@@ -3,13 +3,13 @@
 //!
 //! The event-table chaos scenario ([`super::chaos`]) proves the
 //! degradation modes happen; this one shows their *shape over time*,
-//! which is what ROADMAP item 5's self-tuning controller needs. A probe
-//! loop (warm `FindNSM`, cold `FindNSM`, `Import` with an NSM-failover
-//! alternate) runs every [`PROBE_MS`] virtual milliseconds while an
-//! [`obs::Sampler`](hns_core::obs::Sampler) over the world's registry
-//! closes fixed windows. The run ticks it after each pace, each probe
-//! round and the TTL-gap jump, so a probe round lands whole in the window
-//! it starts in:
+//! which is what ROADMAP's parked "Live equation-1 controller" needs.
+//! A probe loop (warm `FindNSM`, cold `FindNSM`, `Import` with an
+//! NSM-failover alternate) runs every [`PROBE_MS`] virtual milliseconds
+//! while an [`obs::Sampler`](hns_core::obs::Sampler) over the world's
+//! registry closes fixed windows. The run ticks it after each pace, each
+//! probe round and the TTL-gap jump, so a probe round lands whole in the
+//! window it starts in:
 //!
 //! 1. **baseline** — probes succeed, the warm cache fills and hits.
 //! 2. **quiet TTL gap** — no probes while every cache entry expires

@@ -272,11 +272,12 @@ impl RrBody {
         8 + self.rdata.encoded_len().unwrap_or(0)
     }
 
-    /// Bytes the body's rdata points at.
+    /// Bytes the body's rdata points at: a name's share of its text,
+    /// which bodies naming the same host hold once between them.
     pub(crate) fn heap_bytes(&self) -> usize {
         match &self.rdata {
             RData::Addr(_) => 0,
-            RData::Domain(name) | RData::Soa { primary: name, .. } => arc_bytes(name.text().len()),
+            RData::Domain(name) | RData::Soa { primary: name, .. } => name.resident_share(),
             RData::Text(text) => text.capacity(),
             RData::Opaque(payload) => arc_bytes(payload.len()),
         }

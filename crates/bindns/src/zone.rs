@@ -9,9 +9,9 @@
 //! body whose last user goes frees its id for the next new one.
 //! The owner names live in one **owner store** (`owners`, private): their
 //! text relative to the origin (`n17`, not `n17.cell0.hns`; the apex is
-//! the empty string) back to back in one append-only arena, a 12-byte
-//! row per name — arena offset, length, and the record's body id when
-//! the name holds one, as nearly every meta name does — and an
+//! the empty string) back to back in one append-only arena, an 8-byte
+//! row per name — arena offset, and the record's body id when the name
+//! holds one, as nearly every meta name does — and an
 //! open-addressed index of `u32` row ids, hashed with a fixed hash and at
 //! most three quarters full, so the question a server is asked, an exact
 //! match, is one probe that allocates nothing: the origin is stripped
@@ -50,8 +50,9 @@
 //! at serial S asks for "changes since S" and receives only the record
 //! sets of names touched after S, falling back to a full transfer when
 //! the log has been truncated past S. The log holds row ids, so a name
-//! whose last record goes keeps its emptied row while the log names it;
-//! once the rows nothing needs are over half the store, it is rebuilt
+//! whose last record goes keeps its emptied row while the log names it
+//! (the store pins the row to the newest entry naming it); once the rows
+//! nothing needs are over half the store, it is rebuilt
 //! without them and the log's ids are renumbered.
 
 use std::collections::VecDeque;
@@ -177,11 +178,11 @@ impl Zone {
         if self.delta_log.len() == DELTA_LOG_CAP {
             if let Some((dropped_serial, dropped)) = self.delta_log.pop_front() {
                 self.delta_floor = dropped_serial;
-                self.owners.unlog(dropped);
+                self.owners.unlog(dropped, dropped_serial);
             }
         }
         self.delta_log.push_back((self.serial, id));
-        self.owners.log(id);
+        self.owners.log(id, self.serial);
     }
 
     /// Ends a mutation: once the rows nothing needs are over half the
@@ -266,9 +267,9 @@ impl Zone {
         has_cname: bool,
     ) -> NsResult<()> {
         rdata.encoded_len()?;
-        if !self.owners.has_room(relative) {
+        if !self.owners.has_room(relative) || !self.bodies.has_room() {
             return Err(NsError::BadRecord(format!(
-                "zone {} holds all the owner names it can",
+                "zone {} holds all the names and bodies it can",
                 self.origin
             )));
         }
@@ -1064,6 +1065,60 @@ mod tests {
         ));
         assert_eq!((z.record_count(), z.size_bytes()), (0, 0));
         assert!(z.all_records().is_empty());
+    }
+
+    /// A row holding no record is kept by the newest log entry naming
+    /// it alone: a name emptied, refilled and emptied again stays while
+    /// that entry is logged, its older ones gone. And the rows nothing
+    /// needs first outnumber the rest at the mutation they always did.
+    #[test]
+    fn an_empty_row_goes_with_its_newest_log_entry_and_no_sooner() {
+        let txt = |n: &DomainName| ResourceRecord::txt(n.clone(), 60, "x");
+        let mut z = zone();
+        let (gone, kept) = (
+            name("gone.cs.washington.edu"),
+            name("kept.cs.washington.edu"),
+        );
+        let churn = name("churn.cs.washington.edu");
+        z.add(txt(&gone)).expect("add");
+        assert_eq!(z.remove(&gone, RType::Txt), 1);
+        z.add(txt(&kept)).expect("add");
+        assert_eq!(z.remove(&kept, RType::Txt), 1);
+        z.add(txt(&kept)).expect("add");
+        assert_eq!(z.remove(&kept, RType::Txt), 1);
+        // Churn until the log holds `kept`'s last removal and no older
+        // entry: `gone` is then the one row of three nothing needs.
+        let last = z.serial();
+        while z.serial() < last + DELTA_LOG_CAP as u32 - 1 {
+            z.add(txt(&churn)).expect("add");
+            if z.serial() < last + DELTA_LOG_CAP as u32 - 1 {
+                assert_eq!(z.remove(&churn, RType::Txt), 1);
+            }
+        }
+        assert_eq!(z.deltas_since(last - 2), None, "older entries left");
+        assert_eq!(z.deltas_since(last - 1), Some(vec![churn, kept]));
+
+        // The churn of the test above: the store is first rebuilt at its
+        // 25th mutation, when the removals of n0..n1000 have left the log.
+        let mut z = zone();
+        let n = |i: usize| name(&format!("n{i}.cs.washington.edu"));
+        for i in 0..2000 {
+            z.add(txt(&n(i))).expect("add");
+        }
+        for i in 0..2000 {
+            assert_eq!(z.remove(&n(i), RType::Txt), 1);
+        }
+        let churn = name("churn.cs.washington.edu");
+        let mut mutations = 0;
+        while z.owners.len() >= 2000 && mutations < 60 {
+            if mutations % 2 == 0 {
+                z.add(txt(&churn)).expect("add");
+            } else {
+                assert_eq!(z.remove(&churn, RType::Txt), 1);
+            }
+            mutations += 1;
+        }
+        assert_eq!(mutations, 25);
     }
 
     /// A `CNAME` is followed one step, so an alias of itself answers

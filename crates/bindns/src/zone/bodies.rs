@@ -19,6 +19,7 @@ use std::num::NonZeroU32;
 
 use simnet::index::{hash_of, Index};
 
+use super::owners::SEVERAL;
 use super::{fitted_slots, overfull, RrBody};
 use crate::rr::{RData, RType};
 
@@ -131,6 +132,12 @@ impl Bodies {
         }
         self.table[at as usize].body = None;
         self.free.push(at);
+    }
+
+    /// Whether a new body still gets an id below [`SEVERAL`], which the
+    /// owner store reserves.
+    pub(super) fn has_room(&self) -> bool {
+        self.table.len() + 1 < SEVERAL.get() as usize
     }
 
     /// Distinct bodies held.

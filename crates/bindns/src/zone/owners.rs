@@ -1,60 +1,56 @@
 //! The owner store under a [`super::Zone`]: every owner name once, as
 //! text relative to the zone's origin (`n17` for `n17.cell0.hns`, the
-//! apex empty) in one append-only arena, a 12-byte row per name holding
-//! its lone record inline as a body id (the zone's body table holds the
-//! body), and an open-addressed index of `u32` row ids at most three
-//! quarters full — [`simnet::index::Index`], the one the body table and
-//! the TTL maps use too. The index's tags keep most wrong candidates from
+//! apex empty) in one append-only arena, an 8-byte row per name holding
+//! where its text starts and its lone record inline as a body id (the
+//! zone's body table holds the body), and an open-addressed index of
+//! `u32` row ids at most three quarters full — [`simnet::index::Index`],
+//! the one the body table and the TTL maps use too. Rows and arena grow
+//! and are rebuilt in the same order, so a name ends where the next
+//! row's starts. The index's tags keep most wrong candidates from
 //! costing a row or an arena load; a candidate whose tag matches is
 //! compared as bytes.
 //!
 //! A row whose last record goes stays, empty, while the zone's delta log
-//! names it, so an incremental transfer can still report the name. Once
-//! the rows nothing needs — no record, no log entry — are over half the
-//! store, [`Owners::compact`] drops them and rebuilds arena and index at
-//! the size of what is left. [`Owners::shrink_to_fit`] does the same
-//! without dropping anything, and [`Owners::with_capacity`] sizes a store
-//! for a known count of names once; growth past any of them doubles.
+//! names it, so an incremental transfer can still report the name: the
+//! store pins it to the serial of the newest entry naming it, and lets
+//! it go when that entry leaves the log. Once the rows nothing needs —
+//! no record, no pin — are over half the store, [`Owners::compact`]
+//! drops them and rebuilds arena and index at the size of what is left.
+//! [`Owners::shrink_to_fit`] does the same without dropping anything, and
+//! [`Owners::with_capacity`] sizes a store for a known count of names
+//! once; growth past any of them doubles.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use simnet::index::{hash, Index};
 
 use super::bodies::BodyId;
-use super::{fitted_slots, overfull, table_bytes, DELTA_LOG_CAP};
+use super::{fitted_slots, overfull, table_bytes};
 
-/// One owner name: where its text lies in the arena, and its records.
+/// The body id a row holds when its records are in [`Owners::several`];
+/// the body table never issues it.
+pub(super) const SEVERAL: BodyId = BodyId::MAX;
+
+/// One owner name: where its text starts in the arena, and its records.
 /// Most names hold one record, kept here; a name holding several keeps
 /// them in [`Owners::several`] instead.
 #[derive(Debug, Clone)]
 struct Row {
-    /// The record's body, when the name holds exactly one.
-    lone: Option<BodyId>,
-    /// Where the name's text starts in the arena.
+    /// Where the name's text starts in the arena; it ends where the next
+    /// row's starts, the last row's at the arena's end.
     offset: u32,
-    /// Its length: a name is at most 255 bytes.
-    len: u8,
-    /// Whether the records are in [`Owners::several`].
-    several: bool,
-    /// Delta-log entries naming this row.
-    logged: u16,
+    /// The record's body when the name holds exactly one, [`SEVERAL`]
+    /// when it holds more.
+    records: Option<BodyId>,
 }
 
-const _: () = assert!(std::mem::size_of::<Row>() == 12);
-const _: () = assert!(DELTA_LOG_CAP <= u16::MAX as usize);
+const _: () = assert!(std::mem::size_of::<Row>() == 8);
 
-impl Row {
-    /// Where the name's text lies in the arena.
-    fn span(&self) -> Range<usize> {
-        let start = self.offset as usize;
-        start..start + usize::from(self.len)
-    }
-
-    /// Neither a record nor a log entry needs this row.
-    fn droppable(&self) -> bool {
-        self.lone.is_none() && !self.several && self.logged == 0
-    }
+/// Bytes a B-tree of `len` pins holds: a leaf of eleven and its header
+/// for every five, as far as sequential inserts fill one.
+fn pin_bytes(len: usize) -> usize {
+    len.div_ceil(5) * (11 * std::mem::size_of::<(u32, u32)>() + 16)
 }
 
 /// Every owner name of a zone, with its records.
@@ -70,7 +66,10 @@ pub(super) struct Owners {
     index: Index,
     /// The record bodies of each row holding more than one.
     several: HashMap<u32, Vec<BodyId>>,
-    /// Rows that are [`Row::droppable`].
+    /// Each row holding no record that the delta log names, with the
+    /// serial of the newest entry naming it.
+    pins: BTreeMap<u32, u32>,
+    /// Rows that are [`Owners::droppable`].
     droppable: usize,
 }
 
@@ -94,6 +93,21 @@ impl Owners {
         owners
     }
 
+    /// Where the text of row `id` lies in the arena.
+    fn span(&self, id: u32) -> Range<usize> {
+        let id = id as usize;
+        let end = self
+            .rows
+            .get(id + 1)
+            .map_or(self.text.len(), |next| next.offset as usize);
+        self.rows[id].offset as usize..end
+    }
+
+    /// Neither a record nor a log entry needs row `id`.
+    fn droppable(&self, id: u32) -> bool {
+        self.rows[id as usize].records.is_none() && !self.pins.contains_key(&id)
+    }
+
     /// The row of `name`, whether it holds records or not.
     pub(super) fn find(&self, name: &str) -> Option<u32> {
         self.locate(name).ok()
@@ -104,9 +118,7 @@ impl Owners {
     pub(super) fn locate(&self, name: &str) -> Result<u32, Vacancy> {
         let (text, name) = (self.text.as_bytes(), name.as_bytes());
         let hash = hash(name);
-        let found = self
-            .index
-            .find(hash, |id| text[self.rows[id as usize].span()] == *name);
+        let found = self.index.find(hash, |id| text[self.span(id)] == *name);
         found
             .map(|(_, id)| id)
             .map_err(|slot| Vacancy { slot, hash })
@@ -114,16 +126,14 @@ impl Owners {
 
     /// The text of row `id`.
     pub(super) fn name(&self, id: u32) -> &str {
-        &self.text[self.rows[id as usize].span()]
+        &self.text[self.span(id)]
     }
 
     /// The record bodies of row `id`, in the order they were added.
     pub(super) fn records(&self, id: u32) -> &[BodyId] {
-        let row = &self.rows[id as usize];
-        if row.several {
-            self.several.get(&id).map_or(&[], Vec::as_slice)
-        } else {
-            row.lone.as_slice()
+        match &self.rows[id as usize].records {
+            Some(SEVERAL) => self.several.get(&id).map_or(&[], Vec::as_slice),
+            lone => lone.as_slice(),
         }
     }
 
@@ -155,11 +165,8 @@ impl Owners {
         };
         let id = self.rows.len() as u32;
         self.rows.push(Row {
-            lone: None,
             offset: self.text.len() as u32,
-            len: name.len() as u8,
-            several: false,
-            logged: 0,
+            records: None,
         });
         self.text.push_str(name);
         if overfull(self.rows.len(), self.index.slots()) {
@@ -174,9 +181,10 @@ impl Owners {
 
     /// Rebuilds the index at `slots` slots, every row in it.
     fn rehash(&mut self, slots: usize) {
-        let text = self.text.as_bytes();
-        let hashes = self.rows.iter().map(|row| hash(&text[row.span()]));
-        self.index.rebuild(slots, hashes);
+        let mut index = std::mem::take(&mut self.index);
+        let ids = 0..self.rows.len() as u32;
+        index.rebuild(slots, ids.map(|id| hash(self.name(id).as_bytes())));
+        self.index = index;
     }
 
     /// Trims arena, rows and the several-record sets to their length, and
@@ -195,17 +203,12 @@ impl Owners {
         }
     }
 
-    /// Runs `f` on row `id` (and the several-record sets), keeping the
-    /// count of droppable rows.
-    fn update<R>(
-        &mut self,
-        id: u32,
-        f: impl FnOnce(&mut Row, &mut HashMap<u32, Vec<BodyId>>) -> R,
-    ) -> R {
-        let row = &mut self.rows[id as usize];
-        let was = row.droppable();
-        let result = f(row, &mut self.several);
-        match (was, row.droppable()) {
+    /// Runs `f` on the store, keeping the count of droppable rows for
+    /// row `id`, the one it changes.
+    fn update<R>(&mut self, id: u32, f: impl FnOnce(&mut Owners) -> R) -> R {
+        let was = self.droppable(id);
+        let result = f(self);
+        match (was, self.droppable(id)) {
             (false, true) => self.droppable += 1,
             (true, false) => self.droppable -= 1,
             _ => {}
@@ -213,16 +216,21 @@ impl Owners {
         result
     }
 
-    /// Appends the record whose body is `body` to row `id`.
+    /// Appends the record whose body is `body` to row `id`, which then
+    /// needs no pin.
     pub(super) fn push(&mut self, id: u32, body: BodyId) {
-        self.update(id, |row, several| {
-            if row.several {
-                several.entry(id).or_default().push(body);
-            } else if let Some(first) = row.lone.take() {
-                several.insert(id, vec![first, body]);
-                row.several = true;
-            } else {
-                row.lone = Some(body);
+        self.update(id, |owners| {
+            let row = &mut owners.rows[id as usize];
+            match row.records {
+                Some(SEVERAL) => owners.several.entry(id).or_default().push(body),
+                Some(first) => {
+                    owners.several.insert(id, vec![first, body]);
+                    row.records = Some(SEVERAL);
+                }
+                None => {
+                    row.records = Some(body);
+                    owners.pins.remove(&id);
+                }
             }
         });
     }
@@ -230,33 +238,40 @@ impl Owners {
     /// Takes the records of row `id` whose bodies `doomed` picks, keeping
     /// the order of the rest.
     pub(super) fn take(&mut self, id: u32, doomed: impl Fn(BodyId) -> bool) -> Vec<BodyId> {
-        self.update(id, |row, several| {
-            if !row.several {
-                return match row.lone.take_if(|body| doomed(*body)) {
-                    Some(body) => vec![body],
-                    None => Vec::new(),
-                };
+        self.update(id, |owners| {
+            let row = &mut owners.rows[id as usize];
+            if row.records != Some(SEVERAL) {
+                return row
+                    .records
+                    .take_if(|body| doomed(*body))
+                    .into_iter()
+                    .collect();
             }
-            let set = several.remove(&id).unwrap_or_default();
+            let set = owners.several.remove(&id).unwrap_or_default();
             let (gone, mut kept): (Vec<_>, Vec<_>) = set.into_iter().partition(|&b| doomed(b));
             if kept.len() > 1 {
-                several.insert(id, kept);
+                owners.several.insert(id, kept);
             } else {
-                row.several = false;
-                row.lone = kept.pop();
+                row.records = kept.pop();
             }
             gone
         })
     }
 
-    /// A delta-log entry now names row `id`.
-    pub(super) fn log(&mut self, id: u32) {
-        self.update(id, |row, _| row.logged += 1);
+    /// The delta-log entry at `serial` names row `id`: a row holding no
+    /// record is pinned to it.
+    pub(super) fn log(&mut self, id: u32, serial: u32) {
+        if self.rows[id as usize].records.is_none() {
+            self.update(id, |owners| owners.pins.insert(id, serial));
+        }
     }
 
-    /// A delta-log entry naming row `id` was dropped.
-    pub(super) fn unlog(&mut self, id: u32) {
-        self.update(id, |row, _| row.logged -= 1);
+    /// The delta-log entry at `serial` naming row `id` was dropped: if it
+    /// was the newest naming an empty row, the row is needed no more.
+    pub(super) fn unlog(&mut self, id: u32, serial: u32) {
+        if self.pins.get(&id) == Some(&serial) {
+            self.update(id, |owners| owners.pins.remove(&id));
+        }
     }
 
     /// Whether the rows nothing needs are over half the store.
@@ -268,38 +283,51 @@ impl Owners {
     /// at the size of what is left. Returns each old row's new id
     /// (`u32::MAX` for a dropped one).
     pub(super) fn compact(&mut self) -> Vec<u32> {
-        let rows = std::mem::take(&mut self.rows);
-        let text_len = rows
-            .iter()
-            .filter(|row| !row.droppable())
-            .map(|row| usize::from(row.len))
+        let ids = 0..self.rows.len() as u32;
+        let text_len = ids
+            .clone()
+            .filter(|&id| !self.droppable(id))
+            .map(|id| self.span(id).len())
             .sum();
         let mut text = String::with_capacity(text_len);
-        let mut kept = Vec::with_capacity(rows.len() - self.droppable);
+        let mut rows = Vec::with_capacity(self.rows.len() - self.droppable);
         let mut several = HashMap::with_capacity(self.several.len());
-        let mut renumbered = Vec::with_capacity(rows.len());
-        for (old, row) in (0u32..).zip(rows) {
-            if row.droppable() {
-                renumbered.push(u32::MAX);
+        let mut pins = BTreeMap::new();
+        let mut renumbered = vec![u32::MAX; self.rows.len()];
+        for old in ids {
+            if self.droppable(old) {
                 continue;
             }
-            let new = kept.len() as u32;
+            let new = rows.len() as u32;
             if let Some(set) = self.several.remove(&old) {
                 several.insert(new, set);
             }
+            if let Some(serial) = self.pins.remove(&old) {
+                pins.insert(new, serial);
+            }
             let offset = text.len() as u32;
-            text.push_str(&self.text[row.span()]);
-            kept.push(Row { offset, ..row });
-            renumbered.push(new);
+            text.push_str(self.name(old));
+            rows.push(Row {
+                offset,
+                ..self.rows[old as usize]
+            });
+            renumbered[old as usize] = new;
         }
-        (self.text, self.rows, self.several) = (text, kept, several);
+        (self.text, self.rows) = (text, rows);
+        (self.several, self.pins) = (several, pins);
         self.droppable = 0;
         self.rehash(fitted_slots(self.rows.len()));
         renumbered
     }
 
+    /// Rows held, needed or not.
+    #[cfg(test)]
+    pub(super) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
     /// Bytes the store holds: arena, rows and index at their capacity,
-    /// and the several-record sets.
+    /// the several-record sets and the pins.
     pub(super) fn resident_bytes(&self) -> usize {
         let sets: usize = self
             .several
@@ -310,6 +338,7 @@ impl Owners {
             + self.rows.capacity() * std::mem::size_of::<Row>()
             + self.index.resident_bytes()
             + table_bytes::<(u32, Vec<BodyId>)>(self.several.capacity())
+            + pin_bytes(self.pins.len())
             + sets
     }
 }
@@ -329,7 +358,7 @@ mod tests {
             .collect();
         for (i, &id) in ids.iter().enumerate() {
             if i % 10 == 0 {
-                owners.log(id);
+                owners.log(id, 1);
             }
         }
         // Rows without a record or a log entry are all but every tenth.

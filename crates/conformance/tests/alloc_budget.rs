@@ -204,8 +204,10 @@ const CH_DELETE: Row = (0, 0);
 /// beforehand too, so only what the load allocates is counted either
 /// way. (The same records through `Zone::new`, 4,096 `add`s and
 /// `add_zone`: 54 / 312,518 B, the index rebuilt at every doubling and
-/// again by `add_zone`, rows and log regrown and trimmed.)
-const CELL_LOAD: Row = (24, 168_014);
+/// again by `add_zone`, rows and log regrown and trimmed. 24 / 168,014 B
+/// while a row was 12 bytes and a zone had no pin table, whose header
+/// costs 24 B in each of the node's eleven slots.)
+const CELL_LOAD: Row = (24, 151_894);
 
 /// `transfer_zone` of an eight-name zone of one text record each, typed
 /// both ways: the server's sorted copy of the records (20: the sorted

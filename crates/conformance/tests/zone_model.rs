@@ -440,7 +440,7 @@ fn a_load_past_the_delta_log_is_the_zone_its_adds_make() {
 }
 
 /// A load of `n` records at `n` names, one body among them, requests its
-/// 12-byte rows, its owner index (4 bytes a slot, a third more slots than
+/// 8-byte rows, its owner index (4 bytes a slot, a third more slots than
 /// names) and its delta log (8 bytes an entry, at most the log's length)
 /// once each: beyond those and the owner-name arena, which grows as it
 /// does under `add`, it requests the same bytes whatever `n` is. The
@@ -475,7 +475,7 @@ fn a_load_sizes_its_rows_index_and_log_once() {
             text.shrink_to_fit();
         });
         let (arena, _) = arena.expect("the counting allocator is installed");
-        let sized = 12 * n + 4 * (4 * n).div_ceil(3) + 8 * n.min(DELTA_LOG_CAP);
+        let sized = 8 * n + 4 * (4 * n).div_ceil(3) + 8 * n.min(DELTA_LOG_CAP);
         rest.push((n, bytes - arena - sized as u64));
         let zone = zone.as_mut().expect("load");
         let (_, trim) = measure_calls(|| zone.shrink_to_fit());

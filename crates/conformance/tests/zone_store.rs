@@ -78,12 +78,12 @@ fn resident_bytes_is_within_a_tenth_of_what_the_allocator_counts() {
 }
 
 /// A zone shaped like one cell of the scale world — 4,096 names, a pool
-/// of 8 bindings — once a server has taken it: at most 27 B a name by the
-/// allocator's count (owner names kept below the origin, 12-byte rows,
+/// of 8 bindings — once a server has taken it: at most 22 B a name by the
+/// allocator's count (owner names kept below the origin, 8-byte rows,
 /// an owner index three quarters full, the store trimmed to fit), and
 /// the gauge within a tenth of that count.
 #[test]
-fn a_served_cell_holds_at_most_twenty_seven_bytes_a_name() {
+fn a_served_cell_holds_at_most_twenty_two_bytes_a_name() {
     let names = 4096;
     let (db, live) = measure_live(|| {
         let mut db = ZoneDb::new();
@@ -94,7 +94,7 @@ fn a_served_cell_holds_at_most_twenty_seven_bytes_a_name() {
     let gauge = db.zone(&origin()).expect("served").resident_bytes() as i64;
     let per_name = live as f64 / names as f64;
     println!("served cell: gauge {gauge} B, allocator {live} B ({per_name:.1} B/name)");
-    assert!(per_name <= 27.0, "{per_name:.1} B/name");
+    assert!(per_name <= 22.0, "{per_name:.1} B/name");
     assert!(
         (gauge - live).abs() * 10 <= live,
         "gauge {gauge} B against {live} B live"

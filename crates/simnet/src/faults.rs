@@ -164,14 +164,6 @@ impl FaultPlan {
         self
     }
 
-    /// True if the plan schedules nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.partitions.is_empty()
-            && self.spikes.is_empty()
-            && self.loss.is_none()
-    }
-
     /// Whether `host` is inside a crash window at `now`.
     pub fn host_down(&self, host: HostId, now: SimTime) -> bool {
         self.crashes
@@ -243,7 +235,6 @@ mod tests {
     #[test]
     fn empty_plan_blocks_nothing() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
         assert!(!plan.host_down(HostId(1), t(0)));
         assert!(plan.blocks(HostId(1), HostId(2), t(5)).is_none());
         assert_eq!(plan.extra_latency_ms(HostId(1), HostId(2), t(5)), 0.0);
