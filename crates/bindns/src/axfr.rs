@@ -250,19 +250,17 @@ pub struct Secondary {
     origin: DomainName,
     default_ttl: u32,
     server: Arc<BindServer>,
-    last_serial: parking_lot::Mutex<u32>,
 }
 
 /// The database a secondary serves a transferred copy of `origin` from:
 /// each record's name stripped to the text the zone keeps, as
-/// [`Zone::add`] strips it, and the records loaded.
-fn served(
-    origin: &DomainName,
-    default_ttl: u32,
-    records: Vec<ResourceRecord>,
-) -> RpcResult<ZoneDb> {
+/// [`Zone::add`] strips it, and the records loaded at the serial the
+/// primary sent them at, so a client of the secondary holds the
+/// primary's serial.
+fn served(origin: &DomainName, default_ttl: u32, xfer: &ZoneTransfer) -> RpcResult<ZoneDb> {
     let refused = |e: NsError| RpcError::Service(e.to_string());
-    let stripped = records
+    let stripped = xfer
+        .records
         .iter()
         .map(|rr| match rr.name.below(origin) {
             Some(owner) => Ok((owner, RrBody::of(rr))),
@@ -272,7 +270,7 @@ fn served(
         .map_err(refused)?;
     let zone = Zone::load(origin.clone(), default_ttl, stripped).map_err(refused)?;
     let mut db = ZoneDb::new();
-    db.add_zone(zone);
+    db.add_zone(zone.loaded_at(xfer.serial));
     Ok(db)
 }
 
@@ -286,7 +284,7 @@ impl Secondary {
         default_ttl: u32,
     ) -> RpcResult<Secondary> {
         let xfer = transfer_zone(&net, host, &primary, &origin)?;
-        let db = served(&origin, default_ttl, xfer.records)?;
+        let db = served(&origin, default_ttl, &xfer)?;
         let server = BindServer::conventional(format!("secondary-{origin}"), db);
         Ok(Secondary {
             net,
@@ -295,7 +293,6 @@ impl Secondary {
             origin,
             default_ttl,
             server,
-            last_serial: parking_lot::Mutex::new(xfer.serial),
         })
     }
 
@@ -304,9 +301,12 @@ impl Secondary {
         &self.server
     }
 
-    /// Serial of the copy currently served.
+    /// Serial of the copy currently served: the primary's when it was
+    /// transferred.
     pub fn current_serial(&self) -> u32 {
-        *self.last_serial.lock()
+        let origin = &self.origin;
+        self.server
+            .with_db(|db| db.zone(origin).map_or(0, Zone::serial))
     }
 
     /// Checks the primary's serial; re-transfers if it advanced. Returns
@@ -317,9 +317,8 @@ impl Secondary {
             return Ok(false);
         }
         let xfer = transfer_zone(&self.net, self.host, &self.primary, &self.origin)?;
-        let fresh = served(&self.origin, self.default_ttl, xfer.records)?;
+        let fresh = served(&self.origin, self.default_ttl, &xfer)?;
         self.server.with_db(|db| *db = fresh);
-        *self.last_serial.lock() = xfer.serial;
         Ok(true)
     }
 }
@@ -458,10 +457,10 @@ mod tests {
         assert_eq!(ttl, Some(600));
     }
 
-    /// A refresh serves its transfer as `Zone::load` stands it up: the
-    /// server taking the zone trims nothing more, so the copy holds the
-    /// bytes of a zone loaded from the same records, one name holding
-    /// two of them.
+    /// A refresh serves its transfer as `Zone::load` stands it up, at the
+    /// serial the primary sent: the server taking the zone trims nothing
+    /// more, so the copy holds the bytes of a zone loaded from the same
+    /// records, one name holding two of them.
     #[test]
     fn a_refreshed_secondary_holds_its_transfer_as_loaded() {
         let (_world, net, client, dep) = setup();
@@ -488,13 +487,43 @@ mod tests {
             db.zone(&name("hns"))
                 .map(|z| (z.resident_bytes(), z.all_records(), z.serial()))
         });
-        let expected = (
-            loaded.resident_bytes(),
-            loaded.all_records(),
-            loaded.serial(),
-        );
+        let expected = (loaded.resident_bytes(), loaded.all_records(), xfer.serial);
         assert_eq!(served, Some(expected));
         assert_eq!(loaded.record_count(), 9);
+    }
+
+    /// A secondary once served each copy at a serial of its own, one past
+    /// the copy's record count: a replace on the primary keeps the count,
+    /// so a client of the secondary was told its stale copy was current.
+    #[test]
+    fn a_client_of_a_refreshed_secondary_sees_a_replace_on_the_primary() {
+        let (world, net, client, dep) = setup();
+        let secondary =
+            Secondary::bootstrap(Arc::clone(&net), client, dep.hrpc_binding, name("hns"), 600)
+                .expect("bootstrap");
+        let copy = deploy(
+            &net,
+            world.add_host("secondary"),
+            Arc::clone(secondary.server()),
+        );
+        let held = transfer_zone(&net, client, &copy.hrpc_binding, &name("hns")).expect("axfr");
+        let fresh = ResourceRecord::txt(name("e3.hns"), 600, "replaced");
+        let updater =
+            crate::resolver::HrpcResolver::new(Arc::clone(&net), client, dep.hrpc_binding);
+        updater
+            .update(&UpdateOp::Replace {
+                name: name("e3.hns"),
+                rtype: RType::Txt,
+                records: vec![fresh.clone()],
+            })
+            .expect("replace");
+        assert!(secondary.refresh().expect("refresh"), "serial advanced");
+        let asked =
+            transfer_zone_incremental(&net, client, &copy.hrpc_binding, &name("hns"), held.serial)
+                .expect("ixfr");
+        assert_ne!(asked.mode, IxfrMode::Unchanged);
+        assert!(asked.records.contains(&fresh), "{:?}", asked.records);
+        assert_eq!(asked.serial, secondary.current_serial());
     }
 
     #[test]

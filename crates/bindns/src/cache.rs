@@ -107,9 +107,10 @@ impl Entry {
 fn rdata_bytes(rdata: &RData) -> usize {
     match rdata {
         RData::Addr(_) => 0,
-        RData::Domain(name) | RData::Soa { primary: name, .. } => name.resident_share(),
-        RData::Text(text) => text.capacity(),
+        RData::Domain(name) => name.resident_share(),
+        RData::Text(text) => arc_share(text),
         RData::Opaque(payload) => arc_share(payload),
+        RData::Soa(soa) => arc_share(soa) + soa.primary.resident_share() / Arc::strong_count(soa),
     }
 }
 

@@ -1,6 +1,5 @@
 //! The per-server zone database.
 
-use std::collections::BTreeMap;
 use std::ops::Deref;
 
 use crate::error::{NsError, NsResult};
@@ -8,16 +7,23 @@ use crate::name::DomainName;
 use crate::rr::{RType, Records};
 use crate::zone::Zone;
 
-/// All zones held by one authoritative server, keyed by origin.
+/// All zones held by one authoritative server, in origin order, one slot
+/// a zone: a server of one zone holds that zone and nothing beside it.
 #[derive(Debug, Default)]
 pub struct ZoneDb {
-    zones: BTreeMap<DomainName, Zone>,
+    zones: Vec<Zone>,
 }
 
 impl ZoneDb {
     /// Creates an empty database.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Where the zone of `origin` is, or would go.
+    fn position(&self, origin: &DomainName) -> Result<usize, usize> {
+        self.zones
+            .binary_search_by(|zone| zone.origin().cmp(origin))
     }
 
     /// Adds a zone, trimmed to what it holds ([`Zone::shrink_to_fit`]);
@@ -27,30 +33,33 @@ impl ZoneDb {
     ///
     /// Panics if a zone with the same origin already exists.
     pub fn add_zone(&mut self, mut zone: Zone) {
+        let at = match self.position(zone.origin()) {
+            Ok(_) => panic!("duplicate zone {}", zone.origin()),
+            Err(at) => at,
+        };
         zone.shrink_to_fit();
-        let origin = zone.origin().clone();
-        let prev = self.zones.insert(origin.clone(), zone);
-        assert!(prev.is_none(), "duplicate zone {origin}");
+        self.zones.reserve_exact(1);
+        self.zones.insert(at, zone);
     }
 
     /// Finds the most specific zone containing `name`.
     pub fn find_zone(&self, name: &DomainName) -> Option<&Zone> {
-        deepest(self.zones.values(), name)
+        deepest(self.zones.iter(), name)
     }
 
     /// Mutable variant of [`ZoneDb::find_zone`], in the same one pass.
     pub fn find_zone_mut(&mut self, name: &DomainName) -> Option<&mut Zone> {
-        deepest(self.zones.values_mut(), name)
+        deepest(self.zones.iter_mut(), name)
     }
 
     /// Gets a zone by exact origin.
     pub fn zone(&self, origin: &DomainName) -> Option<&Zone> {
-        self.zones.get(origin)
+        self.position(origin).ok().map(|at| &self.zones[at])
     }
 
     /// Mutable access by exact origin.
     pub fn zone_mut(&mut self, origin: &DomainName) -> Option<&mut Zone> {
-        self.zones.get_mut(origin)
+        self.position(origin).ok().map(|at| &mut self.zones[at])
     }
 
     /// Authoritative lookup across all zones.
@@ -61,9 +70,12 @@ impl ZoneDb {
         }
     }
 
-    /// All zone origins.
+    /// All zone origins, in name order.
     pub fn origins(&self) -> Vec<DomainName> {
-        self.zones.keys().cloned().collect()
+        self.zones
+            .iter()
+            .map(|zone| zone.origin().clone())
+            .collect()
     }
 
     /// Number of zones.
@@ -149,6 +161,9 @@ mod tests {
         assert!(db.zone(&name("cs.washington.edu")).is_some());
         assert!(db.zone_mut(&name("cs.washington.edu")).is_some());
         assert!(db.zone(&name("fiji.cs.washington.edu")).is_none());
+        db.add_zone(Zone::new(name("mit.edu"), 3600));
+        assert!(db.origins().is_sorted(), "{:?}", db.origins());
+        assert!(db.zone(&name("mit.edu")).is_some());
     }
 
     #[test]

@@ -123,20 +123,25 @@ pub enum RData {
     Addr(NetAddr),
     /// A domain name (for `NS`, `CNAME`, `MX` targets).
     Domain(DomainName),
-    /// Text (for `TXT`, `HINFO`).
-    Text(String),
+    /// Text (for `TXT`, `HINFO`), shared as an opaque payload is.
+    Text(Arc<str>),
     /// Opaque bytes (for `WKS`, `UNSPEC`), shared: a record handed out
     /// by a zone, a cache or a transfer points at the stored payload.
     Opaque(Arc<[u8]>),
-    /// Start-of-authority payload.
-    Soa {
-        /// Primary server host name.
-        primary: DomainName,
-        /// Zone serial number.
-        serial: u32,
-        /// Default TTL for the zone, seconds.
-        default_ttl: u32,
-    },
+    /// Start-of-authority payload, behind one `Arc` so that a rare `SOA`
+    /// widens no other record.
+    Soa(Arc<Soa>),
+}
+
+/// The fields of an `SOA` record.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Soa {
+    /// Primary server host name.
+    pub primary: DomainName,
+    /// Zone serial number.
+    pub serial: u32,
+    /// Default TTL for the zone, seconds.
+    pub default_ttl: u32,
 }
 
 impl RData {
@@ -148,7 +153,7 @@ impl RData {
             RData::Domain(name) => name.as_str().len(),
             RData::Text(s) => s.len(),
             RData::Opaque(data) => data.len(),
-            RData::Soa { primary, .. } => 8 + primary.as_str().len(),
+            RData::Soa(soa) => 8 + soa.primary.as_str().len(),
         }
     }
 
@@ -190,15 +195,11 @@ impl RData {
                 b.push(OPAQUE_TAG);
                 b.extend_from_slice(data);
             }
-            RData::Soa {
-                primary,
-                serial,
-                default_ttl,
-            } => {
+            RData::Soa(soa) => {
                 b.push(4);
-                b.extend_from_slice(&serial.to_be_bytes());
-                b.extend_from_slice(&default_ttl.to_be_bytes());
-                b.extend_from_slice(primary.as_str().as_bytes());
+                b.extend_from_slice(&soa.serial.to_be_bytes());
+                b.extend_from_slice(&soa.default_ttl.to_be_bytes());
+                b.extend_from_slice(soa.primary.as_str().as_bytes());
             }
         }
     }
@@ -223,7 +224,7 @@ impl RData {
             2 => {
                 let s = std::str::from_utf8(rest)
                     .map_err(|_| NsError::BadRecord("bad text rdata".into()))?;
-                Ok(RData::Text(s.to_string()))
+                Ok(RData::Text(s.into()))
             }
             OPAQUE_TAG => Ok(RData::Opaque(rest.into())),
             4 => {
@@ -232,11 +233,11 @@ impl RData {
                 let (default_ttl, rest) = rest.split_first_chunk::<4>().ok_or_else(short)?;
                 let s = std::str::from_utf8(rest)
                     .map_err(|_| NsError::BadRecord("bad SOA primary".into()))?;
-                Ok(RData::Soa {
+                Ok(RData::Soa(Arc::new(Soa {
                     primary: DomainName::parse(s)?,
                     serial: u32::from_be_bytes(*serial),
                     default_ttl: u32::from_be_bytes(*default_ttl),
-                })
+                })))
             }
             other => Err(NsError::BadRecord(format!("unknown rdata tag {other}"))),
         }
@@ -277,9 +278,10 @@ impl RrBody {
     pub(crate) fn heap_bytes(&self) -> usize {
         match &self.rdata {
             RData::Addr(_) => 0,
-            RData::Domain(name) | RData::Soa { primary: name, .. } => name.resident_share(),
-            RData::Text(text) => text.capacity(),
+            RData::Domain(name) => name.resident_share(),
+            RData::Text(text) => arc_bytes(text.len()),
             RData::Opaque(payload) => arc_bytes(payload.len()),
+            RData::Soa(soa) => arc_bytes(std::mem::size_of::<Soa>()) + soa.primary.resident_share(),
         }
     }
 }
@@ -488,7 +490,7 @@ impl ResourceRecord {
     }
 
     /// Builds a `TXT` record.
-    pub fn txt(name: DomainName, ttl: u32, text: impl Into<String>) -> Self {
+    pub fn txt(name: DomainName, ttl: u32, text: impl Into<Arc<str>>) -> Self {
         ResourceRecord {
             name,
             rtype: RType::Txt,
@@ -646,11 +648,11 @@ mod tests {
             RData::Domain(name("ns.cs.washington.edu")),
             RData::Text("VAX-II / Unix".into()),
             RData::Opaque(vec![1, 2, 3].into()),
-            RData::Soa {
+            RData::Soa(Arc::new(Soa {
                 primary: name("ns.cs.washington.edu"),
                 serial: 42,
                 default_ttl: 3600,
-            },
+            })),
         ];
         for rdata in cases {
             let bytes = rdata.to_bytes().expect("encode");

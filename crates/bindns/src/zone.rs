@@ -30,13 +30,14 @@
 //! Its rows, owner index and delta log are sized once from the records'
 //! size hint; each owner's labels are checked as [`DomainName::child`]
 //! checks them and lowered, and the record goes through the insert
-//! [`Zone::add`] makes once it has stripped its name; the zone comes
-//! back fitted. A load also files each opaque payload it stores by its
-//! allocation, so a payload shared by `Arc` across its records is hashed
-//! once, not once a record. A zone built record by record grows by
-//! doubling; [`Zone::shrink_to_fit`], which
-//! [`crate::db::ZoneDb::add_zone`] calls when a server takes the zone,
-//! trims it to what it holds, and leaves a fitted one as it is.
+//! [`Zone::add`] makes once it has stripped its name; the zone comes back
+//! fitted. A load logs nothing: its history starts at the serial it is
+//! loaded at, and its log is room for the changes to come. It also files each opaque payload it stores by its allocation, so a
+//! payload shared by `Arc` across its records is hashed once, not once a
+//! record. A zone built record by record grows by doubling;
+//! [`Zone::shrink_to_fit`], which [`crate::db::ZoneDb::add_zone`] calls
+//! when a server takes the zone, trims it to what it holds, and leaves a
+//! fitted one as it is.
 //!
 //! [`Zone::size_bytes`] keeps the naive per-record accounting, absolute
 //! owner names included (it drives calibrated transfer costs);
@@ -49,11 +50,13 @@
 //! ([`crate::axfr::transfer_zone_incremental`]): a client that preloaded
 //! at serial S asks for "changes since S" and receives only the record
 //! sets of names touched after S, falling back to a full transfer when
-//! the log has been truncated past S. The log holds row ids, so a name
-//! whose last record goes keeps its emptied row while the log names it
-//! (the store pins the row to the newest entry naming it); once the rows
-//! nothing needs are over half the store, it is rebuilt
-//! without them and the log's ids are renumbered.
+//! the log has been truncated past S or starts after it. A zone answers
+//! incrementally only from serials it has served, and a loaded zone has
+//! served one, the serial it was loaded at. The log holds row ids, so a
+//! name whose last record goes keeps its emptied row while the log names
+//! it (the store pins the row to the newest entry naming it); once the
+//! rows nothing needs are over half the store, it is rebuilt without
+//! them and the log's ids are renumbered.
 
 use std::collections::VecDeque;
 
@@ -140,17 +143,21 @@ impl Zone {
     /// (`n17` for `n17.cell0.hns`, empty for the apex) and a body: the
     /// zone [`Zone::add`] makes of the records at those names, added in
     /// their order to an empty zone, which is then fitted
-    /// ([`Zone::shrink_to_fit`]) — the same records, bodies, serial and
-    /// delta log. The first owner [`DomainName::child`] would refuse
-    /// fails the load with its error, and so does the first record
-    /// `add` would refuse; upper case is lowered.
+    /// ([`Zone::shrink_to_fit`]) — the same records, bodies and serial,
+    /// one past the count of records. The first owner
+    /// [`DomainName::child`] would refuse fails the load with its error,
+    /// and so does the first record `add` would refuse; upper case is
+    /// lowered.
     ///
-    /// What differs is the work: no name is made; the rows, the owner
-    /// index and the delta log are sized once, from the records' size
-    /// hint, so a load of distinct owners never rebuilds its index, and
-    /// the zone it returns is fitted already; and an opaque payload
-    /// shared by `Arc` with a record loaded before, under the same type
-    /// and TTL, takes that record's body without its bytes being hashed.
+    /// What differs is the work and the history: no name is made; the
+    /// rows, the owner index and the delta log are sized once, from the
+    /// records' size hint, so a load of distinct owners never rebuilds
+    /// its index, and the zone it returns is fitted already; an opaque
+    /// payload shared by `Arc` with a record loaded before, under the
+    /// same type and TTL, takes that record's body without its bytes
+    /// being hashed; and nothing is logged, so [`Zone::deltas_since`]
+    /// answers from the loaded serial on. No client holds an earlier
+    /// serial of the zone, as none was served half loaded.
     pub fn load<O: AsRef<str>>(
         origin: DomainName,
         default_ttl: u32,
@@ -167,9 +174,20 @@ impl Zone {
         for (owner, body) in records {
             let owner = zone.origin.checked_below(owner.as_ref(), &mut lowered)?;
             zone.put(owner, body, Some(&mut filed))?;
+            zone.serial += 1;
         }
+        zone.delta_floor = zone.serial;
         zone.shrink_to_fit();
         Ok(zone)
+    }
+
+    /// The zone renumbered to `serial`, its history starting there: a
+    /// secondary serves a transferred copy at the serial it was
+    /// transferred at. Only a zone with nothing logged is renumbered.
+    pub(crate) fn loaded_at(mut self, serial: u32) -> Zone {
+        debug_assert!(self.delta_log.is_empty(), "a loaded zone logs nothing");
+        (self.serial, self.delta_floor) = (serial, serial);
+        self
     }
 
     /// Bumps the serial and logs row `id` as changed at the new serial.
@@ -241,15 +259,23 @@ impl Zone {
             .map_or(&[], |relative| self.owners.get(relative))
     }
 
-    /// Trims the zone to what it holds: arena, rows, delta log and body
-    /// table to their length, the owner and body indexes to a third more
-    /// slots than entries (an index of that length already is kept as it
-    /// is). Growth after it doubles again. A server calls it when it
-    /// takes the zone ([`crate::db::ZoneDb::add_zone`]); on a zone
-    /// [`Zone::load`] returned it does nothing.
+    /// Trims the zone to what it holds: arena, rows and body table to
+    /// their length, the owner and body indexes to a third more slots
+    /// than entries (an index of that length already is kept as it is),
+    /// and the delta log to its length or to room for a change a record,
+    /// up to [`DELTA_LOG_CAP`], whichever is more, so the updates a
+    /// loaded zone takes fill room it already holds. Growth after it
+    /// doubles again. A server calls it when it takes the zone
+    /// ([`crate::db::ZoneDb::add_zone`]); on a zone [`Zone::load`]
+    /// returned it does nothing.
     pub fn shrink_to_fit(&mut self) {
         self.owners.shrink_to_fit();
-        self.delta_log.shrink_to_fit();
+        let room = self
+            .owners
+            .iter()
+            .flat_map(|(_, set)| set)
+            .take(DELTA_LOG_CAP);
+        self.delta_log.shrink_to(room.count());
         self.bodies.shrink_to_fit();
     }
 
@@ -288,23 +314,23 @@ impl Zone {
         Ok(())
     }
 
-    /// Stores an admitted record of `rtype`, whose body is `body`, at the
-    /// owner kept as `relative`, bumping the serial. `at` is where
+    /// Stores an admitted record, whose body is `body`, at the owner kept
+    /// as `relative`, and returns the owner's row. `at` is where
     /// [`Owners::locate`] found the owner, the store untouched since.
-    fn insert(&mut self, relative: &str, rtype: RType, body: BodyId, at: Result<u32, Vacancy>) {
+    fn insert(&mut self, relative: &str, body: BodyId, at: Result<u32, Vacancy>) -> u32 {
         let id = self.owners.intern(relative, at);
         self.owners.push(id, body);
-        if rtype == RType::Ns && !relative.is_empty() {
+        if self.bodies.get(body).rtype == RType::Ns && !relative.is_empty() {
             self.cut_ns_records += 1;
         }
-        self.log_change(id);
+        id
     }
 
-    /// Adds `body` at the owner kept as `relative`, bumping the serial, if
-    /// [`Zone::admit`] admits it: [`Zone::add`] once it has stripped its
-    /// name, and [`Zone::load`] for each record, sharing through the
-    /// load's `filed` payloads.
-    fn put(&mut self, relative: &str, body: RrBody, filed: Option<&mut Filed>) -> NsResult<()> {
+    /// Adds `body` at the owner kept as `relative` if [`Zone::admit`]
+    /// admits it, and returns the owner's row: [`Zone::add`] once it has
+    /// stripped its name, and [`Zone::load`] for each record, sharing
+    /// through the load's `filed` payloads.
+    fn put(&mut self, relative: &str, body: RrBody, filed: Option<&mut Filed>) -> NsResult<u32> {
         // The owner is located once, for the checks and the insert.
         let at = self.owners.locate(relative);
         let set = at.map_or(&[][..], |id| self.owners.records(id));
@@ -316,13 +342,11 @@ impl Zone {
             !set.is_empty(),
             has_cname,
         )?;
-        let rtype = body.rtype;
         let body = match filed {
             Some(filed) => filed.share(&mut self.bodies, body),
             None => self.bodies.share(body),
         };
-        self.insert(relative, rtype, body, at);
-        Ok(())
+        Ok(self.insert(relative, body, at))
     }
 
     /// Adds a record, bumping the serial, if `Zone::admit` admits it.
@@ -336,7 +360,8 @@ impl Zone {
         let Some(relative) = self.relative(&name) else {
             return Err(NsError::NotAuthoritative(name.to_string()));
         };
-        self.put(relative, RrBody { rtype, ttl, rdata }, None)?;
+        let id = self.put(relative, RrBody { rtype, ttl, rdata }, None)?;
+        self.log_change(id);
         self.settle();
         Ok(())
     }
@@ -401,7 +426,8 @@ impl Zone {
             let relative = relative.unwrap_or_default();
             let at = self.owners.locate(relative);
             let body = self.bodies.share(RrBody { rtype, ttl, rdata });
-            self.insert(relative, rtype, body, at);
+            let id = self.insert(relative, body, at);
+            self.log_change(id);
         }
         self.serial += 1;
         self.settle();
@@ -1119,6 +1145,33 @@ mod tests {
             mutations += 1;
         }
         assert_eq!(mutations, 25);
+    }
+
+    /// Names that gain second records and lose them again leave every
+    /// zone churned alike at one size: the several-record sets are
+    /// hashed with the fixed hash, so the room a removal leaves in their
+    /// table follows the operations alone.
+    #[test]
+    fn the_same_churn_leaves_every_zone_at_the_same_size() {
+        let churned = |_| {
+            let mut z = zone();
+            let n = |i: u32| name(&format!("n{i}.cs.washington.edu"));
+            for i in 0..64 {
+                z.add(ResourceRecord::txt(n(i), 60, "x")).expect("add");
+            }
+            for round in 0..8 {
+                for i in (round..64).step_by(3) {
+                    let addr = ResourceRecord::a(n(i), 60, NetAddr::of(HostId(i)));
+                    z.add(addr).expect("a second record");
+                }
+                for i in (round..64).step_by(2) {
+                    z.remove(&n(i), RType::A);
+                }
+            }
+            z.resident_bytes()
+        };
+        let sizes: Vec<usize> = (0..16).map(churned).collect();
+        assert!(sizes.iter().all(|&s| s == sizes[0]), "{sizes:?}");
     }
 
     /// A `CNAME` is followed one step, so an alias of itself answers

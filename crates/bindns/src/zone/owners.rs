@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
-use simnet::index::{hash, Index};
+use simnet::index::{hash, FixedState, Index};
 
 use super::bodies::BodyId;
 use super::{fitted_slots, overfull, table_bytes};
@@ -46,6 +46,8 @@ struct Row {
 }
 
 const _: () = assert!(std::mem::size_of::<Row>() == 8);
+const _: () = assert!(std::mem::size_of::<crate::rr::RData>() == 24);
+const _: () = assert!(std::mem::size_of::<super::RrBody>() == 32);
 
 /// Bytes a B-tree of `len` pins holds: a leaf of eleven and its header
 /// for every five, as far as sequential inserts fill one.
@@ -64,8 +66,10 @@ pub(super) struct Owners {
     /// ([`simnet::index`]); at least a third longer than `rows`, so at
     /// most three quarters full.
     index: Index,
-    /// The record bodies of each row holding more than one.
-    several: HashMap<u32, Vec<BodyId>>,
+    /// The record bodies of each row holding more than one, under the
+    /// fixed hash, so the table's capacity after removals, which
+    /// [`Owners::resident_bytes`] counts, follows the operations alone.
+    several: HashMap<u32, Vec<BodyId>, FixedState>,
     /// Each row holding no record that the delta log names, with the
     /// serial of the newest entry naming it.
     pins: BTreeMap<u32, u32>,
@@ -291,7 +295,8 @@ impl Owners {
             .sum();
         let mut text = String::with_capacity(text_len);
         let mut rows = Vec::with_capacity(self.rows.len() - self.droppable);
-        let mut several = HashMap::with_capacity(self.several.len());
+        let mut several =
+            HashMap::with_capacity_and_hasher(self.several.len(), FixedState::default());
         let mut pins = BTreeMap::new();
         let mut renumbered = vec![u32::MAX; self.rows.len()];
         for old in ids {

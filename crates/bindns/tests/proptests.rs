@@ -1,11 +1,13 @@
 //! Property-based tests on the name-service invariants.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use bindns::axfr::{IncrementalTransfer, IxfrMode, IxfrRequest, ZoneRequest, ZoneTransfer};
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
-use bindns::rr::{RData, RType, Records, ResourceRecord, RrBody, MAX_RDATA};
+use bindns::rr::{RData, RType, Records, ResourceRecord, RrBody, Soa, MAX_RDATA};
 use bindns::update::UpdateOp;
 use bindns::zone::Zone;
 use bindns::Rcode;
@@ -53,7 +55,7 @@ impl RefName {
 fn arb_rdata() -> impl Strategy<Value = RData> {
     prop_oneof![
         (0u32..256).prop_map(|h| RData::Addr(NetAddr::of(HostId(h)))),
-        "[ -~]{0,64}".prop_map(RData::Text),
+        "[ -~]{0,64}".prop_map(|text| RData::Text(text.into())),
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(|b| RData::Opaque(b.into())),
     ]
 }
@@ -64,17 +66,19 @@ fn rtype_for(rdata: &RData) -> RType {
         RData::Text(_) => RType::Txt,
         RData::Opaque(_) => RType::Unspec,
         RData::Domain(_) => RType::Cname,
-        RData::Soa { .. } => RType::Soa,
+        RData::Soa(_) => RType::Soa,
     }
 }
 
 /// Any rdata kind, a domain and a start of authority included.
 fn arb_any_rdata() -> impl Strategy<Value = RData> {
     let soa = (arb_name_under("edu"), any::<u32>(), any::<u32>()).prop_map(
-        |(primary, serial, default_ttl)| RData::Soa {
-            primary,
-            serial,
-            default_ttl,
+        |(primary, serial, default_ttl)| {
+            RData::Soa(Arc::new(Soa {
+                primary,
+                serial,
+                default_ttl,
+            }))
         },
     );
     prop_oneof![
@@ -178,7 +182,7 @@ fn arb_fast_rdata() -> impl Strategy<Value = RData> {
     prop_oneof![
         arb_any_rdata(),
         arb_any_rdata(),
-        near.clone().prop_map(|n| RData::Text("x".repeat(n))),
+        near.clone().prop_map(|n| RData::Text("x".repeat(n).into())),
         near.prop_map(|n| RData::Opaque(vec![7; n].into())),
     ]
 }

@@ -9,12 +9,13 @@
 //! that re-encode canonically (decoder pinning).
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use bindns::axfr::{IncrementalTransfer, IxfrMode, ZoneTransfer};
 use bindns::error::Rcode;
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
-use bindns::rr::{RData, RType, ResourceRecord};
+use bindns::rr::{RData, RType, ResourceRecord, Soa};
 use bindns::update::UpdateOp;
 use hrpc::{HrpcBinding, ProgramId};
 use regd::chain::TransferLink;
@@ -85,11 +86,11 @@ fn sample_records() -> Vec<ResourceRecord> {
             name: owner,
             rtype: RType::Soa,
             ttl: 86_400,
-            rdata: RData::Soa {
+            rdata: RData::Soa(Arc::new(Soa {
                 primary: dn("ns.cs.washington.edu"),
                 serial: 1987,
                 default_ttl: 86_400,
-            },
+            })),
         },
     ]
 }

@@ -101,8 +101,10 @@ const WARM_CH_MAIL: Row = (4, 122);
 /// `FileLocation` travelled in a box; 17 / 578 B while the request
 /// copied the name's two strings and the
 /// path, the NSM copied the local name out of the name, and the local
-/// path was formatted, growing twice.)
-const WARM_BIND_FILE: Row = (10, 426);
+/// path was formatted, growing twice; 10 / 426 B while the cached
+/// answer's text was copied out of the cache, not counted, and a record
+/// was 8 bytes wider.)
+const WARM_BIND_FILE: Row = (9, 370);
 /// `ChClient::lookup_item`: the item the server copies out of its entry;
 /// the `Property` is moved into the client's slot. The `Lookup` it sends
 /// shares the name and the credentials. (2 / 49 B while the `Property`
@@ -133,8 +135,9 @@ const CH_LOOKUP_ITEM: Row = (1, 17);
 /// 8,962 B before a zone sized its answer once; 585 / 23,946 B before
 /// names became shared strings and struct field names static; 40 / 2,179
 /// B while the linked host-address NSM of mapping 6 answered with a
-/// two-field vector, not its eight-byte `HostAddress` in a box.)
-const COLD_SEQUENTIAL: Row = (15, 668);
+/// two-field vector, not its eight-byte `HostAddress` in a box; 15 / 668
+/// B while a body was 40 bytes, 8 B more for each of mapping 3's six.)
+const COLD_SEQUENTIAL: Row = (15, 620);
 /// Cold batched `FindNSM`: every cache off, mappings 1–5 in one `MQUERY`
 /// whose additional sets the meta server's chaser attaches. Holds the
 /// typed `MultiQuestion` / `MultiAnswer` path. The chaser reads the four
@@ -148,13 +151,15 @@ const COLD_SEQUENTIAL: Row = (15, 668);
 /// and the fast-codec bytes of the sequential row, 6 / 315 B; 152 /
 /// 11,525 B while the batch and its reply were trees; 68 / 4,376 B while
 /// mapping 6's reply was a vector, as above; 68 / 4,272 B while every
-/// copy of a context copied its text, and mapping 6 as above).
-const COLD_BATCHED: Row = (48, 3_472);
+/// copy of a context copied its text, and mapping 6 as above; 48 / 3,472
+/// B while a record and a body were each 8 bytes wider, 15 of them).
+const COLD_BATCHED: Row = (48, 3_352);
 /// Decoding a six-record answer of one owner: the owner name, parsed
 /// once, and the vector of its six bodies. What an untyped peer's reply
 /// costs at the edge where it is decoded. (2 / 376 B while each record
-/// carried a copy of its owner's name.)
-const ANSWER_DECODE: Row = (2, 280);
+/// carried a copy of its owner's name; 2 / 280 B while a body was 40
+/// bytes.)
+const ANSWER_DECODE: Row = (2, 232);
 
 /// Warm `Registry::resolve`, the write plane's read: one probe of the link
 /// past the collapsed head, which the Clearinghouse answers "no such
@@ -175,8 +180,9 @@ const REG_RESOLVE: Row = (5, 37);
 /// 1,641 B while the `SET_ITEM` request was a tree the server parsed back, and
 /// the head was cloned on the way in and copied again to be changed; 19
 /// / 767 B while the zone named a record's body by an 8-byte `Arc`, not
-/// a 4-byte id, in the vector of the records a replace takes out.)
-const REG_UPDATE: Row = (17, 728);
+/// a 4-byte id, in the vector of the records a replace takes out; 17 /
+/// 728 B while a record was 8 bytes wider, twice over.)
+const REG_UPDATE: Row = (17, 712);
 /// `Registry::transfer`: the probe, the signed link (its two owners) and
 /// its tree, the server's copy of that, the new head — the cached one
 /// copied, one holder more, the next probe's name — and the `Resolution`.
@@ -196,29 +202,35 @@ const CH_DELETE: Row = (0, 0);
 
 /// `Zone::load` of a 4,096-name cell shaped like the scale world's, 8
 /// binding payloads shared by `Arc`, then `ZoneDb::add_zone`: the zone's
-/// rows, owner index and delta log once each, its name arena as it
-/// doubles and then trimmed, its body table, and the database's node —
+/// rows, owner index and delta log's room once each (a load logs
+/// nothing), its name arena as it doubles and then trimmed, its body
+/// table as it grows, and the database's one slot, a 280-byte `Zone` —
 /// `add_zone` trims nothing more. The records, built beforehand as each
 /// owner's label and its body, are moved in; the row held when they were
 /// whole records at their absolute names, whose names were built
 /// beforehand too, so only what the load allocates is counted either
 /// way. (The same records through `Zone::new`, 4,096 `add`s and
-/// `add_zone`: 54 / 312,518 B, the index rebuilt at every doubling and
+/// `add_zone`: 54 / 276,766 B, the index rebuilt at every doubling and
 /// again by `add_zone`, rows and log regrown and trimmed. 24 / 168,014 B
 /// while a row was 12 bytes and a zone had no pin table, whose header
-/// costs 24 B in each of the node's eleven slots.)
-const CELL_LOAD: Row = (24, 151_894);
+/// costs 24 B in each of the node's eleven slots. 24 / 151,894 B while
+/// the database held its zone in a B-tree leaf of eleven slots, 3,152 B
+/// beyond the one it fills; the several-record table's random hasher
+/// kept 16 B of keys in the zone; and a body-table entry was 48 bytes,
+/// 96 B over the twelve the table asks for as it grows.)
+const CELL_LOAD: Row = (24, 148_630);
 
 /// `transfer_zone` of an eight-name zone of one text record each, typed
-/// both ways: the server's sorted copy of the records (20: the sorted
-/// owners, the record vector as it grows, each owner's full name and
-/// each text) and the two strings the metrics registry keys its
-/// `zone_transfers` lookup with — nothing on the client, whose slot the
-/// `ZoneTransfer` is moved into. (23 / 1,364 B while it travelled back in
-/// a box; 69 / 4,559 B while request and reply were trees: every record was
-/// built into a four-field tree, and decoded back into a record and its
-/// owner's name on the client.)
-const ZONE_TRANSFER: Row = (22, 1_324);
+/// both ways: the server's sorted copy of the records (12: the sorted
+/// owners, the record vector as it grows, and each owner's full name;
+/// each text is one reference more) and the two strings the metrics
+/// registry keys its `zone_transfers` lookup with — nothing on the
+/// client, whose slot the `ZoneTransfer` is moved into. (23 / 1,364 B
+/// while it travelled back in a box; 69 / 4,559 B while request and reply
+/// were trees: every record was built into a four-field tree, and decoded
+/// back into a record and its owner's name on the client; 22 / 1,324 B
+/// while the copy copied each text and a record was 8 bytes wider.)
+const ZONE_TRANSFER: Row = (14, 1_172);
 
 /// Prints one row and checks it against its pin.
 fn row<R>(what: &str, pinned: Row, f: impl FnOnce() -> R) {

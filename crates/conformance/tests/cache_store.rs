@@ -83,20 +83,21 @@ fn within_a_tenth(what: &str, entries: usize, gauge: usize, live: Option<i64>) {
     );
 }
 
-/// The resolver cache full, as `scale_zipf` keeps it: at most 90 B an
-/// entry by the allocator's count — the slab slot, its share of the
-/// index, and the key's bytes in the arena; no handle on the owner name,
-/// no record set of one, and no doubling's slack in the arena (218 B
-/// while it was a `HashMap` of `Arc<[ResourceRecord]>`, 120 B with each
-/// key an `Arc<str>` beside the slot).
+/// The resolver cache full, as `scale_zipf` keeps it: at most 76 B an
+/// entry by the allocator's count — the slab slot of a 32-byte body, its
+/// share of the index, and the key's bytes in the arena; no handle on
+/// the owner name, no record set of one, and no doubling's slack in the
+/// arena (218 B while it was a `HashMap` of `Arc<[ResourceRecord]>`,
+/// 120 B with each key an `Arc<str>` beside the slot, 82 B while a body
+/// was 40 bytes).
 #[test]
-fn a_full_resolver_cache_holds_at_most_90_bytes_an_entry() {
+fn a_full_resolver_cache_holds_at_most_76_bytes_an_entry() {
     let pool = payloads();
     let (cache, live) = measure_live(|| fill(CAPACITY, &pool, false));
     assert_eq!(cache.resident(), CAPACITY);
     let per_entry = live.expect("the counting allocator is installed") as f64 / CAPACITY as f64;
     println!("full resolver cache: {per_entry:.1} B/entry");
-    assert!(per_entry <= 90.0, "{per_entry:.1} B/entry");
+    assert!(per_entry <= 76.0, "{per_entry:.1} B/entry");
     within_a_tenth(
         "full resolver cache",
         CAPACITY,

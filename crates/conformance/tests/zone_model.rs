@@ -16,8 +16,9 @@
 //! `add` of each record in turn at the name `DomainName::child` makes of
 //! its owner, `shrink_to_fit` — on the same seeded records, refused ones
 //! included (the first error, the owner's or the record's, is the same),
-//! down to the body ids; and, by the counting allocator, to sizing its
-//! rows, owner index and delta log once.
+//! down to the body ids, from the loaded serial on, since a load logs
+//! nothing; and, by the counting allocator, to sizing its rows, owner
+//! index and delta log once.
 
 use std::sync::Arc;
 
@@ -70,8 +71,8 @@ impl Pair {
         let rdata = match rtype {
             RType::A => RData::Addr(NetAddr::of(HostId(d as u32 % 4))),
             RType::Ns | RType::Cname => RData::Domain(self.names[d % self.names.len()].clone()),
-            RType::Txt if d % 8 == 7 => RData::Text("x".repeat(MAX_RDATA)),
-            RType::Txt => RData::Text(format!("t{}", d % 4)),
+            RType::Txt if d % 8 == 7 => RData::Text("x".repeat(MAX_RDATA).into()),
+            RType::Txt => RData::Text(format!("t{}", d % 4).into()),
             _ => RData::Opaque(vec![d as u8 % 4].into()),
         };
         let name = self.names[n].clone();
@@ -247,8 +248,8 @@ fn load_body(rtype: RType, d: usize, targets: &[DomainName], shared: &[Arc<[u8]>
     let rdata = match rtype {
         RType::A => RData::Addr(NetAddr::of(HostId(d as u32 % 4))),
         RType::Ns | RType::Cname => RData::Domain(targets[d % targets.len()].clone()),
-        RType::Txt if d % 8 == 7 => RData::Text("x".repeat(MAX_RDATA)),
-        RType::Txt => RData::Text(format!("t{}", d % 4)),
+        RType::Txt if d % 8 == 7 => RData::Text("x".repeat(MAX_RDATA).into()),
+        RType::Txt => RData::Text(format!("t{}", d % 4).into()),
         _ if d % 8 < 4 => RData::Opaque(Arc::clone(&shared[d % 4])),
         _ => RData::Opaque(vec![d as u8 % 4].into()),
     };
@@ -292,12 +293,19 @@ fn added(
 }
 
 /// Everything a loaded zone and the zone it stands for must agree on:
-/// records, serial, the delta log from every serial, the bytes held, the
-/// bodies, and at each of `names` its records and their body ids.
+/// records, serial, the delta log from the loaded serial on, the bytes
+/// held (a load logs nothing, but holds the room the adds' log fills),
+/// the bodies, and at each of `names` its records and their body ids.
+/// Below the loaded serial the loaded zone answers nothing
+/// incrementally: it never served one.
 fn assert_same(loaded: &Zone, added: &Zone, names: &[DomainName]) {
     assert_eq!(loaded.all_records(), added.all_records());
-    assert_eq!(loaded.serial(), added.serial());
-    for serial in 0..=added.serial() + 1 {
+    let loaded_at = added.serial();
+    assert_eq!(loaded.serial(), loaded_at);
+    for serial in 0..loaded_at {
+        assert_eq!(loaded.deltas_since(serial), None, "since {serial}");
+    }
+    for serial in loaded_at..=loaded_at + 1 {
         let got = loaded.deltas_since(serial);
         assert_eq!(got, added.deltas_since(serial), "since {serial}");
     }
@@ -432,7 +440,7 @@ fn a_load_past_the_delta_log_is_the_zone_its_adds_make() {
     let loaded = Zone::load(origin.clone(), 60, records.clone()).expect("load");
     let (reference, refused, _) = added(&origin, &records);
     assert_eq!(refused, None);
-    assert!(loaded.deltas_since(1).is_none(), "the log was outrun");
+    assert!(loaded.deltas_since(1).is_none(), "a load logs nothing");
     let names: Vec<DomainName> = (0..2 * DELTA_LOG_CAP + 7)
         .map(|i| dn(&format!("n{i}.cell0.hns")))
         .collect();
@@ -441,10 +449,11 @@ fn a_load_past_the_delta_log_is_the_zone_its_adds_make() {
 
 /// A load of `n` records at `n` names, one body among them, requests its
 /// 8-byte rows, its owner index (4 bytes a slot, a third more slots than
-/// names) and its delta log (8 bytes an entry, at most the log's length)
-/// once each: beyond those and the owner-name arena, which grows as it
-/// does under `add`, it requests the same bytes whatever `n` is. The
-/// zone comes back fitted: trimming it again requests nothing.
+/// names) and its delta log's room (8 bytes an entry, up to the log's
+/// cap, though it logs nothing) once each: beyond those and the
+/// owner-name arena, which grows as it does under `add`, it requests the
+/// same bytes whatever `n` is. The zone comes back fitted: trimming it
+/// again requests nothing.
 #[test]
 fn a_load_sizes_its_rows_index_and_log_once() {
     let origin = dn("cell0.hns");

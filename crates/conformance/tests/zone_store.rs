@@ -11,7 +11,9 @@
 //! cargo test -p conformance --test zone_store -- --nocapture
 //! ```
 
-use bindns::rr::{RData, RType, ResourceRecord};
+use std::sync::Arc;
+
+use bindns::rr::{RData, RType, ResourceRecord, Soa};
 use bindns::zone::{Zone, DELTA_LOG_CAP};
 use bindns::{DomainName, ZoneDb};
 use conformance::alloc::{measure_live, CountingAlloc};
@@ -78,12 +80,14 @@ fn resident_bytes_is_within_a_tenth_of_what_the_allocator_counts() {
 }
 
 /// A zone shaped like one cell of the scale world — 4,096 names, a pool
-/// of 8 bindings — once a server has taken it: at most 22 B a name by the
+/// of 8 bindings — once a server has taken it: at most 21 B a name by the
 /// allocator's count (owner names kept below the origin, 8-byte rows,
-/// an owner index three quarters full, the store trimmed to fit), and
-/// the gauge within a tenth of that count.
+/// an owner index three quarters full, the store trimmed to fit, and the
+/// database one slot for its one zone, where a B-tree leaf of eleven
+/// held it for 21.3 B a name), and the gauge within a tenth of that
+/// count.
 #[test]
-fn a_served_cell_holds_at_most_twenty_two_bytes_a_name() {
+fn a_served_cell_holds_at_most_twenty_one_bytes_a_name() {
     let names = 4096;
     let (db, live) = measure_live(|| {
         let mut db = ZoneDb::new();
@@ -94,7 +98,7 @@ fn a_served_cell_holds_at_most_twenty_two_bytes_a_name() {
     let gauge = db.zone(&origin()).expect("served").resident_bytes() as i64;
     let per_name = live as f64 / names as f64;
     println!("served cell: gauge {gauge} B, allocator {live} B ({per_name:.1} B/name)");
-    assert!(per_name <= 22.0, "{per_name:.1} B/name");
+    assert!(per_name <= 21.0, "{per_name:.1} B/name");
     assert!(
         (gauge - live).abs() * 10 <= live,
         "gauge {gauge} B against {live} B live"
@@ -209,13 +213,13 @@ fn every_kind_of_rdata_is_counted() {
             let target = DomainName::parse(&format!("host{i}.cell0.hns")).expect("target");
             zone.add(at(i, RData::Domain(target.clone()), RType::Ns))
                 .expect("ns");
-            zone.add(at(i, RData::Text(format!("text {i}")), RType::Txt))
+            zone.add(at(i, RData::Text(format!("text {i}").into()), RType::Txt))
                 .expect("txt");
-            let soa = RData::Soa {
+            let soa = RData::Soa(Arc::new(Soa {
                 primary: target,
                 serial: i as u32,
                 default_ttl: 600,
-            };
+            }));
             zone.add(at(i, soa, RType::Soa)).expect("soa");
         }
         zone
