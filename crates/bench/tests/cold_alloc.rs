@@ -20,16 +20,17 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const OPS: usize = 20_000;
 
-/// At most 22 allocations a cold op. (34.46 while every answer was a
-/// vector of whole records, each naming its owner, and every typed reply
-/// travelled in a box; 46.7 while every decoded meta record was wrapped
-/// in an `Arc` nobody shared, six an op, and each standard-resolver query
-/// built and dropped its answer's fast-codec bytes to check they
-/// encode.)
+/// At most 21 allocations a cold op. (20.40 while each Courier port
+/// lookup built a `String` to probe the exchange table; 34.46 while every
+/// answer was a vector of whole records, each naming its owner, and every
+/// typed reply travelled in a box; 46.7 while every decoded meta record
+/// was wrapped in an `Arc` nobody shared, six an op, and each
+/// standard-resolver query built and dropped its answer's fast-codec
+/// bytes to check they encode.)
 #[test]
-fn a_cold_query_allocates_at_most_twenty_two_blocks() {
+fn a_cold_query_allocates_at_most_twenty_one_blocks() {
     let (per_op, bytes_per_op) =
         allocations_an_op(CacheMode::Disabled, false, NsmCacheForm::Disabled, OPS);
     println!("{OPS} cold ops: {per_op:.2} allocations an op, {bytes_per_op:.0} B an op");
-    assert!(per_op <= 22.0, "{per_op:.2} allocations a cold op");
+    assert!(per_op <= 21.0, "{per_op:.2} allocations a cold op");
 }

@@ -111,8 +111,51 @@ impl DomainName {
     /// below this one. This name is valid already, so only the new labels
     /// and the total length are checked.
     pub fn child(&self, labels: &str) -> NsResult<DomainName> {
-        check_labels(labels, self.joined_len(labels))?;
-        Ok(self.prefixed_unchecked(labels))
+        self.child_of(&[labels])
+    }
+
+    /// [`DomainName::child`] of `pieces` joined, without joining them:
+    /// each byte is copied, lowered and checked in one pass, into the
+    /// name's one allocation. Labels may span pieces and a piece may hold
+    /// several.
+    #[expect(
+        clippy::expect_used,
+        reason = "checked labels are ASCII and this name is valid already"
+    )]
+    pub fn child_of(&self, pieces: &[&str]) -> NsResult<DomainName> {
+        let below = pieces.iter().map(|piece| piece.len()).sum();
+        let total = self.joined_len(below);
+        check_total(total)?;
+        let mut text = [0u8; MAX_NAME];
+        // Per label, where it starts and its bytes' classes ANDed, as in
+        // `check_labels`; a label is judged at the dot or end closing it.
+        let (mut at, mut start, mut all, mut fine) = (0, 0, LABEL, true);
+        for piece in pieces {
+            for &b in piece.as_bytes() {
+                let class = CLASSES[usize::from(b)];
+                text[at] = b | (class & UPPER) << 4;
+                if class == DOT {
+                    fine &= all & LABEL != 0 && (1..=MAX_LABEL).contains(&(at - start));
+                    (start, all) = (at + 1, LABEL);
+                } else {
+                    all &= class;
+                }
+                at += 1;
+            }
+        }
+        fine &= all & LABEL != 0 && (1..=MAX_LABEL).contains(&(at - start));
+        if !fine {
+            // The refusal in `check_labels`' words, which name the label.
+            check_labels(&pieces.concat(), total)?;
+        }
+        if !self.is_root() {
+            text[below] = b'.';
+            text[below + 1..total].copy_from_slice(self.text.as_bytes());
+        }
+        let text = std::str::from_utf8(&text[..total]).expect("checked labels are ASCII");
+        Ok(DomainName {
+            text: Arc::from(text),
+        })
     }
 
     /// `labels` (empty for this name itself) checked as
@@ -128,7 +171,7 @@ impl DomainName {
         labels: &'a str,
         lowered: &'a mut [u8; MAX_NAME],
     ) -> NsResult<&'a str> {
-        if labels.is_empty() || !check_labels(labels, self.joined_len(labels))? {
+        if labels.is_empty() || !check_labels(labels, self.joined_len(labels.len()))? {
             return Ok(labels);
         }
         let lowered = &mut lowered[..labels.len()];
@@ -137,21 +180,22 @@ impl DomainName {
         Ok(std::str::from_utf8(lowered).expect("checked labels are ASCII"))
     }
 
-    /// Length of the text of `labels` prepended to this name.
-    fn joined_len(&self, labels: &str) -> usize {
-        labels.len() + usize::from(!self.is_root()) * (1 + self.text.len())
+    /// Length of the text of `below` bytes of labels prepended to this
+    /// name.
+    fn joined_len(&self, below: usize) -> usize {
+        below + usize::from(!self.is_root()) * (1 + self.text.len())
     }
 
     /// The non-empty `labels`, lowered, a dot, and this name's text,
     /// assembled on the stack: one allocation, the name's own. The
-    /// labels are not checked again: the caller has checked them, or a
-    /// zone kept them from a checked name below its origin.
+    /// labels are not checked again: a zone kept them from a checked
+    /// name below its origin.
     #[expect(
         clippy::expect_used,
         reason = "checked labels are ASCII and this name is valid already"
     )]
     pub(crate) fn prefixed_unchecked(&self, labels: &str) -> DomainName {
-        let (below, total) = (labels.len(), self.joined_len(labels));
+        let (below, total) = (labels.len(), self.joined_len(labels.len()));
         let mut text = [0u8; MAX_NAME];
         text[..below].copy_from_slice(labels.as_bytes());
         text[..below].make_ascii_lowercase();
@@ -224,9 +268,7 @@ const CLASSES: [u8; 256] = {
 /// then too long, then holding a byte no label may — so the first bad
 /// label is the one reported.
 fn check_labels(labels: &str, total: usize) -> NsResult<bool> {
-    if total > MAX_NAME {
-        return Err(NsError::BadName(format!("name too long ({total} bytes)")));
-    }
+    check_total(total)?;
     let bytes = labels.as_bytes();
     // Per label, the classes of its bytes ANDed (LABEL is gone once one
     // byte is no label byte) and, over the whole text, ORed.
@@ -252,6 +294,14 @@ fn check_labels(labels: &str, total: usize) -> NsResult<bool> {
         (start, all) = (at + 1, LABEL);
     }
     Ok(any & UPPER != 0)
+}
+
+/// Refuses a name of `total` bytes past [`MAX_NAME`].
+fn check_total(total: usize) -> NsResult<()> {
+    match total > MAX_NAME {
+        true => Err(NsError::BadName(format!("name too long ({total} bytes)"))),
+        false => Ok(()),
+    }
 }
 
 /// Label-wise order (compare the leftmost labels, then the next, a
@@ -499,6 +549,62 @@ mod tests {
                     check_labels_by_label(text, total),
                     "`{text}` of {total}"
                 );
+                verdicts[usize::from(got.is_ok())] += 1;
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 1000), "{verdicts:?}");
+    }
+
+    /// `child` as it was written before it ran in one pass: check the
+    /// labels, then copy and lower them.
+    fn child_by_check_then_copy(origin: &DomainName, labels: &str) -> NsResult<DomainName> {
+        check_labels(labels, origin.joined_len(labels.len()))?;
+        Ok(origin.prefixed_unchecked(labels))
+    }
+
+    /// `child_of` is the check-then-copy `child` of the joined pieces,
+    /// name or error text, over seeded texts of every byte class cut at
+    /// seeded places, below the root, a short origin and one that leaves
+    /// 20 bytes.
+    #[test]
+    fn a_child_of_pieces_is_the_child_of_their_join() {
+        const GOOD: [&str; 6] = ["a", "Z", "0", "-", "_", "Ab"];
+        const BAD: [&str; 4] = [" ", "é", "*", ".."];
+        let mut rng = simnet::rng::DetRng::new(48);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        let long = DomainName::parse(&vec!["o".repeat(58); 4].join(".")).expect("235 bytes");
+        let origins = [
+            DomainName::root(),
+            DomainName::parse("hns").expect("hns"),
+            long,
+        ];
+        let mut verdicts = [0; 2];
+        for _ in 0..3000 {
+            let text: String = match pick(8) {
+                0 => "q".repeat(60 + pick(8)),
+                _ => (0..1 + pick(30))
+                    .map(|_| match pick(40) {
+                        0 => BAD[pick(BAD.len())],
+                        1..4 => ".",
+                        _ => GOOD[pick(GOOD.len())],
+                    })
+                    .collect(),
+            };
+            let mut cuts: Vec<usize> = (0..pick(4))
+                .map(|_| pick(text.len() + 1))
+                .filter(|&at| text.is_char_boundary(at))
+                .collect();
+            cuts.sort_unstable();
+            let mut pieces = Vec::new();
+            let mut from = 0;
+            for at in cuts.into_iter().chain([text.len()]) {
+                pieces.push(&text[from..at]);
+                from = at;
+            }
+            for origin in &origins {
+                let got = origin.child_of(&pieces);
+                let want = child_by_check_then_copy(origin, &text);
+                assert_eq!(got, want, "{pieces:?} below `{origin}`");
                 verdicts[usize::from(got.is_ok())] += 1;
             }
         }

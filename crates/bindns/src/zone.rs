@@ -369,28 +369,30 @@ impl Zone {
     /// Removes all records at `name` of type `rtype`; returns how many were
     /// removed. Bumps the serial if anything changed.
     pub fn remove(&mut self, name: &DomainName, rtype: RType) -> usize {
-        let removed = self.take(name, rtype);
+        let removed = self.take(name, rtype).map_or(0, |(id, removed)| {
+            self.log_change(id);
+            removed
+        });
         self.settle();
         removed
     }
 
-    /// [`Zone::remove`] without [`Zone::settle`], so row ids stay what
-    /// they were for the caller.
-    fn take(&mut self, name: &DomainName, rtype: RType) -> usize {
-        let Some(id) = self.relative(name).and_then(|r| self.owners.find(r)) else {
-            return 0;
-        };
+    /// [`Zone::remove`] without its log entry and [`Zone::settle`], so
+    /// row ids stay what they were for the caller: the owner's row and
+    /// how many records went, if any did.
+    fn take(&mut self, name: &DomainName, rtype: RType) -> Option<(u32, usize)> {
+        let id = self.relative(name).and_then(|r| self.owners.find(r))?;
         let bodies = &self.bodies;
         let dropped = self.owners.take(id, |b| bodies.get(b).rtype == rtype);
         let removed = dropped.len();
-        if removed > 0 {
-            if rtype == RType::Ns && *name != self.origin {
-                self.cut_ns_records -= removed;
-            }
-            dropped.into_iter().for_each(|b| self.bodies.release(b));
-            self.log_change(id);
+        if removed == 0 {
+            return None;
         }
-        removed
+        if rtype == RType::Ns && *name != self.origin {
+            self.cut_ns_records -= removed;
+        }
+        dropped.into_iter().for_each(|b| self.bodies.release(b));
+        Some((id, removed))
     }
 
     /// Replaces the record set at (`name`, `rtype`) atomically: the whole
@@ -420,16 +422,23 @@ impl Zone {
             occupied = true;
             has_cname |= rtype == RType::Cname;
         }
-        self.take(name, rtype);
+        // The serial moves by one if anything went, one a record added
+        // and one to close; the log names the owner once, at the close,
+        // as no client holds a serial inside the replace.
+        let mut changed = self.take(name, rtype).map(|(id, _)| id);
+        self.serial += u32::from(changed.is_some());
         for ResourceRecord { ttl, rdata, .. } in records {
             // Not in this zone only when there are no records.
             let relative = relative.unwrap_or_default();
             let at = self.owners.locate(relative);
             let body = self.bodies.share(RrBody { rtype, ttl, rdata });
-            let id = self.insert(relative, body, at);
-            self.log_change(id);
+            changed = Some(self.insert(relative, body, at));
+            self.serial += 1;
         }
-        self.serial += 1;
+        match changed {
+            Some(id) => self.log_change(id),
+            None => self.serial += 1,
+        }
         self.settle();
         Ok(())
     }
@@ -1046,6 +1055,38 @@ mod tests {
             z.deltas_since(floor - 1).is_none(),
             "one serial past the log forces full fallback"
         );
+    }
+
+    /// A replace logs its owner once, at its closing serial, while the
+    /// serial still moves by one for what went, one a record and one to
+    /// close: 600 one-record replaces in a loaded zone are 600 entries,
+    /// inside the log's cap, so the loaded serial is still served
+    /// incrementally. Logged once for what went and once a record, they
+    /// were 1,200, past it.
+    #[test]
+    fn a_replace_logs_its_owner_once() {
+        let body = |text: String| RrBody {
+            rtype: RType::Txt,
+            ttl: 60,
+            rdata: RData::Text(text.into()),
+        };
+        let records = (0..1000).map(|i| (format!("n{i}"), body(format!("v{i}"))));
+        let mut z = Zone::load(name("cs.washington.edu"), 60, records).expect("load");
+        let loaded = z.serial();
+        let n = |i: usize| name(&format!("n{i}.cs.washington.edu"));
+        for i in 0..600 {
+            let rr = ResourceRecord::txt(n(i), 60, format!("w{i}"));
+            z.replace(&n(i), RType::Txt, vec![rr]).expect("replace");
+        }
+        assert_eq!(z.serial(), loaded + 600 * 3, "the serial arithmetic");
+        let changed = z.deltas_since(loaded).expect("served incrementally");
+        assert_eq!(changed.len(), 600);
+        assert_eq!(z.delta_log.len(), 600, "one entry a replace");
+        // A replace that takes and adds nothing moves the serial by one
+        // and logs nothing.
+        z.replace(&n(2000), RType::Txt, vec![])
+            .expect("empty replace");
+        assert_eq!((z.serial(), z.delta_log.len()), (loaded + 1801, 600));
     }
 
     /// The log names owners by row, so a removed name keeps its (empty)

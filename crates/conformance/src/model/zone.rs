@@ -97,8 +97,9 @@ impl ZoneModel {
 
     /// Replaces the records of `rtype` at `name` by `records` — each of
     /// that name and type — if the set that leaves at the name is one a
-    /// name may hold; says whether it did. An accepted replace is the
-    /// removal, each addition, and one more serial.
+    /// name may hold; says whether it did. An accepted replace moves the
+    /// serial by one if anything went, one for each addition and one to
+    /// close, and is logged once, at the close, if it changed the name.
     pub fn replace(
         &mut self,
         name: &DomainName,
@@ -116,12 +117,18 @@ impl ZoneModel {
         if !self.valid(&after) {
             return false;
         }
-        self.remove(name, rtype);
-        for rr in records {
-            self.records.entry(name.clone()).or_default().push(rr);
-            self.touch(name);
+        let taken = self.set(name).len() + records.len() - after.len();
+        let changed = taken + records.len() > 0;
+        self.serial += u32::from(taken > 0) + records.len() as u32;
+        if after.is_empty() {
+            self.records.remove(name);
+        } else {
+            self.records.insert(name.clone(), after);
         }
-        self.serial += 1;
+        match changed {
+            true => self.touch(name),
+            false => self.serial += 1,
+        }
         true
     }
 

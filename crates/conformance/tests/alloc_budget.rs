@@ -181,8 +181,10 @@ const REG_RESOLVE: Row = (5, 37);
 /// the head was cloned on the way in and copied again to be changed; 19
 /// / 767 B while the zone named a record's body by an 8-byte `Arc`, not
 /// a 4-byte id, in the vector of the records a replace takes out; 17 /
-/// 728 B while a record was 8 bytes wider, twice over.)
-const REG_UPDATE: Row = (17, 712);
+/// 728 B while a record was 8 bytes wider, twice over; 17 / 712 B while
+/// a replace logged its owner for what went and again for each record,
+/// so this one grew the meta zone's delta log from 8 entries to 16.)
+const REG_UPDATE: Row = (16, 584);
 /// `Registry::transfer`: the probe, the signed link (its two owners) and
 /// its tree, the server's copy of that, the new head — the cached one
 /// copied, one holder more, the next probe's name — and the `Resolution`.

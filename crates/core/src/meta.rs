@@ -96,9 +96,12 @@ impl Kind {
         Kind::ALL.into_iter().find(|kind| kind.label() == label)
     }
 
-    /// The kind of record set `key` names, if it is a meta key at all.
+    /// The kind of record set `key` names, if it is a meta key at all:
+    /// the kind its text up to the first `.` spells.
     pub fn of_key(key: &DomainName) -> Option<Kind> {
-        Kind::of_label(key.labels().next()?)
+        let text = key.as_str();
+        let first = text.bytes().position(|b| b == b'.').unwrap_or(text.len());
+        Kind::of_label(&text[..first])
     }
 }
 
@@ -130,14 +133,31 @@ fn set_once<T>(slot: &mut Option<T>, key: &str, value: T) -> HnsResult<()> {
     }
 }
 
-/// The `key=value` pieces of one payload.
+/// The `key=value` pieces of one payload, `;` apart, each split at its
+/// first `=`: one scan over the bytes finds both.
 fn pieces(payload: &str) -> impl Iterator<Item = HnsResult<(&str, &str)>> {
-    fn pair(piece: &str) -> HnsResult<(&str, &str)> {
-        piece
-            .split_once('=')
-            .ok_or_else(|| bad(format!("`{piece}`")))
-    }
-    payload.split(';').map(pair)
+    let mut rest = Some(payload);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        let (mut eq, mut end) = (None, text.len());
+        for (at, &b) in text.as_bytes().iter().enumerate() {
+            match b {
+                b'=' if eq.is_none() => eq = Some(at),
+                b';' => {
+                    end = at;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        // Past the last piece there is nothing; past a `;`, another piece.
+        rest = text.get(end + 1..);
+        let piece = &text[..end];
+        Some(match eq {
+            Some(eq) => Ok((&piece[..eq], &piece[eq + 1..])),
+            None => Err(bad(format!("`{piece}`"))),
+        })
+    })
 }
 
 /// The payload [`MetaStore::register_context`] writes.
@@ -445,15 +465,12 @@ impl Step<'_> {
     /// The meta-zone name this mapping's record set lives under: one
     /// label for the record kind, one for what is asked about, case
     /// folded. Written once — every mapping of every walk, read or
-    /// write, derives one — in one pass over the text and one
-    /// allocation, the name's own. A key must determine the name it came
-    /// from, so a name that is not [`keyable`] is refused, and so is a
-    /// name service that would let two (name service, query class) pairs
-    /// meet across the `--` that joins them.
-    #[expect(
-        clippy::expect_used,
-        reason = "every byte written is a kind label, `.`, `--` or passed `key_byte`: ASCII"
-    )]
+    /// write, derives one — by [`DomainName::child_of`], which copies,
+    /// folds and checks each byte in one pass into the name's one
+    /// allocation. A key must determine the name it came from, so a name
+    /// that is not [`keyable`] is refused, and so is a name service that
+    /// would let two (name service, query class) pairs meet across the
+    /// `--` that joins them.
     pub(crate) fn key(&self, origin: &DomainName) -> HnsResult<DomainName> {
         let (kind, about, splits): (Kind, &[&str], bool) = match self {
             Step::Context(context) | Step::HostContext(context) => {
@@ -465,29 +482,32 @@ impl Step<'_> {
             }
             Step::NsmInfo(nsm_name) => (Kind::NsmInfo, &[nsm_name], true),
         };
-        // `kind.about` on the stack; `child` folds the case.
-        let mut text = [0u8; 5 + MAX_KEY_LABEL];
-        let label = kind.label().len() + 1;
-        text[..label - 1].copy_from_slice(kind.label().as_bytes());
-        text[label - 1] = b'.';
-        let mut len = label;
-        let mut keyed = splits;
-        for piece in about {
-            let end = len + piece.len();
-            keyed &= end > len && end <= label + MAX_KEY_LABEL && piece.bytes().all(key_byte);
-            if !keyed {
-                return Err(HnsError::BadName(format!(
-                    "`{}` has no meta key: a keyed name is 1..={MAX_KEY_LABEL} characters of \
-                     [A-Za-z0-9_-], a name service holds no `--` and ends in none",
-                    about.concat()
-                )));
-            }
-            text[len..end].copy_from_slice(piece.as_bytes());
-            len = end;
+        let len: usize = about.iter().map(|piece| piece.len()).sum();
+        // The bytes are `child_of`'s to check, but a dot it takes for the
+        // end of a label.
+        let bare = |piece: &&str| !piece.is_empty() && !piece.contains('.');
+        if !(splits && len <= MAX_KEY_LABEL && about.iter().all(bare)) {
+            return Err(unkeyed(about));
         }
-        let text = std::str::from_utf8(&text[..len]).expect("key bytes are ASCII");
-        origin.child(text).map_err(|e| bad(e.to_string()))
+        let mut pieces = [kind.label(), ".", "", "", ""];
+        pieces[2..2 + about.len()].copy_from_slice(about);
+        origin.child_of(&pieces).map_err(|e| {
+            // Of keyable bytes, only a key past a name's length is refused.
+            match about.iter().all(|piece| piece.bytes().all(key_byte)) {
+                true => bad(e.to_string()),
+                false => unkeyed(about),
+            }
+        })
     }
+}
+
+/// The refusal of a name that has no meta key.
+fn unkeyed(about: &[&str]) -> HnsError {
+    HnsError::BadName(format!(
+        "`{}` has no meta key: a keyed name is 1..={MAX_KEY_LABEL} characters of \
+         [A-Za-z0-9_-], a name service holds no `--` and ends in none",
+        about.concat()
+    ))
 }
 
 /// The label of the mapping's trace span.
@@ -1456,5 +1476,53 @@ mod tests {
         let delta = six_rr.as_ms_f64() - one_rr.as_ms_f64();
         // gen_miss(6) - gen_miss(1) = 5 * 2.42 = 12.1
         assert!((delta - 12.1).abs() < 1.0, "delta {delta}");
+    }
+
+    /// `pieces` reads what `split(';')` then `split_once('=')` read,
+    /// refusals included.
+    #[test]
+    fn pieces_read_what_split_and_split_once_read() {
+        let by_split = |payload: &str| -> Vec<HnsResult<(String, String)>> {
+            let pair = |piece: &str| match piece.split_once('=') {
+                Some((k, v)) => Ok((k.to_string(), v.to_string())),
+                None => Err(bad(format!("`{piece}`"))),
+            };
+            payload.split(';').map(pair).collect()
+        };
+        let owned = |piece: HnsResult<(&str, &str)>| piece.map(|(k, v)| (k.into(), v.into()));
+        for payload in [
+            "host=june;port=7",
+            "a=1;;b=2",
+            "a=1;",
+            ";a=1",
+            "k=a=b",
+            "k=",
+            "=v",
+            "novalue",
+            "a=1;novalue;b=2",
+            "",
+            ";",
+            "owner=Zoë;host=日本",
+            "é=ü;x",
+        ] {
+            let scanned: Vec<_> = pieces(payload).map(owned).collect();
+            assert_eq!(scanned, by_split(payload), "`{payload}`");
+        }
+        let split: Vec<_> = pieces("k=a=b").map(owned).collect();
+        assert_eq!(split, [Ok(("k".into(), "a=b".into()))]);
+    }
+
+    /// A key past a name's length is refused in the words of
+    /// `DomainName::child`, which names the length.
+    #[test]
+    fn a_key_past_a_name_is_refused_as_child_refuses_it() {
+        let deep = DomainName::parse(&format!("{}hns", "a.".repeat(110))).expect("223 bytes");
+        let about = "n".repeat(27);
+        let refusal = deep.child(&format!("info.{about}")).expect_err("256 bytes");
+        assert_eq!(
+            Step::NsmInfo(&about).key(&deep),
+            Err(HnsError::BadMetaRecord(refusal.to_string()))
+        );
+        assert!(refusal.to_string().contains("256"), "{refusal}");
     }
 }

@@ -56,8 +56,9 @@ struct NetTables {
     services: HashMap<(HostId, u16), Arc<dyn RpcService>, FixedState>,
     /// Per-host portmapper table: program number → (port, service name).
     programs: HashMap<(HostId, u32), (u16, String), FixedState>,
-    /// Per-host Courier exchange table: service name → port.
-    by_name: HashMap<(HostId, String), u16, FixedState>,
+    /// Per-host Courier exchange table: service name → port, a map a
+    /// host so that a name is probed as the `&str` it arrives as.
+    by_name: HashMap<HostId, HashMap<String, u16, FixedState>, FixedState>,
     next_port: HashMap<HostId, u16, FixedState>,
 }
 
@@ -189,7 +190,7 @@ impl RpcNet {
         let name = service.service_name().to_string();
         t.services.insert((host, port), service);
         t.programs.insert((host, program.0), (port, name.clone()));
-        t.by_name.insert((host, name), port);
+        t.by_name.entry(host).or_default().insert(name, port);
         port
     }
 
@@ -219,7 +220,7 @@ impl RpcNet {
         let name = service.service_name().to_string();
         t.services.insert((host, port), service);
         t.programs.insert((host, program.0), (port, name.clone()));
-        t.by_name.insert((host, name), port);
+        t.by_name.entry(host).or_default().insert(name, port);
     }
 
     /// Removes an exported service (used by failure-injection tests),
@@ -229,9 +230,9 @@ impl RpcNet {
     pub fn unexport(&self, host: HostId, port: u16) {
         let mut t = self.tables.write();
         if let Some(service) = t.services.remove(&(host, port)) {
-            let key = (host, service.service_name().to_string());
-            if t.by_name.get(&key) == Some(&port) {
-                t.by_name.remove(&key);
+            let (name, names) = (service.service_name(), t.by_name.get_mut(&host));
+            if let Some(names) = names.filter(|names| names.get(name) == Some(&port)) {
+                names.remove(name);
             }
             t.programs
                 .retain(|(h, _), (p, _)| !(*h == host && *p == port));
@@ -267,7 +268,8 @@ impl RpcNet {
         self.tables
             .read()
             .by_name
-            .get(&(host, name.to_string()))
+            .get(&host)
+            .and_then(|names| names.get(name))
             .copied()
             .ok_or_else(|| RpcError::NotFound(format!("service `{name}` on {host}")))
     }

@@ -102,6 +102,11 @@ pub(crate) fn encode_into<const UNIT: usize>(value: &Value, out: &mut Vec<u8>) -
 /// Validates lengths as encoding does, so it fails with
 /// [`WireError::Oversize`] exactly when [`encode`] would.
 pub(crate) fn encoded_len<const UNIT: usize>(value: &Value) -> WireResult<usize> {
+    Ok(value_len::<UNIT>(value)?)
+}
+
+/// [`encoded_len`], failing with the length that overflowed.
+fn value_len<const UNIT: usize>(value: &Value) -> Result<usize, Oversize> {
     Ok(match value {
         Value::Void => UNIT,
         Value::Bool(_) | Value::Opt(None) => 2 * UNIT,
@@ -113,7 +118,7 @@ pub(crate) fn encoded_len<const UNIT: usize>(value: &Value) -> WireResult<usize>
             check_len::<UNIT>(items.len())?;
             let mut total = 2 * UNIT;
             for item in items {
-                total += encoded_len::<UNIT>(item)?;
+                total += value_len::<UNIT>(item)?;
             }
             total
         }
@@ -121,12 +126,25 @@ pub(crate) fn encoded_len<const UNIT: usize>(value: &Value) -> WireResult<usize>
             check_len::<UNIT>(fields.len())?;
             let mut total = 2 * UNIT;
             for (name, v) in fields {
-                total += opaque_len::<UNIT>(name.len())? + encoded_len::<UNIT>(v)?;
+                total += opaque_len::<UNIT>(name.len())? + value_len::<UNIT>(v)?;
             }
             total
         }
-        Value::Opt(Some(v)) => 2 * UNIT + encoded_len::<UNIT>(v)?,
+        Value::Opt(Some(v)) => 2 * UNIT + value_len::<UNIT>(v)?,
     })
+}
+
+/// A declared length past [`max_len`]: what [`Sizer`]'s pieces fail
+/// with. It is two words with its `Result` and owns nothing, so a
+/// record's sized fields are plain copies; `WireFormat::shaped_len`
+/// turns it into [`WireError::Oversize`] once, at the top.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Oversize(pub(crate) usize);
+
+impl From<Oversize> for WireError {
+    fn from(Oversize(len): Oversize) -> WireError {
+        WireError::Oversize(len)
+    }
 }
 
 /// [`encoded_len`] of the tree a message's shape describes, read off the
@@ -135,38 +153,43 @@ pub(crate) fn encoded_len<const UNIT: usize>(value: &Value) -> WireResult<usize>
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Sizer<const UNIT: usize>;
 
-impl<const UNIT: usize> Shape for Sizer<UNIT> {
-    type Out = WireResult<usize>;
+// A piece is a length or the length that overflowed: two words, `Copy`.
+// An owning error here puts a drop-checked array on every record sized.
+const _: () =
+    assert!(std::mem::size_of::<<Sizer<4> as Shape>::Out>() <= 2 * std::mem::size_of::<usize>());
 
-    fn bool(&self, _: bool) -> WireResult<usize> {
+impl<const UNIT: usize> Shape for Sizer<UNIT> {
+    type Out = Result<usize, Oversize>;
+
+    fn bool(&self, _: bool) -> Result<usize, Oversize> {
         Ok(2 * UNIT)
     }
 
-    fn u32(&self, _: u32) -> WireResult<usize> {
+    fn u32(&self, _: u32) -> Result<usize, Oversize> {
         Ok(UNIT + 4)
     }
 
-    fn u64(&self, _: u64) -> WireResult<usize> {
+    fn u64(&self, _: u64) -> Result<usize, Oversize> {
         Ok(UNIT + 8)
     }
 
-    fn str(&self, s: &str) -> WireResult<usize> {
+    fn str(&self, s: &str) -> Result<usize, Oversize> {
         Ok(UNIT + opaque_len::<UNIT>(s.len())?)
     }
 
-    fn value(&self, v: &Value) -> WireResult<usize> {
-        encoded_len::<UNIT>(v)
+    fn value(&self, v: &Value) -> Result<usize, Oversize> {
+        value_len::<UNIT>(v)
     }
 
-    fn bytes(&self, len: usize, _: impl FnOnce(&mut Vec<u8>)) -> WireResult<usize> {
+    fn bytes(&self, len: usize, _: impl FnOnce(&mut Vec<u8>)) -> Result<usize, Oversize> {
         Ok(UNIT + opaque_len::<UNIT>(len)?)
     }
 
     fn list<T>(
         &self,
         items: impl ExactSizeIterator<Item = T>,
-        mut each: impl FnMut(T) -> WireResult<usize>,
-    ) -> WireResult<usize> {
+        mut each: impl FnMut(T) -> Result<usize, Oversize>,
+    ) -> Result<usize, Oversize> {
         check_len::<UNIT>(items.len())?;
         let mut total = 2 * UNIT;
         for item in items {
@@ -175,14 +198,14 @@ impl<const UNIT: usize> Shape for Sizer<UNIT> {
         Ok(total)
     }
 
-    fn opt(&self, inner: Option<WireResult<usize>>) -> WireResult<usize> {
+    fn opt(&self, inner: Option<Result<usize, Oversize>>) -> Result<usize, Oversize> {
         Ok(2 * UNIT + inner.transpose()?.unwrap_or(0))
     }
 
     fn record<const N: usize>(
         &self,
-        fields: [(&'static str, WireResult<usize>); N],
-    ) -> WireResult<usize> {
+        fields: [(&'static str, Result<usize, Oversize>); N],
+    ) -> Result<usize, Oversize> {
         check_len::<UNIT>(N)?;
         let mut total = 2 * UNIT;
         for (name, v) in fields {
@@ -205,9 +228,9 @@ pub(crate) fn decode<const UNIT: usize>(bytes: &[u8]) -> WireResult<Value> {
     Ok(v)
 }
 
-fn check_len<const UNIT: usize>(len: usize) -> WireResult<()> {
+fn check_len<const UNIT: usize>(len: usize) -> Result<(), Oversize> {
     if len > max_len(UNIT) {
-        return Err(WireError::Oversize(len));
+        return Err(Oversize(len));
     }
     Ok(())
 }
@@ -217,7 +240,7 @@ fn pad<const UNIT: usize>(len: usize) -> usize {
     (UNIT - len % UNIT) % UNIT
 }
 
-fn opaque_len<const UNIT: usize>(len: usize) -> WireResult<usize> {
+fn opaque_len<const UNIT: usize>(len: usize) -> Result<usize, Oversize> {
     check_len::<UNIT>(len)?;
     Ok(UNIT + len + pad::<UNIT>(len))
 }

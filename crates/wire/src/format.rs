@@ -42,12 +42,14 @@ impl WireFormat {
     }
 
     /// [`WireFormat::encoded_len`] of the tree `msg`'s shape describes,
-    /// without building it.
+    /// without building it; the one place a sized overflow becomes a
+    /// [`crate::WireError`].
     pub(crate) fn shaped_len(self, msg: &impl Shaped) -> WireResult<usize> {
-        match self {
+        let len = match self {
             WireFormat::Xdr => msg.shape(&xdr::SIZER),
             WireFormat::Courier => msg.shape(&courier::SIZER),
-        }
+        };
+        Ok(len?)
     }
 
     /// Human-readable name.
