@@ -291,6 +291,16 @@ fn fuzz(mut args: Args) -> Result<(), String> {
     report.ok().then_some(()).ok_or_else(|| violations.into())
 }
 
+const WORK_USAGE: &str = "work   allocations, bytes and remote calls an op of the warm and cold \
+    query mixes, by pair kind and FindNSM outcome (E-W); committed as WORK_exact.txt";
+
+fn work(args: Args) -> Result<(), String> {
+    args.done()?;
+    println!("=== experiment: work ===");
+    print!("{}", exp::work::run());
+    Ok(())
+}
+
 const VALIDATE_USAGE: &str =
     "validate FILE...   check JSON exports against their schema rows (tag auto-detected)";
 
@@ -322,6 +332,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ("register", REGISTER_USAGE, register),
     ("scale", SCALE_USAGE, scale),
     ("fuzz", FUZZ_USAGE, fuzz),
+    ("work", WORK_USAGE, work),
     ("validate", VALIDATE_USAGE, check_files),
 ];
 

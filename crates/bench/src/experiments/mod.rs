@@ -20,3 +20,4 @@ pub mod table31;
 pub mod table32;
 pub mod timeline;
 pub mod traced;
+pub mod work;

@@ -13,6 +13,7 @@
 pub mod cells;
 pub mod experiments;
 pub mod export;
+pub mod mix;
 pub mod scenario;
 
 pub use cells::{Cell, PaperTable, PlainTable};

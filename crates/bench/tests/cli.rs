@@ -141,6 +141,14 @@ fn a_bad_flag_is_refused_before_anything_runs() {
         &["fuzz", "--iters", "many"],
         &["--iters: cannot parse `many`", "usage: experiments fuzz"],
     );
+    refused(
+        "flag-of-a-flagless-subcommand",
+        &["work", "--seed", "1"],
+        &[
+            "unknown or repeated flag `--seed`",
+            "usage: experiments work",
+        ],
+    );
 }
 
 #[test]
@@ -304,6 +312,31 @@ fn all_prints_the_committed_tables_byte_for_byte() {
         out.stdout == committed,
         "`experiments all` differs from experiments_output.txt:\n{}",
         String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// `experiments work` prints the committed work record byte for byte.
+/// Every count in it is deterministic, so a moved line is moved work:
+/// re-run it and commit the output only for an intended change, saying
+/// which lines moved and why.
+#[test]
+fn work_prints_the_committed_record_byte_for_byte() {
+    let committed = read("WORK_exact.txt");
+    let out = experiments(&repo_root(), &["work"]);
+    assert!(out.status.success());
+    let printed = String::from_utf8_lossy(&out.stdout);
+    let moved: Vec<String> = committed
+        .lines()
+        .zip(printed.lines())
+        .filter(|(was, now)| was != now)
+        .map(|(was, now)| format!("- {was}\n+ {now}"))
+        .collect();
+    assert!(
+        printed == committed,
+        "`experiments work` differs from WORK_exact.txt ({} lines against {}):\n{}",
+        printed.lines().count(),
+        committed.lines().count(),
+        moved.join("\n")
     );
 }
 

@@ -17,9 +17,13 @@
 //! records; and what an entry keeps of the set. A one-record
 //! answer owned by the key's own name — nearly every answer a resolver
 //! caches — keeps only its body (type, TTL, rdata), not a second copy of
-//! the name: a hit rebuilds the record on the asker's [`DomainName`], in
-//! one allocation, the `Arc` the caller receives. Any other set (a `CNAME`
-//! chain, a referral and its glue) is kept whole, and a hit shares it.
+//! the name: a hit that hands out the set rebuilds the record on the
+//! asker's [`DomainName`], in one allocation, the `Arc` the caller
+//! receives. Any other set (a `CNAME` chain, a referral and its glue) is
+//! kept whole, and a hit shares it. A reader that wants less than the set
+//! — its length and first record of a type, as a BIND-backed NSM does —
+//! reads the entry in place while the probe holds it
+//! ([`crate::resolver::StdResolver::query_first`]) and builds nothing.
 
 use std::sync::Arc;
 
@@ -56,9 +60,10 @@ fn with_key<R>(name: &str, rtype: RType, f: impl FnOnce(&Key<'_>) -> R) -> R {
     f(&[&rtype.code().to_le_bytes(), name.as_bytes()])
 }
 
-/// What an entry keeps of a record set.
+/// What an entry keeps of a record set; what a reader is handed while
+/// the probe holds it ([`TtlCache::read`]).
 #[derive(Debug, Clone)]
-enum Entry {
+pub(crate) enum Entry {
     /// The one record of the set, owned by the key's own name: its body.
     Body(RrBody),
     /// Any other set, whole.
@@ -74,8 +79,28 @@ impl Entry {
         }
     }
 
+    /// How many records the set holds.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Entry::Body(_) => 1,
+            Entry::Records(records) => records.len(),
+        }
+    }
+
+    /// The TTL and data of the set's first record of `rtype`; the data
+    /// is shared ([`RData`]'s clone bumps a count), nothing is rebuilt.
+    pub(crate) fn first(&self, rtype: RType) -> Option<(u32, RData)> {
+        match self {
+            Entry::Body(body) => (body.rtype == rtype).then(|| (body.ttl, body.rdata.clone())),
+            Entry::Records(records) => records
+                .iter()
+                .find(|r| r.rtype == rtype)
+                .map(|r| (r.ttl, r.rdata.clone())),
+        }
+    }
+
     /// The set again, a body's record rebuilt on `owner()`'s name.
-    fn records(self, owner: impl FnOnce() -> DomainName) -> Arc<[ResourceRecord]> {
+    pub(crate) fn records(self, owner: impl FnOnce() -> DomainName) -> Arc<[ResourceRecord]> {
         match self {
             Entry::Body(RrBody { rtype, ttl, rdata }) => Arc::from([ResourceRecord {
                 name: owner(),
@@ -170,10 +195,7 @@ impl TtlCache {
         name: &str,
         rtype: RType,
     ) -> Option<Arc<[ResourceRecord]>> {
-        self.live(now, name, rtype, || match name {
-            "." => DomainName::root(),
-            text => DomainName::from_text_unchecked(text),
-        })
+        self.live(now, name, rtype, || DomainName::of_canonical(name))
     }
 
     /// The probe under [`TtlCache::get`] and [`TtlCache::get_text`]; the
@@ -185,10 +207,41 @@ impl TtlCache {
         rtype: RType,
         owner: impl FnOnce() -> DomainName,
     ) -> Option<Arc<[ResourceRecord]>> {
-        match with_key(name, rtype, |key| self.map.probe(now, key, Entry::clone)) {
-            Probe::Live { value, .. } => Some(value.records(owner)),
+        self.read(now, name, rtype, Entry::clone)
+            .map(|entry| entry.records(owner))
+    }
+
+    /// The probe under every live read: hands the live entry of (`name`,
+    /// held as canonical text, `rtype`) to `read` while the probe holds
+    /// it, and returns what `read` made of it. Counted as
+    /// [`TtlCache::get`] counts.
+    pub(crate) fn read<T>(
+        &self,
+        now: SimTime,
+        name: &str,
+        rtype: RType,
+        read: impl FnOnce(&Entry) -> T,
+    ) -> Option<T> {
+        match with_key(name, rtype, |key| self.map.probe(now, key, read)) {
+            Probe::Live { value, .. } => Some(value),
             Probe::Expired | Probe::Absent => None,
         }
+    }
+
+    /// [`TtlCache::read`] of a retained *expired* entry, with how long it
+    /// has been stale: the probe under [`TtlCache::get_stale`], counted
+    /// as it counts.
+    pub(crate) fn read_stale<T>(
+        &self,
+        now: SimTime,
+        name: &str,
+        rtype: RType,
+        read: impl FnOnce(&Entry) -> T,
+    ) -> Option<(T, SimDuration)> {
+        let (value, lapsed) = with_key(name, rtype, |key| {
+            self.map.probe_stale(now, key, |entry| Some(read(entry)))
+        })?;
+        Some((value, now.since(lapsed)))
     }
 
     /// Drops the entry a [`TtlCache::get_text`] hit just handed out and
@@ -208,10 +261,8 @@ impl TtlCache {
         name: &DomainName,
         rtype: RType,
     ) -> Option<(Arc<[ResourceRecord]>, SimDuration)> {
-        let (entry, lapsed) = with_key(name.as_str(), rtype, |key| {
-            self.map.probe_stale(now, key, |entry| Some(entry.clone()))
-        })?;
-        Some((entry.records(|| name.clone()), now.since(lapsed)))
+        let (entry, stale_for) = self.read_stale(now, name.as_str(), rtype, Entry::clone)?;
+        Some((entry.records(|| name.clone()), stale_for))
     }
 
     /// Inserts records, valid for the minimum TTL among them.

@@ -1,5 +1,6 @@
 //! Domain names: case-insensitive dotted label sequences.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, LazyLock};
@@ -36,16 +37,23 @@ impl DomainName {
     /// Parses a dotted name. A single trailing dot (absolute form) is
     /// accepted and ignored; comparison is case-insensitive.
     pub fn parse(s: &str) -> NsResult<DomainName> {
+        DomainName::canonical(s).map(|text| DomainName::of_canonical(&text))
+    }
+
+    /// The text [`DomainName::parse`] gives `s` as its
+    /// [`DomainName::as_str`], or the error it refuses `s` with: checked,
+    /// one trailing dot dropped, lowered — borrowed from `s` unless a
+    /// label needed lowering, so a name already canonical is read where
+    /// it lies.
+    pub fn canonical(s: &str) -> NsResult<Cow<'_, str>> {
         let trimmed = s.strip_suffix('.').unwrap_or(s);
         if trimmed.is_empty() {
-            return Ok(DomainName::root());
+            return Ok(Cow::Borrowed("."));
         }
-        let text = if check_labels(trimmed, trimmed.len())? {
-            Arc::from(trimmed.to_ascii_lowercase())
-        } else {
-            Arc::from(trimmed)
-        };
-        Ok(DomainName { text })
+        Ok(match check_labels(trimmed, trimmed.len())? {
+            true => Cow::Owned(trimmed.to_ascii_lowercase()),
+            false => Cow::Borrowed(trimmed),
+        })
     }
 
     /// The canonical dotted text (`.` for the root).
@@ -221,6 +229,16 @@ impl DomainName {
     pub(crate) fn from_text_unchecked(text: &str) -> DomainName {
         DomainName {
             text: Arc::from(text),
+        }
+    }
+
+    /// The name whose [`DomainName::as_str`] is `text`, which
+    /// [`DomainName::canonical`] gave and is not checked again: the root
+    /// shared, any other name its one allocation.
+    pub(crate) fn of_canonical(text: &str) -> DomainName {
+        match text {
+            "." => DomainName::root(),
+            text => DomainName::from_text_unchecked(text),
         }
     }
 

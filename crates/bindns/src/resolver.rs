@@ -18,13 +18,13 @@ use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
 use hrpc::HrpcBinding;
 
-use crate::cache::TtlCache;
+use crate::cache::{Entry, TtlCache};
 use crate::error::NsError;
 use crate::message::{
     decoded, Answer, MultiAnswer, MultiQuestion, Question, PROC_MQUERY, PROC_QUERY, PROC_UPDATE,
 };
 use crate::name::DomainName;
-use crate::rr::{check_rdata, RType, Records, ResourceRecord};
+use crate::rr::{check_rdata, RData, RType, Records, ResourceRecord};
 use crate::update::UpdateOp;
 
 /// A lookup that found nothing is `NotFound`; any other refusal, or a
@@ -67,49 +67,78 @@ impl StdResolver {
     }
 
     /// Queries, consulting the cache first. Hits share the cached
-    /// record set (`Arc`), so the hot path allocates nothing.
+    /// record set (`Arc`); a one-record set, which the cache keeps as its
+    /// body, is rebuilt on `name`.
     ///
     /// When the server is unreachable (crashed or partitioned under an
     /// installed `FaultPlan`) and an expired entry is still resident,
     /// the resolver serves it stale rather than failing — RFC 8767
     /// behaviour, mirroring the HNS meta cache's serve-stale fallback.
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<[ResourceRecord]>> {
+        let entry = self.lookup(name.as_str(), rtype, || name.clone(), Entry::clone)?;
+        Ok(entry.records(|| name.clone()))
+    }
+
+    /// [`StdResolver::query`] of the name `text` parses to, read for its
+    /// first record of `rtype`: that record's TTL and data (`None` if the
+    /// set holds no record of `rtype`). A hit reads the cached set where
+    /// it lies and builds nothing — no name, no set; the data is shared.
+    /// Text that is no name is refused as parsing it is, before anything
+    /// is charged or counted.
+    pub fn query_first(&self, text: &str, rtype: RType) -> RpcResult<Option<(u32, RData)>> {
+        let text = DomainName::canonical(text).map_err(|e| RpcError::Service(e.to_string()))?;
+        let name = || DomainName::of_canonical(&text);
+        self.lookup(&text, rtype, name, |entry| entry.first(rtype))
+    }
+
+    /// The one lookup under [`StdResolver::query`] and
+    /// [`StdResolver::query_first`]: probes the cache for (`text`, the
+    /// name's canonical text, `rtype`) and hands a live entry to `read`
+    /// in place, charging the probe and a demarshalled hit of the set's
+    /// length; on a miss fetches from the server under `name()`, files
+    /// the set and reads it; an unreachable server is answered from a
+    /// retained expired entry, read as a hit is.
+    fn lookup<T>(
+        &self,
+        text: &str,
+        rtype: RType,
+        name: impl FnOnce() -> DomainName,
+        read: impl Fn(&Entry) -> T,
+    ) -> RpcResult<T> {
         let world = self.world();
+        let read = |entry: &Entry| (entry.len(), read(entry));
+        let charge_hit = |len| {
+            let form = simnet::CacheForm::Demarshalled;
+            world.charge_ms(world.costs.cache_hit(form, len));
+        };
         world.charge_ms(world.costs.cache_probe);
-        if let Some(records) = self.cache.get(world.now(), name, rtype) {
+        if let Some((len, value)) = self.cache.read(world.now(), text, rtype, read) {
             self.cache_hits
                 .get(world.metrics(), "bind_resolver", "std_cache_hits")
                 .inc();
-            world.charge_ms(
-                world
-                    .costs
-                    .cache_hit(simnet::CacheForm::Demarshalled, records.len()),
-            );
-            return Ok(records);
+            charge_hit(len);
+            return Ok(value);
         }
-        let records: Arc<[ResourceRecord]> = match self.query_uncached(name, rtype) {
+        let name = name();
+        let records: Arc<[ResourceRecord]> = match self.query_uncached(&name, rtype) {
             Ok(records) => records.whole().collect(),
             Err(err) if err.is_unreachable() => {
-                let Some((records, stale_for)) = self.cache.get_stale(world.now(), name, rtype)
-                else {
+                let stale = self.cache.read_stale(world.now(), text, rtype, read);
+                let Some(((len, value), stale_for)) = stale else {
                     return Err(err);
                 };
                 world.cache_outcome(CacheOutcome::Stale);
-                world.charge_ms(
-                    world
-                        .costs
-                        .cache_hit(simnet::CacheForm::Demarshalled, records.len()),
-                );
+                charge_hit(len);
                 world.trace(Some(self.host), TraceKind::Cache, || {
                     format!("stale_served: {name} {rtype:?} (stale {stale_for}; {err})")
                 });
-                return Ok(records);
+                return Ok(value);
             }
             Err(err) => return Err(err),
         };
-        self.cache
-            .insert(world.now(), name.clone(), rtype, Arc::clone(&records));
-        Ok(records)
+        let (_, value) = read(&Entry::Records(Arc::clone(&records)));
+        self.cache.insert(world.now(), name, rtype, records);
+        Ok(value)
     }
 
     /// Queries the server directly, bypassing the cache.
@@ -498,6 +527,103 @@ mod tests {
         assert!(result.is_ok());
         assert_eq!(delta.remote_calls, 1, "healed query refetches");
         assert_eq!(resolver.cache_stats().stale_serves, 1, "no new stale serve");
+    }
+
+    /// One step of the differential: the answer read for its first
+    /// record of the type, the virtual time it took, the resolver's two
+    /// counters and its cache's statistics after it.
+    type Seen = (
+        RpcResult<Option<(u32, RData)>>,
+        simnet::time::SimDuration,
+        [Option<u64>; 2],
+        crate::cache::CacheStats,
+    );
+
+    /// A script of queries on a fresh testbed, each through
+    /// `query_first` or through `query` of the parsed name: a miss, a
+    /// hit, an upper-case name with a trailing dot, a `CNAME` set kept
+    /// whole, no data of the type, a name that does not parse, a name not
+    /// there, and a stale serve inside a crash window.
+    fn differential(via_first: bool) -> Vec<Seen> {
+        let (world, net, client, dep) = setup();
+        dep.server.with_db(|db| {
+            let zone = db.find_zone_mut(&name("cs.washington.edu")).expect("zone");
+            let short = ResourceRecord::txt(name("short.cs.washington.edu"), 1, "v");
+            zone.add(short).expect("add");
+        });
+        let resolver = StdResolver::new(net, client, dep.std_binding);
+        // An alias's set — its `CNAME`, then the target's address — is
+        // kept whole. The fast codec carries one owner an answer, so the
+        // set is filed here, as a resolver that learnt it would.
+        let (alias, fiji) = (
+            name("alias.cs.washington.edu"),
+            name("fiji.cs.washington.edu"),
+        );
+        let set = vec![
+            ResourceRecord::cname(alias.clone(), 600, fiji.clone()),
+            ResourceRecord::a(fiji, 600, NetAddr::of(HostId(9))),
+        ];
+        resolver.cache.insert(world.now(), alias, RType::A, set);
+        let ask = |text: &str, rtype| {
+            if via_first {
+                return resolver.query_first(text, rtype);
+            }
+            let parsed = DomainName::parse(text).map_err(|e| RpcError::Service(e.to_string()))?;
+            let records = resolver.query(&parsed, rtype)?;
+            let first = records.iter().find(|r| r.rtype == rtype);
+            Ok(first.map(|r| (r.ttl, r.rdata.clone())))
+        };
+        let mut seen = Vec::new();
+        let mut step = |text: &str, rtype| {
+            let (answer, took, _) = world.measure(|| ask(text, rtype));
+            let snap = world.metrics().snapshot();
+            let counters =
+                ["std_cache_hits", "std_queries"].map(|c| snap.counter("bind_resolver", c));
+            seen.push((answer, took, counters, resolver.cache_stats()));
+        };
+        for (text, rtype) in [
+            ("fiji.cs.washington.edu", RType::A),
+            ("fiji.cs.washington.edu", RType::A),
+            ("FIJI.cs.Washington.EDU.", RType::A),
+            ("alias.cs.washington.edu", RType::A),
+            ("Alias.cs.washington.edu", RType::A),
+            ("fiji.cs.washington.edu", RType::Mx),
+            ("a..b", RType::A),
+            ("ghost.cs.washington.edu", RType::A),
+            ("short.cs.washington.edu", RType::Txt),
+        ] {
+            step(text, rtype);
+        }
+        world.charge_ms(2_000.0);
+        let mut plan = simnet::FaultPlan::new();
+        plan.crash(dep.std_binding.host, world.now(), None);
+        world.set_faults(Some(plan));
+        step("short.cs.washington.edu", RType::Txt);
+        step("SHORT.cs.washington.edu", RType::Txt);
+        step("tonga.cs.washington.edu", RType::A);
+        seen
+    }
+
+    /// `query_first` is `query` read for its first record: the same
+    /// record, virtual time, counters and cache statistics at every step.
+    #[test]
+    fn query_first_answers_and_charges_as_query_does() {
+        let (by_query, by_first) = (differential(false), differential(true));
+        assert_eq!(by_first, by_query);
+        let answers: Vec<_> = by_first.iter().map(|(answer, ..)| answer).collect();
+        let fiji = |ttl| Ok(Some((ttl, RData::Addr(NetAddr::of(HostId(9))))));
+        assert_eq!(answers[..3], [&fiji(86_400); 3]);
+        assert_eq!(answers[3..5], [&fiji(600); 2]);
+        assert_eq!(
+            answers[5],
+            &Err(RpcError::NotFound("fiji.cs.washington.edu".into()))
+        );
+        assert!(matches!(answers[6], Err(RpcError::Service(why)) if why.contains("empty label")));
+        assert_eq!(answers[9], &Ok(Some((1, RData::Text("v".into())))));
+        assert_eq!(answers[9], answers[10]);
+        assert!(matches!(answers[11], Err(RpcError::HostUnreachable { .. })));
+        let (hits, stats) = (by_first[10].2[0], by_first[10].3);
+        assert_eq!((hits, stats.stale_serves), (Some(4), 2));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property-based tests on the name-service invariants.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use bindns::axfr::{IncrementalTransfer, IxfrMode, IxfrRequest, ZoneRequest, ZoneTransfer};
+use bindns::error::NsError;
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
 use bindns::rr::{RData, RType, Records, ResourceRecord, RrBody, Soa, MAX_RDATA};
@@ -452,4 +454,71 @@ proptest! {
     fn domain_parse_never_panics(s in "[ -~]{0,80}") {
         let _ = DomainName::parse(&s);
     }
+
+    /// `canonical` gives the text `parse` gives its name, or the error
+    /// `parse` refuses with — both held to the parser as first written —
+    /// and borrows unless a label needed lowering: over labels empty, of
+    /// upper case, of 62 to 65 bytes, holding a bad byte or a dot, and
+    /// names past 255 bytes, with and without a trailing dot.
+    #[test]
+    fn canonical_accepts_and_refuses_what_parse_does(
+        labels in proptest::collection::vec(arb_name_piece(), 0..6),
+        dot in any::<bool>(),
+    ) {
+        let mut text = labels.join(".");
+        if dot {
+            text.push('.');
+        }
+        let canonical = DomainName::canonical(&text);
+        let want = parse_as_first_written(&text);
+        let parsed = DomainName::parse(&text).map(|name| name.as_str().to_string());
+        prop_assert_eq!(parsed, want.clone());
+        prop_assert_eq!(canonical.clone().map(Cow::into_owned), want);
+        if let Ok(canonical) = &canonical {
+            let lowered = text.bytes().any(|b| b.is_ascii_uppercase());
+            prop_assert_eq!(matches!(canonical, Cow::Owned(_)), lowered, "`{}`", text);
+        }
+    }
+}
+
+/// A piece of a name's text: a label of either case (empty at times), a
+/// label at the length limit, one holding a byte no label may, or dots.
+fn arb_name_piece() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-zA-Z0-9_-]{0,4}",
+        "[a-zA-Z0-9_-]{0,4}",
+        "[a-zA-Z]{62,65}",
+        "[a-z *]{1,3}",
+        "[a-z.]{0,3}",
+    ]
+}
+
+/// `DomainName::parse` as first written, a label at a time: its text, or
+/// its refusal.
+fn parse_as_first_written(s: &str) -> Result<String, NsError> {
+    let trimmed = s.strip_suffix('.').unwrap_or(s);
+    if trimmed.is_empty() {
+        return Ok(".".to_string());
+    }
+    if trimmed.len() > 255 {
+        let total = trimmed.len();
+        return Err(NsError::BadName(format!("name too long ({total} bytes)")));
+    }
+    for label in trimmed.split('.') {
+        if label.is_empty() {
+            return Err(NsError::BadName(format!("empty label in `{trimmed}`")));
+        }
+        if label.len() > 63 {
+            return Err(NsError::BadName(format!("label `{label}` too long")));
+        }
+        if !label
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+        {
+            return Err(NsError::BadName(format!(
+                "bad character in label `{label}`"
+            )));
+        }
+    }
+    Ok(trimmed.to_ascii_lowercase())
 }

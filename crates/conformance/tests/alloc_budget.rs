@@ -83,28 +83,46 @@ const WARM_REWALK: Row = (1, 40);
 const WARM_IMPORT: Row = (1, 14);
 /// A Clearinghouse-backed mail query, the NSM call alone: the three-part
 /// name parsed from the NSM's local name (one shared string), the item
-/// the Clearinghouse copies out of its entry, and the tree
-/// `NsmClient::call` hands its caller (a field vector and a string); the
-/// `Property` and the `MailboxLocation` are moved into their callers'
-/// slots. (6 / 178 B while each travelled in a box; 9 / 201 B while the
+/// the Clearinghouse copies out of its entry, and the field vector of the
+/// tree `NsmClient::call` hands its caller; the item's string is moved
+/// into the `MailboxLocation` and on into that tree, and the `Property`
+/// and the `MailboxLocation` are moved into their callers' slots. (4 /
+/// 122 B while the tree copied the mailbox's string; 6 / 178 B while each
+/// travelled in a box; 9 / 201 B while the
 /// request copied the name's two strings and the NSM
 /// copied the local name out of it; 35 / 1,235 B while request, lookup
 /// and both replies were trees, and a three-part name was four
 /// allocations to parse.)
-const WARM_CH_MAIL: Row = (4, 122);
+const WARM_CH_MAIL: Row = (3, 105);
+/// A Clearinghouse-backed file-location query, the NSM call alone: the
+/// caller's field vector and the path in it, the three-part name, the
+/// item the Clearinghouse copies out of its entry (a field vector and two
+/// strings), the local path, and the field vector of the caller's tree.
+/// The item's host string is moved into the `FileLocation`, and both of
+/// its strings on into the tree. (11 / 426 B while the NSM copied the
+/// host out of the item and the tree copied both strings.)
+const WARM_CH_FILE: Row = (8, 368);
 /// The costliest warm op kind, a BIND-backed file-location query, the
 /// NSM call alone: the caller's field vector and the path in it (moved
-/// into the request, not copied), the local name parsed as a domain name,
-/// the resolver's cached answer rebuilt on it (two blocks), the
-/// `FileLocation`'s two strings, and the tree `NsmClient::call` hands its
-/// caller (a field vector and two strings). (11 / 474 B while the
+/// into the request, not copied), the `FileLocation`'s two strings, and
+/// the field vector of the tree `NsmClient::call` hands its caller, into
+/// which both strings are moved. The record is read where the resolver's
+/// cache keeps it. (9 / 370 B while the local name was parsed into a
+/// domain name, the cached answer rebuilt on it, and the tree copied the
+/// two strings; 11 / 474 B while the
 /// `FileLocation` travelled in a box; 17 / 578 B while the request
 /// copied the name's two strings and the
 /// path, the NSM copied the local name out of the name, and the local
 /// path was formatted, growing twice; 10 / 426 B while the cached
 /// answer's text was copied out of the cache, not counted, and a record
 /// was 8 bytes wider.)
-const WARM_BIND_FILE: Row = (9, 370);
+const WARM_BIND_FILE: Row = (5, 215);
+/// A BIND-backed mail query, the NSM call alone: the `MX` target's text
+/// and the field vector of the caller's tree, into which the text is
+/// moved; the record is read where the resolver's cache keeps it. (5 /
+/// 204 B while the local name was parsed into a domain name, the cached
+/// answer rebuilt on it, and the tree copied the target's text.)
+const WARM_BIND_MAIL: Row = (2, 78);
 /// `ChClient::lookup_item`: the item the server copies out of its entry;
 /// the `Property` is moved into the client's slot. The `Lookup` it sends
 /// shares the name and the credentials. (2 / 49 B while the `Property`
@@ -322,6 +340,18 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     mail();
     row("warm Clearinghouse mail NSM call", WARM_CH_MAIL, mail);
 
+    // A Clearinghouse-backed file-location query, the NSM call alone.
+    let designs = HnsName::new(tb.ctx_ch(), "designs:cs:uw").expect("name");
+    let ch_file_nsm = warm
+        .find_nsm(&QueryClass::file_location(), &designs)
+        .expect("file NSM");
+    let ch_file = || {
+        let path = vec![("path", Value::str("dlion/board.dwg"))];
+        nsm_client.call(&ch_file_nsm, &designs, path).expect("file")
+    };
+    ch_file();
+    row("warm Clearinghouse file NSM call", WARM_CH_FILE, ch_file);
+
     // A BIND-backed file-location query, the NSM call alone: the path
     // handed over in the caller's fields, the record read through the
     // NSM's resolver cache.
@@ -336,6 +366,17 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     file();
     file();
     row("warm BIND file-location NSM call", WARM_BIND_FILE, file);
+
+    // A BIND-backed mail query, the NSM call alone: the `MX` record read
+    // through the NSM's resolver cache.
+    let alice = HnsName::new(tb.ctx_bind(), "alice.cs.washington.edu").expect("name");
+    let bind_mail_nsm = warm
+        .find_nsm(&QueryClass::mailbox_location(), &alice)
+        .expect("mail NSM");
+    let bind_mail = || (nsm_client.call(&bind_mail_nsm, &alice, vec![])).expect("mail");
+    bind_mail();
+    bind_mail();
+    row("warm BIND mail NSM call", WARM_BIND_MAIL, bind_mail);
 
     let ch = tb.ch_client(tb.hosts.client);
     let bob = ThreePartName::parse("bob:cs:uw").expect("name");

@@ -94,7 +94,8 @@ impl BindAdapter {
     }
 
     /// Step two: `NotFound(local)` unless a record of `rtype` came back;
-    /// its TTL and data as `shape` takes them.
+    /// its TTL and data as `shape` takes them. Through the cache, the
+    /// record is read where the resolver keeps it.
     fn first<T>(
         &self,
         local: &str,
@@ -102,21 +103,16 @@ impl BindAdapter {
         cached: bool,
         shape: impl FnOnce(u32, &RData) -> Option<T>,
     ) -> RpcResult<T> {
-        let domain = DomainName::parse(local).map_err(service_err)?;
         let read = |found: Option<(u32, &RData)>| {
             let (ttl, rdata) = found.ok_or_else(|| RpcError::NotFound(local.to_string()))?;
             let bad = || RpcError::Service(format!("bad {rtype} rdata {rdata:?}"));
             shape(ttl, rdata).ok_or_else(bad)
         };
         if cached {
-            let records = self.service.query(&domain, rtype)?;
-            read(
-                records
-                    .iter()
-                    .find(|r| r.rtype == rtype)
-                    .map(|r| (r.ttl, &r.rdata)),
-            )
+            let found = self.service.query_first(local, rtype)?;
+            read(found.as_ref().map(|(ttl, rdata)| (*ttl, rdata)))
         } else {
+            let domain = DomainName::parse(local).map_err(service_err)?;
             let records = self.service.query_uncached(&domain, rtype)?;
             let found = records.iter().find(|(_, body)| body.rtype == rtype);
             read(found.map(|(_, body)| (body.ttl, &body.rdata)))

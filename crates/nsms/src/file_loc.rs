@@ -31,9 +31,9 @@ pub struct FileLocation {
 
 impl FileLocation {
     /// The file at `path` under the volume `root` of `file_host`.
-    fn under(file_host: &str, root: &str, path: &str) -> FileLocation {
+    fn under(file_host: String, root: &str, path: &str) -> FileLocation {
         FileLocation {
-            file_host: file_host.to_string(),
+            file_host,
             local_path: [root, "/", path].concat(),
         }
     }
@@ -74,7 +74,7 @@ impl Nsm for FileBindNsm {
         let location = self
             .0
             .lookup_pair(&request.name, "file", keys, |host, root| {
-                FileLocation::under(host, root, path)
+                FileLocation::under(host.to_string(), root, path)
             })?;
         reply.put(location);
         Ok(())
@@ -107,8 +107,9 @@ impl Nsm for FileChNsm {
 
     fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let path = request.args.path()?;
-        let service = self.0.lookup(&request.name, PROP_FILE_SERVICE)?;
-        let (host, root) = (service.str_field("host")?, service.str_field("root")?);
+        let mut service = self.0.lookup(&request.name, PROP_FILE_SERVICE)?;
+        let host = service.take_field("host")?.into_str()?;
+        let root = service.str_field("root")?;
         reply.put(FileLocation::under(host, root, path));
         Ok(())
     }

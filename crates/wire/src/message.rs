@@ -126,6 +126,16 @@ pub trait Shape {
 pub trait Shaped {
     /// The message, piece by piece.
     fn shape<S: Shape>(&self, s: &S) -> S::Out;
+
+    /// The message made into its tree, what [`Message::into_tree`] gives:
+    /// its shape read by [`Tree`] unless it can move its pieces in, as a
+    /// [`crate::record!`] moves each field ([`Field::into_value`]).
+    fn into_shaped_tree(self) -> Value
+    where
+        Self: Sized,
+    {
+        self.shape(&Tree)
+    }
 }
 
 impl<T: Shaped + Any> Message for T {
@@ -136,13 +146,23 @@ impl<T: Shaped + Any> Message for T {
     fn tree(&self) -> Cow<'_, Value> {
         Cow::Owned(self.shape(&Tree))
     }
+
+    fn into_tree(self) -> Value {
+        self.into_shaped_tree()
+    }
 }
 
-/// One field of a record: how it is shaped, and how it is read back from
-/// an untyped peer's tree.
+/// One field of a record: how it is shaped, how it is moved into a tree,
+/// and how it is read back from an untyped peer's tree.
 pub trait Field: Sized {
     /// The field, for `s` to read.
     fn shape<S: Shape>(&self, s: &S) -> S::Out;
+
+    /// The field made into its piece of a tree: the piece its shape
+    /// builds, unless it owns what that piece holds and moves it in.
+    fn into_value(self) -> Value {
+        self.shape(&Tree)
+    }
 
     /// The field decoded from `v`: refused with the accessor's error when
     /// `v` is of another kind, with [`WireError::Refused`] when this type
@@ -176,6 +196,10 @@ impl Field for String {
         s.str(self)
     }
 
+    fn into_value(self) -> Value {
+        Value::Str(self)
+    }
+
     fn read(v: &Value) -> WireResult<String> {
         v.as_str().map(str::to_string)
     }
@@ -185,6 +209,10 @@ impl Field for String {
 impl Field for Value {
     fn shape<S: Shape>(&self, s: &S) -> S::Out {
         s.value(self)
+    }
+
+    fn into_value(self) -> Value {
+        self
     }
 
     fn read(v: &Value) -> WireResult<Value> {
@@ -197,6 +225,10 @@ impl<T: Field> Field for Vec<T> {
         s.list(self.iter(), |item| item.shape(s))
     }
 
+    fn into_value(self) -> Value {
+        Value::List(self.into_iter().map(T::into_value).collect())
+    }
+
     fn read(v: &Value) -> WireResult<Vec<T>> {
         v.as_list()?.iter().map(T::read).collect()
     }
@@ -205,6 +237,10 @@ impl<T: Field> Field for Vec<T> {
 impl<T: Field> Field for Option<T> {
     fn shape<S: Shape>(&self, s: &S) -> S::Out {
         s.opt(self.as_ref().map(|inner| inner.shape(s)))
+    }
+
+    fn into_value(self) -> Value {
+        Value::Opt(self.map(|inner| Box::new(inner.into_value())))
     }
 
     fn read(v: &Value) -> WireResult<Option<T>> {
@@ -220,9 +256,11 @@ impl<T: Field> Field for Option<T> {
 
 /// Describes a struct once, as the record of its fields in wire order —
 /// `record!(Type { field, field: "wire_name" })`, a field's wire name
-/// being its own unless given — and reads that one list three ways: as
-/// the struct's [`Shaped::shape`], as its [`Field`] (so records nest), and
-/// as its `from_value`, the decoder of an untyped peer's tree. Each
+/// being its own unless given — and reads that one list four ways: as
+/// the struct's [`Shaped::shape`], as its [`Shaped::into_shaped_tree`]
+/// (each field moved in by [`Field::into_value`]), as its [`Field`] (so
+/// records nest), and as its `from_value`, the decoder of an untyped
+/// peer's tree. Each
 /// field's type must be a [`Field`]; a missing or wrongly kinded field is
 /// refused with the error of the [`Value`] accessor that found it.
 #[macro_export]
@@ -235,11 +273,22 @@ macro_rules! record {
                     $crate::message::Field::shape(&self.$field, s),
                 )),+])
             }
+
+            fn into_shaped_tree(self) -> $crate::Value {
+                $crate::Value::record([$((
+                    $crate::record!(@wire $field $($wire)?),
+                    $crate::message::Field::into_value(self.$field),
+                )),+])
+            }
         }
 
         impl $crate::message::Field for $ty {
             fn shape<S: $crate::message::Shape>(&self, s: &S) -> S::Out {
                 $crate::message::Shaped::shape(self, s)
+            }
+
+            fn into_value(self) -> $crate::Value {
+                $crate::message::Shaped::into_shaped_tree(self)
             }
 
             fn read(v: &$crate::Value) -> $crate::WireResult<$ty> {
