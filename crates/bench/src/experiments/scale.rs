@@ -229,12 +229,6 @@ pub fn run(config: &ScaleConfig) -> ScaleRun {
         let metrics = cw.world.metrics();
         metrics.set_counter("zone_store", "resident_bytes", resident_bytes as u64);
         metrics.set_counter("zone_store", "naive_bytes", naive_bytes as u64);
-        metrics.set_counter("interner", "strings", intern::global().len() as u64);
-        metrics.set_counter(
-            "interner",
-            "resident_str_bytes",
-            intern::global().resident_str_bytes() as u64,
-        );
 
         let (virtual_secs, cache_hits, cache_misses) = query_phase(&cw, config, &mut rng);
         let preload = preload_phase(&cw, config, &mut rng);

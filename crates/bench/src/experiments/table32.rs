@@ -1,7 +1,7 @@
 //! E2 — Table 3.2: the effect of marshalling costs on cache access speed
 //! (msec), plus the paper's "standard BIND routines" footnote.
 
-use hns_core::cache::{CacheMode, HnsCache, MetaKey};
+use hns_core::cache::{host_addr_key, CacheMode, HnsCache};
 use simnet::World;
 use wire::Value;
 
@@ -22,15 +22,13 @@ fn entry_value(rrs: usize) -> Value {
     )
 }
 
-fn key(rrs: usize) -> MetaKey {
-    MetaKey::host_addr("BIND", &format!("host-{rrs}"))
-}
-
 /// Measures one cache hit through the real cache in the given mode.
 fn measure_hit(world: &World, mode: CacheMode, rrs: usize) -> f64 {
     let cache = HnsCache::new(mode);
-    cache.insert(world, key(rrs), &entry_value(rrs), rrs, 600);
-    let (got, took, _) = world.measure(|| cache.get(world, &key(rrs)));
+    let host = format!("host-{rrs}");
+    let key = host_addr_key("BIND", &host);
+    cache.insert(world, key, &entry_value(rrs), rrs, 600);
+    let (got, took, _) = world.measure(|| cache.get(world, &key));
     assert!(got.is_some(), "warm entry must hit");
     took.as_ms_f64()
 }

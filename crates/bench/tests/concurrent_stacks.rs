@@ -5,10 +5,10 @@
 //! and drive a few hundred warm, cold and `Import` operations through
 //! it. Then, in the same process, the flagship deterministic experiments
 //! must render byte-identical to the committed output and to a fresh
-//! render. What the stacks share is process-global: the composed cache
-//! interns its keys in the one `intern` table, and a leak from there (a
-//! stray charge, a perturbed instant, thread-dependent metric
-//! registration) into what the simulation computes fails here.
+//! render. The stacks share only the process, every cache keying on its
+//! own bytes, so a leak between them (a stray charge, a perturbed
+//! instant, thread-dependent metric registration) into what the
+//! simulation computes fails here.
 
 use std::sync::Arc;
 

@@ -150,10 +150,9 @@ impl StdResolver {
         let question = Question::new(name.clone(), rtype);
         let decode = decoded(Answer::from_value);
         let answer = (self.net).call_msg(self.host, &self.server, PROC_QUERY, &question, decode)?;
-        // Hand-written marshalling cost for the records that came back:
-        // the records must fit the fast codec, whose calibrated cost is
-        // charged; sizing them refuses exactly what encoding would.
-        answer.fast_len().map_err(RpcError::Wire)?;
+        // Hand-written marshalling cost for the records that came back, as
+        // the recursive resolver charges it: an alias's answer, of two
+        // owners, is read as any other.
         let world = self.world();
         world.charge_ms(world.costs.fast_marshal(answer.records.len().max(1)));
         self.query_us
@@ -542,19 +541,23 @@ mod tests {
     /// A script of queries on a fresh testbed, each through
     /// `query_first` or through `query` of the parsed name: a miss, a
     /// hit, an upper-case name with a trailing dot, a `CNAME` set kept
-    /// whole, no data of the type, a name that does not parse, a name not
-    /// there, and a stale serve inside a crash window.
+    /// whole, the same for an alias the server answers (its `CNAME` and
+    /// its target's record, two owners) and then the cache, no data of
+    /// the type, a name that does not parse, a name not there, and a
+    /// stale serve inside a crash window.
     fn differential(via_first: bool) -> Vec<Seen> {
         let (world, net, client, dep) = setup();
         dep.server.with_db(|db| {
             let zone = db.find_zone_mut(&name("cs.washington.edu")).expect("zone");
             let short = ResourceRecord::txt(name("short.cs.washington.edu"), 1, "v");
             zone.add(short).expect("add");
+            let www = name("www.cs.washington.edu");
+            let cname = ResourceRecord::cname(www, 600, name("fiji.cs.washington.edu"));
+            zone.add(cname).expect("add");
         });
         let resolver = StdResolver::new(net, client, dep.std_binding);
         // An alias's set — its `CNAME`, then the target's address — is
-        // kept whole. The fast codec carries one owner an answer, so the
-        // set is filed here, as a resolver that learnt it would.
+        // kept whole, whether filed here or learnt from the server.
         let (alias, fiji) = (
             name("alias.cs.washington.edu"),
             name("fiji.cs.washington.edu"),
@@ -587,6 +590,8 @@ mod tests {
             ("FIJI.cs.Washington.EDU.", RType::A),
             ("alias.cs.washington.edu", RType::A),
             ("Alias.cs.washington.edu", RType::A),
+            ("www.cs.washington.edu", RType::A),
+            ("WWW.cs.washington.edu", RType::A),
             ("fiji.cs.washington.edu", RType::Mx),
             ("a..b", RType::A),
             ("ghost.cs.washington.edu", RType::A),
@@ -614,16 +619,25 @@ mod tests {
         let fiji = |ttl| Ok(Some((ttl, RData::Addr(NetAddr::of(HostId(9))))));
         assert_eq!(answers[..3], [&fiji(86_400); 3]);
         assert_eq!(answers[3..5], [&fiji(600); 2]);
+        // The alias the server answers: its target's record, one remote
+        // query charged the fast marshal of both records, then a hit.
+        assert_eq!(answers[5..7], [&fiji(86_400); 2]);
+        let alias_ms = (by_first[5].1.as_ms_f64(), by_first[0].1.as_ms_f64());
+        assert!(
+            alias_ms.0 > alias_ms.1,
+            "two records cost more: {alias_ms:?}"
+        );
+        assert_eq!(by_first[6].2, [Some(5), Some(2)]);
         assert_eq!(
-            answers[5],
+            answers[7],
             &Err(RpcError::NotFound("fiji.cs.washington.edu".into()))
         );
-        assert!(matches!(answers[6], Err(RpcError::Service(why)) if why.contains("empty label")));
-        assert_eq!(answers[9], &Ok(Some((1, RData::Text("v".into())))));
-        assert_eq!(answers[9], answers[10]);
-        assert!(matches!(answers[11], Err(RpcError::HostUnreachable { .. })));
-        let (hits, stats) = (by_first[10].2[0], by_first[10].3);
-        assert_eq!((hits, stats.stale_serves), (Some(4), 2));
+        assert!(matches!(answers[8], Err(RpcError::Service(why)) if why.contains("empty label")));
+        assert_eq!(answers[11], &Ok(Some((1, RData::Text("v".into())))));
+        assert_eq!(answers[11], answers[12]);
+        assert!(matches!(answers[13], Err(RpcError::HostUnreachable { .. })));
+        let (hits, stats) = (by_first[12].2[0], by_first[12].3);
+        assert_eq!((hits, stats.stale_serves), (Some(5), 2));
     }
 
     #[test]

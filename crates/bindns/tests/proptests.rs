@@ -9,7 +9,7 @@ use bindns::axfr::{IncrementalTransfer, IxfrMode, IxfrRequest, ZoneRequest, Zone
 use bindns::error::NsError;
 use bindns::message::{Answer, MultiAnswer, MultiQuestion, Question};
 use bindns::name::DomainName;
-use bindns::rr::{RData, RType, Records, ResourceRecord, RrBody, Soa, MAX_RDATA};
+use bindns::rr::{RData, RType, ResourceRecord, Soa};
 use bindns::update::UpdateOp;
 use bindns::zone::Zone;
 use bindns::Rcode;
@@ -150,60 +150,6 @@ fn a_record_count_beyond_the_format_is_refused_by_length_and_encoder_alike() {
     assert!(answer.encoded_len(WireFormat::Xdr).is_ok());
 }
 
-/// An owner of `total` bytes, labels of at most 63 joined by dots.
-fn owner_of_len(total: usize) -> DomainName {
-    let mut labels = Vec::new();
-    let mut left = total;
-    while left > 0 {
-        // Never leave exactly a dot behind: an empty label.
-        let mut len = left.min(63);
-        if left - len == 1 {
-            len -= 1;
-        }
-        labels.push("o".repeat(len));
-        left = (left - len).saturating_sub(1);
-    }
-    let owner = DomainName::parse(&labels.join(".")).expect("valid");
-    assert_eq!(owner.as_str().len(), total);
-    owner
-}
-
-/// A short owner, or one from 200 bytes up to 255, the longest a name can
-/// be (`DomainName` refuses a longer one, so no owner over 255 bytes can
-/// reach an answer).
-fn arb_fast_owner() -> impl Strategy<Value = DomainName> {
-    prop_oneof![
-        arb_name_under("edu"),
-        (200usize..=255).prop_map(owner_of_len)
-    ]
-}
-
-/// Any rdata, or text or opaque bytes around [`MAX_RDATA`], on both sides.
-fn arb_fast_rdata() -> impl Strategy<Value = RData> {
-    let near = MAX_RDATA - 3..MAX_RDATA + 3;
-    prop_oneof![
-        arb_any_rdata(),
-        arb_any_rdata(),
-        near.clone().prop_map(|n| RData::Text("x".repeat(n).into())),
-        near.prop_map(|n| RData::Opaque(vec![7; n].into())),
-    ]
-}
-
-/// More records than the fast format's count holds: `fast_len` refuses
-/// them as encoding does, and sizes the most it holds exactly.
-#[test]
-fn fast_len_refuses_a_record_count_beyond_the_format_as_encoding_does() {
-    let owner = DomainName::parse("many.edu").expect("valid");
-    let most = usize::from(u16::MAX);
-    for count in [most, most + 1] {
-        let records = vec![ResourceRecord::txt(owner.clone(), 60, "t"); count];
-        let answer = Answer::ok(records.into_iter().collect());
-        let encoded = answer.to_fast_bytes().map(|bytes| bytes.len());
-        assert_eq!(answer.fast_len(), encoded, "{count} records");
-        assert_eq!(encoded.is_err(), count > most, "{count} records");
-    }
-}
-
 #[test]
 fn shared_string_name_handles_the_label_boundary_cases() {
     let name = |s: &str| DomainName::parse(s).expect("valid");
@@ -250,33 +196,6 @@ proptest! {
 }
 
 proptest! {
-    /// `Answer::fast_len` is the length of `to_fast_bytes`, and fails
-    /// exactly when it does, with the same error — a record of a second
-    /// owner (an alias's target, a referral's glue) included.
-    #[test]
-    fn fast_len_is_the_fast_encodings_length_or_its_error(
-        owner in arb_fast_owner(),
-        code in 0u32..7,
-        body in proptest::collection::vec((any::<u32>(), arb_fast_rdata()), 0..8),
-        others in proptest::collection::vec(arb_record(), 0..2),
-    ) {
-        let bodies = body.into_iter().map(|(ttl, rdata)| RrBody {
-            rtype: rtype_for(&rdata),
-            ttl,
-            rdata,
-        });
-        let mut records = Records::of(owner, bodies);
-        for other in others {
-            let (name, body) = other.into_parts();
-            records.push(name, body);
-        }
-        let answer = Answer {
-            rcode: Rcode::from_u32(code).expect("a code"),
-            records,
-        };
-        prop_assert_eq!(answer.fast_len(), answer.to_fast_bytes().map(|bytes| bytes.len()));
-    }
-
     #[test]
     fn rdata_bytes_roundtrip(rdata in arb_rdata()) {
         let bytes = rdata.to_bytes().expect("encode");

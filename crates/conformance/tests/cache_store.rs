@@ -19,7 +19,7 @@ use bindns::rr::{RData, RType, ResourceRecord};
 use bindns::{DomainName, TtlCache};
 use conformance::alloc::{measure_live, CountingAlloc};
 use hns_core::binding_cache::BindingCache;
-use hns_core::cache::{CacheMode, HnsCache, MetaKey};
+use hns_core::cache::{host_addr_key, CacheMode, HnsCache};
 use hns_core::meta::MetaRecord;
 use hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use nsms::nsm_cache::{NsmCache, NsmCacheForm};
@@ -143,13 +143,15 @@ fn binding(i: u32) -> HrpcBinding {
     }
 }
 
-/// The HNS meta cache in both stored forms, negatives among the entries.
-/// Keys are interned before measuring: their text is the interner's.
+/// The HNS meta cache in both stored forms, negatives among the entries,
+/// each key's text counted in the map's arena.
 #[test]
 fn the_hns_cache_gauge_is_within_a_tenth_of_the_allocator() {
     let world = World::paper();
-    let keys: Vec<MetaKey> = (0..4096)
-        .map(|i| MetaKey::host_addr("BIND", &format!("host{i}")))
+    let hosts: Vec<String> = (0..4096).map(|i| format!("host{i}")).collect();
+    let keys: Vec<_> = hosts
+        .iter()
+        .map(|host| host_addr_key("BIND", host))
         .collect();
     for mode in [CacheMode::Demarshalled, CacheMode::Marshalled] {
         let (cache, live) = measure_live(|| {
@@ -182,8 +184,8 @@ fn the_binding_cache_gauge_is_within_a_tenth_of_the_allocator() {
         let cache = BindingCache::new();
         cache.set_enabled(true);
         for (i, scope) in (0u32..).zip(&scopes) {
-            cache.insert(&world, "hrpcbinding", scope, binding(i), 600);
             let expires_at = world.now().after_secs(600);
+            cache.insert_until(&world, "hrpcbinding", scope, binding(i), expires_at);
             cache.insert_service(&world, "hrpcbinding", scope, binding(i), expires_at);
         }
         cache

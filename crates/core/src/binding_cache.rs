@@ -25,8 +25,7 @@
 //!   caches: two levels").
 //!
 //! Both levels key on `qc ‖ FF ‖ scope`, handed to the map as the strings
-//! the walk was asked with and copied into its arena by an insert, so
-//! neither a probe nor an insert goes through the interner.
+//! the walk was asked with and copied into its arena by an insert.
 //!
 //! Each part's instant is computed once, where its TTL arrived, and is the
 //! one its per-mapping entry is filed under, so a composed entry lapses no
@@ -67,8 +66,8 @@ pub struct BindingCacheStats {
 
 /// One composed level: bindings under `qc ‖ FF ‖ scope`, the scope being
 /// a context or a name service. A probe hands the map the two strings as
-/// they are and an insert copies them into the map's arena: nothing is
-/// interned, so a scope seen once pins nothing once its entry is gone.
+/// they are and an insert copies them into the map's arena, so a scope
+/// seen once pins nothing once its entry is gone.
 #[derive(Debug, Default)]
 struct Level {
     /// Each entry expires when the *earliest* constituent mapping entry
@@ -161,7 +160,9 @@ impl BindingCache {
     }
 
     /// [`BindingCache::insert_until`] `ttl_secs` from now: the seconds
-    /// form, kept only because `benchmark/src/probes.rs` times it.
+    /// form, which `benchmark/src/probes.rs` times.
+    ///
+    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     pub fn insert(&self, world: &World, qc: &str, ctx: &str, b: HrpcBinding, ttl_secs: u32) {
         self.insert_until(world, qc, ctx, b, world.now().after_secs(ttl_secs));
     }
@@ -261,7 +262,8 @@ mod tests {
     fn disabled_cache_is_inert() {
         let w = World::paper();
         let c = BindingCache::new();
-        c.insert(&w, "hrpc_binding", "dept0", binding(1), 600);
+        let at = w.now().after_secs(600);
+        c.insert_until(&w, "hrpc_binding", "dept0", binding(1), at);
         assert_eq!(c.lookup(&w, "hrpc_binding", "dept0"), None);
         assert_eq!(c.stats(), BindingCacheStats::default());
         // Probes of a disabled cache charge nothing.
@@ -274,7 +276,7 @@ mod tests {
         let c = BindingCache::new();
         c.set_enabled(true);
         assert_eq!(c.lookup(&w, "qc", "ctx"), None, "cold miss");
-        c.insert(&w, "qc", "ctx", binding(2), 2);
+        c.insert_until(&w, "qc", "ctx", binding(2), w.now().after_secs(2));
         assert_eq!(c.lookup(&w, "qc", "ctx"), Some(binding(2)));
         w.charge_ms(2_000.0);
         assert_eq!(c.lookup(&w, "qc", "ctx"), None, "composed TTL lapsed");
@@ -296,7 +298,7 @@ mod tests {
             c.insert_until(&w, "qc", "ctx", binding(3), at);
             c.insert_service(&w, "qc", "BIND", binding(3), at);
         }
-        c.insert(&w, "qc", "ctx", binding(3), 0);
+        c.insert_until(&w, "qc", "ctx", binding(3), w.now().after_secs(0));
         assert_eq!((c.stats().inserts, c.service_stats().inserts), (0, 0));
         assert_eq!(w.now(), now, "a refused insert charges nothing");
         let next = SimTime::from_us(now.as_us() + 1);
@@ -310,7 +312,7 @@ mod tests {
         let w = World::paper();
         let c = BindingCache::new();
         c.set_enabled(true);
-        c.insert(&w, "qc", "ctx", binding(4), 600);
+        c.insert_until(&w, "qc", "ctx", binding(4), w.now().after_secs(600));
         c.insert_service(&w, "qc", "BIND", binding(4), w.now().after_secs(600));
         c.set_enabled(false);
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
@@ -359,7 +361,7 @@ mod tests {
         let c = BindingCache::new();
         c.set_enabled(true);
         // A context may be named like a name service.
-        c.insert(&w, "qc", "BIND", binding(9), 600);
+        c.insert_until(&w, "qc", "BIND", binding(9), w.now().after_secs(600));
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
         c.insert_service(&w, "qc", "BIND", binding(10), w.now().after_secs(600));
         assert_eq!(c.lookup(&w, "qc", "BIND"), Some(binding(9)));
@@ -373,8 +375,8 @@ mod tests {
         let w = World::paper();
         let c = BindingCache::new();
         c.set_enabled(true);
-        c.insert(&w, "a", "ctx", binding(5), 600);
-        c.insert(&w, "b", "ctx", binding(6), 600);
+        c.insert_until(&w, "a", "ctx", binding(5), w.now().after_secs(600));
+        c.insert_until(&w, "b", "ctx", binding(6), w.now().after_secs(600));
         assert_eq!(c.lookup(&w, "a", "ctx"), Some(binding(5)));
         assert_eq!(c.lookup(&w, "b", "ctx"), Some(binding(6)));
         assert_eq!(c.lookup(&w, "a", "other"), None);
@@ -388,33 +390,31 @@ mod tests {
         let w = World::paper();
         let c = BindingCache::new();
         c.set_enabled(true);
-        c.insert(&w, "ab", "c", binding(11), 600);
-        c.insert(&w, "a", "bc", binding(12), 600);
+        c.insert_until(&w, "ab", "c", binding(11), w.now().after_secs(600));
+        c.insert_until(&w, "a", "bc", binding(12), w.now().after_secs(600));
         assert_eq!(c.lookup(&w, "ab", "c"), Some(binding(11)));
         assert_eq!(c.lookup(&w, "a", "bc"), Some(binding(12)));
         c.insert_service(&w, "ab", "c", binding(13), w.now().after_secs(600));
         assert_eq!(c.lookup_service(&w, "a", "bc"), Probe::Absent);
     }
 
-    /// Neither level goes through the interner: 10^4 distinct contexts
-    /// inserted and probed at both levels cost and count like any others,
-    /// and none of them is interned afterwards.
+    /// 10^4 distinct contexts inserted and probed at both levels cost and
+    /// count like any others.
     #[test]
-    fn contexts_inserted_and_probed_are_never_interned() {
+    fn ten_thousand_contexts_cost_and_count_like_any_others() {
         let w = World::paper();
         let c = BindingCache::new();
         c.set_enabled(true);
-        let contexts: Vec<String> = (0..10_000)
-            .map(|i| format!("never-interned-context-{i}"))
-            .collect();
-        for ctx in &contexts {
-            assert_eq!(c.lookup(&w, "hrpc_binding", ctx), None);
-            assert_eq!(c.lookup_service(&w, "hrpc_binding", ctx), Probe::Absent);
-            c.insert(&w, "hrpc_binding", ctx, binding(1), 600);
-            c.insert_service(&w, "hrpc_binding", ctx, binding(2), w.now().after_secs(600));
-            assert_eq!(c.lookup(&w, "hrpc_binding", ctx), Some(binding(1)));
+        for i in 0..10_000 {
+            let ctx = format!("context-{i}");
+            assert_eq!(c.lookup(&w, "hrpc_binding", &ctx), None);
+            assert_eq!(c.lookup_service(&w, "hrpc_binding", &ctx), Probe::Absent);
+            let at = w.now().after_secs(600);
+            c.insert_until(&w, "hrpc_binding", &ctx, binding(1), at);
+            c.insert_service(&w, "hrpc_binding", &ctx, binding(2), at);
+            assert_eq!(c.lookup(&w, "hrpc_binding", &ctx), Some(binding(1)));
             assert!(matches!(
-                c.lookup_service(&w, "hrpc_binding", ctx),
+                c.lookup_service(&w, "hrpc_binding", &ctx),
                 Probe::Live { value, .. } if value == binding(2)
             ));
         }
@@ -424,11 +424,6 @@ mod tests {
                 (10_000, 10_000, 10_000)
             );
         }
-        // Other tests in this binary intern concurrently, so check the
-        // contexts themselves rather than the global count.
-        assert!(contexts
-            .iter()
-            .all(|ctx| intern::global().get(ctx).is_none()));
         // Each probe charged the cache-probe cost.
         let expected_ms = 40_000.0 * w.costs.cache_probe;
         assert!((w.now().as_ms_f64() - expected_ms).abs() < 1.0);

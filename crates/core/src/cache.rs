@@ -15,10 +15,18 @@
 //!   demarshalled information, the times decreased dramatically").
 //!
 //! Entries are TTL-tagged, inheriting BIND's invalidation regime; the
-//! expiry map, its retention of expired entries for serve-stale
-//! and its probe counters are [`simnet::ttl::TtlMap`], shared with the
-//! other caches. On top of it this cache adds what is its own:
+//! expiry map, its retention of expired entries for serve-stale, its
+//! probe counters and its arena of key bytes are [`simnet::ttl::TtlMap`],
+//! shared with the other caches. On top of it this cache adds what is its
+//! own:
 //!
+//! * **Text keys** ([`KeyParts`]) — a meta record set (mappings 1–5) is
+//!   filed under its meta-zone name's canonical text, so the preload path
+//!   files exactly the keys the demand-fetch path probes, and a mapping-6
+//!   result under [`host_addr_key`]. No name contains [`END`], so the two
+//!   kinds never share bytes. An insert copies the key into the map's
+//!   arena, so a name is resident only while its entry is; nothing is
+//!   interned.
 //! * **Storage forms** — [`Stored`], the form-aware store/load pair that
 //!   charges Table 3.2's access costs (shared with the NSM result cache).
 //!   A marshalled entry is cloned out (`Arc<[u8]>`) under the map's lock
@@ -40,7 +48,7 @@ use std::sync::Arc;
 use intern::NameId;
 use simnet::time::SimTime;
 use simnet::trace::{CacheOutcome, TraceKind};
-use simnet::ttl::{arc_share, Key, Probe, TtlMap};
+use simnet::ttl::{arc_share, Key, KeyParts, Probe, TtlMap, END};
 use simnet::world::World;
 use simnet::CacheForm;
 use wire::Value;
@@ -62,62 +70,52 @@ pub enum CacheMode {
     Demarshalled,
 }
 
-/// Keys for the six data mappings a `FindNSM` performs.
-///
-/// Meta-store mappings (context, NSM-name, NSM-info records) are keyed by
-/// their meta-zone domain name, so the zone-transfer preload path produces
-/// exactly the same keys as the demand-fetch path.
-///
-/// Keys carry interned [`NameId`]s rather than owned strings: a key is
-/// `Copy` (`benchmark/` copies one out of a reference), and the cache
-/// files it under its ids' bytes, four or eight. Deriving one interns its
-/// text for good — the last use of the interner in the stack. `Debug`
-/// resolves the ids so traces stay human-readable.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetaKey {
-    /// Mappings 1–5: a record set in the meta zone.
-    Meta(NameId),
-    /// Mapping 6: a (name service, host name) → address result obtained
-    /// via the linked host-address NSM.
-    HostAddr(NameId, NameId),
+/// The key of a mapping-6 result, the address a linked host-address NSM
+/// gave for host `host` of name service `ns`: `ns ‖ END ‖ host`, in parts.
+pub fn host_addr_key<'a>(ns: &'a str, host: &'a str) -> [&'a [u8]; 3] {
+    [ns.as_bytes(), &[END], host.as_bytes()]
 }
 
-impl MetaKey {
-    /// Keys a meta-zone record set by its domain name.
-    pub fn meta(name: &bindns::name::DomainName) -> MetaKey {
-        MetaKey::Meta(intern::intern(name.as_str()))
+/// How a trace line names a key: `Meta("ctx.a.hns")`, or
+/// `HostAddr("BIND", "fiji")` for a [`host_addr_key`].
+fn describe(key: &(impl KeyParts + ?Sized)) -> String {
+    let bytes = key.with_parts(|parts| parts.concat());
+    let text = String::from_utf8_lossy;
+    match bytes.iter().position(|&byte| byte == END) {
+        None => format!("Meta({:?})", text(&bytes)),
+        Some(at) => format!(
+            "HostAddr({:?}, {:?})",
+            text(&bytes[..at]),
+            text(&bytes[at + 1..])
+        ),
     }
+}
 
+/// A host-address key as a `Copy` pair of interned ids, which `benchmark/`
+/// copies out of a reference. It resolves its ids to the parts of the
+/// [`host_addr_key`] of the same text, so both find the same entry.
+///
+/// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MetaKey(NameId, NameId);
+
+impl MetaKey {
     /// Keys a host-address result by `(name service, host name)`.
     pub fn host_addr(ns: &str, host: &str) -> MetaKey {
-        MetaKey::HostAddr(intern::intern(ns), intern::intern(host))
+        MetaKey(intern::intern(ns), intern::intern(host))
     }
+}
 
-    /// Hands `f` the bytes the cache files the key under: `id`, or
-    /// `ns ‖ host`, each id little-endian. Four bytes or eight, so the
-    /// length tells the kinds apart, and either is one part, hashed as
-    /// one word.
-    fn with_bytes<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
-        match *self {
-            MetaKey::Meta(NameId(id)) => f(&[&id.to_le_bytes()]),
-            MetaKey::HostAddr(NameId(ns), NameId(host)) => {
-                f(&[&(u64::from(host) << 32 | u64::from(ns)).to_le_bytes()])
-            }
-        }
+impl KeyParts for MetaKey {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        let (ns, host) = (intern::display(self.0), intern::display(self.1));
+        host_addr_key(&ns, &host).with_parts(f)
     }
 }
 
 impl std::fmt::Debug for MetaKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetaKey::Meta(id) => write!(f, "Meta({:?})", &*intern::display(*id)),
-            MetaKey::HostAddr(ns, host) => write!(
-                f,
-                "HostAddr({:?}, {:?})",
-                &*intern::display(*ns),
-                &*intern::display(*host)
-            ),
-        }
+        f.write_str(&describe(self))
     }
 }
 
@@ -370,12 +368,12 @@ impl<V: Cacheable> HnsCache<V> {
     /// Counts one of hits / misses / expired / negative_hits per call and
     /// annotates the calling thread's current trace span with that
     /// [`simnet::trace::CacheOutcome`].
-    pub fn lookup(&self, world: &World, key: &MetaKey) -> CacheLookup<V> {
+    pub fn lookup(&self, world: &World, key: &(impl KeyParts + ?Sized)) -> CacheLookup<V> {
         if self.mode == CacheMode::Disabled {
             return CacheLookup::Miss;
         }
         world.charge_ms(world.costs.cache_probe);
-        let probe = key.with_bytes(|bytes| self.map.probe(world.now(), bytes, Clone::clone));
+        let probe = key.with_parts(|parts| self.map.probe(world.now(), parts, Clone::clone));
         let (outcome, answer) = match probe {
             Probe::Live { value: None, .. } => {
                 bump(&self.own.negative_hits);
@@ -386,11 +384,11 @@ impl<V: Cacheable> HnsCache<V> {
                 expires_at,
             } => match stored.load(world, rrs) {
                 Some(value) => {
-                    world.trace(None, TraceKind::Cache, || format!("hit {key:?}"));
+                    world.trace(None, TraceKind::Cache, || format!("hit {}", describe(key)));
                     (CacheOutcome::Hit, CacheLookup::Hit { value, expires_at })
                 }
                 None => {
-                    key.with_bytes(|bytes| self.map.discard(bytes));
+                    key.with_parts(|parts| self.map.discard(parts));
                     (CacheOutcome::Miss, CacheLookup::Miss)
                 }
             },
@@ -403,7 +401,7 @@ impl<V: Cacheable> HnsCache<V> {
 
     /// Looks up `key`, cloning the value out on a hit. Negative hits
     /// report as `None`, like plain misses.
-    pub fn get(&self, world: &World, key: &MetaKey) -> Option<V>
+    pub fn get(&self, world: &World, key: &(impl KeyParts + ?Sized)) -> Option<V>
     where
         V: Clone,
     {
@@ -422,7 +420,11 @@ impl<V: Cacheable> HnsCache<V> {
     /// one. Live entries, negatives, absent keys, and a disabled cache all
     /// return `None` — the normal lookup path is never bypassed for live
     /// data.
-    pub fn lookup_stale(&self, world: &World, key: &MetaKey) -> Option<(Arc<V>, SimTime)> {
+    pub fn lookup_stale(
+        &self,
+        world: &World,
+        key: &(impl KeyParts + ?Sized),
+    ) -> Option<(Arc<V>, SimTime)> {
         if self.mode == CacheMode::Disabled {
             return None;
         }
@@ -430,24 +432,24 @@ impl<V: Cacheable> HnsCache<V> {
         // `Clone::clone` is the reader: a negative entry clones to
         // `None`, which is how the map is told it is not servable.
         let ((stored, rrs), lapsed) =
-            key.with_bytes(|bytes| self.map.probe_stale(world.now(), bytes, Clone::clone))?;
+            key.with_parts(|parts| self.map.probe_stale(world.now(), parts, Clone::clone))?;
         Some((stored.load(world, rrs)?, lapsed))
     }
 
     /// True if a live (positive) entry exists. Charges nothing and moves
     /// no statistics — this is a structural peek, used to decide whether
     /// a speculative batch fetch is worthwhile.
-    pub fn contains_live(&self, world: &World, key: &MetaKey) -> bool {
+    pub fn contains_live(&self, world: &World, key: &(impl KeyParts + ?Sized)) -> bool {
         self.mode != CacheMode::Disabled
             && matches!(
-                key.with_bytes(|bytes| self.map.peek_live(world.now(), bytes, Option::is_some)),
+                key.with_parts(|parts| self.map.peek_live(world.now(), parts, Option::is_some)),
                 Some(true)
             )
     }
 
     /// Inserts a value fetched from the meta store or an NSM, valid for
     /// `ttl_secs` from now; the decoded form keeps a copy of it.
-    pub fn insert(&self, world: &World, key: MetaKey, value: &V, rrs: usize, ttl_secs: u32)
+    pub fn insert(&self, world: &World, key: impl KeyParts, value: &V, rrs: usize, ttl_secs: u32)
     where
         V: Clone,
     {
@@ -461,7 +463,7 @@ impl<V: Cacheable> HnsCache<V> {
     pub fn insert_shared(
         &self,
         world: &World,
-        key: MetaKey,
+        key: impl KeyParts,
         value: &Arc<V>,
         rrs: usize,
         expires_at: SimTime,
@@ -473,7 +475,7 @@ impl<V: Cacheable> HnsCache<V> {
     pub fn preload_insert(
         &self,
         world: &World,
-        key: MetaKey,
+        key: impl KeyParts,
         value: &Arc<V>,
         rrs: usize,
         expires_at: SimTime,
@@ -487,7 +489,7 @@ impl<V: Cacheable> HnsCache<V> {
     fn keep(
         &self,
         world: &World,
-        key: MetaKey,
+        key: impl KeyParts,
         stored: Option<Stored<V>>,
         rrs: usize,
         expires_at: SimTime,
@@ -495,21 +497,21 @@ impl<V: Cacheable> HnsCache<V> {
         let Some(stored) = stored else {
             return false;
         };
-        key.with_bytes(|bytes| {
+        key.with_parts(|parts| {
             self.map
-                .insert(world.now(), bytes, Some((stored, rrs)), expires_at)
+                .insert(world.now(), parts, Some((stored, rrs)), expires_at)
         });
         true
     }
 
     /// Remembers that `key` was authoritatively absent, for
     /// [`NEGATIVE_TTL`]. Not counted in [`HnsCacheStats::inserts`].
-    pub fn insert_negative(&self, world: &World, key: MetaKey) {
+    pub fn insert_negative(&self, world: &World, key: impl KeyParts) {
         if self.mode == CacheMode::Disabled {
             return;
         }
         let (now, expires_at) = (world.now(), world.now().after_secs(NEGATIVE_TTL));
-        key.with_bytes(|bytes| self.map.insert(now, bytes, None, expires_at));
+        key.with_parts(|parts| self.map.insert(now, parts, None, expires_at));
         bump(&self.own.negative_inserts);
     }
 
@@ -529,9 +531,9 @@ impl<V: Cacheable> HnsCache<V> {
     }
 
     /// Bytes the cache holds ([`TtlMap::resident_bytes`]): slab, index
-    /// and key arena at capacity and each entry's stored form, a shared one
-    /// as its share. The text behind a key's ids belongs to the interner
-    /// and is not counted. Not exported as a metric.
+    /// and key arena at capacity — each key's text among them — and each
+    /// entry's stored form, a shared one as its share. Not exported as a
+    /// metric.
     pub fn resident_bytes(&self) -> usize
     where
         V: HeapBytes,
@@ -587,8 +589,8 @@ impl<V: Cacheable> HnsCache<V> {
 mod tests {
     use super::*;
 
-    fn key() -> MetaKey {
-        MetaKey::meta(&bindns::name::DomainName::parse("ctx.bind-uw.hns").expect("name"))
+    fn key() -> &'static str {
+        "ctx.bind-uw.hns"
     }
 
     fn value() -> Value {
@@ -718,50 +720,82 @@ mod tests {
     fn distinct_keys_do_not_collide() {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
-        let dn = |s: &str| bindns::name::DomainName::parse(s).expect("name");
-        let k1 = MetaKey::meta(&dn("map.bind--hrpcbinding.hns"));
-        let k2 = MetaKey::meta(&dn("map.bind--hostaddress.hns"));
-        let k3 = MetaKey::meta(&dn("info.nsm-x.hns"));
-        let k4 = MetaKey::host_addr("BIND", "fiji");
+        let (k1, k2, k3) = (
+            "map.bind--hrpcbinding.hns",
+            "map.bind--hostaddress.hns",
+            "info.nsm-x.hns",
+        );
+        let k4 = host_addr_key("BIND", "fiji");
         cache.insert(&world, k1, &Value::str("a"), 1, 600);
         cache.insert(&world, k2, &Value::str("b"), 1, 600);
         cache.insert(&world, k3, &Value::str("c"), 1, 600);
         cache.insert(&world, k4, &Value::str("d"), 1, 600);
-        assert_eq!(cache.get(&world, &k1), Some(Value::str("a")));
-        assert_eq!(cache.get(&world, &k2), Some(Value::str("b")));
-        assert_eq!(cache.get(&world, &k3), Some(Value::str("c")));
+        assert_eq!(cache.get(&world, k1), Some(Value::str("a")));
+        assert_eq!(cache.get(&world, k2), Some(Value::str("b")));
+        assert_eq!(cache.get(&world, k3), Some(Value::str("c")));
         assert_eq!(cache.get(&world, &k4), Some(Value::str("d")));
     }
 
-    /// A meta key and a host-address key whose ids are equal as integers
-    /// are different bytes and different entries.
+    /// Meta names and host-address keys whose texts run together are
+    /// different bytes and different entries: no name holds `END`.
     #[test]
     fn keys_of_the_two_kinds_never_share_bytes() {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
-        let keys = [
-            MetaKey::Meta(NameId(7)),
-            MetaKey::HostAddr(NameId(7), NameId(0)),
-            MetaKey::HostAddr(NameId(0), NameId(7)),
-            MetaKey::Meta(NameId(1)),
-            MetaKey::HostAddr(NameId(0), NameId(1)),
+        let names = ["BINDfiji", "BIND.fiji", ""];
+        let pairs = [
+            host_addr_key("BIND", "fiji"),
+            host_addr_key("BINDf", "iji"),
+            host_addr_key("", "BINDfiji"),
+            host_addr_key("BINDfiji", ""),
         ];
+        let keys: Vec<Vec<u8>> = names
+            .iter()
+            .map(|name| name.as_bytes().to_vec())
+            .chain(pairs.iter().map(|pair| pair.concat()))
+            .collect();
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
-                let (a, b) = (
-                    a.with_bytes(|key| key.concat()),
-                    b.with_bytes(|key| key.concat()),
-                );
                 assert_ne!(a, b);
             }
         }
-        for (i, key) in (0u32..).zip(&keys) {
-            cache.insert(&world, *key, &Value::U32(i), 1, 600);
+        for (i, name) in (0u32..).zip(names) {
+            cache.insert(&world, name, &Value::U32(i), 1, 600);
+        }
+        for (i, pair) in (10u32..).zip(pairs) {
+            cache.insert(&world, pair, &Value::U32(i), 1, 600);
         }
         assert_eq!(cache.len(), keys.len());
-        for (i, key) in (0u32..).zip(&keys) {
-            assert_eq!(cache.get(&world, key), Some(Value::U32(i)));
+        for (i, name) in (0u32..).zip(names) {
+            assert_eq!(cache.get(&world, name), Some(Value::U32(i)));
         }
+        for (i, pair) in (10u32..).zip(&pairs) {
+            assert_eq!(cache.get(&world, pair), Some(Value::U32(i)));
+        }
+    }
+
+    /// The pinned key resolves its ids to the text key's parts: each
+    /// finds the entry the other filed, and a trace line names either as
+    /// it names the text.
+    #[test]
+    fn a_pinned_key_and_its_text_find_one_entry() {
+        let world = simnet::World::paper();
+        let cache = HnsCache::new(CacheMode::Demarshalled);
+        let pinned = MetaKey::host_addr("BIND", "fiji");
+        cache.insert(&world, host_addr_key("BIND", "fiji"), &value(), 1, 600);
+        assert_eq!(cache.get(&world, &pinned), Some(value()));
+        cache.insert(&world, pinned, &Value::U32(1), 1, 600);
+        assert_eq!(
+            cache.get(&world, &host_addr_key("BIND", "fiji")),
+            Some(Value::U32(1))
+        );
+        assert_eq!(cache.len(), 1);
+        assert_eq!(format!("{pinned:?}"), r#"HostAddr("BIND", "fiji")"#);
+        assert_eq!(
+            describe(&host_addr_key("BIND", "fiji")),
+            r#"HostAddr("BIND", "fiji")"#
+        );
+        assert_eq!(describe(key()), r#"Meta("ctx.bind-uw.hns")"#);
     }
 
     /// A hit reports the instant its entry was filed under, however much
@@ -773,16 +807,18 @@ mod tests {
         world.charge_ms(0.25);
         let filed = world.now().after_secs(600);
         cache.insert(&world, key(), &value(), 1, 600);
-        let shared = MetaKey::host_addr("BIND", "fiji");
+        let shared = host_addr_key("BIND", "fiji");
         cache.insert_shared(&world, shared, &Arc::new(value()), 1, filed);
+        fn expires_at(cache: &HnsCache, world: &World, key: impl KeyParts) -> SimTime {
+            match cache.lookup(world, &key) {
+                CacheLookup::Hit { expires_at, .. } => expires_at,
+                other => panic!("expected hit, got {other:?}"),
+            }
+        }
         for elapse_ms in [0.0, 250_000.0, 349_000.0] {
             world.charge_ms(elapse_ms);
-            for key in [key(), shared] {
-                match cache.lookup(&world, &key) {
-                    CacheLookup::Hit { expires_at, .. } => assert_eq!(expires_at, filed),
-                    other => panic!("expected hit, got {other:?}"),
-                }
-            }
+            assert_eq!(expires_at(&cache, &world, key()), filed);
+            assert_eq!(expires_at(&cache, &world, shared), filed);
         }
     }
 
@@ -869,10 +905,10 @@ mod tests {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Marshalled);
         let garbage = Stored::Bytes([0xff_u8; 3].as_slice().into());
-        key().with_bytes(|bytes| {
+        key().with_parts(|parts| {
             cache.map.insert(
                 world.now(),
-                bytes,
+                parts,
                 Some((garbage, 1)),
                 world.now().after_secs(600),
             )

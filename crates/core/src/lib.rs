@@ -42,11 +42,10 @@ pub mod nsm;
 pub mod query;
 pub mod service;
 
-pub use intern;
 pub use simnet::obs;
 
 pub use binding_cache::{BindingCache, BindingCacheStats};
-pub use cache::{CacheLookup, CacheMode, Cacheable, HnsCache, HnsCacheStats, MetaKey};
+pub use cache::{CacheLookup, CacheMode, Cacheable, HnsCache, HnsCacheStats};
 pub use chaser::MetaChaser;
 pub use colocation::{AgentClient, AgentService, HnsClient, HnsHandle, HnsService};
 pub use error::{HnsError, HnsResult};

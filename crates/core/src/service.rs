@@ -29,7 +29,7 @@ use simnet::obs::{LazyCounter, LazyHistogram, MetricsRegistry};
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::{HostId, NetAddr};
 use simnet::trace::{CacheOutcome, TraceKind};
-use simnet::ttl::Probe;
+use simnet::ttl::{KeyParts, Probe};
 use simnet::world::World;
 
 use bindns::name::DomainName;
@@ -40,7 +40,7 @@ use hrpc::server::ReplySlot;
 use hrpc::{HrpcBinding, ProgramId, RpcError};
 
 use crate::binding_cache::{BindingCache, BindingCacheStats};
-use crate::cache::{CacheLookup, CacheMode, HnsCache, HnsCacheStats, MetaKey};
+use crate::cache::{host_addr_key, CacheLookup, CacheMode, HnsCache, HnsCacheStats};
 use crate::error::{HnsError, HnsResult};
 use crate::meta::{self, Chased, Fetch, Fetched, Held, Kind, MetaRecord, MetaStore, Step};
 use crate::name::{Context, HnsName, NameMapping};
@@ -386,8 +386,8 @@ impl Hns {
         *self.preload_serial.lock() = None;
     }
 
-    /// The cache, if it stores anything. A disabled one is handed no key:
-    /// deriving a key interns its text, and nothing would be kept under it.
+    /// The cache, if it stores anything. A disabled one is not probed,
+    /// and what is fetched past it is handed to the walk by value.
     fn storing_cache(&self) -> Option<&HnsCache<MetaRecord>> {
         (self.cache.mode() != CacheMode::Disabled).then_some(&*self.cache)
     }
@@ -400,11 +400,10 @@ impl Hns {
     /// or the past instant it lapsed at, marked stale, when served stale.
     /// What differs between the meta zone and a linked NSM is passed in:
     /// `fetch`, whether its `NotFound` is `remembered` (negatively), and
-    /// its `label` in the serve-stale trace. `key` is derived by a cache
-    /// that stores, only.
+    /// its `label` in the serve-stale trace.
     fn cached_fetch(
         &self,
-        key: impl FnOnce() -> MetaKey,
+        key: &(impl KeyParts + ?Sized),
         (label, name): (&str, &dyn Display),
         remembered: bool,
         fetch: impl FnOnce() -> HnsResult<Fetched<MetaRecord>>,
@@ -412,8 +411,8 @@ impl Hns {
         let world = self.world();
         // `None` from a disabled cache: nothing probed, nothing to fall
         // back on, nothing remembered.
-        let cached = self.storing_cache().map(|cache| (cache, key()));
-        match cached.map(|(cache, key)| cache.lookup(world, &key)) {
+        let cache = self.storing_cache();
+        match cache.map(|cache| cache.lookup(world, key)) {
             Some(CacheLookup::Hit { value, expires_at }) => {
                 return Ok((Held::Shared(value), Expiry::fresh(expires_at)))
             }
@@ -432,8 +431,7 @@ impl Hns {
                 // still names the right host far more often than not, so
                 // stale data beats no data. The entry stays expired; the
                 // next walk retries the fetch and a success overwrites it.
-                let Some((record, lapsed)) =
-                    cached.and_then(|(cache, key)| cache.lookup_stale(world, &key))
+                let Some((record, lapsed)) = cache.and_then(|cache| cache.lookup_stale(world, key))
                 else {
                     return Err(HnsError::Rpc(err));
                 };
@@ -453,14 +451,14 @@ impl Hns {
             }
             Err(err) => {
                 let absent = matches!(err, HnsError::Rpc(RpcError::NotFound(_)));
-                if let Some((cache, key)) = cached.filter(|_| remembered && absent) {
+                if let Some(cache) = cache.filter(|_| remembered && absent) {
                     cache.insert_negative(world, key);
                 }
                 return Err(err);
             }
         };
         let expires_at = world.now().after_secs(fetched.ttl_secs);
-        let Some((cache, key)) = cached else {
+        let Some(cache) = cache else {
             // Nothing keeps it: the walk reads it and drops it.
             return Ok((Held::Owned(fetched.value), Expiry::fresh(expires_at)));
         };
@@ -483,7 +481,7 @@ impl Hns {
             return Ok((Held::Shared(Arc::clone(record)), expiry));
         }
         let fetch = || self.meta.fetch(key);
-        self.cached_fetch(|| MetaKey::meta(key), ("meta", key), true, fetch)
+        self.cached_fetch(key.as_str(), ("meta", key), true, fetch)
     }
 
     /// Mapping 6: NSM host name → address, via the linked host-address NSM
@@ -519,10 +517,11 @@ impl Hns {
                 ttl_secs: ttl,
             })
         };
-        let key = || MetaKey::host_addr(host_ns, host_name);
+        let key = host_addr_key(host_ns, host_name);
         // A linked NSM's `NotFound` is one name service's word about one
         // host, not the meta zone's about a name: it is not remembered.
-        let (record, expires_at) = self.cached_fetch(key, ("hostaddr", host_name), false, fetch)?;
+        let (record, expires_at) =
+            self.cached_fetch(&key, ("hostaddr", host_name), false, fetch)?;
         Ok((record.as_host_addr()?, expires_at))
     }
 
@@ -536,25 +535,23 @@ impl Hns {
     fn prefetch_meta_batch(&self, context: &Context, qc: &QueryClass) -> HnsResult<BatchOverlay> {
         let ctx_key = Step::Context(context).key(self.meta.origin())?;
         let mut overlay = BatchOverlay::new();
-        let (world, cache) = (self.world(), self.storing_cache());
-        if cache.is_some_and(|cache| cache.contains_live(world, &MetaKey::meta(&ctx_key))) {
+        let (world, cache) = (self.world(), &self.cache);
+        if cache.contains_live(world, ctx_key.as_str()) {
             return Ok(overlay);
         }
         world.charge_ms(world.costs.hns_bookkeeping);
         let batch = self
             .meta
             .fetch_batch(&ctx_key, &[qc.as_str().to_string()])?;
-        if let (None, Some(cache)) = (&batch.primary, cache) {
-            cache.insert_negative(world, MetaKey::meta(&ctx_key));
+        if batch.primary.is_none() {
+            cache.insert_negative(world, ctx_key.as_str());
         }
         // Every set the reply carried seeds both the cache and the overlay.
         let primary = batch.primary.map(|fetched| (ctx_key, fetched));
         for (key, fetched) in primary.into_iter().chain(batch.additional) {
             let expires_at = world.now().after_secs(fetched.ttl_secs);
             let record = Arc::new(fetched.value);
-            if let Some(cache) = cache {
-                cache.insert_shared(world, MetaKey::meta(&key), &record, fetched.rrs, expires_at);
-            }
+            cache.insert_shared(world, key.as_str(), &record, fetched.rrs, expires_at);
             overlay.insert(key, (record, expires_at));
         }
         Ok(overlay)
@@ -854,10 +851,8 @@ impl Hns {
         // A name the server says is gone gets what a demand fetch would
         // now store for it. No composed binding survives a transfer that
         // shipped anything: a changed set rides `records`, not `removed`.
-        if let Some(cache) = self.storing_cache() {
-            for name in &removed {
-                cache.insert_negative(self.world(), MetaKey::meta(name));
-            }
+        for name in &removed {
+            self.cache.insert_negative(self.world(), name.as_str());
         }
         if mode != PreloadMode::Unchanged {
             self.binding_cache.clear();
@@ -901,9 +896,9 @@ impl Hns {
             let Ok(fetched) = meta::decode_records(name, set) else {
                 continue;
             };
-            let (record, key) = (Arc::new(fetched.value), MetaKey::meta(name));
-            let expires_at = self.world().now().after_secs(fetched.ttl_secs);
-            cache.preload_insert(self.world(), key, &record, fetched.rrs, expires_at);
+            let (world, record) = (self.world(), Arc::new(fetched.value));
+            let expires_at = world.now().after_secs(fetched.ttl_secs);
+            cache.preload_insert(world, name.as_str(), &record, fetched.rrs, expires_at);
             entries += 1;
         }
         entries
@@ -1048,7 +1043,7 @@ mod tests {
 
     /// When the part `key` names expires: the instant its per-mapping
     /// entry was filed under, live or lapsed.
-    fn part(hns: &Hns, key: MetaKey) -> SimTime {
+    fn part(hns: &Hns, key: impl KeyParts) -> SimTime {
         match hns.cache.lookup(hns.world(), &key) {
             CacheLookup::Hit { expires_at, .. } => expires_at,
             _ => hns.cache.lookup_stale(hns.world(), &key).expect("a part").1,
@@ -1063,18 +1058,17 @@ mod tests {
     /// whose earliest part had lapsed by the end of the walk holds nothing.
     fn check_composed(hns: &Hns, context: &str) {
         let (world, qc) = (hns.world(), QueryClass::hrpc_binding());
-        let meta = |step: Step<'_>| MetaKey::meta(&step.key(hns.meta.origin()).expect("key"));
+        let meta = |step: Step<'_>| part(hns, step.key(hns.meta.origin()).expect("key").as_str());
         let (ctx_h, host_address) = (ctx("ctx-h"), QueryClass::host_address());
         let parts = [
             meta(Step::NsmName("NS", qc.as_str())),
             meta(Step::NsmInfo("nsm-q")),
             meta(Step::HostContext(&ctx_h)),
             meta(Step::HostAddrNsm("NS", host_address.as_str())),
-            MetaKey::host_addr("NS", "nsm-host"),
+            part(hns, host_addr_key("NS", "nsm-host")),
         ];
-        let service = parts.into_iter().map(|key| part(hns, key)).min();
-        let service = service.expect("five parts");
-        let whole = service.min(part(hns, meta(Step::Context(&ctx(context)))));
+        let service = parts.into_iter().min().expect("five parts");
+        let whole = service.min(meta(Step::Context(&ctx(context))));
         let now = world.now();
         match hns.binding_cache.lookup_service(world, qc.as_str(), "NS") {
             Probe::Live { expires_at, .. } => assert_eq!(expires_at, service),

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use hns_core::analysis::{Eq1Inputs, PreloadModel};
-use hns_core::cache::{CacheMode, HnsCache, MetaKey};
+use hns_core::cache::{host_addr_key, CacheMode, HnsCache};
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::{NsmBinding, NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
@@ -77,7 +77,7 @@ proptest! {
         let value = Value::List(payloads.iter().map(Value::str).collect());
         for mode in [CacheMode::Marshalled, CacheMode::Demarshalled] {
             let cache = HnsCache::new(mode);
-            let key = MetaKey::host_addr("NS", "host");
+            let key = host_addr_key("NS", "host");
             cache.insert(&world, key, &value, rrs, ttl);
             prop_assert_eq!(cache.get(&world, &key), Some(value.clone()));
         }
@@ -89,7 +89,7 @@ proptest! {
         let value = Value::str("payload");
         let measure = |mode| {
             let cache = HnsCache::new(mode);
-            let key = MetaKey::host_addr("NS", "h");
+            let key = host_addr_key("NS", "h");
             cache.insert(&world, key, &value, rrs, 1000);
             let (_, took, _) = world.measure(|| cache.get(&world, &key));
             took.as_ms_f64()
@@ -144,7 +144,7 @@ proptest! {
         // 10_000 s (never expires in-sequence).
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
-        let key_of = |k: usize| MetaKey::host_addr("NS", &format!("host-{k}"));
+        let key_of = |k: usize| format!("NS-host-{k}");
         let mut model: std::collections::HashMap<usize, (u32, simnet::time::SimTime)> =
             std::collections::HashMap::new();
         for (op, k, v, long_ttl) in ops {

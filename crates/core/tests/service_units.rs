@@ -430,68 +430,20 @@ fn hns_service_rejects_unknown_procedures_and_bad_args() {
         .is_err());
 }
 
-/// An NSM of names no other test of this binary uses.
-struct Unseen;
-
-impl Nsm for Unseen {
-    fn nsm_name(&self) -> &str {
-        "nsm-unseen"
-    }
-    fn query_class(&self) -> QueryClass {
-        QueryClass::new("Unseen")
-    }
-    fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
-        reply.put(Value::str(&*request.name.individual));
-        Ok(())
-    }
-}
-
-/// Deriving a cache key interns its text, and a cache that stores
-/// nothing is handed no key: a `CacheMode::Disabled` walk — sequential,
-/// batched, or a preload — leaves the process's interner as it found it.
+/// A `CacheMode::Disabled` instance walks sequentially and batched, and
+/// preloads, keeping nothing: the preload files no entry and the cache
+/// counts nothing.
 #[test]
-fn a_disabled_cache_is_handed_no_key_to_intern() {
+fn a_disabled_cache_walks_and_preloads_and_keeps_nothing() {
     let env = env();
     let cold = make_hns(&env, env.client, CacheMode::Disabled);
-    let ctx = Context::new("unseen-ctx").expect("ctx");
-    cold.register_context(&ctx, "UnseenNS", &NameMapping::Identity)
-        .expect("ctx");
-    let ha = QueryClass::host_address();
-    cold.register_nsm("UnseenNS", &ha, "nsm-hostaddress-stub")
-        .expect("ha nsm");
-    cold.deploy_nsm(
-        "UnseenNS",
-        Arc::new(Unseen),
-        env.nsm_host,
-        ProgramId(997),
-        &ctx,
-        "test",
-    )
-    .expect("register the NSM");
-    let (qc, name) = (
-        QueryClass::new("Unseen"),
-        HnsName::new(ctx, "x").expect("name"),
-    );
-    // The five meta keys of the walk (mapping 4's is mapping 1's) and the
-    // name service mapping 6's key holds beside the host.
-    let texts = [
-        "ctx.unseen-ctx.hns",
-        "map.unseenns--unseen.hns",
-        "info.nsm-unseen.hns",
-        "map.unseenns--hostaddress.hns",
-        "UnseenNS",
-    ];
-    let interner = hns_core::intern::global();
-    let interned = || texts.iter().filter(|t| interner.get(t).is_some()).count();
-    cold.find_nsm(&qc, &name).expect("sequential walk");
+    register_echo(&env, &cold);
+    let qc = QueryClass::new("Echo");
+    cold.find_nsm(&qc, &echo_name()).expect("sequential walk");
     cold.set_batching(true);
-    cold.find_nsm(&qc, &name).expect("batched walk");
+    cold.find_nsm(&qc, &echo_name()).expect("batched walk");
     assert_eq!(cold.preload().expect("preload").entries, 0);
-    assert_eq!(interned(), 0, "a cache that stores nothing was given a key");
-    // The same walk through a cache that stores keys every mapping.
-    let warm = make_hns(&env, env.client, CacheMode::Demarshalled);
-    warm.find_nsm(&qc, &name).expect("caching walk");
-    assert_eq!(interned(), texts.len());
+    assert_eq!(cold.cache_stats(), hns_core::HnsCacheStats::default());
 }
 
 #[test]

@@ -16,10 +16,11 @@
 //! life of the process, and never reused — so an interned string is never
 //! freed.
 //!
-//! Its last user in the stack is `hns_core::cache::MetaKey`, the HNS meta
-//! cache's key, which stays a `Copy` pair of ids because `benchmark/`
-//! copies one out of a reference. Every other cache keys on its own bytes
-//! (`simnet::ttl`); once `MetaKey` does too, this crate goes.
+//! Nothing in the stack interns: every cache keys on its own bytes
+//! (`simnet::ttl`). The one user left is the `Copy` pair of ids that
+//! `benchmark/` keys the HNS cache with, an adapter `hns_core::cache`
+//! keeps until the benchmark lets go of it (ROADMAP item 1(c)); then this
+//! crate goes.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;

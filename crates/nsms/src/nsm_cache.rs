@@ -8,7 +8,7 @@
 //! [`hns_core::cache::Stored`]. As the HNS cache is, it is generic over
 //! what it keeps (a wire [`Value`] by default, the typed
 //! [`hrpc::HrpcBinding`] for the binding NSMs) and adds the `(hits,
-//! misses)` view the NSMs report. A key is bytes ([`NsmKey`]): a string's
+//! misses)` view the NSMs report. A key is bytes ([`KeyParts`]): a string's
 //! own, or the parts an NSM lays a query of several fields out in, handed
 //! to the map where they lie; an insert copies a new key into the map's
 //! arena.
@@ -17,46 +17,13 @@ use std::sync::Arc;
 
 use hns_core::cache::{Cacheable, HeapBytes, Stored};
 use simnet::trace::CacheOutcome;
-use simnet::ttl::{Key, Probe, TtlMap};
+use simnet::ttl::{KeyParts, Probe, TtlMap};
 use simnet::world::World;
 use wire::Value;
 
 /// Storage form for NSM cache entries: the HNS cache's mode enum under the
 /// name the NSM constructors have always taken.
 pub use hns_core::cache::CacheMode as NsmCacheForm;
-
-/// What an NSM's cache is keyed by: the byte strings whose concatenation
-/// the key is.
-pub trait NsmKey {
-    /// Hands `f` the key's parts, in order.
-    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R;
-}
-
-/// A string is its bytes.
-impl NsmKey for str {
-    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
-        f(&[self.as_bytes()])
-    }
-}
-
-impl NsmKey for String {
-    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
-        self.as_str().with_parts(f)
-    }
-}
-
-/// A query laid out in parts, as the binding NSMs key theirs.
-impl<const N: usize> NsmKey for [&[u8]; N] {
-    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
-        f(self)
-    }
-}
-
-impl<T: NsmKey + ?Sized> NsmKey for &T {
-    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
-        (**self).with_parts(f)
-    }
-}
 
 /// A cache of completed NSM results.
 pub struct NsmCache<V = Value> {
@@ -88,7 +55,7 @@ impl<V: Cacheable> NsmCache<V> {
     /// A demarshalled hit shares the stored value. An entry that no longer
     /// decodes is dropped and the probe counts as a miss, as in the HNS
     /// cache.
-    pub fn get(&self, world: &World, key: &(impl NsmKey + ?Sized)) -> Option<Arc<V>> {
+    pub fn get(&self, world: &World, key: &(impl KeyParts + ?Sized)) -> Option<Arc<V>> {
         if self.form == NsmCacheForm::Disabled {
             return None;
         }
@@ -115,7 +82,7 @@ impl<V: Cacheable> NsmCache<V> {
     }
 
     /// Inserts a completed result, valid for `ttl_secs` from now.
-    pub fn insert(&self, world: &World, key: impl NsmKey, value: &V, rrs: usize, ttl_secs: u32)
+    pub fn insert(&self, world: &World, key: impl KeyParts, value: &V, rrs: usize, ttl_secs: u32)
     where
         V: Clone,
     {

@@ -54,9 +54,9 @@ impl VirtualClock {
     }
 
     /// Does nothing. The thread-local batched charging mode this used to
-    /// select is gone (one uncontended word is as cheap); the function
-    /// stays only because `benchmark/` still calls it, and goes with
-    /// ROADMAP item 5.
+    /// select is gone (one uncontended word is as cheap).
+    ///
+    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     pub fn set_batched(&self, _: bool) {}
 }
 

@@ -55,8 +55,9 @@
 //! slab's last entry into its place.
 //!
 //! **Keys are bytes.** A cache hands each key over as the byte strings
-//! whose concatenation it is ([`Key`]); a probe hashes and compares them
-//! where they lie, and an insert copies a new key into an arena the map
+//! whose concatenation it is ([`Key`]; a cache its caller keys takes
+//! anything that yields them, [`KeyParts`]); a probe hashes and compares
+//! them where they lie, and an insert copies a new key into an arena the map
 //! owns beside its slab, the slot keeping the key's offset and length, not
 //! the key. So an entry pins nothing outside its map, and a probe copies
 //! and allocates nothing. The arena grows in step with the slab, so a map
@@ -92,6 +93,40 @@ pub const END: u8 = 0xFF;
 /// nothing is copied to ask, as the hash is gathered from the parts
 /// ([`crate::index::hash_parts`]) and a candidate compared with them.
 pub type Key<'a> = [&'a [u8]];
+
+/// What a cache its caller keys is handed a key as: anything that can
+/// hand over the byte strings whose concatenation the key is. The HNS
+/// meta cache and the NSM result cache take one each probe and insert.
+pub trait KeyParts {
+    /// Hands `f` the key's parts, in order.
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R;
+}
+
+/// A string is its bytes.
+impl KeyParts for str {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        f(&[self.as_bytes()])
+    }
+}
+
+impl KeyParts for String {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        self.as_str().with_parts(f)
+    }
+}
+
+/// A key laid out in parts where they lie.
+impl<const N: usize> KeyParts for [&[u8]; N] {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        f(self)
+    }
+}
+
+impl<T: KeyParts + ?Sized> KeyParts for &T {
+    fn with_parts<R>(&self, f: impl FnOnce(&Key<'_>) -> R) -> R {
+        (**self).with_parts(f)
+    }
+}
 
 /// Whether `stored` is the concatenation of `parts`.
 fn is_key(stored: &[u8], parts: &Key<'_>) -> bool {

@@ -11,7 +11,7 @@ use hns_repro::bindns::cache::TtlCache;
 use hns_repro::bindns::name::DomainName;
 use hns_repro::bindns::rr::{RType, ResourceRecord};
 use hns_repro::hns_core::binding_cache::BindingCache;
-use hns_repro::hns_core::cache::{CacheLookup, CacheMode, HnsCache, MetaKey};
+use hns_repro::hns_core::cache::{host_addr_key, CacheLookup, CacheMode, HnsCache};
 use hns_repro::hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use hns_repro::nsms::nsm_cache::{NsmCache, NsmCacheForm};
 use hns_repro::simnet::obs::MetricsRegistry;
@@ -55,7 +55,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
     let w = &*world;
 
     let hns = HnsCache::new(CacheMode::Demarshalled);
-    let key = MetaKey::host_addr("BIND", "fiji");
+    let key = host_addr_key("BIND", "fiji");
     let composed = BindingCache::new();
     composed.set_enabled(true);
     let nsm = NsmCache::new(NsmCacheForm::Demarshalled);
@@ -91,7 +91,9 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
         },
         Driver {
             name: "BindingCache",
-            insert: Box::new(|ttl| composed.insert(w, "qc", "ctx", binding(), ttl)),
+            insert: Box::new(|ttl| {
+                composed.insert_until(w, "qc", "ctx", binding(), w.now().after_secs(ttl))
+            }),
             probe: Box::new(|| composed.lookup(w, "qc", "ctx").map(|_| 0)),
             stale: None,
             resident: None,

@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use hns_repro::hns_core::cache::{CacheLookup, CacheMode, HnsCache, MetaKey};
+use hns_repro::hns_core::cache::{host_addr_key, CacheLookup, CacheMode, HnsCache};
 use hns_repro::hns_core::name::HnsName;
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::nsms::harness::{Testbed, DESIRED_SERVICE_PROGRAM};
@@ -55,7 +55,7 @@ fn concurrent_misses_on_one_key_each_fetch_and_leave_one_entry() {
     const THREADS: usize = 8;
     let world = hns_repro::simnet::World::paper();
     let cache = Arc::new(HnsCache::new(CacheMode::Demarshalled));
-    let key = MetaKey::host_addr("BIND", "fiji");
+    let key = host_addr_key("BIND", "fiji");
     let barrier = Arc::new(Barrier::new(THREADS));
 
     let mut handles = Vec::new();
@@ -131,7 +131,8 @@ fn concurrent_hits_and_misses_keep_stats_consistent() {
         let cache = Arc::clone(&cache);
         handles.push(std::thread::spawn(move || {
             for k in 0..KEYS {
-                let key = MetaKey::host_addr(&format!("ns-{t}"), &format!("host-{k}"));
+                let (ns, host) = (format!("ns-{t}"), format!("host-{k}"));
+                let key = host_addr_key(&ns, &host);
                 for round in 0..ROUNDS {
                     match cache.lookup(&world, &key) {
                         CacheLookup::Hit { value, .. } => {

@@ -116,10 +116,10 @@ proptest! {
 
     #[test]
     fn cache_respects_any_ttl(ttl in 1u32..10_000, wait_ms in 0u64..20_000_000) {
-        use hns_repro::hns_core::cache::{CacheMode, HnsCache, MetaKey};
+        use hns_repro::hns_core::cache::{host_addr_key, CacheMode, HnsCache};
         let world = hns_repro::simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
-        let key = MetaKey::host_addr("BIND", "h");
+        let key = host_addr_key("BIND", "h");
         cache.insert(&world, key, &wire::Value::U32(1), 1, ttl);
         world.charge_ms(wait_ms as f64);
         let hit = cache.get(&world, &key).is_some();
