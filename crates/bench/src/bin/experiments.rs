@@ -301,6 +301,25 @@ fn work(args: Args) -> Result<(), String> {
     Ok(())
 }
 
+const MUTANTS_USAGE: &str = "mutants   apply each patch of crates/conformance/mutants/ to a \
+    scratch copy under target/, run the test its header names, and count it killed, survived \
+    or unbuildable; fails unless every patch is killed";
+
+fn mutants(args: Args) -> Result<(), String> {
+    args.done()?;
+    println!("=== conformance: mutants ===");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (report, outcomes) = hns_bench::mutants::run(&root)?;
+    print!("{report}");
+    let killed = |outcome| outcome == hns_bench::mutants::Outcome::Killed;
+    let unkilled = "mutants: a patch was not killed (see the report above)";
+    outcomes
+        .into_iter()
+        .all(killed)
+        .then_some(())
+        .ok_or_else(|| unkilled.into())
+}
+
 const VALIDATE_USAGE: &str =
     "validate FILE...   check JSON exports against their schema rows (tag auto-detected)";
 
@@ -333,6 +352,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     ("scale", SCALE_USAGE, scale),
     ("fuzz", FUZZ_USAGE, fuzz),
     ("work", WORK_USAGE, work),
+    ("mutants", MUTANTS_USAGE, mutants),
     ("validate", VALIDATE_USAGE, check_files),
 ];
 

@@ -161,7 +161,7 @@ fn query_phase(
             } else {
                 &sample[rng.next_below(sample.len() as u64) as usize]
             };
-            resolver.query(name, RType::Unspec).expect("scale query");
+            resolver.resolve(name, RType::Unspec).expect("scale query");
         }
     });
     let stats = resolver.cache_stats();

@@ -14,6 +14,7 @@ pub mod cells;
 pub mod experiments;
 pub mod export;
 pub mod mix;
+pub mod mutants;
 pub mod scenario;
 
 pub use cells::{Cell, PaperTable, PlainTable};

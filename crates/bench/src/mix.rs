@@ -21,7 +21,7 @@ use hns_core::colocation::HnsHandle;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::NsmClient;
 use hns_core::query::QueryClass;
-use hns_core::Hns;
+use hns_core::{Hns, HnsConfig};
 use hrpc::ProgramId;
 use nsms::harness::{
     Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND, NS_CH, PRINT_SERVICE,
@@ -138,10 +138,10 @@ pub struct QueryMix {
 }
 
 impl QueryMix {
-    /// The mix with the querying HNS's per-mapping cache in `hns_mode`,
-    /// its composed binding cache on if `binding_cache`, and the binding
-    /// NSMs' caches in `nsm_form`.
-    pub fn build(hns_mode: CacheMode, binding_cache: bool, nsm_form: NsmCacheForm) -> QueryMix {
+    /// The mix with the querying HNS's per-mapping cache in `cache`, its
+    /// composed binding cache on if `composed`, and the binding NSMs'
+    /// caches in `nsm_form`.
+    pub fn build(cache: CacheMode, composed: bool, nsm_form: NsmCacheForm) -> QueryMix {
         let tb = Testbed::build();
         tb.deploy_binding_nsms(tb.hosts.nsm, nsm_form);
         tb.deploy_extension_nsms(tb.hosts.nsm);
@@ -186,8 +186,7 @@ impl QueryMix {
             }
         }
 
-        let hns = tb.make_hns(tb.hosts.client, hns_mode);
-        hns.set_binding_cache(binding_cache);
+        let hns = tb.make_hns(tb.hosts.client, HnsConfig { cache, composed });
         let importer = Importer::new(
             Arc::clone(&tb.net),
             tb.hosts.client,

@@ -446,7 +446,7 @@ mod tests {
             cw.root.std_binding,
         );
         let records = resolver
-            .query(&cell_name(0, 5), RType::Unspec)
+            .resolve(&cell_name(0, 5), RType::Unspec)
             .expect("resolve via delegation");
         assert_eq!(records.len(), 1);
         // The compact store keeps the shared payload pool once; the
@@ -475,7 +475,7 @@ mod tests {
             for q in 0..queries {
                 let (cell, index) = plan.locate(q * (plan.names / queries));
                 resolver
-                    .query(&cell_name(cell, index), RType::Unspec)
+                    .resolve(&cell_name(cell, index), RType::Unspec)
                     .expect("resolves");
             }
         });

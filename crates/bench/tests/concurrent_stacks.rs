@@ -17,6 +17,7 @@ use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
 use hns_core::name::{Context, HnsName};
 use hns_core::query::QueryClass;
+use hns_core::HnsConfig;
 use nsms::harness::{
     Testbed, CTX_BIND, CTX_CH, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, PRINT_SERVICE,
     PRINT_SERVICE_PROGRAM,
@@ -33,8 +34,14 @@ fn run_one_stack() {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
     tb.deploy_extension_nsms(tb.hosts.nsm);
-    let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    warm.set_binding_cache(true);
+    let cache = CacheMode::Demarshalled;
+    let warm = tb.make_hns(
+        tb.hosts.client,
+        HnsConfig {
+            cache,
+            composed: true,
+        },
+    );
     let cold = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     let handle = HnsHandle::Linked(Arc::clone(&warm));
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, handle);

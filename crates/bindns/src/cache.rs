@@ -33,7 +33,7 @@ use simnet::ttl::{arc_share, Key, Probe, TtlMap};
 use simnet::world::World;
 
 use crate::name::DomainName;
-use crate::rr::{RData, RType, ResourceRecord};
+use crate::rr::{RData, RType, Records, ResourceRecord};
 use crate::zone::RrBody;
 
 /// Hit/miss statistics, a view of the core's counters
@@ -96,6 +96,15 @@ impl Entry {
                 .iter()
                 .find(|r| r.rtype == rtype)
                 .map(|r| (r.ttl, r.rdata.clone())),
+        }
+    }
+
+    /// The set as [`Records`], a body's record owned by `owner()`; the
+    /// data is shared, as [`Entry::first`] shares it.
+    pub(crate) fn to_records(&self, owner: impl FnOnce() -> DomainName) -> Records {
+        match self {
+            Entry::Body(body) => Records::of(owner(), [body.clone()]),
+            Entry::Records(records) => records.iter().cloned().collect(),
         }
     }
 

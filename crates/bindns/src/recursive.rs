@@ -21,7 +21,7 @@ use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;
 use hrpc::{ComponentSet, HrpcBinding};
 
-use crate::cache::TtlCache;
+use crate::cache::{Entry, TtlCache};
 use crate::error::{NsError, Rcode};
 use crate::message::{decoded, Answer, Question, PROC_QUERY};
 use crate::name::DomainName;
@@ -212,17 +212,39 @@ impl RecursiveResolver {
     /// at most [`MAX_REFERRALS`] servers from the deepest cached cut. A
     /// walk from a cached cut that dead-ends costs that cut its entry and
     /// is retried from the root, once.
+    pub fn resolve(&self, name: &DomainName, rtype: RType) -> RpcResult<Records> {
+        self.lookup(name, rtype, |entry| entry.to_records(|| name.clone()))
+    }
+
+    /// [`RecursiveResolver::resolve`] as a shared set of whole records: a
+    /// hit shares the cached set, and a one-record set, which the cache
+    /// keeps as its body, is rebuilt on `name`.
+    ///
+    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<[ResourceRecord]>> {
+        let entry = self.lookup(name, rtype, Entry::clone)?;
+        Ok(entry.records(|| name.clone()))
+    }
+
+    /// The one lookup under [`RecursiveResolver::resolve`] and
+    /// [`RecursiveResolver::query`]: probes the answer cache and hands a
+    /// live entry to `read` in place, charging the probe and a
+    /// demarshalled hit of the set's length; on a miss walks, files the
+    /// answer and reads it.
+    fn lookup<T>(
+        &self,
+        name: &DomainName,
+        rtype: RType,
+        read: impl Fn(&Entry) -> T,
+    ) -> RpcResult<T> {
         let world = self.net.world();
         world.charge_ms(world.costs.cache_probe);
         let now = world.now();
-        if let Some(records) = self.cache.get(now, name, rtype) {
-            world.charge_ms(
-                world
-                    .costs
-                    .cache_hit(simnet::CacheForm::Demarshalled, records.len()),
-            );
-            return Ok(records);
+        let read = |entry: &Entry| (entry.len(), read(entry));
+        if let Some((len, value)) = self.cache.read(now, name.as_str(), rtype, read) {
+            let form = simnet::CacheForm::Demarshalled;
+            world.charge_ms(world.costs.cache_hit(form, len));
+            return Ok(value);
         }
         let question = Question::new(name.clone(), rtype);
         let root = Hop {
@@ -239,9 +261,9 @@ impl RecursiveResolver {
             walked = self.walk(&question, root);
         }
         let records: Arc<[ResourceRecord]> = walked.map_err(|e| e.error)?.whole().collect();
-        self.cache
-            .insert(world.now(), name.clone(), rtype, Arc::clone(&records));
-        Ok(records)
+        let (_, value) = read(&Entry::Records(Arc::clone(&records)));
+        self.cache.insert(world.now(), name.clone(), rtype, records);
+        Ok(value)
     }
 
     /// The answer cache's statistics.
@@ -307,7 +329,7 @@ mod tests {
         fn calls(&self, resolver: &RecursiveResolver, target: &str) -> u64 {
             let (r, _, delta) = self
                 .world
-                .measure(|| resolver.query(&name(target), RType::A));
+                .measure(|| resolver.resolve(&name(target), RType::A));
             r.unwrap_or_else(|e| panic!("{target}: {e}"));
             delta.remote_calls
         }
@@ -415,10 +437,10 @@ mod tests {
         let resolver = t.resolver();
         let (records, took, delta) = t
             .world
-            .measure(|| resolver.query(&name("fiji.cs.washington.edu"), RType::A));
+            .measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
         let records = records.expect("resolved");
         assert_eq!(records.len(), 1);
-        match &records[0].rdata {
+        match &records.bodies()[0].rdata {
             RData::Addr(addr) => assert_eq!(addr.host, t.fiji),
             other => panic!("unexpected {other:?}"),
         }
@@ -433,7 +455,7 @@ mod tests {
         let t = tree();
         let records = t
             .resolver()
-            .query(&name("www.washington.edu"), RType::A)
+            .resolve(&name("www.washington.edu"), RType::A)
             .expect("resolved");
         assert_eq!(records.len(), 1);
     }
@@ -443,14 +465,14 @@ mod tests {
         let t = tree();
         let resolver = t.resolver();
         assert!(matches!(
-            resolver.query(&name("ghost.cs.washington.edu"), RType::A),
+            resolver.resolve(&name("ghost.cs.washington.edu"), RType::A),
             Err(RpcError::NotFound(_))
         ));
         // From the cut's server too: its NameError is authoritative, not
         // a reason to distrust the delegation.
         let (r, _, delta) = t
             .world
-            .measure(|| resolver.query(&name("ghoul.cs.washington.edu"), RType::A));
+            .measure(|| resolver.resolve(&name("ghoul.cs.washington.edu"), RType::A));
         assert!(matches!(r, Err(RpcError::NotFound(_))));
         assert_eq!(delta.remote_calls, 1);
         assert_eq!(t.cut_fallbacks(), None);
@@ -461,11 +483,11 @@ mod tests {
         let t = tree();
         let resolver = t.resolver();
         resolver
-            .query(&name("fiji.cs.washington.edu"), RType::A)
+            .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .expect("cold");
         let (r, took, delta) = t
             .world
-            .measure(|| resolver.query(&name("fiji.cs.washington.edu"), RType::A));
+            .measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
         assert!(r.is_ok());
         assert_eq!(delta.remote_calls, 0);
         assert!(took.as_ms_f64() < 2.0);
@@ -521,6 +543,89 @@ mod tests {
         assert_eq!(t.cut_fallbacks(), Some(1));
     }
 
+    /// One step of the readers' comparison: the records answered, whole,
+    /// the virtual time and remote calls it took, the cut fallbacks
+    /// counted, and the answer cache's statistics after it.
+    type Seen = (
+        RpcResult<Vec<ResourceRecord>>,
+        simnet::time::SimDuration,
+        u64,
+        Option<u64>,
+        crate::cache::CacheStats,
+    );
+
+    /// A script on a fresh tree, each step through the pinned `query`
+    /// or through `resolve`: a miss through two referrals and its hit, a
+    /// `CNAME` set the cut's server answers (two owners) and its hit, a
+    /// name not there, and a sibling asked through a lame cut, which
+    /// falls back to the root.
+    fn readers(via_resolve: bool) -> Vec<Seen> {
+        let t = tree();
+        t.cs.server.with_db(|db| {
+            let zone = db.zone_mut(&name("cs.washington.edu")).expect("cs zone");
+            let (www, fiji) = (
+                name("www.cs.washington.edu"),
+                name("fiji.cs.washington.edu"),
+            );
+            zone.add(ResourceRecord::cname(www, 600, fiji))
+                .expect("alias");
+        });
+        let resolver = t.resolver();
+        let mut seen = Vec::new();
+        let mut step = |target: &str| {
+            let ask = || -> RpcResult<Vec<ResourceRecord>> {
+                if via_resolve {
+                    Ok(resolver.resolve(&name(target), RType::A)?.whole().collect())
+                } else {
+                    Ok(resolver.query(&name(target), RType::A)?.to_vec())
+                }
+            };
+            let (answer, took, delta) = t.world.measure(ask);
+            let stats = resolver.cache_stats();
+            seen.push((answer, took, delta.remote_calls, t.cut_fallbacks(), stats));
+        };
+        for target in [
+            "fiji.cs.washington.edu",
+            "fiji.cs.washington.edu",
+            "www.cs.washington.edu",
+            "www.cs.washington.edu",
+            "ghost.cs.washington.edu",
+        ] {
+            step(target);
+        }
+        t.redelegate_cs();
+        t.cs.server.with_db(|db| *db = ZoneDb::new());
+        step("june.cs.washington.edu");
+        seen
+    }
+
+    /// `resolve` is `query` in another form: the same records, virtual
+    /// time, calls, counters and cache statistics at every step.
+    #[test]
+    fn resolve_answers_and_charges_as_query_does() {
+        let by_resolve = readers(true);
+        assert_eq!(by_resolve, readers(false));
+        let calls: Vec<_> = by_resolve.iter().map(|(_, _, calls, ..)| *calls).collect();
+        assert_eq!(calls, [3, 0, 1, 0, 1, 1 + 3]);
+        let www = by_resolve[2].0.as_ref().expect("the alias");
+        let owners: Vec<_> = www.iter().map(|r| (r.name.as_str(), r.rtype)).collect();
+        assert_eq!(
+            owners,
+            [
+                ("www.cs.washington.edu", RType::Cname),
+                ("fiji.cs.washington.edu", RType::A)
+            ]
+        );
+        assert_eq!(
+            by_resolve[3].0, by_resolve[2].0,
+            "the hit keeps both owners"
+        );
+        assert!(matches!(by_resolve[4].0, Err(RpcError::NotFound(_))));
+        assert_eq!(by_resolve[5].3, Some(1), "the lame cut fell back");
+        let stats = by_resolve[5].4;
+        assert_eq!((stats.hits, stats.misses), (2, 4));
+    }
+
     #[test]
     fn a_crashed_cut_server_costs_one_restart_and_fails_only_if_that_fails() {
         let t = tree();
@@ -533,7 +638,7 @@ mod tests {
         // The cached cut's server is down; the delegation learnt afresh
         // names one that is up.
         resolver
-            .query(&name("june.cs.washington.edu"), RType::A)
+            .resolve(&name("june.cs.washington.edu"), RType::A)
             .expect("resolved through the new delegation");
         assert_eq!(t.cut_fallbacks(), Some(1));
 
@@ -543,7 +648,7 @@ mod tests {
         t.world.set_faults(Some(plan));
         t.world.charge_ms(3_700.0 * 1000.0);
         let err = resolver
-            .query(&name("fiji.cs.washington.edu"), RType::A)
+            .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .unwrap_err();
         assert!(err.is_unreachable(), "{err}");
         assert_eq!(t.cut_fallbacks(), Some(2));
@@ -562,7 +667,7 @@ mod tests {
         for i in 0..10_000 {
             let ghost = name(&format!("host-{i}.lab-{i}.cs.washington.edu"));
             assert!(matches!(
-                resolver.query(&ghost, RType::A),
+                resolver.resolve(&ghost, RType::A),
                 Err(RpcError::NotFound(_))
             ));
         }
@@ -612,7 +717,7 @@ mod tests {
         let mut peak = 0;
         for i in 0..10 * CAPACITY {
             let n = name(&format!("n{i}.flood.edu"));
-            resolver.query(&n, RType::A).expect("answered");
+            resolver.resolve(&n, RType::A).expect("answered");
             peak = peak.max(resolver.cache.resident());
         }
         assert!(peak <= CAPACITY, "{peak} resident");
@@ -685,7 +790,7 @@ mod tests {
             );
 
             let resolver = RecursiveResolver::new(net, client, root.std_binding);
-            let (r, _, delta) = world.measure(|| resolver.query(&name("x.a.edu"), RType::A));
+            let (r, _, delta) = world.measure(|| resolver.resolve(&name("x.a.edu"), RType::A));
             let err = r.unwrap_err();
             assert!(matches!(err, RpcError::Service(_)), "{bad_cut}: {err}");
             assert!(err.to_string().contains("referrals"), "{bad_cut}: {err}");
@@ -718,13 +823,13 @@ mod tests {
         let resolver = RecursiveResolver::new(net, client, dep.std_binding);
         // The second referral names the cut just asked: one round trip
         // beyond the first, not MAX_REFERRALS of them.
-        let (r, _, delta) = world.measure(|| resolver.query(&name("x.loop.edu"), RType::A));
+        let (r, _, delta) = world.measure(|| resolver.resolve(&name("x.loop.edu"), RType::A));
         let err = r.unwrap_err();
         assert!(err.to_string().contains("referrals"), "{err}");
         assert_eq!(delta.remote_calls, 2);
         // Asked again, the cached cut dead-ends at once, and so does the
         // one restart from the root.
-        let (r, _, delta) = world.measure(|| resolver.query(&name("y.loop.edu"), RType::A));
+        let (r, _, delta) = world.measure(|| resolver.resolve(&name("y.loop.edu"), RType::A));
         assert!(r.unwrap_err().to_string().contains("referrals"));
         assert_eq!(delta.remote_calls, 1 + 2);
     }
@@ -757,7 +862,7 @@ mod tests {
         }
         let resolver = RecursiveResolver::new(net, client, root.expect("ten servers"));
         let leaf = name(&format!("leaf.{}", origins[9]));
-        let (r, _, delta) = world.measure(|| resolver.query(&leaf, RType::A));
+        let (r, _, delta) = world.measure(|| resolver.resolve(&leaf, RType::A));
         let err = r.unwrap_err();
         assert!(
             err.to_string()
@@ -783,7 +888,7 @@ mod tests {
         .expect("ns without glue");
         let dep = deploy(&net, host, single_zone_server("gapped", zone, false));
         let resolver = RecursiveResolver::new(net, client, dep.std_binding);
-        let err = resolver.query(&name("x.gap.edu"), RType::A).unwrap_err();
+        let err = resolver.resolve(&name("x.gap.edu"), RType::A).unwrap_err();
         assert!(err.to_string().contains("glue"), "{err}");
     }
 }

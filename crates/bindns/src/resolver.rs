@@ -66,20 +66,28 @@ impl StdResolver {
         self.net.world()
     }
 
-    /// Queries, consulting the cache first. Hits share the cached
-    /// record set (`Arc`); a one-record set, which the cache keeps as its
-    /// body, is rebuilt on `name`.
+    /// Queries, consulting the cache first; a one-record set, which the
+    /// cache keeps as its body, is owned by `name`.
     ///
     /// When the server is unreachable (crashed or partitioned under an
     /// installed `FaultPlan`) and an expired entry is still resident,
     /// the resolver serves it stale rather than failing — RFC 8767
     /// behaviour, mirroring the HNS meta cache's serve-stale fallback.
+    pub fn resolve(&self, name: &DomainName, rtype: RType) -> RpcResult<Records> {
+        let owner = || name.clone();
+        self.lookup(name.as_str(), rtype, owner, |entry| entry.to_records(owner))
+    }
+
+    /// [`StdResolver::resolve`] as a shared set of whole records: a hit
+    /// shares the cached set, and a one-record set is rebuilt on `name`.
+    ///
+    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<[ResourceRecord]>> {
         let entry = self.lookup(name.as_str(), rtype, || name.clone(), Entry::clone)?;
         Ok(entry.records(|| name.clone()))
     }
 
-    /// [`StdResolver::query`] of the name `text` parses to, read for its
+    /// [`StdResolver::resolve`] of the name `text` parses to, read for its
     /// first record of `rtype`: that record's TTL and data (`None` if the
     /// set holds no record of `rtype`). A hit reads the cached set where
     /// it lies and builds nothing — no name, no set; the data is shared.
@@ -91,13 +99,14 @@ impl StdResolver {
         self.lookup(&text, rtype, name, |entry| entry.first(rtype))
     }
 
-    /// The one lookup under [`StdResolver::query`] and
-    /// [`StdResolver::query_first`]: probes the cache for (`text`, the
-    /// name's canonical text, `rtype`) and hands a live entry to `read`
-    /// in place, charging the probe and a demarshalled hit of the set's
-    /// length; on a miss fetches from the server under `name()`, files
-    /// the set and reads it; an unreachable server is answered from a
-    /// retained expired entry, read as a hit is.
+    /// The one lookup under [`StdResolver::resolve`],
+    /// [`StdResolver::query`] and [`StdResolver::query_first`]: probes
+    /// the cache for (`text`, the name's canonical text, `rtype`) and
+    /// hands a live entry to `read` in place, charging the probe and a
+    /// demarshalled hit of the set's length; on a miss fetches from the
+    /// server under `name()`, files the set and reads it; an unreachable
+    /// server is answered from a retained expired entry, read as a hit
+    /// is.
     fn lookup<T>(
         &self,
         text: &str,
@@ -326,10 +335,10 @@ mod tests {
         let (world, net, client, dep) = setup();
         let resolver = StdResolver::new(net, client, dep.std_binding);
         resolver
-            .query(&name("fiji.cs.washington.edu"), RType::A)
+            .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .expect("warm");
         let (result, took, delta) =
-            world.measure(|| resolver.query(&name("fiji.cs.washington.edu"), RType::A));
+            world.measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
         assert!(result.is_ok());
         assert!(took.as_ms_f64() < 2.0, "cached took {took}");
         assert_eq!(delta.remote_calls, 0);
@@ -348,11 +357,11 @@ mod tests {
         });
         let resolver = StdResolver::new(net, client, dep.std_binding);
         resolver
-            .query(&name("short.cs.washington.edu"), RType::Txt)
+            .resolve(&name("short.cs.washington.edu"), RType::Txt)
             .expect("warm");
         world.charge_ms(2_000.0); // Let the TTL lapse.
         let (_, _, delta) =
-            world.measure(|| resolver.query(&name("short.cs.washington.edu"), RType::Txt));
+            world.measure(|| resolver.resolve(&name("short.cs.washington.edu"), RType::Txt));
         assert_eq!(delta.remote_calls, 1, "expired entry must refetch");
     }
 
@@ -428,7 +437,7 @@ mod tests {
         let (_world, net, client, dep) = setup();
         let resolver = StdResolver::new(net, client, dep.std_binding);
         assert!(matches!(
-            resolver.query(&name("ghost.cs.washington.edu"), RType::A),
+            resolver.resolve(&name("ghost.cs.washington.edu"), RType::A),
             Err(RpcError::NotFound(_))
         ));
     }
@@ -499,7 +508,7 @@ mod tests {
         });
         let resolver = StdResolver::new(net, client, dep.std_binding);
         resolver
-            .query(&name("short.cs.washington.edu"), RType::Txt)
+            .resolve(&name("short.cs.washington.edu"), RType::Txt)
             .expect("warm");
         world.charge_ms(2_000.0); // Let the TTL lapse.
 
@@ -508,21 +517,21 @@ mod tests {
         plan.crash(dep.std_binding.host, world.now(), None);
         world.set_faults(Some(plan));
         let got = resolver
-            .query(&name("short.cs.washington.edu"), RType::Txt)
+            .resolve(&name("short.cs.washington.edu"), RType::Txt)
             .expect("serve-stale");
         assert_eq!(got.len(), 1);
         assert_eq!(resolver.cache_stats().stale_serves, 1);
 
         // …while a name with nothing cached fails fast and typed.
         assert!(matches!(
-            resolver.query(&name("fiji.cs.washington.edu"), RType::A),
+            resolver.resolve(&name("fiji.cs.washington.edu"), RType::A),
             Err(RpcError::HostUnreachable { .. })
         ));
 
         // Healing the crash resumes real fetches (and stops stale serves).
         world.set_faults(None);
         let (result, _, delta) =
-            world.measure(|| resolver.query(&name("short.cs.washington.edu"), RType::Txt));
+            world.measure(|| resolver.resolve(&name("short.cs.washington.edu"), RType::Txt));
         assert!(result.is_ok());
         assert_eq!(delta.remote_calls, 1, "healed query refetches");
         assert_eq!(resolver.cache_stats().stale_serves, 1, "no new stale serve");
@@ -538,14 +547,25 @@ mod tests {
         crate::cache::CacheStats,
     );
 
-    /// A script of queries on a fresh testbed, each through
-    /// `query_first` or through `query` of the parsed name: a miss, a
+    /// The three readers of one lookup.
+    #[derive(Clone, Copy)]
+    enum Reader {
+        /// The pinned `Arc` form.
+        Query,
+        /// The first record of the type, read in place.
+        First,
+        /// The `Records` form.
+        Resolve,
+    }
+
+    /// A script of queries on a fresh testbed, each through `reader`
+    /// (`query` and `resolve` of the parsed name): a miss, a
     /// hit, an upper-case name with a trailing dot, a `CNAME` set kept
     /// whole, the same for an alias the server answers (its `CNAME` and
     /// its target's record, two owners) and then the cache, no data of
     /// the type, a name that does not parse, a name not there, and a
     /// stale serve inside a crash window.
-    fn differential(via_first: bool) -> Vec<Seen> {
+    fn differential(reader: Reader) -> Vec<Seen> {
         let (world, net, client, dep) = setup();
         dep.server.with_db(|db| {
             let zone = db.find_zone_mut(&name("cs.washington.edu")).expect("zone");
@@ -568,13 +588,20 @@ mod tests {
         ];
         resolver.cache.insert(world.now(), alias, RType::A, set);
         let ask = |text: &str, rtype| {
-            if via_first {
-                return resolver.query_first(text, rtype);
+            let parsed = || DomainName::parse(text).map_err(|e| RpcError::Service(e.to_string()));
+            match reader {
+                Reader::First => resolver.query_first(text, rtype),
+                Reader::Query => {
+                    let records = resolver.query(&parsed()?, rtype)?;
+                    let first = records.iter().find(|r| r.rtype == rtype);
+                    Ok(first.map(|r| (r.ttl, r.rdata.clone())))
+                }
+                Reader::Resolve => {
+                    let records = resolver.resolve(&parsed()?, rtype)?;
+                    let first = records.iter().find(|(_, body)| body.rtype == rtype);
+                    Ok(first.map(|(_, body)| (body.ttl, body.rdata.clone())))
+                }
             }
-            let parsed = DomainName::parse(text).map_err(|e| RpcError::Service(e.to_string()))?;
-            let records = resolver.query(&parsed, rtype)?;
-            let first = records.iter().find(|r| r.rtype == rtype);
-            Ok(first.map(|r| (r.ttl, r.rdata.clone())))
         };
         let mut seen = Vec::new();
         let mut step = |text: &str, rtype| {
@@ -609,12 +636,15 @@ mod tests {
         seen
     }
 
-    /// `query_first` is `query` read for its first record: the same
-    /// record, virtual time, counters and cache statistics at every step.
+    /// `query_first` is `query` read for its first record, and so is
+    /// `resolve`: the same record, virtual time, counters and cache
+    /// statistics at every step.
     #[test]
     fn query_first_answers_and_charges_as_query_does() {
-        let (by_query, by_first) = (differential(false), differential(true));
+        let by_query = differential(Reader::Query);
+        let by_first = differential(Reader::First);
         assert_eq!(by_first, by_query);
+        assert_eq!(differential(Reader::Resolve), by_query);
         let answers: Vec<_> = by_first.iter().map(|(answer, ..)| answer).collect();
         let fiji = |ttl| Ok(Some((ttl, RData::Addr(NetAddr::of(HostId(9))))));
         assert_eq!(answers[..3], [&fiji(86_400); 3]);
@@ -645,11 +675,11 @@ mod tests {
         let (world, net, client, dep) = setup();
         let resolver = StdResolver::new(net, client, dep.std_binding);
         resolver
-            .query(&name("fiji.cs.washington.edu"), RType::A)
+            .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .expect("warm");
         resolver.clear_cache();
         let (_, _, delta) =
-            world.measure(|| resolver.query(&name("fiji.cs.washington.edu"), RType::A));
+            world.measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
         assert_eq!(delta.remote_calls, 1);
     }
 }

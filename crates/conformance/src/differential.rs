@@ -20,6 +20,7 @@ use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::query::QueryClass;
+use hns_core::service::HnsConfig;
 use hrpc::HrpcBinding;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND, NS_CH};
 use nsms::nsm_cache::NsmCacheForm;
@@ -159,14 +160,17 @@ fn alias_targets(tb: &Testbed, targets: &[Target]) -> Vec<Target> {
 /// own entry lapsed, and a full re-walk.
 fn pin_findnsm_paths(tb: &Testbed, rng: &mut DetRng, seed: u64) -> usize {
     let sequential = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    sequential.set_batching(false);
-    sequential.set_binding_cache(false);
     let batched = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     batched.set_batching(true);
-    batched.set_binding_cache(false);
-    let composed = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    let cache = CacheMode::Demarshalled;
+    let composed = tb.make_hns(
+        tb.hosts.client,
+        HnsConfig {
+            cache,
+            composed: true,
+        },
+    );
     composed.set_batching(true);
-    composed.set_binding_cache(true);
 
     let mut targets = targets(tb);
     let mut aliases = alias_targets(tb, &targets);
@@ -243,8 +247,8 @@ fn pin_findnsm_paths(tb: &Testbed, rng: &mut DetRng, seed: u64) -> usize {
 /// so the answer is a stale-served mapping 1 plus the live (query class,
 /// name service) entry.
 fn pin_serve_stale(tb: &Testbed, rng: &mut DetRng, seed: u64, composed: bool) {
-    let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    warm.set_binding_cache(composed);
+    let cache = CacheMode::Demarshalled;
+    let warm = tb.make_hns(tb.hosts.client, HnsConfig { cache, composed });
     let qc = QueryClass::hrpc_binding();
     let (context, lapse_secs) = if composed {
         (alias_context(NS_BIND), ALIAS_TTL)
@@ -433,8 +437,8 @@ pub mod peers {
     };
     use bindns::server::BIND_PROGRAM;
     use bindns::{
-        deploy, single_zone_server, DomainName, HrpcResolver, RData, RType, RecursiveResolver,
-        ResourceRecord, StdResolver, UpdateOp, Zone, DNS_PORT,
+        deploy, single_zone_server, DomainName, HrpcResolver, RData, RType, Records,
+        RecursiveResolver, ResourceRecord, StdResolver, UpdateOp, Zone, DNS_PORT,
     };
     use clearinghouse::property::{PROP_ADDRESS, PROP_MAILBOX, PROP_MEMBERS};
     use clearinghouse::server::CH_PROGRAM;
@@ -609,16 +613,14 @@ pub mod peers {
             |owner: &DomainName, p: &[u8]| ResourceRecord::unspec(owner.clone(), 600, p.to_vec());
 
         // QUERY through each resolver: a miss, the hit it leaves, a NameError.
+        // What the standard and recursive resolvers answer is seen whole.
+        let whole = |found: RpcResult<Records>| {
+            format!("{:?}", found.map(|r| r.whole().collect::<Vec<_>>()))
+        };
         let std = StdResolver::new(Arc::clone(&net), client, cs.std_binding);
-        see("std query", format!("{:?}", std.query(&fiji, RType::A)));
-        see(
-            "std query again",
-            format!("{:?}", std.query(&fiji, RType::A)),
-        );
-        see(
-            "std NameError",
-            format!("{:?}", std.query(&ghost, RType::A)),
-        );
+        see("std query", whole(std.resolve(&fiji, RType::A)));
+        see("std query again", whole(std.resolve(&fiji, RType::A)));
+        see("std NameError", whole(std.resolve(&ghost, RType::A)));
         let hrpc = HrpcResolver::new(Arc::clone(&net), client, cs.hrpc_binding);
         see("hrpc query", format!("{:?}", hrpc.query(&fiji, RType::A)));
         see(
@@ -669,7 +671,7 @@ pub mod peers {
         // and a NameError from the cut's server.
         let walker = RecursiveResolver::new(Arc::clone(&net), client, root.std_binding);
         for target in [&fiji, &name("june.cs.edu"), &ghost] {
-            see("walk", format!("{:?}", walker.query(target, RType::A)));
+            see("walk", whole(walker.resolve(target, RType::A)));
         }
 
         // A caller of `RpcNet::call`, which has only ever exchanged trees.

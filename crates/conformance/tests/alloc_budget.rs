@@ -39,6 +39,7 @@ use hns_core::colocation::HnsHandle;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::NsmClient;
 use hns_core::query::QueryClass;
+use hns_core::service::HnsConfig;
 use hrpc::RpcNet;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND, NS_CH};
 use nsms::import::Importer;
@@ -271,14 +272,21 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     let qc = QueryClass::hrpc_binding();
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
 
-    let warm = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    warm.find_nsm(&qc, &name).expect("warms the mapping cache");
-    warm.find_nsm(&qc, &name).expect("lazy handles resolved");
+    let walk = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    walk.find_nsm(&qc, &name).expect("warms the mapping cache");
+    walk.find_nsm(&qc, &name).expect("lazy handles resolved");
     row("warm walk FindNSM", WARM_WALK, || {
-        warm.find_nsm(&qc, &name).expect("walk")
+        walk.find_nsm(&qc, &name).expect("walk")
     });
 
-    warm.set_binding_cache(true);
+    let cache = CacheMode::Demarshalled;
+    let warm = tb.make_hns(
+        tb.hosts.client,
+        HnsConfig {
+            cache,
+            composed: true,
+        },
+    );
     warm.find_nsm(&qc, &name).expect("seeds the composed entry");
     row("warm composed FindNSM", WARM_COMPOSED, || {
         warm.find_nsm(&qc, &name).expect("composed")

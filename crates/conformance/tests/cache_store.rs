@@ -181,8 +181,7 @@ fn the_binding_cache_gauge_is_within_a_tenth_of_the_allocator() {
     let world = World::paper();
     let scopes: Vec<String> = (0..4096).map(|i| format!("ctx{i}")).collect();
     let (cache, live) = measure_live(|| {
-        let cache = BindingCache::new();
-        cache.set_enabled(true);
+        let cache = BindingCache::of(true);
         for (i, scope) in (0u32..).zip(&scopes) {
             let expires_at = world.now().after_secs(600);
             cache.insert_until(&world, "hrpcbinding", scope, binding(i), expires_at);

@@ -11,7 +11,7 @@ use bindns::zone::DELTA_LOG_CAP;
 use hns_core::cache::CacheMode;
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::query::QueryClass;
-use hns_core::service::{PreloadMode, PreloadReport};
+use hns_core::service::{HnsConfig, PreloadMode, PreloadReport};
 use hns_core::HnsError;
 use hns_core::META_TTL;
 use hrpc::ProgramId;
@@ -51,7 +51,14 @@ fn preload_reports_the_right_mode_at_each_edge() {
         tb.hosts.client,
         tb.meta_bind.hrpc_binding,
     );
-    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
+    let cache = CacheMode::Demarshalled;
+    let hns = tb.make_hns(
+        tb.hosts.client,
+        HnsConfig {
+            cache,
+            composed: true,
+        },
+    );
 
     let first = hns.preload().expect("first preload");
     assert_eq!(first.mode, PreloadMode::Full, "first preload is an AXFR");
@@ -94,7 +101,6 @@ fn preload_reports_the_right_mode_at_each_edge() {
     // set and from a binding composed over it — as a cold instance
     // would, rather than keep either until its TTL lapses.
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    hns.set_binding_cache(true);
     let doomed = Context::new("doomed").expect("context");
     let name = HnsName::new(doomed.clone(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();
@@ -125,8 +131,14 @@ fn a_preloaded_change_reaches_the_composed_cache() {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
     let walking = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    let composed = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    composed.set_binding_cache(true);
+    let cache = CacheMode::Demarshalled;
+    let composed = tb.make_hns(
+        tb.hosts.client,
+        HnsConfig {
+            cache,
+            composed: true,
+        },
+    );
     let moving = Context::new("moving").expect("context");
     let name = HnsName::new(moving.clone(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();

@@ -183,7 +183,7 @@ fn no_request_reaches_a_server_as_a_tree() {
     let dn = |s: &str| DomainName::parse(s).expect("name");
     let fiji = dn("fiji.cs.washington.edu");
     let std = StdResolver::new(Arc::clone(net), client, tb.public_bind.std_binding);
-    std.query(&fiji, RType::A).expect("std query");
+    std.resolve(&fiji, RType::A).expect("std query");
     std.query_uncached(&fiji, RType::A).expect("uncached query");
     let hrpc = HrpcResolver::new(Arc::clone(net), client, tb.meta_bind.hrpc_binding);
     let origin = &tb.meta_origin;
@@ -193,7 +193,7 @@ fn no_request_reaches_a_server_as_a_tree() {
     let added = ResourceRecord::txt(dn(&format!("probe.{origin}")), 60, "x");
     hrpc.update(&UpdateOp::Add(added)).expect("update");
     let walker = RecursiveResolver::new(Arc::clone(net), client, tb.public_bind.std_binding);
-    walker.query(&fiji, RType::A).expect("walk");
+    walker.resolve(&fiji, RType::A).expect("walk");
     let meta = &tb.meta_bind.hrpc_binding;
     let serial = read_serial(net, client, meta, origin).expect("serial");
     transfer_zone(net, client, meta, origin).expect("axfr");

@@ -38,10 +38,11 @@
 //! it takes the result: a level refuses an instant at or before `now`.
 //!
 //! Disabled by default: the paper's measured shape (Table 3.1) is the
-//! six-mapping walk, and every golden experiment keeps that shape.
-//! `benchmark/` enables it per instance via
-//! [`Hns::set_binding_cache`](crate::service::Hns::set_binding_cache);
-//! while disabled neither level is consulted, charged or published.
+//! six-mapping walk, and every golden experiment keeps that shape. An
+//! instance is built with it on or off
+//! ([`HnsConfig::composed`](crate::service::HnsConfig::composed)), and
+//! `benchmark/` builds its fast stacks with it on; while disabled neither
+//! level is consulted, charged or published.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -126,8 +127,20 @@ impl BindingCache {
         Self::default()
     }
 
-    /// Enables or disables the cache. Disabling clears both levels, so a
-    /// re-enable starts cold.
+    /// Creates an empty cache, on or off for good: what
+    /// [`HnsConfig::composed`](crate::service::HnsConfig::composed) says.
+    pub fn of(enabled: bool) -> Self {
+        BindingCache {
+            enabled: AtomicBool::new(enabled),
+            ..Self::default()
+        }
+    }
+
+    /// Enables or disables the cache of a live instance. Disabling clears
+    /// both levels, so a re-enable starts cold; [`BindingCache::of`]
+    /// fixes it at construction instead.
+    ///
+    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
         if !enabled {
@@ -273,8 +286,7 @@ mod tests {
     #[test]
     fn hit_until_composed_ttl_lapses_then_expired() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         assert_eq!(c.lookup(&w, "qc", "ctx"), None, "cold miss");
         c.insert_until(&w, "qc", "ctx", binding(2), w.now().after_secs(2));
         assert_eq!(c.lookup(&w, "qc", "ctx"), Some(binding(2)));
@@ -290,8 +302,7 @@ mod tests {
     #[test]
     fn both_levels_refuse_an_instant_at_or_before_now() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         w.charge_ms(5_000.0);
         let now = w.now();
         for at in [SimTime::ZERO, SimTime::from_ms(4_999), now] {
@@ -307,11 +318,11 @@ mod tests {
         assert_eq!((c.stats().inserts, c.service_stats().inserts), (1, 1));
     }
 
+    /// The rule of the pinned switch: disabling clears both levels.
     #[test]
     fn disabling_clears_both_levels() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         c.insert_until(&w, "qc", "ctx", binding(4), w.now().after_secs(600));
         c.insert_service(&w, "qc", "BIND", binding(4), w.now().after_secs(600));
         c.set_enabled(false);
@@ -328,8 +339,7 @@ mod tests {
     #[test]
     fn service_entry_never_outlives_the_earliest_of_mappings_2_to_6() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
         let mapping3 = w.now().after_secs(90);
         let parts = [600, 600, 600, 300].map(|ttl| w.now().after_secs(ttl));
@@ -358,8 +368,7 @@ mod tests {
     #[test]
     fn levels_do_not_share_keys() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         // A context may be named like a name service.
         c.insert_until(&w, "qc", "BIND", binding(9), w.now().after_secs(600));
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Absent);
@@ -373,8 +382,7 @@ mod tests {
     #[test]
     fn entries_are_per_query_class_and_context() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         c.insert_until(&w, "a", "ctx", binding(5), w.now().after_secs(600));
         c.insert_until(&w, "b", "ctx", binding(6), w.now().after_secs(600));
         assert_eq!(c.lookup(&w, "a", "ctx"), Some(binding(5)));
@@ -388,8 +396,7 @@ mod tests {
     fn a_pair_split_at_two_places_is_two_entries() {
         assert_ne!(key("ab", "c").concat(), key("a", "bc").concat());
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         c.insert_until(&w, "ab", "c", binding(11), w.now().after_secs(600));
         c.insert_until(&w, "a", "bc", binding(12), w.now().after_secs(600));
         assert_eq!(c.lookup(&w, "ab", "c"), Some(binding(11)));
@@ -403,8 +410,7 @@ mod tests {
     #[test]
     fn ten_thousand_contexts_cost_and_count_like_any_others() {
         let w = World::paper();
-        let c = BindingCache::new();
-        c.set_enabled(true);
+        let c = BindingCache::of(true);
         for i in 0..10_000 {
             let ctx = format!("context-{i}");
             assert_eq!(c.lookup(&w, "hrpc_binding", &ctx), None);

@@ -56,4 +56,4 @@ pub use nsm::{
     NSM_PROC_QUERY,
 };
 pub use query::QueryClass;
-pub use service::{FindNsmReport, Hns, PreloadMode, PreloadReport};
+pub use service::{FindNsmReport, Hns, HnsConfig, PreloadMode, PreloadReport};

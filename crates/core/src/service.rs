@@ -49,6 +49,29 @@ use crate::nsm::{
 };
 use crate::query::QueryClass;
 
+/// How an instance caches, fixed when it is built: the per-mapping
+/// cache's form, and whether the composed `FindNSM` levels
+/// ([`crate::binding_cache`]) sit on top of it. A [`CacheMode`] alone is
+/// the paper's shape, the composed cache off. Batching is not here: it
+/// holds no state, so [`Hns::set_batching`] may switch it on a live
+/// instance (DESIGN.md "One configuration, taken at construction").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HnsConfig {
+    /// The per-mapping cache's form.
+    pub cache: CacheMode,
+    /// Whether the composed binding cache is on.
+    pub composed: bool,
+}
+
+impl From<CacheMode> for HnsConfig {
+    fn from(cache: CacheMode) -> Self {
+        HnsConfig {
+            cache,
+            composed: false,
+        }
+    }
+}
+
 /// One HNS instance: meta-store client, cache, and linked NSMs.
 ///
 /// Instances can be linked into a client process, run as a remote server
@@ -175,17 +198,19 @@ pub struct PreloadReport {
 
 impl Hns {
     /// Creates an HNS instance running on `host`, speaking to the modified
-    /// BIND behind `meta_binding` whose meta zone is rooted at `origin`.
+    /// BIND behind `meta_binding` whose meta zone is rooted at `origin`,
+    /// caching as `config` says (a [`CacheMode`] alone: the paper's shape).
     pub fn new(
         net: Arc<RpcNet>,
         host: HostId,
         meta_binding: HrpcBinding,
         origin: DomainName,
-        cache_mode: CacheMode,
+        config: impl Into<HnsConfig>,
     ) -> Self {
+        let HnsConfig { cache, composed } = config.into();
         let resolver = HrpcResolver::new(Arc::clone(&net), host, meta_binding);
-        let cache = Arc::new(HnsCache::of(cache_mode));
-        let binding_cache = Arc::new(BindingCache::new());
+        let cache = Arc::new(HnsCache::of(cache));
+        let binding_cache = Arc::new(BindingCache::of(composed));
         // Snapshot-time stats flush through `World::export_all_caches`:
         // `Weak` captures keep dropped instances (e.g. the short-lived
         // registrar HNSes the harness builds) from re-publishing stale
@@ -215,7 +240,9 @@ impl Hns {
 
     /// Enables or disables the batched meta pipeline. Off by default: the
     /// sequential six-round-trip pipeline is the paper's measured shape;
-    /// batching is the ablation on top of it.
+    /// batching is the ablation on top of it. It holds no state (the
+    /// `MQUERY` overlay lives for one walk), so unlike the caches it may
+    /// be switched on a live instance.
     pub fn set_batching(&self, enabled: bool) {
         self.batching.store(enabled, Ordering::Relaxed);
     }
@@ -358,9 +385,11 @@ impl Hns {
         self.cache.stats()
     }
 
-    /// Enables or disables the composed binding cache (disabling clears
-    /// it). Off by default: the per-mapping walk is the paper's measured
-    /// shape; composing it is a throughput optimization on top.
+    /// Enables or disables the composed binding cache of a live instance
+    /// (disabling clears it); [`HnsConfig::composed`] fixes it at
+    /// construction instead.
+    ///
+    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     pub fn set_binding_cache(&self, enabled: bool) {
         self.binding_cache.set_enabled(enabled);
     }
@@ -978,8 +1007,10 @@ mod tests {
     /// 2–5, mapping 6 (the linked NSM's answer), mapping 1 of `ctx-b` —
     /// with every call to the meta server slowed by `meta_ms` and the
     /// linked NSM by `linked_ms`. Reading a cache costs nothing in its
-    /// world, so a probe looks at the instant it is made.
-    fn hns(ttls: [u32; 7], meta_ms: f64, linked_ms: f64) -> Hns {
+    /// world, so a probe looks at the instant it is made. The composed
+    /// cache is on, built so, or switched on by the pinned wrapper once
+    /// everything is registered if `via_wrapper`.
+    fn hns(ttls: [u32; 7], meta_ms: f64, linked_ms: f64, via_wrapper: bool) -> Hns {
         let world = World::new(simnet::CostModel {
             cache_probe: 0.0,
             demar_hit_base: 0.0,
@@ -993,13 +1024,11 @@ mod tests {
         let meta = deploy(&net, meta_host, single_zone_server("meta", zone, true));
         meta.server
             .set_additional_provider(MetaChaser::new(origin.clone()));
-        let hns = Hns::new(
-            net,
-            client,
-            meta.hrpc_binding,
-            origin,
-            CacheMode::Demarshalled,
-        );
+        let config = HnsConfig {
+            cache: CacheMode::Demarshalled,
+            composed: !via_wrapper,
+        };
+        let hns = Hns::new(net, client, meta.hrpc_binding, origin, config);
         let ns_context = |name: &str, ttl| {
             hns.meta().set_record_ttl(ttl);
             hns.register_context(&ctx(name), "NS", &NameMapping::Identity)
@@ -1034,11 +1063,64 @@ mod tests {
             ttl,
             delay_ms,
         }));
-        hns.set_binding_cache(true);
+        if via_wrapper {
+            hns.set_binding_cache(true);
+        }
         let mut plan = FaultPlan::new();
         plan.latency_spike(client, meta_host, SimTime::ZERO, None, meta_ms);
         hns.world().set_faults(Some(plan));
         hns
+    }
+
+    /// What an instance shows over a cold walk of `ctx-a`, a warm one, a
+    /// first `ctx-b` (its mapping 1 and a service-level hit), `ctx-b`
+    /// again once its mapping 1 has lapsed, and `ctx-a` once everything
+    /// has: each binding and report, the clock, and both composed
+    /// levels' statistics after it.
+    fn composed_script(via_wrapper: bool) -> Vec<ComposedStep> {
+        let hns = hns([600, 600, 600, 600, 600, 600, 60], 0.0, 0.0, via_wrapper);
+        let world = Arc::clone(hns.world());
+        let mut seen = Vec::new();
+        for (context, wait_ms) in [
+            ("ctx-a", 0.0),
+            ("ctx-a", 0.0),
+            ("ctx-b", 0.0),
+            ("ctx-b", 61_000.0),
+            ("ctx-a", 601_000.0),
+        ] {
+            world.charge_ms(wait_ms);
+            let name = HnsName::new(ctx(context), "x").expect("name");
+            let (binding, report) = hns
+                .find_nsm_report(&QueryClass::hrpc_binding(), &name)
+                .expect("the walk");
+            let stats = (hns.binding_cache_stats(), hns.binding_cache_service_stats());
+            seen.push((binding, report, world.now(), stats));
+        }
+        seen
+    }
+
+    type ComposedStep = (
+        HrpcBinding,
+        FindNsmReport,
+        SimTime,
+        (BindingCacheStats, BindingCacheStats),
+    );
+
+    /// An instance built with the composed cache on answers, charges and
+    /// counts as one built without it and switched on by the pinned
+    /// wrapper, on cold, warm, service-level and lapsed walks.
+    #[test]
+    fn the_config_and_the_wrapper_compose_alike() {
+        let (built, switched) = (composed_script(false), composed_script(true));
+        assert_eq!(built, switched);
+        let trips: Vec<_> = built
+            .iter()
+            .map(|(_, r, ..)| r.remote_round_trips)
+            .collect();
+        assert_eq!(trips, [5, 0, 1, 1, 5]);
+        let (by_context, by_service) = built[4].3;
+        assert_eq!((by_context.hits, by_context.expired), (1, 2));
+        assert_eq!((by_service.hits, by_service.expired), (2, 1));
     }
 
     /// When the part `key` names expires: the instant its per-mapping
@@ -1128,7 +1210,7 @@ mod tests {
     fn stale_served_is_the_querys_own() {
         // `ctx-b`'s mapping 1 and mapping 6 lapse after a second; the
         // rest of both chains lives ten minutes.
-        let hns = Arc::new(hns([600, 600, 600, 600, 600, 1, 1], 0.0, 0.0));
+        let hns = Arc::new(hns([600, 600, 600, 600, 600, 1, 1], 0.0, 0.0, false));
         let reentrant = Arc::new(Reentrant::default());
         hns.link_nsm(Arc::clone(&reentrant) as Arc<dyn Nsm>);
         let find = |context: &str| {
@@ -1177,7 +1259,7 @@ mod tests {
             shape in 0u8..3,
             left_us in 0u64..1_500_000,
         ) {
-            let hns = hns(ttls.try_into().expect("seven TTLs"), meta_ms, linked_ms);
+            let hns = hns(ttls.try_into().expect("seven TTLs"), meta_ms, linked_ms, false);
             let find = |context: &str| {
                 let name = HnsName::new(ctx(context), "x").expect("name");
                 let found = hns.find_nsm_report(&QueryClass::hrpc_binding(), &name);

@@ -14,7 +14,7 @@ use hns_core::colocation::{
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::{Nsm, NsmRequest};
 use hns_core::query::QueryClass;
-use hns_core::service::Hns;
+use hns_core::service::{Hns, HnsConfig};
 use hns_core::HnsError;
 use hrpc::net::RpcNet;
 use hrpc::server::{ProcServer, ReplySlot};
@@ -94,13 +94,13 @@ fn env() -> Env {
     }
 }
 
-fn make_hns(env: &Env, host: HostId, mode: CacheMode) -> Arc<Hns> {
+fn make_hns(env: &Env, host: HostId, config: impl Into<HnsConfig>) -> Arc<Hns> {
     let hns = Arc::new(Hns::new(
         Arc::clone(&env.net),
         host,
         env.meta.hrpc_binding,
         DomainName::parse("hns").expect("origin"),
-        mode,
+        config,
     ));
     hns.link_nsm(Arc::new(StubHostAddr {
         name: "nsm-hostaddress-stub",
@@ -222,7 +222,15 @@ fn a_linked_nsm_may_link_another_from_inside_handle() {
 #[test]
 fn service_level_entry_lapses_with_the_earliest_of_mappings_2_to_6() {
     let env = env();
-    let hns = make_hns(&env, env.client, CacheMode::Demarshalled);
+    let cache = CacheMode::Demarshalled;
+    let hns = make_hns(
+        &env,
+        env.client,
+        HnsConfig {
+            cache,
+            composed: true,
+        },
+    );
     // Mapping 3 (the NSM-info record set) is the short-lived part.
     hns.meta().set_record_ttl(90);
     register_echo(&env, &hns);
@@ -246,7 +254,6 @@ fn service_level_entry_lapses_with_the_earliest_of_mappings_2_to_6() {
         &NameMapping::Identity,
     )
     .expect("ctx");
-    hns.set_binding_cache(true);
     let qc = QueryClass::new("Echo");
     let sibling_name = HnsName::new(sibling, "any-entity").expect("name");
 

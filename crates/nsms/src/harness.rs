@@ -25,7 +25,7 @@ use hns_core::cache::CacheMode;
 use hns_core::name::{Context, NameMapping};
 use hns_core::nsm::{Nsm, NsmService};
 use hns_core::query::QueryClass;
-use hns_core::service::Hns;
+use hns_core::service::{Hns, HnsConfig};
 use hrpc::net::RpcNet;
 use hrpc::server::ProcServer;
 use hrpc::{HrpcBinding, ProgramId};
@@ -326,19 +326,21 @@ impl Testbed {
         ]
     }
 
-    fn make_hns_unlinked(&self, host: HostId, mode: CacheMode) -> Arc<Hns> {
+    fn make_hns_unlinked(&self, host: HostId, config: impl Into<HnsConfig>) -> Arc<Hns> {
         Arc::new(Hns::new(
             Arc::clone(&self.net),
             host,
             self.meta_bind.hrpc_binding,
             self.meta_origin.clone(),
-            mode,
+            config,
         ))
     }
 
-    /// Creates an HNS instance on `host` with its host-address NSMs linked.
-    pub fn make_hns(&self, host: HostId, mode: CacheMode) -> Arc<Hns> {
-        let hns = self.make_hns_unlinked(host, mode);
+    /// Creates an HNS instance on `host`, caching as `config` says (a
+    /// [`CacheMode`] alone: the paper's shape), with its host-address
+    /// NSMs linked.
+    pub fn make_hns(&self, host: HostId, config: impl Into<HnsConfig>) -> Arc<Hns> {
+        let hns = self.make_hns_unlinked(host, config);
         for nsm in self.host_addr_nsms(host) {
             hns.link_nsm(nsm);
         }

@@ -8,6 +8,7 @@ use hns_core::cache::CacheMode;
 use hns_core::colocation::HnsHandle;
 use hns_core::name::{HnsName, NameMapping};
 use hns_core::query::QueryClass;
+use hns_core::service::HnsConfig;
 use hrpc::ProgramId;
 use nsms::harness::{
     Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NSM_EXPORT_PROGRAM, NS_BIND, PRINT_SERVICE,
@@ -334,8 +335,8 @@ fn dynamic_updates_flow_into_findnsm_without_client_changes() {
     for composed in [false, true] {
         let tb = Testbed::build();
         tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
-        let client = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-        client.set_binding_cache(composed);
+        let cache = CacheMode::Demarshalled;
+        let client = tb.make_hns(tb.hosts.client, HnsConfig { cache, composed });
         let (qc, name) = (QueryClass::mailbox_location(), fiji_name(&tb));
         let unserved = |result| matches!(result, Err(hns_core::HnsError::NoSuchNsm { .. }));
         assert!(unserved(client.find_nsm(&qc, &name)));

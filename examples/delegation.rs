@@ -90,13 +90,13 @@ fn main() {
     world.tracer.set_enabled(true);
     let resolver = RecursiveResolver::new(Arc::clone(&net), client, root.std_binding);
     let target = name("fiji.cs.washington.edu");
-    let (records, cold, counters) = world.measure(|| resolver.query(&target, RType::A));
+    let (records, cold, counters) = world.measure(|| resolver.resolve(&target, RType::A));
     let records = records.expect("resolved");
     world.tracer.set_enabled(false);
 
     println!("--- referral chain (three servers consulted) ---");
     print!("{}", world.tracer.render_tree());
-    match &records[0].rdata {
+    match &records.bodies()[0].rdata {
         RData::Addr(addr) => println!(
             "\nresolved {target} -> {} in {:.1} ms over {} remote queries",
             addr,
@@ -107,7 +107,7 @@ fn main() {
     }
 
     // The second resolution is answered from the resolver's TTL cache.
-    let (r, warm, counters) = world.measure(|| resolver.query(&target, RType::A));
+    let (r, warm, counters) = world.measure(|| resolver.resolve(&target, RType::A));
     r.expect("cached");
     println!(
         "second resolution: {:.2} ms, {} remote queries (TTL cache)",
@@ -119,7 +119,7 @@ fn main() {
     // A sibling is a miss there, but the walk need not start over: the
     // referrals were kept, and cs.washington.edu's names its server.
     let sibling = name("june.cs.washington.edu");
-    let (r, took, counters) = world.measure(|| resolver.query(&sibling, RType::A));
+    let (r, took, counters) = world.measure(|| resolver.resolve(&sibling, RType::A));
     r.expect("resolved");
     println!(
         "sibling {sibling}: {:.1} ms, {} remote query (zone cut served from cache)",

@@ -56,8 +56,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
 
     let hns = HnsCache::new(CacheMode::Demarshalled);
     let key = host_addr_key("BIND", "fiji");
-    let composed = BindingCache::new();
-    composed.set_enabled(true);
+    let composed = BindingCache::of(true);
     let nsm = NsmCache::new(NsmCacheForm::Demarshalled);
     let bind = TtlCache::new();
     let owner = DomainName::parse("fiji.cs.washington.edu").expect("name");

@@ -11,7 +11,7 @@ use hns_repro::bindns::ResourceRecord;
 use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hns_core::query::QueryClass;
-use hns_repro::hns_core::service::Hns;
+use hns_repro::hns_core::service::{Hns, HnsConfig};
 use hns_repro::hns_core::META_TTL;
 use hns_repro::hrpc::ControlProtocol;
 use hns_repro::nsms::harness::{Testbed, NS_BIND, NS_CH};
@@ -20,6 +20,12 @@ use hns_repro::nsms::HostAddrBindNsm;
 use hns_repro::simnet::faults::FaultPlan;
 use hns_repro::simnet::time::{SimDuration, SimTime};
 use hns_repro::simnet::World;
+
+/// The per-mapping cache demarshalled, the composed cache on top.
+const COMPOSED: HnsConfig = HnsConfig {
+    cache: CacheMode::Demarshalled,
+    composed: true,
+};
 
 #[test]
 fn meta_updates_become_visible_when_ttl_expires() {
@@ -50,8 +56,7 @@ fn meta_updates_become_visible_when_ttl_expires() {
 fn clear_cache_forgets_the_composed_entries_too() {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    hns.set_binding_cache(true);
+    let hns = tb.make_hns(tb.hosts.client, COMPOSED);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();
     let first = hns.find_nsm(&qc, &name).expect("cold find");
@@ -72,8 +77,7 @@ fn clear_cache_forgets_the_composed_entries_too() {
 fn a_rebound_context_is_followed_to_the_other_services_composed_entry() {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    hns.set_binding_cache(true);
+    let hns = tb.make_hns(tb.hosts.client, COMPOSED);
     let qc = QueryClass::hrpc_binding();
     let find = |context: Context| {
         let name = HnsName::new(context, "fiji.cs.washington.edu").expect("name");
@@ -123,13 +127,7 @@ impl StretchedWalk {
         tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
         let (net, client) = (Arc::clone(&tb.net), tb.hosts.client);
         let meta = tb.meta_bind.hrpc_binding;
-        let hns = Hns::new(
-            net,
-            client,
-            meta,
-            tb.meta_origin.clone(),
-            CacheMode::Demarshalled,
-        );
+        let hns = Hns::new(net, client, meta, tb.meta_origin.clone(), COMPOSED);
         // Mapping 6's resolver tries an unreachable server eight times,
         // backing off 50, 100, … up to 800 ms between tries.
         let mut patient = tb.public_bind.std_binding;
@@ -139,7 +137,6 @@ impl StretchedWalk {
         };
         let resolver = Arc::new(StdResolver::new(Arc::clone(&tb.net), client, patient));
         hns.link_nsm(HostAddrBindNsm::new(resolver, NameMapping::Identity));
-        hns.set_binding_cache(true);
 
         let (world, start) = (Arc::clone(&tb.world), tb.world.now());
         let mut plan = FaultPlan::new();
@@ -348,8 +345,8 @@ fn contexts_that_would_share_a_meta_key_are_refused_not_merged() {
     for composed in [false, true] {
         let tb = Testbed::build();
         tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-        let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-        hns.set_binding_cache(composed);
+        let cache = CacheMode::Demarshalled;
+        let hns = tb.make_hns(tb.hosts.client, HnsConfig { cache, composed });
         let ctx = |name: &str| Context::new(name).expect("context");
         let dotted = hns.register_context(&ctx("ee.uw"), NS_BIND, &NameMapping::Identity);
         assert!(matches!(dotted, Err(HnsError::BadName(_))), "{dotted:?}");

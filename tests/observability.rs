@@ -6,16 +6,23 @@ use std::sync::Arc;
 use hns_repro::hns_core::cache::CacheMode;
 use hns_repro::hns_core::name::HnsName;
 use hns_repro::hns_core::query::QueryClass;
+use hns_repro::hns_core::service::HnsConfig;
 use hns_repro::nsms::harness::Testbed;
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::simnet::trace::TraceKind;
 
+/// The per-mapping cache demarshalled, the composed cache on top.
+const COMPOSED: HnsConfig = HnsConfig {
+    cache: CacheMode::Demarshalled,
+    composed: true,
+};
+
 fn testbed_with_hns(
-    mode: CacheMode,
+    config: impl Into<HnsConfig>,
 ) -> (Testbed, Arc<hns_repro::hns_core::Hns>, HnsName, QueryClass) {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Demarshalled);
-    let hns = tb.make_hns(tb.hosts.client, mode);
+    let hns = tb.make_hns(tb.hosts.client, config);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     (tb, hns, name, QueryClass::hrpc_binding())
 }
@@ -99,16 +106,15 @@ fn find_nsm_span_carries_the_service_level_outcome() {
     use hns_repro::nsms::harness::NS_BIND;
     use hns_repro::simnet::trace::CacheOutcome;
 
-    let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
+    let (tb, hns, name, qc) = testbed_with_hns(COMPOSED);
+    let plain = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
     let sibling = Context::new("bind-uw-sibling").expect("context");
     hns.register_context(&sibling, NS_BIND, &NameMapping::Identity)
         .expect("register sibling");
     let sibling = HnsName::new(sibling, "fiji.cs.washington.edu").expect("name");
 
     tb.world.tracer.set_enabled(true);
-    hns.find_nsm(&qc, &name).expect("composed cache off");
-    hns.clear_cache();
-    hns.set_binding_cache(true);
+    plain.find_nsm(&qc, &name).expect("composed cache off");
     hns.find_nsm(&qc, &name).expect("cold: nothing composed");
     hns.find_nsm(&qc, &sibling).expect("mappings 2-6 composed");
     tb.world
@@ -284,8 +290,7 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
         "bindns_cut_cache",
     ];
 
-    let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
-    hns.set_binding_cache(true);
+    let (tb, hns, name, qc) = testbed_with_hns(COMPOSED);
     let imp = Importer::new(
         Arc::clone(&tb.net),
         tb.hosts.client,
@@ -301,7 +306,7 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
         .expect("cold Import");
     imp.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)
         .expect("warm Import");
-    let records = resolver.query(&host, RType::A).expect("resolver warm-up");
+    let records = resolver.resolve(&host, RType::A).expect("resolver warm-up");
     // The testbed's public BIND is a one-server tree: the recursive
     // resolver's answer is cached, its cut probes all miss.
     let recursive = RecursiveResolver::new(
@@ -309,8 +314,12 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
         tb.hosts.client,
         tb.public_bind.std_binding,
     );
-    recursive.query(&host, RType::A).expect("recursive query");
-    let record_ttl = records.iter().map(|r| r.ttl).max().expect("records");
+    recursive.resolve(&host, RType::A).expect("recursive query");
+    let record_ttl = records
+        .iter()
+        .map(|(_, body)| body.ttl)
+        .max()
+        .expect("records");
 
     // Let everything expire, take both BINDs down, and ask again: the HNS
     // and the resolver each answer from an expired entry.
@@ -323,7 +332,7 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
     let (_, report) = hns.find_nsm_report(&qc, &name).expect("stale FindNSM");
     assert!(report.stale_served);
     resolver
-        .query(&host, RType::A)
+        .resolve(&host, RType::A)
         .expect("stale resolver answer");
 
     tb.world.export_all_caches();
@@ -413,5 +422,65 @@ fn metric_names_table_names_only_registered_metrics() {
     assert!(
         missing.is_empty(),
         "OBSERVABILITY.md's Metric names table lists names no code registers: {missing:?}"
+    );
+}
+
+/// The reverse of the two table checks above: every metric the `traced`
+/// and `chaos --seed 42` snapshots emit has a row in OBSERVABILITY.md —
+/// its name in its component's row of the Metric names table, or, for a
+/// cache, a row of the Caches table.
+#[test]
+fn every_metric_the_traced_and_chaos_runs_emit_has_a_row() {
+    use hns_repro::hns_bench::experiments::{chaos, traced};
+    use std::collections::BTreeSet;
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("OBSERVABILITY.md")).expect("OBSERVABILITY.md");
+    let rows = |title: &str| -> Vec<Vec<String>> {
+        let section = doc.split(title).nth(1).expect(title);
+        let section = section.split("\n## ").next().unwrap_or(section);
+        (section.lines())
+            .filter(|line| line.starts_with("| `"))
+            .map(|line| {
+                line.split('|')
+                    .map(|cell| cell.trim().to_string())
+                    .collect()
+            })
+            .collect()
+    };
+    let mut documented = BTreeSet::new();
+    for cells in rows("## Metric names") {
+        let component = cells[1].trim_matches('`').to_string();
+        for name in cells[2].split('`').skip(1).step_by(2) {
+            documented.insert((component.clone(), name.to_string()));
+        }
+    }
+    for cells in rows("## Caches") {
+        documented.insert((
+            cells[1].trim_matches('`').to_string(),
+            cells[2].trim_matches('`').to_string(),
+        ));
+    }
+
+    let traced = traced::run().snapshot;
+    let chaos = chaos::run(&chaos::ChaosConfig::default()).snapshot;
+    let mut emitted = BTreeSet::new();
+    for snapshot in [traced, chaos] {
+        let counters = snapshot.counters.into_iter().map(|c| (c.component, c.name));
+        let histograms = snapshot
+            .histograms
+            .into_iter()
+            .map(|h| (h.component, h.name));
+        emitted.extend(counters.chain(histograms));
+    }
+    assert!(
+        emitted.len() >= 40,
+        "only {} metrics emitted",
+        emitted.len()
+    );
+    let missing: Vec<_> = emitted.difference(&documented).collect();
+    assert!(
+        missing.is_empty(),
+        "emitted, but OBSERVABILITY.md has no row for: {missing:?}"
     );
 }

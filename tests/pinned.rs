@@ -24,7 +24,7 @@ struct Pinned {
     used_in: fn(&str) -> bool,
 }
 
-const PINNED: [Pinned; 3] = [
+const PINNED: [Pinned; 7] = [
     Pinned {
         form: "MetaKey",
         defined_in: "crates/core/src/cache.rs",
@@ -42,9 +42,64 @@ const PINNED: [Pinned; 3] = [
         defined_in: "crates/core/src/binding_cache.rs",
         defined_by:
             "pub fn insert(&self, world: &World, qc: &str, ctx: &str, b: HrpcBinding, ttl_secs",
-        used_in: calls_binding_cache_insert,
+        used_in: |text| calls(text, &BINDING_CACHE, "insert"),
+    },
+    Pinned {
+        form: "Hns::set_binding_cache",
+        defined_in: "crates/core/src/service.rs",
+        defined_by: "pub fn set_binding_cache(",
+        used_in: |text| has_word(text, "set_binding_cache"),
+    },
+    Pinned {
+        form: "BindingCache::set_enabled",
+        defined_in: "crates/core/src/binding_cache.rs",
+        defined_by: "pub fn set_enabled(",
+        used_in: |text| calls(text, &BINDING_CACHE, "set_enabled"),
+    },
+    Pinned {
+        form: "RecursiveResolver::query",
+        defined_in: "crates/bindns/src/recursive.rs",
+        defined_by: "pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<",
+        used_in: |text| calls(text, &RECURSIVE_RESOLVER, "query"),
+    },
+    Pinned {
+        form: "StdResolver::query",
+        defined_in: "crates/bindns/src/resolver.rs",
+        defined_by: "pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<",
+        used_in: |text| calls(text, &STD_RESOLVER, "query"),
     },
 ];
+
+/// How a source names a value of one type: by the type's path, by a
+/// field that holds one, or by a local bound to one, by a constructor or
+/// by a type annotation.
+struct Receiver {
+    ty: &'static str,
+    fields: &'static [&'static str],
+    made_by: &'static [&'static str],
+}
+
+const BINDING_CACHE: Receiver = Receiver {
+    ty: "BindingCache",
+    fields: &["binding_cache"],
+    made_by: &[
+        "BindingCache::new()",
+        "BindingCache::of(",
+        "BindingCache::default()",
+    ],
+};
+
+const RECURSIVE_RESOLVER: Receiver = Receiver {
+    ty: "RecursiveResolver",
+    fields: &[],
+    made_by: &["RecursiveResolver::new("],
+};
+
+const STD_RESOLVER: Receiver = Receiver {
+    ty: "StdResolver",
+    fields: &[],
+    made_by: &["StdResolver::new(", ".std_resolver("],
+};
 
 /// What each pinned form's doc says.
 const SAYS: &str = "Pinned by `benchmark/`; goes in ROADMAP item 1(c).";
@@ -74,38 +129,107 @@ fn has_word(text: &str, word: &str) -> bool {
     !occurrences(text, word).is_empty()
 }
 
-/// Whether `text` calls `BindingCache::insert` by its path, or `insert`
-/// on what is plainly a binding cache: a `binding_cache` field, or a
-/// local bound to `BindingCache::new()`, up to the end of its block.
-fn calls_binding_cache_insert(text: &str) -> bool {
-    let mut locals: Vec<(String, usize)> = Vec::new();
+/// `text` with each line that continues a method chain (it starts with
+/// `.`) joined to the line before it, so a call split over lines reads
+/// as one.
+fn chained(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
     for line in text.lines() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with('.') && out.ends_with('\n') {
+            out.pop();
+            out.push_str(trimmed);
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The name `line` annotates with a type naming `ty`, as a parameter, a
+/// field or a `let` is (`resolver: &StdResolver`, `r: Arc<StdResolver>`).
+fn annotated<'a>(line: &'a str, ty: &str) -> Option<&'a str> {
+    occurrences(line, ty).into_iter().find_map(|after| {
+        let at = line.len() - after.len() - ty.len();
+        let head = line[..at].trim_end_matches(|c: char| is_ident_char(c) || "&<:' ".contains(c));
+        let typed = &line[head.len()..at];
+        let colon = typed.find(": ").filter(|&i| !typed[..i].ends_with(':'))?;
+        let name = typed[..colon].rsplit(|c: char| !is_ident_char(c)).next()?;
+        (!name.is_empty()).then_some(name)
+    })
+}
+
+/// Whether `text` calls `method` on a value of `receiver`'s type: by
+/// path, on one of its fields, or on a local bound to one, up to the end
+/// of the block that binds it (a later `let` of the name unbinds it).
+fn calls(text: &str, receiver: &Receiver, method: &str) -> bool {
+    let call = format!(".{method}(");
+    let mut locals: Vec<(String, usize)> = Vec::new();
+    for line in chained(text).lines() {
         let indent = line.len() - line.trim_start().len();
         let trimmed = line.trim_start();
         if trimmed.starts_with('}') {
             locals.retain(|(_, at)| *at <= indent);
         }
+        let mut bound = None;
         if let Some(rest) = trimmed.strip_prefix("let ") {
-            if line.contains("BindingCache::new()") {
-                let name = rest.split(|c: char| !is_ident_char(c)).next();
-                locals.extend(name.map(|name| (name.to_string(), indent)));
+            let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+            let name = rest.split(|c: char| !is_ident_char(c)).next().unwrap_or("");
+            locals.retain(|(local, _)| local != name);
+            if receiver.made_by.iter().any(|made| line.contains(made)) {
+                bound = Some(name);
             }
         }
-        let on = |receiver: &str| {
-            occurrences(line, receiver)
+        if let Some(name) = bound.or_else(|| annotated(line, receiver.ty)) {
+            locals.push((name.to_string(), indent));
+        }
+        let on = |name: &str| {
+            occurrences(line, name)
                 .iter()
-                .any(|after| after.starts_with(".insert("))
+                .any(|after| after.starts_with(&call))
         };
-        let by_path = occurrences(line, "BindingCache").iter().any(|after| {
+        let by_path = occurrences(line, receiver.ty).iter().any(|after| {
             after
-                .strip_prefix("::insert")
+                .strip_prefix("::")
+                .and_then(|rest| rest.strip_prefix(method))
                 .is_some_and(|rest| !rest.starts_with(is_ident_char))
         });
-        if by_path || on("binding_cache") || locals.iter().any(|(name, _)| on(name)) {
+        if by_path
+            || receiver.fields.iter().any(|field| on(field))
+            || locals.iter().any(|(name, _)| on(name))
+        {
             return true;
         }
     }
     false
+}
+
+/// `source` without the bodies of the pinned forms it defines: a pinned
+/// wrapper may call another pinned form.
+fn outside_pinned_wrappers(source: &str, file: &Path) -> String {
+    let mut out = String::new();
+    let mut skipping: Option<String> = None;
+    for line in source.lines() {
+        if let Some(close) = &skipping {
+            if line == close {
+                skipping = None;
+            }
+            continue;
+        }
+        let trimmed = line.trim_start();
+        let wraps = PINNED.iter().any(|pinned| {
+            Path::new(pinned.defined_in) == file && trimmed.starts_with(pinned.defined_by)
+        });
+        if wraps && trimmed.ends_with('{') {
+            let indent = line.len() - trimmed.len();
+            skipping = Some(format!("{}}}", " ".repeat(indent)));
+            continue;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
 }
 
 fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
@@ -188,6 +312,14 @@ fn pinned_forms_are_listed_and_unused() {
     }
     files.sort();
     let this = Path::new("tests/pinned.rs");
+    let sources: Vec<(PathBuf, String)> = (files.into_iter())
+        .filter(|file| file != this)
+        .map(|file| {
+            let text = std::fs::read_to_string(root.join(&file)).expect("a source");
+            let text = outside_pinned_wrappers(&text, &file);
+            (file, text)
+        })
+        .collect();
     let surface = surface();
     let mut faults = Vec::new();
     for pinned in &PINNED {
@@ -205,12 +337,8 @@ fn pinned_forms_are_listed_and_unused() {
                 pinned.form
             ));
         }
-        for file in &files {
-            if file == this || file == Path::new(pinned.defined_in) {
-                continue;
-            }
-            let text = std::fs::read_to_string(root.join(file)).expect("a source");
-            if (pinned.used_in)(&text) {
+        for (file, text) in &sources {
+            if file != Path::new(pinned.defined_in) && (pinned.used_in)(text) {
                 faults.push(format!("{} uses {}", file.display(), pinned.form));
             }
         }
@@ -233,8 +361,9 @@ fn the_binding_cache_detector_sees_calls_and_only_calls() {
         "let c = HnsCache::new(mode);\nc.insert(&w, k, &v, 1, 600);",
         "BindingCache::insert_service(&c, world, qc, ns, b, at);",
     ];
-    assert!(uses.iter().all(|text| calls_binding_cache_insert(text)));
-    assert!(!others.iter().any(|text| calls_binding_cache_insert(text)));
+    let detects = |text: &&str| calls(text, &BINDING_CACHE, "insert");
+    assert!(uses.iter().all(detects));
+    assert!(!others.iter().any(detects));
     assert!(lists(
         "`BindingCache::{new, lookup, insert}`",
         "BindingCache::insert"
@@ -248,4 +377,77 @@ fn the_binding_cache_detector_sees_calls_and_only_calls() {
         "VirtualClock::set_batched"
     ));
     assert!(lists("`MetaKey::host_addr`", "MetaKey"));
+}
+
+/// The detectors of the composed-cache switch and the resolvers' `Arc`
+/// forms find their calls, and not a same-named method of another type,
+/// the replacement, or a pinned wrapper calling another pinned form.
+#[test]
+fn the_detectors_tell_each_pinned_form_from_its_siblings() {
+    let set_enabled = |text: &str| calls(text, &BINDING_CACHE, "set_enabled");
+    let recursive = |text: &str| calls(text, &RECURSIVE_RESOLVER, "query");
+    let std = |text: &str| calls(text, &STD_RESOLVER, "query");
+    for text in [
+        "let c = BindingCache::new();\nc.set_enabled(true);",
+        "let composed = BindingCache::of(false);\ncomposed.set_enabled(true);",
+        "self.binding_cache.set_enabled(enabled);",
+        "BindingCache::set_enabled(&c, true);",
+    ] {
+        assert!(set_enabled(text), "{text}");
+    }
+    for text in [
+        "world.tracer.set_enabled(true);",
+        "let t = Tracer::new();\nt.set_enabled(true);",
+        "let c = BindingCache::of(true);\nhns.set_batching(true);",
+    ] {
+        assert!(!set_enabled(text), "{text}");
+    }
+    assert!(has_word(
+        "hns.set_binding_cache(true);",
+        "set_binding_cache"
+    ));
+    assert!(!has_word("hns.set_batching(true);", "set_binding_cache"));
+    for text in [
+        "let r = RecursiveResolver::new(net, host, root);\nr.query(&n, RType::A)",
+        "let walker = bindns::RecursiveResolver::new(\n    net,\n);\nwalker\n    .query(&n, RType::A)",
+        "RecursiveResolver::query(&r, &n, RType::A)",
+        "fn f(resolver: &RecursiveResolver) {\n    resolver.query(&n, RType::A);\n}",
+    ] {
+        assert!(recursive(text) && !std(text), "{text}");
+    }
+    for text in [
+        "let std = StdResolver::new(net, host, server);\nstd.query(&n, RType::A)",
+        "let resolver = tb.std_resolver(host);\nresolver\n    .query(&n, RType::A)",
+        "let r: Arc<StdResolver> = make();\nr.query(&n, RType::A)",
+    ] {
+        assert!(std(text) && !recursive(text), "{text}");
+    }
+    for text in [
+        "let r = RecursiveResolver::new(net, host, root);\nr.resolve(&n, RType::A)",
+        "let std = StdResolver::new(net, host, server);\nstd.query_first(\"fiji\", RType::A)",
+        "let hrpc = HrpcResolver::new(net, host, server);\nhrpc.query(&n, RType::A)",
+        "let r = StdResolver::new(n, h, s);\nlet r = HrpcResolver::new(n, h, s);\nr.query(&n, RType::A)",
+        "client.query(&qc, &name, vec![])",
+        "agent\n    .query(&qc, &name, vec![])",
+        "fn a() {\n    let r = StdResolver::new(n, h, s);\n}\nfn b() {\n    r.query(&n, RType::A);\n}",
+    ] {
+        assert!(!recursive(text) && !std(text), "{text}");
+    }
+    let service = Path::new("crates/core/src/service.rs");
+    let wrapper = "    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).\n    \
+                   pub fn set_binding_cache(&self, enabled: bool) {\n        \
+                   self.binding_cache.set_enabled(enabled);\n    }\n";
+    assert!(set_enabled(wrapper));
+    assert!(!set_enabled(&outside_pinned_wrappers(wrapper, service)));
+    let outside = "    fn f(&self) {\n        self.binding_cache.set_enabled(false);\n    }\n";
+    let both = format!("{wrapper}{outside}");
+    assert!(set_enabled(&outside_pinned_wrappers(&both, service)));
+    assert!(lists(
+        "`Hns::{new, set_binding_cache,\nset_batching}`",
+        "Hns::set_binding_cache"
+    ));
+    assert!(lists(
+        "`StdResolver::{new, query, query_uncached}`",
+        "StdResolver::query"
+    ));
 }
