@@ -301,10 +301,6 @@ pub fn run(config: &ChaosConfig) -> ChaosRun {
     world.charge(last_heal.since(world.now()) + SimDuration::from_ms(1_000));
     round("recovery");
 
-    // Flush every registered snapshot-time cache export. Disabled
-    // caches stay silent, so the cold (Disabled) instance no longer
-    // clobbers the warm instance's `hns_cache` rows with zeros.
-    world.export_all_caches();
     let snapshot = world.metrics().snapshot();
     let recovered = events
         .iter()

@@ -116,17 +116,13 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     let scenario = Scenario::build();
     let world = &scenario.tb.world;
     let probe_step = SimDuration::from_ms(PROBE_MS);
-    world.export_all_caches();
     let sampler = Sampler::new(
         world.metrics(),
         world.now().as_us(),
         config.window_ms * 1000,
     );
     let sampler = RefCell::new(sampler);
-    // Closes the windows that have ended, caches flushed first so a
-    // window reads current cache totals.
     let tick = || {
-        world.export_all_caches();
         sampler
             .borrow_mut()
             .tick(world.metrics(), world.now().as_us());
@@ -208,7 +204,6 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
         last.until_us = world.now().as_us();
     }
 
-    world.export_all_caches();
     let timeline = sampler
         .into_inner()
         .finish(world.metrics(), world.now().as_us());

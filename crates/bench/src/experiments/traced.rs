@@ -153,10 +153,6 @@ pub fn run() -> TracedRun {
         }
     }
 
-    // Snapshot-time exports from the caches that keep their own atomics
-    // (hns_cache, nsm_cache, bindns_cache — all registered with the
-    // world at construction).
-    tb.world.export_all_caches();
     TracedRun {
         queries,
         snapshot: tb.world.metrics().snapshot(),

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use simnet::obs::MetricsRegistry;
+use simnet::obs::CounterSource;
 use simnet::time::{SimDuration, SimTime};
 use simnet::ttl::{arc_share, Key, Probe, TtlMap};
 use simnet::world::World;
@@ -160,20 +160,12 @@ impl TtlCache {
         Self::default()
     }
 
-    /// Creates an empty cache that publishes its statistics under
-    /// `component` on every [`World::export_all_caches`] (sampler ticks,
-    /// end-of-run snapshots). The exporter holds a `Weak`, so a dropped
-    /// cache goes inert; with several caches of one component on one
-    /// world the last-registered live one wins, matching the
-    /// last-writer-wins semantics of `set_counter` exports.
+    /// Creates an empty cache whose statistics every snapshot of
+    /// `world`'s registry reads under `component`, summed with those of
+    /// the component's other live caches, until it is dropped.
     pub fn exported(world: &World, component: &'static str) -> Arc<Self> {
         let cache = Arc::new(TtlCache::new());
-        let weak = Arc::downgrade(&cache);
-        world.register_cache_exporter(Box::new(move |metrics| {
-            if let Some(cache) = weak.upgrade() {
-                cache.export_metrics(metrics, component);
-            }
-        }));
+        world.metrics().register(component, &cache);
         cache
     }
 
@@ -337,27 +329,25 @@ impl TtlCache {
             stale_serves: s.stale_serves,
         }
     }
+}
 
-    /// Publishes the cache's statistics into `metrics` under `component`
-    /// (snapshot-time export, like the HNS cache).
-    pub fn export_metrics(&self, metrics: &MetricsRegistry, component: &str) {
+impl CounterSource for TtlCache {
+    fn rows(&self, row: &mut dyn FnMut(&'static str, u64)) {
         let s = self.stats();
-        self.map.export(
-            metrics,
-            component,
-            &[
-                ("hits", s.hits),
-                ("misses", s.misses),
-                ("expirations", s.expirations),
-                ("entries", self.len() as u64),
-            ],
-        );
+        let view = [
+            ("hits", s.hits),
+            ("misses", s.misses),
+            ("expirations", s.expirations),
+            ("entries", self.len() as u64),
+        ];
+        self.map.export(&view, row);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::obs::MetricsRegistry;
     use simnet::topology::{HostId, NetAddr};
 
     fn name(s: &str) -> DomainName {
@@ -448,14 +438,14 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_publishes_stats() {
+    fn every_snapshot_reads_the_stats() {
         let m = MetricsRegistry::new();
-        let c = TtlCache::new();
+        let c = Arc::new(TtlCache::new());
+        m.register("bindns_cache", &c);
         c.insert(SimTime::ZERO, name("a.b"), RType::A, vec![rr(1)]);
         let _ = c.get(SimTime::ZERO, &name("a.b"), RType::A); // hit
         let _ = c.get(SimTime::from_ms(2_000), &name("a.b"), RType::A); // expired
         let _ = c.get(SimTime::ZERO, &name("x.y"), RType::A); // miss
-        c.export_metrics(&m, "bindns_cache");
         let snap = m.snapshot();
         assert_eq!(snap.counter("bindns_cache", "hits"), Some(1));
         assert_eq!(snap.counter("bindns_cache", "misses"), Some(2));
@@ -469,7 +459,6 @@ mod tests {
 
         let stale = c.get_stale(SimTime::from_ms(2_000), &name("a.b"), RType::A);
         assert!(stale.is_some(), "the expired entry is still resident");
-        c.export_metrics(&m, "bindns_cache");
         let snap = m.snapshot();
         assert_eq!(snap.counter("bindns_cache", "stale_serves"), Some(1));
     }

@@ -288,7 +288,6 @@ mod tests {
     use crate::zone::Zone;
     use hrpc::server::{CallCtx, RpcService};
     use simnet::faults::FaultPlan;
-    use simnet::obs::MetricsRegistry;
     use simnet::topology::NetAddr;
     use simnet::world::World;
     use wire::Value;
@@ -734,14 +733,10 @@ mod tests {
             .get_stale(world.now(), &last, RType::A)
             .is_some());
 
-        let metrics = MetricsRegistry::new();
-        resolver.cache.export_metrics(&metrics, "c");
-        let snap = metrics.snapshot();
-        assert!(snap.counter("c", "evictions") >= Some(9 * CAPACITY as u64));
-        assert_eq!(
-            snap.counter("c", "resident"),
-            Some(resolver.cache.resident() as u64)
-        );
+        let snap = world.metrics().snapshot();
+        let row = |name| snap.counter("bindns_recursive_cache", name);
+        assert!(row("evictions") >= Some(9 * CAPACITY as u64));
+        assert_eq!(row("resident"), Some(resolver.cache.resident() as u64));
     }
 
     /// A server that answers every query with one fixed answer.

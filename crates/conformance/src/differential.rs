@@ -697,7 +697,6 @@ pub mod peers {
 
         see("counters", format!("{:?}", world.counters()));
         see("virtual time", format!("{}", world.now()));
-        world.export_all_caches();
         see("metrics", world.metrics().snapshot().to_json());
         seen.extend(observe_nsms(peers));
         seen
@@ -802,7 +801,6 @@ pub mod peers {
 
         see("nsm counters", format!("{:?}", tb.world.counters()));
         see("nsm virtual time", format!("{}", tb.world.now()));
-        tb.world.export_all_caches();
         see("nsm metrics", tb.world.metrics().snapshot().to_json());
         seen.extend(observe_write_plane(peers));
         seen
@@ -889,7 +887,6 @@ pub mod peers {
 
         see("write counters", format!("{:?}", tb.world.counters()));
         see("write virtual time", format!("{}", tb.world.now()));
-        tb.world.export_all_caches();
         see("write metrics", tb.world.metrics().snapshot().to_json());
         seen
     }

@@ -31,7 +31,7 @@ use bindns::message::Answer;
 use bindns::server::{deploy, single_zone_server};
 use bindns::zone::{RrBody, Zone};
 use bindns::{DomainName, ResourceRecord, ZoneDb};
-use clearinghouse::property::PROP_MAILBOX;
+use clearinghouse::property::{PROP_ADDRESS, PROP_MAILBOX};
 use clearinghouse::ThreePartName;
 use conformance::alloc::{measure_calls, CountingAlloc};
 use hns_core::cache::CacheMode;
@@ -220,6 +220,12 @@ const CH_SET_ITEM: Row = (2, 34);
 /// the credentials, and an entry going away frees. (7 / 403 B while the
 /// request was a tree the server parsed back.)
 const CH_DELETE: Row = (0, 0);
+/// `ChClient::lookup_item_run` of two address items, as `regd` reads a
+/// chain of links: the `LookupRun`'s vector of the two names, which it
+/// shares, and the reply's vector of the two items, which are numbers.
+/// The reply lands in the client's slot as the tree it is; the decoder
+/// that would clone it never runs.
+const CH_LOOKUP_ITEM_RUN: Row = (2, 176);
 
 /// `Zone::load` of a 4,096-name cell shaped like the scale world's, 8
 /// binding payloads shared by `Arc`, then `ZoneDb::add_zone`: the zone's
@@ -463,6 +469,16 @@ fn the_write_plane_stays_within_its_allocation_budgets() {
     row("ChClient::delete", CH_DELETE, || {
         ch.delete(&temp).expect("delete")
     });
+
+    let run =
+        ["printserver:cs:uw", "dlion:cs:uw"].map(|name| ThreePartName::parse(name).expect("name"));
+    let addresses = || ch.lookup_item_run(&run, PROP_ADDRESS).expect("run");
+    assert_eq!(addresses().len(), 2);
+    row(
+        "warm ChClient::lookup_item_run",
+        CH_LOOKUP_ITEM_RUN,
+        addresses,
+    );
 }
 
 /// Standing up a cell's zone: what a server taking a transferred or

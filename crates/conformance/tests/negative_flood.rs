@@ -61,7 +61,6 @@ fn distinct_negative_find_nsms_hold_memory_flat_and_intern_nothing() {
     let readings = built.zip(first).zip(second);
     let ((built, first), second) = readings.expect("the counting allocator is installed");
     let (at_half, at_end) = (built + first, built + first + second);
-    hns.export_metrics();
     let snapshot = hns.world().metrics().snapshot();
     let cache = |name| snapshot.counter("hns_cache", name).unwrap_or(0);
     println!(

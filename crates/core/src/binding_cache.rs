@@ -47,6 +47,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use hrpc::HrpcBinding;
+use simnet::obs::CounterSource;
 use simnet::time::SimTime;
 use simnet::ttl::{Probe, TtlMap, END};
 use simnet::world::World;
@@ -230,28 +231,28 @@ impl BindingCache {
     pub fn service_stats(&self) -> BindingCacheStats {
         self.by_service.stats()
     }
+}
 
-    /// Exports the current statistics of both levels into a metrics
-    /// registry under `component` (published at snapshot time like the
-    /// per-mapping cache's stats; never registered while the cache is
-    /// disabled and untouched, so default-configuration snapshots are
-    /// unchanged).
-    pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
+/// Every snapshot reads the statistics of both levels while the cache is
+/// on; an off cache has no rows, so default-configuration snapshots have
+/// none of this component.
+impl CounterSource for BindingCache {
+    fn rows(&self, row: &mut dyn FnMut(&'static str, u64)) {
+        if !self.enabled() {
+            return;
+        }
         let (c, s) = (self.stats(), self.service_stats());
-        self.by_context.map.export(
-            metrics,
-            component,
-            &[
-                ("hits", c.hits),
-                ("misses", c.misses),
-                ("expired", c.expired),
-                ("inserts", c.inserts),
-                ("service_hits", s.hits),
-                ("service_misses", s.misses),
-                ("service_expired", s.expired),
-                ("service_inserts", s.inserts),
-            ],
-        );
+        let view = [
+            ("hits", c.hits),
+            ("misses", c.misses),
+            ("expired", c.expired),
+            ("inserts", c.inserts),
+            ("service_hits", s.hits),
+            ("service_misses", s.misses),
+            ("service_expired", s.expired),
+            ("service_inserts", s.inserts),
+        ];
+        self.by_context.map.export(&view, row);
     }
 }
 

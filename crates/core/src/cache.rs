@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intern::NameId;
+use simnet::obs::CounterSource;
 use simnet::time::SimTime;
 use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::ttl::{arc_share, Key, KeyParts, Probe, TtlMap, END};
@@ -563,25 +564,23 @@ impl<V: Cacheable> HnsCache<V> {
             stale_serves: map.stale_serves,
         }
     }
+}
 
-    /// Exports the current statistics into a metrics registry under
-    /// `component` (the hot probe path keeps its own atomics; this
-    /// publishes them at snapshot time).
-    pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
+/// Every snapshot reads the statistics. A disabled cache counts nothing,
+/// so it has no rows ([`TtlMap::export`]).
+impl<V: Cacheable + Send + Sync> CounterSource for HnsCache<V> {
+    fn rows(&self, row: &mut dyn FnMut(&'static str, u64)) {
         let s = self.stats();
-        self.map.export(
-            metrics,
-            component,
-            &[
-                ("hits", s.hits),
-                ("misses", s.misses),
-                ("expired", s.expired),
-                ("negative_hits", s.negative_hits),
-                ("inserts", s.inserts),
-                ("preloaded", s.preloaded),
-                ("entries", self.len() as u64),
-            ],
-        );
+        let view = [
+            ("hits", s.hits),
+            ("misses", s.misses),
+            ("expired", s.expired),
+            ("negative_hits", s.negative_hits),
+            ("inserts", s.inserts),
+            ("preloaded", s.preloaded),
+            ("entries", self.len() as u64),
+        ];
+        self.map.export(&view, row);
     }
 }
 
@@ -923,15 +922,19 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_publishes_stats() {
+    fn every_snapshot_reads_the_stats_of_an_enabled_cache() {
         let world = simnet::World::paper();
-        let cache = HnsCache::new(CacheMode::Demarshalled);
+        let metrics = world.metrics();
+        let cache = Arc::new(HnsCache::new(CacheMode::Demarshalled));
+        let off = Arc::new(HnsCache::new(CacheMode::Disabled));
+        metrics.register("hns_cache", &cache);
+        metrics.register("hns_cache", &off);
         cache.insert(&world, key(), &value(), 1, 600);
         let _ = cache.get(&world, &key());
-        let metrics = simnet::obs::MetricsRegistry::new();
-        cache.export_metrics(&metrics, "hns_cache");
+        let _ = off.get(&world, &key());
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("hns_cache", "hits"), Some(1));
+        assert_eq!(snap.counter("hns_cache", "misses"), Some(0));
         assert_eq!(snap.counter("hns_cache", "inserts"), Some(1));
         assert_eq!(snap.counter("hns_cache", "entries"), Some(1));
     }

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use simnet::obs::{LazyCounter, LazyHistogram, MetricsRegistry};
+use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::{HostId, NetAddr};
 use simnet::trace::{CacheOutcome, TraceKind};
@@ -211,19 +211,11 @@ impl Hns {
         let resolver = HrpcResolver::new(Arc::clone(&net), host, meta_binding);
         let cache = Arc::new(HnsCache::of(cache));
         let binding_cache = Arc::new(BindingCache::of(composed));
-        // Snapshot-time stats flush through `World::export_all_caches`:
-        // `Weak` captures keep dropped instances (e.g. the short-lived
-        // registrar HNSes the harness builds) from re-publishing stale
-        // totals.
-        let weak_cache = Arc::downgrade(&cache);
-        let weak_binding = Arc::downgrade(&binding_cache);
-        net.world()
-            .register_cache_exporter(Box::new(move |metrics| {
-                if let (Some(cache), Some(binding)) = (weak_cache.upgrade(), weak_binding.upgrade())
-                {
-                    export_caches(&cache, &binding, metrics);
-                }
-            }));
+        // Every snapshot sums these with the other live instances' caches;
+        // a dropped instance leaves it.
+        let metrics = net.world().metrics();
+        metrics.register("hns_cache", &cache);
+        metrics.register("hns_binding_cache", &binding_cache);
         Hns {
             net,
             host,
@@ -842,13 +834,6 @@ impl Hns {
         })
     }
 
-    /// Publishes this instance's cache statistics into the world's
-    /// metrics registry, as [`World::export_all_caches`] does for every
-    /// instance on each sampler tick.
-    pub fn export_metrics(&self) {
-        export_caches(&self.cache, &self.binding_cache, self.world().metrics());
-    }
-
     /// Preloads the cache by zone transfer of the meta zone: all of it
     /// the first time, then what changed since the last preload's serial
     /// (all of it again if the server's delta log is truncated past it).
@@ -931,25 +916,6 @@ impl Hns {
             entries += 1;
         }
         entries
-    }
-}
-
-/// Publishes the statistics of one instance's caches: component
-/// `hns_cache`, plus `hns_binding_cache` when the composed cache is
-/// enabled (so default-configuration snapshots do not grow rows). A
-/// disabled cache publishes nothing: several instances share one
-/// component, and a disabled one exporting zeros would clobber a live
-/// one's rows.
-fn export_caches(
-    cache: &HnsCache<MetaRecord>,
-    binding_cache: &BindingCache,
-    metrics: &MetricsRegistry,
-) {
-    if cache.mode() != CacheMode::Disabled {
-        cache.export_metrics(metrics, "hns_cache");
-    }
-    if binding_cache.enabled() {
-        binding_cache.export_metrics(metrics, "hns_binding_cache");
     }
 }
 

@@ -30,6 +30,7 @@ use hrpc::error::RpcResult;
 use hrpc::net::RpcNet;
 use hrpc::server::ReplySlot;
 use hrpc::HrpcBinding;
+use simnet::obs::CounterSource;
 use simnet::topology::{HostId, NetAddr};
 use simnet::ttl::END;
 
@@ -106,10 +107,12 @@ impl<S> BindingNsm<S> {
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
+}
 
-    /// Publishes this NSM's cache stats into `metrics` under `component`.
-    pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
-        self.cache.export_metrics(metrics, component);
+/// A snapshot reads the NSM's result cache.
+impl<S: Send + Sync> CounterSource for BindingNsm<S> {
+    fn rows(&self, row: &mut dyn FnMut(&'static str, u64)) {
+        self.cache.rows(row);
     }
 }
 

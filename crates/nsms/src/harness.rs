@@ -378,19 +378,10 @@ impl Testbed {
         let (net, identity) = (Arc::clone(&self.net), NameMapping::Identity);
         let ch = BindingChNsm::new(net, host, self.ch_client(host), identity, form);
 
-        // Flush the bind-backed NSM's result cache on every
-        // `World::export_all_caches` under the component name the traced
-        // experiment established (`nsm_cache`); a Disabled cache stays
-        // silent. The CH NSM's cache is not registered — one component,
-        // one instance, last-writer-wins.
-        if form != NsmCacheForm::Disabled {
-            let weak = Arc::downgrade(&bind);
-            self.world.register_cache_exporter(Box::new(move |metrics| {
-                if let Some(nsm) = weak.upgrade() {
-                    nsm.export_metrics(metrics, "nsm_cache");
-                }
-            }));
-        }
+        // `nsm_cache` is the BIND-backed binding NSM's result cache, summed
+        // over every such NSM deployed on the world; the Clearinghouse
+        // twin's is not filed under it, so the row keeps that meaning.
+        self.world.metrics().register("nsm_cache", &bind);
         self.deploy_nsms(host, 0, [(bind.clone(), NS_BIND), (ch.clone(), NS_CH)]);
         DeployedBindingNsms { bind, ch, host }
     }

@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use hns_core::cache::{Cacheable, HeapBytes, Stored};
+use simnet::obs::CounterSource;
 use simnet::trace::CacheOutcome;
 use simnet::ttl::{KeyParts, Probe, TtlMap};
 use simnet::world::World;
@@ -112,21 +113,20 @@ impl<V: Cacheable> NsmCache<V> {
     pub fn clear(&self) {
         self.map.clear();
     }
+}
 
-    /// Publishes current hit/miss totals into a metrics registry under
-    /// `component` (snapshot-time export). `entries` counts what has not
-    /// yet been observed expired.
-    pub fn export_metrics(&self, metrics: &simnet::obs::MetricsRegistry, component: &str) {
+/// Every snapshot reads the hit and miss totals; a disabled cache counts
+/// nothing, so it has no rows ([`TtlMap::export`]). `entries` counts what
+/// has not yet been observed expired.
+impl<V: Cacheable + Send + Sync> CounterSource for NsmCache<V> {
+    fn rows(&self, row: &mut dyn FnMut(&'static str, u64)) {
         let (hits, misses) = self.stats();
-        self.map.export(
-            metrics,
-            component,
-            &[
-                ("hits", hits),
-                ("misses", misses),
-                ("entries", self.map.live() as u64),
-            ],
-        );
+        let view = [
+            ("hits", hits),
+            ("misses", misses),
+            ("entries", self.map.live() as u64),
+        ];
+        self.map.export(&view, row);
     }
 }
 

@@ -17,7 +17,9 @@
 //!   rendering) ride along inside whatever span is current.
 //! * [`metrics`] — a [`MetricsRegistry`] of [`Counter`]s and
 //!   fixed-bucket [`Histogram`]s keyed by `(component, name)`, with a
-//!   deterministic [`MetricsSnapshot`] that renders as text or JSON. Both
+//!   deterministic [`MetricsSnapshot`] that renders as text or JSON and
+//!   sums in the rows of every live [`CounterSource`] — a cache keeps its
+//!   own counters, and each snapshot reads them. Counters and histograms
 //!   are built on [`word`]'s single-writer word: the thread that writes
 //!   first owns it and writes without a lock-prefixed instruction, any
 //!   other thread atomically into a second word, merged on read.
@@ -39,8 +41,9 @@ pub mod trace;
 pub mod word;
 
 pub use metrics::{
-    ms_to_us, Counter, CounterDelta, CounterSample, Histogram, HistogramDelta, HistogramSample,
-    LazyCounter, LazyHistogram, LocalHistogram, MetricsDelta, MetricsRegistry, MetricsSnapshot,
+    ms_to_us, Counter, CounterDelta, CounterSample, CounterSource, Histogram, HistogramDelta,
+    HistogramSample, LazyCounter, LazyHistogram, LocalHistogram, MetricsDelta, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use timeline::{Sampler, Timeline, TimelineMark, TimelineWindow, WindowHistogram};
 pub use trace::{CacheOutcome, QueryTrace, SpanId, SpanRecord, TraceEvent, TraceKind, Tracer};

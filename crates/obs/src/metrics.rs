@@ -9,6 +9,10 @@
 //! the two — so concurrent `inc`s and `record`s are never lost (asserted
 //! by the concurrency tests below).
 //!
+//! A structure that keeps its own counters — every cache does —
+//! registers itself once as a [`CounterSource`] instead, and each
+//! snapshot reads it then, summing the rows of every live source.
+//!
 //! Histogram buckets are fixed at construction: exact buckets for
 //! values `0..64` (so small counts — round trips, record counts — are
 //! reported exactly), then 16 sub-buckets per power of two above that
@@ -16,9 +20,9 @@
 //! bound of the bucket containing the target rank, which makes
 //! `percentile(p)` monotone in `p` by construction (proptested).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::RwLock;
 
@@ -98,15 +102,15 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.0.get()
     }
+}
 
-    /// Overwrites the total.
-    ///
-    /// Used to export externally-maintained counters (for example
-    /// `HnsCacheStats`) into the registry at snapshot time; an `add`
-    /// racing it is either kept or overwritten.
-    pub fn set(&self, v: u64) {
-        self.0.set(v);
-    }
+/// Something that keeps its own counters — a cache — read at every
+/// [`MetricsRegistry::snapshot`] once [`MetricsRegistry::register`] has
+/// filed it under a component.
+pub trait CounterSource: Send + Sync {
+    /// Hands `row` each `(name, value)` the source publishes now; a name
+    /// it leaves out is no row of its.
+    fn rows(&self, row: &mut dyn FnMut(&'static str, u64));
 }
 
 /// A counter handle resolved against a registry on first use.
@@ -470,7 +474,8 @@ pub struct HistogramSample {
     pub stats: HistogramStats,
 }
 
-/// Registry of all counters and histograms, keyed by `(component, name)`.
+/// Registry of all counters and histograms, keyed by `(component, name)`,
+/// and of the [`CounterSource`]s each snapshot reads.
 ///
 /// Metric names carry their unit as a suffix by convention: `*_us` for
 /// microsecond histograms, bare names for counts.
@@ -478,6 +483,7 @@ pub struct HistogramSample {
 pub struct MetricsRegistry {
     counters: RwLock<HashMap<(String, String), Arc<Counter>>>,
     histograms: RwLock<HashMap<(String, String), Arc<Histogram>>>,
+    sources: RwLock<Vec<(&'static str, Weak<dyn CounterSource>)>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -536,9 +542,16 @@ impl MetricsRegistry {
         self.counter(component, name).add(n);
     }
 
-    /// Overwrites the counter `component/name` (see [`Counter::set`]).
-    pub fn set_counter(&self, component: &str, name: &str, v: u64) {
-        self.counter(component, name).set(v);
+    /// Files `source` under `component`: every snapshot from now on reads
+    /// its rows, until it is dropped — the registry holds it weakly, so a
+    /// dropped source contributes nothing.
+    pub fn register<S: CounterSource + 'static>(&self, component: &'static str, source: &Arc<S>) {
+        let source = Arc::downgrade(source) as Weak<dyn CounterSource>;
+        let mut sources = self.sources.write();
+        if sources.len() == sources.capacity() {
+            sources.retain(|(_, source)| source.strong_count() > 0);
+        }
+        sources.push((component, source));
     }
 
     /// Records a raw sample into the histogram `component/name`.
@@ -547,19 +560,30 @@ impl MetricsRegistry {
     }
 
     /// A deterministic point-in-time snapshot of every metric, sorted
-    /// by `(component, name)`.
+    /// by `(component, name)`. It reads every live source: the rows of one
+    /// `(component, name)` are summed over the sources filed under that
+    /// component, and with the counter of that name, if there is one.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<CounterSample> = self
-            .counters
-            .read()
-            .iter()
-            .map(|((component, name), c)| CounterSample {
-                component: component.clone(),
-                name: name.clone(),
-                value: c.value(),
+        let live: Vec<_> = (self.sources.read().iter())
+            .filter_map(|(component, source)| Some((*component, source.upgrade()?)))
+            .collect();
+        let registered = self.counters.read();
+        let mut rows: BTreeMap<(&str, &str), u64> = (registered.iter())
+            .map(|((component, name), c)| ((component.as_str(), name.as_str()), c.value()))
+            .collect();
+        for (component, source) in &live {
+            source.rows(&mut |name, value| {
+                let sum = rows.entry((*component, name)).or_default();
+                *sum = sum.wrapping_add(value);
+            });
+        }
+        let counters = (rows.into_iter())
+            .map(|((component, name), value)| CounterSample {
+                component: component.to_string(),
+                name: name.to_string(),
+                value,
             })
             .collect();
-        counters.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
         let mut histograms: Vec<HistogramSample> = self
             .histograms
             .read()
@@ -603,12 +627,13 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// The componentwise difference `self - earlier`.
     ///
-    /// Counters subtract saturating (a snapshot-time `set_counter`
-    /// export can legitimately move a value backwards; the delta clamps
-    /// at zero rather than wrapping). Histograms difference their
-    /// `count` and `sum`, also saturating. Metrics with a zero delta —
-    /// and metrics present only in `earlier` — are omitted, so the
-    /// delta of two identical snapshots is empty.
+    /// Counters subtract saturating (a source's row can legitimately move
+    /// backwards — a gauge such as `entries`, or a sum one of whose
+    /// sources was dropped; the delta clamps at zero rather than
+    /// wrapping). Histograms difference their `count` and `sum`, also
+    /// saturating. Metrics with a zero delta — and metrics present only
+    /// in `earlier` — are omitted, so the delta of two identical
+    /// snapshots is empty.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsDelta {
         let counters = self
             .counters
@@ -851,16 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_set_overwrites_total() {
-        let c = Counter::new();
-        c.add(41);
-        c.inc();
-        assert_eq!(c.value(), 42);
-        c.set(7);
-        assert_eq!(c.value(), 7);
-    }
-
-    #[test]
     fn registry_reuses_handles_and_snapshots_deterministically() {
         let m = MetricsRegistry::new();
         let a = m.counter("hns_cache", "hits");
@@ -1098,28 +1113,6 @@ mod tests {
         assert_eq!(h.count(), 1_000);
     }
 
-    /// `Counter::set` after adds from the owner and from a foreign thread
-    /// is the new total, and adds from either side count on from it.
-    #[test]
-    fn counter_set_after_adds_from_both_sides() {
-        let c = Counter::new();
-        c.add(10);
-        std::thread::scope(|s| {
-            s.spawn(|| c.add(5));
-        });
-        assert_eq!(c.value(), 15);
-        c.set(4);
-        assert_eq!(c.value(), 4);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                c.inc();
-                c.set(40);
-            });
-        });
-        c.inc();
-        assert_eq!(c.value(), 41);
-    }
-
     /// Satellite: concurrent counter increments across threads are exact.
     #[test]
     fn concurrent_counter_increments_are_exact() {
@@ -1175,14 +1168,74 @@ mod tests {
         assert!(after.delta(&after).is_empty());
     }
 
-    /// Satellite: a snapshot-time `set_counter` that moves a value
-    /// backwards clamps the delta at zero instead of wrapping.
+    /// A source publishing fixed rows.
+    struct Fixed(&'static [(&'static str, u64)]);
+
+    impl CounterSource for Fixed {
+        fn rows(&self, row: &mut dyn FnMut(&'static str, u64)) {
+            self.0.iter().for_each(|&(name, value)| row(name, value));
+        }
+    }
+
+    /// Every live source is read at the snapshot, and the rows of one
+    /// `(component, name)` are summed: over the sources of a component,
+    /// and with a counter of the same name. A name one source leaves out
+    /// is the others' sum; a dropped source leaves the snapshot.
+    #[test]
+    fn snapshots_sum_the_rows_of_every_live_source() {
+        let m = MetricsRegistry::new();
+        let a = Arc::new(Fixed(&[("hits", 6), ("misses", 1)]));
+        let b = Arc::new(Fixed(&[("hits", 0), ("misses", 2), ("stale_serves", 3)]));
+        let other = Arc::new(Fixed(&[("hits", 40)]));
+        m.register("hns_cache", &a);
+        m.register("hns_cache", &b);
+        m.register("nsm_cache", &other);
+        m.add("nsm_cache", "hits", 2);
+        let snap = m.snapshot();
+        let row = |component, name| snap.counter(component, name);
+        assert_eq!(row("hns_cache", "hits"), Some(6));
+        assert_eq!(row("hns_cache", "misses"), Some(3));
+        assert_eq!(row("hns_cache", "stale_serves"), Some(3));
+        assert_eq!(row("nsm_cache", "hits"), Some(42));
+        assert_eq!(snap.counters.len(), 4, "{snap:?}");
+
+        drop(b);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("hns_cache", "misses"), Some(1));
+        assert_eq!(snap.counter("hns_cache", "stale_serves"), None);
+        drop((a, other));
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("hns_cache", "hits"), None);
+        assert_eq!(snap.counter("nsm_cache", "hits"), Some(2));
+    }
+
+    /// Registering past the list's room first lets go of dropped sources,
+    /// so a registry outliving many short-lived caches does not grow.
+    #[test]
+    fn registering_forgets_dropped_sources() {
+        let m = MetricsRegistry::new();
+        let kept = Arc::new(Fixed(&[("hits", 1)]));
+        m.register("c", &kept);
+        for _ in 0..1_000 {
+            m.register("c", &Arc::new(Fixed(&[("hits", 5)])));
+        }
+        assert!(m.sources.read().len() < 8, "{}", m.sources.read().len());
+        assert_eq!(m.snapshot().counter("c", "hits"), Some(1));
+    }
+
+    /// A row that moves backwards — its source dropped — clamps the delta
+    /// at zero instead of wrapping.
     #[test]
     fn snapshot_delta_saturates_on_backwards_counters() {
         let m = MetricsRegistry::new();
-        m.set_counter("hns_cache", "hits", 10);
+        let (a, b) = (
+            Arc::new(Fixed(&[("hits", 4)])),
+            Arc::new(Fixed(&[("hits", 6)])),
+        );
+        m.register("hns_cache", &a);
+        m.register("hns_cache", &b);
         let before = m.snapshot();
-        m.set_counter("hns_cache", "hits", 4);
+        drop(b);
         let d = m.snapshot().delta(&before);
         assert_eq!(d.counter("hns_cache", "hits"), 0);
         assert!(d.is_empty());

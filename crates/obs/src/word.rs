@@ -59,9 +59,8 @@ impl Owner {
 /// shared word every other thread adds to atomically.
 ///
 /// Totals are exact under any interleaving, and wrap at 2^64 as a
-/// `fetch_add` does. Each word only grows between [`OwnedWord::set`]s, so
-/// one reader's successive [`OwnedWord::get`]s are monotone (read-read
-/// coherence on each word).
+/// `fetch_add` does. Each word only grows, so one reader's successive
+/// [`OwnedWord::get`]s are monotone (read-read coherence on each word).
 ///
 /// # Examples
 ///
@@ -107,14 +106,6 @@ impl OwnedWord {
             .load(Relaxed)
             .wrapping_add(self.shared.load(Relaxed))
     }
-
-    /// Makes the total `v`, from any thread, by storing into the shared
-    /// word what the owner's word lacks of it. An `add` racing this is
-    /// either kept (the total reads `v + n`) or overwritten (`v`).
-    pub fn set(&self, v: u64) {
-        self.shared
-            .store(v.wrapping_sub(self.own.load(Relaxed)), Relaxed);
-    }
 }
 
 impl std::fmt::Debug for OwnedWord {
@@ -148,30 +139,6 @@ mod tests {
         assert_eq!(token(), mine);
         let theirs = std::thread::scope(|s| s.spawn(token).join().expect("token thread"));
         assert_ne!(theirs, mine);
-    }
-
-    /// `set` makes the total exactly `v` whichever half holds what was
-    /// added, and later adds from either side land on top of it.
-    #[test]
-    fn set_after_adds_from_both_sides_is_the_total() {
-        let word = OwnedWord::new();
-        word.add(100);
-        std::thread::scope(|s| {
-            s.spawn(|| word.add(23));
-        });
-        assert_eq!(word.get(), 123);
-        word.set(7);
-        assert_eq!(word.get(), 7);
-        // From a foreign thread too, below what the owner alone holds.
-        std::thread::scope(|s| {
-            s.spawn(|| word.set(3));
-        });
-        assert_eq!(word.get(), 3);
-        word.add(2);
-        std::thread::scope(|s| {
-            s.spawn(|| word.add(4));
-        });
-        assert_eq!(word.get(), 9);
     }
 
     #[test]

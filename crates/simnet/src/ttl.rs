@@ -9,10 +9,10 @@
 //! NSMs were modified to cache the results of remote lookups", plus the
 //! BIND resolver), so it is written once: [`TtlMap`] owns the table and
 //! its lock, the `now < expires_at` test, the retention rule, the
-//! capacity, the probe counters and the exporter. The HNS meta cache, the
-//! composed binding cache, the NSM result cache and the resolver's record
-//! cache each wrap one and add only what is theirs (storage forms,
-//! negative entries, min-TTL insert).
+//! capacity, the probe counters and their snapshot rows. The HNS meta
+//! cache, the composed binding cache, the NSM result cache and the
+//! resolver's record cache each wrap one and add only what is theirs
+//! (storage forms, negative entries, min-TTL insert).
 //!
 //! One behaviour, no options:
 //!
@@ -69,7 +69,6 @@
 
 use std::sync::Arc;
 
-use obs::MetricsRegistry;
 use parking_lot::Mutex;
 
 use crate::index::Index;
@@ -548,23 +547,29 @@ impl<V> TtlMap<V> {
         }
     }
 
-    /// Publishes a cache's counters into `metrics` under `component`: the
-    /// rows of `view` (each wrapper's published names, computed from
-    /// [`TtlMap::stats`]), `stale_serves`, and `evictions` with
-    /// `resident`. Those are registered only once `stale_serves`, resp.
+    /// A cache's counter rows, as its [`obs::CounterSource`] hands them
+    /// over: those of `view` (each wrapper's published names, computed
+    /// from [`TtlMap::stats`]), `stale_serves`, and `evictions` with
+    /// `resident`. Those are rows only once `stale_serves`, resp.
     /// `evictions`, is nonzero, so the snapshot of a run with no fault and
     /// no full map stays byte-for-byte what it was before either existed.
-    pub fn export(&self, metrics: &MetricsRegistry, component: &str, view: &[(&str, u64)]) {
-        for (name, value) in view {
-            metrics.set_counter(component, name, *value);
+    /// A cache whose every view row reads zero — nothing has probed or
+    /// filled it — has no rows at all, as a counter never added to has
+    /// none.
+    pub fn export(&self, view: &[(&'static str, u64)], row: &mut dyn FnMut(&'static str, u64)) {
+        if view.iter().all(|&(_, value)| value == 0) {
+            return;
+        }
+        for &(name, value) in view {
+            row(name, value);
         }
         let stats = self.stats();
         if stats.stale_serves > 0 {
-            metrics.set_counter(component, "stale_serves", stats.stale_serves);
+            row("stale_serves", stats.stale_serves);
         }
         if stats.evictions > 0 {
-            metrics.set_counter(component, "evictions", stats.evictions);
-            metrics.set_counter(component, "resident", stats.resident);
+            row("evictions", stats.evictions);
+            row("resident", stats.resident);
         }
     }
 }
@@ -972,27 +977,36 @@ mod tests {
         );
     }
 
+    /// The rows `export` hands over, in order.
+    fn rows<V>(map: &TtlMap<V>, view: &[(&'static str, u64)]) -> Vec<(&'static str, u64)> {
+        let mut rows = Vec::new();
+        map.export(view, &mut |name, value| rows.push((name, value)));
+        rows
+    }
+
     #[test]
     fn export_publishes_the_view_and_stale_serves_only_once_nonzero() {
         let map: TtlMap<u32> = TtlMap::default();
         map.insert(SimTime::ZERO, &[b"k"], 2, SimTime::ZERO.after_secs(1));
-        let metrics = MetricsRegistry::new();
-        map.export(&metrics, "c", &[("hits", 3), ("entries", 1)]);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("c", "hits"), Some(3));
-        assert_eq!(snap.counter("c", "entries"), Some(1));
-        assert_eq!(snap.counter("c", "stale_serves"), None);
+        let view = [("hits", 3), ("entries", 1)];
+        assert_eq!(rows(&map, &view), view);
         assert!(map
             .probe_stale(SimTime::from_ms(1_000), &[b"k"], servable)
             .is_some());
-        map.export(&metrics, "c", &[]);
-        assert_eq!(metrics.snapshot().counter("c", "stale_serves"), Some(1));
+        let view = [("hits", 3), ("entries", 0)];
+        assert_eq!(rows(&map, &view), [view[0], view[1], ("stale_serves", 1)]);
+    }
+
+    /// An untouched cache — its view all zeros — has no rows.
+    #[test]
+    fn export_of_an_all_zero_view_is_no_rows() {
+        let map: TtlMap<u32> = TtlMap::default();
+        assert_eq!(rows(&map, &[("hits", 0), ("entries", 0)]), []);
     }
 
     #[test]
     fn export_publishes_evictions_and_resident_only_once_something_was_evicted() {
         let map: TtlMap<u64> = TtlMap::with_capacity(2);
-        let metrics = MetricsRegistry::new();
         for key in 0u64..2 {
             map.insert(
                 SimTime::ZERO,
@@ -1001,20 +1015,15 @@ mod tests {
                 SimTime::ZERO.after_secs(1),
             );
         }
-        map.export(&metrics, "c", &[]);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("c", "evictions"), None);
-        assert_eq!(snap.counter("c", "resident"), None);
+        assert_eq!(rows(&map, &[("entries", 2)]), [("entries", 2)]);
         map.insert(
             SimTime::ZERO,
             &[&2u64.to_le_bytes()],
             0,
             SimTime::ZERO.after_secs(1),
         );
-        map.export(&metrics, "c", &[]);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("c", "evictions"), Some(1));
-        assert_eq!(snap.counter("c", "resident"), Some(2));
+        let rows = rows(&map, &[("entries", 2)]);
+        assert_eq!(rows, [("entries", 2), ("evictions", 1), ("resident", 2)]);
     }
 
     /// Eight threads on disjoint keys of one map: the lock must lose no

@@ -67,25 +67,6 @@ pub struct World {
     /// lock word was a measurable serialization point under
     /// multi-threaded load.
     faults_installed: AtomicBool,
-    cache_exporters: CacheExporters,
-}
-
-/// A registered snapshot-time exporter: flushes one cache's private
-/// atomics into the shared registry.
-pub type CacheExporter = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
-
-/// Snapshot-time cache exporters registered by components whose caches
-/// keep private atomics (`hns_cache`, `hns_binding_cache`, `nsm_cache`,
-/// `bindns_cache`). [`World::export_all_caches`] runs them all, so a
-/// mid-run snapshot sees current totals instead of stale zeros.
-#[derive(Default)]
-struct CacheExporters(RwLock<Vec<CacheExporter>>);
-
-impl std::fmt::Debug for CacheExporters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = self.0.read().map(|v| v.len()).unwrap_or(0);
-        f.debug_tuple("CacheExporters").field(&len).finish()
-    }
 }
 
 /// The `net` component's counters, each kept once, in the registry: the
@@ -115,7 +96,6 @@ impl World {
             net: NetCounters::default(),
             faults: RwLock::new(None),
             faults_installed: AtomicBool::new(false),
-            cache_exporters: CacheExporters::default(),
         })
     }
 
@@ -142,34 +122,6 @@ impl World {
     /// Charges a duration.
     pub fn charge(&self, d: SimDuration) {
         self.clock.advance(d);
-    }
-
-    /// Registers a snapshot-time cache exporter (see
-    /// [`World::export_all_caches`]). Components register once at
-    /// construction, capturing `Weak` handles so dropped instances go
-    /// inert rather than re-publishing stale totals.
-    pub fn register_cache_exporter(&self, exporter: CacheExporter) {
-        self.cache_exporters
-            .0
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(exporter);
-    }
-
-    /// Runs every registered cache exporter, publishing current cache
-    /// totals into the metrics registry. Whoever reads the registry —
-    /// an end-of-run snapshot, a timeline sampler's tick — calls it first
-    /// instead of hand-listing `export_metrics` sites.
-    pub fn export_all_caches(&self) {
-        for exporter in self
-            .cache_exporters
-            .0
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            exporter(&self.metrics);
-        }
     }
 
     /// Records a trace event at the current instant, attached to the
@@ -442,32 +394,6 @@ mod tests {
         assert!(w.faults().expect("installed").host_down(HostId(1), w.now()));
         w.set_faults(None);
         assert!(w.faults().is_none());
-    }
-
-    /// An exporter publishes its cache's current total on every run of
-    /// `export_all_caches`; once the cache is dropped it goes inert
-    /// instead of publishing stale totals.
-    #[test]
-    fn cache_exporters_publish_until_their_owner_drops() {
-        use std::sync::atomic::AtomicU64;
-        let w = World::paper();
-        let stat = Arc::new(AtomicU64::new(0));
-        let weak = Arc::downgrade(&stat);
-        w.register_cache_exporter(Box::new(move |m| {
-            if let Some(stat) = weak.upgrade() {
-                m.set_counter("hns_cache", "hits", stat.load(Ordering::Relaxed));
-            }
-        }));
-        stat.store(7, Ordering::Relaxed);
-        w.export_all_caches();
-        assert_eq!(w.metrics().snapshot().counter("hns_cache", "hits"), Some(7));
-        drop(stat);
-        w.metrics().set_counter("hns_cache", "hits", 99);
-        w.export_all_caches();
-        assert_eq!(
-            w.metrics().snapshot().counter("hns_cache", "hits"),
-            Some(99)
-        );
     }
 
     #[test]

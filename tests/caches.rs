@@ -33,9 +33,10 @@ struct Driver<'a> {
     resident: Option<Box<dyn Fn() -> usize + 'a>>,
     /// `(hits, every other probe)` as the cache's public stats report them.
     hits_and_others: Box<dyn Fn() -> (u64, u64) + 'a>,
-    export: Box<dyn Fn(&MetricsRegistry) + 'a>,
-    /// The counter names the cache publishes once it has served stale (if
-    /// it can).
+    /// Files the cache under component `c` of a registry.
+    register: Box<dyn Fn(&MetricsRegistry) + 'a>,
+    /// The counter names a snapshot reads from the cache once it has
+    /// served stale (if it can).
     exported: &'static [&'static str],
 }
 
@@ -54,11 +55,11 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
     let world = World::paper();
     let w = &*world;
 
-    let hns = HnsCache::new(CacheMode::Demarshalled);
+    let hns = Arc::new(HnsCache::new(CacheMode::Demarshalled));
     let key = host_addr_key("BIND", "fiji");
-    let composed = BindingCache::of(true);
-    let nsm = NsmCache::new(NsmCacheForm::Demarshalled);
-    let bind = TtlCache::new();
+    let composed = Arc::new(BindingCache::of(true));
+    let nsm = Arc::new(NsmCache::new(NsmCacheForm::Demarshalled));
+    let bind = Arc::new(TtlCache::new());
     let owner = DomainName::parse("fiji.cs.washington.edu").expect("name");
     let rr = |ttl| ResourceRecord::a(owner.clone(), ttl, NetAddr::of(HostId(1)));
 
@@ -76,7 +77,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
                 let s = hns.stats();
                 (s.hits, s.misses + s.expired)
             }),
-            export: Box::new(|m| hns.export_metrics(m, "c")),
+            register: Box::new(|m| m.register("c", &hns)),
             exported: &[
                 "entries",
                 "expired",
@@ -100,7 +101,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
                 let s = composed.stats();
                 (s.hits, s.misses + s.expired)
             }),
-            export: Box::new(|m| composed.export_metrics(m, "c")),
+            register: Box::new(|m| m.register("c", &composed)),
             exported: &[
                 "expired",
                 "hits",
@@ -119,7 +120,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
             stale: None,
             resident: None,
             hits_and_others: Box::new(|| nsm.stats()),
-            export: Box::new(|m| nsm.export_metrics(m, "c")),
+            register: Box::new(|m| m.register("c", &nsm)),
             exported: &["entries", "hits", "misses"],
         },
         Driver {
@@ -137,7 +138,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
                 let s = bind.stats();
                 (s.hits, s.misses)
             }),
-            export: Box::new(|m| bind.export_metrics(m, "c")),
+            register: Box::new(|m| m.register("c", &bind)),
             exported: &["entries", "expirations", "hits", "misses", "stale_serves"],
         },
     ];
@@ -187,7 +188,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
         );
 
         let metrics = MetricsRegistry::new();
-        (d.export)(&metrics);
+        (d.register)(&metrics);
         let published: Vec<String> = metrics
             .snapshot()
             .counters

@@ -213,8 +213,6 @@ fn traced_scenario(params: Option<&PlanParams>, loss: Option<(f64, u64)>) -> Str
     for t in tb.world.tracer.query_traces() {
         out.push_str(&t.render());
     }
-    warm.export_metrics();
-    cold.export_metrics();
     out.push_str(&tb.world.metrics().snapshot().render());
     out
 }

@@ -510,7 +510,8 @@ fn the_resolver_refuses_what_is_not_there() {
             true,
         ),
         ("tests/observability.rs::no_such_test", false),
-        ("crates/bench/tests/{cold,world}_alloc.rs", true),
+        ("crates/conformance/tests/{zone_model,zone_store}.rs", true),
+        ("crates/bench/tests/{cold,world}_alloc.rs", false),
         ("crates/bench/tests/{warm,hot}_alloc.rs", false),
         ("tests/differential.rs", false),
         ("crates/bench/benches/", false),

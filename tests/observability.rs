@@ -152,7 +152,6 @@ fn metrics_registry_reflects_the_run() {
     hns.set_batching(false);
     hns.find_nsm(&qc, &name).expect("cold");
     hns.find_nsm(&qc, &name).expect("warm");
-    hns.export_metrics();
     let snap = tb.world.metrics().snapshot();
 
     assert_eq!(snap.counter("hns", "find_nsm_calls"), Some(2));
@@ -199,11 +198,9 @@ fn snapshot_delta_isolates_one_query_from_a_warm_run() {
     let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
     hns.set_batching(false);
     hns.find_nsm(&qc, &name).expect("cold");
-    hns.export_metrics();
     let before = tb.world.metrics().snapshot();
 
     hns.find_nsm(&qc, &name).expect("warm");
-    hns.export_metrics();
     let after = tb.world.metrics().snapshot();
 
     let d = after.delta(&before);
@@ -232,7 +229,6 @@ fn snapshot_delta_isolates_one_query_from_a_warm_run() {
 fn snapshot_json_parses_and_matches() {
     let (tb, hns, name, qc) = testbed_with_hns(CacheMode::Demarshalled);
     hns.find_nsm(&qc, &name).expect("query");
-    hns.export_metrics();
     let snap = tb.world.metrics().snapshot();
     let v = hns_repro::hns_core::obs::json::parse(&snap.to_json()).expect("snapshot JSON");
     let counters = v
@@ -263,6 +259,61 @@ fn tracing_disabled_records_nothing() {
         "disabled tracer must stay empty"
     );
     assert!(tb.world.tracer.spans().is_empty());
+}
+
+/// Two live composed instances on one world, A registered before B. A
+/// walks the BIND context cold, preloads, and answers a walk of the
+/// Clearinghouse context from its per-mapping cache: six hits. B walks the
+/// BIND context cold: misses, no hit. Each `hns_cache` row is their sum —
+/// `hits` 6 — whichever instance was built last.
+#[test]
+fn two_live_instances_sum_into_one_row() {
+    let (tb, a, name, qc) = testbed_with_hns(COMPOSED);
+    let b = tb.make_hns(tb.hosts.client, COMPOSED);
+    let other = HnsName::new(tb.ctx_ch(), "fiji.cs.washington.edu").expect("name");
+    a.find_nsm(&qc, &name).expect("cold");
+    a.preload().expect("preload");
+    a.find_nsm(&qc, &other).expect("a walk from the cache");
+    b.find_nsm(&qc, &name).expect("cold");
+    let (a_stats, b_stats) = (a.cache_stats(), b.cache_stats());
+    assert_eq!((a_stats.hits, b_stats.hits), (6, 0));
+
+    let snap = tb.world.metrics().snapshot();
+    let row = |component, name| snap.counter(component, name);
+    assert_eq!(row("hns_cache", "hits"), Some(6));
+    assert_eq!(
+        row("hns_cache", "misses"),
+        Some(a_stats.misses + b_stats.misses)
+    );
+    let composed_misses = a.binding_cache_stats().misses + b.binding_cache_stats().misses;
+    assert_eq!(row("hns_binding_cache", "misses"), Some(composed_misses));
+}
+
+/// A dropped instance's rows leave the snapshot: with A gone only B's
+/// remain, and with both gone the cache components have no rows.
+#[test]
+fn a_dropped_instance_leaves_the_snapshot() {
+    let (tb, a, name, qc) = testbed_with_hns(COMPOSED);
+    let b = tb.make_hns(tb.hosts.client, COMPOSED);
+    a.find_nsm(&qc, &name).expect("cold");
+    a.find_nsm(&qc, &name).expect("composed hit");
+    b.find_nsm(&qc, &name).expect("cold");
+    let hits = |tb: &Testbed| {
+        tb.world
+            .metrics()
+            .snapshot()
+            .counter("hns_binding_cache", "hits")
+    };
+    assert_eq!(hits(&tb), Some(1));
+    drop(a);
+    assert_eq!(hits(&tb), Some(0));
+    drop(b);
+    let snap = tb.world.metrics().snapshot();
+    let cached = |component| snap.counters.iter().any(|c| c.component == component);
+    assert!(
+        !cached("hns_cache") && !cached("hns_binding_cache"),
+        "{snap:?}"
+    );
 }
 
 /// The cache slice of "the catalogue cannot drift": a scenario touching
@@ -296,7 +347,6 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
         tb.hosts.client,
         HnsHandle::Linked(Arc::clone(&hns)),
     );
-    // Registered last, so its cache is the one `bindns_cache` reports.
     let resolver = tb.std_resolver(tb.hosts.client);
     let host = DomainName::parse("fiji.cs.washington.edu").expect("name");
 
@@ -335,7 +385,6 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
         .resolve(&host, RType::A)
         .expect("stale resolver answer");
 
-    tb.world.export_all_caches();
     let emitted: BTreeSet<(String, String)> = tb
         .world
         .metrics()
