@@ -7,7 +7,7 @@
 //!   HRPC suite plus stub-compiler-generated marshalling, which is what made
 //!   meta lookups expensive (Table 3.2) until caching was fixed.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::HostId;
@@ -41,7 +41,10 @@ pub struct StdResolver {
     net: Arc<RpcNet>,
     host: HostId,
     server: HrpcBinding,
-    cache: Arc<TtlCache>,
+    /// Made at the first probe, so a resolver whose caller only asks the
+    /// server ([`StdResolver::query_uncached`]) keeps no cache and files
+    /// none with the metrics registry.
+    cache: OnceLock<Arc<TtlCache>>,
     cache_hits: LazyCounter,
     queries: LazyCounter,
     query_us: LazyHistogram,
@@ -50,12 +53,11 @@ pub struct StdResolver {
 impl StdResolver {
     /// Creates a resolver on `host` pointed at a server's native binding.
     pub fn new(net: Arc<RpcNet>, host: HostId, server: HrpcBinding) -> Self {
-        let cache = TtlCache::exported(net.world(), "bindns_cache");
         StdResolver {
             net,
             host,
             server,
-            cache,
+            cache: OnceLock::new(),
             cache_hits: LazyCounter::new(),
             queries: LazyCounter::new(),
             query_us: LazyHistogram::new(),
@@ -64,6 +66,12 @@ impl StdResolver {
 
     fn world(&self) -> &Arc<World> {
         self.net.world()
+    }
+
+    /// The TTL cache, made and exported under `bindns_cache` when first
+    /// probed.
+    fn cache(&self) -> &TtlCache {
+        (self.cache).get_or_init(|| TtlCache::exported(self.world(), "bindns_cache"))
     }
 
     /// Queries, consulting the cache first; a one-record set, which the
@@ -121,7 +129,7 @@ impl StdResolver {
             world.charge_ms(world.costs.cache_hit(form, len));
         };
         world.charge_ms(world.costs.cache_probe);
-        if let Some((len, value)) = self.cache.read(world.now(), text, rtype, read) {
+        if let Some((len, value)) = self.cache().read(world.now(), text, rtype, read) {
             self.cache_hits
                 .get(world.metrics(), "bind_resolver", "std_cache_hits")
                 .inc();
@@ -132,7 +140,7 @@ impl StdResolver {
         let records: Arc<[ResourceRecord]> = match self.query_uncached(&name, rtype) {
             Ok(records) => records.whole().collect(),
             Err(err) if err.is_unreachable() => {
-                let stale = self.cache.read_stale(world.now(), text, rtype, read);
+                let stale = self.cache().read_stale(world.now(), text, rtype, read);
                 let Some(((len, value), stale_for)) = stale else {
                     return Err(err);
                 };
@@ -146,7 +154,7 @@ impl StdResolver {
             Err(err) => return Err(err),
         };
         let (_, value) = read(&Entry::Records(Arc::clone(&records)));
-        self.cache.insert(world.now(), name, rtype, records);
+        self.cache().insert(world.now(), name, rtype, records);
         Ok(value)
     }
 
@@ -172,12 +180,14 @@ impl StdResolver {
 
     /// Cache statistics.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
+        (self.cache.get()).map_or_else(Default::default, |cache| cache.stats())
     }
 
     /// Clears the cache.
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        if let Some(cache) = self.cache.get() {
+            cache.clear();
+        }
     }
 }
 
@@ -343,6 +353,27 @@ mod tests {
         assert!(took.as_ms_f64() < 2.0, "cached took {took}");
         assert_eq!(delta.remote_calls, 0);
         assert_eq!(resolver.cache_stats().hits, 1);
+    }
+
+    /// Asking the server alone makes no cache; the first probe makes one,
+    /// and what the registry reads of it is what it counted.
+    #[test]
+    fn a_resolver_that_only_asks_the_server_keeps_no_cache() {
+        let (world, net, client, dep) = setup();
+        let resolver = StdResolver::new(net, client, dep.std_binding);
+        let fiji = name("fiji.cs.washington.edu");
+        resolver.query_uncached(&fiji, RType::A).expect("found");
+        resolver.clear_cache();
+        assert!(resolver.cache.get().is_none());
+        assert_eq!(resolver.cache_stats(), Default::default());
+        for _ in 0..2 {
+            resolver.resolve(&fiji, RType::A).expect("found");
+        }
+        assert!(resolver.cache.get().is_some());
+        let stats = resolver.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        let snapshot = world.metrics().snapshot();
+        assert_eq!(snapshot.counter("bindns_cache", "hits"), Some(1));
     }
 
     #[test]
@@ -586,7 +617,7 @@ mod tests {
             ResourceRecord::cname(alias.clone(), 600, fiji.clone()),
             ResourceRecord::a(fiji, 600, NetAddr::of(HostId(9))),
         ];
-        resolver.cache.insert(world.now(), alias, RType::A, set);
+        resolver.cache().insert(world.now(), alias, RType::A, set);
         let ask = |text: &str, rtype| {
             let parsed = || DomainName::parse(text).map_err(|e| RpcError::Service(e.to_string()));
             match reader {

@@ -130,9 +130,19 @@ impl ChClient {
         self.call_read(PROC_LOOKUP, &request, decode)
     }
 
-    /// Reads an item property's value.
-    pub fn lookup_item(&self, name: &ThreePartName, prop: PropertyId) -> RpcResult<Value> {
+    /// Reads an item property's value as the server keeps it: shared, not
+    /// copied out of its entry.
+    pub fn lookup_shared_item(
+        &self,
+        name: &ThreePartName,
+        prop: PropertyId,
+    ) -> RpcResult<Arc<Value>> {
         self.lookup(name, prop)?.into_item().map_err(service_err)
+    }
+
+    /// Reads an item property's value, the caller's own copy.
+    pub fn lookup_item(&self, name: &ThreePartName, prop: PropertyId) -> RpcResult<Value> {
+        Ok(Arc::unwrap_or_clone(self.lookup_shared_item(name, prop)?))
     }
 
     /// Reads the same item property for each of `names` in one RPC,
@@ -168,13 +178,13 @@ impl ChClient {
         self.call_write(PROC_ADD_ENTRY, &self.named(name))
     }
 
-    /// Sets an item property.
+    /// Sets an item property; the server keeps `value` itself.
     pub fn set_item(&self, name: &ThreePartName, prop: PropertyId, value: Value) -> RpcResult<()> {
         let request = SetItem {
             creds: self.creds.clone(),
             name: name.clone(),
             prop,
-            value,
+            value: Arc::new(value),
         };
         self.call_write(PROC_SET_ITEM, &request)
     }

@@ -8,6 +8,7 @@
 //! output is in name order.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{ChError, ChResult};
 use crate::name::ThreePartName;
@@ -92,12 +93,13 @@ impl ChDb {
         }
     }
 
-    /// Sets an item property, creating the entry if needed.
+    /// Sets an item property, creating the entry if needed. A shared
+    /// `value` is kept as it is: the entry holds one more handle on it.
     pub fn set_item(
         &mut self,
         name: &ThreePartName,
         id: PropertyId,
-        value: wire::Value,
+        value: impl Into<Arc<wire::Value>>,
     ) -> ChResult<()> {
         self.check_serves(name)?;
         self.write_entry(name, |entry| entry.set_item(id, value));
@@ -143,7 +145,8 @@ impl ChDb {
         Ok(())
     }
 
-    /// Reads one property of an entry, following aliases.
+    /// Reads one property of an entry, following aliases. An item comes
+    /// back shared with the entry, not copied out of it.
     pub fn lookup(&self, name: &ThreePartName, id: PropertyId) -> ChResult<Property> {
         self.check_serves(name)?;
         let entry = self

@@ -84,6 +84,22 @@ impl ThreePartName {
         }
     }
 
+    /// The name `text` spells, sharing `text` itself when it is already
+    /// canonical — three parts, none empty or longer than its limit, no
+    /// upper case — so that a caller holding the text in an `Arc` pays
+    /// nothing. Any other text is [`ThreePartName::parse`]d: one
+    /// allocation, lowered, or the refusal `parse` gives.
+    pub fn share(text: &Arc<str>) -> ChResult<Self> {
+        match canonical_cuts(text) {
+            Some((domain_at, organization_at)) => Ok(ThreePartName {
+                text: Arc::clone(text),
+                domain_at,
+                organization_at,
+            }),
+            None => ThreePartName::parse(text),
+        }
+    }
+
     /// The object part.
     pub fn object(&self) -> &str {
         &self.text[..usize::from(self.domain_at) - 1]
@@ -103,6 +119,24 @@ impl ThreePartName {
     pub fn as_str(&self) -> &str {
         &self.text
     }
+}
+
+/// Where the domain and organization parts of `text` start, if `text`
+/// is a name exactly as [`ThreePartName::new`] would store it.
+fn canonical_cuts(text: &str) -> Option<(u8, u8)> {
+    if text.bytes().any(|b| b.is_ascii_uppercase()) {
+        return None;
+    }
+    let mut parts = text.split(':');
+    let (object, domain, organization) = (parts.next()?, parts.next()?, parts.next()?);
+    let fits = |part: &str| !part.is_empty() && part.len() <= MAX_PART;
+    if parts.next().is_some() || ![object, domain, organization].into_iter().all(fits) {
+        return None;
+    }
+    Some((
+        (object.len() + 1) as u8,
+        (object.len() + domain.len() + 2) as u8,
+    ))
 }
 
 /// Part by part — object, then domain, then organization — so that a

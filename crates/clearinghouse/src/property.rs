@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use wire::message::{Field, Shape, Shaped};
 use wire::{Value, WireResult};
@@ -43,8 +44,10 @@ pub const PROP_FILE_SERVICE: PropertyId = PropertyId(50);
 /// A property value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Property {
-    /// An item property: one opaque value.
-    Item(Value),
+    /// An item property: one opaque value, shared — a `LOOKUP` reply
+    /// holds the value its entry keeps, and a later write replaces the
+    /// entry's handle, not what a reply holds.
+    Item(Arc<Value>),
     /// A group property: a set of names.
     Group(BTreeSet<String>),
 }
@@ -53,13 +56,13 @@ impl Property {
     /// Extracts an item value.
     pub fn as_item(&self) -> ChResult<&Value> {
         match self {
-            Property::Item(v) => Ok(v),
+            Property::Item(v) => Ok(v.as_ref()),
             Property::Group(_) => Err(ChError::WrongPropertyKind),
         }
     }
 
-    /// Takes an item value out.
-    pub fn into_item(self) -> ChResult<Value> {
+    /// Takes an item value out, still shared.
+    pub fn into_item(self) -> ChResult<Arc<Value>> {
         match self {
             Property::Item(v) => Ok(v),
             Property::Group(_) => Err(ChError::WrongPropertyKind),
@@ -78,7 +81,9 @@ impl Property {
     pub fn from_value(v: &Value) -> ChResult<Property> {
         let bad = |e: wire::WireError| ChError::BadName(e.to_string());
         match v.u32_field("kind").map_err(bad)? {
-            0 => Ok(Property::Item(v.field("value").map_err(bad)?.clone())),
+            0 => Ok(Property::Item(Arc::new(
+                v.field("value").map_err(bad)?.clone(),
+            ))),
             1 => {
                 let members = v.field("members").and_then(Value::as_list).map_err(bad)?;
                 let names = members.iter().map(|m| m.as_str().map(str::to_string));
@@ -116,9 +121,9 @@ impl Entry {
         Self::default()
     }
 
-    /// Sets an item property.
-    pub fn set_item(&mut self, id: PropertyId, value: Value) {
-        self.properties.insert(id, Property::Item(value));
+    /// Sets an item property: `value` itself, or a new handle on it.
+    pub fn set_item(&mut self, id: PropertyId, value: impl Into<Arc<Value>>) {
+        self.properties.insert(id, Property::Item(value.into()));
     }
 
     /// Adds a member to a group property, creating it if needed.
@@ -222,11 +227,13 @@ mod tests {
     #[test]
     fn a_property_is_the_record_built_by_hand() {
         use wire::{Message, WireFormat};
-        let item = Property::Item(Value::record([("host", Value::str("fiji"))]));
+        let item = Property::Item(Value::record([("host", Value::str("fiji"))]).into());
         let group = Property::Group(["a".to_string(), "b".to_string()].into_iter().collect());
         for p in [item, group] {
             let by_hand = match &p {
-                Property::Item(v) => Value::record([("kind", Value::U32(0)), ("value", v.clone())]),
+                Property::Item(v) => {
+                    Value::record([("kind", Value::U32(0)), ("value", Value::clone(v))])
+                }
                 Property::Group(set) => Value::record([
                     ("kind", Value::U32(1)),
                     (

@@ -9,6 +9,8 @@
 //! a name in it that is not three parts is refused as the service's
 //! failure.
 
+use std::sync::Arc;
+
 use wire::message::Field;
 use wire::Value;
 
@@ -33,7 +35,8 @@ pub struct Lookup {
     pub prop: PropertyId,
 }
 
-/// `SET_ITEM`: an item property's new value, carried as it is.
+/// `SET_ITEM`: an item property's new value, carried as it is and
+/// shared: the server keeps the caller's value, not a copy of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetItem {
     /// The caller's credentials.
@@ -43,7 +46,7 @@ pub struct SetItem {
     /// The property.
     pub prop: PropertyId,
     /// Its value.
-    pub value: Value,
+    pub value: Arc<Value>,
 }
 
 /// `ADD_ENTRY` and `DELETE`: an entry, named.
@@ -206,7 +209,7 @@ mod tests {
             creds: creds.clone(),
             name: tpn("fiji:cs:uw"),
             prop: PROP_ADDRESS,
-            value: value.clone(),
+            value: Arc::new(value.clone()),
         };
         let by_hand = record(
             base("fiji:cs:uw"),

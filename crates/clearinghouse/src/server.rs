@@ -226,7 +226,7 @@ impl RpcService for ChServer {
         match proc_id {
             PROC_LOOKUP => self.serve(ctx, args, reply, |r: &Lookup| self.serve_lookup(ctx, r)),
             PROC_SET_ITEM => self.serve(ctx, args, reply, |r: &SetItem| {
-                self.write(|db| db.set_item(&r.name, r.prop, r.value.clone()))
+                self.write(|db| db.set_item(&r.name, r.prop, Arc::clone(&r.value)))
             }),
             PROC_ADD_ENTRY => self.serve(ctx, args, reply, |r: &Named| {
                 self.write(|db| db.add_entry(r.name.clone()))
@@ -468,7 +468,7 @@ mod tests {
                     creds: creds(),
                     name: tpn("fiji:cs:uw"),
                     prop: PropertyId(5),
-                    value: Value::record([("port", Value::U32(2049))]),
+                    value: Value::record([("port", Value::U32(2049))]).into(),
                 }),
             ),
             (

@@ -280,10 +280,13 @@ pub fn message_seeds() -> Vec<CorpusEntry> {
         name: tpn("designs:cs:uw"),
         prop: PROP_FILE_SERVICE,
     };
-    let item = Property::Item(Value::record([
-        ("host", Value::str("printserver:cs:uw")),
-        ("root", Value::str("/designs")),
-    ]));
+    let item = Property::Item(
+        Value::record([
+            ("host", Value::str("printserver:cs:uw")),
+            ("root", Value::str("/designs")),
+        ])
+        .into(),
+    );
     let group = Property::Group(["alice:cs:uw", "bob:cs:uw"].map(String::from).into());
     let creds = || lookup.creds.clone();
     let set_item = SetItem {
@@ -294,7 +297,8 @@ pub fn message_seeds() -> Vec<CorpusEntry> {
             ("owner", Value::str("owner0")),
             ("service", Value::str("BIND")),
             ("sig", Value::U64(0x1987)),
-        ]),
+        ])
+        .into(),
     };
     let named = Named {
         creds: creds(),

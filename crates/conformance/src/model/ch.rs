@@ -88,7 +88,7 @@ impl ChModel {
     ) -> ChResult<()> {
         self.served(name)?;
         let entry = self.entries.entry(self.canonical(name)).or_default();
-        entry.insert(prop, Property::Item(value));
+        entry.insert(prop, Property::Item(value.into()));
         Ok(())
     }
 
@@ -153,7 +153,7 @@ impl ChModel {
         let mut items = Vec::new();
         for name in names {
             match self.lookup(name, prop) {
-                Ok(property) => items.push(property.into_item()?),
+                Ok(property) => items.push(property.as_item()?.clone()),
                 Err(ChError::NotFound(_)) => break,
                 Err(e) => return Err(e),
             }

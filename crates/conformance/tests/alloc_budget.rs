@@ -82,27 +82,31 @@ const WARM_REWALK: Row = (1, 40);
 /// its cache on a formatted string; 37 / 1,721 B before names became
 /// shared strings; 12 while each call built its own `QueryClass`.)
 const WARM_IMPORT: Row = (1, 14);
-/// A Clearinghouse-backed mail query, the NSM call alone: the three-part
-/// name parsed from the NSM's local name (one shared string), the item
-/// the Clearinghouse copies out of its entry, and the field vector of the
-/// tree `NsmClient::call` hands its caller; the item's string is moved
-/// into the `MailboxLocation` and on into that tree, and the `Property`
-/// and the `MailboxLocation` are moved into their callers' slots. (4 /
-/// 122 B while the tree copied the mailbox's string; 6 / 178 B while each
-/// travelled in a box; 9 / 201 B while the
-/// request copied the name's two strings and the NSM
-/// copied the local name out of it; 35 / 1,235 B while request, lookup
-/// and both replies were trees, and a three-part name was four
-/// allocations to parse.)
-const WARM_CH_MAIL: Row = (3, 105);
+/// A Clearinghouse-backed mail query, the NSM call alone: the mailbox
+/// string the NSM copies out of the item, and the field vector of the
+/// tree `NsmClient::call` hands its caller, into which that string is
+/// moved. The three-part name shares the request's individual name, its
+/// text being canonical; the `Property` shares the item its entry keeps;
+/// both it and the `MailboxLocation` are moved into their callers' slots.
+/// (3 / 105 B while the name was parsed from the NSM's local name, one
+/// shared string, and the Clearinghouse copied the item out of its
+/// entry; 4 / 122 B while the tree copied the mailbox's string; 6 / 178 B
+/// while each travelled in a box; 9 / 201 B while the request copied the
+/// name's two strings and the NSM copied the local name out of it; 35 /
+/// 1,235 B while request, lookup and both replies were trees, and a
+/// three-part name was four allocations to parse.)
+const WARM_CH_MAIL: Row = (2, 73);
 /// A Clearinghouse-backed file-location query, the NSM call alone: the
-/// caller's field vector and the path in it, the three-part name, the
-/// item the Clearinghouse copies out of its entry (a field vector and two
-/// strings), the local path, and the field vector of the caller's tree.
-/// The item's host string is moved into the `FileLocation`, and both of
-/// its strings on into the tree. (11 / 426 B while the NSM copied the
-/// host out of the item and the tree copied both strings.)
-const WARM_CH_FILE: Row = (8, 368);
+/// caller's field vector and the path in it, the host string the NSM
+/// copies out of the item, the local path, and the field vector of the
+/// caller's tree, into which both strings are moved. The name shares the
+/// request's individual name and the item is read where the
+/// Clearinghouse keeps it, as the BIND twin's record is. (8 / 368 B while
+/// the name was parsed and the item — a field vector and two strings —
+/// copied out of its entry, its host then moved into the
+/// `FileLocation`; 11 / 426 B while the NSM copied the host out of the
+/// item and the tree copied both strings.)
+const WARM_CH_FILE: Row = (5, 216);
 /// The costliest warm op kind, a BIND-backed file-location query, the
 /// NSM call alone: the caller's field vector and the path in it (moved
 /// into the request, not copied), the `FileLocation`'s two strings, and
@@ -124,8 +128,9 @@ const WARM_BIND_FILE: Row = (5, 215);
 /// 204 B while the local name was parsed into a domain name, the cached
 /// answer rebuilt on it, and the tree copied the target's text.)
 const WARM_BIND_MAIL: Row = (2, 78);
-/// `ChClient::lookup_item`: the item the server copies out of its entry;
-/// the `Property` is moved into the client's slot. The `Lookup` it sends
+/// `ChClient::lookup_item`: the client's copy of the item the `Property`
+/// shares with the server's entry; the `Property` is moved into the
+/// client's slot. The `Lookup` it sends
 /// shares the name and the credentials. (2 / 49 B while the `Property`
 /// came back in a box; 23 / 942 B while the request was a
 /// tree of the credentials, the name's text and the property, the reply
@@ -189,11 +194,14 @@ const ANSWER_DECODE: Row = (2, 232);
 /// name.)
 const REG_RESOLVE: Row = (5, 37);
 /// `Registry::update`: the warm resolve's probe, the base record (a
-/// three-field tree) the Clearinghouse copies into its entry, the cached
+/// three-field tree) and the shared cell the `SetItem` carries it in,
+/// which the Clearinghouse keeps as the entry's item, the cached
 /// head's new service — changed in place, nobody else holding it — and
 /// the meta zone's dynamic update through the rebinder, whose answer is
 /// moved into the caller's slot. The context the rebinder names is a
-/// shared string, 24 B where its `String` was 3. (18 / 760 B while that
+/// shared string, 24 B where its `String` was 3. (16 / 584 B while the
+/// Clearinghouse copied the record — its field vector and two strings —
+/// into its entry; 18 / 760 B while that
 /// answer travelled in a box; 19
 /// / 763 B while the meta store took its one payload in a vector; 38 /
 /// 1,641 B while the `SET_ITEM` request was a tree the server parsed back, and
@@ -203,19 +211,23 @@ const REG_RESOLVE: Row = (5, 37);
 /// 728 B while a record was 8 bytes wider, twice over; 17 / 712 B while
 /// a replace logged its owner for what went and again for each record,
 /// so this one grew the meta zone's delta log from 8 entries to 16.)
-const REG_UPDATE: Row = (16, 584);
+const REG_UPDATE: Row = (14, 454);
 /// `Registry::transfer`: the probe, the signed link (its two owners) and
-/// its tree, the server's copy of that, the new head — the cached one
-/// copied, one holder more, the next probe's name — and the `Resolution`.
-/// (42 / 2,051 B while the link's write was a tree the server parsed
-/// back, and both entry names were formatted and parsed per operation.)
-const REG_TRANSFER: Row = (25, 1_336);
+/// its tree, in the shared cell the server keeps, the new head — the
+/// cached one copied, one holder more, the next probe's name — and the
+/// `Resolution`. (25 / 1,336 B while the server copied the link's tree
+/// into its entry; 42 / 2,051 B while the link's write was a tree the
+/// server parsed back, and both entry names were formatted and parsed per
+/// operation.)
+const REG_TRANSFER: Row = (23, 1_148);
 /// `ChClient::set_item` of a string item over an existing one: the string
-/// and the server's copy of it. The `SetItem` it sends shares the name
-/// and the credentials. (10 / 740 B while the request was a tree of the
+/// and the shared cell it crosses in, which the server keeps as the
+/// entry's item, so that a `LOOKUP` reply can share it. The `SetItem` it
+/// sends shares the name and the credentials. (2 / 34 B while the server
+/// copied the string into its entry; 10 / 740 B while the request was a tree of the
 /// credentials, the name's text, the property and the value, and the
 /// server parsed the name and the identity back out of it.)
-const CH_SET_ITEM: Row = (2, 34);
+const CH_SET_ITEM: Row = (2, 65);
 /// `ChClient::delete`: nothing. The `Named` it sends shares the name and
 /// the credentials, and an entry going away frees. (7 / 403 B while the
 /// request was a tree the server parsed back.)

@@ -177,7 +177,7 @@ proptest! {
         moves_as_it_shapes(&creds);
         let lookup = Lookup { creds: creds.clone(), name: name.clone(), prop };
         moves_as_it_shapes(&lookup);
-        let set = SetItem { creds: creds.clone(), name: name.clone(), prop, value };
+        let set = SetItem { creds: creds.clone(), name: name.clone(), prop, value: value.into() };
         moves_as_it_shapes(&set);
         moves_as_it_shapes(&Named { creds: creds.clone(), name: name.clone() });
         let add = AddMember { creds: creds.clone(), name: name.clone(), prop, member };

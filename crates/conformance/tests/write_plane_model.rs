@@ -283,7 +283,7 @@ impl Pair {
                     creds,
                     name: name.clone(),
                     prop,
-                    value: value.clone(),
+                    value: value.clone().into(),
                 };
                 let got = self.ch_write(tree, PROC_SET_ITEM, &request, |ch| {
                     ch.set_item(&name, prop, value)

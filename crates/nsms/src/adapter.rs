@@ -20,7 +20,7 @@ use hns_core::META_TTL;
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::ComponentSet;
 use simnet::topology::HostId;
-use wire::Value;
+use wire::{Value, WireResult};
 
 /// Steps one and two over the name service whose client is `S`.
 #[derive(Debug)]
@@ -122,14 +122,31 @@ impl BindAdapter {
 
 impl ChAdapter {
     /// Steps one and two: the item `prop` of the entry at `hns_name`'s
-    /// local name, by an authenticated lookup.
-    pub fn lookup(&self, hns_name: &HnsName, prop: PropertyId) -> RpcResult<Value> {
-        self.item(self.translate(hns_name)?, prop)
+    /// local name, by an authenticated lookup, as `read` takes it. Under
+    /// the identity mapping the entry's name shares the individual name's
+    /// text when that is already canonical; the item is read where the
+    /// server keeps it, so `read` copies only what it hands back.
+    pub fn lookup<T>(
+        &self,
+        hns_name: &HnsName,
+        prop: PropertyId,
+        read: impl FnOnce(&Value) -> WireResult<T>,
+    ) -> RpcResult<T> {
+        let name = match self.mapping {
+            NameMapping::Identity => ThreePartName::share(&hns_name.individual),
+            _ => ThreePartName::parse(self.translate(hns_name)?),
+        };
+        self.item(&name.map_err(service_err)?, prop, read)
     }
 
-    fn item(&self, local: &str, prop: PropertyId) -> RpcResult<Value> {
-        let tpn = ThreePartName::parse(local).map_err(service_err)?;
-        self.service.lookup_item(&tpn, prop)
+    fn item<T>(
+        &self,
+        name: &ThreePartName,
+        prop: PropertyId,
+        read: impl FnOnce(&Value) -> WireResult<T>,
+    ) -> RpcResult<T> {
+        let item = self.service.lookup_shared_item(name, prop)?;
+        Ok(read(&item)?)
     }
 }
 
@@ -166,7 +183,8 @@ impl HostLookup for ChAdapter {
     /// The Clearinghouse has no per-record TTLs: what it says lives as
     /// long as a meta record.
     fn address(&self, local: &str) -> RpcResult<(HostId, u32)> {
-        let host = self.item(local, PROP_ADDRESS)?.as_u32()?;
+        let name = ThreePartName::parse(local).map_err(service_err)?;
+        let host = self.item(&name, PROP_ADDRESS, Value::as_u32)?;
         Ok((HostId(host), META_TTL))
     }
 }
@@ -211,7 +229,7 @@ mod tests {
         let bare = name(&tb, "fiji.cs.washington.edu");
         let (all_refused, _, delta) = tb.world.measure(|| {
             refused(bind.lookup(&bare, RType::A, |_| Some(())))
-                && refused(ch.lookup(&bare, PROP_ADDRESS))
+                && refused(ch.lookup(&bare, PROP_ADDRESS, Value::as_u32))
         });
         assert!(all_refused);
         assert_eq!(delta.remote_calls, 0);
@@ -251,10 +269,13 @@ mod tests {
         let tb = Testbed::build();
         let (_, ch) = adapters(&tb, NameMapping::Identity);
         let prop = PROP_MAILBOX;
-        let mailbox = ch.lookup(&name(&tb, "bob:cs:uw"), prop);
-        assert_eq!(mailbox.expect("item"), Value::str("printserver:cs:uw"));
-        assert!(not_found(ch.lookup(&name(&tb, "ghost:cs:uw"), prop)));
-        assert!(refused(ch.lookup(&name(&tb, "two:parts"), prop)));
+        let item = |individual| ch.lookup(&name(&tb, individual), prop, |v| Ok(v.clone()));
+        assert_eq!(
+            item("bob:cs:uw").expect("item"),
+            Value::str("printserver:cs:uw")
+        );
+        assert!(not_found(item("ghost:cs:uw")));
+        assert!(refused(item("two:parts")));
     }
 
     #[test]

@@ -107,10 +107,11 @@ impl Nsm for FileChNsm {
 
     fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
         let path = request.args.path()?;
-        let mut service = self.0.lookup(&request.name, PROP_FILE_SERVICE)?;
-        let host = service.take_field("host")?.into_str()?;
-        let root = service.str_field("root")?;
-        reply.put(FileLocation::under(host, root, path));
+        let location = (self.0).lookup(&request.name, PROP_FILE_SERVICE, |service| {
+            let host = service.str_field("host")?.to_string();
+            Ok(FileLocation::under(host, service.str_field("root")?, path))
+        })?;
+        reply.put(location);
         Ok(())
     }
 }

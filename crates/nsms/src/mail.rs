@@ -87,7 +87,9 @@ impl Nsm for MailChNsm {
     }
 
     fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
-        let mailbox_host = self.0.lookup(&request.name, PROP_MAILBOX)?.into_str()?;
+        let mailbox_host = (self.0).lookup(&request.name, PROP_MAILBOX, |item| {
+            item.as_str().map(str::to_string)
+        })?;
         reply.put(MailboxLocation { mailbox_host });
         Ok(())
     }

@@ -98,8 +98,12 @@ impl Nsm for UserChNsm {
     }
 
     fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
-        let user = self.0.lookup(&request.name, PROP_USER)?;
-        let info = UserInfo::new(user.str_field("name")?, user.str_field("host")?);
+        let info = (self.0).lookup(&request.name, PROP_USER, |user| {
+            Ok(UserInfo::new(
+                user.str_field("name")?,
+                user.str_field("host")?,
+            ))
+        })?;
         reply.put(info);
         Ok(())
     }

@@ -184,6 +184,61 @@ fn file_nsms_compose_paths() {
     assert!(ask::<FileLocation>(&*bind, sources, QueryArgs::None).is_err());
 }
 
+/// The Clearinghouse mail and file NSMs answer or refuse each name as
+/// they did when every local name was parsed: upper case is lowered (the
+/// name cannot share such text), an alias reaches its target, and a name
+/// in another domain, of two parts or of no entry is refused as before.
+#[test]
+fn ch_nsms_answer_every_spelling_of_a_name_as_its_parse() {
+    let tb = Testbed::build();
+    let tpn = |s: &str| clearinghouse::ThreePartName::parse(s).expect("name");
+    (tb.ch.server).with_db(|db| {
+        (db.add_alias(tpn("postmaster:cs:uw"), tpn("bob:cs:uw"))).expect("alias");
+        (db.add_alias(tpn("drawings:cs:uw"), tpn("designs:cs:uw"))).expect("alias");
+    });
+    let client = tb.ch_client(tb.hosts.client);
+    let mail = MailChNsm::new(Arc::clone(&client), NameMapping::Identity);
+    let file = FileChNsm::new(Arc::clone(&client), NameMapping::Identity);
+    let prefix = "x-".to_string();
+    let prefixed = MailChNsm::new(client, NameMapping::Prefixed { prefix });
+    let ask_mail = |nsm: &MailChNsm, individual: &str| {
+        let reply = ask::<MailboxLocation>(nsm, ch_name(&tb, individual), QueryArgs::None);
+        reply.map(|m| m.mailbox_host)
+    };
+    let ask_file = |individual: &str| {
+        let path = QueryArgs::File {
+            path: "board.dwg".into(),
+        };
+        let reply = ask::<FileLocation>(&*file, ch_name(&tb, individual), path);
+        reply.map(|f| format!("{} {}", f.file_host, f.local_path))
+    };
+    let host = || Ok("printserver:cs:uw".to_string());
+    let refused = |why: &str| Err(RpcError::Service(why.to_string()));
+    let two_parts = refused("bad name: `bob:cs` is not object:domain:organization");
+    for (individual, answer) in [
+        ("bob:cs:uw", host()),
+        ("Bob:CS:UW", host()),
+        ("postmaster:cs:uw", host()),
+        ("POSTMASTER:cs:uw", host()),
+        ("bob:ee:uw", refused("domain ee:uw not served here")),
+        ("bob:cs", two_parts),
+        ("ghost:cs:uw", Err(RpcError::NotFound("ghost:cs:uw".into()))),
+    ] {
+        assert_eq!(ask_mail(&mail, individual), answer, "{individual}");
+    }
+    assert_eq!(ask_mail(&prefixed, "x-Bob:CS:UW"), host());
+    let board = || Ok("printserver:cs:uw /designs/board.dwg".to_string());
+    for (individual, answer) in [
+        ("designs:cs:uw", board()),
+        ("Designs:cs:UW", board()),
+        ("drawings:cs:uw", board()),
+        ("designs:ee:uw", refused("domain ee:uw not served here")),
+        ("ghost:cs:uw", Err(RpcError::NotFound("ghost:cs:uw".into()))),
+    ] {
+        assert_eq!(ask_file(individual), answer, "{individual}");
+    }
+}
+
 #[test]
 fn testbed_accessors_are_consistent() {
     let tb = Testbed::build();

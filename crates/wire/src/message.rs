@@ -24,6 +24,7 @@
 
 use std::any::Any;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::error::{WireError, WireResult};
 use crate::format::WireFormat;
@@ -231,6 +232,22 @@ impl<T: Field> Field for Vec<T> {
 
     fn read(v: &Value) -> WireResult<Vec<T>> {
         v.as_list()?.iter().map(T::read).collect()
+    }
+}
+
+/// A shared field crosses as what it shares; read from a tree, it is
+/// shared by nobody yet.
+impl<T: Field + Clone> Field for Arc<T> {
+    fn shape<S: Shape>(&self, s: &S) -> S::Out {
+        (**self).shape(s)
+    }
+
+    fn into_value(self) -> Value {
+        Arc::unwrap_or_clone(self).into_value()
+    }
+
+    fn read(v: &Value) -> WireResult<Arc<T>> {
+        T::read(v).map(Arc::new)
     }
 }
 

@@ -187,23 +187,6 @@ impl Value {
             .ok_or_else(|| WireError::FieldMissing(name.to_string()))
     }
 
-    /// Takes a struct field's value out, for a reader that keeps it,
-    /// leaving [`Value::Void`] in its place; refused as
-    /// [`Value::field`] refuses.
-    pub fn take_field(&mut self, name: &str) -> WireResult<Value> {
-        let Value::Struct(fields) = self else {
-            return Err(WireError::TypeMismatch {
-                expected: "struct",
-                found: self.kind(),
-            });
-        };
-        let (_, value) = fields
-            .iter_mut()
-            .find(|(k, _)| k == name)
-            .ok_or_else(|| WireError::FieldMissing(name.to_string()))?;
-        Ok(std::mem::replace(value, Value::Void))
-    }
-
     /// Convenience: string field of a struct.
     pub fn str_field(&self, name: &str) -> WireResult<&str> {
         self.field(name)?.as_str()
@@ -350,22 +333,6 @@ mod tests {
             rec.field("absent").unwrap_err(),
             WireError::FieldMissing("absent".to_string())
         );
-    }
-
-    /// A taken field leaves `Void` behind and is refused as `field`
-    /// refuses it.
-    #[test]
-    fn take_field_moves_the_value_out() {
-        let mut rec = Value::record([("host", Value::str("fiji")), ("port", Value::U32(111))]);
-        assert_eq!(rec.take_field("host"), Ok(Value::str("fiji")));
-        assert_eq!(rec.field("host"), Ok(&Value::Void));
-        assert_eq!(rec.u32_field("port"), Ok(111));
-        assert_eq!(
-            rec.take_field("absent"),
-            Err(rec.field("absent").unwrap_err())
-        );
-        let mut one = Value::U32(1);
-        assert_eq!(one.take_field("host"), Err(one.field("host").unwrap_err()));
     }
 
     #[test]
