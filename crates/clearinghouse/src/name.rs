@@ -122,21 +122,27 @@ impl ThreePartName {
 }
 
 /// Where the domain and organization parts of `text` start, if `text`
-/// is a name exactly as [`ThreePartName::new`] would store it.
+/// is a name exactly as [`ThreePartName::new`] would store it: one pass
+/// over its bytes finds both `:` and any upper case.
 fn canonical_cuts(text: &str) -> Option<(u8, u8)> {
-    if text.bytes().any(|b| b.is_ascii_uppercase()) {
+    let bytes = text.as_bytes();
+    if bytes.len() > 3 * MAX_PART + 2 {
         return None;
     }
-    let mut parts = text.split(':');
-    let (object, domain, organization) = (parts.next()?, parts.next()?, parts.next()?);
-    let fits = |part: &str| !part.is_empty() && part.len() <= MAX_PART;
-    if parts.next().is_some() || ![object, domain, organization].into_iter().all(fits) {
-        return None;
+    let mut cuts = [0; 2];
+    let mut found = 0;
+    for (at, &b) in bytes.iter().enumerate() {
+        if b == b':' {
+            *cuts.get_mut(found)? = at;
+            found += 1;
+        } else if b.is_ascii_uppercase() {
+            return None;
+        }
     }
-    Some((
-        (object.len() + 1) as u8,
-        (object.len() + domain.len() + 2) as u8,
-    ))
+    let [first, second] = cuts;
+    let fits = |len: usize| (1..=MAX_PART).contains(&len);
+    (found == 2 && fits(first) && fits(second - first - 1) && fits(bytes.len() - second - 1))
+        .then(|| ((first + 1) as u8, (second + 1) as u8))
 }
 
 /// Part by part — object, then domain, then organization — so that a
@@ -193,6 +199,7 @@ impl Field for ThreePartName {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_and_display() {
@@ -256,5 +263,50 @@ mod tests {
             printed,
             ["a:cs:uw", "a:cs:uw-x", "a:cs-x:uw", "a-b:cs:uw", "b:a:a"]
         );
+    }
+
+    /// [`canonical_cuts`] as it was defined by splitting at `:`, after a
+    /// scan for upper case.
+    fn cuts_by_split(text: &str) -> Option<(u8, u8)> {
+        if text.bytes().any(|b| b.is_ascii_uppercase()) {
+            return None;
+        }
+        let mut parts = text.split(':');
+        let (object, domain, organization) = (parts.next()?, parts.next()?, parts.next()?);
+        let fits = |part: &str| !part.is_empty() && part.len() <= MAX_PART;
+        if parts.next().is_some() || ![object, domain, organization].into_iter().all(fits) {
+            return None;
+        }
+        Some((
+            (object.len() + 1) as u8,
+            (object.len() + domain.len() + 2) as u8,
+        ))
+    }
+
+    /// Text of three parts half the time, else of one to five: parts
+    /// empty, of 63–65 bytes, with upper case, non-ASCII, or of any
+    /// characters at all.
+    fn arb_text() -> impl Strategy<Value = String> {
+        let part = || {
+            prop_oneof![
+                "[a-z0-9._-]{0,8}",
+                "[A-Za-z0-9]{0,8}",
+                "[a-zé☃ß]{0,6}",
+                (63usize..66).prop_map(|n| "p".repeat(n)),
+                "(?s).{0,8}",
+            ]
+        };
+        let three = (part(), part(), part()).prop_map(|(o, d, g)| format!("{o}:{d}:{g}"));
+        let any = proptest::collection::vec(part(), 1..6).prop_map(|parts| parts.join(":"));
+        prop_oneof![three, any]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn one_pass_cuts_are_the_split_cuts(text in arb_text()) {
+            prop_assert_eq!(canonical_cuts(&text), cuts_by_split(&text));
+        }
     }
 }

@@ -132,11 +132,18 @@ impl ChAdapter {
         prop: PropertyId,
         read: impl FnOnce(&Value) -> WireResult<T>,
     ) -> RpcResult<T> {
-        let name = match self.mapping {
+        self.item(&self.entry(hns_name)?, prop, read)
+    }
+
+    /// Step one: the name of the entry at `hns_name`'s local name, sharing
+    /// the individual name's text under the identity mapping when that is
+    /// already canonical, parsed otherwise.
+    fn entry(&self, hns_name: &HnsName) -> RpcResult<ThreePartName> {
+        match self.mapping {
             NameMapping::Identity => ThreePartName::share(&hns_name.individual),
             _ => ThreePartName::parse(self.translate(hns_name)?),
-        };
-        self.item(&name.map_err(service_err)?, prop, read)
+        }
+        .map_err(service_err)
     }
 
     fn item<T>(
@@ -156,10 +163,10 @@ pub(crate) trait HostLookup: Send + Sync {
     /// The emulation suite native to the systems this service names.
     fn suite() -> ComponentSet;
 
-    /// Step two for a host's local name: its address, and the seconds the
-    /// answer may be kept. Never through a resolver cache: the callers
+    /// Steps one and two for a host's name: its address, and the seconds
+    /// the answer may be kept. Never through a resolver cache: the callers
     /// keep what they learn in caches of their own.
-    fn address(&self, local: &str) -> RpcResult<(HostId, u32)>;
+    fn address(&self, hns_name: &HnsName) -> RpcResult<(HostId, u32)>;
 }
 
 impl HostLookup for BindAdapter {
@@ -167,7 +174,8 @@ impl HostLookup for BindAdapter {
         ComponentSet::sun()
     }
 
-    fn address(&self, local: &str) -> RpcResult<(HostId, u32)> {
+    fn address(&self, hns_name: &HnsName) -> RpcResult<(HostId, u32)> {
+        let local = self.translate(hns_name)?;
         self.first(local, RType::A, false, |ttl, rdata| match rdata {
             RData::Addr(addr) => Some((addr.host, ttl)),
             _ => None,
@@ -182,9 +190,8 @@ impl HostLookup for ChAdapter {
 
     /// The Clearinghouse has no per-record TTLs: what it says lives as
     /// long as a meta record.
-    fn address(&self, local: &str) -> RpcResult<(HostId, u32)> {
-        let name = ThreePartName::parse(local).map_err(service_err)?;
-        let host = self.item(&name, PROP_ADDRESS, Value::as_u32)?;
+    fn address(&self, hns_name: &HnsName) -> RpcResult<(HostId, u32)> {
+        let host = self.item(&self.entry(hns_name)?, PROP_ADDRESS, Value::as_u32)?;
         Ok((HostId(host), META_TTL))
     }
 }
@@ -283,16 +290,18 @@ mod tests {
         let tb = Testbed::build();
         let (bind, ch) = adapters(&tb, NameMapping::Identity);
         // BIND: the record's own TTL, and never from the resolver's cache.
+        let host = |individual| name(&tb, individual);
         for _ in 0..2 {
-            let (found, _, delta) = tb.world.measure(|| bind.address("fiji.cs.washington.edu"));
+            let fiji = host("fiji.cs.washington.edu");
+            let (found, _, delta) = tb.world.measure(|| bind.address(&fiji));
             assert_eq!(found.expect("A"), (tb.hosts.fiji, 86_400));
             assert_eq!(delta.remote_calls, 1);
         }
-        assert!(not_found(bind.address("ghost.cs.washington.edu")));
+        assert!(not_found(bind.address(&host("ghost.cs.washington.edu"))));
         // Clearinghouse: no TTL of its own, so a meta record's.
-        let found = ch.address("printserver:cs:uw").expect("address item");
-        assert_eq!(found, (tb.hosts.printer, META_TTL));
-        assert!(not_found(ch.address("ghost:cs:uw")));
+        let found = ch.address(&host("printserver:cs:uw"));
+        assert_eq!(found.expect("address item"), (tb.hosts.printer, META_TTL));
+        assert!(not_found(ch.address(&host("ghost:cs:uw"))));
         let suites = (BindAdapter::suite(), ChAdapter::suite());
         assert_eq!(suites.0.binding, BindingProtocol::SunPortmapper);
         assert_eq!(suites.1.binding, BindingProtocol::CourierExchange);

@@ -176,7 +176,7 @@ where
         }
 
         // 1. Look the host up in the name service.
-        let (host, ttl) = self.adapter.address(local)?;
+        let (host, ttl) = self.adapter.address(&request.name)?;
 
         // 2. Determine the port with the system's own binding protocol
         //    (Sun portmapper, Courier exchange).

@@ -77,8 +77,7 @@ where
     }
 
     fn handle(&self, request: &NsmRequest, reply: &mut ReplySlot<'_>) -> RpcResult<()> {
-        let local = self.adapter.translate(&request.name)?;
-        let (host, ttl) = self.adapter.address(local)?;
+        let (host, ttl) = self.adapter.address(&request.name)?;
         reply.put(HostAddress { host, ttl });
         Ok(())
     }

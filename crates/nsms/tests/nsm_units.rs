@@ -184,10 +184,11 @@ fn file_nsms_compose_paths() {
     assert!(ask::<FileLocation>(&*bind, sources, QueryArgs::None).is_err());
 }
 
-/// The Clearinghouse mail and file NSMs answer or refuse each name as
-/// they did when every local name was parsed: upper case is lowered (the
-/// name cannot share such text), an alias reaches its target, and a name
-/// in another domain, of two parts or of no entry is refused as before.
+/// The Clearinghouse mail, file and binding NSMs answer or refuse each
+/// name as they did when every local name was parsed: upper case is
+/// lowered (the name cannot share such text), an alias reaches its
+/// target, and a name in another domain, of two parts or of no entry is
+/// refused as before.
 #[test]
 fn ch_nsms_answer_every_spelling_of_a_name_as_its_parse() {
     let tb = Testbed::build();
@@ -195,6 +196,7 @@ fn ch_nsms_answer_every_spelling_of_a_name_as_its_parse() {
     (tb.ch.server).with_db(|db| {
         (db.add_alias(tpn("postmaster:cs:uw"), tpn("bob:cs:uw"))).expect("alias");
         (db.add_alias(tpn("drawings:cs:uw"), tpn("designs:cs:uw"))).expect("alias");
+        (db.add_alias(tpn("lpr:cs:uw"), tpn("printserver:cs:uw"))).expect("alias");
     });
     let client = tb.ch_client(tb.hosts.client);
     let mail = MailChNsm::new(Arc::clone(&client), NameMapping::Identity);
@@ -213,7 +215,9 @@ fn ch_nsms_answer_every_spelling_of_a_name_as_its_parse() {
         reply.map(|f| format!("{} {}", f.file_host, f.local_path))
     };
     let host = || Ok("printserver:cs:uw".to_string());
-    let refused = |why: &str| Err(RpcError::Service(why.to_string()));
+    fn refused<T>(why: &str) -> RpcResult<T> {
+        Err(RpcError::Service(why.to_string()))
+    }
     let two_parts = refused("bad name: `bob:cs` is not object:domain:organization");
     for (individual, answer) in [
         ("bob:cs:uw", host()),
@@ -237,6 +241,36 @@ fn ch_nsms_answer_every_spelling_of_a_name_as_its_parse() {
     ] {
         assert_eq!(ask_file(individual), answer, "{individual}");
     }
+    let binding = |mapping| {
+        let (net, host, form) = (Arc::clone(&tb.net), tb.hosts.client, NsmCacheForm::Disabled);
+        BindingChNsm::new(net, host, tb.ch_client(host), mapping, form)
+    };
+    let prefix = "x-".to_string();
+    let (bind, prefixed) = (
+        binding(NameMapping::Identity),
+        binding(NameMapping::Prefixed { prefix }),
+    );
+    let ask_binding = |nsm: &BindingChNsm, individual: &str| {
+        let args = QueryArgs::Binding {
+            service: nsms::harness::PRINT_SERVICE.into(),
+            program: nsms::harness::PRINT_SERVICE_PROGRAM,
+        };
+        ask::<HrpcBinding>(nsm, ch_name(&tb, individual), args).map(|b| b.host)
+    };
+    let printer = || Ok(tb.hosts.printer);
+    let two_parts = "bad name: `printserver:cs` is not object:domain:organization";
+    for (individual, answer) in [
+        ("printserver:cs:uw", printer()),
+        ("PrintServer:CS:UW", printer()),
+        ("lpr:cs:uw", printer()),
+        ("LPR:cs:uw", printer()),
+        ("printserver:ee:uw", refused("domain ee:uw not served here")),
+        ("printserver:cs", refused(two_parts)),
+        ("ghost:cs:uw", Err(RpcError::NotFound("ghost:cs:uw".into()))),
+    ] {
+        assert_eq!(ask_binding(&bind, individual), answer, "{individual}");
+    }
+    assert_eq!(ask_binding(&prefixed, "x-PrintServer:CS:UW"), printer());
 }
 
 #[test]

@@ -37,6 +37,7 @@ const OCTAVES: usize = 58;
 /// Total bucket count.
 const BUCKETS: usize = LINEAR_BUCKETS + OCTAVES * SUB_BUCKETS;
 
+#[inline]
 fn bucket_of(v: u64) -> usize {
     if v < LINEAR_BUCKETS as u64 {
         v as usize
@@ -68,6 +69,7 @@ pub(crate) fn bucket_upper(i: usize) -> u64 {
 /// `u64::MAX` from 2^64 µs up — with no call into libm. Every charge of
 /// virtual time in milliseconds converts through it; a `_us` histogram is
 /// handed whole microseconds (`SimDuration::as_us`).
+#[inline]
 pub fn ms_to_us(ms: f64) -> u64 {
     let us = ms * 1000.0;
     // `as` truncates toward zero and saturates, NaN to 0; below 2^64 the
@@ -87,11 +89,13 @@ impl Counter {
     }
 
     /// Adds one.
+    #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
     /// Adds `n`; adding zero touches nothing.
+    #[inline]
     pub fn add(&self, n: u64) {
         if n != 0 {
             self.0.add(n);
@@ -99,6 +103,7 @@ impl Counter {
     }
 
     /// Current total.
+    #[inline]
     pub fn value(&self) -> u64 {
         self.0.get()
     }
@@ -134,11 +139,21 @@ impl LazyCounter {
 
     /// The underlying counter, registering `component/name` in
     /// `registry` on first use. Always pass the same registry.
+    #[inline]
     pub fn get(&self, registry: &MetricsRegistry, component: &str, name: &str) -> &Counter {
+        match self.cell.get() {
+            Some(counter) => counter,
+            None => self.register(registry, component, name),
+        }
+    }
+
+    #[cold]
+    fn register(&self, registry: &MetricsRegistry, component: &str, name: &str) -> &Counter {
         self.cell.get_or_init(|| registry.counter(component, name))
     }
 
     /// The counter's total, 0 while unresolved. Registers nothing.
+    #[inline]
     pub fn value(&self) -> u64 {
         self.cell.get().map_or(0, |counter| counter.value())
     }
@@ -167,7 +182,16 @@ impl LazyHistogram {
 
     /// The underlying histogram, registering `component/name` in
     /// `registry` on first use. Always pass the same registry.
+    #[inline]
     pub fn get(&self, registry: &MetricsRegistry, component: &str, name: &str) -> &Histogram {
+        match self.cell.get() {
+            Some(histogram) => histogram,
+            None => self.register(registry, component, name),
+        }
+    }
+
+    #[cold]
+    fn register(&self, registry: &MetricsRegistry, component: &str, name: &str) -> &Histogram {
         self.cell
             .get_or_init(|| registry.histogram(component, name))
     }
@@ -216,6 +240,7 @@ impl Cells {
 
     /// The owner's record: no other thread writes these cells, so each is
     /// a relaxed load and store.
+    #[inline]
     fn record_owned(&self, v: u64) {
         let bucket = &self.buckets[bucket_of(v)];
         bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -235,6 +260,7 @@ impl Cells {
     /// load says the sample is a new one: the minimum only ever falls and
     /// the maximum only rises, so a sample the load finds inside them
     /// stays inside them, and skipping its read-modify-write is exact.
+    #[cold]
     fn record_shared(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         if v != 0 {
@@ -259,6 +285,7 @@ impl Histogram {
     }
 
     /// Records one sample. A zero sample leaves the sum alone.
+    #[inline]
     pub fn record(&self, v: u64) {
         if self.owner.is_mine() {
             self.own.record_owned(v);
@@ -533,11 +560,13 @@ impl MetricsRegistry {
     }
 
     /// Adds one to the counter `component/name`.
+    #[cold]
     pub fn inc(&self, component: &str, name: &str) {
         self.counter(component, name).inc();
     }
 
     /// Adds `n` to the counter `component/name`.
+    #[cold]
     pub fn add(&self, component: &str, name: &str, n: u64) {
         self.counter(component, name).add(n);
     }
@@ -555,6 +584,7 @@ impl MetricsRegistry {
     }
 
     /// Records a raw sample into the histogram `component/name`.
+    #[cold]
     pub fn record(&self, component: &str, name: &str, v: u64) {
         self.histogram(component, name).record(v);
     }

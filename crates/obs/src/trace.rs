@@ -246,6 +246,7 @@ impl Tracer {
     }
 
     /// Returns whether recording is enabled.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::SeqCst)
     }
@@ -339,10 +340,15 @@ impl Tracer {
     /// (no-op when disabled or outside any span). Later annotations
     /// overwrite earlier ones, so a miss that ends served stale reports
     /// the final outcome.
+    #[inline]
     pub fn annotate_cache(&self, outcome: CacheOutcome) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.annotate_current(outcome);
         }
+    }
+
+    #[cold]
+    fn annotate_current(&self, outcome: CacheOutcome) {
         let Some(id) = self.current_span() else {
             return;
         };

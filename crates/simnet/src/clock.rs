@@ -44,11 +44,13 @@ impl VirtualClock {
     }
 
     /// Returns the current virtual instant.
+    #[inline]
     pub fn now(&self) -> SimTime {
         SimTime::from_us(self.elapsed_us.get())
     }
 
     /// Advances virtual time by `d`.
+    #[inline]
     pub fn advance(&self, d: SimDuration) {
         self.elapsed_us.add(d.as_us());
     }

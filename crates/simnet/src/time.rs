@@ -25,26 +25,31 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant `us` microseconds after the origin.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimTime(us)
     }
 
     /// Creates an instant `ms` milliseconds after the origin.
+    #[inline]
     pub const fn from_ms(ms: u64) -> Self {
         SimTime(ms * 1000)
     }
 
     /// Returns the instant as whole microseconds since the origin.
+    #[inline]
     pub const fn as_us(self) -> u64 {
         self.0
     }
 
     /// The instant `secs` seconds after this one: a record's TTL as expiry.
+    #[inline]
     pub fn after_secs(self, secs: u32) -> SimTime {
         SimTime(self.0 + u64::from(secs) * 1_000_000)
     }
 
     /// Returns the instant as fractional milliseconds since the origin.
+    #[inline]
     pub fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1000.0
     }
@@ -55,6 +60,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; virtual time never runs
     /// backwards, so this indicates a harness bug.
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "documented panic: virtual time running backwards is a harness bug"
@@ -73,11 +79,13 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a duration of `us` microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimDuration(us)
     }
 
     /// Creates a duration of `ms` milliseconds.
+    #[inline]
     pub const fn from_ms(ms: u64) -> Self {
         SimDuration(ms * 1000)
     }
@@ -85,31 +93,37 @@ impl SimDuration {
     /// Creates a duration from fractional milliseconds (rounded to the
     /// nearest microsecond, saturating at zero for negative input; see
     /// [`obs::ms_to_us`]).
+    #[inline]
     pub fn from_ms_f64(ms: f64) -> Self {
         SimDuration(obs::ms_to_us(ms))
     }
 
     /// Returns the duration as whole microseconds.
+    #[inline]
     pub const fn as_us(self) -> u64 {
         self.0
     }
 
     /// Returns the duration as fractional milliseconds.
+    #[inline]
     pub fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1000.0
     }
 
     /// Returns true if the duration is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Checked subtraction; `None` on underflow.
+    #[inline]
     pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
         self.0.checked_sub(other.0).map(SimDuration)
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -117,12 +131,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -130,6 +146,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.since(rhs)
     }
@@ -137,12 +154,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -150,6 +169,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "underflow panics as integer subtraction does, in release builds too"
@@ -164,6 +184,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -171,6 +192,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -178,6 +200,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

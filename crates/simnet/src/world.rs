@@ -110,16 +110,19 @@ impl World {
     }
 
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.clock.now()
     }
 
     /// Charges `ms` virtual milliseconds.
+    #[inline]
     pub fn charge_ms(&self, ms: Ms) {
         self.clock.advance(SimDuration::from_ms_f64(ms));
     }
 
     /// Charges a duration.
+    #[inline]
     pub fn charge(&self, d: SimDuration) {
         self.clock.advance(d);
     }
@@ -128,11 +131,17 @@ impl World {
     /// calling thread's current span (if any). With the tracer disabled
     /// `message` is not run and the clock is not read, so call sites on
     /// hot paths pay one load for their walkthrough text.
+    #[inline]
     pub fn trace(&self, host: Option<HostId>, kind: TraceKind, message: impl FnOnce() -> String) {
         if self.tracer.is_enabled() {
-            self.tracer
-                .record(self.now().as_us(), host.map(|h| h.0), kind, message());
+            self.record(host, kind, message());
         }
+    }
+
+    #[cold]
+    fn record(&self, host: Option<HostId>, kind: TraceKind, message: String) {
+        self.tracer
+            .record(self.now().as_us(), host.map(|h| h.0), kind, message);
     }
 
     /// The unified metrics registry shared by every component in this
@@ -159,6 +168,7 @@ impl World {
 
     /// Like [`World::span`], but builds the name only when tracing is
     /// enabled (hot paths call this so a disabled tracer costs nothing).
+    #[inline]
     pub fn span_lazy(
         &self,
         host: Option<HostId>,
@@ -166,7 +176,7 @@ impl World {
         name: impl FnOnce() -> String,
     ) -> WorldSpan<'_> {
         if self.tracer.is_enabled() {
-            self.span(host, kind, name())
+            self.open_span(host, kind, name())
         } else {
             WorldSpan {
                 world: self,
@@ -175,13 +185,20 @@ impl World {
         }
     }
 
+    #[cold]
+    fn open_span(&self, host: Option<HostId>, kind: TraceKind, name: String) -> WorldSpan<'_> {
+        self.span(host, kind, name)
+    }
+
     /// Annotates the calling thread's current span with a cache
     /// outcome (no-op outside a span or with tracing disabled).
+    #[inline]
     pub fn cache_outcome(&self, outcome: CacheOutcome) {
         self.tracer.annotate_cache(outcome);
     }
 
     /// Notes one remote (cross-host) call carrying `bytes` in total.
+    #[inline]
     pub fn count_remote_call(&self, bytes: u64) {
         let (net, metrics) = (&self.net, &self.metrics);
         net.remote_calls.get(metrics, "net", "remote_calls").inc();
@@ -189,12 +206,14 @@ impl World {
     }
 
     /// Notes one local (same-host) call.
+    #[inline]
     pub fn count_local_call(&self) {
         let (net, metrics) = (&self.net, &self.metrics);
         net.local_calls.get(metrics, "net", "local_calls").inc();
     }
 
     /// Notes one lookup served by an underlying name service.
+    #[inline]
     pub fn count_ns_lookup(&self) {
         let (net, metrics) = (&self.net, &self.metrics);
         net.ns_lookups.get(metrics, "net", "ns_lookups").inc();
@@ -233,10 +252,16 @@ impl World {
 
     /// The currently installed fault plan, if any. One relaxed load when
     /// no plan is installed — hot paths may call this per RPC attempt.
+    #[inline]
     pub fn faults(&self) -> Option<Arc<FaultPlan>> {
         if !self.faults_installed.load(Ordering::Acquire) {
             return None;
         }
+        self.installed_faults()
+    }
+
+    #[cold]
+    fn installed_faults(&self) -> Option<Arc<FaultPlan>> {
         self.faults
             .read()
             .unwrap_or_else(|e| e.into_inner())
@@ -272,6 +297,7 @@ impl WorldSpan<'_> {
     }
 
     /// Attributes `n` remote round trips to this span.
+    #[inline]
     pub fn add_round_trips(&self, n: u64) {
         if let Some(id) = self.id {
             self.world.tracer.add_round_trips(id, n);
@@ -280,6 +306,7 @@ impl WorldSpan<'_> {
 }
 
 impl Drop for WorldSpan<'_> {
+    #[inline]
     fn drop(&mut self) {
         if let Some(id) = self.id {
             self.world.tracer.end_span(id, self.world.now().as_us());
