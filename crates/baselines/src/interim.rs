@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::costs::{RpcSuiteKind, Term};
 use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
 
@@ -63,10 +64,10 @@ impl InterimBinder {
     pub fn push_replica(&self, host: HostId) {
         let snapshot = self.master.read().clone();
         // One file push per host: a remote copy of the whole table.
-        self.world().charge_ms(
-            self.world().costs.rpc_rtt_raw_tcp
-                + self.world().costs.per_kb * (snapshot.len() as f64 * 64.0) / 1024.0,
-        );
+        self.world().charge(Term::RemoteRequest {
+            suite: RpcSuiteKind::RawTcp,
+            bytes: snapshot.len() * 64,
+        });
         self.replicas.write().insert(host, snapshot);
     }
 
@@ -85,7 +86,7 @@ impl InterimBinder {
     pub fn bind(&self, client: HostId, service: &str) -> RpcResult<HrpcBinding> {
         let world = Arc::clone(self.world());
         // Read and parse the replicated local file.
-        world.charge_ms(world.costs.interim_file_read + world.costs.interim_overhead);
+        world.charge(Term::InterimFileBind);
         let entry = self
             .replicas
             .read()

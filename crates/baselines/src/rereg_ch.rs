@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use simnet::costs::Term;
 use simnet::topology::{HostId, NetAddr};
 
 use clearinghouse::client::ChClient;
@@ -78,7 +79,7 @@ impl ReregisteredChBinder {
             .client
             .lookup_item(&self.entry_name(service)?, PROP_REREG_BINDING)?;
         let world = self.net.world();
-        world.charge_ms(world.costs.rereg_assemble);
+        world.charge(Term::ReregAssemble);
         let host = HostId(value.u32_field("host")?);
         Ok(HrpcBinding {
             host,

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 
+use simnet::costs::Term;
 use simnet::time::SimTime;
 use simnet::world::World;
 
@@ -95,7 +96,7 @@ impl Reregistrar {
         let mut report = SyncReport::default();
         for (idx, source) in self.sources.iter().enumerate() {
             for (name, &mtime) in &source.entries {
-                world.charge_ms(world.costs.rereg_per_name);
+                world.charge(Term::ReregPerName);
                 match self.global.get(name) {
                     Some(entry) if entry.source != idx => {
                         report.conflicts += 1;
@@ -152,7 +153,7 @@ impl Reregistrar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::time::SimTime;
+    use simnet::time::{SimDuration, SimTime};
 
     #[test]
     fn sync_copies_and_charges_per_name() {
@@ -215,7 +216,7 @@ mod tests {
         r.sync(&world);
         assert!(r.stale_names().is_empty());
         // A local application moves the service.
-        world.charge_ms(60_000.0);
+        world.wait(SimDuration::from_ms(60_000));
         r.source_mut(idx).upsert("svc", world.now());
         assert_eq!(r.stale_names(), vec!["svc".to_string()]);
         r.sync(&world);

@@ -9,7 +9,7 @@
 //! absorption cost, and conflicts against the sync period.
 
 use baselines::reregistration::{Reregistrar, SourceService};
-use simnet::World;
+use simnet::{SimDuration, World};
 
 use crate::cells::PlainTable;
 
@@ -65,7 +65,7 @@ pub fn run_point(period_h: f64) -> ReregPoint {
     while world.now().as_ms_f64() < horizon_ms {
         let now = world.now().as_ms_f64();
         if next_update < next_sync && next_update <= horizon_ms {
-            world.charge_ms(next_update - now);
+            world.wait(SimDuration::from_ms_f64(next_update - now));
             let src = source_ids[update_seq % SOURCES];
             let name = format!(
                 "src{}-name{}",
@@ -77,7 +77,7 @@ pub fn run_point(period_h: f64) -> ReregPoint {
             update_seq += 1;
             next_update += update_gap_ms;
         } else if next_sync <= horizon_ms {
-            world.charge_ms(next_sync - now);
+            world.wait(SimDuration::from_ms_f64(next_sync - now));
             let sync_start = world.now().as_ms_f64();
             let (report, took, _) = world.measure(|| r.sync(&world));
             conflicts += report.conflicts;
@@ -87,7 +87,7 @@ pub fn run_point(period_h: f64) -> ReregPoint {
             }
             next_sync += period_ms;
         } else {
-            world.charge_ms(horizon_ms - now);
+            world.wait(SimDuration::from_ms_f64(horizon_ms - now));
         }
     }
 

@@ -14,6 +14,7 @@ use hns_core::query::QueryClass;
 use nsms::harness::Testbed;
 use nsms::nsm_cache::NsmCacheForm;
 use nsms::BindingBindNsm;
+use simnet::SimDuration;
 
 use crate::cells::PlainTable;
 
@@ -89,7 +90,7 @@ pub fn run_point(ttl_secs: u32, move_period_s: u64, query_period_s: u64, total_s
         // Idle until the next query.
         let spent = took.as_ms_f64();
         let idle = (query_period_s as f64 * 1000.0 - spent).max(0.0);
-        tb.world.charge_ms(idle);
+        tb.world.wait(SimDuration::from_ms_f64(idle));
     }
     TtlPoint {
         ttl_secs,

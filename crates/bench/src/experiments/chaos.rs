@@ -291,14 +291,16 @@ pub fn run(config: &ChaosConfig) -> ChaosRun {
     // Let every cache entry expire, open the fault windows, and step into
     // them: past the largest possible jitter plus a margin, but well
     // inside the 120 s windows.
-    world.charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + 1_000.0);
+    world.wait(SimDuration::from_ms(
+        u64::from(hns_core::META_TTL) * 1000 + 1_000,
+    ));
     let last_heal = scenario.install_faults(config);
-    world.charge_ms(6_000.0);
+    world.wait(SimDuration::from_ms(6_000));
     round("fault");
 
     // Heal: advance past every window (the plan stays installed — closed
     // windows must be inert on their own).
-    world.charge(last_heal.since(world.now()) + SimDuration::from_ms(1_000));
+    world.wait(last_heal.since(world.now()) + SimDuration::from_ms(1_000));
     round("recovery");
 
     let snapshot = world.metrics().snapshot();

@@ -32,6 +32,7 @@ use regd::harness::{owner_key, owner_name, RegTestbed};
 use regd::RegError;
 use simnet::faults::FaultPlan;
 use simnet::rng::DetRng;
+use simnet::SimDuration;
 
 use super::chaos::{events_json, events_table, Event};
 
@@ -187,7 +188,7 @@ pub fn run(config: &RegisterConfig) -> RegisterRun {
         let t_write = world.now();
         reg.update(&owner_name(owner0), owner_key(owner0), name0, new_service)
             .expect("re-bind");
-        world.charge_ms(500.0 + rng.next_below(2_000) as f64);
+        world.wait(SimDuration::from_ms(500 + rng.next_below(2_000)));
 
         // Cut the probe's host off from the primary: its read fails
         // over to the replica, which has not seen the re-bind yet.

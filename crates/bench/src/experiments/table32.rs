@@ -2,7 +2,7 @@
 //! (msec), plus the paper's "standard BIND routines" footnote.
 
 use hns_core::cache::{host_addr_key, CacheMode, HnsCache};
-use simnet::World;
+use simnet::{Term, World};
 use wire::Value;
 
 use crate::cells::{Cell, PaperTable};
@@ -49,7 +49,7 @@ pub fn run() -> PaperTable {
         ],
     );
     for (row, &rrs) in [1usize, 6].iter().enumerate() {
-        let miss = world.costs.generated_miss(rrs);
+        let miss = world.price(Term::GeneratedMiss { rrs });
         let marshalled = measure_hit(&world, CacheMode::Marshalled, rrs);
         let demarshalled = measure_hit(&world, CacheMode::Demarshalled, rrs);
         table.push_row(
@@ -72,7 +72,7 @@ pub fn run_standard_routines() -> PaperTable {
         vec!["hand-written marshal"],
     );
     for (row, &rrs) in [1usize, 6].iter().enumerate() {
-        let measured = world.costs.fast_marshal(rrs);
+        let measured = world.price(Term::FastMarshal { rrs });
         table.push_row(
             format!("{rrs} resource record(s)"),
             vec![Cell::new(PAPER_STD[row], measured)],
@@ -124,6 +124,7 @@ mod tests {
     fn generated_marshalling_dwarfs_standard() {
         // The paper's surprise: generated ~20 ms vs standard 0.65 ms.
         let world = World::paper();
-        assert!(world.costs.generated_miss(1) > 20.0 * world.costs.fast_marshal(1));
+        let generated = world.price(Term::GeneratedMiss { rrs: 1 });
+        assert!(generated > 20.0 * world.price(Term::FastMarshal { rrs: 1 }));
     }
 }

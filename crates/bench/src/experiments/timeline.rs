@@ -153,7 +153,7 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     let pace = |target: SimTime| {
         let now = world.now();
         if now < target {
-            world.charge(target.since(now));
+            world.wait(target.since(now));
         }
         tick();
     };
@@ -169,7 +169,9 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     // Phase 2: quiet gap — every cache entry expires; no probes, so the
     // crossed windows stay empty.
     phase_open(&mut phases, "ttl-gap");
-    world.charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + 1_000.0);
+    world.wait(SimDuration::from_ms(
+        u64::from(hns_core::META_TTL) * 1000 + 1_000,
+    ));
     tick();
 
     // Phase 3: open the fault windows (the chaos scenario's, with the
@@ -178,7 +180,7 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     let fault_start_us = world.now().as_us();
     phase_open(&mut phases, "fault");
     // Step past the largest possible jitter, well inside the windows.
-    world.charge_ms(6_000.0);
+    world.wait(SimDuration::from_ms(6_000));
     let fault_t0 = world.now();
     for i in 0..ROUNDS {
         pace(fault_t0 + probe_step * i);

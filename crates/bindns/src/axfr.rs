@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use simnet::costs::Term;
 use simnet::topology::HostId;
 
 use hrpc::error::{RpcError, RpcResult};
@@ -182,10 +183,10 @@ fn records_of(v: &Value) -> NsResult<Vec<ResourceRecord>> {
 /// Charges a transfer that shipped `size_bytes` the calibrated
 /// per-kilobyte cost, minus the round trip the fabric already charged.
 fn charge_transfer(net: &RpcNet, binding: &HrpcBinding, size_bytes: usize) {
-    let world = net.world();
-    let kb = size_bytes as f64 / 1024.0;
-    let rtt = world.costs.rpc_rtt(binding.components.suite_kind());
-    world.charge_ms((world.costs.axfr(kb) - rtt).max(0.0));
+    net.world().charge(Term::ZoneTransfer {
+        suite: binding.components.suite_kind(),
+        bytes: size_bytes,
+    });
 }
 
 /// Transfers `origin` from the server behind `binding`, charging the
@@ -383,7 +384,11 @@ mod tests {
         let (xfer, took, _) =
             world.measure(|| transfer_zone(&net, client, &dep.hrpc_binding, &name("hns")));
         let xfer = xfer.expect("axfr");
-        let expected = world.costs.axfr(xfer.size_bytes as f64 / 1024.0) + world.costs.bind_service;
+        let suite = dep.hrpc_binding.components.suite_kind();
+        let bytes = xfer.size_bytes;
+        let expected = world.price(Term::RemoteRequest { suite, bytes: 0 })
+            + world.price(Term::ZoneTransfer { suite, bytes })
+            + world.price(Term::BindService);
         assert!(
             (took.as_ms_f64() - expected).abs() < 2.0,
             "took {took}, expected ~{expected}"

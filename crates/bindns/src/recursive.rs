@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use simnet::costs::Term;
 use simnet::obs::LazyCounter;
 use simnet::time::SimTime;
 use simnet::topology::HostId;
@@ -91,7 +92,9 @@ impl RecursiveResolver {
         let decode = decoded(Answer::from_value);
         let answer = (self.net).call_msg(self.host, server, PROC_QUERY, question, decode)?;
         let world = self.net.world();
-        world.charge_ms(world.costs.fast_marshal(answer.records.len().max(1)));
+        world.charge(Term::FastMarshal {
+            rrs: answer.records.len(),
+        });
         Ok(answer)
     }
 
@@ -150,13 +153,12 @@ impl RecursiveResolver {
         let mut cut = name.as_str();
         let mut depth = name.depth();
         loop {
-            world.charge_ms(world.costs.cache_probe);
+            world.charge(Term::CacheProbe);
             if let Some(referral) = self.cuts.get_text(now, cut, RType::Ns) {
-                world.charge_ms(
-                    world
-                        .costs
-                        .cache_hit(simnet::CacheForm::Demarshalled, referral.len()),
-                );
+                world.charge(Term::CacheHit {
+                    form: simnet::CacheForm::Demarshalled,
+                    rrs: referral.len(),
+                });
                 // Only referrals with usable glue are ever stored.
                 let server = Self::next_server(&referral).ok()?;
                 return Some((cut, Hop { depth, server }));
@@ -238,12 +240,12 @@ impl RecursiveResolver {
         read: impl Fn(&Entry) -> T,
     ) -> RpcResult<T> {
         let world = self.net.world();
-        world.charge_ms(world.costs.cache_probe);
+        world.charge(Term::CacheProbe);
         let now = world.now();
         let read = |entry: &Entry| (entry.len(), read(entry));
-        if let Some((len, value)) = self.cache.read(now, name.as_str(), rtype, read) {
+        if let Some((rrs, value)) = self.cache.read(now, name.as_str(), rtype, read) {
             let form = simnet::CacheForm::Demarshalled;
-            world.charge_ms(world.costs.cache_hit(form, len));
+            world.charge(Term::CacheHit { form, rrs });
             return Ok(value);
         }
         let question = Question::new(name.clone(), rtype);
@@ -288,6 +290,7 @@ mod tests {
     use crate::zone::Zone;
     use hrpc::server::{CallCtx, RpcService};
     use simnet::faults::FaultPlan;
+    use simnet::time::SimDuration;
     use simnet::topology::NetAddr;
     use simnet::world::World;
     use wire::Value;
@@ -514,13 +517,13 @@ mod tests {
         let resolver = t.resolver();
         assert_eq!(t.calls(&resolver, "fiji.cs.washington.edu"), 3);
         // Just short of the referrals' TTL the cuts still serve...
-        t.world.charge_ms(86_300.0 * 1000.0);
+        t.world.wait(SimDuration::from_ms(86_300_000));
         assert_eq!(t.calls(&resolver, "june.cs.washington.edu"), 1);
         // ...past it (fiji's own hour is long gone) the walk is whole again,
         // and relearns them.
-        t.world.charge_ms(200.0 * 1000.0);
+        t.world.wait(SimDuration::from_ms(200_000));
         assert_eq!(t.calls(&resolver, "fiji.cs.washington.edu"), 3);
-        t.world.charge_ms(3_700.0 * 1000.0);
+        t.world.wait(SimDuration::from_ms(3_700_000));
         assert_eq!(t.calls(&resolver, "fiji.cs.washington.edu"), 1);
         assert_eq!(t.cut_fallbacks(), None);
     }
@@ -537,7 +540,7 @@ mod tests {
         // the walk from the root, which replaces it.
         assert_eq!(t.calls(&resolver, "june.cs.washington.edu"), 1 + 3);
         assert_eq!(t.cut_fallbacks(), Some(1));
-        t.world.charge_ms(3_700.0 * 1000.0);
+        t.world.wait(SimDuration::from_ms(3_700_000));
         assert_eq!(t.calls(&resolver, "fiji.cs.washington.edu"), 1);
         assert_eq!(t.cut_fallbacks(), Some(1));
     }
@@ -645,7 +648,7 @@ mod tests {
         // from the root ends at the same dead host, and that is the answer.
         plan.crash(moved.host, t.world.now(), None);
         t.world.set_faults(Some(plan));
-        t.world.charge_ms(3_700.0 * 1000.0);
+        t.world.wait(SimDuration::from_ms(3_700_000));
         let err = resolver
             .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .unwrap_err();
@@ -726,7 +729,7 @@ mod tests {
         // The newest entry outlives its TTL unswept — nothing is inserted
         // after it — and is there for the serve-stale fallback.
         let last = name(&format!("n{}.flood.edu", 10 * CAPACITY - 1));
-        world.charge_ms(601.0 * 1000.0);
+        world.wait(SimDuration::from_ms(601_000));
         assert!(resolver.cache.get(world.now(), &last, RType::A).is_none());
         assert!(resolver
             .cache

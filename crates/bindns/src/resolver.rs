@@ -9,6 +9,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use simnet::costs::Term;
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::HostId;
 use simnet::trace::{CacheOutcome, TraceKind};
@@ -124,11 +125,11 @@ impl StdResolver {
     ) -> RpcResult<T> {
         let world = self.world();
         let read = |entry: &Entry| (entry.len(), read(entry));
-        let charge_hit = |len| {
+        let charge_hit = |rrs| {
             let form = simnet::CacheForm::Demarshalled;
-            world.charge_ms(world.costs.cache_hit(form, len));
+            world.charge(Term::CacheHit { form, rrs });
         };
-        world.charge_ms(world.costs.cache_probe);
+        world.charge(Term::CacheProbe);
         if let Some((len, value)) = self.cache().read(world.now(), text, rtype, read) {
             self.cache_hits
                 .get(world.metrics(), "bind_resolver", "std_cache_hits")
@@ -171,7 +172,9 @@ impl StdResolver {
         // the recursive resolver charges it: an alias's answer, of two
         // owners, is read as any other.
         let world = self.world();
-        world.charge_ms(world.costs.fast_marshal(answer.records.len().max(1)));
+        world.charge(Term::FastMarshal {
+            rrs: answer.records.len(),
+        });
         self.query_us
             .get(world.metrics(), "bind_resolver", "std_query_us")
             .record(world.now().since(t0).as_us());
@@ -242,10 +245,9 @@ impl HrpcResolver {
         let decode = decoded(Answer::from_value);
         let answer = (self.net).call_msg(self.host, &self.server, PROC_QUERY, &question, decode)?;
         let world = self.net.world();
-        world.charge_ms(
-            world.costs.generated_miss(answer.records.len().max(1))
-                + world.costs.bind_resolver_overhead,
-        );
+        world.charge(Term::ResolverQuery {
+            rrs: answer.records.len(),
+        });
         self.query_us
             .get(world.metrics(), "bind_resolver", "hrpc_query_us")
             .record(world.now().since(t0).as_us());
@@ -268,11 +270,10 @@ impl HrpcResolver {
         let world = self.net.world();
         // Every returned set still pays generated demarshalling, but the
         // whole batch pays the fixed interface overhead exactly once.
-        let mut marshal_ms = world.costs.bind_resolver_overhead;
-        for answer in multi.answers.iter().chain(multi.additional.iter()) {
-            marshal_ms += world.costs.generated_miss(answer.records.len().max(1));
-        }
-        world.charge_ms(marshal_ms);
+        let answers = multi.answers.iter().chain(multi.additional.iter());
+        world.charge(Term::ResolverBatch {
+            sets: &mut answers.map(|answer| answer.records.len()),
+        });
         Ok(multi)
     }
 
@@ -283,7 +284,7 @@ impl HrpcResolver {
         let decode = decoded(Answer::from_value);
         let answer = (self.net).call_msg(self.host, &self.server, PROC_UPDATE, op, decode)?;
         let world = self.net.world();
-        world.charge_ms(world.costs.generated_miss(1));
+        world.charge(Term::GeneratedMiss { rrs: 1 });
         match answer.rcode {
             crate::error::Rcode::Ok => Ok(()),
             other => Err(RpcError::Service(format!("update refused: {other:?}"))),
@@ -304,6 +305,7 @@ mod tests {
     use super::*;
     use crate::server::{deploy, single_zone_server, BindDeployment};
     use crate::zone::Zone;
+    use simnet::time::SimDuration;
     use simnet::topology::{HostId, NetAddr};
     use simnet::world::World;
 
@@ -390,7 +392,7 @@ mod tests {
         resolver
             .resolve(&name("short.cs.washington.edu"), RType::Txt)
             .expect("warm");
-        world.charge_ms(2_000.0); // Let the TTL lapse.
+        world.wait(SimDuration::from_ms(2_000)); // Let the TTL lapse.
         let (_, _, delta) =
             world.measure(|| resolver.resolve(&name("short.cs.washington.edu"), RType::Txt));
         assert_eq!(delta.remote_calls, 1, "expired entry must refetch");
@@ -520,8 +522,11 @@ mod tests {
         ];
         let (_, batch_took, _) = world.measure(|| resolver.mquery(&questions, &[]).expect("mq"));
         let saving = seq_took.as_ms_f64() - batch_took.as_ms_f64();
-        let expected =
-            world.costs.rpc_rtt(simnet::RpcSuiteKind::RawTcp) + world.costs.bind_resolver_overhead;
+        // One round trip and one interface overhead fewer.
+        let suite = simnet::RpcSuiteKind::RawTcp;
+        let expected = world.price(Term::RemoteRequest { suite, bytes: 0 })
+            + world.price(Term::ResolverQuery { rrs: 1 })
+            - world.price(Term::GeneratedMiss { rrs: 1 });
         assert!(
             (saving - expected).abs() < 1.0,
             "batch saving {saving} ms, expected ~{expected}"
@@ -541,7 +546,7 @@ mod tests {
         resolver
             .resolve(&name("short.cs.washington.edu"), RType::Txt)
             .expect("warm");
-        world.charge_ms(2_000.0); // Let the TTL lapse.
+        world.wait(SimDuration::from_ms(2_000)); // Let the TTL lapse.
 
         // Crash the BIND host: the expired entry is served stale…
         let mut plan = simnet::FaultPlan::new();
@@ -657,7 +662,7 @@ mod tests {
         ] {
             step(text, rtype);
         }
-        world.charge_ms(2_000.0);
+        world.wait(SimDuration::from_ms(2_000));
         let mut plan = simnet::FaultPlan::new();
         plan.crash(dep.std_binding.host, world.now(), None);
         world.set_faults(Some(plan));

@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::costs::Term;
 use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
@@ -144,7 +145,7 @@ impl BindServer {
     }
 
     fn serve_query(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Answer> {
-        ctx.world.charge_ms(ctx.world.costs.bind_service);
+        ctx.world.charge(Term::BindService);
         ctx.world.count_ns_lookup();
         self.queries
             .get(ctx.world.metrics(), "bindns", "queries")
@@ -189,7 +190,7 @@ impl BindServer {
         for question in &mq.questions {
             // Each question is a full lookup's work on the server, exactly
             // as if it had arrived alone; the batch elides only transport.
-            ctx.world.charge_ms(ctx.world.costs.bind_service);
+            ctx.world.charge(Term::BindService);
             ctx.world.count_ns_lookup();
             answers.push(Self::answer_one(&db, question));
         }
@@ -202,7 +203,7 @@ impl BindServer {
                         if records.is_empty() {
                             continue;
                         }
-                        ctx.world.charge_ms(ctx.world.costs.bind_service);
+                        ctx.world.charge(Term::BindService);
                         ctx.world.count_ns_lookup();
                         additional.push(Answer::ok(records));
                     }
@@ -228,7 +229,7 @@ impl BindServer {
     }
 
     fn serve_axfr(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<ZoneTransfer> {
-        ctx.world.charge_ms(ctx.world.costs.bind_service);
+        ctx.world.charge(Term::BindService);
         ctx.world.metrics().inc("bindns", "zone_transfers");
         let origin = &args.read(ZoneRequest::from_value)?.origin;
         let db = self.db.read();
@@ -255,7 +256,7 @@ impl BindServer {
     /// or [`IxfrMode::Full`] (the delta log no longer reaches the
     /// client's serial — the entire zone rides back, exactly an AXFR).
     fn serve_ixfr(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<IncrementalTransfer> {
-        ctx.world.charge_ms(ctx.world.costs.bind_service);
+        ctx.world.charge(Term::BindService);
         ctx.world.metrics().inc("bindns", "zone_transfers");
         let request = args.read(IxfrRequest::from_value)?;
         let (origin, from_serial) = (&request.origin, request.from_serial);
@@ -310,7 +311,7 @@ impl BindServer {
     }
 
     fn serve_update(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Answer> {
-        ctx.world.charge_ms(ctx.world.costs.bind_service);
+        ctx.world.charge(Term::BindService);
         self.updates
             .get(ctx.world.metrics(), "bindns", "updates")
             .inc();
@@ -340,7 +341,7 @@ impl BindServer {
     }
 
     fn serve_serial(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Value> {
-        ctx.world.charge_ms(ctx.world.costs.bind_service);
+        ctx.world.charge(Term::BindService);
         let origin = &args.read(ZoneRequest::from_value)?.origin;
         Ok(Value::U32(served_zone(&self.db.read(), origin)?.serial()))
     }

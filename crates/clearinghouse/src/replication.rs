@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use simnet::costs::{RpcSuiteKind, Term};
 use simnet::topology::HostId;
 use simnet::world::World;
 
@@ -76,9 +77,10 @@ impl ChCluster {
             .sum();
         for replica in &self.replicas {
             // One courier round trip plus bytes on the wire per replica.
-            self.world.charge_ms(
-                self.world.costs.rpc_rtt_courier + self.world.costs.per_kb * size as f64 / 1024.0,
-            );
+            self.world.charge(Term::RemoteRequest {
+                suite: RpcSuiteKind::Courier,
+                bytes: size,
+            });
             replica.with_db(|db| db.restore(snapshot.clone()));
         }
     }

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::costs::Term;
 use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
 use simnet::trace::TraceKind;
@@ -80,7 +81,7 @@ impl ChServer {
     /// access every operation makes — before anything else of the request
     /// is read.
     fn admit(&self, ctx: &CallCtx<'_>, creds: RpcResult<&Credentials>) -> RpcResult<()> {
-        ctx.world.charge_ms(ctx.world.costs.ch_auth);
+        ctx.world.charge(Term::ChAuth);
         let verified = creds.and_then(|creds| {
             (self.auth.verify(creds)).map_err(|_| RpcError::AuthFailed(creds.identity.to_string()))
         });
@@ -88,8 +89,7 @@ impl ChServer {
             ctx.world.metrics().inc("clearinghouse", "auth_failures");
         })?;
         // "virtually all data is retrieved from disk".
-        ctx.world
-            .charge_ms(ctx.world.costs.ch_disk + ctx.world.costs.ch_service);
+        ctx.world.charge(Term::ChRead);
         ctx.world.count_ns_lookup();
         Ok(())
     }
@@ -158,8 +158,7 @@ impl ChServer {
             }
         }
         if examined > 1 {
-            ctx.world
-                .charge_ms(ctx.world.costs.ch_disk * (examined - 1) as f64);
+            ctx.world.charge(Term::ChDiskReads { n: examined - 1 });
         }
         ctx.world.trace(Some(ctx.host), TraceKind::NameService, || {
             format!(

@@ -217,8 +217,9 @@ fn pin_findnsm_paths(tb: &Testbed, rng: &mut DetRng, seed: u64) -> usize {
 
     // Past the aliases' own record TTL, well inside everything else's:
     // the alias entries have lapsed, the name-service entries have not.
-    tb.world
-        .charge_ms(f64::from(ALIAS_TTL) * 1000.0 + rng.next_below(300_000) as f64);
+    tb.world.wait(SimDuration::from_ms(
+        u64::from(ALIAS_TTL) * 1000 + rng.next_below(300_000),
+    ));
     compare(rng, "alias lapsed", &mut aliases);
     assert_eq!(composed_hits(), (0, n), "seed {seed}: service-level hits");
     compare(rng, "alias lapsed, primary", &mut targets);
@@ -229,8 +230,9 @@ fn pin_findnsm_paths(tb: &Testbed, rng: &mut DetRng, seed: u64) -> usize {
     );
 
     // Past every TTL: full re-walks, then shared again.
-    tb.world
-        .charge_ms(f64::from(hns_core::META_TTL) * 1000.0 + rng.next_below(60_000) as f64);
+    tb.world.wait(SimDuration::from_ms(
+        u64::from(hns_core::META_TTL) * 1000 + rng.next_below(60_000),
+    ));
     compare(rng, "all lapsed", &mut targets);
     assert_eq!(composed_hits(), (0, 0), "seed {seed}: full re-walks");
     compare(rng, "all lapsed, alias", &mut aliases);
@@ -261,8 +263,9 @@ fn pin_serve_stale(tb: &Testbed, rng: &mut DetRng, seed: u64, composed: bool) {
 
     // Expire the cache with seed-jittered slack, then crash the meta
     // host for a seed-jittered window.
-    tb.world
-        .charge_ms(f64::from(lapse_secs) * 1000.0 + 1_000.0 + rng.next_below(5_000) as f64);
+    tb.world.wait(SimDuration::from_ms(
+        u64::from(lapse_secs) * 1000 + 1_000 + rng.next_below(5_000),
+    ));
     let crash_start = tb.world.now();
     let heal = crash_start + SimDuration::from_ms(60_000 + rng.next_below(240_000));
     let mut plan = FaultPlan::new();
@@ -299,7 +302,7 @@ fn pin_serve_stale(tb: &Testbed, rng: &mut DetRng, seed: u64, composed: bool) {
     // Heal before the next scenario reuses the world.
     tb.world.set_faults(None);
     tb.world
-        .charge(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
+        .wait(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
 }
 
 /// Part C: NSM failover. An `Import` answered by the replica binding
@@ -336,7 +339,7 @@ fn pin_nsm_failover(tb: &Testbed, rng: &mut DetRng, seed: u64) {
 
     tb.world.set_faults(None);
     tb.world
-        .charge(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
+        .wait(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
 }
 
 /// Part D: Clearinghouse read failover. A lookup served by a propagated
@@ -386,7 +389,7 @@ fn pin_ch_failover(tb: &Testbed, rng: &mut DetRng, seed: u64) {
 
     tb.world.set_faults(None);
     tb.world
-        .charge(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
+        .wait(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
 }
 
 /// Runs the full differential suite for one seed, panicking with the

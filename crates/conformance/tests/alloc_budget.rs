@@ -45,6 +45,7 @@ use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, NS_BIND, 
 use nsms::import::Importer;
 use nsms::nsm_cache::NsmCacheForm;
 use regd::{owner_key, owner_name, RegTestbed};
+use simnet::time::SimDuration;
 use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
 use wire::Value;
@@ -319,11 +320,11 @@ fn find_nsm_and_import_stay_within_their_allocation_budgets() {
     warm.register_context(&sibling, NS_BIND, &NameMapping::Identity)
         .expect("register sibling");
     let sibling = HnsName::new(sibling, "fiji.cs.washington.edu").expect("name");
-    let half_ttl_ms = f64::from(hns_core::META_TTL) * 500.0;
-    tb.world.charge_ms(half_ttl_ms);
+    let half_ttl = SimDuration::from_ms(u64::from(hns_core::META_TTL) * 500);
+    tb.world.wait(half_ttl);
     warm.find_nsm(&qc, &sibling)
         .expect("sibling, via the service entry");
-    tb.world.charge_ms(half_ttl_ms + 1_000.0);
+    tb.world.wait(half_ttl + SimDuration::from_ms(1_000));
     warm.find_nsm(&qc, &name)
         .expect("re-walk refreshes mappings 2-6");
     let context_hits = warm.binding_cache_stats().hits;

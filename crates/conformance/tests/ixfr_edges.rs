@@ -18,6 +18,7 @@ use hrpc::ProgramId;
 use nsms::binding::BindingBindNsm;
 use nsms::harness::{Testbed, CTX_BIND, CTX_CH, NSM_EXPORT_PROGRAM, NS_BIND, NS_CH};
 use nsms::nsm_cache::NsmCacheForm;
+use simnet::time::SimDuration;
 use std::sync::Arc;
 
 fn dn(s: &str) -> DomainName {
@@ -341,7 +342,8 @@ fn a_retired_nsm_leaves_with_the_next_preload_or_when_its_ttl_lapses() {
         .net
         .call(tb.hosts.client, &binding, 1, &wire::Value::Void);
     assert!(unexported.is_err(), "{unexported:?}");
-    tb.world.charge_ms(f64::from(META_TTL) * 1000.0);
+    tb.world
+        .wait(SimDuration::from_ms(u64::from(META_TTL) * 1000));
     assert_eq!(walking.find_nsm(&qc, &name), no_nsm, "after the window");
 }
 

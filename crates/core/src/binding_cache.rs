@@ -47,6 +47,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use hrpc::HrpcBinding;
+use simnet::costs::Term;
 use simnet::obs::CounterSource;
 use simnet::time::SimTime;
 use simnet::ttl::{Probe, TtlMap, END};
@@ -85,7 +86,7 @@ fn key<'a>(qc: &'a str, scope: &'a str) -> [&'a [u8]; 3] {
 impl Level {
     /// One probe, charging one cache-probe cost.
     fn lookup(&self, world: &World, qc: &str, scope: &str) -> Probe<HrpcBinding> {
-        world.charge_ms(world.costs.cache_probe);
+        world.charge(Term::CacheProbe);
         self.map.probe(world.now(), &key(qc, scope), |b| *b)
     }
 
@@ -214,6 +215,13 @@ impl BindingCache {
         }
     }
 
+    /// [`BindingCache::lookup`] as the context level answers it: live,
+    /// with the instant the entry expires.
+    #[cfg(test)]
+    pub(crate) fn lookup_context(&self, world: &World, qc: &str, ctx: &str) -> Probe<HrpcBinding> {
+        self.by_context.lookup(world, qc, ctx)
+    }
+
     /// Bytes both levels hold ([`simnet::ttl::TtlMap::resident_bytes`]):
     /// slab, index and key arena at capacity. A binding holds nothing
     /// beyond its slot. Not exported as a metric.
@@ -260,6 +268,7 @@ impl CounterSource for BindingCache {
 mod tests {
     use super::*;
     use hrpc::ProgramId;
+    use simnet::time::SimDuration;
     use simnet::topology::{HostId, NetAddr};
 
     fn binding(host: u32) -> HrpcBinding {
@@ -291,7 +300,7 @@ mod tests {
         assert_eq!(c.lookup(&w, "qc", "ctx"), None, "cold miss");
         c.insert_until(&w, "qc", "ctx", binding(2), w.now().after_secs(2));
         assert_eq!(c.lookup(&w, "qc", "ctx"), Some(binding(2)));
-        w.charge_ms(2_000.0);
+        w.wait(SimDuration::from_ms(2_000));
         assert_eq!(c.lookup(&w, "qc", "ctx"), None, "composed TTL lapsed");
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.expired, s.inserts), (1, 1, 1, 1));
@@ -304,7 +313,7 @@ mod tests {
     fn both_levels_refuse_an_instant_at_or_before_now() {
         let w = World::paper();
         let c = BindingCache::of(true);
-        w.charge_ms(5_000.0);
+        w.wait(SimDuration::from_ms(5_000));
         let now = w.now();
         for at in [SimTime::ZERO, SimTime::from_ms(4_999), now] {
             c.insert_until(&w, "qc", "ctx", binding(3), at);
@@ -346,7 +355,7 @@ mod tests {
         let parts = [600, 600, 600, 300].map(|ttl| w.now().after_secs(ttl));
         let earliest = parts.into_iter().fold(mapping3, SimTime::min);
         c.insert_service(&w, "qc", "BIND", binding(7), earliest);
-        w.charge_ms(60_000.0);
+        w.wait(SimDuration::from_ms(60_000));
         assert_eq!(
             c.lookup_service(&w, "qc", "BIND"),
             Probe::Live {
@@ -357,7 +366,8 @@ mod tests {
         );
         // The probe charges its cost first, so it looks at mapping 3's
         // instant itself.
-        w.charge_ms(30_000.0 - 2.0 * w.costs.cache_probe);
+        let probe = SimDuration::from_ms_f64(w.price(Term::CacheProbe));
+        w.wait(SimDuration::from_ms(30_000) - probe - probe);
         assert_eq!(c.lookup_service(&w, "qc", "BIND"), Probe::Expired);
         assert_eq!(w.now(), mapping3);
         let s = c.service_stats();
@@ -432,7 +442,7 @@ mod tests {
             );
         }
         // Each probe charged the cache-probe cost.
-        let expected_ms = 40_000.0 * w.costs.cache_probe;
+        let expected_ms = 40_000.0 * w.price(Term::CacheProbe);
         assert!((w.now().as_ms_f64() - expected_ms).abs() < 1.0);
     }
 }

@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use intern::NameId;
+use simnet::costs::Term;
 use simnet::obs::CounterSource;
 use simnet::time::SimTime;
 use simnet::trace::{CacheOutcome, TraceKind};
@@ -267,7 +268,7 @@ impl<V: Cacheable> Stored<V> {
             Stored::Bytes(bytes) => (CacheForm::Marshalled, V::demarshal(&bytes).map(Arc::new)),
             Stored::Decoded(value) => (CacheForm::Demarshalled, Some(value)),
         };
-        world.charge_ms(world.costs.cache_hit(form, rrs));
+        world.charge(Term::CacheHit { form, rrs });
         value
     }
 }
@@ -373,7 +374,7 @@ impl<V: Cacheable> HnsCache<V> {
         if self.mode == CacheMode::Disabled {
             return CacheLookup::Miss;
         }
-        world.charge_ms(world.costs.cache_probe);
+        world.charge(Term::CacheProbe);
         let probe = key.with_parts(|parts| self.map.probe(world.now(), parts, Clone::clone));
         let (outcome, answer) = match probe {
             Probe::Live { value: None, .. } => {
@@ -429,7 +430,7 @@ impl<V: Cacheable> HnsCache<V> {
         if self.mode == CacheMode::Disabled {
             return None;
         }
-        world.charge_ms(world.costs.cache_probe);
+        world.charge(Term::CacheProbe);
         // `Clone::clone` is the reader: a negative entry clones to
         // `None`, which is how the map is told it is not servable.
         let ((stored, rrs), lapsed) =
@@ -587,6 +588,7 @@ impl<V: Cacheable + Send + Sync> CounterSource for HnsCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::time::SimDuration;
 
     fn key() -> &'static str {
         "ctx.bind-uw.hns"
@@ -644,7 +646,7 @@ mod tests {
         let cache = HnsCache::new(CacheMode::Demarshalled);
         assert!(cache.lookup_stale(&world, &key()).is_none(), "absent");
         cache.insert_negative(&world, key());
-        world.charge_ms(f64::from(NEGATIVE_TTL) * 1000.0 + 500.0);
+        world.wait(SimDuration::from_ms(u64::from(NEGATIVE_TTL) * 1000 + 500));
         assert!(
             cache.lookup_stale(&world, &key()).is_none(),
             "an expired negative is not servable data"
@@ -659,7 +661,7 @@ mod tests {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Marshalled);
         cache.insert(&world, key(), &value(), 1, 1);
-        world.charge_ms(1_500.0);
+        world.wait(SimDuration::from_ms(1_500));
         let (stale, took, _) = world.measure(|| cache.lookup_stale(&world, &key()));
         let (stale, lapsed) = stale.expect("stale fallback");
         assert_eq!(*stale, value());
@@ -803,7 +805,7 @@ mod tests {
     fn lookup_reports_the_filed_instant() {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
-        world.charge_ms(0.25);
+        world.wait(SimDuration::from_us(250));
         let filed = world.now().after_secs(600);
         cache.insert(&world, key(), &value(), 1, 600);
         let shared = host_addr_key("BIND", "fiji");
@@ -814,8 +816,8 @@ mod tests {
                 other => panic!("expected hit, got {other:?}"),
             }
         }
-        for elapse_ms in [0.0, 250_000.0, 349_000.0] {
-            world.charge_ms(elapse_ms);
+        for elapse_ms in [0, 250_000, 349_000] {
+            world.wait(SimDuration::from_ms(elapse_ms));
             assert_eq!(expires_at(&cache, &world, key()), filed);
             assert_eq!(expires_at(&cache, &world, shared), filed);
         }
@@ -833,7 +835,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.negative_hits, 1);
         assert_eq!(stats.inserts, 0, "negatives are not inserts");
-        world.charge_ms(f64::from(NEGATIVE_TTL) * 1000.0 + 500.0);
+        world.wait(SimDuration::from_ms(u64::from(NEGATIVE_TTL) * 1000 + 500));
         assert!(matches!(cache.lookup(&world, &key()), CacheLookup::Miss));
     }
 
@@ -868,7 +870,7 @@ mod tests {
         let (found, took, _) = world.measure(|| cache.contains_live(&world, &key()));
         assert!(found);
         assert_eq!(took.as_us(), 0, "peek must be cost-free");
-        world.charge_ms(1_500.0);
+        world.wait(SimDuration::from_ms(1_500));
         assert!(!cache.contains_live(&world, &key()), "expired is not live");
         assert_eq!(cache.stats(), before, "no stats moved");
         cache.insert_negative(&world, key());
@@ -891,7 +893,7 @@ mod tests {
             cache.lookup(&world, &key()),
             CacheLookup::Hit { .. }
         ));
-        world.charge_ms(1_500.0);
+        world.wait(SimDuration::from_ms(1_500));
         assert!(matches!(cache.lookup(&world, &key()), CacheLookup::Miss));
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits, stats.expired), (1, 1, 1));

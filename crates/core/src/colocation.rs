@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use simnet::costs::Term;
 use simnet::topology::HostId;
 
 use hrpc::error::{RpcError, RpcResult};
@@ -134,7 +135,7 @@ impl HnsClient {
             HnsHandle::Remote(binding) => {
                 let world = self.net.world();
                 if !world.topology.colocated(self.host, binding.host) {
-                    world.charge_ms(world.costs.findnsm_arg_marshal);
+                    world.charge(Term::FindNsmArgMarshal);
                 }
                 let request = NsmRequest {
                     query_class: Some(qc.clone()),
@@ -237,7 +238,7 @@ impl AgentClient {
     ) -> HnsResult<Value> {
         let world = self.net.world();
         if !world.topology.colocated(self.host, self.binding.host) {
-            world.charge_ms(world.costs.agent_arg_marshal);
+            world.charge(Term::AgentArgMarshal);
         }
         let request = NsmRequest {
             query_class: Some(qc.clone()),

@@ -12,6 +12,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use simnet::costs::Term;
 use simnet::obs::LazyCounter;
 use simnet::topology::{HostId, NetAddr};
 
@@ -358,7 +359,7 @@ impl NsmClient {
             .inc();
         if !world.topology.colocated(self.host, binding.host) {
             // Marshalling of the NSM interface arguments on a remote hop.
-            world.charge_ms(world.costs.nsm_arg_marshal);
+            world.charge(Term::NsmArgMarshal);
         }
         self.net
             .call_into(self.host, binding, NSM_PROC_QUERY, request, reply)

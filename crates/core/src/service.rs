@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simnet::costs::Term;
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::{HostId, NetAddr};
@@ -560,7 +561,7 @@ impl Hns {
         if cache.contains_live(world, ctx_key.as_str()) {
             return Ok(overlay);
         }
-        world.charge_ms(world.costs.hns_bookkeeping);
+        world.charge(Term::HnsBookkeeping);
         let batch = self
             .meta
             .fetch_batch(&ctx_key, &[qc.as_str().to_string()])?;
@@ -738,7 +739,7 @@ impl Hns {
         ];
         let histogram = (&self.handles.mapping_us[idx - 1], HIST[idx - 1]);
         self.timed(histogram, format_args!("mapping {idx}: {label}"), || {
-            self.world().charge_ms(self.world().costs.hns_bookkeeping);
+            self.world().charge(Term::HnsBookkeeping);
             f()
         })
     }
@@ -955,7 +956,7 @@ mod tests {
             QueryClass::host_address()
         }
         fn handle(&self, _: &NsmRequest, reply: &mut ReplySlot<'_>) -> Result<(), RpcError> {
-            self.world.charge_ms(self.delay_ms);
+            self.world.wait(SimDuration::from_ms_f64(self.delay_ms));
             reply.put(Value::record([
                 ("host", Value::U32(7)),
                 ("ttl", Value::U32(self.ttl)),
@@ -972,17 +973,11 @@ mod tests {
     /// on `NS`) has record TTLs `ttls` — mapping 1 of `ctx-a`, mappings
     /// 2–5, mapping 6 (the linked NSM's answer), mapping 1 of `ctx-b` —
     /// with every call to the meta server slowed by `meta_ms` and the
-    /// linked NSM by `linked_ms`. Reading a cache costs nothing in its
-    /// world, so a probe looks at the instant it is made. The composed
-    /// cache is on, built so, or switched on by the pinned wrapper once
-    /// everything is registered if `via_wrapper`.
+    /// linked NSM by `linked_ms`. A cache probe charges its cost before
+    /// it looks. The composed cache is on, built so, or switched on by the
+    /// pinned wrapper once everything is registered if `via_wrapper`.
     fn hns(ttls: [u32; 7], meta_ms: f64, linked_ms: f64, via_wrapper: bool) -> Hns {
-        let world = World::new(simnet::CostModel {
-            cache_probe: 0.0,
-            demar_hit_base: 0.0,
-            demar_hit_per_rr: 0.0,
-            ..simnet::CostModel::paper_calibrated()
-        });
+        let world = World::paper();
         let (client, meta_host) = (world.add_host("client"), world.add_host("meta"));
         let net = RpcNet::new(Arc::clone(&world));
         let origin = DomainName::parse("hns").expect("origin");
@@ -1048,13 +1043,13 @@ mod tests {
         let world = Arc::clone(hns.world());
         let mut seen = Vec::new();
         for (context, wait_ms) in [
-            ("ctx-a", 0.0),
-            ("ctx-a", 0.0),
-            ("ctx-b", 0.0),
-            ("ctx-b", 61_000.0),
-            ("ctx-a", 601_000.0),
+            ("ctx-a", 0),
+            ("ctx-a", 0),
+            ("ctx-b", 0),
+            ("ctx-b", 61_000),
+            ("ctx-a", 601_000),
         ] {
-            world.charge_ms(wait_ms);
+            world.wait(SimDuration::from_ms(wait_ms));
             let name = HnsName::new(ctx(context), "x").expect("name");
             let (binding, report) = hns
                 .find_nsm_report(&QueryClass::hrpc_binding(), &name)
@@ -1100,10 +1095,9 @@ mod tests {
 
     /// Both composed levels of a walk just made in `context` expire with
     /// their earliest part, to the microsecond: the service level with
-    /// mappings 2–6, the context level with those and mapping 1. The
-    /// service level says its instant; the context level is probed 1 µs
-    /// before the instant and at it, so the clock ends there. A level
-    /// whose earliest part had lapsed by the end of the walk holds nothing.
+    /// mappings 2–6, the context level with those and mapping 1. A probe
+    /// of a live level says its instant; a level whose earliest part had
+    /// lapsed by the probe holds nothing live.
     fn check_composed(hns: &Hns, context: &str) {
         let (world, qc) = (hns.world(), QueryClass::hrpc_binding());
         let meta = |step: Step<'_>| part(hns, step.key(hns.meta.origin()).expect("key").as_str());
@@ -1117,22 +1111,16 @@ mod tests {
         ];
         let service = parts.into_iter().min().expect("five parts");
         let whole = service.min(meta(Step::Context(&ctx(context))));
-        let now = world.now();
-        match hns.binding_cache.lookup_service(world, qc.as_str(), "NS") {
-            Probe::Live { expires_at, .. } => assert_eq!(expires_at, service),
-            _ => assert!(service <= now, "{service:?} is after {now:?}"),
+        let service_level = hns.binding_cache.lookup_service(world, qc.as_str(), "NS");
+        let context_level = hns
+            .binding_cache
+            .lookup_context(world, qc.as_str(), context);
+        for (level, at) in [(service_level, service), (context_level, whole)] {
+            match level {
+                Probe::Live { expires_at, .. } => assert_eq!(expires_at, at),
+                _ => assert!(at <= world.now(), "{at:?} is after {:?}", world.now()),
+            }
         }
-        let live = || {
-            hns.binding_cache
-                .lookup(world, qc.as_str(), context)
-                .is_some()
-        };
-        if whole > now {
-            world.charge(whole.since(now) - SimDuration::from_us(1));
-            assert!(live(), "live 1 µs before {whole:?}");
-            world.charge(SimDuration::from_us(1));
-        }
-        assert!(!live(), "lapsed at {whole:?}");
     }
 
     /// Mapping 6 as a linked NSM that, once armed, runs one more
@@ -1187,7 +1175,7 @@ mod tests {
         find("ctx-a");
         find("ctx-b");
         let world = hns.world();
-        world.charge_ms(2_000.0);
+        world.wait(SimDuration::from_ms(2_000));
         let mut plan = FaultPlan::new();
         plan.crash(hns.meta_binding.host, world.now(), None);
         world.set_faults(Some(plan));
@@ -1241,7 +1229,7 @@ mod tests {
                     hns.binding_cache.lookup_service(world, qc.as_str(), "NS")
                 {
                     let left = expires_at.since(world.now());
-                    world.charge(left.saturating_sub(SimDuration::from_us(left_us)));
+                    world.wait(left.saturating_sub(SimDuration::from_us(left_us)));
                 }
                 find("ctx-b");
                 check_composed(&hns, "ctx-b");

@@ -8,6 +8,7 @@ use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::{NsmBinding, NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
 use hrpc::ProgramId;
+use simnet::time::SimDuration;
 use wire::Value;
 
 fn arb_suite() -> impl Strategy<Value = SuiteTag> {
@@ -163,7 +164,7 @@ proptest! {
                     };
                     prop_assert_eq!(cache.get(&world, &key_of(k)), expected);
                 }
-                _ => world.charge_ms(2_000.0),
+                _ => world.wait(SimDuration::from_ms(2_000)),
             }
         }
         prop_assert_eq!(cache.len(), model.len());

@@ -19,6 +19,7 @@ use hns_core::HnsError;
 use hrpc::net::RpcNet;
 use hrpc::server::{ProcServer, ReplySlot};
 use hrpc::{ComponentSet, HrpcBinding, ProgramId, RpcError};
+use simnet::time::SimDuration;
 use simnet::topology::{HostId, NetAddr};
 use simnet::world::World;
 use wire::Value;
@@ -258,7 +259,7 @@ fn service_level_entry_lapses_with_the_earliest_of_mappings_2_to_6() {
     let sibling_name = HnsName::new(sibling, "any-entity").expect("name");
 
     let first = hns.find_nsm(&qc, &echo_name()).expect("seeds both levels");
-    env.world.charge_ms(60_000.0);
+    env.world.wait(SimDuration::from_ms(60_000));
     // Live: the sibling costs its own mapping 1 and one composed probe.
     let (via_service, report) = hns.find_nsm_report(&qc, &sibling_name).expect("sibling");
     assert_eq!(via_service, first);
@@ -267,7 +268,7 @@ fn service_level_entry_lapses_with_the_earliest_of_mappings_2_to_6() {
 
     // Past mapping 3's TTL nothing composed from it may answer: not the
     // service entry, and neither context's entry made from it.
-    env.world.charge_ms(31_000.0);
+    env.world.wait(SimDuration::from_ms(31_000));
     for name in [&sibling_name, &echo_name()] {
         let hits = hns.binding_cache_stats().hits;
         let (binding, report) = hns.find_nsm_report(&qc, name).expect("re-walk");

@@ -21,6 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
+use simnet::costs::Term;
 use simnet::faults::{FaultKind, LEG_REPLY, LEG_REQUEST};
 use simnet::index::FixedState;
 use simnet::obs::{LazyCounter, LazyHistogram};
@@ -351,15 +352,14 @@ impl RpcNet {
                     });
                 }
             }
-            self.world.charge_ms(self.world.costs.local_call);
+            self.world.charge(Term::LocalCall);
             self.world.count_local_call();
             self.serve(caller, binding, proc_id, args, reply)?;
             reply_len(reply, components)?;
             return Ok(());
         }
 
-        let rtt = self.world.costs.rpc_rtt(components.suite_kind());
-        let per_req = rtt + self.world.costs.per_kb * req_len as f64 / 1024.0;
+        let suite = components.suite_kind();
         let datagram = components.transport.is_datagram();
         let xid = self
             .next_xid
@@ -368,11 +368,7 @@ impl RpcNet {
         let span = self.world.span_lazy(Some(caller), TraceKind::Rpc, || {
             format!(
                 "rpc {} -> {}:{} prog {} ({:?})",
-                caller,
-                binding.host,
-                binding.port,
-                binding.program.0,
-                components.suite_kind()
+                caller, binding.host, binding.port, binding.program.0, suite
             )
         });
         let t0 = self.world.now();
@@ -384,7 +380,10 @@ impl RpcNet {
         let mut attempts = 0;
         let result = loop {
             attempts += 1;
-            self.world.charge_ms(per_req);
+            self.world.charge(Term::RemoteRequest {
+                suite,
+                bytes: req_len,
+            });
             self.world.count_remote_call(req_len as u64);
 
             // Fault legs: a crashed or partitioned target answers
@@ -419,7 +418,8 @@ impl RpcNet {
                         attempts,
                     });
                 }
-                self.world.charge_ms(retry_backoff_ms(attempts));
+                let ms = retry_backoff_ms(attempts);
+                self.world.charge(Term::RetryBackoff { ms });
                 continue;
             }
 
@@ -434,7 +434,7 @@ impl RpcNet {
                         .fault_spiked
                         .get(self.world.metrics(), "faults", "spiked_attempts")
                         .inc();
-                    self.world.charge_ms(extra);
+                    self.world.charge(Term::LatencySpike { ms: extra });
                 }
             }
 
@@ -466,19 +466,12 @@ impl RpcNet {
             self.world.trace(Some(caller), TraceKind::Rpc, || {
                 format!(
                     "call {} -> {}:{} prog {} ({:?})",
-                    caller,
-                    binding.host,
-                    binding.port,
-                    binding.program.0,
-                    components.suite_kind()
+                    caller, binding.host, binding.port, binding.program.0, suite
                 )
             });
             break reply_len(reply, components);
         };
-        let result = result.map(|reply_len| {
-            self.world
-                .charge_ms(self.world.costs.per_kb * reply_len as f64 / 1024.0);
-        });
+        let result = result.map(|bytes| self.world.charge(Term::ReplyBytes { bytes }));
 
         span.add_round_trips(u64::from(attempts));
         drop(span);
@@ -561,7 +554,7 @@ impl RpcNet {
         proc_id: u32,
         args: &dyn Message,
     ) -> RpcResult<u16> {
-        self.world.charge_ms(self.world.costs.portmap_service);
+        self.world.charge(Term::PortmapService);
         match (listener.port, proc_id) {
             (PORTMAP_PORT, PMAP_GETPORT) => {
                 let program = ProgramId(args.read(GetPort::from_value)?.program);
@@ -996,7 +989,7 @@ mod tests {
 
         // The same plan heals once virtual time passes the window.
         let now = world.now();
-        world.charge(heal.since(now) + SimDuration::from_ms(1));
+        world.wait(heal.since(now) + SimDuration::from_ms(1));
         assert!(net.call(client, &b, 1, &Value::Void).is_ok());
     }
 

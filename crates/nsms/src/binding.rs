@@ -30,6 +30,7 @@ use hrpc::error::RpcResult;
 use hrpc::net::RpcNet;
 use hrpc::server::ReplySlot;
 use hrpc::HrpcBinding;
+use simnet::costs::Term;
 use simnet::obs::CounterSource;
 use simnet::topology::{HostId, NetAddr};
 use simnet::ttl::END;
@@ -170,7 +171,7 @@ where
         let program_bytes = program.0.to_le_bytes();
         let key = key(local, service, &program_bytes);
         if let Some(cached) = self.cache.get(world, &key) {
-            world.charge_ms(world.costs.nsm_assemble);
+            world.charge(Term::NsmAssemble);
             reply.put(*cached);
             return Ok(());
         }
@@ -193,7 +194,9 @@ where
             port,
             components,
         };
-        world.charge_ms(world.costs.generated_miss(BINDING_MARSHAL_RRS) + world.costs.nsm_assemble);
+        world.charge(Term::BindingAssembly {
+            rrs: BINDING_MARSHAL_RRS,
+        });
         self.cache
             .insert(world, key, &binding, CACHED_BINDING_RRS, ttl);
         reply.put(binding);

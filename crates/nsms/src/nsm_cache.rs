@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use hns_core::cache::{Cacheable, HeapBytes, Stored};
+use simnet::costs::Term;
 use simnet::obs::CounterSource;
 use simnet::trace::CacheOutcome;
 use simnet::ttl::{KeyParts, Probe, TtlMap};
@@ -60,7 +61,7 @@ impl<V: Cacheable> NsmCache<V> {
         if self.form == NsmCacheForm::Disabled {
             return None;
         }
-        world.charge_ms(world.costs.cache_probe);
+        world.charge(Term::CacheProbe);
         let probe = key.with_parts(|parts| self.map.probe(world.now(), parts, Clone::clone));
         let (outcome, value) = match probe {
             // The map's lock is released: a marshalled entry is

@@ -17,6 +17,7 @@ use nsms::harness::{
 use nsms::mail::MailBindNsm;
 use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
+use simnet::time::SimDuration;
 use wire::Value;
 
 fn fiji_name(tb: &Testbed) -> HnsName {
@@ -353,8 +354,9 @@ fn dynamic_updates_flow_into_findnsm_without_client_changes() {
         let (again, _, delta) = tb.world.measure(|| client.find_nsm(&qc, &name));
         assert!(unserved(again), "composed={composed}");
         assert_eq!(delta.remote_calls, 0);
-        tb.world
-            .charge_ms(f64::from(hns_core::cache::NEGATIVE_TTL) * 1000.0);
+        tb.world.wait(SimDuration::from_ms(
+            u64::from(hns_core::cache::NEGATIVE_TTL) * 1000,
+        ));
         let found = client.find_nsm(&qc, &name).expect("mail NSM findable");
         assert_eq!(found, registered, "composed={composed}");
         assert_eq!((found.host, found.program), (tb.hosts.nsm, program));

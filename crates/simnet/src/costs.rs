@@ -8,21 +8,32 @@
 //! marshalling operations the simulated system actually performs, priced by
 //! these constants.
 //!
-//! | Constant | Paper evidence |
-//! |---|---|
-//! | `rpc_rtt_sun` = 33 ms | "estimating C(remote call) as 33 msec." |
-//! | `rpc_rtt_courier` = 38, `rpc_rtt_raw_tcp` = 22, `rpc_rtt_raw_udp` = 25 | "The remote call to the NSM takes 22-38 msec., depending on the RPC system used." |
-//! | `dns_udp_rtt` + `bind_service` = 27 ms | "a BIND name to address lookup takes 27 msec." |
-//! | `rpc_rtt_courier` + `ch_auth` + `ch_disk` + `ch_service` = 156 ms | "a Clearinghouse name to address lookup takes 156 msec." (authenticated, disk-bound) |
-//! | generated marshalling (miss 20.23/32.34, hit 11.11/26.17 ms for 1/6 RRs) | Table 3.2 |
-//! | demarshalled cache hit 0.83/1.22 ms | Table 3.2 |
-//! | standard BIND routines 0.65/2.6 ms | "the standard BIND marshalling routines ... take .65 msec. and 2.6 msec." |
-//! | `axfr_base` + 2 KB × `axfr_per_kb` = 390 ms | "The actual preload cost was measured to be about 390 msec." for "about 2KB" |
-//! | interim file scheme total 200 ms | "Binding using this scheme took 200 msec." |
-//! | reregistered Clearinghouse total 166 ms | "we found that binding took 166 msec." |
-//! | `bind_resolver_overhead` = 15.5 ms | calibration residual: per-meta-lookup cost of the HRPC-to-BIND interface beyond RTT+service+marshalling, fitted so cold `FindNSM` ≈ 460 ms |
-
-use crate::time::SimDuration;
+//! | Constant | Paper evidence | `Term` it prices |
+//! |---|---|---|
+//! | `rpc_rtt_sun` = 33 ms | "estimating C(remote call) as 33 msec." | `RemoteRequest`, `ZoneTransfer` |
+//! | `rpc_rtt_courier` = 38, `rpc_rtt_raw_tcp` = 22, `rpc_rtt_raw_udp` = 25 | "The remote call to the NSM takes 22-38 msec., depending on the RPC system used." | `RemoteRequest`, `ZoneTransfer` |
+//! | `per_kb` = 0.8 ms | calibrated: network cost per kilobyte on the wire | `RemoteRequest`, `ReplyBytes` |
+//! | `local_call` = 0.02 ms | "C(local call) is effectively zero" | `LocalCall` |
+//! | `dns_udp_rtt` + `bind_service` = 27 ms | "a BIND name to address lookup takes 27 msec." | `RemoteRequest` (`DnsUdp`), `BindService` |
+//! | `portmap_service` = 1 ms | the portmapper's or exchange listener's service time | `PortmapService` |
+//! | `rpc_rtt_courier` + `ch_auth` + `ch_disk` + `ch_service` = 156 ms | "a Clearinghouse name to address lookup takes 156 msec." (authenticated, disk-bound) | `ChAuth`, `ChRead`, `ChDiskReads` |
+//! | generated marshalling (miss 20.23/32.34, hit 11.11/26.17 ms for 1/6 RRs) | Table 3.2 | `GeneratedMiss`, `ResolverQuery`, `ResolverBatch`, `BindingAssembly`, `CacheHit` (`Marshalled`) |
+//! | demarshalled cache hit 0.83/1.22 ms | Table 3.2 | `CacheHit` (`Demarshalled`) |
+//! | `cache_probe` = 0.05 ms | a miss costs "about 0.1% of the total times" | `CacheProbe` |
+//! | standard BIND routines 0.65/2.6 ms | "the standard BIND marshalling routines ... take .65 msec. and 2.6 msec." | `FastMarshal` |
+//! | `axfr_base` + 2 KB × `axfr_per_kb` = 390 ms | "The actual preload cost was measured to be about 390 msec." for "about 2KB" | `ZoneTransfer` |
+//! | interim file scheme total 200 ms | "Binding using this scheme took 200 msec." | `InterimFileBind` (with a portmapper call) |
+//! | reregistered Clearinghouse total 166 ms | "we found that binding took 166 msec." | `ReregAssemble` (after a Clearinghouse lookup), `ReregPerName` |
+//! | `bind_resolver_overhead` = 15.5 ms | calibration residual: per-meta-lookup cost of the HRPC-to-BIND interface beyond RTT+service+marshalling, fitted so cold `FindNSM` ≈ 460 ms | `ResolverQuery`, `ResolverBatch` |
+//! | `findnsm_arg_marshal`, `nsm_arg_marshal`, `agent_arg_marshal`, `nsm_assemble` | calibration residuals of Table 3.1 (remote hops, NSM assembly) | `FindNsmArgMarshal`, `NsmArgMarshal`, `AgentArgMarshal`, `NsmAssemble`, `BindingAssembly` |
+//! | `hns_bookkeeping` = 0.5 ms | calibrated: HNS work per meta mapping (hashing, context parsing) | `HnsBookkeeping` |
+//!
+//! Nothing outside this module reads a constant: a component charges a
+//! [`Term`] (`World::charge`), and [`CostModel::price`] is the one place
+//! a term becomes milliseconds. A term carries the counts its price
+//! depends on (bytes, records, reads); an amount that is no calibrated
+//! constant — a retry backoff, a latency spike — carries its own
+//! milliseconds.
 
 /// Milliseconds as a convenience alias for the calibrated constants.
 pub type Ms = f64;
@@ -53,88 +64,199 @@ pub enum RpcSuiteKind {
     DnsUdp,
 }
 
-/// All calibrated virtual-time constants (milliseconds).
+/// One thing that costs virtual time: what a component charges
+/// (`World::charge`) and [`CostModel::price`] prices. A variant carries
+/// the counts its price depends on; the module table says which constants
+/// price it.
+pub enum Term<'a> {
+    /// A same-host call.
+    LocalCall,
+    /// One attempt of a remote call under `suite` whose request carries
+    /// `bytes`: the suite's round trip plus the bytes on the wire.
+    RemoteRequest {
+        /// The protocol suite the call runs over.
+        suite: RpcSuiteKind,
+        /// The request's length.
+        bytes: usize,
+    },
+    /// The bytes of a reply on the wire.
+    ReplyBytes {
+        /// The reply's length.
+        bytes: usize,
+    },
+    /// A caller's wait before retrying an unanswered call.
+    RetryBackoff {
+        /// The wait, as the retry policy sets it.
+        ms: Ms,
+    },
+    /// The extra latency of an attempt under an injected spike.
+    LatencySpike {
+        /// The spike's extra latency.
+        ms: Ms,
+    },
+    /// A portmapper's or Courier exchange listener's service time.
+    PortmapService,
+    /// A zone transfer of `bytes` beyond the round trip of the `suite`
+    /// call that carried it (the preload path).
+    ZoneTransfer {
+        /// The suite of the call that carried the transfer.
+        suite: RpcSuiteKind,
+        /// The zone data shipped.
+        bytes: usize,
+    },
+    /// A BIND server's service time for one request.
+    BindService,
+    /// A Clearinghouse access's authentication.
+    ChAuth,
+    /// A Clearinghouse access's disk retrieval and service time.
+    ChRead,
+    /// `n` further disk reads of one Clearinghouse request.
+    ChDiskReads {
+        /// The reads beyond the first.
+        n: usize,
+    },
+    /// Finding out whether a cache holds an entry.
+    CacheProbe,
+    /// Reading a cached entry of `rrs` records kept in `form`.
+    CacheHit {
+        /// How the cache keeps its entries.
+        form: CacheForm,
+        /// The entry's records.
+        rrs: usize,
+    },
+    /// Generated marshalling of a message of `rrs` records (at least one).
+    GeneratedMiss {
+        /// The message's records.
+        rrs: usize,
+    },
+    /// An HRPC-to-BIND query's demarshalling of an answer of `rrs`
+    /// records (at least one), plus the interface's overhead.
+    ResolverQuery {
+        /// The answer's records.
+        rrs: usize,
+    },
+    /// A batched HRPC-to-BIND query: the interface's overhead once, and
+    /// the demarshalling of each returned set, of the records `sets`
+    /// yields for it (at least one each), in order.
+    ResolverBatch {
+        /// Each returned set's records.
+        sets: &'a mut dyn Iterator<Item = usize>,
+    },
+    /// Hand-written (standard BIND library) marshalling of `rrs` records
+    /// (at least one).
+    FastMarshal {
+        /// The message's records.
+        rrs: usize,
+    },
+    /// The HNS's bookkeeping for one meta mapping.
+    HnsBookkeeping,
+    /// Marshalling a `FindNSM` call's arguments and results on a remote
+    /// client-to-HNS hop.
+    FindNsmArgMarshal,
+    /// Marshalling an NSM call's arguments and results on a remote
+    /// client-to-NSM hop.
+    NsmArgMarshal,
+    /// Marshalling on a remote client-to-agent hop.
+    AgentArgMarshal,
+    /// An NSM's assembly of a binding it has cached.
+    NsmAssemble,
+    /// An NSM's assembly of a fresh binding, marshalled as `rrs` records
+    /// through the generated routines.
+    BindingAssembly {
+        /// The binding structure's worth of records.
+        rrs: usize,
+    },
+    /// The interim scheme's read and parse of the local binding file.
+    InterimFileBind,
+    /// The reregistered-Clearinghouse scheme's assembly after its lookup.
+    ReregAssemble,
+    /// Pushing one name into the reregistration scheme's global store.
+    ReregPerName,
+}
+
+/// All calibrated virtual-time constants (milliseconds), read only by
+/// [`CostModel::price`].
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// A local (same-address-space or same-host) procedure call.
     /// "C(local call) is effectively zero in the time scale of the other
     /// terms."
-    pub local_call: Ms,
+    local_call: Ms,
     /// Per-remote-call overhead of the Sun RPC suite (round trip,
     /// transport + control, excluding argument marshalling).
-    pub rpc_rtt_sun: Ms,
+    rpc_rtt_sun: Ms,
     /// Per-remote-call overhead of the Courier suite.
-    pub rpc_rtt_courier: Ms,
+    rpc_rtt_courier: Ms,
     /// Per-remote-call overhead of the raw TCP-style suite.
-    pub rpc_rtt_raw_tcp: Ms,
+    rpc_rtt_raw_tcp: Ms,
     /// Per-remote-call overhead of the raw UDP-style suite.
-    pub rpc_rtt_raw_udp: Ms,
+    rpc_rtt_raw_udp: Ms,
     /// Additional network cost per kilobyte transferred.
-    pub per_kb: Ms,
+    per_kb: Ms,
 
     /// Round trip of a native DNS UDP query (lighter than any RPC suite).
-    pub dns_udp_rtt: Ms,
+    dns_udp_rtt: Ms,
     /// BIND server per-lookup service time (in primary memory, no auth).
-    pub bind_service: Ms,
+    bind_service: Ms,
     /// Per-operation service time of the Sun portmapper.
-    pub portmap_service: Ms,
+    portmap_service: Ms,
 
     /// Clearinghouse per-access authentication cost.
-    pub ch_auth: Ms,
+    ch_auth: Ms,
     /// Clearinghouse per-access disk retrieval cost.
-    pub ch_disk: Ms,
+    ch_disk: Ms,
     /// Clearinghouse per-lookup CPU service time.
-    pub ch_service: Ms,
+    ch_service: Ms,
 
     /// Generated (stub-compiler) marshalling on a cache miss: fixed part.
-    pub gen_miss_base: Ms,
+    gen_miss_base: Ms,
     /// Generated marshalling on a miss: per resource record.
-    pub gen_miss_per_rr: Ms,
+    gen_miss_per_rr: Ms,
     /// Demarshal of a marshalled-form cache entry: fixed part.
-    pub gen_hit_base: Ms,
+    gen_hit_base: Ms,
     /// Demarshal of a marshalled-form cache entry: per resource record.
-    pub gen_hit_per_rr: Ms,
+    gen_hit_per_rr: Ms,
     /// Demarshalled-form cache hit: fixed part.
-    pub demar_hit_base: Ms,
+    demar_hit_base: Ms,
     /// Demarshalled-form cache hit: per resource record.
-    pub demar_hit_per_rr: Ms,
+    demar_hit_per_rr: Ms,
     /// Hand-written (standard BIND library) marshalling: fixed part.
-    pub fast_base: Ms,
+    fast_base: Ms,
     /// Hand-written marshalling: per resource record.
-    pub fast_per_rr: Ms,
+    fast_per_rr: Ms,
     /// Cost of determining that a cache reference is a miss ("about 0.1% of
     /// the total times").
-    pub cache_probe: Ms,
+    cache_probe: Ms,
 
     /// Per-meta-lookup overhead of the HRPC interface to BIND beyond
     /// RTT + service + marshalling (connection management, record parsing).
     /// Calibration residual; see module docs.
-    pub bind_resolver_overhead: Ms,
+    bind_resolver_overhead: Ms,
     /// Marshalling of `FindNSM` arguments/results on a remote client→HNS hop.
-    pub findnsm_arg_marshal: Ms,
+    findnsm_arg_marshal: Ms,
     /// Marshalling of NSM arguments/results on a remote client→NSM hop.
-    pub nsm_arg_marshal: Ms,
+    nsm_arg_marshal: Ms,
     /// Marshalling on a remote client→agent hop (agent forwards both
     /// interfaces; row 2 of Table 3.1).
-    pub agent_arg_marshal: Ms,
+    agent_arg_marshal: Ms,
     /// NSM-side assembly of the completed HRPC binding.
-    pub nsm_assemble: Ms,
+    nsm_assemble: Ms,
     /// HNS bookkeeping per meta mapping (hashing, context parsing).
-    pub hns_bookkeeping: Ms,
+    hns_bookkeeping: Ms,
 
     /// Fixed cost of a zone transfer used for cache preload.
-    pub axfr_base: Ms,
+    axfr_base: Ms,
     /// Zone-transfer cost per kilobyte of zone data.
-    pub axfr_per_kb: Ms,
+    axfr_per_kb: Ms,
 
     /// Interim scheme: read + parse the replicated local binding file.
-    pub interim_file_read: Ms,
+    interim_file_read: Ms,
     /// Interim scheme: fixed overhead besides file read and portmapper.
-    pub interim_overhead: Ms,
+    interim_overhead: Ms,
     /// Reregistered-Clearinghouse scheme: assembly after the CH lookup.
-    pub rereg_assemble: Ms,
+    rereg_assemble: Ms,
     /// Reregistration process: cost to push one name into the global store.
-    pub rereg_per_name: Ms,
+    rereg_per_name: Ms,
 }
 
 impl CostModel {
@@ -184,57 +306,55 @@ impl CostModel {
         }
     }
 
-    /// Round-trip overhead of one remote call under `suite`.
-    pub fn rpc_rtt(&self, suite: RpcSuiteKind) -> Ms {
-        match suite {
+    /// What `term` costs, in milliseconds: the one place a term is priced.
+    /// A sum charged at once (`ChRead`, `ResolverQuery`, a batch's sets)
+    /// is one arm, so the charge rounds it to the microsecond once.
+    #[inline(always)]
+    pub fn price(&self, term: Term<'_>) -> Ms {
+        let rtt = |suite| match suite {
             RpcSuiteKind::Sun => self.rpc_rtt_sun,
             RpcSuiteKind::Courier => self.rpc_rtt_courier,
             RpcSuiteKind::RawTcp => self.rpc_rtt_raw_tcp,
             RpcSuiteKind::RawUdp => self.rpc_rtt_raw_udp,
             RpcSuiteKind::DnsUdp => self.dns_udp_rtt,
+        };
+        let wire = |bytes: usize| self.per_kb * bytes as f64 / 1024.0;
+        let generated = |rrs: usize| self.gen_miss_base + self.gen_miss_per_rr * rrs.max(1) as f64;
+        match term {
+            Term::LocalCall => self.local_call,
+            Term::RemoteRequest { suite, bytes } => rtt(suite) + wire(bytes),
+            Term::ReplyBytes { bytes } => wire(bytes),
+            Term::RetryBackoff { ms } | Term::LatencySpike { ms } => ms,
+            Term::PortmapService => self.portmap_service,
+            Term::ZoneTransfer { suite, bytes } => {
+                let kb = bytes as f64 / 1024.0;
+                (self.axfr_base + self.axfr_per_kb * kb - rtt(suite)).max(0.0)
+            }
+            Term::BindService => self.bind_service,
+            Term::ChAuth => self.ch_auth,
+            Term::ChRead => self.ch_disk + self.ch_service,
+            Term::ChDiskReads { n } => self.ch_disk * n as f64,
+            Term::CacheProbe => self.cache_probe,
+            Term::CacheHit { form, rrs } => match form {
+                CacheForm::Marshalled => self.gen_hit_base + self.gen_hit_per_rr * rrs as f64,
+                CacheForm::Demarshalled => self.demar_hit_base + self.demar_hit_per_rr * rrs as f64,
+            },
+            Term::GeneratedMiss { rrs } => generated(rrs),
+            Term::ResolverQuery { rrs } => generated(rrs) + self.bind_resolver_overhead,
+            Term::ResolverBatch { sets } => {
+                sets.fold(self.bind_resolver_overhead, |ms, rrs| ms + generated(rrs))
+            }
+            Term::FastMarshal { rrs } => self.fast_base + self.fast_per_rr * rrs.max(1) as f64,
+            Term::HnsBookkeeping => self.hns_bookkeeping,
+            Term::FindNsmArgMarshal => self.findnsm_arg_marshal,
+            Term::NsmArgMarshal => self.nsm_arg_marshal,
+            Term::AgentArgMarshal => self.agent_arg_marshal,
+            Term::NsmAssemble => self.nsm_assemble,
+            Term::BindingAssembly { rrs } => generated(rrs) + self.nsm_assemble,
+            Term::InterimFileBind => self.interim_file_read + self.interim_overhead,
+            Term::ReregAssemble => self.rereg_assemble,
+            Term::ReregPerName => self.rereg_per_name,
         }
-    }
-
-    /// Generated-marshalling cost for a fresh (miss-path) message carrying
-    /// `rrs` resource records.
-    pub fn generated_miss(&self, rrs: usize) -> Ms {
-        self.gen_miss_base + self.gen_miss_per_rr * rrs as f64
-    }
-
-    /// Cost of a cache hit when the entry carries `rrs` records and the
-    /// cache stores entries in `form`.
-    pub fn cache_hit(&self, form: CacheForm, rrs: usize) -> Ms {
-        match form {
-            CacheForm::Marshalled => self.gen_hit_base + self.gen_hit_per_rr * rrs as f64,
-            CacheForm::Demarshalled => self.demar_hit_base + self.demar_hit_per_rr * rrs as f64,
-        }
-    }
-
-    /// Hand-written (standard library) marshalling cost for `rrs` records.
-    pub fn fast_marshal(&self, rrs: usize) -> Ms {
-        self.fast_base + self.fast_per_rr * rrs as f64
-    }
-
-    /// Total elapsed time of one native (standard-path) public BIND lookup
-    /// returning `rrs` records: the paper's 27 ms primitive at `rrs = 1`.
-    pub fn native_bind_lookup(&self, rrs: usize) -> Ms {
-        self.dns_udp_rtt + self.bind_service + self.fast_marshal(rrs)
-    }
-
-    /// Total elapsed time of one native Clearinghouse lookup: the paper's
-    /// 156 ms primitive.
-    pub fn native_ch_lookup(&self) -> Ms {
-        self.rpc_rtt_courier + self.ch_auth + self.ch_disk + self.ch_service
-    }
-
-    /// Cost of a zone transfer of `kb` kilobytes (preload path).
-    pub fn axfr(&self, kb: f64) -> Ms {
-        self.axfr_base + self.axfr_per_kb * kb
-    }
-
-    /// Converts milliseconds to a [`SimDuration`].
-    pub fn dur(ms: Ms) -> SimDuration {
-        SimDuration::from_ms_f64(ms)
     }
 }
 
@@ -248,13 +368,29 @@ impl Default for CostModel {
 mod tests {
     use super::*;
 
-    fn m() -> CostModel {
-        CostModel::paper_calibrated()
+    fn price(term: Term<'_>) -> Ms {
+        CostModel::paper_calibrated().price(term)
+    }
+
+    /// One native BIND lookup: a DNS round trip, the server's service and
+    /// the standard routines' marshalling of `rrs` records.
+    fn native_bind_lookup(rrs: usize) -> Ms {
+        let suite = RpcSuiteKind::DnsUdp;
+        price(Term::RemoteRequest { suite, bytes: 0 })
+            + price(Term::BindService)
+            + price(Term::FastMarshal { rrs })
+    }
+
+    /// One native Clearinghouse lookup: a Courier round trip, then the
+    /// authenticated, disk-bound access.
+    fn native_ch_lookup() -> Ms {
+        let suite = RpcSuiteKind::Courier;
+        price(Term::RemoteRequest { suite, bytes: 0 }) + price(Term::ChAuth) + price(Term::ChRead)
     }
 
     #[test]
     fn native_bind_lookup_matches_paper_27ms() {
-        let got = m().native_bind_lookup(1);
+        let got = native_bind_lookup(1);
         assert!(
             (got - 27.0).abs() < 0.7,
             "BIND lookup {got} ms, paper 27 ms"
@@ -263,7 +399,7 @@ mod tests {
 
     #[test]
     fn native_ch_lookup_matches_paper_156ms() {
-        let got = m().native_ch_lookup();
+        let got = native_ch_lookup();
         assert!(
             (got - 156.0).abs() < 0.5,
             "CH lookup {got} ms, paper 156 ms"
@@ -272,47 +408,82 @@ mod tests {
 
     #[test]
     fn table_3_2_marshalled_and_demarshalled_hits() {
-        let c = m();
+        let hit = |form, rrs| price(Term::CacheHit { form, rrs });
         // Paper Table 3.2: miss 20.23/32.34, marshalled 11.11/26.17,
         // demarshalled 0.83/1.22 ms for 1/6 resource records.
-        assert!((c.generated_miss(1) - 20.23).abs() < 0.1);
-        assert!((c.generated_miss(6) - 32.34).abs() < 0.2);
-        assert!((c.cache_hit(CacheForm::Marshalled, 1) - 11.11).abs() < 0.1);
-        assert!((c.cache_hit(CacheForm::Marshalled, 6) - 26.17).abs() < 0.1);
-        assert!((c.cache_hit(CacheForm::Demarshalled, 1) - 0.83).abs() < 0.02);
-        assert!((c.cache_hit(CacheForm::Demarshalled, 6) - 1.22).abs() < 0.02);
+        assert!((price(Term::GeneratedMiss { rrs: 1 }) - 20.23).abs() < 0.1);
+        assert!((price(Term::GeneratedMiss { rrs: 6 }) - 32.34).abs() < 0.2);
+        assert!((hit(CacheForm::Marshalled, 1) - 11.11).abs() < 0.1);
+        assert!((hit(CacheForm::Marshalled, 6) - 26.17).abs() < 0.1);
+        assert!((hit(CacheForm::Demarshalled, 1) - 0.83).abs() < 0.02);
+        assert!((hit(CacheForm::Demarshalled, 6) - 1.22).abs() < 0.02);
     }
 
     #[test]
     fn standard_bind_routines_match_paper() {
-        let c = m();
-        assert!((c.fast_marshal(1) - 0.65).abs() < 0.01);
-        assert!((c.fast_marshal(6) - 2.6).abs() < 0.01);
+        assert!((price(Term::FastMarshal { rrs: 1 }) - 0.65).abs() < 0.01);
+        assert!((price(Term::FastMarshal { rrs: 6 }) - 2.6).abs() < 0.01);
     }
 
+    /// A message marshals at least one record: an empty answer (a name
+    /// with no records, a negative reply) costs what a one-record one does.
+    #[test]
+    fn an_empty_message_marshals_as_one_record() {
+        for rrs in [0, 1] {
+            let fast = price(Term::FastMarshal { rrs });
+            assert_eq!(fast, price(Term::FastMarshal { rrs: 1 }), "{rrs} records");
+            let generated = price(Term::GeneratedMiss { rrs });
+            assert_eq!(
+                generated,
+                price(Term::GeneratedMiss { rrs: 1 }),
+                "{rrs} records"
+            );
+        }
+    }
+
+    /// The preload: "about 2KB" of meta information transferred in
+    /// "about 390 msec.", the call's round trip included.
     #[test]
     fn preload_cost_matches_paper_390ms() {
-        let got = m().axfr(2.0);
+        let suite = RpcSuiteKind::RawTcp;
+        let got = price(Term::RemoteRequest { suite, bytes: 0 })
+            + price(Term::ZoneTransfer { suite, bytes: 2048 });
         assert!((got - 390.0).abs() < 1.0, "preload {got} ms, paper ~390 ms");
     }
 
     #[test]
     fn rpc_rtt_spread_matches_paper_22_38() {
-        let c = m();
+        let rtt = |suite| price(Term::RemoteRequest { suite, bytes: 0 });
         let all = [
-            c.rpc_rtt(RpcSuiteKind::Sun),
-            c.rpc_rtt(RpcSuiteKind::Courier),
-            c.rpc_rtt(RpcSuiteKind::RawTcp),
-            c.rpc_rtt(RpcSuiteKind::RawUdp),
+            RpcSuiteKind::Sun,
+            RpcSuiteKind::Courier,
+            RpcSuiteKind::RawTcp,
+            RpcSuiteKind::RawUdp,
         ];
-        for v in all {
+        for v in all.map(rtt) {
             assert!((22.0..=38.0).contains(&v), "suite rtt {v} outside 22-38 ms");
         }
-        assert_eq!(c.rpc_rtt(RpcSuiteKind::Sun), 33.0);
+        assert_eq!(rtt(RpcSuiteKind::Sun), 33.0);
     }
 
+    /// A batch pays the interface's overhead once and each set's
+    /// demarshalling: what one query per set would pay, less the
+    /// overhead of every query but one.
     #[test]
-    fn dur_converts_ms() {
-        assert_eq!(CostModel::dur(1.5).as_us(), 1500);
+    fn a_batch_pays_the_interface_overhead_once() {
+        let sets = [1, 0, 6];
+        let batch = price(Term::ResolverBatch {
+            sets: &mut sets.into_iter(),
+        });
+        let queries: Ms = sets
+            .map(|rrs| price(Term::ResolverQuery { rrs }))
+            .iter()
+            .sum();
+        let overhead =
+            price(Term::ResolverQuery { rrs: 1 }) - price(Term::GeneratedMiss { rrs: 1 });
+        assert!(
+            (queries - batch - 2.0 * overhead).abs() < 1e-9,
+            "{batch} vs {queries}"
+        );
     }
 }

@@ -10,7 +10,8 @@
 //! * [`topology`] — named hosts on a flat LAN; colocation (same host) is
 //!   what makes a call local and effectively free.
 //! * [`costs`] — every calibrated constant, each traced to a measured
-//!   primitive in the paper.
+//!   primitive in the paper, and the [`Term`]s components charge, which
+//!   [`CostModel::price`] alone prices.
 //! * [`trace`] — re-export of the [`obs`] span/event recorder used by the
 //!   Figure 2.1 walkthrough and the per-query flame breakdowns.
 //! * [`ttl`] — the TTL-cache core: the one expiry map every
@@ -26,16 +27,19 @@
 //! # Examples
 //!
 //! ```
-//! use simnet::world::World;
+//! use simnet::{RpcSuiteKind, Term, World};
 //!
 //! let world = World::paper();
 //! let client = world.add_host("tahiti.cs.washington.edu");
 //! let server = world.add_host("fiji.cs.washington.edu");
 //! assert!(!world.topology.colocated(client, server));
 //!
-//! // A component charges the cost of one native BIND lookup.
-//! let ms = world.costs.native_bind_lookup(1);
-//! world.charge_ms(ms);
+//! // One native BIND lookup, term by term: the DNS round trip, the
+//! // server's service, the standard routines' marshalling of one record.
+//! let suite = RpcSuiteKind::DnsUdp;
+//! world.charge(Term::RemoteRequest { suite, bytes: 0 });
+//! world.charge(Term::BindService);
+//! world.charge(Term::FastMarshal { rrs: 1 });
 //! assert!((world.now().as_ms_f64() - 27.0).abs() < 1.0);
 //! ```
 #![warn(missing_docs)]
@@ -55,7 +59,7 @@ pub mod world;
 pub use obs;
 
 pub use clock::VirtualClock;
-pub use costs::{CacheForm, CostModel, RpcSuiteKind};
+pub use costs::{CacheForm, CostModel, RpcSuiteKind, Term};
 pub use faults::{FaultKind, FaultPlan};
 pub use time::{SimDuration, SimTime};
 pub use topology::{HostId, NetAddr, Topology};

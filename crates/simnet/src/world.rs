@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::clock::VirtualClock;
-use crate::costs::{CostModel, Ms};
+use crate::costs::{CostModel, Ms, Term};
 use crate::faults::FaultPlan;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, Topology};
@@ -54,8 +54,9 @@ pub struct World {
     pub clock: VirtualClock,
     /// Hosts on the simulated LAN.
     pub topology: Topology,
-    /// The calibrated cost constants.
-    pub costs: CostModel,
+    /// The calibrated cost constants, read only through [`World::charge`]
+    /// and [`World::price`].
+    costs: CostModel,
     /// Optional event and span recorder.
     pub tracer: Tracer,
     metrics: MetricsRegistry,
@@ -115,16 +116,34 @@ impl World {
         self.clock.now()
     }
 
+    /// Charges `term`: advances the clock by its price, rounded once to
+    /// the microsecond.
+    #[inline]
+    pub fn charge(&self, term: Term<'_>) {
+        self.clock
+            .advance(SimDuration::from_ms_f64(self.costs.price(term)));
+    }
+
+    /// What `term` costs in this world, in milliseconds, as
+    /// [`World::charge`] would charge it before rounding.
+    #[inline]
+    pub fn price(&self, term: Term<'_>) -> Ms {
+        self.costs.price(term)
+    }
+
+    /// Lets `d` pass with nothing done: an idle, a TTL's lapse, the wait
+    /// for a fault to heal.
+    #[inline]
+    pub fn wait(&self, d: SimDuration) {
+        self.clock.advance(d);
+    }
+
     /// Charges `ms` virtual milliseconds.
+    ///
+    /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     #[inline]
     pub fn charge_ms(&self, ms: Ms) {
         self.clock.advance(SimDuration::from_ms_f64(ms));
-    }
-
-    /// Charges a duration.
-    #[inline]
-    pub fn charge(&self, d: SimDuration) {
-        self.clock.advance(d);
     }
 
     /// Records a trace event at the current instant, attached to the
@@ -317,12 +336,73 @@ impl Drop for WorldSpan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::{CacheForm, RpcSuiteKind};
 
     #[test]
-    fn charge_advances_clock() {
+    fn charge_advances_clock_by_the_price() {
         let w = World::paper();
-        w.charge_ms(27.0);
+        w.charge(Term::BindService);
+        assert_eq!(w.now().as_us(), 8_000);
+        w.wait(SimDuration::from_ms(19));
         assert_eq!(w.now().as_us(), 27_000);
+    }
+
+    /// Every term with a count: bytes, records or reads.
+    fn counted<'a>(
+        suite: RpcSuiteKind,
+        bytes: usize,
+        rrs: usize,
+        sets: &'a mut dyn Iterator<Item = usize>,
+    ) -> [Term<'a>; 11] {
+        let (marshalled, demarshalled) = (CacheForm::Marshalled, CacheForm::Demarshalled);
+        [
+            Term::RemoteRequest { suite, bytes },
+            Term::ReplyBytes { bytes },
+            Term::ZoneTransfer { suite, bytes },
+            Term::ChDiskReads { n: rrs },
+            Term::CacheHit {
+                form: marshalled,
+                rrs,
+            },
+            Term::CacheHit {
+                form: demarshalled,
+                rrs,
+            },
+            Term::GeneratedMiss { rrs },
+            Term::ResolverQuery { rrs },
+            Term::FastMarshal { rrs },
+            Term::BindingAssembly { rrs },
+            Term::ResolverBatch { sets },
+        ]
+    }
+
+    proptest::proptest! {
+        /// A counted term advances the clock by its price rounded once, at
+        /// every count a run makes: up to 64 KiB on the wire, 64 records
+        /// in a message, 64 Clearinghouse reads.
+        #[test]
+        fn a_charge_advances_by_its_price_rounded_once(
+            bytes in 0usize..=65_536,
+            rrs in 0usize..=64,
+            sets in proptest::collection::vec(0usize..=64, 0..8),
+            suite in 0usize..5,
+        ) {
+            let suite = [
+                RpcSuiteKind::Sun,
+                RpcSuiteKind::Courier,
+                RpcSuiteKind::RawTcp,
+                RpcSuiteKind::RawUdp,
+                RpcSuiteKind::DnsUdp,
+            ][suite];
+            let w = World::paper();
+            let (mut priced, mut charged) = (sets.iter().copied(), sets.iter().copied());
+            let prices = counted(suite, bytes, rrs, &mut priced).map(|term| w.price(term));
+            for (term, price) in counted(suite, bytes, rrs, &mut charged).into_iter().zip(prices) {
+                let before = w.now();
+                w.charge(term);
+                proptest::prop_assert_eq!(w.now().since(before).as_us(), obs::ms_to_us(price));
+            }
+        }
     }
 
     /// Each call is counted once, in the registry's `net` component, which
@@ -351,10 +431,10 @@ mod tests {
     #[test]
     fn measure_reports_deltas_only() {
         let w = World::paper();
-        w.charge_ms(10.0);
+        w.wait(SimDuration::from_ms(10));
         w.count_remote_call(10);
         let (val, took, delta) = w.measure(|| {
-            w.charge_ms(5.0);
+            w.wait(SimDuration::from_ms(5));
             w.count_remote_call(7);
             "ok"
         });
@@ -388,7 +468,7 @@ mod tests {
         {
             let span = w.span(Some(HostId(1)), TraceKind::Hns, "query");
             span.add_round_trips(2);
-            w.charge_ms(5.0);
+            w.wait(SimDuration::from_ms(5));
             w.trace(None, TraceKind::Info, || "inside".into());
         }
         let spans = w.tracer.spans();

@@ -35,6 +35,7 @@ use hns_repro::nsms::harness::Testbed;
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
 use hns_repro::nsms::{BindingBindNsm, HostAddrBindNsm, Importer};
 use hns_repro::simnet::topology::NetAddr;
+use hns_repro::simnet::SimDuration;
 use hns_repro::wire::Value;
 
 fn main() {
@@ -176,7 +177,7 @@ fn main() {
 
     // Let the TTLs of any cached copies lapse (the paper's consistency
     // model: "cached data is tagged with a time-to-live field").
-    tb.world.charge_ms(28.0 * 24.0 * 3600.0 * 1000.0);
+    tb.world.wait(SimDuration::from_ms(28 * 24 * 3600 * 1000));
 
     let binding = importer
         .import("SpiceFarm", ProgramId(100_099), &spice_name)

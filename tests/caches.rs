@@ -16,7 +16,7 @@ use hns_repro::hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use hns_repro::nsms::nsm_cache::{NsmCache, NsmCacheForm};
 use hns_repro::simnet::obs::MetricsRegistry;
 use hns_repro::simnet::topology::{HostId, NetAddr};
-use hns_repro::simnet::World;
+use hns_repro::simnet::{SimDuration, World};
 use hns_repro::wire::Value;
 
 /// One cache behind the operations the shared script needs.
@@ -170,7 +170,7 @@ fn shared_ttl_behaviour_holds_through_every_public_cache() {
         );
 
         // Expiry hides the entry from probes but keeps it resident…
-        w.charge_ms(2_000.0);
+        w.wait(SimDuration::from_ms(2_000));
         assert_eq!((d.probe)(), None, "{name}: expired entries are hidden");
         assert_eq!(resident(), d.resident.as_ref().map(|_| 1), "{name}: kept");
         // …which is what the stale probe serves.

@@ -59,8 +59,9 @@ fn warm_clients_survive_a_meta_crash_and_recover() {
     warm.find_nsm(&qc, &name).expect("pre-crash warm FindNSM");
     imp.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)
         .expect("pre-crash Import");
-    tb.world
-        .charge_ms(f64::from(hns_repro::hns_core::META_TTL) * 1000.0 + 1_000.0);
+    tb.world.wait(SimDuration::from_ms(
+        u64::from(hns_repro::hns_core::META_TTL) * 1000 + 1_000,
+    ));
 
     // Crash the meta host for five virtual minutes.
     let crash_start = tb.world.now();
@@ -93,7 +94,7 @@ fn warm_clients_survive_a_meta_crash_and_recover() {
     // Heal and verify full recovery: the warm path refetches fresh data
     // (no new stale serves), the cold path answers again.
     tb.world
-        .charge(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
+        .wait(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
     let (_, report) = warm
         .find_nsm_report(&qc, &name)
         .expect("warm FindNSM recovers");
@@ -147,7 +148,7 @@ fn import_fails_over_to_the_alternate_nsm() {
 
     // Healed: served by the primary again, no further failovers.
     tb.world
-        .charge(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
+        .wait(heal.since(tb.world.now()) + SimDuration::from_ms(1_000));
     imp.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name)
         .expect("post-heal Import");
     let failovers = tb
@@ -205,7 +206,7 @@ fn traced_scenario(params: Option<&PlanParams>, loss: Option<(f64, u64)>) -> Str
             imp_r.map(|b| b.host.0),
             tb.world.now().since(SimTime::ZERO).as_us(),
         ));
-        tb.world.charge_ms(30_000.0);
+        tb.world.wait(SimDuration::from_ms(30_000));
     }
     tb.world.tracer.set_enabled(false);
 

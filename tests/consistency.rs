@@ -44,8 +44,9 @@ fn meta_updates_become_visible_when_ttl_expires() {
     assert_eq!(cached.host, before.host);
 
     // After the TTL lapses, the new registration is picked up.
-    tb.world
-        .charge_ms(f64::from(hns_repro::hns_core::META_TTL) * 1000.0 + 1.0);
+    tb.world.wait(SimDuration::from_ms(
+        u64::from(hns_repro::hns_core::META_TTL) * 1000 + 1,
+    ));
     let fresh = hns.find_nsm(&qc, &name).expect("fresh find");
     assert_eq!(fresh.host, tb.hosts.agent);
 }
@@ -99,7 +100,7 @@ fn a_rebound_context_is_followed_to_the_other_services_composed_entry() {
     // Within the context record's TTL the old answer persists.
     assert_eq!(find(dept.clone()).0, via_bind);
 
-    tb.world.charge_ms(60_001.0);
+    tb.world.wait(SimDuration::from_ms(60_001));
     let service_hits = hns.binding_cache_service_stats().hits;
     let (moved, report) = find(dept);
     assert_eq!(moved, via_ch);
@@ -198,7 +199,7 @@ impl StretchedWalk {
     /// Advances the clock to `lead` before `at`.
     fn advance_to(&self, at: SimTime, lead: SimDuration) {
         let world = &self.tb.world;
-        world.charge(SimTime::from_us(at.as_us() - lead.as_us()).since(world.now()));
+        world.wait(SimTime::from_us(at.as_us() - lead.as_us()).since(world.now()));
     }
 }
 
@@ -278,8 +279,9 @@ fn native_updates_to_public_bind_flow_through_unmodified() {
         .expect("native edit");
     });
 
-    tb.world
-        .charge_ms(f64::from(hns_repro::hns_core::META_TTL) * 1000.0 + 61_000.0);
+    tb.world.wait(SimDuration::from_ms(
+        u64::from(hns_repro::hns_core::META_TTL) * 1000 + 61_000,
+    ));
     let binding = hns.find_nsm(&qc, &name).expect("fresh");
     // The NSM's own host lookup target changed only for the *service*
     // host resolution, not the NSM's location; verify through a direct

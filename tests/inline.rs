@@ -5,9 +5,10 @@
 //! no call"). Those functions live in `simnet` and `obs`, and a call from
 //! another crate to a non-generic function is out of line unless the
 //! function is marked `#[inline]`. So each fast path named below must
-//! carry `#[inline]`, and each slow path split off it — first-use
-//! registration, the by-name registry forms, the work done only while
-//! tracing is on — must carry `#[cold]`. This fails, naming the function,
+//! carry `#[inline]` (`CostModel::price`, a `match` on the term its
+//! caller names, `#[inline(always)]`), and each slow path split off it —
+//! first-use registration, the by-name registry forms, the work done only
+//! while tracing is on — must carry `#[cold]`. This fails, naming the function,
 //! when one has lost its attribute. The search is grep-level, like
 //! `tests/pinned.rs`.
 
@@ -34,6 +35,19 @@ const fn inline(file: &'static str, owner: &'static str, function: &'static str)
     }
 }
 
+/// A function whose body is a large `match` on an argument every caller
+/// passes as a constant: the hint is not enough, since the inliner costs
+/// the whole `match` before it sees the constant.
+const fn always(file: &'static str, owner: &'static str, function: &'static str) -> Marked {
+    let attribute = "#[inline(always)]";
+    Marked {
+        file,
+        owner,
+        function,
+        attribute,
+    }
+}
+
 const fn cold(file: &'static str, owner: &'static str, function: &'static str) -> Marked {
     let attribute = "#[cold]";
     Marked {
@@ -45,6 +59,7 @@ const fn cold(file: &'static str, owner: &'static str, function: &'static str) -
 }
 
 const WORLD: &str = "crates/simnet/src/world.rs";
+const COSTS: &str = "crates/simnet/src/costs.rs";
 const CLOCK: &str = "crates/simnet/src/clock.rs";
 const TIME: &str = "crates/simnet/src/time.rs";
 const METRICS: &str = "crates/obs/src/metrics.rs";
@@ -52,8 +67,9 @@ const TRACE: &str = "crates/obs/src/trace.rs";
 
 const MARKED: &[Marked] = &[
     inline(WORLD, "World", "now"),
-    inline(WORLD, "World", "charge_ms"),
     inline(WORLD, "World", "charge"),
+    inline(WORLD, "World", "wait"),
+    always(COSTS, "CostModel", "price"),
     inline(WORLD, "World", "trace"),
     inline(WORLD, "World", "span_lazy"),
     inline(WORLD, "World", "cache_outcome"),

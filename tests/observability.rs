@@ -9,6 +9,7 @@ use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hns_core::service::HnsConfig;
 use hns_repro::nsms::harness::Testbed;
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
+use hns_repro::simnet::time::SimDuration;
 use hns_repro::simnet::trace::TraceKind;
 
 /// The per-mapping cache demarshalled, the composed cache on top.
@@ -117,8 +118,9 @@ fn find_nsm_span_carries_the_service_level_outcome() {
     plain.find_nsm(&qc, &name).expect("composed cache off");
     hns.find_nsm(&qc, &name).expect("cold: nothing composed");
     hns.find_nsm(&qc, &sibling).expect("mappings 2-6 composed");
-    tb.world
-        .charge_ms(f64::from(hns_repro::hns_core::META_TTL) * 1000.0 + 1_000.0);
+    tb.world.wait(SimDuration::from_ms(
+        u64::from(hns_repro::hns_core::META_TTL) * 1000 + 1_000,
+    ));
     hns.find_nsm(&qc, &sibling).expect("everything lapsed");
     tb.world.tracer.set_enabled(false);
 
@@ -374,7 +376,8 @@ fn cache_counter_catalogue_matches_what_the_caches_emit() {
     // Let everything expire, take both BINDs down, and ask again: the HNS
     // and the resolver each answer from an expired entry.
     let longest = record_ttl.max(hns_repro::hns_core::META_TTL);
-    tb.world.charge_ms(f64::from(longest) * 1000.0 + 1_000.0);
+    tb.world
+        .wait(SimDuration::from_ms(u64::from(longest) * 1000 + 1_000));
     let mut plan = FaultPlan::new();
     plan.crash(tb.hosts.meta, tb.world.now(), None);
     plan.crash(tb.public_bind.host, tb.world.now(), None);

@@ -24,7 +24,7 @@ struct Pinned {
     used_in: fn(&str) -> bool,
 }
 
-const PINNED: [Pinned; 7] = [
+const PINNED: [Pinned; 8] = [
     Pinned {
         form: "MetaKey",
         defined_in: "crates/core/src/cache.rs",
@@ -67,6 +67,12 @@ const PINNED: [Pinned; 7] = [
         defined_in: "crates/bindns/src/resolver.rs",
         defined_by: "pub fn query(&self, name: &DomainName, rtype: RType) -> RpcResult<Arc<",
         used_in: |text| calls(text, &STD_RESOLVER, "query"),
+    },
+    Pinned {
+        form: "World::charge_ms",
+        defined_in: "crates/simnet/src/world.rs",
+        defined_by: "pub fn charge_ms(",
+        used_in: |text| has_word(text, "charge_ms"),
     },
 ];
 
@@ -450,4 +456,9 @@ fn the_detectors_tell_each_pinned_form_from_its_siblings() {
         "`StdResolver::{new, query, query_uncached}`",
         "StdResolver::query"
     ));
+    assert!(lists(
+        "`simnet::{World::{paper, add_host, now, charge_ms, counters}`",
+        "World::charge_ms"
+    ));
+    assert!(!has_word("world.charge(Term::CacheProbe);", "charge_ms"));
 }

@@ -6,6 +6,7 @@ use hns_repro::bindns::DomainName;
 use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hrpc::{ComponentSet, HrpcBinding, ProgramId};
 use hns_repro::simnet::rng::DetRng;
+use hns_repro::simnet::time::SimDuration;
 use hns_repro::simnet::topology::{HostId, NetAddr};
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -121,7 +122,7 @@ proptest! {
         let cache = HnsCache::new(CacheMode::Demarshalled);
         let key = host_addr_key("BIND", "h");
         cache.insert(&world, key, &wire::Value::U32(1), 1, ttl);
-        world.charge_ms(wait_ms as f64);
+        world.wait(SimDuration::from_ms(wait_ms));
         let hit = cache.get(&world, &key).is_some();
         let expired = wait_ms >= u64::from(ttl) * 1000;
         prop_assert_eq!(hit, !expired, "ttl {} wait {}", ttl, wait_ms);

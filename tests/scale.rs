@@ -9,6 +9,7 @@ use hns_repro::hns_core::name::{Context, HnsName, NameMapping};
 use hns_repro::hns_core::query::QueryClass;
 use hns_repro::nsms::harness::{Testbed, NS_BIND, NS_CH};
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
+use hns_repro::simnet::Term;
 
 const CONTEXTS: usize = 200;
 
@@ -75,8 +76,15 @@ fn preload_of_a_large_zone_scales_with_size_and_still_wins() {
     let report = report.expect("preload");
     assert!(report.entries >= CONTEXTS, "entries {}", report.entries);
     assert!(report.bytes > 8_000, "zone bytes {}", report.bytes);
-    // Cost follows the AXFR formula for the actual size.
-    let expected = tb.world.costs.axfr(report.bytes as f64 / 1024.0) + tb.world.costs.bind_service;
+    // Cost follows the AXFR formula for the actual size: the call's round
+    // trip, the transfer beyond it, and the server's service.
+    let suite = tb.meta_bind.hrpc_binding.components.suite_kind();
+    let expected = tb.world.price(Term::RemoteRequest { suite, bytes: 0 })
+        + tb.world.price(Term::ZoneTransfer {
+            suite,
+            bytes: report.bytes,
+        })
+        + tb.world.price(Term::BindService);
     // Within ~3%: the fabric additionally charges per-byte cost for the
     // wire encoding of the transfer reply, which exceeds the stored size.
     assert!(
