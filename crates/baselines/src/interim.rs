@@ -52,8 +52,9 @@ impl InterimBinder {
         self.net.world()
     }
 
-    /// Registers a service in the master file (does not reach replicas
-    /// until [`InterimBinder::push_replicas`] runs — reregistration lag).
+    /// Registers a service in the master file (does not reach a replica
+    /// until [`InterimBinder::push_replica`] refreshes it — reregistration
+    /// lag).
     pub fn register(&self, service: &str, host: HostId, program: ProgramId) {
         self.master
             .write()
@@ -69,14 +70,6 @@ impl InterimBinder {
             bytes: snapshot.len() * 64,
         });
         self.replicas.write().insert(host, snapshot);
-    }
-
-    /// Refreshes every existing replica.
-    pub fn push_replicas(&self) {
-        let hosts: Vec<HostId> = self.replicas.read().keys().copied().collect();
-        for host in hosts {
-            self.push_replica(host);
-        }
     }
 
     /// Binds `service` from `client`, using the client's local replica.
@@ -111,15 +104,6 @@ impl InterimBinder {
             port,
             components,
         })
-    }
-
-    /// True if `host`'s replica differs from the master (stale).
-    pub fn replica_stale(&self, host: HostId) -> bool {
-        let master = self.master.read();
-        match self.replicas.read().get(&host) {
-            Some(replica) => *replica != *master,
-            None => !master.is_empty(),
-        }
     }
 }
 
@@ -184,17 +168,14 @@ mod tests {
 
     #[test]
     fn replicas_go_stale_until_pushed() {
-        let (world, _net, client, _server, binder) = setup();
-        assert!(!binder.replica_stale(client));
+        let (world, _net, client, server, binder) = setup();
         let moved = world.add_host("new-home");
         binder.register("DesiredService", moved, ProgramId(100_005));
-        assert!(binder.replica_stale(client), "replica must lag the master");
         // The stale replica still binds to the OLD host — the consistency
         // problem the paper holds against reregistration.
         let binding = binder.bind(client, "DesiredService").expect("bind");
-        assert_ne!(binding.host, moved);
-        binder.push_replicas();
-        assert!(!binder.replica_stale(client));
+        assert_eq!(binding.host, server, "replica must lag the master");
+        binder.push_replica(client);
         let binding = binder.bind(client, "DesiredService");
         // The new host has no portmapper registration in this test, so the
         // bind may fail — what matters is that it now targets `moved`.

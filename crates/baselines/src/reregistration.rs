@@ -124,29 +124,9 @@ impl Reregistrar {
         self.global.get(name)
     }
 
-    /// Names whose global copy lags their source (the staleness window).
-    pub fn stale_names(&self) -> Vec<String> {
-        let mut stale = Vec::new();
-        for (idx, source) in self.sources.iter().enumerate() {
-            for (name, &mtime) in &source.entries {
-                match self.global.get(name) {
-                    Some(entry) if entry.source == idx && entry.copied_mtime >= mtime => {}
-                    _ => stale.push(name.clone()),
-                }
-            }
-        }
-        stale.sort();
-        stale
-    }
-
     /// All conflicts observed so far.
     pub fn conflicts(&self) -> &[String] {
         &self.conflict_log
-    }
-
-    /// Total names across all sources.
-    pub fn total_source_names(&self) -> usize {
-        self.sources.iter().map(SourceService::len).sum()
     }
 }
 
@@ -214,13 +194,15 @@ mod tests {
         src.upsert("svc", SimTime::ZERO);
         let idx = r.add_source(src);
         r.sync(&world);
-        assert!(r.stale_names().is_empty());
+        let copied = |r: &Reregistrar| r.lookup("svc").expect("entry").copied_mtime;
+        assert_eq!(copied(&r), SimTime::ZERO);
         // A local application moves the service.
         world.wait(SimDuration::from_ms(60_000));
-        r.source_mut(idx).upsert("svc", world.now());
-        assert_eq!(r.stale_names(), vec!["svc".to_string()]);
+        let moved = world.now();
+        r.source_mut(idx).upsert("svc", moved);
+        assert_eq!(copied(&r), SimTime::ZERO, "the global copy lags its source");
         r.sync(&world);
-        assert!(r.stale_names().is_empty());
+        assert_eq!(copied(&r), moved);
     }
 
     #[test]
@@ -229,8 +211,5 @@ mod tests {
         assert!(src.is_empty());
         src.upsert("x", SimTime::ZERO);
         assert_eq!(src.len(), 1);
-        let mut r = Reregistrar::new();
-        r.add_source(src);
-        assert_eq!(r.total_source_names(), 1);
     }
 }

@@ -14,6 +14,7 @@ use nsms::harness::{
 };
 use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
+use simnet::obs::trace::TraceKind;
 
 /// Runs the walkthrough and returns the rendered trace.
 pub fn run() -> String {
@@ -23,7 +24,7 @@ pub fn run() -> String {
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
 
     tb.world.tracer.set_enabled(true);
-    tb.world.trace(None, simnet::trace::TraceKind::Info, || {
+    tb.world.trace(None, TraceKind::Info, || {
         "--- query 1: a BIND name ---".into()
     });
     let bind_name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
@@ -31,7 +32,7 @@ pub fn run() -> String {
         .import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &bind_name)
         .expect("BIND import");
 
-    tb.world.trace(None, simnet::trace::TraceKind::Info, || {
+    tb.world.trace(None, TraceKind::Info, || {
         "--- query 2: a Clearinghouse name ---".into()
     });
     let ch_name = HnsName::new(tb.ctx_ch(), "printserver:cs:uw").expect("name");

@@ -214,10 +214,10 @@ pub fn run(config: &TimelineConfig) -> TimelineRun {
     // fault clear with probe traffic and zero fault activity.
     let clear_window = fault_clear_us.saturating_sub(timeline.origin_us) / timeline.interval_us;
     let is_baseline_like = |w: &TimelineWindow| {
-        w.counter("hns", "find_nsm_calls") > 0
-            && w.counter("faults", "stale_served") == 0
-            && w.counter("faults", "unreachable_calls") == 0
-            && w.counter("faults", "nsm_failovers") == 0
+        w.delta.counter("hns", "find_nsm_calls") > 0
+            && w.delta.counter("faults", "stale_served") == 0
+            && w.delta.counter("faults", "unreachable_calls") == 0
+            && w.delta.counter("faults", "nsm_failovers") == 0
     };
     let back_to_baseline = timeline
         .windows
@@ -268,12 +268,12 @@ impl TimelineRun {
             })
             .collect();
         let hit_ratio = t.series(|w| {
-            let hits = w.counter("hns_cache", "hits") as f64;
+            let hits = w.delta.counter("hns_cache", "hits") as f64;
             let lookups = hits
-                + w.counter("hns_cache", "misses") as f64
-                + w.counter("hns_cache", "expired") as f64
-                + w.counter("hns_cache", "negative_hits") as f64
-                + w.counter("hns_cache", "stale_serves") as f64;
+                + w.delta.counter("hns_cache", "misses") as f64
+                + w.delta.counter("hns_cache", "expired") as f64
+                + w.delta.counter("hns_cache", "negative_hits") as f64
+                + w.delta.counter("hns_cache", "stale_serves") as f64;
             if lookups > 0.0 {
                 hits / lookups
             } else {
@@ -282,9 +282,9 @@ impl TimelineRun {
         });
         out.push(("hns_cache/hit_ratio".into(), hit_ratio));
         let stale_rate = t.series(|w| {
-            let calls = w.counter("hns", "find_nsm_calls") as f64;
+            let calls = w.delta.counter("hns", "find_nsm_calls") as f64;
             if calls > 0.0 {
-                w.counter("faults", "stale_served") as f64 / calls
+                w.delta.counter("faults", "stale_served") as f64 / calls
             } else {
                 0.0
             }
@@ -292,7 +292,8 @@ impl TimelineRun {
         out.push(("hns/stale_serve_rate".into(), stale_rate));
         for (suffix, pick) in [("p50", 0usize), ("p95", 1), ("p99", 2)] {
             let series = t.series(|w| {
-                w.histogram("hns", "find_nsm_us")
+                w.delta
+                    .histogram("hns", "find_nsm_us")
                     .map(|h| [h.p50, h.p95, h.p99][pick] as f64)
                     .unwrap_or(0.0)
             });
@@ -399,30 +400,32 @@ mod tests {
         assert!(!baseline.is_empty());
         assert!(baseline
             .iter()
-            .all(|w| w.counter("faults", "stale_served") == 0));
+            .all(|w| w.delta.counter("faults", "stale_served") == 0));
         assert!(baseline
             .iter()
-            .any(|w| w.counter("hns", "find_nsm_calls") > 0));
+            .any(|w| w.delta.counter("hns", "find_nsm_calls") > 0));
         // The TTL gap leaves quiet windows behind.
         assert!(
-            windows_in(&run, "ttl-gap").iter().any(|w| w.is_quiet()),
+            windows_in(&run, "ttl-gap")
+                .iter()
+                .any(|w| w.delta.is_empty()),
             "expected quiet windows in the TTL gap"
         );
         // Fault: stale serves and unreachable calls per window.
         let fault = windows_in(&run, "fault");
         assert!(fault
             .iter()
-            .any(|w| w.counter("faults", "stale_served") > 0));
+            .any(|w| w.delta.counter("faults", "stale_served") > 0));
         assert!(fault
             .iter()
-            .any(|w| w.counter("faults", "unreachable_calls") > 0));
+            .any(|w| w.delta.counter("faults", "unreachable_calls") > 0));
         // Recovery: probe traffic with no fault activity again.
         let recovery = windows_in(&run, "recovery");
         assert!(recovery
             .iter()
-            .any(|w| w.counter("hns", "find_nsm_calls") > 0
-                && w.counter("faults", "stale_served") == 0
-                && w.counter("faults", "unreachable_calls") == 0));
+            .any(|w| w.delta.counter("hns", "find_nsm_calls") > 0
+                && w.delta.counter("faults", "stale_served") == 0
+                && w.delta.counter("faults", "unreachable_calls") == 0));
     }
 
     #[test]
@@ -446,7 +449,7 @@ mod tests {
         let p95 = |windows: &[&TimelineWindow]| {
             windows
                 .iter()
-                .filter_map(|w| w.histogram("hns", "find_nsm_us"))
+                .filter_map(|w| w.delta.histogram("hns", "find_nsm_us"))
                 .map(|h| h.p95)
                 .max()
                 .unwrap_or(0)

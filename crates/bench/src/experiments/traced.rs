@@ -24,7 +24,7 @@ use hns_core::obs::MetricsSnapshot;
 use nsms::harness::{Testbed, DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM};
 use nsms::nsm_cache::NsmCacheForm;
 use nsms::Importer;
-use simnet::trace::TraceKind;
+use simnet::obs::trace::TraceKind;
 
 /// One traced query: its label, accounting, and rendered span tree.
 #[derive(Debug, Clone)]

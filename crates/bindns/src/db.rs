@@ -57,11 +57,6 @@ impl ZoneDb {
         self.position(origin).ok().map(|at| &self.zones[at])
     }
 
-    /// Mutable access by exact origin.
-    pub fn zone_mut(&mut self, origin: &DomainName) -> Option<&mut Zone> {
-        self.position(origin).ok().map(|at| &mut self.zones[at])
-    }
-
     /// Authoritative lookup across all zones.
     pub fn lookup(&self, name: &DomainName, rtype: RType) -> NsResult<Records> {
         match self.find_zone(name) {
@@ -159,7 +154,6 @@ mod tests {
         assert_eq!(db.zone_count(), 2);
         assert_eq!(db.origins().len(), 2);
         assert!(db.zone(&name("cs.washington.edu")).is_some());
-        assert!(db.zone_mut(&name("cs.washington.edu")).is_some());
         assert!(db.zone(&name("fiji.cs.washington.edu")).is_none());
         db.add_zone(Zone::new(name("mit.edu"), 3600));
         assert!(db.origins().is_sorted(), "{:?}", db.origins());

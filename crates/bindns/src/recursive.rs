@@ -348,7 +348,7 @@ mod tests {
         fn redelegate_cs(&self) -> BindDeployment {
             let host = self.world.add_host("ns2.cs.washington.edu");
             self.uw.server.with_db(|db| {
-                let uw_zone = db.zone_mut(&name("washington.edu")).expect("uw zone");
+                let uw_zone = db.find_zone_mut(&name("washington.edu")).expect("uw zone");
                 uw_zone.remove(&name("cs.washington.edu"), RType::Ns);
                 delegate(
                     uw_zone,
@@ -564,7 +564,9 @@ mod tests {
     fn readers(via_resolve: bool) -> Vec<Seen> {
         let t = tree();
         t.cs.server.with_db(|db| {
-            let zone = db.zone_mut(&name("cs.washington.edu")).expect("cs zone");
+            let zone = db
+                .find_zone_mut(&name("cs.washington.edu"))
+                .expect("cs zone");
             let (www, fiji) = (
                 name("www.cs.washington.edu"),
                 name("fiji.cs.washington.edu"),

@@ -10,9 +10,9 @@
 use std::sync::{Arc, OnceLock};
 
 use simnet::costs::Term;
+use simnet::obs::trace::{CacheOutcome, TraceKind};
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::HostId;
-use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::world::World;
 
 use hrpc::error::{RpcError, RpcResult};

@@ -3,8 +3,8 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use simnet::obs::trace::TraceKind;
 use simnet::topology::HostId;
-use simnet::trace::TraceKind;
 
 use hrpc::error::{RpcError, RpcResult};
 use hrpc::net::RpcNet;

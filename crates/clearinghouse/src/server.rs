@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use simnet::costs::Term;
+use simnet::obs::trace::TraceKind;
 use simnet::obs::LazyCounter;
 use simnet::topology::HostId;
-use simnet::trace::TraceKind;
 
 use hrpc::binding::ProgramId;
 use hrpc::error::{RpcError, RpcResult};

@@ -47,9 +47,9 @@ use std::sync::Arc;
 
 use intern::NameId;
 use simnet::costs::Term;
+use simnet::obs::trace::{CacheOutcome, TraceKind};
 use simnet::obs::CounterSource;
 use simnet::time::SimTime;
-use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::ttl::{arc_share, Key, KeyParts, Probe, TtlMap, END};
 use simnet::world::World;
 use simnet::CacheForm;
@@ -369,7 +369,7 @@ impl<V: Cacheable> HnsCache<V> {
     ///
     /// Counts one of hits / misses / expired / negative_hits per call and
     /// annotates the calling thread's current trace span with that
-    /// [`simnet::trace::CacheOutcome`].
+    /// [`simnet::obs::trace::CacheOutcome`].
     pub fn lookup(&self, world: &World, key: &(impl KeyParts + ?Sized)) -> CacheLookup<V> {
         if self.mode == CacheMode::Disabled {
             return CacheLookup::Miss;

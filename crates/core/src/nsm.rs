@@ -13,6 +13,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use simnet::costs::Term;
+use simnet::obs::trace::TraceKind;
 use simnet::obs::LazyCounter;
 use simnet::topology::{HostId, NetAddr};
 
@@ -24,7 +25,7 @@ use wire::message::{Shape, Shaped};
 use wire::{Message, Value, WireError, WireResult};
 
 use crate::error::{HnsError, HnsResult};
-use crate::meta::{Kind, MetaRecord, META_TTL};
+use crate::meta::META_TTL;
 use crate::name::{Context, HnsName};
 use crate::query::QueryClass;
 
@@ -290,15 +291,12 @@ impl RpcService for NsmService {
             .get(ctx.world.metrics(), "nsm", "queries")
             .inc();
         let name = &request.name;
-        ctx.world
-            .trace(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
-                format!("{}: query for {}", self.inner.nsm_name(), name)
-            });
-        let span = ctx
-            .world
-            .span_lazy(Some(ctx.host), simnet::trace::TraceKind::Nsm, || {
-                format!("NSM {} handles {}", self.inner.nsm_name(), name)
-            });
+        ctx.world.trace(Some(ctx.host), TraceKind::Nsm, || {
+            format!("{}: query for {}", self.inner.nsm_name(), name)
+        });
+        let span = ctx.world.span_lazy(Some(ctx.host), TraceKind::Nsm, || {
+            format!("NSM {} handles {}", self.inner.nsm_name(), name)
+        });
         let result = self.inner.handle(&request, reply);
         drop(span);
         result
@@ -442,20 +440,6 @@ pub struct NsmInfo {
 impl NsmInfo {
     /// Number of resource records this info occupies in the meta store.
     pub const RECORDS: usize = 6;
-
-    /// Decodes from meta-store record payloads — [`MetaRecord::decode`]
-    /// of the six records, under the name they are registered under
-    /// (which they do not carry).
-    pub fn from_records<P: AsRef<[u8]>>(
-        nsm_name: &str,
-        records: impl IntoIterator<Item = P>,
-    ) -> HnsResult<NsmInfo> {
-        let record = MetaRecord::decode(Kind::NsmInfo, records)?;
-        Ok(NsmInfo {
-            nsm_name: nsm_name.to_string(),
-            binding: record.as_nsm_info()?.clone(),
-        })
-    }
 }
 
 /// What mapping 3's six records say ("contains, among other information,
@@ -498,6 +482,7 @@ impl NsmBinding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::{Kind, MetaRecord};
 
     struct EchoNsm;
 
@@ -540,18 +525,18 @@ mod tests {
     fn info_roundtrips_through_records() {
         let i = info();
         let records = i.binding.to_records();
-        let back = NsmInfo::from_records(&i.nsm_name, &records).expect("decode");
-        assert_eq!(back, i);
+        let back = MetaRecord::decode(Kind::NsmInfo, &records).expect("decode");
+        assert_eq!(back.as_nsm_info().expect("binding"), &i.binding);
     }
 
     #[test]
     fn info_rejects_missing_fields() {
         let records = vec!["host=x".to_string()];
-        assert!(NsmInfo::from_records("n", &records).is_err());
+        assert!(MetaRecord::decode(Kind::NsmInfo, &records).is_err());
         let records = vec!["bogus".to_string()];
-        assert!(NsmInfo::from_records("n", &records).is_err());
+        assert!(MetaRecord::decode(Kind::NsmInfo, &records).is_err());
         let records = vec!["mystery=1".to_string()];
-        assert!(NsmInfo::from_records("n", &records).is_err());
+        assert!(MetaRecord::decode(Kind::NsmInfo, &records).is_err());
     }
 
     #[test]

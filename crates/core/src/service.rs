@@ -26,10 +26,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use simnet::costs::Term;
+use simnet::obs::trace::{CacheOutcome, TraceKind};
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::time::{SimDuration, SimTime};
 use simnet::topology::{HostId, NetAddr};
-use simnet::trace::{CacheOutcome, TraceKind};
 use simnet::ttl::{KeyParts, Probe};
 use simnet::world::World;
 

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use hns_core::analysis::{Eq1Inputs, PreloadModel};
 use hns_core::cache::{host_addr_key, CacheMode, HnsCache};
+use hns_core::meta::{Kind, MetaRecord};
 use hns_core::name::{Context, HnsName, NameMapping};
 use hns_core::nsm::{NsmBinding, NsmInfo, SuiteTag};
 use hns_core::query::QueryClass;
@@ -57,8 +58,8 @@ proptest! {
         };
         let records = info.binding.to_records();
         prop_assert_eq!(records.len(), NsmInfo::RECORDS);
-        let back = NsmInfo::from_records(&nsm, &records).expect("decode");
-        prop_assert_eq!(back, info);
+        let back = MetaRecord::decode(Kind::NsmInfo, &records).expect("decode");
+        prop_assert_eq!(back.as_nsm_info().expect("binding"), &info.binding);
     }
 
     #[test]

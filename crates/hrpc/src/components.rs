@@ -192,32 +192,6 @@ impl ComponentSet {
     }
 }
 
-/// The native system types HRPC can emulate peers of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NativeSystem {
-    /// UNIX machines speaking Sun RPC (Suns, VAXen).
-    SunUnix,
-    /// Xerox D-machines under XDE, speaking Courier.
-    XeroxXde,
-    /// Systems reachable only via TCP message passing (e.g. Uniflex).
-    TcpMessage,
-    /// Systems reachable only via UDP message passing.
-    UdpMessage,
-}
-
-impl NativeSystem {
-    /// Assembles the component set that makes HRPC "look to each existing
-    /// RPC mechanism exactly the same as a homogeneous peer".
-    pub fn emulation_suite(self, static_port: Option<u16>) -> ComponentSet {
-        match self {
-            NativeSystem::SunUnix => ComponentSet::sun(),
-            NativeSystem::XeroxXde => ComponentSet::courier(),
-            NativeSystem::TcpMessage => ComponentSet::raw_tcp(static_port.unwrap_or(0)),
-            NativeSystem::UdpMessage => ComponentSet::raw_udp(static_port.unwrap_or(0)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,26 +236,6 @@ mod tests {
         assert!(ControlProtocol::Courier.at_most_once());
         assert!(!ComponentSet::raw_udp(1).control.at_most_once());
         assert!(ComponentSet::raw_udp_at_most_once(1).control.at_most_once());
-    }
-
-    #[test]
-    fn emulation_suites_match_native_systems() {
-        assert_eq!(
-            NativeSystem::SunUnix.emulation_suite(None),
-            ComponentSet::sun()
-        );
-        assert_eq!(
-            NativeSystem::XeroxXde.emulation_suite(None),
-            ComponentSet::courier()
-        );
-        assert_eq!(
-            NativeSystem::TcpMessage.emulation_suite(Some(53)),
-            ComponentSet::raw_tcp(53)
-        );
-        assert_eq!(
-            NativeSystem::UdpMessage.emulation_suite(Some(53)),
-            ComponentSet::raw_udp(53)
-        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod net;
 pub mod server;
 
 pub use binding::{HrpcBinding, ProgramId};
-pub use components::{BindingProtocol, ComponentSet, ControlProtocol, NativeSystem, Transport};
+pub use components::{BindingProtocol, ComponentSet, ControlProtocol, Transport};
 pub use error::{RpcError, RpcResult};
 pub use net::RpcNet;
 pub use server::{CallCtx, ProcServer, ReplySlot, RpcService};

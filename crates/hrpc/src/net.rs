@@ -24,9 +24,9 @@ use parking_lot::{Mutex, RwLock};
 use simnet::costs::Term;
 use simnet::faults::{FaultKind, LEG_REPLY, LEG_REQUEST};
 use simnet::index::FixedState;
+use simnet::obs::trace::TraceKind;
 use simnet::obs::{LazyCounter, LazyHistogram};
 use simnet::topology::{HostId, NetAddr};
-use simnet::trace::TraceKind;
 use simnet::world::World;
 use wire::{Message, Value};
 

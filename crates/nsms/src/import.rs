@@ -22,8 +22,8 @@ use hns_core::nsm::{NsmClient, NsmRequest, QueryArgs};
 use hns_core::query::QueryClass;
 use hrpc::net::RpcNet;
 use hrpc::{HrpcBinding, ProgramId, ReplySlot};
+use simnet::obs::trace::TraceKind;
 use simnet::topology::HostId;
-use simnet::trace::TraceKind;
 use wire::Value;
 
 /// The HRPC `Import` entry point for one client process.

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use hns_core::cache::{Cacheable, HeapBytes, Stored};
 use simnet::costs::Term;
+use simnet::obs::trace::CacheOutcome;
 use simnet::obs::CounterSource;
-use simnet::trace::CacheOutcome;
 use simnet::ttl::{KeyParts, Probe, TtlMap};
 use simnet::world::World;
 use wire::Value;
@@ -196,7 +196,7 @@ mod tests {
             (garbage, 1),
             world.now().after_secs(600),
         );
-        let span = world.span(None, simnet::trace::TraceKind::Nsm, "probe");
+        let span = world.span(None, simnet::obs::trace::TraceKind::Nsm, "probe");
         assert!(cache.get(&world, "k").is_none());
         drop(span);
         assert_eq!(cache.stats(), (0, 1));

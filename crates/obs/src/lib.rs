@@ -25,10 +25,11 @@
 //!   other thread atomically into a second word, merged on read.
 //!
 //! [`timeline`] layers windowed sampling on top of [`metrics`]: a
-//! [`Sampler`] differences successive registry captures at fixed window
-//! boundaries into a deterministic [`Timeline`] (counter deltas plus
-//! windowed histogram percentiles from bucketwise differences), with an
-//! ASCII-sparkline `render()` and an `hns-timeline-v1` JSON export.
+//! [`Sampler`] differences successive registry snapshots at fixed window
+//! boundaries into a deterministic [`Timeline`], each window one
+//! [`MetricsDelta`] (counter deltas plus windowed histogram percentiles
+//! from bucketwise differences), with an ASCII-sparkline `render()` and
+//! an `hns-timeline-v1` JSON export.
 //!
 //! [`json`] is a minimal JSON writer/parser used for the exports (the
 //! workspace builds offline, so no serde).
@@ -45,5 +46,5 @@ pub use metrics::{
     HistogramSample, LazyCounter, LazyHistogram, LocalHistogram, MetricsDelta, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use timeline::{Sampler, Timeline, TimelineMark, TimelineWindow, WindowHistogram};
+pub use timeline::{Sampler, Timeline, TimelineMark, TimelineWindow};
 pub use trace::{CacheOutcome, QueryTrace, SpanId, SpanRecord, TraceEvent, TraceKind, Tracer};

@@ -324,7 +324,9 @@ impl Histogram {
         percentile_from_buckets(&self.bucket_counts(), p)
     }
 
-    fn sample(&self) -> HistogramStats {
+    /// One reading: the statistics and the merged bucket counts they were
+    /// computed from, so `count` is exactly the buckets' sum.
+    fn sample(&self) -> (HistogramStats, Vec<u64>) {
         let buckets = self.bucket_counts();
         let count = buckets.iter().sum();
         let (mut min, mut max) = (u64::MAX, 0);
@@ -332,7 +334,7 @@ impl Histogram {
             min = min.min(cells.min.load(Ordering::Relaxed));
             max = max.max(cells.max.load(Ordering::Relaxed));
         }
-        HistogramStats {
+        let stats = HistogramStats {
             count,
             sum: self.sum(),
             min: if count == 0 { 0 } else { min },
@@ -340,13 +342,11 @@ impl Histogram {
             p50: percentile_from_buckets(&buckets, 0.50),
             p95: percentile_from_buckets(&buckets, 0.95),
             p99: percentile_from_buckets(&buckets, 0.99),
-        }
+        };
+        (stats, buckets)
     }
 
-    /// A copy of the raw per-bucket counts, both halves merged. The
-    /// sampling layer diffs two of these to compute *windowed*
-    /// percentiles (the per-window distribution is exactly the bucketwise
-    /// difference, since buckets only grow).
+    /// A copy of the raw per-bucket counts, both halves merged.
     pub fn bucket_counts(&self) -> Vec<u64> {
         let mut counts: Vec<u64> = self
             .own
@@ -364,9 +364,10 @@ impl Histogram {
 }
 
 /// The value at quantile `p` over a raw bucket-count slice (as returned
-/// by [`Histogram::bucket_counts`], or a bucketwise difference of two
-/// such slices): the upper bound of the bucket holding the sample of
-/// rank `ceil(p * count)`. Returns 0 when the buckets are empty.
+/// by [`Histogram::bucket_counts`], or the bucketwise difference of two
+/// such slices that [`MetricsSnapshot::delta`] reads): the upper bound
+/// of the bucket holding the sample of rank `ceil(p * count)`. Returns 0
+/// when the buckets are empty.
 pub fn percentile_from_buckets(buckets: &[u64], p: f64) -> u64 {
     let count: u64 = buckets.iter().sum();
     if count == 0 {
@@ -499,6 +500,9 @@ pub struct HistogramSample {
     pub component: String,
     pub name: String,
     pub stats: HistogramStats,
+    /// The merged per-bucket counts `stats` was read from, in the same
+    /// reading. [`MetricsSnapshot::delta`] differences two of these.
+    pub(crate) buckets: Vec<u64>,
 }
 
 /// Registry of all counters and histograms, keyed by `(component, name)`,
@@ -618,10 +622,14 @@ impl MetricsRegistry {
             .histograms
             .read()
             .iter()
-            .map(|((component, name), h)| HistogramSample {
-                component: component.clone(),
-                name: name.clone(),
-                stats: h.sample(),
+            .map(|((component, name), h)| {
+                let (stats, buckets) = h.sample();
+                HistogramSample {
+                    component: component.clone(),
+                    name: name.clone(),
+                    stats,
+                    buckets,
+                }
             })
             .collect();
         histograms.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
@@ -629,21 +637,6 @@ impl MetricsRegistry {
             counters,
             histograms,
         }
-    }
-
-    /// Raw per-bucket counts of every histogram, sorted by
-    /// `(component, name)` — the bucket-level companion of
-    /// [`MetricsRegistry::snapshot`], used by the sampling layer to
-    /// compute windowed percentiles from bucketwise differences.
-    pub fn histogram_buckets(&self) -> Vec<((String, String), Vec<u64>)> {
-        let mut out: Vec<((String, String), Vec<u64>)> = self
-            .histograms
-            .read()
-            .iter()
-            .map(|(key, h)| (key.clone(), h.bucket_counts()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 }
 
@@ -660,10 +653,12 @@ impl MetricsSnapshot {
     /// Counters subtract saturating (a source's row can legitimately move
     /// backwards — a gauge such as `entries`, or a sum one of whose
     /// sources was dropped; the delta clamps at zero rather than
-    /// wrapping). Histograms difference their `count` and `sum`, also
-    /// saturating. Metrics with a zero delta — and metrics present only
-    /// in `earlier` — are omitted, so the delta of two identical
-    /// snapshots is empty.
+    /// wrapping). A histogram differences its buckets, each saturating:
+    /// since buckets only grow, the difference is exactly the samples
+    /// recorded in between, and the delta's `count` and percentiles are
+    /// read off it; its `sum` subtracts saturating. Metrics with a zero
+    /// delta — and metrics present only in `earlier` — are omitted, so
+    /// the delta of two identical snapshots is empty.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsDelta {
         let counters = self
             .counters
@@ -682,17 +677,26 @@ impl MetricsSnapshot {
             .histograms
             .iter()
             .filter_map(|h| {
-                let before = earlier
-                    .histogram(&h.component, &h.name)
-                    .copied()
-                    .unwrap_or_default();
-                let count = h.stats.count.saturating_sub(before.count);
-                let sum = h.stats.sum.saturating_sub(before.sum);
+                let before = (earlier.histograms.iter())
+                    .find(|e| e.component == h.component && e.name == h.name);
+                let (sum, buckets) = match before {
+                    Some(before) => (
+                        h.stats.sum.saturating_sub(before.stats.sum),
+                        (h.buckets.iter().zip(&before.buckets))
+                            .map(|(now, then)| now.saturating_sub(*then))
+                            .collect(),
+                    ),
+                    None => (h.stats.sum, h.buckets.clone()),
+                };
+                let count = buckets.iter().sum();
                 (count != 0 || sum != 0).then(|| HistogramDelta {
                     component: h.component.clone(),
                     name: h.name.clone(),
                     count,
                     sum,
+                    p50: percentile_from_buckets(&buckets, 0.50),
+                    p95: percentile_from_buckets(&buckets, 0.95),
+                    p99: percentile_from_buckets(&buckets, 0.99),
                 })
             })
             .collect();
@@ -799,18 +803,22 @@ pub struct CounterDelta {
     pub delta: u64,
 }
 
-/// One histogram's change between two snapshots (omitted when both
-/// fields are zero). Carries only the additive statistics — windowed
-/// percentiles need bucket-level data, which snapshots don't keep (see
-/// [`MetricsRegistry::histogram_buckets`]).
+/// One histogram's change between two snapshots (omitted when `count`
+/// and `sum` are both zero): the statistics of only the samples recorded
+/// in between, read off the bucketwise difference of the bucket counts
+/// each snapshot's [`HistogramSample`] keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramDelta {
     pub component: String,
     pub name: String,
-    /// Samples recorded between the snapshots.
+    /// Samples recorded between the snapshots: the difference's sum.
     pub count: u64,
     /// Sum recorded between the snapshots.
     pub sum: u64,
+    /// Percentiles of the samples recorded between the snapshots.
+    pub p50: u64,
+    pub p95: u64,
+    pub p99: u64,
 }
 
 impl HistogramDelta {
@@ -1025,7 +1033,7 @@ mod tests {
         h.record(0);
         assert_eq!((h.count(), h.sum(), h.percentile(1.0)), (2, 0, 0));
         h.record(7);
-        let stats = h.sample();
+        let (stats, _) = h.sample();
         assert_eq!((stats.count, stats.sum, stats.min, stats.max), (3, 7, 0, 7));
     }
 
@@ -1037,7 +1045,7 @@ mod tests {
             atomic.record(v);
             local.record(v);
         }
-        assert_eq!(local.stats(), atomic.sample());
+        assert_eq!(local.stats(), atomic.sample().0);
     }
 
     #[test]
@@ -1102,7 +1110,7 @@ mod tests {
             j.join().expect("join");
         }
         let all = (0..THREADS).flat_map(samples);
-        let stats = h.sample();
+        let (stats, _) = h.sample();
         assert_eq!(stats.count, THREADS * 3 * RUN);
         assert_eq!(stats.sum, all.clone().sum::<u64>());
         assert_eq!(stats.min, all.clone().min().expect("samples"));
@@ -1128,8 +1136,7 @@ mod tests {
                 .chain(second)
                 .for_each(|&v| reference.record(v));
             assert!(h.shared.get().is_some(), "the foreign records went shared");
-            assert_eq!(h.bucket_counts(), reference.buckets);
-            assert_eq!(h.sample(), reference.stats());
+            assert_eq!(h.sample(), (reference.stats(), reference.buckets.clone()));
             assert_eq!((h.count(), h.sum()), (8, reference.sum));
         }
     }
@@ -1271,29 +1278,28 @@ mod tests {
         assert!(d.is_empty());
     }
 
-    /// Windowed percentiles from bucketwise differences match a
-    /// histogram recording only the window's samples.
+    /// A delta's histogram statistics — read off the bucketwise
+    /// difference — match a histogram recording only the samples between
+    /// the two snapshots.
     #[test]
-    fn bucket_difference_percentiles_match_fresh_histogram() {
-        let h = Histogram::new();
+    fn delta_statistics_match_a_fresh_histogram() {
+        let m = MetricsRegistry::new();
         for v in 0..500u64 {
-            h.record(v * 3);
+            m.record("hns", "find_nsm_us", v * 3);
         }
-        let base = h.bucket_counts();
-        let fresh = Histogram::new();
+        let before = m.snapshot();
+        let mut fresh = LocalHistogram::new();
         for v in 500..1000u64 {
-            h.record(v * 7);
+            m.record("hns", "find_nsm_us", v * 7);
             fresh.record(v * 7);
         }
-        let now = h.bucket_counts();
-        let diff: Vec<u64> = now
-            .iter()
-            .zip(&base)
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect();
-        for p in [0.5, 0.95, 0.99] {
-            assert_eq!(percentile_from_buckets(&diff, p), fresh.percentile(p));
-        }
+        let d = m.snapshot().delta(&before);
+        let h = d.histogram("hns", "find_nsm_us").expect("hist delta");
+        let want = fresh.stats();
+        assert_eq!(
+            (h.count, h.sum, h.p50, h.p95, h.p99),
+            (want.count, want.sum, want.p50, want.p95, want.p99)
+        );
         assert_eq!(percentile_from_buckets(&[], 0.5), 0);
         assert_eq!(percentile_from_buckets(&[0, 0, 0], 0.99), 0);
     }

@@ -3,12 +3,11 @@
 //!
 //! A [`Sampler`] closes fixed-width windows over a monotone timestamp
 //! stream (virtual microseconds in the simulation; the sampler only sees
-//! `u64`s). At each closed window it captures a [`MetricsSnapshot`] and
-//! the raw histogram buckets, and stores the *difference* since the
-//! previous capture: counter deltas, plus windowed histogram
-//! count/sum/p50/p95/p99 computed from the bucketwise difference (exact,
-//! since buckets only grow — see
-//! [`metrics::percentile_from_buckets`](crate::metrics::percentile_from_buckets)).
+//! `u64`s). A capture is one [`MetricsSnapshot`], and a window holds the
+//! [`MetricsDelta`] since the previous capture: counter deltas, plus each
+//! histogram's count/sum/p50/p95/p99 over only the window's samples,
+//! which [`MetricsSnapshot::delta`] reads off the bucketwise difference
+//! of the two snapshots (exact, since buckets only grow).
 //!
 //! Window semantics: window `i` covers
 //! `[origin + i·interval, origin + (i+1)·interval)`. Ticks are driven by
@@ -21,33 +20,15 @@
 //! emits) telescopes exactly to `final − base`, which is what makes the
 //! conservation property testable under concurrency.
 //!
-//! Everything here is deterministic: snapshots and bucket dumps are
-//! sorted by `(component, name)`, so same-seed virtual-time runs produce
+//! Everything here is deterministic: snapshots are sorted by
+//! `(component, name)`, so same-seed virtual-time runs produce
 //! byte-identical timeline JSON (golden-tested in the bench crate).
 
-use std::collections::HashMap;
-
 use crate::json::string;
-use crate::metrics::{percentile_from_buckets, CounterDelta, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{MetricsDelta, MetricsRegistry, MetricsSnapshot};
 
-/// One histogram's activity inside a single window: additive deltas plus
-/// percentiles of only the samples recorded in the window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowHistogram {
-    pub component: String,
-    pub name: String,
-    /// Samples recorded in the window.
-    pub count: u64,
-    /// Sum of samples recorded in the window.
-    pub sum: u64,
-    /// Windowed percentiles (bucketwise-difference distribution).
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
-}
-
-/// One closed window of the timeline. Zero-delta metrics are omitted, so
-/// a quiet window has empty `counters` and `histograms`.
+/// One closed window of the timeline. Zero-delta metrics are omitted
+/// from its delta, so a quiet window's delta is empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineWindow {
     /// Position in the timeline (contiguous from 0).
@@ -57,33 +38,8 @@ pub struct TimelineWindow {
     /// Window end, exclusive. Equals `start_us + interval` except for
     /// the residual partial window [`Sampler::finish`] may emit.
     pub end_us: u64,
-    /// Counter changes inside the window.
-    pub counters: Vec<CounterDelta>,
-    /// Histogram activity inside the window.
-    pub histograms: Vec<WindowHistogram>,
-}
-
-impl TimelineWindow {
-    /// A counter's delta in this window, 0 if it didn't move.
-    pub fn counter(&self, component: &str, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| c.component == component && c.name == name)
-            .map(|c| c.delta)
-            .unwrap_or(0)
-    }
-
-    /// A histogram's windowed activity, if it recorded anything.
-    pub fn histogram(&self, component: &str, name: &str) -> Option<&WindowHistogram> {
-        self.histograms
-            .iter()
-            .find(|h| h.component == component && h.name == name)
-    }
-
-    /// True when nothing moved in this window.
-    pub fn is_quiet(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
+    /// What changed inside the window.
+    pub delta: MetricsDelta,
 }
 
 /// A labeled instant on the timeline (phase transitions, fault edges).
@@ -115,7 +71,7 @@ impl Timeline {
     pub fn counter_series(&self, component: &str, name: &str) -> Vec<u64> {
         self.windows
             .iter()
-            .map(|w| w.counter(component, name))
+            .map(|w| w.delta.counter(component, name))
             .collect()
     }
 
@@ -128,7 +84,7 @@ impl Timeline {
     pub fn counter_keys(&self) -> Vec<(String, String)> {
         let mut keys: Vec<(String, String)> = Vec::new();
         for w in &self.windows {
-            for c in &w.counters {
+            for c in &w.delta.counters {
                 let key = (c.component.clone(), c.name.clone());
                 if !keys.contains(&key) {
                     keys.push(key);
@@ -209,7 +165,7 @@ impl Timeline {
                 "\n    {{\"index\": {}, \"start_us\": {}, \"end_us\": {}, \"counters\": [",
                 w.index, w.start_us, w.end_us
             ));
-            for (j, c) in w.counters.iter().enumerate() {
+            for (j, c) in w.delta.counters.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
@@ -221,7 +177,7 @@ impl Timeline {
                 ));
             }
             out.push_str("], \"histograms\": [");
-            for (j, h) in w.histograms.iter().enumerate() {
+            for (j, h) in w.delta.histograms.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
@@ -301,14 +257,12 @@ fn render_max(series: &[f64]) -> String {
 }
 
 /// Accumulates a [`Timeline`] by differencing successive registry
-/// captures at fixed-width window boundaries. See the module docs for
+/// snapshots at fixed-width window boundaries. See the module docs for
 /// the window and attribution semantics.
 pub struct Sampler {
     interval_us: u64,
     origin_us: u64,
-    next_due_us: u64,
     prev: MetricsSnapshot,
-    prev_buckets: Vec<((String, String), Vec<u64>)>,
     windows: Vec<TimelineWindow>,
     marks: Vec<TimelineMark>,
 }
@@ -331,9 +285,7 @@ impl Sampler {
         Sampler {
             interval_us,
             origin_us: now_us,
-            next_due_us: now_us + interval_us,
             prev: registry.snapshot(),
-            prev_buckets: registry.histogram_buckets(),
             windows: Vec::new(),
             marks: Vec::new(),
         }
@@ -343,41 +295,27 @@ impl Sampler {
         self.origin_us + index as u64 * self.interval_us
     }
 
-    fn delta_window(
-        &self,
-        snap: &MetricsSnapshot,
-        buckets: &[((String, String), Vec<u64>)],
-    ) -> (Vec<CounterDelta>, Vec<WindowHistogram>) {
-        let d = snap.delta(&self.prev);
-        let prev: HashMap<&(String, String), &Vec<u64>> =
-            self.prev_buckets.iter().map(|(k, b)| (k, b)).collect();
-        let histograms = d
-            .histograms
-            .iter()
-            .map(|h| {
-                let key = (h.component.clone(), h.name.clone());
-                let diff: Vec<u64> = match (buckets.iter().find(|(k, _)| *k == key), prev.get(&key))
-                {
-                    (Some((_, now)), Some(before)) => now
-                        .iter()
-                        .zip(before.iter())
-                        .map(|(a, b)| a.saturating_sub(*b))
-                        .collect(),
-                    (Some((_, now)), None) => now.clone(),
-                    (None, _) => Vec::new(),
-                };
-                WindowHistogram {
-                    component: h.component.clone(),
-                    name: h.name.clone(),
-                    count: h.count,
-                    sum: h.sum,
-                    p50: percentile_from_buckets(&diff, 0.50),
-                    p95: percentile_from_buckets(&diff, 0.95),
-                    p99: percentile_from_buckets(&diff, 0.99),
-                }
-            })
-            .collect();
-        (d.counters, histograms)
+    /// The end of the window open now.
+    fn next_due_us(&self) -> u64 {
+        self.window_start(self.windows.len()) + self.interval_us
+    }
+
+    /// Captures `snap`: closes every window whose end `now_us` has
+    /// passed, the first of them holding the delta since the previous
+    /// capture and the rest quiet. Returns the delta if no window closed.
+    fn capture(&mut self, snap: MetricsSnapshot, now_us: u64) -> Option<MetricsDelta> {
+        let mut delta = Some(snap.delta(&self.prev));
+        self.prev = snap;
+        while now_us >= self.next_due_us() {
+            let index = self.windows.len();
+            self.windows.push(TimelineWindow {
+                index: index as u64,
+                start_us: self.window_start(index),
+                end_us: self.next_due_us(),
+                delta: delta.take().unwrap_or_default(),
+            });
+        }
+        delta
     }
 
     /// Advances the sampler to `now_us`, closing every window whose end
@@ -386,31 +324,9 @@ impl Sampler {
     /// window and the rest are emitted quiet. Cheap no-op until the
     /// current window's end.
     pub fn tick(&mut self, registry: &MetricsRegistry, now_us: u64) {
-        if now_us < self.next_due_us {
-            return;
+        if now_us >= self.next_due_us() {
+            self.capture(registry.snapshot(), now_us);
         }
-        let snap = registry.snapshot();
-        let buckets = registry.histogram_buckets();
-        let mut first = true;
-        while now_us >= self.window_start(self.windows.len()) + self.interval_us {
-            let (counters, histograms) = if first {
-                first = false;
-                self.delta_window(&snap, &buckets)
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            let index = self.windows.len();
-            self.windows.push(TimelineWindow {
-                index: index as u64,
-                start_us: self.window_start(index),
-                end_us: self.window_start(index) + self.interval_us,
-                counters,
-                histograms,
-            });
-        }
-        self.prev = snap;
-        self.prev_buckets = buckets;
-        self.next_due_us = self.window_start(self.windows.len()) + self.interval_us;
     }
 
     /// Places a labeled mark at `now_us`.
@@ -423,22 +339,19 @@ impl Sampler {
         });
     }
 
-    /// Closes any due windows at `now_us`, captures activity since the
-    /// last boundary as a residual partial window (emitted only if
-    /// something moved), and returns the finished [`Timeline`].
+    /// Captures one last snapshot at `now_us`: it closes any due windows,
+    /// or else lands as a residual partial window from the last boundary
+    /// to `now_us` (emitted only if something moved). Returns the
+    /// finished [`Timeline`].
     pub fn finish(mut self, registry: &MetricsRegistry, now_us: u64) -> Timeline {
-        self.tick(registry, now_us);
-        let snap = registry.snapshot();
-        let buckets = registry.histogram_buckets();
-        let (counters, histograms) = self.delta_window(&snap, &buckets);
-        if !counters.is_empty() || !histograms.is_empty() {
+        let residual = self.capture(registry.snapshot(), now_us);
+        if let Some(delta) = residual.filter(|delta| !delta.is_empty()) {
             let index = self.windows.len();
             self.windows.push(TimelineWindow {
                 index: index as u64,
                 start_us: self.window_start(index),
                 end_us: now_us.max(self.window_start(index)),
-                counters,
-                histograms,
+                delta,
             });
         }
         Timeline {
@@ -453,6 +366,7 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::LocalHistogram;
 
     #[test]
     fn windows_carry_deltas_not_totals() {
@@ -480,7 +394,7 @@ mod tests {
         let t = s.finish(&m, 4_200);
         assert_eq!(t.windows.len(), 4, "no residual: nothing after boundary");
         assert_eq!(t.counter_series("hns", "find_nsm_calls"), vec![3, 0, 0, 0]);
-        assert!(t.windows[1].is_quiet() && t.windows[3].is_quiet());
+        assert!(t.windows[1].delta.is_empty() && t.windows[3].delta.is_empty());
         let indices: Vec<u64> = t.windows.iter().map(|w| w.index).collect();
         assert_eq!(indices, vec![0, 1, 2, 3], "windows stay contiguous");
     }
@@ -500,7 +414,7 @@ mod tests {
         assert_eq!(t.windows.len(), 2);
         assert_eq!(t.windows[1].start_us, 1_000);
         assert_eq!(t.windows[1].end_us, 1_400, "partial window ends at now");
-        assert_eq!(t.windows[1].counter("net", "remote_calls"), 1);
+        assert_eq!(t.windows[1].delta.counter("net", "remote_calls"), 1);
     }
 
     #[test]
@@ -516,8 +430,8 @@ mod tests {
         }
         s.tick(&m, 2_000);
         let t = s.finish(&m, 2_000);
-        let w0 = t.windows[0].histogram("hns", "find_nsm_us").unwrap();
-        let w1 = t.windows[1].histogram("hns", "find_nsm_us").unwrap();
+        let w0 = t.windows[0].delta.histogram("hns", "find_nsm_us").unwrap();
+        let w1 = t.windows[1].delta.histogram("hns", "find_nsm_us").unwrap();
         assert_eq!((w0.count, w0.p50, w0.p99), (100, 10, 10));
         assert_eq!(w1.count, 100);
         // Cumulative p50 would be 10; the windowed one must be ~40000.
@@ -680,7 +594,91 @@ mod tests {
         (t, base, m.snapshot())
     }
 
+    /// One step of a generated run.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Adds to the counter `net/COUNTERS[i]`.
+        Add(usize, u64),
+        /// Records a `hns/find_nsm_us` sample.
+        Record(u64),
+        /// Advances the clock by this many µs, then ticks.
+        Advance(u64),
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0..COUNTERS.len(), 0..7u64).prop_map(|(i, n)| Step::Add(i, n)),
+            (0..1_000_000u64).prop_map(Step::Record),
+            // Jumps of up to ~3.5 windows cross several boundaries at once.
+            (0..3_500u64).prop_map(Step::Advance),
+        ]
+    }
+
     proptest::proptest! {
+        /// Each window's `count`, `sum` and percentiles are those of a
+        /// fresh histogram fed only the samples recorded since the capture
+        /// before it — the whole of a multi-boundary jump's delta lands in
+        /// the first crossed window — and the counter deltas still
+        /// telescope to `final − base`.
+        #[test]
+        fn windowed_statistics_equal_a_fresh_histograms(
+            steps in proptest::collection::vec(step(), 0..128),
+            tail in 1..2_000u64,
+        ) {
+            let m = MetricsRegistry::new();
+            // A non-empty base: the windows' statistics must leave it out.
+            m.record("hns", "find_nsm_us", 77);
+            m.add("net", COUNTERS[0], 3);
+            let base = m.snapshot();
+            let mut s = Sampler::new(&m, 0, 1_000);
+            let (mut now, mut closed) = (0u64, 0u64);
+            let mut open = LocalHistogram::new();
+            let mut fresh: Vec<(u64, LocalHistogram)> = Vec::new();
+            for step in steps {
+                match step {
+                    Step::Add(i, n) => m.add("net", COUNTERS[i], n),
+                    Step::Record(v) => {
+                        m.record("hns", "find_nsm_us", v);
+                        open.record(v);
+                    }
+                    Step::Advance(dt) => {
+                        now += dt;
+                        s.tick(&m, now);
+                        if now / 1_000 > closed {
+                            fresh.push((closed, std::mem::take(&mut open)));
+                            closed = now / 1_000;
+                        }
+                    }
+                }
+            }
+            // `finish`'s capture lands in window `closed`, due or residual.
+            fresh.push((closed, open));
+            let t = s.finish(&m, now + tail);
+
+            for w in &t.windows {
+                let got = w.delta.histogram("hns", "find_nsm_us");
+                let got = got.map(|h| (h.count, h.sum, h.p50, h.p95, h.p99));
+                let want = (fresh.iter())
+                    .find(|(index, h)| *index == w.index && !h.is_empty())
+                    .map(|(_, h)| h.stats())
+                    .map(|h| (h.count, h.sum, h.p50, h.p95, h.p99));
+                proptest::prop_assert_eq!(got, want, "window {}", w.index);
+            }
+            for (index, h) in &fresh {
+                proptest::prop_assert!(
+                    h.is_empty() || *index < t.windows.len() as u64,
+                    "window {} recorded samples but was not emitted",
+                    index
+                );
+            }
+            let moved = m.snapshot().delta(&base);
+            for name in COUNTERS {
+                let windowed: u64 = t.counter_series("net", name).iter().sum();
+                proptest::prop_assert_eq!(windowed, moved.counter("net", name));
+            }
+        }
+
         #[test]
         fn same_seed_yields_byte_identical_timeline_json(seed in proptest::prelude::any::<u64>()) {
             let (a, _, _) = synth_run(seed);

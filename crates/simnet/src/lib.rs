@@ -12,8 +12,9 @@
 //! * [`costs`] — every calibrated constant, each traced to a measured
 //!   primitive in the paper, and the [`Term`]s components charge, which
 //!   [`CostModel::price`] alone prices.
-//! * [`trace`] — re-export of the [`obs`] span/event recorder used by the
-//!   Figure 2.1 walkthrough and the per-query flame breakdowns.
+//! * [`obs`] — re-export of the observability crate: its
+//!   [`obs::trace`] span/event recorder (the Figure 2.1 walkthrough, the
+//!   per-query flame breakdowns) and its metrics registry.
 //! * [`ttl`] — the TTL-cache core: the one expiry map every
 //!   cache in the workspace is built on.
 //! * [`index`] — the open-addressed `u32` index, with its fixed hash,
@@ -52,7 +53,6 @@ pub mod index;
 pub mod rng;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod ttl;
 pub mod world;
 

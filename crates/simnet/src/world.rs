@@ -16,7 +16,7 @@ use crate::costs::{CostModel, Ms, Term};
 use crate::faults::FaultPlan;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, Topology};
-use crate::trace::{CacheOutcome, SpanId, TraceKind, Tracer};
+use obs::trace::{CacheOutcome, SpanId, TraceKind, Tracer};
 use obs::{LazyCounter, MetricsRegistry};
 
 /// A point-in-time snapshot of a world's structural counters, useful for

@@ -15,25 +15,10 @@
 //! [`crate::xdr::encode`] — only the cost differs, which is exactly
 //! Table 3.2's point. Compare `benches/marshalling.rs`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::error::{WireError, WireResult};
 use crate::idl::TypeDesc;
 use crate::value::Value;
 use crate::xdr;
-
-/// Counts the intermediate buffers the generated path allocates, so tests
-/// can demonstrate the overhead structurally (not just by timing).
-static INTERMEDIATE_BUFFERS: AtomicU64 = AtomicU64::new(0);
-
-/// Returns the number of intermediate buffers allocated so far.
-pub fn intermediate_buffers() -> u64 {
-    INTERMEDIATE_BUFFERS.load(Ordering::Relaxed)
-}
-
-fn note_buffer() {
-    INTERMEDIATE_BUFFERS.fetch_add(1, Ordering::Relaxed);
-}
 
 /// One node of the generated marshaller.
 trait NodeCodec: Send + Sync {
@@ -65,7 +50,6 @@ struct OptNode {
 /// Marshals a value through one more "unnecessary level of marshalling":
 /// encode into a scratch buffer, then copy into the result buffer.
 fn relayer(scratch: Vec<u8>) -> Vec<u8> {
-    note_buffer();
     let mut out = Vec::with_capacity(scratch.len());
     out.extend_from_slice(&scratch);
     out
@@ -74,14 +58,12 @@ fn relayer(scratch: Vec<u8>) -> Vec<u8> {
 impl NodeCodec for ScalarNode {
     fn marshal(&self, v: &Value) -> WireResult<Vec<u8>> {
         self.desc.check(v)?;
-        note_buffer();
         let mut scratch = Vec::new();
         xdr::encode_into(v, &mut scratch)?;
         Ok(relayer(scratch))
     }
 
     fn unmarshal(&self, bytes: &[u8]) -> WireResult<(Value, usize)> {
-        note_buffer();
         let copy = bytes.to_vec(); // Defensive copy, as generated code did.
         let mut cur = xdr::Cursor::new(&copy);
         let v = cur.read_value()?;
@@ -94,7 +76,6 @@ impl NodeCodec for ScalarNode {
 impl NodeCodec for ListNode {
     fn marshal(&self, v: &Value) -> WireResult<Vec<u8>> {
         let items = v.as_list()?;
-        note_buffer();
         let mut scratch = Vec::new();
         // Tag + count exactly as the direct encoder lays them out.
         scratch.extend_from_slice(&7u32.to_be_bytes());
@@ -132,7 +113,6 @@ impl NodeCodec for ListNode {
 impl NodeCodec for StructNode {
     fn marshal(&self, v: &Value) -> WireResult<Vec<u8>> {
         let fields = v.as_struct()?;
-        note_buffer();
         let mut scratch = Vec::new();
         scratch.extend_from_slice(&8u32.to_be_bytes());
         scratch.extend_from_slice(&(self.fields.len() as u32).to_be_bytes());
@@ -142,7 +122,6 @@ impl NodeCodec for StructNode {
                 .find(|(k, _)| k == name)
                 .map(|(_, fv)| fv)
                 .ok_or_else(|| WireError::FieldMissing(name.clone()))?;
-            note_buffer();
             let mut name_buf = Vec::new();
             xdr::encode_into(&Value::Str(name.clone()), &mut name_buf)?;
             // Strip the string tag: struct field names are bare opaques.
@@ -184,7 +163,6 @@ impl NodeCodec for StructNode {
 
 impl NodeCodec for OptNode {
     fn marshal(&self, v: &Value) -> WireResult<Vec<u8>> {
-        note_buffer();
         let mut scratch = Vec::new();
         scratch.extend_from_slice(&9u32.to_be_bytes());
         match v {
@@ -342,19 +320,6 @@ mod tests {
         let bytes = compiled.marshal(&v).expect("marshal");
         let back = compiled.unmarshal(&bytes).expect("unmarshal");
         assert_eq!(back, v);
-    }
-
-    #[test]
-    fn generated_path_allocates_many_intermediate_buffers() {
-        let (v, desc) = rr_message(6);
-        let compiled = Compiled::new(desc);
-        let before = intermediate_buffers();
-        let _ = compiled.marshal(&v).expect("marshal");
-        let allocated = intermediate_buffers() - before;
-        // 1 struct + list + 6 records x (struct + 3 scalars) + name scalar,
-        // each with relayering: far more than the single buffer the direct
-        // encoder uses.
-        assert!(allocated > 30, "only {allocated} intermediate buffers");
     }
 
     #[test]

@@ -9,8 +9,8 @@ use hns_repro::hns_core::query::QueryClass;
 use hns_repro::hns_core::service::HnsConfig;
 use hns_repro::nsms::harness::Testbed;
 use hns_repro::nsms::nsm_cache::NsmCacheForm;
+use hns_repro::simnet::obs::trace::TraceKind;
 use hns_repro::simnet::time::SimDuration;
-use hns_repro::simnet::trace::TraceKind;
 
 /// The per-mapping cache demarshalled, the composed cache on top.
 const COMPOSED: HnsConfig = HnsConfig {
@@ -94,7 +94,7 @@ fn spans_nest_and_carry_cache_outcomes() {
     assert!(warm
         .spans
         .iter()
-        .any(|s| s.cache == Some(hns_repro::simnet::trace::CacheOutcome::Hit)));
+        .any(|s| s.cache == Some(hns_repro::simnet::obs::trace::CacheOutcome::Hit)));
     assert!(warm.duration_us() < cold.duration_us());
 }
 
@@ -105,7 +105,7 @@ fn spans_nest_and_carry_cache_outcomes() {
 fn find_nsm_span_carries_the_service_level_outcome() {
     use hns_repro::hns_core::name::{Context, NameMapping};
     use hns_repro::nsms::harness::NS_BIND;
-    use hns_repro::simnet::trace::CacheOutcome;
+    use hns_repro::simnet::obs::trace::CacheOutcome;
 
     let (tb, hns, name, qc) = testbed_with_hns(COMPOSED);
     let plain = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
