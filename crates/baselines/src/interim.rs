@@ -65,7 +65,7 @@ impl InterimBinder {
     pub fn push_replica(&self, host: HostId) {
         let snapshot = self.master.read().clone();
         // One file push per host: a remote copy of the whole table.
-        self.world().charge(Term::RemoteRequest {
+        self.world().charge(Term::ReplicaPush {
             suite: RpcSuiteKind::RawTcp,
             bytes: snapshot.len() * 64,
         });
@@ -138,7 +138,8 @@ mod tests {
     #[test]
     fn binding_costs_200ms() {
         let (world, _net, client, server, binder) = setup();
-        let (binding, took, _) = world.measure(|| binder.bind(client, "DesiredService"));
+        let (binding, ledger) = world.measure(|| binder.bind(client, "DesiredService"));
+        let took = ledger.total();
         let binding = binding.expect("bind");
         assert_eq!(binding.host, server);
         let ms = took.as_ms_f64();

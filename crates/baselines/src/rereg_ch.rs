@@ -140,7 +140,8 @@ mod tests {
     #[test]
     fn binding_costs_166ms() {
         let (world, _net, _client, fiji, binder) = setup();
-        let (binding, took, _) = world.measure(|| binder.bind("DesiredService"));
+        let (binding, ledger) = world.measure(|| binder.bind("DesiredService"));
+        let took = ledger.total();
         assert_eq!(binding.expect("bind").host, fiji);
         let ms = took.as_ms_f64();
         assert!(

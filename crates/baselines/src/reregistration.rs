@@ -144,7 +144,8 @@ mod tests {
             src.upsert(format!("host{i}"), SimTime::ZERO);
         }
         r.add_source(src);
-        let (report, took, _) = world.measure(|| r.sync(&world));
+        let (report, ledger) = world.measure(|| r.sync(&world));
+        let took = ledger.total();
         assert_eq!(report.copied, 10);
         assert_eq!(report.conflicts, 0);
         // 10 names at rereg_per_name (45 ms) each.
@@ -159,7 +160,8 @@ mod tests {
         src.upsert("a", SimTime::ZERO);
         r.add_source(src);
         r.sync(&world);
-        let (report, took, _) = world.measure(|| r.sync(&world));
+        let (report, ledger) = world.measure(|| r.sync(&world));
+        let took = ledger.total();
         assert_eq!(report.copied, 0);
         // "the reregistration cost is one that continues without end".
         assert!(took.as_ms_f64() > 0.0);

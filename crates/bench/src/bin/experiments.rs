@@ -102,51 +102,13 @@ fn finish(what: &str, report: &str, json: &str, out: Option<&str>) -> Result<(),
     Ok(())
 }
 
-type Table = (&'static str, fn() -> String);
-
-/// The deterministic virtual-time tables, in the order `all` prints them.
-const TABLES: &[Table] = &[
-    ("table31", || exp::table31::run().render()),
-    ("table32", || {
-        let standard = exp::table32::run_standard_routines().render();
-        format!("{}\n{standard}", exp::table32::run().render())
-    }),
-    ("overhead", || exp::overhead::run().render()),
-    ("comparison", || exp::comparison::run().render()),
-    ("preload", || {
-        let results = exp::preload::run();
-        format!(
-            "{}\n{}\nbreak-even (paper accounting): {:?} calls\n\
-             break-even (measured, shared entries): {:?} calls\n",
-            results.headline.render(),
-            results.sweep.render(),
-            results.break_even_paper_model,
-            results.break_even_measured
-        )
-    }),
-    ("eq1", || {
-        let results = exp::eq1::run();
-        let sweep = results.sweep.render();
-        format!("{}\n{sweep}", results.thresholds.render())
-    }),
-    ("figure21", exp::figure21::run),
-    ("hit-ratios", || exp::hit_ratios::run().table.render()),
-    ("mappings", || exp::mappings::run().render()),
-    ("ablate-batching", || exp::ablate_batching::run().render()),
-    ("ablate-mappings", || exp::ablate_mappings::run().render()),
-    ("ablate-ttl", || exp::ablate_ttl::run().render()),
-    ("scalability", || exp::scalability::run().render()),
-    ("ablate-rereg", || exp::ablate_rereg::run().render()),
-    ("traced", || exp::traced::run().render()),
-];
-
 const TABLES_USAGE: &str = "[all | ID...]   deterministic virtual-time tables; no arguments = all";
 
 fn tables(mut args: Args) -> Result<(), String> {
     let ids = args.operands()?;
-    let lookup = |id: &String| TABLES.iter().find(|(name, _)| name == id);
+    let lookup = |id: &String| exp::TABLES.iter().find(|(name, _)| name == id);
     if let Some(unknown) = ids.iter().find(|id| *id != "all" && lookup(id).is_none()) {
-        let known: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+        let known: Vec<&str> = exp::TABLES.iter().map(|(name, _)| *name).collect();
         return Err(args.err(format!(
             "unknown experiment `{unknown}` (one subcommand per invocation)\n\
              known experiments: {}",
@@ -154,7 +116,7 @@ fn tables(mut args: Args) -> Result<(), String> {
         )));
     }
     let chosen: Vec<_> = if ids.is_empty() || ids.iter().any(|id| id == "all") {
-        TABLES.iter().collect()
+        exp::TABLES.iter().collect()
     } else {
         ids.iter().filter_map(lookup).collect()
     };

@@ -34,7 +34,9 @@ fn measure(batching: bool) -> (Run, Run) {
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();
 
-    let (r, cold_ms, cold_delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let cold_ms = ledger.total();
+    let cold_delta = ledger.counters();
     r.expect("cold find_nsm");
     let cold = Run {
         label: if batching {
@@ -47,7 +49,9 @@ fn measure(batching: bool) -> (Run, Run) {
         ms: cold_ms.as_ms_f64(),
     };
 
-    let (r, warm_ms, warm_delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let warm_ms = ledger.total();
+    let warm_delta = ledger.counters();
     r.expect("warm find_nsm");
     let warm = Run {
         label: if batching {

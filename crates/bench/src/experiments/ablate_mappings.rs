@@ -160,7 +160,9 @@ pub fn run() -> PlainTable {
     // Separate (the real HNS), cold.
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
-    let (r, separate_ms, separate_calls) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let separate_ms = ledger.total();
+    let separate_calls = ledger.counters();
     let nsm_binding = r.expect("separate find");
 
     // Collapsed, cold.
@@ -173,7 +175,9 @@ pub fn run() -> PlainTable {
         nsm_binding.port,
     )
     .expect("flat register");
-    let (r, collapsed_ms, collapsed_calls) = tb.world.measure(|| flat.find_nsm("bind-uw", &qc));
+    let (r, ledger) = tb.world.measure(|| flat.find_nsm("bind-uw", &qc));
+    let collapsed_ms = ledger.total();
+    let collapsed_calls = ledger.counters();
     let flat_binding = r.expect("collapsed find");
     assert_eq!(flat_binding.host, nsm_binding.host, "variants must agree");
 

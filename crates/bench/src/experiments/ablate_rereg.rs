@@ -79,7 +79,8 @@ pub fn run_point(period_h: f64) -> ReregPoint {
         } else if next_sync <= horizon_ms {
             world.wait(SimDuration::from_ms_f64(next_sync - now));
             let sync_start = world.now().as_ms_f64();
-            let (report, took, _) = world.measure(|| r.sync(&world));
+            let (report, ledger) = world.measure(|| r.sync(&world));
+            let took = ledger.total();
             conflicts += report.conflicts;
             absorb_ms += took.as_ms_f64();
             for update_at in pending_updates.drain(..) {

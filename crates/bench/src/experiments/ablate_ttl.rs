@@ -80,7 +80,8 @@ pub fn run_point(ttl_secs: u32, move_period_s: u64, query_period_s: u64, total_s
             register_at(current);
             next_move_ms += move_period_s as f64 * 1000.0;
         }
-        let (binding, took, _) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+        let (binding, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+        let took = ledger.total();
         let binding = binding.expect("find");
         queries += 1;
         total_ms += took.as_ms_f64();

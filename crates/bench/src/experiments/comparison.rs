@@ -20,22 +20,23 @@ pub fn run() -> PaperTable {
         NsmCacheForm::Marshalled,
         CacheMode::Marshalled,
     );
-    let hns_min = best.measure(CacheState::BothHit);
+    let hns_min = best.measure(CacheState::BothHit).total().as_ms_f64();
     let worst = deploy(
         Arrangement::AllRemote,
         NsmCacheForm::Marshalled,
         CacheMode::Marshalled,
     );
-    let hns_max = worst.measure(CacheState::Miss);
+    let hns_max = worst.measure(CacheState::Miss).total().as_ms_f64();
 
     // Interim replicated local files.
     let tb = Testbed::build();
     let interim = InterimBinder::new(Arc::clone(&tb.net));
     interim.register(DESIRED_SERVICE, tb.hosts.fiji, DESIRED_SERVICE_PROGRAM);
     interim.push_replica(tb.hosts.client);
-    let (r, interim_ms, _) = tb
+    let (r, ledger) = tb
         .world
         .measure(|| interim.bind(tb.hosts.client, DESIRED_SERVICE));
+    let interim_ms = ledger.total();
     r.expect("interim bind");
 
     // Reregistered Clearinghouse.
@@ -57,7 +58,8 @@ pub fn run() -> PaperTable {
             port,
         )
         .expect("reregister");
-    let (r, rereg_ms, _) = tb.world.measure(|| rereg.bind(DESIRED_SERVICE));
+    let (r, ledger) = tb.world.measure(|| rereg.bind(DESIRED_SERVICE));
+    let rereg_ms = ledger.total();
     r.expect("rereg bind");
 
     let mut table = PaperTable::new("Binding mechanism comparison (ms)", vec!["one bind"]);

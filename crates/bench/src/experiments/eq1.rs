@@ -4,6 +4,7 @@
 use hns_core::analysis::Eq1Inputs;
 use hns_core::cache::CacheMode;
 use nsms::nsm_cache::NsmCacheForm;
+use simnet::{Kind, Ledger};
 
 use crate::cells::{Cell, PaperTable, PlainTable};
 use crate::scenario::{deploy, Arrangement, CacheState};
@@ -12,7 +13,8 @@ use crate::scenario::{deploy, Arrangement, CacheState};
 #[derive(Debug)]
 pub struct Eq1Results {
     /// Thresholds computed from the paper's inputs and from our measured
-    /// Table 3.1 cells.
+    /// Table 3.1 cells; the last row takes C(remote call) off the cells'
+    /// ledgers too.
     pub thresholds: PaperTable,
     /// A sweep over the additional remote hit fraction `q`.
     pub sweep: PlainTable,
@@ -39,20 +41,27 @@ pub fn run() -> Eq1Results {
         NsmCacheForm::Marshalled,
         CacheMode::Marshalled,
     );
+    let row5_hit = row5.measure(CacheState::HnsHit);
     let measured_hns = Eq1Inputs {
         remote_call_ms: 33.0,
-        hit_ms: row5.measure(CacheState::HnsHit),
-        miss_ms: row5.measure(CacheState::Miss),
+        hit_ms: row5_hit.total().as_ms_f64(),
+        miss_ms: row5.measure(CacheState::Miss).total().as_ms_f64(),
     };
     let row4 = deploy(
         Arrangement::RemoteNsms,
         NsmCacheForm::Marshalled,
         CacheMode::Marshalled,
     );
+    let row4_hit_both = row4.measure(CacheState::BothHit);
+    let row4_hit = row4.measure(CacheState::HnsHit);
     let measured_nsm = Eq1Inputs {
         remote_call_ms: 33.0,
-        hit_ms: row4.measure(CacheState::BothHit),
-        miss_ms: row4.measure(CacheState::HnsHit),
+        hit_ms: row4_hit_both.total().as_ms_f64(),
+        miss_ms: row4_hit.total().as_ms_f64(),
+    };
+    let ledger_hns = Eq1Inputs {
+        remote_call_ms: hns_hop_ms(&row5_hit, &row4_hit),
+        ..measured_hns
     };
 
     let mut thresholds = PaperTable::new(
@@ -71,6 +80,13 @@ pub fn run() -> Eq1Results {
         vec![Cell::new(
             paper_nsm.remote_threshold().unwrap_or(f64::NAN) * 100.0,
             measured_nsm.remote_threshold().unwrap_or(f64::NAN) * 100.0,
+        )],
+    );
+    thresholds.push_row(
+        "remote HNS (ledger hop)",
+        vec![Cell::new(
+            paper_hns.remote_threshold().unwrap_or(f64::NAN) * 100.0,
+            ledger_hns.remote_threshold().unwrap_or(f64::NAN) * 100.0,
         )],
     );
 
@@ -104,6 +120,22 @@ pub fn run() -> Eq1Results {
         ]);
     }
     Eq1Results { thresholds, sweep }
+}
+
+/// C(remote call) for the HNS, off the ledgers of two HNS-hit cells: the
+/// milliseconds of the client-to-HNS hop that row 5 (`[Client] [HNS]
+/// [NSMs]`) adds to row 4 (`[NSMs] [Client, HNS]`) — the hop's request,
+/// its reply's bytes and its `FindNSM` marshalling.
+fn hns_hop_ms(row5: &Ledger, row4: &Ledger) -> f64 {
+    let hop = [
+        Kind::RemoteRequest,
+        Kind::ReplyBytes,
+        Kind::FindNsmArgMarshal,
+    ];
+    let us: i64 = (hop.iter())
+        .map(|&kind| row5.row(kind).us as i64 - row4.row(kind).us as i64)
+        .sum();
+    us as f64 / 1000.0
 }
 
 #[cfg(test)]

@@ -131,7 +131,8 @@ fn run_linked(tb: &Testbed, pairs: &[(QueryClass, HnsName)]) -> PlacementRun {
         );
         for _ in 0..CALLS_PER_CLIENT {
             let (qc, name) = &pairs[pick_pair(&mut rng, pairs.len())];
-            let (r, took, _) = tb.world.measure(|| client.find_nsm(qc, name));
+            let (r, ledger) = tb.world.measure(|| client.find_nsm(qc, name));
+            let took = ledger.total();
             r.expect("linked find");
             total_ms += took.as_ms_f64();
         }
@@ -170,7 +171,8 @@ fn run_remote(tb: &Testbed, pairs: &[(QueryClass, HnsName)]) -> PlacementRun {
         );
         for _ in 0..CALLS_PER_CLIENT {
             let (qc, name) = &pairs[pick_pair(&mut rng, pairs.len())];
-            let (r, took, _) = tb.world.measure(|| client.find_nsm(qc, name));
+            let (r, ledger) = tb.world.measure(|| client.find_nsm(qc, name));
+            let took = ledger.total();
             r.expect("remote find");
             total_ms += took.as_ms_f64();
         }
@@ -195,9 +197,11 @@ pub fn run() -> HitRatioResults {
     // cold one measured on the same testbed.
     let probe = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let (qc, name) = &pairs[0];
-    let (r, cold, _) = tb.world.measure(|| probe.find_nsm(qc, name));
+    let (r, ledger) = tb.world.measure(|| probe.find_nsm(qc, name));
+    let cold = ledger.total();
     r.expect("cold");
-    let (r, warm, _) = tb.world.measure(|| probe.find_nsm(qc, name));
+    let (r, ledger) = tb.world.measure(|| probe.find_nsm(qc, name));
+    let warm = ledger.total();
     r.expect("warm");
     let inputs = Eq1Inputs {
         remote_call_ms: 33.0,

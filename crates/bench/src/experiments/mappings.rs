@@ -25,9 +25,11 @@ pub fn counts() -> (MappingCounts, MappingCounts) {
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();
-    let (r, _, cold) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let cold = ledger.counters();
     r.expect("cold");
-    let (r, _, warm) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let warm = ledger.counters();
     r.expect("warm");
     (
         MappingCounts {

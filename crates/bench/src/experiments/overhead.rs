@@ -37,9 +37,10 @@ pub fn suite_call_costs() -> Vec<(&'static str, f64)> {
             port,
             components,
         };
-        let (r, took, _) = tb
+        let (r, ledger) = tb
             .world
             .measure(|| tb.net.call(tb.hosts.client, &binding, 1, &Value::Void));
+        let took = ledger.total();
         r.expect("echo");
         out.push((label, took.as_ms_f64()));
     }
@@ -54,9 +55,11 @@ pub fn run() -> PaperTable {
     let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
     let qc = QueryClass::hrpc_binding();
 
-    let (r, cold, _) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let cold = ledger.total();
     r.expect("cold FindNSM");
-    let (r, warm, _) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let warm = ledger.total();
     r.expect("warm FindNSM");
 
     let suites = suite_call_costs();
@@ -73,20 +76,22 @@ pub fn run() -> PaperTable {
 
     // Underlying-service primitives.
     let resolver = tb.std_resolver(tb.hosts.client);
-    let (r, bind_ms, _) = tb.world.measure(|| {
+    let (r, ledger) = tb.world.measure(|| {
         resolver.query_uncached(
             &bindns::DomainName::parse("fiji.cs.washington.edu").expect("name"),
             RType::A,
         )
     });
+    let bind_ms = ledger.total();
     r.expect("bind lookup");
     let ch_client = tb.ch_client(tb.hosts.client);
-    let (r, ch_ms, _) = tb.world.measure(|| {
+    let (r, ledger) = tb.world.measure(|| {
         ch_client.lookup_item(
             &clearinghouse::ThreePartName::parse("printserver:cs:uw").expect("name"),
             PROP_ADDRESS,
         )
     });
+    let ch_ms = ledger.total();
     r.expect("ch lookup");
 
     let mut table = PaperTable::new("§3 inline numbers (ms)", vec!["value"]);

@@ -65,16 +65,19 @@ pub fn run() -> PreloadResults {
 
     // Preload cost and size.
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
-    let (report, preload_ms, _) = tb.world.measure(|| hns.preload());
+    let (report, ledger) = tb.world.measure(|| hns.preload());
+    let preload_ms = ledger.total();
     let report = report.expect("preload");
     let preload_ms = preload_ms.as_ms_f64();
 
     // Full cold FindNSM (fresh instance) and pure warm cost.
     let probe = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let (qc0, name0) = &queries[0];
-    let (r, cold_full, _) = tb.world.measure(|| probe.find_nsm(qc0, name0));
+    let (r, ledger) = tb.world.measure(|| probe.find_nsm(qc0, name0));
+    let cold_full = ledger.total();
     r.expect("cold");
-    let (r, warm, _) = tb.world.measure(|| probe.find_nsm(qc0, name0));
+    let (r, ledger) = tb.world.measure(|| probe.find_nsm(qc0, name0));
+    let warm = ledger.total();
     r.expect("warm");
     let cold_full = cold_full.as_ms_f64();
     let warm = warm.as_ms_f64();
@@ -101,18 +104,21 @@ pub fn run() -> PreloadResults {
     let mut without_cum = Vec::new();
     let mut acc = 0.0;
     for (qc, name) in &queries {
-        let (r, took, _) = tb.world.measure(|| no_preload_hns.find_nsm(qc, name));
+        let (r, ledger) = tb.world.measure(|| no_preload_hns.find_nsm(qc, name));
+        let took = ledger.total();
         r.expect("no-preload query");
         acc += took.as_ms_f64();
         without_cum.push(acc);
     }
     let preload_hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
-    let (r, measured_preload, _) = tb.world.measure(|| preload_hns.preload());
+    let (r, ledger) = tb.world.measure(|| preload_hns.preload());
+    let measured_preload = ledger.total();
     r.expect("preload");
     let mut with_cum = Vec::new();
     let mut acc = measured_preload.as_ms_f64();
     for (qc, name) in &queries {
-        let (r, took, _) = tb.world.measure(|| preload_hns.find_nsm(qc, name));
+        let (r, ledger) = tb.world.measure(|| preload_hns.find_nsm(qc, name));
+        let took = ledger.total();
         r.expect("preloaded query");
         acc += took.as_ms_f64();
         with_cum.push(acc);
@@ -196,9 +202,10 @@ mod tests {
         let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
         hns.preload().expect("preload");
         let name = HnsName::new(tb.ctx_bind(), "fiji.cs.washington.edu").expect("name");
-        let (_, _, delta) = tb
+        let (_, ledger) = tb
             .world
             .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &name));
+        let delta = ledger.counters();
         // Only the public host-address lookup (mapping 6) may go remote.
         assert!(
             delta.remote_calls <= 1,

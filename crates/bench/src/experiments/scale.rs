@@ -154,7 +154,7 @@ fn query_phase(
         })
         .collect();
     let hot = config.hot.min(sample.len());
-    let (_, took, _) = cw.world.measure(|| {
+    let (_, ledger) = cw.world.measure(|| {
         for _ in 0..config.queries {
             let name = if rng.chance(0.7) {
                 &sample[rng.next_below(hot as u64) as usize]
@@ -164,6 +164,7 @@ fn query_phase(
             resolver.resolve(name, RType::Unspec).expect("scale query");
         }
     });
+    let took = ledger.total();
     let stats = resolver.cache_stats();
     (took.as_ms_f64() / 1000.0, stats.hits, stats.misses)
 }

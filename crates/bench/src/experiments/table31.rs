@@ -28,9 +28,9 @@ pub fn run() -> PaperTable {
     );
     for (row, arrangement) in Arrangement::all().into_iter().enumerate() {
         let deployed = deploy(arrangement, NsmCacheForm::Marshalled, CacheMode::Marshalled);
-        let a = deployed.measure(CacheState::Miss);
-        let b = deployed.measure(CacheState::HnsHit);
-        let c = deployed.measure(CacheState::BothHit);
+        let a = deployed.measure(CacheState::Miss).total().as_ms_f64();
+        let b = deployed.measure(CacheState::HnsHit).total().as_ms_f64();
+        let c = deployed.measure(CacheState::BothHit).total().as_ms_f64();
         table.push_row(
             arrangement.label(),
             vec![

@@ -28,7 +28,8 @@ fn measure_hit(world: &World, mode: CacheMode, rrs: usize) -> f64 {
     let host = format!("host-{rrs}");
     let key = host_addr_key("BIND", &host);
     cache.insert(world, key, &entry_value(rrs), rrs, 600);
-    let (got, took, _) = world.measure(|| cache.get(world, &key));
+    let (got, ledger) = world.measure(|| cache.get(world, &key));
+    let took = ledger.total();
     assert!(got.is_some(), "warm entry must hit");
     took.as_ms_f64()
 }

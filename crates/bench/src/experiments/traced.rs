@@ -100,9 +100,11 @@ fn run_query(
     label: &'static str,
 ) -> TracedQuery {
     let marker = tb.world.span(None, TraceKind::Info, label);
-    let (result, took, delta) = tb
+    let (result, ledger) = tb
         .world
         .measure(|| importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, name));
+    let took = ledger.total();
+    let delta = ledger.counters();
     result.expect("traced import");
     drop(marker);
     TracedQuery {

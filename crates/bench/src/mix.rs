@@ -248,8 +248,8 @@ impl QueryMix {
         let mut work = Vec::with_capacity(ops);
         for pair in picks {
             let composed = self.hns.binding_cache_stats().hits;
-            let (walked, calls) = (walked_remote.value(), world.counters().remote_calls);
-            let (_, used) = measure_calls(|| self.query(pair));
+            let walked = walked_remote.value();
+            let (used, op) = world.measure(|| measure_calls(|| self.query(pair)).1);
             let (bytes, allocations) = used.expect("the counting allocator is installed");
             let outcome = if self.hns.binding_cache_stats().hits > composed {
                 Outcome::ComposedHit
@@ -263,7 +263,7 @@ impl QueryMix {
                 outcome,
                 allocations,
                 bytes,
-                remote_calls: world.counters().remote_calls - calls,
+                remote_calls: op.counters().remote_calls,
             });
         }
         work

@@ -10,6 +10,7 @@ use bindns::zone::{RrBody, Zone};
 use simnet::rng::DetRng;
 use simnet::world::World;
 use simnet::HostId;
+use simnet::Ledger;
 
 use crate::cells::{CellPlan, PAYLOAD_POOL};
 
@@ -188,9 +189,9 @@ impl DeployedArrangement {
         }
     }
 
-    /// Forces the given cache state, then measures one import in virtual
-    /// milliseconds.
-    pub fn measure(&self, state: CacheState) -> f64 {
+    /// Forces the given cache state, then measures one import: its
+    /// ledger, whose total is the cell's time.
+    pub fn measure(&self, state: CacheState) -> Ledger {
         match state {
             CacheState::Miss => {
                 self.hns.clear_cache();
@@ -205,9 +206,9 @@ impl DeployedArrangement {
                 self.run_import().expect("warming import");
             }
         }
-        let (result, took, _) = self.testbed.world.measure(|| self.run_import());
+        let (result, ledger) = self.testbed.world.measure(|| self.run_import());
         result.expect("measured import");
-        took.as_ms_f64()
+        ledger
     }
 }
 
@@ -471,7 +472,7 @@ mod tests {
             cw.root.std_binding,
         );
         let queries = 500;
-        let (_, _, delta) = cw.world.measure(|| {
+        let (_, ledger) = cw.world.measure(|| {
             for q in 0..queries {
                 let (cell, index) = plan.locate(q * (plan.names / queries));
                 resolver
@@ -479,6 +480,7 @@ mod tests {
                     .expect("resolves");
             }
         });
+        let delta = ledger.counters();
         assert!(plan.cells > 1, "{plan:?}");
         assert_eq!(delta.remote_calls, (queries + plan.cells) as u64);
         assert_eq!(resolver.cache_stats().misses, queries as u64);
@@ -509,7 +511,10 @@ mod tests {
         let ms: Vec<f64> = Arrangement::all()
             .into_iter()
             .map(|a| {
-                deploy(a, NsmCacheForm::Marshalled, CacheMode::Marshalled).measure(CacheState::Miss)
+                deploy(a, NsmCacheForm::Marshalled, CacheMode::Marshalled)
+                    .measure(CacheState::Miss)
+                    .total()
+                    .as_ms_f64()
             })
             .collect();
         // Row 1 (no hops) is cheapest; row 5 (two hops) is dearest.
@@ -524,9 +529,9 @@ mod tests {
             NsmCacheForm::Marshalled,
             CacheMode::Marshalled,
         );
-        let a = deployed.measure(CacheState::Miss);
-        let b = deployed.measure(CacheState::HnsHit);
-        let c = deployed.measure(CacheState::BothHit);
+        let a = deployed.measure(CacheState::Miss).total().as_ms_f64();
+        let b = deployed.measure(CacheState::HnsHit).total().as_ms_f64();
+        let c = deployed.measure(CacheState::BothHit).total().as_ms_f64();
         assert!(a > b && b > c, "A={a} B={b} C={c}");
     }
 }

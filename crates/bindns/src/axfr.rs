@@ -381,8 +381,9 @@ mod tests {
         // ~2 KB of meta information must cost ~390 ms, the paper's preload
         // figure. Our fixture is smaller; verify the formula is applied.
         let (world, net, client, dep) = setup();
-        let (xfer, took, _) =
+        let (xfer, ledger) =
             world.measure(|| transfer_zone(&net, client, &dep.hrpc_binding, &name("hns")));
+        let took = ledger.total();
         let xfer = xfer.expect("axfr");
         let suite = dep.hrpc_binding.components.suite_kind();
         let bytes = xfer.size_bytes;
@@ -589,13 +590,15 @@ mod tests {
     fn incremental_transfer_cost_tracks_shipped_bytes() {
         let (world, net, client, dep) = setup();
         let full = transfer_zone(&net, client, &dep.hrpc_binding, &name("hns")).expect("axfr");
-        let (_, took_unchanged, _) = world.measure(|| {
+        let (_, ledger) = world.measure(|| {
             transfer_zone_incremental(&net, client, &dep.hrpc_binding, &name("hns"), full.serial)
                 .expect("ixfr")
         });
-        let (full2, took_full, _) = world.measure(|| {
+        let took_unchanged = ledger.total();
+        let (full2, ledger) = world.measure(|| {
             transfer_zone(&net, client, &dep.hrpc_binding, &name("hns")).expect("axfr")
         });
+        let took_full = ledger.total();
         assert!(full2.size_bytes > 0);
         assert!(
             took_unchanged.as_ms_f64() < took_full.as_ms_f64(),

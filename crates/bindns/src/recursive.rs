@@ -329,9 +329,10 @@ mod tests {
 
         /// Remote calls one query makes, which must succeed.
         fn calls(&self, resolver: &RecursiveResolver, target: &str) -> u64 {
-            let (r, _, delta) = self
+            let (r, ledger) = self
                 .world
                 .measure(|| resolver.resolve(&name(target), RType::A));
+            let delta = ledger.counters();
             r.unwrap_or_else(|e| panic!("{target}: {e}"));
             delta.remote_calls
         }
@@ -437,9 +438,11 @@ mod tests {
     fn resolves_through_two_referrals() {
         let t = tree();
         let resolver = t.resolver();
-        let (records, took, delta) = t
+        let (records, ledger) = t
             .world
             .measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
+        let took = ledger.total();
+        let delta = ledger.counters();
         let records = records.expect("resolved");
         assert_eq!(records.len(), 1);
         match &records.bodies()[0].rdata {
@@ -472,9 +475,10 @@ mod tests {
         ));
         // From the cut's server too: its NameError is authoritative, not
         // a reason to distrust the delegation.
-        let (r, _, delta) = t
+        let (r, ledger) = t
             .world
             .measure(|| resolver.resolve(&name("ghoul.cs.washington.edu"), RType::A));
+        let delta = ledger.counters();
         assert!(matches!(r, Err(RpcError::NotFound(_))));
         assert_eq!(delta.remote_calls, 1);
         assert_eq!(t.cut_fallbacks(), None);
@@ -487,9 +491,11 @@ mod tests {
         resolver
             .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .expect("cold");
-        let (r, took, delta) = t
+        let (r, ledger) = t
             .world
             .measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(r.is_ok());
         assert_eq!(delta.remote_calls, 0);
         assert!(took.as_ms_f64() < 2.0);
@@ -584,7 +590,9 @@ mod tests {
                     Ok(resolver.query(&name(target), RType::A)?.to_vec())
                 }
             };
-            let (answer, took, delta) = t.world.measure(ask);
+            let (answer, ledger) = t.world.measure(ask);
+            let took = ledger.total();
+            let delta = ledger.counters();
             let stats = resolver.cache_stats();
             seen.push((answer, took, delta.remote_calls, t.cut_fallbacks(), stats));
         };
@@ -790,7 +798,8 @@ mod tests {
             );
 
             let resolver = RecursiveResolver::new(net, client, root.std_binding);
-            let (r, _, delta) = world.measure(|| resolver.resolve(&name("x.a.edu"), RType::A));
+            let (r, ledger) = world.measure(|| resolver.resolve(&name("x.a.edu"), RType::A));
+            let delta = ledger.counters();
             let err = r.unwrap_err();
             assert!(matches!(err, RpcError::Service(_)), "{bad_cut}: {err}");
             assert!(err.to_string().contains("referrals"), "{bad_cut}: {err}");
@@ -823,13 +832,15 @@ mod tests {
         let resolver = RecursiveResolver::new(net, client, dep.std_binding);
         // The second referral names the cut just asked: one round trip
         // beyond the first, not MAX_REFERRALS of them.
-        let (r, _, delta) = world.measure(|| resolver.resolve(&name("x.loop.edu"), RType::A));
+        let (r, ledger) = world.measure(|| resolver.resolve(&name("x.loop.edu"), RType::A));
+        let delta = ledger.counters();
         let err = r.unwrap_err();
         assert!(err.to_string().contains("referrals"), "{err}");
         assert_eq!(delta.remote_calls, 2);
         // Asked again, the cached cut dead-ends at once, and so does the
         // one restart from the root.
-        let (r, _, delta) = world.measure(|| resolver.resolve(&name("y.loop.edu"), RType::A));
+        let (r, ledger) = world.measure(|| resolver.resolve(&name("y.loop.edu"), RType::A));
+        let delta = ledger.counters();
         assert!(r.unwrap_err().to_string().contains("referrals"));
         assert_eq!(delta.remote_calls, 1 + 2);
     }
@@ -862,7 +873,8 @@ mod tests {
         }
         let resolver = RecursiveResolver::new(net, client, root.expect("ten servers"));
         let leaf = name(&format!("leaf.{}", origins[9]));
-        let (r, _, delta) = world.measure(|| resolver.resolve(&leaf, RType::A));
+        let (r, ledger) = world.measure(|| resolver.resolve(&leaf, RType::A));
+        let delta = ledger.counters();
         let err = r.unwrap_err();
         assert!(
             err.to_string()

@@ -335,8 +335,9 @@ mod tests {
         // 27 msec."
         let (world, net, client, dep) = setup();
         let resolver = StdResolver::new(net, client, dep.std_binding);
-        let (result, took, _) =
+        let (result, ledger) =
             world.measure(|| resolver.query_uncached(&name("fiji.cs.washington.edu"), RType::A));
+        let took = ledger.total();
         assert_eq!(result.expect("found").len(), 1);
         let ms = took.as_ms_f64();
         assert!((ms - 27.0).abs() < 1.0, "std lookup took {ms} ms, paper 27");
@@ -349,8 +350,10 @@ mod tests {
         resolver
             .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .expect("warm");
-        let (result, took, delta) =
+        let (result, ledger) =
             world.measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(result.is_ok());
         assert!(took.as_ms_f64() < 2.0, "cached took {took}");
         assert_eq!(delta.remote_calls, 0);
@@ -393,8 +396,9 @@ mod tests {
             .resolve(&name("short.cs.washington.edu"), RType::Txt)
             .expect("warm");
         world.wait(SimDuration::from_ms(2_000)); // Let the TTL lapse.
-        let (_, _, delta) =
+        let (_, ledger) =
             world.measure(|| resolver.resolve(&name("short.cs.washington.edu"), RType::Txt));
+        let delta = ledger.counters();
         assert_eq!(delta.remote_calls, 1, "expired entry must refetch");
     }
 
@@ -404,8 +408,9 @@ mod tests {
         // marshalling plus interface overhead: ~66 ms vs ~27 ms standard.
         let (world, net, client, dep) = setup();
         let hrpc_resolver = HrpcResolver::new(Arc::clone(&net), client, dep.hrpc_binding);
-        let (result, took, _) =
+        let (result, ledger) =
             world.measure(|| hrpc_resolver.query(&name("fiji.cs.washington.edu"), RType::A));
+        let took = ledger.total();
         assert!(result.is_ok());
         let ms = took.as_ms_f64();
         assert!(
@@ -483,7 +488,8 @@ mod tests {
             Question::new(name("fiji.cs.washington.edu"), RType::A),
             Question::new(name("ghost.cs.washington.edu"), RType::A),
         ];
-        let (result, _, delta) = world.measure(|| resolver.mquery(&questions, &[]));
+        let (result, ledger) = world.measure(|| resolver.mquery(&questions, &[]));
+        let delta = ledger.counters();
         let multi = result.expect("mquery");
         assert_eq!(delta.remote_calls, 1, "batch must be a single round trip");
         assert_eq!(multi.answers.len(), 2);
@@ -512,15 +518,17 @@ mod tests {
         let resolver = HrpcResolver::new(net, client, dep.hrpc_binding);
         let q1 = name("fiji.cs.washington.edu");
         let q2 = name("tonga.cs.washington.edu");
-        let (_, seq_took, _) = world.measure(|| {
+        let (_, ledger) = world.measure(|| {
             resolver.query(&q1, RType::A).expect("q1");
             resolver.query(&q2, RType::A).expect("q2");
         });
+        let seq_took = ledger.total();
         let questions = vec![
             Question::new(q1.clone(), RType::A),
             Question::new(q2.clone(), RType::A),
         ];
-        let (_, batch_took, _) = world.measure(|| resolver.mquery(&questions, &[]).expect("mq"));
+        let (_, ledger) = world.measure(|| resolver.mquery(&questions, &[]).expect("mq"));
+        let batch_took = ledger.total();
         let saving = seq_took.as_ms_f64() - batch_took.as_ms_f64();
         // One round trip and one interface overhead fewer.
         let suite = simnet::RpcSuiteKind::RawTcp;
@@ -566,8 +574,9 @@ mod tests {
 
         // Healing the crash resumes real fetches (and stops stale serves).
         world.set_faults(None);
-        let (result, _, delta) =
+        let (result, ledger) =
             world.measure(|| resolver.resolve(&name("short.cs.washington.edu"), RType::Txt));
+        let delta = ledger.counters();
         assert!(result.is_ok());
         assert_eq!(delta.remote_calls, 1, "healed query refetches");
         assert_eq!(resolver.cache_stats().stale_serves, 1, "no new stale serve");
@@ -641,7 +650,8 @@ mod tests {
         };
         let mut seen = Vec::new();
         let mut step = |text: &str, rtype| {
-            let (answer, took, _) = world.measure(|| ask(text, rtype));
+            let (answer, ledger) = world.measure(|| ask(text, rtype));
+            let took = ledger.total();
             let snap = world.metrics().snapshot();
             let counters =
                 ["std_cache_hits", "std_queries"].map(|c| snap.counter("bind_resolver", c));
@@ -714,8 +724,9 @@ mod tests {
             .resolve(&name("fiji.cs.washington.edu"), RType::A)
             .expect("warm");
         resolver.clear_cache();
-        let (_, _, delta) =
+        let (_, ledger) =
             world.measure(|| resolver.resolve(&name("fiji.cs.washington.edu"), RType::A));
+        let delta = ledger.counters();
         assert_eq!(delta.remote_calls, 1);
     }
 }

@@ -145,8 +145,7 @@ impl BindServer {
     }
 
     fn serve_query(&self, ctx: &CallCtx<'_>, args: &dyn Message) -> RpcResult<Answer> {
-        ctx.world.charge(Term::BindService);
-        ctx.world.count_ns_lookup();
+        ctx.world.charge(Term::BindLookup);
         self.queries
             .get(ctx.world.metrics(), "bindns", "queries")
             .inc();
@@ -190,8 +189,7 @@ impl BindServer {
         for question in &mq.questions {
             // Each question is a full lookup's work on the server, exactly
             // as if it had arrived alone; the batch elides only transport.
-            ctx.world.charge(Term::BindService);
-            ctx.world.count_ns_lookup();
+            ctx.world.charge(Term::BindLookup);
             answers.push(Self::answer_one(&db, question));
         }
         let mut additional = Vec::new();
@@ -203,8 +201,7 @@ impl BindServer {
                         if records.is_empty() {
                             continue;
                         }
-                        ctx.world.charge(Term::BindService);
-                        ctx.world.count_ns_lookup();
+                        ctx.world.charge(Term::BindLookup);
                         additional.push(Answer::ok(records));
                     }
                 }
@@ -481,8 +478,10 @@ mod tests {
     fn query_over_fabric_returns_records() {
         let (world, net, client, dep) = setup(false);
         let q = Question::new(name("fiji.cs.washington.edu"), RType::A);
-        let (reply, took, delta) =
+        let (reply, ledger) =
             world.measure(|| net.call(client, &dep.std_binding, PROC_QUERY, &q.tree()));
+        let took = ledger.total();
+        let delta = ledger.counters();
         let answer = Answer::from_value(&reply.expect("call ok")).expect("decode");
         assert_eq!(answer.rcode, Rcode::Ok);
         assert_eq!(answer.records.len(), 1);
@@ -654,8 +653,9 @@ mod tests {
             vec![Question::new(name("fiji.cs.washington.edu"), RType::A)],
             vec!["tonga".to_string(), "missing".to_string()],
         );
-        let (reply, _, delta) =
+        let (reply, ledger) =
             world.measure(|| net.call(client, &dep.hrpc_binding, PROC_MQUERY, &mq.tree()));
+        let delta = ledger.counters();
         let multi = MultiAnswer::from_value(&reply.expect("call")).expect("decode");
         assert_eq!(multi.answers.len(), 1);
         assert_eq!(multi.additional.len(), 1, "one hint resolves");

@@ -333,7 +333,8 @@ mod tests {
         client
             .set_item(&name, PROP_ADDRESS, Value::U32(5))
             .expect("set");
-        let (_, took, _) = world.measure(|| client.lookup_item(&name, PROP_ADDRESS));
+        let (_, ledger) = world.measure(|| client.lookup_item(&name, PROP_ADDRESS));
+        let took = ledger.total();
         assert!((took.as_ms_f64() - 156.0).abs() < 1.0, "took {took}");
     }
 }

@@ -77,7 +77,7 @@ impl ChCluster {
             .sum();
         for replica in &self.replicas {
             // One courier round trip plus bytes on the wire per replica.
-            self.world.charge(Term::RemoteRequest {
+            self.world.charge(Term::ReplicaPush {
                 suite: RpcSuiteKind::Courier,
                 bytes: size,
             });
@@ -146,9 +146,27 @@ mod tests {
         c.primary()
             .with_db(|db| db.set_item(&name, PROP_ADDRESS, Value::U32(1)))
             .expect("set");
-        let (_, took, _) = world.measure(|| c.propagate());
+        let (_, ledger) = world.measure(|| c.propagate());
+        let took = ledger.total();
         // Two replicas, one courier rtt each.
         assert!(took.as_ms_f64() >= 2.0 * 38.0, "took {took}");
+    }
+
+    /// A push to a replica is no remote call of the `net` counters: the
+    /// ledger files it in its own row, at a request's price.
+    #[test]
+    fn a_replica_push_leaves_remote_calls_unmoved() {
+        let world = World::paper();
+        let c = cluster(&world);
+        let (_, push) = world.measure(|| c.propagate());
+        assert_eq!(push.counters(), simnet::CounterSnapshot::default());
+        let row = push.row(simnet::Kind::ReplicaPush);
+        assert_eq!(row.count, 2, "one push a replica");
+        assert_eq!(row.us, push.total().as_us());
+        assert_eq!(
+            world.metrics().snapshot().counter("net", "remote_calls"),
+            None
+        );
     }
 
     #[test]

@@ -90,7 +90,6 @@ impl ChServer {
         })?;
         // "virtually all data is retrieved from disk".
         ctx.world.charge(Term::ChRead);
-        ctx.world.count_ns_lookup();
         Ok(())
     }
 
@@ -338,7 +337,7 @@ mod tests {
             )
             .expect("set");
         });
-        let (reply, took, _) = world.measure(|| {
+        let (reply, ledger) = world.measure(|| {
             net.call(
                 client,
                 &dep.binding,
@@ -346,6 +345,7 @@ mod tests {
                 &lookup_args(&creds, "fiji:cs:uw", 4),
             )
         });
+        let took = ledger.total();
         let p = Property::from_value(&reply.expect("call")).expect("property");
         assert_eq!(p.as_item().expect("item"), &Value::U32(9));
         // The paper's primitive: 156 ms.
@@ -356,7 +356,7 @@ mod tests {
     fn bad_credentials_rejected_after_auth_charge() {
         let (world, net, client, dep, creds) = setup();
         let bad = Credentials::new(creds.identity.clone(), 0xBAD);
-        let (result, took, _) = world.measure(|| {
+        let (result, ledger) = world.measure(|| {
             net.call(
                 client,
                 &dep.binding,
@@ -364,6 +364,7 @@ mod tests {
                 &lookup_args(&bad, "fiji:cs:uw", 4),
             )
         });
+        let took = ledger.total();
         assert!(matches!(result, Err(RpcError::AuthFailed(_))));
         // Auth is charged even on failure (38 rtt + 48 auth).
         assert!(took.as_ms_f64() >= 85.0, "took {took}");
@@ -531,9 +532,11 @@ mod tests {
             db.set_item(&fiji, PROP_ADDRESS, Value::U32(9))
                 .expect("set")
         });
-        let (reply, took, delta) = world.measure(|| {
+        let (reply, ledger) = world.measure(|| {
             ReplySlot::tree(|r| net.call_into(client, &dep.binding, proc_id, request, r))
         });
+        let took = ledger.total();
+        let delta = ledger.counters();
         let after = dep.server.with_db(|db| format!("{:?}", db.snapshot()));
         (reply, took, delta, after)
     }

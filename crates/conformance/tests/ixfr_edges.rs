@@ -117,7 +117,8 @@ fn preload_reports_the_right_mode_at_each_edge() {
         .expect("delete the context record");
     let after = hns.preload().expect("preload after the deletion");
     assert_eq!(after.mode, PreloadMode::Incremental);
-    let (result, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (result, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let delta = ledger.counters();
     assert_eq!(result, Err(HnsError::NoSuchContext("doomed".into())));
     assert_eq!(delta.remote_calls, 0, "answered from the preloaded absence");
 }
@@ -178,7 +179,8 @@ fn a_preload_after_clear_cache_warms_the_cache_again() {
     .expect("name");
     let qc = QueryClass::hrpc_binding();
     let calls_after = |report: PreloadReport| {
-        let (result, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+        let (result, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+        let delta = ledger.counters();
         assert!(result.is_ok(), "{result:?}");
         (report.mode, delta.remote_calls)
     };
@@ -330,7 +332,8 @@ fn a_retired_nsm_leaves_with_the_next_preload_or_when_its_ttl_lapses() {
         preloaded.preload().expect("preload").mode,
         PreloadMode::Incremental
     );
-    let (result, _, delta) = tb.world.measure(|| preloaded.find_nsm(&qc, &name));
+    let (result, ledger) = tb.world.measure(|| preloaded.find_nsm(&qc, &name));
+    let delta = ledger.counters();
     assert_eq!((result, delta.remote_calls), (no_nsm.clone(), 0));
 
     assert_eq!(
@@ -366,7 +369,8 @@ fn an_unregistered_context_leaves_with_the_next_preload() {
         hns.preload().expect("preload").mode,
         PreloadMode::Incremental
     );
-    let (result, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let (result, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &name));
+    let delta = ledger.counters();
     assert_eq!(result, Err(HnsError::NoSuchContext(CTX_CH.into())));
     assert_eq!(delta.remote_calls, 0, "answered from the preloaded absence");
 }

@@ -613,7 +613,8 @@ mod tests {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Marshalled);
         cache.insert(&world, key(), &value(), 1, 600);
-        let (got, took, _) = world.measure(|| cache.get(&world, &key()));
+        let (got, ledger) = world.measure(|| cache.get(&world, &key()));
+        let took = ledger.total();
         assert_eq!(got, Some(value()));
         // probe (0.05) + marshalled hit for 1 RR (11.11).
         assert!((took.as_ms_f64() - 11.16).abs() < 0.1, "took {took}");
@@ -624,7 +625,8 @@ mod tests {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
         cache.insert(&world, key(), &value(), 1, 600);
-        let (got, took, _) = world.measure(|| cache.get(&world, &key()));
+        let (got, ledger) = world.measure(|| cache.get(&world, &key()));
+        let took = ledger.total();
         assert_eq!(got, Some(value()));
         // probe (0.05) + demarshalled hit (0.83).
         assert!((took.as_ms_f64() - 0.88).abs() < 0.05, "took {took}");
@@ -635,7 +637,8 @@ mod tests {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Marshalled);
         cache.insert(&world, key(), &value(), 6, 600);
-        let (_, took, _) = world.measure(|| cache.get(&world, &key()));
+        let (_, ledger) = world.measure(|| cache.get(&world, &key()));
+        let took = ledger.total();
         // probe + 26.17 (Table 3.2, 6 RRs marshalled).
         assert!((took.as_ms_f64() - 26.22).abs() < 0.1, "took {took}");
     }
@@ -662,7 +665,8 @@ mod tests {
         let cache = HnsCache::new(CacheMode::Marshalled);
         cache.insert(&world, key(), &value(), 1, 1);
         world.wait(SimDuration::from_ms(1_500));
-        let (stale, took, _) = world.measure(|| cache.lookup_stale(&world, &key()));
+        let (stale, ledger) = world.measure(|| cache.lookup_stale(&world, &key()));
+        let took = ledger.total();
         let (stale, lapsed) = stale.expect("stale fallback");
         assert_eq!(*stale, value());
         assert_eq!(
@@ -689,7 +693,8 @@ mod tests {
         ] {
             let cache = HnsCache::of(mode);
             cache.insert_shared(&world, key(), &record, 1, world.now().after_secs(600));
-            let (hit, took, _) = world.measure(|| cache.lookup(&world, &key()));
+            let (hit, ledger) = world.measure(|| cache.lookup(&world, &key()));
+            let took = ledger.total();
             let CacheLookup::Hit { value, .. } = hit else {
                 panic!("{mode:?}: expected a hit, got {hit:?}");
             };
@@ -844,7 +849,8 @@ mod tests {
         let world = simnet::World::paper();
         let cache = HnsCache::new(CacheMode::Demarshalled);
         cache.insert_negative(&world, key());
-        let (_, took, _) = world.measure(|| cache.lookup(&world, &key()));
+        let (_, ledger) = world.measure(|| cache.lookup(&world, &key()));
+        let took = ledger.total();
         assert!(
             (took.as_ms_f64() - 0.05).abs() < 0.01,
             "negative hit took {took}"
@@ -867,7 +873,8 @@ mod tests {
         assert!(!cache.contains_live(&world, &key()));
         cache.insert(&world, key(), &value(), 1, 1);
         let before = cache.stats();
-        let (found, took, _) = world.measure(|| cache.contains_live(&world, &key()));
+        let (found, ledger) = world.measure(|| cache.contains_live(&world, &key()));
+        let took = ledger.total();
         assert!(found);
         assert_eq!(took.as_us(), 0, "peek must be cost-free");
         world.wait(SimDuration::from_ms(1_500));

@@ -154,8 +154,9 @@ mod tests {
     fn chaser_attaches_mappings_two_through_five() {
         let (world, meta, _dep) = setup();
         let key = Step::Context(&ctx("bind-uw")).key(&origin()).expect("key");
-        let (result, _, delta) =
+        let (result, ledger) =
             world.measure(|| meta.fetch_batch(&key, &["hrpcbinding".to_string()]));
+        let delta = ledger.counters();
         let batch = result.expect("batch");
         assert_eq!(delta.remote_calls, 1, "whole chain in one round trip");
         assert!(batch.primary.is_some());

@@ -1427,7 +1427,9 @@ mod tests {
         meta.register_context(&ctx("c"), "BIND", &NameMapping::Identity)
             .expect("register");
         let key = key(Step::Context(&ctx("c")));
-        let (_, took, delta) = world.measure(|| meta.fetch(&key));
+        let (_, ledger) = world.measure(|| meta.fetch(&key));
+        let took = ledger.total();
+        let delta = ledger.counters();
         let ms = took.as_ms_f64();
         assert!((ms - 65.7).abs() < 2.0, "meta lookup took {ms} ms");
         assert_eq!(delta.remote_calls, 1);
@@ -1439,8 +1441,9 @@ mod tests {
         meta.register_context(&ctx("c"), "BIND", &NameMapping::Identity)
             .expect("register");
         let key = key(Step::Context(&ctx("c")));
-        let (result, _, delta) =
+        let (result, ledger) =
             world.measure(|| meta.fetch_batch(&key, &["hrpcbinding".to_string()]));
+        let delta = ledger.counters();
         let batch = result.expect("batch");
         assert_eq!(delta.remote_calls, 1);
         let primary = batch.primary.expect("primary present");
@@ -1471,8 +1474,10 @@ mod tests {
             key(Step::Context(&ctx("c"))),
             key(Step::NsmInfo(&info.nsm_name)),
         );
-        let (_, one_rr, _) = world.measure(|| meta.fetch(&one));
-        let (_, six_rr, _) = world.measure(|| meta.fetch(&six));
+        let (_, ledger) = world.measure(|| meta.fetch(&one));
+        let one_rr = ledger.total();
+        let (_, ledger) = world.measure(|| meta.fetch(&six));
+        let six_rr = ledger.total();
         let delta = six_rr.as_ms_f64() - one_rr.as_ms_f64();
         // gen_miss(6) - gen_miss(1) = 5 * 2.42 = 12.1
         assert!((delta - 12.1).abs() < 1.0, "delta {delta}");

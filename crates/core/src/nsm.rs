@@ -693,7 +693,9 @@ mod tests {
         let binding = NsmService::export(&net, host, ProgramId(300_009), Arc::new(EchoNsm));
         let client = NsmClient::new(net, host);
         let hns_name = HnsName::new(Context::new("c").expect("ctx"), "x").expect("name");
-        let (_, took, delta) = world.measure(|| client.call(&binding, &hns_name, vec![]));
+        let (_, ledger) = world.measure(|| client.call(&binding, &hns_name, vec![]));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(took.as_ms_f64() < 1.0, "local NSM call took {took}");
         assert_eq!(delta.remote_calls, 0);
     }

@@ -629,11 +629,8 @@ impl Hns {
         let span = world.span_lazy(Some(self.host), TraceKind::Hns, || {
             format!("FindNSM(query class {qc}, name {name})")
         });
-        let t0 = world.now();
-        let calls0 = world.counters().remote_calls;
-        let result = self.find_nsm_inner(qc, name, batched);
-        let took = world.now().since(t0);
-        let remote_round_trips = world.counters().remote_calls.saturating_sub(calls0);
+        let (result, walk) = world.measure(|| self.find_nsm_inner(qc, name, batched));
+        let (took, remote_round_trips) = (walk.total(), walk.counters().remote_calls);
         span.add_round_trips(remote_round_trips);
         drop(span);
 

@@ -320,9 +320,11 @@ fn remote_hns_service_and_client_roundtrip() {
         components: ComponentSet::raw_tcp(port),
     };
     let client = HnsClient::new(Arc::clone(&env.net), env.client, HnsHandle::Remote(binding));
-    let (found, took, delta) = env
+    let (found, ledger) = env
         .world
         .measure(|| client.find_nsm(&QueryClass::new("Echo"), &echo_name()));
+    let took = ledger.total();
+    let delta = ledger.counters();
     let found = found.expect("remote find");
     assert_eq!(found.host, env.nsm_host);
     // One client->HNS remote hop plus the HNS's cold meta mappings (the
@@ -356,9 +358,11 @@ fn linked_handle_is_free_of_hop_costs() {
     client
         .find_nsm(&QueryClass::new("Echo"), &echo_name())
         .expect("warm");
-    let (r, took, delta) = env
+    let (r, ledger) = env
         .world
         .measure(|| client.find_nsm(&QueryClass::new("Echo"), &echo_name()));
+    let took = ledger.total();
+    let delta = ledger.counters();
     r.expect("warm find");
     assert_eq!(delta.remote_calls, 0);
     assert!(took.as_ms_f64() < 10.0, "took {took}");
@@ -391,9 +395,10 @@ fn agent_service_performs_find_and_call_in_one_hop() {
         components: ComponentSet::raw_tcp(agent_port),
     };
     let client = AgentClient::new(Arc::clone(&env.net), env.client, agent_binding);
-    let (reply, _, delta) = env
+    let (reply, ledger) = env
         .world
         .measure(|| client.query(&QueryClass::new("Echo"), &echo_name(), vec![]));
+    let delta = ledger.counters();
     assert_eq!(reply.expect("agent query"), Value::str("echo:any-entity"));
     // One client-visible remote hop plus the agent's cold meta lookups;
     // the NSM call itself was local to the agent.
@@ -403,9 +408,10 @@ fn agent_service_performs_find_and_call_in_one_hop() {
         delta.remote_calls
     );
     // Warm: a single remote call end to end.
-    let (_, _, delta) = env
+    let (_, ledger) = env
         .world
         .measure(|| client.query(&QueryClass::new("Echo"), &echo_name(), vec![]));
+    let delta = ledger.counters();
     assert_eq!(delta.remote_calls, 1, "warm agent query is one hop");
 }
 
@@ -464,9 +470,10 @@ fn preload_from_minimal_meta_zone_works() {
     assert_eq!(report.entries, 4, "ctx + 2 map entries + info");
     assert!(report.bytes > 0);
     // All meta mappings hit; only the stub host-addr result is computed.
-    let (_, _, delta) = env
+    let (_, ledger) = env
         .world
         .measure(|| hns.find_nsm(&QueryClass::new("Echo"), &echo_name()));
+    let delta = ledger.counters();
     assert_eq!(
         delta.remote_calls, 0,
         "stub HA NSM is local; all meta preloaded"
@@ -513,15 +520,17 @@ fn preload_leaves_out_what_is_no_meta_mapping() {
     // The registered chain is preloaded, the `WKS` record beside its
     // context notwithstanding; the garbled context is the demand fetch's
     // to report.
-    let (found, _, delta) = env
+    let (found, ledger) = env
         .world
         .measure(|| hns.find_nsm(&QueryClass::new("Echo"), &echo_name()));
+    let delta = ledger.counters();
     found.expect("find");
     assert_eq!(delta.remote_calls, 0);
     let garbled = HnsName::new(Context::new("garbled").expect("ctx"), "x").expect("name");
-    let (refused, _, delta) = env
+    let (refused, ledger) = env
         .world
         .measure(|| hns.find_nsm(&QueryClass::new("Echo"), &garbled));
+    let delta = ledger.counters();
     assert!(
         matches!(refused, Err(HnsError::BadMetaRecord(_))),
         "{refused:?}"

@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn portmapper_binding_resolves_and_charges() {
         let (world, net, client, server, port) = setup();
-        let (binding, took, delta) = world.measure(|| {
+        let (binding, ledger) = world.measure(|| {
             bind(
                 &net,
                 client,
@@ -122,6 +122,8 @@ mod tests {
                 ComponentSet::sun(),
             )
         });
+        let took = ledger.total();
+        let delta = ledger.counters();
         let binding = binding.expect("bind ok");
         assert_eq!(binding.port, port);
         assert_eq!(binding.host, server);
@@ -133,7 +135,7 @@ mod tests {
     #[test]
     fn courier_exchange_binding_resolves() {
         let (world, net, client, server, port) = setup();
-        let (binding, took, _) = world.measure(|| {
+        let (binding, ledger) = world.measure(|| {
             bind(
                 &net,
                 client,
@@ -143,6 +145,7 @@ mod tests {
                 ComponentSet::courier(),
             )
         });
+        let took = ledger.total();
         assert_eq!(binding.expect("bind ok").port, port);
         // One Courier round trip (38) + service (1).
         assert!((took.as_ms_f64() - 39.0).abs() < 1.0, "took {took}");
@@ -161,7 +164,7 @@ mod tests {
     #[test]
     fn static_port_binding_is_free() {
         let (world, net, client, server, _port) = setup();
-        let (binding, took, delta) = world.measure(|| {
+        let (binding, ledger) = world.measure(|| {
             bind(
                 &net,
                 client,
@@ -171,6 +174,8 @@ mod tests {
                 ComponentSet::raw_tcp(53),
             )
         });
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert_eq!(binding.expect("bind ok").port, 53);
         assert_eq!(took.as_ms_f64(), 0.0);
         assert_eq!(delta.remote_calls, 0);
@@ -211,7 +216,7 @@ mod tests {
     #[test]
     fn colocated_portmapper_query_is_local() {
         let (world, net, _client, server, _port) = setup();
-        let (result, took, delta) = world.measure(|| {
+        let (result, ledger) = world.measure(|| {
             resolve_port(
                 &net,
                 server,
@@ -221,6 +226,8 @@ mod tests {
                 ComponentSet::sun(),
             )
         });
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(result.is_ok());
         assert!(took.as_ms_f64() < 2.0, "took {took}");
         assert_eq!(delta.remote_calls, 0);

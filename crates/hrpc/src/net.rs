@@ -353,7 +353,6 @@ impl RpcNet {
                 }
             }
             self.world.charge(Term::LocalCall);
-            self.world.count_local_call();
             self.serve(caller, binding, proc_id, args, reply)?;
             reply_len(reply, components)?;
             return Ok(());
@@ -384,7 +383,6 @@ impl RpcNet {
                 suite,
                 bytes: req_len,
             });
-            self.world.count_remote_call(req_len as u64);
 
             // Fault legs: a crashed or partitioned target answers
             // nothing, so the attempt is spent and the caller backs off
@@ -629,7 +627,9 @@ mod tests {
         net.export(server, ProgramId(77), echo_service());
         let b = binding_for(&net, server, ComponentSet::sun());
         let args = Value::record([("msg", Value::str("hello"))]);
-        let (reply, took, delta) = world.measure(|| net.call(client, &b, 1, &args));
+        let (reply, ledger) = world.measure(|| net.call(client, &b, 1, &args));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert_eq!(reply.expect("call ok"), args);
         assert!(took.as_ms_f64() >= 33.0, "took {took}");
         assert!(took.as_ms_f64() < 36.0, "took {took}");
@@ -641,7 +641,9 @@ mod tests {
         let (world, net, _client, server) = setup();
         net.export(server, ProgramId(77), echo_service());
         let b = binding_for(&net, server, ComponentSet::sun());
-        let (reply, took, delta) = world.measure(|| net.call(server, &b, 1, &Value::U32(5)));
+        let (reply, ledger) = world.measure(|| net.call(server, &b, 1, &Value::U32(5)));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(reply.is_ok());
         assert!(took.as_ms_f64() < 1.0, "took {took}");
         assert_eq!(delta.remote_calls, 0);
@@ -661,7 +663,8 @@ mod tests {
         ] {
             let mut b = binding_for(&net, server, components);
             b.components = components;
-            let (_r, took, _d) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+            let (_r, ledger) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+            let took = ledger.total();
             times.push(took.as_ms_f64());
         }
         // raw_tcp < raw_udp < sun < courier per the calibrated model.
@@ -729,7 +732,9 @@ mod tests {
         // Total loss: every attempt drops, so the call times out after the
         // control protocol's maximum attempts, charging each attempt.
         world.set_faults(Some(FaultPlan::new().loss(1.0, 42).clone()));
-        let (result, took, delta) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let (result, ledger) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(matches!(result, Err(RpcError::Timeout { attempts: 4 })));
         assert!(took.as_ms_f64() >= 4.0 * 25.0, "took {took}");
         assert_eq!(delta.remote_calls, 4);
@@ -835,7 +840,9 @@ mod tests {
         }));
         net.export(server, ProgramId(77), frontend);
         let b = binding_for(&net, server, ComponentSet::sun());
-        let (reply, took, delta) = world.measure(|| net.call(client, &b, 1, &Value::U32(9)));
+        let (reply, ledger) = world.measure(|| net.call(client, &b, 1, &Value::U32(9)));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert_eq!(reply.expect("ok"), Value::U32(9));
         // Two remote hops: client->frontend (33) + frontend->backend (22).
         assert!(took.as_ms_f64() >= 55.0, "took {took}");
@@ -942,7 +949,9 @@ mod tests {
         plan.crash(server, world.now(), None);
         world.set_faults(Some(plan));
 
-        let (result, took, delta) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let (result, ledger) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(
             matches!(result, Err(RpcError::HostUnreachable { host, attempts: 3 }) if host == server),
             "{result:?}"
@@ -999,12 +1008,14 @@ mod tests {
         net.export(server, ProgramId(77), echo_service());
         let b = binding_for(&net, server, ComponentSet::sun());
 
-        let (_r, clean, _d) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let (_r, ledger) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let clean = ledger.total();
 
         let mut plan = FaultPlan::new();
         plan.latency_spike(client, server, world.now(), None, 250.0);
         world.set_faults(Some(plan));
-        let (result, spiked, _d) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let (result, ledger) = world.measure(|| net.call(client, &b, 1, &Value::Void));
+        let spiked = ledger.total();
         assert!(result.is_ok(), "a spike must not fail the call");
         assert!(
             (spiked.as_ms_f64() - clean.as_ms_f64() - 250.0).abs() < 1.0,
@@ -1028,7 +1039,9 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.crash(server, world.now(), None);
         world.set_faults(Some(plan));
-        let (result, took, delta) = world.measure(|| net.call(server, &b, 1, &Value::U32(5)));
+        let (result, ledger) = world.measure(|| net.call(server, &b, 1, &Value::U32(5)));
+        let took = ledger.total();
+        let delta = ledger.counters();
         assert!(
             matches!(result, Err(RpcError::HostUnreachable { attempts: 1, .. })),
             "{result:?}"

@@ -135,9 +135,10 @@ fn retransmissions_cost_virtual_time() {
     let env = env();
     // No loss: baseline.
     let b = binding(&env, ComponentSet::raw_udp(env.port));
-    let (_, clean, _) = env
+    let (_, ledger) = env
         .world
         .measure(|| env.net.call(env.client, &b, 1, &Value::Void));
+    let clean = ledger.total();
 
     // Certain request loss on the first three attempts is impossible to
     // arrange exactly with a probabilistic plan, so compare aggregates:
@@ -146,9 +147,10 @@ fn retransmissions_cost_virtual_time() {
     let mut total = 0.0;
     let calls = 40;
     for _ in 0..calls {
-        let (_, took, _) = env
+        let (_, ledger) = env
             .world
             .measure(|| env.net.call(env.client, &b, 1, &Value::Void));
+        let took = ledger.total();
         total += took.as_ms_f64();
     }
     env.world.set_faults(None);
@@ -198,9 +200,10 @@ fn crashed_host_honors_attempt_budget_and_charges_virtual_backoff() {
         reason = "the assertion is about the wall clock: backoff must not sleep"
     )]
     let wall = std::time::Instant::now();
-    let (result, took, _) = env
+    let (result, ledger) = env
         .world
         .measure(|| env.net.call(env.client, &b, 1, &Value::Void));
+    let took = ledger.total();
     let wall = wall.elapsed();
 
     match result.unwrap_err() {

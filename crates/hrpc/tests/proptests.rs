@@ -130,8 +130,10 @@ proptest! {
             port,
             components: ComponentSet::sun(),
         };
-        let (_, remote, _) = world.measure(|| net.call(client, &binding, 1, &payload));
-        let (_, local, _) = world.measure(|| net.call(server, &binding, 1, &payload));
+        let (_, ledger) = world.measure(|| net.call(client, &binding, 1, &payload));
+        let remote = ledger.total();
+        let (_, ledger) = world.measure(|| net.call(server, &binding, 1, &payload));
+        let local = ledger.total();
         prop_assert!(remote > local, "remote {} <= local {}", remote, local);
         prop_assert!(remote.as_ms_f64() >= 33.0);
         prop_assert!(local.as_ms_f64() < 1.0);

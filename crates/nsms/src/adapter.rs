@@ -234,10 +234,11 @@ mod tests {
         assert!(bind.lookup(&global, RType::A, |_| Some(())).is_ok());
         // A name the mapping does not cover is refused with no remote call.
         let bare = name(&tb, "fiji.cs.washington.edu");
-        let (all_refused, _, delta) = tb.world.measure(|| {
+        let (all_refused, ledger) = tb.world.measure(|| {
             refused(bind.lookup(&bare, RType::A, |_| Some(())))
                 && refused(ch.lookup(&bare, PROP_ADDRESS, Value::as_u32))
         });
+        let delta = ledger.counters();
         assert!(all_refused);
         assert_eq!(delta.remote_calls, 0);
     }
@@ -254,7 +255,8 @@ mod tests {
         let mx = bind.lookup(&alice, RType::Mx, target);
         assert_eq!(mx.expect("mx"), "fiji.cs.washington.edu");
         // Through the resolver's cache: the repeat goes nowhere.
-        let (_, _, delta) = tb.world.measure(|| bind.lookup(&alice, RType::Mx, target));
+        let (_, ledger) = tb.world.measure(|| bind.lookup(&alice, RType::Mx, target));
+        let delta = ledger.counters();
         assert_eq!(delta.remote_calls, 0);
         // No such name, no record of that type there: `NotFound(local)`.
         for who in ["nobody.cs.washington.edu", "fiji.cs.washington.edu"] {
@@ -293,7 +295,8 @@ mod tests {
         let host = |individual| name(&tb, individual);
         for _ in 0..2 {
             let fiji = host("fiji.cs.washington.edu");
-            let (found, _, delta) = tb.world.measure(|| bind.address(&fiji));
+            let (found, ledger) = tb.world.measure(|| bind.address(&fiji));
+            let delta = ledger.counters();
             assert_eq!(found.expect("A"), (tb.hosts.fiji, 86_400));
             assert_eq!(delta.remote_calls, 1);
         }

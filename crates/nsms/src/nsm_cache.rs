@@ -157,7 +157,8 @@ mod tests {
         let world = simnet::World::paper();
         let cache = NsmCache::new(NsmCacheForm::Marshalled);
         cache.insert(&world, "k", &Value::U32(1), 2, 600);
-        let (got, took, _) = world.measure(|| cache.get(&world, "k"));
+        let (got, ledger) = world.measure(|| cache.get(&world, "k"));
+        let took = ledger.total();
         assert_eq!(got.as_deref(), Some(&Value::U32(1)));
         // probe 0.05 + 8.10 + 2*3.01 = 14.17
         assert!((took.as_ms_f64() - 14.17).abs() < 0.1, "took {took}");
@@ -169,7 +170,8 @@ mod tests {
         let world = simnet::World::paper();
         let cache = NsmCache::new(NsmCacheForm::Demarshalled);
         cache.insert(&world, "k", &Value::U32(1), 2, 600);
-        let (_, took, _) = world.measure(|| cache.get(&world, "k"));
+        let (_, ledger) = world.measure(|| cache.get(&world, "k"));
+        let took = ledger.total();
         assert!(took.as_ms_f64() < 1.1, "took {took}");
     }
 

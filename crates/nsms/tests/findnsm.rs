@@ -35,9 +35,10 @@ fn cold_findnsm_makes_exactly_six_data_mappings() {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
-    let (result, _took, delta) = tb
+    let (result, ledger) = tb
         .world
         .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &fiji_name(&tb)));
+    let delta = ledger.counters();
     assert!(result.is_ok(), "{result:?}");
     assert_eq!(
         delta.remote_calls, 6,
@@ -52,7 +53,9 @@ fn warm_findnsm_makes_no_remote_calls() {
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let qc = QueryClass::hrpc_binding();
     hns.find_nsm(&qc, &fiji_name(&tb)).expect("cold");
-    let (result, took, delta) = tb.world.measure(|| hns.find_nsm(&qc, &fiji_name(&tb)));
+    let (result, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &fiji_name(&tb)));
+    let took = ledger.total();
+    let delta = ledger.counters();
     assert!(result.is_ok());
     assert_eq!(delta.remote_calls, 0, "warm FindNSM must be fully cached");
     // Warm, marshalled-form FindNSM: the paper's 88 ms figure.
@@ -70,9 +73,10 @@ fn cold_findnsm_cost_matches_decomposition() {
     let tb = Testbed::build();
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
-    let (result, took, _) = tb
+    let (result, ledger) = tb
         .world
         .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &fiji_name(&tb)));
+    let took = ledger.total();
     assert!(result.is_ok());
     let ms = took.as_ms_f64();
     assert!(
@@ -88,7 +92,9 @@ fn uncached_findnsm_always_pays_full_price() {
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Disabled);
     let qc = QueryClass::hrpc_binding();
     hns.find_nsm(&qc, &fiji_name(&tb)).expect("first");
-    let (_, took, delta) = tb.world.measure(|| hns.find_nsm(&qc, &fiji_name(&tb)));
+    let (_, ledger) = tb.world.measure(|| hns.find_nsm(&qc, &fiji_name(&tb)));
+    let took = ledger.total();
+    let delta = ledger.counters();
     assert_eq!(delta.remote_calls, 6, "disabled cache must refetch");
     assert!(took.as_ms_f64() > 300.0);
 }
@@ -100,9 +106,10 @@ fn import_row1_cold_matches_table_3_1_column_a() {
     tb.deploy_binding_nsms(tb.hosts.client, NsmCacheForm::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     let importer = Importer::new(Arc::clone(&tb.net), tb.hosts.client, HnsHandle::Linked(hns));
-    let (binding, took, _) = tb
+    let (binding, ledger) = tb
         .world
         .measure(|| importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &fiji_name(&tb)));
+    let took = ledger.total();
     let binding = binding.expect("import");
     assert_eq!(binding.host, tb.hosts.fiji);
     let ms = took.as_ms_f64();
@@ -123,9 +130,10 @@ fn import_row1_hns_hit_matches_table_3_1_column_b() {
         .import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &fiji_name(&tb))
         .expect("warm HNS");
     nsms.bind.clear_cache(); // Force the NSM phase to miss again.
-    let (_, took, _) = tb
+    let (_, ledger) = tb
         .world
         .measure(|| importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &fiji_name(&tb)));
+    let took = ledger.total();
     let ms = took.as_ms_f64();
     assert!(
         (ms - 180.0).abs() / 180.0 < 0.08,
@@ -143,9 +151,11 @@ fn import_row1_both_hit_matches_table_3_1_column_c() {
     importer
         .import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &fiji_name(&tb))
         .expect("warm everything");
-    let (_, took, delta) = tb
+    let (_, ledger) = tb
         .world
         .measure(|| importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &fiji_name(&tb)));
+    let took = ledger.total();
+    let delta = ledger.counters();
     let ms = took.as_ms_f64();
     assert_eq!(delta.remote_calls, 0);
     assert!(
@@ -204,15 +214,17 @@ fn clearinghouse_binding_is_slower_due_to_auth_and_disk() {
         tb.hosts.client,
         HnsHandle::Linked(Arc::clone(&hns)),
     );
-    let (_, bind_cold, _) = tb
+    let (_, ledger) = tb
         .world
         .measure(|| importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &fiji_name(&tb)));
+    let bind_cold = ledger.total();
     // Fresh meta cache so both paths pay the same FindNSM cost and the
     // difference isolates the NSM phase.
     hns.clear_cache();
-    let (_, ch_cold, _) = tb
+    let (_, ledger) = tb
         .world
         .measure(|| importer.import(PRINT_SERVICE, PRINT_SERVICE_PROGRAM, &printer_name(&tb)));
+    let ch_cold = ledger.total();
     assert!(
         ch_cold.as_ms_f64() > bind_cold.as_ms_f64() + 100.0,
         "CH path {ch_cold} should exceed BIND path {bind_cold} by the 156-27 ms gap"
@@ -245,9 +257,10 @@ fn batched_cold_findnsm_makes_at_most_two_remote_calls() {
     tb.deploy_binding_nsms(tb.hosts.nsm, NsmCacheForm::Marshalled);
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Marshalled);
     hns.set_batching(true);
-    let (result, _, delta) = tb
+    let (result, ledger) = tb
         .world
         .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &fiji_name(&tb)));
+    let delta = ledger.counters();
     assert!(result.is_ok(), "{result:?}");
     assert!(
         delta.remote_calls <= 2,
@@ -255,9 +268,10 @@ fn batched_cold_findnsm_makes_at_most_two_remote_calls() {
         delta.remote_calls
     );
     // Warm path is unchanged: everything the batch seeded now hits.
-    let (result, _, delta) = tb
+    let (result, ledger) = tb
         .world
         .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &fiji_name(&tb)));
+    let delta = ledger.counters();
     assert!(result.is_ok());
     assert_eq!(delta.remote_calls, 0, "warm batched FindNSM must be cached");
 }
@@ -267,18 +281,20 @@ fn batched_findnsm_returns_the_same_binding_faster() {
     let sequential = Testbed::build();
     sequential.deploy_binding_nsms(sequential.hosts.nsm, NsmCacheForm::Marshalled);
     let seq_hns = sequential.make_hns(sequential.hosts.client, CacheMode::Marshalled);
-    let (seq_binding, seq_took, _) = sequential
+    let (seq_binding, ledger) = sequential
         .world
         .measure(|| seq_hns.find_nsm(&QueryClass::hrpc_binding(), &fiji_name(&sequential)));
+    let seq_took = ledger.total();
     let seq_binding = seq_binding.expect("sequential");
 
     let batched = Testbed::build();
     batched.deploy_binding_nsms(batched.hosts.nsm, NsmCacheForm::Marshalled);
     let bat_hns = batched.make_hns(batched.hosts.client, CacheMode::Marshalled);
     bat_hns.set_batching(true);
-    let (bat_binding, bat_took, _) = batched
+    let (bat_binding, ledger) = batched
         .world
         .measure(|| bat_hns.find_nsm(&QueryClass::hrpc_binding(), &fiji_name(&batched)));
+    let bat_took = ledger.total();
     let bat_binding = bat_binding.expect("batched");
 
     assert_eq!(bat_binding.host, seq_binding.host);
@@ -314,7 +330,8 @@ fn batching_serves_even_a_disabled_cache_via_the_overlay() {
     ];
     for qc in &classes {
         for name in [fiji_name(&tb), printer_name(&tb)] {
-            let (result, _, delta) = tb.world.measure(|| hns.find_nsm(qc, &name));
+            let (result, ledger) = tb.world.measure(|| hns.find_nsm(qc, &name));
+            let delta = ledger.counters();
             assert!(result.is_ok(), "{qc} in {}: {result:?}", name.context);
             assert!(
                 delta.remote_calls <= 2,
@@ -351,7 +368,8 @@ fn dynamic_updates_flow_into_findnsm_without_client_changes() {
             .expect("register the mail NSM");
 
         // Inside the negative TTL the client answers from memory.
-        let (again, _, delta) = tb.world.measure(|| client.find_nsm(&qc, &name));
+        let (again, ledger) = tb.world.measure(|| client.find_nsm(&qc, &name));
+        let delta = ledger.counters();
         assert!(unserved(again), "composed={composed}");
         assert_eq!(delta.remote_calls, 0);
         tb.world.wait(SimDuration::from_ms(

@@ -91,7 +91,9 @@ fn binding_nsm_cache_serves_repeat_queries() {
     let name = bind_name(&tb, "fiji.cs.washington.edu");
     let query = || ask::<HrpcBinding>(&*nsm, name.clone(), binding_args(DESIRED_SERVICE));
     let first = query().expect("miss path");
-    let (second, took, delta) = tb.world.measure(query);
+    let (second, ledger) = tb.world.measure(query);
+    let took = ledger.total();
+    let delta = ledger.counters();
     assert_eq!(second.expect("hit path"), first);
     assert_eq!(delta.remote_calls, 0, "hit must avoid remote work");
     assert!(took.as_ms_f64() < 5.0, "hit took {took}");

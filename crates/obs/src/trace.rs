@@ -400,18 +400,6 @@ impl Tracer {
         self.events.lock().is_empty()
     }
 
-    /// Renders all flat events, one per line (the original walkthrough
-    /// format; span structure is ignored).
-    pub fn render(&self) -> String {
-        let events = self.events.lock();
-        let mut out = String::new();
-        for e in events.iter() {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders spans and events as one chronological tree: root spans
     /// and span-less events interleave at top level, child spans and
     /// attached events nest below their parents.
@@ -715,16 +703,5 @@ mod tests {
         let spans = v.get("spans").unwrap().as_array().unwrap();
         assert_eq!(spans[0].get("cache").unwrap().as_str(), Some("negative"));
         assert_eq!(spans[0].get("name").unwrap().as_str(), Some("q \"quoted\""));
-    }
-
-    #[test]
-    fn render_is_one_line_per_event() {
-        let t = Tracer::new();
-        t.set_enabled(true);
-        t.record(5_000, Some(0), TraceKind::Nsm, "lookup".into());
-        let rendered = t.render();
-        assert_eq!(rendered.lines().count(), 1);
-        assert!(rendered.contains("lookup"));
-        assert!(rendered.contains("nsm"));
     }
 }

@@ -39,14 +39,15 @@ fn token() -> u64 {
 }
 
 /// Which thread may write a single-writer structure's own half: the first
-/// to ask.
-#[derive(Default)]
-pub(crate) struct Owner(AtomicU64);
+/// to ask. A structure of several words — a histogram's cells, the
+/// virtual clock and its ledger — asks once for all of them.
+#[derive(Debug, Default)]
+pub struct Owner(AtomicU64);
 
 impl Owner {
     /// Whether the calling thread owns this, claiming it if no thread does.
     #[inline]
-    pub(crate) fn is_mine(&self) -> bool {
+    pub fn is_mine(&self) -> bool {
         let me = token();
         match self.0.load(Relaxed) {
             0 => self.0.compare_exchange(0, me, Relaxed, Relaxed).is_ok(),

@@ -205,8 +205,10 @@ mod tests {
             .expect("register");
         let registry = Arc::new(registry);
         let binding = deploy(&net, frontend, RegServer::new(Arc::clone(&registry)));
-        let (reply, took, delta) = world
+        let (reply, ledger) = world
             .measure(|| ReplySlot::tree(|r| net.call_into(client, &binding, proc_id, request, r)));
+        let took = ledger.total();
+        let delta = ledger.counters();
         let after = format!("{:?}", registry.resolve_naive("svc"));
         (reply, took, delta, after)
     }

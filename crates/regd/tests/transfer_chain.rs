@@ -140,10 +140,11 @@ fn a_second_owners_name_cannot_rebind_the_firsts_context() {
     let reg = &rtb.registry;
     reg.register(&owner_name(0), owner_key(0), "my-svc", NS_BIND)
         .expect("register");
-    let (refused, _, delta) = rtb
+    let (refused, ledger) = rtb
         .tb
         .world
         .measure(|| reg.register(&owner_name(1), owner_key(1), "my.svc", NS_CH));
+    let delta = ledger.counters();
     assert!(
         matches!(refused, Err(RegError::BadRecord(_))),
         "{refused:?}"

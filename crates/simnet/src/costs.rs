@@ -10,11 +10,11 @@
 //!
 //! | Constant | Paper evidence | `Term` it prices |
 //! |---|---|---|
-//! | `rpc_rtt_sun` = 33 ms | "estimating C(remote call) as 33 msec." | `RemoteRequest`, `ZoneTransfer` |
-//! | `rpc_rtt_courier` = 38, `rpc_rtt_raw_tcp` = 22, `rpc_rtt_raw_udp` = 25 | "The remote call to the NSM takes 22-38 msec., depending on the RPC system used." | `RemoteRequest`, `ZoneTransfer` |
-//! | `per_kb` = 0.8 ms | calibrated: network cost per kilobyte on the wire | `RemoteRequest`, `ReplyBytes` |
+//! | `rpc_rtt_sun` = 33 ms | "estimating C(remote call) as 33 msec." | `RemoteRequest`, `ReplicaPush`, `ZoneTransfer` |
+//! | `rpc_rtt_courier` = 38, `rpc_rtt_raw_tcp` = 22, `rpc_rtt_raw_udp` = 25 | "The remote call to the NSM takes 22-38 msec., depending on the RPC system used." | `RemoteRequest`, `ReplicaPush`, `ZoneTransfer` |
+//! | `per_kb` = 0.8 ms | calibrated: network cost per kilobyte on the wire | `RemoteRequest`, `ReplicaPush`, `ReplyBytes` |
 //! | `local_call` = 0.02 ms | "C(local call) is effectively zero" | `LocalCall` |
-//! | `dns_udp_rtt` + `bind_service` = 27 ms | "a BIND name to address lookup takes 27 msec." | `RemoteRequest` (`DnsUdp`), `BindService` |
+//! | `dns_udp_rtt` + `bind_service` = 27 ms | "a BIND name to address lookup takes 27 msec." | `RemoteRequest` (`DnsUdp`), `BindLookup`, `BindService` |
 //! | `portmap_service` = 1 ms | the portmapper's or exchange listener's service time | `PortmapService` |
 //! | `rpc_rtt_courier` + `ch_auth` + `ch_disk` + `ch_service` = 156 ms | "a Clearinghouse name to address lookup takes 156 msec." (authenticated, disk-bound) | `ChAuth`, `ChRead`, `ChDiskReads` |
 //! | generated marshalling (miss 20.23/32.34, hit 11.11/26.17 ms for 1/6 RRs) | Table 3.2 | `GeneratedMiss`, `ResolverQuery`, `ResolverBatch`, `BindingAssembly`, `CacheHit` (`Marshalled`) |
@@ -33,7 +33,8 @@
 //! a term becomes milliseconds. A term carries the counts its price
 //! depends on (bytes, records, reads); an amount that is no calibrated
 //! constant — a retry backoff, a latency spike — carries its own
-//! milliseconds.
+//! milliseconds. The price also names the term's [`Kind`] and its units,
+//! which the world's ledger files the charge under.
 
 /// Milliseconds as a convenience alias for the calibrated constants.
 pub type Ms = f64;
@@ -79,6 +80,15 @@ pub enum Term<'a> {
         /// The request's length.
         bytes: usize,
     },
+    /// Pushing a copy of a store's `bytes` to one replica under `suite`:
+    /// priced as a [`Term::RemoteRequest`], but a push, not a call, so it
+    /// is no remote call of the `net` counters.
+    ReplicaPush {
+        /// The protocol suite the push runs over.
+        suite: RpcSuiteKind,
+        /// The copy's length.
+        bytes: usize,
+    },
     /// The bytes of a reply on the wire.
     ReplyBytes {
         /// The reply's length.
@@ -104,7 +114,12 @@ pub enum Term<'a> {
         /// The zone data shipped.
         bytes: usize,
     },
-    /// A BIND server's service time for one request.
+    /// A BIND server's service time for one lookup: a query, each
+    /// question of a batch, each additional set a batch answers.
+    BindLookup,
+    /// A BIND server's service time for a request that is no lookup: a
+    /// transfer, an update, a serial check. Priced as a
+    /// [`Term::BindLookup`], but no lookup of the `net` counters.
     BindService,
     /// A Clearinghouse access's authentication.
     ChAuth,
@@ -172,6 +187,55 @@ pub enum Term<'a> {
     ReregAssemble,
     /// Pushing one name into the reregistration scheme's global store.
     ReregPerName,
+}
+
+/// Declares [`Kind`] from one list of [`Term`]'s variants: a name's place
+/// in the list is its row in the ledger, and its spelling the row's
+/// label. The last row, `Wait`, is time that passed with nothing done.
+macro_rules! kinds {
+    ($($kind:ident),* $(,)?) => {
+        /// What a row of the world's ledger files: a [`Term`]'s variant,
+        /// or a wait (`World::ledger`).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Kind {
+            $(#[doc = concat!("A [`Term::", stringify!($kind), "`].")] $kind,)*
+            /// Time that passed with nothing done (`World::wait`).
+            Wait,
+        }
+
+        impl Kind {
+            /// Every kind, in row order.
+            pub(crate) const ALL: &'static [Kind] = &[$(Kind::$kind,)* Kind::Wait];
+
+            /// The number of rows.
+            pub(crate) const COUNT: usize = Kind::ALL.len();
+
+            /// The kind's name, as its row is labelled.
+            pub fn label(self) -> &'static str {
+                [$(stringify!($kind),)* "Wait"][self as usize]
+            }
+        }
+    };
+}
+
+kinds! {
+    LocalCall, RemoteRequest, ReplicaPush, ReplyBytes, RetryBackoff, LatencySpike,
+    PortmapService, ZoneTransfer, BindLookup, BindService, ChAuth, ChRead, ChDiskReads,
+    CacheProbe, CacheHit, GeneratedMiss, ResolverQuery, ResolverBatch, FastMarshal,
+    HnsBookkeeping, FindNsmArgMarshal, NsmArgMarshal, AgentArgMarshal, NsmAssemble,
+    BindingAssembly, InterimFileBind, ReregAssemble, ReregPerName,
+}
+
+/// What charging a term files: its row, its units — the bytes, records
+/// or reads it carries, 0 for a term with none — and its price.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Charge {
+    /// The row it is filed under.
+    pub kind: Kind,
+    /// Its bytes, records or reads.
+    pub units: u64,
+    /// Its price in milliseconds, before the charge rounds it.
+    pub ms: Ms,
 }
 
 /// All calibrated virtual-time constants (milliseconds), read only by
@@ -306,11 +370,12 @@ impl CostModel {
         }
     }
 
-    /// What `term` costs, in milliseconds: the one place a term is priced.
-    /// A sum charged at once (`ChRead`, `ResolverQuery`, a batch's sets)
-    /// is one arm, so the charge rounds it to the microsecond once.
+    /// What `term` costs, in milliseconds, and what it is filed under:
+    /// the one place a term is priced. A sum charged at once (`ChRead`,
+    /// `ResolverQuery`, a batch's sets) is one arm, so the charge rounds
+    /// it to the microsecond once.
     #[inline(always)]
-    pub fn price(&self, term: Term<'_>) -> Ms {
+    pub fn price(&self, term: Term<'_>) -> Charge {
         let rtt = |suite| match suite {
             RpcSuiteKind::Sun => self.rpc_rtt_sun,
             RpcSuiteKind::Courier => self.rpc_rtt_courier,
@@ -320,41 +385,72 @@ impl CostModel {
         };
         let wire = |bytes: usize| self.per_kb * bytes as f64 / 1024.0;
         let generated = |rrs: usize| self.gen_miss_base + self.gen_miss_per_rr * rrs.max(1) as f64;
-        match term {
-            Term::LocalCall => self.local_call,
-            Term::RemoteRequest { suite, bytes } => rtt(suite) + wire(bytes),
-            Term::ReplyBytes { bytes } => wire(bytes),
-            Term::RetryBackoff { ms } | Term::LatencySpike { ms } => ms,
-            Term::PortmapService => self.portmap_service,
+        let (kind, units, ms) = match term {
+            Term::LocalCall => (Kind::LocalCall, 0, self.local_call),
+            Term::RemoteRequest { suite, bytes } => {
+                (Kind::RemoteRequest, bytes, rtt(suite) + wire(bytes))
+            }
+            Term::ReplicaPush { suite, bytes } => {
+                (Kind::ReplicaPush, bytes, rtt(suite) + wire(bytes))
+            }
+            Term::ReplyBytes { bytes } => (Kind::ReplyBytes, bytes, wire(bytes)),
+            Term::RetryBackoff { ms } => (Kind::RetryBackoff, 0, ms),
+            Term::LatencySpike { ms } => (Kind::LatencySpike, 0, ms),
+            Term::PortmapService => (Kind::PortmapService, 0, self.portmap_service),
             Term::ZoneTransfer { suite, bytes } => {
                 let kb = bytes as f64 / 1024.0;
-                (self.axfr_base + self.axfr_per_kb * kb - rtt(suite)).max(0.0)
+                let ms = (self.axfr_base + self.axfr_per_kb * kb - rtt(suite)).max(0.0);
+                (Kind::ZoneTransfer, bytes, ms)
             }
-            Term::BindService => self.bind_service,
-            Term::ChAuth => self.ch_auth,
-            Term::ChRead => self.ch_disk + self.ch_service,
-            Term::ChDiskReads { n } => self.ch_disk * n as f64,
-            Term::CacheProbe => self.cache_probe,
-            Term::CacheHit { form, rrs } => match form {
-                CacheForm::Marshalled => self.gen_hit_base + self.gen_hit_per_rr * rrs as f64,
-                CacheForm::Demarshalled => self.demar_hit_base + self.demar_hit_per_rr * rrs as f64,
-            },
-            Term::GeneratedMiss { rrs } => generated(rrs),
-            Term::ResolverQuery { rrs } => generated(rrs) + self.bind_resolver_overhead,
+            Term::BindLookup => (Kind::BindLookup, 0, self.bind_service),
+            Term::BindService => (Kind::BindService, 0, self.bind_service),
+            Term::ChAuth => (Kind::ChAuth, 0, self.ch_auth),
+            Term::ChRead => (Kind::ChRead, 0, self.ch_disk + self.ch_service),
+            Term::ChDiskReads { n } => (Kind::ChDiskReads, n, self.ch_disk * n as f64),
+            Term::CacheProbe => (Kind::CacheProbe, 0, self.cache_probe),
+            Term::CacheHit { form, rrs } => {
+                let ms = match form {
+                    CacheForm::Marshalled => self.gen_hit_base + self.gen_hit_per_rr * rrs as f64,
+                    CacheForm::Demarshalled => {
+                        self.demar_hit_base + self.demar_hit_per_rr * rrs as f64
+                    }
+                };
+                (Kind::CacheHit, rrs, ms)
+            }
+            Term::GeneratedMiss { rrs } => (Kind::GeneratedMiss, rrs, generated(rrs)),
+            Term::ResolverQuery { rrs } => {
+                let ms = generated(rrs) + self.bind_resolver_overhead;
+                (Kind::ResolverQuery, rrs, ms)
+            }
             Term::ResolverBatch { sets } => {
-                sets.fold(self.bind_resolver_overhead, |ms, rrs| ms + generated(rrs))
+                let (rrs, ms) = sets.fold((0, self.bind_resolver_overhead), |(n, ms), rrs| {
+                    (n + rrs, ms + generated(rrs))
+                });
+                (Kind::ResolverBatch, rrs, ms)
             }
-            Term::FastMarshal { rrs } => self.fast_base + self.fast_per_rr * rrs.max(1) as f64,
-            Term::HnsBookkeeping => self.hns_bookkeeping,
-            Term::FindNsmArgMarshal => self.findnsm_arg_marshal,
-            Term::NsmArgMarshal => self.nsm_arg_marshal,
-            Term::AgentArgMarshal => self.agent_arg_marshal,
-            Term::NsmAssemble => self.nsm_assemble,
-            Term::BindingAssembly { rrs } => generated(rrs) + self.nsm_assemble,
-            Term::InterimFileBind => self.interim_file_read + self.interim_overhead,
-            Term::ReregAssemble => self.rereg_assemble,
-            Term::ReregPerName => self.rereg_per_name,
-        }
+            Term::FastMarshal { rrs } => {
+                let ms = self.fast_base + self.fast_per_rr * rrs.max(1) as f64;
+                (Kind::FastMarshal, rrs, ms)
+            }
+            Term::HnsBookkeeping => (Kind::HnsBookkeeping, 0, self.hns_bookkeeping),
+            Term::FindNsmArgMarshal => (Kind::FindNsmArgMarshal, 0, self.findnsm_arg_marshal),
+            Term::NsmArgMarshal => (Kind::NsmArgMarshal, 0, self.nsm_arg_marshal),
+            Term::AgentArgMarshal => (Kind::AgentArgMarshal, 0, self.agent_arg_marshal),
+            Term::NsmAssemble => (Kind::NsmAssemble, 0, self.nsm_assemble),
+            Term::BindingAssembly { rrs } => (
+                Kind::BindingAssembly,
+                rrs,
+                generated(rrs) + self.nsm_assemble,
+            ),
+            Term::InterimFileBind => {
+                let ms = self.interim_file_read + self.interim_overhead;
+                (Kind::InterimFileBind, 0, ms)
+            }
+            Term::ReregAssemble => (Kind::ReregAssemble, 0, self.rereg_assemble),
+            Term::ReregPerName => (Kind::ReregPerName, 0, self.rereg_per_name),
+        };
+        let units = units as u64;
+        Charge { kind, units, ms }
     }
 }
 
@@ -369,7 +465,7 @@ mod tests {
     use super::*;
 
     fn price(term: Term<'_>) -> Ms {
-        CostModel::paper_calibrated().price(term)
+        CostModel::paper_calibrated().price(term).ms
     }
 
     /// One native BIND lookup: a DNS round trip, the server's service and

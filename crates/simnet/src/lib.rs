@@ -6,7 +6,8 @@
 //! * [`time`] / [`clock`] — microsecond-resolution virtual time; components
 //!   charge calibrated costs against a shared [`clock::VirtualClock`] as a
 //!   single logical operation proceeds, reproducing the paper's
-//!   "elapsed time at light load" methodology deterministically.
+//!   "elapsed time at light load" methodology deterministically. The
+//!   clock's [`Ledger`] files each charge under its term's [`Kind`].
 //! * [`topology`] — named hosts on a flat LAN; colocation (same host) is
 //!   what makes a call local and effectively free.
 //! * [`costs`] — every calibrated constant, each traced to a measured
@@ -19,8 +20,9 @@
 //!   cache in the workspace is built on.
 //! * [`index`] — the open-addressed `u32` index, with its fixed hash,
 //!   that the TTL maps and the zone's owner store find entries by.
-//! * [`world`] — the shared environment (clock + topology + costs + trace +
-//!   structural counters + the unified [`obs::MetricsRegistry`]).
+//! * [`world`] — the shared environment (clock and ledger + topology +
+//!   costs + trace + the unified [`obs::MetricsRegistry`], whose `net`
+//!   counters are read off the ledger).
 //! * [`rng`] — a self-contained deterministic PRNG.
 //! * [`faults`] — deterministic fault injection (crash windows, link
 //!   partitions, latency spikes) scheduled in virtual time.
@@ -58,8 +60,8 @@ pub mod world;
 
 pub use obs;
 
-pub use clock::VirtualClock;
-pub use costs::{CacheForm, CostModel, RpcSuiteKind, Term};
+pub use clock::{Ledger, Row, VirtualClock};
+pub use costs::{CacheForm, Charge, CostModel, Kind, RpcSuiteKind, Term};
 pub use faults::{FaultKind, FaultPlan};
 pub use time::{SimDuration, SimTime};
 pub use topology::{HostId, NetAddr, Topology};

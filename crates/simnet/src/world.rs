@@ -1,28 +1,30 @@
 //! The shared simulation environment.
 //!
-//! A [`World`] bundles the virtual clock, the host topology, the calibrated
-//! [`CostModel`], a [`Tracer`], the metrics registry with global operation
-//! counters, and the installed [`FaultPlan`]. Every simulated component
+//! A [`World`] bundles the virtual clock and its ledger, the host
+//! topology, the calibrated [`CostModel`], a [`Tracer`], the metrics
+//! registry, and the installed [`FaultPlan`]. Every simulated component
 //! (RPC suites, name services, the HNS, NSMs) holds an `Arc<World>` and
-//! charges its costs against it. Charging only advances the clock: a
-//! caller that wants a time series over the registry drives its own
+//! charges its costs against it. A charge advances the clock and files
+//! the time in the ledger's row of its term, which is the one record of
+//! what an op did: the `net` counters are read off it. A caller that
+//! wants a time series over the registry drives its own
 //! [`obs::Sampler`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::clock::VirtualClock;
-use crate::costs::{CostModel, Ms, Term};
+use crate::clock::{Ledger, VirtualClock};
+use crate::costs::{Charge, CostModel, Kind, Ms, Term};
 use crate::faults::FaultPlan;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, Topology};
 use obs::trace::{CacheOutcome, SpanId, TraceKind, Tracer};
-use obs::{LazyCounter, MetricsRegistry};
+use obs::{CounterSource, MetricsRegistry};
 
-/// A point-in-time snapshot of a world's structural counters, useful for
-/// asserting the *structure* of operations (e.g. "a cold `FindNSM` makes
-/// exactly six remote data mappings"): the `net` component's counters,
-/// read from the registry handles the calls count into.
+/// A world's structural counters, useful for asserting the *structure* of
+/// operations (e.g. "a cold `FindNSM` makes exactly six remote data
+/// mappings"): the `net` component's counters, read off the ledger
+/// ([`Ledger::counters`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSnapshot {
     /// Remote (cross-host) calls made.
@@ -35,22 +37,10 @@ pub struct CounterSnapshot {
     pub ns_lookups: u64,
 }
 
-impl CounterSnapshot {
-    /// Componentwise difference `self - earlier` (saturating).
-    pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            remote_calls: self.remote_calls.saturating_sub(earlier.remote_calls),
-            local_calls: self.local_calls.saturating_sub(earlier.local_calls),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            ns_lookups: self.ns_lookups.saturating_sub(earlier.ns_lookups),
-        }
-    }
-}
-
 /// The simulation environment shared by all components.
 #[derive(Debug)]
 pub struct World {
-    /// The virtual clock all costs are charged against.
+    /// The virtual clock all costs are charged against, and its ledger.
     pub clock: VirtualClock,
     /// Hosts on the simulated LAN.
     pub topology: Topology,
@@ -60,7 +50,6 @@ pub struct World {
     /// Optional event and span recorder.
     pub tracer: Tracer,
     metrics: MetricsRegistry,
-    net: NetCounters,
     faults: RwLock<Option<Arc<FaultPlan>>>,
     /// Mirrors `faults.is_some()` so the per-call fault query on the RPC
     /// hot path is one relaxed load in the (overwhelmingly common)
@@ -70,34 +59,21 @@ pub struct World {
     faults_installed: AtomicBool,
 }
 
-/// The `net` component's counters, each kept once, in the registry: the
-/// per-call accounting in [`World::count_remote_call`] and friends is one
-/// add through a cached handle, not a registry lookup (two
-/// `String` allocations plus a read lock) per call, and
-/// [`World::counters`] reads the same handles. A handle registers its
-/// counter on first use, so a world that made no call publishes no `net`
-/// row.
-#[derive(Debug, Default)]
-struct NetCounters {
-    remote_calls: LazyCounter,
-    bytes_sent: LazyCounter,
-    local_calls: LazyCounter,
-    ns_lookups: LazyCounter,
-}
-
 impl World {
-    /// Creates a world with the given cost model.
+    /// Creates a world with the given cost model. Its registry reads the
+    /// `net` rows off its ledger.
     pub fn new(costs: CostModel) -> Arc<Self> {
-        Arc::new(World {
+        let world = Arc::new(World {
             clock: VirtualClock::new(),
             topology: Topology::new(),
             costs,
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
-            net: NetCounters::default(),
             faults: RwLock::new(None),
             faults_installed: AtomicBool::new(false),
-        })
+        });
+        world.metrics.register("net", &world);
+        world
     }
 
     /// Creates a world with the paper-calibrated cost model.
@@ -117,33 +93,42 @@ impl World {
     }
 
     /// Charges `term`: advances the clock by its price, rounded once to
-    /// the microsecond.
-    #[inline]
+    /// the microsecond, and files the same microseconds, with the term's
+    /// units, in the ledger's row of its kind. `#[inline(always)]`, as
+    /// `CostModel::price` is: with the hint alone the inliner costs the
+    /// whole `match` the price brings in, before the caller's term folds
+    /// it to one arm, and calls the charge out of line.
+    #[inline(always)]
     pub fn charge(&self, term: Term<'_>) {
-        self.clock
-            .advance(SimDuration::from_ms_f64(self.costs.price(term)));
+        let Charge { kind, units, ms } = self.costs.price(term);
+        self.clock.charge(kind, units, obs::ms_to_us(ms));
     }
 
     /// What `term` costs in this world, in milliseconds, as
     /// [`World::charge`] would charge it before rounding.
     #[inline]
     pub fn price(&self, term: Term<'_>) -> Ms {
-        self.costs.price(term)
+        self.costs.price(term).ms
     }
 
     /// Lets `d` pass with nothing done: an idle, a TTL's lapse, the wait
-    /// for a fault to heal.
+    /// for a fault to heal. The ledger files it as a [`Kind::Wait`].
     #[inline]
     pub fn wait(&self, d: SimDuration) {
-        self.clock.advance(d);
+        self.clock.charge(Kind::Wait, 0, d.as_us());
     }
 
-    /// Charges `ms` virtual milliseconds.
+    /// Charges `ms` virtual milliseconds, filed as a [`Kind::Wait`].
     ///
     /// Pinned by `benchmark/`; goes in ROADMAP item 1(c).
     #[inline]
     pub fn charge_ms(&self, ms: Ms) {
-        self.clock.advance(SimDuration::from_ms_f64(ms));
+        self.clock.charge(Kind::Wait, 0, obs::ms_to_us(ms));
+    }
+
+    /// A reading of the ledger: per kind, what was charged so far.
+    pub fn ledger(&self) -> Ledger {
+        self.clock.ledger()
     }
 
     /// Records a trace event at the current instant, attached to the
@@ -216,36 +201,9 @@ impl World {
         self.tracer.annotate_cache(outcome);
     }
 
-    /// Notes one remote (cross-host) call carrying `bytes` in total.
-    #[inline]
-    pub fn count_remote_call(&self, bytes: u64) {
-        let (net, metrics) = (&self.net, &self.metrics);
-        net.remote_calls.get(metrics, "net", "remote_calls").inc();
-        net.bytes_sent.get(metrics, "net", "bytes_sent").add(bytes);
-    }
-
-    /// Notes one local (same-host) call.
-    #[inline]
-    pub fn count_local_call(&self) {
-        let (net, metrics) = (&self.net, &self.metrics);
-        net.local_calls.get(metrics, "net", "local_calls").inc();
-    }
-
-    /// Notes one lookup served by an underlying name service.
-    #[inline]
-    pub fn count_ns_lookup(&self) {
-        let (net, metrics) = (&self.net, &self.metrics);
-        net.ns_lookups.get(metrics, "net", "ns_lookups").inc();
-    }
-
-    /// Snapshot of all counters.
+    /// The `net` counters so far, read off the ledger.
     pub fn counters(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            remote_calls: self.net.remote_calls.value(),
-            local_calls: self.net.local_calls.value(),
-            bytes_sent: self.net.bytes_sent.value(),
-            ns_lookups: self.net.ns_lookups.value(),
-        }
+        self.ledger().counters()
     }
 
     /// Installs (or, with `None`, clears) the fault plan. With no plan
@@ -287,14 +245,40 @@ impl World {
             .clone()
     }
 
-    /// Measures virtual time and counter deltas over `f`.
-    pub fn measure<R>(&self, f: impl FnOnce() -> R) -> (R, SimDuration, CounterSnapshot) {
-        let t0 = self.now();
-        let c0 = self.counters();
+    /// Measures `f`: what it charged, as the ledger's delta over it.
+    /// The delta's [`Ledger::total`] is its duration, and
+    /// [`Ledger::counters`] its calls and lookups. A debug build checks
+    /// that every charge the calling thread made was filed in a row, so
+    /// that the delta's rows sum to its total.
+    pub fn measure<R>(&self, f: impl FnOnce() -> R) -> (R, Ledger) {
+        let mut op = self.ledger();
         let r = f();
-        let took = self.now().since(t0);
-        let delta = self.counters().since(&c0);
-        (r, took, delta)
+        self.clock.since(&mut op);
+        debug_assert!(
+            self.clock.owner_balanced(),
+            "a charge moved the clock without filing its row"
+        );
+        (r, op)
+    }
+}
+
+/// The `net` rows a world's registry publishes: each of its counters,
+/// read off the ledger, once the world has made a call or a lookup of
+/// its kind — a world that made none has no `net` row, and a remote
+/// call's bytes row comes with its call row.
+impl CounterSource for World {
+    fn rows(&self, row: &mut dyn FnMut(&'static str, u64)) {
+        let net = self.counters();
+        if net.remote_calls != 0 {
+            row("remote_calls", net.remote_calls);
+            row("bytes_sent", net.bytes_sent);
+        }
+        if net.local_calls != 0 {
+            row("local_calls", net.local_calls);
+        }
+        if net.ns_lookups != 0 {
+            row("ns_lookups", net.ns_lookups);
+        }
     }
 }
 
@@ -336,6 +320,7 @@ impl Drop for WorldSpan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Row;
     use crate::costs::{CacheForm, RpcSuiteKind};
 
     #[test]
@@ -347,101 +332,216 @@ mod tests {
         assert_eq!(w.now().as_us(), 27_000);
     }
 
-    /// Every term with a count: bytes, records or reads.
-    fn counted<'a>(
-        suite: RpcSuiteKind,
+    /// One step of a random run: a term of the variant `which` names,
+    /// carrying the step's counts, or (past the last variant) a wait or a
+    /// `charge_ms`.
+    #[derive(Debug, Clone)]
+    struct Step {
+        which: usize,
+        suite: usize,
         bytes: usize,
         rrs: usize,
+        sets: Vec<usize>,
+        ms: Ms,
+    }
+
+    const WAIT: usize = 29;
+    const CHARGE_MS: usize = 30;
+
+    /// `step`'s term, fed `sets`, with the kind the ledger must file it
+    /// under and the units it carries; `None` for a wait.
+    fn term<'a>(
+        step: &Step,
         sets: &'a mut dyn Iterator<Item = usize>,
-    ) -> [Term<'a>; 11] {
+    ) -> Option<(Term<'a>, Kind, u64)> {
+        let suite = [
+            RpcSuiteKind::Sun,
+            RpcSuiteKind::Courier,
+            RpcSuiteKind::RawTcp,
+            RpcSuiteKind::RawUdp,
+            RpcSuiteKind::DnsUdp,
+        ][step.suite];
+        let (bytes, rrs, ms) = (step.bytes, step.rrs, step.ms);
+        let (b, r) = (bytes as u64, rrs as u64);
         let (marshalled, demarshalled) = (CacheForm::Marshalled, CacheForm::Demarshalled);
-        [
-            Term::RemoteRequest { suite, bytes },
-            Term::ReplyBytes { bytes },
-            Term::ZoneTransfer { suite, bytes },
-            Term::ChDiskReads { n: rrs },
-            Term::CacheHit {
-                form: marshalled,
+        Some(match step.which {
+            0 => (Term::LocalCall, Kind::LocalCall, 0),
+            1 => (Term::RemoteRequest { suite, bytes }, Kind::RemoteRequest, b),
+            2 => (Term::ReplicaPush { suite, bytes }, Kind::ReplicaPush, b),
+            3 => (Term::ReplyBytes { bytes }, Kind::ReplyBytes, b),
+            4 => (Term::RetryBackoff { ms }, Kind::RetryBackoff, 0),
+            5 => (Term::LatencySpike { ms }, Kind::LatencySpike, 0),
+            6 => (Term::PortmapService, Kind::PortmapService, 0),
+            7 => (Term::ZoneTransfer { suite, bytes }, Kind::ZoneTransfer, b),
+            8 => (Term::BindLookup, Kind::BindLookup, 0),
+            9 => (Term::BindService, Kind::BindService, 0),
+            10 => (Term::ChAuth, Kind::ChAuth, 0),
+            11 => (Term::ChRead, Kind::ChRead, 0),
+            12 => (Term::ChDiskReads { n: rrs }, Kind::ChDiskReads, r),
+            13 => (Term::CacheProbe, Kind::CacheProbe, 0),
+            14 => (
+                Term::CacheHit {
+                    form: marshalled,
+                    rrs,
+                },
+                Kind::CacheHit,
+                r,
+            ),
+            15 => (
+                Term::CacheHit {
+                    form: demarshalled,
+                    rrs,
+                },
+                Kind::CacheHit,
+                r,
+            ),
+            16 => (Term::GeneratedMiss { rrs }, Kind::GeneratedMiss, r),
+            17 => (Term::ResolverQuery { rrs }, Kind::ResolverQuery, r),
+            18 => {
+                let records = step.sets.iter().sum::<usize>() as u64;
+                (Term::ResolverBatch { sets }, Kind::ResolverBatch, records)
+            }
+            19 => (Term::FastMarshal { rrs }, Kind::FastMarshal, r),
+            20 => (Term::HnsBookkeeping, Kind::HnsBookkeeping, 0),
+            21 => (Term::FindNsmArgMarshal, Kind::FindNsmArgMarshal, 0),
+            22 => (Term::NsmArgMarshal, Kind::NsmArgMarshal, 0),
+            23 => (Term::AgentArgMarshal, Kind::AgentArgMarshal, 0),
+            24 => (Term::NsmAssemble, Kind::NsmAssemble, 0),
+            25 => (Term::BindingAssembly { rrs }, Kind::BindingAssembly, r),
+            26 => (Term::InterimFileBind, Kind::InterimFileBind, 0),
+            27 => (Term::ReregAssemble, Kind::ReregAssemble, 0),
+            28 => (Term::ReregPerName, Kind::ReregPerName, 0),
+            _ => return None,
+        })
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        (
+            0usize..=CHARGE_MS,
+            0usize..5,
+            0usize..=65_536,
+            0usize..=64,
+            proptest::collection::vec(0usize..=64, 0..8),
+            0.0..500.0f64,
+        )
+            .prop_map(|(which, suite, bytes, rrs, sets, ms)| Step {
+                which,
+                suite,
+                bytes,
                 rrs,
-            },
-            Term::CacheHit {
-                form: demarshalled,
-                rrs,
-            },
-            Term::GeneratedMiss { rrs },
-            Term::ResolverQuery { rrs },
-            Term::FastMarshal { rrs },
-            Term::BindingAssembly { rrs },
-            Term::ResolverBatch { sets },
-        ]
+                sets,
+                ms,
+            })
     }
 
     proptest::proptest! {
-        /// A counted term advances the clock by its price rounded once, at
-        /// every count a run makes: up to 64 KiB on the wire, 64 records
-        /// in a message, 64 Clearinghouse reads.
+        /// A random run of terms and waits, at every count a run makes
+        /// (up to 64 KiB on the wire, 64 records in a message, 64
+        /// Clearinghouse reads): each charge advances the clock by its
+        /// price rounded once and files those microseconds in its kind's
+        /// row; after each step the rows are what was charged, they sum
+        /// to the clock's delta, and `counters` — and the registry's
+        /// `net` rows — are the four sums read off them.
         #[test]
-        fn a_charge_advances_by_its_price_rounded_once(
-            bytes in 0usize..=65_536,
-            rrs in 0usize..=64,
-            sets in proptest::collection::vec(0usize..=64, 0..8),
-            suite in 0usize..5,
+        fn the_ledger_files_every_charge_and_sums_to_the_clock(
+            steps in proptest::collection::vec(step(), 0..48),
         ) {
-            let suite = [
-                RpcSuiteKind::Sun,
-                RpcSuiteKind::Courier,
-                RpcSuiteKind::RawTcp,
-                RpcSuiteKind::RawUdp,
-                RpcSuiteKind::DnsUdp,
-            ][suite];
+            use proptest::prop_assert_eq;
             let w = World::paper();
-            let (mut priced, mut charged) = (sets.iter().copied(), sets.iter().copied());
-            let prices = counted(suite, bytes, rrs, &mut priced).map(|term| w.price(term));
-            for (term, price) in counted(suite, bytes, rrs, &mut charged).into_iter().zip(prices) {
-                let before = w.now();
-                w.charge(term);
-                proptest::prop_assert_eq!(w.now().since(before).as_us(), obs::ms_to_us(price));
+            w.wait(SimDuration::from_us(7));
+            let (start, before) = (w.now(), w.ledger());
+            let mut model = [Row::default(); Kind::COUNT];
+            for step in &steps {
+                let (mut priced, mut charged) = (step.sets.iter().copied(), step.sets.iter().copied());
+                let at = w.now();
+                let (kind, units, us) = match (term(step, &mut priced), term(step, &mut charged)) {
+                    (Some((priced, kind, units)), Some((charged, _, _))) => {
+                        let us = obs::ms_to_us(w.price(priced));
+                        w.charge(charged);
+                        (kind, units, us)
+                    }
+                    _ if step.which == WAIT => {
+                        w.wait(SimDuration::from_us(step.bytes as u64));
+                        (Kind::Wait, 0, step.bytes as u64)
+                    }
+                    _ => {
+                        w.charge_ms(step.ms);
+                        (Kind::Wait, 0, obs::ms_to_us(step.ms))
+                    }
+                };
+                prop_assert_eq!(w.now().since(at).as_us(), us);
+                let row = &mut model[kind as usize];
+                (row.count, row.units, row.us) = (row.count + 1, row.units + units, row.us + us);
+
+                let mut delta = before;
+                w.clock.since(&mut delta);
+                let rows: Vec<Row> = delta.rows().map(|(_, row)| row).collect();
+                prop_assert_eq!(&rows[..], &model[..]);
+                prop_assert_eq!(delta.total(), w.now().since(start));
+                prop_assert_eq!(rows.iter().map(|row| row.us).sum::<u64>(), delta.total().as_us());
+                let row = |kind: Kind| model[kind as usize];
+                let net = CounterSnapshot {
+                    remote_calls: row(Kind::RemoteRequest).count,
+                    local_calls: row(Kind::LocalCall).count,
+                    bytes_sent: row(Kind::RemoteRequest).units,
+                    ns_lookups: row(Kind::BindLookup).count + row(Kind::ChRead).count,
+                };
+                prop_assert_eq!(w.counters(), net);
+                let snap = w.metrics().snapshot();
+                let published = |name| snap.counter("net", name).unwrap_or(0);
+                prop_assert_eq!(published("remote_calls"), net.remote_calls);
+                prop_assert_eq!(published("bytes_sent"), net.bytes_sent);
+                prop_assert_eq!(published("local_calls"), net.local_calls);
+                prop_assert_eq!(published("ns_lookups"), net.ns_lookups);
             }
         }
     }
 
-    /// Each call is counted once, in the registry's `net` component, which
-    /// `counters` reads; a world that made no call has no `net` row.
+    /// A world that made no call has no `net` row; its first call of each
+    /// kind brings that kind's rows, read off the ledger.
     #[test]
-    fn counters_track_calls() {
+    fn net_rows_appear_with_their_first_call() {
         let w = World::paper();
         assert_eq!(w.counters(), CounterSnapshot::default());
+        w.charge(Term::CacheProbe);
+        w.charge(Term::BindService);
+        w.charge(Term::ReplicaPush {
+            suite: RpcSuiteKind::Courier,
+            bytes: 512,
+        });
         assert!(w.metrics().snapshot().counters.is_empty());
-        w.count_remote_call(128);
-        w.count_remote_call(64);
-        w.count_local_call();
-        w.count_ns_lookup();
-        let c = w.counters();
-        assert_eq!(c.remote_calls, 2);
-        assert_eq!(c.local_calls, 1);
-        assert_eq!(c.bytes_sent, 192);
-        assert_eq!(c.ns_lookups, 1);
+        let suite = RpcSuiteKind::Sun;
+        w.charge(Term::RemoteRequest { suite, bytes: 0 });
         let snap = w.metrics().snapshot();
-        assert_eq!(snap.counter("net", "remote_calls"), Some(2));
-        assert_eq!(snap.counter("net", "bytes_sent"), Some(192));
+        assert_eq!(snap.counter("net", "remote_calls"), Some(1));
+        assert_eq!(snap.counter("net", "bytes_sent"), Some(0));
+        assert_eq!(snap.counter("net", "local_calls"), None);
+        w.charge(Term::LocalCall);
+        w.charge(Term::ChRead);
+        w.charge(Term::BindLookup);
+        let snap = w.metrics().snapshot();
         assert_eq!(snap.counter("net", "local_calls"), Some(1));
-        assert_eq!(snap.counter("net", "ns_lookups"), Some(1));
+        assert_eq!(snap.counter("net", "ns_lookups"), Some(2));
     }
 
     #[test]
     fn measure_reports_deltas_only() {
         let w = World::paper();
         w.wait(SimDuration::from_ms(10));
-        w.count_remote_call(10);
-        let (val, took, delta) = w.measure(|| {
+        let suite = RpcSuiteKind::Sun;
+        w.charge(Term::RemoteRequest { suite, bytes: 10 });
+        let (val, op) = w.measure(|| {
             w.wait(SimDuration::from_ms(5));
-            w.count_remote_call(7);
+            w.charge(Term::RemoteRequest { suite, bytes: 7 });
             "ok"
         });
         assert_eq!(val, "ok");
-        assert_eq!(took, SimDuration::from_ms(5));
-        assert_eq!(delta.remote_calls, 1);
-        assert_eq!(delta.bytes_sent, 7);
+        let request = w.price(Term::RemoteRequest { suite, bytes: 7 });
+        assert_eq!(op.total().as_us(), 5_000 + obs::ms_to_us(request));
+        assert_eq!(op.row(Kind::Wait).us, 5_000);
+        assert_eq!(op.counters().remote_calls, 1);
+        assert_eq!(op.counters().bytes_sent, 7);
     }
 
     #[test]
@@ -501,26 +601,5 @@ mod tests {
         assert!(w.faults().expect("installed").host_down(HostId(1), w.now()));
         w.set_faults(None);
         assert!(w.faults().is_none());
-    }
-
-    #[test]
-    fn snapshot_since_subtracts() {
-        let a = CounterSnapshot {
-            remote_calls: 5,
-            local_calls: 2,
-            bytes_sent: 100,
-            ns_lookups: 3,
-        };
-        let b = CounterSnapshot {
-            remote_calls: 7,
-            local_calls: 2,
-            bytes_sent: 150,
-            ns_lookups: 4,
-        };
-        let d = b.since(&a);
-        assert_eq!(d.remote_calls, 2);
-        assert_eq!(d.local_calls, 0);
-        assert_eq!(d.bytes_sent, 50);
-        assert_eq!(d.ns_lookups, 1);
     }
 }

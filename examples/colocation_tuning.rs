@@ -25,9 +25,9 @@ fn main() {
     let mut cells = Vec::new();
     for arrangement in Arrangement::all() {
         let deployed = deploy(arrangement, NsmCacheForm::Marshalled, CacheMode::Marshalled);
-        let a = deployed.measure(CacheState::Miss);
-        let b = deployed.measure(CacheState::HnsHit);
-        let c = deployed.measure(CacheState::BothHit);
+        let a = deployed.measure(CacheState::Miss).total().as_ms_f64();
+        let b = deployed.measure(CacheState::HnsHit).total().as_ms_f64();
+        let c = deployed.measure(CacheState::BothHit).total().as_ms_f64();
         println!("{:<28} {a:>10.1} {b:>12.1} {c:>12.1}", arrangement.label());
         cells.push((a, b, c));
     }

@@ -90,7 +90,9 @@ fn main() {
     world.tracer.set_enabled(true);
     let resolver = RecursiveResolver::new(Arc::clone(&net), client, root.std_binding);
     let target = name("fiji.cs.washington.edu");
-    let (records, cold, counters) = world.measure(|| resolver.resolve(&target, RType::A));
+    let (records, ledger) = world.measure(|| resolver.resolve(&target, RType::A));
+    let cold = ledger.total();
+    let counters = ledger.counters();
     let records = records.expect("resolved");
     world.tracer.set_enabled(false);
 
@@ -107,7 +109,9 @@ fn main() {
     }
 
     // The second resolution is answered from the resolver's TTL cache.
-    let (r, warm, counters) = world.measure(|| resolver.resolve(&target, RType::A));
+    let (r, ledger) = world.measure(|| resolver.resolve(&target, RType::A));
+    let warm = ledger.total();
+    let counters = ledger.counters();
     r.expect("cached");
     println!(
         "second resolution: {:.2} ms, {} remote queries (TTL cache)",
@@ -119,7 +123,9 @@ fn main() {
     // A sibling is a miss there, but the walk need not start over: the
     // referrals were kept, and cs.washington.edu's names its server.
     let sibling = name("june.cs.washington.edu");
-    let (r, took, counters) = world.measure(|| resolver.resolve(&sibling, RType::A));
+    let (r, ledger) = world.measure(|| resolver.resolve(&sibling, RType::A));
+    let took = ledger.total();
+    let counters = ledger.counters();
     r.expect("resolved");
     println!(
         "sibling {sibling}: {:.1} ms, {} remote query (zone cut served from cache)",

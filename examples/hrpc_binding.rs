@@ -39,9 +39,11 @@ fn main() {
     println!("HNS name: {hns_name}");
 
     // Phase 1 — FindNSM: context + query class -> binding for the NSM.
-    let (nsm_binding, find_cold, calls) = tb
+    let (nsm_binding, ledger) = tb
         .world
         .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &hns_name));
+    let find_cold = ledger.total();
+    let calls = ledger.counters();
     let nsm_binding = nsm_binding.expect("FindNSM");
     println!(
         "FindNSM (cold): {:.1} ms, {} remote data mappings -> NSM at {}:{}",
@@ -54,7 +56,7 @@ fn main() {
     // Phase 2 — call the designated NSM with the original HNS name plus
     // the query-class-specific arguments.
     let nsm_client = NsmClient::new(Arc::clone(&tb.net), tb.hosts.client);
-    let (reply, nsm_ms, _) = tb.world.measure(|| {
+    let (reply, ledger) = tb.world.measure(|| {
         nsm_client.call(
             &nsm_binding,
             &hns_name,
@@ -64,6 +66,7 @@ fn main() {
             ],
         )
     });
+    let nsm_ms = ledger.total();
     let reply = reply.expect("binding NSM");
     let desired_binding = HrpcBinding::from_value(&reply).expect("binding decodes");
     println!(
@@ -82,9 +85,11 @@ fn main() {
     println!("DesiredService replied: {reply}");
 
     // The caching behaviour of §3: the same FindNSM again, now warm.
-    let (r, find_warm, warm_calls) = tb
+    let (r, ledger) = tb
         .world
         .measure(|| hns.find_nsm(&QueryClass::hrpc_binding(), &hns_name));
+    let find_warm = ledger.total();
+    let warm_calls = ledger.counters();
     r.expect("warm FindNSM");
     println!(
         "FindNSM (warm): {:.1} ms, {} remote calls (paper: 460 -> 88 ms)",

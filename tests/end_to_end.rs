@@ -39,9 +39,10 @@ fn remote_hns_serves_many_clients() {
     let mut times = Vec::new();
     for client in [tb.hosts.client, tb.hosts.agent, tb.hosts.meta] {
         let importer = Importer::new(Arc::clone(&tb.net), client, HnsHandle::Remote(binding));
-        let (r, took, _) = tb
+        let (r, ledger) = tb
             .world
             .measure(|| importer.import(DESIRED_SERVICE, DESIRED_SERVICE_PROGRAM, &name));
+        let took = ledger.total();
         r.expect("import");
         times.push(took.as_ms_f64());
     }
@@ -134,7 +135,7 @@ fn datagram_loss_is_retried_transparently() {
 fn all_five_arrangements_agree_on_results() {
     for arrangement in Arrangement::all() {
         let deployed = deploy(arrangement, NsmCacheForm::Marshalled, CacheMode::Marshalled);
-        let ms = deployed.measure(CacheState::BothHit);
+        let ms = deployed.measure(CacheState::BothHit).total().as_ms_f64();
         assert!(
             (90.0..230.0).contains(&ms),
             "{}: cached import {ms} ms out of range",

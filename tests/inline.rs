@@ -1,8 +1,8 @@
 //! The per-op bookkeeping inlines into every crate that calls it.
 //!
-//! A query charges virtual time, reads the clock, adds to counters and
-//! records into histograms dozens of times (DESIGN.md "Bookkeeping costs
-//! no call"). Those functions live in `simnet` and `obs`, and a call from
+//! A query charges virtual time (the clock and its ledger row, under one
+//! owner check), reads the clock, adds to counters and records into
+//! histograms dozens of times (DESIGN.md "Bookkeeping costs no call"). Those functions live in `simnet` and `obs`, and a call from
 //! another crate to a non-generic function is out of line unless the
 //! function is marked `#[inline]`. So each fast path named below must
 //! carry `#[inline]` (`CostModel::price`, a `match` on the term its
@@ -62,20 +62,18 @@ const WORLD: &str = "crates/simnet/src/world.rs";
 const COSTS: &str = "crates/simnet/src/costs.rs";
 const CLOCK: &str = "crates/simnet/src/clock.rs";
 const TIME: &str = "crates/simnet/src/time.rs";
+const WORD: &str = "crates/obs/src/word.rs";
 const METRICS: &str = "crates/obs/src/metrics.rs";
 const TRACE: &str = "crates/obs/src/trace.rs";
 
 const MARKED: &[Marked] = &[
     inline(WORLD, "World", "now"),
-    inline(WORLD, "World", "charge"),
+    always(WORLD, "World", "charge"),
     inline(WORLD, "World", "wait"),
     always(COSTS, "CostModel", "price"),
     inline(WORLD, "World", "trace"),
     inline(WORLD, "World", "span_lazy"),
     inline(WORLD, "World", "cache_outcome"),
-    inline(WORLD, "World", "count_remote_call"),
-    inline(WORLD, "World", "count_local_call"),
-    inline(WORLD, "World", "count_ns_lookup"),
     inline(WORLD, "World", "faults"),
     inline(WORLD, "WorldSpan<'_>", "add_round_trips"),
     inline(WORLD, "Drop for WorldSpan<'_>", "drop"),
@@ -83,7 +81,11 @@ const MARKED: &[Marked] = &[
     cold(WORLD, "World", "open_span"),
     cold(WORLD, "World", "installed_faults"),
     inline(CLOCK, "VirtualClock", "now"),
-    inline(CLOCK, "VirtualClock", "advance"),
+    inline(CLOCK, "VirtualClock", "charge"),
+    inline(CLOCK, "Half", "add_owned"),
+    cold(CLOCK, "Half", "add_shared"),
+    inline(WORD, "", "token"),
+    inline(WORD, "Owner", "is_mine"),
     inline(TIME, "SimTime", "from_us"),
     inline(TIME, "SimTime", "as_us"),
     inline(TIME, "SimTime", "since"),

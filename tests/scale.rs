@@ -61,7 +61,9 @@ fn warm_cost_is_independent_of_universe_size() {
     // Re-query a sample: cost must be flat cache work, not proportional to
     // the number of registered contexts.
     for name in names.iter().step_by(37) {
-        let (r, took, delta) = tb.world.measure(|| hns.find_nsm(&qc, name));
+        let (r, ledger) = tb.world.measure(|| hns.find_nsm(&qc, name));
+        let took = ledger.total();
+        let delta = ledger.counters();
         r.expect("warm");
         assert_eq!(delta.remote_calls, 0);
         assert!(took.as_ms_f64() < 12.0, "warm find took {took}");
@@ -72,7 +74,8 @@ fn warm_cost_is_independent_of_universe_size() {
 fn preload_of_a_large_zone_scales_with_size_and_still_wins() {
     let (tb, names) = big_testbed();
     let hns = tb.make_hns(tb.hosts.client, CacheMode::Demarshalled);
-    let (report, preload_ms, _) = tb.world.measure(|| hns.preload());
+    let (report, ledger) = tb.world.measure(|| hns.preload());
+    let preload_ms = ledger.total();
     let report = report.expect("preload");
     assert!(report.entries >= CONTEXTS, "entries {}", report.entries);
     assert!(report.bytes > 8_000, "zone bytes {}", report.bytes);
@@ -94,7 +97,8 @@ fn preload_of_a_large_zone_scales_with_size_and_still_wins() {
     // Preloaded queries never touch the meta store.
     let qc = QueryClass::hrpc_binding();
     for name in names.iter().step_by(50) {
-        let (_, _, delta) = tb.world.measure(|| hns.find_nsm(&qc, name));
+        let (_, ledger) = tb.world.measure(|| hns.find_nsm(&qc, name));
+        let delta = ledger.counters();
         assert!(delta.remote_calls <= 1, "at most the public host lookup");
     }
     // And preloading the whole (now large) zone still beats cold-faulting
